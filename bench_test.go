@@ -34,6 +34,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
+	"repro/internal/testutil"
 	"repro/internal/triplex"
 	"repro/internal/wal"
 )
@@ -356,6 +357,65 @@ func BenchmarkNEDResolve(b *testing.B) {
 		if _, _, ok := linker.Resolve("Michael Jordan", "Chicago Bulls"); !ok {
 			b.Fatal("resolve failed")
 		}
+	}
+}
+
+// partialNames returns up to n distinct misspelt or truncated gazetteer
+// names: label i%len with 1–3 trailing bytes dropped and, from the
+// second round on, one interior letter replaced.
+func partialNames(k *kb.KB, n int) []string {
+	var labels []string
+	for _, l := range testutil.Labels(k) {
+		if len(l) >= 6 && len(l) == len([]rune(l)) { // byte edits below need one byte per rune
+			labels = append(labels, l)
+		}
+	}
+	seen := make(map[string]bool, n)
+	out := make([]string, 0, n)
+	for i := 0; len(out) < n && i < 8*n; i++ {
+		l, round := labels[i%len(labels)], i/len(labels)
+		p := []byte(l[:len(l)-1-round%3])
+		if e := round / 3; e > 0 {
+			p[1+(e-1)%(len(p)-1)] = byte('a' + (e-1)/(len(p)-1)%26)
+		}
+		if s := string(p); !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// BenchmarkNEDResolveFuzzy is the §2.2.5 fallback a phrase takes when
+// no label matches it exactly: a stream of distinct partial names, each
+// scored against the gazetteer. No name repeats within 1<<17 iterations
+// (64 times the gazetteer), so no memo keyed by the phrase can serve it.
+func BenchmarkNEDResolveFuzzy(b *testing.B) {
+	k := kb.Default()
+	linker := ner.NewLinker(k)
+	names := partialNames(k, min(b.N, 1<<17))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		linker.Resolve(names[i%len(names)])
+	}
+}
+
+// BenchmarkPropmapMap is the whole §2.2 stage over the extractions of
+// the entity-template questions (qaload's entity_cold stream).
+func BenchmarkPropmapMap(b *testing.B) {
+	s := sharedSystem(b)
+	mapper := propmap.New(s.KB, s.WordNet, s.Patterns, s.Linker, propmap.DefaultConfig())
+	var exts []*triplex.Extraction
+	for _, q := range testutil.EntityQuestions(s.KB) {
+		if ext, err := triplex.Extract(q); err == nil {
+			exts = append(exts, ext)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapper.Map(exts[i%len(exts)])
 	}
 }
 

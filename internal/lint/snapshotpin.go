@@ -11,15 +11,18 @@ import (
 // reads in one query can land on different generations and produce a
 // torn result — exactly the qacache-stamp/executed-snapshot divergence
 // PR 5 closed by pinning the snapshot at request entry. The only Store
-// method those packages may call is Snapshot itself, the pin.
+// method those packages may call is Snapshot itself, the pin. The §2.2
+// mapping packages are in scope too: their indexes are built from one
+// snapshot at boot, and a per-request read of the live store beside
+// them would mix that generation with a later one.
 var SnapshotPin = &Analyzer{
 	Name: "snapshotpin",
-	Doc:  "reads in internal/sparql and internal/answer must go through a pinned store.Snapshot, never store.Store",
+	Doc:  "reads in internal/sparql, internal/answer, internal/ner and internal/propmap must go through a pinned store.Snapshot, never store.Store",
 	Run:  runSnapshotPin,
 }
 
 // snapshotPinScope is where the invariant applies.
-var snapshotPinScope = []string{"internal/sparql", "internal/answer"}
+var snapshotPinScope = []string{"internal/sparql", "internal/answer", "internal/ner", "internal/propmap"}
 
 func runSnapshotPin(p *Pass) {
 	if !pathMatches(p.Pkg.Path, snapshotPinScope...) {

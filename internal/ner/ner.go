@@ -6,11 +6,24 @@
 // wikiPageWikiLink graph restricted to the candidates of all co-spotted
 // mentions, combined with string similarity between the mention and the
 // entity label (§2.2.5).
+//
+// Built once at boot, by NewLinker from one pinned snapshot: the
+// entities in Term order with their labels, lower-cased labels and
+// page-link adjacency; the distinct labels by first byte and length with
+// a character-class set each; the exact-label map. Paid per question:
+// lower-casing the phrase, one map lookup, and — only when no label
+// matches exactly — Jaro-Winkler against the few labels of one length
+// band that share enough characters to reach the threshold. The request
+// path reads no store and keeps no memo.
 package ner
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/kb"
 	"repro/internal/nlp/token"
@@ -39,54 +52,128 @@ type Mention struct {
 	Entity rdf.Term
 }
 
-// Linker spots and disambiguates mentions against one KB.
+// Linker spots and disambiguates mentions against one KB. Everything in
+// it is built by NewLinker and read-only afterwards.
 type Linker struct {
-	kb           *kb.KB
-	labelIndex   map[string][]rdf.Term
-	labelOf      map[rdf.Term]string
-	maxLabelLen  int // in tokens
-	globalDegree map[rdf.Term]int
-	maxDegree    float64
+	// ents holds every labelled entity and page-link endpoint in Term
+	// order, so an index into it doubles as the tie-break rank.
+	ents  []entity
+	entID map[rdf.Term]int32
+	// groups holds the distinct non-empty lower-cased labels by first
+	// byte, each group ordered by rune length: the fuzzy pass reads one
+	// length band of one group. exact finds a label's row.
+	groups      [256][]label
+	exact       map[string]*label
+	maxLabelLen int // in tokens
+	maxDegree   float64
 }
 
-// NewLinker builds the gazetteer and link-degree indexes.
-func NewLinker(k *kb.KB) *Linker {
-	l := &Linker{
-		kb:           k,
-		labelIndex:   map[string][]rdf.Term{},
-		labelOf:      map[rdf.Term]string{},
-		globalDegree: map[rdf.Term]int{},
+type entity struct {
+	term  rdf.Term
+	label string  // its first rdfs:label
+	lower string  // label, lower-cased
+	links []int32 // page-link targets; the degree is their number
+}
+
+type label struct {
+	lower string
+	runes int
+	chars uint64  // the charClass of every rune, as a bit set
+	ents  []int32 // carriers, ascending
+}
+
+// charClass hashes a lower-cased rune into 64 classes, letters apart.
+func charClass(r rune) uint {
+	if 'a' <= r && r <= 'z' {
+		return uint(r - 'a')
 	}
-	k.Store.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
+	return 26 + uint(r)%38
+}
+
+// NewLinker builds the gazetteer and page-link indexes from one pinned
+// snapshot of the KB's store.
+func NewLinker(k *kb.KB) *Linker {
+	sn := k.Store.Snapshot()
+	l := &Linker{entID: map[rdf.Term]int32{}, exact: map[string]*label{}}
+	intern := func(t rdf.Term) {
+		if _, ok := l.entID[t]; !ok {
+			l.entID[t] = 0
+			l.ents = append(l.ents, entity{term: t})
+		}
+	}
+	carriers := map[string][]rdf.Term{}
+	firstLabel := map[rdf.Term]string{}
+	sn.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
 		if !strings.HasPrefix(t.S.Value, rdf.NSRes) {
 			return true
 		}
+		intern(t.S)
 		key := strings.ToLower(t.O.Value)
-		l.labelIndex[key] = append(l.labelIndex[key], t.S)
-		if _, ok := l.labelOf[t.S]; !ok {
-			l.labelOf[t.S] = t.O.Value
+		carriers[key] = append(carriers[key], t.S)
+		if _, ok := firstLabel[t.S]; !ok {
+			firstLabel[t.S] = t.O.Value
 		}
-		if n := len(token.Words(t.O.Value)); n > l.maxLabelLen {
-			l.maxLabelLen = n
-		}
+		l.maxLabelLen = max(l.maxLabelLen, len(token.Words(t.O.Value)))
 		return true
 	})
-	for _, ents := range l.labelIndex {
-		sort.Slice(ents, func(i, j int) bool { return ents[i].Compare(ents[j]) < 0 })
-	}
-	k.Store.ForEachMatch(rdf.Triple{P: rdf.NewIRI(rdf.IRIPageLink)}, func(t rdf.Triple) bool {
-		l.globalDegree[t.S]++
+	var links []rdf.Triple
+	sn.ForEachMatch(rdf.Triple{P: rdf.NewIRI(rdf.IRIPageLink)}, func(t rdf.Triple) bool {
+		intern(t.S)
+		intern(t.O)
+		links = append(links, t)
 		return true
 	})
-	for _, d := range l.globalDegree {
-		if float64(d) > l.maxDegree {
-			l.maxDegree = float64(d)
-		}
+	sort.Slice(l.ents, func(i, j int) bool { return l.ents[i].term.Compare(l.ents[j].term) < 0 })
+	for i := range l.ents {
+		e := &l.ents[i]
+		l.entID[e.term] = int32(i)
+		e.label = firstLabel[e.term]
+		e.lower = strings.ToLower(e.label)
 	}
-	if l.maxDegree == 0 {
-		l.maxDegree = 1
+	l.maxDegree = 1
+	for _, t := range links {
+		e := &l.ents[l.entID[t.S]]
+		e.links = append(e.links, l.entID[t.O])
+		l.maxDegree = max(l.maxDegree, float64(len(e.links)))
+	}
+
+	for key, terms := range carriers {
+		lb := label{lower: key, runes: utf8.RuneCountInString(key)}
+		for _, r := range key {
+			lb.chars |= 1 << charClass(r)
+		}
+		for _, t := range terms {
+			lb.ents = append(lb.ents, l.entID[t])
+		}
+		slices.Sort(lb.ents)
+		if key == "" {
+			l.exact[key] = &lb // in no group: the fuzzy pass never reads it
+			continue
+		}
+		l.groups[key[0]] = append(l.groups[key[0]], lb)
+	}
+	for b := range l.groups {
+		g := l.groups[b]
+		sort.Slice(g, func(i, j int) bool {
+			if g[i].runes != g[j].runes {
+				return g[i].runes < g[j].runes
+			}
+			return g[i].lower < g[j].lower
+		})
+		for i := range g {
+			l.exact[g[i].lower] = &g[i]
+		}
 	}
 	return l
+}
+
+// candidates lists the carriers of a label as unscored candidates.
+func (l *Linker) candidates(lb *label) []Candidate {
+	out := make([]Candidate, len(lb.ents))
+	for i, id := range lb.ents {
+		out[i] = Candidate{Entity: l.ents[id].term, Label: l.ents[id].label}
+	}
+	return out
 }
 
 // Spot finds candidate mentions by longest-match n-gram label lookup.
@@ -114,18 +201,14 @@ func (l *Linker) Spot(words []string) []Mention {
 				continue
 			}
 			gram := strings.Join(words[i:i+span], " ")
-			ents := l.labelIndex[strings.ToLower(gram)]
-			if len(ents) == 0 {
+			lb, ok := l.exact[strings.ToLower(gram)]
+			if !ok {
 				continue
 			}
 			if !containsCapital(words[i : i+span]) {
 				continue // only capitalised surface forms spot entities
 			}
-			m := Mention{Text: gram, Start: i, End: i + span}
-			for _, e := range ents {
-				m.Candidates = append(m.Candidates, Candidate{Entity: e, Label: l.labelOf[e]})
-			}
-			out = append(out, m)
+			out = append(out, Mention{Text: gram, Start: i, End: i + span, Candidates: l.candidates(lb)})
 			for j := i; j < i+span; j++ {
 				used[j] = true
 			}
@@ -149,37 +232,44 @@ func containsCapital(words []string) bool {
 // page-link graph restricted to the candidates of the *other* mentions,
 // (b) normalised global page-link degree, and (c) string similarity
 // between mention text and entity label — the recipe of ref. [15] plus
-// the paper's §2.2.5 string-similarity addition.
+// the paper's §2.2.5 string-similarity addition. It reads only the
+// Linker's own indexes, never the store.
 func (l *Linker) Disambiguate(mentions []Mention) []Mention {
-	// Candidate pool across mentions.
-	pool := map[rdf.Term]bool{}
+	total := 0
 	for _, m := range mentions {
-		for _, c := range m.Candidates {
-			pool[c.Entity] = true
-		}
+		total += len(m.Candidates)
 	}
-	link := rdf.NewIRI(rdf.IRIPageLink)
 	for mi := range mentions {
 		m := &mentions[mi]
+		text := strings.ToLower(m.Text)
+		others := total > len(m.Candidates)
 		for ci := range m.Candidates {
 			c := &m.Candidates[ci]
-			// Local centrality: links into the other mentions' candidates.
-			local := 0
-			l.kb.Store.ForEachMatch(rdf.Triple{S: c.Entity, P: link}, func(t rdf.Triple) bool {
-				if pool[t.O] && !sameMention(m, t.O) {
-					local++
+			local, global, lower := 0, 0.0, ""
+			if id, ok := l.entID[c.Entity]; ok {
+				e := &l.ents[id]
+				global = float64(len(e.links)) / l.maxDegree
+				if c.Label == e.label {
+					lower = e.lower
 				}
-				return true
-			})
-			global := float64(l.globalDegree[c.Entity]) / l.maxDegree
-			sim := strsim.JaroWinkler(strings.ToLower(m.Text), strings.ToLower(c.Label))
-			c.Score = 2.0*float64(local) + 0.5*global + sim
-		}
-		sort.SliceStable(m.Candidates, func(i, j int) bool {
-			if m.Candidates[i].Score != m.Candidates[j].Score {
-				return m.Candidates[i].Score > m.Candidates[j].Score
+				// Local centrality: links into the other mentions'
+				// candidates (own candidates must not reinforce each other).
+				for i := 0; others && i < len(e.links); i++ {
+					if candidateOfOther(mentions, mi, l.ents[e.links[i]].term) {
+						local++
+					}
+				}
 			}
-			return m.Candidates[i].Entity.Compare(m.Candidates[j].Entity) < 0
+			if lower == "" {
+				lower = strings.ToLower(c.Label)
+			}
+			c.Score = 2.0*float64(local) + 0.5*global + strsim.JaroWinkler(text, lower)
+		}
+		slices.SortStableFunc(m.Candidates, func(a, b Candidate) int {
+			if a.Score != b.Score {
+				return cmp.Compare(b.Score, a.Score)
+			}
+			return a.Entity.Compare(b.Entity)
 		})
 		if len(m.Candidates) > 0 {
 			m.Entity = m.Candidates[0].Entity
@@ -188,15 +278,21 @@ func (l *Linker) Disambiguate(mentions []Mention) []Mention {
 	return mentions
 }
 
-// sameMention reports whether e is one of m's own candidates (own
-// candidates must not reinforce each other).
-func sameMention(m *Mention, e rdf.Term) bool {
-	for _, c := range m.Candidates {
-		if c.Entity == e {
-			return true
+// candidateOfOther reports whether e is a candidate of some mention but
+// not of mentions[own].
+func candidateOfOther(mentions []Mention, own int, e rdf.Term) bool {
+	found := false
+	for mi := range mentions {
+		for ci := range mentions[mi].Candidates {
+			if mentions[mi].Candidates[ci].Entity == e {
+				if mi == own {
+					return false
+				}
+				found = true
+			}
 		}
 	}
-	return false
+	return found
 }
 
 // Link runs Spot + Disambiguate over raw text.
@@ -208,23 +304,20 @@ func (l *Linker) Link(text string) []Mention {
 // centrality signal. It returns the selected entity and the scored
 // candidate list.
 func (l *Linker) Resolve(phrase string, context ...string) (rdf.Term, []Candidate, bool) {
-	words := token.Words(phrase)
-	if len(words) == 0 {
-		return rdf.Term{}, nil, false
+	if strings.TrimSpace(phrase) == "" {
+		return rdf.Term{}, nil, false // no token at all
 	}
 	candidates := l.candidatesFor(phrase)
 	if len(candidates) == 0 {
 		return rdf.Term{}, nil, false
 	}
-	m := Mention{Text: phrase, Start: 0, End: len(words), Candidates: candidates}
-	ms := []Mention{m}
-	for i, ctx := range context {
+	ms := []Mention{{Text: phrase, Candidates: candidates}}
+	for _, ctx := range context {
 		if strings.EqualFold(ctx, phrase) {
 			continue
 		}
-		cc := l.candidatesFor(ctx)
-		if len(cc) > 0 {
-			ms = append(ms, Mention{Text: ctx, Start: 100 + i, End: 101 + i, Candidates: cc})
+		if cc := l.candidatesFor(ctx); len(cc) > 0 {
+			ms = append(ms, Mention{Text: ctx, Candidates: cc})
 		}
 	}
 	ms = l.Disambiguate(ms)
@@ -236,50 +329,95 @@ func (l *Linker) Resolve(phrase string, context ...string) (rdf.Term, []Candidat
 // then a fuzzy pass over labels sharing the first letter (Jaro-Winkler
 // ≥ 0.92).
 func (l *Linker) candidatesFor(phrase string) []Candidate {
-	tryExact := func(p string) []Candidate {
-		ents := l.labelIndex[strings.ToLower(strings.TrimSpace(p))]
-		out := make([]Candidate, 0, len(ents))
-		for _, e := range ents {
-			out = append(out, Candidate{Entity: e, Label: l.labelOf[e]})
-		}
-		return out
-	}
-	if cs := tryExact(phrase); len(cs) > 0 {
-		return cs
-	}
 	lower := strings.ToLower(phrase)
-	for _, art := range []string{"the ", "a ", "an "} {
+	if lb, ok := l.exact[strings.TrimSpace(lower)]; ok {
+		return l.candidates(lb)
+	}
+	for _, art := range [...]string{"the ", "a ", "an "} {
 		if strings.HasPrefix(lower, art) {
-			if cs := tryExact(phrase[len(art):]); len(cs) > 0 {
-				return cs
+			if lb, ok := l.exact[strings.TrimSpace(lower[len(art):])]; ok {
+				return l.candidates(lb)
 			}
 		}
 	}
-	// Fuzzy pass.
-	var out []Candidate
 	if lower == "" {
 		return nil
 	}
-	first := lower[0]
-	for label, ents := range l.labelIndex {
-		if label == "" || label[0] != first {
+	return l.fuzzyCandidates(lower)
+}
+
+const (
+	fuzzyMin = 0.92 // Jaro-Winkler floor of the fuzzy pass
+	maxFuzzy = 5    // candidates it keeps
+)
+
+// fuzzyCandidates returns the maxFuzzy best carriers of labels that share
+// lower's first byte and reach fuzzyMin, best first, ties in Term order.
+//
+// Only the labels that can reach it are scored. The Winkler boost is at
+// most 0.4·(1−Jaro), so fuzzyMin needs Jaro ≥ 13/15; Jaro is at most
+// (m/n + m/k + 1)/3 for m matched runes of n and k, so it needs
+// 5m(n+k) ≥ 8nk. With m ≤ min(n, k) that bounds the length ratio by 0.6
+// — one contiguous band of the length-ordered group — and with m bounded
+// by the runes whose character class the other string has at all, it
+// drops most of the band. Integer slack of one unit dwarfs any rounding
+// in the float score, so nothing that would pass is dropped.
+func (l *Linker) fuzzyCandidates(lower string) []Candidate {
+	n, ascii := 0, true
+	var count [64]int
+	var chars uint64
+	for _, r := range lower {
+		n++
+		ascii = ascii && r < utf8.RuneSelf
+		count[charClass(r)]++
+		chars |= 1 << charClass(r)
+	}
+	group := l.groups[lower[0]]
+	type hit struct {
+		sim float64
+		ent int32
+	}
+	var top [maxFuzzy]hit
+	kept := 0
+	for g := sort.Search(len(group), func(i int) bool { return 5*group[i].runes >= 3*n }); g < len(group); g++ {
+		lb := &group[g]
+		k := lb.runes
+		if 3*k > 5*n {
+			break
+		}
+		m := n // less the runes of lower whose class the label lacks
+		for absent := chars &^ lb.chars; absent != 0; absent &= absent - 1 {
+			m -= count[bits.TrailingZeros64(absent)]
+		}
+		m = min(m, k-bits.OnesCount64(lb.chars&^chars))
+		if 5*m*(n+k) < 8*n*k {
 			continue
 		}
-		if sim := strsim.JaroWinkler(lower, label); sim >= 0.92 {
-			for _, e := range ents {
-				out = append(out, Candidate{Entity: e, Label: l.labelOf[e], Score: sim})
+		var sim float64
+		if ascii && strings.HasPrefix(lb.lower, lower) {
+			sim = strsim.PrefixJaroWinkler(n, k)
+		} else {
+			sim = strsim.JaroWinkler(lower, lb.lower)
+		}
+		if sim < fuzzyMin {
+			continue
+		}
+		for _, ent := range lb.ents {
+			i := kept
+			for i > 0 && (top[i-1].sim < sim || (top[i-1].sim == sim && top[i-1].ent > ent)) {
+				i--
 			}
+			if i == maxFuzzy {
+				continue
+			}
+			kept = min(kept+1, maxFuzzy)
+			copy(top[i+1:kept], top[i:])
+			top[i] = hit{sim, ent}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Entity.Compare(out[j].Entity) < 0
-	})
-	const maxFuzzy = 5
-	if len(out) > maxFuzzy {
-		out = out[:maxFuzzy]
+	out := make([]Candidate, kept)
+	for i, h := range top[:kept] {
+		out[i] = Candidate{Entity: l.ents[h.ent].term, Label: l.ents[h.ent].label, Score: h.sim}
 	}
 	return out
 }

@@ -1,0 +1,202 @@
+package propmap_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/kb"
+	"repro/internal/ner"
+	"repro/internal/patterns"
+	"repro/internal/propmap"
+	"repro/internal/qald"
+	"repro/internal/strsim"
+	"repro/internal/testutil"
+	"repro/internal/triplex"
+	"repro/internal/wordnet"
+)
+
+var (
+	patsOnce sync.Once
+	pats     *patterns.Store
+)
+
+func minedPatterns() *patterns.Store {
+	patsOnce.Do(func() {
+		k := kb.Default()
+		pats = patterns.Mine(k, k.Corpus(kb.DefaultCorpusConfig()), patterns.DefaultMinerConfig())
+	})
+	return pats
+}
+
+// configs are the default setup and every ablation that reaches §2.2.
+func configs() map[string]propmap.Config {
+	noPatterns, noWordNet, noCentrality, uncapped := propmap.DefaultConfig(), propmap.DefaultConfig(), propmap.DefaultConfig(), propmap.DefaultConfig()
+	noPatterns.DisablePatterns = true
+	noWordNet.DisableWordNetSynonyms = true
+	noCentrality.DisableCentrality = true
+	uncapped.MaxCandidates, uncapped.StrSimThreshold = 0, 0.3
+	return map[string]propmap.Config{"default": propmap.DefaultConfig(), "no-patterns": noPatterns,
+		"no-wordnet": noWordNet, "no-centrality": noCentrality, "uncapped-low-threshold": uncapped}
+}
+
+func sameCandidates(got, want []propmap.PropCandidate) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d candidates, reference has %d\n got %+v\nwant %+v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Property != w.Property || g.Freq != w.Freq || g.Source != w.Source ||
+			math.Float64bits(g.Sim) != math.Float64bits(w.Sim) {
+			return fmt.Errorf("candidate %d = %+v, reference %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// TestMapMatchesReference maps every QALD question and every
+// entity-template question with the table-driven Mapper and with the
+// retained per-call reference: the Mappings must be deep-equal (and
+// their similarities bit-equal), the errors the same ErrUnmappable.
+func TestMapMatchesReference(t *testing.T) {
+	k := kb.Default()
+	linker := ner.NewLinker(k)
+	var questions []string
+	for _, q := range qald.FullSet() {
+		questions = append(questions, q.Text)
+	}
+	questions = append(questions, testutil.EntityQuestions(k)...)
+	var exts []*triplex.Extraction
+	for _, q := range questions {
+		for _, opts := range []triplex.Options{{}, {Superlatives: true}} {
+			if ext, err := triplex.ExtractOpts(q, opts); err == nil {
+				exts = append(exts, ext)
+			}
+		}
+	}
+	for name, cfg := range configs() {
+		m := propmap.New(k, wordnet.Default(), minedPatterns(), linker, cfg)
+		ref := propmap.NewRefMapper(k, wordnet.Default(), minedPatterns(), linker, cfg)
+		mapped := 0
+		for _, ext := range exts {
+			got, err := m.Map(ext)
+			want, refErr := ref.Map(ext)
+			if !reflect.DeepEqual(err, refErr) {
+				t.Errorf("%s: Map(%q) error = %v, reference %v", name, ext.Question, err, refErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			mapped++
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Map(%q) differs from the reference\n got %+v\nwant %+v", name, ext.Question, got.Triples, want.Triples)
+				continue
+			}
+			for i := range got.Triples {
+				if err := sameCandidates(got.Triples[i].Predicates, want.Triples[i].Predicates); err != nil {
+					t.Errorf("%s: Map(%q) triple %d: %v", name, ext.Question, i, err)
+				}
+			}
+		}
+		if mapped < 1000 {
+			t.Errorf("%s: only %d extractions mapped; the differential is not exercising §2.2", name, mapped)
+		}
+	}
+}
+
+// predicateSlots is a seeded stream of predicate slots: the vocabulary
+// of the schema itself (name parts, heads, label words), the words the
+// §2.2 tests and QALD questions use, and one-edit corruptions of both,
+// under every tag class candidateProperties branches on, some with
+// multi-word surface forms.
+func predicateSlots(k *kb.KB, n int) []triplex.Slot {
+	vocab := []string{"write", "written", "die", "bear", "born", "marry", "tall", "high", "long", "old", "heavy",
+		"wife", "husband", "spouse", "movie", "film", "author", "writer", "page", "pages", "population", "elevation",
+		"mayor", "capital", "height", "alive", "a", "e", "", "river", "driver", "largest city", "official language",
+		"birth place", "Zürich", "ſpouse", "place", "name", "date", "by"}
+	for _, p := range k.Properties() {
+		vocab = append(vocab, strings.ToLower(p.Term.LocalName()), p.Label)
+		vocab = append(vocab, strsim.SplitIdentifier(p.Term.LocalName())...)
+	}
+	for _, q := range qald.FullSet() {
+		vocab = append(vocab, strings.Fields(strings.ToLower(strings.TrimRight(q.Text, "?.")))...)
+	}
+	rng := rand.New(rand.NewSource(14))
+	tags := []string{"VB", "VBD", "VBN", "VBZ", "NN", "NNS", "NNP", "JJ", "JJR", "JJS", "IN", ""}
+	pick := func() string {
+		w := vocab[rng.Intn(len(vocab))]
+		if r := []rune(w); len(r) > 0 && rng.Intn(4) == 0 {
+			r[rng.Intn(len(r))] = rune('a' + rng.Intn(26))
+			w = string(r)
+		}
+		return w
+	}
+	slots := make([]triplex.Slot, n)
+	for i := range slots {
+		lemma := pick()
+		text := lemma
+		switch rng.Intn(6) {
+		case 0:
+			text = pick() + " " + lemma
+		case 1:
+			text = strings.ToUpper(lemma)
+		}
+		slots[i] = triplex.TextSlot(text, lemma, tags[rng.Intn(len(tags))])
+	}
+	return slots
+}
+
+func TestCandidatePropertiesMatchReference(t *testing.T) {
+	k := kb.Default()
+	linker := ner.NewLinker(k)
+	slots := predicateSlots(k, 1200)
+	for name, cfg := range configs() {
+		for _, ps := range []*patterns.Store{minedPatterns(), nil} {
+			m := propmap.New(k, wordnet.Default(), ps, linker, cfg)
+			ref := propmap.NewRefMapper(k, wordnet.Default(), ps, linker, cfg)
+			hits := 0
+			for _, slot := range slots {
+				got, want := m.CandidateProperties(slot), ref.CandidateProperties(slot)
+				if err := sameCandidates(got, want); err != nil {
+					t.Errorf("%s (patterns %v): candidateProperties(%+v): %v", name, ps != nil, slot, err)
+				}
+				if len(got) > 0 {
+					hits++
+				}
+			}
+			if hits < len(slots)/4 {
+				t.Errorf("%s: only %d of %d slots found candidates", name, hits, len(slots))
+			}
+			for _, p := range k.Properties() {
+				local := p.Term.LocalName()
+				if !reflect.DeepEqual(m.SynonymsOf(local), ref.SynonymsOf(local)) {
+					t.Errorf("%s: SynonymsOf(%s) = %v, reference %v", name, local, m.SynonymsOf(local), ref.SynonymsOf(local))
+				}
+			}
+		}
+	}
+}
+
+// TestCandidatePropertiesAllocations holds P_t assembly to the slot
+// table, the result and what the pattern lookup allocates — not a map
+// entry and a split per property.
+func TestCandidatePropertiesAllocations(t *testing.T) {
+	k := kb.Default()
+	m := propmap.New(k, wordnet.Default(), minedPatterns(), ner.NewLinker(k), propmap.DefaultConfig())
+	for _, slot := range []triplex.Slot{
+		triplex.TextSlot("born", "bear", "VBN"), triplex.TextSlot("spouse", "spouse", "NN"),
+		triplex.TextSlot("tall", "tall", "JJ"), triplex.TextSlot("largest city", "city", "NN"),
+	} {
+		if len(m.CandidateProperties(slot)) == 0 {
+			t.Fatalf("no candidates for %+v; the ceiling would measure the wrong path", slot)
+		}
+		if n := testing.AllocsPerRun(200, func() { m.CandidateProperties(slot) }); n > 16 {
+			t.Errorf("candidateProperties(%+v): %v allocs/op, ceiling 16", slot, n)
+		}
+	}
+}

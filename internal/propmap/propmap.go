@@ -19,10 +19,20 @@
 //
 // The Cartesian product of the per-triple candidate sets forms the
 // candidate query set Q of §2.3, built by package answer.
+//
+// Built once at boot, by New: one row per property (compiled local name
+// and label, label tokens, synonym-pair rows), the distinct head words
+// of the object properties resolved in WordNet, the class-label map.
+// Paid per question: each predicate word is scored against the rows,
+// looked up in WordNet once and tested against each distinct head, and
+// the signals merge in a slice indexed by property. Nothing is cached
+// between questions.
 package propmap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,7 +113,9 @@ func DefaultConfig() Config {
 	return Config{StrSimThreshold: 0.65, MaxCandidates: 6}
 }
 
-// Mapper resolves extraction slots against one KB.
+// Mapper resolves extraction slots against one KB. New compiles the
+// schema into the tables below; mapping a question reads them and
+// computes nothing about the schema again.
 type Mapper struct {
 	kb       *kb.KB
 	wn       *wordnet.DB
@@ -113,11 +125,79 @@ type Mapper struct {
 	// synonymPairs maps a property local name to the similar-meaning
 	// properties (§2.2.1's precomputed pair list).
 	synonymPairs map[string][]kb.Property
+	// rows holds one row per property: the object properties (the first
+	// objects rows), then the data properties, both in KB order.
+	rows    []propRow
+	objects int
+	// slots is the number of distinct property IRIs; a row's slot is its
+	// IRI's rank among them, which is also the final tie-break order.
+	slots int
+	// heads groups the object-property rows by head word.
+	heads []headRow
+	// byLocal finds the row of kb.PropertyByLocal's answer.
+	byLocal map[string]int32
+	// classes maps a lower-cased class label to the first class with it.
+	classes map[string]rdf.Term
+}
+
+// propRow is everything §2.2.1/§2.2.2 need of one property.
+type propRow struct {
+	prop   kb.Property
+	slot   int32
+	name   strsim.Name // local name
+	label  strsim.Name // label with its spaces removed
+	tokens []string    // label tokens, for multi-word surface forms
+	syn    []int32     // rows of its synonym pairs
+}
+
+// headRow is one distinct head word of the object properties.
+type headRow struct {
+	text string
+	word wordnet.Word
+	rows []int32
 }
 
 // New builds a Mapper. The patterns store may be nil (ablation).
 func New(k *kb.KB, wn *wordnet.DB, pats *patterns.Store, linker *ner.Linker, cfg Config) *Mapper {
-	m := &Mapper{kb: k, wn: wn, patterns: pats, linker: linker, cfg: cfg}
+	m := &Mapper{kb: k, wn: wn, patterns: pats, linker: linker, cfg: cfg,
+		objects: len(k.ObjectProperties), byLocal: map[string]int32{}, classes: map[string]rdf.Term{}}
+	for _, c := range k.Classes {
+		if l := strings.ToLower(c.Label); m.classes[l].IsZero() {
+			m.classes[l] = c.Term
+		}
+	}
+	var iris []string
+	for _, p := range k.Properties() {
+		m.rows = append(m.rows, propRow{prop: p,
+			name:   strsim.CompileName(p.Term.LocalName()),
+			label:  strsim.CompileName(strings.ReplaceAll(p.Label, " ", "")),
+			tokens: strsim.Tokens(p.Label)})
+		iris = append(iris, p.Term.Value)
+	}
+	sort.Strings(iris)
+	iris = slices.Compact(iris)
+	m.slots = len(iris)
+	headAt := map[string]int{}
+	for i := range m.rows {
+		r := &m.rows[i]
+		r.slot = int32(sort.SearchStrings(iris, r.prop.Term.Value))
+		if p, ok := k.PropertyByLocal(r.prop.Term.LocalName()); ok && p == r.prop {
+			m.byLocal[r.prop.Term.LocalName()] = int32(i)
+		}
+		if i >= m.objects {
+			continue
+		}
+		h := propertyHead(r.prop)
+		at, ok := headAt[h]
+		if !ok {
+			at, headAt[h] = len(m.heads), len(m.heads)
+			m.heads = append(m.heads, headRow{text: h})
+			if wn != nil {
+				m.heads[at].word = wn.Word(h, wordnet.Noun)
+			}
+		}
+		m.heads[at].rows = append(m.heads[at].rows, int32(i))
+	}
 	m.buildSynonymPairs()
 	return m
 }
@@ -140,30 +220,31 @@ func propertyHead(p kb.Property) string {
 
 // buildSynonymPairs computes the §2.2.1 list of object-property pairs
 // with similar meanings via the WordNet metrics over the head words of
-// the property names.
+// the property names (same head word is already covered by strsim).
 func (m *Mapper) buildSynonymPairs() {
 	m.synonymPairs = map[string][]kb.Property{}
 	if m.cfg.DisableWordNetSynonyms {
 		return
 	}
-	props := m.kb.ObjectProperties
-	for i, a := range props {
-		for j, b := range props {
-			if i == j {
+	for _, ha := range m.heads {
+		for _, hb := range m.heads {
+			if ha.text == hb.text || !m.wn.Similar(ha.word, hb.word) {
 				continue
 			}
-			ha, hb := propertyHead(a), propertyHead(b)
-			if ha == hb {
-				continue // same head word is already covered by strsim
-			}
-			if m.wn.SimilarPair(ha, hb, wordnet.Noun) {
-				m.synonymPairs[a.Term.LocalName()] = append(m.synonymPairs[a.Term.LocalName()], b)
+			for _, a := range ha.rows {
+				m.rows[a].syn = append(m.rows[a].syn, hb.rows...)
 			}
 		}
 	}
-	for k := range m.synonymPairs {
-		lst := m.synonymPairs[k]
-		sort.Slice(lst, func(i, j int) bool { return lst[i].Term.Value < lst[j].Term.Value })
+	for i := range m.rows[:m.objects] {
+		r := &m.rows[i]
+		sort.Slice(r.syn, func(i, j int) bool {
+			return m.rows[r.syn[i]].prop.Term.Value < m.rows[r.syn[j]].prop.Term.Value
+		})
+		local := r.prop.Term.LocalName()
+		for _, b := range r.syn {
+			m.synonymPairs[local] = append(m.synonymPairs[local], m.rows[b].prop)
+		}
 	}
 }
 
@@ -245,13 +326,8 @@ func (m *Mapper) Map(ext *triplex.Extraction) (*Mapping, error) {
 // (§2.2.4), with WordNet synonyms as fallback ("movie" → class Film).
 func (m *Mapper) resolveClass(text, lem string) (rdf.Term, bool) {
 	tryLabel := func(s string) (rdf.Term, bool) {
-		s = strings.ToLower(strings.TrimSpace(s))
-		for _, c := range m.kb.Classes {
-			if strings.ToLower(c.Label) == s {
-				return c.Term, true
-			}
-		}
-		return rdf.Term{}, false
+		c, ok := m.classes[strings.ToLower(strings.TrimSpace(s))]
+		return c, ok
 	}
 	if c, ok := tryLabel(text); ok {
 		return c, true
@@ -295,28 +371,38 @@ func (m *Mapper) resolveEntity(phrase string, context []string) (rdf.Term, bool)
 	return e, ok
 }
 
-// candidateProperties assembles P_t for a predicate slot.
-func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
-	byIRI := map[rdf.Term]*PropCandidate{}
-	addCand := func(c PropCandidate) {
-		cur, ok := byIRI[c.Property.Term]
-		if !ok {
-			cc := c
-			byIRI[c.Property.Term] = &cc
-			return
-		}
-		// Merge: keep max sim, sum of freq sources (freq set once).
-		if c.Sim > cur.Sim {
-			cur.Sim = c.Sim
-			if cur.Freq == 0 {
-				cur.Source = c.Source
-			}
-		}
-		if c.Freq > cur.Freq {
-			cur.Freq = c.Freq
-			cur.Source = SourcePattern
+// slot is the merged candidate of one property IRI while P_t is
+// assembled; row is 1 + the row that added it first (0: none yet).
+type slot struct {
+	row  int32
+	sim  float64
+	freq int
+	src  Source
+}
+
+// merge folds one more signal for rows[row] into its slot: keep the
+// maximum similarity and the maximum pattern frequency.
+func (m *Mapper) merge(slots []slot, row int32, sim float64, freq int, src Source) {
+	cur := &slots[m.rows[row].slot]
+	if cur.row == 0 {
+		*cur = slot{row + 1, sim, freq, src}
+		return
+	}
+	if sim > cur.sim {
+		cur.sim = sim
+		if cur.freq == 0 {
+			cur.src = src
 		}
 	}
+	if freq > cur.freq {
+		cur.freq = freq
+		cur.src = SourcePattern
+	}
+}
+
+// candidateProperties assembles P_t for a predicate slot.
+func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
+	slots := make([]slot, m.slots)
 
 	lem := strings.ToLower(pred.Lemma)
 	surface := strings.ToLower(pred.Text)
@@ -325,113 +411,113 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 
 	// §2.2.1: verbs → object properties by string similarity.
 	if isVerb {
-		m.strSimCandidates(lem, surface, true, addCand)
+		m.strSimCandidates(slots, lem, surface, true)
 		// Derived noun against data properties ("die" → death → deathDate).
 		if noun, ok := wordnet.NominalizationOf(lem); ok {
-			m.strSimCandidates(noun, noun, false, addCand)
+			m.strSimCandidates(slots, noun, noun, false)
 		}
 	}
 
 	// §2.2.2: nouns and adjectives → data properties (and noun-named
 	// object properties like capital/mayor).
 	if !isVerb && !isAdj {
-		m.strSimCandidates(lem, surface, false, addCand)
-		m.strSimCandidates(lem, surface, true, addCand)
+		m.strSimCandidates(slots, lem, surface, false)
+		m.strSimCandidates(slots, lem, surface, true)
 		// WordNet similarity between the question noun and the property
 		// head words ("wife" clears the §2.2.1 thresholds against
-		// "spouse" although no string similarity exists).
-		if !m.cfg.DisableWordNetSynonyms && m.wn != nil && m.wn.Known(lem, wordnet.Noun) {
-			for _, p := range m.kb.ObjectProperties {
-				h := propertyHead(p)
-				if h == lem {
-					continue // identical heads are already strsim hits
-				}
-				if m.wn.SimilarPair(lem, h, wordnet.Noun) {
-					addCand(PropCandidate{Property: p, Sim: 0.8, Source: SourceWordNet})
+		// "spouse" although no string similarity exists). Identical
+		// heads are already strsim hits.
+		if !m.cfg.DisableWordNetSynonyms && m.wn != nil {
+			if w := m.wn.Word(lem, wordnet.Noun); w.Known() {
+				for _, h := range m.heads {
+					if h.text != lem && m.wn.Similar(w, h.word) {
+						for _, row := range h.rows {
+							m.merge(slots, row, 0.8, 0, SourceWordNet)
+						}
+					}
 				}
 			}
 		}
 	}
 	if isAdj && m.wn != nil {
 		if attr, ok := m.wn.AdjectiveAttribute(lem); ok {
-			m.strSimCandidates(attr, attr, false, addCand)
+			m.strSimCandidates(slots, attr, attr, false)
 			// Attribute nouns occasionally name object properties too.
-			m.strSimCandidates(attr, attr, true, addCand)
+			m.strSimCandidates(slots, attr, attr, true)
 		}
 	}
 
 	// §2.2.3: relational patterns, ranked by frequency.
 	if !m.cfg.DisablePatterns && m.patterns != nil {
 		for _, pf := range m.patterns.PropertiesForWord(lem) {
-			local := pf.Property.LocalName()
-			if prop, ok := m.kb.PropertyByLocal(local); ok {
-				addCand(PropCandidate{Property: prop, Freq: pf.Freq, Sim: 0, Source: SourcePattern})
+			if row, ok := m.byLocal[pf.Property.LocalName()]; ok {
+				m.merge(slots, row, 0, pf.Freq, SourcePattern)
 			}
 		}
 	}
 
 	// §2.2.1 expansion: add the WordNet-similar properties of every
-	// candidate found so far.
+	// candidate found so far, at 0.9 of the similarity it had then.
 	if !m.cfg.DisableWordNetSynonyms {
-		var expand []PropCandidate
-		for _, c := range byIRI {
-			for _, syn := range m.synonymPairs[c.Property.Term.LocalName()] {
-				expand = append(expand, PropCandidate{
-					Property: syn, Sim: c.Sim * 0.9, Freq: 0, Source: SourceWordNet})
+		type expansion struct {
+			row int32
+			sim float64
+		}
+		var buf [32]expansion
+		expand := buf[:0]
+		for _, c := range slots {
+			if c.row != 0 {
+				for _, syn := range m.rows[c.row-1].syn {
+					expand = append(expand, expansion{syn, c.sim * 0.9})
+				}
 			}
 		}
-		sort.Slice(expand, func(i, j int) bool {
-			return expand[i].Property.Term.Value < expand[j].Property.Term.Value
-		})
-		for _, c := range expand {
-			addCand(c)
+		for _, e := range expand {
+			m.merge(slots, e.row, e.sim, 0, SourceWordNet)
 		}
 	}
 
-	out := make([]PropCandidate, 0, len(byIRI))
-	for _, c := range byIRI {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RankScore() != out[j].RankScore() {
-			return out[i].RankScore() > out[j].RankScore()
+	// Slots are in IRI order, so a stable sort by descending RankScore
+	// leaves ties in IRI order.
+	out := make([]PropCandidate, 0, 8)
+	for _, c := range slots {
+		if c.row != 0 {
+			out = append(out, PropCandidate{Property: m.rows[c.row-1].prop, Sim: c.sim, Freq: c.freq, Source: c.src})
 		}
-		return out[i].Property.Term.Value < out[j].Property.Term.Value
-	})
+	}
+	slices.SortStableFunc(out, func(a, b PropCandidate) int { return cmp.Compare(b.RankScore(), a.RankScore()) })
 	if m.cfg.MaxCandidates > 0 && len(out) > m.cfg.MaxCandidates {
 		out = out[:m.cfg.MaxCandidates]
 	}
 	return out
 }
 
-// strSimCandidates adds properties whose names clear the GCS string
-// similarity threshold against the word (§2.2.1/§2.2.2), matching both
-// the property local name and its label.
-func (m *Mapper) strSimCandidates(word, surface string, object bool, add func(PropCandidate)) {
+// strSimCandidates merges in the properties whose names clear the GCS
+// string similarity threshold against the word (§2.2.1/§2.2.2), matching
+// both the property local name and its label.
+func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool) {
 	if word == "" {
 		return
 	}
-	var props []kb.Property
+	lo, hi := m.objects, len(m.rows)
 	if object {
-		props = m.kb.ObjectProperties
-	} else {
-		props = m.kb.DataProperties
+		lo, hi = 0, m.objects
 	}
-	src := SourceStrSim
-	for _, p := range props {
-		score := strsim.PropertyScore(word, p.Term.LocalName())
-		if s2 := strsim.PropertyScore(word, strings.ReplaceAll(p.Label, " ", "")); s2 > score {
-			score = s2
-		}
-		// Multi-word surface forms ("largest city", "official language")
-		// match labels by token overlap.
-		if strings.Contains(surface, " ") {
-			if s3 := strsim.TokenOverlap(surface, p.Label); s3 > score {
-				score = s3
-			}
+	// Multi-word surface forms ("largest city", "official language")
+	// match labels by token overlap.
+	var tokens []string
+	multi := strings.Contains(surface, " ")
+	if multi {
+		tokens = strsim.Tokens(surface)
+	}
+	for i := lo; i < hi; i++ {
+		r := &m.rows[i]
+		score := max(r.name.Score(word), r.label.Score(word))
+		if multi {
+			score = max(score, strsim.Jaccard(tokens, r.tokens))
 		}
 		if score >= m.cfg.StrSimThreshold {
-			add(PropCandidate{Property: p, Sim: score, Source: src})
+			m.merge(slots, int32(i), score, 0, SourceStrSim)
 		}
 	}
 }

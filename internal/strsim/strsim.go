@@ -7,12 +7,19 @@
 // containment guard that rejects accidental substring hits such as the
 // property "taxiDriver" encapsulating the word "river". Levenshtein and
 // Jaro-Winkler are provided for the named-entity disambiguation stage.
+//
+// Built once at boot: a schema name is split and folded by CompileName,
+// a label's tokens by Tokens; callers keep the results beside the
+// schema. Paid per question: Name.Score, Jaccard and JaroWinkler read
+// those and the question's own words, allocate nothing for the inputs a
+// KB has in practice, and keep no state — a phrase never seen costs
+// what a repeated one does. PropertyScore and TokenOverlap are the
+// one-shot forms for callers with no schema to compile against.
 package strsim
 
 import (
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 )
@@ -116,33 +123,6 @@ func GCSScore(word, candidate string) float64 {
 	return float64(LCSLength(word, candidate)) / float64(n)
 }
 
-// splitCache memoises lowercased SplitIdentifier parts for the §2.2
-// scoring guards. The candidates there are KB property names — a
-// bounded set scored against every question word — so caching their
-// splits removes the dominant allocation of the mapping stage.
-// splitCacheMax bounds the cache in case a caller feeds unbounded
-// inputs.
-var (
-	splitCache     sync.Map // string -> []string, lowercased, immutable
-	splitCacheSize atomic.Int64
-)
-
-const splitCacheMax = 1 << 14
-
-func splitCachedLower(s string) []string {
-	if v, ok := splitCache.Load(s); ok {
-		return v.([]string)
-	}
-	parts := SplitIdentifier(s)
-	for i, p := range parts {
-		parts[i] = foldLower(p)
-	}
-	if splitCacheSize.Add(1) <= splitCacheMax {
-		splitCache.Store(s, parts)
-	}
-	return parts
-}
-
 // foldLower is strings.ToLower that returns s unchanged (no allocation)
 // when it is already lower-case ASCII.
 func foldLower(s string) string {
@@ -154,13 +134,30 @@ func foldLower(s string) string {
 	return s
 }
 
-// WordBoundaryContains reports whether word occurs in candidate aligned to
+// Name is a property name compiled for scoring: its lower-cased
+// camelCase parts are split once, when the schema is loaded, so each
+// question word pays only for its own comparison.
+type Name struct {
+	raw   string
+	parts []string
+}
+
+// CompileName splits and folds name once.
+func CompileName(name string) Name {
+	parts := SplitIdentifier(name)
+	for i, p := range parts {
+		parts[i] = foldLower(p)
+	}
+	return Name{raw: name, parts: parts}
+}
+
+// Contains reports whether word occurs in the name aligned to
 // camelCase/word boundaries. This is the containment guard from §2.2.1:
 // "river" scores 1.0 against "taxiDriver" by raw subsequence, but it does
 // not start at a word boundary, so the guard rejects it, while "writer"
 // against "writer" or "place" against "birthPlace" pass.
-func WordBoundaryContains(word, candidate string) bool {
-	for _, part := range splitCachedLower(candidate) {
+func (n Name) Contains(word string) bool {
+	for _, part := range n.parts {
 		if strings.EqualFold(part, word) {
 			return true
 		}
@@ -168,19 +165,19 @@ func WordBoundaryContains(word, candidate string) bool {
 	return false
 }
 
-// PropertyScore combines the GCS score with the word-boundary guard, as
-// the paper's property matcher does: exact word-boundary containment is a
+// Score combines the GCS score with the word-boundary guard, as the
+// paper's property matcher does: exact word-boundary containment is a
 // perfect match; otherwise the GCS score applies but is damped unless the
-// candidate's first word shares a prefix with the query word, eliminating
+// name's first word shares a prefix with the query word, eliminating
 // the "taxiDriver"/"river" class of miscalculation.
-func PropertyScore(word, propertyName string) float64 {
-	if word == "" || propertyName == "" {
+func (n Name) Score(word string) float64 {
+	if word == "" || n.raw == "" {
 		return 0
 	}
-	if WordBoundaryContains(word, propertyName) {
+	if n.Contains(word) {
 		return 1.0
 	}
-	score := GCSScore(word, propertyName)
+	score := GCSScore(word, n.raw)
 	if score == 0 {
 		return 0
 	}
@@ -191,17 +188,22 @@ func PropertyScore(word, propertyName string) float64 {
 	// len(wl)-1 is 0, which every candidate trivially satisfies,
 	// letting any accidental subsequence escape the damping.
 	wl := foldLower(word)
-	aligned := false
-	for _, p := range splitCachedLower(propertyName) {
+	for _, p := range n.parts {
 		if sp := sharedPrefix(wl, p); sp >= 3 || (sp >= 1 && sp >= len(wl)-1) {
-			aligned = true
-			break
+			return score
 		}
 	}
-	if !aligned {
-		return score * 0.25 // heavy damping: accidental subsequences lose
-	}
-	return score
+	return score * 0.25 // heavy damping: accidental subsequences lose
+}
+
+// WordBoundaryContains is Name.Contains for a name used once.
+func WordBoundaryContains(word, candidate string) bool {
+	return CompileName(candidate).Contains(word)
+}
+
+// PropertyScore is Name.Score for a name used once.
+func PropertyScore(word, propertyName string) float64 {
+	return CompileName(propertyName).Score(word)
 }
 
 func sharedPrefix(a, b string) int {
@@ -267,7 +269,7 @@ func Levenshtein(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -288,116 +290,125 @@ func NormalizedLevenshtein(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
-// Jaro returns the Jaro similarity of a and b in [0,1].
+// Jaro returns the Jaro similarity of a and b in [0,1], over runes.
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
+	sim, _ := jaroOf(a, b)
+	return sim
+}
+
+// JaroWinkler returns the Jaro-Winkler similarity with the standard 0.1
+// prefix scale and prefix cap of 4.
+func JaroWinkler(a, b string) float64 {
+	sim, prefix := jaroOf(a, b)
+	return winkler(sim, min(prefix, 4))
+}
+
+// jaroOf returns the Jaro similarity of a and b and the number of
+// leading runes they share. ASCII inputs of up to 64 bytes each — every
+// gazetteer label in practice — are compared without allocating.
+func jaroOf(a, b string) (sim float64, prefix int) {
+	if len(a) <= 64 && len(b) <= 64 && asciiOnly(a) && asciiOnly(b) {
+		var bufA, bufB [64]byte
+		return jaro(bufA[:copy(bufA[:], a)], bufB[:copy(bufB[:], b)])
+	}
+	return jaro([]rune(a), []rune(b))
+}
+
+func jaro[E byte | rune](a, b []E) (sim float64, prefix int) {
+	la, lb := len(a), len(b)
 	if la == 0 && lb == 0 {
-		return 1
+		return 1, 0
 	}
 	if la == 0 || lb == 0 {
-		return 0
+		return 0, 0
 	}
-	window := maxInt(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
+	// The two match sets are bit sets, on the stack up to 64 elements.
+	var buf [2]uint64
+	sets := buf[:]
+	if wa, wb := (la+63)/64, (lb+63)/64; wa+wb > len(sets) {
+		sets = make([]uint64, wa+wb)
 	}
-	matchedA := make([]bool, la)
-	matchedB := make([]bool, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := maxInt(0, i-window)
-		hi := minInt2(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if !matchedB[j] && ra[i] == rb[j] {
-				matchedA[i], matchedB[j] = true, true
+	matchedA, matchedB := sets[:(la+63)/64], sets[(la+63)/64:]
+	// A shared prefix matches position by position — every earlier j is
+	// taken, j = i is free and equal — without transpositions, so the
+	// search and the sets start after it.
+	for prefix < la && prefix < lb && a[prefix] == b[prefix] {
+		prefix++
+	}
+	window := max(max(la, lb)/2-1, 0)
+	matches := prefix
+	for i := prefix; i < la; i++ {
+		for j, hi := max(prefix, i-window), min(lb-1, i+window); j <= hi; j++ {
+			if matchedB[uint(j)/64]&(1<<(uint(j)%64)) == 0 && a[i] == b[j] {
+				matchedA[uint(i)/64] |= 1 << (uint(i) % 64)
+				matchedB[uint(j)/64] |= 1 << (uint(j) % 64)
 				matches++
 				break
 			}
 		}
 	}
 	if matches == 0 {
-		return 0
+		return 0, 0
 	}
-	// Count transpositions.
+	// Count transpositions: the r-th matched element of a pairs with the
+	// r-th matched element of b.
 	trans := 0
-	k := 0
-	for i := 0; i < la; i++ {
-		if !matchedA[i] {
+	for i, k := prefix, prefix; i < la; i++ {
+		if matchedA[uint(i)/64]&(1<<(uint(i)%64)) == 0 {
 			continue
 		}
-		for !matchedB[k] {
+		for matchedB[uint(k)/64]&(1<<(uint(k)%64)) == 0 {
 			k++
 		}
-		if ra[i] != rb[k] {
+		if a[i] != b[k] {
 			trans++
 		}
 		k++
 	}
 	m := float64(matches)
-	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3, prefix
 }
 
-// JaroWinkler returns the Jaro-Winkler similarity with the standard 0.1
-// prefix scale and prefix cap of 4.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
-	ra, rb := []rune(a), []rune(b)
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
+func winkler(jaro float64, prefix int) float64 {
+	return jaro + float64(prefix)*0.1*(1-jaro)
+}
+
+// PrefixJaroWinkler is JaroWinkler(a, b) for an a of la ≥ 1 runes that is
+// a prefix of a b of lb runes, without reading either: every rune of a
+// then matches the rune of b at its own position, in order.
+func PrefixJaroWinkler(la, lb int) float64 {
+	m := float64(la)
+	return winkler((1+m/float64(lb)+1)/3, min(la, 4))
+}
+
+// Tokens returns the distinct lower-cased whitespace tokens of s.
+func Tokens(s string) []string {
+	var out []string
+	for _, t := range strings.Fields(strings.ToLower(s)) {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
 	}
-	return j + float64(prefix)*0.1*(1-j)
+	return out
+}
+
+// Jaccard returns |a ∩ b| / |a ∪ b| of two Tokens results; 1.0 for two
+// empty ones.
+func Jaccard(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for _, t := range a {
+		if slices.Contains(b, t) {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // TokenOverlap returns |tokens(a) ∩ tokens(b)| / |tokens(a) ∪ tokens(b)|
 // over lowercased whitespace tokens (Jaccard).
 func TokenOverlap(a, b string) float64 {
-	ta := strings.Fields(strings.ToLower(a))
-	tb := strings.Fields(strings.ToLower(b))
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	set := map[string]int{}
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, v := range set {
-		union++
-		if v == 3 {
-			inter++
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-func minInt(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return Jaccard(Tokens(a), Tokens(b))
 }

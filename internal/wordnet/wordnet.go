@@ -14,6 +14,7 @@ package wordnet
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,13 +43,23 @@ type Synset struct {
 	Freq float64
 }
 
-// DB is an immutable WordNet-style database.
+// DB is an immutable WordNet-style database. Build numbers the synsets
+// densely (in ID order) and closes the taxonomy once, so a similarity
+// between two synsets intersects two short sorted ancestor lists and
+// walks no hypernym chain.
 type DB struct {
 	synsets map[string]*Synset
-	byWord  map[string][]string // "pos\x00word" -> synset IDs
-	depth   map[string]int      // min depth from root (root = 1)
-	cumFreq map[string]float64  // freq including all descendants
-	total   float64             // total cumulative frequency at roots
+	index   map[string]int32   // synset ID -> dense index
+	list    []*Synset          // by dense index
+	byWord  map[string][]int32 // "pos\x00word" -> synsets, ascending
+	depth   map[string]int     // min depth from root (root = 1)
+	cumFreq map[string]float64 // freq including all descendants
+	total   float64            // total cumulative frequency at roots
+	// Per dense index: ancestors including itself (ascending), depth,
+	// information content.
+	anc    [][]int32
+	depths []int
+	ics    []float64
 }
 
 var (
@@ -69,7 +80,8 @@ func Default() *DB {
 func Build(synsets []*Synset) *DB {
 	db := &DB{
 		synsets: make(map[string]*Synset, len(synsets)),
-		byWord:  make(map[string][]string),
+		index:   make(map[string]int32, len(synsets)),
+		byWord:  make(map[string][]int32),
 		depth:   make(map[string]int),
 		cumFreq: make(map[string]float64),
 	}
@@ -89,15 +101,17 @@ func Build(synsets []*Synset) *DB {
 		}
 		s.Hypernyms = kept
 	}
-	// Word index.
+	// Dense numbering and word index, both in ID order.
 	for _, s := range db.synsets {
+		db.list = append(db.list, s)
+	}
+	sort.Slice(db.list, func(i, j int) bool { return db.list[i].ID < db.list[j].ID })
+	for i, s := range db.list {
+		db.index[s.ID] = int32(i)
 		for _, w := range s.Words {
 			key := s.POS + "\x00" + strings.ToLower(w)
-			db.byWord[key] = append(db.byWord[key], s.ID)
+			db.byWord[key] = append(db.byWord[key], int32(i))
 		}
-	}
-	for _, ids := range db.byWord {
-		sort.Strings(ids)
 	}
 	// Depths (roots have depth 1), via memoised DFS.
 	var depthOf func(id string, seen map[string]bool) int
@@ -160,6 +174,28 @@ func Build(synsets []*Synset) *DB {
 	if db.total == 0 {
 		db.total = 1
 	}
+	// Ancestor closure, depth and information content per dense index.
+	for _, s := range db.list {
+		seen := map[int32]bool{}
+		var walk func(*Synset)
+		walk = func(cur *Synset) {
+			if i := db.index[cur.ID]; !seen[i] {
+				seen[i] = true
+				for _, h := range cur.Hypernyms {
+					walk(db.synsets[h])
+				}
+			}
+		}
+		walk(s)
+		anc := make([]int32, 0, len(seen))
+		for i := range seen {
+			anc = append(anc, i)
+		}
+		slices.Sort(anc)
+		db.anc = append(db.anc, anc)
+		db.depths = append(db.depths, db.depth[s.ID])
+		db.ics = append(db.ics, db.ic(s.ID))
+	}
 	return db
 }
 
@@ -173,15 +209,15 @@ func (db *DB) Synset(id string) (*Synset, bool) {
 func (db *DB) Synsets(word, pos string) []*Synset {
 	ids := db.byWord[pos+"\x00"+strings.ToLower(word)]
 	out := make([]*Synset, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, db.synsets[id])
+	for _, i := range ids {
+		out = append(out, db.list[i])
 	}
 	return out
 }
 
 // Known reports whether the word is in the database for the POS.
 func (db *DB) Known(word, pos string) bool {
-	return len(db.byWord[pos+"\x00"+strings.ToLower(word)]) > 0
+	return db.Word(word, pos).Known()
 }
 
 // Synonyms returns all words sharing a synset with word (excluding the
@@ -202,57 +238,61 @@ func (db *DB) Synonyms(word, pos string) []string {
 	return out
 }
 
-// ancestors returns all ancestor IDs of id including itself.
-func (db *DB) ancestors(id string) map[string]bool {
-	out := map[string]bool{}
-	var walk func(string)
-	walk = func(cur string) {
-		if out[cur] {
-			return
-		}
-		out[cur] = true
-		for _, h := range db.synsets[cur].Hypernyms {
-			walk(h)
-		}
-	}
-	walk(id)
-	return out
-}
-
 // lcs returns the lowest common subsumer of two synsets (deepest shared
-// ancestor) and whether one exists.
-func (db *DB) lcs(a, b string) (string, bool) {
-	ancA := db.ancestors(a)
-	best, bestDepth := "", -1
-	for anc := range db.ancestors(b) {
-		if !ancA[anc] {
-			continue
-		}
-		if d := db.depth[anc]; d > bestDepth {
-			best, bestDepth = anc, d
+// ancestor; the lowest index among equally deep ones) and whether one
+// exists.
+func (db *DB) lcs(a, b int32) (int32, bool) {
+	best, bestDepth := int32(0), -1
+	x, y := db.anc[a], db.anc[b]
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			x = x[1:]
+		case x[0] > y[0]:
+			y = y[1:]
+		default:
+			if d := db.depths[x[0]]; d > bestDepth {
+				best, bestDepth = x[0], d
+			}
+			x, y = x[1:], y[1:]
 		}
 	}
 	return best, bestDepth >= 0
 }
 
-// WuPalmerSynsets computes Wu & Palmer similarity between two synsets:
-// 2*depth(lcs) / (depth(a) + depth(b)).
-func (db *DB) WuPalmerSynsets(a, b string) float64 {
-	if _, ok := db.synsets[a]; !ok {
-		return 0
-	}
-	if _, ok := db.synsets[b]; !ok {
-		return 0
-	}
+// similarities computes both metrics between two synsets: Wu & Palmer,
+// 2*depth(lcs) / (depth(a) + depth(b)), and Lin, 2*IC(lcs) / (IC(a) +
+// IC(b)).
+func (db *DB) similarities(a, b int32) (wuPalmer, lin float64) {
 	if a == b {
-		return 1
+		return 1, 1
 	}
 	l, ok := db.lcs(a, b)
 	if !ok {
-		return 0
+		return 0, 0
 	}
-	da, dbb := float64(db.depth[a]), float64(db.depth[b])
-	return clamp01(2 * float64(db.depth[l]) / (da + dbb))
+	wuPalmer = clamp01(2 * float64(db.depths[l]) / (float64(db.depths[a]) + float64(db.depths[b])))
+	lin = 1 // both at root: identical generality
+	if denom := db.ics[a] + db.ics[b]; denom != 0 {
+		lin = clamp01(2 * db.ics[l] / denom)
+	}
+	return wuPalmer, lin
+}
+
+// synsetSimilarities is similarities by synset ID; unknown IDs score 0.
+func (db *DB) synsetSimilarities(a, b string) (wuPalmer, lin float64) {
+	ia, okA := db.index[a]
+	ib, okB := db.index[b]
+	if !okA || !okB {
+		return 0, 0
+	}
+	return db.similarities(ia, ib)
+}
+
+// WuPalmerSynsets computes Wu & Palmer similarity between two synsets.
+func (db *DB) WuPalmerSynsets(a, b string) float64 {
+	wp, _ := db.synsetSimilarities(a, b)
+	return wp
 }
 
 // clamp01 bounds v to [0,1]; depths/ICs can exceed member values only in
@@ -280,54 +320,50 @@ func (db *DB) ic(id string) float64 {
 	return -math.Log(p)
 }
 
-// LinSynsets computes Lin similarity between two synsets:
-// 2*IC(lcs) / (IC(a) + IC(b)).
+// LinSynsets computes Lin similarity between two synsets.
 func (db *DB) LinSynsets(a, b string) float64 {
-	if _, ok := db.synsets[a]; !ok {
-		return 0
+	_, lin := db.synsetSimilarities(a, b)
+	return lin
+}
+
+// Word is a word looked up once: its synsets for one POS. The §2.2.1
+// pair test against many other words then repeats no index lookup.
+type Word struct {
+	text   string
+	senses []int32
+}
+
+// Word resolves word for the POS.
+func (db *DB) Word(word, pos string) Word {
+	return Word{text: word, senses: db.byWord[pos+"\x00"+strings.ToLower(word)]}
+}
+
+// Known reports whether the word is in the database for its POS.
+func (w Word) Known() bool { return len(w.senses) > 0 }
+
+// best returns the maxima of both metrics over all synset pairs of the
+// two words (the standard word-level lifting).
+func (db *DB) best(a, b Word) (wuPalmer, lin float64) {
+	for _, s1 := range a.senses {
+		for _, s2 := range b.senses {
+			wp, l := db.similarities(s1, s2)
+			wuPalmer, lin = max(wuPalmer, wp), max(lin, l)
+		}
 	}
-	if _, ok := db.synsets[b]; !ok {
-		return 0
-	}
-	if a == b {
-		return 1
-	}
-	l, ok := db.lcs(a, b)
-	if !ok {
-		return 0
-	}
-	denom := db.ic(a) + db.ic(b)
-	if denom == 0 {
-		return 1 // both at root: identical generality
-	}
-	return clamp01(2 * db.ic(l) / denom)
+	return wuPalmer, lin
 }
 
 // WuPalmer returns the maximum Wu & Palmer similarity over all synset
-// pairs of the two words (the standard word-level lifting).
+// pairs of the two words.
 func (db *DB) WuPalmer(w1, w2, pos string) float64 {
-	best := 0.0
-	for _, s1 := range db.Synsets(w1, pos) {
-		for _, s2 := range db.Synsets(w2, pos) {
-			if v := db.WuPalmerSynsets(s1.ID, s2.ID); v > best {
-				best = v
-			}
-		}
-	}
-	return best
+	wp, _ := db.best(db.Word(w1, pos), db.Word(w2, pos))
+	return wp
 }
 
 // Lin returns the maximum Lin similarity over all synset pairs.
 func (db *DB) Lin(w1, w2, pos string) float64 {
-	best := 0.0
-	for _, s1 := range db.Synsets(w1, pos) {
-		for _, s2 := range db.Synsets(w2, pos) {
-			if v := db.LinSynsets(s1.ID, s2.ID); v > best {
-				best = v
-			}
-		}
-	}
-	return best
+	_, lin := db.best(db.Word(w1, pos), db.Word(w2, pos))
+	return lin
 }
 
 // AdjectiveAttribute returns the attribute noun for an adjective
@@ -374,13 +410,19 @@ func NominalizationOf(verb string) (string, bool) {
 	return n, ok
 }
 
-// SimilarPair reports whether two words clear the paper's §2.2.1
+// Similar reports whether two words clear the paper's §2.2.1
 // thresholds: Lin ≥ 0.75 *or* Wu&Palmer ≥ 0.85 (the paper treats a pair
 // as synonymous when the metrics are higher than the assigned
 // thresholds).
-func (db *DB) SimilarPair(w1, w2, pos string) bool {
-	if strings.EqualFold(w1, w2) {
+func (db *DB) Similar(a, b Word) bool {
+	if strings.EqualFold(a.text, b.text) {
 		return true
 	}
-	return db.Lin(w1, w2, pos) >= 0.75 || db.WuPalmer(w1, w2, pos) >= 0.85
+	wp, lin := db.best(a, b)
+	return lin >= 0.75 || wp >= 0.85
+}
+
+// SimilarPair is Similar for two words used once.
+func (db *DB) SimilarPair(w1, w2, pos string) bool {
+	return db.Similar(db.Word(w1, pos), db.Word(w2, pos))
 }

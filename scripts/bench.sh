@@ -32,9 +32,13 @@
 # BenchmarkGatherDegraded the cost of answering from the survivors
 # under allow_partial; BenchmarkTermRanksChurnIncremental vs
 # BenchmarkTermRanksChurnFullRebuild is the per-batch win of the
-# incremental term-rank maintenance) — and emits BENCH_PR10.json with
-# ns/op and allocs/op per benchmark, so later PRs have a perf
-# trajectory to compare against.
+# incremental term-rank maintenance), and the index-driven §2.2 mapping
+# (PR 14: BenchmarkNEDResolveFuzzy is the fuzzy entity fallback over a
+# stream of distinct partial names, BenchmarkPropmapMap the whole §2.2
+# stage over the entity-template extractions — neither stream repeats
+# inside a memo's reach, so only the index can win them) — and emits
+# BENCH_PR14.json with ns/op and allocs/op per benchmark, so later PRs
+# have a perf trajectory to compare against.
 #
 # The BenchmarkAnswerCtx / BenchmarkAnswerThroughput comparability pair
 # (the stage-framework-overhead bound) runs in its own `go test`
@@ -57,7 +61,7 @@
 #                benchmarks: exercises every tentpole path, produces no
 #                JSON. This is the single place the CI smoke regex
 #                lives; .github/workflows/ci.yml just calls it.
-#   output.json  full run; writes the JSON (default BENCH_PR10.json).
+#   output.json  full run; writes the JSON (default BENCH_PR14.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,10 +69,10 @@ cd "$(dirname "$0")/.."
 # selections run against the repo's root package; bench_pkgs covers
 # the PR 10 benchmarks that live in their own packages (the shard
 # gather tier and the store's term-rank churn pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Parallel|ParallelMax|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$'
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Parallel|ParallelMax|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkGather(Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
-bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Parallel|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$'
+bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Parallel|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
 bench_pkgs_smoke='BenchmarkGather(Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then
@@ -77,7 +81,7 @@ if [ "${1:-}" = "smoke" ]; then
     ./internal/shard/ ./internal/store/
 fi
 
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_PR14.json}"
 benchtime="${BENCHTIME:-1s}"
 
 raw="$(go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .)"

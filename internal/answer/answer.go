@@ -587,17 +587,24 @@ func (e *Extractor) instanceOfLoose(sess *sparql.Session, entity, class rdf.Term
 	if !strings.HasPrefix(class.Value, rdf.NSOnt) {
 		return true
 	}
-	// Types are materialised, so a direct triple lookup suffices.
-	return sess.Has(rdf.Triple{S: entity, P: rdf.Type(), O: class})
+	// Types are materialised, so the entity's own type set suffices.
+	return sess.InstanceOf(entity, class)
 }
+
+// The classes Table 1 admits per expected type, built once: the filter
+// asks about them for every produced answer.
+var (
+	personClasses = []rdf.Term{rdf.Ont("Person"), rdf.Ont("Organisation"), rdf.Ont("Company")}
+	placeClasses  = []rdf.Term{rdf.Ont("Place")}
+)
 
 // typeMatches implements Table 1 (§2.3.2).
 func (e *Extractor) typeMatches(sess *sparql.Session, t rdf.Term, expected triplex.Expected) bool {
 	switch expected.Kind {
 	case triplex.ExpectPerson:
-		return e.isAny(sess, t, "Person", "Organisation", "Company")
+		return e.isAny(sess, t, personClasses)
 	case triplex.ExpectPlace:
-		return e.isAny(sess, t, "Place")
+		return e.isAny(sess, t, placeClasses)
 	case triplex.ExpectDate:
 		return t.IsDate()
 	case triplex.ExpectNumeric:
@@ -609,12 +616,12 @@ func (e *Extractor) typeMatches(sess *sparql.Session, t rdf.Term, expected tripl
 	}
 }
 
-func (e *Extractor) isAny(sess *sparql.Session, t rdf.Term, classes ...string) bool {
+func (e *Extractor) isAny(sess *sparql.Session, t rdf.Term, classes []rdf.Term) bool {
 	if !t.IsIRI() {
 		return false
 	}
 	for _, c := range classes {
-		if sess.Has(rdf.Triple{S: t, P: rdf.Type(), O: rdf.Ont(c)}) {
+		if sess.InstanceOf(t, c) {
 			return true
 		}
 	}

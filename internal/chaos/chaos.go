@@ -135,7 +135,7 @@ type Injection struct {
 // with New. Safe for concurrent use.
 type Injector struct {
 	enabled atomic.Bool
-	sleep   func(time.Duration)
+	sleep   func(time.Duration) // WithSleep's stand-in for really waiting; nil = wait
 
 	mu     sync.Mutex
 	rng    *rand.Rand         // guarded by mu
@@ -147,7 +147,6 @@ type Injector struct {
 // New builds an enabled injector over a seeded random source.
 func New(seed int64, rules ...Rule) *Injector {
 	in := &Injector{
-		sleep:  time.Sleep,
 		rng:    rand.New(rand.NewSource(seed)),
 		rules:  rules,
 		fired:  make([]int, len(rules)),
@@ -191,8 +190,27 @@ func (in *Injector) Hit(point string) error {
 	if in == nil || !in.enabled.Load() {
 		return nil
 	}
-	kind, latency, fired := KindLatency, time.Duration(0), false
+	kind, latency, fired := in.draw(point)
+	if !fired {
+		return nil
+	}
+	if kind != KindLatency {
+		return fault(kind, point)
+	}
+	if in.sleep != nil {
+		in.sleep(latency)
+	} else {
+		time.Sleep(latency)
+	}
+	return nil
+}
+
+// draw makes the seeded firing decision for one visit of point by an
+// enabled injector and counts the injection; acting on it is the
+// caller's.
+func (in *Injector) draw(point string) (kind Kind, latency time.Duration, fired bool) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	for i, r := range in.rules {
 		if !r.matches(point) || (r.Limit > 0 && in.fired[i] >= r.Limit) {
 			continue
@@ -201,7 +219,6 @@ func (in *Injector) Hit(point string) error {
 			continue
 		}
 		in.fired[i]++
-		kind, latency, fired = r.Kind, r.Latency, true
 		key := point + "\x00" + r.Kind.String()
 		c := in.counts[key]
 		if c == nil {
@@ -209,21 +226,18 @@ func (in *Injector) Hit(point string) error {
 			in.counts[key] = c
 		}
 		*c++
-		break // first matching rule wins; later rules stay deterministic via the draw above
+		// first matching rule wins; later rules stay deterministic via the draw above
+		return r.Kind, r.Latency, true
 	}
-	in.mu.Unlock()
-	if !fired {
-		return nil
-	}
-	switch kind {
-	case KindLatency:
-		in.sleep(latency)
-		return nil
-	case KindError:
+	return 0, 0, false
+}
+
+// fault delivers a fired KindError or KindPanic rule.
+func fault(kind Kind, point string) error {
+	if kind == KindError {
 		return &InjectedError{Point: point}
-	default:
-		panic(&InjectedPanic{Point: point})
 	}
+	panic(&InjectedPanic{Point: point})
 }
 
 // Snapshot returns the cumulative injection counts, sorted by point
@@ -278,8 +292,40 @@ func FromContext(ctx context.Context) *Injector {
 }
 
 // HitCtx evaluates the context's injector (if any) at a fault point.
+// Unlike Hit, an injected latency also ends when ctx does, returning
+// ctx.Err(): a request that was cancelled — or a shard attempt whose
+// hedge already won — is not held for the rest of the delay. The
+// injection is drawn and counted before the wait either way, so a seed
+// replays the same counts. An injected sleeper (WithSleep) does not
+// really wait and so has nothing to cut short.
 func HitCtx(ctx context.Context, point string) error {
-	return FromContext(ctx).Hit(point)
+	in := FromContext(ctx)
+	if in == nil || !in.enabled.Load() {
+		return nil // small enough to inline: the production path of every fault point
+	}
+	return in.hitCtx(ctx, point)
+}
+
+func (in *Injector) hitCtx(ctx context.Context, point string) error {
+	kind, latency, fired := in.draw(point)
+	if !fired {
+		return nil
+	}
+	if kind != KindLatency {
+		return fault(kind, point)
+	}
+	if in.sleep != nil {
+		in.sleep(latency)
+		return nil
+	}
+	t := time.NewTimer(latency)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // ParseSpec parses a comma-separated rule list of the form

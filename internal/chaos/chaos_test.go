@@ -154,3 +154,34 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestHitCtxLatencyEndsWithContext: an injected latency holds HitCtx
+// only as long as the context lives (Hit keeps sleeping it out), and
+// the injection is counted either way.
+func TestHitCtxLatencyEndsWithContext(t *testing.T) {
+	in := New(1, Rule{Point: "p", Kind: KindLatency, Prob: 1, Latency: time.Hour})
+	ctx, cancel := context.WithCancel(With(context.Background(), in))
+	done := make(chan error, 1)
+	go func() { done <- HitCtx(ctx, "p") }()
+	for len(in.Snapshot()) == 0 {
+		time.Sleep(time.Millisecond) // until the fault is drawn: HitCtx is now waiting
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled latency returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("HitCtx slept on after its context was cancelled")
+	}
+	if snap := in.Snapshot(); len(snap) != 1 || snap[0].Count != 1 || snap[0].Kind != KindLatency {
+		t.Fatalf("snapshot = %+v, want the one latency injection", snap)
+	}
+
+	// An uncancelled context waits the latency out and proceeds.
+	short := New(1, Rule{Point: "p", Kind: KindLatency, Prob: 1, Latency: time.Millisecond})
+	if err := HitCtx(With(context.Background(), short), "p"); err != nil {
+		t.Fatalf("elapsed latency returned %v", err)
+	}
+}

@@ -16,7 +16,8 @@ import (
 // any future expiry arrives as an injected clock, not a stray
 // time.Now. The PR 10 shard failure domains (attempt timeouts, hedge
 // delays, backoff, breaker cooldowns) are in scope for the same
-// reason: their transition tests run on a fake clock.
+// reason: their transition tests run on a fake clock and hand-fired
+// timers (shard.Config.Now / AfterFunc).
 var ClockInject = &Analyzer{
 	Name: "clockinject",
 	Doc:  "no time.Now/Since/Until in internal/{qacache,wal,store,admission,chaos,shard,sparql/plancache} — use the injected clock",

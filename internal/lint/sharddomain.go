@@ -11,7 +11,7 @@ import (
 // circuit-breaker ladder — by keeping the only call sites of the
 // store's triple-data surface (HasIDs, ForEachMatchIDs, PostingList)
 // in internal/shard/ops.go, whose ops execute exclusively inside
-// launch(). A snapshot read anywhere else in the package would be a
+// domain.attempt. A snapshot read anywhere else in the package would be a
 // shard call that bypasses its failure domain: no attempt budget, no
 // breaker accounting, no partial-answer bookkeeping. Coordinator-local
 // planning reads (Len, Lookup, TermRanks, ...) are exempt — they hit

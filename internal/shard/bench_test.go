@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 // benchCluster builds the benchmark fixture: a 4-shard cluster over a
@@ -17,9 +18,40 @@ func benchCluster(b *testing.B, cfg Config) (*Cluster, []*sparql.Query) {
 	return NewCluster(src, 4, cfg), workload(props)
 }
 
+// BenchmarkDomainRunHealthy: one ground check through the whole
+// failure domain of a healthy shard — breaker, timer arm and stop,
+// inline attempt, latency observation. The read itself is a bucket
+// probe, so this is the fixed cost every shard call pays.
+func BenchmarkDomainRunHealthy(b *testing.B) {
+	c, _ := benchCluster(b, Config{})
+	ctx := context.Background()
+	v := c.NewView(ctx)
+	d, sn := c.domains[0], v.shards[0]
+	op := shardOp{opHas, [3]store.ID{shardSubject(0, 4), 1, 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.run(ctx, sn, op); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGatherSingleStore: BenchmarkGatherHealthy's workload on a
+// plain snapshot session with the same plan-cache setting — the
+// baseline the gather's cost is a factor of.
+func BenchmarkGatherSingleStore(b *testing.B) {
+	c, qs := benchCluster(b, fastConfig())
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runWorkload(b, ctx, sparql.NewSession(c.Src()).WithPlanCache(nil), qs)
+	}
+}
+
 // BenchmarkGatherHealthy: the full workload through a healthy 4-shard
-// gather view (the scatter/merge overhead baseline; compare with the
-// single-store session benchmarks in internal/sparql).
+// gather view (the scatter/merge overhead; BenchmarkGatherSingleStore
+// is its baseline).
 func BenchmarkGatherHealthy(b *testing.B) {
 	c, qs := benchCluster(b, fastConfig())
 	ctx := context.Background()

@@ -29,10 +29,15 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// neverAfter is an After that never fires: with MaxAttempts=1 and no
-// hedging wanted, no timer in the domain needs to fire for a call to
-// complete.
-func neverAfter(time.Duration) <-chan time.Time { return make(chan time.Time) }
+// neverFire is an AfterFunc whose timers never fire: with
+// MaxAttempts=1 and no hedging wanted, no timer in the domain needs to
+// fire for a call to complete.
+func neverFire(time.Duration, func()) Timer { return unfiredTimer{} }
+
+type unfiredTimer struct{}
+
+func (unfiredTimer) Stop() bool               { return true }
+func (unfiredTimer) Reset(time.Duration) bool { return true }
 
 // TestBreakerTransitions walks the full state machine under explicit
 // times: closed → open at the threshold → half-open probe after the
@@ -144,7 +149,7 @@ func TestBreakerInDomain(t *testing.T) {
 		BreakerCooldown:    time.Second,
 		BreakerMaxCooldown: 8 * time.Second,
 		Now:                fc.Now,
-		After:              neverAfter,
+		AfterFunc:          neverFire,
 	}
 	const n = 2
 	c := NewCluster(src, n, cfg)
@@ -201,7 +206,7 @@ func TestBreakerProbeFailureDoublesCooldown(t *testing.T) {
 		BreakerCooldown:    time.Second,
 		BreakerMaxCooldown: 8 * time.Second,
 		Now:                fc.Now,
-		After:              neverAfter,
+		AfterFunc:          neverFire,
 	}
 	const n = 2
 	c := NewCluster(src, n, cfg)

@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -58,6 +60,32 @@ func TestDegradedEqualsEmptyShardOracle(t *testing.T) {
 	// The oracle itself is healthy — empty is not degraded.
 	if out := ov.Outcome(); out.Degraded {
 		t.Fatalf("empty-shard oracle reported degraded: %+v", out)
+	}
+
+	// The type-set read obeys the HasIDs rule, dead owner ≡ empty
+	// shard: every entity of the dead shard has no type, whichever
+	// class is asked and however often; the others keep theirs.
+	dsess, osess := sparql.NewViewSession(dv), sparql.NewViewSession(ov)
+	classes := []rdf.Term{rdf.Ont("Person"), rdf.Ont("City"), rdf.Ont("Book")}
+	typed := 0
+	for e := 0; e < 80; e++ {
+		ent := rdf.Res(fmt.Sprintf("E%d", e))
+		sid, _ := dv.Lookup(ent)
+		for _, class := range classes {
+			got, want := dsess.InstanceOf(ent, class), osess.InstanceOf(ent, class)
+			if got != want {
+				t.Fatalf("InstanceOf(%v, %v) = %v degraded, %v on the empty-shard oracle", ent, class, got, want)
+			}
+			if got && ShardOf(sid, n) == 1 {
+				t.Fatalf("InstanceOf(%v, %v) answered true off dead shard 1", ent, class)
+			}
+			if got {
+				typed++
+			}
+		}
+	}
+	if typed == 0 {
+		t.Fatal("no entity of the live shards kept a type: the check proved nothing")
 	}
 }
 

@@ -4,13 +4,22 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/answer"
+	"repro/internal/kb"
+	"repro/internal/ner"
+	"repro/internal/patterns"
+	"repro/internal/propmap"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
 	"repro/internal/testutil"
+	"repro/internal/triplex"
+	"repro/internal/wordnet"
 )
 
 func TestMain(m *testing.M) { testutil.VerifyNoLeaks(m) }
@@ -175,6 +184,97 @@ func TestGatherDifferential(t *testing.T) {
 			}
 			if out := v.Outcome(); out.Degraded || out.ShardsAnswered != n {
 				t.Fatalf("trial %d n=%d: healthy outcome %+v", trial, n, out)
+			}
+		}
+	}
+}
+
+// entityFixture is the built-in KB with qaload's entity_cold questions
+// mapped through §2.1–§2.2, built once: the input of the §2.3 answer
+// stage, whose type filter and orientation typing are the callers of
+// the session's type-set read.
+var entityFixture = sync.OnceValues(func() (*kb.KB, []*propmap.Mapping) {
+	k := kb.Default()
+	pats := patterns.Mine(k, k.Corpus(kb.DefaultCorpusConfig()), patterns.DefaultMinerConfig())
+	mapper := propmap.New(k, wordnet.Default(), pats, ner.NewLinker(k), propmap.DefaultConfig())
+	var mapped []*propmap.Mapping
+	for _, q := range testutil.EntityQuestions(k) {
+		ext, err := triplex.Extract(q)
+		if err != nil {
+			continue
+		}
+		if mp, err := mapper.Map(ext); err == nil {
+			mapped = append(mapped, mp)
+		}
+	}
+	return k, mapped
+})
+
+// renderAnswer serialises everything the answer stage decided for one
+// question: the answers, and per candidate whether it ran, what it
+// matched and what survived the type filter.
+func renderAnswer(res *answer.Result, err error) string {
+	if err != nil {
+		return "ERR " + err.Error()
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%v", res.Answers)
+	for _, cq := range res.Candidates {
+		fmt.Fprintf(&sb, "\n%s executed=%v raw=%d answers=%v err=%v", cq.SPARQL, cq.Executed, cq.Raw, cq.Answers, cq.Err)
+	}
+	return sb.String()
+}
+
+// extractAll answers every mapped question through one fresh session
+// per question over the view newView pins.
+func extractAll(ctx context.Context, ex *answer.Extractor, mapped []*propmap.Mapping, newView func() sparql.StoreView) []string {
+	out := make([]string, len(mapped))
+	for i, mp := range mapped {
+		sess := sparql.NewViewSession(newView()).WithPlanCache(nil)
+		out[i] = renderAnswer(ex.ExtractSessionCtx(ctx, mp, sess))
+	}
+	return out
+}
+
+// TestGatherDifferentialEntityQuestions extends the differential end
+// to end: qaload's entity_cold questions through
+// answer.ExtractSessionCtx answer the same, candidate for candidate,
+// over a healthy N-shard view and over the single store — the path on
+// which every rdf:type probe is a type-set read.
+func TestGatherDifferentialEntityQuestions(t *testing.T) {
+	k, mapped := entityFixture()
+	if len(mapped) < 1000 {
+		t.Fatalf("only %d entity questions mapped", len(mapped))
+	}
+	ctx := context.Background()
+	ex := answer.New(k, answer.DefaultConfig())
+	snap := k.Store.Snapshot()
+	want := extractAll(ctx, ex, mapped, func() sparql.StoreView { return snap })
+	answered := 0
+	for _, w := range want {
+		if !strings.HasPrefix(w, "[]") && !strings.HasPrefix(w, "ERR") {
+			answered++
+		}
+	}
+	if answered < len(want)/2 {
+		t.Fatalf("single store answered only %d of %d questions: the differential would prove little", answered, len(want))
+	}
+	for _, n := range []int{1, 2, 4} {
+		c := NewCluster(k.Store, n, fastConfig())
+		var views []*View
+		got := extractAll(ctx, ex, mapped, func() sparql.StoreView {
+			v := c.NewView(ctx)
+			views = append(views, v)
+			return v
+		})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d %q diverged:\nshard:  %s\nsingle: %s", n, mapped[i].Extraction.Question, got[i], want[i])
+			}
+		}
+		for _, v := range views {
+			if err := v.Err(); err != nil {
+				t.Fatalf("n=%d: healthy view reported %v", n, err)
 			}
 		}
 	}

@@ -2,7 +2,7 @@
 // package that reads triple data off a shard snapshot (HasIDs /
 // ForEachMatchIDs / PostingList / the build-time partition scan) —
 // the sharddomain qalint invariant. Everything here runs inside an
-// attempt goroutine under the failure domain (domain.launch), so a
+// attempt under the failure domain (domain.attempt), so a
 // chaos-injected panic or latency at these call sites exercises the
 // exact production path.
 
@@ -20,10 +20,51 @@ import (
 // large scan within this many matches.
 const scanCheckEvery = 512
 
-// opScan buffers one shard's matches of pat as a flat [s,p,o ...]
+// opKind names one of the three reads a shard serves.
+type opKind uint8
+
+const (
+	opHas     opKind = iota // ground-triple existence check
+	opScan                  // pattern scan, buffered flat
+	opPosting               // posting list of a two-bound pattern
+)
+
+// shardOp is one read against a pinned shard snapshot, as a plain
+// value: crossing the failure domain allocates nothing, and the op
+// could go on a wire as it is.
+type shardOp struct {
+	kind opKind
+	pat  [3]store.ID // fully ground for opHas; 0 = wildcard otherwise
+}
+
+// opResult is a shardOp's answer: ok for opHas; ids for opScan (flat
+// [s,p,o ...] matches) and opPosting (the sorted list).
+type opResult struct {
+	ok  bool
+	ids []store.ID
+}
+
+// exec runs the op on one shard's snapshot. ctx is only read for the
+// duration of the call and must not be retained: the domain recycles
+// it (see call in domain.go).
+func (op shardOp) exec(ctx context.Context, sn *store.Snapshot) (opResult, error) {
+	if err := ctx.Err(); err != nil {
+		return opResult{}, err
+	}
+	switch op.kind {
+	case opHas:
+		return opResult{ok: sn.HasIDs(op.pat[0], op.pat[1], op.pat[2])}, nil
+	case opScan:
+		return scan(ctx, sn, op.pat)
+	default:
+		return opResult{ids: postingList(sn, op.pat)}, nil
+	}
+}
+
+// scan buffers one shard's matches of pat as a flat [s,p,o ...]
 // slice in the snapshot's deterministic per-case order. The gather
 // view merges these partials back into the exact single-store stream.
-func opScan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (any, error) {
+func scan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (opResult, error) {
 	est := sn.EstimateCardinalityIDs(pat)
 	buf := make([]store.ID, 0, 3*est)
 	n := 0
@@ -40,34 +81,23 @@ func opScan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (any, erro
 		return true
 	})
 	if scanErr != nil {
-		return nil, scanErr
+		return opResult{}, scanErr
 	}
-	return buf, nil
+	return opResult{ids: buf}, nil
 }
 
-// opHas answers a ground-triple existence check on one shard.
-func opHas(ctx context.Context, sn *store.Snapshot, s, p, o store.ID) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return sn.HasIDs(s, p, o), nil
-}
-
-// opPostingList returns one shard's posting list for a two-bound
+// postingList returns one shard's posting list for a two-bound
 // pattern, copied out of the snapshot (the caller may outlive the
 // attempt; aliasing index memory across the domain boundary would tie
 // result lifetime to shard snapshot pinning).
-func opPostingList(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func postingList(sn *store.Snapshot, pat [3]store.ID) []store.ID {
 	lst, ok := sn.PostingList(pat)
-	if !ok {
-		return []store.ID(nil), nil
+	if !ok || len(lst) == 0 {
+		return nil
 	}
 	out := make([]store.ID, len(lst))
 	copy(out, lst)
-	return out, nil
+	return out
 }
 
 // partitionTriples splits sn's full contents into n subject-routed

@@ -27,9 +27,10 @@
 //
 // # Failure domains and partial answers
 //
-// Each shard call runs under a per-attempt timeout with capped
-// exponential backoff retries, a hedged second attempt after the
-// shard's observed p95 latency, and a per-shard circuit breaker.
+// Each shard call runs inline on its caller's goroutine under a
+// per-attempt timeout with capped exponential backoff retries, a
+// hedged second attempt once it has outlived the shard's observed p95
+// latency, and a per-shard circuit breaker.
 // Chaos points shard.query.<i> and shard.hedge make every one of
 // those paths drivable by the chaos injector. When a shard stays
 // unavailable the request either fails fast (ErrUnavailable → 503)
@@ -74,8 +75,8 @@ func PartialOK(ctx context.Context) bool {
 }
 
 // Config tunes the per-shard failure domain. The zero value gets
-// production defaults from withDefaults; tests inject Now/After (and
-// a Seed) to drive every timer and jitter deterministically.
+// production defaults from withDefaults; tests inject Now/AfterFunc
+// (and a Seed) to drive every timer and jitter deterministically.
 type Config struct {
 	// AttemptTimeout bounds one shard attempt. The effective per-attempt
 	// timeout is the smaller of this and the remaining request deadline,
@@ -106,10 +107,22 @@ type Config struct {
 	// Seed seeds the backoff-jitter RNG (deterministic per shard:
 	// shard i uses Seed+i).
 	Seed int64
-	// Now and After inject the clock: every deadline, backoff, hedge
-	// timer and breaker cooldown reads them, never the process clock.
-	Now   func() time.Time
-	After func(time.Duration) <-chan time.Time
+	// Now and AfterFunc inject the clock: deadlines and breaker
+	// cooldowns read Now; hedge, timeout and backoff timers come from
+	// AfterFunc, whose contract is time.AfterFunc's (f runs in its own
+	// goroutine once d has passed, unless the timer is stopped first).
+	Now       func() time.Time
+	AfterFunc func(d time.Duration, f func()) Timer
+}
+
+// Timer is the stoppable, re-armable handle of one AfterFunc timer;
+// *time.Timer is the production one.
+type Timer interface {
+	// Stop disarms the timer; true means this arming had not fired and
+	// now never will.
+	Stop() bool
+	// Reset re-arms a stopped or fired timer to run f once more after d.
+	Reset(d time.Duration) bool
 }
 
 // withDefaults fills unset fields with production defaults.
@@ -145,11 +158,11 @@ func withDefaults(cfg Config) Config {
 		cfg.Seed = 1
 	}
 	if cfg.Now == nil {
-		//qalint:ignore clockinject the one construction point of the injected clock; every read below goes through cfg.Now/cfg.After, tests swap both.
+		//qalint:ignore clockinject the one construction point of the injected clock; every read below goes through cfg.Now/cfg.AfterFunc, tests swap both.
 		cfg.Now = time.Now
 	}
-	if cfg.After == nil {
-		cfg.After = time.After
+	if cfg.AfterFunc == nil {
+		cfg.AfterFunc = func(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 	}
 	return cfg
 }

@@ -141,28 +141,60 @@ func (v *View) noteFailure(i int, err error) {
 // call runs op on shard i through its failure domain. ok=false means
 // the shard contributes nothing to this read (dead for this view, or
 // it just failed and the policy was applied).
-func (v *View) call(i int, op shardOp) (any, bool) {
+func (v *View) call(i int, op shardOp) (opResult, bool) {
 	if !v.live(i) {
-		return nil, false
+		return opResult{}, false
 	}
-	val, err := v.c.domains[i].run(v.ctx, v.shards[i], op)
+	res, err := v.c.domains[i].run(v.ctx, v.shards[i], op)
 	if err != nil {
 		v.noteFailure(i, err)
-		return nil, false
+		return opResult{}, false
 	}
-	return val, true
+	return res, true
+}
+
+// owner runs op on the shard that owns subject s.
+func (v *View) owner(s store.ID, op shardOp) (opResult, bool) {
+	return v.call(shardOf(s, len(v.shards)), op)
+}
+
+// scatter fans op out to every live shard concurrently — the caller's
+// goroutine takes one shard itself — and returns the per-shard
+// partials (nil for dead shards).
+func (v *View) scatter(op shardOp) [][]store.ID {
+	parts := make([][]store.ID, len(v.shards))
+	one := func(i int) {
+		if res, ok := v.call(i, op); ok {
+			parts[i] = res.ids
+		}
+	}
+	var wg sync.WaitGroup
+	mine := -1
+	for i := range v.shards {
+		if !v.live(i) {
+			continue
+		}
+		if mine >= 0 {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				one(i)
+			}(mine)
+		}
+		mine = i
+	}
+	if mine >= 0 {
+		one(mine)
+	}
+	wg.Wait()
+	return parts
 }
 
 // HasIDs routes the ground check to the subject's owner shard. A dead
 // owner answers false — the empty-shard equivalence.
 func (v *View) HasIDs(s, p, o store.ID) bool {
-	res, ok := v.call(shardOf(s, len(v.shards)), func(ctx context.Context, sn *store.Snapshot) (any, error) {
-		return opHas(ctx, sn, s, p, o)
-	})
-	if !ok {
-		return false
-	}
-	return res.(bool)
+	res, _ := v.owner(s, shardOp{opHas, [3]store.ID{s, p, o}})
+	return res.ok
 }
 
 // ForEachMatchIDs streams pat's matches in the store's deterministic
@@ -170,46 +202,17 @@ func (v *View) HasIDs(s, p, o store.ID) bool {
 // concurrent scatter + ordered k-way merge otherwise.
 func (v *View) ForEachMatchIDs(pat [3]store.ID, fn func(s, p, o store.ID) bool) {
 	if pat[0] != 0 {
-		res, ok := v.call(shardOf(pat[0], len(v.shards)), func(ctx context.Context, sn *store.Snapshot) (any, error) {
-			return opScan(ctx, sn, pat)
-		})
-		if !ok {
-			return
-		}
-		emitFlat(res.([]store.ID), fn)
+		res, _ := v.owner(pat[0], shardOp{opScan, pat})
+		emitFlat(res.ids, fn)
 		return
 	}
-	mergeEmit(v.scatterScan(pat), caseLess(pat), fn)
-}
-
-// scatterScan fans a wildcard-subject scan out to every live shard
-// concurrently and returns the per-shard flat partials (nil for dead
-// shards).
-func (v *View) scatterScan(pat [3]store.ID) [][]store.ID {
-	parts := make([][]store.ID, len(v.shards))
-	var wg sync.WaitGroup
-	for i := range v.shards {
-		if !v.live(i) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if res, ok := v.call(i, func(ctx context.Context, sn *store.Snapshot) (any, error) {
-				return opScan(ctx, sn, pat)
-			}); ok {
-				parts[i] = res.([]store.ID)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return parts
+	mergeEmit(v.scatter(shardOp{opScan, pat}), caseLess(pat), fn)
 }
 
 // PostingList reproduces the store's posting-list surface: a merge of
 // the shards' disjoint subject lists for (?, p, o), an owner read for
-// the subject-bound shapes. Unlike the snapshot's, the returned slice
-// never aliases index memory.
+// the subject-bound shapes (a dead owner ≡ an empty shard). Unlike the
+// snapshot's, the returned slice never aliases index memory.
 func (v *View) PostingList(pat [3]store.ID) ([]store.ID, bool) {
 	zeros := 0
 	for _, x := range pat {
@@ -220,32 +223,11 @@ func (v *View) PostingList(pat [3]store.ID) ([]store.ID, bool) {
 	if zeros != 1 {
 		return nil, false
 	}
-	postOp := func(ctx context.Context, sn *store.Snapshot) (any, error) {
-		return opPostingList(ctx, sn, pat)
-	}
 	if pat[0] != 0 {
-		res, ok := v.call(shardOf(pat[0], len(v.shards)), postOp)
-		if !ok {
-			return nil, true // dead owner ≡ empty shard
-		}
-		return res.([]store.ID), true
+		res, _ := v.owner(pat[0], shardOp{opPosting, pat})
+		return res.ids, true
 	}
-	parts := make([][]store.ID, len(v.shards))
-	var wg sync.WaitGroup
-	for i := range v.shards {
-		if !v.live(i) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if res, ok := v.call(i, postOp); ok {
-				parts[i] = res.([]store.ID)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return mergeSortedDisjoint(parts), true
+	return mergeSortedDisjoint(v.scatter(shardOp{opPosting, pat})), true
 }
 
 // --- merge machinery ---

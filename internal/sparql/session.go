@@ -14,7 +14,13 @@
 //     ID tuples in sorted scan order), so dozens of sibling candidates
 //     replay each other's index scans instead of re-walking buckets.
 //     Only scans of at least scanMemoMin matches are memoized: tiny
-//     entity-bound scans cost less than the memo bookkeeping would.
+//     entity-bound scans cost less than the memo bookkeeping would,
+//   - each probed entity's rdf:type set (InstanceOf): the §2.3.2 type
+//     filter and the orientation typing ask "is e a C?" about the same
+//     few entities for class after class, so the first probe reads the
+//     entity's types in one subject-bound read and the rest are
+//     answered here — on a sharded view, one shard call per entity
+//     where a ground probe per class would be one per question asked.
 //
 // Pattern cardinalities need no session map: compile hoists each
 // pattern's exact base cardinality into the compiled form once (the
@@ -46,6 +52,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +103,7 @@ type Session struct {
 	mu     sync.RWMutex
 	ids    map[rdf.Term]store.ID      // constant resolution; 0 = not in dictionary; guarded by mu
 	scans  map[[3]store.ID]*scanEntry // nil entry: over budget, do not memoize; guarded by mu
+	types  map[store.ID][]store.ID    // subject → its rdf:type objects, one read each; guarded by mu
 	budget int                        // remaining scan-memo IDs; guarded by mu
 }
 
@@ -206,24 +214,41 @@ func (s *Session) resolve(t rdf.Term) (store.ID, bool) {
 	return id, ok
 }
 
-// Has reports whether the ground triple is present in the pinned
-// snapshot, with memoized term resolution. The §2.3.2 expected-type
-// filter calls this once per produced answer, always with the same
-// class terms.
-func (s *Session) Has(t rdf.Triple) bool {
-	sid, ok := s.resolve(t.S)
+// InstanceOf reports whether (entity, rdf:type, class) holds in the
+// pinned view — the question of the §2.3.2 expected-type filter and of
+// the orientation typing. The first probe of an entity reads its whole
+// type set with one subject-bound (entity, rdf:type, ?) posting-list
+// read; later probes of it are answered from the session. On a sharded
+// view that is one owner-shard call per distinct entity, and an
+// unreachable owner reads as an entity with no types, session-long.
+func (s *Session) InstanceOf(entity, class rdf.Term) bool {
+	cid, ok := s.resolve(class)
+	return ok && slices.Contains(s.typesOf(entity), cid)
+}
+
+// typesOf returns the IDs of entity's rdf:type objects. Concurrent
+// first probes may both read; they store equal lists.
+func (s *Session) typesOf(entity rdf.Term) []store.ID {
+	sid, ok := s.resolve(entity)
 	if !ok {
-		return false
+		return nil
 	}
-	pid, ok := s.resolve(t.P)
-	if !ok {
-		return false
+	s.mu.RLock()
+	types, hit := s.types[sid]
+	s.mu.RUnlock()
+	if hit {
+		return types
 	}
-	oid, ok := s.resolve(t.O)
-	if !ok {
-		return false
+	if pid, ok := s.resolve(rdf.Type()); ok {
+		types, _ = s.snap.PostingList([3]store.ID{sid, pid, 0})
 	}
-	return s.snap.HasIDs(sid, pid, oid)
+	s.mu.Lock()
+	if s.types == nil {
+		s.types = make(map[store.ID][]store.ID)
+	}
+	s.types[sid] = types
+	s.mu.Unlock()
+	return types
 }
 
 // baseScan returns the memoized scan for a base pattern key, running

@@ -244,3 +244,59 @@ func mustID(t *testing.T, st *store.Store, term rdf.Term) store.ID {
 	}
 	return id
 }
+
+// countingView counts the triple-data reads a session makes of its
+// view.
+type countingView struct {
+	*store.Snapshot
+	posting, has int
+}
+
+func (v *countingView) PostingList(pat [3]store.ID) ([]store.ID, bool) {
+	v.posting++
+	return v.Snapshot.PostingList(pat)
+}
+
+func (v *countingView) HasIDs(s, p, o store.ID) bool {
+	v.has++
+	return v.Snapshot.HasIDs(s, p, o)
+}
+
+// TestInstanceOfMatchesGroundProbe: the type-set read answers every
+// (entity, class) pair exactly as the ground rdf:type probe does —
+// known and unknown entities, classes and literals — pins the
+// snapshot like every session read, and reads the view once per
+// distinct entity however many classes are asked.
+func TestInstanceOfMatchesGroundProbe(t *testing.T) {
+	st, _ := randStore(rand.New(rand.NewSource(9)), 60, 3)
+	st.Add(rdf.Triple{S: rdf.Res("E0"), P: rdf.Type(), O: rdf.Ont("Author")}) // a second type
+	snap := st.Snapshot()
+	view := &countingView{Snapshot: snap}
+	sess := NewViewSession(view)
+	st.Add(rdf.Triple{S: rdf.Res("E1"), P: rdf.Type(), O: rdf.Ont("Author")}) // after the pin
+
+	classes := []rdf.Term{rdf.Ont("Person"), rdf.Ont("City"), rdf.Ont("Book"), rdf.Ont("Author"), rdf.Ont("Nowhere")}
+	var entities []rdf.Term
+	for e := 0; e < 60; e++ {
+		entities = append(entities, rdf.Res(fmt.Sprintf("E%d", e)))
+	}
+	entities = append(entities, rdf.Res("Unknown"), rdf.NewInteger(3))
+	for round := 0; round < 2; round++ {
+		for _, ent := range entities {
+			for _, class := range classes {
+				want := snap.Has(rdf.Triple{S: ent, P: rdf.Type(), O: class})
+				if got := sess.InstanceOf(ent, class); got != want {
+					t.Fatalf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
+				}
+			}
+		}
+	}
+	if !sess.InstanceOf(rdf.Res("E0"), rdf.Ont("Author")) || sess.InstanceOf(rdf.Res("E1"), rdf.Ont("Author")) {
+		t.Fatal("type set is not the pinned snapshot's")
+	}
+	// 60 entities in the dictionary (the integer 3 is too, as an
+	// object): one read each, none repeated, no ground probe at all.
+	if view.posting > 61 || view.has != 0 {
+		t.Fatalf("%d posting-list reads and %d ground probes for 61 known subjects", view.posting, view.has)
+	}
+}

@@ -36,9 +36,13 @@
 # (PR 14: BenchmarkNEDResolveFuzzy is the fuzzy entity fallback over a
 # stream of distinct partial names, BenchmarkPropmapMap the whole §2.2
 # stage over the entity-template extractions — neither stream repeats
-# inside a memo's reach, so only the index can win them) — and emits
-# BENCH_PR14.json with ns/op and allocs/op per benchmark, so later PRs
-# have a perf trajectory to compare against.
+# inside a memo's reach, so only the index can win them), and the
+# inline shard call (PR 15: BenchmarkDomainRunHealthy is the fixed
+# cost one healthy shard call pays crossing its failure domain,
+# BenchmarkGatherSingleStore the BenchmarkGatherHealthy workload on a
+# plain snapshot session — the baseline the gather is a factor of) —
+# and emits BENCH_PR15.json with ns/op and allocs/op per benchmark, so
+# later PRs have a perf trajectory to compare against.
 #
 # The BenchmarkAnswerCtx / BenchmarkAnswerThroughput comparability pair
 # (the stage-framework-overhead bound) runs in its own `go test`
@@ -61,27 +65,27 @@
 #                benchmarks: exercises every tentpole path, produces no
 #                JSON. This is the single place the CI smoke regex
 #                lives; .github/workflows/ci.yml just calls it.
-#   output.json  full run; writes the JSON (default BENCH_PR14.json).
+#   output.json  full run; writes the JSON (default BENCH_PR15.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The benchmark selections, defined once for every mode. The root
 # selections run against the repo's root package; bench_pkgs covers
-# the PR 10 benchmarks that live in their own packages (the shard
-# gather tier and the store's term-rank churn pair).
+# the benchmarks that live in their own packages (the shard tier and
+# the store's term-rank churn pair).
 bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Parallel|ParallelMax|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkGather(Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
+bench_pkgs='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
 bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Parallel|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
-bench_pkgs_smoke='BenchmarkGather(Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
+bench_pkgs_smoke='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .
-  exec go test -run '^$' -bench "$bench_pkgs_smoke" -benchtime=5x -benchmem \
+  exec go test -p 1 -run '^$' -bench "$bench_pkgs_smoke" -benchtime=5x -benchmem \
     ./internal/shard/ ./internal/store/
 fi
 
-out="${1:-BENCH_PR14.json}"
+out="${1:-BENCH_PR15.json}"
 benchtime="${BENCHTIME:-1s}"
 
 raw="$(go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .)"
@@ -94,8 +98,11 @@ rawpair="$(go test -run '^$' -bench "$bench_pair" \
 
 echo "$rawpair"
 
-# The package-local PR 10 benchmarks (shard gather, term-rank churn).
-rawpkgs="$(go test -run '^$' -bench "$bench_pkgs" \
+# The package-local benchmarks (shard tier, term-rank churn), one
+# package at a time (-p 1): run side by side on a two-core host they
+# take each other's CPU, and the gather ÷ single-store factor is read
+# off two of them.
+rawpkgs="$(go test -p 1 -run '^$' -bench "$bench_pkgs" \
   -benchmem -benchtime="$benchtime" ./internal/shard/ ./internal/store/)"
 
 echo "$rawpkgs"

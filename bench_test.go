@@ -577,14 +577,12 @@ func BenchmarkSPARQLScale(b *testing.B) {
 	}
 }
 
-// --- PR 2 tentpole benchmarks: concurrent candidate fan-out ---
+// --- §2.3 candidate execution ---
 //
 // A multi-pattern question whose candidates are expensive joins and
 // whose winner sits at the bottom of the ranking forces the §2.3 loop
-// to execute (nearly) every candidate — the worst case sequential
-// execution pays in full and the speculative fan-out overlaps. The
-// deterministic commit protocol means both report identical results
-// (asserted every iteration); only the wall clock differs.
+// to execute (nearly) every candidate: the worst case of rank-order
+// execution. The winner is asserted every iteration.
 
 var (
 	fanoutOnce sync.Once
@@ -630,7 +628,7 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 				{SubjectVar: "p", ObjectVar: "x", Predicates: cands},
 			},
 		}
-		ex := answer.New(fanoutKB, answer.Config{MaxQueries: 256, Parallelism: 1})
+		ex := answer.New(fanoutKB, answer.Config{MaxQueries: 256})
 		res, err := ex.Extract(fanoutMP)
 		if err != nil {
 			panic(err)
@@ -670,26 +668,12 @@ func benchmarkExtract(b *testing.B, cfg answer.Config) {
 	}
 }
 
-// BenchmarkExtractSequential executes the candidate set in strict rank
-// order on one goroutine (Parallelism: 1), the reference semantics.
-// Since PR 5 all Extract benchmarks run with the shared per-question
-// sparql.Session (the production path); BenchmarkExtractSessionless is
-// the session-disabled twin.
+// BenchmarkExtractSequential executes the candidate set in rank order
+// with the shared per-question sparql.Session — the production path
+// (the name dates from when a speculative pool ran beside it);
+// BenchmarkExtractSessionless is the session-disabled twin.
 func BenchmarkExtractSequential(b *testing.B) {
-	benchmarkExtract(b, answer.Config{Parallelism: 1})
-}
-
-// BenchmarkExtractParallel fans the same candidate set out across 4
-// workers with the rank-order commit protocol (the workers share the
-// question's session).
-func BenchmarkExtractParallel(b *testing.B) {
-	benchmarkExtract(b, answer.Config{Parallelism: 4})
-}
-
-// BenchmarkExtractParallelMax uses every core (Parallelism: 0 =
-// GOMAXPROCS).
-func BenchmarkExtractParallelMax(b *testing.B) {
-	benchmarkExtract(b, answer.Config{Parallelism: 0})
+	benchmarkExtract(b, answer.Config{})
 }
 
 // BenchmarkExtractSessionless runs the identical fan-out with the
@@ -698,12 +682,11 @@ func BenchmarkExtractParallelMax(b *testing.B) {
 // session's cross-candidate memoization (answers are identical; the
 // differential tests in internal/answer pin that).
 func BenchmarkExtractSessionless(b *testing.B) {
-	benchmarkExtract(b, answer.Config{Parallelism: 1, DisableSessionReuse: true})
+	benchmarkExtract(b, answer.Config{DisableSessionReuse: true})
 }
 
 // BenchmarkQALDEvalWorkers4 runs the Table 2 evaluation with
-// question-level parallelism on top of the per-question fan-out (the
-// cmd/qald-eval -workers path).
+// question-level parallelism (the cmd/qald-eval -workers path).
 func BenchmarkQALDEvalWorkers4(b *testing.B) {
 	s := sharedSystem(b)
 	qs := qald.Questions()

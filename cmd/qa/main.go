@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qa [-explain] [-top N] [-kb file.nt] [-parallel N] [-timeout 2s] [-cache N] "Which book is written by Orhan Pamuk?"
+//	qa [-explain] [-top N] [-kb file.nt] [-timeout 2s] [-cache N] "Which book is written by Orhan Pamuk?"
 //	qa -i       # interactive: one question per line on stdin
 //	qa -chaos stage.answer:error:0.5 -chaos-seed 7 ...   # seeded fault injection
 //
@@ -35,7 +35,6 @@ func main() {
 	top := flag.Int("top", 5, "number of candidate queries to show with -explain")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	interactive := flag.Bool("i", false, "interactive mode: read one question per line from stdin")
-	parallel := flag.Int("parallel", 0, "candidate-query fan-out workers (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "per-question deadline; the pipeline cancels at the next stage/join boundary (0 = none)")
 	cacheSize := flag.Int("cache", 0, "answer cache entries, useful with -i (0 = disabled)")
 	chaosSpec := flag.String("chaos", "", "arm fault injection at the pipeline stage boundaries: point:kind:prob[:latency[:limit]] rules, comma-separated (see internal/chaos)")
@@ -53,9 +52,8 @@ func main() {
 	}
 
 	var sys *core.System
-	if *kbPath != "" || *parallel != 0 || *cacheSize != 0 {
+	if *kbPath != "" || *cacheSize != 0 {
 		cfg := core.DefaultConfig()
-		cfg.Parallelism = *parallel
 		cfg.CacheSize = *cacheSize
 		if *kbPath != "" {
 			loaded, err := kb.LoadFile(*kbPath)

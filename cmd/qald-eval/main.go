@@ -10,12 +10,10 @@
 //	qald-eval -ablations       # run the ablation configurations
 //	qald-eval -by-category     # per-category breakdown
 //	qald-eval -workers 8       # answer questions concurrently
-//	qald-eval -parallel 4      # bound the per-question candidate fan-out
 //	qald-eval -timeout 30s     # deadline for the whole evaluation
 //
-// The two parallelism layers compose: -workers batches questions across
-// goroutines while -parallel bounds the candidate-query fan-out inside
-// each question; both leave every reported number unchanged.
+// -workers batches questions across goroutines and leaves every
+// reported number unchanged.
 package main
 
 import (
@@ -36,7 +34,6 @@ func main() {
 	xmlOut := flag.String("xml", "", "write the run in QALD challenge XML format to this file")
 	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation extensions")
 	workers := flag.Int("workers", 1, "question-level parallelism: answer up to N questions concurrently")
-	parallel := flag.Int("parallel", 0, "candidate-query fan-out per question (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole evaluation; cancellation reaches every stage boundary (0 = none)")
 	flag.Parse()
 
@@ -46,7 +43,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.Parallelism = *parallel
 	if *extensions {
 		cfg.EnableBoolean = true
 		cfg.EnableAggregation = true

@@ -10,8 +10,8 @@
 //
 //	qaserve [-addr :8080] [-timeout 5s] [-max-inflight 64] [-cache 1024]
 //	        [-plan-cache N] [-shards N]
-//	        [-parallel N] [-kb file.nt] [-data-dir dir] [-update-token T]
-//	        [-drain 15s] [-extensions]
+//	        [-kb file.nt] [-data-dir dir] [-update-token T]
+//	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
 //	        [-adaptive-admission] [-admission-target 500ms]
 //	        [-admission-min 1] [-admission-max N] [-cost-per-row D]
 //	        [-chaos spec] [-chaos-seed N]
@@ -32,7 +32,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,6 +47,28 @@ import (
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
+
+// serveDebug starts the -debug-addr listener: the net/http/pprof
+// handlers on a mux of their own, so nothing registered there is
+// reachable through the public listener (whose handler is the gate, not
+// http.DefaultServeMux). The bound address goes to stderr — with port 0
+// it is the only place to learn it. The caller closes the server.
+func serveDebug(addr string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-debug-addr: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ds := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = ds.Serve(ln) }() // returns once ds.Close has run
+	fmt.Fprintf(os.Stderr, "qaserve: debug listener on %s (pprof)\n", ln.Addr())
+	return ds, nil
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -62,7 +86,6 @@ func main() {
 	cacheSize := flag.Int("cache", 1024, "answer cache entries, keyed on normalized question text (0 = disabled)")
 	planCache := flag.Int("plan-cache", 0, "SPARQL plan-shape cache: 0 = process-wide default, >0 = dedicated cache of that many shapes, <0 = disabled")
 	negTTL := flag.Duration("cache-negative-ttl", 0, "expire cached non-answers after this long (0 = keep until the KB changes)")
-	parallel := flag.Int("parallel", 0, "candidate-query fan-out workers per question (0 = GOMAXPROCS, 1 = sequential)")
 	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with hedged retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	dataDir := flag.String("data-dir", "", "durable data directory; enables /v1/update (WAL + snapshot segments, crash recovery on start)")
@@ -70,6 +93,7 @@ func main() {
 	updateTimeout := flag.Duration("update-timeout", 10*time.Second, "per-update commit timeout (0 = use -timeout)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation/superlative extensions")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, on a listener and mux of its own (empty = off); keep it off public interfaces")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -110,6 +134,13 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "qaserve: listening on %s (warming up)\n", *addr)
+	var debug *http.Server
+	if *debugAddr != "" {
+		var err error
+		if debug, err = serveDebug(*debugAddr); err != nil {
+			fail(err)
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -131,7 +162,6 @@ func main() {
 		defer func() { bootCh <- res }()
 
 		cfg := core.DefaultConfig()
-		cfg.Parallelism = *parallel
 		cfg.CacheSize = *cacheSize
 		cfg.PlanCacheSize = *planCache
 		cfg.NegativeTTL = *negTTL
@@ -290,6 +320,9 @@ func main() {
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "qaserve:", err)
 		code = 1
+	}
+	if debug != nil {
+		_ = debug.Close() // a profile still streaming ends with the process anyway
 	}
 	if manager != nil {
 		if err := manager.Close(); err != nil {

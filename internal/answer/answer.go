@@ -5,32 +5,27 @@
 // filtering answers by the expected answer type of Table 1 (§2.3.2) and
 // returning the top-ranked answer set.
 //
-// # Concurrency model
+// # Execution order
 //
-// Candidate queries execute on a bounded worker pool (Config.
-// Parallelism, default GOMAXPROCS) with deterministic first-winner
-// semantics: workers speculate on lower-ranked candidates while
-// higher-ranked ones are still running, but outcomes commit strictly in
-// rank order — candidate i's bookkeeping (Executed, Raw, Answers, Err)
-// becomes visible only once every candidate ranked above it has
-// resolved without winning. When a winner commits, the shared context
-// cancels in-flight losers (sparql.ExecuteCtx aborts between join
-// steps) and speculative results past the winner are discarded, so the
-// Result is byte-identical to sequential execution (Parallelism: 1).
-// The ASK boolean path and the COUNT aggregation retry ride the same
-// rank-order commit protocol; see fanout.go.
+// The candidates run one at a time, in rank order, on the caller's
+// goroutine, and the first one whose outcome wins ends the run: every
+// candidate ranked above the winner has been executed (Executed, Raw,
+// Answers, Err record how it fared) and none below it has been touched.
+// Candidate 0 usually wins, so speculating on lower ranks only spent
+// work a busy server needs for other questions; parallelism lives one
+// level up, across questions (HTTP connections, batch workers,
+// qald-eval -workers). The SELECT candidates, the ASK path and the
+// COUNT retry share one loop, firstWinner.
 //
-// The fan-out is request-scoped: ExtractCtx threads the caller's
-// context through the pool, so a deadline expiring mid-§2.3 aborts
-// in-flight queries at their next join-step check and returns ctx.Err()
-// with every worker drained. Extract is the context-free compatibility
-// wrapper.
+// The run is request-scoped: ExtractCtx checks the caller's context
+// between candidates and sparql.ExecuteCtx checks it between join
+// steps, so a deadline expiring mid-§2.3 returns ctx.Err() within one
+// join step. Extract is the context-free compatibility wrapper.
 package answer
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -58,12 +53,6 @@ type Config struct {
 	// numeric-typed questions whose queries return entities answer with
 	// the (distinct) result count.
 	EnableAggregation bool
-
-	// Parallelism bounds the candidate-query fan-out worker pool: 0
-	// uses GOMAXPROCS, 1 (or any negative value) executes sequentially.
-	// Results are identical at every setting (deterministic first-winner
-	// commit protocol); only wall-clock latency changes.
-	Parallelism int
 
 	// DisableSessionReuse executes every candidate query with a fresh
 	// single-query executor instead of the shared per-question
@@ -162,12 +151,10 @@ func (e *Extractor) Extract(mp *propmap.Mapping) (*Result, error) {
 }
 
 // ExtractCtx is Extract under a request context: candidate execution
-// honours cancellation at every fan-out boundary (between candidates on
-// the sequential path, between join steps inside each query via
-// sparql.ExecuteCtx on both paths). When the context is cancelled
-// before a winner commits, ExtractCtx returns ctx.Err() promptly —
-// bounded by one join step — with all fan-out goroutines drained, and
-// the Extractor stays reusable for later calls.
+// honours cancellation between candidates and, inside each query,
+// between join steps (sparql.ExecuteCtx). When the context is cancelled
+// before a candidate has won, ExtractCtx returns ctx.Err() promptly —
+// bounded by one join step.
 //
 // Each call pins one sparql.Session over the store's current snapshot
 // and shares it across the whole §2.3 run; use ExtractSessionCtx to
@@ -190,8 +177,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		return nil, err
 	}
 	if e.cfg.DisablePlanCache {
-		// Applied before the fan-out shares the session, as WithPlanCache
-		// requires.
+		// Applied before any candidate runs, as WithPlanCache requires.
 		sess.WithPlanCache(nil)
 	}
 	expected := mp.Extraction.Expected
@@ -339,72 +325,56 @@ func (e *Extractor) execQuery(ctx context.Context, sess *sparql.Session, q *spar
 	return sess.ExecuteCtx(ctx, q)
 }
 
-// workers resolves Config.Parallelism: 0 → GOMAXPROCS, <= 1 →
-// sequential.
-func (e *Extractor) workers() int {
-	if e.cfg.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
+// firstWinner is §2.3's execution order: it runs try(i) for i = 0 … n-1
+// — the candidates in rank order — until one reports a win, and returns
+// that index, or -1 when none won. ctx is checked before every
+// candidate (a query aborts between join steps by itself): once it is
+// done, nothing further runs and its error is returned.
+func firstWinner(ctx context.Context, n int, try func(i int) bool) (int, error) {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return -1, err
+		}
+		if try(i) {
+			return i, nil
+		}
 	}
-	if e.cfg.Parallelism < 1 {
-		return 1
-	}
-	return e.cfg.Parallelism
+	return -1, ctx.Err()
 }
 
-// execOutcome is one candidate's execution result, produced
-// speculatively by a worker and applied to the Result by the rank-order
-// commit.
-type execOutcome struct {
-	answers []rdf.Term
-	raw     int
-	boolean bool
-	err     error
-}
-
-// executeSelect runs the SELECT candidates in rank order across the
-// worker pool; the first query whose (type-filtered) answer set is
-// non-empty wins. It returns the context error when cancellation
-// stopped the fan-out before a winner committed.
+// executeSelect runs the SELECT candidates in rank order; the first
+// query whose (type-filtered) answer set is non-empty wins. It returns
+// the context error when cancellation ended the run before a win.
 func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res *Result, expected triplex.Expected) error {
-	exec := func(ctx context.Context, i int) execOutcome {
-		r, err := e.execQuery(ctx, sess, res.Candidates[i].Query)
+	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
+		cq := &res.Candidates[i]
+		cq.Executed = true
+		r, err := e.execQuery(ctx, sess, cq.Query)
 		if err != nil {
-			return execOutcome{err: err}
+			cq.Err = err
+			return false
 		}
 		// One pass over the columnar rows: no Binding maps, no
 		// intermediate column slice — a term materialises (slice read,
 		// no allocation) only when its row binds the answer variable.
-		var out execOutcome
 		xcol := r.VarIndex("x")
 		for row, n := 0, r.Len(); row < n; row++ {
 			term, ok := r.TermAt(row, xcol)
 			if !ok {
 				continue
 			}
-			out.raw++
+			cq.Raw++
 			if e.cfg.DisableTypeCheck || e.typeMatches(sess, term, expected) {
-				out.answers = append(out.answers, term)
+				cq.Answers = append(cq.Answers, term)
 			}
 		}
-		return out
-	}
-	commit := func(i int, v execOutcome) bool {
-		cq := &res.Candidates[i]
-		cq.Executed = true
-		if v.err != nil {
-			cq.Err = v.err
+		if len(cq.Answers) == 0 {
 			return false
 		}
-		cq.Raw = v.raw
-		cq.Answers = v.answers
-		if len(cq.Answers) > 0 {
-			res.Answers = cq.Answers
-			res.Winning = cq
-			return true
-		}
-		return false
-	}
-	_, err := runRanked(ctx, e.workers(), len(res.Candidates), exec, commit)
+		res.Answers = cq.Answers
+		res.Winning = cq
+		return true
+	})
 	return err
 }
 
@@ -422,40 +392,30 @@ func (e *Extractor) executeBoolean(ctx context.Context, sess *sparql.Session, re
 		return rdf.NewTypedLiteral("false", rdf.XSDBoolean)
 	}
 	firstOK := -1 // top-ranked candidate that executed without error
-	exec := func(ctx context.Context, i int) execOutcome {
-		r, err := e.execQuery(ctx, sess, res.Candidates[i].Query)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		return execOutcome{boolean: r.Boolean}
-	}
-	commit := func(i int, v execOutcome) bool {
+	winner, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		cq.Executed = true
-		if v.err != nil {
-			cq.Err = v.err
+		r, err := e.execQuery(ctx, sess, cq.Query)
+		if err != nil {
+			cq.Err = err
 			return false
 		}
 		if firstOK < 0 {
 			firstOK = i
 		}
-		if v.boolean {
-			cq.Answers = []rdf.Term{boolLit(true)}
-			cq.Raw = 1
-			res.Answers = cq.Answers
-			res.Winning = cq
-			return true
+		if !r.Boolean {
+			return false
 		}
-		return false
-	}
-	winner, err := runRanked(ctx, e.workers(), len(res.Candidates), exec, commit)
+		cq.Answers = []rdf.Term{boolLit(true)}
+		cq.Raw = 1
+		res.Answers = cq.Answers
+		res.Winning = cq
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	if winner >= 0 {
-		return res, nil
-	}
-	if firstOK >= 0 {
+	if winner < 0 && firstOK >= 0 {
 		cq := &res.Candidates[firstOK]
 		cq.Answers = []rdf.Term{boolLit(false)}
 		res.Answers = cq.Answers
@@ -465,18 +425,13 @@ func (e *Extractor) executeBoolean(ctx context.Context, sess *sparql.Session, re
 }
 
 // executeAggregation retries the candidates as COUNT(DISTINCT ?x)
-// queries on the worker pool, answering with the count of the first
-// (rank-order) candidate whose raw result set is non-empty.
+// queries, answering with the count of the first (rank-order) candidate
+// whose raw result set is non-empty.
 func (e *Extractor) executeAggregation(ctx context.Context, sess *sparql.Session, res *Result) error {
-	type aggOutcome struct {
-		count rdf.Term
-		query *sparql.Query
-		ok    bool
-	}
-	exec := func(ctx context.Context, i int) aggOutcome {
+	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		if cq.Executed && cq.Raw == 0 {
-			return aggOutcome{} // already known empty
+			return false // already known empty
 		}
 		countQ := &sparql.Query{
 			Form:     sparql.FormSelect,
@@ -486,34 +441,26 @@ func (e *Extractor) executeAggregation(ctx context.Context, sess *sparql.Session
 		}
 		r, err := e.execQuery(ctx, sess, countQ)
 		if err != nil || r.Len() == 0 || len(r.Vars) == 0 {
-			return aggOutcome{}
+			return false
 		}
 		// Read the first projected variable of the result layout rather
 		// than assuming a hardcoded name, and treat an unbound slot as
 		// "no count" instead of misreading a zero term.
 		count, bound := r.TermAt(0, 0)
 		if !bound {
-			return aggOutcome{}
-		}
-		if f, ok := count.Float(); !ok || f <= 0 {
-			return aggOutcome{}
-		}
-		return aggOutcome{count: count, query: countQ, ok: true}
-	}
-	commit := func(i int, v aggOutcome) bool {
-		if !v.ok {
 			return false
 		}
-		cq := &res.Candidates[i]
+		if f, ok := count.Float(); !ok || f <= 0 {
+			return false
+		}
 		cq.Executed = true
-		cq.Answers = []rdf.Term{v.count}
-		cq.SPARQL = v.query.String()
-		cq.Query = v.query
+		cq.Answers = []rdf.Term{count}
+		cq.SPARQL = countQ.String()
+		cq.Query = countQ
 		res.Answers = cq.Answers
 		res.Winning = cq
 		return true
-	}
-	_, err := runRanked(ctx, e.workers(), len(res.Candidates), exec, commit)
+	})
 	return err
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,83 +11,78 @@ import (
 	"repro/internal/triplex"
 )
 
-// Cancellation tests for the request-scoped fan-out: a deadline
-// expiring mid-§2.3 returns ctx.Err() promptly (bounded by one join
-// step), leaks no goroutines, and leaves the extractor reusable.
+// Cancellation tests for the request-scoped §2.3 run: a deadline
+// expiring mid-run returns ctx.Err() promptly (bounded by one join
+// step) and leaves the extractor reusable.
 
-// TestRunRankedCancelMidFanOut: cancel while workers are blocked inside
-// exec; runRanked must stop handing out candidates, drain, and return
-// the context error promptly.
-func TestRunRankedCancelMidFanOut(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		release := make(chan struct{})
-		exec := func(c context.Context, i int) int {
-			if started.Add(1) == int64(workers) {
-				cancel() // cancel once the pool is saturated
-			}
-			select {
-			case <-c.Done(): // what a join-step check does
-			case <-release:
-			}
-			return i
+// TestFirstWinnerCancelBetweenCandidates: a context cancelled while a
+// candidate runs lets that candidate finish (the query itself aborts at
+// its next join step), starts no other, and returns the context error
+// although later candidates would have won.
+func TestFirstWinnerCancelBetweenCandidates(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tried := 0
+	winner, err := firstWinner(ctx, 1000, func(i int) bool {
+		tried++
+		if i == 2 {
+			cancel()
 		}
-		var committed atomic.Int64
-		doneCh := make(chan error, 1)
-		go func() {
-			_, err := runRanked(ctx, workers, 1000, exec,
-				func(i, v int) bool { committed.Add(1); return false })
-			doneCh <- err
-		}()
-		select {
-		case err := <-doneCh:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("workers=%d: runRanked did not return after cancellation", workers)
-		}
-		if got := started.Load(); got > int64(workers)+1 {
-			t.Errorf("workers=%d: %d candidates handed out after cancellation", workers, got)
-		}
-		close(release)
-		cancel()
+		return i == 5
+	})
+	if !errors.Is(err, context.Canceled) || winner != -1 {
+		t.Fatalf("winner = %d, err = %v; want -1, context.Canceled", winner, err)
+	}
+	if tried != 3 {
+		t.Fatalf("%d candidates tried, want 3: none may start after cancellation", tried)
 	}
 }
 
-// TestRunRankedWinnerBeatsCancel: a winner that commits before the
-// parent is cancelled is still reported without error.
-func TestRunRankedWinnerBeatsCancel(t *testing.T) {
+// TestFirstWinnerWinBeatsCancel: a candidate that wins is reported
+// without error even when the context ended while it ran; a context
+// that ends during the last, losing candidate is an error.
+func TestFirstWinnerWinBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	winner, err := runRanked(ctx, 4, 50,
-		func(_ context.Context, i int) int { return i },
-		func(i, v int) bool { return i == 3 })
+	winner, err := firstWinner(ctx, 50, func(i int) bool {
+		if i == 3 {
+			cancel()
+		}
+		return i == 3
+	})
 	if err != nil || winner != 3 {
 		t.Fatalf("winner = %d, err = %v; want 3, nil", winner, err)
 	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	winner, err = firstWinner(ctx2, 4, func(i int) bool {
+		if i == 3 {
+			cancel2()
+		}
+		return false
+	})
+	if !errors.Is(err, context.Canceled) || winner != -1 {
+		t.Fatalf("cancelled during the last candidate: winner = %d, err = %v", winner, err)
+	}
 }
 
-// TestExtractCtxDeadlineMidFanOut builds a large randomized candidate
-// set over a real KB and expires the deadline mid-execution: ExtractCtx
-// must return the deadline error promptly, restore the goroutine count
-// (no leaked workers), and the same Extractor must then answer an
-// uncancelled request identically to a fresh one.
-func TestExtractCtxDeadlineMidFanOut(t *testing.T) {
+// TestExtractCtxDeadlineMidRun builds a large randomized candidate set
+// over a real KB and expires the deadline mid-execution: ExtractCtx
+// must return the deadline error promptly, and the same Extractor must
+// then answer an uncancelled request identically to a fresh one.
+func TestExtractCtxDeadlineMidRun(t *testing.T) {
 	k := kb.Build(kb.Config{Seed: 29, SyntheticPersons: 120, SyntheticCities: 30, SyntheticBooks: 60})
 	r := rand.New(rand.NewSource(41))
 	mp := synthMapping(r, k, triplex.ExpectAny, false)
-	// Candidate sets with many members so the fan-out is mid-flight
-	// when the deadline hits.
+	// Candidate sets with many members so the run is mid-flight when the
+	// deadline hits.
 	for i := 0; i < 4; i++ {
 		mp.Triples[len(mp.Triples)-1].Predicates = append(
 			mp.Triples[len(mp.Triples)-1].Predicates,
 			synthMapping(r, k, triplex.ExpectAny, false).Triples[0].Predicates...)
 	}
-	e := New(k, Config{Parallelism: 4, MaxQueries: 256})
+	e := New(k, Config{MaxQueries: 256})
 
-	before := runtime.NumGoroutine()
 	deadlineErrSeen := false
 	for trial := 0; trial < 40 && !deadlineErrSeen; trial++ {
 		d := time.Duration(trial%8) * 50 * time.Microsecond
@@ -114,26 +107,16 @@ func TestExtractCtxDeadlineMidFanOut(t *testing.T) {
 		}
 	}
 	if !deadlineErrSeen {
-		t.Skip("deadline never expired mid-fan-out on this host")
+		t.Skip("deadline never expired mid-run on this host")
 	}
 
-	// No goroutine leak: the pool drains before ExtractCtx returns.
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, now)
-	}
-
-	// Pool reusable: the cancelled extractor answers an uncancelled
-	// request identically to a fresh extractor.
+	// Reusable: the cancelled extractor answers an uncancelled request
+	// identically to a fresh extractor.
 	got, err := e.ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatalf("reuse after cancellation: %v", err)
 	}
-	want, err := New(k, Config{Parallelism: 1, MaxQueries: 256}).Extract(mp)
+	want, err := New(k, Config{MaxQueries: 256}).Extract(mp)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -145,17 +128,15 @@ func TestExtractCtxDeadlineMidFanOut(t *testing.T) {
 }
 
 // TestExtractCtxAlreadyCancelled: a context cancelled before the call
-// returns immediately with its error at every parallelism.
+// returns immediately with its error.
 func TestExtractCtxAlreadyCancelled(t *testing.T) {
 	k := kb.Build(kb.Config{Seed: 11, SyntheticPersons: 40, SyntheticCities: 10, SyntheticBooks: 20})
 	mp := synthMapping(rand.New(rand.NewSource(3)), k, triplex.ExpectAny, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range []int{1, 4} {
-		res, err := New(k, Config{Parallelism: p}).ExtractCtx(ctx, mp)
-		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("parallelism %d: res = %v, err = %v", p, res, err)
-		}
+	res, err := New(k, Config{}).ExtractCtx(ctx, mp)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("res = %v, err = %v", res, err)
 	}
 }
 
@@ -166,7 +147,7 @@ func TestExtractCtxBackgroundMatchesExtract(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectAny, false)
-		e := New(k, Config{Parallelism: 1 + trial%4})
+		e := New(k, Config{})
 		a, errA := e.Extract(mp)
 		b, errB := e.ExtractCtx(context.Background(), mp)
 		if (errA == nil) != (errB == nil) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/kb"
@@ -16,65 +15,44 @@ import (
 	"repro/internal/triplex"
 )
 
-// --- runRanked unit tests ---
+// --- firstWinner unit tests ---
 
-// TestRunRankedCommitOrder: commits happen strictly in index order, the
-// winner is the first index whose commit returns true, and nothing past
-// the winner is ever committed.
-func TestRunRankedCommitOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		const n, win = 100, 60
-		var order []int
-		var executed atomic.Int64
-		winner, err := runRanked(context.Background(), workers, n,
-			func(_ context.Context, i int) int { executed.Add(1); return i },
-			func(i, v int) bool {
-				if v != i {
-					t.Errorf("outcome mismatch: commit(%d, %d)", i, v)
-				}
-				order = append(order, i)
-				return i == win
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if winner != win {
-			t.Fatalf("workers=%d: winner = %d, want %d", workers, winner, win)
-		}
-		if len(order) != win+1 {
-			t.Fatalf("workers=%d: %d commits, want %d", workers, len(order), win+1)
-		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("workers=%d: commit order %v", workers, order)
-			}
-		}
-		if got := executed.Load(); got < win+1 {
-			t.Fatalf("workers=%d: executed %d < %d", workers, got, win+1)
+// TestFirstWinnerRankOrder: candidates are tried strictly in index
+// order, the winner is the first index whose try returns true, and
+// nothing past the winner is ever tried.
+func TestFirstWinnerRankOrder(t *testing.T) {
+	const n, win = 100, 60
+	var order []int
+	winner, err := firstWinner(context.Background(), n, func(i int) bool {
+		order = append(order, i)
+		return i == win
+	})
+	if err != nil || winner != win {
+		t.Fatalf("winner = %d, err = %v; want %d, nil", winner, err, win)
+	}
+	if len(order) != win+1 {
+		t.Fatalf("%d candidates tried, want %d", len(order), win+1)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("try order %v", order)
 		}
 	}
 }
 
-// TestRunRankedNoWinner commits every index when nothing wins.
-func TestRunRankedNoWinner(t *testing.T) {
-	for _, workers := range []int{1, 3, 9} {
-		var committed atomic.Int64
-		winner, err := runRanked(context.Background(), workers, 50,
-			func(_ context.Context, i int) int { return i },
-			func(i, v int) bool { committed.Add(1); return false })
-		if err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if winner != -1 {
-			t.Fatalf("winner = %d, want -1", winner)
-		}
-		if committed.Load() != 50 {
-			t.Fatalf("committed = %d, want 50", committed.Load())
-		}
+// TestFirstWinnerNoWinner tries every index when nothing wins.
+func TestFirstWinnerNoWinner(t *testing.T) {
+	tried := 0
+	winner, err := firstWinner(context.Background(), 50, func(int) bool { tried++; return false })
+	if err != nil || winner != -1 || tried != 50 {
+		t.Fatalf("winner = %d, err = %v, tried = %d; want -1, nil, 50", winner, err, tried)
+	}
+	if winner, err := firstWinner(context.Background(), 0, func(int) bool { return true }); err != nil || winner != -1 {
+		t.Fatalf("empty candidate set: winner = %d, err = %v", winner, err)
 	}
 }
 
-// --- differential: parallel Extract ≡ sequential Extract ---
+// --- rank-order contract of Extract ---
 
 // candSnap is the comparable projection of one candidate's bookkeeping.
 type candSnap struct {
@@ -175,88 +153,89 @@ func synthMapping(r *rand.Rand, k *kb.KB, kind triplex.ExpectedKind, ground bool
 	return mp
 }
 
-// TestParallelMatchesSequentialDifferential is the tentpole's contract:
-// over randomized KBs, mappings and parallelism levels, the parallel
-// Extract must produce a Result byte-identical to sequential execution
-// — same winner, same answers, and the same per-candidate bookkeeping.
-// Run under -race this also stresses the commit protocol and the
-// parallel-reader guarantees of the store.
-func TestParallelMatchesSequentialDifferential(t *testing.T) {
+// checkStopsAtWinner holds a Result to the rank-order contract: every
+// candidate up to and including the winner was executed, and none past
+// it was touched. An unanswered question ran the whole list, and so did
+// a boolean one answered "false" (no ASK was true; the top-ranked one
+// that executed answers).
+func checkStopsAtWinner(t *testing.T, where string, res *Result) {
+	t.Helper()
+	snap := snapshot(res)
+	last := snap.WinnerIdx
+	if last < 0 || res.Expected.Kind == triplex.ExpectBoolean && res.Answers[0].Value == "false" {
+		last = len(snap.Candidates) - 1
+	}
+	for i, c := range snap.Candidates {
+		if i <= last && !c.Executed {
+			t.Errorf("%s: candidate %d above the winner (%d) was not executed", where, i, snap.WinnerIdx)
+		}
+		if i > last && (c.Executed || c.Raw != 0 || c.Answers != "" || c.Err != "") {
+			t.Errorf("%s: candidate %d past the winner (%d) was touched: %+v", where, i, snap.WinnerIdx, c)
+		}
+	}
+	if w := snap.WinnerIdx; w >= 0 && snap.Candidates[w].Answers != snap.Answers {
+		t.Errorf("%s: result answers %q are not the winner's %q", where, snap.Answers, snap.Candidates[w].Answers)
+	}
+}
+
+// TestExtractStopsAtWinner: over randomized KBs, mappings and expected
+// types, Extract commits in rank order — the first candidate with a
+// type-conforming answer wins and the loop ends there — and a second
+// run of the same mapping gives the identical Result.
+func TestExtractStopsAtWinner(t *testing.T) {
 	kbs := []*kb.KB{
 		kb.Build(kb.Config{Seed: 11, SyntheticPersons: 40, SyntheticCities: 10, SyntheticBooks: 20}),
 		kb.Build(kb.Config{Seed: 29, SyntheticPersons: 120, SyntheticCities: 30, SyntheticBooks: 60}),
 	}
 	kinds := []triplex.ExpectedKind{
 		triplex.ExpectAny, triplex.ExpectPerson, triplex.ExpectPlace,
-		triplex.ExpectDate, triplex.ExpectNumeric,
+		triplex.ExpectDate, triplex.ExpectNumeric, triplex.ExpectBoolean,
 	}
 	r := rand.New(rand.NewSource(7))
+	answered, stoppedEarly := 0, 0
 	for ki, k := range kbs {
-		for trial := 0; trial < 24; trial++ {
+		for trial := 0; trial < 240; trial++ {
 			kind := kinds[trial%len(kinds)]
-			mp := synthMapping(r, k, kind, false)
+			mp := synthMapping(r, k, kind, kind == triplex.ExpectBoolean)
 			maxQ := 256
 			if trial%3 == 0 {
 				maxQ = 4 // exercise the scored-truncation path too
 			}
-			cfg := Config{MaxQueries: maxQ, EnableAggregation: kind == triplex.ExpectNumeric}
-
-			cfg.Parallelism = 1
-			seqRes, seqErr := New(k, cfg).Extract(mp)
-			for _, p := range []int{2, 4, 8} {
-				cfg.Parallelism = p
-				parRes, parErr := New(k, cfg).Extract(mp)
-				if (seqErr == nil) != (parErr == nil) {
-					t.Fatalf("kb=%d trial=%d p=%d: err mismatch: %v vs %v", ki, trial, p, seqErr, parErr)
-				}
-				if seqErr != nil {
-					if seqErr.Error() != parErr.Error() {
-						t.Fatalf("kb=%d trial=%d p=%d: err text mismatch: %v vs %v", ki, trial, p, seqErr, parErr)
-					}
-					continue
-				}
-				want, got := snapshot(seqRes), snapshot(parRes)
-				if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-					t.Fatalf("kb=%d trial=%d p=%d kind=%v:\nsequential: %+v\nparallel:   %+v",
-						ki, trial, p, kind, want, got)
-				}
+			// Aggregation is left off: its COUNT retry revisits the list
+			// after a full SELECT pass, so "past the winner" does not apply.
+			e := New(k, Config{MaxQueries: maxQ, EnableBoolean: true})
+			res, err := e.Extract(mp)
+			again, againErr := e.Extract(mp)
+			if (err == nil) != (againErr == nil) {
+				t.Fatalf("kb=%d trial=%d: err mismatch between runs: %v vs %v", ki, trial, err, againErr)
 			}
-		}
-	}
-}
-
-// TestParallelMatchesSequentialBoolean is the same differential over
-// the ASK path (§6 boolean extension).
-func TestParallelMatchesSequentialBoolean(t *testing.T) {
-	k := kb.Build(kb.Config{Seed: 13, SyntheticPersons: 60, SyntheticCities: 15, SyntheticBooks: 30})
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		mp := synthMapping(r, k, triplex.ExpectBoolean, true)
-		cfg := Config{MaxQueries: 256, EnableBoolean: true, Parallelism: 1}
-		seqRes, seqErr := New(k, cfg).Extract(mp)
-		for _, p := range []int{2, 4, 8} {
-			cfg.Parallelism = p
-			parRes, parErr := New(k, cfg).Extract(mp)
-			if (seqErr == nil) != (parErr == nil) {
-				t.Fatalf("trial=%d p=%d: err mismatch: %v vs %v", trial, p, seqErr, parErr)
-			}
-			if seqErr != nil {
+			if err != nil {
 				continue
 			}
-			want, got := snapshot(seqRes), snapshot(parRes)
-			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-				t.Fatalf("trial=%d p=%d:\nsequential: %+v\nparallel:   %+v", trial, p, want, got)
+			where := fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind)
+			checkStopsAtWinner(t, where, res)
+			if want, got := fmt.Sprintf("%+v", snapshot(res)), fmt.Sprintf("%+v", snapshot(again)); want != got {
+				t.Fatalf("%s: two runs diverged:\nfirst:  %s\nsecond: %s", where, want, got)
+			}
+			if res.Winning != nil {
+				answered++
+				if last := &res.Candidates[len(res.Candidates)-1]; res.Winning != last && !last.Executed {
+					stoppedEarly++
+				}
 			}
 		}
 	}
+	if answered < 50 || stoppedEarly < 8 {
+		t.Fatalf("only %d answered, %d with candidates left below the winner: the contract is not being exercised", answered, stoppedEarly)
+	}
 }
 
-// TestParallelExtractConcurrentCallers: one Extractor shared by many
-// goroutines (the qald-eval -workers layer) stays race-free and
+// TestExtractConcurrentCallers: one Extractor shared by many goroutines
+// (the qald-eval -workers and batch layers) stays race-free and
 // deterministic.
-func TestParallelExtractConcurrentCallers(t *testing.T) {
+func TestExtractConcurrentCallers(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, Config{MaxQueries: 256, Parallelism: 4})
+	ex := New(k, Config{MaxQueries: 256})
 	mp := mapped(t, "Where did Abraham Lincoln die?")
 	ref, err := ex.Extract(mp)
 	if err != nil {
@@ -310,7 +289,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 		Extraction: &triplex.Extraction{Question: "truncation regression", Expected: triplex.Expected{Kind: triplex.ExpectAny}},
 		Triples:    []propmap.MappedTriple{{Subject: lincoln, ObjectVar: "x", Predicates: cands}},
 	}
-	res, err := New(k, Config{MaxQueries: 3, Parallelism: 1}).Extract(mp)
+	res, err := New(k, Config{MaxQueries: 3}).Extract(mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,19 +339,17 @@ func askQuery(k *kb.KB, s, p, o rdf.Term, score float64) CandidateQuery {
 
 func TestBooleanAllErrorsStaysUnanswered(t *testing.T) {
 	k, _ := setup(t)
-	for _, p := range []int{1, 4} {
-		e := New(k, Config{MaxQueries: 256, EnableBoolean: true, Parallelism: p})
-		res := &Result{Candidates: []CandidateQuery{brokenQuery(), brokenQuery()}}
-		if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
-			t.Fatal(err)
-		}
-		if res.Winning != nil || len(res.Answers) != 0 {
-			t.Fatalf("p=%d: all-error boolean question answered %v", p, res.Answers)
-		}
-		for i := range res.Candidates {
-			if !res.Candidates[i].Executed || res.Candidates[i].Err == nil {
-				t.Fatalf("p=%d: candidate %d bookkeeping: %+v", p, i, res.Candidates[i])
-			}
+	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	res := &Result{Candidates: []CandidateQuery{brokenQuery(), brokenQuery()}}
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Winning != nil || len(res.Answers) != 0 {
+		t.Fatalf("all-error boolean question answered %v", res.Answers)
+	}
+	for i := range res.Candidates {
+		if !res.Candidates[i].Executed || res.Candidates[i].Err == nil {
+			t.Fatalf("candidate %d bookkeeping: %+v", i, res.Candidates[i])
 		}
 	}
 }
@@ -382,35 +359,31 @@ func TestBooleanFallbackSkipsErroredCandidates(t *testing.T) {
 	// Candidate 0 errors; candidate 1 executes and is false: the false
 	// fallback must come from candidate 1, not the errored one.
 	falseAsk := askQuery(k, rdf.Res("Abraham_Lincoln"), rdf.Ont("author"), rdf.Res("Berlin"), 1)
-	for _, p := range []int{1, 4} {
-		e := New(k, Config{MaxQueries: 256, EnableBoolean: true, Parallelism: p})
-		res := &Result{Candidates: []CandidateQuery{brokenQuery(), falseAsk}}
-		if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
-			t.Fatal(err)
-		}
-		if res.Winning == nil {
-			t.Fatalf("p=%d: executed-false question should answer false", p)
-		}
-		if res.Winning != &res.Candidates[1] {
-			t.Fatalf("p=%d: fallback committed to the errored candidate", p)
-		}
-		if res.Answers[0].Value != "false" {
-			t.Fatalf("p=%d: answers = %v", p, res.Answers)
-		}
+	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	res := &Result{Candidates: []CandidateQuery{brokenQuery(), falseAsk}}
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Winning == nil {
+		t.Fatal("executed-false question should answer false")
+	}
+	if res.Winning != &res.Candidates[1] {
+		t.Fatal("fallback committed to the errored candidate")
+	}
+	if res.Answers[0].Value != "false" {
+		t.Fatalf("answers = %v", res.Answers)
 	}
 }
 
 func TestBooleanTrueStillWinsPastErrors(t *testing.T) {
 	k, _ := setup(t)
 	trueAsk := askQuery(k, rdf.Res("The_Time_Machine"), rdf.Ont("author"), rdf.Res("H._G._Wells"), 1)
-	for _, p := range []int{1, 4} {
-		e := New(k, Config{MaxQueries: 256, EnableBoolean: true, Parallelism: p})
-		res := &Result{Candidates: []CandidateQuery{brokenQuery(), trueAsk}}
-		if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
-			t.Fatal(err)
-		}
-		if res.Winning != &res.Candidates[1] || res.Answers[0].Value != "true" {
-			t.Fatalf("p=%d: winning=%v answers=%v", p, res.Winning, res.Answers)
-		}
+	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	res := &Result{Candidates: []CandidateQuery{brokenQuery(), trueAsk}}
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Winning != &res.Candidates[1] || res.Answers[0].Value != "true" {
+		t.Fatalf("winning=%v answers=%v", res.Winning, res.Answers)
 	}
 }

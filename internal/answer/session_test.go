@@ -12,10 +12,8 @@ import (
 // The session differential at the §2.3 level: extraction through the
 // shared per-question sparql.Session must produce a Result
 // byte-identical to fresh-executor execution (Config.
-// DisableSessionReuse) over randomized KBs, randomized candidate sets
-// and every parallelism level — same winner, same answers, same
-// per-candidate bookkeeping. Run under -race this stresses the
-// session's memoization from the fan-out worker pool.
+// DisableSessionReuse) over randomized KBs and randomized candidate
+// sets — same winner, same answers, same per-candidate bookkeeping.
 func TestSessionMatchesFreshDifferential(t *testing.T) {
 	kbs := []*kb.KB{
 		kb.Build(kb.Config{Seed: 17, SyntheticPersons: 50, SyntheticCities: 12, SyntheticBooks: 25}),
@@ -32,27 +30,23 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 			mp := synthMapping(r, k, kind, false)
 			cfg := Config{MaxQueries: 256, EnableAggregation: kind == triplex.ExpectNumeric}
 
-			cfg.Parallelism = 1
 			cfg.DisableSessionReuse = true
 			freshRes, freshErr := New(k, cfg).Extract(mp)
 			cfg.DisableSessionReuse = false
-			for _, p := range []int{1, 2, 4} {
-				cfg.Parallelism = p
-				sessRes, sessErr := New(k, cfg).Extract(mp)
-				if (freshErr == nil) != (sessErr == nil) {
-					t.Fatalf("kb=%d trial=%d p=%d: err mismatch: %v vs %v", ki, trial, p, freshErr, sessErr)
+			sessRes, sessErr := New(k, cfg).Extract(mp)
+			if (freshErr == nil) != (sessErr == nil) {
+				t.Fatalf("kb=%d trial=%d: err mismatch: %v vs %v", ki, trial, freshErr, sessErr)
+			}
+			if freshErr != nil {
+				if freshErr.Error() != sessErr.Error() {
+					t.Fatalf("kb=%d trial=%d: err text mismatch: %v vs %v", ki, trial, freshErr, sessErr)
 				}
-				if freshErr != nil {
-					if freshErr.Error() != sessErr.Error() {
-						t.Fatalf("kb=%d trial=%d p=%d: err text mismatch: %v vs %v", ki, trial, p, freshErr, sessErr)
-					}
-					continue
-				}
-				want, got := snapshot(freshRes), snapshot(sessRes)
-				if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-					t.Fatalf("kb=%d trial=%d p=%d kind=%v:\nfresh:   %+v\nsession: %+v",
-						ki, trial, p, kind, want, got)
-				}
+				continue
+			}
+			want, got := snapshot(freshRes), snapshot(sessRes)
+			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+				t.Fatalf("kb=%d trial=%d kind=%v:\nfresh:   %+v\nsession: %+v",
+					ki, trial, kind, want, got)
 			}
 		}
 	}
@@ -65,22 +59,19 @@ func TestSessionMatchesFreshBoolean(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 12; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectBoolean, true)
-		cfg := Config{MaxQueries: 256, EnableBoolean: true, Parallelism: 1, DisableSessionReuse: true}
+		cfg := Config{MaxQueries: 256, EnableBoolean: true, DisableSessionReuse: true}
 		freshRes, freshErr := New(k, cfg).Extract(mp)
 		cfg.DisableSessionReuse = false
-		for _, p := range []int{1, 4} {
-			cfg.Parallelism = p
-			sessRes, sessErr := New(k, cfg).Extract(mp)
-			if (freshErr == nil) != (sessErr == nil) {
-				t.Fatalf("trial=%d p=%d: err mismatch: %v vs %v", trial, p, freshErr, sessErr)
-			}
-			if freshErr != nil {
-				continue
-			}
-			want, got := snapshot(freshRes), snapshot(sessRes)
-			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-				t.Fatalf("trial=%d p=%d:\nfresh:   %+v\nsession: %+v", trial, p, want, got)
-			}
+		sessRes, sessErr := New(k, cfg).Extract(mp)
+		if (freshErr == nil) != (sessErr == nil) {
+			t.Fatalf("trial=%d: err mismatch: %v vs %v", trial, freshErr, sessErr)
+		}
+		if freshErr != nil {
+			continue
+		}
+		want, got := snapshot(freshRes), snapshot(sessRes)
+		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+			t.Fatalf("trial=%d:\nfresh:   %+v\nsession: %+v", trial, want, got)
 		}
 	}
 }

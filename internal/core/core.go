@@ -10,11 +10,12 @@
 //
 // Each stage runs behind the uniform request-scoped interface of
 // internal/pipeline: it takes a context.Context (cancellation and
-// deadlines are honoured at every stage boundary, and inside the §2.3
-// fan-out between join steps), writes its outcome into the shared
-// Result, and records itself in the Result's Trace (per-stage wall
-// time, candidate counts, cache hit/miss). The Trace is what the
-// serving layer (cmd/qaserve) exports as per-stage latency metrics.
+// deadlines are honoured at every stage boundary and, inside §2.3,
+// between candidate queries and between join steps), writes its outcome
+// into the shared Result, and records itself in the Result's Trace
+// (per-stage wall time, candidate counts, cache hit/miss). The Trace is
+// what the serving layer (cmd/qaserve) exports as per-stage latency
+// metrics.
 //
 // System is the public entry point: build one with New (or share the
 // process-wide Default) and call AnswerCtx — or Answer, the
@@ -82,11 +83,6 @@ type Config struct {
 	EnableBoolean      bool
 	EnableAggregation  bool
 	EnableSuperlatives bool
-
-	// Parallelism bounds the §2.3 candidate-query fan-out (0 =
-	// GOMAXPROCS, 1 = sequential). Answers are identical at every
-	// setting; see internal/answer's commit protocol.
-	Parallelism int
 
 	// CostNanosPerRow enables deadline-aware early shedding in the
 	// answer stage: a request carrying a deadline is shed with
@@ -179,9 +175,9 @@ type System struct {
 	extractor   *answer.Extractor
 	triplexOpts triplex.Options
 
-	// stages is the staged pipeline AnswerCtx runs; cache is non-nil
-	// only when Config.CacheSize > 0.
-	stages []pipeline.Stage[*Result]
+	// pipe is the staged pipeline AnswerCtx runs; cache is non-nil only
+	// when Config.CacheSize > 0.
+	pipe   *pipeline.Pipeline[*Result]
 	cache  *qacache.Cache[*Result]
 	negTTL time.Duration
 
@@ -226,7 +222,6 @@ func New(cfg Config) *System {
 	ansCfg.DisableTypeCheck = cfg.DisableTypeCheck
 	ansCfg.EnableBoolean = cfg.EnableBoolean
 	ansCfg.EnableAggregation = cfg.EnableAggregation
-	ansCfg.Parallelism = cfg.Parallelism
 	ansCfg.CostNanosPerRow = cfg.CostNanosPerRow
 	ansCfg.DisablePlanCache = cfg.PlanCacheSize < 0
 	s.extractor = answer.New(k, ansCfg)
@@ -239,12 +234,13 @@ func New(cfg Config) *System {
 	s.triplexOpts = triplex.Options{Superlatives: cfg.EnableSuperlatives}
 	s.cluster = cfg.Cluster
 
+	var stages []pipeline.Stage[*Result]
 	if cfg.CacheSize > 0 {
 		s.cache = qacache.New[*Result](cfg.CacheSize)
 		s.negTTL = cfg.NegativeTTL
-		s.stages = append(s.stages, cacheStage{s})
+		stages = append(stages, cacheStage{s})
 	}
-	s.stages = append(s.stages, triplexStage{s}, propmapStage{s}, answerStage{s})
+	s.pipe = pipeline.New(append(stages, triplexStage{s}, propmapStage{s}, answerStage{s})...)
 	return s
 }
 
@@ -349,6 +345,9 @@ type Result struct {
 	// view is the sharded gather view when the System runs over a
 	// shard.Cluster (then snap is nil); cleared with snap.
 	view *shard.View
+	// cacheKey is the normalized question the cache stage looked up, kept
+	// for the fill.
+	cacheKey string
 }
 
 // Answered reports whether the pipeline produced an answer.
@@ -437,7 +436,8 @@ type cacheStage struct{ s *System }
 
 func (st cacheStage) Name() string { return StageCache }
 func (st cacheStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
-	if cached, ok := st.s.cache.Get(qacache.Normalize(res.Question), res.snapGen); ok {
+	res.cacheKey = qacache.Normalize(res.Question)
+	if cached, ok := st.s.cache.Get(res.cacheKey, res.snapGen); ok {
 		question, trace, gen := res.Question, res.Trace, res.snapGen
 		*res = *cached
 		res.Question, res.Trace, res.snapGen = question, trace, gen
@@ -486,9 +486,8 @@ func (st propmapStage) Run(ctx context.Context, res *Result, tr *StageTrace) err
 	return nil
 }
 
-// answerStage runs §2.3: candidate query generation, ranked fan-out
-// execution and type filtering. The request context reaches every
-// candidate query through the fan-out pool.
+// answerStage runs §2.3: candidate query generation, rank-order
+// execution and type filtering under the request context.
 type answerStage struct{ s *System }
 
 func (st answerStage) Name() string { return StageAnswer }
@@ -582,7 +581,7 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 		res.snap = s.KB.Store.Snapshot()
 		res.snapGen = res.snap.Gen()
 	}
-	tr, err := pipeline.Run(ctx, s.stages, res)
+	tr, err := s.pipe.Run(ctx, res)
 	res.Trace = tr
 	// The pinned view is only needed while the stages run; drop it so
 	// callers (or cache entries) holding Results do not retain retired
@@ -616,11 +615,10 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 		// executed against.
 		cached := *res
 		cached.Trace = nil
-		key := qacache.Normalize(res.Question)
 		if s.negTTL > 0 && res.Status != StatusAnswered {
-			s.cache.PutExpiring(key, res.snapGen, &cached, s.negTTL)
+			s.cache.PutExpiring(res.cacheKey, res.snapGen, &cached, s.negTTL)
 		} else {
-			s.cache.Put(key, res.snapGen, &cached)
+			s.cache.Put(res.cacheKey, res.snapGen, &cached)
 		}
 	}
 	return res

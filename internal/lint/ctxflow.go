@@ -6,7 +6,7 @@ import (
 )
 
 // CtxFlow enforces the context discipline the staged pipeline (PR 4)
-// and the cancellable fan-out (PR 2) depend on:
+// and §2.3's cancellable candidate execution depend on:
 //
 //  1. context.Background()/context.TODO() are forbidden outside cmd/,
 //     package main and _test.go files — library code must thread the
@@ -17,7 +17,7 @@ import (
 //     existing Ctx entry point;
 //  3. exported functions in those packages that directly perform
 //     store scans must accept a context — a scan without one cannot be
-//     abandoned when the candidate fan-out commits a winner.
+//     abandoned when the request's deadline passes mid-candidate.
 //
 // Pre-context compatibility wrappers (a body that is a single return
 // delegating to the Ctx variant) are exempt from rule 3; their

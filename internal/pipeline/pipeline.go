@@ -1,7 +1,7 @@
 // Package pipeline provides the request-scoped staged-execution
 // framework the question answering pipeline runs on.
 //
-// A pipeline is an ordered list of stages sharing one mutable state
+// A Pipeline is an ordered list of stages sharing one mutable state
 // value (internal/core threads its per-question *Result through). Run
 // drives them under a context.Context, enforcing cancellation at every
 // stage boundary and recording a Trace — per-stage wall time, candidate
@@ -179,6 +179,23 @@ func (t *Trace) Total() time.Duration {
 	return d
 }
 
+// Pipeline is an ordered list of stages, built once and run per request.
+type Pipeline[S any] struct {
+	stages []Stage[S]
+	// points[i] is the chaos fault point at stage i's boundary, named
+	// here so that a request does not build the string per stage.
+	points []string
+}
+
+// New assembles a pipeline from its stages, in order.
+func New[S any](stages ...Stage[S]) *Pipeline[S] {
+	p := &Pipeline[S]{stages: stages, points: make([]string, len(stages))}
+	for i, st := range stages {
+		p.points[i] = "stage." + st.Name()
+	}
+	return p
+}
+
 // Run drives the stages over state, checking ctx at every stage
 // boundary. It always returns the Trace of the stages that ran; the
 // error is non-nil for cancellation (ctx's error, observed at a
@@ -187,10 +204,10 @@ func (t *Trace) Total() time.Duration {
 // stage returning ErrStop ends the pipeline successfully; any other
 // stage error is returned as-is — callers classify it (context errors
 // mean cancellation, everything else an internal failure).
-func Run[S any](ctx context.Context, stages []Stage[S], state S) (*Trace, error) {
-	tr := &Trace{Stages: make([]StageTrace, 0, len(stages))}
+func (p *Pipeline[S]) Run(ctx context.Context, state S) (*Trace, error) {
+	tr := &Trace{Stages: make([]StageTrace, 0, len(p.stages))}
 	deadline, hasDeadline := ctx.Deadline()
-	for _, st := range stages {
+	for i, st := range p.stages {
 		if err := ctx.Err(); err != nil {
 			return tr, err
 		}
@@ -200,7 +217,7 @@ func Run[S any](ctx context.Context, stages []Stage[S], state S) (*Trace, error)
 			stt.Remaining = time.Until(deadline)
 		}
 		start := time.Now()
-		err := runStage(ctx, st, state, stt)
+		err := runStage(ctx, st, p.points[i], state, stt)
 		stt.Duration = time.Since(start)
 		if err != nil {
 			if errors.Is(err, ErrStop) {
@@ -217,13 +234,13 @@ func Run[S any](ctx context.Context, stages []Stage[S], state S) (*Trace, error)
 // and panic isolation: an injected or organic panic is recovered here
 // into a *PanicError, so a failing stage costs its request a 500, not
 // the process.
-func runStage[S any](ctx context.Context, st Stage[S], state S, stt *StageTrace) (err error) {
+func runStage[S any](ctx context.Context, st Stage[S], point string, state S, stt *StageTrace) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Stage: st.Name(), Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if err := chaos.HitCtx(ctx, "stage."+st.Name()); err != nil {
+	if err := chaos.HitCtx(ctx, point); err != nil {
 		return err
 	}
 	return st.Run(ctx, state, stt)

@@ -33,7 +33,7 @@ func appendStage(name string) fnStage {
 func TestRunAllStagesInOrder(t *testing.T) {
 	var got []string
 	stages := []Stage[*[]string]{appendStage("a"), appendStage("b"), appendStage("c")}
-	tr, err := Run(context.Background(), stages, &got)
+	tr, err := New(stages...).Run(context.Background(), &got)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestRunErrStopEndsEarlyWithoutError(t *testing.T) {
 		return ErrStop
 	}}
 	stages := []Stage[*[]string]{appendStage("a"), stop, appendStage("never")}
-	tr, err := Run(context.Background(), stages, &got)
+	tr, err := New(stages...).Run(context.Background(), &got)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestRunStageErrorSurfaces(t *testing.T) {
 		fnStage{name: "fail", run: func(context.Context, *[]string, *StageTrace) error { return boom }},
 		appendStage("never"),
 	}
-	tr, err := Run(context.Background(), stages, &got)
+	tr, err := New(stages...).Run(context.Background(), &got)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -113,7 +113,7 @@ func TestRunChecksContextAtEveryBoundary(t *testing.T) {
 		}},
 		appendStage("never"),
 	}
-	tr, err := Run(ctx, stages, &got)
+	tr, err := New(stages...).Run(ctx, &got)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -129,7 +129,7 @@ func TestRunAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var got []string
-	tr, err := Run(ctx, []Stage[*[]string]{appendStage("a")}, &got)
+	tr, err := New[*[]string](appendStage("a")).Run(ctx, &got)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -147,7 +147,7 @@ func TestRunRecoversStagePanic(t *testing.T) {
 		}},
 		appendStage("never"),
 	}
-	tr, err := Run(context.Background(), stages, &got)
+	tr, err := New(stages...).Run(context.Background(), &got)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -168,7 +168,7 @@ func TestRunChaosFaultPointAtStageBoundary(t *testing.T) {
 	ctx := chaos.With(context.Background(), in)
 	var got []string
 	stages := []Stage[*[]string]{appendStage("a"), appendStage("b"), appendStage("c")}
-	tr, err := Run(ctx, stages, &got)
+	tr, err := New(stages...).Run(ctx, &got)
 	var ie *chaos.InjectedError
 	if !errors.As(err, &ie) || ie.Point != "stage.b" {
 		t.Fatalf("err = %v, want injected error at stage.b", err)
@@ -186,7 +186,7 @@ func TestRunChaosPanicIsRecoveredTyped(t *testing.T) {
 	in := chaos.New(1, chaos.Rule{Point: "stage.*", Kind: chaos.KindPanic, Prob: 1})
 	ctx := chaos.With(context.Background(), in)
 	var got []string
-	_, err := Run(ctx, []Stage[*[]string]{appendStage("a")}, &got)
+	_, err := New[*[]string](appendStage("a")).Run(ctx, &got)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -200,7 +200,7 @@ func TestRunRecordsRemainingBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var got []string
-	tr, err := Run(ctx, []Stage[*[]string]{appendStage("a"), appendStage("b")}, &got)
+	tr, err := New[*[]string](appendStage("a"), appendStage("b")).Run(ctx, &got)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestRunRecordsRemainingBudget(t *testing.T) {
 	}
 
 	// Without a deadline, Remaining stays zero.
-	tr, err = Run(context.Background(), []Stage[*[]string]{appendStage("a")}, &got)
+	tr, err = New[*[]string](appendStage("a")).Run(context.Background(), &got)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -25,8 +25,8 @@
 // of the object properties resolved in WordNet, the class-label map.
 // Paid per question: each predicate word is scored against the rows,
 // looked up in WordNet once and tested against each distinct head, and
-// the signals merge in a slice indexed by property. Nothing is cached
-// between questions.
+// the signals merge in a short list kept in property-IRI order. Nothing
+// is cached between questions.
 package propmap
 
 import (
@@ -129,9 +129,6 @@ type Mapper struct {
 	// objects rows), then the data properties, both in KB order.
 	rows    []propRow
 	objects int
-	// slots is the number of distinct property IRIs; a row's slot is its
-	// IRI's rank among them, which is also the final tie-break order.
-	slots int
 	// heads groups the object-property rows by head word.
 	heads []headRow
 	// byLocal finds the row of kb.PropertyByLocal's answer.
@@ -143,7 +140,7 @@ type Mapper struct {
 // propRow is everything §2.2.1/§2.2.2 need of one property.
 type propRow struct {
 	prop   kb.Property
-	slot   int32
+	slot   int32       // rank of the IRI among the distinct ones: the final tie-break order
 	name   strsim.Name // local name
 	label  strsim.Name // label with its spaces removed
 	tokens []string    // label tokens, for multi-word surface forms
@@ -176,7 +173,6 @@ func New(k *kb.KB, wn *wordnet.DB, pats *patterns.Store, linker *ner.Linker, cfg
 	}
 	sort.Strings(iris)
 	iris = slices.Compact(iris)
-	m.slots = len(iris)
 	headAt := map[string]int{}
 	for i := range m.rows {
 		r := &m.rows[i]
@@ -372,22 +368,29 @@ func (m *Mapper) resolveEntity(phrase string, context []string) (rdf.Term, bool)
 }
 
 // slot is the merged candidate of one property IRI while P_t is
-// assembled; row is 1 + the row that added it first (0: none yet).
+// assembled: at is the IRI's rank (propRow.slot), row the row that added
+// it first.
 type slot struct {
-	row  int32
-	sim  float64
-	freq int
-	src  Source
+	at, row int32
+	sim     float64
+	freq    int
+	src     Source
 }
 
-// merge folds one more signal for rows[row] into its slot: keep the
-// maximum similarity and the maximum pattern frequency.
-func (m *Mapper) merge(slots []slot, row int32, sim float64, freq int, src Source) {
-	cur := &slots[m.rows[row].slot]
-	if cur.row == 0 {
-		*cur = slot{row + 1, sim, freq, src}
-		return
+// merge folds one more signal for rows[row] into the slot of its IRI —
+// keep the maximum similarity and the maximum pattern frequency — and
+// returns the list, which it keeps in IRI order: a predicate has a
+// handful of candidates, so a linear probe beats any table.
+func (m *Mapper) merge(slots []slot, row int32, sim float64, freq int, src Source) []slot {
+	at := m.rows[row].slot
+	i := 0
+	for i < len(slots) && slots[i].at < at {
+		i++
 	}
+	if i == len(slots) || slots[i].at != at {
+		return slices.Insert(slots, i, slot{at, row, sim, freq, src})
+	}
+	cur := &slots[i]
 	if sim > cur.sim {
 		cur.sim = sim
 		if cur.freq == 0 {
@@ -398,11 +401,13 @@ func (m *Mapper) merge(slots []slot, row int32, sim float64, freq int, src Sourc
 		cur.freq = freq
 		cur.src = SourcePattern
 	}
+	return slots
 }
 
 // candidateProperties assembles P_t for a predicate slot.
 func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
-	slots := make([]slot, m.slots)
+	var buf [16]slot
+	slots := buf[:0]
 
 	lem := strings.ToLower(pred.Lemma)
 	surface := strings.ToLower(pred.Text)
@@ -411,18 +416,18 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 
 	// §2.2.1: verbs → object properties by string similarity.
 	if isVerb {
-		m.strSimCandidates(slots, lem, surface, true)
+		slots = m.strSimCandidates(slots, lem, surface, true)
 		// Derived noun against data properties ("die" → death → deathDate).
 		if noun, ok := wordnet.NominalizationOf(lem); ok {
-			m.strSimCandidates(slots, noun, noun, false)
+			slots = m.strSimCandidates(slots, noun, noun, false)
 		}
 	}
 
 	// §2.2.2: nouns and adjectives → data properties (and noun-named
 	// object properties like capital/mayor).
 	if !isVerb && !isAdj {
-		m.strSimCandidates(slots, lem, surface, false)
-		m.strSimCandidates(slots, lem, surface, true)
+		slots = m.strSimCandidates(slots, lem, surface, false)
+		slots = m.strSimCandidates(slots, lem, surface, true)
 		// WordNet similarity between the question noun and the property
 		// head words ("wife" clears the §2.2.1 thresholds against
 		// "spouse" although no string similarity exists). Identical
@@ -432,7 +437,7 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 				for _, h := range m.heads {
 					if h.text != lem && m.wn.Similar(w, h.word) {
 						for _, row := range h.rows {
-							m.merge(slots, row, 0.8, 0, SourceWordNet)
+							slots = m.merge(slots, row, 0.8, 0, SourceWordNet)
 						}
 					}
 				}
@@ -441,9 +446,9 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 	}
 	if isAdj && m.wn != nil {
 		if attr, ok := m.wn.AdjectiveAttribute(lem); ok {
-			m.strSimCandidates(slots, attr, attr, false)
+			slots = m.strSimCandidates(slots, attr, attr, false)
 			// Attribute nouns occasionally name object properties too.
-			m.strSimCandidates(slots, attr, attr, true)
+			slots = m.strSimCandidates(slots, attr, attr, true)
 		}
 	}
 
@@ -451,7 +456,7 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 	if !m.cfg.DisablePatterns && m.patterns != nil {
 		for _, pf := range m.patterns.PropertiesForWord(lem) {
 			if row, ok := m.byLocal[pf.Property.LocalName()]; ok {
-				m.merge(slots, row, 0, pf.Freq, SourcePattern)
+				slots = m.merge(slots, row, 0, pf.Freq, SourcePattern)
 			}
 		}
 	}
@@ -466,24 +471,20 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 		var buf [32]expansion
 		expand := buf[:0]
 		for _, c := range slots {
-			if c.row != 0 {
-				for _, syn := range m.rows[c.row-1].syn {
-					expand = append(expand, expansion{syn, c.sim * 0.9})
-				}
+			for _, syn := range m.rows[c.row].syn {
+				expand = append(expand, expansion{syn, c.sim * 0.9})
 			}
 		}
 		for _, e := range expand {
-			m.merge(slots, e.row, e.sim, 0, SourceWordNet)
+			slots = m.merge(slots, e.row, e.sim, 0, SourceWordNet)
 		}
 	}
 
 	// Slots are in IRI order, so a stable sort by descending RankScore
 	// leaves ties in IRI order.
-	out := make([]PropCandidate, 0, 8)
-	for _, c := range slots {
-		if c.row != 0 {
-			out = append(out, PropCandidate{Property: m.rows[c.row-1].prop, Sim: c.sim, Freq: c.freq, Source: c.src})
-		}
+	out := make([]PropCandidate, len(slots))
+	for i, c := range slots {
+		out[i] = PropCandidate{Property: m.rows[c.row].prop, Sim: c.sim, Freq: c.freq, Source: c.src}
 	}
 	slices.SortStableFunc(out, func(a, b PropCandidate) int { return cmp.Compare(b.RankScore(), a.RankScore()) })
 	if m.cfg.MaxCandidates > 0 && len(out) > m.cfg.MaxCandidates {
@@ -495,9 +496,9 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 // strSimCandidates merges in the properties whose names clear the GCS
 // string similarity threshold against the word (§2.2.1/§2.2.2), matching
 // both the property local name and its label.
-func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool) {
+func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool) []slot {
 	if word == "" {
-		return
+		return slots
 	}
 	lo, hi := m.objects, len(m.rows)
 	if object {
@@ -517,7 +518,8 @@ func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object boo
 			score = max(score, strsim.Jaccard(tokens, r.tokens))
 		}
 		if score >= m.cfg.StrSimThreshold {
-			m.merge(slots, int32(i), score, 0, SourceStrSim)
+			slots = m.merge(slots, int32(i), score, 0, SourceStrSim)
 		}
 	}
+	return slots
 }

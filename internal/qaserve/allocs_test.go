@@ -1,0 +1,50 @@
+package qaserve
+
+import (
+	"fmt"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/testutil"
+)
+
+// TestHandlerAllocations is the serving path's deterministic gate: the
+// allocations of one POST /v1/answer through Server.Handler(), request
+// and recorder included, for a question the answer cache holds and for
+// one it does not (the whole pipeline plus the cache fill). Timings on
+// a shared host cannot hold a line in CI; an allocation count can. The
+// ceilings are 10% above what the code measures (40 and 140) — raise
+// one only with the reason in the commit.
+func TestHandlerAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are measured without the race detector")
+	}
+	cfg := core.DefaultConfig()
+	cfg.CacheSize = 1024
+	h := New(Config{Sys: core.New(cfg)}).Handler()
+	post := func(question string) {
+		req := httptest.NewRequest("POST", "/v1/answer", strings.NewReader(`{"question":"`+question+`"}`))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != 200 {
+			t.Fatalf("%s: status %d: %s", question, w.Code, w.Body)
+		}
+	}
+
+	const cached, uncached = 44, 154
+	post("How tall is Michael Jordan?")
+	if n := testing.AllocsPerRun(200, func() { post("How tall is Michael Jordan?") }); n > cached {
+		t.Errorf("cached request: %v allocs, ceiling %d", n, cached)
+	}
+	// A fresh suffix per run misses the cache; the question answers as
+	// the bare one does. Four digits throughout keep the text one length.
+	i := 1000
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		post(fmt.Sprintf("How tall is Michael Jordan? (%d)", i))
+	}); n > uncached {
+		t.Errorf("uncached request: %v allocs, ceiling %d", n, uncached)
+	}
+}

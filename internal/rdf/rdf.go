@@ -11,7 +11,6 @@
 package rdf
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -169,31 +168,50 @@ func (t Term) LocalName() string {
 // String renders the term in a SPARQL/N-Triples-compatible form, using
 // registered prefixes for IRIs where possible.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of the term to dst: the renderer
+// behind String, for callers that assemble a larger text (a triple, a
+// whole query) in one buffer.
+func (t Term) AppendTo(dst []byte) []byte {
 	switch t.Kind {
 	case KindIRI:
-		if q, ok := Shorten(t.Value); ok {
-			return q
-		}
-		return "<" + t.Value + ">"
+		return appendIRI(dst, t.Value)
 	case KindLiteral:
-		s := strconv.Quote(t.Value)
+		dst = strconv.AppendQuote(dst, t.Value)
 		if t.Lang != "" {
-			return s + "@" + t.Lang
+			dst = append(dst, '@')
+			return append(dst, t.Lang...)
 		}
 		if t.Datatype != "" {
-			if q, ok := Shorten(t.Datatype); ok {
-				return s + "^^" + q
-			}
-			return s + "^^<" + t.Datatype + ">"
+			dst = append(dst, "^^"...)
+			return appendIRI(dst, t.Datatype)
 		}
-		return s
+		return dst
 	case KindBlank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case KindVar:
-		return "?" + t.Value
+		dst = append(dst, '?')
+		return append(dst, t.Value...)
 	default:
-		return "<<zero term>>"
+		return append(dst, "<<zero term>>"...)
 	}
+}
+
+// appendIRI appends iri in prefixed form when a registered namespace
+// matches, in angle brackets otherwise.
+func appendIRI(dst []byte, iri string) []byte {
+	if prefix, local, ok := shorten(iri); ok {
+		dst = append(dst, prefix...)
+		dst = append(dst, ':')
+		return append(dst, local...)
+	}
+	dst = append(dst, '<')
+	dst = append(dst, iri...)
+	return append(dst, '>')
 }
 
 // Compare orders terms deterministically: by kind, then value, then
@@ -235,7 +253,18 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple in N-Triples-like form (with prefixes).
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s .", t.S, t.P, t.O)
+	var buf [128]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of the triple to dst.
+func (t Triple) AppendTo(dst []byte) []byte {
+	dst = t.S.AppendTo(dst)
+	dst = append(dst, ' ')
+	dst = t.P.AppendTo(dst)
+	dst = append(dst, ' ')
+	dst = t.O.AppendTo(dst)
+	return append(dst, " ."...)
 }
 
 // IsGround reports whether the triple contains no variables.

@@ -138,6 +138,15 @@ func Prefixes() map[string]string {
 // Shorten converts a full IRI to prefixed form if a registered namespace
 // matches. The local part must be a simple name (no '/' or '#').
 func Shorten(iri string) (string, bool) {
+	prefix, local, ok := shorten(iri)
+	if !ok {
+		return "", false
+	}
+	return prefix + ":" + local, true
+}
+
+// shorten is Shorten with the two halves of the prefixed name apart.
+func shorten(iri string) (prefix, local string, ok bool) {
 	prefixMu.RLock()
 	defer prefixMu.RUnlock()
 	for _, e := range prefixOrder {
@@ -146,10 +155,10 @@ func Shorten(iri string) (string, bool) {
 			if local == "" || strings.ContainsAny(local, "/#:") {
 				continue
 			}
-			return e.prefix + ":" + local, true
+			return e.prefix, local, true
 		}
 	}
-	return "", false
+	return "", "", false
 }
 
 // Expand converts a prefixed name ("dbont:writer") to a full IRI using the

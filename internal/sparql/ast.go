@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -91,87 +92,90 @@ func (q *Query) Vars() []string {
 }
 
 // String re-serialises the query (canonical-ish form, used in traces and
-// the experiment reports).
+// the experiment reports). §2.3 renders every candidate it builds, so
+// the text is assembled in one buffer, on the stack for a query of
+// ordinary length.
 func (q *Query) String() string {
-	var sb strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	switch q.Form {
 	case FormAsk:
-		sb.WriteString("ASK WHERE {")
+		b = append(b, "ASK WHERE {"...)
 	default:
-		sb.WriteString("SELECT ")
+		b = append(b, "SELECT "...)
 		if q.Distinct {
-			sb.WriteString("DISTINCT ")
+			b = append(b, "DISTINCT "...)
 		}
 		switch {
 		case q.Count != nil:
-			sb.WriteString("(COUNT(")
+			b = append(b, "(COUNT("...)
 			if q.Count.Distinct {
-				sb.WriteString("DISTINCT ")
+				b = append(b, "DISTINCT "...)
 			}
 			if q.Count.Var == "" {
-				sb.WriteString("*")
+				b = append(b, '*')
 			} else {
-				sb.WriteString("?" + q.Count.Var)
+				b = append(append(b, '?'), q.Count.Var...)
 			}
-			sb.WriteString(") AS ?" + q.Count.As + ")")
+			b = append(append(append(b, ") AS ?"...), q.Count.As...), ')')
 		case q.Star:
-			sb.WriteString("*")
+			b = append(b, '*')
 		default:
 			for i, v := range q.Projection {
 				if i > 0 {
-					sb.WriteByte(' ')
+					b = append(b, ' ')
 				}
-				sb.WriteString("?" + v)
+				b = append(append(b, '?'), v...)
 			}
 		}
-		sb.WriteString(" WHERE {")
+		b = append(b, " WHERE {"...)
 	}
-	for _, p := range q.Patterns {
-		sb.WriteString(" ")
-		sb.WriteString(p.String())
-	}
+	b = appendPatterns(b, q.Patterns)
 	for _, block := range q.Unions {
 		for bi, branch := range block {
 			if bi > 0 {
-				sb.WriteString(" UNION")
+				b = append(b, " UNION"...)
 			}
-			sb.WriteString(" {")
-			for _, p := range branch {
-				sb.WriteString(" ")
-				sb.WriteString(p.String())
-			}
-			sb.WriteString(" }")
+			b = append(b, " {"...)
+			b = appendPatterns(b, branch)
+			b = append(b, " }"...)
 		}
 	}
 	for _, opt := range q.Optionals {
-		sb.WriteString(" OPTIONAL {")
-		for _, p := range opt {
-			sb.WriteString(" ")
-			sb.WriteString(p.String())
-		}
-		sb.WriteString(" }")
+		b = append(b, " OPTIONAL {"...)
+		b = appendPatterns(b, opt)
+		b = append(b, " }"...)
 	}
 	for _, f := range q.Filters {
-		sb.WriteString(" FILTER(" + f.String() + ") .")
+		b = append(append(append(b, " FILTER("...), f.String()...), ") ."...)
 	}
-	sb.WriteString(" }")
+	b = append(b, " }"...)
 	for i, k := range q.OrderBy {
 		if i == 0 {
-			sb.WriteString(" ORDER BY")
+			b = append(b, " ORDER BY"...)
 		}
 		if k.Desc {
-			sb.WriteString(" DESC(" + k.Expr.String() + ")")
+			b = append(b, " DESC("...)
 		} else {
-			sb.WriteString(" ASC(" + k.Expr.String() + ")")
+			b = append(b, " ASC("...)
 		}
+		b = append(append(b, k.Expr.String()...), ')')
 	}
 	if q.Limit >= 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", q.Limit)
+		b = strconv.AppendInt(append(b, " LIMIT "...), int64(q.Limit), 10)
 	}
 	if q.Offset > 0 {
-		fmt.Fprintf(&sb, " OFFSET %d", q.Offset)
+		b = strconv.AppendInt(append(b, " OFFSET "...), int64(q.Offset), 10)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendPatterns appends each triple pattern after a space.
+func appendPatterns(b []byte, patterns []rdf.Triple) []byte {
+	for _, p := range patterns {
+		b = p.AppendTo(append(b, ' '))
+	}
+	return b
 }
 
 // Expr is a FILTER/ORDER BY expression node.

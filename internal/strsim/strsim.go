@@ -18,6 +18,7 @@
 package strsim
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"unicode"
@@ -74,10 +75,10 @@ func LCSLength(a, b string) int {
 }
 
 // lcsASCII is LCSLength for pure-ASCII inputs: bytes are the runes, the
-// case fold is a byte op, and short inputs (every §2.2 word/property
-// pair in practice) run the dynamic program on stack rows — the §2.2
-// scoring loop calls this for every (word, property) pair, so the zero
-// allocations matter.
+// case fold is a byte op, and short inputs run the dynamic program on
+// stack rows. Name.Score takes it only for names its bit-parallel
+// kernel cannot hold; it is also the reference that kernel is tested
+// against.
 func lcsASCII(a, b string) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -140,15 +141,58 @@ func foldLower(s string) string {
 type Name struct {
 	raw   string
 	parts []string
+	// match[c] has bit j set where raw[j] is the byte c in either case:
+	// the match masks of the bit-parallel LCS. Nil for a name that is
+	// empty, longer than 64 bytes or not ASCII.
+	match *[utf8.RuneSelf]uint64
 }
 
-// CompileName splits and folds name once.
-func CompileName(name string) Name {
+// splitName is a Name without match masks, whose Score runs the dynamic
+// program: what a name scored once is worth preparing.
+func splitName(name string) Name {
 	parts := SplitIdentifier(name)
 	for i, p := range parts {
 		parts[i] = foldLower(p)
 	}
 	return Name{raw: name, parts: parts}
+}
+
+// CompileName splits and folds name once and builds its match masks.
+func CompileName(name string) Name {
+	n := splitName(name)
+	if len(name) > 0 && len(name) <= 64 && asciiOnly(name) {
+		n.match = new([utf8.RuneSelf]uint64)
+		for j := 0; j < len(name); j++ {
+			c := lowerASCII(name[j])
+			n.match[c] |= 1 << j
+			if 'a' <= c && c <= 'z' {
+				n.match[c-('a'-'A')] |= 1 << j
+			}
+		}
+	}
+	return n
+}
+
+// lcs is LCSLength(word, n.raw) by the bit-parallel recurrence of
+// Allison–Dix and Hyyrö: one machine word holds a whole row of the
+// dynamic program (bit j is clear where the row steps up at column j),
+// so a question word costs one add, one subtract and two logic ops per
+// byte whatever the name's length. ok is false when the name has no
+// masks or the word is not ASCII; the caller then takes LCSLength.
+func (n Name) lcs(word string) (length int, ok bool) {
+	if n.match == nil {
+		return 0, false
+	}
+	v := ^uint64(0)
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			return 0, false
+		}
+		u := v & n.match[c]
+		v = (v + u) | (v - u)
+	}
+	return bits.OnesCount64(^v << (64 - len(n.raw))), true
 }
 
 // Contains reports whether word occurs in the name aligned to
@@ -177,7 +221,12 @@ func (n Name) Score(word string) float64 {
 	if n.Contains(word) {
 		return 1.0
 	}
-	score := GCSScore(word, n.raw)
+	var score float64
+	if l, ok := n.lcs(word); ok {
+		score = float64(l) / float64(len(word))
+	} else {
+		score = GCSScore(word, n.raw)
+	}
 	if score == 0 {
 		return 0
 	}
@@ -198,12 +247,12 @@ func (n Name) Score(word string) float64 {
 
 // WordBoundaryContains is Name.Contains for a name used once.
 func WordBoundaryContains(word, candidate string) bool {
-	return CompileName(candidate).Contains(word)
+	return splitName(candidate).Contains(word)
 }
 
 // PropertyScore is Name.Score for a name used once.
 func PropertyScore(word, propertyName string) float64 {
-	return CompileName(propertyName).Score(word)
+	return splitName(propertyName).Score(word)
 }
 
 func sharedPrefix(a, b string) int {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the tentpole benchmarks — the ID-space engine vs. the retained
-# term-space reference path (PR 1), the concurrent candidate fan-out
-# vs. sequential rank-order execution (PR 2), the wait-free
+# term-space reference path (PR 1), rank-order candidate execution
+# (BenchmarkExtractSequential; the speculative pool PR 2 ran beside it
+# lost at GOMAXPROCS=2 and went in PR 16), the wait-free
 # snapshot-read pair (PR 3: BenchmarkBGPJoinIdle vs
 # BenchmarkBGPJoinUnderLoad), the staged pipeline + serving layer
 # (PR 4: BenchmarkServeAnswerCached vs BenchmarkServeAnswerUncached
@@ -53,11 +54,8 @@
 # framework (BENCH_PR4.json recorded 243µs vs 179µs for identical code
 # paths; measured in a fresh process the two agree within noise).
 #
-# The JSON records gomaxprocs: the Extract{Sequential,Parallel*}
-# comparison only shows a wall-clock gap on multi-core hosts (the
-# commit protocol guarantees identical results at every setting; on a
-# single-core host the parallel numbers sit at parity plus scheduling
-# overhead).
+# The JSON records gomaxprocs, which BenchmarkQALDEvalWorkers4 and the
+# shard benchmarks depend on.
 #
 # Usage: scripts/bench.sh [smoke | output.json]
 #
@@ -73,10 +71,10 @@ cd "$(dirname "$0")/.."
 # selections run against the repo's root package; bench_pkgs covers
 # the benchmarks that live in their own packages (the shard tier and
 # the store's term-rank churn pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Parallel|ParallelMax|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
-bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Parallel|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
+bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
 bench_pkgs_smoke='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then

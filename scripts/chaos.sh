@@ -16,7 +16,8 @@
 #     Limits, fixed seed), absorbs a mixed answer/update workload while
 #     faults fire, must answer everything cleanly once the rules run
 #     dry, and must survive a kill -9 with the last acknowledged
-#     update intact;
+#     update intact; the reboot runs with -debug-addr and must serve
+#     pprof on that listener only;
 #  3. a sharded drill (PR 10): qaserve boots with -shards 3 and a
 #     chaos rule killing shard 1's reads; requests without
 #     allow_partial must answer 503 "shard unavailable", requests with
@@ -107,12 +108,24 @@ curl -fs "http://$ADDR/metrics" | grep -q 'qaserve_chaos_injections_total' \
 # Crash hard and recover: the acknowledged 2.99 must come back.
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
-/tmp/qaserve-chaos -addr "$ADDR" -data-dir "$DATA_DIR" -cache 64 &
+DEBUG_LOG="$(mktemp)"
+/tmp/qaserve-chaos -addr "$ADDR" -data-dir "$DATA_DIR" -cache 64 \
+  -debug-addr 127.0.0.1:0 2> >(tee "$DEBUG_LOG" >&2) &
 PID=$!
 wait_ready
 curl -fs -X POST -d '{"question":"How tall is Michael Jordan?"}' "http://$ADDR/v1/answer" \
   | grep -q '"answers":\["2.99"\]' \
   || { echo "acked update lost across the crash" >&2; exit 1; }
+
+# -debug-addr: pprof answers on the listener the server announced, and
+# the public one knows nothing under /debug/.
+DEBUG_ADDR="$(sed -n 's/^qaserve: debug listener on \([^ ]*\) .*/\1/p' "$DEBUG_LOG")"
+rm -f "$DEBUG_LOG"
+[ -n "$DEBUG_ADDR" ] || { echo "no debug listener announced" >&2; exit 1; }
+curl -fs "http://$DEBUG_ADDR/debug/pprof/cmdline" | tr '\0' ' ' | grep -q -- '-debug-addr' \
+  || { echo "pprof cmdline missing on $DEBUG_ADDR" >&2; exit 1; }
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/debug/pprof/cmdline")"
+[ "$code" = 404 ] || { echo "public listener answered /debug/pprof/cmdline with HTTP $code" >&2; exit 1; }
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true

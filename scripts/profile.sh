@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Captures CPU and allocation profiles of the §2.3 candidate fan-out —
-# the pipeline's dominant cost and the target of the per-question
-# execution sessions — and prints the top consumers with the benchmark
-# setup (multi-thousand-entity KB construction) filtered out, which
-# otherwise swamps the report.
+# Captures CPU and allocation profiles of an in-process benchmark — by
+# default §2.3's rank-order candidate execution, the target of the
+# per-question execution sessions — and prints the top consumers with
+# the benchmark setup (multi-thousand-entity KB construction) filtered
+# out, which otherwise swamps the report.
+#
+# To profile the shipped server under load instead, start qaserve with
+# -debug-addr 127.0.0.1:6060 and point pprof at it mid-run:
+#   go tool pprof -top 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
 #
 # Usage:   scripts/profile.sh [outdir]
 # Env:     BENCH=BenchmarkExtractSequential   benchmark to profile

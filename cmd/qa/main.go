@@ -10,6 +10,11 @@
 //	qa -chaos stage.answer:error:0.5 -chaos-seed 7 ...   # seeded fault injection
 //
 // With no arguments it answers a demonstration set of questions.
+//
+// -cache keeps answers, not their derivations: a question served from
+// the cache (a repeat, in -i or multi-question mode) prints its answer
+// and stage timings under -explain, and says that the dependency graph,
+// triples, property candidates and candidate queries were not kept.
 package main
 
 import (
@@ -118,6 +123,9 @@ func answerOne(sys *core.System, q string, explain bool, top int, timeout time.D
 	res := sys.AnswerCtx(ctx, q)
 	fmt.Printf("Q: %s\n", q)
 	if explain {
+		if res.CacheHit() {
+			fmt.Println("-- served from the answer cache, which keeps the answer and not its derivation: no graph, triples, mapping or candidate queries to show --")
+		}
 		printTrace(sys, res, top)
 		if res.Trace != nil {
 			fmt.Println("-- stage timings --")
@@ -188,8 +196,8 @@ func printTrace(sys *core.System, res *core.Result, top int) {
 			}
 			fmt.Printf("   [score %8.1f] %s\n", cq.Score, cq.SPARQL)
 		}
-		if res.Answer.Winning != nil {
-			fmt.Printf("-- winning query --\n   %s\n", res.Answer.Winning.SPARQL)
-		}
+	}
+	if w := res.WinningSPARQL(); w != "" { // kept by a cache entry, unlike the rest
+		fmt.Printf("-- winning query --\n   %s\n", w)
 	}
 }

@@ -29,13 +29,17 @@
 // when Config.CacheSize > 0: entries are keyed on normalized question
 // text and stamped with the KB snapshot generation, so any store write
 // (including a single-triple store.Remove) invalidates every previously
-// cached answer. With the cache disabled — the default, and the
-// paper-faithful configuration — the pipeline is fully deterministic.
+// cached answer. An entry is the answer, not its derivation (status,
+// answers, winning query text, error, shard stamps): a Result served
+// from the cache has no intermediate stages to inspect. With the cache
+// disabled — the default, and the paper-faithful configuration — the
+// pipeline is fully deterministic.
 package core
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -316,6 +320,7 @@ type Result struct {
 	// Err is the stage error for non-answered statuses.
 	Err error
 
+	// Stage artifacts: nil when the stage did not run, so on every cache hit.
 	Extraction *triplex.Extraction
 	Mapping    *propmap.Mapping
 	Answer     *answer.Result
@@ -348,6 +353,25 @@ type Result struct {
 	// cacheKey is the normalized question the cache stage looked up, kept
 	// for the fill.
 	cacheKey string
+	// winning is the winning query's text and errText Err's, rendered
+	// once where Err is set; a cache entry keeps both.
+	winning, errText string
+}
+
+// setOutcome copies src's terminal outcome: all that a cache entry
+// holds and a hit restores (never Degraded, which is never cached).
+func (r *Result) setOutcome(src *Result) {
+	r.Status, r.Answers, r.Err = src.Status, src.Answers, src.Err
+	r.winning, r.errText = src.winning, src.errText
+	r.ShardsTotal, r.ShardsAnswered = src.ShardsTotal, src.ShardsAnswered
+}
+
+// fail records a stage's terminal failure on the Result and on the
+// stage's trace entry, rendering the error text once for both.
+func (r *Result) fail(status Status, err error, tr *StageTrace) error {
+	r.Status, r.Err, r.errText = status, err, err.Error()
+	tr.Err = r.errText
+	return pipeline.ErrStop
 }
 
 // Answered reports whether the pipeline produced an answer.
@@ -358,12 +382,10 @@ func (r *Result) Answered() bool { return r.Status == StatusAnswered }
 func (r *Result) CacheHit() bool { return r.Trace != nil && r.Trace.CacheHit() }
 
 // WinningSPARQL returns the winning query text ("" when unanswered).
-func (r *Result) WinningSPARQL() string {
-	if r.Answer == nil || r.Answer.Winning == nil {
-		return ""
-	}
-	return r.Answer.Winning.SPARQL
-}
+func (r *Result) WinningSPARQL() string { return r.winning }
+
+// ErrorText returns Err's text ("" for nil), formatted once, when Err was set.
+func (r *Result) ErrorText() string { return r.errText }
 
 // AnswerStrings renders the answers with labels for IRIs and lexical
 // forms for literals, sorted.
@@ -393,6 +415,15 @@ func (s *System) CacheStats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return s.cache.Stats()
+}
+
+// CacheEntries returns the number of entries the answer cache holds
+// (0 when the cache is disabled).
+func (s *System) CacheEntries() int {
+	if s.cache == nil {
+		return 0
+	}
+	return s.cache.Len()
 }
 
 // PlanCacheStats returns the cumulative hit/miss/eviction counts of
@@ -429,18 +460,16 @@ func (s *System) CacheEligible(question string) bool {
 // --- The pipeline stages ---
 
 // cacheStage serves a request from the answer cache. Mounted only when
-// Config.CacheSize > 0. A hit copies the cached terminal Result into
-// the request's Result (the intermediate artifacts are shared — they
-// are immutable once produced) and stops the pipeline.
+// Config.CacheSize > 0. A hit copies the cached terminal outcome into
+// the request's Result — no intermediate artifacts: the entry has none —
+// and stops the pipeline. Hits share the entry's read-only answer slice.
 type cacheStage struct{ s *System }
 
 func (st cacheStage) Name() string { return StageCache }
 func (st cacheStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
 	res.cacheKey = qacache.Normalize(res.Question)
 	if cached, ok := st.s.cache.Get(res.cacheKey, res.snapGen); ok {
-		question, trace, gen := res.Question, res.Trace, res.snapGen
-		*res = *cached
-		res.Question, res.Trace, res.snapGen = question, trace, gen
+		res.setOutcome(cached)
 		tr.CacheHit = true
 		return pipeline.ErrStop
 	}
@@ -459,10 +488,7 @@ func (st triplexStage) Run(ctx context.Context, res *Result, tr *StageTrace) err
 		tr.Candidates = len(ext.Triples)
 	}
 	if err != nil {
-		res.Status = StatusNotExtracted
-		res.Err = err
-		tr.Err = err.Error()
-		return pipeline.ErrStop
+		return res.fail(StatusNotExtracted, err, tr)
 	}
 	return nil
 }
@@ -474,10 +500,7 @@ func (st propmapStage) Name() string { return StagePropmap }
 func (st propmapStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
 	mp, err := st.s.mapper.Map(res.Extraction)
 	if err != nil {
-		res.Status = StatusNotMapped
-		res.Err = err
-		tr.Err = err.Error()
-		return pipeline.ErrStop
+		return res.fail(StatusNotMapped, err, tr)
 	}
 	res.Mapping = mp
 	for _, mt := range mp.Triples {
@@ -531,19 +554,16 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 			return ctx.Err() // cancellation: surfaced by pipeline.Run
 		}
 		if _, ok := err.(*answer.ErrBoolean); ok {
-			res.Status = StatusUnsupported
-		} else {
-			res.Status = StatusNotMapped
+			return res.fail(StatusUnsupported, err, tr)
 		}
-		res.Err = err
-		tr.Err = err.Error()
-		return pipeline.ErrStop
+		return res.fail(StatusNotMapped, err, tr)
 	}
 	res.Answer = ans
 	tr.Candidates = len(ans.Candidates)
 	if ans.Answered() {
 		res.Status = StatusAnswered
 		res.Answers = ans.Answers
+		res.winning = ans.Winning.SPARQL
 	} else {
 		res.Status = StatusNoAnswer
 	}
@@ -604,21 +624,22 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 			// injected chaos fault.
 			res.Status = StatusInternal
 		}
-		res.Err = err
+		res.Err, res.errText = err, err.Error()
 		return res
 	}
 	if s.cache != nil && !tr.CacheHit() && !res.Degraded {
-		// Cache the terminal result (any status: failure outcomes are
+		// Cache the terminal outcome (any status: failure outcomes are
 		// deterministic too — but never a degraded partial answer, which
-		// reflects transient shard health, not the question) without the
-		// request-scoped trace, stamped with the generation the request
-		// executed against.
-		cached := *res
-		cached.Trace = nil
+		// reflects transient shard health, not the question), stamped with
+		// the generation the request executed against. The entry owns an
+		// exact-size copy of res.Answers, a candidate's append-grown slice.
+		cached := new(Result)
+		cached.setOutcome(res)
+		cached.Answers = slices.Clone(res.Answers)
 		if s.negTTL > 0 && res.Status != StatusAnswered {
-			s.cache.PutExpiring(res.cacheKey, res.snapGen, &cached, s.negTTL)
+			s.cache.PutExpiring(res.cacheKey, res.snapGen, cached, s.negTTL)
 		} else {
-			s.cache.Put(res.cacheKey, res.snapGen, &cached)
+			s.cache.Put(res.cacheKey, res.snapGen, cached)
 		}
 	}
 	return res

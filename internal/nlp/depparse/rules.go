@@ -67,10 +67,17 @@ func (p *ruleParser) addEdge(head, dep int, rel string) {
 	p.attached[dep] = true
 }
 
-// setRoot marks i as the root.
+// setRoot marks i as the root. A candidate that already has a head —
+// "how" under "many" when nothing is counted, the adjective of "how ADJ
+// is NP" chunked under a following noun — hands the root to the top of
+// its head chain, so the root never has a head and no later edge can
+// close a cycle through it.
 func (p *ruleParser) setRoot(i int) {
 	if i < 0 || p.g.Root >= 0 {
 		return
+	}
+	for p.attached[i] {
+		i, _ = p.g.HeadOf(i)
 	}
 	p.g.Root = i
 	p.g.Edges = append(p.g.Edges, Edge{Head: -1, Dep: i, Rel: RelRoot})

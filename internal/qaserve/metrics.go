@@ -2,11 +2,14 @@ package qaserve
 
 import (
 	"fmt"
+	rtmetrics "runtime/metrics"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Prometheus-style metrics for the serving layer, hand-rolled on the
@@ -67,24 +70,24 @@ type metrics struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
-	mu     sync.Mutex
-	stages map[string]*histogram // stage name -> latency histogram
+	// stages maps each of stageNames to its latency histogram. Filled by
+	// newMetrics and only read afterwards, so a request's observes take
+	// no lock.
+	stages map[string]*histogram
 	total  *histogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{stages: map[string]*histogram{}, total: newHistogram()}
-}
+// stageNames are the pipeline's stages in the order /metrics lists them.
+// A stage added to core is added here: observing an unregistered one
+// fails every test that serves a request.
+var stageNames = []string{core.StageAnswer, core.StageCache, core.StagePropmap, core.StageTriplex}
 
-func (m *metrics) stage(name string) *histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.stages[name]
-	if !ok {
-		h = newHistogram()
-		m.stages[name] = h
+func newMetrics() *metrics {
+	m := &metrics{stages: map[string]*histogram{}, total: newHistogram()}
+	for _, name := range stageNames {
+		m.stages[name] = newHistogram()
 	}
-	return h
+	return m
 }
 
 // render writes the metrics in the Prometheus text exposition format.
@@ -126,19 +129,8 @@ func (m *metrics) render(sb *strings.Builder) {
 
 	fmt.Fprintf(sb, "# HELP qaserve_stage_duration_seconds Per-stage pipeline latency from request traces.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_stage_duration_seconds histogram\n")
-	m.mu.Lock()
-	names := make([]string, 0, len(m.stages))
-	for name := range m.stages {
-		names = append(names, name)
-	}
-	hists := make([]*histogram, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		hists = append(hists, m.stages[name])
-	}
-	m.mu.Unlock()
-	for i, name := range names {
-		renderHistogram(sb, "qaserve_stage_duration_seconds", fmt.Sprintf("stage=%q", name), hists[i])
+	for _, name := range stageNames {
+		renderHistogram(sb, "qaserve_stage_duration_seconds", fmt.Sprintf("stage=%q", name), m.stages[name])
 	}
 
 	fmt.Fprintf(sb, "# HELP qaserve_request_duration_seconds End-to-end answer latency.\n")
@@ -164,5 +156,34 @@ func renderHistogram(sb *strings.Builder, name, label string, h *histogram) {
 	} else {
 		fmt.Fprintf(sb, "%s_sum %g\n", name, float64(h.sumNS.Load())/1e9)
 		fmt.Fprintf(sb, "%s_count %d\n", name, h.count.Load())
+	}
+}
+
+// runtimeMetrics are the Go runtime figures /metrics exports.
+var runtimeMetrics = [...]struct{ sample, name, kind, help string }{
+	{"/gc/heap/live:bytes", "qaserve_go_heap_live_bytes", "gauge", "Heap bytes the last completed GC cycle marked live."},
+	{"/gc/heap/objects:objects", "qaserve_go_heap_objects", "gauge", "Objects occupying heap memory, live or not yet swept."},
+	{"/gc/cycles/total:gc-cycles", "qaserve_go_gc_cycles_total", "counter", "Completed GC cycles."},
+	{"/cpu/classes/gc/total:cpu-seconds", "qaserve_go_gc_cpu_seconds_total", "counter", "Estimated CPU time spent on garbage collection."},
+}
+
+// renderRuntime reads them through runtime/metrics at scrape time, which
+// unlike runtime.ReadMemStats does not stop the world.
+func renderRuntime(sb *strings.Builder) {
+	var samples [len(runtimeMetrics)]rtmetrics.Sample
+	for i := range samples {
+		samples[i].Name = runtimeMetrics[i].sample
+	}
+	rtmetrics.Read(samples[:])
+	for i, rm := range runtimeMetrics {
+		v := 0.0 // stays 0 for a metric this Go runtime lacks (none does since 1.21)
+		switch val := samples[i].Value; val.Kind() {
+		case rtmetrics.KindUint64:
+			v = float64(val.Uint64())
+		case rtmetrics.KindFloat64:
+			v = val.Float64()
+		}
+		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", rm.name, rm.help, rm.name, rm.kind,
+			rm.name, strconv.FormatFloat(v, 'f', -1, 64))
 	}
 }

@@ -16,9 +16,9 @@
 //	                       here until the KB is loaded and WAL recovery
 //	                       has finished
 //	GET  /metrics          Prometheus text format: request counters,
-//	                       update counters, cache hit/miss, per-stage
-//	                       latency histograms built from each request's
-//	                       pipeline Trace
+//	                       update counters, cache hit/miss and entries,
+//	                       per-stage latency histograms built from each
+//	                       request's Trace, the Go runtime's heap and GC
 //
 // Every request runs under a context derived from the HTTP request's:
 // the configured per-request timeout — lowered by the client's
@@ -227,7 +227,9 @@ type StageTrace struct {
 	Error          string `json:"error,omitempty"`
 }
 
-// AnswerResponse is the JSON projection of one pipeline Result.
+// AnswerResponse is the JSON projection of one pipeline Result: the
+// wire schema clients decode into. The server does not encode from it —
+// appendResult (reply.go) writes these members straight from the Result.
 type AnswerResponse struct {
 	Question      string   `json:"question"`
 	Status        string   `json:"status"`
@@ -335,7 +337,7 @@ func (s *Server) observe(res *core.Result) {
 		return
 	}
 	for _, st := range res.Trace.Stages {
-		s.m.stage(st.Stage).observe(st.Duration)
+		s.m.stages[st.Stage].observe(st.Duration)
 	}
 	s.m.total.observe(res.Trace.Total())
 	// Cache counters only when a cache stage actually ran (a System
@@ -350,42 +352,6 @@ func (s *Server) observe(res *core.Result) {
 			s.m.cacheMisses.Add(1)
 		}
 	}
-}
-
-// toResponse projects a Result for the wire.
-func (s *Server) toResponse(res *core.Result) AnswerResponse {
-	resp := AnswerResponse{
-		Question:      res.Question,
-		Status:        res.Status.String(),
-		Answered:      res.Answered(),
-		Answers:       res.AnswerStrings(s.sys.KB),
-		WinningSPARQL: res.WinningSPARQL(),
-		CacheHit:      res.CacheHit(),
-		Degraded:      res.Degraded,
-		ShardsTotal:   res.ShardsTotal, ShardsAnswered: res.ShardsAnswered,
-	}
-	if res.Err != nil {
-		resp.Error = res.Err.Error()
-	}
-	if res.Trace != nil {
-		for _, st := range res.Trace.Stages {
-			resp.Trace = append(resp.Trace, StageTrace{
-				Stage:           st.Stage,
-				DurationMS:      float64(st.Duration.Microseconds()) / 1e3,
-				Candidates:      st.Candidates,
-				CacheHit:        st.CacheHit,
-				PlanCacheHits:   st.PlanCacheHits,
-				PlanCacheMisses: st.PlanCacheMisses,
-				PlanResultHits:  st.PlanResultHits,
-				RankSorts:       st.RankSorts,
-				ShardsTotal:     st.ShardsTotal,
-				ShardsAnswered:  st.ShardsAnswered,
-				Degraded:        st.Degraded,
-				Error:           st.Err,
-			})
-		}
-	}
-	return resp
 }
 
 // maxBodyBytes bounds request bodies: questions are short, so 1 MiB is
@@ -425,27 +391,27 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 			return // client went away; nothing useful to write
 		}
 		s.m.requestsTimeout.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, s.toResponse(res))
+		s.writeResult(w, http.StatusGatewayTimeout, res)
 	case core.StatusOverBudget:
 		// The cost model predicted the remaining deadline cannot cover
 		// execution: the request was shed before the fan-out burned CPU,
 		// and the client learns when to retry.
 		s.m.requestsShed.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, s.toResponse(res))
+		s.writeResult(w, http.StatusServiceUnavailable, res)
 	case core.StatusUnavailable:
 		// A shard was unreachable and the request did not allow partial
 		// answers: the client can retry (the breaker cooldown is short)
 		// or resend with allow_partial for a degraded answer now.
 		s.m.requestsUnavailable.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, s.toResponse(res))
+		s.writeResult(w, http.StatusServiceUnavailable, res)
 	case core.StatusInternal:
 		s.m.requestsInternal.Add(1)
-		writeJSON(w, http.StatusInternalServerError, s.toResponse(res))
+		s.writeResult(w, http.StatusInternalServerError, res)
 	default:
 		s.m.requestsOK.Add(1)
-		writeJSON(w, http.StatusOK, s.toResponse(res))
+		s.writeResult(w, http.StatusOK, res)
 	}
 }
 
@@ -554,15 +520,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return // client went away mid-batch
 		}
 	}
-	resp := BatchResponse{Results: make([]AnswerResponse, 0, len(results))}
-	for _, res := range results {
-		resp.Results = append(resp.Results, s.toResponse(res))
-	}
 	// qaserve_requests_total counts HTTP requests, so a batch counts
 	// once regardless of size (timed-out members are visible in their
 	// per-result status and the stage histograms).
 	s.m.requestsOK.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	s.writeResults(w, http.StatusOK, `{"results":[`, "]}\n", results...)
 }
 
 // handleHealthz is the liveness probe: once the Server handles traffic
@@ -674,9 +636,11 @@ func (s *Server) renderShards(sb *strings.Builder) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	s.m.render(&sb)
+	fmt.Fprintf(&sb, "# HELP qaserve_cache_entries Entries the answer cache holds.\n# TYPE qaserve_cache_entries gauge\nqaserve_cache_entries %d\n", s.sys.CacheEntries())
 	s.renderPlanCache(&sb)
 	s.renderShards(&sb)
 	s.renderResilience(&sb)
+	renderRuntime(&sb)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(sb.String()))
 }

@@ -172,6 +172,17 @@ func main() {
 			cfg.EnableSuperlatives = true
 		}
 
+		// Boot phases timed here — the ones before core.New — lead the
+		// System's own on the "pipeline ready" line and on /metrics.
+		start := time.Now()
+		var boot []core.BootPhase
+		mark := start
+		phase := func(name string) {
+			now := time.Now()
+			boot = append(boot, core.BootPhase{Name: name, Elapsed: now.Sub(mark)})
+			mark = now
+		}
+
 		// Source the KB: recovered durable state beats -kb beats built-in.
 		var rec *wal.Recovery
 		if *dataDir != "" {
@@ -193,6 +204,7 @@ func main() {
 				return
 			}
 			cfg.KB = loaded
+			phase("wal_recovery")
 			fmt.Fprintf(os.Stderr, "qaserve: recovered %d triples at generation %d (segment %d + %d log records)\n",
 				len(rec.Triples), rec.Gen, rec.SegmentGen, rec.Records)
 		case *kbPath != "":
@@ -202,10 +214,13 @@ func main() {
 				return
 			}
 			cfg.KB = loaded
-		case rec != nil:
-			// Fresh data dir, no -kb: bootstrap a private copy of the
-			// built-in KB (the shared default must never be mutated).
+			phase("kb_load")
+		case rec != nil || *shards > 0:
+			// A fresh data dir or a shard tier, no -kb: updates will write
+			// to the store, so take a private copy of the built-in KB (the
+			// shared default must never be mutated).
 			cfg.KB = kb.Build(kb.DefaultConfig())
+			phase("kb_build")
 		}
 		if ctx.Err() != nil {
 			return // signal during recovery: nothing opened yet, stop here
@@ -216,21 +231,20 @@ func main() {
 		// update path — /v1/update batches mirror into every shard.
 		var cluster *shard.Cluster
 		if *shards > 0 {
-			if cfg.KB == nil {
-				// No -kb: shard a private copy of the built-in KB (the
-				// shared default must never be mutated through updates).
-				cfg.KB = kb.Build(kb.DefaultConfig())
-			}
 			fmt.Fprintf(os.Stderr, "qaserve: partitioning into %d shards...\n", *shards)
 			cluster = shard.NewCluster(cfg.KB.Store, *shards, shard.Config{})
 			cfg.Cluster = cluster
+			phase("shard_partition")
 		}
 
 		fmt.Fprintf(os.Stderr, "qaserve: building pipeline (mining patterns)...\n")
-		start := time.Now()
 		sys := core.New(cfg)
-		fmt.Fprintf(os.Stderr, "qaserve: pipeline ready in %v (%d triples)\n",
-			time.Since(start).Round(time.Millisecond), sys.KB.Store.Len())
+		sys.Boot = append(boot, sys.Boot...)
+		fmt.Fprintf(os.Stderr, "qaserve: pipeline ready in %v (%d triples;", time.Since(start).Round(time.Millisecond), sys.KB.Store.Len())
+		for _, p := range sys.Boot {
+			fmt.Fprintf(os.Stderr, " %s %v", p.Name, p.Elapsed.Round(100*time.Microsecond))
+		}
+		fmt.Fprintln(os.Stderr, ")")
 		if ctx.Err() != nil {
 			return // signal during the build: the WAL is still unopened
 		}

@@ -18,8 +18,8 @@
 // query to a variable->column layout and joins flat ID rows, converting
 // IDs back to terms only when results are actually read (late
 // materialization). See internal/store and internal/sparql for the
-// layer contracts, and BENCH_PR1.json for the measured speedups over
-// the retained term-space reference evaluator.
+// layer contracts; the *TermSpace benchmark twins in bench_test.go
+// measure the speedup over the retained term-space reference evaluator.
 //
 // The store publishes an immutable snapshot through an atomic pointer:
 // readers pin it with one atomic load and scan plain memory, while
@@ -32,9 +32,9 @@
 // pinned terms view, internal consumers (answer ranking, the COUNT
 // retry, QALD gold computation) read columns directly, and the
 // map-based Solutions() view materialises lazily only if someone asks.
-// BENCH_PR3.json records the measured effect: reader latency under a
-// concurrent bulk-churn writer stays within ~1.5x of the idle baseline,
-// and the per-row binding maps are gone from the answer path.
+// BenchmarkBGPJoinIdle/UnderLoad measure the effect: reader latency
+// under a concurrent bulk-churn writer stays within ~1.5x of the idle
+// baseline, and the per-row binding maps are gone from the answer path.
 //
 // Each question executes inside one sparql.Session pinned to one store
 // snapshot: the §2.3 Cartesian product generates dozens of candidate
@@ -46,8 +46,9 @@
 // against the store's posting lists (store.Snapshot.PostingList) and
 // deduplicates DISTINCT results in ID space before the final term
 // sort. Everything is byte-identical with or without the sharing —
-// differential tests pin session ≡ fresh execution — and BENCH_PR5.
-// json records the effect on the fan-out worst case.
+// differential tests pin session ≡ fresh execution — and
+// BenchmarkExtractSequential/Sessionless read the effect on the fan-out
+// worst case.
 //
 // On top of the ID engine sit two composable parallelism layers, both
 // result-deterministic. Candidate queries execute on a bounded worker

@@ -168,12 +168,25 @@ const (
 	StageAnswer  = "answer"
 )
 
+// BootPhase is one timed step of bringing a System up.
+type BootPhase struct {
+	Name    string
+	Elapsed time.Duration
+}
+
 // System is the assembled pipeline.
 type System struct {
 	KB       *kb.KB
 	WordNet  *wordnet.DB
 	Patterns *patterns.Store
 	Linker   *ner.Linker
+
+	// Boot is what New spent, in order: "kb_build" (only when New built
+	// the default KB itself), "pattern_mining" (unless disabled) and
+	// "indexes" (WordNet, the linker's and the mapper's, the wiring). A
+	// caller with timed work of its own before New prepends it — qaserve
+	// does, and exports the list as qaserve_boot_seconds{phase=…}.
+	Boot []BootPhase
 
 	mapper      *propmap.Mapper
 	extractor   *answer.Extractor
@@ -209,14 +222,23 @@ func Default() *System {
 // wires the pipeline stages.
 func New(cfg Config) *System {
 	cfg = applyDefaults(cfg)
-	k := cfg.KB
-	if k == nil {
-		k = kb.Default()
+	s := &System{KB: cfg.KB}
+	start := time.Now()
+	lap := func(phase string) {
+		now := time.Now()
+		s.Boot = append(s.Boot, BootPhase{phase, now.Sub(start)})
+		start = now
 	}
-	s := &System{KB: k, WordNet: wordnet.Default(), Linker: ner.NewLinker(k)}
+	if s.KB == nil {
+		s.KB = kb.Default()
+		lap("kb_build")
+	}
+	k := s.KB
 	if !cfg.DisablePatterns {
 		s.Patterns = patterns.Mine(k, k.Corpus(cfg.Corpus), cfg.Miner)
+		lap("pattern_mining")
 	}
+	s.WordNet, s.Linker = wordnet.Default(), ner.NewLinker(k)
 	pmCfg := propmap.DefaultConfig()
 	pmCfg.DisablePatterns = cfg.DisablePatterns
 	pmCfg.DisableWordNetSynonyms = cfg.DisableWordNetSynonyms
@@ -245,6 +267,7 @@ func New(cfg Config) *System {
 		stages = append(stages, cacheStage{s})
 	}
 	s.pipe = pipeline.New(append(stages, triplexStage{s}, propmapStage{s}, answerStage{s})...)
+	lap("indexes")
 	return s
 }
 

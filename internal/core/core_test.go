@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kb"
 	"repro/internal/rdf"
 )
 
@@ -318,5 +319,26 @@ func TestAblationConfigsRun(t *testing.T) {
 		if !res.Answered() {
 			t.Errorf("config %+v: status %v err %v", cfg, res.Status, res.Err)
 		}
+	}
+}
+
+// TestBootPhases: New accounts for its own boot, in order, and lists
+// only the phases it ran.
+func TestBootPhases(t *testing.T) {
+	names := func(s *System) string {
+		var out []string
+		for _, p := range s.Boot {
+			if p.Elapsed < 0 {
+				t.Errorf("phase %s took %v", p.Name, p.Elapsed)
+			}
+			out = append(out, p.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	if got := names(New(Config{})); got != "kb_build pattern_mining indexes" {
+		t.Errorf("default boot phases = %q", got)
+	}
+	if got := names(New(Config{KB: kb.Default(), DisablePatterns: true})); got != "indexes" {
+		t.Errorf("boot phases over a given KB without patterns = %q", got)
 	}
 }

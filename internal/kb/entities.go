@@ -6,7 +6,7 @@ import "repro/internal/rdf"
 // base: every entity the paper's running examples mention plus the
 // entities the QALD-style evaluation set requires, with realistic facts
 // (values follow the 2012-era DBpedia 3.7/3.8 snapshots the paper used).
-func (kb *KB) buildCuratedEntities() {
+func (kb *builder) buildCuratedEntities() {
 	e := kb.ent
 	date := rdf.NewDate
 	i := rdf.NewInteger

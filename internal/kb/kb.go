@@ -85,38 +85,65 @@ func Default() *KB {
 	return defaultKB
 }
 
-// Build constructs the knowledge base.
+// builder is a KB under construction: the helpers below queue their
+// triples in call order and Build hands the store the whole queue as
+// one write batch — one snapshot publication, not one per triple. The
+// queue goes with the builder; the KB Build returns keeps none of it.
+type builder struct {
+	*KB
+	queue []rdf.Triple
+}
+
+func (kb *builder) add(s, p, o rdf.Term) {
+	kb.queue = append(kb.queue, rdf.Triple{S: s, P: p, O: o})
+}
+
+// Build constructs the knowledge base in two write batches: the
+// asserted triples, then the inferred rdf:type closure over them.
 func Build(cfg Config) *KB {
-	kb := &KB{
+	kb := &builder{KB: &KB{
 		Store:        store.New(),
 		classByLocal: map[string]Class{},
 		propByLocal:  map[string]Property{},
-	}
+	}}
+	// Capacity hint: the curated core plus what buildSynthetic queues per
+	// entity on average; a miss costs append growth, nothing else.
+	kb.queue = make([]rdf.Triple, 0, 1200+13*cfg.SyntheticPersons+4*cfg.SyntheticCities+6*cfg.SyntheticBooks)
 	kb.buildOntology()
 	kb.buildCuratedEntities()
 	kb.buildSynthetic(cfg)
+	kb.Store.AddAll(kb.queue)
 	kb.materializeTypes()
-	return kb
+	return kb.KB
 }
 
 // materializeTypes asserts the full rdf:type closure (every superclass
 // of every asserted type), as the DBpedia dumps the paper queries do —
 // SPARQL BGPs like "?x rdf:type dbont:Person" then work without RDFS
-// inference at query time.
+// inference at query time. What the store lacks of the closure is one
+// write batch, queued in index order (class ID, then entity ID) — none
+// at all when nothing is missing — and every superclass is already a
+// dictionary term, so no ID depends on the walk.
 func (kb *KB) materializeTypes() {
-	entityTypes := map[rdf.Term][]rdf.Term{}
+	supers := map[rdf.Term][]rdf.Term{} // class → superclass closure, walked once each
+	var inferred []rdf.Triple
 	kb.Store.ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.S.Value, rdf.NSRes) && strings.HasPrefix(t.O.Value, rdf.NSOnt) {
-			entityTypes[t.S] = append(entityTypes[t.S], t.O)
+			closure, ok := supers[t.O]
+			if !ok {
+				closure = kb.Store.SuperClasses(t.O)
+				supers[t.O] = closure
+			}
+			for _, super := range closure {
+				if tr := (rdf.Triple{S: t.S, P: rdf.Type(), O: super}); !kb.Store.Has(tr) {
+					inferred = append(inferred, tr)
+				}
+			}
 		}
 		return true
 	})
-	for e, types := range entityTypes {
-		for _, c := range types {
-			for _, super := range kb.Store.SuperClasses(c) {
-				kb.Store.Add(rdf.Triple{S: e, P: rdf.Type(), O: super})
-			}
-		}
+	if len(inferred) > 0 {
+		kb.Store.AddAll(inferred)
 	}
 }
 
@@ -169,46 +196,46 @@ func (kb *KB) LabelOf(t rdf.Term) string {
 
 // --- ontology construction helpers ---
 
-func (kb *KB) class(local, label string, parent rdf.Term) rdf.Term {
+func (kb *builder) class(local, label string, parent rdf.Term) rdf.Term {
 	term := rdf.Ont(local)
 	c := Class{Term: term, Label: label, Parent: parent}
 	kb.Classes = append(kb.Classes, c)
 	kb.classByLocal[local] = c
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Type(), O: rdf.NewIRI(rdf.IRIClass)})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Label(), O: rdf.NewLangLiteral(label, "en")})
+	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIClass))
+	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
 	if !parent.IsZero() {
-		kb.Store.Add(rdf.Triple{S: term, P: rdf.SubClassOf(), O: parent})
+		kb.add(term, rdf.SubClassOf(), parent)
 	}
 	return term
 }
 
-func (kb *KB) objProp(local, label string, domain, rng rdf.Term) rdf.Term {
+func (kb *builder) objProp(local, label string, domain, rng rdf.Term) rdf.Term {
 	term := rdf.Ont(local)
 	p := Property{Term: term, Label: label, Domain: domain, Range: rng, Object: true}
 	kb.ObjectProperties = append(kb.ObjectProperties, p)
 	kb.propByLocal[local] = p
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Type(), O: rdf.NewIRI(rdf.IRIObjectProp)})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Label(), O: rdf.NewLangLiteral(label, "en")})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.NewIRI(rdf.IRIDomain), O: domain})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.NewIRI(rdf.IRIRange), O: rng})
+	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIObjectProp))
+	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
+	kb.add(term, rdf.NewIRI(rdf.IRIDomain), domain)
+	kb.add(term, rdf.NewIRI(rdf.IRIRange), rng)
 	return term
 }
 
-func (kb *KB) dataProp(local, label string, domain rdf.Term, xsdType string) rdf.Term {
+func (kb *builder) dataProp(local, label string, domain rdf.Term, xsdType string) rdf.Term {
 	term := rdf.Ont(local)
 	p := Property{Term: term, Label: label, Domain: domain, Range: rdf.NewIRI(xsdType), Object: false}
 	kb.DataProperties = append(kb.DataProperties, p)
 	kb.propByLocal[local] = p
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Type(), O: rdf.NewIRI(rdf.IRIDatatypeProp)})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.Label(), O: rdf.NewLangLiteral(label, "en")})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.NewIRI(rdf.IRIDomain), O: domain})
-	kb.Store.Add(rdf.Triple{S: term, P: rdf.NewIRI(rdf.IRIRange), O: rdf.NewIRI(xsdType)})
+	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIDatatypeProp))
+	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
+	kb.add(term, rdf.NewIRI(rdf.IRIDomain), domain)
+	kb.add(term, rdf.NewIRI(rdf.IRIRange), rdf.NewIRI(xsdType))
 	return term
 }
 
 // buildOntology declares the class tree and properties (a faithful
 // slice of the DBpedia 3.7 ontology the paper queries).
-func (kb *KB) buildOntology() {
+func (kb *builder) buildOntology() {
 	thing := rdf.NewIRI(rdf.IRIThing)
 
 	agent := kb.class("Agent", "agent", thing)
@@ -333,36 +360,36 @@ func (kb *KB) buildOntology() {
 // --- entity construction helpers ---
 
 // ent creates an entity with label and classes, returning its term.
-func (kb *KB) ent(local, label string, classes ...string) rdf.Term {
+func (kb *builder) ent(local, label string, classes ...string) rdf.Term {
 	t := rdf.Res(local)
-	kb.Store.Add(rdf.Triple{S: t, P: rdf.Label(), O: rdf.NewLangLiteral(label, "en")})
+	kb.add(t, rdf.Label(), rdf.NewLangLiteral(label, "en"))
 	for _, c := range classes {
-		kb.Store.Add(rdf.Triple{S: t, P: rdf.Type(), O: rdf.Ont(c)})
+		kb.add(t, rdf.Type(), rdf.Ont(c))
 	}
 	return t
 }
 
 // fact asserts (s, dbont:prop, o) and the page links both ways.
-func (kb *KB) fact(s rdf.Term, prop string, o rdf.Term) {
-	kb.Store.Add(rdf.Triple{S: s, P: rdf.Ont(prop), O: o})
+func (kb *builder) fact(s rdf.Term, prop string, o rdf.Term) {
+	kb.add(s, rdf.Ont(prop), o)
 	if o.IsIRI() && strings.HasPrefix(o.Value, rdf.NSRes) {
 		kb.link(s, o)
 	}
 }
 
 // link adds wikiPageWikiLink edges in both directions.
-func (kb *KB) link(a, b rdf.Term) {
-	kb.Store.Add(rdf.Triple{S: a, P: rdf.NewIRI(rdf.IRIPageLink), O: b})
-	kb.Store.Add(rdf.Triple{S: b, P: rdf.NewIRI(rdf.IRIPageLink), O: a})
+func (kb *builder) link(a, b rdf.Term) {
+	kb.add(a, rdf.NewIRI(rdf.IRIPageLink), b)
+	kb.add(b, rdf.NewIRI(rdf.IRIPageLink), a)
 }
 
 // dataFact asserts a literal-valued fact.
-func (kb *KB) dataFact(s rdf.Term, prop string, o rdf.Term) {
-	kb.Store.Add(rdf.Triple{S: s, P: rdf.Ont(prop), O: o})
+func (kb *builder) dataFact(s rdf.Term, prop string, o rdf.Term) {
+	kb.add(s, rdf.Ont(prop), o)
 }
 
 // buildSynthetic adds the deterministic generated long tail.
-func (kb *KB) buildSynthetic(cfg Config) {
+func (kb *builder) buildSynthetic(cfg Config) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	cities := make([]rdf.Term, 0, cfg.SyntheticCities)

@@ -23,7 +23,10 @@ func newStoreWith(triples []rdf.Triple) *store.Store {
 // an external DBpedia-style file): the ontology indexes (classes,
 // object/data properties with labels, domains and ranges) are rebuilt
 // from the owl:Class / owl:ObjectProperty / owl:DatatypeProperty
-// declarations, and the rdf:type closure is re-materialised.
+// declarations, and the rdf:type closure is re-materialised — as one
+// further write batch of what is missing, so a dump that already carries
+// the closure (a WAL recovery, a kbgen file) no longer takes the writer
+// lock once per inferred triple to add nothing: it takes it not at all.
 func FromTriples(triples []rdf.Triple) (*KB, error) {
 	kb := &KB{
 		Store:        newStoreWith(triples),

@@ -14,7 +14,7 @@ import (
 // TestMetricsDocumented: every metric family /metrics emits — from a
 // server with every optional family switched on: shards, the adaptive
 // limiter, a chaos injector that has fired, the plan cache — is named
-// in cmd/qaserve/README.md, and the runtime and cache-occupancy
+// in cmd/qaserve/README.md, and the runtime, cache-occupancy and boot
 // families carry live values.
 func TestMetricsDocumented(t *testing.T) {
 	in := chaos.New(3, chaos.Rule{Point: "stage.answer", Kind: chaos.KindError, Prob: 1, Limit: 1})
@@ -45,6 +45,9 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 	if !strings.Contains(text, "\nqaserve_cache_entries 1\n") {
 		t.Errorf("qaserve_cache_entries is not 1 after one cached answer")
+	}
+	if !regexp.MustCompile(`(?m)^qaserve_boot_seconds\{phase="pattern_mining"\} [0-9.e-]+$`).MatchString(text) {
+		t.Errorf("qaserve_boot_seconds carries no pattern_mining phase")
 	}
 	for _, name := range []string{"qaserve_go_heap_live_bytes", "qaserve_go_heap_objects",
 		"qaserve_go_gc_cycles_total", "qaserve_go_gc_cpu_seconds_total"} {

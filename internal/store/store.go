@@ -20,9 +20,13 @@
 // copy-on-write: every level of the structure (index root → page of 512
 // buckets → bucket → sorted ID list) carries the generation of the
 // write batch that created it, so a batch clones only what it actually
-// touches (a single Add copies one page and one bucket per index, not
-// whole maps) and mutates its own clones in place for the rest of the
-// batch. The new root is published once per public write call, giving
+// touches and mutates its own clones in place for the rest of the
+// batch. What a batch of one touches is not small: a single Add clones,
+// in each of the three indexes, a 4 KB page and the whole entries map
+// of the bucket it lands in — about 31 KB and 34 µs at 6.5k triples,
+// growing with the hottest bucket (rdf:type's in POS) — so anything in
+// a loop belongs in one AddAll or ApplyBatch, which pay each clone once.
+// The new root is published once per public write call, giving
 // readers atomic batch visibility. Old snapshots are reclaimed by the
 // garbage collector once the last reader drops them.
 //
@@ -975,7 +979,10 @@ func (w *writer) addTriple(t rdf.Triple) bool {
 }
 
 // Add inserts a triple. It reports whether the triple was new. Variable
-// terms are rejected (store data must be ground).
+// terms are rejected (store data must be ground). Each call is a write
+// batch and a published snapshot of its own: for single writes and
+// tests. In a loop, collect the triples and call AddAll (or ApplyBatch)
+// once — n Adds cost O(n × hottest bucket), one AddAll of n is linear.
 func (s *Store) Add(t rdf.Triple) bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()

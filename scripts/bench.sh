@@ -41,9 +41,18 @@
 # inline shard call (PR 15: BenchmarkDomainRunHealthy is the fixed
 # cost one healthy shard call pays crossing its failure domain,
 # BenchmarkGatherSingleStore the BenchmarkGatherHealthy workload on a
-# plain snapshot session — the baseline the gather is a factor of) —
-# and emits BENCH_PR15.json with ns/op and allocs/op per benchmark, so
-# later PRs have a perf trajectory to compare against.
+# plain snapshot session — the baseline the gather is a factor of),
+# and the boot path (PR 21: BenchmarkKBBuild is the built-in KB as two
+# write batches, BenchmarkKBBuildScale/x{1,4,16} the same build at 1×,
+# 4× and 16× the synthetic sizes with ns/triple and B/triple — flat
+# means linear — and BenchmarkCoreBoot what core.New still costs over a
+# KB that is already built: pattern mining and the §2.2 indexes).
+#
+# These are `go test -bench` recipes, not a record: the script prints
+# what the benchmarks print and writes nothing. The numbers a PR claims
+# come from the end-to-end benchmark (bench/run.sh, BENCHMARK.json); the
+# BENCH_PR*.json files this script used to mint were single samples
+# nothing ever diffed, and went in PR 21.
 #
 # The BenchmarkAnswerCtx / BenchmarkAnswerThroughput comparability pair
 # (the stage-framework-overhead bound) runs in its own `go test`
@@ -51,19 +60,19 @@
 # that build multi-thousand-entity KBs, so the later benchmark pays GC
 # against a much larger live heap and reads up to ~35% slower than the
 # earlier one for reasons that have nothing to do with the stage
-# framework (BENCH_PR4.json recorded 243µs vs 179µs for identical code
+# framework (243µs vs 179µs were once recorded for identical code
 # paths; measured in a fresh process the two agree within noise).
 #
-# The JSON records gomaxprocs, which BenchmarkQALDEvalWorkers4 and the
-# shard benchmarks depend on.
+# BenchmarkQALDEvalWorkers4 and the shard benchmarks depend on
+# GOMAXPROCS; `go test` prints it as the -N suffix of each name.
 #
-# Usage: scripts/bench.sh [smoke | output.json]
+# Usage: scripts/bench.sh [smoke]
 #
-#   smoke        a fast CI sanity pass (-benchtime=20x) over the key
-#                benchmarks: exercises every tentpole path, produces no
-#                JSON. This is the single place the CI smoke regex
-#                lives; .github/workflows/ci.yml just calls it.
-#   output.json  full run; writes the JSON (default BENCH_PR15.json).
+#   smoke    a fast CI sanity pass (-benchtime=20x) over the key
+#            benchmarks: exercises every tentpole path. This is the
+#            single place the CI smoke regex lives;
+#            .github/workflows/ci.yml just calls it.
+#   (none)   full run at BENCHTIME (default 1s) per benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,10 +80,10 @@ cd "$(dirname "$0")/.."
 # selections run against the repo's root package; bench_pkgs covers
 # the benchmarks that live in their own packages (the shard tier and
 # the store's term-rank churn pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkTable2QALDEvaluation|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
-bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$'
+bench_smoke='BenchmarkStore|BenchmarkExtract(Sequential|Sessionless)$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$'
 bench_pkgs_smoke='BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then
@@ -83,55 +92,16 @@ if [ "${1:-}" = "smoke" ]; then
     ./internal/shard/ ./internal/store/
 fi
 
-out="${1:-BENCH_PR15.json}"
 benchtime="${BENCHTIME:-1s}"
 
-raw="$(go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .)"
-
-echo "$raw"
+go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .
 
 # Fresh process for the comparable pair (see the header comment).
-rawpair="$(go test -run '^$' -bench "$bench_pair" \
-  -benchmem -benchtime="$benchtime" .)"
-
-echo "$rawpair"
+go test -run '^$' -bench "$bench_pair" -benchmem -benchtime="$benchtime" .
 
 # The package-local benchmarks (shard tier, term-rank churn), one
 # package at a time (-p 1): run side by side on a two-core host they
 # take each other's CPU, and the gather ÷ single-store factor is read
 # off two of them.
-rawpkgs="$(go test -p 1 -run '^$' -bench "$bench_pkgs" \
-  -benchmem -benchtime="$benchtime" ./internal/shard/ ./internal/store/)"
-
-echo "$rawpkgs"
-
-gomaxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}"
-
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gmp="$gomaxprocs" '
-BEGIN { n = 0 }
-/^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 2; i <= NF; i++) {
-        if ($(i) == "ns/op")     ns = $(i-1)
-        if ($(i) == "B/op")      bytes = $(i-1)
-        if ($(i) == "allocs/op") allocs = $(i-1)
-    }
-    if (ns != "") {
-        names[n] = name; nss[n] = ns; bs[n] = bytes; as[n] = allocs; n++
-    }
-}
-END {
-    printf "{\n  \"generated\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"benchmarks\": {\n", date, gmp
-    for (i = 0; i < n; i++) {
-        printf "    \"%s\": {\"ns_op\": %s", names[i], nss[i]
-        if (bs[i] != "") printf ", \"bytes_op\": %s", bs[i]
-        if (as[i] != "") printf ", \"allocs_op\": %s", as[i]
-        printf "}%s\n", (i < n-1 ? "," : "")
-    }
-    printf "  }\n}\n"
-}' <<<"$raw
-$rawpair
-$rawpkgs" > "$out"
-
-echo "wrote $out"
+go test -p 1 -run '^$' -bench "$bench_pkgs" -benchmem -benchtime="$benchtime" \
+  ./internal/shard/ ./internal/store/

@@ -107,7 +107,7 @@ func BenchmarkTable2QALDEvaluation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = qald.Evaluate(s, qs)
+		rep, err = qald.EvaluateCtx(context.Background(), s, qs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func benchmarkAblation(b *testing.B, cfg core.Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = qald.Evaluate(s, qs)
+		rep, err = qald.EvaluateCtx(context.Background(), s, qs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkBaselineKeyword(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		answered, correct = 0, 0
 		for _, q := range qs {
-			gold, err := qald.Gold(k, q)
+			gold, err := qald.GoldCtx(context.Background(), k, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func BenchmarkPatternNoiseSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = qald.Evaluate(s, qs)
+				rep, err = qald.EvaluateCtx(context.Background(), s, qs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,12 +296,21 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 	}
 }
 
+// execUncached runs q on a fresh session detached from the plan cache,
+// as qaload's sparql.exec_us probe does. Through the process-wide cache
+// every iteration after the first over an unchanging store replays the
+// entry's bound-result memo, and the benchmark stops measuring the
+// executor.
+func execUncached(st *store.Store, q *sparql.Query) (*sparql.Result, error) {
+	return sparql.NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+}
+
 func BenchmarkSPARQLTwoPatternJoin(b *testing.B) {
 	k := kb.Default()
 	q := sparql.MustParse(`SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . }`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.Execute(k.Store, q)
+		res, err := execUncached(k.Store, q)
 		if err != nil || res.Len() != 5 {
 			b.Fatalf("res=%v err=%v", res, err)
 		}
@@ -313,7 +322,7 @@ func BenchmarkSPARQLFilterScan(b *testing.B) {
 	q := sparql.MustParse(`SELECT ?x WHERE { ?x dbont:populationTotal ?p . FILTER(?p > 3000000) }`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sparql.Execute(k.Store, q); err != nil {
+		if _, err := execUncached(k.Store, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,11 +479,10 @@ func BenchmarkCoreBoot(b *testing.B) {
 // --- PR 1 tentpole benchmarks: ID-space execution vs. term space ---
 //
 // The benchmarks below are the perf contract of the ID-space execution
-// engine: single-pattern scan, 3-pattern BGP join, DISTINCT+ORDER BY,
-// and full end-to-end answering. Each query benchmark has a *TermSpace
-// twin running the retained map-based reference evaluator
-// (sparql.ExecuteTermSpace) so the speedup stays measurable in every
-// future PR.
+// engine: single-pattern scan and full end-to-end answering. The query
+// benchmarks (3-pattern BGP join, LIMIT, DISTINCT+ORDER BY) and their
+// *TermSpace twins over the retained map-based reference evaluator live
+// in internal/sparql/bench_test.go, beside that evaluator.
 
 // BenchmarkStoreScanTerms scans every triple with a bound predicate,
 // materialising full rdf.Term triples (the term-space path).
@@ -512,63 +520,12 @@ func BenchmarkStoreScanIDs(b *testing.B) {
 	}
 }
 
-func benchmarkQuery(b *testing.B, src string, exec func(*store.Store, *sparql.Query) (*sparql.Result, error)) {
-	k := kb.Default()
-	q := sparql.MustParse(src)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := exec(k.Store, q)
-		if err != nil || res.Len() == 0 {
-			b.Fatalf("res=%v err=%v", res, err)
-		}
-	}
-}
-
-const (
-	benchJoin3 = `SELECT ?p ?c ?n WHERE {
+// benchJoin3 is the 3-pattern join (person -> birthplace -> population)
+// the snapshot-read pair and the plan-compile pair run.
+const benchJoin3 = `SELECT ?p ?c ?n WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . }`
-	benchJoin3Limit = `SELECT ?p ?c ?n WHERE {
-		?p rdf:type dbont:Person .
-		?p dbont:birthPlace ?c .
-		?c dbont:populationTotal ?n . } LIMIT 10`
-	benchDistinctOrder = `SELECT DISTINCT ?c WHERE {
-		?p dbont:birthPlace ?c .
-		?c dbont:populationTotal ?n . } ORDER BY DESC(?n)`
-)
-
-// BenchmarkBGPJoin3 runs a 3-pattern basic graph pattern join
-// (person -> birthplace -> population) through the ID-space executor.
-func BenchmarkBGPJoin3(b *testing.B) { benchmarkQuery(b, benchJoin3, sparql.Execute) }
-
-// BenchmarkBGPJoin3TermSpace is the identical join on the term-space
-// reference evaluator.
-func BenchmarkBGPJoin3TermSpace(b *testing.B) {
-	benchmarkQuery(b, benchJoin3, sparql.ExecuteTermSpace)
-}
-
-// BenchmarkBGPJoin3Limit shows late materialization: only the 10 rows
-// surviving LIMIT are converted back to terms.
-func BenchmarkBGPJoin3Limit(b *testing.B) { benchmarkQuery(b, benchJoin3Limit, sparql.Execute) }
-
-// BenchmarkBGPJoin3LimitTermSpace materialises every intermediate
-// binding before applying LIMIT.
-func BenchmarkBGPJoin3LimitTermSpace(b *testing.B) {
-	benchmarkQuery(b, benchJoin3Limit, sparql.ExecuteTermSpace)
-}
-
-// BenchmarkBGPJoinDistinctOrderBy adds DISTINCT and ORDER BY on top of
-// a two-pattern join, exercising projection, dedup and sorting.
-func BenchmarkBGPJoinDistinctOrderBy(b *testing.B) {
-	benchmarkQuery(b, benchDistinctOrder, sparql.Execute)
-}
-
-// BenchmarkBGPJoinDistinctOrderByTermSpace is the term-space twin.
-func BenchmarkBGPJoinDistinctOrderByTermSpace(b *testing.B) {
-	benchmarkQuery(b, benchDistinctOrder, sparql.ExecuteTermSpace)
-}
 
 // BenchmarkAnswerThroughput measures full core.System.Answer throughput
 // over a mixed workload, the end-to-end guard for executor rewrites.
@@ -611,7 +568,7 @@ func BenchmarkSPARQLScale(b *testing.B) {
 		q := sparql.MustParse(`SELECT ?p ?c WHERE { ?p rdf:type dbont:Person . ?p dbont:birthPlace ?c . } LIMIT 50`)
 		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Execute(k.Store, q); err != nil {
+				if _, err := execUncached(k.Store, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -683,10 +640,15 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 	return fanoutKB, fanoutMP
 }
 
-func benchmarkExtract(b *testing.B, cfg answer.Config) {
+// BenchmarkExtractSequential executes the candidate set in rank order
+// with the shared per-question sparql.Session — the production path
+// (the name dates from when a speculative pool ran beside it). The
+// store never changes, so after the first iteration every candidate is
+// a bound-result memo replay: this measures §2.3 over the memo, not the
+// executor.
+func BenchmarkExtractSequential(b *testing.B) {
 	k, mp := fanoutSetup(b)
-	cfg.MaxQueries = 256
-	ex := answer.New(k, cfg)
+	ex := answer.New(k, answer.Config{MaxQueries: 256})
 	// Plan-shape cache hit rate over the measured loop, from the
 	// process-wide cache's cumulative counters (the PR 9 acceptance
 	// floor is > 90%: after the first iteration warms the shapes, every
@@ -700,7 +662,7 @@ func benchmarkExtract(b *testing.B, cfg answer.Config) {
 			b.Fatal(err)
 		}
 		if res.Winning == nil || res.Winning.SPARQL != fanoutWant {
-			b.Fatalf("cfg=%+v diverged: %+v", cfg, res.Winning)
+			b.Fatalf("diverged: %+v", res.Winning)
 		}
 	}
 	b.StopTimer()
@@ -708,23 +670,6 @@ func benchmarkExtract(b *testing.B, cfg answer.Config) {
 	if lookups := (h1 - h0) + (m1 - m0); lookups > 0 {
 		b.ReportMetric(100*float64(h1-h0)/float64(lookups), "planhit%")
 	}
-}
-
-// BenchmarkExtractSequential executes the candidate set in rank order
-// with the shared per-question sparql.Session — the production path
-// (the name dates from when a speculative pool ran beside it);
-// BenchmarkExtractSessionless is the session-disabled twin.
-func BenchmarkExtractSequential(b *testing.B) {
-	benchmarkExtract(b, answer.Config{})
-}
-
-// BenchmarkExtractSessionless runs the identical fan-out with the
-// shared session disabled — every candidate compiles and scans from
-// scratch. The Sequential/Sessionless gap is the measured value of the
-// session's cross-candidate memoization (answers are identical; the
-// differential tests in internal/answer pin that).
-func BenchmarkExtractSessionless(b *testing.B) {
-	benchmarkExtract(b, answer.Config{DisableSessionReuse: true})
 }
 
 // BenchmarkQALDEvalWorkers4 runs the Table 2 evaluation with
@@ -736,7 +681,7 @@ func BenchmarkQALDEvalWorkers4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = qald.EvaluateWorkers(s, qs, 4)
+		rep, err = qald.EvaluateWorkersCtx(context.Background(), s, qs, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -805,7 +750,7 @@ func benchmarkJoinMaybeUnderLoad(b *testing.B, load bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.Execute(st, q)
+		res, err := sparql.ExecuteCtx(context.Background(), st, q)
 		if err != nil || res.Len() == 0 {
 			b.Fatalf("res=%v err=%v", res, err)
 		}
@@ -1050,11 +995,11 @@ func BenchmarkRankSort(b *testing.B) {
 	q := sparql.MustParse(`SELECT DISTINCT ?p ?c WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c . }`)
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSession(k.Store).WithPlanCache(nil) // or every iteration but the first replays the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sess.Execute(q)
+		res, err := sess.ExecuteCtx(context.Background(), q)
 		if err != nil || res.Len() == 0 {
 			b.Fatalf("res=%v err=%v", res, err)
 		}

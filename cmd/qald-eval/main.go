@@ -92,7 +92,7 @@ func main() {
 	}
 
 	if *ablations {
-		runAblations()
+		runAblations(ctx)
 	}
 }
 
@@ -107,7 +107,7 @@ func printTable1() {
 	fmt.Println("'Which' questions are typed by their determining noun (§2.3.2).")
 }
 
-func runAblations() {
+func runAblations(ctx context.Context) {
 	fmt.Println("Ablations (paper configuration minus one component):")
 	configs := []struct {
 		name string
@@ -121,7 +121,7 @@ func runAblations() {
 	}
 	for _, c := range configs {
 		sys := core.New(c.cfg)
-		rep, err := qald.Evaluate(sys, qald.Questions())
+		rep, err := qald.EvaluateCtx(ctx, sys, qald.Questions())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qald-eval:", err)
 			os.Exit(1)

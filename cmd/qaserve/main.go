@@ -9,8 +9,7 @@
 // Usage:
 //
 //	qaserve [-addr :8080] [-timeout 5s] [-max-inflight 64] [-cache 1024]
-//	        [-plan-cache N] [-shards N]
-//	        [-kb file.nt] [-data-dir dir] [-update-token T]
+//	        [-shards N] [-kb file.nt] [-data-dir dir] [-update-token T]
 //	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
 //	        [-adaptive-admission] [-admission-target 500ms]
 //	        [-admission-min 1] [-admission-max N] [-cost-per-row D]
@@ -84,7 +83,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "max questions per /v1/answer/batch request")
 	batchParallel := flag.Int("batch-parallel", 0, "workers a batch request fans its questions across (0 = GOMAXPROCS, 1 = sequential)")
 	cacheSize := flag.Int("cache", 1024, "answer cache entries, keyed on normalized question text (0 = disabled)")
-	planCache := flag.Int("plan-cache", 0, "SPARQL plan-shape cache: 0 = process-wide default, >0 = dedicated cache of that many shapes, <0 = disabled")
 	negTTL := flag.Duration("cache-negative-ttl", 0, "expire cached non-answers after this long (0 = keep until the KB changes)")
 	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with hedged retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
@@ -163,7 +161,6 @@ func main() {
 
 		cfg := core.DefaultConfig()
 		cfg.CacheSize = *cacheSize
-		cfg.PlanCacheSize = *planCache
 		cfg.NegativeTTL = *negTTL
 		cfg.CostNanosPerRow = int(costPerRow.Nanoseconds())
 		if *extensions {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,7 @@ func main() {
 		query = string(data)
 	}
 	k := kb.Default()
-	res, err := sparql.ExecuteString(k.Store, query)
+	res, err := sparql.ExecuteStringCtx(context.Background(), k.Store, query)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sparqlrun:", err)
 		os.Exit(1)

@@ -12,14 +12,15 @@
 // miner, the NED component and the knowledge base itself — is
 // implemented in this module using only the Go standard library.
 //
-// SPARQL evaluation — the hot path, since every question fans out into
-// many candidate queries — uses a two-layer execution model: the store
+// SPARQL evaluation — every question runs a short ranked list of
+// candidate queries — uses a two-layer execution model: the store
 // dictionary-encodes terms to 32-bit IDs, and the executor compiles each
 // query to a variable->column layout and joins flat ID rows, converting
 // IDs back to terms only when results are actually read (late
 // materialization). See internal/store and internal/sparql for the
-// layer contracts; the *TermSpace benchmark twins in bench_test.go
-// measure the speedup over the retained term-space reference evaluator.
+// layer contracts; the *TermSpace benchmark twins in
+// internal/sparql/bench_test.go measure the speedup over the retained
+// term-space reference evaluator.
 //
 // The store publishes an immutable snapshot through an atomic pointer:
 // readers pin it with one atomic load and scan plain memory, while
@@ -37,31 +38,26 @@
 // baseline, and the per-row binding maps are gone from the answer path.
 //
 // Each question executes inside one sparql.Session pinned to one store
-// snapshot: the §2.3 Cartesian product generates dozens of candidate
-// queries that differ only in a property URI or triple orientation,
-// and the session lets those siblings share memoized constant
-// resolution, base-pattern index scans and exact cardinalities instead
-// of re-deriving them per candidate. The executor also answers
+// snapshot: §2.3 ranks a handful of candidate queries (4.67 a question
+// on the entity stream) that differ only in a property URI or triple
+// orientation, and the session is what they reuse — the plan cache
+// handle (one cached shape for all the siblings, and a bound-result
+// memo that replays a candidate repeated at the same store generation)
+// and each probed entity's rdf:type set. The executor also answers
 // bound-variable existence patterns with sorted-ID galloping merges
 // against the store's posting lists (store.Snapshot.PostingList) and
 // deduplicates DISTINCT results in ID space before the final term
-// sort. Everything is byte-identical with or without the sharing —
-// differential tests pin session ≡ fresh execution — and
-// BenchmarkExtractSequential/Sessionless read the effect on the fan-out
-// worst case.
+// sort. Differential tests pin session ≡ fresh execution and cached ≡
+// uncached execution byte for byte.
 //
-// On top of the ID engine sit two composable parallelism layers, both
-// result-deterministic. Candidate queries execute on a bounded worker
-// pool with rank-order commit: workers speculate on lower-ranked
-// candidates (sharing the question's session), outcomes commit
-// strictly in §2.3.1 rank order, and a committed winner cancels
-// in-flight losers through context-aware execution (sparql.
-// ExecuteCtx), so the answer is byte-identical to sequential execution
-// at any parallelism (internal/answer's package doc describes the
-// protocol). Above it, the evaluation harness batches whole questions
-// across goroutines (qald.EvaluateWorkers, cmd/qald-eval -workers) —
-// the pipeline is read-only after construction and the store supports
-// parallel readers.
+// Inside a question the candidates run one at a time in §2.3.1 rank
+// order and the first winner ends the run (internal/answer's package
+// doc); context-aware execution (sparql.ExecuteCtx) stops a query
+// between join steps when the request's deadline passes. Parallelism
+// lives one level up: the evaluation harness and the serving layer run
+// whole questions across goroutines (qald.EvaluateWorkersCtx,
+// cmd/qald-eval -workers) — the pipeline is read-only after
+// construction and the store supports parallel readers.
 //
 // The top layer is an explicit staged pipeline with a serving surface.
 // internal/core composes the paper's three sections as request-scoped

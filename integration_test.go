@@ -46,11 +46,11 @@ func TestKBDumpLoadRoundTrip(t *testing.T) {
 	}
 	// Queries over the reloaded store agree.
 	q := `SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . }`
-	r1, err := sparql.ExecuteString(k.Store, q)
+	r1, err := sparql.ExecuteStringCtx(context.Background(), k.Store, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sparql.ExecuteString(st2, q)
+	r2, err := sparql.ExecuteStringCtx(context.Background(), st2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTwoSystemsIndependent(t *testing.T) {
 // excluded portion) runs cleanly end to end.
 func TestFullSetEvaluationRuns(t *testing.T) {
 	s := core.Default()
-	rep, err := qald.Evaluate(s, qald.FullSet())
+	rep, err := qald.EvaluateCtx(context.Background(), s, qald.FullSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestConcurrentAnswering(t *testing.T) {
 func TestCrashRecoveryPreservesQALD(t *testing.T) {
 	k := kb.Build(kb.DefaultConfig())
 	s1 := core.New(core.Config{KB: k})
-	before, err := qald.Evaluate(s1, qald.Questions())
+	before, err := qald.EvaluateCtx(context.Background(), s1, qald.Questions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCrashRecoveryPreservesQALD(t *testing.T) {
 	}
 	defer m2.Close()
 
-	after, err := qald.Evaluate(s2, qald.Questions())
+	after, err := qald.EvaluateCtx(context.Background(), s2, qald.Questions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,22 +54,6 @@ type Config struct {
 	// the (distinct) result count.
 	EnableAggregation bool
 
-	// DisableSessionReuse executes every candidate query with a fresh
-	// single-query executor instead of the shared per-question
-	// sparql.Session. Answers are identical either way (the session
-	// only memoizes pure functions of its pinned snapshot); this is the
-	// diagnostic switch the session differential tests and the
-	// BenchmarkExtractSessionless trajectory baseline run under.
-	DisableSessionReuse bool
-
-	// DisablePlanCache detaches every session this extractor runs from
-	// the global plan-shape cache, so each candidate query compiles its
-	// shape from scratch. Answers are identical either way (a cached
-	// shape is a pure function of the query text); this is the
-	// differential-baseline switch the plan-cache equivalence tests and
-	// BenchmarkPlanCacheMiss run under.
-	DisablePlanCache bool
-
 	// CostNanosPerRow converts the fan-out's compile-time cost estimate
 	// (the summed exact base cardinalities of every candidate query;
 	// see sparql.Session.EstimateRows) into an estimated execution
@@ -168,17 +152,13 @@ func (e *Extractor) ExtractCtx(ctx context.Context, mp *propmap.Mapping) (*Resul
 // §2.3 reads — candidate orientation typing, every candidate query of
 // the SELECT fan-out, the ASK path, the COUNT aggregation retry and
 // the §2.3.2 expected-type filter — goes through the session's
-// snapshot, and sibling candidates share its memoized term resolution,
-// base scans and cardinalities. The staged pipeline (internal/core)
-// passes the session it pinned at request entry so the answer cache
-// generation stamp and the executed snapshot can never diverge.
+// snapshot, and sibling candidates share its plan cache handle and
+// entity type sets. The staged pipeline (internal/core) passes the
+// session it pinned at request entry so the answer cache generation
+// stamp and the executed snapshot can never diverge.
 func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, sess *sparql.Session) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if e.cfg.DisablePlanCache {
-		// Applied before any candidate runs, as WithPlanCache requires.
-		sess.WithPlanCache(nil)
 	}
 	expected := mp.Extraction.Expected
 	if expected.Kind == triplex.ExpectBoolean && !e.cfg.EnableBoolean {
@@ -288,11 +268,9 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 // it sums the compile-time row estimates of every candidate the ranked
 // execution could run and returns a typed *pipeline.BudgetError when
 // the resulting duration estimate exceeds the budget remaining on the
-// request's deadline. Estimation shares the session's memoized constant
-// resolution with the real execution, so a question that passes the
-// gate has already paid most of its compile cost.
+// request's deadline.
 func (e *Extractor) checkBudget(ctx context.Context, sess *sparql.Session, res *Result) error {
-	if e.cfg.CostNanosPerRow <= 0 || e.cfg.DisableSessionReuse {
+	if e.cfg.CostNanosPerRow <= 0 {
 		return nil
 	}
 	deadline, ok := ctx.Deadline()
@@ -309,20 +287,6 @@ func (e *Extractor) checkBudget(ctx context.Context, sess *sparql.Session, res *
 		return &pipeline.BudgetError{Stage: "answer", Estimated: est, Remaining: remaining}
 	}
 	return nil
-}
-
-// execQuery runs one candidate query through the shared session — or,
-// under Config.DisableSessionReuse, through a fresh single-query
-// executor (the differential-test and benchmark baseline).
-func (e *Extractor) execQuery(ctx context.Context, sess *sparql.Session, q *sparql.Query) (*sparql.Result, error) {
-	if e.cfg.DisableSessionReuse {
-		fresh := sparql.NewSession(e.kb.Store)
-		if e.cfg.DisablePlanCache {
-			fresh.WithPlanCache(nil)
-		}
-		return fresh.ExecuteCtx(ctx, q)
-	}
-	return sess.ExecuteCtx(ctx, q)
 }
 
 // firstWinner is §2.3's execution order: it runs try(i) for i = 0 … n-1
@@ -349,7 +313,7 @@ func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res
 	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		cq.Executed = true
-		r, err := e.execQuery(ctx, sess, cq.Query)
+		r, err := sess.ExecuteCtx(ctx, cq.Query)
 		if err != nil {
 			cq.Err = err
 			return false
@@ -395,7 +359,7 @@ func (e *Extractor) executeBoolean(ctx context.Context, sess *sparql.Session, re
 	winner, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		cq.Executed = true
-		r, err := e.execQuery(ctx, sess, cq.Query)
+		r, err := sess.ExecuteCtx(ctx, cq.Query)
 		if err != nil {
 			cq.Err = err
 			return false
@@ -439,7 +403,7 @@ func (e *Extractor) executeAggregation(ctx context.Context, sess *sparql.Session
 			Patterns: cq.Query.Patterns,
 			Limit:    -1,
 		}
-		r, err := e.execQuery(ctx, sess, countQ)
+		r, err := sess.ExecuteCtx(ctx, countQ)
 		if err != nil || r.Len() == 0 || len(r.Vars) == 0 {
 			return false
 		}

@@ -6,9 +6,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestMain fails the package when its tests leak goroutines: the
-// candidate fan-out runs worker pools that must always drain, even on
-// cancellation and early-commit paths.
+// TestMain fails the package when its tests leak goroutines: §2.3 runs
+// on the caller's goroutine and must start none of its own.
 func TestMain(m *testing.M) {
 	testutil.VerifyNoLeaks(m)
 }

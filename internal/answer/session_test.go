@@ -1,19 +1,56 @@
 package answer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/kb"
+	"repro/internal/propmap"
+	"repro/internal/sparql"
 	"repro/internal/triplex"
 )
 
-// The session differential at the §2.3 level: extraction through the
-// shared per-question sparql.Session must produce a Result
-// byte-identical to fresh-executor execution (Config.
-// DisableSessionReuse) over randomized KBs and randomized candidate
-// sets — same winner, same answers, same per-candidate bookkeeping.
+// The "cached ≡ fresh" oracle at the §2.3 level: extraction through a
+// session on a plan cache (shared shapes, bound-result memo) must
+// produce a Result byte-identical to extraction through a session with
+// the cache detached — same winner, same answers, same per-candidate
+// bookkeeping, same error text — over randomized KBs and randomized
+// candidate sets.
+
+// cachedMatchesFresh runs mp once detached and twice through pc (the
+// store does not change in between, so the second cached pass is served
+// from the memo wherever an entry has room) and fails on any
+// difference. It returns the second pass's bound-result memo hits. pc
+// is the test's own cache: the process-wide one holds whatever earlier
+// tests of the package left in its entries.
+func cachedMatchesFresh(t *testing.T, label string, k *kb.KB, pc *sparql.PlanCache, cfg Config, mp *propmap.Mapping) uint64 {
+	t.Helper()
+	ex, ctx := New(k, cfg), context.Background()
+	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSession(k.Store).WithPlanCache(nil))
+	var resultHits uint64
+	for pass := 0; pass < 2; pass++ {
+		sess := sparql.NewSession(k.Store).WithPlanCache(pc)
+		cachedRes, cachedErr := ex.ExtractSessionCtx(ctx, mp, sess)
+		resultHits = sess.PlanStats().ResultHits
+		if (freshErr == nil) != (cachedErr == nil) {
+			t.Fatalf("%s pass=%d: err mismatch: %v vs %v", label, pass, freshErr, cachedErr)
+		}
+		if freshErr != nil {
+			if freshErr.Error() != cachedErr.Error() {
+				t.Fatalf("%s pass=%d: err text mismatch: %v vs %v", label, pass, freshErr, cachedErr)
+			}
+			continue
+		}
+		want, got := snapshot(freshRes), snapshot(cachedRes)
+		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+			t.Fatalf("%s pass=%d:\nfresh:  %+v\ncached: %+v", label, pass, want, got)
+		}
+	}
+	return resultHits
+}
+
 func TestSessionMatchesFreshDifferential(t *testing.T) {
 	kbs := []*kb.KB{
 		kb.Build(kb.Config{Seed: 17, SyntheticPersons: 50, SyntheticCities: 12, SyntheticBooks: 25}),
@@ -24,54 +61,34 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 		triplex.ExpectDate, triplex.ExpectNumeric,
 	}
 	r := rand.New(rand.NewSource(23))
+	pc := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
+	var memoServed uint64
 	for ki, k := range kbs {
 		for trial := 0; trial < 16; trial++ {
 			kind := kinds[trial%len(kinds)]
 			mp := synthMapping(r, k, kind, false)
 			cfg := Config{MaxQueries: 256, EnableAggregation: kind == triplex.ExpectNumeric}
-
-			cfg.DisableSessionReuse = true
-			freshRes, freshErr := New(k, cfg).Extract(mp)
-			cfg.DisableSessionReuse = false
-			sessRes, sessErr := New(k, cfg).Extract(mp)
-			if (freshErr == nil) != (sessErr == nil) {
-				t.Fatalf("kb=%d trial=%d: err mismatch: %v vs %v", ki, trial, freshErr, sessErr)
-			}
-			if freshErr != nil {
-				if freshErr.Error() != sessErr.Error() {
-					t.Fatalf("kb=%d trial=%d: err text mismatch: %v vs %v", ki, trial, freshErr, sessErr)
-				}
-				continue
-			}
-			want, got := snapshot(freshRes), snapshot(sessRes)
-			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-				t.Fatalf("kb=%d trial=%d kind=%v:\nfresh:   %+v\nsession: %+v",
-					ki, trial, kind, want, got)
-			}
+			memoServed += cachedMatchesFresh(t, fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind), k, pc, cfg, mp)
 		}
+	}
+	if memoServed == 0 {
+		t.Fatal("no second pass was served from the bound-result memo: the differential compared fresh to fresh")
 	}
 }
 
 // TestSessionMatchesFreshBoolean is the same differential over the ASK
-// path (shared session across the boolean candidates).
+// path.
 func TestSessionMatchesFreshBoolean(t *testing.T) {
 	k := kb.Build(kb.Config{Seed: 53, SyntheticPersons: 60, SyntheticCities: 15, SyntheticBooks: 30})
 	r := rand.New(rand.NewSource(67))
+	cfg := Config{MaxQueries: 256, EnableBoolean: true}
+	pc := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
+	var memoServed uint64
 	for trial := 0; trial < 12; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectBoolean, true)
-		cfg := Config{MaxQueries: 256, EnableBoolean: true, DisableSessionReuse: true}
-		freshRes, freshErr := New(k, cfg).Extract(mp)
-		cfg.DisableSessionReuse = false
-		sessRes, sessErr := New(k, cfg).Extract(mp)
-		if (freshErr == nil) != (sessErr == nil) {
-			t.Fatalf("trial=%d: err mismatch: %v vs %v", trial, freshErr, sessErr)
-		}
-		if freshErr != nil {
-			continue
-		}
-		want, got := snapshot(freshRes), snapshot(sessRes)
-		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-			t.Fatalf("trial=%d:\nfresh:   %+v\nsession: %+v", trial, want, got)
-		}
+		memoServed += cachedMatchesFresh(t, fmt.Sprintf("trial=%d", trial), k, pc, cfg, mp)
+	}
+	if memoServed == 0 {
+		t.Fatal("no second pass was served from the bound-result memo: the differential compared fresh to fresh")
 	}
 }

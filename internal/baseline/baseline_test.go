@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestBaselineVsPipeline(t *testing.T) {
 
 	answered, correct := 0, 0
 	for _, q := range qald.Questions() {
-		gold, err := qald.Gold(k, q)
+		gold, err := qald.GoldCtx(context.Background(), k, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,15 +103,6 @@ type Config struct {
 	// paper-faithful default).
 	CacheSize int
 
-	// PlanCacheSize selects the SPARQL plan-shape cache the answer
-	// stage's execution sessions consult (see internal/sparql/plancache):
-	// 0 (the default) shares the process-wide cache with every other
-	// System, > 0 builds a dedicated cache of that capacity, and < 0
-	// disables plan caching so every candidate query compiles its shape
-	// from scratch (the differential baseline). Answers are identical at
-	// every setting.
-	PlanCacheSize int
-
 	// Cluster mounts the fault-tolerant scatter-gather tier
 	// (internal/shard): when non-nil, the answer stage executes every
 	// request over a gather view of the cluster instead of a direct KB
@@ -198,11 +189,6 @@ type System struct {
 	cache  *qacache.Cache[*Result]
 	negTTL time.Duration
 
-	// plans is the plan-shape cache the answer stage attaches to every
-	// execution session (nil = plan caching disabled; see
-	// Config.PlanCacheSize).
-	plans *sparql.PlanCache
-
 	// cluster is the sharded scatter-gather tier (nil = single-store).
 	cluster *shard.Cluster
 }
@@ -249,14 +235,7 @@ func New(cfg Config) *System {
 	ansCfg.EnableBoolean = cfg.EnableBoolean
 	ansCfg.EnableAggregation = cfg.EnableAggregation
 	ansCfg.CostNanosPerRow = cfg.CostNanosPerRow
-	ansCfg.DisablePlanCache = cfg.PlanCacheSize < 0
 	s.extractor = answer.New(k, ansCfg)
-	switch {
-	case cfg.PlanCacheSize > 0:
-		s.plans = sparql.NewPlanCache(cfg.PlanCacheSize)
-	case cfg.PlanCacheSize == 0:
-		s.plans = sparql.DefaultPlanCache()
-	}
 	s.triplexOpts = triplex.Options{Superlatives: cfg.EnableSuperlatives}
 	s.cluster = cfg.Cluster
 
@@ -450,18 +429,13 @@ func (s *System) CacheEntries() int {
 }
 
 // PlanCacheStats returns the cumulative hit/miss/eviction counts of
-// the plan-shape cache this System's answer stage uses, the number of
-// executions answered straight from an entry's bound-result memo
-// (resultHits, a subset of hits), plus whether plan caching is enabled
-// at all. The serving layer gates its plancache metrics on enabled so
-// a System running with caching disabled reports no counters rather
-// than fabricated misses.
-func (s *System) PlanCacheStats() (hits, misses, evictions, resultHits uint64, enabled bool) {
-	if s.plans == nil {
-		return 0, 0, 0, 0, false
-	}
-	hits, misses, evictions = s.plans.Stats()
-	return hits, misses, evictions, s.plans.ResultHits(), true
+// the process-wide plan-shape cache every execution session consults,
+// and the number of executions answered straight from an entry's
+// bound-result memo (resultHits, a subset of hits).
+func (s *System) PlanCacheStats() (hits, misses, evictions, resultHits uint64) {
+	pc := sparql.DefaultPlanCache()
+	hits, misses, evictions = pc.Stats()
+	return hits, misses, evictions, pc.ResultHits()
 }
 
 // CacheEligible reports whether the answer cache currently holds a
@@ -548,7 +522,6 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 	} else {
 		sess = sparql.NewSnapshotSession(res.snap)
 	}
-	sess = sess.WithPlanCache(st.s.plans)
 	ans, err := st.s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
 	ps := sess.PlanStats()
 	tr.PlanCacheHits, tr.PlanCacheMisses = ps.Hits, ps.Misses

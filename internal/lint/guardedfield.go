@@ -8,8 +8,8 @@ import (
 )
 
 // GuardedField is a lightweight lock checker for the fields the COW
-// writer and the session memo protect with a mutex. A struct field
-// whose comment says "guarded by <mu>" may only be touched inside
+// writer and the session's type-set map protect with a mutex. A struct
+// field whose comment says "guarded by <mu>" may only be touched inside
 // functions that lock that mutex (Lock or RLock) — or that document
 // the transfer with "caller holds <mu>" in their doc comment, the
 // convention the store's writer helpers already use. The check is

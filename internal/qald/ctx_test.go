@@ -30,7 +30,7 @@ func TestEvaluateWorkersCtxCancelled(t *testing.T) {
 func TestEvaluateCtxBackgroundMatchesEvaluate(t *testing.T) {
 	s := core.Default()
 	qs := Questions()[:8]
-	a, err := Evaluate(s, qs)
+	a, err := EvaluateCtx(context.Background(), s, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,9 @@ type Report struct {
 	F1          float64
 }
 
-// Gold computes the gold answer set of a question against the KB. ASK
-// gold queries yield a single xsd:boolean literal.
-func Gold(k *kb.KB, q Question) ([]rdf.Term, error) {
-	//qalint:ignore ctxflow pre-context compatibility wrapper; new callers use GoldCtx.
-	return GoldCtx(context.Background(), k, q)
-}
-
-// GoldCtx is Gold under a request context: the gold SPARQL query aborts
-// between join steps when the context is cancelled.
+// GoldCtx computes the gold answer set of a question against the KB;
+// ASK gold queries yield a single xsd:boolean literal. The gold SPARQL
+// query aborts between join steps when the context is cancelled.
 func GoldCtx(ctx context.Context, k *kb.KB, q Question) ([]rdf.Term, error) {
 	if strings.TrimSpace(q.GoldQuery) == "" {
 		return nil, nil
@@ -72,19 +66,8 @@ func GoldCtx(ctx context.Context, k *kb.KB, q Question) ([]rdf.Term, error) {
 	return res.Column("x"), nil
 }
 
-// Evaluate runs the system over the questions and scores it as §3 does.
-func Evaluate(s *core.System, questions []Question) (*Report, error) {
-	return EvaluateWorkers(s, questions, 1)
-}
-
-// EvaluateWorkers evaluates with question-level parallelism; see
-// EvaluateWorkersCtx.
-func EvaluateWorkers(s *core.System, questions []Question, workers int) (*Report, error) {
-	//qalint:ignore ctxflow pre-context compatibility wrapper; new callers use EvaluateWorkersCtx.
-	return EvaluateWorkersCtx(context.Background(), s, questions, workers)
-}
-
-// EvaluateCtx is Evaluate under a request context.
+// EvaluateCtx runs the system over the questions, one at a time, and
+// scores it as §3 does.
 func EvaluateCtx(ctx context.Context, s *core.System, questions []Question) (*Report, error) {
 	return EvaluateWorkersCtx(ctx, s, questions, 1)
 }
@@ -93,10 +76,11 @@ func EvaluateCtx(ctx context.Context, s *core.System, questions []Question) (*Re
 // `workers` goroutines answer questions concurrently (the pipeline is
 // read-only after construction and the store supports parallel
 // readers), while the report is aggregated in question order, so it is
-// identical at every worker count. This layer composes with the
-// candidate-query fan-out inside internal/answer. The context reaches
-// every gold query and every pipeline stage; when it is cancelled the
-// evaluation stops promptly and returns ctx's error.
+// identical at every worker count. It is the only parallelism in an
+// evaluation: inside a question §2.3 runs its candidates one at a time
+// in rank order. The context reaches every gold query and every
+// pipeline stage; when it is cancelled the evaluation stops promptly
+// and returns ctx's error.
 func EvaluateWorkersCtx(ctx context.Context, s *core.System, questions []Question, workers int) (*Report, error) {
 	rep := &Report{Total: len(questions)}
 	if workers < 1 {

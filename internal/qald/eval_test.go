@@ -1,6 +1,7 @@
 package qald
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func TestGoldQueriesParseAndRun(t *testing.T) {
 	k := kb.Default()
 	nonEmpty := 0
 	for _, q := range Questions() {
-		gold, err := Gold(k, q)
+		gold, err := GoldCtx(context.Background(), k, q)
 		if err != nil {
 			t.Errorf("Q%d gold query: %v", q.ID, err)
 			continue
@@ -52,7 +53,7 @@ func TestGoldQueriesParseAndRun(t *testing.T) {
 // F1 ~46 %. Exact counts are asserted loosely (shape, not testbed).
 func TestTable2Reproduction(t *testing.T) {
 	s := core.Default()
-	rep, err := Evaluate(s, Questions())
+	rep, err := EvaluateCtx(context.Background(), s, Questions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +86,12 @@ func TestTable2Reproduction(t *testing.T) {
 func TestEvaluateWorkersMatchesSequential(t *testing.T) {
 	s := core.Default()
 	qs := Questions()
-	want, err := Evaluate(s, qs)
+	want, err := EvaluateCtx(context.Background(), s, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 16} {
-		got, err := EvaluateWorkers(s, qs, workers)
+		got, err := EvaluateWorkersCtx(context.Background(), s, qs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestEvaluateWorkersMatchesSequential(t *testing.T) {
 // hallucinate answers for construction classes outside its rules.
 func TestUnsupportedCategoriesUnanswered(t *testing.T) {
 	s := core.Default()
-	rep, err := Evaluate(s, Questions())
+	rep, err := EvaluateCtx(context.Background(), s, Questions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestKnownWrongAnswers(t *testing.T) {
 	// The three engineered wrong answers must be answered *and* wrong —
 	// they are the 15/18 in the paper's precision.
 	s := core.Default()
-	rep, err := Evaluate(s, Questions())
+	rep, err := EvaluateCtx(context.Background(), s, Questions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestKnownWrongAnswers(t *testing.T) {
 
 func TestReportDeterminism(t *testing.T) {
 	s := core.Default()
-	a, err := Evaluate(s, Questions()[:20])
+	a, err := EvaluateCtx(context.Background(), s, Questions()[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(s, Questions()[:20])
+	b, err := EvaluateCtx(context.Background(), s, Questions()[:20])
 	if err != nil {
 		t.Fatal(err)
 	}

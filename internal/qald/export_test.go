@@ -2,6 +2,7 @@ package qald
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestWriteXML(t *testing.T) {
 	s := core.Default()
-	rep, err := Evaluate(s, Questions()[:5])
+	rep, err := EvaluateCtx(context.Background(), s, Questions()[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestWriteXML(t *testing.T) {
 
 func TestMacroMetrics(t *testing.T) {
 	s := core.Default()
-	rep, err := Evaluate(s, Questions())
+	rep, err := EvaluateCtx(context.Background(), s, Questions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,8 @@ import (
 // and recorder included, for a question the answer cache holds and for
 // one it does not (the whole pipeline plus the cache fill). Timings on
 // a shared host cannot hold a line in CI; an allocation count can. The
-// ceilings are 10% above what the code measures (38 and 137; 40 and 140
-// before replies were appended instead of reflected) — raise one only
-// with the reason in the commit.
+// ceilings are 10% above what the code measures (38 and 135) — raise
+// one only with the reason in the commit.
 func TestHandlerAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are measured without the race detector")
@@ -34,7 +33,7 @@ func TestHandlerAllocations(t *testing.T) {
 		}
 	}
 
-	const cached, uncached = 41, 150
+	const cached, uncached = 41, 148
 	post("How tall is Michael Jordan?")
 	if n := testing.AllocsPerRun(200, func() { post("How tall is Michael Jordan?") }); n > cached {
 		t.Errorf("cached request: %v allocs, ceiling %d", n, cached)

@@ -570,15 +570,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderPlanCache writes the plan-shape cache counters, read from the
-// System's cache at scrape time (they are cumulative across requests,
-// unlike the per-trace answer-cache counters). A System running with
-// plan caching disabled emits nothing at all — a disabled cache must
-// not report fabricated misses.
+// process-wide cache at scrape time (they are cumulative across
+// requests, unlike the per-trace answer-cache counters).
 func (s *Server) renderPlanCache(sb *strings.Builder) {
-	hits, misses, evictions, resultHits, enabled := s.sys.PlanCacheStats()
-	if !enabled {
-		return
-	}
+	hits, misses, evictions, resultHits := s.sys.PlanCacheStats()
 	fmt.Fprintf(sb, "# HELP qaserve_plancache_hits_total SPARQL plan-shape cache hits.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_plancache_hits_total counter\n")
 	fmt.Fprintf(sb, "qaserve_plancache_hits_total %d\n", hits)

@@ -1,0 +1,77 @@
+package sparql
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/kb"
+	"repro/internal/store"
+)
+
+// The ID-space engine against the retained term-space reference
+// evaluator (termspace_reference_test.go), query for query. Both sides
+// join on every iteration: the ID side runs on a fresh session detached
+// from the plan cache, because through the process-wide cache every
+// iteration after the first over an unchanging store would replay the
+// entry's bound-result memo and the pair would compare a replay to a
+// join. scripts/bench.sh selects these by name.
+
+const (
+	benchJoin3 = `SELECT ?p ?c ?n WHERE {
+		?p rdf:type dbont:Person .
+		?p dbont:birthPlace ?c .
+		?c dbont:populationTotal ?n . }`
+	benchJoin3Limit = `SELECT ?p ?c ?n WHERE {
+		?p rdf:type dbont:Person .
+		?p dbont:birthPlace ?c .
+		?c dbont:populationTotal ?n . } LIMIT 10`
+	benchDistinctOrder = `SELECT DISTINCT ?c WHERE {
+		?p dbont:birthPlace ?c .
+		?c dbont:populationTotal ?n . } ORDER BY DESC(?n)`
+)
+
+func executeUncached(st *store.Store, q *Query) (*Result, error) {
+	return NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+}
+
+func benchmarkQuery(b *testing.B, src string, exec func(*store.Store, *Query) (*Result, error)) {
+	k := kb.Default()
+	q := MustParse(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := exec(k.Store, q)
+		if err != nil || res.Len() == 0 {
+			b.Fatalf("res=%v err=%v", res, err)
+		}
+	}
+}
+
+// BenchmarkBGPJoin3 runs a 3-pattern basic graph pattern join
+// (person -> birthplace -> population) through the ID-space executor.
+func BenchmarkBGPJoin3(b *testing.B) { benchmarkQuery(b, benchJoin3, executeUncached) }
+
+// BenchmarkBGPJoin3TermSpace is the identical join on the term-space
+// reference evaluator.
+func BenchmarkBGPJoin3TermSpace(b *testing.B) { benchmarkQuery(b, benchJoin3, ExecuteTermSpace) }
+
+// BenchmarkBGPJoin3Limit shows late materialization: only the 10 rows
+// surviving LIMIT are converted back to terms.
+func BenchmarkBGPJoin3Limit(b *testing.B) { benchmarkQuery(b, benchJoin3Limit, executeUncached) }
+
+// BenchmarkBGPJoin3LimitTermSpace materialises every intermediate
+// binding before applying LIMIT.
+func BenchmarkBGPJoin3LimitTermSpace(b *testing.B) {
+	benchmarkQuery(b, benchJoin3Limit, ExecuteTermSpace)
+}
+
+// BenchmarkBGPJoinDistinctOrderBy adds DISTINCT and ORDER BY on top of
+// a two-pattern join, exercising projection, dedup and sorting.
+func BenchmarkBGPJoinDistinctOrderBy(b *testing.B) {
+	benchmarkQuery(b, benchDistinctOrder, executeUncached)
+}
+
+// BenchmarkBGPJoinDistinctOrderByTermSpace is the term-space twin.
+func BenchmarkBGPJoinDistinctOrderByTermSpace(b *testing.B) {
+	benchmarkQuery(b, benchDistinctOrder, ExecuteTermSpace)
+}

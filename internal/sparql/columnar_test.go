@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -108,7 +109,7 @@ func TestColumnarMatchesSolutions(t *testing.T) {
 		}
 
 		label := fmt.Sprintf("trial %d (%v)", trial, patterns)
-		got, err := Execute(st, q)
+		got, err := ExecuteCtx(context.Background(), st, q)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -143,7 +144,7 @@ func TestCountResultColumnarAccessors(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("E%d", i)), P: rdf.Ont("p"), O: rdf.Res("X")})
 	}
-	r, err := ExecuteString(st, `SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s dbont:p res:X }`)
+	r, err := ExecuteStringCtx(context.Background(), st, `SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s dbont:p res:X }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestBGPJoinUnderConcurrentBulkLoad(t *testing.T) {
 					return
 				default:
 				}
-				res, err := Execute(st, q)
+				res, err := ExecuteCtx(context.Background(), st, q)
 				if err != nil {
 					t.Errorf("join under load: %v", err)
 					return
@@ -240,7 +241,7 @@ func TestBGPJoinUnderConcurrentBulkLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	res, err := Execute(st, q)
+	res, err := ExecuteCtx(context.Background(), st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,9 @@ import "context"
 // prunes them immediately).
 //
 // The estimate is a pure function of the session's pinned snapshot:
-// compilation resolves constants through the session's memoized
-// dictionary lookups (shared with the later real execution) and reads
-// cardinalities from the store's cached totals, so calling this before
-// executing costs microseconds and no extra index work.
+// compilation resolves constants with one dictionary lookup each and
+// reads cardinalities from the store's cached totals, so calling this
+// before executing costs microseconds and no index work.
 func (s *Session) EstimateRows(ctx context.Context, q *Query) int {
 	if q == nil {
 		return 0

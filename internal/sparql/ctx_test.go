@@ -48,7 +48,7 @@ func TestExecuteCtxBackground(t *testing.T) {
 	q := MustParse(`SELECT DISTINCT ?c WHERE {
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . } ORDER BY DESC(?n)`)
-	want, err := Execute(st, q)
+	want, err := ExecuteCtx(context.Background(), st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,9 @@
 // filter pushdown split, ORDER BY keys and the projection — into an
 // immutable planShape (plan.go); shapes are looked up in a global,
 // generation-stamped cache (internal/sparql/plancache) keyed on the
-// query's structure with constant terms abstracted away, so the §2.3
-// fan-out's hundreds of sibling candidates per question share one
+// query's structure with constant terms abstracted away, so the few
+// sibling candidates §2.3 ranks per question (4.67 on the entity
+// stream) — and every later question of the same form — share one
 // cached shape. The *bind* phase then resolves the executing query's
 // concrete constants to dictionary IDs against the session's pinned
 // snapshot and hoists each pattern's exact base cardinality
@@ -36,14 +37,13 @@
 // index scan and the final dictionary view all read the same frozen
 // state, so queries never block behind concurrent bulk loads (the
 // store publishes new snapshots alongside) and never observe a
-// half-applied AddAll batch. The package-level Execute/ExecuteCtx wrap
-// each call in a throwaway single-query session; callers with many
-// related queries — one question's §2.3 candidate fan-out — build one
-// Session per question and execute all candidates through it, sharing
-// memoized term resolution, base-pattern scans and exact cardinalities
-// across the siblings. The session lifecycle, what exactly is memoized
-// and why the sharing is sound (including under the concurrent fan-out
-// pool) are documented in session.go.
+// half-applied AddAll batch. The package-level ExecuteCtx wraps each
+// call in a throwaway single-query session; the answer stage builds one
+// Session per question and executes that question's §2.3 candidates
+// through it, one at a time in rank order, sharing the plan cache
+// handle and each probed entity's rdf:type set. The session lifecycle,
+// what it holds and why sharing it is sound are documented in
+// session.go.
 //
 // # Join strategy
 //
@@ -53,14 +53,14 @@
 // degenerates to an existence filter and is answered by one sorted-ID
 // galloping merge against the store's posting list (extendStep /
 // mergeFilter) instead of a per-row index probe; all other patterns
-// extend row by row over ForEachMatchIDs, replaying the session's
-// memoized scan when the pattern is unsubstituted. Join order is
+// extend row by row over ForEachMatchIDs. Join order is
 // chosen at run time from the bound cardinalities — it is never part
 // of the cached shape, so a shared shape cannot pin a stale order.
 //
 // Results without ORDER BY are returned in a deterministic default
 // order: sorted by the projected columns' terms, unbound first
-// (rowLess defines the order). Production sorts never materialise
+// (rowLess in termspace_reference_test.go defines the order).
+// Production sorts never materialise
 // terms to get there — they compare integer ranks from the snapshot's
 // lazily-built term-rank permutation (store.Snapshot.TermRanks;
 // rankRowLess in plan.go), which maps each dictionary ID to its
@@ -88,33 +88,19 @@ import (
 	"repro/internal/store"
 )
 
-// Execute runs the query against the store.
-func Execute(st *store.Store, q *Query) (*Result, error) {
-	//qalint:ignore ctxflow pre-context compatibility wrapper; new callers use ExecuteCtx, which the ban steers them to.
-	return ExecuteCtx(context.Background(), st, q)
-}
-
 // ExecuteCtx runs the query against the store, honouring cancellation:
 // the executor checks ctx between join steps (per pattern of the
 // required BGP, per UNION branch, per OPTIONAL block and before the
 // final sort/projection) and returns ctx.Err() as soon as it observes a
-// cancelled context. Speculative callers — the concurrent candidate
-// fan-out in internal/answer — use this to abandon in-flight losers
-// once a higher-ranked candidate has won.
+// cancelled context, so a request whose deadline passes or whose client
+// goes away stops mid-join.
 //
-// Each call runs in a fresh single-query Session (one snapshot pin, no
-// sharing). Callers executing many related queries — one question's
-// candidate fan-out — should build one Session and execute through it
-// so the candidates share constant resolution, base scans and
-// cardinalities; results are identical either way.
+// Each call runs in a fresh single-query Session (one snapshot pin).
+// Callers executing one question's candidates build one Session and
+// execute through it, so the candidates read one snapshot and share the
+// entity type sets; results are identical either way.
 func ExecuteCtx(ctx context.Context, st *store.Store, q *Query) (*Result, error) {
 	return NewSession(st).ExecuteCtx(ctx, q)
-}
-
-// ExecuteString parses and runs src against the store.
-func ExecuteString(st *store.Store, src string) (*Result, error) {
-	//qalint:ignore ctxflow pre-context compatibility wrapper; new callers use ExecuteStringCtx.
-	return ExecuteStringCtx(context.Background(), st, src)
 }
 
 // ExecuteStringCtx parses and runs src against the store under a
@@ -131,8 +117,8 @@ func ExecuteStringCtx(ctx context.Context, st *store.Store, src string) (*Result
 // constant dictionary ID (vars[i] < 0) or a row column (ids[i] == 0).
 // unknown marks a pattern with a constant absent from the dictionary —
 // it can never match. baseCard is the pattern's exact unsubstituted
-// cardinality, resolved once at compile time through the session memo
-// (the planner re-reads it at every join step of every block).
+// cardinality, resolved once at compile time (the planner re-reads it
+// at every join step of every block).
 type cpat struct {
 	ids      [3]store.ID
 	vars     [3]int
@@ -169,8 +155,7 @@ func (ex *executor) term(id store.ID) rdf.Term {
 // pattern slot structure, filter split and projection, all independent
 // of which concrete terms are bound; see plan.go) and the bind phase
 // below, which resolves the executing query's constants to dictionary
-// IDs through the session's memoized lookups and hoists exact base
-// cardinalities from the pinned snapshot.
+// IDs and hoists exact base cardinalities from the pinned snapshot.
 func compile(ctx context.Context, sess *Session, q *Query) *executor {
 	sh, ent := sess.planFor(q)
 	ex := &executor{sess: sess, snap: sess.snap, q: q, ctx: ctx,
@@ -208,7 +193,7 @@ func (ex *executor) bindPatterns(shapes []spat, pats []rdf.Triple) []cpat {
 			if sp.vars[j] >= 0 {
 				continue
 			}
-			id, ok := ex.sess.resolve(t)
+			id, ok := ex.snap.Lookup(t)
 			if !ok {
 				cp.unknown = true
 				continue
@@ -286,37 +271,14 @@ func substituted(cp cpat, r []store.ID) [3]store.ID {
 
 // extendInto scans the matches of cp under each row of src and appends
 // the extended rows to dst. Repeated variables within a pattern are
-// checked for consistency. A row under which cp stays fully
-// unsubstituted replays the session-memoized base scan instead of
-// re-walking the index — the replay yields exactly the tuples the
-// direct scan would produce, in the same order, so sibling candidate
-// queries (and repeated cross-product rows) share one physical scan.
+// checked for consistency.
 func (ex *executor) extendInto(dst *rowset, src *rowset, cp cpat) {
 	if cp.unknown {
 		return
 	}
-	width := 0
-	for _, id := range cp.ids {
-		if id == 0 {
-			width++
-		}
-	}
-	var memo *scanEntry
-	memoTried := false
 	for i := 0; i < src.n; i++ {
 		r := src.row(i)
-		pat := substituted(cp, r)
-		if pat == cp.ids && width > 0 && cp.baseCard >= scanMemoMin {
-			if !memoTried {
-				memoTried = true
-				memo = ex.sess.baseScan(cp.ids, cp.baseCard, width)
-			}
-			if memo != nil {
-				ex.replayScan(dst, r, cp, memo)
-				continue
-			}
-		}
-		ex.snap.ForEachMatchIDs(pat, func(s, p, o store.ID) bool {
+		ex.snap.ForEachMatchIDs(substituted(cp, r), func(s, p, o store.ID) bool {
 			nr := dst.push(r)
 			match := [3]store.ID{s, p, o}
 			for pos, col := range cp.vars {
@@ -332,32 +294,6 @@ func (ex *executor) extendInto(dst *rowset, src *rowset, cp cpat) {
 			}
 			return true
 		})
-	}
-}
-
-// replayScan extends one row with the memoized matches of cp: the scan
-// entry holds the wildcard-position values of every match, so only the
-// variable columns need filling (a zero position in cp.ids is always a
-// variable — unknown constants never reach execution). The repeated-
-// variable consistency check mirrors the direct-scan path.
-func (ex *executor) replayScan(dst *rowset, r []store.ID, cp cpat, memo *scanEntry) {
-	w := memo.width
-	for j := 0; j+w <= len(memo.vals); j += w {
-		nr := dst.push(r)
-		k := j
-		for pos, col := range cp.vars {
-			if cp.ids[pos] != 0 {
-				continue
-			}
-			v := memo.vals[k]
-			k++
-			if nr[col] == 0 {
-				nr[col] = v
-			} else if nr[col] != v {
-				dst.pop()
-				break
-			}
-		}
 	}
 }
 
@@ -485,10 +421,9 @@ func (ex *executor) pickPattern(remaining []cpat, bound []bool, anyBound bool, r
 		card := 0
 		if !cp.unknown {
 			// Unsubstituted patterns read the cardinality resolved once
-			// at compile time (shared through the session across every
-			// sibling candidate and every join step of every block);
-			// only genuinely row-substituted patterns hit the snapshot,
-			// and those estimates are O(1) list-length reads.
+			// at compile time (shared across every join step of every
+			// block); only genuinely row-substituted patterns hit the
+			// snapshot, and those estimates are O(1) list-length reads.
 			if pat := substituted(cp, rep); pat == cp.ids {
 				card = cp.baseCard
 			} else {
@@ -1070,34 +1005,6 @@ func appendRowKey(buf []byte, ids []store.ID) []byte {
 		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	return buf
-}
-
-// rowLess orders two rows by the projected columns' terms (unbound
-// first) — the reference definition of the deterministic default
-// order. Production sorts run rankRowLess over the snapshot's
-// term-rank permutation instead; the equivalence (identical order,
-// zero term materialization) is pinned by the determinism tests in
-// plan_test.go, which keep this comparator as their oracle.
-func (ex *executor) rowLess(a, b []store.ID, projCols []int) bool {
-	for _, col := range projCols {
-		if col < 0 {
-			continue
-		}
-		ia, ib := a[col], b[col]
-		if ia == ib {
-			continue
-		}
-		if ia == 0 {
-			return true
-		}
-		if ib == 0 {
-			return false
-		}
-		if c := ex.term(ia).Compare(ex.term(ib)); c != 0 {
-			return c < 0
-		}
-	}
-	return false
 }
 
 // --- REGEX support with a small compiled-pattern cache ---

@@ -11,9 +11,10 @@
 // variable->column layout and runs entirely in the store's dictionary-ID
 // space over flat binding rows, materialising rdf.Term values only when
 // projecting the final Result (late materialization; see eval.go). The
-// original term-space evaluator is retained in termspace.go as
-// ExecuteTermSpace — the differential-testing oracle and the benchmark
-// baseline the ID engine is measured against.
+// original term-space evaluator is retained in
+// termspace_reference_test.go as ExecuteTermSpace — the
+// differential-testing oracle and the benchmark baseline the ID engine
+// is measured against.
 package sparql
 
 import (

@@ -16,10 +16,11 @@
 //     exact base cardinality — the two genuinely snapshot-dependent
 //     compile steps.
 //
-// The §2.3 candidate fan-out makes this split pay: hundreds of
-// candidate queries per question differ only in their bound terms, so
-// they all map to one shape key and one cached planShape; only the
-// cheap bind phase runs per candidate. Shapes live in a global
+// The §2.3 candidates make this split pay: the few a question ranks
+// (4.67 on the entity stream) — and those of every other question of
+// the same form — differ only in their bound terms, so they all map to
+// one shape key and one cached planShape; only the cheap bind phase
+// runs per candidate. Shapes live in a global
 // internal/sparql/plancache (sharded, bounded, generation-stamped)
 // shared across sessions, so sibling candidates within one question
 // and across concurrent questions hit the same entries.

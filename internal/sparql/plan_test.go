@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,9 +34,9 @@ func TestPlanCacheDifferential(t *testing.T) {
 		cached := NewSession(st).WithPlanCache(pc)
 		bare := NewSession(st).WithPlanCache(nil)
 		for qi, q := range qs {
-			want, errW := bare.Execute(q)
+			want, errW := bare.ExecuteCtx(context.Background(), q)
 			for pass := 0; pass < 2; pass++ { // pass 1 hits the cache
-				got, errG := cached.Execute(q)
+				got, errG := cached.ExecuteCtx(context.Background(), q)
 				if (errW == nil) != (errG == nil) {
 					t.Fatalf("trial %d query %d pass %d: err mismatch %v vs %v",
 						trial, qi, pass, errW, errG)
@@ -70,7 +71,7 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 	want := make([]string, len(qs))
 	bare := NewSession(st).WithPlanCache(nil)
 	for i, q := range qs {
-		r, err := bare.Execute(q)
+		r, err := bare.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 			defer wg.Done()
 			sess := NewSession(st).WithPlanCache(pc)
 			for i, q := range qs {
-				r, err := sess.Execute(q)
+				r, err := sess.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					errCh <- err
 					return
@@ -118,10 +119,10 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 
 	s1 := NewSession(st).WithPlanCache(pc)
-	if _, err := s1.Execute(q); err != nil {
+	if _, err := s1.ExecuteCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Execute(q); err != nil {
+	if _, err := s1.ExecuteCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if ps := s1.PlanStats(); ps.Misses != 1 || ps.Hits != 1 {
@@ -130,7 +131,7 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 
 	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
 	s2 := NewSession(st).WithPlanCache(pc)
-	r, err := s2.Execute(q)
+	r, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 		t.Fatal("generation change evicted nothing")
 	}
 	// The refreshed entry serves the new generation.
-	if _, err := s2.Execute(q); err != nil {
+	if _, err := s2.ExecuteCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if ps := s2.PlanStats(); ps.Hits != 1 {
@@ -175,6 +176,31 @@ func TestShapeKeySharing(t *testing.T) {
 	g := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 4) }`)
 	if shapeKey(f) == shapeKey(g) {
 		t.Fatal("filter constants must stay concrete in the key")
+	}
+}
+
+// TestRankRowLessMatchesRowLess: on every pair of rows over a sample of
+// the dictionary (unbound cells included) the integer comparator the
+// production sorts use agrees with rowLess, the term-order definition
+// it replaced.
+func TestRankRowLessMatchesRowLess(t *testing.T) {
+	st, _ := randStore(rand.New(rand.NewSource(5)), 40, 3)
+	sess := NewSession(st).WithPlanCache(nil)
+	ex := compile(context.Background(), sess, MustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
+	ranks, _ := sess.snap.TermRanks()
+	var rows [][]store.ID
+	for a := store.ID(0); a <= 12; a++ {
+		for b := store.ID(0); b <= 12; b++ {
+			rows = append(rows, []store.ID{a, 7, b})
+		}
+	}
+	cols := []int{0, -1, 2}
+	for _, a := range rows {
+		for _, b := range rows {
+			if got, want := rankRowLess(ranks, a, b, cols), ex.rowLess(a, b, cols); got != want {
+				t.Fatalf("rankRowLess(%v, %v) = %v, rowLess says %v", a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -252,7 +278,7 @@ func TestRankSortDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sess := NewSession(st).WithPlanCache(nil)
-		r, err := sess.Execute(tc.q)
+		r, err := sess.ExecuteCtx(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -267,7 +293,7 @@ func TestRankSortDeterminism(t *testing.T) {
 		// interchangeable, so the unstable sort may not be observable.
 		cachedSess := NewSession(st).WithPlanCache(NewPlanCache(8))
 		for pass := 0; pass < 2; pass++ {
-			r2, err := cachedSess.Execute(tc.q)
+			r2, err := cachedSess.ExecuteCtx(context.Background(), tc.q)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", tc.label, pass, err)
 			}
@@ -292,7 +318,7 @@ func TestResultMemoHitReplay(t *testing.T) {
 	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 
 	sess := NewSession(st).WithPlanCache(pc)
-	r1, err := sess.Execute(q)
+	r1, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +327,7 @@ func TestResultMemoHitReplay(t *testing.T) {
 		t.Fatalf("first execution hit the memo: %+v", ps)
 	}
 
-	r2, err := sess.Execute(q)
+	r2, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +348,7 @@ func TestResultMemoHitReplay(t *testing.T) {
 	for i := range r2.Rows {
 		r2.Rows[i] = 0
 	}
-	r3, err := sess.Execute(q)
+	r3, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +372,11 @@ func TestResultMemoWindowKey(t *testing.T) {
 
 	want2, want5 := "", ""
 	for pass := 0; pass < 2; pass++ {
-		r2, err := sess.Execute(q2)
+		r2, err := sess.ExecuteCtx(context.Background(), q2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r5, err := sess.Execute(q5)
+		r5, err := sess.ExecuteCtx(context.Background(), q5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,12 +414,12 @@ func TestResultMemoCrossStore(t *testing.T) {
 	stB.Add(rdf.Triple{S: rdf.Res("Bob"), P: rdf.Type(), O: rdf.Ont("Person")})
 
 	sa := NewSession(stA).WithPlanCache(pc)
-	ra, err := sa.Execute(q)
+	ra, err := sa.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := NewSession(stB).WithPlanCache(pc)
-	rb, err := sb.Execute(q)
+	rb, err := sb.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +428,11 @@ func TestResultMemoCrossStore(t *testing.T) {
 		t.Fatal("test setup broken: both stores produced identical results")
 	}
 	// Repeats on both stores must replay their own store's result.
-	ra2, err := sa.Execute(q)
+	ra2, err := sa.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb2, err := sb.Execute(q)
+	rb2, err := sb.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +453,7 @@ func TestResultMemoGenerationInvalidation(t *testing.T) {
 
 	s1 := NewSession(st).WithPlanCache(pc)
 	for pass := 0; pass < 2; pass++ {
-		if _, err := s1.Execute(q); err != nil {
+		if _, err := s1.ExecuteCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +463,7 @@ func TestResultMemoGenerationInvalidation(t *testing.T) {
 
 	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
 	s2 := NewSession(st).WithPlanCache(pc)
-	r, err := s2.Execute(q)
+	r, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +473,7 @@ func TestResultMemoGenerationInvalidation(t *testing.T) {
 	if ps := s2.PlanStats(); ps.ResultHits != 0 {
 		t.Fatalf("post-write execution replayed a memo: %+v", ps)
 	}
-	r2, err := s2.Execute(q)
+	r2, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +492,7 @@ func TestResultMemoAsk(t *testing.T) {
 	sess := NewSession(st).WithPlanCache(NewPlanCache(8))
 	q := MustParse(`ASK { res:A dbont:p ?x . }`)
 	for pass := 0; pass < 2; pass++ {
-		r, err := sess.Execute(q)
+		r, err := sess.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,12 +521,12 @@ func TestResultMemoCount(t *testing.T) {
 	cached := NewSession(st).WithPlanCache(NewPlanCache(16))
 	bare := NewSession(st).WithPlanCache(nil)
 	for qi, q := range queries {
-		want, err := bare.Execute(q)
+		want, err := bare.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 3; pass++ { // passes 1-2 replay the memo
-			got, err := cached.Execute(q)
+			got, err := cached.ExecuteCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -516,14 +542,14 @@ func TestResultMemoCount(t *testing.T) {
 	// A write evicts the memoized scalar with everything else.
 	st.Add(rdf.Triple{S: rdf.Res("fresh"), P: rdf.Ont("p0"), O: rdf.NewInteger(7)})
 	s2 := NewSession(st).WithPlanCache(cached.plans)
-	r, err := s2.Execute(queries[0])
+	r, err := s2.ExecuteCtx(context.Background(), queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ps := s2.PlanStats(); ps.ResultHits != 0 {
 		t.Fatalf("stale COUNT memo replayed across a write: %+v", ps)
 	}
-	fresh, err := NewSession(st).WithPlanCache(nil).Execute(queries[0])
+	fresh, err := NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package plancache provides the bounded, sharded global cache of
 // compiled SPARQL plan shapes the execution sessions consult before
 // compiling (internal/sparql's shape/bind split). The §2.3 candidate
-// fan-out executes hundreds of queries per question that differ only
-// in their bound terms, so sibling candidates — within one question
-// and across concurrent questions — share one cached shape.
+// queries of every question of one form differ only in their bound
+// terms, so sibling candidates — within one question and across
+// concurrent questions — share one cached shape.
 //
 // The cache mirrors internal/qacache's discipline: sharded so the
 // per-lookup critical section is one shard mutex, capacity enforced

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,11 +16,11 @@ import (
 // fresh single-query execution — same rows, same order, same terms —
 // over randomized graphs, randomized candidate-style query batches and
 // concurrent execution. Run under -race this also exercises the
-// session's memoization locking the way the §2.3 fan-out pool does.
+// session's locking from several goroutines at once.
 
 // randStore builds a random graph shaped like the §2.3 workload: a
 // type layer plus several property layers over a shared entity space,
-// so sibling queries share base scans and posting lists.
+// so sibling queries read the same posting lists.
 func randStore(rng *rand.Rand, nEnt, nProps int) (*store.Store, []rdf.Term) {
 	st := store.New()
 	var batch []rdf.Triple
@@ -128,8 +129,8 @@ func TestSessionMatchesFreshExecution(t *testing.T) {
 		qs := siblingQueries(rng, props)
 		sess := NewSession(st)
 		for qi, q := range qs {
-			fresh, errF := Execute(st, q)
-			shared, errS := sess.Execute(q)
+			fresh, errF := ExecuteCtx(context.Background(), st, q)
+			shared, errS := sess.ExecuteCtx(context.Background(), q)
 			if (errF == nil) != (errS == nil) {
 				t.Fatalf("trial %d query %d: err mismatch %v vs %v", trial, qi, errF, errS)
 			}
@@ -145,16 +146,15 @@ func TestSessionMatchesFreshExecution(t *testing.T) {
 }
 
 // TestSessionConcurrentExecution drives one session from many
-// goroutines at once — the fan-out pool's usage — and checks every
-// result against fresh execution. Under -race this pins the memo
-// locking.
+// goroutines at once and checks every result against fresh execution.
+// Under -race this pins the session's locking.
 func TestSessionConcurrentExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st, props := randStore(rng, 150, 4)
 	qs := siblingQueries(rng, props)
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		r, err := Execute(st, q)
+		r, err := ExecuteCtx(context.Background(), st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestSessionConcurrentExecution(t *testing.T) {
 			wg.Add(1)
 			go func(i int, q *Query) {
 				defer wg.Done()
-				r, err := sess.Execute(q)
+				r, err := sess.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					errCh <- err
 					return
@@ -194,55 +194,19 @@ func TestSessionPinsSnapshot(t *testing.T) {
 	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)})
 	sess := NewSession(st)
 	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
-	r1, err := sess.Execute(q)
+	r1, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil || r1.Len() != 1 {
 		t.Fatalf("r1=%v err=%v", r1, err)
 	}
 	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
-	r2, err := sess.Execute(q)
+	r2, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil || r2.Len() != 1 {
 		t.Fatalf("pinned session saw the write: len=%d err=%v", r2.Len(), err)
 	}
-	r3, err := NewSession(st).Execute(q)
+	r3, err := NewSession(st).ExecuteCtx(context.Background(), q)
 	if err != nil || r3.Len() != 2 {
 		t.Fatalf("fresh session missed the write: len=%d err=%v", r3.Len(), err)
 	}
-}
-
-// TestSessionScanBudget: a pattern too large for the memo budget still
-// executes correctly (direct scan, no memoization).
-func TestSessionScanBudget(t *testing.T) {
-	st := store.New()
-	var batch []rdf.Triple
-	for i := 0; i < 200; i++ {
-		batch = append(batch, rdf.Triple{
-			S: rdf.Res(fmt.Sprintf("E%d", i)), P: rdf.Ont("p"), O: rdf.NewInteger(int64(i))})
-	}
-	st.AddAll(batch)
-	sess := NewSession(st)
-	sess.budget = 10 // force the over-budget path for the 200-row scan
-	q := MustParse(`SELECT ?s ?x WHERE { ?s dbont:p ?x . }`)
-	r, err := sess.Execute(q)
-	if err != nil || r.Len() != 200 {
-		t.Fatalf("over-budget scan: len=%d err=%v", r.Len(), err)
-	}
-	if _, hit := sess.scans[[3]store.ID{0, mustID(t, st, rdf.Ont("p")), 0}]; !hit {
-		t.Fatal("over-budget pattern should be marked (nil) in the scan map")
-	}
-	// Second execution stays correct (and still unmemoized).
-	r2, err := sess.Execute(q)
-	if err != nil || r2.Len() != 200 {
-		t.Fatalf("second over-budget scan: len=%d err=%v", r2.Len(), err)
-	}
-}
-
-func mustID(t *testing.T, st *store.Store, term rdf.Term) store.ID {
-	t.Helper()
-	id, ok := st.Lookup(term)
-	if !ok {
-		t.Fatalf("%v not in dictionary", term)
-	}
-	return id
 }
 
 // countingView counts the triple-data reads a session makes of its

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,9 +39,9 @@ func testGraph() *store.Store {
 
 func exec(t *testing.T, st *store.Store, src string) *Result {
 	t.Helper()
-	res, err := ExecuteString(st, src)
+	res, err := ExecuteStringCtx(context.Background(), st, src)
 	if err != nil {
-		t.Fatalf("ExecuteString(%q): %v", src, err)
+		t.Fatalf("ExecuteStringCtx(%q): %v", src, err)
 	}
 	return res
 }
@@ -365,8 +366,8 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		t.Fatalf("re-parse of %q: %v", rendered, err)
 	}
 	st := testGraph()
-	r1, _ := Execute(st, q)
-	r2, _ := Execute(st, q2)
+	r1, _ := ExecuteCtx(context.Background(), st, q)
+	r2, _ := ExecuteCtx(context.Background(), st, q2)
 	if len(r1.Solutions()) != len(r2.Solutions()) {
 		t.Errorf("round-trip changed result: %d vs %d", len(r1.Solutions()), len(r2.Solutions()))
 	}
@@ -385,8 +386,8 @@ func TestLessThanVsIRIAmbiguity(t *testing.T) {
 }
 
 func TestExecuteNilQuery(t *testing.T) {
-	if _, err := Execute(store.New(), nil); err == nil {
-		t.Error("Execute(nil) should error")
+	if _, err := ExecuteCtx(context.Background(), store.New(), nil); err == nil {
+		t.Error("ExecuteCtx(nil query) should error")
 	}
 }
 

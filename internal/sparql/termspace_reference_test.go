@@ -8,10 +8,12 @@
 //
 //   - the differential-testing oracle (TestIDEngineMatchesTermSpace
 //     cross-checks the two engines on random graphs and query shapes), and
-//   - the benchmark baseline (Benchmark*TermSpace in the repo root) that
+//   - the benchmark baseline (Benchmark*TermSpace in bench_test.go) that
 //     keeps the ID engine's speedup measurable in every future PR.
 //
-// It must stay semantically identical to Execute; it is not optimised.
+// It must stay semantically identical to ExecuteCtx; it is not
+// optimised. rowLess, the term-order definition of the default result
+// order that rankRowLess replaced, is kept at the end of the file.
 
 package sparql
 
@@ -25,7 +27,7 @@ import (
 )
 
 // ExecuteTermSpace runs the query with the term-space reference
-// evaluator. Results are identical to Execute; only the execution
+// evaluator. Results are identical to ExecuteCtx; only the execution
 // strategy (and its cost) differs. Like the ID engine it pins one
 // snapshot up front, so even the oracle path can never mix
 // generations mid-query.
@@ -447,4 +449,32 @@ func tsExtend(sol Binding, pat rdf.Triple, t rdf.Triple) (Binding, bool) {
 		return nil, false
 	}
 	return nb, true
+}
+
+// rowLess orders two rows by the projected columns' terms (unbound
+// first) — the reference definition of the deterministic default
+// order. Production sorts run rankRowLess over the snapshot's
+// term-rank permutation instead; the equivalence (identical order,
+// zero term materialization) is pinned by TestRankRowLessMatchesRowLess
+// in plan_test.go.
+func (ex *executor) rowLess(a, b []store.ID, projCols []int) bool {
+	for _, col := range projCols {
+		if col < 0 {
+			continue
+		}
+		ia, ib := a[col], b[col]
+		if ia == ib {
+			continue
+		}
+		if ia == 0 {
+			return true
+		}
+		if ib == 0 {
+			return false
+		}
+		if c := ex.term(ia).Compare(ex.term(ib)); c != 0 {
+			return c < 0
+		}
+	}
+	return false
 }

@@ -297,10 +297,8 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 }
 
 // execUncached runs q on a fresh session detached from the plan cache,
-// as qaload's sparql.exec_us probe does. Through the process-wide cache
-// every iteration after the first over an unchanging store replays the
-// entry's bound-result memo, and the benchmark stops measuring the
-// executor.
+// as qaload's sparql.exec_us probe does: every iteration builds the
+// shape, binds and joins.
 func execUncached(st *store.Store, q *sparql.Query) (*sparql.Result, error) {
 	return sparql.NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
 }
@@ -642,10 +640,9 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 
 // BenchmarkExtractSequential executes the candidate set in rank order
 // with the shared per-question sparql.Session — the production path
-// (the name dates from when a speculative pool ran beside it). The
-// store never changes, so after the first iteration every candidate is
-// a bound-result memo replay: this measures §2.3 over the memo, not the
-// executor.
+// (the name dates from when a speculative pool ran beside it). After
+// the first iteration every candidate compiles from a cached shape and
+// then runs its join.
 func BenchmarkExtractSequential(b *testing.B) {
 	k, mp := fanoutSetup(b)
 	ex := answer.New(k, answer.Config{MaxQueries: 256})
@@ -995,7 +992,7 @@ func BenchmarkRankSort(b *testing.B) {
 	q := sparql.MustParse(`SELECT DISTINCT ?p ?c WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c . }`)
-	sess := sparql.NewSession(k.Store).WithPlanCache(nil) // or every iteration but the first replays the memo
+	sess := sparql.NewSession(k.Store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

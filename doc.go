@@ -41,10 +41,10 @@
 // snapshot: §2.3 ranks a handful of candidate queries (4.67 a question
 // on the entity stream) that differ only in a property URI or triple
 // orientation, and the session is what they reuse — the plan cache
-// handle (one cached shape for all the siblings, and a bound-result
-// memo that replays a candidate repeated at the same store generation)
-// and each probed entity's rdf:type set. The executor also answers
-// bound-variable existence patterns with sorted-ID galloping merges
+// handle (one cached shape for all the siblings; a shape holds no
+// result, so every candidate runs its join and a store write leaves
+// the shape valid) and each probed entity's rdf:type set. The
+// executor also answers bound-variable existence patterns with sorted-ID galloping merges
 // against the store's posting lists (store.Snapshot.PostingList) and
 // deduplicates DISTINCT results in ID space before the final term
 // sort. Differential tests pin session ≡ fresh execution and cached ≡

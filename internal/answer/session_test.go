@@ -13,27 +13,26 @@ import (
 )
 
 // The "cached ≡ fresh" oracle at the §2.3 level: extraction through a
-// session on a plan cache (shared shapes, bound-result memo) must
+// session on a plan cache (shared shapes) must
 // produce a Result byte-identical to extraction through a session with
 // the cache detached — same winner, same answers, same per-candidate
 // bookkeeping, same error text — over randomized KBs and randomized
 // candidate sets.
 
 // cachedMatchesFresh runs mp once detached and twice through pc (the
-// store does not change in between, so the second cached pass is served
-// from the memo wherever an entry has room) and fails on any
-// difference. It returns the second pass's bound-result memo hits. pc
+// second cached pass compiles every candidate from a cached shape) and
+// fails on any difference. It returns the second pass's shape hits. pc
 // is the test's own cache: the process-wide one holds whatever earlier
 // tests of the package left in its entries.
 func cachedMatchesFresh(t *testing.T, label string, k *kb.KB, pc *sparql.PlanCache, cfg Config, mp *propmap.Mapping) uint64 {
 	t.Helper()
 	ex, ctx := New(k, cfg), context.Background()
 	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSession(k.Store).WithPlanCache(nil))
-	var resultHits uint64
+	var shapeHits uint64
 	for pass := 0; pass < 2; pass++ {
 		sess := sparql.NewSession(k.Store).WithPlanCache(pc)
 		cachedRes, cachedErr := ex.ExtractSessionCtx(ctx, mp, sess)
-		resultHits = sess.PlanStats().ResultHits
+		shapeHits = sess.PlanStats().Hits
 		if (freshErr == nil) != (cachedErr == nil) {
 			t.Fatalf("%s pass=%d: err mismatch: %v vs %v", label, pass, freshErr, cachedErr)
 		}
@@ -48,7 +47,7 @@ func cachedMatchesFresh(t *testing.T, label string, k *kb.KB, pc *sparql.PlanCac
 			t.Fatalf("%s pass=%d:\nfresh:  %+v\ncached: %+v", label, pass, want, got)
 		}
 	}
-	return resultHits
+	return shapeHits
 }
 
 func TestSessionMatchesFreshDifferential(t *testing.T) {
@@ -62,17 +61,17 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(23))
 	pc := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
-	var memoServed uint64
+	var shapeServed uint64
 	for ki, k := range kbs {
 		for trial := 0; trial < 16; trial++ {
 			kind := kinds[trial%len(kinds)]
 			mp := synthMapping(r, k, kind, false)
 			cfg := Config{MaxQueries: 256, EnableAggregation: kind == triplex.ExpectNumeric}
-			memoServed += cachedMatchesFresh(t, fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind), k, pc, cfg, mp)
+			shapeServed += cachedMatchesFresh(t, fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind), k, pc, cfg, mp)
 		}
 	}
-	if memoServed == 0 {
-		t.Fatal("no second pass was served from the bound-result memo: the differential compared fresh to fresh")
+	if shapeServed == 0 {
+		t.Fatal("no second pass compiled from a cached shape: the differential compared fresh to fresh")
 	}
 }
 
@@ -83,12 +82,12 @@ func TestSessionMatchesFreshBoolean(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	cfg := Config{MaxQueries: 256, EnableBoolean: true}
 	pc := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
-	var memoServed uint64
+	var shapeServed uint64
 	for trial := 0; trial < 12; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectBoolean, true)
-		memoServed += cachedMatchesFresh(t, fmt.Sprintf("trial=%d", trial), k, pc, cfg, mp)
+		shapeServed += cachedMatchesFresh(t, fmt.Sprintf("trial=%d", trial), k, pc, cfg, mp)
 	}
-	if memoServed == 0 {
-		t.Fatal("no second pass was served from the bound-result memo: the differential compared fresh to fresh")
+	if shapeServed == 0 {
+		t.Fatal("no second pass compiled from a cached shape: the differential compared fresh to fresh")
 	}
 }

@@ -410,11 +410,11 @@ func (s *System) SynonymPairsOf(local string) []kb.Property {
 	return s.mapper.SynonymsOf(local)
 }
 
-// CacheStats returns the answer cache's cumulative hit/miss counts
-// (zeros when the cache is disabled).
-func (s *System) CacheStats() (hits, misses uint64) {
+// CacheStats returns the answer cache's cumulative hit, miss and
+// eviction counts (zeros when the cache is disabled).
+func (s *System) CacheStats() (hits, misses, evictions uint64) {
 	if s.cache == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	return s.cache.Stats()
 }
@@ -426,16 +426,6 @@ func (s *System) CacheEntries() int {
 		return 0
 	}
 	return s.cache.Len()
-}
-
-// PlanCacheStats returns the cumulative hit/miss/eviction counts of
-// the process-wide plan-shape cache every execution session consults,
-// and the number of executions answered straight from an entry's
-// bound-result memo (resultHits, a subset of hits).
-func (s *System) PlanCacheStats() (hits, misses, evictions, resultHits uint64) {
-	pc := sparql.DefaultPlanCache()
-	hits, misses, evictions = pc.Stats()
-	return hits, misses, evictions, pc.ResultHits()
 }
 
 // CacheEligible reports whether the answer cache currently holds a
@@ -524,8 +514,7 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 	}
 	ans, err := st.s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
 	ps := sess.PlanStats()
-	tr.PlanCacheHits, tr.PlanCacheMisses = ps.Hits, ps.Misses
-	tr.PlanResultHits, tr.RankSorts = ps.ResultHits, ps.RankSorts
+	tr.PlanCacheHits, tr.PlanCacheMisses, tr.RankSorts = ps.Hits, ps.Misses, ps.RankSorts
 	if res.view != nil {
 		out := res.view.Outcome()
 		res.ShardsTotal, res.ShardsAnswered = out.ShardsTotal, out.ShardsAnswered

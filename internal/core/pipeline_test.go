@@ -177,9 +177,9 @@ func TestAnswerCacheHit(t *testing.T) {
 	if third.Question != "Where did  Abraham Lincoln die ?" {
 		t.Errorf("question rewritten to %q", third.Question)
 	}
-	hits, misses := s.CacheStats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 2/1", hits, misses)
+	hits, misses, evictions := s.CacheStats()
+	if hits != 2 || misses != 1 || evictions != 0 {
+		t.Errorf("stats = %d hits / %d misses / %d evictions, want 2/1/0", hits, misses, evictions)
 	}
 	// Failure outcomes are cached too — they are deterministic.
 	if s.Answer("gibberish blob"); !s.Answer("gibberish blob").CacheHit() {

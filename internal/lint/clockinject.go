@@ -11,16 +11,15 @@ import (
 // cooldown window and the chaos injector's fault schedule are all
 // driven by injected clocks (the PR 6 WithClock design; the PR 8
 // admission.Options.Now), so a stray time.Now would make TTL,
-// recovery and shedding behaviour untestable without sleeps. The PR 9
-// plan-shape cache is deliberately time-free; the scope covers it so
-// any future expiry arrives as an injected clock, not a stray
-// time.Now. The PR 10 shard failure domains (attempt timeouts, hedge
-// delays, backoff, breaker cooldowns) are in scope for the same
-// reason: their transition tests run on a fake clock and hand-fired
-// timers (shard.Config.Now / AfterFunc).
+// recovery and shedding behaviour untestable without sleeps (the
+// plan-shape cache is a qacache, so that entry covers it). The PR 10
+// shard failure domains (attempt timeouts, hedge delays, backoff,
+// breaker cooldowns) are in scope for the same reason: their
+// transition tests run on a fake clock and hand-fired timers
+// (shard.Config.Now / AfterFunc).
 var ClockInject = &Analyzer{
 	Name: "clockinject",
-	Doc:  "no time.Now/Since/Until in internal/{qacache,wal,store,admission,chaos,shard,sparql/plancache} — use the injected clock",
+	Doc:  "no time.Now/Since/Until in internal/{qacache,wal,store,admission,chaos,shard} — use the injected clock",
 	Run:  runClockInject,
 }
 
@@ -28,7 +27,6 @@ var ClockInject = &Analyzer{
 var clockInjectScope = []string{
 	"internal/qacache", "internal/wal", "internal/store",
 	"internal/admission", "internal/chaos", "internal/shard",
-	"internal/sparql/plancache",
 }
 
 // wallClockFuncs are the time functions that read the process clock.

@@ -117,14 +117,11 @@ type StageTrace struct {
 	CacheHit bool
 	// PlanCacheHits / PlanCacheMisses count the answer stage's
 	// plan-shape cache outcomes for this request's candidate fan-out,
-	// PlanResultHits the candidates answered straight from a cached
-	// entry's bound-result memo (a subset of PlanCacheHits), and
-	// RankSorts the result sorts executed over the snapshot's
+	// and RankSorts the result sorts executed over the snapshot's
 	// term-rank permutation. All zero for non-answer stages and for
 	// requests executed with plan caching disabled (a disabled cache
 	// fabricates no misses).
 	PlanCacheHits, PlanCacheMisses uint64
-	PlanResultHits                 uint64
 	RankSorts                      uint64
 	// ShardsTotal / ShardsAnswered record the answer stage's
 	// scatter-gather shape when the system runs sharded (internal/

@@ -1,5 +1,6 @@
-// Package qacache provides the bounded, sharded LRU answer cache the
-// staged pipeline mounts as its first stage.
+// Package qacache provides the bounded, sharded LRU the staged
+// pipeline mounts as its answer cache (its first stage) and that
+// internal/sparql's PlanCache wraps for compiled plan shapes.
 //
 // Entries are keyed on normalized question text and stamped with the KB
 // snapshot generation they were computed against: a lookup whose
@@ -10,6 +11,10 @@
 // critical section to one shard mutex; capacity is enforced per shard
 // (total capacity is split evenly), giving an approximate global LRU
 // with no cross-shard coordination.
+//
+// A plan shape is a pure function of the query text, so the plan cache
+// reads and writes every entry at one constant generation: for it the
+// stamp never fires, and only capacity evicts.
 package qacache
 
 import (
@@ -26,10 +31,11 @@ const nShards = 16
 // Cache is a sharded LRU keyed by string with generation-stamped
 // entries. Safe for concurrent use.
 type Cache[V any] struct {
-	shards [nShards]shard[V]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	now    func() time.Time
+	shards    [nShards]shard[V]
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
+	now       func() time.Time
 }
 
 type shard[V any] struct {
@@ -104,6 +110,7 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 		// pipeline recomputes it even at an unchanged generation.
 		sh.ll.Remove(el)
 		delete(sh.m, key)
+		c.evictions.Add(1)
 		c.misses.Add(1)
 		var zero V
 		return zero, false
@@ -117,6 +124,7 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 		if e.gen < gen {
 			sh.ll.Remove(el)
 			delete(sh.m, key)
+			c.evictions.Add(1)
 		}
 		c.misses.Add(1)
 		var zero V
@@ -187,6 +195,7 @@ func (c *Cache[V]) put(key string, gen uint64, v V, expires time.Time) {
 		oldest := sh.ll.Back()
 		sh.ll.Remove(oldest)
 		delete(sh.m, oldest.Value.(*entry[V]).key)
+		c.evictions.Add(1)
 	}
 }
 
@@ -202,9 +211,11 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// Stats returns the cumulative hit and miss counts.
-func (c *Cache[V]) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+// Stats returns the cumulative hit, miss and eviction counts
+// (evictions count every removal: capacity, generation staleness and
+// expiry).
+func (c *Cache[V]) Stats() (hits, misses, evictions uint64) {
+	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
 // Normalize canonicalises question text for cache keying. It is

@@ -17,9 +17,38 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !ok || v != 42 {
 		t.Fatalf("Get = %d, %v", v, ok)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses", hits, misses)
+	hits, misses, evictions := c.Stats()
+	if hits != 1 || misses != 1 || evictions != 0 {
+		t.Errorf("stats = %d hits / %d misses / %d evictions", hits, misses, evictions)
+	}
+}
+
+// TestEvictionsCounted: every removal is counted once — capacity
+// overflow, a lookup at a newer generation, and TTL expiry — and an
+// older-generation miss or an in-place re-Put removes nothing.
+func TestEvictionsCounted(t *testing.T) {
+	const capacity, n = 32, 500
+	c := New[int](capacity)
+	for i := 0; i < n; i++ {
+		c.Put(fmt.Sprintf("key-%d", i), 1, i)
+	}
+	_, _, evictions := c.Stats()
+	if want := uint64(n - c.Len()); evictions != want {
+		t.Fatalf("capacity evictions = %d, want %d (inserted %d, retained %d)",
+			evictions, want, n, c.Len())
+	}
+
+	now := time.Unix(1000, 0)
+	c = New[int](64).WithClock(func() time.Time { return now })
+	c.Put("gen", 2, 0)
+	c.Put("gen", 2, 1) // in place
+	c.Get("gen", 1)    // older reader: miss, entry kept
+	c.Get("gen", 3)    // newer reader: evicts
+	c.PutExpiring("ttl", 1, 0, time.Second)
+	now = now.Add(time.Minute)
+	c.Get("ttl", 1) // expired: evicts
+	if _, _, evictions := c.Stats(); evictions != 2 || c.Len() != 0 {
+		t.Fatalf("evictions = %d, len = %d; want 2, 0", evictions, c.Len())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // and recorder included, for a question the answer cache holds and for
 // one it does not (the whole pipeline plus the cache fill). Timings on
 // a shared host cannot hold a line in CI; an allocation count can. The
-// ceilings are 10% above what the code measures (38 and 135) — raise
+// ceilings are 10% above what the code measures (38 and 146) — raise
 // one only with the reason in the commit.
 func TestHandlerAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -33,18 +33,22 @@ func TestHandlerAllocations(t *testing.T) {
 		}
 	}
 
-	const cached, uncached = 41, 148
+	const cached, uncached = 41, 160
 	post("How tall is Michael Jordan?")
-	if n := testing.AllocsPerRun(200, func() { post("How tall is Michael Jordan?") }); n > cached {
+	n := testing.AllocsPerRun(200, func() { post("How tall is Michael Jordan?") })
+	t.Logf("cached request: %v allocs, ceiling %d", n, cached)
+	if n > cached {
 		t.Errorf("cached request: %v allocs, ceiling %d", n, cached)
 	}
 	// A fresh suffix per run misses the cache; the question answers as
 	// the bare one does. Four digits throughout keep the text one length.
 	i := 1000
-	if n := testing.AllocsPerRun(200, func() {
+	n = testing.AllocsPerRun(200, func() {
 		i++
 		post(fmt.Sprintf("How tall is Michael Jordan? (%d)", i))
-	}); n > uncached {
+	})
+	t.Logf("uncached request: %v allocs, ceiling %d", n, uncached)
+	if n > uncached {
 		t.Errorf("uncached request: %v allocs, ceiling %d", n, uncached)
 	}
 }

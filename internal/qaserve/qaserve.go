@@ -63,6 +63,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/sparql"
 )
 
 // Config assembles a Server.
@@ -218,7 +219,6 @@ type StageTrace struct {
 	// disabled (no fabricated misses) and on non-answer stages.
 	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
-	PlanResultHits  uint64 `json:"plan_result_hits,omitempty"`
 	RankSorts       uint64 `json:"rank_sorts,omitempty"`
 	// Scatter-gather shape of the answer stage on a sharded system.
 	ShardsTotal    int    `json:"shards_total,omitempty"`
@@ -572,20 +572,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // renderPlanCache writes the plan-shape cache counters, read from the
 // process-wide cache at scrape time (they are cumulative across
 // requests, unlike the per-trace answer-cache counters).
-func (s *Server) renderPlanCache(sb *strings.Builder) {
-	hits, misses, evictions, resultHits := s.sys.PlanCacheStats()
+func renderPlanCache(sb *strings.Builder) {
+	hits, misses, evictions := sparql.DefaultPlanCache().Stats()
 	fmt.Fprintf(sb, "# HELP qaserve_plancache_hits_total SPARQL plan-shape cache hits.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_plancache_hits_total counter\n")
 	fmt.Fprintf(sb, "qaserve_plancache_hits_total %d\n", hits)
 	fmt.Fprintf(sb, "# HELP qaserve_plancache_misses_total SPARQL plan-shape cache misses.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_plancache_misses_total counter\n")
 	fmt.Fprintf(sb, "qaserve_plancache_misses_total %d\n", misses)
-	fmt.Fprintf(sb, "# HELP qaserve_plancache_evictions_total SPARQL plan-shape cache evictions (capacity and generation-staleness).\n")
+	fmt.Fprintf(sb, "# HELP qaserve_plancache_evictions_total SPARQL plan-shape cache evictions (capacity; shapes survive store writes).\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_plancache_evictions_total counter\n")
 	fmt.Fprintf(sb, "qaserve_plancache_evictions_total %d\n", evictions)
-	fmt.Fprintf(sb, "# HELP qaserve_plancache_result_hits_total Candidate executions answered from a cached plan entry's bound-result memo (subset of hits).\n")
-	fmt.Fprintf(sb, "# TYPE qaserve_plancache_result_hits_total counter\n")
-	fmt.Fprintf(sb, "qaserve_plancache_result_hits_total %d\n", resultHits)
 }
 
 // renderShards writes the per-shard failure-domain counters and
@@ -632,7 +629,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	s.m.render(&sb)
 	fmt.Fprintf(&sb, "# HELP qaserve_cache_entries Entries the answer cache holds.\n# TYPE qaserve_cache_entries gauge\nqaserve_cache_entries %d\n", s.sys.CacheEntries())
-	s.renderPlanCache(&sb)
+	renderPlanCache(&sb)
 	s.renderShards(&sb)
 	s.renderResilience(&sb)
 	renderRuntime(&sb)

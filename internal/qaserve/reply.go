@@ -65,7 +65,6 @@ func (s *Server) appendResult(b []byte, res *core.Result) []byte {
 			b = appendTrue(b, `,"cache_hit":true`, st.CacheHit)
 			b = appendNonZero(b, `,"plan_cache_hits":`, st.PlanCacheHits)
 			b = appendNonZero(b, `,"plan_cache_misses":`, st.PlanCacheMisses)
-			b = appendNonZero(b, `,"plan_result_hits":`, st.PlanResultHits)
 			b = appendNonZero(b, `,"rank_sorts":`, st.RankSorts)
 			b = appendNonZero(b, `,"shards_total":`, st.ShardsTotal)
 			b = appendNonZero(b, `,"shards_answered":`, st.ShardsAnswered)

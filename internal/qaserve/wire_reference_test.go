@@ -31,7 +31,6 @@ func (s *Server) toResponse(res *core.Result) AnswerResponse {
 				CacheHit:        st.CacheHit,
 				PlanCacheHits:   st.PlanCacheHits,
 				PlanCacheMisses: st.PlanCacheMisses,
-				PlanResultHits:  st.PlanResultHits,
 				RankSorts:       st.RankSorts,
 				ShardsTotal:     st.ShardsTotal,
 				ShardsAnswered:  st.ShardsAnswered,

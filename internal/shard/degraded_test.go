@@ -127,19 +127,6 @@ func TestFailFastLatchesErrUnavailable(t *testing.T) {
 	}
 }
 
-// TestDegradedViewNeverMemoEligible: even a healthy gather view must
-// refuse the bound-result memo (a later degraded view at the same
-// (UID, Gen) would otherwise replay the healthy answer as its own).
-func TestDegradedViewNeverMemoEligible(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	src, _ := testStore(rng, 20, 2)
-	c := NewCluster(src, 2, fastConfig())
-	v := c.NewView(context.Background())
-	if v.ResultMemoEligible() {
-		t.Fatal("gather view claims bound-result memo eligibility")
-	}
-}
-
 // Recovery: after the chaos clears, a fresh view over the same
 // cluster answers undegraded and byte-identical to the source.
 func TestRecoveryAfterChaosClears(t *testing.T) {

@@ -22,13 +22,9 @@
 // degraded shape the serving tier stamps on the wire. Either way a
 // shard that failed once never serves a later read of the same
 // request, so one request can never mix a shard's "present" and
-// "absent" states.
-//
-// The view is never bound-result-memo eligible (ResultMemoEligible
-// returns false): two degraded views at the same (UID, Gen) can
-// differ in which shards answered, which breaks the memo's "equal
-// key, equal answers" soundness argument. The shape half of the plan
-// cache is unaffected.
+// "absent" states. Nothing a view answers outlives its request: the
+// plan cache the executor shares across requests holds shapes only,
+// so a degraded view's reads can never be replayed for another.
 
 package shard
 
@@ -88,9 +84,6 @@ func (v *View) Err() error {
 	return v.err
 }
 
-// ResultMemoEligible: never — see the package comment.
-func (v *View) ResultMemoEligible() bool { return false }
-
 // --- coordinator-local reads (planning is single-store identical) ---
 
 // Len returns the full KB size (the source image's).
@@ -98,9 +91,6 @@ func (v *View) Len() int { return v.src.Len() }
 
 // Gen returns the pinned generation.
 func (v *View) Gen() uint64 { return v.src.Gen() }
-
-// UID returns the source store's process-unique identity.
-func (v *View) UID() uint64 { return v.src.UID() }
 
 // Lookup resolves a term against the coordinator dictionary.
 func (v *View) Lookup(t rdf.Term) (store.ID, bool) { return v.src.Lookup(t) }

@@ -9,12 +9,10 @@ import (
 )
 
 // The ID-space engine against the retained term-space reference
-// evaluator (termspace_reference_test.go), query for query. Both sides
-// join on every iteration: the ID side runs on a fresh session detached
-// from the plan cache, because through the process-wide cache every
-// iteration after the first over an unchanging store would replay the
-// entry's bound-result memo and the pair would compare a replay to a
-// join. scripts/bench.sh selects these by name.
+// evaluator (termspace_reference_test.go), query for query. The ID side
+// runs on a fresh session detached from the plan cache, so like the
+// reference it compiles the whole query on every iteration.
+// scripts/bench.sh selects these by name.
 
 const (
 	benchJoin3 = `SELECT ?p ?c ?n WHERE {

@@ -9,26 +9,22 @@
 // text alone determines — the var->column layout, each triple
 // pattern's (variable column | constant marker) slot structure, the
 // filter pushdown split, ORDER BY keys and the projection — into an
-// immutable planShape (plan.go); shapes are looked up in a global,
-// generation-stamped cache (internal/sparql/plancache) keyed on the
-// query's structure with constant terms abstracted away, so the few
-// sibling candidates §2.3 ranks per question (4.67 on the entity
-// stream) — and every later question of the same form — share one
-// cached shape. The *bind* phase then resolves the executing query's
-// concrete constants to dictionary IDs against the session's pinned
-// snapshot and hoists each pattern's exact base cardinality
-// (bindPatterns) — the only per-candidate compile work on a cache
-// hit. Cached entries also memoize full execution results keyed by
-// the bound constants (runMemoized; planEntry in plan.go): a repeated
-// identical candidate at the same store generation skips the join
-// entirely and replays its columnar result. All joins, UNION,
-// OPTIONAL, FILTER, DISTINCT, ORDER BY and
-// COUNT then run over flat []store.ID rows packed into a rowset arena
-// — one contiguous buffer, no per-solution maps, no term copies. The
-// final Result stays columnar too (Result.Rows plus the pinned
-// dictionary view); terms are materialised only when a consumer asks
-// for them (and, transiently, when a FILTER or ORDER BY expression
-// needs term semantics).
+// immutable planShape (plan.go); shapes are looked up in a global
+// cache (PlanCache) keyed on the query's structure with constant terms
+// abstracted away, so the few sibling candidates §2.3 ranks per
+// question (4.67 on the entity stream) — and every later question of
+// the same form — share one cached shape. The *bind* phase then
+// resolves the executing query's concrete constants to dictionary IDs
+// against the session's pinned snapshot and hoists each pattern's
+// exact base cardinality (bindPatterns) — the only per-candidate
+// compile work on a cache hit. Every execution then runs its join: no
+// result is cached. All joins, UNION, OPTIONAL, FILTER, DISTINCT,
+// ORDER BY and COUNT run over flat []store.ID rows packed into a
+// rowset arena — one contiguous buffer, no per-solution maps, no term
+// copies. The final Result stays columnar too (Result.Rows plus the
+// pinned dictionary view); terms are materialised only when a consumer
+// asks for them (and, transiently, when a FILTER or ORDER BY
+// expression needs term semantics).
 //
 // # Sessions and snapshot-pinned reads
 //
@@ -136,7 +132,6 @@ type executor struct {
 	ctx   context.Context // cancellation, checked between join steps
 	terms []rdf.Term      // snap.TermsView(): terms[id-1] materialises an ID
 	shape *planShape      // possibly cache-shared; read-only
-	entry *planEntry      // cache entry carrying the result memo; nil when caching is off
 
 	patterns  []cpat
 	unions    [][][]cpat
@@ -157,9 +152,9 @@ func (ex *executor) term(id store.ID) rdf.Term {
 // below, which resolves the executing query's constants to dictionary
 // IDs and hoists exact base cardinalities from the pinned snapshot.
 func compile(ctx context.Context, sess *Session, q *Query) *executor {
-	sh, ent := sess.planFor(q)
+	sh := sess.planFor(q)
 	ex := &executor{sess: sess, snap: sess.snap, q: q, ctx: ctx,
-		terms: sess.terms, shape: sh, entry: ent}
+		terms: sess.terms, shape: sh}
 	ex.patterns = ex.bindPatterns(sh.patterns, q.Patterns)
 	if len(sh.unions) > 0 {
 		ex.unions = make([][][]cpat, len(sh.unions))
@@ -584,79 +579,6 @@ func (ex *executor) extendRow(r []store.ID, pats []cpat) rowset {
 	rows := rowset{stride: ex.shape.ncols}
 	rows.push(r)
 	return ex.joinAll(rows, pats)
-}
-
-// bindKey serialises everything the shape key abstracted away: the
-// pinned store's process-unique identity, the resolved constant IDs of
-// every pattern position in every block, and LIMIT/OFFSET. Together
-// (shape key, bind key, generation stamp) pin the full query against
-// the pinned snapshot, which is what makes the entry's bound-result
-// memo sound. The store UID leads the key because generations are only
-// comparable within one store: two stores in one process (tests,
-// multi-KB servers) can sit at equal generations with entirely
-// different dictionaries, and they share the process-wide plan cache.
-// Variable positions hold ID 0 and the block structure is fixed per
-// shape, so the fixed-width encoding is unambiguous. Constants absent
-// from the dictionary also encode as 0 — queries differing only in
-// which never-matching term they name produce identical
-// (empty-for-that-pattern) results, so folding them is harmless.
-func (ex *executor) bindKey() string {
-	b := make([]byte, 0, 64)
-	uid := ex.snap.UID()
-	b = append(b, byte(uid), byte(uid>>8), byte(uid>>16), byte(uid>>24),
-		byte(uid>>32), byte(uid>>40), byte(uid>>48), byte(uid>>56))
-	add := func(pats []cpat) {
-		for _, cp := range pats {
-			for _, id := range cp.ids {
-				b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			}
-		}
-	}
-	add(ex.patterns)
-	for _, block := range ex.unions {
-		for _, branch := range block {
-			add(branch)
-		}
-	}
-	for _, opt := range ex.optionals {
-		add(opt)
-	}
-	l, o := uint32(ex.q.Limit), uint32(ex.q.Offset)
-	b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24),
-		byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-	return string(b)
-}
-
-// runMemoized is run behind the plan-cache entry's bound-result memo:
-// a hit replays the memoized columnar payload (copied — the memo is
-// never aliased) with zero join work; a miss executes normally and
-// stores the result for the next identical candidate. Results are pure
-// functions of (snapshot, query) — every operator, filter and sort in
-// run is deterministic, and ORDER BY ties break by the stable sort
-// over deterministic join order — and a store write evicts the entry
-// via the generation stamp, so replaying is byte-identical to
-// re-executing. The differential tests in plan_test.go pin that.
-func (ex *executor) runMemoized() (*Result, error) {
-	e := ex.entry
-	if e == nil {
-		return ex.run()
-	}
-	if err := ex.ctx.Err(); err != nil {
-		return nil, err
-	}
-	key := ex.bindKey()
-	if mr, ok := e.cached(key); ok {
-		ex.sess.resultHits.Add(1)
-		if pc := ex.sess.plans; pc != nil {
-			pc.resultHits.Add(1)
-		}
-		return mr.materialize(ex.terms), nil
-	}
-	res, err := ex.run()
-	if err == nil {
-		e.maybeStore(key, res, ex.q)
-	}
-	return res, err
 }
 
 func (ex *executor) run() (*Result, error) {

@@ -20,19 +20,12 @@
 // (4.67 on the entity stream) — and those of every other question of
 // the same form — differ only in their bound terms, so they all map to
 // one shape key and one cached planShape; only the cheap bind phase
-// runs per candidate. Shapes live in a global
-// internal/sparql/plancache (sharded, bounded, generation-stamped)
-// shared across sessions, so sibling candidates within one question
-// and across concurrent questions hit the same entries.
-//
-// Each entry additionally carries a bound-result memo (planEntry): a
-// SPARQL result is a pure function of (snapshot, query text), so once
-// a candidate has executed, re-issuing the identical query at the
-// same generation replays its full columnar result with zero join
-// work. The shape key pins the structure, the bind key
-// (executor.bindKey) pins the store identity, the resolved constants
-// and LIMIT/OFFSET, and the plancache generation stamp evicts the
-// whole entry — memo included — on any store write.
+// runs per candidate. Shapes live in a global PlanCache (a sharded,
+// bounded internal/qacache LRU) shared across sessions, so sibling
+// candidates within one question and across concurrent questions hit
+// the same entries. An entry is the shape and nothing else: it holds
+// no result, so a store write leaves it valid and it is never
+// invalidated.
 //
 // Sharing is sound because a planShape is immutable after buildShape
 // returns: the executor only reads it. And two queries with equal
@@ -50,11 +43,9 @@ package sparql
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/qacache"
 	"repro/internal/rdf"
-	"repro/internal/sparql/plancache"
 	"repro/internal/store"
 )
 
@@ -294,149 +285,30 @@ func shapeKey(q *Query) string {
 // int slices), so the cap is memory-insignificant either way.
 const DefaultPlanCacheSize = 512
 
-// Bounds on the per-entry bound-result memo (see planEntry): a result
-// larger than maxMemoResultIDs is never memoized, one entry holds at
-// most maxEntryResults distinct bindings and maxEntryMemoIDs total
-// IDs. With the default 512-entry cache the worst case is ~16 MiB of
-// memoized IDs — request results in this system are a handful of rows,
-// so the real footprint is orders of magnitude below that.
-const (
-	maxMemoResultIDs = 4096
-	maxEntryResults  = 32
-	maxEntryMemoIDs  = 8192
-)
-
-// planEntry is one plan-cache value: the immutable shared shape, plus
-// a small bound-result memo — the bind-phase memo the generation stamp
-// was designed to carry. A SPARQL result is a pure function of
-// (snapshot, query text): the shape key pins everything but the
-// pattern constants and LIMIT/OFFSET, the bind key (executor.bindKey)
-// pins those, and the plancache generation stamp pins the snapshot —
-// any store write evicts the whole entry, memo included. So sibling
-// candidates re-issued across questions replay their full columnar
-// result instead of re-running the join. Payloads are copied both on
-// store and on every hit: no caller ever aliases the memo's slices.
-type planEntry struct {
-	shape *planShape
-
-	mu      sync.Mutex
-	results map[string]*memoResult // bind key -> memoized result; guarded by mu
-	memoIDs int                    // total IDs held by results; guarded by mu
-}
-
-// memoResult is one memoized execution result: an ASK boolean, a
-// columnar SELECT payload, or a COUNT aggregate scalar (the count is a
-// synthesised literal with no dictionary ID, so it is carried as the
-// term itself plus its projection name — sound under the same
-// generation stamp as everything else, since any store write evicts
-// the entry).
-type memoResult struct {
-	ask     bool // FormAsk: boolean is the payload, rows unused
-	boolean bool
-	vars    []string
-	rows    []store.ID // private copy; copied again on every hit
-	nrows   int
-
-	count     bool // COUNT aggregate: countTerm/countAs are the payload
-	countAs   string
-	countTerm rdf.Term
-}
-
-// materialize rebuilds a fresh Result from the memo over the session's
-// pinned dictionary view. The generation check already happened at
-// entry lookup, so terms is guaranteed to cover every memoized ID.
-func (mr *memoResult) materialize(terms []rdf.Term) *Result {
-	if mr.ask {
-		return &Result{Form: FormAsk, Boolean: mr.boolean}
-	}
-	if mr.count {
-		row := Binding{mr.countAs: mr.countTerm}
-		return newMaterializedResult(FormSelect, []string{mr.countAs}, []Binding{row})
-	}
-	rows := make([]store.ID, len(mr.rows))
-	copy(rows, mr.rows)
-	return newColumnarResult(mr.vars, rows, mr.nrows, terms)
-}
-
-// cached returns the memoized result for the bind key, if any.
-func (e *planEntry) cached(key string) (*memoResult, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	mr, ok := e.results[key]
-	return mr, ok
-}
-
-// maybeStore memoizes a completed execution's result under the bind
-// key, within the entry's bounds. Oversized results are skipped; a
-// concurrent duplicate store is a no-op (the two computed identical
-// results — snapshot immutability).
-func (e *planEntry) maybeStore(key string, res *Result, q *Query) {
-	mr := &memoResult{}
-	n := 0
-	switch {
-	case q.Count != nil:
-		// The aggregate is a single synthesised-literal row; memoize the
-		// scalar itself (there are no IDs to copy).
-		if res.Len() != 1 {
-			return
-		}
-		t, ok := res.Solutions()[0][q.Count.As]
-		if !ok {
-			return
-		}
-		mr.count, mr.countAs, mr.countTerm = true, q.Count.As, t
-	case q.Form == FormAsk:
-		mr.ask, mr.boolean = true, res.Boolean
-	default:
-		if len(res.Rows) > maxMemoResultIDs {
-			return
-		}
-		rows := make([]store.ID, len(res.Rows))
-		copy(rows, res.Rows)
-		mr.vars, mr.rows, mr.nrows = res.Vars, rows, res.Len()
-		n = len(rows)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, dup := e.results[key]; dup {
-		return
-	}
-	if len(e.results) >= maxEntryResults || e.memoIDs+n > maxEntryMemoIDs {
-		return
-	}
-	if e.results == nil {
-		e.results = make(map[string]*memoResult)
-	}
-	e.memoIDs += n
-	e.results[key] = mr
-}
-
-// PlanCache is a shared, bounded, generation-stamped cache of compiled
-// plan shapes and their bound-result memos. Safe for concurrent use by
-// any number of sessions; see internal/sparql/plancache for the
-// caching discipline.
+// PlanCache is a shared, bounded cache of compiled plan shapes: a
+// sharded internal/qacache LRU keyed by shapeKey. A shape holds no
+// dictionary ID and no cardinality, so it is valid at every store
+// generation and in front of every store: entries are read and written
+// at one constant generation (shapeGen) and survive store writes. Safe
+// for concurrent use by any number of sessions.
 type PlanCache struct {
-	c          *plancache.Cache[*planEntry]
-	resultHits atomic.Uint64
+	c *qacache.Cache[*planShape]
 }
+
+// shapeGen is the generation every shape is stored and read at; a
+// shape never goes stale, so there is only one.
+const shapeGen = 0
 
 // NewPlanCache builds a plan cache holding about capacity shapes
 // (capacity <= 0 is clamped to a small minimum by the underlying
 // cache; to disable caching entirely, give the session a nil
 // *PlanCache via WithPlanCache).
 func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{c: plancache.New[*planEntry](capacity)}
+	return &PlanCache{c: qacache.New[*planShape](capacity)}
 }
 
 // Stats returns the cache's cumulative hit, miss and eviction counts.
 func (p *PlanCache) Stats() (hits, misses, evictions uint64) { return p.c.Stats() }
-
-// ResultHits returns how many executions were answered straight from
-// an entry's bound-result memo (a strict subset of Stats hits).
-func (p *PlanCache) ResultHits() uint64 { return p.resultHits.Load() }
-
-// Len returns the number of cached shapes.
-func (p *PlanCache) Len() int { return p.c.Len() }
 
 // defaultPlanCache is the process-wide cache sessions use by default:
 // the fan-out's shapes are global by construction (every question's
@@ -448,34 +320,24 @@ var defaultPlanCache = NewPlanCache(DefaultPlanCacheSize)
 // surfacing; sessions get it automatically).
 func DefaultPlanCache() *PlanCache { return defaultPlanCache }
 
-// planFor returns the compiled shape for q plus its cache entry (nil
-// when the session's plan cache is disabled — the entry is where the
-// bound-result memo lives). Cache entries are stamped with the pinned
-// snapshot's generation: a session pinning a newer store never gets a
-// shape — or a memoized result — stored before the last write (stale
-// entries are evicted), and a session pinning an older snapshot never
-// clobbers a fresher entry (plancache refuses stale Puts).
-func (s *Session) planFor(q *Query) (*planShape, *planEntry) {
+// planFor returns the compiled shape for q: the session's plan cache
+// entry when there is one, otherwise a fresh build that it publishes
+// (a concurrent duplicate build publishes an equal shape). A session
+// without a plan cache builds every shape from scratch.
+func (s *Session) planFor(q *Query) *planShape {
 	pc := s.plans
 	if pc == nil {
-		return buildShape(q), nil
+		return buildShape(q)
 	}
 	key := shapeKey(q)
-	gen := s.snap.Gen()
-	if e, ok := pc.c.Get(key, gen); ok {
+	if sh, ok := pc.c.Get(key, shapeGen); ok {
 		s.planHits.Add(1)
-		if !resultMemoEligible(s.snap) {
-			return e.shape, nil // share the shape, bypass the result memo
-		}
-		return e.shape, e
+		return sh
 	}
 	s.planMisses.Add(1)
-	e := &planEntry{shape: buildShape(q)}
-	pc.c.Put(key, gen, e)
-	if !resultMemoEligible(s.snap) {
-		return e.shape, nil
-	}
-	return e.shape, e
+	sh := buildShape(q)
+	pc.c.Put(key, shapeGen, sh)
+	return sh
 }
 
 // rankKey maps an ID to its integer sort key under the snapshot's

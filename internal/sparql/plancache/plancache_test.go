@@ -1,13 +1,25 @@
-package plancache
+// Package plancache holds no code any more: its sharded,
+// generation-stamped LRU was a copy of internal/qacache, and the plan
+// cache (sparql.PlanCache) is now a qacache.Cache. These are the
+// plancache tests, kept under their names and run against qacache, so
+// the LRU contract the plan cache was written against stays pinned where
+// it always was.
+package plancache_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/qacache"
 )
 
+// qacacheShards is qacache's shard count: New(qacacheShards * k) holds
+// k entries per shard.
+const qacacheShards = 16
+
 func TestGetPutAndStats(t *testing.T) {
-	c := New[int](64)
+	c := qacache.New[int](64)
 	if _, ok := c.Get("k", 1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -29,7 +41,7 @@ func TestGetPutAndStats(t *testing.T) {
 // and every capacity eviction is counted.
 func TestCapacityBounded(t *testing.T) {
 	const capacity = 32
-	c := New[int](capacity)
+	c := qacache.New[int](capacity)
 	const n = 500
 	for i := 0; i < n; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), 1, i)
@@ -44,21 +56,31 @@ func TestCapacityBounded(t *testing.T) {
 	}
 }
 
-// TestLRUOrder: a recently-Got entry survives the eviction of a
-// never-touched sibling in the same shard.
-func TestLRUOrder(t *testing.T) {
-	// Capacity nShards*2: two entries per shard. Find three keys that
-	// land in one shard; touch the first, insert the third, and the
-	// untouched second must be the one evicted.
-	c := New[int](nShards * 2)
-	target := c.shardFor("anchor")
+// sameShardKeys returns n keys qacache places in one shard, found
+// through its public API: in a cache of one entry per shard, a key
+// whose Put evicts the anchor shares the anchor's shard.
+func sameShardKeys(n int) []string {
 	keys := []string{"anchor"}
-	for i := 0; len(keys) < 3; i++ {
+	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if c.shardFor(k) == target {
+		c := qacache.New[int](1)
+		c.Put(keys[0], 1, 0)
+		c.Put(k, 1, 0)
+		if _, ok := c.Get(keys[0], 1); !ok {
 			keys = append(keys, k)
 		}
 	}
+	return keys
+}
+
+// TestLRUOrder: a recently-Got entry survives the eviction of a
+// never-touched sibling in the same shard.
+func TestLRUOrder(t *testing.T) {
+	// Two entries per shard. Take three keys that land in one shard;
+	// touch the first, insert the third, and the untouched second must
+	// be the one evicted.
+	c := qacache.New[int](qacacheShards * 2)
+	keys := sameShardKeys(3)
 	c.Put(keys[0], 1, 0)
 	c.Put(keys[1], 1, 1)
 	c.Get(keys[0], 1) // refresh the anchor
@@ -74,7 +96,7 @@ func TestLRUOrder(t *testing.T) {
 // TestGenerationEviction: a lookup at a newer generation misses, evicts
 // the stale entry and counts the eviction.
 func TestGenerationEviction(t *testing.T) {
-	c := New[int](64)
+	c := qacache.New[int](64)
 	c.Put("k", 1, 10)
 	if _, ok := c.Get("k", 2); ok {
 		t.Fatal("stale entry served at a newer generation")
@@ -91,7 +113,7 @@ func TestGenerationEviction(t *testing.T) {
 // TestNewerEntrySurvivesOlderReader: a session pinned to a pre-write
 // snapshot misses on a fresher entry but must not evict it.
 func TestNewerEntrySurvivesOlderReader(t *testing.T) {
-	c := New[int](64)
+	c := qacache.New[int](64)
 	c.Put("k", 5, 50)
 	if _, ok := c.Get("k", 3); ok {
 		t.Fatal("fresher entry served to an older-generation reader")
@@ -105,7 +127,7 @@ func TestNewerEntrySurvivesOlderReader(t *testing.T) {
 // TestStalePutRefused: a Put below an existing entry's generation must
 // not clobber it.
 func TestStalePutRefused(t *testing.T) {
-	c := New[int](64)
+	c := qacache.New[int](64)
 	c.Put("k", 5, 50)
 	c.Put("k", 3, 30)
 	v, ok := c.Get("k", 5)
@@ -117,7 +139,7 @@ func TestStalePutRefused(t *testing.T) {
 // TestSameGenAndNewerPutUpdate: re-Puts at the same or a newer
 // generation replace the value in place (no growth, no eviction).
 func TestSameGenAndNewerPutUpdate(t *testing.T) {
-	c := New[int](64)
+	c := qacache.New[int](64)
 	c.Put("k", 1, 10)
 	c.Put("k", 1, 11)
 	if v, _ := c.Get("k", 1); v != 11 {
@@ -130,12 +152,15 @@ func TestSameGenAndNewerPutUpdate(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("updates grew the cache: Len = %d", c.Len())
 	}
+	if _, _, evictions := c.Stats(); evictions != 0 {
+		t.Fatalf("updates evicted %d entries", evictions)
+	}
 }
 
 // TestConcurrent hammers the cache from many goroutines (run under
 // -race) and checks the counter bookkeeping stays consistent.
 func TestConcurrent(t *testing.T) {
-	c := New[int](128)
+	c := qacache.New[int](128)
 	const workers, perWorker = 8, 400
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -7,9 +7,8 @@
 // every candidate of the question reads the same frozen state — and it
 // holds:
 //
-//   - the plan cache handle: sibling candidates share one cached shape,
-//     and a candidate repeated at the same store generation is answered
-//     from the entry's bound-result memo (plan.go),
+//   - the plan cache handle: sibling candidates share one cached shape
+//     (plan.go); every candidate runs its own join,
 //   - each probed entity's rdf:type set (InstanceOf): the §2.3.2 type
 //     filter and the orientation typing ask "is e a C?" about the same
 //     few entities for class after class, so the first probe reads the
@@ -57,7 +56,6 @@ type Session struct {
 	// answer traces (the global cache keeps its own cumulative Stats).
 	planHits   atomic.Uint64
 	planMisses atomic.Uint64
-	resultHits atomic.Uint64
 	rankSorts  atomic.Uint64
 
 	mu    sync.RWMutex
@@ -99,14 +97,12 @@ func (s *Session) WithPlanCache(pc *PlanCache) *Session {
 
 // PlanStatsSnapshot is one session's plan-compilation observability:
 // how many of its compiles hit the shared shape cache, how many
-// missed (miss = shape built and published), how many executions were
-// answered straight from an entry's bound-result memo (ResultHits, a
-// subset of Hits), and how many result sorts ran over the term-rank
-// permutation. Counters are zero when the session's plan cache is
-// disabled — a session without a cache reports no fabricated misses.
+// missed (miss = shape built and published), and how many result
+// sorts ran over the term-rank permutation. Hits and Misses are zero
+// when the session's plan cache is disabled — a session without a
+// cache reports no fabricated misses.
 type PlanStatsSnapshot struct {
 	Hits, Misses uint64
-	ResultHits   uint64
 	RankSorts    uint64
 }
 
@@ -114,10 +110,9 @@ type PlanStatsSnapshot struct {
 // Safe for concurrent use.
 func (s *Session) PlanStats() PlanStatsSnapshot {
 	return PlanStatsSnapshot{
-		Hits:       s.planHits.Load(),
-		Misses:     s.planMisses.Load(),
-		ResultHits: s.resultHits.Load(),
-		RankSorts:  s.rankSorts.Load(),
+		Hits:      s.planHits.Load(),
+		Misses:    s.planMisses.Load(),
+		RankSorts: s.rankSorts.Load(),
 	}
 }
 
@@ -136,7 +131,7 @@ func (s *Session) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 		//qalint:ignore ctxflow nil-ctx normalization at the public API boundary; callers without a context get an inert root here, never deeper.
 		ctx = context.Background()
 	}
-	return compile(ctx, s, q).runMemoized()
+	return compile(ctx, s, q).run()
 }
 
 // InstanceOf reports whether (entity, rdf:type, class) holds in the

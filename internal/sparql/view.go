@@ -14,6 +14,9 @@
 // lifetime of the view, deterministic scan order per pattern case —
 // which is what keeps every differential oracle (session ≡ fresh,
 // plan-cache ≡ fresh-compile, N-shard ≡ single-store) meaningful.
+// Nothing computed over a view outlives its Session — the plan cache
+// shared across sessions holds shapes, which read no view — so a view
+// carries no identity and no cache can confuse two views.
 
 package sparql
 
@@ -32,10 +35,6 @@ type StoreView interface {
 	Len() int
 	// Gen returns the write-batch generation the view was pinned at.
 	Gen() uint64
-	// UID returns the owning store's process-unique identity; (UID,
-	// Gen) identifies the view's contents process-wide (the
-	// bound-result memo keys on it).
-	UID() uint64
 	// Lookup resolves a term to its dictionary ID.
 	Lookup(t rdf.Term) (store.ID, bool)
 	// TermsView returns the read-only dictionary view: TermsView()[id-1]
@@ -55,25 +54,6 @@ type StoreView interface {
 	// PostingList returns the sorted free-position posting list of a
 	// two-bound pattern (see store.Snapshot.PostingList).
 	PostingList(pat [3]store.ID) ([]store.ID, bool)
-}
-
-// memoEligible is the optional StoreView extension gating the
-// plan-cache bound-result memo. Memoized results are replayed for any
-// later session at the same (UID, Gen) — sound only when equal
-// (UID, Gen) implies equal answers. A degraded gather view breaks
-// that implication (two views at one generation can differ in which
-// shards answered), so it reports false and its executions bypass the
-// memo in both directions; the shape half of the cache is unaffected.
-// Views that do not implement the extension are eligible.
-type memoEligible interface {
-	ResultMemoEligible() bool
-}
-
-// resultMemoEligible reports whether the bound-result memo may serve
-// and store results computed over v.
-func resultMemoEligible(v StoreView) bool {
-	me, ok := v.(memoEligible)
-	return !ok || me.ResultMemoEligible()
 }
 
 // interface conformance: the canonical single-store view.

@@ -279,12 +279,8 @@ type Snapshot struct {
 	osp     *index
 	size    int
 	gen     uint64
-	uid     uint64     // owning store's process-unique identity
 	ranks   *rankTable // fresh (empty) box per published generation
 }
-
-// storeUIDs issues process-unique store identities (see Snapshot.UID).
-var storeUIDs atomic.Uint64
 
 // Store is an indexed, dictionary-encoded triple store with wait-free
 // snapshot reads. The zero value is not usable; call New.
@@ -302,7 +298,6 @@ func New() *Store {
 		spo:   &index{},
 		pos:   &index{},
 		osp:   &index{},
-		uid:   storeUIDs.Add(1),
 		ranks: &rankTable{},
 	})
 	return s
@@ -327,15 +322,6 @@ func (sn *Snapshot) TermCount() int { return len(sn.inverse) }
 // no-op write call may skip numbers without publishing) and equal
 // generations imply identical contents.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
-
-// UID returns the owning store's process-unique identity, constant
-// across the store's lifetime and never reused within a process.
-// Generations are only comparable between snapshots of the same store;
-// (UID, Gen) identifies a snapshot's contents process-wide, which is
-// what cross-store consumers of generation-stamped caches key on (the
-// SPARQL plan cache's bound-result memo — two stores can reach equal
-// generations with entirely different dictionaries).
-func (sn *Snapshot) UID() uint64 { return sn.uid }
 
 // Lookup returns the ID of t if it is in the dictionary.
 func (sn *Snapshot) Lookup(t rdf.Term) (ID, bool) {

@@ -44,18 +44,17 @@
 # means linear — and BenchmarkCoreBoot what core.New still costs over a
 # KB that is already built: pattern mining and the §2.2 indexes).
 #
-# Memo or executor: a benchmark that repeats one query over a store
-# that never changes through the process-wide plan cache measures the
-# entry's bound-result memo from its second iteration on, not a join.
-# BenchmarkExtractSequential is the one that means to (§2.3 in its
-# steady state is memo-served: 87% of entity_cold's executions).
-# The executor benchmarks run on a session with the cache detached
-# (NewSession(st).WithPlanCache(nil), as qaload's sparql.exec_us probe
-# does) and join on every iteration: internal/sparql's BenchmarkBGPJoin3,
-# BGPJoin3Limit and BGPJoinDistinctOrderBy beside their *TermSpace
-# twins, and the root BenchmarkSPARQLTwoPatternJoin, SPARQLFilterScan
-# and SPARQLScale. BenchmarkBGPJoinIdle/UnderLoad go through the cache
-# but join anyway: their 6000-ID result is over the memo's size bound.
+# Shape cache or not: every benchmark that executes a query runs its
+# join on every iteration — the plan cache holds shapes, never results
+# (the bound-result memo went in PR 25). BenchmarkExtractSequential,
+# BenchmarkRankSort and BenchmarkBGPJoinIdle/UnderLoad go through the
+# process-wide cache, so from the second iteration on they compile from
+# a shape hit. The executor benchmarks run on a session with the cache
+# detached (NewSession(st).WithPlanCache(nil), as qaload's
+# sparql.exec_us probe does), so each iteration also builds the shape:
+# internal/sparql's BenchmarkBGPJoin3, BGPJoin3Limit and
+# BGPJoinDistinctOrderBy beside their *TermSpace twins, and the root
+# BenchmarkSPARQLTwoPatternJoin, SPARQLFilterScan and SPARQLScale.
 #
 # These are `go test -bench` recipes, not a record: the script prints
 # what the benchmarks print and writes nothing. The numbers a PR claims

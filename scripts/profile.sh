@@ -22,8 +22,9 @@
 # into two outdirs, then diff the profiles directly —
 #   go tool pprof -http=:8080 -diff_base before/cpu.prof after/cpu.prof
 # The PR 9 fan-out diff shows the compile-side frames (buildShape,
-# filter/projection wiring, sort.Ints boxing) collapsing into the
-# plancache Get path, and the default-order sort's Term.Compare /
+# filter/projection wiring, sort.Ints boxing) collapsing into the plan
+# cache's lookup (since PR 25 a qacache.Get under sparql.(*Session).planFor),
+# and the default-order sort's Term.Compare /
 # materialization frames replaced by the flat rank-key sort.
 set -euo pipefail
 cd "$(dirname "$0")/.."

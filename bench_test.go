@@ -265,7 +265,7 @@ func BenchmarkAnswerEndToEnd(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = s.Answer(c.q)
+				_ = s.AnswerCtx(context.Background(), c.q)
 			}
 		})
 	}
@@ -290,7 +290,7 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 	pat := rdf.Triple{P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := k.Store.Count(pat); n != 5 {
+		if n := k.Store.Snapshot().Count(pat); n != 5 {
 			b.Fatalf("count = %d", n)
 		}
 	}
@@ -300,7 +300,7 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 // as qaload's sparql.exec_us probe does: every iteration builds the
 // shape, binds and joins.
 func execUncached(st *store.Store, q *sparql.Query) (*sparql.Result, error) {
-	return sparql.NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	return sparql.NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
 }
 
 func BenchmarkSPARQLTwoPatternJoin(b *testing.B) {
@@ -452,7 +452,7 @@ func BenchmarkKBBuildScale(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			triples := 0
 			for i := 0; i < b.N; i++ {
-				triples += kb.Build(cfg).Store.Len()
+				triples += kb.Build(cfg).Store.Snapshot().Len()
 			}
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(triples), "ns/triple")
@@ -491,7 +491,7 @@ func BenchmarkStoreScanTerms(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		k.Store.ForEachMatch(pat, func(rdf.Triple) bool { n++; return true })
+		k.Store.Snapshot().ForEachMatch(pat, func(rdf.Triple) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("empty scan")
 		}
@@ -502,7 +502,7 @@ func BenchmarkStoreScanTerms(b *testing.B) {
 // term materialisation at all.
 func BenchmarkStoreScanIDs(b *testing.B) {
 	k := kb.Default()
-	pid, ok := k.Store.Lookup(rdf.Ont("birthPlace"))
+	pid, ok := k.Store.Snapshot().Lookup(rdf.Ont("birthPlace"))
 	if !ok {
 		b.Fatal("birthPlace not in dictionary")
 	}
@@ -511,7 +511,7 @@ func BenchmarkStoreScanIDs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		k.Store.ForEachMatchIDs(pat, func(_, _, _ store.ID) bool { n++; return true })
+		k.Store.Snapshot().ForEachMatchIDs(pat, func(_, _, _ store.ID) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("empty scan")
 		}
@@ -538,7 +538,7 @@ func BenchmarkAnswerThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Answer(questions[i%len(questions)])
+		_ = s.AnswerCtx(context.Background(), questions[i%len(questions)])
 	}
 }
 
@@ -548,11 +548,11 @@ func BenchmarkStoreScale(b *testing.B) {
 	for _, persons := range []int{100, 1000, 5000} {
 		k := kb.Build(kb.Config{Seed: 3, SyntheticPersons: persons,
 			SyntheticCities: persons / 5, SyntheticBooks: persons / 2})
-		b.Run(fmt.Sprintf("persons=%d/triples=%d", persons, k.Store.Len()), func(b *testing.B) {
+		b.Run(fmt.Sprintf("persons=%d/triples=%d", persons, k.Store.Snapshot().Len()), func(b *testing.B) {
 			pat := rdf.Triple{P: rdf.Ont("birthPlace")}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.Store.Count(pat)
+				k.Store.Snapshot().Count(pat)
 			}
 		})
 	}
@@ -626,7 +626,7 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 			},
 		}
 		ex := answer.New(fanoutKB, answer.Config{MaxQueries: 256})
-		res, err := ex.Extract(fanoutMP)
+		res, err := ex.ExtractCtx(context.Background(), fanoutMP)
 		if err != nil {
 			panic(err)
 		}
@@ -654,7 +654,7 @@ func BenchmarkExtractSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.Extract(mp)
+		res, err := ex.ExtractCtx(context.Background(), mp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -747,7 +747,7 @@ func benchmarkJoinMaybeUnderLoad(b *testing.B, load bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.ExecuteCtx(context.Background(), st, q)
+		res, err := sparql.ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil || res.Len() == 0 {
 			b.Fatalf("res=%v err=%v", res, err)
 		}
@@ -773,7 +773,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := k.Store.WriteSnapshot(&buf); err != nil {
+		if err := k.Store.Snapshot().WriteSnapshot(&buf); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := store.ReadSnapshot(&buf); err != nil {
@@ -916,7 +916,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := store.New()
-	st.AddAll(kb.Default().Store.Triples())
+	st.AddAll(kb.Default().Store.Snapshot().Triples())
 	m, err := rec.Open(st)
 	if err != nil {
 		b.Fatal(err)
@@ -953,7 +953,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 func benchmarkPlanCompile(b *testing.B, pc *sparql.PlanCache) {
 	k := kb.Default()
 	q := sparql.MustParse(benchJoin3)
-	sess := sparql.NewSession(k.Store).WithPlanCache(pc)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)
 	ctx := context.Background()
 	if sess.EstimateRows(ctx, q) == 0 { // warm the cache (when attached)
 		b.Fatal("estimate = 0")
@@ -992,7 +992,7 @@ func BenchmarkRankSort(b *testing.B) {
 	q := sparql.MustParse(`SELECT DISTINCT ?p ?c WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c . }`)
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

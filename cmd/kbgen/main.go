@@ -41,10 +41,10 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := ntriples.WriteAll(w, k.Store.Triples()); err != nil {
+	sn := k.Store.Snapshot()
+	if err := ntriples.WriteAll(w, sn.Triples()); err != nil {
 		fmt.Fprintln(os.Stderr, "kbgen:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "kbgen: wrote %d triples (%d terms)\n",
-		k.Store.Len(), k.Store.TermCount())
+	fmt.Fprintf(os.Stderr, "kbgen: wrote %d triples (%d terms)\n", sn.Len(), sn.TermCount())
 }

@@ -237,7 +237,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qaserve: building pipeline (mining patterns)...\n")
 		sys := core.New(cfg)
 		sys.Boot = append(boot, sys.Boot...)
-		fmt.Fprintf(os.Stderr, "qaserve: pipeline ready in %v (%d triples;", time.Since(start).Round(time.Millisecond), sys.KB.Store.Len())
+		fmt.Fprintf(os.Stderr, "qaserve: pipeline ready in %v (%d triples;", time.Since(start).Round(time.Millisecond), sys.KB.Store.Snapshot().Len())
 		for _, p := range sys.Boot {
 			fmt.Fprintf(os.Stderr, " %s %v", p.Name, p.Elapsed.Round(100*time.Microsecond))
 		}

@@ -32,7 +32,7 @@ func main() {
 		query = string(data)
 	}
 	k := kb.Default()
-	res, err := sparql.ExecuteStringCtx(context.Background(), k.Store, query)
+	res, err := sparql.ExecuteStringCtx(context.Background(), k.Store.Snapshot(), query)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sparqlrun:", err)
 		os.Exit(1)

@@ -23,11 +23,13 @@
 // term-space reference evaluator.
 //
 // The store publishes an immutable snapshot through an atomic pointer:
-// readers pin it with one atomic load and scan plain memory, while
-// writers build the next snapshot by generation-stamped copy-on-write
-// (index root → page → bucket → ID list) and swap the root once per
-// batch. Reads are therefore wait-free — a long join never stalls
-// behind a bulk AddAll, and every query sees whole batches or none.
+// a store.Store is the writer and every read is a store.Snapshot method,
+// so readers pin a snapshot with one atomic load and scan plain memory,
+// while writers build the next snapshot by generation-stamped
+// copy-on-write (index root → page → bucket → ID list) and swap the
+// root once per batch. Reads are therefore wait-free — a long join
+// never stalls behind a bulk AddAll, and every query sees whole batches
+// or none.
 // The executor pins one snapshot per query, and results stay columnar
 // end to end: sparql.Result.Rows holds flat dictionary IDs over the
 // pinned terms view, internal consumers (answer ranking, the COUNT
@@ -66,12 +68,11 @@
 // stage boundary, and inside §2.3 between candidate queries and
 // between join steps — and records per-stage wall time, candidate
 // counts and cache hit/miss in the Result's Trace. core.AnswerCtx is
-// the request-scoped entry point (Answer wraps it with a background
-// context and is byte-identical to the pre-staged pipeline). When
-// enabled, a bounded sharded LRU over normalized question text
-// (internal/qacache) mounts as the first stage; entries are stamped
-// with the KB snapshot generation, so any store write — including the
-// single-triple store.Remove — invalidates every cached answer.
+// the entry point. When enabled, a bounded sharded LRU over normalized
+// question text (internal/qacache) mounts as the first stage; entries
+// are stamped with the KB snapshot generation, so any store write —
+// including the single-triple store.Remove — invalidates every cached
+// answer.
 // cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer and
 // /v1/answer/batch — batch questions fan out across a bounded worker
 // pool, with every worker beyond the first charging an extra

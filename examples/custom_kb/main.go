@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -68,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d triples, %d classes, %d properties\n\n",
-		loaded.Store.Len(), len(loaded.Classes),
+		loaded.Store.Snapshot().Len(), len(loaded.Classes),
 		len(loaded.ObjectProperties)+len(loaded.DataProperties))
 
 	cfg := core.DefaultConfig()
@@ -82,7 +83,7 @@ func main() {
 		"Where did Leo Tolstoy die?",
 		"When did Leo Tolstoy die?",
 	} {
-		res := sys.Answer(q)
+		res := sys.AnswerCtx(context.Background(), q)
 		if res.Answered() {
 			fmt.Printf("Q: %-42s A: %s\n", q, strings.Join(res.AnswerStrings(sys.KB), "; "))
 		} else {

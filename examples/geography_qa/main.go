@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	for _, q := range questions {
-		res := sys.Answer(q)
+		res := sys.AnswerCtx(context.Background(), q)
 		if res.Answered() {
 			fmt.Printf("Q: %-48s A: %s\n", q, strings.Join(res.AnswerStrings(sys.KB), "; "))
 		} else {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	for _, q := range questions {
-		res := sys.Answer(q)
+		res := sys.AnswerCtx(context.Background(), q)
 		if res.Answered() {
 			fmt.Printf("Q: %-45s A: %s\n", q, strings.Join(res.AnswerStrings(sys.KB), "; "))
 		} else {
@@ -38,7 +39,7 @@ func main() {
 	}
 
 	// Inspect why the winning query was chosen for the flagship example.
-	res := sys.Answer(questions[0])
+	res := sys.AnswerCtx(context.Background(), questions[0])
 	fmt.Println("\nwinning SPARQL:", res.WinningSPARQL())
 	fmt.Println("runner-up candidate queries:")
 	for i, cq := range res.Answer.Candidates {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -18,7 +19,7 @@ func main() {
 	sys := core.Default()
 
 	// The paper's running example (§2.1–§2.3).
-	res := sys.Answer("Which book is written by Orhan Pamuk?")
+	res := sys.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 
 	fmt.Println("question:", res.Question)
 	fmt.Println("status:  ", res.Status)

@@ -24,9 +24,9 @@ import (
 // TestKBDumpLoadRoundTrip: kbgen-style dump → N-Triples parse → fresh
 // store must reproduce the graph exactly.
 func TestKBDumpLoadRoundTrip(t *testing.T) {
-	k := kb.Build(kb.Config{Seed: 7, SyntheticPersons: 20, SyntheticCities: 5, SyntheticBooks: 10})
+	orig := kb.Build(kb.Config{Seed: 7, SyntheticPersons: 20, SyntheticCities: 5, SyntheticBooks: 10}).Store.Snapshot()
 	var buf bytes.Buffer
-	if err := ntriples.WriteAll(&buf, k.Store.Triples()); err != nil {
+	if err := ntriples.WriteAll(&buf, orig.Triples()); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := ntriples.ReadAll(&buf)
@@ -35,22 +35,23 @@ func TestKBDumpLoadRoundTrip(t *testing.T) {
 	}
 	st2 := store.New()
 	st2.AddAll(parsed)
-	if st2.Len() != k.Store.Len() {
-		t.Fatalf("round trip: %d triples, want %d", st2.Len(), k.Store.Len())
+	reloaded := st2.Snapshot()
+	if reloaded.Len() != orig.Len() {
+		t.Fatalf("round trip: %d triples, want %d", reloaded.Len(), orig.Len())
 	}
 	// Every original triple survives.
-	for _, tr := range k.Store.Triples() {
-		if !st2.Has(tr) {
+	for _, tr := range orig.Triples() {
+		if !reloaded.Has(tr) {
 			t.Fatalf("triple lost in round trip: %v", tr)
 		}
 	}
 	// Queries over the reloaded store agree.
 	q := `SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . }`
-	r1, err := sparql.ExecuteStringCtx(context.Background(), k.Store, q)
+	r1, err := sparql.ExecuteStringCtx(context.Background(), orig, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sparql.ExecuteStringCtx(context.Background(), st2, q)
+	r2, err := sparql.ExecuteStringCtx(context.Background(), reloaded, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPipelineNeverPanics(t *testing.T) {
 		"Who is the the the mayor of of Berlin?",
 	}
 	for _, q := range inputs {
-		res := s.Answer(q)
+		res := s.AnswerCtx(context.Background(), q)
 		if res == nil {
 			t.Fatalf("nil result for %q", q)
 		}
@@ -112,7 +113,7 @@ func TestPipelineFuzzRandomWords(t *testing.T) {
 			words[j] = vocab[rng.Intn(len(vocab))]
 		}
 		q := strings.Join(words, " ")
-		res := s.Answer(q) // must not panic
+		res := s.AnswerCtx(context.Background(), q) // must not panic
 		_ = res.Status.String()
 	}
 }
@@ -127,9 +128,9 @@ func TestAnswerDeterminism(t *testing.T) {
 		"What is the population of Victoria?",
 	}
 	for _, q := range questions {
-		first := s.Answer(q)
+		first := s.AnswerCtx(context.Background(), q)
 		for i := 0; i < 3; i++ {
-			again := s.Answer(q)
+			again := s.AnswerCtx(context.Background(), q)
 			if again.Status != first.Status {
 				t.Fatalf("%q: status changed: %v vs %v", q, again.Status, first.Status)
 			}
@@ -150,12 +151,12 @@ func TestTwoSystemsIndependent(t *testing.T) {
 	k2 := kb.Build(kb.Config{Seed: 1})
 	s1 := core.New(core.Config{KB: k1})
 	s2 := core.New(core.Config{KB: k2})
-	before := k1.Store.Len()
+	before := k1.Store.Snapshot().Len()
 	for i := 0; i < 5; i++ {
-		s1.Answer("Which book is written by Orhan Pamuk?")
-		s2.Answer("Where did Abraham Lincoln die?")
+		s1.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
+		s2.AnswerCtx(context.Background(), "Where did Abraham Lincoln die?")
 	}
-	if k1.Store.Len() != before || k2.Store.Len() != before {
+	if k1.Store.Snapshot().Len() != before || k2.Store.Snapshot().Len() != before {
 		t.Error("answering mutated the store")
 	}
 }
@@ -193,7 +194,7 @@ func TestConcurrentAnswering(t *testing.T) {
 			defer func() { done <- true }()
 			for i := 0; i < 10; i++ {
 				q := questions[(w+i)%len(questions)]
-				res := s.Answer(q)
+				res := s.AnswerCtx(context.Background(), q)
 				if !res.Answered() {
 					t.Errorf("%q unanswered under concurrency: %v", q, res.Status)
 					return
@@ -260,8 +261,8 @@ func TestCrashRecoveryPreservesQALD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2.Store.Len() != k.Store.Len() {
-		t.Fatalf("recovered %d triples, want %d", k2.Store.Len(), k.Store.Len())
+	if k2.Store.Snapshot().Len() != k.Store.Snapshot().Len() {
+		t.Fatalf("recovered %d triples, want %d", k2.Store.Snapshot().Len(), k.Store.Snapshot().Len())
 	}
 	s2 := core.New(core.Config{KB: k2})
 	m2, err := rec2.Open(k2.Store)

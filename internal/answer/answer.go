@@ -20,7 +20,7 @@
 // The run is request-scoped: ExtractCtx checks the caller's context
 // between candidates and sparql.ExecuteCtx checks it between join
 // steps, so a deadline expiring mid-§2.3 returns ctx.Err() within one
-// join step. Extract is the context-free compatibility wrapper.
+// join step.
 package answer
 
 import (
@@ -128,23 +128,18 @@ func (e *ErrBoolean) Error() string {
 	return fmt.Sprintf("answer: boolean questions are not supported (Table 1 has no boolean type): %q", e.Question)
 }
 
-// Extract builds, ranks and executes the candidate queries.
-func (e *Extractor) Extract(mp *propmap.Mapping) (*Result, error) {
-	//qalint:ignore ctxflow pre-context compatibility wrapper; new callers use ExtractCtx.
-	return e.ExtractCtx(context.Background(), mp)
-}
-
-// ExtractCtx is Extract under a request context: candidate execution
-// honours cancellation between candidates and, inside each query,
-// between join steps (sparql.ExecuteCtx). When the context is cancelled
-// before a candidate has won, ExtractCtx returns ctx.Err() promptly —
-// bounded by one join step.
+// ExtractCtx builds, ranks and executes the candidate queries under a
+// request context: candidate execution honours cancellation between
+// candidates and, inside each query, between join steps
+// (sparql.ExecuteCtx). When the context is cancelled before a candidate
+// has won, ExtractCtx returns ctx.Err() promptly — bounded by one join
+// step.
 //
 // Each call pins one sparql.Session over the store's current snapshot
 // and shares it across the whole §2.3 run; use ExtractSessionCtx to
 // supply a session pinned earlier in the request.
 func (e *Extractor) ExtractCtx(ctx context.Context, mp *propmap.Mapping) (*Result, error) {
-	return e.ExtractSessionCtx(ctx, mp, sparql.NewSession(e.kb.Store))
+	return e.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(e.kb.Store.Snapshot()))
 }
 
 // ExtractSessionCtx is ExtractCtx over a caller-pinned execution

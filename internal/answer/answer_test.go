@@ -1,6 +1,7 @@
 package answer
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func mapped(t *testing.T, q string) *propmap.Mapping {
 func TestQuery1Query2Generation(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.Extract(mapped(t, "Which book is written by Orhan Pamuk?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Which book is written by Orhan Pamuk?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestQuery1Query2Generation(t *testing.T) {
 func TestRankingPrefersFrequentPredicate(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.Extract(mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRankingPrefersFrequentPredicate(t *testing.T) {
 func TestTypeCheckSelectsDate(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.Extract(mapped(t, "When did Frank Herbert die?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "When did Frank Herbert die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestTypeCheckSelectsDate(t *testing.T) {
 func TestTypeCheckDisabledAblation(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{DisableTypeCheck: true, MaxQueries: 256})
-	res, err := ex.Extract(mapped(t, "When did Frank Herbert die?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "When did Frank Herbert die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestTypeCheckDisabledAblation(t *testing.T) {
 func TestOrientationPruning(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.Extract(mapped(t, "Who wrote The Time Machine?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Who wrote The Time Machine?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestBooleanUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ex.Extract(mp)
+	_, err = ex.ExtractCtx(context.Background(), mp)
 	if err == nil {
 		t.Fatal("boolean question should be rejected")
 	}
@@ -186,7 +187,7 @@ func TestBooleanUnsupported(t *testing.T) {
 func TestMaxQueriesCap(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{MaxQueries: 2})
-	res, err := ex.Extract(mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestNumericAnswersPassPlainLiterals(t *testing.T) {
 	// DBpedia-raw style plain numeric literal passes the Numeric check.
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.Extract(mapped(t, "How tall is Michael Jordan?"))
+	res, err := ex.ExtractCtx(context.Background(), mapped(t, "How tall is Michael Jordan?"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestExtractCtxDeadlineMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reuse after cancellation: %v", err)
 	}
-	want, err := New(k, Config{MaxQueries: 256}).Extract(mp)
+	want, err := New(k, Config{MaxQueries: 256}).ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -140,15 +140,16 @@ func TestExtractCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestExtractCtxBackgroundMatchesExtract: the ctx plumbing changes
-// nothing for uncancelled calls — ExtractCtx(Background) is Extract.
+// TestExtractCtxBackgroundMatchesExtract: uncancelled calls on one
+// extractor are repeatable — nothing one ExtractCtx leaves behind
+// changes the next.
 func TestExtractCtxBackgroundMatchesExtract(t *testing.T) {
 	k := kb.Build(kb.Config{Seed: 11, SyntheticPersons: 40, SyntheticCities: 10, SyntheticBooks: 20})
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectAny, false)
 		e := New(k, Config{})
-		a, errA := e.Extract(mp)
+		a, errA := e.ExtractCtx(context.Background(), mp)
 		b, errB := e.ExtractCtx(context.Background(), mp)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: err mismatch %v vs %v", trial, errA, errB)

@@ -1,6 +1,7 @@
 package answer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func TestOrientationsDataProperty(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	height, _ := k.PropertyByLocal("height")
 
 	// Entity subject, var object: the natural direction.
@@ -45,7 +46,7 @@ func TestOrientationsDataProperty(t *testing.T) {
 func TestOrientationsObjectProperty(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	spouse, _ := k.PropertyByLocal("spouse")
 
 	// Person-Person property: both orientations type-check.
@@ -70,7 +71,7 @@ func TestOrientationsObjectProperty(t *testing.T) {
 func TestTypeMatchesTable1(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	cases := []struct {
 		term rdf.Term
 		kind triplex.ExpectedKind
@@ -99,7 +100,7 @@ func TestTypeMatchesTable1(t *testing.T) {
 func TestInstanceOfLoose(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	sess := sparql.NewSession(k.Store)
+	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	// owl:Thing and zero constraints always pass.
 	if !ex.instanceOfLoose(sess, rdf.Res("Ankara"), rdf.Term{}) {
 		t.Error("zero class should pass")
@@ -131,7 +132,7 @@ func TestBooleanExtensionFalsePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Extract(mp)
+	res, err := ex.ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestAggregationSkipsKnownEmpty(t *testing.T) {
 	if err != nil {
 		t.Skip("mapping unavailable:", err)
 	}
-	res, err := ex.Extract(mp)
+	res, err := ex.ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}

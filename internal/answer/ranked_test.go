@@ -109,8 +109,8 @@ func termsKey(ts []rdf.Term) string {
 func synthMapping(r *rand.Rand, k *kb.KB, kind triplex.ExpectedKind, ground bool) *propmap.Mapping {
 	props := k.Properties()
 	classes := k.Classes
-	entities := k.Store.Match(rdf.Triple{P: rdf.Type(), O: rdf.Ont("Person")})
-	entities = append(entities, k.Store.Match(rdf.Triple{P: rdf.Type(), O: rdf.Ont("City")})...)
+	entities := k.Store.Snapshot().Match(rdf.Triple{P: rdf.Type(), O: rdf.Ont("Person")})
+	entities = append(entities, k.Store.Snapshot().Match(rdf.Triple{P: rdf.Type(), O: rdf.Ont("City")})...)
 	pickEntity := func() rdf.Term { return entities[r.Intn(len(entities))].S }
 
 	candidates := func() []propmap.PropCandidate {
@@ -204,8 +204,8 @@ func TestExtractStopsAtWinner(t *testing.T) {
 			// Aggregation is left off: its COUNT retry revisits the list
 			// after a full SELECT pass, so "past the winner" does not apply.
 			e := New(k, Config{MaxQueries: maxQ, EnableBoolean: true})
-			res, err := e.Extract(mp)
-			again, againErr := e.Extract(mp)
+			res, err := e.ExtractCtx(context.Background(), mp)
+			again, againErr := e.ExtractCtx(context.Background(), mp)
 			if (err == nil) != (againErr == nil) {
 				t.Fatalf("kb=%d trial=%d: err mismatch between runs: %v vs %v", ki, trial, err, againErr)
 			}
@@ -237,7 +237,7 @@ func TestExtractConcurrentCallers(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{MaxQueries: 256})
 	mp := mapped(t, "Where did Abraham Lincoln die?")
-	ref, err := ex.Extract(mp)
+	ref, err := ex.ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestExtractConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := ex.Extract(mp)
+			res, err := ex.ExtractCtx(context.Background(), mp)
 			if err != nil {
 				errCh <- err
 				return
@@ -289,7 +289,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 		Extraction: &triplex.Extraction{Question: "truncation regression", Expected: triplex.Expected{Kind: triplex.ExpectAny}},
 		Triples:    []propmap.MappedTriple{{Subject: lincoln, ObjectVar: "x", Predicates: cands}},
 	}
-	res, err := New(k, Config{MaxQueries: 3}).Extract(mp)
+	res, err := New(k, Config{MaxQueries: 3}).ExtractCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 // and every combination is generated.
 func TestNoTruncationFlag(t *testing.T) {
 	k, _ := setup(t)
-	res, err := New(k, DefaultConfig()).Extract(mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := New(k, DefaultConfig()).ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestBooleanAllErrorsStaysUnanswered(t *testing.T) {
 	k, _ := setup(t)
 	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), brokenQuery()}}
-	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Winning != nil || len(res.Answers) != 0 {
@@ -361,7 +361,7 @@ func TestBooleanFallbackSkipsErroredCandidates(t *testing.T) {
 	falseAsk := askQuery(k, rdf.Res("Abraham_Lincoln"), rdf.Ont("author"), rdf.Res("Berlin"), 1)
 	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), falseAsk}}
-	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Winning == nil {
@@ -380,7 +380,7 @@ func TestBooleanTrueStillWinsPastErrors(t *testing.T) {
 	trueAsk := askQuery(k, rdf.Res("The_Time_Machine"), rdf.Ont("author"), rdf.Res("H._G._Wells"), 1)
 	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), trueAsk}}
-	if _, err := e.executeBoolean(context.Background(), sparql.NewSession(k.Store), res); err != nil {
+	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Winning != &res.Candidates[1] || res.Answers[0].Value != "true" {

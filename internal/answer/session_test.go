@@ -27,10 +27,10 @@ import (
 func cachedMatchesFresh(t *testing.T, label string, k *kb.KB, pc *sparql.PlanCache, cfg Config, mp *propmap.Mapping) uint64 {
 	t.Helper()
 	ex, ctx := New(k, cfg), context.Background()
-	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSession(k.Store).WithPlanCache(nil))
+	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(nil))
 	var shapeHits uint64
 	for pass := 0; pass < 2; pass++ {
-		sess := sparql.NewSession(k.Store).WithPlanCache(pc)
+		sess := sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)
 		cachedRes, cachedErr := ex.ExtractSessionCtx(ctx, mp, sess)
 		shapeHits = sess.PlanStats().Hits
 		if (freshErr == nil) != (cachedErr == nil) {

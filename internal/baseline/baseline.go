@@ -126,12 +126,13 @@ func (s *System) Answer(question string) *Result {
 
 	// Try properties in score order, both directions, first non-empty
 	// result wins. No type checking.
+	sn := s.kb.Store.Snapshot()
 	for _, sc := range ranked {
-		if objs := s.kb.Store.Objects(best.Entity, sc.prop.Term); len(objs) > 0 {
+		if objs := sn.Objects(best.Entity, sc.prop.Term); len(objs) > 0 {
 			return &Result{Entity: best.Entity, Property: sc.prop.Term,
 				Answers: objs, Score: sc.score}
 		}
-		if subs := s.kb.Store.Subjects(sc.prop.Term, best.Entity); len(subs) > 0 {
+		if subs := sn.Subjects(sc.prop.Term, best.Entity); len(subs) > 0 {
 			return &Result{Entity: best.Entity, Property: sc.prop.Term,
 				Answers: subs, Score: sc.score}
 		}

@@ -18,12 +18,11 @@
 // metrics.
 //
 // System is the public entry point: build one with New (or share the
-// process-wide Default) and call AnswerCtx — or Answer, the
-// context-free compatibility wrapper, which is byte-identical to the
-// pre-staged pipeline. The Result records every intermediate stage, so
-// callers can inspect the extracted triples, the candidate property
-// sets, the generated SPARQL queries and the ranking — the trace the
-// paper walks through for "Which book is written by Orhan Pamuk?".
+// process-wide Default) and call AnswerCtx. The Result records every
+// intermediate stage, so callers can inspect the extracted triples, the
+// candidate property sets, the generated SPARQL queries and the ranking
+// — the trace the paper walks through for "Which book is written by
+// Orhan Pamuk?".
 //
 // The answer cache (internal/qacache) is mounted as the first stage
 // when Config.CacheSize > 0: entries are keyed on normalized question
@@ -558,14 +557,6 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 // StageTrace aliases the pipeline trace entry so stage implementations
 // read naturally here.
 type StageTrace = pipeline.StageTrace
-
-// Answer runs the pipeline on one question. It is the context-free
-// compatibility wrapper around AnswerCtx and produces results identical
-// to the pre-staged pipeline.
-func (s *System) Answer(question string) *Result {
-	//qalint:ignore ctxflow documented context-free compatibility wrapper; new callers use AnswerCtx.
-	return s.AnswerCtx(context.Background(), question)
-}
 
 // AnswerCtx runs the staged pipeline on one question under a request
 // context. Cancellation and deadlines are honoured at every stage

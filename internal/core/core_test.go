@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // paper's Query1/Query2) and answer with Pamuk's books.
 func TestWorkedExampleOrhanPamuk(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which book is written by Orhan Pamuk?")
+	res := s.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -52,7 +53,7 @@ func TestWorkedExampleOrhanPamuk(t *testing.T) {
 
 func TestHowTallMichaelJordan(t *testing.T) {
 	s := Default()
-	res := s.Answer("How tall is Michael Jordan?")
+	res := s.AnswerCtx(context.Background(), "How tall is Michael Jordan?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -63,7 +64,7 @@ func TestHowTallMichaelJordan(t *testing.T) {
 
 func TestWhereDidLincolnDie(t *testing.T) {
 	s := Default()
-	res := s.Answer("Where did Abraham Lincoln die?")
+	res := s.AnswerCtx(context.Background(), "Where did Abraham Lincoln die?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -74,7 +75,7 @@ func TestWhereDidLincolnDie(t *testing.T) {
 
 func TestWhenDidFrankHerbertDie(t *testing.T) {
 	s := Default()
-	res := s.Answer("When did Frank Herbert die?")
+	res := s.AnswerCtx(context.Background(), "When did Frank Herbert die?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -85,7 +86,7 @@ func TestWhenDidFrankHerbertDie(t *testing.T) {
 
 func TestWhereWasMichaelJacksonBorn(t *testing.T) {
 	s := Default()
-	res := s.Answer("Where was Michael Jackson born?")
+	res := s.AnswerCtx(context.Background(), "Where was Michael Jackson born?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -98,7 +99,7 @@ func TestWhereWasMichaelJacksonBorn(t *testing.T) {
 // unmappable, so the question is processed only up to §2.2.
 func TestFrankHerbertAliveFailure(t *testing.T) {
 	s := Default()
-	res := s.Answer("Is Frank Herbert still alive?")
+	res := s.AnswerCtx(context.Background(), "Is Frank Herbert still alive?")
 	if res.Answered() {
 		t.Fatalf("should not answer: %v", res.Answers)
 	}
@@ -109,7 +110,7 @@ func TestFrankHerbertAliveFailure(t *testing.T) {
 
 func TestWhoIsTheMayorOfBerlin(t *testing.T) {
 	s := Default()
-	res := s.Answer("Who is the mayor of Berlin?")
+	res := s.AnswerCtx(context.Background(), "Who is the mayor of Berlin?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -120,7 +121,7 @@ func TestWhoIsTheMayorOfBerlin(t *testing.T) {
 
 func TestWhoWroteTheTimeMachine(t *testing.T) {
 	s := Default()
-	res := s.Answer("Who wrote The Time Machine?")
+	res := s.AnswerCtx(context.Background(), "Who wrote The Time Machine?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -131,7 +132,7 @@ func TestWhoWroteTheTimeMachine(t *testing.T) {
 
 func TestWhoIsMarriedToObama(t *testing.T) {
 	s := Default()
-	res := s.Answer("Who is married to Barack Obama?")
+	res := s.AnswerCtx(context.Background(), "Who is married to Barack Obama?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -142,7 +143,7 @@ func TestWhoIsMarriedToObama(t *testing.T) {
 
 func TestWhatIsThePopulationOfItaly(t *testing.T) {
 	s := Default()
-	res := s.Answer("What is the population of Italy?")
+	res := s.AnswerCtx(context.Background(), "What is the population of Italy?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -154,7 +155,7 @@ func TestWhatIsThePopulationOfItaly(t *testing.T) {
 
 func TestWhichCompanyDevelopedMinecraft(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which company developed Minecraft?")
+	res := s.AnswerCtx(context.Background(), "Which company developed Minecraft?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -175,7 +176,7 @@ func TestUnprocessableQuestions(t *testing.T) {
 		{"Who is the owner of Facebook?", StatusNotMapped}, // Facebook not in KB
 	}
 	for _, c := range cases {
-		res := s.Answer(c.q)
+		res := s.AnswerCtx(context.Background(), c.q)
 		if res.Status != c.want {
 			t.Errorf("%q: status = %v (err %v), want %v", c.q, res.Status, res.Err, c.want)
 		}
@@ -186,7 +187,7 @@ func TestCountQuestionYieldsNoAnswer(t *testing.T) {
 	s := Default()
 	// Needs aggregation: queries run but numeric type-check rejects the
 	// book entities.
-	res := s.Answer("How many books did Orhan Pamuk write?")
+	res := s.AnswerCtx(context.Background(), "How many books did Orhan Pamuk write?")
 	if res.Answered() {
 		t.Fatalf("should not answer without aggregation: %v", res.Answers)
 	}
@@ -197,7 +198,7 @@ func TestCountQuestionYieldsNoAnswer(t *testing.T) {
 
 func TestResultTraceCompleteness(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which book is written by Orhan Pamuk?")
+	res := s.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 	if res.Extraction == nil || res.Mapping == nil || res.Answer == nil {
 		t.Fatal("trace stages missing")
 	}
@@ -211,7 +212,7 @@ func TestResultTraceCompleteness(t *testing.T) {
 		t.Error("winning SPARQL empty")
 	}
 	// Unanswered questions have empty winning SPARQL.
-	res2 := s.Answer("gibberish blob")
+	res2 := s.AnswerCtx(context.Background(), "gibberish blob")
 	if res2.WinningSPARQL() != "" {
 		t.Error("unanswered question should have empty winning SPARQL")
 	}
@@ -219,7 +220,7 @@ func TestResultTraceCompleteness(t *testing.T) {
 
 func TestFrontedPrepositionQuestion(t *testing.T) {
 	s := Default()
-	res := s.Answer("In which city was Albert Einstein born?")
+	res := s.AnswerCtx(context.Background(), "In which city was Albert Einstein born?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -230,11 +231,11 @@ func TestFrontedPrepositionQuestion(t *testing.T) {
 
 func TestPossessiveQuestion(t *testing.T) {
 	s := Default()
-	res := s.Answer("What is Michael Jordan's height?")
+	res := s.AnswerCtx(context.Background(), "What is Michael Jordan's height?")
 	if !res.Answered() || res.Answers[0].Value != "1.98" {
 		t.Fatalf("status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
-	res2 := s.Answer("What is Italy's population?")
+	res2 := s.AnswerCtx(context.Background(), "What is Italy's population?")
 	if !res2.Answered() || res2.Answers[0].Value != "59464644" {
 		t.Fatalf("status=%v answers=%v", res2.Status, res2.Answers)
 	}
@@ -242,7 +243,7 @@ func TestPossessiveQuestion(t *testing.T) {
 
 func TestWhDeterminedCopular(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which city is the capital of France?")
+	res := s.AnswerCtx(context.Background(), "Which city is the capital of France?")
 	if !res.Answered() || len(res.Answers) != 1 || res.Answers[0] != rdf.Res("Paris") {
 		t.Fatalf("status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
@@ -252,11 +253,11 @@ func TestWordNetNounPredicates(t *testing.T) {
 	// "wife"/"husband" clear the §2.2.1 WordNet thresholds against the
 	// spouse property head although no string similarity exists.
 	s := Default()
-	res := s.Answer("Who was the wife of Abraham Lincoln?")
+	res := s.AnswerCtx(context.Background(), "Who was the wife of Abraham Lincoln?")
 	if !res.Answered() || res.Answers[0] != rdf.Res("Mary_Todd_Lincoln") {
 		t.Fatalf("wife: status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
-	res2 := s.Answer("Who is the husband of Michelle Obama?")
+	res2 := s.AnswerCtx(context.Background(), "Who is the husband of Michelle Obama?")
 	if !res2.Answered() || res2.Answers[0] != rdf.Res("Barack_Obama") {
 		t.Fatalf("husband: status=%v answers=%v", res2.Status, res2.Answers)
 	}
@@ -264,11 +265,11 @@ func TestWordNetNounPredicates(t *testing.T) {
 
 func TestFrontedWhObjectQuestion(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which university did Albert Einstein attend?")
+	res := s.AnswerCtx(context.Background(), "Which university did Albert Einstein attend?")
 	if !res.Answered() || len(res.Answers) != 1 || res.Answers[0] != rdf.Res("ETH_Zurich") {
 		t.Fatalf("status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
-	res2 := s.Answer("Which books did Orhan Pamuk write?")
+	res2 := s.AnswerCtx(context.Background(), "Which books did Orhan Pamuk write?")
 	if !res2.Answered() || len(res2.Answers) != 5 {
 		t.Fatalf("fronted plural object: status=%v answers=%v", res2.Status, res2.Answers)
 	}
@@ -276,11 +277,11 @@ func TestFrontedWhObjectQuestion(t *testing.T) {
 
 func TestPluralCopularQuestions(t *testing.T) {
 	s := Default()
-	res := s.Answer("Who are the founders of Intel?")
+	res := s.AnswerCtx(context.Background(), "Who are the founders of Intel?")
 	if !res.Answered() || len(res.Answers) != 2 {
 		t.Fatalf("founders: status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
-	res2 := s.Answer("What are the official languages of Turkey?")
+	res2 := s.AnswerCtx(context.Background(), "What are the official languages of Turkey?")
 	if !res2.Answered() || res2.Answers[0] != rdf.Res("Turkish_language") {
 		t.Fatalf("languages: status=%v answers=%v", res2.Status, res2.Answers)
 	}
@@ -312,7 +313,7 @@ func TestAblationConfigsRun(t *testing.T) {
 		{DisableCentrality: true},
 	} {
 		s := New(cfg)
-		res := s.Answer("Which book is written by Orhan Pamuk?")
+		res := s.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 		// The flagship example must stay answerable in every ablation
 		// except possibly pattern-less property mapping (strsim covers
 		// "written" → writer).

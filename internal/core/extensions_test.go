@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func extensionSystem() *System {
 
 func TestExtensionBooleanYes(t *testing.T) {
 	s := extensionSystem()
-	res := s.Answer("Was Albert Einstein born in Ulm?")
+	res := s.AnswerCtx(context.Background(), "Was Albert Einstein born in Ulm?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -38,7 +39,7 @@ func TestExtensionBooleanYes(t *testing.T) {
 
 func TestExtensionBooleanNo(t *testing.T) {
 	s := extensionSystem()
-	res := s.Answer("Was Albert Einstein born in Paris?")
+	res := s.AnswerCtx(context.Background(), "Was Albert Einstein born in Paris?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -49,11 +50,11 @@ func TestExtensionBooleanNo(t *testing.T) {
 
 func TestExtensionBooleanCapitalFact(t *testing.T) {
 	s := extensionSystem()
-	res := s.Answer("Is Berlin the capital of Germany?")
+	res := s.AnswerCtx(context.Background(), "Is Berlin the capital of Germany?")
 	if !res.Answered() || res.Answers[0].Value != "true" {
 		t.Fatalf("status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
-	res2 := s.Answer("Is Rome the capital of Germany?")
+	res2 := s.AnswerCtx(context.Background(), "Is Rome the capital of Germany?")
 	if !res2.Answered() || res2.Answers[0].Value != "false" {
 		t.Fatalf("negative case: status=%v answers=%v", res2.Status, res2.Answers)
 	}
@@ -63,7 +64,7 @@ func TestExtensionAliveStillFails(t *testing.T) {
 	// §5's failure case must stay unanswerable even with booleans on:
 	// the predicate "alive" has no property mapping.
 	s := extensionSystem()
-	res := s.Answer("Is Frank Herbert still alive?")
+	res := s.AnswerCtx(context.Background(), "Is Frank Herbert still alive?")
 	if res.Answered() {
 		t.Fatalf("should stay unanswerable: %v", res.Answers)
 	}
@@ -74,7 +75,7 @@ func TestExtensionAliveStillFails(t *testing.T) {
 
 func TestExtensionAggregationCount(t *testing.T) {
 	s := extensionSystem()
-	res := s.Answer("How many books did Orhan Pamuk write?")
+	res := s.AnswerCtx(context.Background(), "How many books did Orhan Pamuk write?")
 	if !res.Answered() {
 		t.Fatalf("status = %v, err = %v", res.Status, res.Err)
 	}
@@ -88,7 +89,7 @@ func TestExtensionAggregationCount(t *testing.T) {
 
 func TestExtensionAggregationFilms(t *testing.T) {
 	s := extensionSystem()
-	res := s.Answer("How many films did Alfred Hitchcock direct?")
+	res := s.AnswerCtx(context.Background(), "How many films did Alfred Hitchcock direct?")
 	if !res.Answered() || res.Answers[0] != rdf.NewInteger(4) {
 		t.Fatalf("status=%v answers=%v err=%v", res.Status, res.Answers, res.Err)
 	}
@@ -98,11 +99,11 @@ func TestExtensionDoesNotBreakDataProperties(t *testing.T) {
 	// Numeric questions answered by data properties must keep their
 	// direct answers (no count wrapping).
 	s := extensionSystem()
-	res := s.Answer("How many people live in Istanbul?")
+	res := s.AnswerCtx(context.Background(), "How many people live in Istanbul?")
 	if !res.Answered() || res.Answers[0].Value != "13854740" {
 		t.Fatalf("answers = %v", res.Answers)
 	}
-	res2 := s.Answer("How tall is Michael Jordan?")
+	res2 := s.AnswerCtx(context.Background(), "How tall is Michael Jordan?")
 	if !res2.Answered() || res2.Answers[0].Value != "1.98" {
 		t.Fatalf("answers = %v", res2.Answers)
 	}
@@ -119,7 +120,7 @@ func TestExtensionSuperlatives(t *testing.T) {
 		{"Who is the tallest basketball player?", rdf.Res("Scottie_Pippen")},
 	}
 	for _, c := range cases {
-		res := s.Answer(c.q)
+		res := s.AnswerCtx(context.Background(), c.q)
 		if !res.Answered() || len(res.Answers) != 1 || res.Answers[0] != c.want {
 			t.Errorf("%q: status=%v answers=%v err=%v", c.q, res.Status, res.Answers, res.Err)
 			continue
@@ -130,7 +131,7 @@ func TestExtensionSuperlatives(t *testing.T) {
 		}
 	}
 	// Non-superlative questions keep their normal path.
-	res := s.Answer("What is the largest city of Germany?")
+	res := s.AnswerCtx(context.Background(), "What is the largest city of Germany?")
 	if !res.Answered() || res.Answers[0] != rdf.Res("Berlin") {
 		t.Errorf("largestCity path broken: %v (%v)", res.Answers, res.Status)
 	}
@@ -143,13 +144,13 @@ func TestDefaultConfigStaysPaperFaithful(t *testing.T) {
 	// The default system must NOT answer boolean/aggregation questions
 	// (Table 2's coverage is the reproduction target).
 	s := Default()
-	if res := s.Answer("Was Albert Einstein born in Ulm?"); res.Answered() {
+	if res := s.AnswerCtx(context.Background(), "Was Albert Einstein born in Ulm?"); res.Answered() {
 		t.Errorf("default config answered a boolean question: %v", res.Answers)
 	}
-	if res := s.Answer("How many films did Alfred Hitchcock direct?"); res.Answered() {
+	if res := s.AnswerCtx(context.Background(), "How many films did Alfred Hitchcock direct?"); res.Answered() {
 		t.Errorf("default config answered an aggregation question: %v", res.Answers)
 	}
-	if res := s.Answer("What is the highest mountain?"); res.Answered() {
+	if res := s.AnswerCtx(context.Background(), "What is the highest mountain?"); res.Answered() {
 		t.Errorf("default config answered a superlative question: %v", res.Answers)
 	}
 }

@@ -53,7 +53,7 @@ func TestApplyDefaultsZeroValueNotClobbered(t *testing.T) {
 
 func TestAnswerTraceRecordsStages(t *testing.T) {
 	s := Default()
-	res := s.Answer("Which book is written by Orhan Pamuk?")
+	res := s.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 	if res.Trace == nil {
 		t.Fatal("no trace")
 	}
@@ -87,7 +87,7 @@ func TestAnswerTraceRecordsStages(t *testing.T) {
 	}
 
 	// A stage failure is recorded on its trace entry.
-	res2 := s.Answer("Give me all films starring Brad Pitt.")
+	res2 := s.AnswerCtx(context.Background(), "Give me all films starring Brad Pitt.")
 	if res2.Status != StatusNotExtracted {
 		t.Fatalf("status = %v", res2.Status)
 	}
@@ -112,12 +112,15 @@ func TestAnswerCtxCancelledBeforeStart(t *testing.T) {
 		t.Error("cancelled request answered")
 	}
 	// The system stays fully usable afterwards.
-	res2 := s.Answer("Which book is written by Orhan Pamuk?")
+	res2 := s.AnswerCtx(context.Background(), "Which book is written by Orhan Pamuk?")
 	if !res2.Answered() {
 		t.Fatalf("post-cancellation answer: %v / %v", res2.Status, res2.Err)
 	}
 }
 
+// TestAnswerCtxBackgroundIdenticalToAnswer: an uncancelled question
+// answers the same on every ask — nothing one AnswerCtx leaves behind
+// changes the next.
 func TestAnswerCtxBackgroundIdenticalToAnswer(t *testing.T) {
 	s := Default()
 	for _, q := range []string{
@@ -126,11 +129,11 @@ func TestAnswerCtxBackgroundIdenticalToAnswer(t *testing.T) {
 		"Is Frank Herbert still alive?",
 		"gibberish blob",
 	} {
-		a := s.Answer(q)
+		a := s.AnswerCtx(context.Background(), q)
 		b := s.AnswerCtx(context.Background(), q)
 		if a.Status != b.Status || len(a.Answers) != len(b.Answers) ||
 			a.WinningSPARQL() != b.WinningSPARQL() {
-			t.Errorf("%q: Answer and AnswerCtx diverge: %v vs %v", q, a.Status, b.Status)
+			t.Errorf("%q: two asks diverge: %v vs %v", q, a.Status, b.Status)
 		}
 		for i := range a.Answers {
 			if a.Answers[i] != b.Answers[i] {
@@ -153,11 +156,11 @@ func cachedSystem(t *testing.T) *System {
 func TestAnswerCacheHit(t *testing.T) {
 	s := cachedSystem(t)
 	const q = "Where did Abraham Lincoln die?"
-	first := s.Answer(q)
+	first := s.AnswerCtx(context.Background(), q)
 	if !first.Answered() || first.CacheHit() {
 		t.Fatalf("first: status=%v hit=%v", first.Status, first.CacheHit())
 	}
-	second := s.Answer(q)
+	second := s.AnswerCtx(context.Background(), q)
 	if !second.CacheHit() {
 		t.Fatal("second identical question missed the cache")
 	}
@@ -170,7 +173,7 @@ func TestAnswerCacheHit(t *testing.T) {
 	}
 	// Normalized variants share the entry; the requester's own text is
 	// preserved on the result.
-	third := s.Answer("  Where did  Abraham Lincoln die ?")
+	third := s.AnswerCtx(context.Background(), "  Where did  Abraham Lincoln die ?")
 	if !third.CacheHit() {
 		t.Error("normalized variant missed the cache")
 	}
@@ -182,7 +185,7 @@ func TestAnswerCacheHit(t *testing.T) {
 		t.Errorf("stats = %d hits / %d misses / %d evictions, want 2/1/0", hits, misses, evictions)
 	}
 	// Failure outcomes are cached too — they are deterministic.
-	if s.Answer("gibberish blob"); !s.Answer("gibberish blob").CacheHit() {
+	if s.AnswerCtx(context.Background(), "gibberish blob"); !s.AnswerCtx(context.Background(), "gibberish blob").CacheHit() {
 		t.Error("failure outcome not cached")
 	}
 }
@@ -193,11 +196,11 @@ func TestAnswerCacheHit(t *testing.T) {
 func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	s := cachedSystem(t)
 	const q = "Where did Abraham Lincoln die?"
-	first := s.Answer(q)
+	first := s.AnswerCtx(context.Background(), q)
 	if !first.Answered() {
 		t.Fatalf("first: %v / %v", first.Status, first.Err)
 	}
-	if !s.Answer(q).CacheHit() {
+	if !s.AnswerCtx(context.Background(), q).CacheHit() {
 		t.Fatal("warm-up hit failed")
 	}
 
@@ -210,7 +213,7 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 		t.Fatalf("generation did not bump: %d -> %d", genBefore, gen)
 	}
 
-	after := s.Answer(q)
+	after := s.AnswerCtx(context.Background(), q)
 	if after.CacheHit() {
 		t.Fatal("stale cached answer served after KB mutation")
 	}
@@ -219,7 +222,7 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	}
 
 	// The recomputed outcome is itself cached under the new generation.
-	if !s.Answer(q).CacheHit() {
+	if !s.AnswerCtx(context.Background(), q).CacheHit() {
 		t.Error("recomputed outcome not re-cached")
 	}
 }
@@ -242,19 +245,19 @@ func TestNegativeTTLExpiresFailures(t *testing.T) {
 	cfg.NegativeTTL = time.Nanosecond
 	s := New(cfg)
 
-	neg := s.Answer("gibberish blob")
+	neg := s.AnswerCtx(context.Background(), "gibberish blob")
 	if neg.Answered() || neg.CacheHit() {
 		t.Fatalf("first failure ask: %v / hit=%v", neg.Status, neg.CacheHit())
 	}
-	if s.Answer("gibberish blob").CacheHit() {
+	if s.AnswerCtx(context.Background(), "gibberish blob").CacheHit() {
 		t.Fatal("negative result served past its TTL")
 	}
 
 	const q = "Where did Abraham Lincoln die?"
-	if first := s.Answer(q); !first.Answered() {
+	if first := s.AnswerCtx(context.Background(), q); !first.Answered() {
 		t.Fatalf("positive ask failed: %v", first.Status)
 	}
-	if !s.Answer(q).CacheHit() {
+	if !s.AnswerCtx(context.Background(), q).CacheHit() {
 		t.Fatal("positive answer not cached while NegativeTTL is set")
 	}
 }

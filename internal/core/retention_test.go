@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestCacheRetention(t *testing.T) {
 	}
 	before := heapAlloc()
 	for _, q := range questions {
-		sys.Answer(q)
+		sys.AnswerCtx(context.Background(), q)
 	}
 	after := heapAlloc()
 	if n := sys.CacheEntries(); n < 1000 {
@@ -47,7 +48,7 @@ func TestCacheRetention(t *testing.T) {
 	// The last question asked is in the cache: its hit carries the
 	// outcome and none of the derivation.
 	last := questions[len(questions)-1]
-	hit := sys.Answer(last)
+	hit := sys.AnswerCtx(context.Background(), last)
 	if !hit.CacheHit() {
 		t.Fatalf("%q missed a cache it was just put in", last)
 	}

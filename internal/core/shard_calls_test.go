@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestShardCallsPerQuestionDeterministic(t *testing.T) {
 		calls = make([]uint64, len(questions))
 		for i, q := range questions {
 			before := attempts()
-			if res := sys.Answer(q); res.Answer != nil {
+			if res := sys.AnswerCtx(context.Background(), q); res.Answer != nil {
 				mapped++
 			}
 			calls[i] = attempts() - before

@@ -14,11 +14,11 @@ import (
 // the closure loads in one. While every helper committed its own triples
 // this read about 6,600.
 func TestBuildPublishesTwice(t *testing.T) {
-	built := kb.Build(kb.DefaultConfig())
-	if gen := built.Store.Snapshot().Gen(); gen != 2 {
+	built := kb.Build(kb.DefaultConfig()).Store.Snapshot()
+	if gen := built.Gen(); gen != 2 {
 		t.Errorf("kb.Build published generation %d, want 2 (facts, then the type closure)", gen)
 	}
-	loaded, err := kb.FromTriples(built.Store.Triples())
+	loaded, err := kb.FromTriples(built.Triples())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func buildCost(cfg kb.Config) (bytes, mallocs uint64, triples int) {
 	runtime.ReadMemStats(&before)
 	k := kb.Build(cfg)
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, k.Store.Len()
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, k.Store.Snapshot().Len()
 }
 
 // TestBuildAllocationCeiling holds the build's allocation, which unlike

@@ -19,7 +19,7 @@ import (
 // referenceMaterializeTypes is the old (*KB).materializeTypes, verbatim.
 func referenceMaterializeTypes(kb *KB) {
 	entityTypes := map[rdf.Term][]rdf.Term{}
-	kb.Store.ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
+	kb.Store.Snapshot().ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.S.Value, rdf.NSRes) && strings.HasPrefix(t.O.Value, rdf.NSOnt) {
 			entityTypes[t.S] = append(entityTypes[t.S], t.O)
 		}
@@ -27,7 +27,7 @@ func referenceMaterializeTypes(kb *KB) {
 	})
 	for e, types := range entityTypes {
 		for _, c := range types {
-			for _, super := range kb.Store.SuperClasses(c) {
+			for _, super := range kb.Store.Snapshot().SuperClasses(c) {
 				kb.Store.Add(rdf.Triple{S: e, P: rdf.Type(), O: super})
 			}
 		}
@@ -63,8 +63,9 @@ func referenceFromTriples(triples []rdf.Triple) *store.Store {
 
 // assertSameStore: same dictionary element for element (so every ID),
 // same size, same triples.
-func assertSameStore(t *testing.T, got, want *store.Store) {
+func assertSameStore(t *testing.T, gotSt, wantSt *store.Store) {
 	t.Helper()
+	got, want := gotSt.Snapshot(), wantSt.Snapshot()
 	gt, wt := got.TermsView(), want.TermsView()
 	if len(gt) != len(wt) {
 		t.Fatalf("dictionary: %d terms, reference %d", len(gt), len(wt))
@@ -103,7 +104,7 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 func TestFromTriplesMatchesReference(t *testing.T) {
-	st := Default().Store
+	st := Default().Store.Snapshot()
 	full := st.Triples()
 	// The same dump with every inferred rdf:type triple stripped: a type
 	// of an entity goes when it is a superclass of another of its types.
@@ -140,8 +141,8 @@ func TestFromTriplesMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameStore(t, got.Store, referenceFromTriples(dump))
-			if got.Store.Len() != len(full) {
-				t.Errorf("Len = %d, want the full closure's %d", got.Store.Len(), len(full))
+			if n := got.Store.Snapshot().Len(); n != len(full) {
+				t.Errorf("Len = %d, want the full closure's %d", n, len(full))
 			}
 		})
 	}

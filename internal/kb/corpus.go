@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // Sentence is one corpus sentence with its two entity mention
@@ -200,13 +201,14 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 		return props[i].Term.Value < props[j].Term.Value
 	})
 
+	sn := kb.Store.Snapshot()
 	for _, prop := range props {
 		local := prop.Term.LocalName()
 		tmpls, ok := templates[local]
 		if !ok {
 			continue
 		}
-		facts := kb.Store.Match(rdf.Triple{P: prop.Term})
+		facts := sn.Match(rdf.Triple{P: prop.Term})
 		for _, f := range facts {
 			if !f.O.IsIRI() {
 				continue
@@ -220,7 +222,7 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 					}
 				}
 				tmpl := srcTmpls[rng.Intn(len(srcTmpls))]
-				if s, ok := kb.renderSentence(tmpl, f.S, f.O); ok {
+				if s, ok := renderSentence(sn, tmpl, f.S, f.O); ok {
 					out = append(out, s)
 				}
 			}
@@ -231,9 +233,9 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 
 // renderSentence substitutes labels into the template and records the
 // mention offsets.
-func (kb *KB) renderSentence(tmpl string, subj, obj rdf.Term) (Sentence, bool) {
-	sLabel := kb.LabelOf(subj)
-	oLabel := kb.LabelOf(obj)
+func renderSentence(sn *store.Snapshot, tmpl string, subj, obj rdf.Term) (Sentence, bool) {
+	sLabel := labelIn(sn, subj)
+	oLabel := labelIn(sn, obj)
 	si := strings.Index(tmpl, "{S}")
 	oi := strings.Index(tmpl, "{O}")
 	if si < 0 || oi < 0 {

@@ -15,7 +15,6 @@ package kb
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -125,17 +124,18 @@ func Build(cfg Config) *KB {
 // at all when nothing is missing — and every superclass is already a
 // dictionary term, so no ID depends on the walk.
 func (kb *KB) materializeTypes() {
+	sn := kb.Store.Snapshot()
 	supers := map[rdf.Term][]rdf.Term{} // class → superclass closure, walked once each
 	var inferred []rdf.Triple
-	kb.Store.ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
+	sn.ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.S.Value, rdf.NSRes) && strings.HasPrefix(t.O.Value, rdf.NSOnt) {
 			closure, ok := supers[t.O]
 			if !ok {
-				closure = kb.Store.SuperClasses(t.O)
+				closure = sn.SuperClasses(t.O)
 				supers[t.O] = closure
 			}
 			for _, super := range closure {
-				if tr := (rdf.Triple{S: t.S, P: rdf.Type(), O: super}); !kb.Store.Has(tr) {
+				if tr := (rdf.Triple{S: t.S, P: rdf.Type(), O: super}); !sn.Has(tr) {
 					inferred = append(inferred, tr)
 				}
 			}
@@ -167,28 +167,13 @@ func (kb *KB) Properties() []Property {
 	return out
 }
 
-// EntitiesWithLabel returns the entities (res: IRIs) whose rdfs:label
-// matches label case-insensitively.
-func (kb *KB) EntitiesWithLabel(label string) []rdf.Term {
-	var out []rdf.Term
-	want := strings.ToLower(strings.TrimSpace(label))
-	kb.Store.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
-		if !strings.HasPrefix(t.S.Value, rdf.NSRes) {
-			return true
-		}
-		if strings.ToLower(t.O.Value) == want {
-			out = append(out, t.S)
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
 // LabelOf returns the first rdfs:label of a term (its local name as a
-// fallback, with underscores replaced).
-func (kb *KB) LabelOf(t rdf.Term) string {
-	for _, o := range kb.Store.Objects(t, rdf.Label()) {
+// fallback, with underscores replaced), read from the current snapshot.
+func (kb *KB) LabelOf(t rdf.Term) string { return labelIn(kb.Store.Snapshot(), t) }
+
+// labelIn is LabelOf on a pinned snapshot.
+func labelIn(sn *store.Snapshot, t rdf.Term) string {
+	for _, o := range sn.Objects(t, rdf.Label()) {
 		return o.Value
 	}
 	return strings.ReplaceAll(t.LocalName(), "_", " ")

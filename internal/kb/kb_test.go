@@ -5,19 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 func TestBuildDeterministic(t *testing.T) {
-	a := Build(DefaultConfig())
-	b := Build(DefaultConfig())
-	if a.Store.Len() != b.Store.Len() {
-		t.Errorf("non-deterministic build: %d vs %d triples", a.Store.Len(), b.Store.Len())
+	a := Build(DefaultConfig()).Store.Snapshot()
+	b := Build(DefaultConfig()).Store.Snapshot()
+	if a.Len() != b.Len() {
+		t.Errorf("non-deterministic build: %d vs %d triples", a.Len(), b.Len())
 	}
 }
 
 func TestPaperExampleFacts(t *testing.T) {
 	k := Default()
-	st := k.Store
+	st := k.Store.Snapshot()
 
 	// Figure 1 / §2.3: Orhan Pamuk wrote books.
 	books := st.Subjects(rdf.Ont("author"), rdf.Res("Orhan_Pamuk"))
@@ -52,19 +53,25 @@ func TestPaperExampleFacts(t *testing.T) {
 	}
 }
 
+// isA reports whether the materialised (e, rdf:type, class) triple is
+// present — the read sparql.Session.InstanceOf makes.
+func isA(sn *store.Snapshot, e, class rdf.Term) bool {
+	return sn.Has(rdf.Triple{S: e, P: rdf.Type(), O: class})
+}
+
 func TestOntologyShape(t *testing.T) {
-	k := Default()
+	sn := Default().Store.Snapshot()
 	// Writer ⊂ Artist ⊂ Person ⊂ Agent.
-	if !k.Store.IsInstanceOf(rdf.Res("Orhan_Pamuk"), rdf.Ont("Person")) {
-		t.Error("Pamuk should be a Person via subclass inference")
+	if !isA(sn, rdf.Res("Orhan_Pamuk"), rdf.Ont("Person")) {
+		t.Error("Pamuk should be a Person via the materialised closure")
 	}
-	if !k.Store.IsInstanceOf(rdf.Res("Ankara"), rdf.Ont("Place")) {
+	if !isA(sn, rdf.Res("Ankara"), rdf.Ont("Place")) {
 		t.Error("Ankara should be a Place")
 	}
-	if !k.Store.IsInstanceOf(rdf.Res("Intel"), rdf.Ont("Organisation")) {
+	if !isA(sn, rdf.Res("Intel"), rdf.Ont("Organisation")) {
 		t.Error("Intel should be an Organisation")
 	}
-	if k.Store.IsInstanceOf(rdf.Res("Ankara"), rdf.Ont("Person")) {
+	if isA(sn, rdf.Res("Ankara"), rdf.Ont("Person")) {
 		t.Error("Ankara should not be a Person")
 	}
 }
@@ -91,26 +98,27 @@ func TestClassAndPropertyLookups(t *testing.T) {
 	}
 }
 
+// withLabel returns the subjects whose English rdfs:label is label.
+func withLabel(sn *store.Snapshot, label string) []rdf.Term {
+	return sn.Subjects(rdf.Label(), rdf.NewLangLiteral(label, "en"))
+}
+
 func TestEntitiesWithLabel(t *testing.T) {
-	k := Default()
-	es := k.EntitiesWithLabel("Orhan Pamuk")
+	sn := Default().Store.Snapshot()
+	es := withLabel(sn, "Orhan Pamuk")
 	if len(es) != 1 || es[0] != rdf.Res("Orhan_Pamuk") {
-		t.Errorf("EntitiesWithLabel(Orhan Pamuk) = %v", es)
+		t.Errorf("label Orhan Pamuk = %v", es)
 	}
 	// Ambiguous label: two Michael Jordans, two Victorias.
-	mj := k.EntitiesWithLabel("Michael Jordan")
+	mj := withLabel(sn, "Michael Jordan")
 	if len(mj) != 2 {
 		t.Errorf("Michael Jordan candidates = %v, want 2", mj)
 	}
-	vic := k.EntitiesWithLabel("Victoria")
+	vic := withLabel(sn, "Victoria")
 	if len(vic) != 2 {
 		t.Errorf("Victoria candidates = %v, want 2", vic)
 	}
-	// Case-insensitive.
-	if len(k.EntitiesWithLabel("orhan pamuk")) != 1 {
-		t.Error("label lookup should be case-insensitive")
-	}
-	if len(k.EntitiesWithLabel("No Such Entity")) != 0 {
+	if len(withLabel(sn, "No Such Entity")) != 0 {
 		t.Error("unknown label should return nothing")
 	}
 }
@@ -127,13 +135,13 @@ func TestLabelOf(t *testing.T) {
 }
 
 func TestPageLinksExist(t *testing.T) {
-	k := Default()
-	links := k.Store.Objects(rdf.Res("Orhan_Pamuk"), rdf.NewIRI(rdf.IRIPageLink))
+	sn := Default().Store.Snapshot()
+	links := sn.Objects(rdf.Res("Orhan_Pamuk"), rdf.NewIRI(rdf.IRIPageLink))
 	if len(links) == 0 {
 		t.Error("Pamuk should have page links")
 	}
 	// Bidirectional.
-	back := k.Store.Objects(rdf.Res("Istanbul"), rdf.NewIRI(rdf.IRIPageLink))
+	back := sn.Objects(rdf.Res("Istanbul"), rdf.NewIRI(rdf.IRIPageLink))
 	found := false
 	for _, l := range back {
 		if l == rdf.Res("Orhan_Pamuk") {
@@ -146,13 +154,13 @@ func TestPageLinksExist(t *testing.T) {
 }
 
 func TestSyntheticScaleOut(t *testing.T) {
-	small := Build(Config{Seed: 1})
-	big := Build(Config{Seed: 1, SyntheticPersons: 100, SyntheticCities: 20, SyntheticBooks: 50})
-	if big.Store.Len() <= small.Store.Len() {
-		t.Errorf("synthetic config should grow the store: %d vs %d", big.Store.Len(), small.Store.Len())
+	small := Build(Config{Seed: 1}).Store.Snapshot()
+	big := Build(Config{Seed: 1, SyntheticPersons: 100, SyntheticCities: 20, SyntheticBooks: 50}).Store.Snapshot()
+	if big.Len() <= small.Len() {
+		t.Errorf("synthetic config should grow the store: %d vs %d", big.Len(), small.Len())
 	}
 	// Synthetic entities typed correctly.
-	ppl := big.Store.InstancesOf(rdf.Ont("Person"))
+	ppl := big.Subjects(rdf.Type(), rdf.Ont("Person"))
 	if len(ppl) < 100 {
 		t.Errorf("expected >= 100 persons, got %d", len(ppl))
 	}
@@ -214,6 +222,7 @@ func TestCorpusContainsExpectedPhrasings(t *testing.T) {
 
 func TestCorpusNoiseInjectsCrossRelationPatterns(t *testing.T) {
 	k := Default()
+	sn := k.Store.Snapshot()
 	noisy := k.Corpus(CorpusConfig{Seed: 7, NoiseRate: 0.5, SentencesPerFact: 3})
 	// With noise, some deathPlace facts verbalise as "born in"; detect a
 	// sentence whose subject has the object as deathPlace but text says
@@ -223,8 +232,8 @@ func TestCorpusNoiseInjectsCrossRelationPatterns(t *testing.T) {
 		if !strings.Contains(s.Text, "born") {
 			continue
 		}
-		if k.Store.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("deathPlace"), O: s.Object}) &&
-			!k.Store.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("birthPlace"), O: s.Object}) {
+		if sn.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("deathPlace"), O: s.Object}) &&
+			!sn.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("birthPlace"), O: s.Object}) {
 			found = true
 			break
 		}

@@ -33,22 +33,22 @@ func FromTriples(triples []rdf.Triple) (*KB, error) {
 		classByLocal: map[string]Class{},
 		propByLocal:  map[string]Property{},
 	}
-	st := kb.Store
+	sn := kb.Store.Snapshot()
 
 	labelOf := func(t rdf.Term) string {
-		for _, o := range st.Objects(t, rdf.Label()) {
+		for _, o := range sn.Objects(t, rdf.Label()) {
 			return o.Value
 		}
 		return strings.ToLower(strings.ReplaceAll(t.LocalName(), "_", " "))
 	}
 	firstObject := func(s rdf.Term, p string) rdf.Term {
-		for _, o := range st.Objects(s, rdf.NewIRI(p)) {
+		for _, o := range sn.Objects(s, rdf.NewIRI(p)) {
 			return o
 		}
 		return rdf.Term{}
 	}
 
-	for _, cls := range st.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIClass)) {
+	for _, cls := range sn.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIClass)) {
 		if !strings.HasPrefix(cls.Value, rdf.NSOnt) {
 			continue
 		}
@@ -56,7 +56,7 @@ func FromTriples(triples []rdf.Triple) (*KB, error) {
 		kb.Classes = append(kb.Classes, c)
 		kb.classByLocal[cls.LocalName()] = c
 	}
-	for _, prop := range st.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIObjectProp)) {
+	for _, prop := range sn.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIObjectProp)) {
 		p := Property{
 			Term: prop, Label: labelOf(prop), Object: true,
 			Domain: firstObject(prop, rdf.IRIDomain),
@@ -65,7 +65,7 @@ func FromTriples(triples []rdf.Triple) (*KB, error) {
 		kb.ObjectProperties = append(kb.ObjectProperties, p)
 		kb.propByLocal[prop.LocalName()] = p
 	}
-	for _, prop := range st.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIDatatypeProp)) {
+	for _, prop := range sn.Subjects(rdf.Type(), rdf.NewIRI(rdf.IRIDatatypeProp)) {
 		p := Property{
 			Term: prop, Label: labelOf(prop), Object: false,
 			Domain: firstObject(prop, rdf.IRIDomain),

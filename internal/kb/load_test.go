@@ -11,7 +11,7 @@ import (
 
 func TestFromTriplesReconstructsOntology(t *testing.T) {
 	orig := Default()
-	loaded, err := FromTriples(orig.Store.Triples())
+	loaded, err := FromTriples(orig.Store.Snapshot().Triples())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,11 @@ func TestFromTriplesReconstructsOntology(t *testing.T) {
 		t.Errorf("Book class = %+v, %v", c, ok)
 	}
 	// Facts and labels survive.
-	if len(loaded.EntitiesWithLabel("Orhan Pamuk")) != 1 {
+	sn := loaded.Store.Snapshot()
+	if len(withLabel(sn, "Orhan Pamuk")) != 1 {
 		t.Error("labels lost in reconstruction")
 	}
-	if !loaded.Store.IsInstanceOf(rdf.Res("Orhan_Pamuk"), rdf.Ont("Person")) {
+	if !isA(sn, rdf.Res("Orhan_Pamuk"), rdf.Ont("Person")) {
 		t.Error("type closure lost in reconstruction")
 	}
 }
@@ -58,17 +59,17 @@ func TestFromTriplesRejectsBareData(t *testing.T) {
 }
 
 func TestLoadNTriplesStream(t *testing.T) {
-	orig := Default()
+	orig := Default().Store.Snapshot()
 	var buf bytes.Buffer
-	if err := ntriples.WriteAll(&buf, orig.Store.Triples()); err != nil {
+	if err := ntriples.WriteAll(&buf, orig.Triples()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf, "dump.nt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Store.Len() != orig.Store.Len() {
-		t.Errorf("triples = %d, want %d", loaded.Store.Len(), orig.Store.Len())
+	if got := loaded.Store.Snapshot().Len(); got != orig.Len() {
+		t.Errorf("triples = %d, want %d", got, orig.Len())
 	}
 }
 
@@ -94,7 +95,7 @@ dbr:Snow a dbo:Book ; dbo:author dbr:Orhan_Pamuk ;
 	if _, ok := loaded.PropertyByLocal("author"); !ok {
 		t.Error("author property missing")
 	}
-	if len(loaded.EntitiesWithLabel("Snow")) != 1 {
+	if len(withLabel(loaded.Store.Snapshot(), "Snow")) != 1 {
 		t.Error("Snow entity missing")
 	}
 }

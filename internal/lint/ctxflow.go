@@ -18,10 +18,6 @@ import (
 //  3. exported functions in those packages that directly perform
 //     store scans must accept a context — a scan without one cannot be
 //     abandoned when the request's deadline passes mid-candidate.
-//
-// Pre-context compatibility wrappers (a body that is a single return
-// delegating to the Ctx variant) are exempt from rule 3; their
-// context.Background() still needs an explicit waiver under rule 1.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "no context.Background/TODO outside cmd//main/tests; ctx first and required on store-reaching exports in the execution packages",
@@ -36,9 +32,7 @@ var ctxFlowScope = []string{"internal/pipeline", "internal/answer", "internal/sp
 // cost scales with the data (rule 3); point lookups (Has, Lookup,
 // Term, Len, Gen, ...) are exempt.
 var storeScanMethods = map[string]bool{
-	"Match": true, "MatchIDs": true,
-	"ForEachMatch": true, "ForEachMatchIDs": true,
-	"Count": true, "CountIDs": true,
+	"Match": true, "ForEachMatch": true, "ForEachMatchIDs": true, "Count": true,
 	"Triples": true, "Subjects": true, "Objects": true,
 	"PostingList": true,
 }
@@ -116,14 +110,6 @@ func checkStoreReachingExport(p *Pass, fd *ast.FuncDecl) {
 	}
 	for _, field := range fd.Type.Params.List {
 		if isContextType(p, field.Type) {
-			return
-		}
-	}
-	// A single-return body is a pre-context compatibility wrapper
-	// delegating to the Ctx variant; the invariant holds through the
-	// delegate.
-	if len(fd.Body.List) == 1 {
-		if _, ok := fd.Body.List[0].(*ast.ReturnStmt); ok {
 			return
 		}
 	}

@@ -5,19 +5,18 @@ import (
 	"go/types"
 )
 
-// SnapshotPin forbids direct store.Store reads (and writes) inside the
-// query-execution packages. Every read there must go through a pinned
-// store.Snapshot (or the sparql.Session wrapping one): two Store-level
-// reads in one query can land on different generations and produce a
-// torn result — exactly the qacache-stamp/executed-snapshot divergence
-// PR 5 closed by pinning the snapshot at request entry. The only Store
-// method those packages may call is Snapshot itself, the pin. The §2.2
-// mapping packages are in scope too: their indexes are built from one
-// snapshot at boot, and a per-request read of the live store beside
-// them would mix that generation with a later one.
+// SnapshotPin forbids calling any store.Store method but Snapshot, the
+// pin, inside the query-execution and §2.2 mapping packages. A Store is
+// a writer: every read lives on *store.Snapshot, so a torn read — two
+// reads of one question landing on different generations — is mostly a
+// type error already. What keeps this analyzer is the four read
+// delegates the Store still carries (Len, TermCount, Triples, Subjects)
+// for cmd/qaload, a separate module compiled against them; a call to
+// one of them here, or to a writer, is what it reports. It goes with
+// those delegates once cmd/qaload reads through a Snapshot.
 var SnapshotPin = &Analyzer{
 	Name: "snapshotpin",
-	Doc:  "reads in internal/sparql, internal/answer, internal/ner and internal/propmap must go through a pinned store.Snapshot, never store.Store",
+	Doc:  "internal/sparql, internal/answer, internal/ner and internal/propmap call no store.Store method but Snapshot: the Store's four read delegates and its writers stay out of the execution packages",
 	Run:  runSnapshotPin,
 }
 

@@ -38,12 +38,6 @@ func MatchAll(sn *store.Snapshot) []store.Triple { // want `exported MatchAll sc
 	return out
 }
 
-// Match is a single-return pre-context wrapper: exempt from the
-// store-reach rule even though it scans directly.
-func Match(sn *store.Snapshot) []store.Triple {
-	return sn.Match(store.Triple{})
-}
-
 // size is unexported: the store-reach rule only covers the exported
 // API surface.
 func size(sn *store.Snapshot) []store.Triple {

@@ -19,6 +19,3 @@ type Store struct{}
 
 // Snapshot pins the current state.
 func (s *Store) Snapshot() *Snapshot { return &Snapshot{} }
-
-// Match is scan-class.
-func (s *Store) Match(pat Triple) []Triple { return nil }

@@ -7,8 +7,3 @@ import "repro/internal/store"
 func Mutate(st *store.Store) bool {
 	return st.Add(store.Triple{}) // want `direct store\.Store\.Add call`
 }
-
-// CountPinned reads through the pin — compliant.
-func CountPinned(sn *store.Snapshot) int {
-	return sn.Count(store.Triple{})
-}

@@ -20,5 +20,5 @@ func NewLinker(st *store.Store) *Linker {
 // Degree scans the live store per request: it can see a later
 // generation than the one labels was counted on.
 func (l *Linker) Degree(entity string) int {
-	return len(l.st.Match(store.Triple{S: entity, P: "link"})) // want `direct store\.Store\.Match call`
+	return len(l.st.Subjects("link", entity)) // want `direct store\.Store\.Subjects call`
 }

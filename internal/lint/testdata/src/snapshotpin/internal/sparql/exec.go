@@ -16,11 +16,6 @@ func Card(st *store.Store) int {
 	return st.Len() // want `direct store\.Store\.Len call`
 }
 
-// Scan bypasses the pin entirely.
-func Scan(st *store.Store) []store.Triple {
-	return st.Match(store.Triple{}) // want `direct store\.Store\.Match call`
-}
-
 // PinOnly calls the pin itself, which is the one allowed Store method.
 func PinOnly(st *store.Store) *store.Snapshot {
 	return st.Snapshot()

@@ -12,27 +12,21 @@ type Snapshot struct{}
 // Len returns the triple count.
 func (sn *Snapshot) Len() int { return 0 }
 
-// Match returns the triples matching the pattern.
-func (sn *Snapshot) Match(pat Triple) []Triple { return nil }
-
 // Count counts the triples matching the pattern.
 func (sn *Snapshot) Count(pat Triple) int { return 0 }
 
-// Store is the mutable store; execution packages must not read it
-// directly.
+// Store is the writer; execution packages must not read it directly.
 type Store struct{}
 
 // Snapshot pins the current state.
 func (s *Store) Snapshot() *Snapshot { return &Snapshot{} }
 
-// Len returns the triple count.
+// Len and Subjects stand for the reads the real Store keeps for a
+// caller outside the tree.
 func (s *Store) Len() int { return 0 }
 
-// Match returns the triples matching the pattern.
-func (s *Store) Match(pat Triple) []Triple { return nil }
-
-// Count counts the triples matching the pattern.
-func (s *Store) Count(pat Triple) int { return 0 }
+// Subjects returns the subjects of (?, p, o).
+func (s *Store) Subjects(p, o string) []string { return nil }
 
 // Add inserts a triple.
 func (s *Store) Add(t Triple) bool { return false }

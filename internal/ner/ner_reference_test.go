@@ -31,7 +31,7 @@ func NewRefLinker(k *kb.KB) *RefLinker {
 		labelOf:      map[rdf.Term]string{},
 		globalDegree: map[rdf.Term]int{},
 	}
-	k.Store.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
+	k.Store.Snapshot().ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
 		if !strings.HasPrefix(t.S.Value, rdf.NSRes) {
 			return true
 		}
@@ -48,7 +48,7 @@ func NewRefLinker(k *kb.KB) *RefLinker {
 	for _, ents := range l.labelIndex {
 		sort.Slice(ents, func(i, j int) bool { return ents[i].Compare(ents[j]) < 0 })
 	}
-	k.Store.ForEachMatch(rdf.Triple{P: rdf.NewIRI(rdf.IRIPageLink)}, func(t rdf.Triple) bool {
+	k.Store.Snapshot().ForEachMatch(rdf.Triple{P: rdf.NewIRI(rdf.IRIPageLink)}, func(t rdf.Triple) bool {
 		l.globalDegree[t.S]++
 		return true
 	})
@@ -126,7 +126,7 @@ func (l *RefLinker) Disambiguate(mentions []Mention) []Mention {
 		for ci := range m.Candidates {
 			c := &m.Candidates[ci]
 			local := 0
-			l.kb.Store.ForEachMatch(rdf.Triple{S: c.Entity, P: link}, func(t rdf.Triple) bool {
+			l.kb.Store.Snapshot().ForEachMatch(rdf.Triple{S: c.Entity, P: link}, func(t rdf.Triple) bool {
 				if pool[t.O] && !sameMention(m, t.O) {
 					local++
 				}

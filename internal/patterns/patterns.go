@@ -34,6 +34,7 @@ import (
 	"repro/internal/nlp/postag"
 	"repro/internal/nlp/token"
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // PropFreq is one property with its pattern-derived frequency.
@@ -93,8 +94,9 @@ func Mine(k *kb.KB, corpus []kb.Sentence, cfg MinerConfig) *Store {
 		tree:     newPrefixTree(),
 		subsumes: map[string][]string{},
 	}
+	sn := k.Store.Snapshot()
 	for _, sent := range corpus {
-		st.ingest(k, sent)
+		st.ingest(sn, sent)
 	}
 	st.prune(cfg.MinSupport)
 	st.buildTaxonomy(cfg.SubsumeThreshold)
@@ -102,7 +104,7 @@ func Mine(k *kb.KB, corpus []kb.Sentence, cfg MinerConfig) *Store {
 }
 
 // ingest processes one sentence.
-func (st *Store) ingest(k *kb.KB, sent kb.Sentence) {
+func (st *Store) ingest(sn *store.Snapshot, sent kb.Sentence) {
 	// Extract the text between the two mentions.
 	var midStart, midEnd int
 	firstIsSubject := sent.SubjStart <= sent.ObjStart
@@ -131,7 +133,7 @@ func (st *Store) ingest(k *kb.KB, sent kb.Sentence) {
 	st.tree.insert(toks, pairKey)
 
 	// Distant supervision: which properties hold between the pair?
-	for _, prop := range supervise(k, sent.Subject, sent.Object) {
+	for _, prop := range supervise(sn, sent.Subject, sent.Object) {
 		pf := pat.Props[prop]
 		if pf == nil {
 			pf = &PropFreq{Property: prop}
@@ -170,9 +172,9 @@ func (st *Store) ingest(k *kb.KB, sent kb.Sentence) {
 
 // supervise returns the dbont: object properties linking s and o in
 // either direction (direction folded into the caller's bookkeeping).
-func supervise(k *kb.KB, s, o rdf.Term) []rdf.Term {
+func supervise(sn *store.Snapshot, s, o rdf.Term) []rdf.Term {
 	var out []rdf.Term
-	k.Store.ForEachMatch(rdf.Triple{S: s, O: o}, func(t rdf.Triple) bool {
+	sn.ForEachMatch(rdf.Triple{S: s, O: o}, func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.P.Value, rdf.NSOnt) && t.P.Value != rdf.IRIPageLink {
 			out = append(out, t.P)
 		}

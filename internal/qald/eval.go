@@ -50,7 +50,7 @@ func GoldCtx(ctx context.Context, k *kb.KB, q Question) ([]rdf.Term, error) {
 	if strings.TrimSpace(q.GoldQuery) == "" {
 		return nil, nil
 	}
-	res, err := sparql.ExecuteStringCtx(ctx, k.Store, q.GoldQuery)
+	res, err := sparql.ExecuteStringCtx(ctx, k.Store.Snapshot(), q.GoldQuery)
 	if err != nil {
 		return nil, fmt.Errorf("qald: gold query for Q%d: %w", q.ID, err)
 	}

@@ -180,7 +180,7 @@ func TestExcludedQuestionsMostlyUnanswerable(t *testing.T) {
 	s := core.Default()
 	answered := 0
 	for _, q := range ExcludedQuestions() {
-		res := s.Answer(q.Text)
+		res := s.AnswerCtx(context.Background(), q.Text)
 		if res.Answered() {
 			answered++
 			t.Logf("excluded question answered: %q -> %v", q.Text, res.Answers)

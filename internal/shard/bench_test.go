@@ -45,7 +45,7 @@ func BenchmarkGatherSingleStore(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runWorkload(b, ctx, sparql.NewSession(c.Src()).WithPlanCache(nil), qs)
+		runWorkload(b, ctx, sparql.NewSnapshotSession(c.Src().Snapshot()).WithPlanCache(nil), qs)
 	}
 }
 

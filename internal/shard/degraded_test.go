@@ -148,7 +148,7 @@ func TestRecoveryAfterChaosClears(t *testing.T) {
 	ctx := context.Background()
 	gv := c.NewView(ctx)
 	got := runWorkload(t, ctx, sparql.NewViewSession(gv).WithPlanCache(nil), qs)
-	want := runWorkload(t, ctx, sparql.NewSession(src).WithPlanCache(nil), qs)
+	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("recovered query %d diverged: %s vs %s", i, got[i], want[i])

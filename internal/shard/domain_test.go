@@ -20,7 +20,7 @@ func TestRetryRecoversTransientError(t *testing.T) {
 	ctx := chaos.With(context.Background(), in)
 
 	qs := workload(props)
-	want := runWorkload(t, context.Background(), sparql.NewSession(src).WithPlanCache(nil), qs)
+	want := runWorkload(t, context.Background(), sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
 	v := c.NewView(ctx)
 	got := runWorkload(t, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
 	for i := range want {

@@ -17,7 +17,7 @@ func (c *Cluster) EmptyShardForTest(i int) {
 func ShardOf(sid store.ID, n int) int { return shardOf(sid, n) }
 
 // ShardLen returns shard i's triple count (partitioning tests).
-func (c *Cluster) ShardLen(i int) int { return c.shards[i].Len() }
+func (c *Cluster) ShardLen(i int) int { return c.shards[i].Snapshot().Len() }
 
 // Breaker exposes shard i's breaker to the transition tests.
 func (c *Cluster) Breaker(i int) *breaker { return c.domains[i].br }

@@ -168,7 +168,7 @@ func TestGatherDifferential(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		src, props := testStore(rng, 40+rng.Intn(80), 3+rng.Intn(3))
 		qs := workload(props)
-		want := runWorkload(t, ctx, sparql.NewSession(src).WithPlanCache(nil), qs)
+		want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
 		for _, n := range []int{1, 2, 4} {
 			c := NewCluster(src, n, fastConfig())
 			v := c.NewView(ctx)
@@ -292,13 +292,13 @@ func TestPartitioningDisjointAndComplete(t *testing.T) {
 	for i := 0; i < n; i++ {
 		total += c.ShardLen(i)
 	}
-	if total != src.Len() {
-		t.Fatalf("shard sizes sum to %d, source has %d", total, src.Len())
+	if total != src.Snapshot().Len() {
+		t.Fatalf("shard sizes sum to %d, source has %d", total, src.Snapshot().Len())
 	}
 	sn := src.Snapshot()
 	sn.ForEachMatchIDs([3]store.ID{}, func(s, p, o store.ID) bool {
 		owner := ShardOf(s, n)
-		if !c.shards[owner].HasIDs(s, p, o) {
+		if !c.shards[owner].Snapshot().HasIDs(s, p, o) {
 			t.Fatalf("triple (%d %d %d) missing from owner shard %d", s, p, o, owner)
 		}
 		return true
@@ -338,7 +338,7 @@ func TestApplyBatchMirrors(t *testing.T) {
 		&sparql.Query{Form: sparql.FormSelect, Star: true, Limit: -1,
 			Patterns: []rdf.Triple{{S: rdf.Res("NEW-A"), P: rdf.Ont("pnew"), O: rdf.NewVar("x")}}},
 	)
-	want := runWorkload(t, ctx, sparql.NewSession(src).WithPlanCache(nil), qs)
+	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
 	got := runWorkload(t, ctx, sparql.NewViewSession(c.NewView(ctx)).WithPlanCache(nil), qs)
 	rebuilt := NewCluster(src, 3, fastConfig())
 	got2 := runWorkload(t, ctx, sparql.NewViewSession(rebuilt.NewView(ctx)).WithPlanCache(nil), qs)
@@ -355,8 +355,8 @@ func TestApplyBatchMirrors(t *testing.T) {
 	for i := 0; i < c.N(); i++ {
 		total += c.ShardLen(i)
 	}
-	if total != src.Len() {
-		t.Fatalf("post-batch shard sizes sum to %d, source has %d", total, src.Len())
+	if total != src.Snapshot().Len() {
+		t.Fatalf("post-batch shard sizes sum to %d, source has %d", total, src.Snapshot().Len())
 	}
 }
 

@@ -86,9 +86,6 @@ func (v *View) Err() error {
 
 // --- coordinator-local reads (planning is single-store identical) ---
 
-// Len returns the full KB size (the source image's).
-func (v *View) Len() int { return v.src.Len() }
-
 // Gen returns the pinned generation.
 func (v *View) Gen() uint64 { return v.src.Gen() }
 

@@ -29,7 +29,7 @@ const (
 )
 
 func executeUncached(st *store.Store, q *Query) (*Result, error) {
-	return NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	return NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
 }
 
 func benchmarkQuery(b *testing.B, src string, exec func(*store.Store, *Query) (*Result, error)) {

@@ -109,7 +109,7 @@ func TestColumnarMatchesSolutions(t *testing.T) {
 		}
 
 		label := fmt.Sprintf("trial %d (%v)", trial, patterns)
-		got, err := ExecuteCtx(context.Background(), st, q)
+		got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -144,7 +144,7 @@ func TestCountResultColumnarAccessors(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("E%d", i)), P: rdf.Ont("p"), O: rdf.Res("X")})
 	}
-	r, err := ExecuteStringCtx(context.Background(), st, `SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s dbont:p res:X }`)
+	r, err := ExecuteStringCtx(context.Background(), st.Snapshot(), `SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s dbont:p res:X }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestBGPJoinUnderConcurrentBulkLoad(t *testing.T) {
 					return
 				default:
 				}
-				res, err := ExecuteCtx(context.Background(), st, q)
+				res, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 				if err != nil {
 					t.Errorf("join under load: %v", err)
 					return
@@ -241,7 +241,7 @@ func TestBGPJoinUnderConcurrentBulkLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	res, err := ExecuteCtx(context.Background(), st, q)
+	res, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

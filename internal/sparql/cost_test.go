@@ -32,7 +32,7 @@ func ent(prefix string, i int) string {
 }
 
 func TestEstimateRowsSumsExactCardinalities(t *testing.T) {
-	sess := NewSession(costStore(t))
+	sess := NewSnapshotSession(costStore(t).Snapshot())
 	ctx := context.Background()
 	x, y := rdf.NewVar("x"), rdf.NewVar("y")
 
@@ -60,7 +60,7 @@ func TestEstimateRowsSumsExactCardinalities(t *testing.T) {
 }
 
 func TestEstimateRowsUnknownConstantsAndNil(t *testing.T) {
-	sess := NewSession(costStore(t))
+	sess := NewSnapshotSession(costStore(t).Snapshot())
 	ctx := context.Background()
 	x := rdf.NewVar("x")
 	q := &Query{Form: FormSelect, Projection: []string{"x"}, Limit: -1,

@@ -32,7 +32,7 @@ func TestExecuteCtxCancelled(t *testing.T) {
 		?c dbont:populationTotal ?n . }`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExecuteCtx(ctx, st, q)
+	res, err := ExecuteCtx(ctx, st.Snapshot(), q)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -48,11 +48,11 @@ func TestExecuteCtxBackground(t *testing.T) {
 	q := MustParse(`SELECT DISTINCT ?c WHERE {
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . } ORDER BY DESC(?n)`)
-	want, err := ExecuteCtx(context.Background(), st, q)
+	want, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteCtx(context.Background(), st, q)
+	got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestExecuteCtxBackground(t *testing.T) {
 func TestExecuteCtxNil(t *testing.T) {
 	st := ctxTestStore()
 	q := MustParse(`ASK { ?p rdf:type dbont:Person . }`)
-	res, err := ExecuteCtx(nil, st, q)
+	res, err := ExecuteCtx(nil, st.Snapshot(), q)
 	if err != nil || !res.Boolean {
 		t.Fatalf("res=%v err=%v", res, err)
 	}

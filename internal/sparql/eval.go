@@ -84,29 +84,30 @@ import (
 	"repro/internal/store"
 )
 
-// ExecuteCtx runs the query against the store, honouring cancellation:
-// the executor checks ctx between join steps (per pattern of the
-// required BGP, per UNION branch, per OPTIONAL block and before the
-// final sort/projection) and returns ctx.Err() as soon as it observes a
-// cancelled context, so a request whose deadline passes or whose client
-// goes away stops mid-join.
+// ExecuteCtx runs the query against a pinned view (a *store.Snapshot
+// passes as is), honouring cancellation: the executor checks ctx
+// between join steps (per pattern of the required BGP, per UNION
+// branch, per OPTIONAL block and before the final sort/projection) and
+// returns ctx.Err() as soon as it observes a cancelled context, so a
+// request whose deadline passes or whose client goes away stops
+// mid-join.
 //
-// Each call runs in a fresh single-query Session (one snapshot pin).
-// Callers executing one question's candidates build one Session and
-// execute through it, so the candidates read one snapshot and share the
-// entity type sets; results are identical either way.
-func ExecuteCtx(ctx context.Context, st *store.Store, q *Query) (*Result, error) {
-	return NewSession(st).ExecuteCtx(ctx, q)
+// Each call runs in a fresh single-query Session over v. Callers
+// executing one question's candidates build one Session and execute
+// through it, so the candidates share the entity type sets; results are
+// identical either way.
+func ExecuteCtx(ctx context.Context, v StoreView, q *Query) (*Result, error) {
+	return NewViewSession(v).ExecuteCtx(ctx, q)
 }
 
-// ExecuteStringCtx parses and runs src against the store under a
+// ExecuteStringCtx parses and runs src against a pinned view under a
 // request context; see ExecuteCtx for the cancellation contract.
-func ExecuteStringCtx(ctx context.Context, st *store.Store, src string) (*Result, error) {
+func ExecuteStringCtx(ctx context.Context, v StoreView, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteCtx(ctx, st, q)
+	return ExecuteCtx(ctx, v, q)
 }
 
 // cpat is a triple pattern compiled to ID space: per position either a

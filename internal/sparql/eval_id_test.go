@@ -55,7 +55,7 @@ func TestIDEngineMatchesTermSpace(t *testing.T) {
 		st := buildTestGraph(seed, 40)
 		for _, src := range queries {
 			q := MustParse(src)
-			got, err := ExecuteCtx(context.Background(), st, q)
+			got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, src, err)
 			}
@@ -159,7 +159,7 @@ func TestDeferredFilterAfterOptional(t *testing.T) {
 		{S: rdf.Res("A"), P: rdf.Ont("q"), O: rdf.NewInteger(10)},
 		{S: rdf.Res("C"), P: rdf.Ont("q"), O: rdf.NewInteger(30)},
 	})
-	res, err := ExecuteStringCtx(context.Background(), st, `SELECT ?x ?z WHERE {
+	res, err := ExecuteStringCtx(context.Background(), st.Snapshot(), `SELECT ?x ?z WHERE {
 		?x dbont:p ?y .
 		OPTIONAL { ?x dbont:q ?z . }
 		FILTER(?z > 10)
@@ -194,7 +194,7 @@ func TestExecuteAgainstLiveWriter(t *testing.T) {
 	}()
 	q := MustParse(`SELECT DISTINCT ?x WHERE { ?x dbont:p ?y . FILTER(?y >= 0) } ORDER BY ?x`)
 	for i := 0; i < 200; i++ {
-		if _, err := ExecuteCtx(context.Background(), st, q); err != nil {
+		if _, err := ExecuteCtx(context.Background(), st.Snapshot(), q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,8 +31,8 @@ func TestPlanCacheDifferential(t *testing.T) {
 		st, props := randStore(rng, 30+rng.Intn(120), 2+rng.Intn(5))
 		qs := siblingQueries(rng, props)
 		pc := NewPlanCache(64)
-		cached := NewSession(st).WithPlanCache(pc)
-		bare := NewSession(st).WithPlanCache(nil)
+		cached := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
+		bare := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
 		for qi, q := range qs {
 			want, errW := bare.ExecuteCtx(context.Background(), q)
 			for pass := 0; pass < 2; pass++ { // pass 1 hits the cache
@@ -69,7 +69,7 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 	st, props := randStore(rng, 150, 4)
 	qs := siblingQueries(rng, props)
 	want := make([]string, len(qs))
-	bare := NewSession(st).WithPlanCache(nil)
+	bare := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
 	for i, q := range qs {
 		r, err := bare.ExecuteCtx(context.Background(), q)
 		if err != nil {
@@ -85,7 +85,7 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sess := NewSession(st).WithPlanCache(pc)
+			sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 			for i, q := range qs {
 				r, err := sess.ExecuteCtx(context.Background(), q)
 				if err != nil {
@@ -121,7 +121,7 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	pc := NewPlanCache(64)
 	q := MustParse(`SELECT ?x WHERE { res:B dbont:p ?x . }`)
 
-	s1 := NewSession(st).WithPlanCache(pc)
+	s1 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	for pass := 0; pass < 2; pass++ {
 		r, err := s1.ExecuteCtx(context.Background(), q)
 		if err != nil {
@@ -136,7 +136,7 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	}
 
 	st.Add(rdf.Triple{S: rdf.Res("B"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
-	s2 := NewSession(st).WithPlanCache(pc)
+	s2 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	r, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestPlanShapeSurvivesWrite(t *testing.T) {
 	pc := NewPlanCache(64)
 	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 
-	s1 := NewSession(st).WithPlanCache(pc)
+	s1 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	r1, err := s1.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -184,12 +184,12 @@ func TestPlanShapeSurvivesWrite(t *testing.T) {
 
 	st.ApplyBatch([]store.BatchOp{{Triples: []rdf.Triple{
 		{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)}}}})
-	s2 := NewSession(st).WithPlanCache(pc)
+	s2 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	r2, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	fresh, err := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +222,12 @@ func TestPlanCacheCrossStore(t *testing.T) {
 	stB.Add(rdf.Triple{S: rdf.Res("Bob"), P: rdf.Type(), O: rdf.Ont("Person")})
 
 	for _, st := range []*store.Store{stA, stB} {
-		sess := NewSession(st).WithPlanCache(pc)
+		sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 		got, err := sess.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewSession(st).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+		want, err := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestShapeKeySharing(t *testing.T) {
 // it replaced.
 func TestRankRowLessMatchesRowLess(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(5)), 40, 3)
-	sess := NewSession(st).WithPlanCache(nil)
+	sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
 	ex := compile(context.Background(), sess, MustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
 	ranks, _ := sess.snap.TermRanks()
 	var rows [][]store.ID
@@ -363,7 +363,7 @@ func TestRankSortDeterminism(t *testing.T) {
 			`SELECT ?v WHERE { ?s dbont:p0 ?v . }`)},
 	}
 	for _, tc := range cases {
-		sess := NewSession(st).WithPlanCache(nil)
+		sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
 		r, err := sess.ExecuteCtx(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
@@ -377,7 +377,7 @@ func TestRankSortDeterminism(t *testing.T) {
 		}
 		// Byte-identical on repeat and through the cached path: ties are
 		// interchangeable, so the unstable sort may not be observable.
-		cachedSess := NewSession(st).WithPlanCache(NewPlanCache(8))
+		cachedSess := NewSnapshotSession(st.Snapshot()).WithPlanCache(NewPlanCache(8))
 		for pass := 0; pass < 2; pass++ {
 			r2, err := cachedSess.ExecuteCtx(context.Background(), tc.q)
 			if err != nil {

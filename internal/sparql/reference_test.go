@@ -111,7 +111,7 @@ func TestExecutorMatchesReferenceEvaluator(t *testing.T) {
 		}
 
 		q := &Query{Form: FormSelect, Star: true, Patterns: patterns, Limit: -1}
-		got, err := ExecuteCtx(context.Background(), st, q)
+		got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -164,7 +164,7 @@ func TestExecutorMatchesReferenceWithFilters(t *testing.T) {
 	for threshold := 0; threshold < 10; threshold += 3 {
 		q := MustParse(fmt.Sprintf(
 			`SELECT ?s ?v WHERE { ?s dbont:value ?v . FILTER(?v >= %d) }`, threshold))
-		got, err := ExecuteCtx(context.Background(), st, q)
+		got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

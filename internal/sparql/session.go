@@ -25,9 +25,9 @@
 // function of the pinned view, so concurrent first probes of one entity
 // store equal lists and the last write winning is benign.
 //
-// Lifecycle: one Session per question (NewSession / NewSnapshotSession
-// at request entry), shared by the SELECT candidates, the ASK path and
-// the COUNT-aggregation retry, then dropped.
+// Lifecycle: one Session per question (NewSnapshotSession /
+// NewViewSession at request entry), shared by the SELECT candidates,
+// the ASK path and the COUNT-aggregation retry, then dropped.
 
 package sparql
 
@@ -45,7 +45,7 @@ import (
 // Session is a per-question SPARQL execution context pinned to one
 // immutable store view. All methods are safe for concurrent use; see
 // the comment at the top of this file for what it holds and why that
-// is sound. The zero value is not usable — build one with NewSession,
+// is sound. The zero value is not usable — build one with
 // NewSnapshotSession or NewViewSession.
 type Session struct {
 	snap  StoreView
@@ -60,12 +60,6 @@ type Session struct {
 
 	mu    sync.RWMutex
 	types map[store.ID][]store.ID // subject → its rdf:type objects, one read each; guarded by mu
-}
-
-// NewSession pins the store's current snapshot and returns a session
-// over it.
-func NewSession(st *store.Store) *Session {
-	return NewSnapshotSession(st.Snapshot())
 }
 
 // NewSnapshotSession returns a session over an already-pinned snapshot
@@ -115,10 +109,6 @@ func (s *Session) PlanStats() PlanStatsSnapshot {
 		RankSorts: s.rankSorts.Load(),
 	}
 }
-
-// View returns the pinned store view every query of this session
-// reads.
-func (s *Session) View() StoreView { return s.snap }
 
 // ExecuteCtx runs the query through the session under a request
 // context; see the package-level ExecuteCtx for the cancellation

@@ -127,9 +127,9 @@ func TestSessionMatchesFreshExecution(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		st, props := randStore(rng, 30+rng.Intn(120), 2+rng.Intn(5))
 		qs := siblingQueries(rng, props)
-		sess := NewSession(st)
+		sess := NewSnapshotSession(st.Snapshot())
 		for qi, q := range qs {
-			fresh, errF := ExecuteCtx(context.Background(), st, q)
+			fresh, errF := ExecuteCtx(context.Background(), st.Snapshot(), q)
 			shared, errS := sess.ExecuteCtx(context.Background(), q)
 			if (errF == nil) != (errS == nil) {
 				t.Fatalf("trial %d query %d: err mismatch %v vs %v", trial, qi, errF, errS)
@@ -154,14 +154,14 @@ func TestSessionConcurrentExecution(t *testing.T) {
 	qs := siblingQueries(rng, props)
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		r, err := ExecuteCtx(context.Background(), st, q)
+		r, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = resultKey(r)
 	}
 	for round := 0; round < 3; round++ {
-		sess := NewSession(st)
+		sess := NewSnapshotSession(st.Snapshot())
 		var wg sync.WaitGroup
 		errCh := make(chan error, len(qs))
 		for i, q := range qs {
@@ -192,7 +192,7 @@ func TestSessionConcurrentExecution(t *testing.T) {
 func TestSessionPinsSnapshot(t *testing.T) {
 	st := store.New()
 	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)})
-	sess := NewSession(st)
+	sess := NewSnapshotSession(st.Snapshot())
 	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 	r1, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil || r1.Len() != 1 {
@@ -203,7 +203,7 @@ func TestSessionPinsSnapshot(t *testing.T) {
 	if err != nil || r2.Len() != 1 {
 		t.Fatalf("pinned session saw the write: len=%d err=%v", r2.Len(), err)
 	}
-	r3, err := NewSession(st).ExecuteCtx(context.Background(), q)
+	r3, err := NewSnapshotSession(st.Snapshot()).ExecuteCtx(context.Background(), q)
 	if err != nil || r3.Len() != 2 {
 		t.Fatalf("fresh session missed the write: len=%d err=%v", r3.Len(), err)
 	}

@@ -39,7 +39,7 @@ func testGraph() *store.Store {
 
 func exec(t *testing.T, st *store.Store, src string) *Result {
 	t.Helper()
-	res, err := ExecuteStringCtx(context.Background(), st, src)
+	res, err := ExecuteStringCtx(context.Background(), st.Snapshot(), src)
 	if err != nil {
 		t.Fatalf("ExecuteStringCtx(%q): %v", src, err)
 	}
@@ -366,8 +366,8 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		t.Fatalf("re-parse of %q: %v", rendered, err)
 	}
 	st := testGraph()
-	r1, _ := ExecuteCtx(context.Background(), st, q)
-	r2, _ := ExecuteCtx(context.Background(), st, q2)
+	r1, _ := ExecuteCtx(context.Background(), st.Snapshot(), q)
+	r2, _ := ExecuteCtx(context.Background(), st.Snapshot(), q2)
 	if len(r1.Solutions()) != len(r2.Solutions()) {
 		t.Errorf("round-trip changed result: %d vs %d", len(r1.Solutions()), len(r2.Solutions()))
 	}
@@ -386,7 +386,7 @@ func TestLessThanVsIRIAmbiguity(t *testing.T) {
 }
 
 func TestExecuteNilQuery(t *testing.T) {
-	if _, err := ExecuteCtx(context.Background(), store.New(), nil); err == nil {
+	if _, err := ExecuteCtx(context.Background(), store.New().Snapshot(), nil); err == nil {
 		t.Error("ExecuteCtx(nil query) should error")
 	}
 }

@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -167,7 +168,7 @@ func TestQueryTextMatchesReference(t *testing.T) {
 	for _, cfg := range []core.Config{core.DefaultConfig(), ext} {
 		sys := core.New(cfg)
 		for _, question := range questions {
-			res := sys.Answer(question)
+			res := sys.AnswerCtx(context.Background(), question)
 			if res.Answer == nil {
 				continue
 			}

@@ -31,10 +31,6 @@ import (
 // the canonical implementation; internal/shard's gather view is the
 // distributed one.
 type StoreView interface {
-	// Len returns the number of distinct triples in the view.
-	Len() int
-	// Gen returns the write-batch generation the view was pinned at.
-	Gen() uint64
 	// Lookup resolves a term to its dictionary ID.
 	Lookup(t rdf.Term) (store.ID, bool)
 	// TermsView returns the read-only dictionary view: TermsView()[id-1]

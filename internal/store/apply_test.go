@@ -34,13 +34,13 @@ func TestApplyBatchMixedOps(t *testing.T) {
 	if added != 3 || removed != 4 {
 		t.Fatalf("ApplyBatch = (added %d, removed %d), want (3, 4)", added, removed)
 	}
-	if s.Len() != 9 {
-		t.Fatalf("Len = %d, want 9", s.Len())
+	if s.Snapshot().Len() != 9 {
+		t.Fatalf("Len = %d, want 9", s.Snapshot().Len())
 	}
-	if !s.Has(base[0]) || s.Has(base[1]) || s.Has(base[2]) {
+	if !s.Snapshot().Has(base[0]) || s.Snapshot().Has(base[1]) || s.Snapshot().Has(base[2]) {
 		t.Fatal("net effect of delete+reinsert wrong")
 	}
-	if !s.Has(applyTriple("new", 0)) || s.Has(applyTriple("new", 1)) {
+	if !s.Snapshot().Has(applyTriple("new", 0)) || s.Snapshot().Has(applyTriple("new", 1)) {
 		t.Fatal("insert-then-delete within one batch should net to absent")
 	}
 }

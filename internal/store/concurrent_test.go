@@ -119,8 +119,8 @@ func TestAddAllAtomicVisibility(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if s.Len() != batches*batchSize {
-		t.Fatalf("Len = %d, want %d", s.Len(), batches*batchSize)
+	if s.Snapshot().Len() != batches*batchSize {
+		t.Fatalf("Len = %d, want %d", s.Snapshot().Len(), batches*batchSize)
 	}
 }
 
@@ -139,23 +139,23 @@ func TestRemoveAll(t *testing.T) {
 	if n := s.RemoveAll(batch); n != len(batch) {
 		t.Fatalf("RemoveAll = %d, want %d", n, len(batch))
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len after removal = %d, want 1", s.Len())
+	if s.Snapshot().Len() != 1 {
+		t.Fatalf("Len after removal = %d, want 1", s.Snapshot().Len())
 	}
-	if s.Has(batch[0]) {
+	if s.Snapshot().Has(batch[0]) {
 		t.Fatal("removed triple still present")
 	}
-	if !s.Has(keep) {
+	if !s.Snapshot().Has(keep) {
 		t.Fatal("unrelated triple removed")
 	}
-	if got := s.Match(rdf.Triple{P: rdf.Ont("churn")}); len(got) != 0 {
+	if got := s.Snapshot().Match(rdf.Triple{P: rdf.Ont("churn")}); len(got) != 0 {
 		t.Fatalf("Match on removed predicate = %v", got)
 	}
-	if got := s.Count(rdf.Triple{O: rdf.NewInteger(3)}); got != 0 {
+	if got := s.Snapshot().Count(rdf.Triple{O: rdf.NewInteger(3)}); got != 0 {
 		t.Fatalf("OSP index not pruned: count = %d", got)
 	}
 	// The dictionary keeps the terms (IDs are never reused).
-	if _, ok := s.Lookup(rdf.Res("Churn0")); !ok {
+	if _, ok := s.Snapshot().Lookup(rdf.Res("Churn0")); !ok {
 		t.Fatal("dictionary entry dropped by RemoveAll")
 	}
 	if n := s.RemoveAll(batch); n != 0 {
@@ -165,12 +165,12 @@ func TestRemoveAll(t *testing.T) {
 		t.Fatalf("RemoveAll of unknown terms = %d, want 0", n)
 	}
 	// Re-adding after removal works and reuses the dictionary.
-	before := s.TermCount()
+	before := s.Snapshot().TermCount()
 	if n := s.AddAll(batch); n != len(batch) {
 		t.Fatalf("re-AddAll = %d, want %d", n, len(batch))
 	}
-	if s.TermCount() != before {
-		t.Fatalf("re-adding interned new terms: %d -> %d", before, s.TermCount())
+	if s.Snapshot().TermCount() != before {
+		t.Fatalf("re-adding interned new terms: %d -> %d", before, s.Snapshot().TermCount())
 	}
 }
 
@@ -180,7 +180,7 @@ func TestRemoveAll(t *testing.T) {
 // where it started.
 func TestAddRemoveChurnUnderReaders(t *testing.T) {
 	s := pamukGraph()
-	base := s.Len()
+	base := s.Snapshot().Len()
 	batch := make([]rdf.Triple, 64)
 	for i := range batch {
 		batch[i] = churnTriple(i)
@@ -225,7 +225,7 @@ func TestAddRemoveChurnUnderReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if s.Len() != base {
-		t.Fatalf("churn did not return to steady state: Len = %d, want %d", s.Len(), base)
+	if s.Snapshot().Len() != base {
+		t.Fatalf("churn did not return to steady state: Len = %d, want %d", s.Snapshot().Len(), base)
 	}
 }

@@ -24,14 +24,15 @@ func TestForEachMatchIDsAgreesWithTerms(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		s.Add(idTriple(i))
 	}
-	terms := s.TermsView()
+	sn := s.Snapshot()
+	terms := sn.TermsView()
 	toTerm := func(a, b, c ID) rdf.Triple {
 		return rdf.Triple{S: terms[a-1], P: terms[b-1], O: terms[c-1]}
 	}
 
-	sub, _ := s.Lookup(rdf.Res("S3"))
-	pred, _ := s.Lookup(rdf.Ont("p2"))
-	obj, _ := s.Lookup(rdf.NewInteger(45))
+	sub, _ := sn.Lookup(rdf.Res("S3"))
+	pred, _ := sn.Lookup(rdf.Ont("p2"))
+	obj, _ := sn.Lookup(rdf.NewInteger(45))
 	cases := []struct {
 		name string
 		tp   rdf.Triple
@@ -48,20 +49,24 @@ func TestForEachMatchIDsAgreesWithTerms(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := s.Match(c.tp)
-			ids := s.MatchIDs(c.ip)
-			if len(ids) != len(want) {
-				t.Fatalf("MatchIDs returned %d rows, Match %d", len(ids), len(want))
+			want := sn.Match(c.tp)
+			var got []rdf.Triple
+			sn.ForEachMatchIDs(c.ip, func(sid, pid, oid ID) bool {
+				got = append(got, toTerm(sid, pid, oid))
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("ForEachMatchIDs yielded %d rows, Match %d", len(got), len(want))
 			}
-			for i, id3 := range ids {
-				if got := toTerm(id3[0], id3[1], id3[2]); got != want[i] {
-					t.Fatalf("row %d: IDs %v -> %v, want %v", i, id3, got, want[i])
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
 				}
 			}
-			if got, want := s.CountIDs(c.ip), s.Count(c.tp); got != want {
-				t.Fatalf("CountIDs = %d, Count = %d", got, want)
+			if n := sn.Count(c.tp); n != len(want) {
+				t.Fatalf("Count = %d, Match %d", n, len(want))
 			}
-			if got, want := s.EstimateCardinalityIDs(c.ip), s.EstimateCardinality(c.tp); got != want {
+			if got, want := sn.EstimateCardinalityIDs(c.ip), sn.EstimateCardinality(c.tp); got != want {
 				t.Fatalf("EstimateCardinalityIDs = %d, EstimateCardinality = %d", got, want)
 			}
 		})
@@ -72,16 +77,17 @@ func TestHasIDs(t *testing.T) {
 	s := New()
 	tr := rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")}
 	s.Add(tr)
-	sid, _ := s.Lookup(tr.S)
-	pid, _ := s.Lookup(tr.P)
-	oid, _ := s.Lookup(tr.O)
-	if !s.HasIDs(sid, pid, oid) {
+	sn := s.Snapshot()
+	sid, _ := sn.Lookup(tr.S)
+	pid, _ := sn.Lookup(tr.P)
+	oid, _ := sn.Lookup(tr.O)
+	if !sn.HasIDs(sid, pid, oid) {
 		t.Fatal("HasIDs = false for present triple")
 	}
-	if s.HasIDs(oid, pid, sid) {
+	if sn.HasIDs(oid, pid, sid) {
 		t.Fatal("HasIDs = true for reversed triple")
 	}
-	if s.HasIDs(0, pid, oid) {
+	if sn.HasIDs(0, pid, oid) {
 		t.Fatal("HasIDs = true for zero subject")
 	}
 }
@@ -93,7 +99,7 @@ func TestForEachMatchIDsEarlyStop(t *testing.T) {
 		s.Add(idTriple(i))
 	}
 	n := 0
-	s.ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool {
+	s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool {
 		n++
 		return n < 5
 	})
@@ -107,11 +113,12 @@ func TestForEachMatchIDsEarlyStop(t *testing.T) {
 func TestTermsView(t *testing.T) {
 	s := New()
 	s.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")})
-	view := s.TermsView()
-	if len(view) != s.TermCount() {
-		t.Fatalf("view has %d terms, TermCount %d", len(view), s.TermCount())
+	sn := s.Snapshot()
+	view := sn.TermsView()
+	if len(view) != sn.TermCount() {
+		t.Fatalf("view has %d terms, TermCount %d", len(view), sn.TermCount())
 	}
-	id, _ := s.Lookup(rdf.Res("A"))
+	id, _ := sn.Lookup(rdf.Res("A"))
 	a := view[id-1]
 	// Grow the store; the old view must still resolve the old ID.
 	for i := 0; i < 1000; i++ {
@@ -135,8 +142,8 @@ func TestAddAllBatch(t *testing.T) {
 	if n := s.AddAll(batch); n != 2 {
 		t.Fatalf("AddAll = %d, want 2", n)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if s.Snapshot().Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Snapshot().Len())
 	}
 	if n := s.AddAll(batch); n != 0 {
 		t.Fatalf("second AddAll = %d, want 0", n)
@@ -153,7 +160,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Add(idTriple(i))
 	}
-	pid, _ := s.Lookup(rdf.Ont("p1"))
+	pid, _ := s.Snapshot().Lookup(rdf.Ont("p1"))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -169,12 +176,12 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				}
 				switch r % 3 {
 				case 0: // ID scan with a bound predicate (bucket key cache)
-					s.ForEachMatchIDs([3]ID{0, pid, 0}, func(_, _, _ ID) bool { return true })
+					s.Snapshot().ForEachMatchIDs([3]ID{0, pid, 0}, func(_, _, _ ID) bool { return true })
 				case 1: // full scan (outer key cache + bucket caches)
 					n := 0
-					s.ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { n++; return n < 200 })
+					s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { n++; return n < 200 })
 				default: // term-space scan with a bound subject
-					s.ForEachMatch(rdf.Triple{S: rdf.Res("S7")}, func(rdf.Triple) bool { return true })
+					s.Snapshot().ForEachMatch(rdf.Triple{S: rdf.Res("S7")}, func(rdf.Triple) bool { return true })
 				}
 			}
 		}(r)
@@ -187,9 +194,9 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	wg.Wait()
 
 	// After the writes, caches must reflect the final state.
-	want := s.Len()
+	want := s.Snapshot().Len()
 	got := 0
-	s.ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { got++; return true })
+	s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { got++; return true })
 	if got != want {
 		t.Fatalf("full scan after concurrent writes visited %d triples, Len = %d", got, want)
 	}

@@ -6,23 +6,19 @@ import (
 	"repro/internal/rdf"
 )
 
-// This file holds the lightweight RDFS helpers the answer-extraction
-// stage needs: class closure under rdfs:subClassOf and instance type
-// checks with subclass inference. The paper's expected-type filter
-// (Table 1) asks "is this answer a Person/Place/...?", which on DBpedia
-// requires walking the class hierarchy.
-
 // SuperClasses returns the transitive closure of rdfs:subClassOf starting
 // at class c (excluding c itself), in deterministic order. Cycles are
-// tolerated.
-func (s *Store) SuperClasses(c rdf.Term) []rdf.Term {
+// tolerated. The KB builder materialises the rdf:type closure with it, so
+// the paper's expected-type filter (Table 1: "is this answer a
+// Person/Place/...?") is one triple lookup at query time.
+func (sn *Snapshot) SuperClasses(c rdf.Term) []rdf.Term {
 	seen := map[rdf.Term]bool{c: true}
 	var out []rdf.Term
 	frontier := []rdf.Term{c}
 	for len(frontier) > 0 {
 		next := frontier[:0:0]
 		for _, cur := range frontier {
-			for _, super := range s.Objects(cur, rdf.SubClassOf()) {
+			for _, super := range sn.Objects(cur, rdf.SubClassOf()) {
 				if !seen[super] {
 					seen[super] = true
 					out = append(out, super)
@@ -31,68 +27,6 @@ func (s *Store) SuperClasses(c rdf.Term) []rdf.Term {
 			}
 		}
 		frontier = next
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// SubClasses returns the transitive closure of classes below c
-// (excluding c itself), in deterministic order.
-func (s *Store) SubClasses(c rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]bool{c: true}
-	var out []rdf.Term
-	frontier := []rdf.Term{c}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, cur := range frontier {
-			for _, sub := range s.Subjects(rdf.SubClassOf(), cur) {
-				if !seen[sub] {
-					seen[sub] = true
-					out = append(out, sub)
-					next = append(next, sub)
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// TypesOf returns the direct rdf:type classes of an entity.
-func (s *Store) TypesOf(entity rdf.Term) []rdf.Term {
-	return s.Objects(entity, rdf.Type())
-}
-
-// IsInstanceOf reports whether entity has class c as a direct type or as a
-// superclass of one of its direct types.
-func (s *Store) IsInstanceOf(entity, c rdf.Term) bool {
-	for _, t := range s.TypesOf(entity) {
-		if t == c {
-			return true
-		}
-		for _, super := range s.SuperClasses(t) {
-			if super == c {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// InstancesOf returns every entity whose direct or inferred type is c, in
-// deterministic order.
-func (s *Store) InstancesOf(c rdf.Term) []rdf.Term {
-	classes := append([]rdf.Term{c}, s.SubClasses(c)...)
-	seen := map[rdf.Term]bool{}
-	var out []rdf.Term
-	for _, cls := range classes {
-		for _, e := range s.Subjects(rdf.Type(), cls) {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out

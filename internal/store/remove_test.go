@@ -22,14 +22,14 @@ func TestRemoveSingleTriple(t *testing.T) {
 	if !s.Remove(tr) {
 		t.Fatal("Remove of present triple reported false")
 	}
-	if s.Has(tr) {
+	if s.Snapshot().Has(tr) {
 		t.Fatal("triple still present after Remove")
 	}
-	if !s.Has(churnTriple(2)) {
+	if !s.Snapshot().Has(churnTriple(2)) {
 		t.Fatal("Remove deleted an unrelated triple")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if s.Snapshot().Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Snapshot().Len())
 	}
 	if s.Remove(tr) {
 		t.Fatal("second Remove of the same triple reported true")
@@ -156,7 +156,7 @@ func TestRemoveChurnUnderReaders(t *testing.T) {
 		want[i%17] = i%2 == 0
 	}
 	for k, present := range want {
-		if got := s.Has(churnTriple(k)); got != present {
+		if got := s.Snapshot().Has(churnTriple(k)); got != present {
 			t.Errorf("churnTriple(%d) present = %v, want %v", k, got, present)
 		}
 	}

@@ -22,12 +22,10 @@ import (
 
 var snapshotMagic = [8]byte{'Q', 'A', 'S', 'T', 'O', 'R', 'E', '1'}
 
-// WriteSnapshot serialises the store. It pins one immutable read
-// snapshot up front, so concurrent writers are neither blocked nor
-// observed mid-batch: the dump is exactly the pinned state.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	sn := s.Snapshot()
-
+// WriteSnapshot serialises the snapshot. It is immutable, so concurrent
+// writers are neither blocked nor observed mid-batch: the dump is
+// exactly the pinned state.
+func (sn *Snapshot) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return err

@@ -9,15 +9,16 @@ import (
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	orig := pamukGraph()
+	orig := pamukGraph().Snapshot()
 	var buf bytes.Buffer
 	if err := orig.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadSnapshot(&buf)
+	st, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := st.Snapshot()
 	if loaded.Len() != orig.Len() {
 		t.Fatalf("len = %d, want %d", loaded.Len(), orig.Len())
 	}
@@ -35,15 +36,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteSnapshot(&buf); err != nil {
+	if err := New().Snapshot().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 0 {
-		t.Errorf("len = %d", loaded.Len())
+	if loaded.Snapshot().Len() != 0 {
+		t.Errorf("len = %d", loaded.Snapshot().Len())
 	}
 }
 
@@ -53,24 +54,24 @@ func TestSnapshotAllTermKinds(t *testing.T) {
 	st.Add(rdf.Triple{S: rdf.Res("X"), P: rdf.Ont("q"), O: rdf.NewTypedLiteral("5", rdf.XSDInteger)})
 	st.Add(rdf.Triple{S: rdf.Res("X"), P: rdf.Ont("r"), O: rdf.NewLiteral("plain")})
 	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
+	sn := st.Snapshot()
+	if err := sn.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range st.Triples() {
-		if !loaded.Has(tr) {
+	for _, tr := range sn.Triples() {
+		if !loaded.Snapshot().Has(tr) {
 			t.Errorf("missing %v", tr)
 		}
 	}
 }
 
 func TestSnapshotCorruption(t *testing.T) {
-	orig := pamukGraph()
 	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
+	if err := pamukGraph().Snapshot().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

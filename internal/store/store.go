@@ -9,10 +9,10 @@
 // # Wait-free snapshot reads
 //
 // The store is structured as an immutable Snapshot published through an
-// atomic pointer. Readers pin the current snapshot with a single atomic
-// load (Store.Snapshot, or implicitly via any Store read method) and
-// then scan plain immutable memory: no RWMutex, no lock-step with
-// writers, no stalls behind bulk loads. A pinned snapshot stays valid
+// atomic pointer. A Store is the writer; every read is a Snapshot
+// method. Readers pin the current snapshot with a single atomic load
+// (Store.Snapshot) and then scan plain immutable memory: no RWMutex, no
+// lock-step with writers, no stalls behind bulk loads. A pinned snapshot stays valid
 // and self-consistent forever — a long 3-pattern join sees either all
 // or none of a concurrent AddAll batch, never a half-applied one.
 //
@@ -32,16 +32,16 @@
 //
 // # Two-layer execution model
 //
-// The store exposes two query surfaces. The term-space API
-// (Match/ForEachMatch/Count) accepts rdf.Triple patterns and yields full
-// rdf.Term triples; it is the convenient surface for pipeline stages
-// that need a handful of lookups. The ID-space API (MatchIDs,
-// ForEachMatchIDs, CountIDs, HasIDs, EstimateCardinalityIDs) works
-// entirely on dictionary IDs and never materialises terms; the SPARQL
-// executor runs on it — pinning one Snapshot per query — and converts
-// IDs back to terms only when projecting final results (late
-// materialization). TermsView exposes the dictionary as an immutable
-// slice so that conversion needs no locks.
+// A Snapshot exposes two query surfaces. The term-space API
+// (Match/ForEachMatch/Count, Subjects/Objects) accepts rdf.Triple
+// patterns and yields full rdf.Term triples; it is the convenient
+// surface for boot-time builders that need a handful of lookups. The
+// ID-space API (ForEachMatchIDs, HasIDs, EstimateCardinalityIDs,
+// PostingList) works entirely on dictionary IDs and never materialises
+// terms; the SPARQL executor runs on it — pinning one Snapshot per
+// query — and converts IDs back to terms only when projecting final
+// results (late materialization). TermsView exposes the dictionary as
+// an immutable slice so that conversion needs no locks.
 //
 // Index buckets cache their sorted key slices; the caches are built
 // lazily by readers (idempotently, via atomic pointers: every builder
@@ -304,9 +304,8 @@ func New() *Store {
 }
 
 // Snapshot pins the current immutable read view: one atomic load, no
-// locks. The returned snapshot never changes; queries that need a
-// consistent view across many scans (the SPARQL executor pins one per
-// query) read it directly instead of going through the Store methods.
+// locks. The returned snapshot never changes, so every read through it
+// sees one generation for as long as the caller holds it.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
 // --- Snapshot read surface ---
@@ -569,17 +568,6 @@ func (sn *Snapshot) Match(pat rdf.Triple) []rdf.Triple {
 	return out
 }
 
-// MatchIDs returns all ID triples matching the pattern (ID(0) is the
-// wildcard), in deterministic order.
-func (sn *Snapshot) MatchIDs(pat [3]ID) [][3]ID {
-	var out [][3]ID
-	sn.ForEachMatchIDs(pat, func(a, b, c ID) bool {
-		out = append(out, [3]ID{a, b, c})
-		return true
-	})
-	return out
-}
-
 // EstimateCardinalityIDs returns an upper-bound estimate of the number
 // of matches for the ID pattern (ID(0) is the wildcard), used by the
 // SPARQL executor to order joins. It never materialises results. The
@@ -614,11 +602,6 @@ func (sn *Snapshot) EstimateCardinalityIDs(pat [3]ID) int {
 	default:
 		return sn.size
 	}
-}
-
-// CountIDs returns the number of triples matching the ID pattern.
-func (sn *Snapshot) CountIDs(pat [3]ID) int {
-	return sn.EstimateCardinalityIDs(pat)
 }
 
 // PostingList returns the sorted, unique ID list for a pattern with
@@ -661,92 +644,52 @@ func (sn *Snapshot) Count(pat rdf.Triple) int {
 	return sn.EstimateCardinality(pat)
 }
 
-// --- Store read surface (delegates to the current snapshot) ---
-
-// Len returns the number of distinct triples.
-func (s *Store) Len() int { return s.Snapshot().Len() }
-
-// TermCount returns the number of distinct terms in the dictionary.
-func (s *Store) TermCount() int { return s.Snapshot().TermCount() }
-
-// Lookup returns the ID of t if it is in the dictionary.
-func (s *Store) Lookup(t rdf.Term) (ID, bool) { return s.Snapshot().Lookup(t) }
-
-// Term returns the term for an ID. It returns a zero term for unknown IDs.
-func (s *Store) Term(id ID) rdf.Term { return s.Snapshot().Term(id) }
-
-// TermsView returns a read-only view of the dictionary; see
-// Snapshot.TermsView.
-func (s *Store) TermsView() []rdf.Term { return s.Snapshot().TermsView() }
-
-// Has reports whether the exact ground triple is present.
-func (s *Store) Has(t rdf.Triple) bool { return s.Snapshot().Has(t) }
-
-// HasIDs reports whether the triple (s, p, o) is present, by ID.
-func (s *Store) HasIDs(sid, pid, oid ID) bool { return s.Snapshot().HasIDs(sid, pid, oid) }
-
-// Match returns all triples matching the pattern; see Snapshot.Match.
-func (s *Store) Match(pat rdf.Triple) []rdf.Triple { return s.Snapshot().Match(pat) }
-
-// MatchIDs returns all ID triples matching the pattern; see
-// Snapshot.MatchIDs.
-func (s *Store) MatchIDs(pat [3]ID) [][3]ID { return s.Snapshot().MatchIDs(pat) }
-
-// Count returns the number of triples matching the pattern.
-func (s *Store) Count(pat rdf.Triple) int { return s.Snapshot().Count(pat) }
-
-// CountIDs returns the number of triples matching the ID pattern.
-func (s *Store) CountIDs(pat [3]ID) int { return s.Snapshot().CountIDs(pat) }
-
-// ForEachMatch streams the triples matching pat; see
-// Snapshot.ForEachMatch.
-func (s *Store) ForEachMatch(pat rdf.Triple, fn func(rdf.Triple) bool) {
-	s.Snapshot().ForEachMatch(pat, fn)
-}
-
-// ForEachMatchIDs streams the ID triples matching pat; see
-// Snapshot.ForEachMatchIDs.
-func (s *Store) ForEachMatchIDs(pat [3]ID, fn func(s, p, o ID) bool) {
-	s.Snapshot().ForEachMatchIDs(pat, fn)
-}
-
-// EstimateCardinality returns an upper-bound estimate of the number of
-// matches for pat; see Snapshot.EstimateCardinality.
-func (s *Store) EstimateCardinality(pat rdf.Triple) int {
-	return s.Snapshot().EstimateCardinality(pat)
-}
-
-// EstimateCardinalityIDs is EstimateCardinality on an ID pattern.
-func (s *Store) EstimateCardinalityIDs(pat [3]ID) int {
-	return s.Snapshot().EstimateCardinalityIDs(pat)
-}
-
-// Subjects returns the distinct subjects of triples with the given
-// predicate and object.
-func (s *Store) Subjects(p, o rdf.Term) []rdf.Term {
+// Subjects returns the subjects of triples with the given predicate and
+// object, in ascending ID order.
+func (sn *Snapshot) Subjects(p, o rdf.Term) []rdf.Term {
 	var out []rdf.Term
-	s.ForEachMatch(rdf.Triple{P: p, O: o}, func(t rdf.Triple) bool {
+	sn.ForEachMatch(rdf.Triple{P: p, O: o}, func(t rdf.Triple) bool {
 		out = append(out, t.S)
 		return true
 	})
 	return out
 }
 
-// Objects returns the distinct objects of triples with the given subject
-// and predicate.
-func (s *Store) Objects(sub, p rdf.Term) []rdf.Term {
+// Objects returns the objects of triples with the given subject and
+// predicate, in ascending ID order.
+func (sn *Snapshot) Objects(sub, p rdf.Term) []rdf.Term {
 	var out []rdf.Term
-	s.ForEachMatch(rdf.Triple{S: sub, P: p}, func(t rdf.Triple) bool {
+	sn.ForEachMatch(rdf.Triple{S: sub, P: p}, func(t rdf.Triple) bool {
 		out = append(out, t.O)
 		return true
 	})
 	return out
 }
 
-// Triples returns every triple in the store in deterministic order.
-func (s *Store) Triples() []rdf.Triple {
-	return s.Match(rdf.Triple{})
-}
+// Triples returns every triple in the snapshot in deterministic order.
+func (sn *Snapshot) Triples() []rdf.Triple { return sn.Match(rdf.Triple{}) }
+
+// --- The four reads left on Store ---
+//
+// Every read belongs on a pinned *Snapshot. These four remain only
+// because cmd/qaload, the load generator and a module of its own,
+// compiles against them; they go when it reads through a Snapshot.
+
+// Len is Snapshot.Len on the current snapshot. It exists only because
+// cmd/qaload calls it (main.go:439, qaload_test.go).
+func (s *Store) Len() int { return s.Snapshot().Len() }
+
+// TermCount is Snapshot.TermCount on the current snapshot. It exists
+// only because cmd/qaload calls it (qaload_test.go:193–198).
+func (s *Store) TermCount() int { return s.Snapshot().TermCount() }
+
+// Triples is Snapshot.Triples on the current snapshot. It exists only
+// because cmd/qaload calls it (qaload_test.go:179–190).
+func (s *Store) Triples() []rdf.Triple { return s.Snapshot().Triples() }
+
+// Subjects is Snapshot.Subjects on the current snapshot. It exists only
+// because cmd/qaload calls it (workload.go:84).
+func (s *Store) Subjects(p, o rdf.Term) []rdf.Term { return s.Snapshot().Subjects(p, o) }
 
 // --- Write path: generation-stamped copy-on-write batches ---
 

@@ -25,6 +25,7 @@ var entityTemplates = []struct {
 // City label of k, in label order: the distinct questions of qaload's
 // entity_cold workload.
 func EntityQuestions(k *kb.KB) []string {
+	sn := k.Store.Snapshot()
 	seen := map[string]bool{}
 	var qs []string
 	for _, et := range entityTemplates {
@@ -33,7 +34,7 @@ func EntityQuestions(k *kb.KB) []string {
 			panic("testutil: KB has no class " + et.class)
 		}
 		var labels []string
-		for _, e := range k.Store.Subjects(rdf.Type(), class.Term) {
+		for _, e := range sn.Subjects(rdf.Type(), class.Term) {
 			labels = append(labels, k.LabelOf(e))
 		}
 		sort.Strings(labels)
@@ -53,7 +54,7 @@ func EntityQuestions(k *kb.KB) []string {
 // gazetteer the entity linker indexes — sorted.
 func Labels(k *kb.KB) []string {
 	var labels []string
-	k.Store.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
+	k.Store.Snapshot().ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.S.Value, rdf.NSRes) {
 			labels = append(labels, t.O.Value)
 		}

@@ -33,7 +33,7 @@ func startChaosRun(t *testing.T, fsys *faultfs.FS, in *chaos.Injector, compact i
 	}
 	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64][]rdf.Triple{}}
 	r.acked = st.Snapshot().Gen()
-	r.states[r.acked] = st.Triples()
+	r.states[r.acked] = st.Snapshot().Triples()
 	return r
 }
 

@@ -83,7 +83,7 @@ func startRun(t *testing.T, fsys *faultfs.FS, compact int64, initial []rdf.Tripl
 	}
 	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64][]rdf.Triple{}}
 	r.acked = st.Snapshot().Gen()
-	r.states[r.acked] = st.Triples()
+	r.states[r.acked] = st.Snapshot().Triples()
 	return r
 }
 
@@ -95,7 +95,7 @@ func (r *run) apply(ops ...store.BatchOp) {
 		r.t.Fatal(err)
 	}
 	r.acked = c.Gen
-	r.states[c.Gen] = r.st.Triples()
+	r.states[c.Gen] = r.st.Snapshot().Triples()
 }
 
 // applyFails asserts the batch is rejected and the store unchanged.
@@ -108,7 +108,7 @@ func (r *run) applyFails(ops ...store.BatchOp) {
 	if g := r.st.Snapshot().Gen(); g != before {
 		r.t.Fatalf("failed Apply moved the store from gen %d to %d", before, g)
 	}
-	if !reflect.DeepEqual(canon(r.st.Triples()), canon(r.states[r.acked])) {
+	if !reflect.DeepEqual(canon(r.st.Snapshot().Triples()), canon(r.states[r.acked])) {
 		r.t.Fatal("failed Apply mutated the store contents")
 	}
 }
@@ -353,15 +353,15 @@ func TestRandomizedFaultDifferential(t *testing.T) {
 				faulted = true
 			}
 			if faulted {
-				before := canon(r.st.Triples())
+				before := canon(r.st.Snapshot().Triples())
 				if _, err := r.m.Apply(context.Background(), ops); err == nil {
 					t.Fatalf("seed %d step %d: faulted Apply succeeded", seed, step)
 				}
-				if !reflect.DeepEqual(canon(r.st.Triples()), before) {
+				if !reflect.DeepEqual(canon(r.st.Snapshot().Triples()), before) {
 					t.Fatalf("seed %d step %d: failed Apply mutated the store", seed, step)
 				}
 				// The batch was rejected: resynchronise the model.
-				present = presentSet(r.st.Triples())
+				present = presentSet(r.st.Snapshot().Triples())
 			} else {
 				r.apply(ops...)
 			}

@@ -161,7 +161,7 @@ func Recover(dir string, o Options) (*Recovery, error) {
 			r.Exists = true
 		}
 		if r.Records > 0 {
-			baseline = st.Triples()
+			baseline = st.Snapshot().Triples()
 		}
 	}
 	if r.Exists {

@@ -97,7 +97,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, got, st.Triples())
+	sameContents(t, got, st.Snapshot().Triples())
 }
 
 func TestManagerLifecycle(t *testing.T) {
@@ -133,7 +133,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if g := st.Snapshot().Gen(); g != c2.Gen {
 		t.Fatalf("published gen %d != committed gen %d", g, c2.Gen)
 	}
-	want := st.Triples()
+	want := st.Snapshot().Triples()
 	wantGen := st.Snapshot().Gen()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRecoveryWithoutClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := st.Triples()
+	want := st.Snapshot().Triples()
 	wantGen := st.Snapshot().Gen()
 	// Abandon m without Close: the OS file stays as-is on disk.
 
@@ -219,7 +219,7 @@ func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(1)}); err != nil {
 		t.Fatal(err)
 	}
-	afterOne := st.Triples()
+	afterOne := st.Snapshot().Triples()
 	genOne := st.Snapshot().Gen()
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(2)}); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, rec3.Triples, st2.Triples())
+	sameContents(t, rec3.Triples, st2.Snapshot().Triples())
 }
 
 func TestCompactionTruncatesLogAndSurvivesRestart(t *testing.T) {
@@ -286,7 +286,7 @@ func TestCompactionTruncatesLogAndSurvivesRestart(t *testing.T) {
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(11)}); err != nil {
 		t.Fatal(err)
 	}
-	want := st.Triples()
+	want := st.Snapshot().Triples()
 	wantGen := st.Snapshot().Gen()
 
 	rec2, err := Recover(dir, Options{})
@@ -341,7 +341,7 @@ func TestApplyRespectsContext(t *testing.T) {
 	if _, err := m.Apply(ctx, []store.BatchOp{insOp(1)}); err == nil {
 		t.Fatal("Apply with cancelled context succeeded")
 	}
-	if st.Len() != 0 {
+	if st.Snapshot().Len() != 0 {
 		t.Fatal("cancelled Apply mutated the store")
 	}
 	if g := m.Gen(); g != 0 {

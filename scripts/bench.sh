@@ -50,7 +50,7 @@
 # BenchmarkRankSort and BenchmarkBGPJoinIdle/UnderLoad go through the
 # process-wide cache, so from the second iteration on they compile from
 # a shape hit. The executor benchmarks run on a session with the cache
-# detached (NewSession(st).WithPlanCache(nil), as qaload's
+# detached (NewSnapshotSession(sn).WithPlanCache(nil), as qaload's
 # sparql.exec_us probe does), so each iteration also builds the shape:
 # internal/sparql's BenchmarkBGPJoin3, BGPJoin3Limit and
 # BGPJoinDistinctOrderBy beside their *TermSpace twins, and the root

@@ -736,7 +736,7 @@ func benchmarkJoinMaybeUnderLoad(b *testing.B, load bool) {
 				default:
 				}
 				st.AddAll(batch)
-				st.RemoveAll(batch)
+				st.ApplyBatch([]store.BatchOp{{Delete: true, Triples: batch}})
 				// Pace the loader to a bounded duty cycle so the
 				// benchmark measures stall behaviour, not raw CPU
 				// contention on single-core hosts.
@@ -764,23 +764,8 @@ func benchmarkJoinMaybeUnderLoad(b *testing.B, load bool) {
 func BenchmarkBGPJoinIdle(b *testing.B) { benchmarkJoinMaybeUnderLoad(b, false) }
 
 // BenchmarkBGPJoinUnderLoad runs the identical join while a bulk
-// AddAll/RemoveAll churn loop writes 1024-triple batches concurrently.
+// churn loop adds and deletes 1024-triple batches concurrently.
 func BenchmarkBGPJoinUnderLoad(b *testing.B) { benchmarkJoinMaybeUnderLoad(b, true) }
-
-// BenchmarkSnapshotRoundTrip measures the binary snapshot dump/load.
-func BenchmarkSnapshotRoundTrip(b *testing.B) {
-	k := kb.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := k.Store.Snapshot().WriteSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.ReadSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- PR 4: staged pipeline + serving layer ---
 
@@ -906,18 +891,17 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALRecovery measures a cold start over the built-in KB's
-// durable state: segment load plus a 64-record log-tail replay — the
-// work a crashed qaserve performs before it can serve.
+// BenchmarkWALRecovery measures what a crashed qaserve runs on the
+// built-in KB's durable state before core.New: wal.Recover over a
+// segment plus a 64-record log tail, then kb.FromStore over the store
+// it returns.
 func BenchmarkWALRecovery(b *testing.B) {
 	dir := b.TempDir()
 	rec, err := wal.Recover(dir, wal.Options{CompactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := store.New()
-	st.AddAll(kb.Default().Store.Snapshot().Triples())
-	m, err := rec.Open(st)
+	m, err := rec.Open(kb.Build(kb.DefaultConfig()).Store)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -937,6 +921,9 @@ func BenchmarkWALRecovery(b *testing.B) {
 		}
 		if !r.Exists || r.Records != 64 {
 			b.Fatalf("recovery = %+v", r)
+		}
+		if _, err := kb.FromStore(r.Store); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func main() {
 			if *kbPath != "" {
 				fmt.Fprintf(os.Stderr, "qaserve: %s holds durable state; ignoring -kb %s\n", *dataDir, *kbPath)
 			}
-			loaded, err := kb.FromTriples(rec.Triples)
+			loaded, err := kb.FromStore(rec.Store)
 			if err != nil {
 				res.err = fmt.Errorf("rebuilding KB from %s: %w", *dataDir, err)
 				return
@@ -203,7 +203,7 @@ func main() {
 			cfg.KB = loaded
 			phase("wal_recovery")
 			fmt.Fprintf(os.Stderr, "qaserve: recovered %d triples at generation %d (segment %d + %d log records)\n",
-				len(rec.Triples), rec.Gen, rec.SegmentGen, rec.Records)
+				rec.Store.Snapshot().Len(), rec.Gen, rec.SegmentGen, rec.Records)
 		case *kbPath != "":
 			loaded, err := kb.LoadFile(*kbPath)
 			if err != nil {

@@ -71,7 +71,7 @@
 // the entry point. When enabled, a bounded sharded LRU over normalized
 // question text (internal/qacache) mounts as the first stage; entries
 // are stamped with the KB snapshot generation, so any store write —
-// including the single-triple store.Remove — invalidates every cached
+// including a single-triple delete — invalidates every cached
 // answer.
 // cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer and
 // /v1/answer/batch — batch questions fan out across a bounded worker
@@ -91,15 +91,17 @@
 // batch is appended to a length-prefixed, CRC-checksummed log and
 // fsynced before it is applied (internal/wal/FORMAT.md documents the
 // on-disk format), and the log periodically compacts into immutable
-// snapshot segment files. On restart the server rebuilds the KB from
-// the newest valid segment plus the replayed log tail — a torn or
-// corrupt trailing record is treated as a clean end of log, so
-// recovery always lands on a prefix of the committed batches
-// (internal/wal/faultfs injects torn writes, short writes, fsync
-// failures and bit flips to prove it). /healthz stays a pure liveness
-// probe; /readyz answers 503 behind a boot gate until recovery and
-// pipeline construction finish, and graceful shutdown drains requests
-// before the final WAL fsync and checkpoint.
+// snapshot segment files. On restart the server loads the newest valid
+// segment into a store with the segment's own term IDs, replays the log
+// tail onto it in place and builds the KB's ontology indexes over it,
+// inferring nothing — so the restarted store holds the live one's
+// triples and IDs. A torn or corrupt trailing record is treated as a
+// clean end of log, so recovery always lands on a prefix of the
+// committed batches (internal/wal/faultfs injects torn writes, short
+// writes, fsync failures and bit flips to prove it). /healthz stays a
+// pure liveness probe; /readyz answers 503 behind a boot gate until
+// recovery and pipeline construction finish, and graceful shutdown
+// drains requests before the final WAL fsync and checkpoint.
 //
 // The cross-cutting invariants those layers lean on — snapshot
 // pinning in the execution packages, request-context flow down to the

@@ -211,7 +211,7 @@ func TestConcurrentAnswering(t *testing.T) {
 // acceptance test: a WAL-backed system takes live mutations that net
 // out to the original KB (height swapped away and back, a foreign
 // fact inserted and deleted), crashes without closing the log, and is
-// rebuilt from the recovered triples — after which the QALD evaluation
+// rebuilt over the recovered store — after which the QALD evaluation
 // must reproduce the frozen Table 2 numbers (P/R/F1 0.83/0.33/0.47)
 // exactly, question by question.
 func TestCrashRecoveryPreservesQALD(t *testing.T) {
@@ -257,7 +257,7 @@ func TestCrashRecoveryPreservesQALD(t *testing.T) {
 	if !rec2.Exists || rec2.Records != 4 {
 		t.Fatalf("recovery = %+v, want 4 replayed records", rec2)
 	}
-	k2, err := kb.FromTriples(rec2.Triples)
+	k2, err := kb.FromStore(rec2.Store)
 	if err != nil {
 		t.Fatal(err)
 	}

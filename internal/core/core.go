@@ -27,7 +27,7 @@
 // The answer cache (internal/qacache) is mounted as the first stage
 // when Config.CacheSize > 0: entries are keyed on normalized question
 // text and stamped with the KB snapshot generation, so any store write
-// (including a single-triple store.Remove) invalidates every previously
+// (including a single-triple delete) invalidates every previously
 // cached answer. An entry is the answer, not its derivation (status,
 // answers, winning query text, error, shard stamps): a Result served
 // from the cache has no intermediate stages to inspect. With the cache

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/patterns"
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // Tests for the staged pipeline: trace recording, request-scoped
@@ -190,9 +191,9 @@ func TestAnswerCacheHit(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheObservesRemoveGenerationBump: a single-triple
-// store.Remove bumps the snapshot generation, which must invalidate
-// every previously cached answer.
+// TestAnswerCacheObservesRemoveGenerationBump: a single-triple delete
+// bumps the snapshot generation, which must invalidate every previously
+// cached answer.
 func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	s := cachedSystem(t)
 	const q = "Where did Abraham Lincoln die?"
@@ -206,8 +207,8 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 
 	genBefore := s.KB.Store.Snapshot().Gen()
 	victim := rdf.Triple{S: rdf.Res("Abraham_Lincoln"), P: rdf.Ont("deathPlace"), O: first.Answers[0]}
-	if !s.KB.Store.Remove(victim) {
-		t.Fatalf("Remove(%v) found nothing", victim)
+	if _, removed := s.KB.Store.ApplyBatch([]store.BatchOp{{Delete: true, Triples: []rdf.Triple{victim}}}); removed != 1 {
+		t.Fatalf("deleting %v found nothing", victim)
 	}
 	if gen := s.KB.Store.Snapshot().Gen(); gen <= genBefore {
 		t.Fatalf("generation did not bump: %d -> %d", genBefore, gen)

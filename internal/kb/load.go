@@ -13,27 +13,35 @@ import (
 	"repro/internal/turtle"
 )
 
-func newStoreWith(triples []rdf.Triple) *store.Store {
+// FromTriples reconstructs a KB from raw triples (e.g. a kbgen dump or
+// an external DBpedia-style file): the triples are loaded as one write
+// batch, the ontology indexes are built over them (FromStore), and the
+// rdf:type closure is materialised — as one further write batch of what
+// is missing, none at all for a dump that already carries it.
+func FromTriples(triples []rdf.Triple) (*KB, error) {
 	st := store.New()
 	st.AddAll(triples)
-	return st
+	kb, err := FromStore(st)
+	if err != nil {
+		return nil, err
+	}
+	kb.materializeTypes()
+	return kb, nil
 }
 
-// FromTriples reconstructs a KB from raw triples (e.g. a kbgen dump or
-// an external DBpedia-style file): the ontology indexes (classes,
-// object/data properties with labels, domains and ranges) are rebuilt
-// from the owl:Class / owl:ObjectProperty / owl:DatatypeProperty
-// declarations, and the rdf:type closure is re-materialised — as one
-// further write batch of what is missing, so a dump that already carries
-// the closure (a WAL recovery, a kbgen file) no longer takes the writer
-// lock once per inferred triple to add nothing: it takes it not at all.
-func FromTriples(triples []rdf.Triple) (*KB, error) {
+// FromStore builds a KB over st as it stands: the ontology indexes
+// (classes, object/data properties with labels, domains and ranges)
+// come from the owl:Class / owl:ObjectProperty / owl:DatatypeProperty
+// declarations of one pinned snapshot. It writes nothing: a store
+// recovered from a data dir (internal/wal) keeps its generation, its
+// term IDs and exactly the triples it was recovered with.
+func FromStore(st *store.Store) (*KB, error) {
 	kb := &KB{
-		Store:        newStoreWith(triples),
+		Store:        st,
 		classByLocal: map[string]Class{},
 		propByLocal:  map[string]Property{},
 	}
-	sn := kb.Store.Snapshot()
+	sn := st.Snapshot()
 
 	labelOf := func(t rdf.Term) string {
 		for _, o := range sn.Objects(t, rdf.Label()) {
@@ -75,9 +83,8 @@ func FromTriples(triples []rdf.Triple) (*KB, error) {
 		kb.propByLocal[prop.LocalName()] = p
 	}
 	if len(kb.Classes) == 0 {
-		return nil, fmt.Errorf("kb: no dbont: classes found in %d triples (missing ontology declarations?)", len(triples))
+		return nil, fmt.Errorf("kb: no dbont: classes found in %d triples (missing ontology declarations?)", sn.Len())
 	}
-	kb.materializeTypes()
 	return kb, nil
 }
 

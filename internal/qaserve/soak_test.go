@@ -31,6 +31,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kb"
+	"repro/internal/rdf"
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
 )
@@ -226,10 +227,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal("crash image holds no durable state")
 	}
 	var recovered []string
-	for _, tr := range rec2.Triples {
-		if strings.HasSuffix(tr.S.Value, "/Michael_Jordan") && strings.HasSuffix(tr.P.Value, "/height") {
-			recovered = append(recovered, tr.O.Value)
-		}
+	for _, o := range rec2.Store.Snapshot().Objects(rdf.Res("Michael_Jordan"), rdf.Ont("height")) {
+		recovered = append(recovered, o.Value)
 	}
 	if len(recovered) != 1 || recovered[0] != height {
 		t.Fatalf("recovered heights = %v, want exactly [%s]", recovered, height)

@@ -32,7 +32,7 @@ func TestPinnedSnapshotImmutable(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Add(churnTriple(i))
 	}
-	s.RemoveAll([]rdf.Triple{{S: rdf.Res("Snow"), P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")}})
+	remove(s, rdf.Triple{S: rdf.Res("Snow"), P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")})
 
 	if pinned.Len() != wantLen {
 		t.Fatalf("pinned Len changed: %d -> %d", wantLen, pinned.Len())
@@ -136,7 +136,7 @@ func TestRemoveAll(t *testing.T) {
 	keep := rdf.Triple{S: rdf.Res("K"), P: rdf.Ont("p"), O: rdf.Res("V")}
 	s.Add(keep)
 
-	if n := s.RemoveAll(batch); n != len(batch) {
+	if n := remove(s, batch...); n != len(batch) {
 		t.Fatalf("RemoveAll = %d, want %d", n, len(batch))
 	}
 	if s.Snapshot().Len() != 1 {
@@ -158,10 +158,10 @@ func TestRemoveAll(t *testing.T) {
 	if _, ok := s.Snapshot().Lookup(rdf.Res("Churn0")); !ok {
 		t.Fatal("dictionary entry dropped by RemoveAll")
 	}
-	if n := s.RemoveAll(batch); n != 0 {
+	if n := remove(s, batch...); n != 0 {
 		t.Fatalf("second RemoveAll = %d, want 0", n)
 	}
-	if n := s.RemoveAll([]rdf.Triple{{S: rdf.Res("Nope"), P: rdf.Ont("p"), O: rdf.Res("V")}}); n != 0 {
+	if n := remove(s, rdf.Triple{S: rdf.Res("Nope"), P: rdf.Ont("p"), O: rdf.Res("V")}); n != 0 {
 		t.Fatalf("RemoveAll of unknown terms = %d, want 0", n)
 	}
 	// Re-adding after removal works and reuses the dictionary.
@@ -218,7 +218,7 @@ func TestAddRemoveChurnUnderReaders(t *testing.T) {
 		if n := s.AddAll(batch); n != len(batch) {
 			t.Fatalf("cycle %d: AddAll = %d", cycle, n)
 		}
-		if n := s.RemoveAll(batch); n != len(batch) {
+		if n := remove(s, batch...); n != len(batch) {
 			t.Fatalf("cycle %d: RemoveAll = %d", cycle, n)
 		}
 	}

@@ -7,19 +7,26 @@ import (
 	"repro/internal/rdf"
 )
 
-// Tests for the public single-triple Remove: copy-on-write semantics,
-// generation-bump observability (the answer cache keys on Gen) and
-// add/remove churn under concurrent readers. Run with -race (CI does).
+// Tests for deletion, which goes through ApplyBatch's Delete op alone:
+// copy-on-write semantics, generation-bump observability (the answer
+// cache keys on Gen) and add/remove churn under concurrent readers. Run
+// with -race (CI does).
+
+// remove deletes ts as one ApplyBatch and returns how many were present.
+func remove(s *Store, ts ...rdf.Triple) int {
+	_, n := s.ApplyBatch([]BatchOp{{Delete: true, Triples: ts}})
+	return n
+}
 
 func TestRemoveSingleTriple(t *testing.T) {
 	s := New()
 	tr := churnTriple(1)
-	if s.Remove(tr) {
+	if remove(s, tr) == 1 {
 		t.Fatal("Remove on empty store reported true")
 	}
 	s.Add(tr)
 	s.Add(churnTriple(2))
-	if !s.Remove(tr) {
+	if remove(s, tr) != 1 {
 		t.Fatal("Remove of present triple reported false")
 	}
 	if s.Snapshot().Has(tr) {
@@ -31,14 +38,14 @@ func TestRemoveSingleTriple(t *testing.T) {
 	if s.Snapshot().Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Snapshot().Len())
 	}
-	if s.Remove(tr) {
+	if remove(s, tr) == 1 {
 		t.Fatal("second Remove of the same triple reported true")
 	}
 	// Non-ground and unknown-term patterns remove nothing.
-	if s.Remove(rdf.Triple{S: rdf.NewVar("x"), P: tr.P, O: tr.O}) {
+	if remove(s, rdf.Triple{S: rdf.NewVar("x"), P: tr.P, O: tr.O}) == 1 {
 		t.Fatal("Remove with a variable slot reported true")
 	}
-	if s.Remove(churnTriple(999)) {
+	if remove(s, churnTriple(999)) == 1 {
 		t.Fatal("Remove of unknown terms reported true")
 	}
 }
@@ -51,14 +58,14 @@ func TestRemoveGenerationBump(t *testing.T) {
 	s.Add(churnTriple(1))
 	gen := s.Snapshot().Gen()
 
-	if s.Remove(churnTriple(42)) {
+	if remove(s, churnTriple(42)) == 1 {
 		t.Fatal("no-op remove reported true")
 	}
 	if got := s.Snapshot().Gen(); got != gen {
 		t.Fatalf("no-op Remove bumped generation: %d -> %d", gen, got)
 	}
 
-	if !s.Remove(churnTriple(1)) {
+	if remove(s, churnTriple(1)) != 1 {
 		t.Fatal("remove failed")
 	}
 	if got := s.Snapshot().Gen(); got <= gen {
@@ -75,7 +82,7 @@ func TestRemovePinnedSnapshotUnaffected(t *testing.T) {
 	}
 	pinned := s.Snapshot()
 	for i := 0; i < 100; i += 2 {
-		s.Remove(churnTriple(i))
+		remove(s, churnTriple(i))
 	}
 	for i := 0; i < 100; i++ {
 		if !pinned.Has(churnTriple(i)) {
@@ -142,7 +149,7 @@ func TestRemoveChurnUnderReaders(t *testing.T) {
 		if i%2 == 0 {
 			s.Add(tr)
 		} else {
-			s.Remove(tr)
+			remove(s, tr)
 		}
 	}
 	close(stop)

@@ -50,6 +50,7 @@
 package store
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -301,6 +302,45 @@ func New() *Store {
 		ranks: &rankTable{},
 	})
 	return s
+}
+
+// Load returns a store holding exactly the given dictionary and ID
+// triples, published once at generation gen: terms[i] gets ID i+1 and
+// the triples are indexed by those IDs as given, so a snapshot written
+// out as its TermsView and its ID triples comes back with every ID it
+// had. This is how a WAL segment (internal/wal) is recovered. An ID
+// outside the dictionary, a duplicate term or triple, and contents at
+// generation 0 (the empty store's) are errors.
+func Load(gen uint64, terms []rdf.Term, triples [][3]ID) (*Store, error) {
+	s := New()
+	if gen == 0 {
+		if len(terms) > 0 || len(triples) > 0 {
+			return nil, fmt.Errorf("store: contents at generation 0")
+		}
+		return s, nil
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.gen = gen - 1 // begin allocates gen itself
+	w := s.begin()
+	for _, t := range terms {
+		w.intern(t)
+	}
+	if len(w.next.inverse) != len(terms) { // a duplicate would shift every later ID
+		return nil, fmt.Errorf("store: dictionary contains duplicate terms")
+	}
+	n := ID(len(terms))
+	for i, tr := range triples {
+		if tr[0] == 0 || tr[1] == 0 || tr[2] == 0 || tr[0] > n || tr[1] > n || tr[2] > n {
+			return nil, fmt.Errorf("store: triple %d references a term ID outside 1..%d", i, n)
+		}
+		if !w.addIDs(tr[0], tr[1], tr[2]) {
+			return nil, fmt.Errorf("store: triple %d is a duplicate", i)
+		}
+	}
+	w.dirty = true // an empty store keeps its generation too
+	s.commit(w)
+	return s, nil
 }
 
 // Snapshot pins the current immutable read view: one atomic load, no
@@ -979,7 +1019,11 @@ type BatchOp struct {
 // mixed DELETE DATA + INSERT DATA update can never be seen half
 // applied. Later operations see the effects of earlier ones (an insert
 // followed by a delete of the same triple nets to absent). It returns
-// the number of triples actually added and removed.
+// the number of triples actually added and removed. A batch that
+// changes nothing publishes nothing, so the generation the answer cache
+// keys on moves exactly when the contents do. A delete keeps its terms
+// in the dictionary (IDs are never reused), so add/delete churn of the
+// same triples reaches a steady state.
 func (s *Store) ApplyBatch(ops []BatchOp) (added, removed int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -1031,44 +1075,4 @@ func (s *Store) SetGen(gen uint64) {
 	sn := *cur
 	sn.gen = gen
 	s.snap.Store(&sn)
-}
-
-// Remove deletes one ground triple, reporting whether it was present.
-// Like every write it publishes a fresh snapshot (with a bumped
-// generation) only when it actually changed something, so generation
-// watchers — the answer cache keys its entries on Snapshot.Gen — see a
-// bump exactly when the KB contents changed. Dictionary entries are
-// retained (IDs are never reused).
-func (s *Store) Remove(t rdf.Triple) bool {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	w := s.begin()
-	removed := false
-	if ids, ok := w.next.patternIDs(t); ok && ids[0] != 0 && ids[1] != 0 && ids[2] != 0 {
-		removed = w.removeIDs(ids[0], ids[1], ids[2])
-	}
-	s.commit(w)
-	return removed
-}
-
-// RemoveAll deletes every listed triple as one atomic batch and returns
-// the number actually removed. Dictionary entries are retained (IDs are
-// never reused), so add/remove churn of the same triples reaches a
-// steady state with no unbounded growth.
-func (s *Store) RemoveAll(ts []rdf.Triple) int {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	w := s.begin()
-	n := 0
-	for _, t := range ts {
-		ids, ok := w.next.patternIDs(t)
-		if !ok || ids[0] == 0 || ids[1] == 0 || ids[2] == 0 {
-			continue // unknown term or non-ground: nothing to remove
-		}
-		if w.removeIDs(ids[0], ids[1], ids[2]) {
-			n++
-		}
-	}
-	s.commit(w)
-	return n
 }

@@ -32,7 +32,7 @@ func pamukGraph() *Store {
 func TestStoreReadSurface(t *testing.T) {
 	want := []string{
 		"Snapshot",
-		"Add", "AddAll", "InternTerms", "ApplyBatch", "SetGen", "Remove", "RemoveAll",
+		"Add", "AddAll", "InternTerms", "ApplyBatch", "SetGen",
 		"Len", "TermCount", "Triples", "Subjects",
 	}
 	var got []string

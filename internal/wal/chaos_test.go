@@ -31,9 +31,9 @@ func startChaosRun(t *testing.T, fsys *faultfs.FS, in *chaos.Injector, compact i
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64][]rdf.Triple{}}
+	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64]*store.Snapshot{}}
 	r.acked = st.Snapshot().Gen()
-	r.states[r.acked] = st.Snapshot().Triples()
+	r.states[r.acked] = st.Snapshot()
 	return r
 }
 

@@ -1,11 +1,11 @@
 package wal_test
 
 // Differential fault-injection tests: every batch acknowledged by
-// Manager.Apply is recorded together with the exact store contents it
-// produced, faults and crashes are injected through faultfs, and
-// recovery is then required to land on the contents of one of those
-// recorded batch boundaries — never between two, never on a partial
-// batch. For fault modes where the commit fsync succeeded (torn tails,
+// Manager.Apply is recorded together with the snapshot it published,
+// faults and crashes are injected through faultfs, and recovery is then
+// required to land on one of those recorded batch boundaries — its
+// triples and its dictionary, ID for ID — never between two, never on a
+// partial batch. For fault modes where the commit fsync succeeded (torn tails,
 // short writes, failed syncs of *later* batches) the landed boundary
 // must be exactly the last acknowledged one; only media corruption of
 // already-durable bytes (bit flips) may push recovery to an earlier
@@ -42,26 +42,14 @@ func triple(i int) rdf.Triple {
 	}
 }
 
-func canon(ts []rdf.Triple) []rdf.Triple {
-	out := append([]rdf.Triple(nil), ts...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.S != b.S {
-			return a.S.Value < b.S.Value
-		}
-		return a.O.Value < b.O.Value
-	})
-	return out
-}
-
 // run drives one Manager over a faultfs and records, per committed
-// generation, the exact store contents at that batch boundary.
+// generation, the snapshot the store published at that batch boundary.
 type run struct {
 	t      *testing.T
 	fsys   *faultfs.FS
 	m      *wal.Manager
 	st     *store.Store
-	states map[uint64][]rdf.Triple
+	states map[uint64]*store.Snapshot
 	acked  uint64 // generation of the last acknowledged batch
 }
 
@@ -81,9 +69,9 @@ func startRun(t *testing.T, fsys *faultfs.FS, compact int64, initial []rdf.Tripl
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64][]rdf.Triple{}}
+	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64]*store.Snapshot{}}
 	r.acked = st.Snapshot().Gen()
-	r.states[r.acked] = st.Snapshot().Triples()
+	r.states[r.acked] = st.Snapshot()
 	return r
 }
 
@@ -95,7 +83,7 @@ func (r *run) apply(ops ...store.BatchOp) {
 		r.t.Fatal(err)
 	}
 	r.acked = c.Gen
-	r.states[c.Gen] = r.st.Snapshot().Triples()
+	r.states[c.Gen] = r.st.Snapshot()
 }
 
 // applyFails asserts the batch is rejected and the store unchanged.
@@ -108,13 +96,14 @@ func (r *run) applyFails(ops ...store.BatchOp) {
 	if g := r.st.Snapshot().Gen(); g != before {
 		r.t.Fatalf("failed Apply moved the store from gen %d to %d", before, g)
 	}
-	if !reflect.DeepEqual(canon(r.st.Snapshot().Triples()), canon(r.states[r.acked])) {
+	if !reflect.DeepEqual(r.st.Snapshot().Triples(), r.states[r.acked].Triples()) {
 		r.t.Fatal("failed Apply mutated the store contents")
 	}
 }
 
 // recoverOn recovers from a crash image and asserts the recovered
-// state is exactly one of the recorded batch boundaries.
+// store is exactly one of the recorded batch boundaries: the same
+// triples and the same dictionary, so every ID means what it meant.
 func recoverOn(t *testing.T, r *run, crash *faultfs.FS) *wal.Recovery {
 	t.Helper()
 	rec, err := wal.Recover(dataDir, wal.Options{FS: crash})
@@ -128,8 +117,12 @@ func recoverOn(t *testing.T, r *run, crash *faultfs.FS) *wal.Recovery {
 	if !ok {
 		t.Fatalf("recovered generation %d is not a committed batch boundary (committed: %v)", rec.Gen, genList(r))
 	}
-	if !reflect.DeepEqual(canon(rec.Triples), canon(want)) {
+	got := rec.Store.Snapshot()
+	if !reflect.DeepEqual(got.Triples(), want.Triples()) {
 		t.Fatalf("recovered contents at gen %d differ from the committed boundary", rec.Gen)
+	}
+	if !reflect.DeepEqual(got.TermsView(), want.TermsView()) {
+		t.Fatalf("recovered dictionary at gen %d differs from the committed boundary", rec.Gen)
 	}
 	if rec.Gen > r.acked {
 		t.Fatalf("recovered gen %d is beyond the last acknowledged batch %d", rec.Gen, r.acked)
@@ -353,11 +346,11 @@ func TestRandomizedFaultDifferential(t *testing.T) {
 				faulted = true
 			}
 			if faulted {
-				before := canon(r.st.Snapshot().Triples())
+				before := r.st.Snapshot().Triples()
 				if _, err := r.m.Apply(context.Background(), ops); err == nil {
 					t.Fatalf("seed %d step %d: faulted Apply succeeded", seed, step)
 				}
-				if !reflect.DeepEqual(canon(r.st.Snapshot().Triples()), before) {
+				if !reflect.DeepEqual(r.st.Snapshot().Triples(), before) {
 					t.Fatalf("seed %d step %d: failed Apply mutated the store", seed, step)
 				}
 				// The batch was rejected: resynchronise the model.

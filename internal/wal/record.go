@@ -38,6 +38,32 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 	return b
 }
 
+// readUvarint decodes one uvarint, refusing the overlong forms
+// binary.AppendUvarint never writes, so every value it accepts
+// re-encodes to the bytes it came from.
+func readUvarint(b []byte) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
+// readCount reads an element count and bounds it by the bytes left at
+// minLen bytes per element, so a corrupt count that passed the checksum
+// cannot size an allocation beyond what the payload could hold.
+func readCount(b []byte, minLen int) (uint64, []byte, bool) {
+	v, b, ok := readUvarint(b)
+	if !ok || v > uint64(len(b)/minLen) {
+		return 0, nil, false
+	}
+	return v, b, true
+}
+
+// minTermLen is the shortest encoded term: a kind byte and three empty
+// strings.
+const minTermLen = 4
+
 // readTerm decodes one term, returning the remaining buffer.
 func readTerm(b []byte) (rdf.Term, []byte, error) {
 	if len(b) < 1 {
@@ -46,12 +72,12 @@ func readTerm(b []byte) (rdf.Term, []byte, error) {
 	t := rdf.Term{Kind: rdf.Kind(b[0])}
 	b = b[1:]
 	for i := 0; i < 3; i++ {
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
+		n, rest, ok := readUvarint(b)
+		if !ok || uint64(len(rest)) < n {
 			return rdf.Term{}, nil, fmt.Errorf("wal: truncated term string")
 		}
-		s := string(b[sz : sz+int(n)])
-		b = b[sz+int(n):]
+		s := string(rest[:n])
+		b = rest[n:]
 		switch i {
 		case 0:
 			t.Value = s
@@ -91,30 +117,28 @@ func encodeRecord(gen uint64, ops []store.BatchOp) []byte {
 	return append(rec, payload...)
 }
 
-// decodePayload decodes a checksum-verified record payload.
+// decodePayload decodes a checksum-verified record payload. It accepts
+// only what encodeRecord writes, byte for byte.
 func decodePayload(payload []byte) (gen uint64, ops []store.BatchOp, err error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("wal: record payload too short")
 	}
 	gen = binary.LittleEndian.Uint64(payload)
-	b := payload[8:]
-	nOps, sz := binary.Uvarint(b)
-	if sz <= 0 || nOps > uint64(len(b)) {
+	nOps, b, ok := readCount(payload[8:], 2) // flags + triple count
+	if !ok {
 		return 0, nil, fmt.Errorf("wal: bad op count")
 	}
-	b = b[sz:]
 	ops = make([]store.BatchOp, 0, nOps)
 	for i := uint64(0); i < nOps; i++ {
-		if len(b) < 1 {
-			return 0, nil, fmt.Errorf("wal: truncated op")
+		if len(b) < 1 || b[0] > 1 {
+			return 0, nil, fmt.Errorf("wal: truncated op or bad op flags")
 		}
-		op := store.BatchOp{Delete: b[0]&1 != 0}
-		b = b[1:]
-		nT, sz := binary.Uvarint(b)
-		if sz <= 0 || nT > uint64(len(b)) {
+		op := store.BatchOp{Delete: b[0] == 1}
+		nT, rest, ok := readCount(b[1:], 3*minTermLen)
+		if !ok {
 			return 0, nil, fmt.Errorf("wal: bad triple count")
 		}
-		b = b[sz:]
+		b = rest
 		op.Triples = make([]rdf.Triple, 0, nT)
 		for j := uint64(0); j < nT; j++ {
 			var t rdf.Triple

@@ -73,65 +73,70 @@ func encodeSegmentPayload(sn *store.Snapshot) []byte {
 	return b
 }
 
-// decodeSegmentPayload reverses encodeSegmentPayload into the
-// snapshot's generation and term-space triples.
-func decodeSegmentPayload(b []byte) (gen uint64, triples []rdf.Triple, err error) {
+// decodeSegmentPayload reverses encodeSegmentPayload into the store the
+// segment was written from. The dictionary and the ID triples go to
+// store.Load as they are, so every ID means after recovery what it
+// meant before the crash. It accepts only what encodeSegmentPayload
+// writes, byte for byte: the triples must come in strictly ascending
+// SPO order.
+func decodeSegmentPayload(b []byte) (*store.Store, error) {
 	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("wal: segment payload too short")
+		return nil, fmt.Errorf("wal: segment payload too short")
 	}
-	gen = binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	nTerms, sz := binary.Uvarint(b)
-	if sz <= 0 || nTerms > uint64(len(b)) {
-		return 0, nil, fmt.Errorf("wal: bad segment term count")
+	gen := binary.LittleEndian.Uint64(b)
+	nTerms, b, ok := readCount(b[8:], minTermLen)
+	if !ok {
+		return nil, fmt.Errorf("wal: bad segment term count")
 	}
-	b = b[sz:]
 	terms := make([]rdf.Term, 0, nTerms)
 	for i := uint64(0); i < nTerms; i++ {
 		var t rdf.Term
+		var err error
 		if t, b, err = readTerm(b); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		terms = append(terms, t)
 	}
-	nTriples, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return 0, nil, fmt.Errorf("wal: bad segment triple count")
+	nTriples, b, ok := readCount(b, 3) // three uvarint IDs
+	if !ok {
+		return nil, fmt.Errorf("wal: bad segment triple count")
 	}
-	b = b[sz:]
-	term := func(id uint64) (rdf.Term, error) {
-		if id == 0 || id > uint64(len(terms)) {
-			return rdf.Term{}, fmt.Errorf("wal: segment triple references term %d of %d", id, len(terms))
-		}
-		return terms[id-1], nil
-	}
-	triples = make([]rdf.Triple, 0, nTriples)
+	triples := make([][3]store.ID, 0, nTriples)
 	for i := uint64(0); i < nTriples; i++ {
-		var ids [3]uint64
-		for j := range ids {
-			v, sz := binary.Uvarint(b)
-			if sz <= 0 {
-				return 0, nil, fmt.Errorf("wal: truncated segment triple")
+		var t [3]store.ID
+		for j := range t {
+			var id uint64
+			if id, b, ok = readUvarint(b); !ok {
+				return nil, fmt.Errorf("wal: truncated segment triple")
 			}
-			ids[j] = v
-			b = b[sz:]
+			if id == 0 || id > nTerms {
+				return nil, fmt.Errorf("wal: segment triple references term %d of %d", id, nTerms)
+			}
+			t[j] = store.ID(id)
 		}
-		var t rdf.Triple
-		if t.S, err = term(ids[0]); err != nil {
-			return 0, nil, err
-		}
-		if t.P, err = term(ids[1]); err != nil {
-			return 0, nil, err
-		}
-		if t.O, err = term(ids[2]); err != nil {
-			return 0, nil, err
+		if i > 0 && !idsLess(triples[i-1], t) {
+			return nil, fmt.Errorf("wal: segment triple %d out of SPO order", i)
 		}
 		triples = append(triples, t)
 	}
 	if len(b) != 0 {
-		return 0, nil, fmt.Errorf("wal: %d trailing segment bytes", len(b))
+		return nil, fmt.Errorf("wal: %d trailing segment bytes", len(b))
 	}
-	return gen, triples, nil
+	st, err := store.Load(gen, terms, triples)
+	if err != nil {
+		return nil, fmt.Errorf("wal: segment: %w", err)
+	}
+	return st, nil
+}
+
+// idsLess orders ID triples as the SPO index does.
+func idsLess(a, b [3]store.ID) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // writeSegment durably serialises the snapshot into dir: the payload
@@ -179,7 +184,7 @@ func writeSegment(fsys FS, dir string, sn *store.Snapshot) error {
 }
 
 // readSegment loads and verifies the segment at gen.
-func readSegment(fsys FS, dir string, gen uint64) ([]rdf.Triple, error) {
+func readSegment(fsys FS, dir string, gen uint64) (*store.Store, error) {
 	f, err := fsys.OpenFile(join(dir, segmentName(gen)), os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
@@ -202,14 +207,14 @@ func readSegment(fsys FS, dir string, gen uint64) ([]rdf.Triple, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, fmt.Errorf("wal: segment %d: checksum mismatch", gen)
 	}
-	fileGen, triples, err := decodeSegmentPayload(payload)
+	st, err := decodeSegmentPayload(payload)
 	if err != nil {
 		return nil, err
 	}
-	if fileGen != gen {
+	if fileGen := st.Snapshot().Gen(); fileGen != gen {
 		return nil, fmt.Errorf("wal: segment %d: payload claims generation %d", gen, fileGen)
 	}
-	return triples, nil
+	return st, nil
 }
 
 // removeTempFiles clears *.tmp leftovers from a crashed compaction.

@@ -27,14 +27,17 @@
 //
 // # Recovery
 //
-// Recover loads the newest valid segment and replays the log tail:
+// Recover loads the newest valid segment into a store with the
+// segment's own term IDs and replays the log tail onto it in place:
 // records at or below the segment's generation are skipped (a crash
 // between segment rename and log truncation makes them redundant), and
 // the first torn, short or checksum-corrupt record ends the replay as
-// a clean end-of-log. The result is the store contents and generation
-// at some batch boundary — the newest one the durable bytes prove. The
-// generation each batch committed at is restored exactly, so clients
-// of a restarted server observe a continuous generation sequence.
+// a clean end-of-log. The result is the store at some batch boundary —
+// the newest one the durable bytes prove. Recovery applies exactly what
+// the log records and infers nothing, so the recovered store holds the
+// live store's triples and term IDs at that boundary. The generation
+// each batch committed at is restored exactly, so clients of a
+// restarted server observe a continuous generation sequence.
 //
 // The file layer is pluggable (FS); internal/wal/faultfs provides the
 // fault-injecting in-memory implementation the recovery tests drive
@@ -47,7 +50,6 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
-	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -84,19 +86,18 @@ func (o Options) compactBytes() int64 {
 	return o.CompactBytes
 }
 
-// Recovery is the durable state read from a data dir. Callers load
-// Triples into a store (typically via kb.FromTriples, which also
-// rebuilds the ontology indexes) and then attach a Manager with Open.
+// Recovery is the durable state read from a data dir. Callers build
+// what they need over Store (qaserve: kb.FromStore) and then attach a
+// Manager to it with Open.
 type Recovery struct {
 	// Exists reports whether any durable state was found. When false
 	// the dir is fresh: the caller builds its initial store and Open
 	// bootstraps the first segment from it.
 	Exists bool
-	// Triples is the full recovered contents (segment + replayed log
-	// tail); nil when !Exists.
-	Triples []rdf.Triple
-	// Gen is the generation of the last recovered batch (the value the
-	// attached store is restored to).
+	// Store holds the recovered contents (segment + replayed log tail)
+	// with the segment's term IDs, published at Gen; nil when !Exists.
+	Store *store.Store
+	// Gen is the generation of the last recovered batch.
 	Gen uint64
 	// SegmentGen is the generation of the segment the recovery loaded
 	// (0 when none).
@@ -119,54 +120,43 @@ func Recover(dir string, o Options) (*Recovery, error) {
 	}
 	r := &Recovery{dir: dir, o: o}
 
-	var baseline []rdf.Triple
-	loaded := false
 	gens := listSegments(fsys, dir)
-	for i := len(gens) - 1; i >= 0; i-- {
-		ts, err := readSegment(fsys, dir, gens[i])
-		if err != nil {
-			continue // corrupt segment: fall back to the previous one
+	for i := len(gens) - 1; i >= 0 && r.Store == nil; i-- {
+		// A segment that does not verify falls back to the previous one.
+		if st, err := readSegment(fsys, dir, gens[i]); err == nil {
+			r.Store, r.SegmentGen = st, gens[i]
 		}
-		baseline = ts
-		r.SegmentGen = gens[i]
-		r.Exists = true
-		loaded = true
-		break
 	}
 
 	records, _, err := scanLog(fsys, join(dir, LogName))
 	if err != nil {
 		return nil, err
 	}
+	if r.Store == nil {
+		// Open always writes a bootstrap segment before the log can
+		// receive records, so "records but no segment" only arises from
+		// external tampering and is treated as no durable state.
+		return r, nil
+	}
+	r.Exists = true
+	r.Gen = r.SegmentGen
 	// Log records describe batches applied on top of the newest
 	// segment's state. If that segment was unreadable and we fell back
-	// to an older baseline (or to nothing), the records' base state is
-	// lost — replaying them would not reproduce any batch boundary, so
-	// they are discarded (the older segment alone is still a committed
-	// prefix). Open always writes a bootstrap segment before the log
-	// can receive records, so "records but no segment" only arises from
-	// external tampering and is likewise treated as no durable state.
-	replay := loaded && r.SegmentGen == gens[len(gens)-1]
-	r.Gen = r.SegmentGen
-	if replay && len(records) > 0 {
-		st := store.New()
-		st.AddAll(baseline)
-		for _, rec := range records {
-			if rec.gen <= r.SegmentGen {
-				continue // already folded into the segment
-			}
-			st.ApplyBatch(rec.ops)
-			r.Gen = rec.gen
-			r.Records++
-			r.Exists = true
-		}
-		if r.Records > 0 {
-			baseline = st.Snapshot().Triples()
-		}
+	// to an older one, the records' base state is lost — replaying them
+	// would not reproduce any batch boundary, so they are discarded (the
+	// older segment alone is still a committed prefix).
+	if r.SegmentGen != gens[len(gens)-1] {
+		return r, nil
 	}
-	if r.Exists {
-		r.Triples = baseline
+	for _, rec := range records {
+		if rec.gen <= r.SegmentGen {
+			continue // already folded into the segment
+		}
+		r.Store.ApplyBatch(rec.ops)
+		r.Gen = rec.gen
+		r.Records++
 	}
+	r.Store.SetGen(r.Gen)
 	return r, nil
 }
 
@@ -195,19 +185,15 @@ type Manager struct {
 	chaos   *chaos.Injector
 }
 
-// Open attaches durability to st, which must hold exactly the
-// recovered contents (r.Triples loaded by the caller) — or, when the
-// dir was fresh, the initial contents to bootstrap from. Open restores
-// the store's generation, writes a fresh segment of the current state
-// (making restarts independent of however the caller sourced the
-// initial triples), truncates the log, and opens it for appending.
-// From this point the Manager must be the store's only writer.
+// Open attaches durability to st, which must be r.Store — or, when the
+// dir was fresh, a store of the initial contents to bootstrap from.
+// Open writes a fresh segment of the current state (making restarts
+// independent of however the caller sourced the initial triples),
+// truncates the log, and opens it for appending. From this point the
+// Manager must be the store's only writer.
 func (r *Recovery) Open(st *store.Store) (*Manager, error) {
 	fsys := r.o.fs()
 	removeTempFiles(fsys, r.dir)
-	if r.Exists {
-		st.SetGen(r.Gen)
-	}
 	m := &Manager{
 		fs:      fsys,
 		dir:     r.dir,

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/rdf"
@@ -34,25 +37,18 @@ func delOp(is ...int) store.BatchOp {
 	return op
 }
 
-func sortedTriples(ts []rdf.Triple) []rdf.Triple {
-	out := append([]rdf.Triple(nil), ts...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.S != b.S {
-			return a.S.Value < b.S.Value
-		}
-		if a.P != b.P {
-			return a.P.Value < b.P.Value
-		}
-		return a.O.Value+"\x00"+a.O.Datatype < b.O.Value+"\x00"+b.O.Datatype
-	})
-	return out
-}
-
-func sameContents(t *testing.T, got, want []rdf.Triple) {
+// sameSnapshot: same generation, same dictionary — so every ID, orphans
+// included — and the same triples.
+func sameSnapshot(t *testing.T, got, want *store.Snapshot) {
 	t.Helper()
-	if !reflect.DeepEqual(sortedTriples(got), sortedTriples(want)) {
-		t.Fatalf("contents differ:\n got %v\nwant %v", got, want)
+	if got.Gen() != want.Gen() {
+		t.Fatalf("gen = %d, want %d", got.Gen(), want.Gen())
+	}
+	if !reflect.DeepEqual(got.TermsView(), want.TermsView()) {
+		t.Fatalf("dictionary differs:\n got %v\nwant %v", got.TermsView(), want.TermsView())
+	}
+	if !reflect.DeepEqual(got.Triples(), want.Triples()) {
+		t.Fatalf("triples differ:\n got %v\nwant %v", got.Triples(), want.Triples())
 	}
 }
 
@@ -87,7 +83,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		all = append(all, tr(i))
 	}
 	st.AddAll(all)
-	st.Remove(tr(7)) // orphan dictionary entries must round-trip too
+	st.ApplyBatch([]store.BatchOp{delOp(7)}) // orphan dictionary entries must round-trip too
 	sn := st.Snapshot()
 
 	if err := writeSegment(OSFS(), dir, sn); err != nil {
@@ -97,7 +93,100 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, got, st.Snapshot().Triples())
+	sameSnapshot(t, got.Snapshot(), sn)
+}
+
+// TestSegmentHugeTripleCount: a segment whose checksum is valid but
+// whose payload claims 1<<62 triples is a decode error, not an
+// allocation sized by that count (a "makeslice: cap out of range" panic
+// that kills the boot), so recovery falls back to the older segment.
+func TestSegmentHugeTripleCount(t *testing.T) {
+	dir := t.TempDir()
+	st := store.New()
+	st.AddAll([]rdf.Triple{tr(0)})
+	old := st.Snapshot()
+	if err := writeSegment(OSFS(), dir, old); err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint64(nil, old.Gen()+1)
+	payload = binary.AppendUvarint(payload, 0)     // no terms
+	payload = binary.AppendUvarint(payload, 1<<62) // and an impossible triple count
+	if _, err := decodeSegmentPayload(payload); err == nil {
+		t.Fatal("payload with 1<<62 triples decoded")
+	}
+	file := append([]byte(nil), segMagic...)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
+	file = append(file, payload...)
+	if err := os.WriteFile(join(dir, segmentName(old.Gen()+1)), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SegmentGen != old.Gen() {
+		t.Fatalf("recovered from segment %d, want the older %d", rec.SegmentGen, old.Gen())
+	}
+	sameSnapshot(t, rec.Store.Snapshot(), old)
+}
+
+// TestSegmentFixtureLoads pins the segment format (QASEG001):
+// testdata/qaseg001 holds the segment an earlier build of this package
+// wrote for the history below — every term kind, and a subject orphaned
+// by a delete. It must recover into the store the same history builds
+// today, ID for ID, and re-encode to the same bytes.
+func TestSegmentFixtureLoads(t *testing.T) {
+	p := rdf.NewIRI("http://x/p")
+	s1, s2 := rdf.NewIRI("http://x/s1"), rdf.NewIRI("http://x/s2")
+	live, err := Recover(t.TempDir(), Options{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New()
+	st.AddAll([]rdf.Triple{
+		{S: s1, P: p, O: rdf.NewLiteral("plain")},
+		{S: s1, P: rdf.NewIRI("http://x/label"), O: rdf.NewLangLiteral("naïve", "en")},
+		{S: rdf.NewBlank("b0"), P: p, O: rdf.NewTypedLiteral("5", rdf.XSDInteger)},
+		{S: s2, P: p, O: s1},
+	})
+	m, err := live.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, ops := range [][]store.BatchOp{
+		{{Triples: []rdf.Triple{{S: rdf.NewIRI("http://x/s3"), P: p, O: rdf.NewTypedLiteral("3", rdf.XSDInteger)}}}},
+		{
+			{Delete: true, Triples: []rdf.Triple{{S: s2, P: p, O: s1}}},
+			{Triples: []rdf.Triple{{S: rdf.NewIRI("http://x/s4"), P: rdf.NewIRI("http://x/q"), O: rdf.NewBlank("b1")}}},
+		},
+	} {
+		if _, err := m.Apply(context.Background(), ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := filepath.Join("testdata", "qaseg001")
+	rec, err := Recover(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Exists || rec.SegmentGen != 3 || rec.Records != 0 {
+		t.Fatalf("recovery = %+v, want segment 3 and no log", rec)
+	}
+	sameSnapshot(t, rec.Store.Snapshot(), st.Snapshot())
+	want, err := os.ReadFile(filepath.Join(dir, segmentName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	if err := writeSegment(OSFS(), out, st.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(out, segmentName(3))); !bytes.Equal(got, want) {
+		t.Errorf("segment bytes changed:\n got %x\nwant %x", got, want)
+	}
 }
 
 func TestManagerLifecycle(t *testing.T) {
@@ -133,8 +222,8 @@ func TestManagerLifecycle(t *testing.T) {
 	if g := st.Snapshot().Gen(); g != c2.Gen {
 		t.Fatalf("published gen %d != committed gen %d", g, c2.Gen)
 	}
-	want := st.Snapshot().Triples()
-	wantGen := st.Snapshot().Gen()
+	want := st.Snapshot()
+	wantGen := want.Gen()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +239,9 @@ func TestManagerLifecycle(t *testing.T) {
 	if rec2.Gen != wantGen {
 		t.Fatalf("recovered gen %d, want %d", rec2.Gen, wantGen)
 	}
-	sameContents(t, rec2.Triples, want)
+	sameSnapshot(t, rec2.Store.Snapshot(), want)
 
-	st2 := store.New()
-	st2.AddAll(rec2.Triples)
+	st2 := rec2.Store
 	m2, err := rec2.Open(st2)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +278,8 @@ func TestRecoveryWithoutClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := st.Snapshot().Triples()
-	wantGen := st.Snapshot().Gen()
+	want := st.Snapshot()
+	wantGen := want.Gen()
 	// Abandon m without Close: the OS file stays as-is on disk.
 
 	rec2, err := Recover(dir, Options{})
@@ -204,7 +292,7 @@ func TestRecoveryWithoutClose(t *testing.T) {
 	if rec2.Gen != wantGen {
 		t.Fatalf("recovered gen %d, want %d", rec2.Gen, wantGen)
 	}
-	sameContents(t, rec2.Triples, want)
+	sameSnapshot(t, rec2.Store.Snapshot(), want)
 }
 
 func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
@@ -219,8 +307,8 @@ func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(1)}); err != nil {
 		t.Fatal(err)
 	}
-	afterOne := st.Snapshot().Triples()
-	genOne := st.Snapshot().Gen()
+	afterOne := st.Snapshot()
+	genOne := afterOne.Gen()
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +330,10 @@ func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
 	if rec2.Gen != genOne {
 		t.Fatalf("recovered gen %d, want %d (the last whole batch)", rec2.Gen, genOne)
 	}
-	sameContents(t, rec2.Triples, afterOne)
+	sameSnapshot(t, rec2.Store.Snapshot(), afterOne)
 
 	// Reopening truncates the torn tail and appends cleanly after it.
-	st2 := store.New()
-	st2.AddAll(rec2.Triples)
+	st2 := rec2.Store
 	m2, err := rec2.Open(st2)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +346,7 @@ func TestRecoveryTornTailIsCleanEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, rec3.Triples, st2.Snapshot().Triples())
+	sameSnapshot(t, rec3.Store.Snapshot(), st2.Snapshot())
 }
 
 func TestCompactionTruncatesLogAndSurvivesRestart(t *testing.T) {
@@ -286,8 +373,8 @@ func TestCompactionTruncatesLogAndSurvivesRestart(t *testing.T) {
 	if _, err := m.Apply(context.Background(), []store.BatchOp{insOp(11)}); err != nil {
 		t.Fatal(err)
 	}
-	want := st.Snapshot().Triples()
-	wantGen := st.Snapshot().Gen()
+	want := st.Snapshot()
+	wantGen := want.Gen()
 
 	rec2, err := Recover(dir, Options{})
 	if err != nil {
@@ -299,7 +386,7 @@ func TestCompactionTruncatesLogAndSurvivesRestart(t *testing.T) {
 	if rec2.Records != 1 {
 		t.Fatalf("replayed %d records, want 1 (post-compaction tail)", rec2.Records)
 	}
-	sameContents(t, rec2.Triples, want)
+	sameSnapshot(t, rec2.Store.Snapshot(), want)
 }
 
 func TestAutoCompaction(t *testing.T) {

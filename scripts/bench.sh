@@ -10,8 +10,10 @@
 # measures the answer cache through the full HTTP handler — the cached
 # path must come in >= 10x faster), and the durability layer
 # (PR 6: BenchmarkWALAppend is the per-batch
-# append+fsync+apply commit cost, BenchmarkWALRecovery is a cold start
-# over the built-in KB's segment plus a 64-record log tail), and the
+# append+fsync+apply commit cost, BenchmarkWALRecovery is what a
+# crashed qaserve runs before core.New: wal.Recover over the built-in
+# KB's segment plus a 64-record log tail, then kb.FromStore over the
+# store it returns, with the segment's IDs and no second store), and the
 # resilience layer (PR 8: BenchmarkAdmissionAcquireRelease is the
 # adaptive limiter's uncontended per-request hot path,
 # BenchmarkChaosHitDisabled is the inert fault-point tax every stage

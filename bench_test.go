@@ -928,47 +928,12 @@ func BenchmarkWALRecovery(b *testing.B) {
 	}
 }
 
-// --- PR 9: shape-keyed plan cache + term-rank integer sorts ---
+// --- Term-rank integer sorts ---
 //
-// BenchmarkPlanCacheHit/Miss isolate the compile path (shape + bind,
-// no execution: Session.EstimateRows compiles without running) with
-// the shape cache warm vs. detached — the gap is the per-candidate
-// value of the cache across the §2.3 fan-out. BenchmarkRankSort runs
-// the ORDER-BY-less deterministic sort the term-rank permutation
-// replaced. All the regexes live in scripts/bench.sh.
-
-func benchmarkPlanCompile(b *testing.B, pc *sparql.PlanCache) {
-	k := kb.Default()
-	q := sparql.MustParse(benchJoin3)
-	sess := sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)
-	ctx := context.Background()
-	if sess.EstimateRows(ctx, q) == 0 { // warm the cache (when attached)
-		b.Fatal("estimate = 0")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sess.EstimateRows(ctx, q) == 0 {
-			b.Fatal("estimate = 0")
-		}
-	}
-}
-
-// BenchmarkPlanCacheHit compiles against a warm shape cache: a key
-// build, a sharded Get and the bind phase per iteration.
-func BenchmarkPlanCacheHit(b *testing.B) {
-	pc := sparql.NewPlanCache(64)
-	benchmarkPlanCompile(b, pc)
-	if hits, _, _ := pc.Stats(); hits == 0 {
-		b.Fatal("cache never hit")
-	}
-}
-
-// BenchmarkPlanCacheMiss is the cache-detached twin: every compile
-// builds the full shape from scratch (the pre-PR 9 cost).
-func BenchmarkPlanCacheMiss(b *testing.B) {
-	benchmarkPlanCompile(b, nil)
-}
+// BenchmarkRankSort runs the ORDER-BY-less deterministic sort the
+// term-rank permutation replaced. The plan-shape cache's compile pair,
+// BenchmarkPlanCacheHit/Miss, lives in internal/sparql. All the regexes
+// live in scripts/bench.sh.
 
 // BenchmarkRankSort executes a DISTINCT query without ORDER BY over a
 // high-cardinality projection — the deterministic default sort that

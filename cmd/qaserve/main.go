@@ -12,8 +12,8 @@
 //	        [-shards N] [-kb file.nt] [-data-dir dir] [-update-token T]
 //	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
 //	        [-adaptive-admission] [-admission-target 500ms]
-//	        [-admission-min 1] [-admission-max N] [-cost-per-row D]
-//	        [-chaos spec] [-chaos-seed N]
+//	        [-admission-min 1] [-admission-max N] [-max-batch 64]
+//	        [-update-timeout 10s] [-chaos spec] [-chaos-seed N]
 //
 // The listener comes up immediately and answers 503 (with /healthz
 // alive) while the pipeline warms up; with -data-dir the durable state
@@ -77,13 +77,10 @@ func main() {
 	admissionTarget := flag.Duration("admission-target", 0, "latency target the adaptive limiter steers toward (0 = 500ms)")
 	admissionMin := flag.Int("admission-min", 0, "adaptive limit floor (0 = 1)")
 	admissionMax := flag.Int("admission-max", 0, "adaptive limit ceiling (0 = 4x the starting limit)")
-	costPerRow := flag.Duration("cost-per-row", 0, "estimated execution cost per candidate result row; requests whose estimate exceeds the remaining deadline budget are shed with 503 (0 = disabled)")
 	chaosSpec := flag.String("chaos", "", "arm fault injection: comma-separated point:kind:prob[:latency[:limit]] rules, e.g. stage.answer:error:0.1 (see internal/chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
 	maxBatch := flag.Int("max-batch", 64, "max questions per /v1/answer/batch request")
-	batchParallel := flag.Int("batch-parallel", 0, "workers a batch request fans its questions across (0 = GOMAXPROCS, 1 = sequential)")
 	cacheSize := flag.Int("cache", 1024, "answer cache entries, keyed on normalized question text (0 = disabled)")
-	negTTL := flag.Duration("cache-negative-ttl", 0, "expire cached non-answers after this long (0 = keep until the KB changes)")
 	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with hedged retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	dataDir := flag.String("data-dir", "", "durable data directory; enables /v1/update (WAL + snapshot segments, crash recovery on start)")
@@ -161,8 +158,6 @@ func main() {
 
 		cfg := core.DefaultConfig()
 		cfg.CacheSize = *cacheSize
-		cfg.NegativeTTL = *negTTL
-		cfg.CostNanosPerRow = int(costPerRow.Nanoseconds())
 		if *extensions {
 			cfg.EnableBoolean = true
 			cfg.EnableAggregation = true
@@ -272,7 +267,6 @@ func main() {
 			AdmissionMax:      *admissionMax,
 			Chaos:             injector,
 			MaxBatch:          *maxBatch,
-			BatchParallelism:  *batchParallel,
 			UpdateToken:       token,
 			UpdateTimeout:     *updateTimeout,
 		}

@@ -28,10 +28,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/kb"
-	"repro/internal/pipeline"
 	"repro/internal/propmap"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -53,18 +51,6 @@ type Config struct {
 	// numeric-typed questions whose queries return entities answer with
 	// the (distinct) result count.
 	EnableAggregation bool
-
-	// CostNanosPerRow converts the fan-out's compile-time cost estimate
-	// (the summed exact base cardinalities of every candidate query;
-	// see sparql.Session.EstimateRows) into an estimated execution
-	// duration. When > 0 and the request context carries a deadline,
-	// ExtractSessionCtx sheds the question with a typed
-	// *pipeline.BudgetError before starting any candidate whenever the
-	// estimate exceeds the remaining budget — failing in microseconds
-	// instead of burning the fan-out until the deadline kills it
-	// mid-flight. 0 (the default) disables the check, leaving behavior
-	// identical to prior releases.
-	CostNanosPerRow int
 }
 
 // DefaultConfig mirrors the paper.
@@ -233,13 +219,6 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		return res.Candidates[i].SPARQL < res.Candidates[j].SPARQL
 	})
 
-	// Deadline-aware early shedding: before any candidate starts,
-	// compare the fan-out's compile-time cost estimate against the
-	// request's remaining budget.
-	if err := e.checkBudget(ctx, sess, res); err != nil {
-		return nil, err
-	}
-
 	if boolean {
 		return e.executeBoolean(ctx, sess, res)
 	}
@@ -257,31 +236,6 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		}
 	}
 	return res, nil
-}
-
-// checkBudget is the fan-out's fail-fast gate (Config.CostNanosPerRow):
-// it sums the compile-time row estimates of every candidate the ranked
-// execution could run and returns a typed *pipeline.BudgetError when
-// the resulting duration estimate exceeds the budget remaining on the
-// request's deadline.
-func (e *Extractor) checkBudget(ctx context.Context, sess *sparql.Session, res *Result) error {
-	if e.cfg.CostNanosPerRow <= 0 {
-		return nil
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return nil
-	}
-	rows := 0
-	for i := range res.Candidates {
-		rows += sess.EstimateRows(ctx, res.Candidates[i].Query)
-	}
-	est := time.Duration(rows) * time.Duration(e.cfg.CostNanosPerRow)
-	remaining := time.Until(deadline)
-	if est > remaining {
-		return &pipeline.BudgetError{Stage: "answer", Estimated: est, Remaining: remaining}
-	}
-	return nil
 }
 
 // firstWinner is §2.3's execution order: it runs try(i) for i = 0 … n-1

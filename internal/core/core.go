@@ -87,14 +87,6 @@ type Config struct {
 	EnableAggregation  bool
 	EnableSuperlatives bool
 
-	// CostNanosPerRow enables deadline-aware early shedding in the
-	// answer stage: a request carrying a deadline is shed with
-	// StatusOverBudget when the fan-out's compile-time cost estimate
-	// (summed exact base cardinalities × this factor) exceeds the
-	// remaining budget. 0 (the default) disables the check; see
-	// answer.Config.CostNanosPerRow.
-	CostNanosPerRow int
-
 	// CacheSize enables the answer cache when > 0: a bounded, sharded
 	// LRU over normalized question text mounted as the pipeline's first
 	// stage, holding at most CacheSize results. Entries are invalidated
@@ -112,15 +104,6 @@ type Config struct {
 	// failing when shards are down; others fail fast with
 	// StatusUnavailable. nil (the default) keeps the single-store path.
 	Cluster *shard.Cluster
-
-	// NegativeTTL additionally expires cached *negative* results
-	// (anything but StatusAnswered) this long after they were computed,
-	// even when the store generation never moves — a live-mutated KB may
-	// start answering a question without republishing (e.g. after an
-	// external index refresh), and a failure should not be pinned
-	// forever. 0 (the default) keeps negatives until generation change
-	// or LRU eviction, like positives.
-	NegativeTTL time.Duration
 }
 
 // DefaultConfig returns the paper-faithful configuration.
@@ -184,9 +167,8 @@ type System struct {
 
 	// pipe is the staged pipeline AnswerCtx runs; cache is non-nil only
 	// when Config.CacheSize > 0.
-	pipe   *pipeline.Pipeline[*Result]
-	cache  *qacache.Cache[*Result]
-	negTTL time.Duration
+	pipe  *pipeline.Pipeline[*Result]
+	cache *qacache.Cache[*Result]
 
 	// cluster is the sharded scatter-gather tier (nil = single-store).
 	cluster *shard.Cluster
@@ -233,7 +215,6 @@ func New(cfg Config) *System {
 	ansCfg.DisableTypeCheck = cfg.DisableTypeCheck
 	ansCfg.EnableBoolean = cfg.EnableBoolean
 	ansCfg.EnableAggregation = cfg.EnableAggregation
-	ansCfg.CostNanosPerRow = cfg.CostNanosPerRow
 	s.extractor = answer.New(k, ansCfg)
 	s.triplexOpts = triplex.Options{Superlatives: cfg.EnableSuperlatives}
 	s.cluster = cfg.Cluster
@@ -241,7 +222,6 @@ func New(cfg Config) *System {
 	var stages []pipeline.Stage[*Result]
 	if cfg.CacheSize > 0 {
 		s.cache = qacache.New[*Result](cfg.CacheSize)
-		s.negTTL = cfg.NegativeTTL
 		stages = append(stages, cacheStage{s})
 	}
 	s.pipe = pipeline.New(append(stages, triplexStage{s}, propmapStage{s}, answerStage{s})...)
@@ -269,12 +249,6 @@ const (
 	// StatusCanceled: the request context was cancelled or its deadline
 	// expired before the pipeline completed; Err carries ctx.Err().
 	StatusCanceled
-	// StatusOverBudget: the answer stage's compile-time cost estimate
-	// exceeded the deadline budget remaining at stage entry, so the
-	// fan-out was shed before it started (Config.CostNanosPerRow); Err
-	// carries the *pipeline.BudgetError. Deadline-dependent, so never
-	// cached.
-	StatusOverBudget
 	// StatusInternal: a stage failed internally — a panic recovered at
 	// the stage boundary or an injected chaos fault; Err carries the
 	// typed error. Never cached.
@@ -301,8 +275,6 @@ func (s Status) String() string {
 		return "no type-conforming answer"
 	case StatusCanceled:
 		return "canceled"
-	case StatusOverBudget:
-		return "over budget"
 	case StatusInternal:
 		return "internal error"
 	case StatusUnavailable:
@@ -531,9 +503,6 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 		}
 	}
 	if err != nil {
-		if errors.Is(err, pipeline.ErrBudgetExceeded) {
-			return err // early shed: AnswerCtx maps it to StatusOverBudget
-		}
 		if ctx.Err() != nil {
 			return ctx.Err() // cancellation: surfaced by pipeline.Run
 		}
@@ -586,11 +555,9 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 	res.view = nil
 	if err != nil {
 		// None of these outcomes is cached: they depend on the request's
-		// deadline (budget, cancellation) or on transient faults, not on
-		// the question.
+		// deadline (cancellation) or on transient faults, not on the
+		// question.
 		switch {
-		case errors.Is(err, pipeline.ErrBudgetExceeded):
-			res.Status = StatusOverBudget
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			res.Status = StatusCanceled
 		case errors.Is(err, shard.ErrUnavailable):
@@ -612,11 +579,7 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 		cached := new(Result)
 		cached.setOutcome(res)
 		cached.Answers = slices.Clone(res.Answers)
-		if s.negTTL > 0 && res.Status != StatusAnswered {
-			s.cache.PutExpiring(res.cacheKey, res.snapGen, cached, s.negTTL)
-		} else {
-			s.cache.Put(res.cacheKey, res.snapGen, cached)
-		}
+		s.cache.Put(res.cacheKey, res.snapGen, cached)
 	}
 	return res
 }

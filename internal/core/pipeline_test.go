@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/kb"
 	"repro/internal/patterns"
@@ -234,31 +233,32 @@ func TestCanceledStatusString(t *testing.T) {
 	}
 }
 
-// TestNegativeTTLExpiresFailures: with NegativeTTL configured, cached
-// failure outcomes are recomputed once the TTL passes even though the
-// store generation never moved; positive answers are unaffected.
-func TestNegativeTTLExpiresFailures(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KB = kb.Build(kb.DefaultConfig())
-	cfg.CacheSize = 64
-	// A nanosecond TTL is expired by the time any later lookup runs, so
-	// the test needs no sleeping and no injected clock.
-	cfg.NegativeTTL = time.Nanosecond
-	s := New(cfg)
-
-	neg := s.AnswerCtx(context.Background(), "gibberish blob")
-	if neg.Answered() || neg.CacheHit() {
-		t.Fatalf("first failure ask: %v / hit=%v", neg.Status, neg.CacheHit())
+// TestAnswerCacheObservesInsertGenerationBump: a cached negative
+// answer turns positive through the generation alone, with no clock
+// involved. The entity and the property already exist, so the
+// boot-time linker and mapper need nothing new; the insert bumps the
+// generation, which voids the cached "no answer".
+func TestAnswerCacheObservesInsertGenerationBump(t *testing.T) {
+	s := cachedSystem(t)
+	const q = "When did Orhan Pamuk die?"
+	first := s.AnswerCtx(context.Background(), q)
+	if first.Status != StatusNoAnswer || first.CacheHit() {
+		t.Fatalf("first: %v / hit=%v, want no answer computed", first.Status, first.CacheHit())
 	}
-	if s.AnswerCtx(context.Background(), "gibberish blob").CacheHit() {
-		t.Fatal("negative result served past its TTL")
+	if again := s.AnswerCtx(context.Background(), q); !again.CacheHit() || again.Status != StatusNoAnswer {
+		t.Fatalf("second: %v / hit=%v, want the cached negative", again.Status, again.CacheHit())
 	}
 
-	const q = "Where did Abraham Lincoln die?"
-	if first := s.AnswerCtx(context.Background(), q); !first.Answered() {
-		t.Fatalf("positive ask failed: %v", first.Status)
+	death := rdf.Triple{S: rdf.Res("Orhan_Pamuk"), P: rdf.Ont("deathDate"), O: rdf.NewDate("2030-01-01")}
+	if added, _ := s.KB.Store.ApplyBatch([]store.BatchOp{{Triples: []rdf.Triple{death}}}); added != 1 {
+		t.Fatalf("inserting %v added %d triples", death, added)
 	}
-	if !s.AnswerCtx(context.Background(), q).CacheHit() {
-		t.Fatal("positive answer not cached while NegativeTTL is set")
+
+	after := s.AnswerCtx(context.Background(), q)
+	if after.CacheHit() {
+		t.Fatal("cached negative served after the insert")
+	}
+	if !after.Answered() || len(after.Answers) != 1 || after.Answers[0].Value != "2030-01-01" {
+		t.Fatalf("after insert: %v %v, want [2030-01-01]", after.Status, after.Answers)
 	}
 }

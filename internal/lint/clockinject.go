@@ -6,14 +6,15 @@ import (
 )
 
 // ClockInject forbids reading the process clock in packages whose
-// behaviour must be deterministic under test: qacache expiry, WAL
-// commit/recovery, store generations, the AIMD admission limiter's
-// cooldown window and the chaos injector's fault schedule are all
-// driven by injected clocks (the PR 6 WithClock design; the PR 8
-// admission.Options.Now), so a stray time.Now would make TTL,
-// recovery and shedding behaviour untestable without sleeps (the
-// plan-shape cache is a qacache, so that entry covers it). The PR 10
-// shard failure domains (attempt timeouts, hedge delays, backoff,
+// behaviour must be deterministic under test: WAL commit/recovery,
+// store generations, the AIMD admission limiter's cooldown window and
+// the chaos injector's fault schedule are all driven by injected
+// clocks (admission.Options.Now), so a stray time.Now would make
+// recovery and shedding behaviour untestable without sleeps. The
+// answer cache (and the plan-shape cache, which is one) reads no clock
+// at all — an entry lives until its generation goes stale or capacity
+// evicts it — and stays in scope so that it cannot start. The shard
+// failure domains (attempt timeouts, hedge delays, backoff,
 // breaker cooldowns) are in scope for the same reason: their
 // transition tests run on a fake clock and hand-fired timers
 // (shard.Config.Now / AfterFunc).
@@ -51,7 +52,7 @@ func runClockInject(p *Pass) {
 				return true
 			}
 			p.Reportf(sel.Sel.Pos(),
-				"time.%s in a deterministic package: take the clock as an injected func() time.Time (cf. qacache.WithClock)",
+				"time.%s in a deterministic package: take the clock as an injected func() time.Time (cf. admission.Options.Now, shard.Config.Now)",
 				fn.Name())
 			return true
 		})

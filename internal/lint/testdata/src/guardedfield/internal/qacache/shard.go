@@ -1,6 +1,6 @@
-// Package plancache exercises guardedfield on the plan-cache shard
+// Package qacache exercises guardedfield on the answer-cache shard
 // shape: the LRU list and key map are guarded by the shard mutex.
-package plancache
+package qacache
 
 import (
 	"container/list"

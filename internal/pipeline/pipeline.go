@@ -31,13 +31,6 @@
 // evaluated against the injector carried by the request context via
 // internal/chaos), so the soak harness can inject latency, errors and
 // panics exactly where real stages fail.
-//
-// When the request context carries a deadline, Run stamps each stage's
-// trace entry with the budget remaining at stage entry — the number
-// deadline-aware stages (the §2.3 fan-out's compile-time cost check)
-// compare their estimates against. A stage that determines the
-// remaining budget cannot cover its estimated cost fails fast with a
-// typed *BudgetError instead of starting work it cannot finish.
 package pipeline
 
 import (
@@ -53,32 +46,6 @@ import (
 // ErrStop is the sentinel a Stage returns to finish the pipeline early
 // without error: the state already carries its terminal outcome.
 var ErrStop = errors.New("pipeline: stop")
-
-// ErrBudgetExceeded is the errors.Is target for *BudgetError: a stage
-// declined to start because its compile-time cost estimate exceeds the
-// request's remaining deadline budget.
-var ErrBudgetExceeded = errors.New("pipeline: remaining budget below estimated stage cost")
-
-// BudgetError is the typed fail-fast error for deadline-aware early
-// shedding: the stage never started its work, so no partial state was
-// produced and the request can be answered as shed (503) rather than
-// burning CPU until the deadline kills it mid-flight.
-type BudgetError struct {
-	// Stage is the stage that declined.
-	Stage string
-	// Estimated is the stage's compile-time cost estimate.
-	Estimated time.Duration
-	// Remaining was the budget left when the stage was entered.
-	Remaining time.Duration
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("pipeline: stage %s estimated at %v exceeds the remaining budget %v",
-		e.Stage, e.Estimated, e.Remaining)
-}
-
-// Is makes errors.Is(err, ErrBudgetExceeded) match.
-func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded }
 
 // PanicError is a stage panic recovered at the stage boundary: the
 // request answers 500 with its trace intact instead of the panic
@@ -134,11 +101,6 @@ type StageTrace struct {
 	// Err is the stage's terminal error text ("" for success). Set for
 	// both early-stop failure outcomes and cancellation.
 	Err string
-	// Remaining is the deadline budget left when the stage was entered
-	// (0 when the request carries no deadline). Deadline-aware stages
-	// compare their cost estimates against it; the serving layer
-	// exports it for overload diagnosis.
-	Remaining time.Duration
 }
 
 // Trace is the per-request record of every stage that ran, in order.
@@ -203,16 +165,12 @@ func New[S any](stages ...Stage[S]) *Pipeline[S] {
 // mean cancellation, everything else an internal failure).
 func (p *Pipeline[S]) Run(ctx context.Context, state S) (*Trace, error) {
 	tr := &Trace{Stages: make([]StageTrace, 0, len(p.stages))}
-	deadline, hasDeadline := ctx.Deadline()
 	for i, st := range p.stages {
 		if err := ctx.Err(); err != nil {
 			return tr, err
 		}
 		tr.Stages = append(tr.Stages, StageTrace{Stage: st.Name()})
 		stt := &tr.Stages[len(tr.Stages)-1]
-		if hasDeadline {
-			stt.Remaining = time.Until(deadline)
-		}
 		start := time.Now()
 		err := runStage(ctx, st, p.points[i], state, stt)
 		stt.Duration = time.Since(start)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -193,41 +192,6 @@ func TestRunChaosPanicIsRecoveredTyped(t *testing.T) {
 	}
 	if _, ok := pe.Value.(*chaos.InjectedPanic); !ok {
 		t.Fatalf("recovered value = %v, want *chaos.InjectedPanic", pe.Value)
-	}
-}
-
-func TestRunRecordsRemainingBudget(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	var got []string
-	tr, err := New[*[]string](appendStage("a"), appendStage("b")).Run(ctx, &got)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := range tr.Stages {
-		r := tr.Stages[i].Remaining
-		if r <= 0 || r > time.Minute {
-			t.Errorf("trace[%d].Remaining = %v, want in (0, 1m]", i, r)
-		}
-	}
-
-	// Without a deadline, Remaining stays zero.
-	tr, err = New[*[]string](appendStage("a")).Run(context.Background(), &got)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if tr.Stages[0].Remaining != 0 {
-		t.Errorf("Remaining = %v without a deadline", tr.Stages[0].Remaining)
-	}
-}
-
-func TestBudgetErrorMatchesSentinel(t *testing.T) {
-	err := error(&BudgetError{Stage: "answer", Estimated: time.Second, Remaining: time.Millisecond})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatal("BudgetError does not match ErrBudgetExceeded")
-	}
-	if !strings.Contains(err.Error(), "answer") {
-		t.Fatalf("BudgetError text = %q", err)
 	}
 }
 

@@ -5,9 +5,11 @@
 // Entries are keyed on normalized question text and stamped with the KB
 // snapshot generation they were computed against: a lookup whose
 // generation no longer matches evicts the entry and misses, so any
-// store write (Add/AddAll/Remove/RemoveAll batch that actually changed
+// store write (an Add, AddAll or ApplyBatch that actually changed
 // something) invalidates every previously cached answer without the
-// cache ever watching the store. Sharding keeps the per-request
+// cache ever watching the store. Nothing expires by time: an answer,
+// negative or not, recomputed at the same generation is the same
+// answer. Sharding keeps the per-request
 // critical section to one shard mutex; capacity is enforced per shard
 // (total capacity is split evenly), giving an approximate global LRU
 // with no cross-shard coordination.
@@ -22,7 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // nShards is the shard count; a power of two so hashing can mask.
@@ -35,7 +36,6 @@ type Cache[V any] struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	now       func() time.Time
 }
 
 type shard[V any] struct {
@@ -46,10 +46,9 @@ type shard[V any] struct {
 }
 
 type entry[V any] struct {
-	key     string
-	gen     uint64
-	val     V
-	expires time.Time // zero = never
+	key string
+	gen uint64
+	val V
 }
 
 // New builds a cache holding at most capacity entries overall
@@ -57,8 +56,7 @@ type entry[V any] struct {
 // entry). Capacity <= 0 yields a cache of nShards entries minimum —
 // callers gate "disabled" above this package.
 func New[V any](capacity int) *Cache[V] {
-	//qalint:ignore clockinject the one construction point of the injected clock; everything else reads c.now, tests swap it via WithClock.
-	c := &Cache[V]{now: time.Now}
+	c := &Cache[V]{}
 	per := capacity / nShards
 	if per < 1 {
 		per = 1
@@ -66,14 +64,6 @@ func New[V any](capacity int) *Cache[V] {
 	for i := range c.shards {
 		c.shards[i] = shard[V]{cap: per, ll: list.New(), m: make(map[string]*list.Element)}
 	}
-	return c
-}
-
-// WithClock injects the time source expiring entries are checked
-// against (tests advance it manually). Call before the cache is shared;
-// it returns c for chaining.
-func (c *Cache[V]) WithClock(now func() time.Time) *Cache[V] {
-	c.now = now
 	return c
 }
 
@@ -105,16 +95,6 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 		return zero, false
 	}
 	e := el.Value.(*entry[V])
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		// Expired (a TTL-stamped negative result): evict and miss so the
-		// pipeline recomputes it even at an unchanged generation.
-		sh.ll.Remove(el)
-		delete(sh.m, key)
-		c.evictions.Add(1)
-		c.misses.Add(1)
-		var zero V
-		return zero, false
-	}
 	if e.gen != gen {
 		// Evict only entries *older* than the requester's snapshot: a
 		// newer entry means this requester pinned a pre-write snapshot
@@ -136,7 +116,7 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 }
 
 // Peek reports whether a live entry — stored at exactly generation gen
-// and unexpired — exists for key, without counting a hit or a miss,
+// — exists for key, without counting a hit or a miss,
 // without bumping the LRU order and without evicting anything. The
 // serving layer's admission control probes the cache with it to
 // classify requests; a probe must not distort the statistics or
@@ -151,33 +131,12 @@ func (c *Cache[V]) Peek(key string, gen uint64) bool {
 	if !ok {
 		return false
 	}
-	e := el.Value.(*entry[V])
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		return false
-	}
-	return e.gen == gen
+	return el.Value.(*entry[V]).gen == gen
 }
 
 // Put stores the value for key at generation gen, evicting the shard's
-// least recently used entry when over capacity. The entry never
-// expires by time (generation staleness still evicts it).
+// least recently used entry when over capacity.
 func (c *Cache[V]) Put(key string, gen uint64, v V) {
-	c.put(key, gen, v, time.Time{})
-}
-
-// PutExpiring stores the value like Put but additionally expires it ttl
-// from now — the knob for negative results, which callers may want
-// recomputed eventually even when the store generation never moves. A
-// ttl <= 0 behaves like Put.
-func (c *Cache[V]) PutExpiring(key string, gen uint64, v V, ttl time.Duration) {
-	var expires time.Time
-	if ttl > 0 {
-		expires = c.now().Add(ttl)
-	}
-	c.put(key, gen, v, expires)
-}
-
-func (c *Cache[V]) put(key string, gen uint64, v V, expires time.Time) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -186,11 +145,11 @@ func (c *Cache[V]) put(key string, gen uint64, v V, expires time.Time) {
 		if gen < e.gen {
 			return // never clobber a fresher entry with a stale result
 		}
-		e.gen, e.val, e.expires = gen, v, expires
+		e.gen, e.val = gen, v
 		sh.ll.MoveToFront(el)
 		return
 	}
-	sh.m[key] = sh.ll.PushFront(&entry[V]{key: key, gen: gen, val: v, expires: expires})
+	sh.m[key] = sh.ll.PushFront(&entry[V]{key: key, gen: gen, val: v})
 	for sh.ll.Len() > sh.cap {
 		oldest := sh.ll.Back()
 		sh.ll.Remove(oldest)
@@ -212,8 +171,7 @@ func (c *Cache[V]) Len() int {
 }
 
 // Stats returns the cumulative hit, miss and eviction counts
-// (evictions count every removal: capacity, generation staleness and
-// expiry).
+// (evictions count every removal: capacity and generation staleness).
 func (c *Cache[V]) Stats() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
@@ -24,7 +23,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 // TestEvictionsCounted: every removal is counted once — capacity
-// overflow, a lookup at a newer generation, and TTL expiry — and an
+// overflow and a lookup at a newer generation — and an
 // older-generation miss or an in-place re-Put removes nothing.
 func TestEvictionsCounted(t *testing.T) {
 	const capacity, n = 32, 500
@@ -38,17 +37,13 @@ func TestEvictionsCounted(t *testing.T) {
 			evictions, want, n, c.Len())
 	}
 
-	now := time.Unix(1000, 0)
-	c = New[int](64).WithClock(func() time.Time { return now })
+	c = New[int](64)
 	c.Put("gen", 2, 0)
 	c.Put("gen", 2, 1) // in place
 	c.Get("gen", 1)    // older reader: miss, entry kept
 	c.Get("gen", 3)    // newer reader: evicts
-	c.PutExpiring("ttl", 1, 0, time.Second)
-	now = now.Add(time.Minute)
-	c.Get("ttl", 1) // expired: evicts
-	if _, _, evictions := c.Stats(); evictions != 2 || c.Len() != 0 {
-		t.Fatalf("evictions = %d, len = %d; want 2, 0", evictions, c.Len())
+	if _, _, evictions := c.Stats(); evictions != 1 || c.Len() != 0 {
+		t.Fatalf("evictions = %d, len = %d; want 1, 0", evictions, c.Len())
 	}
 }
 
@@ -176,56 +171,5 @@ func TestNormalize(t *testing.T) {
 	// Case is preserved (entity linking is case-sensitive).
 	if Normalize("who wrote snow") == Normalize("Who wrote Snow") {
 		t.Error("Normalize must not fold case")
-	}
-}
-
-func TestPutExpiringTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New[int](64).WithClock(func() time.Time { return now })
-	c.PutExpiring("neg", 1, -1, time.Minute)
-	c.Put("pos", 1, 42)
-
-	if v, ok := c.Get("neg", 1); !ok || v != -1 {
-		t.Fatalf("fresh TTL entry: %d, %v", v, ok)
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get("neg", 1); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get("neg", 1); ok {
-		t.Fatal("entry survived past its TTL")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("expired entry not evicted: len = %d", c.Len())
-	}
-	// Non-TTL entries never expire by time.
-	now = now.Add(1000 * time.Hour)
-	if v, ok := c.Get("pos", 1); !ok || v != 42 {
-		t.Fatalf("Put entry expired: %d, %v", v, ok)
-	}
-	// ttl <= 0 behaves like Put.
-	c.PutExpiring("forever", 1, 7, 0)
-	now = now.Add(1000 * time.Hour)
-	if _, ok := c.Get("forever", 1); !ok {
-		t.Fatal("zero-TTL entry expired")
-	}
-}
-
-func TestPutExpiringOverwriteRules(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New[int](64).WithClock(func() time.Time { return now })
-	// A re-Put at the same key clears the expiry (e.g. a negative
-	// answer replaced by a positive one at a newer generation).
-	c.PutExpiring("q", 1, -1, time.Second)
-	c.Put("q", 2, 42)
-	now = now.Add(time.Hour)
-	if v, ok := c.Get("q", 2); !ok || v != 42 {
-		t.Fatalf("re-Put entry expired: %d, %v", v, ok)
-	}
-	// A stale-generation PutExpiring cannot clobber a fresher entry.
-	c.PutExpiring("q", 1, -1, time.Second)
-	if v, ok := c.Get("q", 2); !ok || v != 42 {
-		t.Fatalf("stale PutExpiring clobbered: %d, %v", v, ok)
 	}
 }

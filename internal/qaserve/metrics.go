@@ -53,7 +53,7 @@ type metrics struct {
 	requestsBad      atomic.Uint64
 	requestsRejected atomic.Uint64
 	requestsTimeout  atomic.Uint64
-	requestsShed     atomic.Uint64 // deadline-budget sheds (spent at admission, or over the cost model)
+	requestsShed     atomic.Uint64 // deadline-budget sheds (spent at admission)
 	requestsInternal atomic.Uint64 // 500s: recovered pipeline panics and injected faults
 
 	requestsUnavailable atomic.Uint64 // 503s: shard unreachable without allow_partial

@@ -4,8 +4,9 @@
 //
 //	POST /v1/answer        {"question": "..."}        → one AnswerResponse
 //	POST /v1/answer/batch  {"questions": ["...", …]}  → {"results": [AnswerResponse, …]}
-//	                       (questions fan out across Config.BatchParallelism
-//	                       workers; results keep request order)
+//	                       (questions fan out across up to GOMAXPROCS
+//	                       workers, one in-flight slot each; results keep
+//	                       request order)
 //	POST /v1/update        SPARQL UPDATE (INSERT DATA / DELETE DATA) →
 //	                       {"generation", "added", "removed", "ops"};
 //	                       the whole request commits as one durable,
@@ -34,10 +35,9 @@
 // (internal/admission), which discovers the sustainable concurrency
 // from observed latency and sheds by priority: batch work first,
 // cache-served requests last. Requests whose deadline budget is
-// already spent at admission, or whose estimated execution cost
-// exceeds the remaining budget (core.StatusOverBudget), are shed the
-// same way. Recovered pipeline panics and injected faults answer 500
-// with the trace attached rather than tearing down the connection. A
+// already spent at admission are shed the same way. Recovered pipeline
+// panics and injected faults answer 500 with the trace attached rather
+// than tearing down the connection. A
 // poisoned WAL flips the server into read-only degraded mode: updates
 // answer 501, /readyz reports "degraded", reads keep serving the
 // in-memory store. Graceful shutdown is cmd/qaserve's job:
@@ -114,23 +114,16 @@ type Config struct {
 	// breaker states on /metrics and shard info on the health payloads.
 	// Nil for single-store systems.
 	Cluster *shard.Cluster
-	// BatchParallelism bounds the worker pool a /v1/answer/batch
-	// request fans its questions across: 0 uses GOMAXPROCS, 1 (or any
-	// negative value) answers sequentially. Every worker beyond the
-	// first charges an extra MaxInFlight slot (taken non-blockingly:
-	// a busy server shrinks the pool toward sequential rather than
-	// rejecting or oversubscribing), so the admission limit bounds
-	// executing pipelines, not just accepted requests. Per-question
-	// results are identical at every setting — each question runs the
-	// same deterministic pipeline under its own timeout.
-	BatchParallelism int
 }
 
 // Server is the HTTP serving layer. Build with New, mount Handler.
 type Server struct {
-	sys           *core.System
-	timeout       time.Duration
-	maxBatch      int
+	sys      *core.System
+	timeout  time.Duration
+	maxBatch int
+	// batchWorkers caps the workers a /v1/answer/batch request fans its
+	// questions across: GOMAXPROCS, further bounded per request by the
+	// batch size and the free in-flight slots.
 	batchWorkers  int
 	updater       Updater
 	updateToken   string
@@ -145,17 +138,11 @@ type Server struct {
 // New builds a Server over the assembled pipeline.
 func New(cfg Config) *Server {
 	s := &Server{sys: cfg.Sys, timeout: cfg.RequestTimeout, maxBatch: cfg.MaxBatch,
-		batchWorkers: cfg.BatchParallelism, updater: cfg.Updater,
+		batchWorkers: runtime.GOMAXPROCS(0), updater: cfg.Updater,
 		updateToken: cfg.UpdateToken, updateTimeout: cfg.UpdateTimeout,
 		chaos: cfg.Chaos, cluster: cfg.Cluster, m: newMetrics()}
 	if s.maxBatch <= 0 {
 		s.maxBatch = 64
-	}
-	if s.batchWorkers == 0 {
-		s.batchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if s.batchWorkers < 1 {
-		s.batchWorkers = 1
 	}
 	switch {
 	case cfg.AdaptiveAdmission:
@@ -272,36 +259,58 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // release. The returned release func is nil when the request was
 // rejected.
 func (s *Server) acquire(w http.ResponseWriter, p admission.Priority) func() {
-	if s.limiter != nil {
-		if !s.limiter.Acquire(p) {
-			s.m.requestsRejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfter(p)))
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
-			return nil
+	if !s.trySlot(p) {
+		s.m.requestsRejected.Add(1)
+		retry := 1
+		if s.limiter != nil {
+			retry = admission.RetryAfter(p)
 		}
-		start := time.Now()
-		s.m.inflight.Add(1)
-		return func() {
-			s.m.inflight.Add(-1)
-			s.limiter.Release(time.Since(start))
-		}
-	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.m.requestsRejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
-			return nil
-		}
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
+		return nil
 	}
 	s.m.inflight.Add(1)
+	if s.limiter == nil {
+		return func() {
+			s.m.inflight.Add(-1)
+			s.freeSlot(-1)
+		}
+	}
+	start := time.Now()
 	return func() {
 		s.m.inflight.Add(-1)
-		if s.sem != nil {
-			<-s.sem
+		s.freeSlot(time.Since(start))
+	}
+}
+
+// trySlot takes an in-flight slot at priority p without blocking and
+// reports whether it got one (always, when admission is unlimited).
+// acquire takes one per request; a batch takes one more per worker
+// beyond the first.
+func (s *Server) trySlot(p admission.Priority) bool {
+	switch {
+	case s.limiter != nil:
+		return s.limiter.Acquire(p)
+	case s.sem != nil:
+		select {
+		case s.sem <- struct{}{}:
+			return true
+		default:
+			return false
 		}
+	}
+	return true
+}
+
+// freeSlot returns a slot trySlot took. The adaptive limiter is fed
+// latency as a sample; a negative latency is a slot charge only — a
+// batch worker's slot is not a completed request.
+func (s *Server) freeSlot(latency time.Duration) {
+	switch {
+	case s.limiter != nil:
+		s.limiter.Release(latency)
+	case s.sem != nil:
+		<-s.sem
 	}
 }
 
@@ -392,13 +401,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.requestsTimeout.Add(1)
 		s.writeResult(w, http.StatusGatewayTimeout, res)
-	case core.StatusOverBudget:
-		// The cost model predicted the remaining deadline cannot cover
-		// execution: the request was shed before the fan-out burned CPU,
-		// and the client learns when to retry.
-		s.m.requestsShed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.writeResult(w, http.StatusServiceUnavailable, res)
 	case core.StatusUnavailable:
 		// A shard was unreachable and the request did not allow partial
 		// answers: the client can retry (the breaker cooldown is short)
@@ -440,85 +442,52 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The batch holds one in-flight slot; every worker beyond the first
+	// charges another, taken non-blockingly, so MaxInFlight keeps
+	// bounding *executing pipelines*, not just accepted HTTP requests:
+	// a busy server has no spare slots and the batch shrinks toward one
+	// worker instead of oversubscribing the CPU.
+	workers := min(s.batchWorkers, len(req.Questions))
+	extra := 0
+	for extra < workers-1 && s.trySlot(admission.Batch) {
+		extra++
+	}
+	defer func() {
+		for range extra {
+			s.freeSlot(-1)
+		}
+	}()
+
+	// Each question runs the full pipeline under its own timeout
+	// (s.answer), the pipeline is safe for concurrent callers, and
+	// results land at their request index, so the response keeps the
+	// request order at every worker count. One worker always runs on the
+	// handler's goroutine.
 	results := make([]*core.Result, len(req.Questions))
-	workers := s.batchWorkers
-	if workers > len(req.Questions) {
-		workers = len(req.Questions)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(req.Questions) || r.Context().Err() != nil {
+				return
+			}
+			results[i] = s.answer(r, req.Questions[i], budget, req.AllowPartial)
+		}
 	}
-	// The batch holds one in-flight slot; every extra worker charges
-	// another, so MaxInFlight keeps bounding the number of *executing
-	// pipelines*, not just accepted HTTP requests. When the server is
-	// busy the extra slots simply are not there and the batch degrades
-	// toward sequential instead of oversubscribing the CPU under the
-	// per-question timeouts.
-	if s.limiter != nil && workers > 1 {
-		extra := 0
-		for extra < workers-1 && s.limiter.Acquire(admission.Batch) {
-			extra++
-		}
-		workers = 1 + extra
-		defer func() {
-			for i := 0; i < extra; i++ {
-				// Slot charge only: a worker slot is not a completed
-				// request, so it feeds no latency sample to the controller.
-				s.limiter.Release(-1)
-			}
-		}()
-	} else if s.sem != nil && workers > 1 {
-		extra := 0
-		for extra < workers-1 {
-			select {
-			case s.sem <- struct{}{}:
-				extra++
-				continue
-			default:
-			}
-			break
-		}
-		workers = 1 + extra
-		defer func() {
-			for i := 0; i < extra; i++ {
-				<-s.sem
-			}
+	for range extra {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
-	if workers <= 1 {
-		// Sequential reference path (BatchParallelism 1, or a
-		// single-question batch).
-		for i, q := range req.Questions {
-			res := s.answer(r, q, budget, req.AllowPartial)
-			if res.Status == core.StatusCanceled && r.Context().Err() != nil {
-				return // client went away mid-batch
-			}
-			results[i] = res
-		}
-	} else {
-		// Fan the questions across the worker pool. Each question runs
-		// the full pipeline under its own timeout (s.answer), the
-		// pipeline is safe for concurrent callers, and results land at
-		// their request index, so the response order matches the
-		// request order exactly as in the sequential path.
-		var (
-			next int64
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(req.Questions) || r.Context().Err() != nil {
-						return
-					}
-					results[i] = s.answer(r, req.Questions[i], budget, req.AllowPartial)
-				}
-			}()
-		}
-		wg.Wait()
-		if r.Context().Err() != nil {
-			return // client went away mid-batch
-		}
+	work()
+	wg.Wait()
+	if r.Context().Err() != nil {
+		return // client went away mid-batch
 	}
 	// qaserve_requests_total counts HTTP requests, so a batch counts
 	// once regardless of size (timed-out members are visible in their

@@ -409,11 +409,21 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestBatchParallelMatchesSequential: fanning a batch across the
-// worker pool must return the same answers in the same (request)
-// order as the sequential path, at every parallelism level. Run under
-// -race this also exercises concurrent AnswerCtx calls sharing one
-// System from inside a single HTTP request.
+// batchServer builds a Server whose batch requests fan out across at
+// most workers workers (1 = every question on the handler's goroutine).
+func batchServer(t *testing.T, cfg Config, workers int) *Server {
+	t.Helper()
+	cfg.Sys = testSystem(t)
+	srv := New(cfg)
+	srv.batchWorkers = workers
+	return srv
+}
+
+// TestBatchParallelMatchesSequential: fanning a batch across several
+// workers must return the same answers in the same (request) order as
+// one worker on the handler's goroutine, at every worker count. Run
+// under -race this also exercises concurrent AnswerCtx calls sharing
+// one System from inside a single HTTP request.
 func TestBatchParallelMatchesSequential(t *testing.T) {
 	questions := []string{
 		"Which book is written by Orhan Pamuk?",
@@ -424,7 +434,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 		"Who is the mayor of Berlin?",
 	}
 	run := func(parallelism int) BatchResponse {
-		srv := New(Config{Sys: testSystem(t), BatchParallelism: parallelism})
+		srv := batchServer(t, Config{}, parallelism)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch",
@@ -459,7 +469,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 // TestBatchParallelClientGone: a client disconnect mid-batch stops the
 // fan-out without writing a response and leaves the server reusable.
 func TestBatchParallelClientGone(t *testing.T) {
-	srv := New(Config{Sys: testSystem(t), BatchParallelism: 4})
+	srv := batchServer(t, Config{}, 4)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -485,11 +495,11 @@ func TestBatchParallelClientGone(t *testing.T) {
 }
 
 // TestBatchParallelChargesInFlightSlots: extra batch workers charge
-// MaxInFlight slots non-blockingly — a tight admission limit degrades
-// the pool toward sequential (never deadlocks, never rejects the
+// MaxInFlight slots non-blockingly — a tight admission limit shrinks
+// the batch to one worker (never deadlocks, never rejects the
 // already-admitted batch) and the slots are released afterwards.
 func TestBatchParallelChargesInFlightSlots(t *testing.T) {
-	srv := New(Config{Sys: testSystem(t), MaxInFlight: 1, BatchParallelism: 8})
+	srv := batchServer(t, Config{MaxInFlight: 1}, 8)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -141,17 +141,6 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 		checkReply(t, s, http.StatusInternalServerError, res)
 	}
 
-	// 503, shed over budget.
-	budgetCfg := core.DefaultConfig()
-	budgetCfg.CostNanosPerRow = int(time.Hour)
-	deadline, cancel3 := context.WithTimeout(ctx, time.Minute)
-	defer cancel3()
-	res = core.New(budgetCfg).AnswerCtx(deadline, "How tall is Michael Jordan?")
-	if res.Status != core.StatusOverBudget {
-		t.Fatalf("status %v, want over budget", res.Status)
-	}
-	checkReply(t, s, http.StatusServiceUnavailable, res)
-
 	// The shard stamps, on a 4-shard system whose shard 1 is down until
 	// the injector is switched off: 503 unavailable, a degraded partial
 	// answer, then healthy 4/4 on a miss and on a hit.

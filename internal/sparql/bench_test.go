@@ -73,3 +73,40 @@ func BenchmarkBGPJoinDistinctOrderBy(b *testing.B) {
 func BenchmarkBGPJoinDistinctOrderByTermSpace(b *testing.B) {
 	benchmarkQuery(b, benchDistinctOrder, ExecuteTermSpace)
 }
+
+// benchmarkPlanCompile isolates the compile path (shape + bind, no
+// execution) of the 3-pattern join, with the shape cache warm or
+// detached: the gap is the per-candidate value of the cache across the
+// §2.3 fan-out.
+func benchmarkPlanCompile(b *testing.B, pc *PlanCache) {
+	k := kb.Default()
+	q := MustParse(benchJoin3)
+	sess := NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)
+	ctx := context.Background()
+	if len(compile(ctx, sess, q).patterns) != 3 { // warm the cache (when attached)
+		b.Fatal("compiled plan lost a pattern")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(compile(ctx, sess, q).patterns) != 3 {
+			b.Fatal("compiled plan lost a pattern")
+		}
+	}
+}
+
+// BenchmarkPlanCacheHit compiles against a warm shape cache: a key
+// build, a sharded Get and the bind phase per iteration.
+func BenchmarkPlanCacheHit(b *testing.B) {
+	pc := NewPlanCache(64)
+	benchmarkPlanCompile(b, pc)
+	if hits, _, _ := pc.Stats(); hits == 0 {
+		b.Fatal("cache never hit")
+	}
+}
+
+// BenchmarkPlanCacheMiss is the cache-detached twin: every compile
+// builds the full shape from scratch.
+func BenchmarkPlanCacheMiss(b *testing.B) {
+	benchmarkPlanCompile(b, nil)
+}

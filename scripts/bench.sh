@@ -18,8 +18,9 @@
 # adaptive limiter's uncontended per-request hot path,
 # BenchmarkChaosHitDisabled is the inert fault-point tax every stage
 # boundary pays in production), and the plan-shape cache (PR 9:
-# BenchmarkPlanCacheHit vs BenchmarkPlanCacheMiss is the per-candidate
-# compile cost with the shape cache warm vs. detached, and
+# internal/sparql's BenchmarkPlanCacheHit vs BenchmarkPlanCacheMiss is
+# the per-candidate compile cost with the shape cache warm vs.
+# detached, and
 # BenchmarkRankSort the ORDER-BY-less deterministic sort now running
 # over the term-rank permutation; BenchmarkExtractSequential
 # additionally reports planhit% — the plan-cache hit rate over the
@@ -89,13 +90,13 @@ cd "$(dirname "$0")/.."
 # The benchmark selections, defined once for every mode. The root
 # selections run against the repo's root package; bench_pkgs covers
 # the benchmarks that live in their own packages (sparql's ID-space vs
-# term-space pairs, the shard tier and the store's term-rank churn
-# pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
+# term-space pairs and plan-cache compile pair, the shard tier and the
+# store's term-rank churn pair).
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
-bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
+bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .
@@ -110,8 +111,8 @@ go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .
 # Fresh process for the comparable pair (see the header comment).
 go test -run '^$' -bench "$bench_pair" -benchmem -benchtime="$benchtime" .
 
-# The package-local benchmarks (ID-space vs term-space pairs, shard
-# tier, term-rank churn), one package at a time (-p 1): run side by
+# The package-local benchmarks (ID-space vs term-space pairs, plan-cache
+# compile pair, shard tier, term-rank churn), one package at a time (-p 1): run side by
 # side on a two-core host they take each other's CPU, and the gather ÷
 # single-store factor is read off two of them.
 go test -p 1 -run '^$' -bench "$bench_pkgs" -benchmem -benchtime="$benchtime" \

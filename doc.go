@@ -69,10 +69,10 @@
 // between join steps — and records per-stage wall time, candidate
 // counts and cache hit/miss in the Result's Trace. core.AnswerCtx is
 // the entry point. When enabled, a bounded sharded LRU over normalized
-// question text (internal/qacache) mounts as the first stage; entries
-// are stamped with the KB snapshot generation, so any store write —
-// including a single-triple delete — invalidates every cached
-// answer.
+// question text (internal/qacache) answers in front of the pipeline —
+// a hit is one lookup and runs no stage; entries are stamped with the
+// KB snapshot generation, so any store write — including a
+// single-triple delete — invalidates every cached answer.
 // cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer and
 // /v1/answer/batch — batch questions fan out across a bounded worker
 // pool, with every worker beyond the first charging an extra

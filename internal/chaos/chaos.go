@@ -20,7 +20,10 @@
 // disabled, so production code keeps its fault points unconditionally.
 // The registered points are:
 //
-//	stage.<name>   every pipeline stage boundary (internal/pipeline)
+//	stage.<name>   every pipeline stage boundary (internal/pipeline):
+//	               stage.triplex, stage.propmap, stage.answer — the
+//	               answer-cache lookup runs in front of the pipeline
+//	               and has no fault point
 //	wal.apply      Manager.Apply entry, before the log append
 //	wal.append     logFile.append, before any byte is written
 //	wal.compact    compactLocked entry, before the segment write

@@ -2,7 +2,6 @@
 // as an explicit staged architecture:
 //
 //	question
-//	  → cache   — answer cache lookup (config-gated, generation-keyed)
 //	  → triplex — §2.1 triple pattern extraction   (internal/triplex)
 //	  → propmap — §2.2 entity & property mapping   (internal/propmap)
 //	  → answer  — §2.3 answer extraction           (internal/answer)
@@ -18,21 +17,26 @@
 // metrics.
 //
 // System is the public entry point: build one with New (or share the
-// process-wide Default) and call AnswerCtx. The Result records every
+// process-wide Default) and call AnswerCtx — or its two halves, Lookup
+// and Compute, as the serving layer does. The Result records every
 // intermediate stage, so callers can inspect the extracted triples, the
 // candidate property sets, the generated SPARQL queries and the ranking
 // — the trace the paper walks through for "Which book is written by
 // Orhan Pamuk?".
 //
-// The answer cache (internal/qacache) is mounted as the first stage
-// when Config.CacheSize > 0: entries are keyed on normalized question
-// text and stamped with the KB snapshot generation, so any store write
-// (including a single-triple delete) invalidates every previously
-// cached answer. An entry is the answer, not its derivation (status,
-// answers, winning query text, error, shard stamps): a Result served
-// from the cache has no intermediate stages to inspect. With the cache
-// disabled — the default, and the paper-faithful configuration — the
-// pipeline is fully deterministic.
+// The answer cache (internal/qacache, when Config.CacheSize > 0) is not
+// a stage: Lookup consults it in front of the pipeline, so a hit is one
+// normalisation and one cache read — no pipeline run, no store read.
+// Entries are keyed on normalized question text and stamped with the KB
+// snapshot generation, so any store write (including a single-triple
+// delete) invalidates every previously cached answer. An entry is the
+// answer, not its derivation (status, answers and their labels as
+// rendered from the executed snapshot, winning query text, error, shard
+// stamps): a Result served from the cache has no intermediate stages to
+// inspect. Its Trace is the one "cache" entry; a miss's Trace starts
+// with that entry and goes on with the stages. With the cache disabled
+// — the default, and the paper-faithful configuration — the pipeline is
+// fully deterministic.
 package core
 
 import (
@@ -88,10 +92,10 @@ type Config struct {
 	EnableSuperlatives bool
 
 	// CacheSize enables the answer cache when > 0: a bounded, sharded
-	// LRU over normalized question text mounted as the pipeline's first
-	// stage, holding at most CacheSize results. Entries are invalidated
-	// by any KB snapshot generation change. 0 disables caching (the
-	// paper-faithful default).
+	// LRU over normalized question text that Lookup consults before the
+	// pipeline runs, holding at most CacheSize outcomes. Entries are
+	// invalidated by any KB snapshot generation change. 0 disables
+	// caching (the paper-faithful default).
 	CacheSize int
 
 	// Cluster mounts the fault-tolerant scatter-gather tier
@@ -132,8 +136,10 @@ func applyDefaults(cfg Config) Config {
 	return cfg
 }
 
-// Stage names, in pipeline order. These key the Trace entries and the
-// qaserve per-stage metrics.
+// Trace entry names, in trace order. These key the Trace entries and
+// the qaserve per-stage metrics. StageCache names the answer-cache
+// lookup, which is not a pipeline stage: Lookup records it, and a miss's
+// trace starts with it.
 const (
 	StageCache   = "cache"
 	StageTriplex = "triplex"
@@ -165,10 +171,10 @@ type System struct {
 	extractor   *answer.Extractor
 	triplexOpts triplex.Options
 
-	// pipe is the staged pipeline AnswerCtx runs; cache is non-nil only
+	// pipe is the staged pipeline Compute runs; cache is non-nil only
 	// when Config.CacheSize > 0.
 	pipe  *pipeline.Pipeline[*Result]
-	cache *qacache.Cache[*Result]
+	cache *qacache.Cache[*outcome]
 
 	// cluster is the sharded scatter-gather tier (nil = single-store).
 	cluster *shard.Cluster
@@ -219,12 +225,10 @@ func New(cfg Config) *System {
 	s.triplexOpts = triplex.Options{Superlatives: cfg.EnableSuperlatives}
 	s.cluster = cfg.Cluster
 
-	var stages []pipeline.Stage[*Result]
 	if cfg.CacheSize > 0 {
-		s.cache = qacache.New[*Result](cfg.CacheSize)
-		stages = append(stages, cacheStage{s})
+		s.cache = qacache.New[*outcome](cfg.CacheSize)
 	}
-	s.pipe = pipeline.New(append(stages, triplexStage{s}, propmapStage{s}, answerStage{s})...)
+	s.pipe = pipeline.New[*Result](triplexStage{s}, propmapStage{s}, answerStage{s})
 	lap("indexes")
 	return s
 }
@@ -298,7 +302,8 @@ type Result struct {
 	Mapping    *propmap.Mapping
 	Answer     *answer.Result
 
-	// Trace records the stages that ran on this request: per-stage wall
+	// Trace records what ran on this request: the answer-cache lookup
+	// (when the cache is enabled), then each stage — per-entry wall
 	// time, candidate counts and cache hit/miss.
 	Trace *pipeline.Trace
 
@@ -310,33 +315,43 @@ type Result struct {
 	Degraded                    bool
 	ShardsTotal, ShardsAnswered int
 
-	// snap is the KB snapshot pinned at request start: the answer stage
-	// builds its per-question sparql.Session over it, so everything
-	// §2.3 executes reads exactly this state. snapGen is its
-	// generation; cache lookups and fills both use it, so a concurrent
-	// KB write mid-request cannot stamp a stale answer with a fresh
-	// generation — the stamped generation is by construction the one
-	// that was executed. snap is cleared before AnswerCtx returns so
-	// held Results and cache entries never retain retired snapshots.
-	snap    *store.Snapshot
-	snapGen uint64
+	// snap is the KB snapshot the request executes against: Lookup pins
+	// it, and on a sharded system Compute replaces it with the gather
+	// view's source snapshot. The answer stage builds its per-question
+	// sparql.Session over it (or over view), so everything §2.3
+	// executes reads exactly this state; the answers' labels are
+	// rendered from it and the cache fill is stamped with its
+	// generation, so a concurrent KB write mid-request can neither tear
+	// a reply nor stamp a stale answer with a fresh generation. snap is
+	// cleared before Lookup or Compute returns so held Results never
+	// retain retired snapshots.
+	snap *store.Snapshot
 	// view is the sharded gather view when the System runs over a
-	// shard.Cluster (then snap is nil); cleared with snap.
+	// shard.Cluster; cleared with snap.
 	view *shard.View
-	// cacheKey is the normalized question the cache stage looked up, kept
-	// for the fill.
+	// cacheKey is the normalized question Lookup looked up, kept for the
+	// fill.
 	cacheKey string
 	// winning is the winning query's text and errText Err's, rendered
-	// once where Err is set; a cache entry keeps both.
+	// once where Err is set; labels are the rendered answers. A cache
+	// entry keeps all three.
 	winning, errText string
+	labels           []string
+	// lookup backs Trace from Lookup until Compute replaces it: its one
+	// entry is the answer-cache lookup, so a hit allocates no trace.
+	lookup      pipeline.Trace
+	lookupEntry [1]StageTrace
 }
 
-// setOutcome copies src's terminal outcome: all that a cache entry
-// holds and a hit restores (never Degraded, which is never cached).
-func (r *Result) setOutcome(src *Result) {
-	r.Status, r.Answers, r.Err = src.Status, src.Answers, src.Err
-	r.winning, r.errText = src.winning, src.errText
-	r.ShardsTotal, r.ShardsAnswered = src.ShardsTotal, src.ShardsAnswered
+// outcome is an answer-cache entry: a Result's terminal outcome, all
+// that a hit restores (never Degraded, which is never cached).
+type outcome struct {
+	status                      Status
+	answers                     []rdf.Term
+	labels                      []string
+	err                         error
+	winning, errText            string
+	shardsTotal, shardsAnswered int
 }
 
 // fail records a stage's terminal failure on the Result and on the
@@ -361,12 +376,29 @@ func (r *Result) WinningSPARQL() string { return r.winning }
 func (r *Result) ErrorText() string { return r.errText }
 
 // AnswerStrings renders the answers with labels for IRIs and lexical
-// forms for literals, sorted.
+// forms for literals, sorted. A Result the System returned carries them
+// already, rendered from the snapshot its answers came from (a hit, from
+// the miss's), and ignores k; the slice is shared with the answer
+// cache, so callers must not modify it. A hand-built Result is rendered
+// from k's current snapshot (IRIs as their text when k is nil).
 func (r *Result) AnswerStrings(k *kb.KB) []string {
-	out := make([]string, 0, len(r.Answers))
-	for _, t := range r.Answers {
-		if t.IsIRI() && k != nil {
-			out = append(out, k.LabelOf(t))
+	if r.labels != nil {
+		return r.labels
+	}
+	var sn *store.Snapshot
+	if k != nil {
+		sn = k.Store.Snapshot()
+	}
+	return renderAnswers(sn, r.Answers)
+}
+
+// renderAnswers renders answers against sn: the label of an IRI,
+// the lexical form of a literal (and of an IRI when sn is nil), sorted.
+func renderAnswers(sn *store.Snapshot, answers []rdf.Term) []string {
+	out := make([]string, 0, len(answers))
+	for _, t := range answers {
+		if t.IsIRI() && sn != nil {
+			out = append(out, kb.LabelIn(sn, t))
 		} else {
 			out = append(out, t.Value)
 		}
@@ -399,40 +431,7 @@ func (s *System) CacheEntries() int {
 	return s.cache.Len()
 }
 
-// CacheEligible reports whether the answer cache currently holds a
-// live entry for the question at the store's current generation — i.e.
-// whether AnswerCtx would (absent a concurrent write racing the probe)
-// be served by the cache stage without entering the fan-out. The
-// serving layer's admission control uses it to classify requests:
-// cache-served answers cost microseconds, so they are the last work an
-// overloaded server sheds. The probe never touches the cache's hit or
-// miss statistics or its LRU order. Always false when the cache is
-// disabled.
-func (s *System) CacheEligible(question string) bool {
-	if s.cache == nil {
-		return false
-	}
-	return s.cache.Peek(qacache.Normalize(question), s.KB.Store.Snapshot().Gen())
-}
-
 // --- The pipeline stages ---
-
-// cacheStage serves a request from the answer cache. Mounted only when
-// Config.CacheSize > 0. A hit copies the cached terminal outcome into
-// the request's Result — no intermediate artifacts: the entry has none —
-// and stops the pipeline. Hits share the entry's read-only answer slice.
-type cacheStage struct{ s *System }
-
-func (st cacheStage) Name() string { return StageCache }
-func (st cacheStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
-	res.cacheKey = qacache.Normalize(res.Question)
-	if cached, ok := st.s.cache.Get(res.cacheKey, res.snapGen); ok {
-		res.setOutcome(cached)
-		tr.CacheHit = true
-		return pipeline.ErrStop
-	}
-	return nil
-}
 
 // triplexStage runs §2.1: triple pattern extraction from the
 // dependency graph.
@@ -527,30 +526,79 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 // read naturally here.
 type StageTrace = pipeline.StageTrace
 
-// AnswerCtx runs the staged pipeline on one question under a request
-// context. Cancellation and deadlines are honoured at every stage
-// boundary and, inside the answer stage, between candidate queries and
-// between join steps of each query; a cancelled request returns
-// StatusCanceled with Err set to ctx.Err(). The Result's Trace records
-// each stage that ran.
+// AnswerCtx answers one question under a request context: Lookup,
+// then, unless the answer cache served it, Compute. Cancellation and
+// deadlines are honoured at every stage boundary and, inside the answer
+// stage, between candidate queries and between join steps of each
+// query; a cancelled request returns StatusCanceled with Err set to
+// ctx.Err(). A cache hit never looks at ctx. The Result's Trace records
+// the lookup and each stage that ran.
 func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
-	res := &Result{Question: strings.TrimSpace(question)}
+	res := s.Lookup(question)
+	if !res.CacheHit() {
+		s.Compute(ctx, res)
+	}
+	return res
+}
+
+// Lookup starts a question: it pins the KB snapshot and, when the answer
+// cache is enabled, normalises the question and reads the cache once at
+// the snapshot's generation. On a hit the Result is final — CacheHit
+// reports true, its Trace is the one "cache" entry and it holds no
+// snapshot. Otherwise hand it to Compute, which runs the pipeline; its
+// Trace is then the lookup's miss entry (nil when the cache is
+// disabled). Lookup takes no context: a hit does no work a deadline
+// could bound.
+func (s *System) Lookup(question string) *Result {
+	res := &Result{Question: strings.TrimSpace(question), snap: s.KB.Store.Snapshot()}
+	if s.cache == nil {
+		return res
+	}
+	start := time.Now()
+	res.cacheKey = qacache.Normalize(res.Question)
+	e, hit := s.cache.Get(res.cacheKey, res.snap.Gen())
+	res.lookupEntry[0] = StageTrace{Stage: StageCache, Duration: time.Since(start), CacheHit: hit}
+	res.lookup.Stages = res.lookupEntry[:]
+	res.Trace = &res.lookup
+	if hit {
+		// The entry's answers and labels are shared, read-only.
+		res.Status, res.Answers, res.labels, res.Err = e.status, e.answers, e.labels, e.err
+		res.winning, res.errText = e.winning, e.errText
+		res.ShardsTotal, res.ShardsAnswered = e.shardsTotal, e.shardsAnswered
+		res.snap = nil
+	}
+	return res
+}
+
+// Compute runs the pipeline on a Result Lookup did not serve, under ctx:
+// triplex → propmap → answer over the snapshot Lookup pinned (a sharded
+// system pins its gather view here, under ctx, and executes against the
+// view's source snapshot instead). It renders the answers' labels from
+// that snapshot before dropping it and fills the answer cache with the
+// outcome, stamped with the snapshot's generation. Cancellation,
+// unavailable shards, stage panics and injected faults set
+// StatusCanceled, StatusUnavailable or StatusInternal and are never
+// cached.
+func (s *System) Compute(ctx context.Context, res *Result) {
 	if s.cluster != nil {
 		// Sharded: pin one gather view (source snapshot + every shard
 		// snapshot, consistent under the cluster lock). The view reads
 		// the request context for the partial-answer opt-in and carries
 		// it into every shard call.
 		res.view = s.cluster.NewView(ctx)
-		res.snapGen = res.view.Gen()
-	} else {
-		res.snap = s.KB.Store.Snapshot()
-		res.snapGen = res.snap.Gen()
+		res.snap = res.view.Source()
 	}
-	tr, err := s.pipe.Run(ctx, res)
+	var seed []StageTrace
+	if res.Trace != nil {
+		seed = res.Trace.Stages // the lookup's miss entry
+	}
+	tr, err := s.pipe.Run(ctx, res, seed...)
 	res.Trace = tr
+	res.labels = renderAnswers(res.snap, res.Answers)
+	gen := res.snap.Gen()
 	// The pinned view is only needed while the stages run; drop it so
-	// callers (or cache entries) holding Results do not retain retired
-	// snapshots against a store that keeps writing.
+	// callers holding Results do not retain retired snapshots against a
+	// store that keeps writing.
 	res.snap = nil
 	res.view = nil
 	if err != nil {
@@ -568,18 +616,18 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 			res.Status = StatusInternal
 		}
 		res.Err, res.errText = err, err.Error()
-		return res
+		return
 	}
-	if s.cache != nil && !tr.CacheHit() && !res.Degraded {
+	if s.cache != nil && !res.Degraded {
 		// Cache the terminal outcome (any status: failure outcomes are
 		// deterministic too — but never a degraded partial answer, which
 		// reflects transient shard health, not the question), stamped with
 		// the generation the request executed against. The entry owns an
 		// exact-size copy of res.Answers, a candidate's append-grown slice.
-		cached := new(Result)
-		cached.setOutcome(res)
-		cached.Answers = slices.Clone(res.Answers)
-		s.cache.Put(res.cacheKey, res.snapGen, cached)
+		s.cache.Put(res.cacheKey, gen, &outcome{
+			status: res.Status, answers: slices.Clone(res.Answers), labels: res.labels, err: res.Err,
+			winning: res.winning, errText: res.errText,
+			shardsTotal: res.ShardsTotal, shardsAnswered: res.ShardsAnswered,
+		})
 	}
-	return res
 }

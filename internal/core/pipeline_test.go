@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kb"
@@ -160,6 +161,14 @@ func TestAnswerCacheHit(t *testing.T) {
 	if !first.Answered() || first.CacheHit() {
 		t.Fatalf("first: status=%v hit=%v", first.Status, first.CacheHit())
 	}
+	// The miss's trace starts with the lookup, then the stages.
+	var names []string
+	for _, st := range first.Trace.Stages {
+		names = append(names, st.Stage)
+	}
+	if fmt.Sprint(names) != fmt.Sprint([]string{StageCache, StageTriplex, StagePropmap, StageAnswer}) {
+		t.Errorf("miss trace = %v", names)
+	}
 	second := s.AnswerCtx(context.Background(), q)
 	if !second.CacheHit() {
 		t.Fatal("second identical question missed the cache")
@@ -167,7 +176,7 @@ func TestAnswerCacheHit(t *testing.T) {
 	if !second.Answered() || len(second.Answers) != 1 || second.Answers[0] != first.Answers[0] {
 		t.Fatalf("cached answers = %v, want %v", second.Answers, first.Answers)
 	}
-	// The hit's trace is just the cache stage.
+	// The hit's trace is just the lookup.
 	if len(second.Trace.Stages) != 1 || second.Trace.Stages[0].Stage != StageCache {
 		t.Errorf("hit trace = %+v", second.Trace.Stages)
 	}
@@ -260,5 +269,53 @@ func TestAnswerCacheObservesInsertGenerationBump(t *testing.T) {
 	}
 	if !after.Answered() || len(after.Answers) != 1 || after.Answers[0].Value != "2030-01-01" {
 		t.Fatalf("after insert: %v %v, want [2030-01-01]", after.Status, after.Answers)
+	}
+}
+
+// TestAnswerLabelsComeFromExecutedSnapshot: a Result renders its answers'
+// labels from the snapshot its answers came from, not from the live
+// store. A relabel after the answer leaves the returned Results — the
+// miss and the hit — on the executed generation's label; the next ask
+// misses and renders the new one.
+func TestAnswerLabelsComeFromExecutedSnapshot(t *testing.T) {
+	s := cachedSystem(t)
+	ctx := context.Background()
+	const q = "Where did Abraham Lincoln die?"
+	miss := s.AnswerCtx(ctx, q)
+	hit := s.AnswerCtx(ctx, q)
+	if !miss.Answered() || miss.CacheHit() || !hit.CacheHit() {
+		t.Fatalf("warm-up: %v, hit %v then %v", miss.Status, miss.CacheHit(), hit.CacheHit())
+	}
+	place := miss.Answers[0]
+	labels := s.KB.Store.Snapshot().Objects(place, rdf.Label())
+	if len(labels) == 0 {
+		t.Fatalf("%v has no rdfs:label", place)
+	}
+	old := labels[0]
+	before := miss.AnswerStrings(s.KB)
+	if len(before) != 1 || before[0] != old.Value {
+		t.Fatalf("rendered %v, want [%s]", before, old.Value)
+	}
+
+	relabel := rdf.NewLangLiteral("Relabelled City", "en")
+	s.KB.Store.ApplyBatch([]store.BatchOp{
+		{Delete: true, Triples: []rdf.Triple{{S: place, P: rdf.Label(), O: old}}},
+		{Triples: []rdf.Triple{{S: place, P: rdf.Label(), O: relabel}}},
+	})
+	if got := s.KB.LabelOf(place); got != relabel.Value {
+		t.Fatalf("live label %q after the relabel", got)
+	}
+	for name, res := range map[string]*Result{"miss": miss, "hit": hit} {
+		if got := res.AnswerStrings(s.KB); len(got) != 1 || got[0] != old.Value {
+			t.Errorf("%s after the relabel renders %v, want the executed generation's [%s]", name, got, old.Value)
+		}
+	}
+
+	after := s.AnswerCtx(ctx, q)
+	if after.CacheHit() {
+		t.Fatal("the relabel did not void the cached answer")
+	}
+	if got := after.AnswerStrings(s.KB); len(got) != 1 || got[0] != relabel.Value {
+		t.Errorf("next ask renders %v, want [%s]", got, relabel.Value)
 	}
 }

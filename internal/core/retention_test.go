@@ -12,9 +12,10 @@ import (
 // keeps alive: the heap a full 1024-entry cache retains after one pass
 // of the entity-template questions (1606 of them, so every entry is
 // live and a third were evicted on the way). An entry is the terminal
-// outcome, about 0.6 KB — 0.6 MB in all; while entries pinned the whole
-// derivation it was 6.9 MB. The plan cache's growth over the pass is in
-// the figure too; the ceiling leaves it room.
+// outcome with its rendered labels, about 0.45 KB — 0.45 MB in all (as
+// a whole Result without labels it was 0.54 MB; while entries pinned
+// the whole derivation, 6.9 MB). The plan cache's growth over the pass
+// is in the figure too; the ceiling leaves it room.
 func TestCacheRetention(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap figures are measured without the race detector")

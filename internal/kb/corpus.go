@@ -234,8 +234,8 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 // renderSentence substitutes labels into the template and records the
 // mention offsets.
 func renderSentence(sn *store.Snapshot, tmpl string, subj, obj rdf.Term) (Sentence, bool) {
-	sLabel := labelIn(sn, subj)
-	oLabel := labelIn(sn, obj)
+	sLabel := LabelIn(sn, subj)
+	oLabel := LabelIn(sn, obj)
 	si := strings.Index(tmpl, "{S}")
 	oi := strings.Index(tmpl, "{O}")
 	if si < 0 || oi < 0 {

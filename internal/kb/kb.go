@@ -169,10 +169,10 @@ func (kb *KB) Properties() []Property {
 
 // LabelOf returns the first rdfs:label of a term (its local name as a
 // fallback, with underscores replaced), read from the current snapshot.
-func (kb *KB) LabelOf(t rdf.Term) string { return labelIn(kb.Store.Snapshot(), t) }
+func (kb *KB) LabelOf(t rdf.Term) string { return LabelIn(kb.Store.Snapshot(), t) }
 
-// labelIn is LabelOf on a pinned snapshot.
-func labelIn(sn *store.Snapshot, t rdf.Term) string {
+// LabelIn is LabelOf on a pinned snapshot.
+func LabelIn(sn *store.Snapshot, t rdf.Term) string {
 	for _, o := range sn.Objects(t, rdf.Label()) {
 		return o.Value
 	}

@@ -12,13 +12,13 @@
 //
 //   - return nil to hand the state to the next stage;
 //   - return ErrStop when the pipeline is complete early (a terminal
-//     failure status, a cache hit) — Run stops without error;
+//     failure status) — Run stops without error;
 //   - return a context error (ctx.Err(), possibly wrapped) when
 //     cancellation interrupted the stage — Run surfaces it.
 //
-// Stages record stage-specific observations (candidate counts, cache
-// hits) on the *StageTrace they are handed; timing and error capture
-// are the framework's job.
+// Stages record stage-specific observations (candidate counts, plan
+// cache outcomes) on the *StageTrace they are handed; timing and error
+// capture are the framework's job.
 //
 // # Resilience
 //
@@ -30,7 +30,9 @@
 // stage boundary is also a named chaos fault point ("stage.<name>",
 // evaluated against the injector carried by the request context via
 // internal/chaos), so the soak harness can inject latency, errors and
-// panics exactly where real stages fail.
+// panics exactly where real stages fail. Only stages have fault points:
+// work a caller records in the seed of Run's trace (internal/core's
+// answer-cache lookup) runs outside the pipeline and has none.
 package pipeline
 
 import (
@@ -80,7 +82,8 @@ type StageTrace struct {
 	// patterns, property candidates, candidate queries) — 0 when the
 	// stage has no candidate notion.
 	Candidates int
-	// CacheHit marks a cache stage that served the request.
+	// CacheHit marks the answer-cache lookup entry that served the
+	// request (internal/core records it; no stage sets it).
 	CacheHit bool
 	// PlanCacheHits / PlanCacheMisses count the answer stage's
 	// plan-shape cache outcomes for this request's candidate fan-out,
@@ -108,7 +111,7 @@ type Trace struct {
 	Stages []StageTrace
 }
 
-// CacheHit reports whether any stage served the request from cache.
+// CacheHit reports whether any entry served the request from cache.
 func (t *Trace) CacheHit() bool {
 	for i := range t.Stages {
 		if t.Stages[i].CacheHit {
@@ -156,15 +159,17 @@ func New[S any](stages ...Stage[S]) *Pipeline[S] {
 }
 
 // Run drives the stages over state, checking ctx at every stage
-// boundary. It always returns the Trace of the stages that ran; the
-// error is non-nil for cancellation (ctx's error, observed at a
+// boundary. It always returns the Trace of the stages that ran, after
+// copies of the seed entries (work the caller timed before the
+// pipeline: internal/core seeds its answer-cache lookup). The error is
+// non-nil for cancellation (ctx's error, observed at a
 // boundary or surfaced by a stage), for a recovered stage panic
 // (*PanicError) and for a chaos fault injected at a stage boundary. A
 // stage returning ErrStop ends the pipeline successfully; any other
 // stage error is returned as-is — callers classify it (context errors
 // mean cancellation, everything else an internal failure).
-func (p *Pipeline[S]) Run(ctx context.Context, state S) (*Trace, error) {
-	tr := &Trace{Stages: make([]StageTrace, 0, len(p.stages))}
+func (p *Pipeline[S]) Run(ctx context.Context, state S, seed ...StageTrace) (*Trace, error) {
+	tr := &Trace{Stages: append(make([]StageTrace, 0, len(seed)+len(p.stages)), seed...)}
 	for i, st := range p.stages {
 		if err := ctx.Err(); err != nil {
 			return tr, err

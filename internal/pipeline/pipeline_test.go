@@ -137,6 +137,34 @@ func TestRunAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// TestRunSeedsTrace: the seed entries open the trace, copied, before
+// the stages — also when the context is cancelled before the first one.
+func TestRunSeedsTrace(t *testing.T) {
+	seed := []StageTrace{{Stage: "lookup", Duration: time.Microsecond}}
+	var got []string
+	tr, err := New[*[]string](appendStage("a"), appendStage("b")).Run(context.Background(), &got, seed...)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(tr.Stages) != 3 || tr.Stages[0] != seed[0] || tr.Stages[1].Stage != "a" || tr.Stages[2].Stage != "b" {
+		t.Fatalf("trace = %+v", tr.Stages)
+	}
+	if tr.Total() < time.Microsecond {
+		t.Errorf("Total %v leaves out the seed", tr.Total())
+	}
+	tr.Stages[0].Stage = "changed"
+	if seed[0].Stage != "lookup" {
+		t.Error("Run's trace aliases the caller's seed")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tr, err = New[*[]string](appendStage("a")).Run(ctx, &got, seed...)
+	if !errors.Is(err, context.Canceled) || len(tr.Stages) != 1 || tr.Stages[0] != seed[0] {
+		t.Fatalf("cancelled: err %v, trace %+v", err, tr.Stages)
+	}
+}
+
 func TestRunRecoversStagePanic(t *testing.T) {
 	var got []string
 	stages := []Stage[*[]string]{

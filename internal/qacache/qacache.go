@@ -1,6 +1,6 @@
-// Package qacache provides the bounded, sharded LRU the staged
-// pipeline mounts as its answer cache (its first stage) and that
-// internal/sparql's PlanCache wraps for compiled plan shapes.
+// Package qacache provides the bounded, sharded LRU that internal/core
+// consults as its answer cache, in front of the staged pipeline, and
+// that internal/sparql's PlanCache wraps for compiled plan shapes.
 //
 // Entries are keyed on normalized question text and stamped with the KB
 // snapshot generation they were computed against: a lookup whose
@@ -24,6 +24,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 )
 
 // nShards is the shard count; a power of two so hashing can mask.
@@ -115,25 +117,6 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 	return e.val, true
 }
 
-// Peek reports whether a live entry — stored at exactly generation gen
-// — exists for key, without counting a hit or a miss,
-// without bumping the LRU order and without evicting anything. The
-// serving layer's admission control probes the cache with it to
-// classify requests; a probe must not distort the statistics or
-// retention of the cache it is only observing, and a false positive
-// (the entry is evicted between probe and lookup) merely admits one
-// request at the wrong priority.
-func (c *Cache[V]) Peek(key string, gen uint64) bool {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.m[key]
-	if !ok {
-		return false
-	}
-	return el.Value.(*entry[V]).gen == gen
-}
-
 // Put stores the value for key at generation gen, evicting the shard's
 // least recently used entry when over capacity.
 func (c *Cache[V]) Put(key string, gen uint64, v V) {
@@ -179,17 +162,61 @@ func (c *Cache[V]) Stats() (hits, misses, evictions uint64) {
 // Normalize canonicalises question text for cache keying. It is
 // deliberately conservative — only transformations that cannot change
 // the pipeline's output are applied: surrounding whitespace is trimmed,
-// internal whitespace runs collapse to single spaces, and one trailing
-// '?', '.' or '!' is dropped (the tokenizer discards it anyway). Case
-// is preserved: entity linking is case-sensitive, so folding could
-// alias questions with different answers.
+// internal whitespace runs (unicode.IsSpace) collapse to single spaces,
+// and one trailing '?', '.' or '!' is dropped (the tokenizer discards
+// it anyway). Case is preserved: entity linking is case-sensitive, so
+// folding could alias questions with different answers. Bytes that are
+// not UTF-8 are kept as they are. Unless a whitespace run must
+// collapse, it returns a substring of q and allocates nothing.
 func Normalize(q string) string {
-	q = strings.Join(strings.Fields(q), " ")
-	if len(q) > 0 {
-		switch q[len(q)-1] {
+	q = strings.TrimFunc(q, unicode.IsSpace)
+	prevSpace := false
+	for i := 0; i < len(q); {
+		r, size := rune(q[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(q[i:])
+		}
+		if unicode.IsSpace(r) {
+			if r != ' ' || prevSpace {
+				q = collapse(q)
+				break
+			}
+			prevSpace = true
+		} else {
+			prevSpace = false
+		}
+		i += size
+	}
+	if n := len(q); n > 0 {
+		switch q[n-1] {
 		case '?', '.', '!':
-			q = strings.TrimRight(q[:len(q)-1], " ")
+			q = strings.TrimRight(q[:n-1], " ")
 		}
 	}
 	return q
+}
+
+// collapse rewrites q's whitespace runs as single spaces, dropping those
+// at either end.
+func collapse(q string) string {
+	var b strings.Builder
+	b.Grow(len(q))
+	space := false // a run is pending between two words
+	for i := 0; i < len(q); {
+		r, size := rune(q[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(q[i:])
+		}
+		if unicode.IsSpace(r) {
+			space = b.Len() > 0
+		} else {
+			if space {
+				b.WriteByte(' ')
+				space = false
+			}
+			b.WriteString(q[i : i+size])
+		}
+		i += size
+	}
+	return b.String()
 }

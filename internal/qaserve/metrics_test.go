@@ -6,7 +6,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/core"
 )
@@ -54,5 +56,50 @@ func TestMetricsDocumented(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^` + name + ` [0-9.]+$`).MatchString(text) {
 			t.Errorf("%s carries no plain decimal value", name)
 		}
+	}
+}
+
+// TestCacheCountersEqualCacheStats: the exported hit and miss counters
+// count lookups — misses, hits, batch members, a request that times out
+// after its lookup and one rejected at admission after it — so they
+// equal the System's own statistics.
+func TestCacheCountersEqualCacheStats(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CacheSize = 64
+	sys := core.New(cfg)
+	srv := New(Config{Sys: sys, MaxInFlight: 1, RequestTimeout: time.Second})
+	h := srv.Handler()
+	post := func(path, body string, header ...string) int {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		for i := 0; i+1 < len(header); i += 2 {
+			req.Header.Set(header[i], header[i+1])
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w.Code
+	}
+	for _, q := range []string{"How tall is Michael Jordan?", "How tall is Michael Jordan?", "gibberish blob"} {
+		if code := post("/v1/answer", `{"question":"`+q+`"}`); code != 200 {
+			t.Fatalf("%q: status %d", q, code)
+		}
+	}
+	if code := post("/v1/answer/batch", `{"questions":["gibberish blob","Where did Abraham Lincoln die?"]}`); code != 200 {
+		t.Fatalf("batch: status %d", code)
+	}
+	if code := post("/v1/answer", `{"question":"Who wrote Snow?"}`, BudgetHeader, "1ns"); code != 504 {
+		t.Fatalf("timed-out miss: status %d, want 504", code)
+	}
+	srv.trySlot(admission.Normal) // the one slot: the next request is rejected
+	if code := post("/v1/answer", `{"question":"How tall is Michael Jordan?"}`); code != 503 {
+		t.Fatalf("rejected hit: status %d, want 503", code)
+	}
+	srv.freeSlot(-1)
+
+	hits, misses, _ := sys.CacheStats()
+	if hits != 3 || misses != 4 {
+		t.Errorf("CacheStats = %d hits / %d misses, want 3 / 4", hits, misses)
+	}
+	if h, m := srv.m.cacheHits.Load(), srv.m.cacheMisses.Load(); h != hits || m != misses {
+		t.Errorf("exported %d hits / %d misses, CacheStats %d / %d", h, m, hits, misses)
 	}
 }

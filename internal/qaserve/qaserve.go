@@ -21,11 +21,19 @@
 //	                       per-stage latency histograms built from each
 //	                       request's Trace, the Go runtime's heap and GC
 //
-// Every request runs under a context derived from the HTTP request's:
-// the configured per-request timeout — lowered by the client's
-// X-Request-Budget header when one is sent — is attached, so a
-// deadline expiring mid-pipeline cancels candidate queries between
-// join steps and the request answers 504 with status "canceled".
+// A request body is one JSON object of at most 1 MiB; anything after
+// the object but whitespace answers 400. Each question is first looked
+// up in the answer cache (core.System.Lookup). A hit is written as it
+// is: it runs no pipeline, so no timeout applies — it is served
+// whatever budget is left, unless that budget is already spent (shed,
+// below). A miss runs the pipeline (core.System.Compute) under a
+// context derived from the HTTP request's with the configured
+// per-request timeout — lowered by the client's X-Request-Budget header
+// when one is sent — attached, so a deadline expiring mid-pipeline
+// cancels candidate queries between join steps and the request answers
+// 504 with status "canceled". The /metrics answer-cache hit and miss
+// counters count lookups, so they equal System.CacheStats: a request
+// shed by admission after its lookup, or timed out after it, counts.
 //
 // # Overload and failure behavior
 //
@@ -71,7 +79,8 @@ type Config struct {
 	// Sys is the pipeline to serve (required).
 	Sys *core.System
 	// RequestTimeout bounds each request's pipeline run (0 = no
-	// timeout). Batch requests get one timeout per contained question.
+	// timeout); a cache hit runs none, so it is never timed out. Batch
+	// requests get one timeout per contained question.
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently served requests; excess requests
 	// are rejected with 503 (0 = unlimited). With AdaptiveAdmission it
@@ -246,8 +255,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the Content-Type header value of every JSON reply,
+// shared: net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
@@ -255,10 +268,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // acquire reserves an in-flight slot at the given priority, answering
 // 503 + Retry-After when admission fails. The static semaphore ignores
 // the priority; the adaptive limiter sheds batch work first and
-// cache-served requests last, and is fed the request's latency on
-// release. The returned release func is nil when the request was
-// rejected.
-func (s *Server) acquire(w http.ResponseWriter, p admission.Priority) func() {
+// cache-served requests last. ok reports admission; an admitted request
+// hands start to release when it is done.
+func (s *Server) acquire(w http.ResponseWriter, p admission.Priority) (start time.Time, ok bool) {
 	if !s.trySlot(p) {
 		s.m.requestsRejected.Add(1)
 		retry := 1
@@ -267,20 +279,24 @@ func (s *Server) acquire(w http.ResponseWriter, p admission.Priority) func() {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
-		return nil
+		return time.Time{}, false
 	}
 	s.m.inflight.Add(1)
+	if s.limiter != nil {
+		start = time.Now() // only the adaptive limiter is fed latency
+	}
+	return start, true
+}
+
+// release returns the slot an admitted request took at start, feeding
+// the adaptive limiter the request's latency.
+func (s *Server) release(start time.Time) {
+	s.m.inflight.Add(-1)
 	if s.limiter == nil {
-		return func() {
-			s.m.inflight.Add(-1)
-			s.freeSlot(-1)
-		}
+		s.freeSlot(-1)
+		return
 	}
-	start := time.Now()
-	return func() {
-		s.m.inflight.Add(-1)
-		s.freeSlot(time.Since(start))
-	}
+	s.freeSlot(time.Since(start))
 }
 
 // trySlot takes an in-flight slot at priority p without blocking and
@@ -314,33 +330,52 @@ func (s *Server) freeSlot(latency time.Duration) {
 	}
 }
 
-// answer runs one question through the pipeline under the request's
-// context plus the given timeout (the configured one, possibly lowered
-// by the client's budget header) and records its trace metrics. The
-// chaos injector, when configured, rides the context so stage-boundary
-// fault points can fire; partial opts the request into degraded
-// answers on a sharded system (shard.WithPartialOK).
-func (s *Server) answer(r *http.Request, question string, timeout time.Duration, partial bool) *core.Result {
-	ctx := chaos.With(r.Context(), s.chaos)
-	if partial {
-		ctx = shard.WithPartialOK(ctx)
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	res := s.sys.AnswerCtx(ctx, question)
-	s.observe(res)
-	// Count partial answers actually served: a fail-fast 503 and a
-	// timed-out request also carry an honest degraded stamp, but the
-	// client got no answer from it.
-	if res.Degraded && res.Status != core.StatusUnavailable && res.Status != core.StatusCanceled {
-		s.m.partialAnswers.Add(1)
+// lookup starts a question with the answer-cache lookup and counts it:
+// every lookup, served or not, so the exported hit and miss counters
+// equal System.CacheStats. A System without a cache looks nothing up
+// (its Result has no Trace yet) and counts nothing — a miss there would
+// fabricate a 0% hit rate for a cache that does not exist.
+func (s *Server) lookup(question string) *core.Result {
+	res := s.sys.Lookup(question)
+	switch {
+	case res.CacheHit():
+		s.m.cacheHits.Add(1)
+	case res.Trace != nil:
+		s.m.cacheMisses.Add(1)
 	}
 	return res
 }
 
+// answer finishes a looked-up question: on a miss it runs the pipeline
+// under the request's context plus the given timeout (the configured
+// one, possibly lowered by the client's budget header); hit or miss, it
+// records the trace metrics. The chaos injector, when
+// configured, rides the context so stage-boundary fault points can
+// fire; partial opts the request into degraded answers on a sharded
+// system (shard.WithPartialOK).
+func (s *Server) answer(r *http.Request, res *core.Result, timeout time.Duration, partial bool) {
+	if !res.CacheHit() {
+		ctx := chaos.With(r.Context(), s.chaos)
+		if partial {
+			ctx = shard.WithPartialOK(ctx)
+		}
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		s.sys.Compute(ctx, res)
+		// Count partial answers actually served: a fail-fast 503 and a
+		// timed-out request also carry an honest degraded stamp, but the
+		// client got no answer from it.
+		if res.Degraded && res.Status != core.StatusUnavailable && res.Status != core.StatusCanceled {
+			s.m.partialAnswers.Add(1)
+		}
+	}
+	s.observe(res)
+}
+
+// observe records a served Result's trace on the latency histograms.
 func (s *Server) observe(res *core.Result) {
 	if res.Trace == nil {
 		return
@@ -349,29 +384,11 @@ func (s *Server) observe(res *core.Result) {
 		s.m.stages[st.Stage].observe(st.Duration)
 	}
 	s.m.total.observe(res.Trace.Total())
-	// Cache counters only when a cache stage actually ran (a System
-	// built with CacheSize 0 has none — counting misses there would
-	// fabricate a 0% hit rate for a cache that does not exist). A
-	// lookup that ran counts even if the request later timed out, so
-	// the exported ratio matches System.CacheStats.
-	if st := res.Trace.Stage(core.StageCache); st != nil {
-		if st.CacheHit {
-			s.m.cacheHits.Add(1)
-		} else {
-			s.m.cacheMisses.Add(1)
-		}
-	}
 }
 
-// maxBodyBytes bounds request bodies: questions are short, so 1 MiB is
-// generous, and the limit keeps oversized bodies from being buffered
-// before the in-flight limiter is ever consulted.
-const maxBodyBytes = 1 << 20
-
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Question) == "" {
+	if err := decodeBody(r.Body, &req); err != nil || strings.TrimSpace(req.Question) == "" {
 		s.m.requestsBad.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be {\"question\": \"...\"}"})
 		return
@@ -381,19 +398,21 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.shedExpired(w)
 		return
 	}
-	// Priority classification costs a cache probe, so only the adaptive
-	// limiter (which acts on it) pays for it.
+	// The lookup comes first: a hit is admitted at the Cached priority
+	// (the adaptive limiter sheds it last; it costs microseconds) and
+	// written with no timer, since it runs nothing a deadline could cut.
+	res := s.lookup(req.Question)
 	p := admission.Normal
-	if s.limiter != nil && s.sys.CacheEligible(req.Question) {
+	if res.CacheHit() {
 		p = admission.Cached
 	}
-	release := s.acquire(w, p)
-	if release == nil {
+	start, ok := s.acquire(w, p)
+	if !ok {
 		return
 	}
-	defer release()
+	defer s.release(start)
 
-	res := s.answer(r, req.Question, budget, req.AllowPartial)
+	s.answer(r, res, budget, req.AllowPartial)
 	switch res.Status {
 	case core.StatusCanceled:
 		if r.Context().Err() != nil {
@@ -418,9 +437,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Questions) == 0 {
+	if err := decodeBody(r.Body, &req); err != nil || len(req.Questions) == 0 {
 		s.m.requestsBad.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be {\"questions\": [\"...\", ...]}"})
 		return
@@ -436,11 +454,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.shedExpired(w)
 		return
 	}
-	release := s.acquire(w, admission.Batch)
-	if release == nil {
+	start, ok := s.acquire(w, admission.Batch)
+	if !ok {
 		return
 	}
-	defer release()
+	defer s.release(start)
 
 	// The batch holds one in-flight slot; every worker beyond the first
 	// charges another, taken non-blockingly, so MaxInFlight keeps
@@ -458,8 +476,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Each question runs the full pipeline under its own timeout
-	// (s.answer), the pipeline is safe for concurrent callers, and
+	// Each question the cache misses runs the full pipeline under its own
+	// timeout (s.answer), the pipeline is safe for concurrent callers, and
 	// results land at their request index, so the response keeps the
 	// request order at every worker count. One worker always runs on the
 	// handler's goroutine.
@@ -474,7 +492,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if i >= len(req.Questions) || r.Context().Err() != nil {
 				return
 			}
-			results[i] = s.answer(r, req.Questions[i], budget, req.AllowPartial)
+			results[i] = s.lookup(req.Questions[i])
+			s.answer(r, results[i], budget, req.AllowPartial)
 		}
 	}
 	for range extra {

@@ -101,8 +101,23 @@ func TestAnswerEndpoint(t *testing.T) {
 		t.Fatalf("bad body status = %d", resp.StatusCode)
 	}
 
-	// Oversized bodies are cut off by MaxBytesReader before the
-	// pipeline (or the in-flight limiter) sees them.
+	// So are bytes after the object, /v1/answer/batch alike.
+	for path, body := range map[string]string{
+		"/v1/answer":       `{"question":"How tall is Michael Jordan?"} trailing`,
+		"/v1/answer/batch": `{"questions":["How tall is Michael Jordan?"]}{}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with trailing bytes: status = %d, want 400", path, resp.StatusCode)
+		}
+	}
+
+	// Oversized bodies are cut off at the limit before the pipeline (or
+	// the in-flight limiter) sees them.
 	huge, err := ts.Client().Post(ts.URL+"/v1/answer", "application/json",
 		bytes.NewReader(append([]byte(`{"question":"`), make([]byte, 2<<20)...)))
 	if err != nil {
@@ -316,8 +331,11 @@ func TestInFlightLimitSheds(t *testing.T) {
 
 // TestRequestTimeoutAnswers504: a tiny per-request timeout turns into a
 // 504 with status "canceled", and the server keeps serving afterwards.
+// TestRequestTimeoutAnswers504: a pipeline run that outlives the
+// request timeout answers 504. The system has no answer cache of its
+// own, so the question runs the pipeline whatever other tests asked.
 func TestRequestTimeoutAnswers504(t *testing.T) {
-	srv := New(Config{Sys: testSystem(t), RequestTimeout: time.Nanosecond})
+	srv := New(Config{Sys: core.New(core.DefaultConfig()), RequestTimeout: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -332,6 +350,38 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 	}
 	if ar.Status != "canceled" || ar.Error == "" {
 		t.Fatalf("timeout response = %+v", ar)
+	}
+}
+
+// TestCacheHitIgnoresRequestTimeout: the timeout bounds the pipeline
+// run, and a cache hit runs none — with a 1 ns timeout a cached question
+// still answers 200 from the cache.
+func TestCacheHitIgnoresRequestTimeout(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CacheSize = 16
+	sys := core.New(cfg)
+	const q = "Which book is written by Orhan Pamuk?"
+	if res := sys.AnswerCtx(context.Background(), q); !res.Answered() {
+		t.Fatalf("warm-up: %v / %v", res.Status, res.Err)
+	}
+	ts := httptest.NewServer(New(Config{Sys: sys, RequestTimeout: time.Nanosecond}).Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer", AnswerRequest{Question: q})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200", resp.StatusCode, body)
+	}
+	var ar AnswerResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if !ar.CacheHit || !ar.Answered {
+		t.Fatalf("response = %+v, want an answered cache hit", ar)
+	}
+	// A question the cache does not hold still times out.
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/answer", AnswerRequest{Question: "How tall is Michael Jordan?"})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("uncached: status = %d (%s), want 504", resp.StatusCode, body)
 	}
 }
 

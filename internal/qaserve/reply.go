@@ -31,7 +31,7 @@ func (s *Server) writeResults(w http.ResponseWriter, code int, head, tail string
 		b = append(s.appendResult(b, res), ',')
 	}
 	*bp = append(b[:len(b)-1], tail...) // tail takes the last comma's place
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(*bp)
 	replyBufs.Put(bp)

@@ -15,8 +15,9 @@ import (
 
 // BudgetHeader carries the client's remaining deadline budget as a Go
 // duration ("250ms", "2s"). The effective pipeline timeout becomes
-// min(budget, RequestTimeout); a budget that is already spent is shed
-// at admission with 503 + Retry-After before any pipeline work runs.
+// min(budget, RequestTimeout) — a cache hit runs no pipeline and is
+// served whatever is left; a budget that is already spent is shed
+// at admission with 503 + Retry-After before any work runs.
 // Malformed values are ignored rather than rejected — a broken proxy
 // header should not take the endpoint down.
 const BudgetHeader = "X-Request-Budget"

@@ -86,11 +86,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	release := s.acquire(w, admission.Normal)
-	if release == nil {
+	start, ok := s.acquire(w, admission.Normal)
+	if !ok {
 		return
 	}
-	defer release()
+	defer s.release(start)
 
 	ctx := r.Context()
 	timeout := s.updateTimeout

@@ -86,8 +86,9 @@ func (v *View) Err() error {
 
 // --- coordinator-local reads (planning is single-store identical) ---
 
-// Gen returns the pinned generation.
-func (v *View) Gen() uint64 { return v.src.Gen() }
+// Source returns the pinned source snapshot: the generation, dictionary
+// and statistics the view plans against. Reading it makes no shard call.
+func (v *View) Source() *store.Snapshot { return v.src }
 
 // Lookup resolves a term against the coordinator dictionary.
 func (v *View) Lookup(t rdf.Term) (store.ID, bool) { return v.src.Lookup(t) }

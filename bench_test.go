@@ -669,25 +669,6 @@ func BenchmarkExtractSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkQALDEvalWorkers4 runs the Table 2 evaluation with
-// question-level parallelism (the cmd/qald-eval -workers path).
-func BenchmarkQALDEvalWorkers4(b *testing.B) {
-	s := sharedSystem(b)
-	qs := qald.Questions()
-	var rep *qald.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = qald.EvaluateWorkersCtx(context.Background(), s, qs, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.Precision, "precision")
-	b.ReportMetric(rep.Recall, "recall")
-	b.ReportMetric(rep.F1, "F1")
-}
-
 // --- PR 3 tentpole benchmarks: wait-free reads under write load ---
 //
 // The pair below is the perf contract of the snapshot read model: the
@@ -963,8 +944,7 @@ func BenchmarkRankSort(b *testing.B) {
 // request pays once -adaptive-admission is on.
 func BenchmarkAdmissionAcquireRelease(b *testing.B) {
 	lim := admission.New(admission.Options{
-		Initial: 64, Target: 500 * time.Millisecond,
-		Window: time.Second, Now: time.Now, Adaptive: true,
+		Initial: 64, Target: 500 * time.Millisecond, Now: time.Now,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

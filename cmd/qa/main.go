@@ -123,7 +123,7 @@ func answerOne(sys *core.System, q string, explain bool, top int, timeout time.D
 	res := sys.AnswerCtx(ctx, q)
 	fmt.Printf("Q: %s\n", q)
 	if explain {
-		if res.CacheHit() {
+		if res.CacheHit {
 			fmt.Println("-- served from the answer cache, which keeps the answer and not its derivation: no graph, triples, mapping or candidate queries to show --")
 		}
 		printTrace(sys, res, top)

@@ -9,11 +9,7 @@
 //	qald-eval -table1          # print Table 1
 //	qald-eval -ablations       # run the ablation configurations
 //	qald-eval -by-category     # per-category breakdown
-//	qald-eval -workers 8       # answer questions concurrently
 //	qald-eval -timeout 30s     # deadline for the whole evaluation
-//
-// -workers batches questions across goroutines and leaves every
-// reported number unchanged.
 package main
 
 import (
@@ -33,7 +29,6 @@ func main() {
 	perQuestion := flag.Bool("per-question", true, "print the per-question report")
 	xmlOut := flag.String("xml", "", "write the run in QALD challenge XML format to this file")
 	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation extensions")
-	workers := flag.Int("workers", 1, "question-level parallelism: answer up to N questions concurrently")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole evaluation; cancellation reaches every stage boundary (0 = none)")
 	flag.Parse()
 
@@ -55,7 +50,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	rep, err := qald.EvaluateWorkersCtx(ctx, sys, qald.Questions(), *workers)
+	rep, err := qald.EvaluateCtx(ctx, sys, qald.Questions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qald-eval:", err)
 		os.Exit(1)

@@ -56,23 +56,24 @@
 // order and the first winner ends the run (internal/answer's package
 // doc); context-aware execution (sparql.ExecuteCtx) stops a query
 // between join steps when the request's deadline passes. Parallelism
-// lives one level up: the evaluation harness and the serving layer run
-// whole questions across goroutines (qald.EvaluateWorkersCtx,
-// cmd/qald-eval -workers) — the pipeline is read-only after
-// construction and the store supports parallel readers.
+// lives one level up: the serving layer runs whole questions across
+// goroutines (HTTP connections and batch workers) — the pipeline is
+// read-only after construction and the store supports parallel
+// readers. The evaluation harness answers its 55 questions one at a
+// time.
 //
-// The top layer is an explicit staged pipeline with a serving surface.
-// internal/core composes the paper's three sections as request-scoped
-// stages over a shared Result (internal/pipeline): every stage takes a
-// context.Context — cancellation and deadlines are enforced at each
-// stage boundary, and inside §2.3 between candidate queries and
-// between join steps — and records per-stage wall time, candidate
-// counts and cache hit/miss in the Result's Trace. core.AnswerCtx is
-// the entry point. When enabled, a bounded sharded LRU over normalized
-// question text (internal/qacache) answers in front of the pipeline —
-// a hit is one lookup and runs no stage; entries are stamped with the
-// KB snapshot generation, so any store write — including a
-// single-triple delete — invalidates every cached answer.
+// The top layer is the pipeline with a serving surface. internal/core
+// runs the paper's three sections as three stages, in order, over a
+// shared Result: core.System.Compute checks the request's
+// context.Context before each stage — inside §2.3 deadlines are also
+// enforced between candidate queries and between join steps — and
+// times each stage, with its candidate counts and cache hit/miss, into
+// the Result's Trace. core.AnswerCtx is the entry point. When enabled,
+// a bounded sharded LRU over normalized question text
+// (internal/qacache) answers in front of the pipeline — a hit is one
+// lookup and runs no stage; entries are stamped with the KB snapshot
+// generation, so any store write — including a single-triple delete —
+// invalidates every cached answer.
 // cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer and
 // /v1/answer/batch — batch questions fan out across a bounded worker
 // pool, with every worker beyond the first charging an extra

@@ -13,10 +13,10 @@
 // latency, an exponentially-weighted moving average smooths the
 // signal, and the limit grows additively (+1/limit per sample, the
 // classic one-per-window rule) while latency sits below the target and
-// shrinks multiplicatively (×0.75, at most once per configured window)
-// when the average crosses it. The limit is clamped to [Min, Max]; the
-// fixed-cap mode (Adaptive false) degenerates to the old semaphore
-// exactly.
+// shrinks multiplicatively (×0.75, at most once per second) when the
+// average crosses it. The limit is clamped to [Min, Max]. A release
+// that reports no latency (a negative one) returns the slot and leaves
+// the limit alone.
 //
 // # Priority shedding
 //
@@ -36,11 +36,11 @@
 //
 // # Clock
 //
-// The decrease cooldown reads an injected clock (Options.Now),
-// following the project's clockinject invariant: the package never
-// calls time.Now itself, so tests drive the window deterministically.
-// With no clock configured the cooldown is disabled and the EWMA alone
-// damps repeated decreases.
+// The one-second decrease cooldown reads an injected clock
+// (Options.Now), following the project's clockinject invariant: the
+// package never calls time.Now itself, so tests drive the cooldown
+// deterministically. With no clock configured the cooldown is disabled
+// and the EWMA alone damps repeated decreases.
 package admission
 
 import (
@@ -77,22 +77,16 @@ func (p Priority) String() string {
 
 // Options configures a Limiter.
 type Options struct {
-	// Initial is the starting concurrency limit (and the fixed cap when
-	// Adaptive is false). Defaults to 64.
+	// Initial is the starting concurrency limit. Defaults to 64.
 	Initial int
 	// Min and Max clamp the adaptive limit. Defaults: 1 and 4×Initial.
 	Min, Max int
 	// Target is the latency the limiter steers the EWMA toward.
 	// Defaults to 500ms.
 	Target time.Duration
-	// Window is the minimum interval between multiplicative decreases
-	// (requires Now). 0 disables the cooldown.
-	Window time.Duration
-	// Adaptive enables AIMD adjustment; false freezes the limit at
-	// Initial (the static-semaphore compatibility mode).
-	Adaptive bool
-	// Now is the injected clock for the decrease cooldown. The package
-	// never calls time.Now itself (clockinject invariant).
+	// Now is the injected clock for the decrease cooldown; nil disables
+	// the cooldown. The package never calls time.Now itself
+	// (clockinject invariant).
 	Now func() time.Time
 }
 
@@ -110,10 +104,12 @@ type Limiter struct {
 }
 
 // ewmaAlpha weights the newest latency sample; decreaseFactor is the
-// multiplicative backoff applied when the EWMA crosses the target.
+// multiplicative backoff applied when the EWMA crosses the target, at
+// most once per decreaseCooldown.
 const (
-	ewmaAlpha      = 0.2
-	decreaseFactor = 0.75
+	ewmaAlpha        = 0.2
+	decreaseFactor   = 0.75
+	decreaseCooldown = time.Second
 )
 
 // New builds a limiter; see Options for defaults.
@@ -168,14 +164,15 @@ func (l *Limiter) Acquire(p Priority) bool {
 }
 
 // Release returns an admitted request's slot and feeds its observed
-// latency to the AIMD controller.
+// latency to the AIMD controller; a negative latency returns the slot
+// only.
 func (l *Limiter) Release(latency time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.inflight > 0 {
 		l.inflight--
 	}
-	if !l.opts.Adaptive || latency < 0 {
+	if latency < 0 {
 		return
 	}
 	sample := float64(latency)
@@ -187,9 +184,9 @@ func (l *Limiter) Release(latency time.Duration) {
 	target := float64(l.opts.Target)
 	switch {
 	case l.ewma > target:
-		if l.opts.Window > 0 && l.opts.Now != nil {
+		if l.opts.Now != nil {
 			now := l.opts.Now()
-			if !l.lastDecrease.IsZero() && now.Sub(l.lastDecrease) < l.opts.Window {
+			if !l.lastDecrease.IsZero() && now.Sub(l.lastDecrease) < decreaseCooldown {
 				return
 			}
 			l.lastDecrease = now

@@ -10,27 +10,8 @@ func fixedClock(start time.Time) (func() time.Time, func(time.Duration)) {
 	return func() time.Time { return now }, func(d time.Duration) { now = now.Add(d) }
 }
 
-func TestStaticModeIsAFixedSemaphore(t *testing.T) {
-	l := New(Options{Initial: 2})
-	if !l.Acquire(Normal) || !l.Acquire(Normal) {
-		t.Fatal("initial slots rejected")
-	}
-	if l.Acquire(Normal) {
-		t.Fatal("admitted past the fixed cap")
-	}
-	// Latency reports never move a non-adaptive limit.
-	l.Release(time.Hour)
-	l.Release(time.Hour)
-	if l.Limit() != 2 {
-		t.Fatalf("static limit moved to %d", l.Limit())
-	}
-	if l.InFlight() != 0 {
-		t.Fatalf("inflight = %d after releases", l.InFlight())
-	}
-}
-
 func TestAdditiveIncreaseUnderLowLatency(t *testing.T) {
-	l := New(Options{Initial: 4, Max: 64, Target: 100 * time.Millisecond, Adaptive: true})
+	l := New(Options{Initial: 4, Max: 64, Target: 100 * time.Millisecond})
 	for i := 0; i < 200; i++ {
 		if !l.Acquire(Normal) {
 			t.Fatalf("acquire %d rejected below the limit", i)
@@ -43,7 +24,7 @@ func TestAdditiveIncreaseUnderLowLatency(t *testing.T) {
 }
 
 func TestMultiplicativeDecreaseUnderHighLatency(t *testing.T) {
-	l := New(Options{Initial: 32, Min: 2, Target: 10 * time.Millisecond, Adaptive: true})
+	l := New(Options{Initial: 32, Min: 2, Target: 10 * time.Millisecond})
 	for i := 0; i < 50; i++ {
 		if !l.Acquire(Normal) {
 			break
@@ -67,7 +48,7 @@ func TestMultiplicativeDecreaseUnderHighLatency(t *testing.T) {
 func TestDecreaseCooldownUsesInjectedClock(t *testing.T) {
 	now, advance := fixedClock(time.Unix(1000, 0))
 	l := New(Options{Initial: 32, Min: 1, Target: time.Millisecond,
-		Window: time.Second, Adaptive: true, Now: now})
+		Now: now})
 	slow := func() {
 		if l.Acquire(Normal) {
 			l.Release(time.Second)
@@ -120,6 +101,17 @@ func TestPrioritySheddingOrder(t *testing.T) {
 	b, n, c := l.Shed()
 	if b != 1 || n != 1 || c != 1 {
 		t.Fatalf("shed counts = %d/%d/%d", b, n, c)
+	}
+	// Slot-only releases return capacity without moving the limit: a
+	// freed slot admits a normal request again.
+	for i := 0; i < 3; i++ {
+		l.Release(-1)
+	}
+	if l.InFlight() != 7 || l.Limit() != 8 {
+		t.Fatalf("after 3 slot releases: inflight %d, limit %d; want 7, 8", l.InFlight(), l.Limit())
+	}
+	if !l.Acquire(Normal) {
+		t.Fatal("normal rejected after a slot was released")
 	}
 }
 

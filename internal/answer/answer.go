@@ -13,9 +13,9 @@
 // Answers, Err record how it fared) and none below it has been touched.
 // Candidate 0 usually wins, so speculating on lower ranks only spent
 // work a busy server needs for other questions; parallelism lives one
-// level up, across questions (HTTP connections, batch workers,
-// qald-eval -workers). The SELECT candidates, the ASK path and the
-// COUNT retry share one loop, firstWinner.
+// level up, across questions (HTTP connections, batch workers). The
+// SELECT candidates, the ASK path and the COUNT retry share one loop,
+// firstWinner.
 //
 // The run is request-scoped: ExtractCtx checks the caller's context
 // between candidates and sparql.ExecuteCtx checks it between join

@@ -231,7 +231,7 @@ func TestExtractStopsAtWinner(t *testing.T) {
 }
 
 // TestExtractConcurrentCallers: one Extractor shared by many goroutines
-// (the qald-eval -workers and batch layers) stays race-free and
+// (the HTTP and batch layers) stays race-free and
 // deterministic.
 func TestExtractConcurrentCallers(t *testing.T) {
 	k, _ := setup(t)

@@ -20,7 +20,7 @@
 // disabled, so production code keeps its fault points unconditionally.
 // The registered points are:
 //
-//	stage.<name>   every pipeline stage boundary (internal/pipeline):
+//	stage.<name>   every pipeline stage boundary (internal/core):
 //	               stage.triplex, stage.propmap, stage.answer — the
 //	               answer-cache lookup runs in front of the pipeline
 //	               and has no fault point
@@ -180,9 +180,6 @@ func (in *Injector) Disable() {
 		in.enabled.Store(false)
 	}
 }
-
-// Enabled reports whether the injector is currently armed.
-func (in *Injector) Enabled() bool { return in != nil && in.enabled.Load() }
 
 // Hit evaluates the rule set at a named fault point. It returns the
 // injected error for KindError rules, panics for KindPanic rules,

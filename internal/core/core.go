@@ -1,5 +1,4 @@
-// Package core assembles the paper's full question answering pipeline
-// as an explicit staged architecture:
+// Package core assembles the paper's full question answering pipeline:
 //
 //	question
 //	  → triplex — §2.1 triple pattern extraction   (internal/triplex)
@@ -7,14 +6,14 @@
 //	  → answer  — §2.3 answer extraction           (internal/answer)
 //	  → ranked answers
 //
-// Each stage runs behind the uniform request-scoped interface of
-// internal/pipeline: it takes a context.Context (cancellation and
-// deadlines are honoured at every stage boundary and, inside §2.3,
-// between candidate queries and between join steps), writes its outcome
-// into the shared Result, and records itself in the Result's Trace
-// (per-stage wall time, candidate counts, cache hit/miss). The Trace is
-// what the serving layer (cmd/qaserve) exports as per-stage latency
-// metrics.
+// Compute runs the three stages in that order, each a method on System
+// that writes its outcome into the shared Result. A stage ends the run
+// early by setting a terminal Status. Compute checks the request's
+// context.Context before every stage; inside §2.3 cancellation and
+// deadlines are also honoured between candidate queries and between
+// join steps. Each stage is timed into its entry of the Result's Trace
+// (per-stage wall time, candidate counts, cache hit/miss), which the
+// serving layer (cmd/qaserve) exports as per-stage latency metrics.
 //
 // System is the public entry point: build one with New (or share the
 // process-wide Default) and call AnswerCtx — or its two halves, Lookup
@@ -37,11 +36,26 @@
 // with that entry and goes on with the stages. With the cache disabled
 // — the default, and the paper-faithful configuration — the pipeline is
 // fully deterministic.
+//
+// # Resilience
+//
+// The stage boundary is the serving layer's isolation boundary. A stage
+// that panics does not take the process (or the request's in-flight
+// slot) down: the panic is recovered at the boundary into a typed
+// *PanicError carrying the stage name and stack, recorded on the
+// stage's trace entry, and the request answers StatusInternal. Every
+// stage boundary is also a named chaos fault point ("stage.<name>",
+// evaluated against the injector carried by the request context via
+// internal/chaos), so the soak harness can inject latency, errors and
+// panics exactly where real stages fail. Only stages have fault points:
+// the answer-cache lookup runs in front of them and has none.
 package core
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -49,10 +63,10 @@ import (
 	"time"
 
 	"repro/internal/answer"
+	"repro/internal/chaos"
 	"repro/internal/kb"
 	"repro/internal/ner"
 	"repro/internal/patterns"
-	"repro/internal/pipeline"
 	"repro/internal/propmap"
 	"repro/internal/qacache"
 	"repro/internal/rdf"
@@ -171,9 +185,7 @@ type System struct {
 	extractor   *answer.Extractor
 	triplexOpts triplex.Options
 
-	// pipe is the staged pipeline Compute runs; cache is non-nil only
-	// when Config.CacheSize > 0.
-	pipe  *pipeline.Pipeline[*Result]
+	// cache is non-nil only when Config.CacheSize > 0.
 	cache *qacache.Cache[*outcome]
 
 	// cluster is the sharded scatter-gather tier (nil = single-store).
@@ -192,7 +204,7 @@ func Default() *System {
 }
 
 // New builds a System: links the KB, mines the relational patterns and
-// wires the pipeline stages.
+// builds the stages' indexes.
 func New(cfg Config) *System {
 	cfg = applyDefaults(cfg)
 	s := &System{KB: cfg.KB}
@@ -228,7 +240,6 @@ func New(cfg Config) *System {
 	if cfg.CacheSize > 0 {
 		s.cache = qacache.New[*outcome](cfg.CacheSize)
 	}
-	s.pipe = pipeline.New[*Result](triplexStage{s}, propmapStage{s}, answerStage{s})
 	lap("indexes")
 	return s
 }
@@ -292,6 +303,9 @@ func (s Status) String() string {
 type Result struct {
 	Question string
 	Status   Status
+	// CacheHit reports that the answer cache served this result: Lookup
+	// sets it, and the Result is then final.
+	CacheHit bool
 	// Answers is the winning answer set (empty unless StatusAnswered).
 	Answers []rdf.Term
 	// Err is the stage error for non-answered statuses.
@@ -305,7 +319,7 @@ type Result struct {
 	// Trace records what ran on this request: the answer-cache lookup
 	// (when the cache is enabled), then each stage — per-entry wall
 	// time, candidate counts and cache hit/miss.
-	Trace *pipeline.Trace
+	Trace *Trace
 
 	// Degraded marks a partial answer from a sharded system: at least
 	// one shard was skipped under the caller's allow_partial opt-in,
@@ -337,9 +351,10 @@ type Result struct {
 	// entry keeps all three.
 	winning, errText string
 	labels           []string
-	// lookup backs Trace from Lookup until Compute replaces it: its one
-	// entry is the answer-cache lookup, so a hit allocates no trace.
-	lookup      pipeline.Trace
+	// trace and lookupEntry back Trace: Lookup opens it with the
+	// answer-cache lookup's entry, so a hit allocates no trace, and
+	// Compute appends one entry per stage.
+	trace       Trace
 	lookupEntry [1]StageTrace
 }
 
@@ -355,19 +370,21 @@ type outcome struct {
 }
 
 // fail records a stage's terminal failure on the Result and on the
-// stage's trace entry, rendering the error text once for both.
-func (r *Result) fail(status Status, err error, tr *StageTrace) error {
+// stage's trace entry, rendering the error text once for both. The
+// terminal Status ends the run.
+func (r *Result) fail(status Status, err error, tr *StageTrace) {
 	r.Status, r.Err, r.errText = status, err, err.Error()
 	tr.Err = r.errText
-	return pipeline.ErrStop
+}
+
+// openTrace points Trace at the Result's own lookup entry, empty.
+func (r *Result) openTrace() {
+	r.trace.Stages = r.lookupEntry[:0]
+	r.Trace = &r.trace
 }
 
 // Answered reports whether the pipeline produced an answer.
 func (r *Result) Answered() bool { return r.Status == StatusAnswered }
-
-// CacheHit reports whether this result was served from the answer
-// cache.
-func (r *Result) CacheHit() bool { return r.Trace != nil && r.Trace.CacheHit() }
 
 // WinningSPARQL returns the winning query text ("" when unanswered).
 func (r *Result) WinningSPARQL() string { return r.winning }
@@ -431,33 +448,124 @@ func (s *System) CacheEntries() int {
 	return s.cache.Len()
 }
 
+// StageTrace records one trace entry: a stage's execution, or the
+// answer-cache lookup in front of the stages.
+type StageTrace struct {
+	// Stage is the entry's name: StageCache or a stage's.
+	Stage string
+	// Duration is the entry's wall time.
+	Duration time.Duration
+	// Candidates counts the stage's output items (extracted triple
+	// patterns, property candidates, candidate queries) — 0 when the
+	// stage has no candidate notion.
+	Candidates int
+	// CacheHit marks the answer-cache lookup entry that served the
+	// request (Lookup records it; no stage sets it).
+	CacheHit bool
+	// PlanCacheHits / PlanCacheMisses count the answer stage's
+	// plan-shape cache outcomes for this request's candidate fan-out,
+	// and RankSorts the result sorts executed over the snapshot's
+	// term-rank permutation. All zero for non-answer stages and for
+	// requests executed with plan caching disabled (a disabled cache
+	// fabricates no misses).
+	PlanCacheHits, PlanCacheMisses uint64
+	RankSorts                      uint64
+	// ShardsTotal / ShardsAnswered record the answer stage's
+	// scatter-gather shape when the system runs sharded (internal/
+	// shard): how many shards the cluster has and how many served this
+	// request's reads. Degraded marks a partial answer (some shard was
+	// skipped under the caller's allow_partial opt-in). All zero/false
+	// for single-store systems and non-answer stages.
+	ShardsTotal, ShardsAnswered int
+	Degraded                    bool
+	// Err is the stage's terminal error text ("" for success). Set for
+	// both terminal failure statuses and errors that ended the run.
+	Err string
+}
+
+// Trace is the per-request record of what ran, in order: the
+// answer-cache lookup (when the cache is enabled), then each stage.
+type Trace struct {
+	Stages []StageTrace
+}
+
+// Stage returns the trace entry with the given name (nil if it never
+// ran).
+func (t *Trace) Stage(name string) *StageTrace {
+	for i := range t.Stages {
+		if t.Stages[i].Stage == name {
+			return &t.Stages[i]
+		}
+	}
+	return nil
+}
+
+// Total returns the summed wall time across entries.
+func (t *Trace) Total() time.Duration {
+	var d time.Duration
+	for i := range t.Stages {
+		d += t.Stages[i].Duration
+	}
+	return d
+}
+
+// PanicError is a stage panic recovered at the stage boundary: the
+// request answers 500 with its trace intact instead of the panic
+// unwinding through the serving stack.
+type PanicError struct {
+	// Stage is the stage that panicked.
+	Stage string
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack at recovery.
+	Stack []byte
+}
+
+// Error is the text a 500 reply carries; its "pipeline:" prefix is part
+// of the wire format.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pipeline: stage %s panicked: %v", e.Stage, e.Value)
+}
+
 // --- The pipeline stages ---
 
-// triplexStage runs §2.1: triple pattern extraction from the
-// dependency graph.
-type triplexStage struct{ s *System }
+// stage is one step of the pipeline: its trace entry name, the chaos
+// fault point at its boundary, and the method that runs it. A stage
+// ends the run by setting a terminal Status on the Result, or by
+// returning an error (cancellation, an unavailable shard) that Compute
+// maps to one.
+type stage struct {
+	name, point string
+	run         func(*System, context.Context, *Result, *StageTrace) error
+}
 
-func (st triplexStage) Name() string { return StageTriplex }
-func (st triplexStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
-	ext, err := triplex.ExtractOpts(res.Question, st.s.triplexOpts)
+// stages is the pipeline Compute runs, in order.
+var stages = [...]stage{
+	{StageTriplex, "stage." + StageTriplex, (*System).runTriplex},
+	{StagePropmap, "stage." + StagePropmap, (*System).runPropmap},
+	{StageAnswer, "stage." + StageAnswer, (*System).runAnswer},
+}
+
+// runTriplex runs §2.1: triple pattern extraction from the dependency
+// graph.
+func (s *System) runTriplex(_ context.Context, res *Result, tr *StageTrace) error {
+	ext, err := triplex.ExtractOpts(res.Question, s.triplexOpts)
 	res.Extraction = ext
 	if ext != nil {
 		tr.Candidates = len(ext.Triples)
 	}
 	if err != nil {
-		return res.fail(StatusNotExtracted, err, tr)
+		res.fail(StatusNotExtracted, err, tr)
 	}
 	return nil
 }
 
-// propmapStage runs §2.2: entity and property mapping.
-type propmapStage struct{ s *System }
-
-func (st propmapStage) Name() string { return StagePropmap }
-func (st propmapStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
-	mp, err := st.s.mapper.Map(res.Extraction)
+// runPropmap runs §2.2: entity and property mapping.
+func (s *System) runPropmap(_ context.Context, res *Result, tr *StageTrace) error {
+	mp, err := s.mapper.Map(res.Extraction)
 	if err != nil {
-		return res.fail(StatusNotMapped, err, tr)
+		res.fail(StatusNotMapped, err, tr)
+		return nil
 	}
 	res.Mapping = mp
 	for _, mt := range mp.Triples {
@@ -466,23 +574,20 @@ func (st propmapStage) Run(ctx context.Context, res *Result, tr *StageTrace) err
 	return nil
 }
 
-// answerStage runs §2.3: candidate query generation, rank-order
+// runAnswer runs §2.3: candidate query generation, rank-order
 // execution and type filtering under the request context.
-type answerStage struct{ s *System }
-
-func (st answerStage) Name() string { return StageAnswer }
-func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) error {
+func (s *System) runAnswer(ctx context.Context, res *Result, tr *StageTrace) error {
 	// One question = one execution session = one store view pin: every
 	// candidate query, the COUNT retry and the type filter read the
-	// view AnswerCtx pinned at request entry — a direct KB snapshot,
-	// or the sharded gather view when the System runs over a cluster.
+	// view the request pinned — a direct KB snapshot, or the sharded
+	// gather view when the System runs over a cluster.
 	var sess *sparql.Session
 	if res.view != nil {
 		sess = sparql.NewViewSession(res.view)
 	} else {
 		sess = sparql.NewSnapshotSession(res.snap)
 	}
-	ans, err := st.s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
+	ans, err := s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
 	ps := sess.PlanStats()
 	tr.PlanCacheHits, tr.PlanCacheMisses, tr.RankSorts = ps.Hits, ps.Misses, ps.RankSorts
 	if res.view != nil {
@@ -497,18 +602,19 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			tr.Err = verr.Error()
-			return verr // AnswerCtx maps it to StatusUnavailable
+			return verr // Compute maps it to StatusUnavailable
 		}
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return ctx.Err() // cancellation: surfaced by pipeline.Run
+			return ctx.Err() // cancellation
 		}
 		if _, ok := err.(*answer.ErrBoolean); ok {
-			return res.fail(StatusUnsupported, err, tr)
+			res.fail(StatusUnsupported, err, tr)
+		} else {
+			res.fail(StatusNotMapped, err, tr)
 		}
-		return res.fail(StatusNotMapped, err, tr)
+		return nil
 	}
 	res.Answer = ans
 	tr.Candidates = len(ans.Candidates)
@@ -522,9 +628,29 @@ func (st answerStage) Run(ctx context.Context, res *Result, tr *StageTrace) erro
 	return nil
 }
 
-// StageTrace aliases the pipeline trace entry so stage implementations
-// read naturally here.
-type StageTrace = pipeline.StageTrace
+// runStage runs one stage behind its boundary, timed into a new trace
+// entry: the stage's chaos fault point fires first, and a panic —
+// injected or organic — is recovered into a *PanicError, so a failing
+// stage costs its request a 500, not the process. An error that ends
+// the run is recorded on the entry.
+func (s *System) runStage(ctx context.Context, st *stage, res *Result) (err error) {
+	res.Trace.Stages = append(res.Trace.Stages, StageTrace{Stage: st.name})
+	tr := &res.Trace.Stages[len(res.Trace.Stages)-1]
+	start := time.Now()
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Stage: st.name, Value: v, Stack: debug.Stack()}
+		}
+		tr.Duration = time.Since(start)
+		if err != nil {
+			tr.Err = err.Error()
+		}
+	}()
+	if err = chaos.HitCtx(ctx, st.point); err != nil {
+		return err
+	}
+	return st.run(s, ctx, res, tr)
+}
 
 // AnswerCtx answers one question under a request context: Lookup,
 // then, unless the answer cache served it, Compute. Cancellation and
@@ -535,7 +661,7 @@ type StageTrace = pipeline.StageTrace
 // the lookup and each stage that ran.
 func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 	res := s.Lookup(question)
-	if !res.CacheHit() {
+	if !res.CacheHit {
 		s.Compute(ctx, res)
 	}
 	return res
@@ -544,7 +670,7 @@ func (s *System) AnswerCtx(ctx context.Context, question string) *Result {
 // Lookup starts a question: it pins the KB snapshot and, when the answer
 // cache is enabled, normalises the question and reads the cache once at
 // the snapshot's generation. On a hit the Result is final — CacheHit
-// reports true, its Trace is the one "cache" entry and it holds no
+// is true, its Trace is the one "cache" entry and it holds no
 // snapshot. Otherwise hand it to Compute, which runs the pipeline; its
 // Trace is then the lookup's miss entry (nil when the cache is
 // disabled). Lookup takes no context: a hit does no work a deadline
@@ -557,11 +683,11 @@ func (s *System) Lookup(question string) *Result {
 	start := time.Now()
 	res.cacheKey = qacache.Normalize(res.Question)
 	e, hit := s.cache.Get(res.cacheKey, res.snap.Gen())
-	res.lookupEntry[0] = StageTrace{Stage: StageCache, Duration: time.Since(start), CacheHit: hit}
-	res.lookup.Stages = res.lookupEntry[:]
-	res.Trace = &res.lookup
+	res.openTrace()
+	res.Trace.Stages = append(res.Trace.Stages, StageTrace{Stage: StageCache, Duration: time.Since(start), CacheHit: hit})
 	if hit {
 		// The entry's answers and labels are shared, read-only.
+		res.CacheHit = true
 		res.Status, res.Answers, res.labels, res.Err = e.status, e.answers, e.labels, e.err
 		res.winning, res.errText = e.winning, e.errText
 		res.ShardsTotal, res.ShardsAnswered = e.shardsTotal, e.shardsAnswered
@@ -588,12 +714,20 @@ func (s *System) Compute(ctx context.Context, res *Result) {
 		res.view = s.cluster.NewView(ctx)
 		res.snap = res.view.Source()
 	}
-	var seed []StageTrace
-	if res.Trace != nil {
-		seed = res.Trace.Stages // the lookup's miss entry
+	if res.Trace == nil {
+		res.openTrace() // no cache: no lookup entry
 	}
-	tr, err := s.pipe.Run(ctx, res, seed...)
-	res.Trace = tr
+	// One allocation holds the lookup's entry and every stage's.
+	res.Trace.Stages = slices.Grow(res.Trace.Stages, len(stages))
+	var err error
+	for i := range stages {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		if err = s.runStage(ctx, &stages[i], res); err != nil || res.Status != 0 {
+			break
+		}
+	}
 	res.labels = renderAnswers(res.snap, res.Answers)
 	gen := res.snap.Gen()
 	// The pinned view is only needed while the stages run; drop it so
@@ -611,7 +745,7 @@ func (s *System) Compute(ctx context.Context, res *Result) {
 		case errors.Is(err, shard.ErrUnavailable):
 			res.Status = StatusUnavailable
 		default:
-			// A recovered stage panic (*pipeline.PanicError) or an
+			// A recovered stage panic (*PanicError) or an
 			// injected chaos fault.
 			res.Status = StatusInternal
 		}

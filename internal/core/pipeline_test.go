@@ -83,7 +83,7 @@ func TestAnswerTraceRecordsStages(t *testing.T) {
 	if res.Trace.Total() <= 0 {
 		t.Error("trace total duration is zero")
 	}
-	if res.CacheHit() {
+	if res.CacheHit {
 		t.Error("cache hit without a cache")
 	}
 
@@ -158,8 +158,8 @@ func TestAnswerCacheHit(t *testing.T) {
 	s := cachedSystem(t)
 	const q = "Where did Abraham Lincoln die?"
 	first := s.AnswerCtx(context.Background(), q)
-	if !first.Answered() || first.CacheHit() {
-		t.Fatalf("first: status=%v hit=%v", first.Status, first.CacheHit())
+	if !first.Answered() || first.CacheHit {
+		t.Fatalf("first: status=%v hit=%v", first.Status, first.CacheHit)
 	}
 	// The miss's trace starts with the lookup, then the stages.
 	var names []string
@@ -170,7 +170,7 @@ func TestAnswerCacheHit(t *testing.T) {
 		t.Errorf("miss trace = %v", names)
 	}
 	second := s.AnswerCtx(context.Background(), q)
-	if !second.CacheHit() {
+	if !second.CacheHit {
 		t.Fatal("second identical question missed the cache")
 	}
 	if !second.Answered() || len(second.Answers) != 1 || second.Answers[0] != first.Answers[0] {
@@ -183,7 +183,7 @@ func TestAnswerCacheHit(t *testing.T) {
 	// Normalized variants share the entry; the requester's own text is
 	// preserved on the result.
 	third := s.AnswerCtx(context.Background(), "  Where did  Abraham Lincoln die ?")
-	if !third.CacheHit() {
+	if !third.CacheHit {
 		t.Error("normalized variant missed the cache")
 	}
 	if third.Question != "Where did  Abraham Lincoln die ?" {
@@ -194,7 +194,7 @@ func TestAnswerCacheHit(t *testing.T) {
 		t.Errorf("stats = %d hits / %d misses / %d evictions, want 2/1/0", hits, misses, evictions)
 	}
 	// Failure outcomes are cached too — they are deterministic.
-	if s.AnswerCtx(context.Background(), "gibberish blob"); !s.AnswerCtx(context.Background(), "gibberish blob").CacheHit() {
+	if s.AnswerCtx(context.Background(), "gibberish blob"); !s.AnswerCtx(context.Background(), "gibberish blob").CacheHit {
 		t.Error("failure outcome not cached")
 	}
 }
@@ -209,7 +209,7 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	if !first.Answered() {
 		t.Fatalf("first: %v / %v", first.Status, first.Err)
 	}
-	if !s.AnswerCtx(context.Background(), q).CacheHit() {
+	if !s.AnswerCtx(context.Background(), q).CacheHit {
 		t.Fatal("warm-up hit failed")
 	}
 
@@ -223,7 +223,7 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	}
 
 	after := s.AnswerCtx(context.Background(), q)
-	if after.CacheHit() {
+	if after.CacheHit {
 		t.Fatal("stale cached answer served after KB mutation")
 	}
 	if after.Answered() && after.Answers[0] == first.Answers[0] {
@@ -231,7 +231,7 @@ func TestAnswerCacheObservesRemoveGenerationBump(t *testing.T) {
 	}
 
 	// The recomputed outcome is itself cached under the new generation.
-	if !s.AnswerCtx(context.Background(), q).CacheHit() {
+	if !s.AnswerCtx(context.Background(), q).CacheHit {
 		t.Error("recomputed outcome not re-cached")
 	}
 }
@@ -251,11 +251,11 @@ func TestAnswerCacheObservesInsertGenerationBump(t *testing.T) {
 	s := cachedSystem(t)
 	const q = "When did Orhan Pamuk die?"
 	first := s.AnswerCtx(context.Background(), q)
-	if first.Status != StatusNoAnswer || first.CacheHit() {
-		t.Fatalf("first: %v / hit=%v, want no answer computed", first.Status, first.CacheHit())
+	if first.Status != StatusNoAnswer || first.CacheHit {
+		t.Fatalf("first: %v / hit=%v, want no answer computed", first.Status, first.CacheHit)
 	}
-	if again := s.AnswerCtx(context.Background(), q); !again.CacheHit() || again.Status != StatusNoAnswer {
-		t.Fatalf("second: %v / hit=%v, want the cached negative", again.Status, again.CacheHit())
+	if again := s.AnswerCtx(context.Background(), q); !again.CacheHit || again.Status != StatusNoAnswer {
+		t.Fatalf("second: %v / hit=%v, want the cached negative", again.Status, again.CacheHit)
 	}
 
 	death := rdf.Triple{S: rdf.Res("Orhan_Pamuk"), P: rdf.Ont("deathDate"), O: rdf.NewDate("2030-01-01")}
@@ -264,7 +264,7 @@ func TestAnswerCacheObservesInsertGenerationBump(t *testing.T) {
 	}
 
 	after := s.AnswerCtx(context.Background(), q)
-	if after.CacheHit() {
+	if after.CacheHit {
 		t.Fatal("cached negative served after the insert")
 	}
 	if !after.Answered() || len(after.Answers) != 1 || after.Answers[0].Value != "2030-01-01" {
@@ -283,8 +283,8 @@ func TestAnswerLabelsComeFromExecutedSnapshot(t *testing.T) {
 	const q = "Where did Abraham Lincoln die?"
 	miss := s.AnswerCtx(ctx, q)
 	hit := s.AnswerCtx(ctx, q)
-	if !miss.Answered() || miss.CacheHit() || !hit.CacheHit() {
-		t.Fatalf("warm-up: %v, hit %v then %v", miss.Status, miss.CacheHit(), hit.CacheHit())
+	if !miss.Answered() || miss.CacheHit || !hit.CacheHit {
+		t.Fatalf("warm-up: %v, hit %v then %v", miss.Status, miss.CacheHit, hit.CacheHit)
 	}
 	place := miss.Answers[0]
 	labels := s.KB.Store.Snapshot().Objects(place, rdf.Label())
@@ -312,7 +312,7 @@ func TestAnswerLabelsComeFromExecutedSnapshot(t *testing.T) {
 	}
 
 	after := s.AnswerCtx(ctx, q)
-	if after.CacheHit() {
+	if after.CacheHit {
 		t.Fatal("the relabel did not void the cached answer")
 	}
 	if got := after.AnswerStrings(s.KB); len(got) != 1 || got[0] != relabel.Value {

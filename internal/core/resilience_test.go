@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/pipeline"
 )
 
 // Tests for the resilience semantics: cancellation and
@@ -33,8 +32,8 @@ func TestOverBudgetStatusAndNoCaching(t *testing.T) {
 	}
 
 	res = s.AnswerCtx(context.Background(), lincolnQ)
-	if res.Status != StatusAnswered || res.CacheHit() {
-		t.Fatalf("retry: status = %v, cacheHit = %v", res.Status, res.CacheHit())
+	if res.Status != StatusAnswered || res.CacheHit {
+		t.Fatalf("retry: status = %v, cacheHit = %v", res.Status, res.CacheHit)
 	}
 }
 
@@ -57,8 +56,8 @@ func TestInjectedFaultIsInternalAndNotCached(t *testing.T) {
 	// The rule is exhausted (Limit 1): the same context must now answer,
 	// and from computation, not from a poisoned cache entry.
 	res = s.AnswerCtx(ctx, lincolnQ)
-	if res.Status != StatusAnswered || res.CacheHit() {
-		t.Fatalf("retry: status = %v, cacheHit = %v", res.Status, res.CacheHit())
+	if res.Status != StatusAnswered || res.CacheHit {
+		t.Fatalf("retry: status = %v, cacheHit = %v", res.Status, res.CacheHit)
 	}
 }
 
@@ -69,8 +68,8 @@ func TestRecoveredPanicIsInternal(t *testing.T) {
 	if res.Status != StatusInternal {
 		t.Fatalf("status = %v, want internal error", res.Status)
 	}
-	var pe *pipeline.PanicError
+	var pe *PanicError
 	if !errors.As(res.Err, &pe) || pe.Stage != StageTriplex {
-		t.Fatalf("Err = %v, want *pipeline.PanicError at triplex", res.Err)
+		t.Fatalf("Err = %v, want *PanicError at triplex", res.Err)
 	}
 }

@@ -50,7 +50,7 @@ func TestCacheRetention(t *testing.T) {
 	// outcome and none of the derivation.
 	last := questions[len(questions)-1]
 	hit := sys.AnswerCtx(context.Background(), last)
-	if !hit.CacheHit() {
+	if !hit.CacheHit {
 		t.Fatalf("%q missed a cache it was just put in", last)
 	}
 	if hit.Extraction != nil || hit.Mapping != nil || hit.Answer != nil {

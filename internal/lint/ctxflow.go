@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// CtxFlow enforces the context discipline the staged pipeline (PR 4)
+// CtxFlow enforces the context discipline the pipeline's stage loop
 // and §2.3's cancellable candidate execution depend on:
 //
 //  1. context.Background()/context.TODO() are forbidden outside cmd/,
 //     package main and _test.go files — library code must thread the
 //     request context it was given, or cancellation silently stops
 //     propagating mid-pipeline;
-//  2. in the execution packages (pipeline, answer, sparql, qaserve) a
+//  2. in the execution packages (core, answer, sparql, qaserve) a
 //     context.Context parameter must come first, matching every
 //     existing Ctx entry point;
 //  3. exported functions in those packages that directly perform
@@ -26,7 +26,7 @@ var CtxFlow = &Analyzer{
 
 // ctxFlowScope is where rules 2 and 3 apply (rule 1 applies to every
 // non-main library package).
-var ctxFlowScope = []string{"internal/pipeline", "internal/answer", "internal/sparql", "internal/qaserve"}
+var ctxFlowScope = []string{"internal/core", "internal/answer", "internal/sparql", "internal/qaserve"}
 
 // storeScanMethods are the store.Store/store.Snapshot methods whose
 // cost scales with the data (rule 3); point lookups (Has, Lookup,

@@ -288,12 +288,6 @@ func (st *Store) Patterns() []*Pattern {
 	return out
 }
 
-// Pattern returns the mined pattern with the exact normalised text.
-func (st *Store) Pattern(text string) (*Pattern, bool) {
-	p, ok := st.patterns[text]
-	return p, ok
-}
-
 // Words returns the indexed lemmas, sorted.
 func (st *Store) Words() []string {
 	out := make([]string, 0, len(st.words))

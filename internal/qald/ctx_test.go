@@ -9,19 +9,16 @@ import (
 )
 
 // TestEvaluateWorkersCtxCancelled: a cancelled context stops the
-// evaluation with its error at every worker count.
+// evaluation with its error and no report.
 func TestEvaluateWorkersCtxCancelled(t *testing.T) {
-	s := core.Default()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		rep, err := EvaluateWorkersCtx(ctx, s, Questions(), workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if rep != nil {
-			t.Fatalf("workers=%d: non-nil report alongside error", workers)
-		}
+	rep, err := EvaluateCtx(ctx, core.Default(), Questions())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep != nil {
+		t.Fatal("non-nil report alongside error")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -67,45 +65,19 @@ func GoldCtx(ctx context.Context, k *kb.KB, q Question) ([]rdf.Term, error) {
 }
 
 // EvaluateCtx runs the system over the questions, one at a time, and
-// scores it as §3 does.
+// scores it as §3 does. The context reaches every gold query and every
+// pipeline stage; when it is cancelled the evaluation stops and returns
+// ctx's error.
 func EvaluateCtx(ctx context.Context, s *core.System, questions []Question) (*Report, error) {
-	return EvaluateWorkersCtx(ctx, s, questions, 1)
-}
-
-// EvaluateWorkersCtx evaluates with question-level parallelism: up to
-// `workers` goroutines answer questions concurrently (the pipeline is
-// read-only after construction and the store supports parallel
-// readers), while the report is aggregated in question order, so it is
-// identical at every worker count. It is the only parallelism in an
-// evaluation: inside a question §2.3 runs its candidates one at a time
-// in rank order. The context reaches every gold query and every
-// pipeline stage; when it is cancelled the evaluation stops promptly
-// and returns ctx's error.
-func EvaluateWorkersCtx(ctx context.Context, s *core.System, questions []Question, workers int) (*Report, error) {
 	rep := &Report{Total: len(questions)}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(questions) {
-		workers = len(questions)
-	}
-
-	results := make([]QuestionResult, len(questions))
-	errs := make([]error, len(questions))
-	var failed atomic.Bool // fail fast: a gold error stops further work
-	evalOne := func(i int) {
-		q := questions[i]
+	for _, q := range questions {
 		gold, err := GoldCtx(ctx, s.KB, q)
 		if err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
+			return nil, err
 		}
 		res := s.AnswerCtx(ctx, q.Text)
 		if res.Status == core.StatusCanceled {
-			errs[i] = res.Err
-			failed.Store(true)
-			return
+			return nil, res.Err
 		}
 		qr := QuestionResult{
 			Question:      q,
@@ -117,53 +89,15 @@ func EvaluateWorkersCtx(ctx context.Context, s *core.System, questions []Questio
 		}
 		if qr.Answered {
 			qr.Correct = sameTermSet(res.Answers, gold)
-		}
-		results[i] = qr
-	}
-
-	if workers <= 1 {
-		for i := range questions {
-			evalOne(i)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(questions) || failed.Load() || ctx.Err() != nil {
-						return
-					}
-					evalOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for i := range questions {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i := range questions {
-		qr := results[i]
-		if qr.Answered {
 			rep.Answered++
 			if qr.Correct {
 				rep.Correct++
 			}
 		}
 		rep.PerQuestion = append(rep.PerQuestion, qr)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if rep.Answered > 0 {
 		rep.Precision = float64(rep.Correct) / float64(rep.Answered)

@@ -80,35 +80,6 @@ func TestTable2Reproduction(t *testing.T) {
 	}
 }
 
-// TestEvaluateWorkersMatchesSequential: question-level parallelism
-// must leave the report identical — same per-question outcomes in the
-// same order, same aggregate numbers.
-func TestEvaluateWorkersMatchesSequential(t *testing.T) {
-	s := core.Default()
-	qs := Questions()
-	want, err := EvaluateCtx(context.Background(), s, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 16} {
-		got, err := EvaluateWorkersCtx(context.Background(), s, qs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Answered != want.Answered || got.Correct != want.Correct ||
-			got.Precision != want.Precision || got.Recall != want.Recall || got.F1 != want.F1 {
-			t.Fatalf("workers=%d: aggregate diverged: %+v vs %+v", workers, got, want)
-		}
-		for i := range want.PerQuestion {
-			w, g := want.PerQuestion[i], got.PerQuestion[i]
-			if w.Question.ID != g.Question.ID || w.Answered != g.Answered ||
-				w.Correct != g.Correct || w.WinningSPARQL != g.WinningSPARQL {
-				t.Errorf("workers=%d Q%d diverged: %+v vs %+v", workers, w.Question.ID, g, w)
-			}
-		}
-	}
-}
-
 // TestUnsupportedCategoriesUnanswered checks that the pipeline does not
 // hallucinate answers for construction classes outside its rules.
 func TestUnsupportedCategoriesUnanswered(t *testing.T) {

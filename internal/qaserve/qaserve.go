@@ -156,13 +156,11 @@ func New(cfg Config) *Server {
 	switch {
 	case cfg.AdaptiveAdmission:
 		s.limiter = admission.New(admission.Options{
-			Initial:  cfg.MaxInFlight,
-			Min:      cfg.AdmissionMin,
-			Max:      cfg.AdmissionMax,
-			Target:   cfg.AdmissionTarget,
-			Window:   time.Second,
-			Now:      time.Now,
-			Adaptive: true,
+			Initial: cfg.MaxInFlight,
+			Min:     cfg.AdmissionMin,
+			Max:     cfg.AdmissionMax,
+			Target:  cfg.AdmissionTarget,
+			Now:     time.Now,
 		})
 	case cfg.MaxInFlight > 0:
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
@@ -338,7 +336,7 @@ func (s *Server) freeSlot(latency time.Duration) {
 func (s *Server) lookup(question string) *core.Result {
 	res := s.sys.Lookup(question)
 	switch {
-	case res.CacheHit():
+	case res.CacheHit:
 		s.m.cacheHits.Add(1)
 	case res.Trace != nil:
 		s.m.cacheMisses.Add(1)
@@ -354,7 +352,7 @@ func (s *Server) lookup(question string) *core.Result {
 // fire; partial opts the request into degraded answers on a sharded
 // system (shard.WithPartialOK).
 func (s *Server) answer(r *http.Request, res *core.Result, timeout time.Duration, partial bool) {
-	if !res.CacheHit() {
+	if !res.CacheHit {
 		ctx := chaos.With(r.Context(), s.chaos)
 		if partial {
 			ctx = shard.WithPartialOK(ctx)
@@ -403,7 +401,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	// written with no timer, since it runs nothing a deadline could cut.
 	res := s.lookup(req.Question)
 	p := admission.Normal
-	if res.CacheHit() {
+	if res.CacheHit {
 		p = admission.Cached
 	}
 	start, ok := s.acquire(w, p)

@@ -51,7 +51,7 @@ func (s *Server) appendResult(b []byte, res *core.Result) []byte {
 	}
 	b = appendNonEmpty(b, `,"winning_sparql":`, res.WinningSPARQL())
 	b = appendNonEmpty(b, `,"error":`, res.ErrorText())
-	b = strconv.AppendBool(append(b, `,"cache_hit":`...), res.CacheHit())
+	b = strconv.AppendBool(append(b, `,"cache_hit":`...), res.CacheHit)
 	b = appendTrue(b, `,"degraded":true`, res.Degraded)
 	b = appendNonZero(b, `,"shards_total":`, res.ShardsTotal)
 	b = appendNonZero(b, `,"shards_answered":`, res.ShardsAnswered)

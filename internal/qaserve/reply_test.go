@@ -93,8 +93,8 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	for _, hit := range []bool{false, true} {
 		for _, q := range questions {
 			res := sys.AnswerCtx(ctx, q)
-			if res.CacheHit() != hit {
-				t.Fatalf("%q: cache hit %v, want %v", q, res.CacheHit(), hit)
+			if res.CacheHit != hit {
+				t.Fatalf("%q: cache hit %v, want %v", q, res.CacheHit, hit)
 			}
 			statuses[res.Status]++
 			checkReply(t, s, http.StatusOK, res)
@@ -166,8 +166,8 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	checkReply(t, ss, http.StatusOK, res)
 	for _, hit := range []bool{false, true} {
 		res = sharded.AnswerCtx(ctx, q)
-		if res.CacheHit() != hit || res.Degraded || res.ShardsAnswered != 4 {
-			t.Fatalf("healthy: hit %v degraded %v %d/%d", res.CacheHit(), res.Degraded, res.ShardsAnswered, res.ShardsTotal)
+		if res.CacheHit != hit || res.Degraded || res.ShardsAnswered != 4 {
+			t.Fatalf("healthy: hit %v degraded %v %d/%d", res.CacheHit, res.Degraded, res.ShardsAnswered, res.ShardsTotal)
 		}
 		checkReply(t, ss, http.StatusOK, res)
 	}

@@ -83,7 +83,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 
 // recoverware is the last-resort panic backstop. Pipeline panics are
 // already recovered at stage boundaries into typed errors
-// (pipeline.PanicError → 500 with the trace attached); this middleware
+// (core.PanicError → 500 with the trace attached); this middleware
 // catches anything that escapes a handler itself, answers 500 instead
 // of net/http's default connection teardown, and counts it — no
 // request goroutine is ever lost to a panic. http.ErrAbortHandler is

@@ -15,7 +15,7 @@ func (s *Server) toResponse(res *core.Result) AnswerResponse {
 		Answered:      res.Answered(),
 		Answers:       res.AnswerStrings(s.sys.KB),
 		WinningSPARQL: res.WinningSPARQL(),
-		CacheHit:      res.CacheHit(),
+		CacheHit:      res.CacheHit,
 		Degraded:      res.Degraded,
 		ShardsTotal:   res.ShardsTotal, ShardsAnswered: res.ShardsAnswered,
 	}

@@ -32,7 +32,6 @@ type Synset struct {
 	ID    string
 	POS   string
 	Words []string
-	Gloss string
 	// Hypernyms lists parent synset IDs (the taxonomy is a DAG).
 	Hypernyms []string
 	// Attribute links an adjective synset to the noun attribute it
@@ -279,22 +278,6 @@ func (db *DB) similarities(a, b int32) (wuPalmer, lin float64) {
 	return wuPalmer, lin
 }
 
-// synsetSimilarities is similarities by synset ID; unknown IDs score 0.
-func (db *DB) synsetSimilarities(a, b string) (wuPalmer, lin float64) {
-	ia, okA := db.index[a]
-	ib, okB := db.index[b]
-	if !okA || !okB {
-		return 0, 0
-	}
-	return db.similarities(ia, ib)
-}
-
-// WuPalmerSynsets computes Wu & Palmer similarity between two synsets.
-func (db *DB) WuPalmerSynsets(a, b string) float64 {
-	wp, _ := db.synsetSimilarities(a, b)
-	return wp
-}
-
 // clamp01 bounds v to [0,1]; depths/ICs can exceed member values only in
 // degenerate (cyclic) inputs, which Build tolerates rather than rejects.
 func clamp01(v float64) float64 {
@@ -318,12 +301,6 @@ func (db *DB) ic(id string) float64 {
 		return 0
 	}
 	return -math.Log(p)
-}
-
-// LinSynsets computes Lin similarity between two synsets.
-func (db *DB) LinSynsets(a, b string) float64 {
-	_, lin := db.synsetSimilarities(a, b)
-	return lin
 }
 
 // Word is a word looked up once: its synsets for one POS. The §2.2.1

@@ -71,11 +71,11 @@
 # that build multi-thousand-entity KBs, so the later benchmark pays GC
 # against a much larger live heap and reads up to ~35% slower than the
 # earlier one for reasons that have nothing to do with the stage
-# framework (243µs vs 179µs were once recorded for identical code
+# loop (243µs vs 179µs were once recorded for identical code
 # paths; measured in a fresh process the two agree within noise).
 #
-# BenchmarkQALDEvalWorkers4 and the shard benchmarks depend on
-# GOMAXPROCS; `go test` prints it as the -N suffix of each name.
+# The shard benchmarks depend on GOMAXPROCS; `go test` prints it as
+# the -N suffix of each name.
 #
 # Usage: scripts/bench.sh [smoke]
 #
@@ -92,7 +92,7 @@ cd "$(dirname "$0")/.."
 # the benchmarks that live in their own packages (sparql's ID-space vs
 # term-space pairs and plan-cache compile pair, the shard tier and the
 # store's term-rank churn pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkQALDEvalWorkers4|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
 bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$'

@@ -542,6 +542,23 @@ func BenchmarkAnswerThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerCold is the entity_cold workload in process: the 1.6k
+// entity-template questions cycled through AnswerCtx with no answer
+// cache, so every iteration runs §2.1–§2.3 on a question the previous
+// 1.6k did not repeat. Its B/op and allocs/op are the miss path's
+// allocation figures (core's TestColdPathAllocations gates them); it is
+// the BENCH= for allocation work in scripts/profile.sh.
+func BenchmarkAnswerCold(b *testing.B) {
+	s := sharedSystem(b)
+	questions := testutil.EntityQuestions(s.KB)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.AnswerCtx(ctx, questions[i%len(questions)])
+	}
+}
+
 // BenchmarkStoreScale measures indexed matching at growing store sizes
 // (the substrate's scaling behaviour under the synthetic long tail).
 func BenchmarkStoreScale(b *testing.B) {
@@ -900,7 +917,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !r.Exists || r.Records != 64 {
+		if r.Store == nil || r.Records != 64 {
 			b.Fatalf("recovery = %+v", r)
 		}
 		if _, err := kb.FromStore(r.Store); err != nil {

@@ -186,7 +186,7 @@ func main() {
 			}
 		}
 		switch {
-		case rec != nil && rec.Exists:
+		case rec != nil && rec.Store != nil:
 			if *kbPath != "" {
 				fmt.Fprintf(os.Stderr, "qaserve: %s holds durable state; ignoring -kb %s\n", *dataDir, *kbPath)
 			}

@@ -254,7 +254,7 @@ func TestCrashRecoveryPreservesQALD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec2.Exists || rec2.Records != 4 {
+	if rec2.Store == nil || rec2.Records != 4 {
 		t.Fatalf("recovery = %+v, want 4 replayed records", rec2)
 	}
 	k2, err := kb.FromStore(rec2.Store)

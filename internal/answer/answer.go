@@ -24,9 +24,10 @@
 package answer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/kb"
@@ -147,76 +148,81 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 	}
 	res := &Result{Expected: expected}
 
-	// Per-triple alternatives: each alternative is a set of SPARQL
-	// triple patterns plus a score factor.
+	// Per-triple alternatives, each one triple pattern plus a score
+	// factor. A predicate has at most two orientations, so one array
+	// sized up front holds every triple's list.
+	size := 0
+	for _, mt := range mp.Triples {
+		size += max(1, 2*len(mt.Predicates))
+	}
+	all := make([]alternative, 0, size)
 	perTriple := make([][]alternative, 0, len(mp.Triples))
 	for _, mt := range mp.Triples {
-		var alts []alternative
+		first := len(all)
 		if !mt.Class.IsZero() {
-			alts = append(alts, alternative{
-				patterns: []rdf.Triple{{S: rdf.NewVar(mt.SubjectVar), P: rdf.Type(), O: mt.Class}},
-				score:    1,
-			})
-			perTriple = append(perTriple, alts)
+			all = append(all, alternative{pred: -1, score: 1})
+			perTriple = append(perTriple, all[first:len(all):len(all)])
 			continue
 		}
 		subj := slotTerm(mt.SubjectVar, mt.Subject)
 		obj := slotTerm(mt.ObjectVar, mt.Object)
-		for _, cand := range mt.Predicates {
-			for _, pat := range e.orientations(sess, cand.Property, subj, obj) {
-				alts = append(alts, alternative{
-					patterns: []rdf.Triple{pat},
-					score:    cand.RankScore(),
-				})
+		for pred, cand := range mt.Predicates {
+			var buf [2]orientation
+			for _, o := range e.orientations(buf[:0], sess, cand.Property, subj, obj) {
+				all = append(all, alternative{pred: int32(pred), orient: o, score: cand.RankScore()})
 			}
 		}
-		if len(alts) == 0 {
+		if len(all) == first {
 			return nil, fmt.Errorf("answer: no executable orientation for triple %v", mt.Original)
 		}
-		perTriple = append(perTriple, alts)
+		perTriple = append(perTriple, all[first:len(all):len(all)])
 	}
 
 	// Cartesian product → Q, capped to the top-MaxQueries combinations
 	// by score (not by generation order, which used to drop high-score
 	// combinations while keeping low-score ones).
-	combos, truncated := topCombos(perTriple, e.cfg.MaxQueries)
+	combos, n, truncated := topCombos(perTriple, e.cfg.MaxQueries)
 	res.Truncated = truncated
 
+	// Q in one piece: the queries and their patterns are one array
+	// each, shared by every candidate of the question.
+	dims := len(perTriple)
 	boolean := expected.Kind == triplex.ExpectBoolean
-	for _, combo := range combos {
-		q := &sparql.Query{Form: sparql.FormSelect, Distinct: true,
-			Projection: []string{"x"}, Limit: -1}
+	queries := make([]sparql.Query, n)
+	patterns := make([]rdf.Triple, n*dims)
+	projection := []string{"x"}
+	var orderBy []sparql.OrderKey
+	if sup := mp.Extraction.Superlative; sup != nil {
+		// §6 extension: superlative questions extremise the value
+		// variable with ORDER BY + LIMIT 1.
+		orderBy = []sparql.OrderKey{{Expr: &sparql.VarExpr{Name: "v"}, Desc: sup.Desc}}
+	}
+	res.Candidates = make([]CandidateQuery, n)
+	for c := range res.Candidates {
+		q := &queries[c]
+		*q = sparql.Query{Form: sparql.FormSelect, Distinct: true, Projection: projection, Limit: -1}
 		if boolean {
 			q.Form = sparql.FormAsk
 			q.Projection = nil
 		}
+		if orderBy != nil {
+			q.OrderBy, q.Limit = orderBy, 1
+		}
+		q.Patterns = patterns[c*dims : (c+1)*dims : (c+1)*dims]
 		score := 1.0
-		for _, alt := range combo {
-			q.Patterns = append(q.Patterns, alt.patterns...)
+		for d, alt := range combos[c*dims : (c+1)*dims] {
+			q.Patterns[d] = alt.pattern(&mp.Triples[d])
 			score *= alt.score
 		}
-		res.Candidates = append(res.Candidates, CandidateQuery{
-			Query: q, SPARQL: q.String(), Score: score,
-		})
-	}
-
-	// §6 extension: superlative questions extremise the value variable
-	// with ORDER BY + LIMIT 1.
-	if sup := mp.Extraction.Superlative; sup != nil {
-		for i := range res.Candidates {
-			q := res.Candidates[i].Query
-			q.OrderBy = []sparql.OrderKey{{Expr: &sparql.VarExpr{Name: "v"}, Desc: sup.Desc}}
-			q.Limit = 1
-			res.Candidates[i].SPARQL = q.String()
-		}
+		res.Candidates[c] = CandidateQuery{Query: q, SPARQL: q.String(), Score: score}
 	}
 
 	// §2.3.1 rank order (deterministic tie-break on the query text).
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		if res.Candidates[i].Score != res.Candidates[j].Score {
-			return res.Candidates[i].Score > res.Candidates[j].Score
+	slices.SortStableFunc(res.Candidates, func(a, b CandidateQuery) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return res.Candidates[i].SPARQL < res.Candidates[j].SPARQL
+		return strings.Compare(a.SPARQL, b.SPARQL)
 	})
 
 	if boolean {
@@ -278,6 +284,9 @@ func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res
 			}
 			cq.Raw++
 			if e.cfg.DisableTypeCheck || e.typeMatches(sess, term, expected) {
+				if cq.Answers == nil {
+					cq.Answers = make([]rdf.Term, 0, n-row) // every remaining row may conform
+				}
 				cq.Answers = append(cq.Answers, term)
 			}
 		}
@@ -384,33 +393,31 @@ func slotTerm(varName string, entity rdf.Term) rdf.Term {
 	return entity
 }
 
-// orientations yields the executable SPARQL patterns for a property
-// between the two slots. Object properties are tried in both directions
-// when the domain/range typing does not rule one out; data properties
-// only ever have the literal on the object side. Typing reads the
+// orientations appends the executable orientations of a property
+// between the two slots to out — at most two. Object properties are
+// tried in both directions when the domain/range typing does not rule
+// one out; data properties only ever have the literal on the object
+// side. Typing reads the
 // session's pinned snapshot, like everything else in the §2.3 run.
-func (e *Extractor) orientations(sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []rdf.Triple {
-	var out []rdf.Triple
+func (e *Extractor) orientations(out []orientation, sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []orientation {
 	if !p.Object {
 		// Data property: the variable must sit in object position.
 		switch {
 		case obj.IsVar() && !subj.IsVar():
 			if e.instanceOfLoose(sess, subj, p.Domain) {
-				out = append(out, rdf.Triple{S: subj, P: p.Term, O: obj})
+				out = append(out, forward)
 			}
 		case subj.IsVar() && !obj.IsVar():
 			// Reversed slots: literal value on the subject side cannot
 			// be expressed; try the flipped orientation.
 			if e.instanceOfLoose(sess, obj, p.Domain) {
-				out = append(out, rdf.Triple{S: obj, P: p.Term, O: subj})
+				out = append(out, reverse)
 			}
 		case subj.IsVar() && obj.IsVar():
-			out = append(out, rdf.Triple{S: subj, P: p.Term, O: obj})
+			out = append(out, forward)
 		}
 		return out
 	}
-	forward := rdf.Triple{S: subj, P: p.Term, O: obj}
-	reverse := rdf.Triple{S: obj, P: p.Term, O: subj}
 	fwdOK := e.orientationTypable(sess, subj, obj, p)
 	revOK := e.orientationTypable(sess, obj, subj, p)
 	if fwdOK {

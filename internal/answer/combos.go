@@ -7,55 +7,84 @@
 package answer
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
+	"repro/internal/propmap"
 	"repro/internal/rdf"
 )
 
-// alternative is one executable choice for a single extracted triple: a
-// set of SPARQL patterns plus its §2.3.1 score factor.
+// alternative is one executable choice for a single extracted triple —
+// a candidate property in one orientation, or the rdf:type pattern of a
+// class triple — plus its §2.3.1 score factor.
 type alternative struct {
-	patterns []rdf.Triple
-	score    float64
+	pred   int32 // index into the triple's Predicates; -1: the class pattern
+	orient orientation
+	score  float64
 }
 
-// topCombos returns up to k combinations (one alternative per triple)
-// and whether the full product was truncated. When the product fits
-// within k every combination is returned; otherwise the k best by score
-// product are enumerated best-first, so no high-score combination can
-// be displaced by a low-score one. Each perTriple list is (stably)
+// orientation places a property's two slots: forward puts the triple's
+// subject slot in subject position, reverse its object slot.
+type orientation bool
+
+const (
+	forward orientation = false
+	reverse orientation = true
+)
+
+// pattern is the SPARQL triple pattern alt stands for in mt.
+func (alt alternative) pattern(mt *propmap.MappedTriple) rdf.Triple {
+	if alt.pred < 0 {
+		return rdf.Triple{S: rdf.NewVar(mt.SubjectVar), P: rdf.Type(), O: mt.Class}
+	}
+	s, o := slotTerm(mt.SubjectVar, mt.Subject), slotTerm(mt.ObjectVar, mt.Object)
+	if alt.orient == reverse {
+		s, o = o, s
+	}
+	return rdf.Triple{S: s, P: mt.Predicates[alt.pred].Property.Term, O: o}
+}
+
+// topCombos returns up to k combinations (one alternative per triple),
+// flat: combination c is combos[c*len(perTriple):(c+1)*len(perTriple)];
+// n counts them. truncated reports whether the full product exceeded k.
+// When the product fits within k every combination is returned, the
+// last triple's alternative varying fastest; otherwise the k best by
+// score product are enumerated best-first, so no high-score combination
+// can be displaced by a low-score one. Each perTriple list is (stably)
 // sorted by descending score in place as a side effect.
-func topCombos(perTriple [][]alternative, k int) ([][]alternative, bool) {
+func topCombos(perTriple [][]alternative, k int) (combos []alternative, n int, truncated bool) {
 	for _, alts := range perTriple {
-		sort.SliceStable(alts, func(i, j int) bool { return alts[i].score > alts[j].score })
+		slices.SortStableFunc(alts, func(a, b alternative) int { return cmp.Compare(b.score, a.score) })
 	}
 
-	truncated := false
-	total := 1
+	dims := len(perTriple)
+	n = 1
 	for _, alts := range perTriple {
-		total *= len(alts)
-		if total > k {
+		n *= len(alts)
+		if n > k {
 			truncated = true
 			break
 		}
 	}
 
 	if !truncated {
-		combos := [][]alternative{{}}
-		for _, alts := range perTriple {
-			next := make([][]alternative, 0, len(combos)*len(alts))
-			for _, combo := range combos {
-				for _, alt := range alts {
-					extended := make([]alternative, len(combo)+1)
-					copy(extended, combo)
-					extended[len(combo)] = alt
-					next = append(next, extended)
-				}
+		// Odometer over the index vector, last dimension fastest.
+		combos = make([]alternative, n*dims)
+		var idxBuf [8]int
+		idx := append(idxBuf[:0], make([]int, dims)...)
+		for c := 0; c < n; c++ {
+			for d, i := range idx {
+				combos[c*dims+d] = perTriple[d][i]
 			}
-			combos = next
+			for d := dims - 1; d >= 0; d-- {
+				if idx[d]++; idx[d] < len(perTriple[d]) {
+					break
+				}
+				idx[d] = 0
+			}
 		}
-		return combos, false
+		return combos, n, false
 	}
 
 	// Best-first enumeration over the score-sorted lists: pop the
@@ -63,7 +92,6 @@ func topCombos(perTriple [][]alternative, k int) ([][]alternative, bool) {
 	// index advanced). Advancing any index moves down a descending
 	// list, so the score product is non-increasing along every edge and
 	// the k pops are exactly the k best combinations.
-	dims := len(perTriple)
 	comboScore := func(idx []int) float64 {
 		s := 1.0
 		for d, i := range idx {
@@ -76,14 +104,12 @@ func topCombos(perTriple [][]alternative, k int) ([][]alternative, bool) {
 	heap.Push(h, comboState{idx: start, score: comboScore(start)})
 	visited := map[string]bool{packIdx(start): true}
 
-	combos := make([][]alternative, 0, k)
-	for len(combos) < k && h.Len() > 0 {
+	combos = make([]alternative, 0, k*dims)
+	for n = 0; n < k && h.Len() > 0; n++ {
 		st := heap.Pop(h).(comboState)
-		combo := make([]alternative, dims)
 		for d, i := range st.idx {
-			combo[d] = perTriple[d][i]
+			combos = append(combos, perTriple[d][i])
 		}
-		combos = append(combos, combo)
 		for d := 0; d < dims; d++ {
 			if st.idx[d]+1 >= len(perTriple[d]) {
 				continue
@@ -97,7 +123,7 @@ func topCombos(perTriple [][]alternative, k int) ([][]alternative, bool) {
 			}
 		}
 	}
-	return combos, true
+	return combos, n, true
 }
 
 // packIdx encodes an index vector as a map key (two bytes per

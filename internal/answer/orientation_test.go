@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kb"
+	"repro/internal/propmap"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/triplex"
@@ -14,6 +15,24 @@ import (
 // Coverage for the orientation and type-checking internals that the
 // end-to-end tests reach only partially.
 
+// orientationPatterns renders the orientations of p between subj and
+// obj as the triple patterns §2.3 executes.
+func orientationPatterns(ex *Extractor, sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []rdf.Triple {
+	var pats []rdf.Triple
+	for _, o := range ex.orientations(nil, sess, p, subj, obj) {
+		mt := propmap.MappedTriple{Predicates: []propmap.PropCandidate{{Property: p}}}
+		mt.Subject, mt.Object = subj, obj
+		if subj.IsVar() {
+			mt.Subject, mt.SubjectVar = rdf.Term{}, subj.Value
+		}
+		if obj.IsVar() {
+			mt.Object, mt.ObjectVar = rdf.Term{}, obj.Value
+		}
+		pats = append(pats, alternative{orient: o}.pattern(&mt))
+	}
+	return pats
+}
+
 func TestOrientationsDataProperty(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
@@ -21,23 +40,23 @@ func TestOrientationsDataProperty(t *testing.T) {
 	height, _ := k.PropertyByLocal("height")
 
 	// Entity subject, var object: the natural direction.
-	pats := ex.orientations(sess, height, rdf.Res("Michael_Jordan"), rdf.NewVar("x"))
+	pats := orientationPatterns(ex, sess, height, rdf.Res("Michael_Jordan"), rdf.NewVar("x"))
 	if len(pats) != 1 || pats[0].S != rdf.Res("Michael_Jordan") {
 		t.Errorf("natural data orientation = %v", pats)
 	}
 	// Var subject, entity object: flipped so the literal stays on the
 	// object side.
-	pats2 := ex.orientations(sess, height, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
+	pats2 := orientationPatterns(ex, sess, height, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
 	if len(pats2) != 1 || pats2[0].S != rdf.Res("Michael_Jordan") || !pats2[0].O.IsVar() {
 		t.Errorf("flipped data orientation = %v", pats2)
 	}
 	// Both vars.
-	pats3 := ex.orientations(sess, height, rdf.NewVar("a"), rdf.NewVar("b"))
+	pats3 := orientationPatterns(ex, sess, height, rdf.NewVar("a"), rdf.NewVar("b"))
 	if len(pats3) != 1 {
 		t.Errorf("var-var data orientation = %v", pats3)
 	}
 	// Domain-violating subject produces nothing.
-	pats4 := ex.orientations(sess, height, rdf.Res("Ankara"), rdf.NewVar("x"))
+	pats4 := orientationPatterns(ex, sess, height, rdf.Res("Ankara"), rdf.NewVar("x"))
 	if len(pats4) != 0 {
 		t.Errorf("domain violation accepted: %v", pats4)
 	}
@@ -50,19 +69,19 @@ func TestOrientationsObjectProperty(t *testing.T) {
 	spouse, _ := k.PropertyByLocal("spouse")
 
 	// Person-Person property: both orientations type-check.
-	pats := ex.orientations(sess, spouse, rdf.NewVar("x"), rdf.Res("Barack_Obama"))
+	pats := orientationPatterns(ex, sess, spouse, rdf.NewVar("x"), rdf.Res("Barack_Obama"))
 	if len(pats) != 2 {
 		t.Errorf("spouse orientations = %v, want both", pats)
 	}
 	// capital: Country→City; with a City entity only one direction fits.
 	capital, _ := k.PropertyByLocal("capital")
-	pats2 := ex.orientations(sess, capital, rdf.NewVar("x"), rdf.Res("Ankara"))
+	pats2 := orientationPatterns(ex, sess, capital, rdf.NewVar("x"), rdf.Res("Ankara"))
 	if len(pats2) != 1 || pats2[0].O != rdf.Res("Ankara") {
 		t.Errorf("capital orientations = %v, want Turkey-side var only", pats2)
 	}
 	// Entity typable in neither position: both orientations are kept as
 	// a fallback (the executor discards empty ones).
-	pats3 := ex.orientations(sess, capital, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
+	pats3 := orientationPatterns(ex, sess, capital, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
 	if len(pats3) != 2 {
 		t.Errorf("fallback orientations = %v, want both", pats3)
 	}

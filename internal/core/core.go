@@ -244,6 +244,19 @@ func New(cfg Config) *System {
 	return s
 }
 
+// WithCache returns a System that shares s's KB, mined patterns and
+// indexes and has an answer cache of its own with room for size
+// outcomes (none when size is 0), as if New had built it with
+// Config.CacheSize = size.
+func (s *System) WithCache(size int) *System {
+	c := *s
+	c.cache = nil
+	if size > 0 {
+		c.cache = qacache.New[*outcome](size)
+	}
+	return &c
+}
+
 // Status describes how far the pipeline got on a question.
 type Status uint8
 
@@ -487,17 +500,6 @@ type StageTrace struct {
 // answer-cache lookup (when the cache is enabled), then each stage.
 type Trace struct {
 	Stages []StageTrace
-}
-
-// Stage returns the trace entry with the given name (nil if it never
-// ran).
-func (t *Trace) Stage(name string) *StageTrace {
-	for i := range t.Stages {
-		if t.Stages[i].Stage == name {
-			return &t.Stages[i]
-		}
-	}
-	return nil
 }
 
 // Total returns the summed wall time across entries.

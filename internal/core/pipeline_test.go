@@ -199,6 +199,32 @@ func TestAnswerCacheHit(t *testing.T) {
 	}
 }
 
+// TestWithCacheIsIndependent: a System from WithCache shares the built
+// pipeline and answers alike, but its answer cache is its own — an
+// entry one holds is a miss in the other — and WithCache(0) has none.
+func TestWithCacheIsIndependent(t *testing.T) {
+	a := cachedSystem(t)
+	b := a.WithCache(16)
+	if b.KB != a.KB || b.Patterns != a.Patterns || b.Linker != a.Linker {
+		t.Fatal("WithCache rebuilt the pipeline")
+	}
+	const q = "Where did Abraham Lincoln die?"
+	a.AnswerCtx(context.Background(), q)
+	got := b.AnswerCtx(context.Background(), q)
+	if got.CacheHit || !got.Answered() {
+		t.Fatalf("fresh cache: hit=%v status=%v", got.CacheHit, got.Status)
+	}
+	if !b.AnswerCtx(context.Background(), q).CacheHit {
+		t.Error("WithCache system does not cache")
+	}
+	if hits, misses, _ := b.CacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+	if c := a.WithCache(0); c.AnswerCtx(context.Background(), q).CacheHit || c.CacheEntries() != 0 {
+		t.Error("WithCache(0) caches")
+	}
+}
+
 // TestAnswerCacheObservesRemoveGenerationBump: a single-triple delete
 // bumps the snapshot generation, which must invalidate every previously
 // cached answer.

@@ -18,6 +18,17 @@ import (
 
 const pamukQ = "Which book is written by Orhan Pamuk?"
 
+// Stage returns the trace entry with the given name (nil if it never
+// ran).
+func (t *Trace) Stage(name string) *StageTrace {
+	for i := range t.Stages {
+		if t.Stages[i].Stage == name {
+			return &t.Stages[i]
+		}
+	}
+	return nil
+}
+
 // swapStage replaces stage i's method for the rest of the test; its
 // name and fault point stay.
 func swapStage(t *testing.T, i int, run func(*System, context.Context, *Result, *StageTrace) error) {

@@ -21,7 +21,9 @@
 package depparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,6 +52,10 @@ type Graph struct {
 	Nodes []Node
 	Edges []Edge
 	Root  int
+
+	// children is Edges ordered by (Head, Dep), built by Parse once
+	// every edge is in: Children returns sub-slices of it.
+	children []Edge
 }
 
 // Relations emitted by the parser (Stanford typed dependency names).
@@ -85,16 +91,34 @@ func (g *Graph) HeadOf(i int) (int, string) {
 	return -1, ""
 }
 
-// Children returns the edges whose head is i, in dependent order.
+// Children returns the edges whose head is i, in dependent order. It
+// reads the child index Parse builds, so the graph must come from
+// Parse; the slice is shared with the graph and callers must not
+// modify it.
 func (g *Graph) Children(i int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Head == i {
-			out = append(out, e)
-		}
+	kids := g.children
+	lo := 0
+	for lo < len(kids) && kids[lo].Head < i {
+		lo++
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Dep < out[b].Dep })
-	return out
+	hi := lo
+	for hi < len(kids) && kids[hi].Head == i {
+		hi++
+	}
+	return kids[lo:hi:hi]
+}
+
+// appendChildIndex appends edges to dst ordered by (Head, Dep). A node
+// has one head, so no two edges tie.
+func appendChildIndex(dst, edges []Edge) []Edge {
+	dst = append(dst, edges...)
+	slices.SortFunc(dst, func(a, b Edge) int {
+		if c := cmp.Compare(a.Head, b.Head); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Dep, b.Dep)
+	})
+	return dst
 }
 
 // ChildByRel returns the first dependent of i with the given relation.
@@ -179,17 +203,24 @@ func Parse(sentence string) (*Graph, error) {
 	}
 	tagged := postag.Tag(words)
 
-	g := &Graph{Root: -1}
+	// A node is attached once, the root included, so the graph has at
+	// most one edge per node; one array holds the edges and, behind
+	// them, the child index.
+	n := len(tagged)
+	g := &Graph{Root: -1, Nodes: make([]Node, n)}
+	edges := make([]Edge, 0, 2*n)
+	g.Edges = edges[:0:n]
 	for i, t := range tagged {
-		g.Nodes = append(g.Nodes, Node{
+		g.Nodes[i] = Node{
 			Index: i,
 			Word:  t.Word,
 			Lemma: lemma.Lemma(t.Word, t.Tag),
 			Tag:   t.Tag,
-		})
+		}
 	}
 	p := &ruleParser{g: g}
 	p.run()
+	g.children = appendChildIndex(edges[n:n], g.Edges)
 	return g, nil
 }
 

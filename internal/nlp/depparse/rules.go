@@ -91,6 +91,7 @@ func (p *ruleParser) chunkNPs() {
 	for i := range p.inChunk {
 		p.inChunk[i] = -1
 	}
+	p.chunks = make([]chunk, 0, len(g.Nodes)/2+1) // chunks are disjoint, mostly apart
 	i := 0
 	for i < len(g.Nodes) {
 		t := p.tag(i)

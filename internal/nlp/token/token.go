@@ -7,6 +7,7 @@ package token
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is one token with its source span.
@@ -22,18 +23,23 @@ type Token struct {
 //   - the possessive clitic 's and the negation n't split off
 //   - all other punctuation becomes single-character tokens
 func Tokenize(text string) []Token {
-	var out []Token
-	runes := []rune(text)
-	byteOff := make([]int, len(runes)+1)
-	{
-		off := 0
-		for i, r := range runes {
-			byteOff[i] = off
-			off += len(string(r))
-		}
-		byteOff[len(runes)] = off
+	if !utf8.ValidString(text) {
+		// Each invalid byte becomes U+FFFD: tokenise (and measure
+		// offsets in) the text those runes spell.
+		text = string([]rune(text))
 	}
+	// The runes and their byte offsets, on the stack for a question of
+	// ordinary length; every token text is a substring of text.
+	var runeBuf [256]rune
+	var offBuf [257]int
+	runes, byteOff := runeBuf[:0], offBuf[:0]
+	for off, r := range text {
+		runes = append(runes, r)
+		byteOff = append(byteOff, off)
+	}
+	byteOff = append(byteOff, len(text))
 
+	out := make([]Token, 0, len(runes)/4+2)
 	i := 0
 	for i < len(runes) {
 		r := runes[i]
@@ -45,10 +51,9 @@ func Tokenize(text string) []Token {
 			for i < len(runes) && isWordContinuation(runes, i) {
 				i++
 			}
-			word := string(runes[start:i])
-			out = appendWordWithClitics(out, word, byteOff[start])
+			out = appendWordWithClitics(out, text[byteOff[start]:byteOff[i]], byteOff[start])
 		default:
-			out = append(out, Token{Text: string(r), Start: byteOff[i], End: byteOff[i+1]})
+			out = append(out, Token{Text: text[byteOff[i]:byteOff[i+1]], Start: byteOff[i], End: byteOff[i+1]})
 			i++
 		}
 	}
@@ -116,13 +121,12 @@ func isWordContinuation(runes []rune, i int) bool {
 
 // appendWordWithClitics splits possessive 's and n't clitics off a word.
 func appendWordWithClitics(out []Token, word string, start int) []Token {
-	lower := strings.ToLower(word)
 	switch {
-	case len(word) > 2 && strings.HasSuffix(lower, "'s"):
+	case len(word) > 2 && hasSuffixFold(word, "'s"):
 		head := word[:len(word)-2]
 		out = append(out, Token{Text: head, Start: start, End: start + len(head)})
 		out = append(out, Token{Text: word[len(word)-2:], Start: start + len(head), End: start + len(word)})
-	case len(word) > 3 && strings.HasSuffix(lower, "n't"):
+	case len(word) > 3 && hasSuffixFold(word, "n't"):
 		head := word[:len(word)-3]
 		out = append(out, Token{Text: head, Start: start, End: start + len(head)})
 		out = append(out, Token{Text: word[len(word)-3:], Start: start + len(head), End: start + len(word)})
@@ -130,4 +134,11 @@ func appendWordWithClitics(out []Token, word string, start int) []Token {
 		out = append(out, Token{Text: word, Start: start, End: start + len(word)})
 	}
 	return out
+}
+
+// hasSuffixFold reports whether word ends with the lower-case ASCII
+// suffix in either case. No other rune lower-cases to ', n, s or t, so
+// it agrees with strings.HasSuffix(strings.ToLower(word), suffix).
+func hasSuffixFold(word, suffix string) bool {
+	return len(word) >= len(suffix) && strings.EqualFold(word[len(word)-len(suffix):], suffix)
 }

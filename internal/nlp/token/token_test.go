@@ -20,12 +20,19 @@ func TestTokenizePossessive(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Words = %v, want %v", got, want)
 	}
+	// The clitic splits off in either case.
+	if got, want := Words("WHAT IS JORDAN'S HEIGHT"), []string{"WHAT", "IS", "JORDAN", "'S", "HEIGHT"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Words = %v, want %v", got, want)
+	}
 }
 
 func TestTokenizeNegationClitic(t *testing.T) {
 	got := Words("Isn't Frank Herbert alive?")
 	want := []string{"Is", "n't", "Frank", "Herbert", "alive", "?"}
 	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Words = %v, want %v", got, want)
+	}
+	if got, want := Words("ISN'T he, DoN'T they"), []string{"IS", "N'T", "he", ",", "Do", "N'T", "they"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Words = %v, want %v", got, want)
 	}
 }

@@ -261,10 +261,10 @@ func (e *ErrUnmappable) Error() string {
 
 // Map runs §2.2 over an extraction.
 func (m *Mapper) Map(ext *triplex.Extraction) (*Mapping, error) {
-	out := &Mapping{Extraction: ext}
+	out := &Mapping{Extraction: ext, Triples: make([]MappedTriple, 0, len(ext.Triples))}
 
 	// Collect entity phrases for NED context.
-	var phrases []string
+	phrases := make([]string, 0, 2*len(ext.Triples))
 	for _, t := range ext.Triples {
 		for _, s := range []triplex.Slot{t.Subject, t.Object} {
 			if !s.IsVar() && !t.IsType && s.Text != "" {
@@ -377,6 +377,11 @@ type slot struct {
 	src     Source
 }
 
+// rankScore is the RankScore of the candidate the slot becomes.
+func (c slot) rankScore() float64 {
+	return PropCandidate{Sim: c.sim, Freq: c.freq}.RankScore()
+}
+
 // merge folds one more signal for rows[row] into the slot of its IRI —
 // keep the maximum similarity and the maximum pattern frequency — and
 // returns the list, which it keeps in IRI order: a predicate has a
@@ -481,14 +486,15 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 	}
 
 	// Slots are in IRI order, so a stable sort by descending RankScore
-	// leaves ties in IRI order.
+	// leaves ties in IRI order. Only the candidates that survive the cut
+	// are built.
+	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(b.rankScore(), a.rankScore()) })
+	if m.cfg.MaxCandidates > 0 && len(slots) > m.cfg.MaxCandidates {
+		slots = slots[:m.cfg.MaxCandidates]
+	}
 	out := make([]PropCandidate, len(slots))
 	for i, c := range slots {
 		out[i] = PropCandidate{Property: m.rows[c.row].prop, Sim: c.sim, Freq: c.freq, Source: c.src}
-	}
-	slices.SortStableFunc(out, func(a, b PropCandidate) int { return cmp.Compare(b.RankScore(), a.RankScore()) })
-	if m.cfg.MaxCandidates > 0 && len(out) > m.cfg.MaxCandidates {
-		out = out[:m.cfg.MaxCandidates]
 	}
 	return out
 }

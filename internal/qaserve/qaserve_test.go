@@ -21,16 +21,14 @@ var (
 	testSys     *core.System
 )
 
-// testSystem shares one cached-pipeline System across the package's
-// tests (building one mines the pattern corpus).
+// testSystem returns a cached-pipeline System with an answer cache of
+// its own, so no test (and no rerun under -count) sees another's
+// entries. Every one shares the KB, mined patterns and indexes of one
+// System built once: building those mines the pattern corpus.
 func testSystem(t testing.TB) *core.System {
 	t.Helper()
-	testSysOnce.Do(func() {
-		cfg := core.DefaultConfig()
-		cfg.CacheSize = 256
-		testSys = core.New(cfg)
-	})
-	return testSys
+	testSysOnce.Do(func() { testSys = core.New(core.DefaultConfig()) })
+	return testSys.WithCache(256)
 }
 
 func postJSON(t testing.TB, client *http.Client, url string, body any) (*http.Response, []byte) {

@@ -395,6 +395,25 @@ func TestStaticPathUntouchedByNewConfig(t *testing.T) {
 	// The wire shape must not grow fields: a raw decode of the JSON keys
 	// guards against, e.g., a pipeline-internal field leaking into the
 	// trace.
+	// A miss's answer entry carries its plan-cache and rank-sort
+	// counts; the shard fields stay out of a single-store reply.
+	allowed := map[string]bool{"stage": true, "duration_ms": true, "candidates": true, "cache_hit": true,
+		"plan_cache_hits": true, "plan_cache_misses": true, "rank_sorts": true, "error": true}
+	checkTraceKeys(t, "miss", body, allowed)
+
+	// Asked again, the question is a hit: one entry, three fields.
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/answer",
+		AnswerRequest{Question: "How tall is Michael Jordan?"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s)", resp.StatusCode, body)
+	}
+	checkTraceKeys(t, "hit", body, map[string]bool{"stage": true, "duration_ms": true, "cache_hit": true})
+}
+
+// checkTraceKeys fails t if any trace entry of the reply body has a
+// key outside allowed.
+func checkTraceKeys(t *testing.T, label string, body []byte, allowed map[string]bool) {
+	t.Helper()
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
@@ -403,11 +422,13 @@ func TestStaticPathUntouchedByNewConfig(t *testing.T) {
 	if err := json.Unmarshal(raw["trace"], &traces); err != nil {
 		t.Fatal(err)
 	}
-	allowed := map[string]bool{"stage": true, "duration_ms": true, "candidates": true, "cache_hit": true, "error": true}
+	if len(traces) == 0 {
+		t.Fatalf("%s: reply has no trace", label)
+	}
 	for _, tr := range traces {
 		for k := range tr {
 			if !allowed[k] {
-				t.Errorf("trace grew field %q", k)
+				t.Errorf("%s: trace grew field %q", label, k)
 			}
 		}
 	}

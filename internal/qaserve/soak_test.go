@@ -223,7 +223,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovering the crash image: %v", err)
 	}
-	if !rec2.Exists {
+	if rec2.Store == nil {
 		t.Fatal("crash image holds no durable state")
 	}
 	var recovered []string

@@ -151,10 +151,11 @@ func (ex *executor) term(id store.ID) rdf.Term {
 // pattern slot structure, filter split and projection, all independent
 // of which concrete terms are bound; see plan.go) and the bind phase
 // below, which resolves the executing query's constants to dictionary
-// IDs and hoists exact base cardinalities from the pinned snapshot.
-func compile(ctx context.Context, sess *Session, q *Query) *executor {
+// IDs and hoists exact base cardinalities from the pinned snapshot. The
+// executor is returned by value: one execution keeps it on its stack.
+func compile(ctx context.Context, sess *Session, q *Query) executor {
 	sh := sess.planFor(q)
-	ex := &executor{sess: sess, snap: sess.snap, q: q, ctx: ctx,
+	ex := executor{sess: sess, snap: sess.snap, q: q, ctx: ctx,
 		terms: sess.terms, shape: sh}
 	ex.patterns = ex.bindPatterns(sh.patterns, q.Patterns)
 	if len(sh.unions) > 0 {
@@ -266,31 +267,69 @@ func substituted(cp cpat, r []store.ID) [3]store.ID {
 }
 
 // extendInto scans the matches of cp under each row of src and appends
-// the extended rows to dst. Repeated variables within a pattern are
-// checked for consistency.
+// the extended rows to dst. A row that leaves one position of cp free
+// reads that position's sorted posting list, which holds the matches in
+// scan order; any other row streams the scan (scanInto).
 func (ex *executor) extendInto(dst *rowset, src *rowset, cp cpat) {
 	if cp.unknown {
 		return
 	}
 	for i := 0; i < src.n; i++ {
 		r := src.row(i)
-		ex.snap.ForEachMatchIDs(substituted(cp, r), func(s, p, o store.ID) bool {
-			nr := dst.push(r)
-			match := [3]store.ID{s, p, o}
-			for pos, col := range cp.vars {
-				if col < 0 {
-					continue
+		pat := substituted(cp, r)
+		if col := freeColumn(cp, pat); col >= 0 {
+			if lst, ok := ex.snap.PostingList(pat); ok {
+				for _, id := range lst {
+					dst.push(r)[col] = id
 				}
-				if nr[col] == 0 {
-					nr[col] = match[pos]
-				} else if nr[col] != match[pos] {
-					dst.pop()
-					return true
-				}
+				continue
 			}
-			return true
-		})
+		}
+		ex.scanInto(dst, r, cp, pat)
 	}
+}
+
+// freeColumn returns the row column of pat's one free position, or -1
+// when pat has no free position or more than one. A free position holds
+// a variable the row leaves unbound; the variable cannot recur in the
+// pattern, where it would leave a second position free.
+func freeColumn(cp cpat, pat [3]store.ID) int {
+	col := -1
+	for pos, id := range pat {
+		if id != 0 {
+			continue
+		}
+		if col >= 0 {
+			return -1
+		}
+		col = cp.vars[pos]
+	}
+	return col
+}
+
+// scanInto appends r extended by every match of pat to dst, checking
+// repeated variables within cp for consistency. The callback works on a
+// copy of *dst, so only a row that reaches the scan pays for the
+// closure's captures.
+func (ex *executor) scanInto(dst *rowset, r []store.ID, cp cpat, pat [3]store.ID) {
+	out := *dst
+	ex.snap.ForEachMatchIDs(pat, func(s, p, o store.ID) bool {
+		nr := out.push(r)
+		match := [3]store.ID{s, p, o}
+		for pos, col := range cp.vars {
+			if col < 0 {
+				continue
+			}
+			if nr[col] == 0 {
+				nr[col] = match[pos]
+			} else if nr[col] != match[pos] {
+				out.pop()
+				return true
+			}
+		}
+		return true
+	})
+	*dst = out
 }
 
 // semiJoinList reports whether cp is a pure existence filter under the
@@ -506,9 +545,11 @@ func (ex *executor) applyFilter(rows *rowset, fc filterCols, scratch Binding) {
 // down as soon as their variables are bound.
 func (ex *executor) evalBGP(pats []cpat, filters []filterCols) rowset {
 	ncols := ex.shape.ncols
-	rows := rowset{stride: ncols}
-	rows.push(make([]store.ID, ncols)) // the single empty solution
-	scratch := make(Binding, ncols)
+	rows := rowset{stride: ncols, buf: make([]store.ID, ncols), n: 1} // the single empty solution
+	var scratch Binding
+	if len(filters) > 0 {
+		scratch = make(Binding, ncols)
+	}
 
 	if len(pats) == 0 {
 		for _, fc := range filters {
@@ -517,8 +558,10 @@ func (ex *executor) evalBGP(pats []cpat, filters []filterCols) rowset {
 		return rows
 	}
 
-	remaining := append([]cpat(nil), pats...)
-	bound := make([]bool, ncols)
+	var remBuf [4]cpat
+	var boundBuf [16]bool
+	remaining := append(remBuf[:0], pats...)
+	bound := append(boundBuf[:0], make([]bool, ncols)...)
 	applied := make([]bool, len(filters))
 	anyBound := false
 
@@ -709,7 +752,8 @@ func (ex *executor) run() (*Result, error) {
 			if len(ids) > 1 {
 				ranks, order := ex.snap.TermRanks()
 				ex.sess.rankSorts.Add(1)
-				keys := make([]uint32, len(ids))
+				var keyBuf [64]uint32
+				keys := append(keyBuf[:0], make([]uint32, len(ids))...)
 				for i, id := range ids {
 					keys[i] = rankKey(ranks, id)
 				}
@@ -722,10 +766,10 @@ func (ex *executor) run() (*Result, error) {
 					}
 				}
 			}
+			// projectDistinct's arena holds only the distinct rows: the
+			// result keeps its window.
 			first, last := window(q, projected.n)
-			out := make([]store.ID, last-first)
-			copy(out, ids[first:last])
-			return newColumnarResult(vars, out, last-first, ex.terms), nil
+			return newColumnarResult(vars, ids[first:last:last], last-first, ex.terms), nil
 		}
 		idCols := make([]int, nproj)
 		for i := range idCols {
@@ -872,33 +916,51 @@ func window(q *Query, n int) (first, last int) {
 	return first, last
 }
 
+// scanDistinct is how many distinct rows projectDistinct finds by
+// scanning its output before it builds a set: a §2.3 candidate has a
+// handful of distinct answers.
+const scanDistinct = 16
+
 // projectDistinct projects rows into a fresh arena in input order,
 // dropping duplicate projections by ID equality (two rows bind the
-// same terms iff they hold the same IDs). Single-column projections —
-// the §2.3 candidate shape — dedup through a plain ID set with no
-// per-row key material at all.
+// same terms iff they hold the same IDs). A duplicate is found by
+// scanning the output while it holds at most scanDistinct rows, and
+// through a set built from it past that. Single-column projections —
+// the §2.3 candidate shape — compare IDs with no per-row key material
+// at all.
 func (ex *executor) projectDistinct(rows *rowset, projCols []int) rowset {
 	nproj := len(projCols)
 	out := rowset{stride: nproj}
 	if nproj == 1 {
 		col := projCols[0]
-		seen := make(map[store.ID]bool, 64)
+		var seen map[store.ID]bool
 		for i := 0; i < rows.n; i++ {
 			var id store.ID
 			if col >= 0 {
 				id = rows.row(i)[col]
 			}
-			if seen[id] {
+			switch {
+			case seen != nil:
+				if seen[id] {
+					continue
+				}
+				seen[id] = true
+			case slices.Contains(out.buf, id):
 				continue
+			case out.n == scanDistinct:
+				seen = make(map[store.ID]bool, 2*scanDistinct)
+				for _, prev := range out.buf {
+					seen[prev] = true
+				}
+				seen[id] = true
 			}
-			seen[id] = true
 			out.buf = append(out.buf, id)
 			out.n++
 		}
 		return out
 	}
-	seen := make(map[string]bool, 64)
-	keyBuf := make([]byte, 0, nproj*4)
+	var seen map[string]bool
+	var keyBuf [64]byte
 	for i := 0; i < rows.n; i++ {
 		r := rows.row(i)
 		start := len(out.buf)
@@ -909,15 +971,37 @@ func (ex *executor) projectDistinct(rows *rowset, projCols []int) rowset {
 				out.buf = append(out.buf, 0)
 			}
 		}
-		out.n++
-		keyBuf = appendRowKey(keyBuf[:0], out.buf[start:])
-		if seen[string(keyBuf)] {
-			out.pop()
+		row := out.buf[start:]
+		switch {
+		case seen != nil:
+			key := appendRowKey(keyBuf[:0], row)
+			if seen[string(key)] {
+				out.buf = out.buf[:start]
+				continue
+			}
+			seen[string(key)] = true
+		case out.hasRow(row):
+			out.buf = out.buf[:start]
 			continue
+		case out.n == scanDistinct:
+			seen = make(map[string]bool, 2*scanDistinct)
+			for j := 0; j <= out.n; j++ {
+				seen[string(appendRowKey(keyBuf[:0], out.row(j)))] = true
+			}
 		}
-		seen[string(keyBuf)] = true
+		out.n++
 	}
 	return out
+}
+
+// hasRow reports whether one of the rowset's n rows equals r.
+func (rs *rowset) hasRow(r []store.ID) bool {
+	for i := 0; i < rs.n; i++ {
+		if slices.Equal(rs.row(i), r) {
+			return true
+		}
+	}
+	return false
 }
 
 // appendRowKey appends the byte encoding of a projected ID row to buf

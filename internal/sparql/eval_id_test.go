@@ -146,6 +146,48 @@ func TestRowsetCompact(t *testing.T) {
 	}
 }
 
+// TestProjectDistinctMatchesSet: projectDistinct keeps exactly the
+// first occurrence of every projected row, in input order, whether the
+// output stays under scanDistinct rows (found by scanning) or grows
+// past it (found through the set built then) — single-column, with an
+// unbound column, and multi-column.
+func TestProjectDistinctMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ex executor
+	for _, tc := range []struct {
+		ids      int // distinct IDs per column, 0 included
+		projCols []int
+	}{
+		{5, []int{1}}, {60, []int{1}}, {60, []int{-1}},
+		{4, []int{0, 2}}, {9, []int{2, -1, 0}}, {9, []int{0, 1, 2}},
+	} {
+		rows := rowset{stride: 3}
+		for i := 0; i < 400; i++ {
+			rows.push([]store.ID{store.ID(rng.Intn(tc.ids)), store.ID(rng.Intn(tc.ids)), store.ID(rng.Intn(tc.ids))})
+		}
+		var want []store.ID
+		seen := map[string]bool{}
+		for i := 0; i < rows.n; i++ {
+			var proj []store.ID
+			for _, col := range tc.projCols {
+				if col >= 0 {
+					proj = append(proj, rows.row(i)[col])
+				} else {
+					proj = append(proj, 0)
+				}
+			}
+			if key := fmt.Sprint(proj); !seen[key] {
+				seen[key] = true
+				want = append(want, proj...)
+			}
+		}
+		got := ex.projectDistinct(&rows, tc.projCols)
+		if got.n != len(seen) || fmt.Sprint(got.buf) != fmt.Sprint(want) {
+			t.Fatalf("%+v: %d rows %v, want %d rows %v", tc, got.n, got.buf, len(seen), want)
+		}
+	}
+}
+
 // TestDeferredFilterAfterOptional covers the deferred-filter path the
 // seed implemented with an aliased slice: a filter over an OPTIONAL
 // variable must drop exactly the rows where it is unbound or false,

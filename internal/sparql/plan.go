@@ -42,8 +42,6 @@
 package sparql
 
 import (
-	"strings"
-
 	"repro/internal/qacache"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -200,82 +198,77 @@ func (sh *planShape) shapePatterns(pats []rdf.Triple) []spat {
 	return out
 }
 
-// shapeKey serialises everything buildShape reads into a canonical
-// string: form/DISTINCT/COUNT/projection, the pattern structure with
-// variable names kept and constant terms abstracted to a placeholder
-// (that abstraction is what lets fan-out siblings share one entry),
-// and the verbatim text of every FILTER and ORDER BY expression
-// (their constants stay concrete: filter semantics depend on them).
-// LIMIT and OFFSET are deliberately absent — the executor reads them
-// from the query at run time.
-func shapeKey(q *Query) string {
-	var sb strings.Builder
-	sb.Grow(64)
+// appendShapeKey appends the canonical serialisation of everything
+// buildShape reads to b: form/DISTINCT/COUNT/projection, the pattern
+// structure with variable names kept and constant terms abstracted to
+// a placeholder (that abstraction is what lets fan-out siblings share
+// one entry), and the verbatim text of every FILTER and ORDER BY
+// expression (their constants stay concrete: filter semantics depend
+// on them). LIMIT and OFFSET are deliberately absent — the executor
+// reads them from the query at run time.
+func appendShapeKey(b []byte, q *Query) []byte {
 	if q.Form == FormAsk {
-		sb.WriteString("A|")
+		b = append(b, "A|"...)
 	} else {
-		sb.WriteString("S|")
+		b = append(b, "S|"...)
 	}
 	if q.Distinct {
-		sb.WriteString("D|")
+		b = append(b, "D|"...)
 	}
 	switch {
 	case q.Count != nil:
-		sb.WriteString("C(")
+		b = append(b, "C("...)
 		if q.Count.Distinct {
-			sb.WriteString("D ")
+			b = append(b, "D "...)
 		}
-		sb.WriteString(q.Count.Var + ">" + q.Count.As + ")|")
+		b = append(append(append(append(b, q.Count.Var...), '>'), q.Count.As...), ")|"...)
 	case q.Star:
-		sb.WriteString("*|")
+		b = append(b, "*|"...)
 	default:
 		for _, v := range q.Projection {
-			sb.WriteString("?" + v + " ")
+			b = append(append(append(b, '?'), v...), ' ')
 		}
-		sb.WriteByte('|')
+		b = append(b, '|')
 	}
-	pat := func(p rdf.Triple) {
-		for _, t := range [3]rdf.Term{p.S, p.P, p.O} {
-			if t.IsVar() {
-				sb.WriteString("?" + t.Value)
-			} else {
-				sb.WriteByte('.') // constant placeholder
+	pats := func(ps []rdf.Triple) {
+		for _, p := range ps {
+			for _, t := range [3]rdf.Term{p.S, p.P, p.O} {
+				if t.IsVar() {
+					b = append(append(b, '?'), t.Value...)
+				} else {
+					b = append(b, '.') // constant placeholder
+				}
+				b = append(b, ' ')
 			}
-			sb.WriteByte(' ')
+			b = append(b, ';')
 		}
-		sb.WriteByte(';')
 	}
-	for _, p := range q.Patterns {
-		pat(p)
-	}
+	pats(q.Patterns)
 	for _, block := range q.Unions {
-		sb.WriteString("|U")
+		b = append(b, "|U"...)
 		for _, branch := range block {
-			sb.WriteByte('{')
-			for _, p := range branch {
-				pat(p)
-			}
-			sb.WriteByte('}')
+			b = append(b, '{')
+			pats(branch)
+			b = append(b, '}')
 		}
 	}
 	for _, opt := range q.Optionals {
-		sb.WriteString("|O{")
-		for _, p := range opt {
-			pat(p)
-		}
-		sb.WriteByte('}')
+		b = append(b, "|O{"...)
+		pats(opt)
+		b = append(b, '}')
 	}
 	for _, f := range q.Filters {
-		sb.WriteString("|F" + f.String())
+		b = append(append(b, "|F"...), f.String()...)
 	}
 	for _, k := range q.OrderBy {
 		if k.Desc {
-			sb.WriteString("|>" + k.Expr.String())
+			b = append(b, "|>"...)
 		} else {
-			sb.WriteString("|<" + k.Expr.String())
+			b = append(b, "|<"...)
 		}
+		b = append(b, k.Expr.String()...)
 	}
-	return sb.String()
+	return b
 }
 
 // DefaultPlanCacheSize is the capacity of the process-wide default
@@ -286,7 +279,7 @@ func shapeKey(q *Query) string {
 const DefaultPlanCacheSize = 512
 
 // PlanCache is a shared, bounded cache of compiled plan shapes: a
-// sharded internal/qacache LRU keyed by shapeKey. A shape holds no
+// sharded internal/qacache LRU keyed by appendShapeKey. A shape holds no
 // dictionary ID and no cardinality, so it is valid at every store
 // generation and in front of every store: entries are read and written
 // at one constant generation (shapeGen) and survive store writes. Safe
@@ -329,14 +322,17 @@ func (s *Session) planFor(q *Query) *planShape {
 	if pc == nil {
 		return buildShape(q)
 	}
-	key := shapeKey(q)
-	if sh, ok := pc.c.Get(key, shapeGen); ok {
+	// The key is built on the stack; only a miss copies it into the
+	// cache.
+	var buf [128]byte
+	key := appendShapeKey(buf[:0], q)
+	if sh, ok := pc.c.Get(string(key), shapeGen); ok {
 		s.planHits.Add(1)
 		return sh
 	}
 	s.planMisses.Add(1)
 	sh := buildShape(q)
-	pc.c.Put(key, shapeGen, sh)
+	pc.c.Put(string(key), shapeGen, sh)
 	return sh
 }
 

@@ -244,6 +244,7 @@ func TestPlanCacheCrossStore(t *testing.T) {
 // constant terms) share one shape key — the property the fan-out's
 // hit rate rests on — while structurally different queries do not.
 func TestShapeKeySharing(t *testing.T) {
+	shapeKey := func(q *Query) string { return string(appendShapeKey(nil, q)) }
 	a := MustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . }`)
 	b := MustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:City . ?p dbont:starring ?x . }`)
 	if shapeKey(a) != shapeKey(b) {

@@ -23,7 +23,7 @@
 //
 // A Session is safe for concurrent use. The type sets are a pure
 // function of the pinned view, so concurrent first probes of one entity
-// store equal lists and the last write winning is benign.
+// read equal lists and which of them is kept is benign.
 //
 // Lifecycle: one Session per question (NewSnapshotSession /
 // NewViewSession at request entry), shared by the SELECT candidates,
@@ -58,8 +58,18 @@ type Session struct {
 	planMisses atomic.Uint64
 	rankSorts  atomic.Uint64
 
-	mu    sync.RWMutex
-	types map[store.ID][]store.ID // subject → its rdf:type objects, one read each; guarded by mu
+	// Each probed subject's rdf:type objects, one read each: the first
+	// few in place, the rest in a map. Guarded by mu.
+	mu     sync.RWMutex
+	first  [4]entityTypes
+	nfirst int
+	more   map[store.ID][]store.ID
+}
+
+// entityTypes is one probed subject and its rdf:type objects.
+type entityTypes struct {
+	id    store.ID
+	types []store.ID
 }
 
 // NewSnapshotSession returns a session over an already-pinned snapshot
@@ -121,7 +131,8 @@ func (s *Session) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 		//qalint:ignore ctxflow nil-ctx normalization at the public API boundary; callers without a context get an inert root here, never deeper.
 		ctx = context.Background()
 	}
-	return compile(ctx, s, q).run()
+	ex := compile(ctx, s, q)
+	return ex.run()
 }
 
 // InstanceOf reports whether (entity, rdf:type, class) holds in the
@@ -137,14 +148,15 @@ func (s *Session) InstanceOf(entity, class rdf.Term) bool {
 }
 
 // typesOf returns the IDs of entity's rdf:type objects. Concurrent
-// first probes may both read; they store equal lists.
+// first probes may both read; the first to finish stores the (equal)
+// list.
 func (s *Session) typesOf(entity rdf.Term) []store.ID {
 	sid, ok := s.snap.Lookup(entity)
 	if !ok {
 		return nil
 	}
 	s.mu.RLock()
-	types, hit := s.types[sid]
+	types, hit := s.knownTypes(sid)
 	s.mu.RUnlock()
 	if hit {
 		return types
@@ -153,10 +165,29 @@ func (s *Session) typesOf(entity rdf.Term) []store.ID {
 		types, _ = s.snap.PostingList([3]store.ID{sid, pid, 0})
 	}
 	s.mu.Lock()
-	if s.types == nil {
-		s.types = make(map[store.ID][]store.ID)
+	if _, hit := s.knownTypes(sid); !hit {
+		switch {
+		case s.nfirst < len(s.first):
+			s.first[s.nfirst] = entityTypes{sid, types}
+			s.nfirst++
+		case s.more == nil:
+			s.more = map[store.ID][]store.ID{sid: types}
+		default:
+			s.more[sid] = types
+		}
 	}
-	s.types[sid] = types
 	s.mu.Unlock()
 	return types
+}
+
+// knownTypes returns the type set an earlier probe of sid read. The
+// caller holds mu.
+func (s *Session) knownTypes(sid store.ID) ([]store.ID, bool) {
+	for _, e := range s.first[:s.nfirst] {
+		if e.id == sid {
+			return e.types, true
+		}
+	}
+	types, ok := s.more[sid]
+	return types, ok
 }

@@ -226,6 +226,35 @@ func (v *countingView) HasIDs(s, p, o store.ID) bool {
 	return v.Snapshot.HasIDs(s, p, o)
 }
 
+// TestInstanceOfConcurrent: goroutines probing one session's type sets
+// at once — the in-place entries and the overflow map both fill under
+// them — agree with the ground probe. Under -race this pins the
+// type-set locking.
+func TestInstanceOfConcurrent(t *testing.T) {
+	st, _ := randStore(rand.New(rand.NewSource(9)), 60, 3)
+	snap := st.Snapshot()
+	sess := NewSnapshotSession(snap)
+	classes := []rdf.Term{rdf.Ont("Person"), rdf.Ont("City"), rdf.Ont("Book")}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e := 0; e < 60; e++ {
+				ent := rdf.Res(fmt.Sprintf("E%d", (e*7+g*13)%60))
+				for _, class := range classes {
+					want := snap.Has(rdf.Triple{S: ent, P: rdf.Type(), O: class})
+					if got := sess.InstanceOf(ent, class); got != want {
+						t.Errorf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestInstanceOfMatchesGroundProbe: the type-set read answers every
 // (entity, class) pair exactly as the ground rdf:type probe does —
 // known and unknown entities, classes and literals — pins the

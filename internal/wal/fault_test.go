@@ -60,7 +60,7 @@ func startRun(t *testing.T, fsys *faultfs.FS, compact int64, initial []rdf.Tripl
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Exists {
+	if rec.Store != nil {
 		t.Fatal("fresh faultfs dir claims durable state")
 	}
 	st := store.New()
@@ -110,7 +110,7 @@ func recoverOn(t *testing.T, r *run, crash *faultfs.FS) *wal.Recovery {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Exists {
+	if rec.Store == nil {
 		t.Fatal("recovery found no durable state")
 	}
 	want, ok := r.states[rec.Gen]

@@ -90,12 +90,10 @@ func (o Options) compactBytes() int64 {
 // what they need over Store (qaserve: kb.FromStore) and then attach a
 // Manager to it with Open.
 type Recovery struct {
-	// Exists reports whether any durable state was found. When false
-	// the dir is fresh: the caller builds its initial store and Open
-	// bootstraps the first segment from it.
-	Exists bool
 	// Store holds the recovered contents (segment + replayed log tail)
-	// with the segment's term IDs, published at Gen; nil when !Exists.
+	// with the segment's term IDs, published at Gen. It is nil when no
+	// durable state was found: the dir is fresh, the caller builds its
+	// initial store and Open bootstraps the first segment from it.
 	Store *store.Store
 	// Gen is the generation of the last recovered batch.
 	Gen uint64
@@ -138,7 +136,6 @@ func Recover(dir string, o Options) (*Recovery, error) {
 		// external tampering and is treated as no durable state.
 		return r, nil
 	}
-	r.Exists = true
 	r.Gen = r.SegmentGen
 	// Log records describe batches applied on top of the newest
 	// segment's state. If that segment was unreadable and we fell back

@@ -172,7 +172,7 @@ func TestSegmentFixtureLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Exists || rec.SegmentGen != 3 || rec.Records != 0 {
+	if rec.Store == nil || rec.SegmentGen != 3 || rec.Records != 0 {
 		t.Fatalf("recovery = %+v, want segment 3 and no log", rec)
 	}
 	sameSnapshot(t, rec.Store.Snapshot(), st.Snapshot())
@@ -198,7 +198,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Exists {
+	if rec.Store != nil {
 		t.Fatal("fresh dir claims durable state")
 	}
 	st := store.New()
@@ -233,7 +233,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec2.Exists {
+	if rec2.Store == nil {
 		t.Fatal("no durable state after Close")
 	}
 	if rec2.Gen != wantGen {

@@ -45,7 +45,12 @@
 # write batches, BenchmarkKBBuildScale/x{1,4,16} the same build at 1×,
 # 4× and 16× the synthetic sizes with ns/triple and B/triple — flat
 # means linear — and BenchmarkCoreBoot what core.New still costs over a
-# KB that is already built: pattern mining and the §2.2 indexes).
+# KB that is already built: pattern mining and the §2.2 indexes), and
+# the cold miss path (BenchmarkAnswerCold: the entity_cold question
+# stream in process with no answer cache; its B/op and allocs/op are
+# what core's TestColdPathAllocations gates, ≈ 9.0 KB / 71 allocs, and
+# BenchmarkExtractSequential's one 256-candidate fan-out reads
+# ≈ 1.8 ms / 233 allocs).
 #
 # Shape cache or not: every benchmark that executes a query runs its
 # join on every iteration — the plan cache holds shapes, never results
@@ -92,10 +97,10 @@ cd "$(dirname "$0")/.."
 # the benchmarks that live in their own packages (sparql's ID-space vs
 # term-space pairs and plan-cache compile pair, the shard tier and the
 # store's term-rank churn pair).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$'
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
-bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$'
+bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
 bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
 
 if [ "${1:-}" = "smoke" ]; then

@@ -13,6 +13,10 @@
 # Env:     BENCH=BenchmarkExtractSequential   benchmark to profile
 #          BENCHTIME=1000x                    iterations
 #
+# For allocation work on the cold miss path, profile the entity_cold
+# stream with no answer cache (one pass is 1606 questions):
+#   BENCH=BenchmarkAnswerCold BENCHTIME=16060x scripts/profile.sh
+#
 # Inspect interactively afterwards:
 #   go tool pprof <outdir>/cpu.prof
 #   go tool pprof -sample_index=alloc_objects <outdir>/mem.prof
@@ -50,11 +54,11 @@ go test -run '^$' -bench "^${bench}\$" -benchtime "$benchtime" \
   -cpuprofile "$outdir/cpu.prof" -memprofile "$outdir/mem.prof" .
 
 echo
-echo "=== CPU (focused on the extraction path) ==="
-go tool pprof -top -nodecount=25 -focus 'ExtractSessionCtx|ExecuteCtx' "$outdir/cpu.prof"
+echo "=== CPU (focused on the question path) ==="
+go tool pprof -top -nodecount=25 -focus 'AnswerCtx|ExtractSessionCtx|ExecuteCtx' "$outdir/cpu.prof"
 echo
-echo "=== Allocations (focused on the extraction path) ==="
+echo "=== Allocations (focused on the question path) ==="
 go tool pprof -top -nodecount=15 -sample_index=alloc_objects \
-  -focus 'ExtractSessionCtx|ExecuteCtx' "$outdir/mem.prof"
+  -focus 'AnswerCtx|ExtractSessionCtx|ExecuteCtx' "$outdir/mem.prof"
 echo
 echo "profiles written to $outdir"

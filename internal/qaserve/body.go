@@ -1,7 +1,8 @@
 package qaserve
 
-// The request decoder of /v1/answer and /v1/answer/batch: the body is
-// read whole into a pooled buffer, then unmarshalled in one call.
+// The request body readers: /v1/answer and /v1/answer/batch read the
+// body whole into a pooled buffer and unmarshal it in one call, and
+// /v1/update reads its SPARQL text through the same buffers.
 
 import (
 	"encoding/json"
@@ -35,6 +36,19 @@ func decodeBody(body io.Reader, v any) error {
 		return err
 	}
 	return json.Unmarshal(b, v)
+}
+
+// readString reads body, at most limit bytes of it, through a pooled
+// buffer and returns it as a string of its own.
+func readString(body io.Reader, limit int) (string, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	b, err := readAtMost((*bp)[:0], body, limit)
+	*bp = b
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
 // readAtMost appends r's bytes to b until EOF, failing with

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 
@@ -72,15 +71,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: "server is read-only: write-ahead log poisoned by an unrecoverable append failure (restart to recover)"})
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxUpdateBytes)
-	body, err := io.ReadAll(r.Body)
+	// MaxBytesReader stays in front of readString's own limit: it is
+	// what closes the connection on an oversized body.
+	src, err := readString(http.MaxBytesReader(w, r.Body, maxUpdateBytes), maxUpdateBytes)
 	if err != nil {
 		s.m.updatesBad.Add(1)
 		writeJSON(w, http.StatusBadRequest,
 			errorResponse{Error: "update body unreadable or over the size limit"})
 		return
 	}
-	ops, err := sparql.ParseUpdate(string(body))
+	ops, err := sparql.ParseUpdate(src)
 	if err != nil {
 		s.m.updatesBad.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

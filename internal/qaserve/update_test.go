@@ -326,3 +326,35 @@ func TestUpdateAnswerChurn(t *testing.T) {
 		t.Fatalf("post-churn answer = %+v", ar)
 	}
 }
+
+// TestUpdateBodyOverLimit: a body one byte over maxUpdateBytes answers
+// 400 with the same text as an unreadable one, and changes nothing.
+func TestUpdateBodyOverLimit(t *testing.T) {
+	sys := mutableSystem(t)
+	m := openManager(t, sys, -1)
+	srv := New(Config{Sys: sys, Updater: m})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	gen := sys.KB.Store.Snapshot().Gen()
+	body := swapHeight("1.98", "2.22")
+	body += strings.Repeat(" ", maxUpdateBytes+1-len(body))
+	resp, data := postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "", body)
+	const want = `{"error":"update body unreadable or over the size limit"}` + "\n"
+	if resp.StatusCode != http.StatusBadRequest || string(data) != want {
+		t.Fatalf("over-limit update = %d %q, want 400 %q", resp.StatusCode, data, want)
+	}
+	if got := sys.KB.Store.Snapshot().Gen(); got != gen {
+		t.Fatalf("over-limit update moved the generation %d → %d", gen, got)
+	}
+
+	// One byte less is within the limit and applies.
+	resp, data = postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "", body[:maxUpdateBytes])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update at the limit = %d (%s)", resp.StatusCode, data)
+	}
+	resp, data = postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "", swapHeight("2.22", "1.98"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore status = %d (%s)", resp.StatusCode, data)
+	}
+}

@@ -1,0 +1,226 @@
+package store
+
+import (
+	"cmp"
+	"slices"
+	"testing"
+
+	"repro/internal/rdf"
+)
+
+// The model FuzzApplyBatch holds the store to: a set of triples over a
+// universe small enough that random batches keep hitting the same keys,
+// so lists and buckets empty out and fill again.
+var (
+	fuzzSubjects   = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C")}
+	fuzzPredicates = []rdf.Term{rdf.Ont("p"), rdf.Ont("q")}
+	fuzzObjects    = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
+)
+
+// fuzzOp encodes one operation as FuzzApplyBatch reads it: bit 7
+// deletes, bit 6 ends the batch after this operation, bits 0–1 pick the
+// subject, bit 2 the predicate and bits 3–5 the object.
+func fuzzOp(del bool, s, p, o int, end bool) byte {
+	b := byte(s) | byte(p)<<2 | byte(o)<<3
+	if del {
+		b |= 1 << 7
+	}
+	if end {
+		b |= 1 << 6
+	}
+	return b
+}
+
+// fuzzBatches decodes the input into batches of at most 16 operations,
+// and at most 16 batches. Consecutive operations of one kind share a
+// BatchOp.
+func fuzzBatches(in []byte) [][]BatchOp {
+	var batches [][]BatchOp
+	var cur []BatchOp
+	n := 0
+	for _, b := range in {
+		del := b&(1<<7) != 0
+		tr := rdf.Triple{
+			S: fuzzSubjects[int(b&3)%len(fuzzSubjects)],
+			P: fuzzPredicates[int(b>>2)&1],
+			O: fuzzObjects[int(b>>3&7)%len(fuzzObjects)],
+		}
+		if len(cur) == 0 || cur[len(cur)-1].Delete != del {
+			cur = append(cur, BatchOp{Delete: del})
+		}
+		cur[len(cur)-1].Triples = append(cur[len(cur)-1].Triples, tr)
+		if n++; b&(1<<6) != 0 || n == 16 {
+			batches, cur, n = append(batches, cur), nil, 0
+			if len(batches) == 16 {
+				return batches
+			}
+		}
+	}
+	if len(cur) > 0 {
+		batches = append(batches, cur)
+	}
+	return batches
+}
+
+// pinned is a snapshot and the model's contents when it was published.
+type pinned struct {
+	sn    *Snapshot
+	model map[rdf.Triple]bool
+}
+
+// FuzzApplyBatch applies random batches to a store and to a naive
+// triple set, and after each batch compares every pattern shape over
+// the snapshot — ForEachMatchIDs' rows and their order,
+// EstimateCardinalityIDs, PostingList and Len — with the model. Every
+// snapshot pinned earlier is read again and must not have changed.
+func FuzzApplyBatch(f *testing.F) {
+	const a, b, c = 0, 1, 2
+	f.Add([]byte{
+		// Insert then delete the same triple in one batch; delete a
+		// triple that was never there.
+		fuzzOp(false, a, 0, 3, false), fuzzOp(true, a, 0, 3, false), fuzzOp(true, b, 1, 0, true),
+		// Fill A's p list and bucket, then empty both and refill them
+		// inside one batch.
+		fuzzOp(false, a, 0, 0, false), fuzzOp(false, a, 0, 1, true),
+		fuzzOp(true, a, 0, 0, false), fuzzOp(true, a, 0, 1, false), fuzzOp(false, a, 0, 2, true),
+		// Empty a bucket in one batch and refill it in the next.
+		fuzzOp(true, a, 0, 2, true), fuzzOp(false, a, 1, 4, false), fuzzOp(false, c, 1, 4, true),
+	})
+	f.Add([]byte{fuzzOp(false, a, 0, 0, false), fuzzOp(false, b, 0, 0, false), fuzzOp(false, c, 1, 0, false),
+		fuzzOp(false, c, 0, 4, true), fuzzOp(true, b, 0, 0, false), fuzzOp(false, b, 0, 0, true)})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		st := New()
+		model := map[rdf.Triple]bool{}
+		var snaps []pinned
+		for i, ops := range fuzzBatches(in) {
+			genBefore := st.Snapshot().Gen()
+			wantAdded, wantRemoved := 0, 0
+			for _, op := range ops {
+				for _, tr := range op.Triples {
+					if op.Delete && model[tr] {
+						delete(model, tr)
+						wantRemoved++
+					} else if !op.Delete && !model[tr] {
+						model[tr] = true
+						wantAdded++
+					}
+				}
+			}
+			added, removed := st.ApplyBatch(ops)
+			if added != wantAdded || removed != wantRemoved {
+				t.Fatalf("batch %d: ApplyBatch added %d and removed %d, want %d and %d", i, added, removed, wantAdded, wantRemoved)
+			}
+			sn := st.Snapshot()
+			if changed := added+removed > 0; changed != (sn.Gen() != genBefore) {
+				t.Fatalf("batch %d changed %d triples but moved the generation %d → %d", i, added+removed, genBefore, sn.Gen())
+			}
+			snaps = append(snaps, pinned{sn, copyModel(model)})
+			for j, p := range snaps {
+				checkModel(t, i, j, p)
+			}
+		}
+	})
+}
+
+func copyModel(m map[rdf.Triple]bool) map[rdf.Triple]bool {
+	out := make(map[rdf.Triple]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
+}
+
+// checkModel compares every pattern over the snapshot's dictionary —
+// each position a wildcard or any ID, so all 8 shapes — with the model.
+func checkModel(t *testing.T, batch, snap int, p pinned) {
+	sn := p.sn
+	if sn.Len() != len(p.model) {
+		t.Fatalf("batch %d, snapshot %d: Len = %d, model holds %d", batch, snap, sn.Len(), len(p.model))
+	}
+	var all [][3]ID
+	for tr := range p.model {
+		s, _ := sn.Lookup(tr.S)
+		pr, _ := sn.Lookup(tr.P)
+		o, _ := sn.Lookup(tr.O)
+		all = append(all, [3]ID{s, pr, o})
+	}
+	n := ID(sn.TermCount())
+	for s := ID(0); s <= n; s++ {
+		for pr := ID(0); pr <= n; pr++ {
+			for o := ID(0); o <= n; o++ {
+				pat := [3]ID{s, pr, o}
+				want := modelMatches(all, pat)
+				var got [][3]ID
+				sn.ForEachMatchIDs(pat, func(s, p, o ID) bool {
+					got = append(got, [3]ID{s, p, o})
+					return true
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("batch %d, snapshot %d: ForEachMatchIDs(%v) = %v, want %v", batch, snap, pat, got, want)
+				}
+				if est := sn.EstimateCardinalityIDs(pat); est != len(want) {
+					t.Fatalf("batch %d, snapshot %d: EstimateCardinalityIDs(%v) = %d, want %d", batch, snap, pat, est, len(want))
+				}
+				checkPostingList(t, sn, pat, want)
+			}
+		}
+	}
+}
+
+// modelMatches returns the model's triples matching pat in the order
+// the store yields them: sorted along the permutation the shape scans
+// (SPO, POS or OSP).
+func modelMatches(all [][3]ID, pat [3]ID) [][3]ID {
+	var out [][3]ID
+	for _, tr := range all {
+		if (pat[0] == 0 || pat[0] == tr[0]) && (pat[1] == 0 || pat[1] == tr[1]) && (pat[2] == 0 || pat[2] == tr[2]) {
+			out = append(out, tr)
+		}
+	}
+	perm := [3]int{0, 1, 2} // SPO: S bound (without P and O both), or nothing bound
+	switch s, p, o := pat[0] != 0, pat[1] != 0, pat[2] != 0; {
+	case p && o && !s, p && !s && !o:
+		perm = [3]int{1, 2, 0} // POS
+	case o && !p:
+		perm = [3]int{2, 0, 1} // OSP
+	}
+	slices.SortFunc(out, func(x, y [3]ID) int {
+		for _, i := range perm {
+			if c := cmp.Compare(x[i], y[i]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return out
+}
+
+// checkPostingList: a pattern with exactly one wildcard has the
+// wildcard position of its matches as its posting list; any other
+// pattern has none.
+func checkPostingList(t *testing.T, sn *Snapshot, pat [3]ID, want [][3]ID) {
+	wild := -1
+	for i, id := range pat {
+		if id == 0 {
+			if wild >= 0 {
+				wild = 3 // two or more wildcards
+				break
+			}
+			wild = i
+		}
+	}
+	ids, ok := sn.PostingList(pat)
+	if wild < 0 || wild == 3 {
+		if ok {
+			t.Fatalf("PostingList(%v) answered a pattern without exactly one wildcard", pat)
+		}
+		return
+	}
+	var wantIDs []ID
+	for _, tr := range want {
+		wantIDs = append(wantIDs, tr[wild])
+	}
+	if !ok || !slices.Equal(ids, wantIDs) {
+		t.Fatalf("PostingList(%v) = %v, %v; want %v", pat, ids, ok, wantIDs)
+	}
+}

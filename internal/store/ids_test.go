@@ -150,11 +150,12 @@ func TestAddAllBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersWithWriter exercises the lazily built sorted-key
-// caches under -race: parallel ForEachMatch / ForEachMatchIDs readers
-// (which build caches) against a writer stream of Adds (which
-// invalidate them). Any unsynchronised cache access fails the race
-// detector; the final consistency check catches lost invalidations.
+// TestConcurrentReadersWithWriter runs parallel ForEachMatch /
+// ForEachMatchIDs readers against a writer stream of Adds under -race.
+// Readers only read published buckets, and the writer inserts into its
+// batch's clones of the bucket slices in place, so a write that reached
+// a published bucket fails the race detector; the final check catches a
+// bucket whose keys, lists or total disagree.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	s := New()
 	for i := 0; i < 50; i++ {
@@ -175,9 +176,9 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				default:
 				}
 				switch r % 3 {
-				case 0: // ID scan with a bound predicate (bucket key cache)
+				case 0: // ID scan with a bound predicate: one POS bucket
 					s.Snapshot().ForEachMatchIDs([3]ID{0, pid, 0}, func(_, _, _ ID) bool { return true })
-				case 1: // full scan (outer key cache + bucket caches)
+				case 1: // full scan: every SPO page and bucket
 					n := 0
 					s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { n++; return n < 200 })
 				default: // term-space scan with a bound subject
@@ -193,12 +194,20 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// After the writes, caches must reflect the final state.
-	want := s.Snapshot().Len()
+	// After the writes, a full scan and the bucket totals agree with Len.
+	sn := s.Snapshot()
+	want := sn.Len()
 	got := 0
-	s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { got++; return true })
+	sn.ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool { got++; return true })
 	if got != want {
 		t.Fatalf("full scan after concurrent writes visited %d triples, Len = %d", got, want)
+	}
+	total := 0
+	for id := ID(1); int(id) <= sn.TermCount(); id++ {
+		total += sn.EstimateCardinalityIDs([3]ID{id, 0, 0})
+	}
+	if total != want {
+		t.Fatalf("subject bucket totals sum to %d, Len = %d", total, want)
 	}
 }
 

@@ -1,0 +1,151 @@
+package store_test
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/rdf"
+	"repro/internal/sparql"
+	"repro/internal/store"
+	"repro/internal/testutil"
+)
+
+// The write path measured the way update_mix drives it: flipStore holds
+// ≈ 6.5k triples, 512 of them dbont:benchState literals on 64 batches
+// of 8 subjects, and a flip replaces one batch's 8 literals with the
+// other state's (8 deletes then 8 inserts, one ApplyBatch). Once both
+// states have been seen the dictionary stops growing, so every flip
+// after the first cycle interns nothing.
+
+const (
+	flipBatches = 64
+	flipTriples = 8
+)
+
+// benchState is one batch's 8 dbont:benchState triples in state s.
+func benchState(batch int, s string) []rdf.Triple {
+	ts := make([]rdf.Triple, flipTriples)
+	for i := range ts {
+		ts[i] = rdf.Triple{
+			S: rdf.Res(fmt.Sprintf("Bench_%d_%d", batch, i)),
+			P: rdf.Ont("benchState"),
+			O: rdf.NewLiteral(fmt.Sprintf("%s-%d-%d", s, batch, i)),
+		}
+	}
+	return ts
+}
+
+func flipOps(batch int, from, to string) []store.BatchOp {
+	return []store.BatchOp{{Delete: true, Triples: benchState(batch, from)}, {Triples: benchState(batch, to)}}
+}
+
+// flipStore returns the store and one full cycle of flips (a→b for
+// every batch, then b→a), which leaves the contents as they began.
+func flipStore() (*store.Store, [][]store.BatchOp) {
+	st := store.New()
+	var base []rdf.Triple
+	for i := 0; i < 6000; i++ {
+		base = append(base, rdf.Triple{
+			S: rdf.Res(fmt.Sprintf("E%d", i%1500)),
+			P: rdf.Ont(fmt.Sprintf("p%d", i%23)),
+			O: rdf.Res(fmt.Sprintf("V%d", (i*7)%700)),
+		})
+	}
+	st.AddAll(base)
+	var cycle [][]store.BatchOp
+	for _, flip := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		for b := 0; b < flipBatches; b++ {
+			cycle = append(cycle, flipOps(b, flip[0], flip[1]))
+		}
+	}
+	for b := 0; b < flipBatches; b++ {
+		st.AddAll(benchState(b, "a"))
+	}
+	for _, ops := range cycle {
+		st.ApplyBatch(ops) // interns the "b" state
+	}
+	return st, cycle
+}
+
+// BenchmarkApplyBatchFlip is one update_mix write: 8 deletes and 8
+// inserts on a 512-object predicate, applied as one batch.
+func BenchmarkApplyBatchFlip(b *testing.B) {
+	st, cycle := flipStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if added, removed := st.ApplyBatch(cycle[i%len(cycle)]); added != flipTriples || removed != flipTriples {
+			b.Fatalf("flip added %d and removed %d, want %d each", added, removed, flipTriples)
+		}
+	}
+}
+
+// TestApplyBatchAllocations holds a flip's bytes and objects to
+// ceilings 10% above what was measured when they were set.
+func TestApplyBatchAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are measured without the race detector")
+	}
+	const ceilBytes, ceilObjects = 48600, 148 // logged 44156 B and 134.1
+	st, cycle := flipStore()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range cycle {
+		st.ApplyBatch(ops)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(cycle))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objects := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%d flips: %.0f B and %.1f objects per flip, ceilings %d B and %d", len(cycle), bytes, objects, ceilBytes, ceilObjects)
+	if bytes > ceilBytes {
+		t.Errorf("%.0f B per flip, ceiling %d", bytes, ceilBytes)
+	}
+	if objects > ceilObjects {
+		t.Errorf("%.1f objects per flip, ceiling %d", objects, ceilObjects)
+	}
+}
+
+// TestUpdateTextNotRetained: a term an update introduces is stored
+// with strings of its own. The parser hands out substrings of the
+// request, so storing them as they are would keep the whole request
+// text alive for as long as the term is in the dictionary.
+func TestUpdateTextNotRetained(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("heap figures are measured without the race detector")
+	}
+	const updateKB = 970
+	st := store.New()
+	old := `<http://example.org/s> <http://example.org/p> <http://example.org/o> .` + "\n"
+	st.AddAll([]rdf.Triple{{S: rdf.NewIRI("http://example.org/s"), P: rdf.NewIRI("http://example.org/p"), O: rdf.NewIRI("http://example.org/o")}})
+	apply := func() {
+		// Triples the store already holds, and one new IRI.
+		src := "INSERT DATA {\n" + strings.Repeat(old, updateKB<<10/len(old)) +
+			"<http://example.org/s> <http://example.org/p> <http://example.org/new> .\n}"
+		ops, err := sparql.ParseUpdate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added, _ := st.ApplyBatch(ops); added != 1 {
+			t.Fatalf("update added %d triples, want 1", added)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	apply()
+	after := heap()
+	runtime.KeepAlive(st)
+	retained := int64(after) - int64(before)
+	t.Logf("the store retains %d B after a %d KB update", retained, updateKB)
+	if retained >= 64<<10 {
+		t.Errorf("the store retains %d B after the update, want < 64 KB", retained)
+	}
+}

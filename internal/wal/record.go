@@ -90,31 +90,57 @@ func readTerm(b []byte) (rdf.Term, []byte, error) {
 	return t, b, nil
 }
 
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// termLen is the length of appendTerm's encoding of t.
+func termLen(t rdf.Term) int {
+	n := 1
+	for _, s := range [3]string{t.Value, t.Lang, t.Datatype} {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
 // encodeRecord serialises one committed batch as a log record:
 // length prefix, CRC32C of the payload, payload. The payload carries
 // the generation the batch commits at followed by the ordered
-// operations.
+// operations. The record is sized exactly first, so it is written in
+// one allocation.
 func encodeRecord(gen uint64, ops []store.BatchOp) []byte {
-	payload := make([]byte, 8, 64)
-	binary.LittleEndian.PutUint64(payload, gen)
-	payload = binary.AppendUvarint(payload, uint64(len(ops)))
+	n := 8 + uvarintLen(uint64(len(ops)))
+	for _, op := range ops {
+		n += 1 + uvarintLen(uint64(len(op.Triples)))
+		for _, t := range op.Triples {
+			n += termLen(t.S) + termLen(t.P) + termLen(t.O)
+		}
+	}
+	rec := make([]byte, recordHeaderLen+8, recordHeaderLen+n)
+	binary.LittleEndian.PutUint64(rec[recordHeaderLen:], gen)
+	rec = binary.AppendUvarint(rec, uint64(len(ops)))
 	for _, op := range ops {
 		flags := byte(0)
 		if op.Delete {
 			flags = 1
 		}
-		payload = append(payload, flags)
-		payload = binary.AppendUvarint(payload, uint64(len(op.Triples)))
+		rec = append(rec, flags)
+		rec = binary.AppendUvarint(rec, uint64(len(op.Triples)))
 		for _, t := range op.Triples {
-			payload = appendTerm(payload, t.S)
-			payload = appendTerm(payload, t.P)
-			payload = appendTerm(payload, t.O)
+			rec = appendTerm(rec, t.S)
+			rec = appendTerm(rec, t.P)
+			rec = appendTerm(rec, t.O)
 		}
 	}
-	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(payload))
+	payload := rec[recordHeaderLen:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	return append(rec, payload...)
+	return rec
 }
 
 // decodePayload decodes a checksum-verified record payload. It accepts

@@ -50,7 +50,10 @@
 # stream in process with no answer cache; its B/op and allocs/op are
 # what core's TestColdPathAllocations gates, ≈ 9.0 KB / 71 allocs, and
 # BenchmarkExtractSequential's one 256-candidate fan-out reads
-# ≈ 1.8 ms / 233 allocs).
+# ≈ 1.8 ms / 233 allocs), and the write path (internal/store's
+# BenchmarkApplyBatchFlip: one update_mix write, 8 deletes and 8 inserts
+# on a predicate with 512 objects at ≈ 6.5k triples; ≈ 44 KB / 134
+# allocs, what TestApplyBatchAllocations gates).
 #
 # Shape cache or not: every benchmark that executes a query runs its
 # join on every iteration — the plan cache holds shapes, never results
@@ -95,13 +98,13 @@ cd "$(dirname "$0")/.."
 # The benchmark selections, defined once for every mode. The root
 # selections run against the repo's root package; bench_pkgs covers
 # the benchmarks that live in their own packages (sparql's ID-space vs
-# term-space pairs and plan-cache compile pair, the shard tier and the
-# store's term-rank churn pair).
+# term-space pairs and plan-cache compile pair, the shard tier, the
+# store's term-rank churn pair and its write-path flip).
 bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$'
 bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .
@@ -117,7 +120,7 @@ go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .
 go test -run '^$' -bench "$bench_pair" -benchmem -benchtime="$benchtime" .
 
 # The package-local benchmarks (ID-space vs term-space pairs, plan-cache
-# compile pair, shard tier, term-rank churn), one package at a time (-p 1): run side by
+# compile pair, shard tier, term-rank churn, write path), one package at a time (-p 1): run side by
 # side on a two-core host they take each other's CPU, and the gather ÷
 # single-store factor is read off two of them.
 go test -p 1 -run '^$' -bench "$bench_pkgs" -benchmem -benchtime="$benchtime" \

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/answer"
 	"repro/internal/baseline"
 	"repro/internal/chaos"
@@ -953,25 +952,7 @@ func BenchmarkRankSort(b *testing.B) {
 	}
 }
 
-// --- PR 8: admission control and chaos fault-point overhead ---
-
-// BenchmarkAdmissionAcquireRelease measures the per-request cost of
-// the adaptive limiter's hot path — one Acquire plus one Release with
-// a latency sample — at an uncontended limit. This is the tax every
-// request pays once -adaptive-admission is on.
-func BenchmarkAdmissionAcquireRelease(b *testing.B) {
-	lim := admission.New(admission.Options{
-		Initial: 64, Target: 500 * time.Millisecond, Now: time.Now,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !lim.Acquire(admission.Normal) {
-			b.Fatal("rejected at idle")
-		}
-		lim.Release(time.Millisecond)
-	}
-}
+// --- PR 8: chaos fault-point overhead ---
 
 // BenchmarkChaosHitDisabled measures an inert fault point: the cost a
 // production request (no injector in its context) pays at every stage

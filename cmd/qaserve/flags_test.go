@@ -8,7 +8,9 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestFlagsDocumented: the flags main.go registers and the rows of the
@@ -67,4 +69,39 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	t.Logf("%d flags", len(registered))
+}
+
+// TestValidateFlags: a negative count or duration, and -shards with
+// -data-dir, are refused; zeros and qaserve's defaults pass.
+func TestValidateFlags(t *testing.T) {
+	defaults := flagValues{maxInflight: 64, maxBatch: 64, cache: 1024,
+		timeout: 5 * time.Second, updateTimeout: 10 * time.Second, drain: 15 * time.Second}
+	for _, tc := range []struct {
+		name string
+		edit func(*flagValues)
+		want string // "" = valid, else a substring of the error
+	}{
+		{"defaults", func(*flagValues) {}, ""},
+		{"zeros", func(v *flagValues) { *v = flagValues{} }, ""},
+		{"shards", func(v *flagValues) { v.shards = 4 }, ""},
+		{"data-dir", func(v *flagValues) { v.dataDir = "d" }, ""},
+		{"max-inflight -1", func(v *flagValues) { v.maxInflight = -1 }, "-max-inflight -1"},
+		{"max-batch -1", func(v *flagValues) { v.maxBatch = -1 }, "-max-batch -1"},
+		{"cache -1", func(v *flagValues) { v.cache = -1 }, "-cache -1"},
+		{"shards -1", func(v *flagValues) { v.shards = -1 }, "-shards -1"},
+		{"timeout -1s", func(v *flagValues) { v.timeout = -time.Second }, "-timeout -1s"},
+		{"update-timeout -1s", func(v *flagValues) { v.updateTimeout = -time.Second }, "-update-timeout -1s"},
+		{"drain -1s", func(v *flagValues) { v.drain = -time.Second }, "-drain -1s"},
+		{"shards with data-dir", func(v *flagValues) { v.shards, v.dataDir = 2, "d" }, "incompatible with -data-dir"},
+	} {
+		v := defaults
+		tc.edit(&v)
+		err := v.validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want valid", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
 }

@@ -11,9 +11,11 @@
 //	qaserve [-addr :8080] [-timeout 5s] [-max-inflight 64] [-cache 1024]
 //	        [-shards N] [-kb file.nt] [-data-dir dir] [-update-token T]
 //	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
-//	        [-adaptive-admission] [-admission-target 500ms]
-//	        [-admission-min 1] [-admission-max N] [-max-batch 64]
-//	        [-update-timeout 10s] [-chaos spec] [-chaos-seed N]
+//	        [-max-batch 64] [-update-timeout 10s] [-chaos spec]
+//	        [-chaos-seed N]
+//
+// A negative count or duration, and -shards with -data-dir, exit 1
+// before the listener comes up.
 //
 // The listener comes up immediately and answers 503 (with /healthz
 // alive) while the pipeline warms up; with -data-dir the durable state
@@ -69,14 +71,47 @@ func serveDebug(addr string) (*http.Server, error) {
 	return ds, nil
 }
 
+// flagValues are the flags validate checks.
+type flagValues struct {
+	maxInflight, maxBatch, cache, shards int
+	timeout, updateTimeout, drain        time.Duration
+	dataDir                              string
+}
+
+// validate rejects what the server would otherwise reinterpret
+// silently: a negative count or duration (-max-inflight -1 would serve
+// unlimited, -max-batch -1 would allow 64, -cache -1 would switch the
+// cache off, -timeout -1s would time nothing out) and -shards with
+// -data-dir.
+func (v flagValues) validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"max-inflight", v.maxInflight}, {"max-batch", v.maxBatch}, {"cache", v.cache}, {"shards", v.shards}} {
+		if f.n < 0 {
+			return fmt.Errorf("-%s %d: must be >= 0", f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"timeout", v.timeout}, {"update-timeout", v.updateTimeout}, {"drain", v.drain}} {
+		if f.d < 0 {
+			return fmt.Errorf("-%s %v: must be >= 0", f.name, f.d)
+		}
+	}
+	if v.shards > 0 && v.dataDir != "" {
+		// The WAL manager owns the single source store; replaying a log
+		// into a shard fan-out is future work (see ROADMAP.md).
+		return errors.New("-shards is incompatible with -data-dir: sharded serving is in-memory only")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request pipeline timeout (0 = none)")
-	maxInflight := flag.Int("max-inflight", 64, "max concurrently served requests; excess answers 503 (0 = unlimited; with -adaptive-admission: the starting limit)")
-	adaptive := flag.Bool("adaptive-admission", false, "replace the fixed in-flight cap with the latency-driven AIMD limiter (sheds batch work first, cache-served requests last)")
-	admissionTarget := flag.Duration("admission-target", 0, "latency target the adaptive limiter steers toward (0 = 500ms)")
-	admissionMin := flag.Int("admission-min", 0, "adaptive limit floor (0 = 1)")
-	admissionMax := flag.Int("admission-max", 0, "adaptive limit ceiling (0 = 4x the starting limit)")
+	maxInflight := flag.Int("max-inflight", 64, "in-flight limit L: past it a request answers 503; batch work sheds at L-L/4, cache hits ride a reserve to L+L/4 (0 = unlimited)")
 	chaosSpec := flag.String("chaos", "", "arm fault injection: comma-separated point:kind:prob[:latency[:limit]] rules, e.g. stage.answer:error:0.1 (see internal/chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
 	maxBatch := flag.Int("max-batch", 64, "max questions per /v1/answer/batch request")
@@ -96,13 +131,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *shards < 0 {
-		fail(fmt.Errorf("-shards %d: shard count must be >= 0", *shards))
-	}
-	if *shards > 0 && *dataDir != "" {
-		// The WAL manager owns the single source store; replaying a log
-		// into a shard fan-out is future work (see ROADMAP.md).
-		fail(errors.New("-shards is incompatible with -data-dir: sharded serving is in-memory only"))
+	if err := (flagValues{
+		maxInflight: *maxInflight, maxBatch: *maxBatch, cache: *cacheSize, shards: *shards,
+		timeout: *timeout, updateTimeout: *updateTimeout, drain: *drain, dataDir: *dataDir,
+	}).validate(); err != nil {
+		fail(err)
 	}
 
 	var injector *chaos.Injector
@@ -258,17 +291,13 @@ func main() {
 			token = os.Getenv("QASERVE_UPDATE_TOKEN")
 		}
 		scfg := qaserve.Config{
-			Sys:               sys,
-			RequestTimeout:    *timeout,
-			MaxInFlight:       *maxInflight,
-			AdaptiveAdmission: *adaptive,
-			AdmissionTarget:   *admissionTarget,
-			AdmissionMin:      *admissionMin,
-			AdmissionMax:      *admissionMax,
-			Chaos:             injector,
-			MaxBatch:          *maxBatch,
-			UpdateToken:       token,
-			UpdateTimeout:     *updateTimeout,
+			Sys:            sys,
+			RequestTimeout: *timeout,
+			MaxInFlight:    *maxInflight,
+			Chaos:          injector,
+			MaxBatch:       *maxBatch,
+			UpdateToken:    token,
+			UpdateTimeout:  *updateTimeout,
 		}
 		if res.manager != nil {
 			scfg.Updater = res.manager

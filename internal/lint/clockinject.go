@@ -6,28 +6,26 @@ import (
 )
 
 // ClockInject forbids reading the process clock in packages whose
-// behaviour must be deterministic under test: WAL commit/recovery,
-// store generations, the AIMD admission limiter's cooldown window and
-// the chaos injector's fault schedule are all driven by injected
-// clocks (admission.Options.Now), so a stray time.Now would make
-// recovery and shedding behaviour untestable without sleeps. The
-// answer cache (and the plan-shape cache, which is one) reads no clock
-// at all — an entry lives until its generation goes stale or capacity
-// evicts it — and stays in scope so that it cannot start. The shard
-// failure domains (attempt timeouts, hedge delays, backoff,
-// breaker cooldowns) are in scope for the same reason: their
-// transition tests run on a fake clock and hand-fired timers
-// (shard.Config.Now / AfterFunc).
+// behaviour must be deterministic under test. WAL commit/recovery,
+// store generations and the chaos injector's seeded fault schedule
+// read no clock, so a failing run replays from its seed. The answer
+// cache (and the plan-shape cache, which is one) reads none either —
+// an entry lives until its generation goes stale or capacity evicts
+// it — and stays in scope so that it cannot start. The shard failure
+// domains (attempt timeouts, hedge delays, backoff, breaker cooldowns)
+// take their clock and timers injected (shard.Config.Now / AfterFunc),
+// so their transition tests run on a fake clock and hand-fired timers
+// instead of sleeps.
 var ClockInject = &Analyzer{
 	Name: "clockinject",
-	Doc:  "no time.Now/Since/Until in internal/{qacache,wal,store,admission,chaos,shard} — use the injected clock",
+	Doc:  "no time.Now/Since/Until in internal/{qacache,wal,store,chaos,shard} — use the injected clock",
 	Run:  runClockInject,
 }
 
 // clockInjectScope is where the invariant applies.
 var clockInjectScope = []string{
 	"internal/qacache", "internal/wal", "internal/store",
-	"internal/admission", "internal/chaos", "internal/shard",
+	"internal/chaos", "internal/shard",
 }
 
 // wallClockFuncs are the time functions that read the process clock.
@@ -52,7 +50,7 @@ func runClockInject(p *Pass) {
 				return true
 			}
 			p.Reportf(sel.Sel.Pos(),
-				"time.%s in a deterministic package: take the clock as an injected func() time.Time (cf. admission.Options.Now, shard.Config.Now)",
+				"time.%s in a deterministic package: take the clock as an injected func() time.Time (cf. shard.Config.Now)",
 				fn.Name())
 			return true
 		})

@@ -47,14 +47,20 @@ func (h *histogram) observe(d time.Duration) {
 
 // metrics aggregates the serving counters.
 type metrics struct {
+	// inflight is the in-flight slots held: admitted requests plus a
+	// batch's extra workers. Admission compares it against the
+	// thresholds (Server.trySlot).
 	inflight atomic.Int64
 
 	requestsOK       atomic.Uint64
 	requestsBad      atomic.Uint64
-	requestsRejected atomic.Uint64
 	requestsTimeout  atomic.Uint64
 	requestsShed     atomic.Uint64 // deadline-budget sheds (spent at admission)
 	requestsInternal atomic.Uint64 // 500s: recovered pipeline panics and injected faults
+
+	// shed counts the 503s admission wrote, by priority; their sum is
+	// the rejected outcome of qaserve_requests_total.
+	shed [numPriorities]atomic.Uint64
 
 	requestsUnavailable atomic.Uint64 // 503s: shard unreachable without allow_partial
 	partialAnswers      atomic.Uint64 // degraded 200s served under allow_partial
@@ -92,7 +98,7 @@ func newMetrics() *metrics {
 
 // render writes the metrics in the Prometheus text exposition format.
 func (m *metrics) render(sb *strings.Builder) {
-	fmt.Fprintf(sb, "# HELP qaserve_inflight_requests Requests currently being answered.\n")
+	fmt.Fprintf(sb, "# HELP qaserve_inflight_requests In-flight slots held: requests being answered, plus a batch's extra workers.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_inflight_requests gauge\n")
 	fmt.Fprintf(sb, "qaserve_inflight_requests %d\n", m.inflight.Load())
 
@@ -100,11 +106,21 @@ func (m *metrics) render(sb *strings.Builder) {
 	fmt.Fprintf(sb, "# TYPE qaserve_requests_total counter\n")
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"ok\"} %d\n", m.requestsOK.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"bad_request\"} %d\n", m.requestsBad.Load())
-	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"rejected\"} %d\n", m.requestsRejected.Load())
+	var shed [numPriorities]uint64
+	for p := range shed {
+		shed[p] = m.shed[p].Load()
+	}
+	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"rejected\"} %d\n", shed[prioBatch]+shed[prioNormal]+shed[prioCached])
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"timeout\"} %d\n", m.requestsTimeout.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"shed\"} %d\n", m.requestsShed.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"error\"} %d\n", m.requestsInternal.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"unavailable\"} %d\n", m.requestsUnavailable.Load())
+
+	fmt.Fprintf(sb, "# HELP qaserve_admission_shed_total Requests shed at admission with 503, by priority.\n")
+	fmt.Fprintf(sb, "# TYPE qaserve_admission_shed_total counter\n")
+	for p, n := range shed {
+		fmt.Fprintf(sb, "qaserve_admission_shed_total{priority=%q} %d\n", priorityNames[p], n)
+	}
 
 	fmt.Fprintf(sb, "# HELP qaserve_shard_partial_answers_total Degraded partial answers served under allow_partial.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_shard_partial_answers_total counter\n")

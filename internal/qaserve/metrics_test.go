@@ -8,14 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/core"
 )
 
 // TestMetricsDocumented: every metric family /metrics emits — from a
-// server with every optional family switched on: shards, the adaptive
-// limiter, a chaos injector that has fired, the plan cache — is named
+// server with every optional family switched on: shards, a chaos
+// injector that has fired, the plan cache — is named
 // in cmd/qaserve/README.md, and the runtime, cache-occupancy and boot
 // families carry live values.
 func TestMetricsDocumented(t *testing.T) {
@@ -23,7 +22,7 @@ func TestMetricsDocumented(t *testing.T) {
 	_, cluster, _ := shardedServer(t, fastShardConfig(), nil)
 	cfg := core.DefaultConfig()
 	cfg.CacheSize = 64
-	h := New(Config{Sys: core.New(cfg), Cluster: cluster, Chaos: in, AdaptiveAdmission: true, MaxInFlight: 4}).Handler()
+	h := New(Config{Sys: core.New(cfg), Cluster: cluster, Chaos: in, MaxInFlight: 4}).Handler()
 	for i := 0; i < 2; i++ { // the injected 500, then an answer the cache keeps
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/answer",
 			strings.NewReader(`{"question":"How tall is Michael Jordan?"}`)))
@@ -89,11 +88,11 @@ func TestCacheCountersEqualCacheStats(t *testing.T) {
 	if code := post("/v1/answer", `{"question":"Who wrote Snow?"}`, BudgetHeader, "1ns"); code != 504 {
 		t.Fatalf("timed-out miss: status %d, want 504", code)
 	}
-	srv.trySlot(admission.Normal) // the one slot: the next request is rejected
+	srv.trySlot(prioNormal) // the one slot: the next request is rejected
 	if code := post("/v1/answer", `{"question":"How tall is Michael Jordan?"}`); code != 503 {
 		t.Fatalf("rejected hit: status %d, want 503", code)
 	}
-	srv.freeSlot(-1)
+	srv.freeSlot()
 
 	hits, misses, _ := sys.CacheStats()
 	if hits != 3 || misses != 4 {

@@ -38,14 +38,22 @@
 // # Overload and failure behavior
 //
 // Admission control sheds load with 503 (always carrying a Retry-After
-// hint) before the pipeline is entered: either the static MaxInFlight
-// semaphore, or — with Config.AdaptiveAdmission — the AIMD limiter
-// (internal/admission), which discovers the sustainable concurrency
-// from observed latency and sheds by priority: batch work first,
-// cache-served requests last. Requests whose deadline budget is
-// already spent at admission are shed the same way. Recovered pipeline
-// panics and injected faults answer 500 with the trace attached rather
-// than tearing down the connection. A
+// hint) before the pipeline is entered. There is one admission path: a
+// fixed in-flight limit L (Config.MaxInFlight, 0 = unlimited) with a
+// priority reserve R = L/4. A request is admitted while the in-flight
+// count is below its priority's threshold:
+//
+//	batch    L − R   /v1/answer/batch and each extra batch worker (Retry-After 2)
+//	normal   L       a cache miss on /v1/answer, and /v1/update     (Retry-After 1)
+//	cached   L + R   a question the answer-cache lookup hit         (Retry-After 1)
+//
+// so batch work, which callers retry wholesale, sheds first, and a
+// cache hit, which costs microseconds and no fan-out, rides the
+// reserve and sheds last. Below L = 4 the reserve is 0 and the limit
+// is a plain cap. Requests whose deadline budget is already spent at
+// admission are shed the same way. Recovered pipeline panics and
+// injected faults answer 500 with the trace attached rather than
+// tearing down the connection. A
 // poisoned WAL flips the server into read-only degraded mode: updates
 // answer 501, /readyz reports "degraded", reads keep serving the
 // in-memory store. Graceful shutdown is cmd/qaserve's job:
@@ -59,15 +67,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -82,23 +89,10 @@ type Config struct {
 	// timeout); a cache hit runs none, so it is never timed out. Batch
 	// requests get one timeout per contained question.
 	RequestTimeout time.Duration
-	// MaxInFlight bounds concurrently served requests; excess requests
-	// are rejected with 503 (0 = unlimited). With AdaptiveAdmission it
-	// is the limiter's starting limit instead (0 = the limiter default).
+	// MaxInFlight is the in-flight limit L: normal requests beyond it,
+	// batch work beyond L − L/4 and cache hits beyond L + L/4 answer 503
+	// (0 = unlimited; see the package comment's table).
 	MaxInFlight int
-	// AdaptiveAdmission replaces the fixed MaxInFlight semaphore with
-	// the AIMD limiter (internal/admission): the concurrency limit
-	// starts at MaxInFlight, tracks observed request latency against
-	// AdmissionTarget, and sheds by priority — batch work first,
-	// cache-served requests last. False (the default) keeps the static
-	// semaphore exactly as before.
-	AdaptiveAdmission bool
-	// AdmissionTarget is the latency the adaptive limiter steers toward
-	// (0 = the limiter's 500ms default).
-	AdmissionTarget time.Duration
-	// AdmissionMin and AdmissionMax clamp the adaptive limit
-	// (0 = the limiter defaults: 1 and 4× the initial limit).
-	AdmissionMin, AdmissionMax int
 	// Chaos, when non-nil, rides every request context so the
 	// pipeline's stage-boundary fault points can fire; its cumulative
 	// injections are exported on /metrics. Nil (the default) keeps
@@ -137,11 +131,12 @@ type Server struct {
 	updater       Updater
 	updateToken   string
 	updateTimeout time.Duration
-	sem           chan struct{}      // static admission; nil = unlimited
-	limiter       *admission.Limiter // adaptive admission; nil = static sem path
-	chaos         *chaos.Injector    // nil = fault points inert
-	cluster       *shard.Cluster     // nil = single-store
+	chaos         *chaos.Injector // nil = fault points inert
+	cluster       *shard.Cluster  // nil = single-store
 	m             *metrics
+	// threshold is the admission bound of each priority: a slot is taken
+	// while m.inflight is below it.
+	threshold [numPriorities]int64
 }
 
 // New builds a Server over the assembled pipeline.
@@ -153,18 +148,7 @@ func New(cfg Config) *Server {
 	if s.maxBatch <= 0 {
 		s.maxBatch = 64
 	}
-	switch {
-	case cfg.AdaptiveAdmission:
-		s.limiter = admission.New(admission.Options{
-			Initial: cfg.MaxInFlight,
-			Min:     cfg.AdmissionMin,
-			Max:     cfg.AdmissionMax,
-			Target:  cfg.AdmissionTarget,
-			Now:     time.Now,
-		})
-	case cfg.MaxInFlight > 0:
-		s.sem = make(chan struct{}, cfg.MaxInFlight)
-	}
+	s.threshold = thresholds(cfg.MaxInFlight)
 	return s
 }
 
@@ -263,70 +247,66 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// acquire reserves an in-flight slot at the given priority, answering
-// 503 + Retry-After when admission fails. The static semaphore ignores
-// the priority; the adaptive limiter sheds batch work first and
-// cache-served requests last. ok reports admission; an admitted request
-// hands start to release when it is done.
-func (s *Server) acquire(w http.ResponseWriter, p admission.Priority) (start time.Time, ok bool) {
-	if !s.trySlot(p) {
-		s.m.requestsRejected.Add(1)
-		retry := 1
-		if s.limiter != nil {
-			retry = admission.RetryAfter(p)
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
-		return time.Time{}, false
+// priority orders shedding under the in-flight limit: lower sheds first.
+type priority uint8
+
+const (
+	prioBatch  priority = iota // a batch request, and each extra batch worker's slot
+	prioNormal                 // a cache miss on /v1/answer, and /v1/update
+	prioCached                 // a question the answer-cache lookup hit
+	numPriorities
+)
+
+// priorityNames label the shed counters on /metrics; retryAfter is the
+// Retry-After hint of a 503 at each priority: batch work is shed first
+// and retried wholesale, so it backs off longer.
+var (
+	priorityNames = [numPriorities]string{"batch", "normal", "cached"}
+	retryAfter    = [numPriorities]string{"2", "1", "1"}
+)
+
+// thresholds returns the admission bound of each priority under the
+// in-flight limit l: l − l/4, l and l + l/4 (a plain cap below l = 4),
+// or no bound when l is 0.
+func thresholds(l int) [numPriorities]int64 {
+	if l <= 0 {
+		return [numPriorities]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
 	}
-	s.m.inflight.Add(1)
-	if s.limiter != nil {
-		start = time.Now() // only the adaptive limiter is fed latency
-	}
-	return start, true
+	limit, reserve := int64(l), int64(l/4)
+	return [numPriorities]int64{limit - reserve, limit, limit + reserve}
 }
 
-// release returns the slot an admitted request took at start, feeding
-// the adaptive limiter the request's latency.
-func (s *Server) release(start time.Time) {
-	s.m.inflight.Add(-1)
-	if s.limiter == nil {
-		s.freeSlot(-1)
-		return
+// acquire takes an in-flight slot at the given priority, answering
+// 503 + Retry-After — and counting the shed — when the server is full
+// for that priority. An admitted request calls freeSlot when it is done.
+func (s *Server) acquire(w http.ResponseWriter, p priority) bool {
+	if s.trySlot(p) {
+		return true
 	}
-	s.freeSlot(time.Since(start))
+	s.m.shed[p].Add(1)
+	w.Header().Set("Retry-After", retryAfter[p])
+	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
+	return false
 }
 
 // trySlot takes an in-flight slot at priority p without blocking and
-// reports whether it got one (always, when admission is unlimited).
-// acquire takes one per request; a batch takes one more per worker
-// beyond the first.
-func (s *Server) trySlot(p admission.Priority) bool {
-	switch {
-	case s.limiter != nil:
-		return s.limiter.Acquire(p)
-	case s.sem != nil:
-		select {
-		case s.sem <- struct{}{}:
-			return true
-		default:
+// reports whether it got one. acquire takes one per request; a batch
+// takes one more per worker beyond the first, and a worker it cannot
+// get is no shed: the batch was admitted and runs with fewer workers.
+func (s *Server) trySlot(p priority) bool {
+	for {
+		n := s.m.inflight.Load()
+		if n >= s.threshold[p] {
 			return false
 		}
+		if s.m.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return true
 }
 
-// freeSlot returns a slot trySlot took. The adaptive limiter is fed
-// latency as a sample; a negative latency is a slot charge only — a
-// batch worker's slot is not a completed request.
-func (s *Server) freeSlot(latency time.Duration) {
-	switch {
-	case s.limiter != nil:
-		s.limiter.Release(latency)
-	case s.sem != nil:
-		<-s.sem
-	}
-}
+// freeSlot returns a slot trySlot took.
+func (s *Server) freeSlot() { s.m.inflight.Add(-1) }
 
 // lookup starts a question with the answer-cache lookup and counts it:
 // every lookup, served or not, so the exported hit and miss counters
@@ -396,19 +376,18 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.shedExpired(w)
 		return
 	}
-	// The lookup comes first: a hit is admitted at the Cached priority
-	// (the adaptive limiter sheds it last; it costs microseconds) and
-	// written with no timer, since it runs nothing a deadline could cut.
+	// The lookup comes first: a hit is admitted at the cached priority
+	// (shed last; it costs microseconds) and written with no timer,
+	// since it runs nothing a deadline could cut.
 	res := s.lookup(req.Question)
-	p := admission.Normal
+	p := prioNormal
 	if res.CacheHit {
-		p = admission.Cached
+		p = prioCached
 	}
-	start, ok := s.acquire(w, p)
-	if !ok {
+	if !s.acquire(w, p) {
 		return
 	}
-	defer s.release(start)
+	defer s.freeSlot()
 
 	s.answer(r, res, budget, req.AllowPartial)
 	switch res.Status {
@@ -452,11 +431,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.shedExpired(w)
 		return
 	}
-	start, ok := s.acquire(w, admission.Batch)
-	if !ok {
+	if !s.acquire(w, prioBatch) {
 		return
 	}
-	defer s.release(start)
+	defer s.freeSlot()
 
 	// The batch holds one in-flight slot; every worker beyond the first
 	// charges another, taken non-blockingly, so MaxInFlight keeps
@@ -465,14 +443,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// worker instead of oversubscribing the CPU.
 	workers := min(s.batchWorkers, len(req.Questions))
 	extra := 0
-	for extra < workers-1 && s.trySlot(admission.Batch) {
+	for extra < workers-1 && s.trySlot(prioBatch) {
 		extra++
 	}
-	defer func() {
-		for range extra {
-			s.freeSlot(-1)
-		}
-	}()
+	defer s.m.inflight.Add(int64(-extra))
 
 	// Each question the cache misses runs the full pipeline under its own
 	// timeout (s.answer), the pipeline is safe for concurrent callers, and

@@ -307,7 +307,7 @@ func TestInFlightLimitSheds(t *testing.T) {
 	srv := New(Config{Sys: testSystem(t), MaxInFlight: 1})
 	// Hold the single slot directly (the pipeline is too fast to hold
 	// it open reliably over HTTP).
-	srv.sem <- struct{}{}
+	srv.trySlot(prioNormal)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -319,7 +319,7 @@ func TestInFlightLimitSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("Retry-After missing")
 	}
-	<-srv.sem
+	srv.freeSlot()
 	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/answer",
 		AnswerRequest{Question: "How tall is Michael Jordan?"})
 	if resp.StatusCode != http.StatusOK {

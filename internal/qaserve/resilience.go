@@ -108,20 +108,9 @@ func (s *Server) recoverware(next http.Handler) http.Handler {
 }
 
 // renderResilience appends the server-level resilience metrics that
-// live outside the counter struct: the adaptive limiter's state, the
-// degraded gauge, and the chaos injector's cumulative injections.
+// live outside the counter struct: the degraded gauge and the chaos
+// injector's cumulative injections.
 func (s *Server) renderResilience(sb *strings.Builder) {
-	if s.limiter != nil {
-		fmt.Fprintf(sb, "# HELP qaserve_admission_limit Current adaptive concurrency limit.\n")
-		fmt.Fprintf(sb, "# TYPE qaserve_admission_limit gauge\n")
-		fmt.Fprintf(sb, "qaserve_admission_limit %d\n", s.limiter.Limit())
-		b, n, c := s.limiter.Shed()
-		fmt.Fprintf(sb, "# HELP qaserve_admission_shed_total Requests shed by the adaptive limiter, by priority.\n")
-		fmt.Fprintf(sb, "# TYPE qaserve_admission_shed_total counter\n")
-		fmt.Fprintf(sb, "qaserve_admission_shed_total{priority=\"batch\"} %d\n", b)
-		fmt.Fprintf(sb, "qaserve_admission_shed_total{priority=\"normal\"} %d\n", n)
-		fmt.Fprintf(sb, "qaserve_admission_shed_total{priority=\"cached\"} %d\n", c)
-	}
 	fmt.Fprintf(sb, "# HELP qaserve_degraded Whether the WAL is poisoned and the server is read-only.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_degraded gauge\n")
 	d := 0

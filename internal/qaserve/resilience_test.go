@@ -1,6 +1,6 @@
 package qaserve
 
-// Tests for the overload and failure behavior: adaptive admission with
+// Tests for the overload and failure behavior: admission with
 // priority shedding, the request budget header, chaos faults over live HTTP, the panic backstop, shutdown draining,
 // and the WAL-poisoned degraded mode.
 
@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -21,13 +20,11 @@ import (
 	"repro/internal/wal/faultfs"
 )
 
-// TestAdaptivePriorityShedsOverHTTP: with the limiter full, batch and
+// TestAdaptivePriorityShedsOverHTTP: with the limit full, batch and
 // normal requests answer 503 with their priority's Retry-After hint,
 // while a cache-eligible request rides the reserve and still answers.
 func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
-	// AdmissionMax pins the limit at 4 so fast warmup samples cannot
-	// grow it out from under the threshold arithmetic below.
-	srv := New(Config{Sys: testSystem(t), AdaptiveAdmission: true, MaxInFlight: 4, AdmissionMax: 4})
+	srv := New(Config{Sys: testSystem(t), MaxInFlight: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -37,16 +34,16 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 		t.Fatalf("warmup status = %d (%s)", resp.StatusCode, body)
 	}
 
-	// Fill the limit (4) directly; reserve = max(1, 4/4) = 1, so the
+	// Fill the limit (4) directly; reserve = 4/4 = 1, so the
 	// thresholds are: batch < 3, normal < 4, cached < 5.
 	for i := 0; i < 4; i++ {
-		if !srv.limiter.Acquire(admission.Normal) {
+		if !srv.trySlot(prioNormal) {
 			t.Fatalf("fill %d rejected", i)
 		}
 	}
 	defer func() {
 		for i := 0; i < 4; i++ {
-			srv.limiter.Release(-1)
+			srv.freeSlot()
 		}
 	}()
 
@@ -78,7 +75,8 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 		t.Fatalf("reserve admission did not hit the cache: %+v", ar)
 	}
 
-	// The limiter's shedding is visible on /metrics.
+	// The shedding is visible on /metrics, and the rejected outcome is
+	// the sum of the per-priority sheds.
 	mresp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +84,7 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	for _, w := range []string{
-		"qaserve_admission_limit 4",
+		`qaserve_requests_total{outcome="rejected"} 2`,
 		`qaserve_admission_shed_total{priority="batch"} 1`,
 		`qaserve_admission_shed_total{priority="normal"} 1`,
 		`qaserve_admission_shed_total{priority="cached"} 0`,
@@ -97,17 +95,17 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 	}
 }
 
-// TestAdaptiveServesNormally: under no load the adaptive server answers
-// exactly like the static one.
+// TestAdaptiveServesNormally: under no load a server at qaserve's
+// default limit answers, and its slot comes back.
 func TestAdaptiveServesNormally(t *testing.T) {
-	srv := New(Config{Sys: testSystem(t), AdaptiveAdmission: true})
+	srv := New(Config{Sys: testSystem(t), MaxInFlight: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if ar := askHeight(t, ts.Client(), ts.URL); !ar.Answered || ar.Answers[0] != "1.98" {
-		t.Fatalf("adaptive answer = %+v", ar)
+		t.Fatalf("answer = %+v", ar)
 	}
-	if srv.limiter.InFlight() != 0 {
-		t.Fatalf("inflight = %d after the request finished", srv.limiter.InFlight())
+	if n := srv.m.inflight.Load(); n != 0 {
+		t.Fatalf("inflight = %d after the request finished", n)
 	}
 }
 
@@ -367,16 +365,16 @@ func TestPoisonedWALDegradesOverHTTP(t *testing.T) {
 }
 
 // TestStaticPathUntouchedByNewConfig guards the differential promise:
-// a server built with the PR 7 configuration surface still uses the
-// static semaphore, attaches no injector, and sets no new headers on
-// the success path.
+// a server built with the PR 7 configuration surface gets the fixed
+// limit with its reserve (8 − 2, 8, 8 + 2), attaches no injector, and
+// sets no new headers on the success path.
 func TestStaticPathUntouchedByNewConfig(t *testing.T) {
 	srv := New(Config{Sys: testSystem(t), MaxInFlight: 8})
-	if srv.limiter != nil || srv.chaos != nil {
-		t.Fatal("default config armed the limiter or the injector")
+	if srv.chaos != nil {
+		t.Fatal("default config armed the injector")
 	}
-	if srv.sem == nil || cap(srv.sem) != 8 {
-		t.Fatalf("static semaphore lost: %v", srv.sem)
+	if want := [numPriorities]int64{6, 8, 10}; srv.threshold != want {
+		t.Fatalf("thresholds = %v, want %v", srv.threshold, want)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -27,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -76,7 +75,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	srv := New(Config{
 		Sys: sys, Updater: m, Chaos: injector,
-		AdaptiveAdmission: true, MaxInFlight: 4, AdmissionMax: 4,
+		MaxInFlight:    4,
 		RequestTimeout: 10 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -101,7 +100,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal("warmup never succeeded in 10 tries")
 	}
 	for i := 0; i < 4; i++ {
-		if !srv.limiter.Acquire(admission.Normal) {
+		if !srv.trySlot(prioNormal) {
 			t.Fatalf("fill %d rejected", i)
 		}
 	}
@@ -129,7 +128,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		srv.limiter.Release(-1)
+		srv.freeSlot()
 	}
 
 	// --- Phase 2: mixed workload under chaos. Sequential on purpose:
@@ -245,6 +244,7 @@ func TestChaosSoak(t *testing.T) {
 		`qaserve_admission_shed_total{priority="cached"} 0`,
 		`qaserve_admission_shed_total{priority="batch"} 5`,
 		`qaserve_admission_shed_total{priority="normal"} 5`,
+		`qaserve_requests_total{outcome="rejected"} 10`,
 		`qaserve_chaos_injections_total{point="wal.append",kind="error"} 3`,
 		"qaserve_degraded 0",
 	} {
@@ -255,7 +255,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// --- Shutdown: everything injected along the way (panics included)
 	// must have released its goroutines and in-flight slots.
-	if got := srv.limiter.InFlight(); got != 0 {
+	if got := srv.m.inflight.Load(); got != 0 {
 		t.Fatalf("in-flight = %d after the soak, want 0", got)
 	}
 	ts.Close()

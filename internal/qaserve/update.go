@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/admission"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -86,11 +85,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	start, ok := s.acquire(w, admission.Normal)
-	if !ok {
+	if !s.acquire(w, prioNormal) {
 		return
 	}
-	defer s.release(start)
+	defer s.freeSlot()
 
 	ctx := r.Context()
 	timeout := s.updateTimeout

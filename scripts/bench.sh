@@ -14,8 +14,8 @@
 # crashed qaserve runs before core.New: wal.Recover over the built-in
 # KB's segment plus a 64-record log tail, then kb.FromStore over the
 # store it returns, with the segment's IDs and no second store), and the
-# resilience layer (PR 8: BenchmarkAdmissionAcquireRelease is the
-# adaptive limiter's uncontended per-request hot path,
+# resilience layer (internal/qaserve's BenchmarkAdmitRelease is the
+# admission every request pays, uncontended at the default limit;
 # BenchmarkChaosHitDisabled is the inert fault-point tax every stage
 # boundary pays in production), and the plan-shape cache (PR 9:
 # internal/sparql's BenchmarkPlanCacheHit vs BenchmarkPlanCacheMiss is
@@ -99,17 +99,18 @@ cd "$(dirname "$0")/.."
 # selections run against the repo's root package; bench_pkgs covers
 # the benchmarks that live in their own packages (sparql's ID-space vs
 # term-space pairs and plan-cache compile pair, the shard tier, the
-# store's term-rank churn pair and its write-path flip).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
+# store's term-rank churn pair and its write-path flip, qaserve's
+# admission).
+bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$'
-bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkAdmissionAcquireRelease$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$'
+bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkAnswerCold$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .
   exec go test -p 1 -run '^$' -bench "$bench_pkgs_smoke" -benchtime=5x -benchmem \
-    ./internal/sparql/ ./internal/shard/ ./internal/store/
+    ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/
 fi
 
 benchtime="${BENCHTIME:-1s}"
@@ -120,8 +121,8 @@ go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .
 go test -run '^$' -bench "$bench_pair" -benchmem -benchtime="$benchtime" .
 
 # The package-local benchmarks (ID-space vs term-space pairs, plan-cache
-# compile pair, shard tier, term-rank churn, write path), one package at a time (-p 1): run side by
+# compile pair, shard tier, term-rank churn, write path, admission), one package at a time (-p 1): run side by
 # side on a two-core host they take each other's CPU, and the gather ÷
 # single-store factor is read off two of them.
 go test -p 1 -run '^$' -bench "$bench_pkgs" -benchmem -benchtime="$benchtime" \
-  ./internal/sparql/ ./internal/shard/ ./internal/store/
+  ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/

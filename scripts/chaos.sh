@@ -45,7 +45,7 @@ ADDR=127.0.0.1:8123
 SPEC='stage.answer:error:0.3::4,stage.triplex:panic:0.2::2,wal.append:error:0.5::3'
 
 /tmp/qaserve-chaos -addr "$ADDR" -data-dir "$DATA_DIR" -cache 64 \
-  -adaptive-admission -chaos "$SPEC" -chaos-seed 42 &
+  -chaos "$SPEC" -chaos-seed 42 &
 PID=$!
 trap 'kill -9 "$PID" 2>/dev/null || true; rm -rf "$DATA_DIR"' EXIT
 

@@ -25,9 +25,9 @@
 // The store publishes an immutable snapshot through an atomic pointer:
 // a store.Store is the writer and every read is a store.Snapshot method,
 // so readers pin a snapshot with one atomic load and scan plain memory,
-// while writers build the next snapshot by generation-stamped
-// copy-on-write (index root → page → bucket → ID list) and swap the
-// root once per batch. Reads are therefore wait-free — a long join
+// while writers fold each batch into the indexes once, by copy-on-write
+// (a radix tree of 64-slot nodes over pointer-free buckets), and swap
+// the root once per batch. Reads are therefore wait-free — a long join
 // never stalls behind a bulk AddAll, and every query sees whole batches
 // or none.
 // The executor pins one snapshot per query, and results stay columnar

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kb"
+	"repro/internal/rdf"
 	"repro/internal/wal"
 )
 
@@ -195,6 +196,66 @@ func TestUpdateReadOnlyServer(t *testing.T) {
 	resp, _ := postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "", swapHeight("1.98", "2.22"))
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("read-only update status = %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestUpdateFullIRIsSurviveRestart: an update that spells out full
+// IRIs with a '#' in them (rdf:type, and a typed literal's datatype)
+// and holds a long string answers 200, moves the generation, and is in
+// what a restart recovers from the data dir.
+func TestUpdateFullIRIsSurviveRestart(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.KB = kb.Build(kb.DefaultConfig())
+	sys := core.New(cfg)
+	dir := t.TempDir()
+	rec, err := wal.Recover(dir, wal.Options{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rec.Open(sys.KB.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Sys: sys, Updater: m, UpdateToken: "t"}).Handler())
+	defer ts.Close()
+
+	before := sys.KB.Store.Snapshot().Gen()
+	resp, body := postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "t", `INSERT DATA {
+  <http://example.org/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/C> .
+  <http://example.org/a> <http://example.org/count> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .
+  <http://example.org/a> <http://example.org/note> """two
+lines""" .
+}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status = %d (%s)", resp.StatusCode, body)
+	}
+	var ur UpdateResponse
+	if err := json.Unmarshal(body, &ur); err != nil {
+		t.Fatal(err)
+	}
+	if ur.Added != 3 || ur.Generation <= before {
+		t.Fatalf("update response = %+v, want 3 added above generation %d", ur, before)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := wal.Recover(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Store == nil || again.Gen != ur.Generation {
+		t.Fatalf("recovered generation %d, want %d", again.Gen, ur.Generation)
+	}
+	a := rdf.NewIRI("http://example.org/a")
+	for _, tr := range []rdf.Triple{
+		{S: a, P: rdf.Type(), O: rdf.NewIRI("http://example.org/C")},
+		{S: a, P: rdf.NewIRI("http://example.org/count"), O: rdf.NewTypedLiteral("7", rdf.XSDInteger)},
+		{S: a, P: rdf.NewIRI("http://example.org/note"), O: rdf.NewLiteral("two\nlines")},
+	} {
+		if !again.Store.Snapshot().Has(tr) {
+			t.Errorf("the recovered store lacks %v", tr)
+		}
 	}
 }
 

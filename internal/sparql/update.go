@@ -169,8 +169,9 @@ func (p *updateParser) prefixDecl() error {
 }
 
 // dataBlock consumes a braced triple block and parses it as Turtle
-// under the accumulated prefixes. The brace scan is string- and
-// comment-aware so '{'/'}' inside literals cannot unbalance it.
+// under the accumulated prefixes. The brace scan skips strings, IRI
+// references and comments, so a '{', '}' or '#' inside a literal or an
+// IRI neither unbalances it nor starts a comment.
 func (p *updateParser) dataBlock(del bool) ([]rdf.Triple, error) {
 	p.skipWS()
 	if p.eof() || p.src[p.pos] != '{' {
@@ -192,6 +193,8 @@ func (p *updateParser) dataBlock(del bool) ([]rdf.Triple, error) {
 			if err := p.skipString(c); err != nil {
 				return nil, err
 			}
+		case '<':
+			p.skipIRI()
 		case '{':
 			depth++
 			p.pos++
@@ -207,6 +210,18 @@ func (p *updateParser) dataBlock(del bool) ([]rdf.Triple, error) {
 		}
 	}
 	return nil, p.errf("unterminated '{' block")
+}
+
+// skipIRI consumes an IRI reference opened at the current position, up
+// to its '>' or to the end of the line, which no IRI spans (the Turtle
+// parser reports that one).
+func (p *updateParser) skipIRI() {
+	for p.pos++; !p.eof() && p.src[p.pos] != '\n'; p.pos++ {
+		if p.src[p.pos] == '>' {
+			p.pos++
+			return
+		}
+	}
 }
 
 // skipString consumes a short or long (triple-quoted) string literal

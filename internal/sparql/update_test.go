@@ -145,3 +145,65 @@ func TestParseUpdateErrorLineNumbers(t *testing.T) {
 		t.Fatalf("error line = %d, want 3-4: %v", ue.Line, ue)
 	}
 }
+
+// TestParseUpdateIRIsAndLongStrings: the brace scan skips IRI
+// references, so a '#' in one starts no comment and a brace in one
+// does not count, and a long string parses as Turtle parses it.
+func TestParseUpdateIRIsAndLongStrings(t *testing.T) {
+	s, p := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p")
+	cases := []struct {
+		name, block string
+		want        rdf.Triple
+	}{
+		{"rdf:type as a full IRI",
+			`<http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .`,
+			rdf.Triple{S: s, P: rdf.Type(), O: rdf.NewIRI("http://x/C")}},
+		{"typed literal with a full datatype IRI",
+			`<http://x/a> <http://x/p> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .`,
+			rdf.Triple{S: s, P: p, O: rdf.NewTypedLiteral("7", rdf.XSDInteger)}},
+		{"braces in an IRI", `<http://x/a> <http://x/p> <http://x/{o}#}> .`,
+			rdf.Triple{S: s, P: p, O: rdf.NewIRI("http://x/{o}#}")}},
+		{"long string", `<http://x/a> <http://x/p> """x""" .`,
+			rdf.Triple{S: s, P: p, O: rdf.NewLiteral("x")}},
+		{"long string over lines", "<http://x/a> <http://x/p> '''a {\n# } \"b\"\n''' .",
+			rdf.Triple{S: s, P: p, O: rdf.NewLiteral("a {\n# } \"b\"\n")}},
+		{"no final dot", `<http://x/a> <http://x/p> """x;}"""`,
+			rdf.Triple{S: s, P: p, O: rdf.NewLiteral("x;}")}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ops, err := ParseUpdate("INSERT DATA { " + tc.block + " }")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ops) != 1 || len(ops[0].Triples) != 1 || ops[0].Triples[0] != tc.want {
+				t.Fatalf("ops = %+v, want one insert of %v", ops, tc.want)
+			}
+		})
+	}
+}
+
+// TestParseUpdateLongStringLines: lines inside a long string count
+// toward the line an error after it reports, and an IRI that runs into
+// a newline is an error.
+func TestParseUpdateLongStringLines(t *testing.T) {
+	cases := []struct {
+		name, src string
+		line      int
+	}{
+		{"after a long string", "INSERT DATA {\n<http://x/a> <http://x/p> \"\"\"1\n2\n3\"\"\" .\n<http://x/a> <http://x/p> \"\\q\" .\n}", 5},
+		{"newline in IRI", "INSERT DATA {\n<http://x/a\n> <http://x/p> <http://x/o> .\n}", 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseUpdate(tc.src)
+			ue, ok := err.(*UpdateError)
+			if !ok {
+				t.Fatalf("err = %v (%T), want *UpdateError", err, err)
+			}
+			if ue.Line != tc.line {
+				t.Fatalf("line = %d, want %d: %v", ue.Line, tc.line, ue)
+			}
+		})
+	}
+}

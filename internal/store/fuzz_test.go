@@ -2,6 +2,7 @@ package store
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -16,6 +17,25 @@ var (
 	fuzzPredicates = []rdf.Term{rdf.Ont("p"), rdf.Ont("q")}
 	fuzzObjects    = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
 )
+
+// fuzzDictionary is what FuzzApplyBatch interns before its first batch:
+// 4300 terms, with the universe's seven at the IDs fuzzPlaces lists and
+// filler everywhere else. A and B share a leaf, as do "x" and 7; q, "x"
+// and 7 lie past ID 4095, under the second interior node of a two-level
+// index tree. So batches create, empty and refill leaves under two
+// interior nodes, and the first batch to reach past 4095 grows a tree.
+func fuzzDictionary() []rdf.Term {
+	universe := []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.Ont("p"), rdf.Ont("q"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
+	fuzzPlaces := []int{1, 2, 700, 2100, 4097, 4160, 4161}
+	terms := make([]rdf.Term, 4300)
+	for i := range terms {
+		terms[i] = rdf.Res(fmt.Sprintf("filler_%d", i+1))
+	}
+	for i, id := range fuzzPlaces {
+		terms[id-1] = universe[i]
+	}
+	return terms
+}
 
 // fuzzOp encodes one operation as FuzzApplyBatch reads it: bit 7
 // deletes, bit 6 ends the batch after this operation, bits 0–1 pick the
@@ -88,8 +108,16 @@ func FuzzApplyBatch(f *testing.F) {
 	})
 	f.Add([]byte{fuzzOp(false, a, 0, 0, false), fuzzOp(false, b, 0, 0, false), fuzzOp(false, c, 1, 0, false),
 		fuzzOp(false, c, 0, 4, true), fuzzOp(true, b, 0, 0, false), fuzzOp(false, b, 0, 0, true)})
+	padded := New()
+	padded.InternTerms(fuzzDictionary())
 	f.Fuzz(func(t *testing.T, in []byte) {
-		st := New()
+		// A fresh store over the padded dictionary: every batch below
+		// only reads the shared snapshot, and the clipped term slice
+		// makes an append copy it.
+		sn := *padded.Snapshot()
+		sn.inverse = slices.Clip(sn.inverse)
+		st := &Store{gen: sn.gen}
+		st.snap.Store(&sn)
 		model := map[rdf.Triple]bool{}
 		var snaps []pinned
 		for i, ops := range fuzzBatches(in) {
@@ -130,8 +158,9 @@ func copyModel(m map[rdf.Triple]bool) map[rdf.Triple]bool {
 	return out
 }
 
-// checkModel compares every pattern over the snapshot's dictionary —
-// each position a wildcard or any ID, so all 8 shapes — with the model.
+// checkModel compares every pattern over the universe's IDs and one
+// filler ID — each position a wildcard or any of them, so all 8 shapes
+// — with the model.
 func checkModel(t *testing.T, batch, snap int, p pinned) {
 	sn := p.sn
 	if sn.Len() != len(p.model) {
@@ -144,10 +173,14 @@ func checkModel(t *testing.T, batch, snap int, p pinned) {
 		o, _ := sn.Lookup(tr.O)
 		all = append(all, [3]ID{s, pr, o})
 	}
-	n := ID(sn.TermCount())
-	for s := ID(0); s <= n; s++ {
-		for pr := ID(0); pr <= n; pr++ {
-			for o := ID(0); o <= n; o++ {
+	ids := []ID{0, 3} // the wildcard, and filler in A and B's leaf
+	for _, term := range append(append(fuzzSubjects[:3:3], fuzzPredicates...), fuzzObjects[3:]...) {
+		id, _ := sn.Lookup(term)
+		ids = append(ids, id)
+	}
+	for _, s := range ids {
+		for _, pr := range ids {
+			for _, o := range ids {
 				pat := [3]ID{s, pr, o}
 				want := modelMatches(all, pat)
 				var got [][3]ID

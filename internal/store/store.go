@@ -17,18 +17,21 @@
 // or none of a concurrent AddAll batch, never a half-applied one.
 //
 // Writers serialise on a mutex and build the next snapshot by
-// copy-on-write: every level of the structure (index root → page of 512
-// buckets → bucket → sorted ID list) carries the generation of the
-// write batch that created it, so a batch clones only what it actually
-// touches and mutates its own clones in place for the rest of the
-// batch. A bucket is two parallel slices sorted by key, so its clone is
-// two slice copies, and a key is found by binary search. In each of
-// the three indexes a batch clones the root, a 4 KB page per page it
-// touches and each bucket it lands in, whose size grows with the
-// hottest bucket (rdf:type's in POS). An update_mix flip (8 deletes
-// and 8 inserts on a predicate with 512 objects, at 6.5k triples)
-// costs about 44 KB in 134 allocations. Anything in a loop belongs in
-// one AddAll or ApplyBatch, which pay each clone once.
+// copy-on-write, folding the whole batch in once, at commit. Each index
+// is a radix tree of 64-slot nodes over the first-position ID, whose
+// leaves point to buckets; a bucket is three sorted, pointer-free
+// arrays (keys, list offsets, the lists' IDs end to end), found by
+// binary search. A write call records its triple operations, settles
+// them in order against the snapshot it began on, then sorts the net
+// edits per index and rebuilds every bucket they touch once, by a
+// linear merge, copying each node on the path to it once. Untouched
+// buckets and nodes stay shared, and the write path never edits an
+// array in place. An update_mix flip (8 deletes and 8 inserts on a
+// predicate with 512 objects, at 6.5k triples) costs about 14 KB in 54
+// allocations, most of it the rebuilt 512-key POS bucket; on 16 times
+// the triples, a level deeper, about 17 KB. A batch costs
+// O(n log n + the buckets it touches), so anything in a loop belongs in
+// one AddAll or ApplyBatch, which rebuild each bucket once.
 // The new root is published once per public write call, giving readers
 // atomic batch visibility. Old snapshots are reclaimed by the garbage
 // collector once the last reader drops them.
@@ -47,11 +50,12 @@
 // an immutable slice so that conversion needs no locks.
 //
 // A published snapshot holds no cache a reader fills in: a bucket's
-// sorted keys and its triple count are kept by the writer, so a reader
-// of a bucket only ever reads it.
+// triple count is the length of its ID array, so a reader of a bucket
+// only ever reads it.
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -68,68 +72,76 @@ import (
 type ID uint32
 
 const (
-	// pageBits sizes the copy-on-write granularity of the index outer
-	// level: buckets live in fixed pages of 2^pageBits slots, so a write
-	// batch clones one page (512 pointers), not the whole outer level.
-	pageBits = 9
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
+	// nodeBits sizes the index radix tree: every interior node and leaf
+	// has 2^nodeBits slots, so a write batch clones 64 pointers per
+	// level on the path to each leaf it touches.
+	nodeBits = 6
+	nodeSize = 1 << nodeBits
+	nodeMask = nodeSize - 1
 
 	// nDictShards shards the term→ID dictionary for the same reason: a
 	// batch that interns new terms clones only the touched shards.
 	nDictShards = 64
 )
 
-// listEntry is one third-position ID list, sorted and unique, stamped
-// with the generation of the write batch that owns the backing array.
-// A batch may mutate the array in place only when gen matches its own;
-// otherwise the list is shared with published snapshots and must be
-// copied first.
-type listEntry struct {
-	gen uint64
-	ids []ID
-}
-
-// bucket is one second-level index entry: third-position ID lists keyed
-// by the second-position ID, held as two parallel slices sorted by key
-// (lists[i] is the list under keys[i]), and total, the sum of the list
-// lengths. gen marks the write batch that created this bucket instance;
-// published buckets are immutable and never empty.
+// bucket is one first-position entry of an index: the third-position
+// ID lists keyed by second-position ID, in three sorted, pointer-free
+// arrays. keys is sorted and unique, len(offs) == len(keys)+1, and the
+// list under keys[i] is ids[offs[i]:offs[i+1]], sorted and unique. A
+// published bucket is immutable and never empty; a write batch
+// replaces it whole.
 type bucket struct {
-	gen   uint64
-	total int
-	keys  []ID
-	lists []listEntry
+	keys []ID
+	offs []uint32
+	ids  []ID
 }
 
-// page is one fixed-size block of first-position bucket slots. Published
-// pages are immutable; gen marks the owning write batch.
-type page struct {
-	gen   uint64
-	slots [pageSize]*bucket
+// list returns the IDs under keys[i], capacity-clipped.
+func (bk *bucket) list(i int) []ID {
+	lo, hi := bk.offs[i], bk.offs[i+1]
+	return bk.ids[lo:hi:hi]
 }
 
-// index is one of the three triple permutations (SPO/POS/OSP). The
-// outer level is a paged array indexed directly by the dense first-
-// position ID — lookups are two array indexations and full iterations
-// are naturally in ascending ID order, so no outer sort cache is
-// needed. Published index roots are immutable.
+// leaf is the bottom level of an index tree: the buckets of 64
+// consecutive first-position IDs.
+type leaf [nodeSize]*bucket
+
+// node is one interior level of an index tree: a node at height 1
+// holds leaves, one above it holds nodes, and the other array is nil.
+// Each array is a single 512-byte object.
+type node struct {
+	kids   *[nodeSize]*node
+	leaves *[nodeSize]*leaf
+}
+
+// index is one of the three triple permutations (SPO/POS/OSP): a radix
+// tree over the dense first-position ID, with height interior levels
+// above the leaves, so it covers the IDs below 64^(height+1) and grows
+// a level when the dictionary outgrows it. A lookup is one array
+// indexation per level, and a full walk is in ascending ID order.
+// Published nodes and leaves are immutable: a write batch copies the
+// path to each leaf it touches, once, and shares the rest.
 type index struct {
-	gen   uint64
-	pages []*page
+	root   *node
+	height uint
 }
 
 // bucketFor returns the bucket for first-position id (nil when absent).
 func (ix *index) bucketFor(id ID) *bucket {
-	pi := int(id) >> pageBits
-	if pi >= len(ix.pages) {
+	n := ix.root
+	if n == nil || uint64(id)>>(nodeBits*(ix.height+1)) != 0 {
 		return nil
 	}
-	pg := ix.pages[pi]
-	if pg == nil {
+	for sh := nodeBits * ix.height; sh > nodeBits; sh -= nodeBits {
+		if n = n.kids[id>>sh&nodeMask]; n == nil {
+			return nil
+		}
+	}
+	lf := n.leaves[id>>nodeBits&nodeMask]
+	if lf == nil {
 		return nil
 	}
-	return pg.slots[int(id)&pageMask]
+	return lf[id&nodeMask]
 }
 
 // list returns the third-position IDs at [a][b] (nil when absent).
@@ -139,29 +151,41 @@ func (ix *index) list(a, b ID) []ID {
 		return nil
 	}
 	if i, ok := slices.BinarySearch(bk.keys, b); ok {
-		return bk.lists[i].ids
+		return bk.list(i)
 	}
 	return nil
 }
 
-// forEachBucket streams the non-empty (firstID, bucket) pairs in
-// ascending first-ID order; fn returning false stops early.
+// forEachBucket streams the (firstID, bucket) pairs in ascending
+// first-ID order; fn returning false stops early.
 func (ix *index) forEachBucket(fn func(id ID, bk *bucket) bool) {
-	for pi, pg := range ix.pages {
-		if pg == nil {
+	if ix.root != nil {
+		ix.root.walk(ix.height, 0, fn)
+	}
+}
+
+// walk streams the buckets under n, a node at height h whose first ID
+// is base, reporting whether fn asked to go on.
+func (n *node) walk(h uint, base ID, fn func(id ID, bk *bucket) bool) bool {
+	for i := ID(0); i < nodeSize; i++ {
+		at := base | i<<(nodeBits*h)
+		if h > 1 {
+			if kid := n.kids[i]; kid != nil && !kid.walk(h-1, at, fn) {
+				return false
+			}
 			continue
 		}
-		base := pi << pageBits
-		for si := 0; si < pageSize; si++ {
-			bk := pg.slots[si]
-			if bk == nil {
-				continue
-			}
-			if !fn(ID(base+si), bk) {
-				return
+		lf := n.leaves[i]
+		if lf == nil {
+			continue
+		}
+		for j, bk := range lf {
+			if bk != nil && !fn(at|ID(j), bk) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // dictShard is one shard of the term→ID dictionary. Published shards
@@ -244,9 +268,9 @@ const maxRankChain = 32
 type Snapshot struct {
 	d       *dict
 	inverse []rdf.Term // inverse[id-1] = term; shared append-only backing
-	spo     *index
-	pos     *index
-	osp     *index
+	spo     index
+	pos     index
+	osp     index
 	size    int
 	gen     uint64
 	ranks   *rankTable // fresh (empty) box per published generation
@@ -265,9 +289,6 @@ func New() *Store {
 	s := &Store{}
 	s.snap.Store(&Snapshot{
 		d:     &dict{shards: make([]*dictShard, nDictShards)},
-		spo:   &index{},
-		pos:   &index{},
-		osp:   &index{},
 		ranks: &rankTable{},
 	})
 	return s
@@ -291,7 +312,7 @@ func Load(gen uint64, terms []rdf.Term, triples [][3]ID) (*Store, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.gen = gen - 1 // begin allocates gen itself
-	w := s.begin()
+	w := s.begin(len(triples))
 	for _, t := range terms {
 		w.intern(t)
 	}
@@ -299,16 +320,21 @@ func Load(gen uint64, terms []rdf.Term, triples [][3]ID) (*Store, error) {
 		return nil, fmt.Errorf("store: dictionary contains duplicate terms")
 	}
 	n := ID(len(terms))
+	bad := -1
 	for i, tr := range triples {
 		if tr[0] == 0 || tr[1] == 0 || tr[2] == 0 || tr[0] > n || tr[1] > n || tr[2] > n {
-			return nil, fmt.Errorf("store: triple %d references a term ID outside 1..%d", i, n)
+			bad = i
+			break
 		}
-		if !w.addIDs(tr[0], tr[1], tr[2]) {
-			return nil, fmt.Errorf("store: triple %d is a duplicate", i)
-		}
+		w.record(tr[0], tr[1], tr[2], false)
 	}
 	w.dirty = true // an empty store keeps its generation too
-	s.commit(w)
+	if _, _, dup := s.commit(w); dup >= 0 {
+		return nil, fmt.Errorf("store: triple %d is a duplicate", dup)
+	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("store: triple %d references a term ID outside 1..%d", bad, n)
+	}
 	return s, nil
 }
 
@@ -506,7 +532,7 @@ func (sn *Snapshot) ForEachMatchIDs(pat [3]ID, fn func(s, p, o ID) bool) {
 			return
 		}
 		for i, p := range bk.keys {
-			for _, o := range bk.lists[i].ids {
+			for _, o := range bk.list(i) {
 				if !fn(sid, p, o) {
 					return
 				}
@@ -518,7 +544,7 @@ func (sn *Snapshot) ForEachMatchIDs(pat [3]ID, fn func(s, p, o ID) bool) {
 			return
 		}
 		for i, o := range bk.keys {
-			for _, sub := range bk.lists[i].ids {
+			for _, sub := range bk.list(i) {
 				if !fn(sub, pid, o) {
 					return
 				}
@@ -530,16 +556,16 @@ func (sn *Snapshot) ForEachMatchIDs(pat [3]ID, fn func(s, p, o ID) bool) {
 			return
 		}
 		for i, sub := range bk.keys {
-			for _, p := range bk.lists[i].ids {
+			for _, p := range bk.list(i) {
 				if !fn(sub, p, oid) {
 					return
 				}
 			}
 		}
-	default: // full scan, ascending subject ID (page order)
+	default: // full scan, ascending subject ID (tree order)
 		sn.spo.forEachBucket(func(sub ID, bk *bucket) bool {
 			for i, p := range bk.keys {
-				for _, o := range bk.lists[i].ids {
+				for _, o := range bk.list(i) {
 					if !fn(sub, p, o) {
 						return false
 					}
@@ -587,7 +613,7 @@ func (sn *Snapshot) EstimateCardinalityIDs(pat [3]ID) int {
 		if bk == nil {
 			return 0
 		}
-		return bk.total
+		return len(bk.ids)
 	}
 	switch {
 	case sid != 0 && pid != 0 && oid != 0:
@@ -602,11 +628,11 @@ func (sn *Snapshot) EstimateCardinalityIDs(pat [3]ID) int {
 	case sid != 0 && oid != 0:
 		return len(sn.osp.list(oid, sid))
 	case sid != 0:
-		return sum(sn.spo, sid)
+		return sum(&sn.spo, sid)
 	case pid != 0:
-		return sum(sn.pos, pid)
+		return sum(&sn.pos, pid)
 	case oid != 0:
-		return sum(sn.osp, oid)
+		return sum(&sn.osp, oid)
 	default:
 		return sn.size
 	}
@@ -699,31 +725,115 @@ func (s *Store) Triples() []rdf.Triple { return s.Snapshot().Triples() }
 // because cmd/qaload calls it (workload.go:84).
 func (s *Store) Subjects(p, o rdf.Term) []rdf.Term { return s.Snapshot().Subjects(p, o) }
 
-// --- Write path: generation-stamped copy-on-write batches ---
+// --- Write path: batches folded into the indexes at commit ---
 
-// writer builds the next snapshot for one write batch. It starts as a
-// shallow copy of the current snapshot and clones structures lazily,
-// gen-stamping each clone so later writes in the same batch mutate the
-// private copies in place. Callers hold Store.wmu throughout.
+// writer builds the next snapshot for one write batch. Terms are
+// interned as they come, into dictionary shards cloned once per batch
+// (gen-stamped); triple operations are only recorded, and commit folds
+// their net effect into the indexes in one pass. Callers hold
+// Store.wmu throughout.
 type writer struct {
 	next      Snapshot
 	gen       uint64
 	dirty     bool
-	prevTerms int // dictionary length at begin; detects dictionary growth at commit
+	prevTerms int    // dictionary length at begin; detects dictionary growth at commit
+	ops       []edit // the batch's triple operations, in SPO order as (a, b, c)
+
+	// Scratch of the counting sort (see sort).
+	tmp   []edit
+	count []uint32
 }
 
-// begin opens a write batch. Caller holds wmu.
-func (s *Store) begin() *writer {
+// edit is one triple operation of a write batch, its IDs permuted into
+// an index's order as (a, b, c). seq is the operation's position in the
+// batch and del marks a deletion.
+type edit struct {
+	a, b, c ID
+	seq     uint32
+	del     bool
+}
+
+// compareEdits orders edits by triple, then by position in the batch.
+func compareEdits(x, y edit) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.b, y.b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.c, y.c); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
+}
+
+// key returns the edit's ID at position f (0, 1 or 2: a, b or c).
+func (e edit) key(f int) ID {
+	switch f {
+	case 0:
+		return e.a
+	case 1:
+		return e.b
+	}
+	return e.c
+}
+
+// sort orders edits as compareEdits does. A batch that is large next
+// to the dictionary is sorted by three stable counting passes over the
+// dense IDs (c, then b, then a), each O(len(edits) + terms), which keep
+// a triple's edits in batch order; a small one by comparison. The
+// counting passes reuse the batch's scratch across its three sorts.
+func (w *writer) sort(edits []edit) {
+	terms := len(w.next.inverse)
+	if len(edits) < 64 || terms > 4*len(edits) {
+		slices.SortFunc(edits, compareEdits)
+		return
+	}
+	if len(w.count) < terms+1 {
+		w.count = make([]uint32, terms+1)
+	}
+	if len(w.tmp) < len(edits) {
+		w.tmp = make([]edit, len(edits))
+	}
+	count := w.count[:terms+1]
+	src, dst := edits, w.tmp[:len(edits)]
+	for f := 2; f >= 0; f-- {
+		clear(count)
+		for _, e := range src {
+			count[e.key(f)]++
+		}
+		var at uint32
+		for id, n := range count {
+			count[id] = at
+			at += n
+		}
+		for _, e := range src {
+			dst[count[e.key(f)]] = e
+			count[e.key(f)]++
+		}
+		src, dst = dst, src
+	}
+	copy(edits, src)
+}
+
+// begin opens a write batch expecting about n triple operations.
+// Caller holds wmu.
+func (s *Store) begin(n int) *writer {
 	s.gen++
-	w := &writer{next: *s.snap.Load(), gen: s.gen}
+	w := &writer{next: *s.snap.Load(), gen: s.gen, ops: make([]edit, 0, n)}
 	w.prevTerms = len(w.next.inverse)
 	return w
 }
 
-// commit publishes the batch if it changed anything. Caller holds wmu.
-func (s *Store) commit(w *writer) {
+// commit settles the batch's operations, folds them into the indexes
+// and publishes the batch if it changed anything. It returns the
+// triples added and removed, and dup: the position of the first insert
+// whose triple was already present, or -1. Caller holds wmu.
+func (s *Store) commit(w *writer) (added, removed, dup int) {
+	added, removed, dup = w.resolve()
+	w.fold()
 	if !w.dirty {
-		return
+		return added, removed, dup
 	}
 	w.next.gen = w.gen
 	if len(w.next.inverse) != w.prevTerms {
@@ -745,6 +855,242 @@ func (s *Store) commit(w *writer) {
 	// shares the box for the same reason.)
 	sn := w.next
 	s.snap.Store(&sn)
+	return added, removed, dup
+}
+
+// record appends one triple operation to the batch.
+func (w *writer) record(sid, pid, oid ID, del bool) {
+	w.ops = append(w.ops, edit{a: sid, b: pid, c: oid, seq: uint32(len(w.ops)), del: del})
+}
+
+// resolve settles the recorded operations in batch order against the
+// snapshot the batch began on: an insert of a present triple and a
+// delete of an absent one change nothing, and later operations see
+// earlier ones. It leaves w.ops holding the batch's net edits, sorted
+// in SPO order, and counts what the operations did.
+func (w *writer) resolve() (added, removed, dup int) {
+	dup = -1
+	ops := w.ops
+	w.sort(ops)
+	net := ops[:0] // written behind the read position
+	for i := 0; i < len(ops); {
+		e := ops[i]
+		was := w.next.HasIDs(e.a, e.b, e.c) // the indexes are the begin snapshot's
+		in := was
+		for ; i < len(ops) && ops[i].a == e.a && ops[i].b == e.b && ops[i].c == e.c; i++ {
+			switch op := ops[i]; {
+			case op.del && in:
+				in = false
+				removed++
+			case !op.del && !in:
+				in = true
+				added++
+			case !op.del && (dup < 0 || int(op.seq) < dup):
+				dup = int(op.seq)
+			}
+		}
+		if in != was {
+			net = append(net, edit{a: e.a, b: e.b, c: e.c, del: was})
+		}
+	}
+	w.ops = net
+	w.next.size += added - removed
+	if added+removed > 0 {
+		w.dirty = true
+	}
+	return added, removed, dup
+}
+
+// fold applies the net edits to the three indexes: each touched bucket
+// is rebuilt once and each node on the path to it cloned once.
+func (w *writer) fold() {
+	if len(w.ops) == 0 {
+		return
+	}
+	w.next.spo = w.next.spo.fold(w.ops)
+	perm := make([]edit, len(w.ops))
+	for i, e := range w.ops {
+		perm[i] = edit{a: e.b, b: e.c, c: e.a, del: e.del}
+	}
+	w.sort(perm)
+	w.next.pos = w.next.pos.fold(perm)
+	for i, e := range w.ops {
+		perm[i] = edit{a: e.c, b: e.a, c: e.b, del: e.del}
+	}
+	w.sort(perm)
+	w.next.osp = w.next.osp.fold(perm)
+}
+
+// fold returns the index with the sorted net edits applied, growing
+// the tree when an edit's first-position ID lies beyond it.
+func (ix index) fold(edits []edit) index {
+	if ix.root == nil {
+		ix.height = 1
+	}
+	for last := uint64(edits[len(edits)-1].a); last>>(nodeBits*(ix.height+1)) != 0; ix.height++ {
+		if ix.root != nil {
+			ix.root = &node{kids: &[nodeSize]*node{ix.root}}
+		}
+	}
+	ix.root = foldNode(ix.root, ix.height, edits)
+	return ix
+}
+
+// foldNode returns a copy of n, a node at height h, with the edits
+// under it applied, or nil when nothing is left under it.
+func foldNode(n *node, h uint, edits []edit) *node {
+	var kids [nodeSize]*node
+	var leaves [nodeSize]*leaf
+	if n != nil && h > 1 {
+		kids = *n.kids
+	} else if n != nil {
+		leaves = *n.leaves
+	}
+	sh := nodeBits * h
+	for len(edits) > 0 {
+		i := edits[0].a >> sh & nodeMask
+		j := 1
+		for j < len(edits) && edits[j].a>>sh&nodeMask == i {
+			j++
+		}
+		if h > 1 {
+			kids[i] = foldNode(kids[i], h-1, edits[:j])
+		} else {
+			leaves[i] = foldLeaf(leaves[i], edits[:j])
+		}
+		edits = edits[j:]
+	}
+	switch {
+	case kids != [nodeSize]*node{}:
+		return &node{kids: &kids}
+	case leaves != [nodeSize]*leaf{}:
+		return &node{leaves: &leaves}
+	}
+	return nil
+}
+
+// foldLeaf returns a copy of lf with the edits under it applied, or nil
+// when no bucket is left in it. The buckets an insert lands in cannot
+// end empty, so their headers share one allocation.
+func foldLeaf(lf *leaf, edits []edit) *leaf {
+	c := new(leaf)
+	if lf != nil {
+		*c = *lf
+	}
+	n, last := 0, ID(0)
+	for _, e := range edits {
+		if !e.del && (n == 0 || e.a != last) {
+			n, last = n+1, e.a
+		}
+	}
+	hdrs := make([]bucket, n)
+	for len(edits) > 0 {
+		a, ins := edits[0].a, !edits[0].del
+		j := 1
+		for ; j < len(edits) && edits[j].a == a; j++ {
+			ins = ins || !edits[j].del
+		}
+		var nb *bucket
+		if ins {
+			nb, hdrs = &hdrs[0], hdrs[1:]
+		}
+		c[a&nodeMask] = merge(nb, c[a&nodeMask], edits[:j])
+		edits = edits[j:]
+	}
+	if *c == (leaf{}) {
+		return nil
+	}
+	return c
+}
+
+// merge fills nb with bk (nil for an empty bucket) and the edits, all
+// under its first-position ID and sorted by (b, c), applied by one
+// linear merge, and returns it; nil when nothing is left. A nil nb is
+// allocated when needed. A delete's (b, c) is in bk and an insert's is
+// not, so the result is sized exactly first.
+func merge(nb, bk *bucket, edits []edit) *bucket {
+	var old bucket
+	if bk != nil {
+		old = *bk
+	}
+	nKeys, nIDs := len(old.keys), len(old.ids)
+	for g := edits; len(g) > 0; {
+		j, adds := 0, 0
+		for ; j < len(g) && g[j].b == g[0].b; j++ {
+			if !g[j].del {
+				adds++
+			}
+		}
+		dels := j - adds
+		nIDs += adds - dels
+		if k, had := slices.BinarySearch(old.keys, g[0].b); !had {
+			nKeys++
+		} else if adds == 0 && dels == int(old.offs[k+1]-old.offs[k]) {
+			nKeys--
+		}
+		g = g[j:]
+	}
+	if nIDs == 0 {
+		return nil
+	}
+	if nb == nil {
+		nb = new(bucket)
+	}
+	buf := make([]ID, nKeys+nIDs)
+	*nb = bucket{keys: buf[:nKeys:nKeys], offs: make([]uint32, nKeys+1), ids: buf[nKeys:]}
+	// nk keys and ni IDs are written; ok old keys are consumed.
+	nk, ni, ok := 0, 0, 0
+	// copyOld copies old keys [ok, to) and their lists.
+	copyOld := func(to int) {
+		if to == ok {
+			return
+		}
+		shift := uint32(ni) - old.offs[ok]
+		ni += copy(nb.ids[ni:], old.ids[old.offs[ok]:old.offs[to]])
+		for ; ok < to; ok++ {
+			nb.keys[nk] = old.keys[ok]
+			nk++
+			nb.offs[nk] = old.offs[ok+1] + shift
+		}
+	}
+	for len(edits) > 0 {
+		b := edits[0].b
+		j := 1
+		for j < len(edits) && edits[j].b == b {
+			j++
+		}
+		k, had := slices.BinarySearch(old.keys[ok:], b)
+		copyOld(ok + k)
+		var lst []ID
+		if had {
+			lst = old.list(ok)
+			ok++
+		}
+		start := ni
+		for _, e := range edits[:j] {
+			i, _ := slices.BinarySearch(lst, e.c)
+			ni += copy(nb.ids[ni:], lst[:i])
+			if e.del {
+				lst = lst[i+1:]
+			} else {
+				nb.ids[ni] = e.c
+				ni++
+				lst = lst[i:]
+			}
+		}
+		ni += copy(nb.ids[ni:], lst)
+		if ni > start {
+			nb.keys[nk] = b
+			nk++
+			nb.offs[nk] = uint32(ni)
+		}
+		edits = edits[j:]
+	}
+	copyOld(len(old.keys))
+	if nk != nKeys || ni != nIDs {
+		panic("store: bucket merge wrote a size it did not count")
+	}
+	return nb
 }
 
 // editDict returns the batch-private dict root, cloning the published
@@ -795,154 +1141,43 @@ func (w *writer) assign(t rdf.Term) ID {
 	return id
 }
 
-// editBucket returns the batch-private bucket for first-position id in
-// *ixp, cloning the index root, the page and the bucket as needed (and
-// creating them when absent).
-func (w *writer) editBucket(ixp **index, id ID) *bucket {
-	ix := *ixp
-	if ix.gen != w.gen {
-		ix = &index{gen: w.gen, pages: append([]*page(nil), ix.pages...)}
-		*ixp = ix
-	}
-	pi := int(id) >> pageBits
-	for pi >= len(ix.pages) {
-		ix.pages = append(ix.pages, nil)
-	}
-	pg := ix.pages[pi]
-	if pg == nil {
-		pg = &page{gen: w.gen}
-		ix.pages[pi] = pg
-	} else if pg.gen != w.gen {
-		np := &page{gen: w.gen, slots: pg.slots}
-		ix.pages[pi] = np
-		pg = np
-	}
-	sl := int(id) & pageMask
-	bk := pg.slots[sl]
-	if bk == nil {
-		bk = &bucket{gen: w.gen}
-		pg.slots[sl] = bk
-	} else if bk.gen != w.gen {
-		bk = &bucket{gen: w.gen, total: bk.total, keys: slices.Clone(bk.keys), lists: slices.Clone(bk.lists)}
-		pg.slots[sl] = bk
-	}
-	return bk
-}
-
-// insert adds c to the sorted, unique list at [a][b] of *ixp. The
-// caller has already established that c is absent.
-func (w *writer) insert(ixp **index, a, b, c ID) {
-	bk := w.editBucket(ixp, a)
-	k, had := slices.BinarySearch(bk.keys, b)
-	if !had {
-		bk.keys = slices.Insert(bk.keys, k, b)
-		bk.lists = slices.Insert(bk.lists, k, listEntry{})
-	}
-	bk.total++
-	e := &bk.lists[k]
-	i, _ := slices.BinarySearch(e.ids, c)
-	if e.gen == w.gen {
-		e.ids = slices.Insert(e.ids, i, c)
+// addTriple interns a ground triple and records its insertion.
+func (w *writer) addTriple(t rdf.Triple) {
+	if t.S.IsVar() || t.P.IsVar() || t.O.IsVar() {
 		return
 	}
-	nl := make([]ID, len(e.ids)+1)
-	copy(nl, e.ids[:i])
-	nl[i] = c
-	copy(nl[i+1:], e.ids[i:])
-	*e = listEntry{gen: w.gen, ids: nl}
-}
-
-// removeOne deletes c from the list at [a][b] of *ixp, pruning empty
-// lists and buckets. The caller has already established that c is
-// present.
-func (w *writer) removeOne(ixp **index, a, b, c ID) {
-	bk := w.editBucket(ixp, a)
-	k, _ := slices.BinarySearch(bk.keys, b)
-	bk.total--
-	e := &bk.lists[k]
-	switch i, _ := slices.BinarySearch(e.ids, c); {
-	case len(e.ids) == 1:
-		bk.keys = slices.Delete(bk.keys, k, k+1)
-		bk.lists = slices.Delete(bk.lists, k, k+1)
-		if len(bk.keys) == 0 {
-			// editBucket made the page private; clear the slot.
-			(*ixp).pages[int(a)>>pageBits].slots[int(a)&pageMask] = nil
-		}
-	case e.gen == w.gen:
-		e.ids = slices.Delete(e.ids, i, i+1)
-	default:
-		nl := make([]ID, len(e.ids)-1)
-		copy(nl, e.ids[:i])
-		copy(nl[i:], e.ids[i+1:])
-		*e = listEntry{gen: w.gen, ids: nl}
-	}
-}
-
-// addIDs indexes an already-interned triple, returning whether it was new.
-func (w *writer) addIDs(sid, pid, oid ID) bool {
-	if w.next.HasIDs(sid, pid, oid) {
-		return false
-	}
-	w.insert(&w.next.spo, sid, pid, oid)
-	w.insert(&w.next.pos, pid, oid, sid)
-	w.insert(&w.next.osp, oid, sid, pid)
-	w.next.size++
-	w.dirty = true
-	return true
-}
-
-// removeIDs unindexes a triple, returning whether it was present.
-func (w *writer) removeIDs(sid, pid, oid ID) bool {
-	if !w.next.HasIDs(sid, pid, oid) {
-		return false
-	}
-	w.removeOne(&w.next.spo, sid, pid, oid)
-	w.removeOne(&w.next.pos, pid, oid, sid)
-	w.removeOne(&w.next.osp, oid, sid, pid)
-	w.next.size--
-	w.dirty = true
-	return true
-}
-
-// addTriple interns and indexes one ground triple.
-func (w *writer) addTriple(t rdf.Triple) bool {
-	if t.S.IsVar() || t.P.IsVar() || t.O.IsVar() {
-		return false
-	}
-	return w.addIDs(w.intern(t.S), w.intern(t.P), w.intern(t.O))
+	w.record(w.intern(t.S), w.intern(t.P), w.intern(t.O), false)
 }
 
 // Add inserts a triple. It reports whether the triple was new. Variable
 // terms are rejected (store data must be ground). Each call is a write
 // batch and a published snapshot of its own: for single writes and
 // tests. In a loop, collect the triples and call AddAll (or ApplyBatch)
-// once — n Adds cost O(n × hottest bucket), one AddAll of n is linear.
+// once — each batch rebuilds every bucket it touches, so n Adds cost
+// O(n × hottest bucket) where one AddAll of n rebuilds each bucket once.
 func (s *Store) Add(t rdf.Triple) bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	w := s.begin()
-	added := w.addTriple(t)
-	s.commit(w)
-	return added
+	w := s.begin(1)
+	w.addTriple(t)
+	added, _, _ := s.commit(w)
+	return added == 1
 }
 
 // AddAll inserts every triple as one atomic batch and returns the
 // number newly added. Readers observe either none or all of the batch:
 // the new snapshot is published once, after the whole batch is indexed.
-// For bulk loads this also amortises the copy-on-write cloning across
-// the batch.
+// For bulk loads this also folds the whole batch into the indexes in
+// one pass.
 func (s *Store) AddAll(ts []rdf.Triple) int {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	w := s.begin()
-	n := 0
+	w := s.begin(len(ts))
 	for _, t := range ts {
-		if w.addTriple(t) {
-			n++
-		}
+		w.addTriple(t)
 	}
-	s.commit(w)
-	return n
+	added, _, _ := s.commit(w)
+	return added
 }
 
 // InternTerms interns every listed ground term in order as one atomic
@@ -957,7 +1192,7 @@ func (s *Store) AddAll(ts []rdf.Triple) int {
 func (s *Store) InternTerms(terms []rdf.Term) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	w := s.begin()
+	w := s.begin(0)
 	for _, t := range terms {
 		if t.IsZero() || t.IsVar() {
 			continue
@@ -996,27 +1231,27 @@ type BatchOp struct {
 func (s *Store) ApplyBatch(ops []BatchOp) (added, removed int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	w := s.begin()
+	n := 0
 	for _, op := range ops {
-		if op.Delete {
+		n += len(op.Triples)
+	}
+	w := s.begin(n)
+	for _, op := range ops {
+		if !op.Delete {
 			for _, t := range op.Triples {
-				ids, ok := w.next.patternIDs(t)
-				if !ok || ids[0] == 0 || ids[1] == 0 || ids[2] == 0 {
-					continue // unknown term or non-ground: nothing to remove
-				}
-				if w.removeIDs(ids[0], ids[1], ids[2]) {
-					removed++
-				}
+				w.addTriple(t)
 			}
-		} else {
-			for _, t := range op.Triples {
-				if w.addTriple(t) {
-					added++
-				}
+			continue
+		}
+		for _, t := range op.Triples {
+			ids, ok := w.next.patternIDs(t)
+			if !ok || ids[0] == 0 || ids[1] == 0 || ids[2] == 0 {
+				continue // unknown term or non-ground: nothing to remove
 			}
+			w.record(ids[0], ids[1], ids[2], true)
 		}
 	}
-	s.commit(w)
+	added, removed, _ = s.commit(w)
 	return added, removed
 }
 

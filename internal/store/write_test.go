@@ -41,16 +41,17 @@ func flipOps(batch int, from, to string) []store.BatchOp {
 	return []store.BatchOp{{Delete: true, Triples: benchState(batch, from)}, {Triples: benchState(batch, to)}}
 }
 
-// flipStore returns the store and one full cycle of flips (a→b for
-// every batch, then b→a), which leaves the contents as they began.
-func flipStore() (*store.Store, [][]store.BatchOp) {
+// flipStore returns the store, with scale times the base triples, and
+// one full cycle of flips (a→b for every batch, then b→a), which leaves
+// the contents as they began.
+func flipStore(scale int) (*store.Store, [][]store.BatchOp) {
 	st := store.New()
 	var base []rdf.Triple
-	for i := 0; i < 6000; i++ {
+	for i := 0; i < 6000*scale; i++ {
 		base = append(base, rdf.Triple{
-			S: rdf.Res(fmt.Sprintf("E%d", i%1500)),
+			S: rdf.Res(fmt.Sprintf("E%d", i%(1500*scale))),
 			P: rdf.Ont(fmt.Sprintf("p%d", i%23)),
-			O: rdf.Res(fmt.Sprintf("V%d", (i*7)%700)),
+			O: rdf.Res(fmt.Sprintf("V%d", (i*7)%(700*scale))),
 		})
 	}
 	st.AddAll(base)
@@ -69,10 +70,23 @@ func flipStore() (*store.Store, [][]store.BatchOp) {
 	return st, cycle
 }
 
+// flipCost applies one cycle of flips and returns the bytes and
+// objects allocated per flip.
+func flipCost(st *store.Store, cycle [][]store.BatchOp) (bytes, objects float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range cycle {
+		st.ApplyBatch(ops)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(cycle))
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
+}
+
 // BenchmarkApplyBatchFlip is one update_mix write: 8 deletes and 8
 // inserts on a 512-object predicate, applied as one batch.
 func BenchmarkApplyBatchFlip(b *testing.B) {
-	st, cycle := flipStore()
+	st, cycle := flipStore(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,23 +102,31 @@ func TestApplyBatchAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are measured without the race detector")
 	}
-	const ceilBytes, ceilObjects = 48600, 148 // logged 44156 B and 134.1
-	st, cycle := flipStore()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, ops := range cycle {
-		st.ApplyBatch(ops)
-	}
-	runtime.ReadMemStats(&after)
-	n := float64(len(cycle))
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	objects := float64(after.Mallocs-before.Mallocs) / n
+	const ceilBytes, ceilObjects = 15700, 60 // logged 14233 B and 54.1
+	st, cycle := flipStore(1)
+	bytes, objects := flipCost(st, cycle)
 	t.Logf("%d flips: %.0f B and %.1f objects per flip, ceilings %d B and %d", len(cycle), bytes, objects, ceilBytes, ceilObjects)
 	if bytes > ceilBytes {
 		t.Errorf("%.0f B per flip, ceiling %d", bytes, ceilBytes)
 	}
 	if objects > ceilObjects {
 		t.Errorf("%.1f objects per flip, ceiling %d", objects, ceilObjects)
+	}
+}
+
+// TestApplyBatchScales: a flip copies the path to what it touches, not
+// a level of the index, so on 16 times the base triples (and about 10
+// times the terms, which adds a level to every index tree) it costs at
+// most a quarter more bytes.
+func TestApplyBatchScales(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation figures are measured without the race detector")
+	}
+	small, _ := flipCost(flipStore(1))
+	large, _ := flipCost(flipStore(16))
+	t.Logf("B per flip: %.0f at ×1, %.0f at ×16 (%.2f×)", small, large, large/small)
+	if large > 1.25*small {
+		t.Errorf("a flip at ×16 costs %.0f B, more than 1.25 × %.0f B at ×1", large, small)
 	}
 }
 

@@ -319,20 +319,31 @@ func (p *parser) prefixedName() (rdf.Term, error) {
 	return rdf.NewIRI(ns + local), nil
 }
 
+// literal parses a string literal opened by quote at the current
+// position, then its language tag or datatype. A short string is
+// delimited by one quote and stays on its line; a long one, by three
+// of the same quote, may span lines and hold unescaped quotes.
 func (p *parser) literal(quote byte) (rdf.Term, error) {
-	p.pos++ // opening quote
+	delim := string(quote)
+	if long := strings.Repeat(delim, 3); strings.HasPrefix(p.src[p.pos:], long) {
+		delim = long
+	}
+	p.pos += len(delim)
 	var sb strings.Builder
 	for {
 		if p.eof() {
 			return rdf.Term{}, p.errf("unterminated string")
 		}
 		c := p.peek()
-		if c == quote {
-			p.pos++
+		if c == quote && strings.HasPrefix(p.src[p.pos:], delim) {
+			p.pos += len(delim)
 			break
 		}
 		if c == '\n' {
-			return rdf.Term{}, p.errf("newline in string")
+			if len(delim) == 1 {
+				return rdf.Term{}, p.errf("newline in string")
+			}
+			p.line++
 		}
 		if c == '\\' {
 			p.pos++

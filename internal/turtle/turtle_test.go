@@ -194,3 +194,61 @@ dbr:Ankara a dbo:City ; dbo:populationTotal 4890893 .
 		t.Errorf("population = %v", triples[1].O)
 	}
 }
+
+// TestLongStrings: a string in three double or three single quotes
+// may span lines and hold unescaped quotes of either kind, escapes work
+// in it as in a short string, and a language tag or datatype may
+// follow.
+func TestLongStrings(t *testing.T) {
+	cases := []struct {
+		name, lit string
+		want      rdf.Term
+	}{
+		{"double quotes", `"""x"""`, rdf.NewLiteral("x")},
+		{"single quotes", `'''x'''`, rdf.NewLiteral("x")},
+		{"empty", `""""""`, rdf.NewLiteral("")},
+		{"newlines", "\"\"\"a\nb\n\"\"\"", rdf.NewLiteral("a\nb\n")},
+		{"one and two quotes inside", `"""say "hi" or ""hi"" """`, rdf.NewLiteral(`say "hi" or ""hi"" `)},
+		{"the other quote", `'''it's "x"'''`, rdf.NewLiteral(`it's "x"`)},
+		{"escapes", `"""tab\tquote\"""\\"""`, rdf.NewLiteral("tab\tquote\"\"\"\\")},
+		{"braces and a hash", "'''{ # }\n}'''", rdf.NewLiteral("{ # }\n}")},
+		{"language tag", `"""x"""@en`, rdf.NewLangLiteral("x", "en")},
+		{"datatype IRI", `"""7"""^^<http://www.w3.org/2001/XMLSchema#integer>`, rdf.NewTypedLiteral("7", rdf.XSDInteger)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			triples, err := ParseString("<http://e/s> <http://e/p> " + tc.lit + " .")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(triples) != 1 || triples[0].O != tc.want {
+				t.Fatalf("got %v, want one triple with object %v", triples, tc.want)
+			}
+		})
+	}
+}
+
+// TestLongStringErrorLines: a long string's newlines count, so an error
+// after one reports its own line; an unterminated one is an error.
+func TestLongStringErrorLines(t *testing.T) {
+	cases := []struct {
+		name, src string
+		line      int
+	}{
+		{"error after a long string", "<http://e/s> <http://e/p> \"\"\"a\nb\"\"\" .\n<http://e/s> <http://e/p> \"bad \\q\" .\n", 3},
+		{"bad escape inside one", "<http://e/s> <http://e/p> '''a\n\nb \\q''' .\n", 3},
+		{"unterminated", "<http://e/s> <http://e/p> \"\"\"a\nb\" .\n", 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseString(tc.src)
+			pe, ok := err.(*ParseError)
+			if !ok {
+				t.Fatalf("err = %v (%T), want *ParseError", err, err)
+			}
+			if pe.Line != tc.line {
+				t.Fatalf("line = %d, want %d: %v", pe.Line, tc.line, pe)
+			}
+		})
+	}
+}

@@ -461,8 +461,11 @@ func BenchmarkKBBuildScale(b *testing.B) {
 }
 
 // BenchmarkCoreBoot is core.New over a KB that is already built — what
-// is left of a boot once the store is not it: pattern mining and the
-// linker's and mapper's §2.2 indexes.
+// is left of a boot once the store is not it: the corpus and pattern
+// mining on the calling goroutine, WordNet and the linker's index on a
+// second one beside them, then the mapper's §2.2 indexes. It read
+// ≈ 16 ms, 5.58 MB and 31,982 allocs/op while mining tagged every
+// sentence and the linker waited for it.
 func BenchmarkCoreBoot(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.KB = kb.Default()
@@ -470,6 +473,31 @@ func BenchmarkCoreBoot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.New(cfg)
+	}
+}
+
+// BenchmarkCorpus is the corpus verbaliser over the built-in KB: the
+// 1902 annotated sentences the miner reads.
+func BenchmarkCorpus(b *testing.B) {
+	k := kb.Default()
+	cfg := kb.DefaultCorpusConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Corpus(cfg)
+	}
+}
+
+// BenchmarkMine is patterns.Mine over the default corpus, built outside
+// the timer: span normalisation, distant supervision and the taxonomy.
+func BenchmarkMine(b *testing.B) {
+	k := kb.Default()
+	corpus := k.Corpus(kb.DefaultCorpusConfig())
+	cfg := patterns.DefaultMinerConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		patterns.Mine(k, corpus, cfg)
 	}
 }
 

@@ -176,7 +176,9 @@ type System struct {
 
 	// Boot is what New spent, in order: "kb_build" (only when New built
 	// the default KB itself), "pattern_mining" (unless disabled) and
-	// "indexes" (WordNet, the linker's and the mapper's, the wiring). A
+	// "indexes" (the rest until the System is ready: the mapper's and
+	// the answer stage's indexes, and what of WordNet and the linker is
+	// not done by then — they build beside kb_build and mining). A
 	// caller with timed work of its own before New prepends it — qaserve
 	// does, and exports the list as qaserve_boot_seconds{phase=…}.
 	Boot []BootPhase
@@ -214,16 +216,26 @@ func New(cfg Config) *System {
 		s.Boot = append(s.Boot, BootPhase{phase, now.Sub(start)})
 		start = now
 	}
+	// WordNet needs nothing and the linker only the KB: one goroutine
+	// builds both while this one mines, and the mapper waits for both.
+	kbReady, linked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(linked)
+		s.WordNet = wordnet.Default()
+		<-kbReady
+		s.Linker = ner.NewLinker(s.KB)
+	}()
 	if s.KB == nil {
 		s.KB = kb.Default()
 		lap("kb_build")
 	}
+	close(kbReady)
 	k := s.KB
 	if !cfg.DisablePatterns {
 		s.Patterns = patterns.Mine(k, k.Corpus(cfg.Corpus), cfg.Miner)
 		lap("pattern_mining")
 	}
-	s.WordNet, s.Linker = wordnet.Default(), ner.NewLinker(k)
+	<-linked
 	pmCfg := propmap.DefaultConfig()
 	pmCfg.DisablePatterns = cfg.DisablePatterns
 	pmCfg.DisableWordNetSynonyms = cfg.DisableWordNetSynonyms

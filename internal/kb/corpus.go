@@ -189,10 +189,10 @@ var noiseMap = map[string][]string{
 }
 
 // Corpus verbalises the KB's object-property facts into annotated
-// sentences. The output is deterministic for a given config.
+// sentences. The output is deterministic for a given config. It walks
+// the facts by ID and resolves each entity's label once per call.
 func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []Sentence
 
 	// Deterministic property order.
 	props := make([]Property, len(kb.ObjectProperties))
@@ -202,16 +202,40 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 	})
 
 	sn := kb.Store.Snapshot()
-	for _, prop := range props {
-		local := prop.Term.LocalName()
-		tmpls, ok := templates[local]
-		if !ok {
+	terms := sn.TermsView()
+	pids := make([]store.ID, len(props))
+	facts := 0
+	for i, prop := range props {
+		if _, ok := templates[prop.Term.LocalName()]; !ok {
 			continue
 		}
-		facts := sn.Match(rdf.Triple{P: prop.Term})
-		for _, f := range facts {
-			if !f.O.IsIRI() {
-				continue
+		if id, ok := sn.Lookup(prop.Term); ok {
+			pids[i] = id
+			facts += sn.EstimateCardinalityIDs([3]store.ID{0, id, 0})
+		}
+	}
+	out := make([]Sentence, 0, facts*max(cfg.SentencesPerFact, 0))
+
+	labelID, _ := sn.Lookup(rdf.Label())
+	labels := map[store.ID]string{}
+	label := func(id store.ID) string {
+		l, ok := labels[id]
+		if !ok {
+			l = labelByID(sn, id, labelID)
+			labels[id] = l
+		}
+		return l
+	}
+	for i, prop := range props {
+		if pids[i] == 0 {
+			continue
+		}
+		local := prop.Term.LocalName()
+		tmpls := templates[local]
+		sn.ForEachMatchIDs([3]store.ID{0, pids[i], 0}, func(s, _, o store.ID) bool {
+			obj := terms[o-1]
+			if !obj.IsIRI() {
+				return true
 			}
 			for k := 0; k < cfg.SentencesPerFact; k++ {
 				srcTmpls := tmpls
@@ -222,26 +246,38 @@ func (kb *KB) Corpus(cfg CorpusConfig) []Sentence {
 					}
 				}
 				tmpl := srcTmpls[rng.Intn(len(srcTmpls))]
-				if s, ok := renderSentence(sn, tmpl, f.S, f.O); ok {
-					out = append(out, s)
+				if sent, ok := renderSentence(tmpl, terms[s-1], obj, label(s), label(o)); ok {
+					out = append(out, sent)
 				}
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
 
-// renderSentence substitutes labels into the template and records the
-// mention offsets.
-func renderSentence(sn *store.Snapshot, tmpl string, subj, obj rdf.Term) (Sentence, bool) {
-	sLabel := LabelIn(sn, subj)
-	oLabel := LabelIn(sn, obj)
+// labelByID is LabelIn by ID: the first rdfs:label of id, else its
+// local name with underscores as spaces. labelID is 0 when the store
+// holds no label.
+func labelByID(sn *store.Snapshot, id, labelID store.ID) string {
+	if labelID != 0 {
+		if objs, _ := sn.PostingList([3]store.ID{id, labelID, 0}); len(objs) > 0 {
+			return sn.Term(objs[0]).Value
+		}
+	}
+	return strings.ReplaceAll(sn.Term(id).LocalName(), "_", " ")
+}
+
+// renderSentence substitutes the labels into the template and records
+// the mention offsets.
+func renderSentence(tmpl string, subj, obj rdf.Term, sLabel, oLabel string) (Sentence, bool) {
 	si := strings.Index(tmpl, "{S}")
 	oi := strings.Index(tmpl, "{O}")
 	if si < 0 || oi < 0 {
 		return Sentence{}, false
 	}
 	var sb strings.Builder
+	sb.Grow(len(tmpl) - 6 + len(sLabel) + len(oLabel) + 1)
 	var sStart, oStart int
 	if si < oi {
 		sb.WriteString(tmpl[:si])

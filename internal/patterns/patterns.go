@@ -1,9 +1,9 @@
 // Package patterns implements the relational-pattern substrate of §2.2.3:
 // a PATTY-style miner (Nakashole et al. [6]) that extracts textual
 // patterns denoting binary relations from an entity-annotated corpus,
-// organises them with a support-set prefix tree, derives a subsumption
-// taxonomy and synonym sets, and exposes the word→property frequency
-// table the question answering pipeline ranks candidate predicates with.
+// derives a subsumption taxonomy and synonym sets from their support
+// sets, and exposes the word→property frequency table the question
+// answering pipeline ranks candidate predicates with.
 //
 // Mining follows the paper's sketch of PATTY:
 //
@@ -13,9 +13,10 @@
 //  2. distant supervision against the knowledge base types each pattern:
 //     every KB property holding between the mention pair increments the
 //     pattern's frequency for that property (in the observed direction);
-//  3. a prefix tree stores pattern support sets (the sets of entity
-//     pairs); support-set inclusion yields the subsumption taxonomy and
-//     mutual inclusion yields synonym sets;
+//  3. each pattern keeps its support set (the set of entity pairs it
+//     was observed with); support-set inclusion over the patterns' own
+//     supports yields the subsumption taxonomy and mutual inclusion
+//     yields synonym sets — what PATTY's prefix tree computes;
 //  4. a word-level index aggregates pattern frequencies per content
 //     lemma, which is exactly the lookup §2.2.3 performs ("die" →
 //     deathPlace, birthPlace, residence ranked by frequency).
@@ -26,6 +27,7 @@
 package patterns
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,20 +55,20 @@ type Pattern struct {
 	Text string
 	// Tokens is Text split.
 	Tokens []string
-	// Support is the set of entity pairs ("s\x00o") observed.
-	Support map[string]struct{}
 	// Props maps property IRIs to frequencies.
 	Props map[rdf.Term]*PropFreq
+	// support is the set of entity pairs observed, as the sorted pair
+	// numbers of the Mine call that built the pattern.
+	support []int32
 }
 
 // SupportSize returns the number of distinct entity pairs.
-func (p *Pattern) SupportSize() int { return len(p.Support) }
+func (p *Pattern) SupportSize() int { return len(p.support) }
 
 // Store is the mined pattern resource.
 type Store struct {
 	patterns map[string]*Pattern
 	words    map[string]map[rdf.Term]*PropFreq
-	tree     *prefixTree
 	// subsumption: pattern -> patterns it subsumes.
 	subsumes map[string][]string
 	synonyms [][]string
@@ -86,29 +88,88 @@ func DefaultMinerConfig() MinerConfig {
 	return MinerConfig{MinSupport: 2, SubsumeThreshold: 0.9}
 }
 
-// Mine runs the pipeline over the corpus.
+// Mine runs the pipeline over the corpus. Its mentions are terms of k,
+// as k.Corpus makes them; a sentence mentioning a term k lacks cannot
+// be supervised and is skipped.
 func Mine(k *kb.KB, corpus []kb.Sentence, cfg MinerConfig) *Store {
+	m := newMiner(k.Store.Snapshot())
+	for i := range corpus {
+		m.ingest(&corpus[i])
+	}
 	st := &Store{
-		patterns: map[string]*Pattern{},
+		patterns: make(map[string]*Pattern, len(m.mined)),
 		words:    map[string]map[rdf.Term]*PropFreq{},
-		tree:     newPrefixTree(),
-		subsumes: map[string][]string{},
 	}
-	sn := k.Store.Snapshot()
-	for _, sent := range corpus {
-		st.ingest(sn, sent)
+	kept := make([]*Pattern, 0, len(m.mined))
+	for _, mp := range m.mined {
+		p := mp.pattern(m.sn, st.words)
+		if len(p.support) >= cfg.MinSupport {
+			st.patterns[p.Text] = p
+			kept = append(kept, p)
+		}
 	}
-	st.prune(cfg.MinSupport)
-	st.buildTaxonomy(cfg.SubsumeThreshold)
+	st.buildTaxonomy(kept, cfg.SubsumeThreshold)
 	return st
 }
 
+// miner is the state of one Mine call. Every piece of work is done once
+// per distinct input: a span is tagged once, a mention pair is numbered
+// and supervised once.
+type miner struct {
+	sn *store.Snapshot
+	// spans maps an inter-mention text to its pattern; nil when the span
+	// makes none.
+	spans  map[string]*minedPattern
+	byText map[string]*minedPattern
+	mined  []*minedPattern // in order of first sighting
+	// pairs numbers the (subject, object) ID pairs; pair n's supervised
+	// properties are props[propStart[n]:propStart[n+1]].
+	pairs     map[[2]store.ID]int32
+	propStart []int32
+	props     []store.ID
+	// collect appends a pair's dbont: relations other than pageLink.
+	collect func(s, p, o store.ID) bool
+	// last is the previous sentence's pair: a fact's sentences follow
+	// one another in a corpus.
+	lastS, lastO rdf.Term
+	lastPair     int32
+}
+
+// minedPattern is a pattern while its sentences are counted.
+type minedPattern struct {
+	pat    *Pattern
+	counts []propCount
+}
+
+type propCount struct {
+	prop             store.ID
+	forward, inverse int
+}
+
+func newMiner(sn *store.Snapshot) *miner {
+	m := &miner{
+		sn:        sn,
+		spans:     map[string]*minedPattern{},
+		byText:    map[string]*minedPattern{},
+		pairs:     map[[2]store.ID]int32{},
+		propStart: []int32{0},
+		lastPair:  -1,
+	}
+	m.collect = func(_, p, _ store.ID) bool {
+		if v := m.sn.Term(p).Value; strings.HasPrefix(v, rdf.NSOnt) && v != rdf.IRIPageLink {
+			m.props = append(m.props, p)
+		}
+		return true
+	}
+	return m
+}
+
 // ingest processes one sentence.
-func (st *Store) ingest(sn *store.Snapshot, sent kb.Sentence) {
+func (m *miner) ingest(sent *kb.Sentence) {
 	// Extract the text between the two mentions.
 	var midStart, midEnd int
-	firstIsSubject := sent.SubjStart <= sent.ObjStart
-	if firstIsSubject {
+	forward := sent.SubjStart <= sent.ObjStart
+	if forward {
 		midStart, midEnd = sent.SubjEnd, sent.ObjStart
 	} else {
 		midStart, midEnd = sent.ObjEnd, sent.SubjStart
@@ -116,71 +177,114 @@ func (st *Store) ingest(sn *store.Snapshot, sent kb.Sentence) {
 	if midStart >= midEnd {
 		return
 	}
-	toks := normalizeSpan(sent.Text[midStart:midEnd])
-	if len(toks) == 0 || len(toks) > 6 {
-		return // PATTY bounds pattern length; empty middles carry no relation
-	}
-	text := strings.Join(toks, " ")
-
-	pat, ok := st.patterns[text]
+	n, ok := m.pair(sent.Subject, sent.Object)
 	if !ok {
-		pat = &Pattern{Text: text, Tokens: toks,
-			Support: map[string]struct{}{}, Props: map[rdf.Term]*PropFreq{}}
-		st.patterns[text] = pat
+		return
 	}
-	pairKey := sent.Subject.Value + "\x00" + sent.Object.Value
-	pat.Support[pairKey] = struct{}{}
-	st.tree.insert(toks, pairKey)
+	mp := m.span(sent.Text[midStart:midEnd])
+	if mp == nil {
+		return
+	}
+	mp.pat.support = append(mp.pat.support, n)
 
-	// Distant supervision: which properties hold between the pair?
-	for _, prop := range supervise(sn, sent.Subject, sent.Object) {
-		pf := pat.Props[prop]
-		if pf == nil {
-			pf = &PropFreq{Property: prop}
-			pat.Props[prop] = pf
+	// Distant supervision: the properties holding between the pair.
+	for _, prop := range m.props[m.propStart[n]:m.propStart[n+1]] {
+		i := 0
+		for i < len(mp.counts) && mp.counts[i].prop != prop {
+			i++
 		}
-		pf.Freq++
-		if firstIsSubject {
-			pf.Forward++
+		if i == len(mp.counts) {
+			mp.counts = append(mp.counts, propCount{prop: prop})
+		}
+		if forward {
+			mp.counts[i].forward++
 		} else {
-			pf.Inverse++
-		}
-		// Word-level index over content lemmas.
-		for _, w := range toks {
-			if !contentLemma(w) {
-				continue
-			}
-			m := st.words[w]
-			if m == nil {
-				m = map[rdf.Term]*PropFreq{}
-				st.words[w] = m
-			}
-			wf := m[prop]
-			if wf == nil {
-				wf = &PropFreq{Property: prop}
-				m[prop] = wf
-			}
-			wf.Freq++
-			if firstIsSubject {
-				wf.Forward++
-			} else {
-				wf.Inverse++
-			}
+			mp.counts[i].inverse++
 		}
 	}
 }
 
-// supervise returns the dbont: object properties linking s and o in
-// either direction (direction folded into the caller's bookkeeping).
-func supervise(sn *store.Snapshot, s, o rdf.Term) []rdf.Term {
-	var out []rdf.Term
-	sn.ForEachMatch(rdf.Triple{S: s, O: o}, func(t rdf.Triple) bool {
-		if strings.HasPrefix(t.P.Value, rdf.NSOnt) && t.P.Value != rdf.IRIPageLink {
-			out = append(out, t.P)
+// span returns the pattern an inter-mention text normalises to.
+func (m *miner) span(text string) *minedPattern {
+	if mp, ok := m.spans[text]; ok {
+		return mp
+	}
+	var mp *minedPattern
+	// PATTY bounds pattern length; empty middles carry no relation.
+	if toks := normalizeSpan(text); len(toks) > 0 && len(toks) <= 6 {
+		joined := strings.Join(toks, " ")
+		if mp = m.byText[joined]; mp == nil {
+			mp = &minedPattern{pat: &Pattern{Text: joined, Tokens: toks}}
+			m.byText[joined] = mp
+			m.mined = append(m.mined, mp)
 		}
-		return true
-	})
-	return out
+	}
+	m.spans[text] = mp
+	return mp
+}
+
+// pair returns the number of the (s, o) mention pair, supervising the
+// pair against the KB the first time it is seen; false when the KB
+// lacks a mention.
+func (m *miner) pair(s, o rdf.Term) (int32, bool) {
+	if m.lastPair >= 0 && s == m.lastS && o == m.lastO {
+		return m.lastPair, true
+	}
+	sid, sok := m.sn.Lookup(s)
+	oid, ook := m.sn.Lookup(o)
+	if !sok || !ook {
+		return 0, false
+	}
+	n, ok := m.pairs[[2]store.ID{sid, oid}]
+	if !ok {
+		n = int32(len(m.propStart) - 1)
+		m.pairs[[2]store.ID{sid, oid}] = n
+		m.sn.ForEachMatchIDs([3]store.ID{sid, 0, oid}, m.collect)
+		m.propStart = append(m.propStart, int32(len(m.props)))
+	}
+	m.lastS, m.lastO, m.lastPair = s, o, n
+	return n, true
+}
+
+// pattern finishes a counted pattern: its support becomes a set, its
+// counts the property distribution, and each content lemma of its
+// tokens adds the counts to the word-level index.
+func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string]map[rdf.Term]*PropFreq) *Pattern {
+	p := mp.pat
+	slices.Sort(p.support)
+	p.support = slices.Compact(p.support)
+	p.Props = make(map[rdf.Term]*PropFreq, len(mp.counts))
+	if len(mp.counts) == 0 {
+		return p
+	}
+	freqs := make([]PropFreq, len(mp.counts))
+	for i, c := range mp.counts {
+		freqs[i] = PropFreq{Property: sn.Term(c.prop), Freq: c.forward + c.inverse,
+			Forward: c.forward, Inverse: c.inverse}
+		p.Props[freqs[i].Property] = &freqs[i]
+	}
+	// Word-level index over content lemmas.
+	for _, w := range p.Tokens {
+		if !contentLemma(w) {
+			continue
+		}
+		wm := words[w]
+		if wm == nil {
+			wm = map[rdf.Term]*PropFreq{}
+			words[w] = wm
+		}
+		for _, f := range freqs {
+			wf := wm[f.Property]
+			if wf == nil {
+				wf = &PropFreq{Property: f.Property}
+				wm[f.Property] = wf
+			}
+			wf.Freq += f.Freq
+			wf.Forward += f.Forward
+			wf.Inverse += f.Inverse
+		}
+	}
+	return p
 }
 
 // normalizeSpan tokenises, tags and lemmatises the inter-mention text,
@@ -215,15 +319,6 @@ func contentLemma(w string) bool {
 		return false
 	}
 	return len(w) > 1
-}
-
-// prune removes patterns under the support threshold.
-func (st *Store) prune(minSupport int) {
-	for text, p := range st.patterns {
-		if len(p.Support) < minSupport {
-			delete(st.patterns, text)
-		}
-	}
 }
 
 // PropertiesForWord returns the properties associated with a lemma,
@@ -280,8 +375,8 @@ func (st *Store) Patterns() []*Pattern {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Support) != len(out[j].Support) {
-			return len(out[i].Support) > len(out[j].Support)
+		if len(out[i].support) != len(out[j].support) {
+			return len(out[i].support) > len(out[j].support)
 		}
 		return out[i].Text < out[j].Text
 	})
@@ -327,74 +422,81 @@ func (st *Store) SynonymGroups() [][]string {
 }
 
 // buildTaxonomy computes subsumption and synonym sets from support-set
-// inclusion, using the prefix tree's stored supports.
-func (st *Store) buildTaxonomy(threshold float64) {
-	texts := make([]string, 0, len(st.patterns))
-	for t := range st.patterns {
-		texts = append(texts, t)
-	}
-	sort.Strings(texts)
+// inclusion over the kept patterns' own supports, visiting every pair
+// i < j of the text order once.
+func (st *Store) buildTaxonomy(pats []*Pattern, threshold float64) {
+	sort.Slice(pats, func(i, j int) bool { return pats[i].Text < pats[j].Text })
 
-	inclusion := func(a, b *Pattern) float64 { // |A ∩ B| / |A|
-		if len(a.Support) == 0 {
-			return 0
-		}
-		inter := 0
-		small, large := a.Support, b.Support
-		for k := range small {
-			if _, ok := large[k]; ok {
-				inter++
-			}
-		}
-		return float64(inter) / float64(len(a.Support))
+	parent := make([]int32, len(pats)) // union-find for synonym groups
+	for i := range parent {
+		parent[i] = int32(i)
 	}
-
-	parent := map[string]string{} // union-find for synonym groups
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == "" || parent[x] == x {
+	var find func(int32) int32
+	find = func(x int32) int32 {
+		if parent[x] == x {
 			return x
 		}
 		r := find(parent[x])
 		parent[x] = r
 		return r
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 
-	for i, ta := range texts {
-		a := st.patterns[ta]
-		for _, tb := range texts[i+1:] {
-			b := st.patterns[tb]
-			ab := inclusion(a, b) // fraction of a's support inside b
-			ba := inclusion(b, a)
+	subsumes := make([][]string, len(pats))
+	for i, a := range pats {
+		for j := i + 1; j < len(pats); j++ {
+			b := pats[j]
+			inter := float64(intersectionSize(a.support, b.support))
+			ab := inter / float64(len(a.support)) // fraction of a's support inside b
+			ba := inter / float64(len(b.support))
 			switch {
-			case ab >= threshold && ba >= threshold:
-				union(ta, tb) // mutual inclusion: synonyms
-			case ab >= threshold && len(b.Support) > len(a.Support):
-				st.subsumes[tb] = append(st.subsumes[tb], ta)
-			case ba >= threshold && len(a.Support) > len(b.Support):
-				st.subsumes[ta] = append(st.subsumes[ta], tb)
+			case ab >= threshold && ba >= threshold: // mutual inclusion: synonyms
+				if ra, rb := find(int32(i)), find(int32(j)); ra != rb {
+					parent[ra] = rb
+				}
+			case ab >= threshold && len(b.support) > len(a.support):
+				subsumes[j] = append(subsumes[j], a.Text)
+			case ba >= threshold && len(a.support) > len(b.support):
+				subsumes[i] = append(subsumes[i], b.Text)
 			}
 		}
 	}
-	groups := map[string][]string{}
-	for _, t := range texts {
-		r := find(t)
-		groups[r] = append(groups[r], t)
-	}
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
+	st.subsumes = map[string][]string{}
+	for i, subs := range subsumes {
+		if subs != nil {
+			st.subsumes[pats[i].Text] = subs
 		}
-		sort.Strings(g)
-		st.synonyms = append(st.synonyms, g)
 	}
-	sort.Slice(st.synonyms, func(i, j int) bool {
-		return st.synonyms[i][0] < st.synonyms[j][0]
-	})
+	// Groups in text order of their first member, each sorted.
+	groups := make([][]string, len(pats))
+	var roots []int32
+	for i, p := range pats {
+		r := find(int32(i))
+		if groups[r] == nil {
+			roots = append(roots, r)
+		}
+		groups[r] = append(groups[r], p.Text)
+	}
+	for _, r := range roots {
+		if len(groups[r]) >= 2 {
+			st.synonyms = append(st.synonyms, groups[r])
+		}
+	}
+}
+
+// intersectionSize merges two sorted sets.
+func intersectionSize(a, b []int32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }

@@ -175,45 +175,6 @@ func TestMinSupportPruning(t *testing.T) {
 	}
 }
 
-func TestPrefixTreeSupport(t *testing.T) {
-	pt := newPrefixTree()
-	pt.insert([]string{"be", "bear", "in"}, "a\x00b")
-	pt.insert([]string{"be", "bear", "in"}, "c\x00d")
-	pt.insert([]string{"be", "bear", "at"}, "e\x00f")
-	pt.insert([]string{"die", "in"}, "a\x00b")
-
-	if got := pt.SupportOf([]string{"be", "bear"}); got != 3 {
-		t.Errorf("support(be bear) = %d, want 3 (prefix accumulates)", got)
-	}
-	if got := pt.SupportOf([]string{"be", "bear", "in"}); got != 2 {
-		t.Errorf("support(be bear in) = %d, want 2", got)
-	}
-	if got := pt.SupportOf([]string{"nope"}); got != 0 {
-		t.Errorf("support(nope) = %d, want 0", got)
-	}
-	if got := pt.IntersectionSize([]string{"be", "bear", "in"}, []string{"die", "in"}); got != 1 {
-		t.Errorf("intersection = %d, want 1 (shared pair a-b)", got)
-	}
-	if got := pt.IntersectionSize([]string{"nope"}, []string{"die", "in"}); got != 0 {
-		t.Errorf("intersection with missing = %d, want 0", got)
-	}
-}
-
-func TestFrequentPrefixes(t *testing.T) {
-	pt := newPrefixTree()
-	pt.insert([]string{"be", "bear", "in"}, "a\x00b")
-	pt.insert([]string{"be", "bear", "in"}, "c\x00d")
-	pt.insert([]string{"be", "bear", "at"}, "e\x00f")
-	freq := pt.FrequentPrefixes(2)
-	if len(freq) == 0 {
-		t.Fatal("no frequent prefixes")
-	}
-	// The most supported prefix should be "be" (3 pairs).
-	if freq[0][0] != "be" || len(freq[0]) != 1 {
-		t.Errorf("top prefix = %v, want [be]", freq[0])
-	}
-}
-
 func TestSubsumptionAndSynonyms(t *testing.T) {
 	_, st := mined(t)
 	// Taxonomy edges exist (the corpus yields containable patterns like
@@ -282,4 +243,16 @@ func TestDeterministicMining(t *testing.T) {
 				i, pa[i].Text, pa[i].SupportSize(), pb[i].Text, pb[i].SupportSize())
 		}
 	}
+}
+
+// TestMineSkipsUnknownMentions: a sentence mentioning a term the KB
+// lacks cannot be supervised, so it changes nothing.
+func TestMineSkipsUnknownMentions(t *testing.T) {
+	k, _ := mined(t)
+	corpus := k.Corpus(kb.DefaultCorpusConfig())
+	stray := corpus[0]
+	stray.Subject = rdf.Res("No_Such_Entity")
+	withStray := append(append([]kb.Sentence(nil), corpus...), stray)
+	cfg := MinerConfig{MinSupport: 1, SubsumeThreshold: 0.9}
+	compareStores(t, Mine(k, withStray, cfg), referenceMine(k, corpus, cfg))
 }

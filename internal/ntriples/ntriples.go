@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -271,80 +270,20 @@ func unescape(s string) (string, error) {
 		return s, nil
 	}
 	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
+	for i := 0; i < len(s); {
 		if s[i] != '\\' {
 			sb.WriteByte(s[i])
+			i++
 			continue
 		}
-		i++
-		if i >= len(s) {
-			return "", fmt.Errorf("dangling escape")
+		r, n, err := rdf.DecodeEscape(s[i:])
+		if err != nil {
+			return "", err
 		}
-		switch s[i] {
-		case 't':
-			sb.WriteByte('\t')
-		case 'n':
-			sb.WriteByte('\n')
-		case 'r':
-			sb.WriteByte('\r')
-		case 'b':
-			sb.WriteByte('\b')
-		case 'f':
-			sb.WriteByte('\f')
-		case '"':
-			sb.WriteByte('"')
-		case '\'':
-			sb.WriteByte('\'')
-		case '\\':
-			sb.WriteByte('\\')
-		case 'u':
-			if i+4 >= len(s) {
-				return "", fmt.Errorf("truncated \\u escape")
-			}
-			r, err := parseHexRune(s[i+1 : i+5])
-			if err != nil {
-				return "", err
-			}
-			sb.WriteRune(r)
-			i += 4
-		case 'U':
-			if i+8 >= len(s) {
-				return "", fmt.Errorf("truncated \\U escape")
-			}
-			r, err := parseHexRune(s[i+1 : i+9])
-			if err != nil {
-				return "", err
-			}
-			sb.WriteRune(r)
-			i += 8
-		default:
-			return "", fmt.Errorf("unknown escape \\%c", s[i])
-		}
+		sb.WriteRune(r)
+		i += n
 	}
 	return sb.String(), nil
-}
-
-func parseHexRune(hexits string) (rune, error) {
-	var v rune
-	for i := 0; i < len(hexits); i++ {
-		c := hexits[i]
-		var d rune
-		switch {
-		case c >= '0' && c <= '9':
-			d = rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = rune(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("invalid hex digit %q", c)
-		}
-		v = v<<4 | d
-	}
-	if !utf8.ValidRune(v) {
-		return 0, fmt.Errorf("invalid code point %#x", v)
-	}
-	return v, nil
 }
 
 // Writer encodes triples as N-Triples lines.

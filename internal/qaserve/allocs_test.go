@@ -17,7 +17,7 @@ import (
 // one it does not (the whole pipeline plus the cache fill), under
 // cmd/qaserve's default -timeout. Timings on a shared host cannot hold a
 // line in CI; an allocation count can. The ceilings are 10% above what
-// the code measures (28 and 94) — raise one only with the reason in
+// the code measures (23 and 89) — raise one only with the reason in
 // the commit.
 func TestHandlerAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -37,7 +37,7 @@ func TestHandlerAllocations(t *testing.T) {
 		}
 	}
 
-	const cached, uncached = 30, 103
+	const cached, uncached = 25, 97
 	post("How tall is Michael Jordan?")
 	n := testing.AllocsPerRun(200, func() { post("How tall is Michael Jordan?") })
 	t.Logf("cached request: %v allocs, ceiling %d", n, cached)

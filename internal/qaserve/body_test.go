@@ -6,10 +6,11 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// limitProbe serves a body to decodeBody and fails the test if it is
+// limitProbe serves a body to a decoder and fails the test if it is
 // ever asked for more than maxBodyBytes+1 bytes in all.
 type limitProbe struct {
 	t      *testing.T
@@ -33,28 +34,35 @@ var spaceBlock = bytes.Repeat([]byte{' '}, 64<<10)
 
 func (spaces) Read(b []byte) (int, error) { return copy(b, spaceBlock), nil }
 
-// oneObject reports whether body is one JSON object, whitespace around it.
-func oneObject(body []byte) bool {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	return json.Valid(body) && len(trimmed) > 0 && trimmed[0] == '{'
+// errClass names the class of a decode error, the same for decodeBody's
+// errors and the json.Unmarshal errors they stand for.
+func errClass(err error) string {
+	var syntax *json.SyntaxError
+	var mistyped *json.UnmarshalTypeError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, errBodyTooLarge):
+		return "too large"
+	case errors.Is(err, errBodySyntax), errors.As(err, &syntax):
+		return "syntax"
+	case errors.Is(err, errBodyType), errors.As(err, &mistyped):
+		return "type"
+	}
+	return err.Error()
 }
 
-// checkDecode holds decodeBody to its contract for one body and target
-// type: it never asks past the limit; it accepts nothing a json.Decoder
-// would have left trailing bytes behind; on one object plus whitespace
-// it decodes what json.Decoder does; and an endless body is refused at
+// checkDecode holds decodeBody to its oracle for one body and target
+// type: it never asks past the limit; it accepts and rejects what
+// decodeBodyReference (json.Unmarshal) does, with the same class of
+// error, and stores the same values; and an endless body is refused at
 // the limit.
-func checkDecode[T any](t *testing.T, body []byte) {
+func checkDecode[T AnswerRequest | BatchRequest](t *testing.T, body []byte) {
 	var got, want T
 	err := decodeBody(&limitProbe{t: t, r: bytes.NewReader(body)}, &got)
-	if err == nil && !json.Valid(body) {
-		t.Errorf("%T: accepted %q, which is not one JSON value", got, body)
-	}
-	if len(body) <= maxBodyBytes && oneObject(body) {
-		werr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-		if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: %q decodes to %+v (%v), json.Decoder %+v (%v)", got, body, got, err, want, werr)
-		}
+	werr := decodeBodyReference(&limitProbe{t: t, r: bytes.NewReader(body)}, &want)
+	if errClass(err) != errClass(werr) || !reflect.DeepEqual(got, want) {
+		t.Errorf("%T: %q decodes to %#v (%v), json.Unmarshal %#v (%v)", got, body, got, err, want, werr)
 	}
 	var endless T
 	if err := decodeBody(&limitProbe{t: t, r: io.MultiReader(bytes.NewReader(body), spaces{})}, &endless); !errors.Is(err, errBodyTooLarge) {
@@ -63,13 +71,18 @@ func checkDecode[T any](t *testing.T, body []byte) {
 }
 
 // FuzzDecodeAnswerRequest: the /v1/answer and /v1/answer/batch body
-// decoder against json.Decoder, under the body limit.
+// reader against json.Unmarshal, on every body. The seeds below are the
+// plain shapes; testdata/fuzz/FuzzDecodeAnswerRequest holds the corner
+// cases: surrogate pairs, lone surrogates and \/, invalid UTF-8, folded
+// keys ("QUESTION", "queſtion"), duplicate keys, unknown nested values,
+// a type error beside a valid field, nulls, nesting at and past the
+// 10000-level limit, and number forms.
 func FuzzDecodeAnswerRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"question":"Which book is written by Orhan Pamuk?"}`, "{\"question\":\"x\"}  \r\n\t",
 		`{"question":"x"} junk`, `{"question":"x"}{"question":"y"}`, ` {"question":"a","question":"b"} `,
 		`{"questions":["a","b"],"allow_partial":true}`, `{"questions":[]}`, `{"question":1}`,
-		`{"allow_partial":"yes"}`, "{\"question\":\"  \xff <&>\"}", `{"Question":"case"}`,
+		`{"allow_partial":"yes"}`, "{\"question\":\"  \xff <&>\"}", `{"Question":"case"}`,
 		``, ` `, `null`, `[`, `{`, `"str"`, `{"question":"x"}}`,
 	} {
 		f.Add([]byte(s))
@@ -78,6 +91,63 @@ func FuzzDecodeAnswerRequest(f *testing.F) {
 		checkDecode[AnswerRequest](t, body)
 		checkDecode[BatchRequest](t, body)
 	})
+}
+
+// TestDecodeBodyValues pins what the reader stores where encoding/json's
+// rules are least obvious, beside the oracle the fuzzer checks.
+func TestDecodeBodyValues(t *testing.T) {
+	for _, c := range []struct {
+		body   string
+		answer AnswerRequest
+		batch  BatchRequest
+		// class is the error class for both shapes; "a/b" gives one each.
+		class string
+	}{
+		{`{"QUESTION":"a","queſtion":"b"}`, AnswerRequest{Question: "b"}, BatchRequest{}, "ok"},
+		{`{"questİon":"a"}`, AnswerRequest{}, BatchRequest{}, "ok"},
+		{`{"question":"\ud83d\ude00 \ud83d \ude00\ud83dA \/"}`, AnswerRequest{Question: "😀 � ��A /"}, BatchRequest{}, "ok"},
+		{"{\"question\":\"\xed\xa0\x80\xe2\x82\"}", AnswerRequest{Question: strings.Repeat("�", 5)}, BatchRequest{}, "ok"},
+		{`{"question":"q","question":null,"allow_partial":true,"allow_partial":null}`, AnswerRequest{Question: "q", AllowPartial: true}, BatchRequest{AllowPartial: true}, "ok"},
+		{`{"question":1,"allow_partial":true}`, AnswerRequest{AllowPartial: true}, BatchRequest{AllowPartial: true}, "type/ok"},
+		{`{"questions":["a",2,null,"b"],"x":{"y":[{}]}}`, AnswerRequest{}, BatchRequest{Questions: []string{"a", "", "", "b"}}, "ok/type"},
+		{`{"questions":["a","b","c"],"questions":["x"],"questions":[null,null]}`, AnswerRequest{}, BatchRequest{Questions: []string{"x", "b"}}, "ok"},
+		{`{"questions":["a"],"questions":null}`, AnswerRequest{}, BatchRequest{}, "ok"},
+		{`{"questions":["a"],"questions":[]}`, AnswerRequest{}, BatchRequest{Questions: []string{}}, "ok"},
+		{`{"question":"q","x":01}`, AnswerRequest{}, BatchRequest{}, "syntax"},
+		{`{"question":"q","x":-0.5e+10}`, AnswerRequest{Question: "q"}, BatchRequest{}, "ok"},
+		{`"q"`, AnswerRequest{}, BatchRequest{}, "type"},
+		{`null`, AnswerRequest{}, BatchRequest{}, "ok"},
+		{`{"question":"q"} x`, AnswerRequest{}, BatchRequest{}, "syntax"},
+	} {
+		aclass, bclass, split := strings.Cut(c.class, "/")
+		if !split {
+			bclass = aclass
+		}
+		var a AnswerRequest
+		var b BatchRequest
+		aerr := decodeBody(strings.NewReader(c.body), &a)
+		berr := decodeBody(strings.NewReader(c.body), &b)
+		if !reflect.DeepEqual(a, c.answer) || errClass(aerr) != aclass {
+			t.Errorf("%s: AnswerRequest %#v (%v), want %#v (%s)", c.body, a, aerr, c.answer, aclass)
+		}
+		if !reflect.DeepEqual(b, c.batch) || errClass(berr) != bclass {
+			t.Errorf("%s: BatchRequest %#v (%v), want %#v (%s)", c.body, b, berr, c.batch, bclass)
+		}
+	}
+}
+
+// TestDecodeBodyDepth: arrays and objects nest at most 10000 deep.
+func TestDecodeBodyDepth(t *testing.T) {
+	nest := func(n int) string {
+		return `{"question":"q","x":` + strings.Repeat(`[{"y":`, n/2-1) + `[]` + strings.Repeat(`}]`, n/2-1) + `}`
+	}
+	var req AnswerRequest
+	if err := decodeBody(strings.NewReader(nest(10000)), &req); err != nil || req.Question != "q" {
+		t.Errorf("10000 deep: %+v, %v", req, err)
+	}
+	if err := decodeBody(strings.NewReader(nest(10002)), &req); !errors.Is(err, errBodySyntax) {
+		t.Errorf("10002 deep: %v, want errBodySyntax", err)
+	}
 }
 
 // TestDecodeBodyLimit: a body of exactly maxBodyBytes decodes; one byte
@@ -91,5 +161,30 @@ func TestDecodeBodyLimit(t *testing.T) {
 	}
 	if err := decodeBody(&limitProbe{t: t, r: bytes.NewReader(append(body, ' '))}, &req); !errors.Is(err, errBodyTooLarge) {
 		t.Fatalf("one byte over the limit: %v, want errBodyTooLarge", err)
+	}
+}
+
+// BenchmarkDecodeBody: one /v1/answer body through the reader and
+// through the json.Unmarshal path it replaced.
+func BenchmarkDecodeBody(b *testing.B) {
+	body := `{"question":"Which book is written by Orhan Pamuk?"}`
+	for _, c := range []struct {
+		name   string
+		decode func(io.Reader, *AnswerRequest) error
+	}{
+		{"reader", decodeBody[AnswerRequest]},
+		{"reference", func(r io.Reader, v *AnswerRequest) error { return decodeBodyReference(r, v) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			r := strings.NewReader(body)
+			for i := 0; i < b.N; i++ {
+				r.Reset(body)
+				var req AnswerRequest
+				if err := c.decode(r, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

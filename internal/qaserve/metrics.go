@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // Prometheus-style metrics for the serving layer, hand-rolled on the
@@ -202,4 +203,15 @@ func renderRuntime(sb *strings.Builder) {
 		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", rm.name, rm.help, rm.name, rm.kind,
 			rm.name, strconv.FormatFloat(v, 'f', -1, 64))
 	}
+}
+
+// renderStore writes the KB store's gauges, all read from sn, the one
+// snapshot the scrape pinned, so they describe a single generation.
+func renderStore(sb *strings.Builder, sn *store.Snapshot) {
+	fmt.Fprintf(sb, "# HELP qaserve_store_generation Write-batch generation of the KB snapshot being served.\n")
+	fmt.Fprintf(sb, "# TYPE qaserve_store_generation gauge\nqaserve_store_generation %d\n", sn.Gen())
+	fmt.Fprintf(sb, "# HELP qaserve_store_triples Distinct triples in the KB snapshot.\n")
+	fmt.Fprintf(sb, "# TYPE qaserve_store_triples gauge\nqaserve_store_triples %d\n", sn.Len())
+	fmt.Fprintf(sb, "# HELP qaserve_store_terms Terms in the KB dictionary, orphans included: it only grows.\n")
+	fmt.Fprintf(sb, "# TYPE qaserve_store_terms gauge\nqaserve_store_terms %d\n", sn.TermCount())
 }

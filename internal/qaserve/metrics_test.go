@@ -1,9 +1,14 @@
 package qaserve
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -100,5 +105,55 @@ func TestCacheCountersEqualCacheStats(t *testing.T) {
 	}
 	if h, m := srv.m.cacheHits.Load(), srv.m.cacheMisses.Load(); h != hits || m != misses {
 		t.Errorf("exported %d hits / %d misses, CacheStats %d / %d", h, m, hits, misses)
+	}
+}
+
+// TestStoreGaugesFollowUpdates: a /v1/update that inserts one triple
+// about a new subject, with a new literal, moves
+// qaserve_store_generation and qaserve_store_triples by one and
+// qaserve_store_terms by two, and the gauges agree with /readyz.
+func TestStoreGaugesFollowUpdates(t *testing.T) {
+	sys := mutableSystem(t)
+	srv := New(Config{Sys: sys, Updater: openManager(t, sys, -1), UpdateToken: "s3cret"})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	gauges := func() (gen, triples, terms int) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		for name, dst := range map[string]*int{"generation": &gen, "triples": &triples, "terms": &terms} {
+			m := regexp.MustCompile(`(?m)^qaserve_store_` + name + ` (\d+)$`).FindSubmatch(text)
+			if m == nil {
+				t.Fatalf("no qaserve_store_%s gauge in\n%s", name, text)
+			}
+			*dst, _ = strconv.Atoi(string(m[1]))
+		}
+		return gen, triples, terms
+	}
+	gen, triples, terms := gauges()
+	if sn := sys.KB.Store.Snapshot(); uint64(gen) != sn.Gen() || triples != sn.Len() || terms != sn.TermCount() {
+		t.Fatalf("gauges %d/%d/%d, store %d/%d/%d", gen, triples, terms, sn.Gen(), sn.Len(), sn.TermCount())
+	}
+	update := fmt.Sprintf(`INSERT DATA { <http://example.org/gauge/%d> <http://www.w3.org/2000/01/rdf-schema#label> "gauge %[1]d" }`, gen)
+	if resp, body := postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "s3cret", update); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status = %d (%s)", resp.StatusCode, body)
+	}
+	gen2, triples2, terms2 := gauges()
+	if gen2 != gen+1 || triples2 != triples+1 || terms2 != terms+2 {
+		t.Errorf("after one insert: generation %d → %d, triples %d → %d, terms %d → %d; want +1, +1, +2",
+			gen, gen2, triples, triples2, terms, terms2)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ready struct{ Generation, Triples int }
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil || ready.Generation != gen2 || ready.Triples != triples2 {
+		t.Errorf("/readyz %+v (%v), gauges generation %d, triples %d", ready, err, gen2, triples2)
 	}
 }

@@ -593,6 +593,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.renderShards(&sb)
 	s.renderResilience(&sb)
 	renderRuntime(&sb)
+	renderStore(&sb, s.sys.KB.Store.Snapshot())
 	fmt.Fprintf(&sb, "# HELP qaserve_boot_seconds Wall time of each boot phase, in boot order.\n# TYPE qaserve_boot_seconds gauge\n")
 	for _, p := range s.sys.Boot {
 		fmt.Fprintf(&sb, "qaserve_boot_seconds{phase=%q} %g\n", p.Name, p.Elapsed.Seconds())

@@ -22,6 +22,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/rdf"
 )
 
 type tokenKind uint8
@@ -347,27 +349,12 @@ func (l *lexer) consumeString(quote byte) (string, error) {
 			return "", l.errf("newline in string literal")
 		}
 		if c == '\\' {
-			l.pos++
-			if l.pos >= len(l.src) {
-				return "", l.errf("dangling escape in string")
+			r, n, err := rdf.DecodeEscape(l.src[l.pos:])
+			if err != nil {
+				return "", l.errf("%v in string", err)
 			}
-			switch l.src[l.pos] {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '\\':
-				sb.WriteByte('\\')
-			case '"':
-				sb.WriteByte('"')
-			case '\'':
-				sb.WriteByte('\'')
-			default:
-				return "", l.errf("unknown escape \\%c", l.src[l.pos])
-			}
-			l.pos++
+			sb.WriteRune(r)
+			l.pos += n
 			continue
 		}
 		sb.WriteByte(c)

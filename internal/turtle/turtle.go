@@ -346,27 +346,12 @@ func (p *parser) literal(quote byte) (rdf.Term, error) {
 			p.line++
 		}
 		if c == '\\' {
-			p.pos++
-			if p.eof() {
-				return rdf.Term{}, p.errf("dangling escape")
+			r, n, err := rdf.DecodeEscape(p.src[p.pos:])
+			if err != nil {
+				return rdf.Term{}, p.errf("%v", err)
 			}
-			switch p.peek() {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '"':
-				sb.WriteByte('"')
-			case '\'':
-				sb.WriteByte('\'')
-			case '\\':
-				sb.WriteByte('\\')
-			default:
-				return rdf.Term{}, p.errf("unknown escape \\%c", p.peek())
-			}
-			p.pos++
+			sb.WriteRune(r)
+			p.pos += n
 			continue
 		}
 		sb.WriteByte(c)

@@ -252,3 +252,29 @@ func TestLongStringErrorLines(t *testing.T) {
 		})
 	}
 }
+
+// TestStringEscapes: a Turtle string, short or long, decodes every ECHAR
+// and UCHAR that N-Triples does; a malformed one is an error.
+func TestStringEscapes(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`"caf\u00e9"`, "café"},
+		{`"\U0001F600"`, "😀"},
+		{`"a\bb\fc"`, "a\bb\fc"},
+		{`'''\u00E9\t'''`, "é\t"},
+		{`"\"\'\\\n\r"`, "\"'\\\n\r"},
+	} {
+		triples, err := ParseString(`<http://e/s> <http://e/p> ` + c.src + ` .`)
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		if got := triples[0].O; got != rdf.NewLiteral(c.want) {
+			t.Errorf("%s: %v, want %q", c.src, got, c.want)
+		}
+	}
+	for _, src := range []string{`"\u00G9"`, `"\u12"`, `"\uD800"`, `"\U00110000"`, `"\q"`} {
+		if _, err := ParseString(`<http://e/s> <http://e/p> ` + src + ` .`); err == nil {
+			t.Errorf("%s: parsed; want an error", src)
+		}
+	}
+}

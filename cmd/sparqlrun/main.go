@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sparqlrun 'SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:writer res:Orhan_Pamuk }'
-//	echo 'ASK { res:Snow_(novel) dbont:author res:Orhan_Pamuk }' | sparqlrun
+//	echo 'ASK { res:Snow_\(novel\) dbont:author res:Orhan_Pamuk }' | sparqlrun
 package main
 
 import (

@@ -18,6 +18,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
+	"repro/internal/turtle"
 	"repro/internal/wal"
 )
 
@@ -29,7 +30,7 @@ func TestKBDumpLoadRoundTrip(t *testing.T) {
 	if err := ntriples.WriteAll(&buf, orig.Triples()); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ntriples.ReadAll(&buf)
+	parsed, err := turtle.ParseNTriples(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/ntriples"
 	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/turtle"
@@ -89,7 +88,8 @@ func FromStore(st *store.Store) (*KB, error) {
 }
 
 // Load reads a KB from an N-Triples (.nt) or Turtle (.ttl) stream; the
-// format is chosen by the name's extension, defaulting to N-Triples.
+// format is chosen by the name's extension, defaulting to N-Triples,
+// whose strict line-oriented grammar refuses Turtle-only syntax.
 func Load(r io.Reader, name string) (*KB, error) {
 	var (
 		triples []rdf.Triple
@@ -99,7 +99,7 @@ func Load(r io.Reader, name string) (*KB, error) {
 	case ".ttl", ".turtle":
 		triples, err = turtle.Parse(r)
 	default:
-		triples, err = ntriples.ReadAll(r)
+		triples, err = turtle.ParseNTriples(r)
 	}
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ntriples"
 	"repro/internal/rdf"
+	"repro/internal/turtle"
 )
 
 func TestFromTriplesReconstructsOntology(t *testing.T) {
@@ -106,5 +107,21 @@ func TestLoadBadStream(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("@prefix broken"), "x.ttl"); err == nil {
 		t.Error("garbage Turtle should fail")
+	}
+}
+
+// TestLoadNTriplesRefusesTurtle: a .nt file is read in the strict
+// N-Triples mode, so Turtle-only syntax fails there, on its line, while
+// the same text loads as .ttl.
+func TestLoadNTriplesRefusesTurtle(t *testing.T) {
+	src := "<http://dbpedia.org/ontology/Book> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.w3.org/2002/07/owl#Class> .\n" +
+		"<http://dbpedia.org/resource/Snow> a <http://dbpedia.org/ontology/Book> .\n"
+	_, err := Load(strings.NewReader(src), "mixed.nt")
+	pe, ok := err.(*turtle.ParseError)
+	if !ok || pe.Line != 2 {
+		t.Fatalf("Load(.nt) = %v; want a turtle.ParseError on line 2", err)
+	}
+	if _, err := Load(strings.NewReader(src), "mixed.ttl"); err != nil {
+		t.Fatalf("Load(.ttl) = %v", err)
 	}
 }

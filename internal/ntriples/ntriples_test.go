@@ -2,12 +2,12 @@ package ntriples
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rdf"
+	"repro/internal/turtle"
 )
 
 func TestParseBasicTriples(t *testing.T) {
@@ -18,7 +18,7 @@ func TestParseBasicTriples(t *testing.T) {
 <http://dbpedia.org/resource/Michael_Jordan> <http://dbpedia.org/ontology/height> "1.98"^^<http://www.w3.org/2001/XMLSchema#double> .
 _:b0 <http://example.org/p> "plain" .
 `
-	triples, err := ParseString(src)
+	triples, err := turtle.ParseNTriplesString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ _:b0 <http://example.org/p> "plain" .
 
 func TestParseEscapes(t *testing.T) {
 	src := `<http://e/s> <http://e/p> "tab\there \"quoted\" é \U0001F600 line\nend" .`
-	triples, err := ParseString(src)
+	triples, err := turtle.ParseNTriplesString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,34 +63,31 @@ func TestParseErrors(t *testing.T) {
 		`<http://e/s> <http://e/p> "trunc \u12" .`,
 		`<> <http://e/p> <http://e/o> .`, // empty IRI
 		`<http://e/s> <http://e/p> <http://e/o> . extra`,
-		`<http://e/s <http://e/p> <http://e/o> .`, // unterminated IRI: eats rest
+		`<http://e/s <http://e/p> <http://e/o> .`,                                            // a raw space and '<' in an IRI
+		`<http://e/s> <http://e/p> <http://e/o> .  <http://e/s> <http://e/p> <http://e/o> .`, // two on a line
+		"<http://e/s>\n<http://e/p> <http://e/o> .",                                          // one over two lines
+		`<http://e/s> <http://e/p> 42 .`,                                                     // Turtle shorthand
+		`<http://e/s> <http://e/p> """long""" .`,
+		`<http://e/s> <http://e/p> 'single' .`,
+		`@prefix e: <http://e/> .`,
 	}
 	for _, src := range bad {
-		if _, err := ParseString(src); err == nil {
+		if _, err := turtle.ParseNTriplesString(src); err == nil {
 			t.Errorf("expected error for %q", src)
 		} else {
-			var pe *ParseError
-			if !asParseError(err, &pe) {
-				t.Errorf("error for %q is %T, want *ParseError", src, err)
+			if _, ok := err.(*turtle.ParseError); !ok {
+				t.Errorf("error for %q is %T, want *turtle.ParseError", src, err)
 			}
 		}
 	}
 }
 
-func asParseError(err error, target **ParseError) bool {
-	pe, ok := err.(*ParseError)
-	if ok {
-		*target = pe
-	}
-	return ok
-}
-
 func TestParseErrorLineNumber(t *testing.T) {
 	src := "<http://e/s> <http://e/p> <http://e/o> .\n\n# comment\nbroken line\n"
-	_, err := ParseString(src)
-	pe, ok := err.(*ParseError)
+	_, err := turtle.ParseNTriplesString(src)
+	pe, ok := err.(*turtle.ParseError)
 	if !ok {
-		t.Fatalf("err = %v (%T), want *ParseError", err, err)
+		t.Fatalf("err = %v (%T), want *turtle.ParseError", err, err)
 	}
 	if pe.Line != 4 {
 		t.Errorf("error line = %d, want 4", pe.Line)
@@ -102,7 +99,7 @@ func TestParseErrorLineNumber(t *testing.T) {
 
 func TestCommentAndBlankLinesSkipped(t *testing.T) {
 	src := "\n\n# only comments\n# here\n"
-	triples, err := ParseString(src)
+	triples, err := turtle.ParseNTriplesString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +108,9 @@ func TestCommentAndBlankLinesSkipped(t *testing.T) {
 	}
 }
 
-func TestReaderNextEOF(t *testing.T) {
-	r := NewReader(strings.NewReader(""))
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("Next on empty = %v, want io.EOF", err)
+func TestParseEmptyInput(t *testing.T) {
+	if triples, err := turtle.ParseNTriplesString(""); err != nil || len(triples) != 0 {
+		t.Errorf("ParseNTriplesString(\"\") = %v, %v; want no triples and no error", triples, err)
 	}
 }
 
@@ -130,7 +126,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := WriteAll(&buf, triples); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseString(buf.String())
+	back, err := turtle.ParseNTriplesString(buf.String())
 	if err != nil {
 		t.Fatalf("re-parse: %v (output: %q)", err, buf.String())
 	}
@@ -160,29 +156,38 @@ func TestWriteRejectsVariables(t *testing.T) {
 	}
 }
 
+// TestIRIEscaping: each character IRIREF refuses raw is written as its
+// \uXXXX escape, and the IRI reads back unchanged.
 func TestIRIEscaping(t *testing.T) {
-	tr := rdf.Triple{
-		S: rdf.NewIRI("http://e/with space"),
-		P: rdf.Ont("p"),
-		O: rdf.Res("O"),
+	for _, iri := range []string{
+		"http://e/with space", "http://e/{o}#}", "http://e/a|b^c`d", `http://e/back\slash`,
+		"http://e/<\"quoted\">", "http://e/tab\tnewline\n", "http://e/é中😀",
+	} {
+		tr := rdf.Triple{S: rdf.NewIRI(iri), P: rdf.Ont("p"), O: rdf.NewTypedLiteral("x", iri)}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, []rdf.Triple{tr}); err != nil {
+			t.Fatal(err)
+		}
+		back, err := turtle.ParseNTriplesString(buf.String())
+		if err != nil {
+			t.Errorf("%q: written as %q, which reads as %v", iri, buf.String(), err)
+			continue
+		}
+		if back[0] != tr {
+			t.Errorf("%q: written as %q, read back as %v", iri, buf.String(), back[0])
+		}
 	}
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, []rdf.Triple{tr}); err != nil {
+	if err := WriteAll(&buf, []rdf.Triple{{S: rdf.NewIRI("http://e/with space"), P: rdf.Ont("p"), O: rdf.Res("O")}}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "%20") {
-		t.Errorf("space not escaped: %q", buf.String())
-	}
-	back, err := ParseString(buf.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back[0].S.Value != "http://e/with%20space" {
-		t.Errorf("re-parsed IRI = %q", back[0].S.Value)
+	if !strings.HasPrefix(buf.String(), `<http://e/with\u0020space>`) {
+		t.Errorf("space not written as \\u0020: %q", buf.String())
 	}
 }
 
-// Property: writing then parsing any literal value survives round-trip.
+// Property: writing then parsing any literal value, or any IRI,
+// survives round-trip.
 func TestLiteralRoundTripProperty(t *testing.T) {
 	prop := func(val string, lang bool) bool {
 		if !validUTF8(val) {
@@ -199,13 +204,28 @@ func TestLiteralRoundTripProperty(t *testing.T) {
 		if err := WriteAll(&buf, []rdf.Triple{tr}); err != nil {
 			return false
 		}
-		back, err := ParseString(buf.String())
+		back, err := turtle.ParseNTriplesString(buf.String())
 		if err != nil || len(back) != 1 {
 			return false
 		}
 		return back[0] == tr
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	iriProp := func(val string) bool {
+		if !validUTF8(val) {
+			return true
+		}
+		tr := rdf.Triple{S: rdf.NewIRI("http://e/" + val), P: rdf.Ont("p"), O: rdf.NewIRI("urn:" + val)}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, []rdf.Triple{tr}); err != nil {
+			return false
+		}
+		back, err := turtle.ParseNTriplesString(buf.String())
+		return err == nil && len(back) == 1 && back[0] == tr
+	}
+	if err := quick.Check(iriProp, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,9 +2,12 @@ package sparql
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/kb"
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -109,4 +112,25 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 // builds the full shape from scratch.
 func BenchmarkPlanCacheMiss(b *testing.B) {
 	benchmarkPlanCompile(b, nil)
+}
+
+// BenchmarkParseUpdate parses one update_mix write: a flip of 8 triples
+// from one literal state to the other, DELETE DATA ; INSERT DATA, in
+// the body format cmd/qaload sends to /v1/update.
+func BenchmarkParseUpdate(b *testing.B) {
+	block := func(state string) string {
+		var sb strings.Builder
+		for t := 0; t < 8; t++ {
+			fmt.Fprintf(&sb, "<%sBench_3_%d> <%sbenchState> \"%s-3-%d\" . ", rdf.NSRes, t, rdf.NSOnt, state, t)
+		}
+		return sb.String()
+	}
+	body := "DELETE DATA { " + block("a") + "} ; INSERT DATA { " + block("b") + "}"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ops, err := ParseUpdate(body)
+		if err != nil || len(ops) != 2 || len(ops[1].Triples) != 8 {
+			b.Fatalf("ParseUpdate = %v, %v", ops, err)
+		}
+	}
 }

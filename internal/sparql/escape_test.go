@@ -58,7 +58,7 @@ func TestLiteralsAgreeAcrossSyntaxes(t *testing.T) {
 		sources = append(sources, strings.TrimPrefix(line, "<http://e/s> <http://e/p> "))
 	}
 	for _, src := range sources {
-		nt, err := ntriples.ParseString(`<http://e/s> <http://e/p> ` + src + " .\n")
+		nt, err := turtle.ParseNTriplesString(`<http://e/s> <http://e/p> ` + src + " .\n")
 		if err != nil {
 			t.Errorf("ntriples %s: %v", src, err)
 			continue

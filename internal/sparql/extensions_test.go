@@ -127,7 +127,7 @@ func TestUnionOnlyGroup(t *testing.T) {
 	st := testGraph()
 	// No required patterns at all.
 	res := exec(t, st, `SELECT DISTINCT ?x WHERE {
-		{ ?x dbont:height 1.98 } UNION { ?x dbont:height 2.03 }
+		{ ?x dbont:height "1.98"^^xsd:double } UNION { ?x dbont:height "2.03"^^xsd:double }
 	}`)
 	if len(res.Solutions()) != 2 {
 		t.Errorf("rows = %d, want 2", len(res.Solutions()))

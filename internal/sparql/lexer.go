@@ -6,6 +6,12 @@
 // The engine is three stages: a lexer (this file), a recursive-descent
 // parser producing a small algebra (parser.go, ast.go), and an executor
 // that performs selectivity-ordered index nested-loop joins (eval.go).
+// The lexer reads every RDF term — IRIs, prefixed names, strings,
+// numbers, language tags, booleans and blank node labels — with the
+// term reader that Turtle, N-Triples and UPDATE blocks share
+// (rdf.ScanIRIRef and its siblings), so a term reads the same in a
+// query as in the data; it scans only variables, keywords and
+// punctuation itself.
 //
 // Execution is two-layered. The executor compiles each query to a
 // variable->column layout and runs entirely in the store's dictionary-ID
@@ -35,7 +41,7 @@ const (
 	tokIRI     // <...>
 	tokPName   // prefix:local or prefix: (in PREFIX decls)
 	tokString  // "..." or '...'
-	tokNumber  // integer or decimal
+	tokNumber  // integer, decimal or double, optionally signed
 	tokBoolean // true / false
 	tokLangTag // @en
 	tokPunct   // { } ( ) . , ; * = != < > <= >= && || ! + - / ^^ a
@@ -47,6 +53,9 @@ type token struct {
 	text string
 	pos  int // byte offset, for errors
 	line int
+	// datatype is the XSD type of a tokNumber or tokBoolean literal,
+	// whose lexical form is text.
+	datatype string
 }
 
 func (t token) String() string {
@@ -109,6 +118,12 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// scanned turns a term reader's error at the current position, whose
+// fault lies n bytes on, into a SyntaxError on the fault's line.
+func (l *lexer) scanned(n int, err error) error {
+	return &SyntaxError{Line: l.line + strings.Count(l.src[l.pos:l.pos+n], "\n"), Msg: err.Error()}
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
@@ -119,7 +134,8 @@ func (l *lexer) next() (token, error) {
 	if l.pos >= len(l.src) {
 		return mk(tokEOF, ""), nil
 	}
-	c := l.src[l.pos]
+	s := l.src[l.pos:]
+	c := s[0]
 	switch {
 	case c == '?' || c == '$':
 		l.pos++
@@ -130,13 +146,13 @@ func (l *lexer) next() (token, error) {
 		return mk(tokVar, name), nil
 
 	case c == '<':
-		// Disambiguate IRI-start from the less-than operator: an IRIREF
-		// contains no whitespace, quotes or braces before its closing '>'.
-		if iri, n, ok := scanIRIRef(l.src[l.pos:]); ok {
+		// An IRIREF, or else the less-than operator: an IRIREF holds no
+		// raw space, quote, brace, '|', '^', '`' or '<' before its '>'.
+		if iri, n, err := rdf.ScanIRIRef(s); err == nil {
 			l.pos += n
 			return mk(tokIRI, iri), nil
 		}
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
+		if len(s) > 1 && s[1] == '=' {
 			l.pos += 2
 			return mk(tokPunct, "<="), nil
 		}
@@ -144,57 +160,65 @@ func (l *lexer) next() (token, error) {
 		return mk(tokPunct, "<"), nil
 
 	case c == '"' || c == '\'':
-		s, err := l.consumeString(c)
+		lex, n, err := rdf.ScanString(s)
 		if err != nil {
-			return token{}, err
+			return token{}, l.scanned(n, err)
 		}
-		return mk(tokString, s), nil
+		tok := mk(tokString, lex)
+		l.line += strings.Count(s[:n], "\n")
+		l.pos += n
+		return tok, nil
 
 	case c == '@':
-		l.pos++
-		tag := l.consumeWhile(func(r rune) bool {
-			return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-'
-		})
-		if tag == "" {
-			return token{}, l.errf("empty language tag")
+		tag, n, err := rdf.ScanLangTag(s)
+		if err != nil {
+			return token{}, l.scanned(n, err)
 		}
+		l.pos += n
 		return mk(tokLangTag, tag), nil
 
-	case c == '_' && l.pos+1 < len(l.src) && l.src[l.pos+1] == ':':
-		l.pos += 2
-		name := l.consumeName()
-		if name == "" {
-			return token{}, l.errf("empty blank node label")
+	case c == '_' && len(s) > 1 && s[1] == ':':
+		label, n, err := rdf.ScanBlankNodeLabel(s)
+		if err != nil {
+			return token{}, l.scanned(n, err)
 		}
-		return mk(tokBlank, name), nil
+		l.pos += n
+		return mk(tokBlank, label), nil
 
-	case c >= '0' && c <= '9' || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		num := l.consumeNumber()
-		return mk(tokNumber, num), nil
+	case isDigit(c) || (c == '.' || c == '+' || c == '-') && len(s) > 1 && isDigit(s[1]) ||
+		(c == '+' || c == '-') && len(s) > 2 && s[1] == '.' && isDigit(s[2]):
+		t, n, err := rdf.ScanNumber(s)
+		if err != nil {
+			return token{}, l.scanned(n, err)
+		}
+		l.pos += n
+		tok := mk(tokNumber, s[:n])
+		tok.datatype = t.Datatype
+		return tok, nil
 
 	case c == '^':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '^' {
+		if len(s) > 1 && s[1] == '^' {
 			l.pos += 2
 			return mk(tokPunct, "^^"), nil
 		}
 		return token{}, l.errf("unexpected '^'")
 
 	case c == '&':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '&' {
+		if len(s) > 1 && s[1] == '&' {
 			l.pos += 2
 			return mk(tokPunct, "&&"), nil
 		}
 		return token{}, l.errf("unexpected '&'")
 
 	case c == '|':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '|' {
+		if len(s) > 1 && s[1] == '|' {
 			l.pos += 2
 			return mk(tokPunct, "||"), nil
 		}
 		return token{}, l.errf("unexpected '|'")
 
 	case c == '!':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
+		if len(s) > 1 && s[1] == '=' {
 			l.pos += 2
 			return mk(tokPunct, "!="), nil
 		}
@@ -202,7 +226,7 @@ func (l *lexer) next() (token, error) {
 		return mk(tokPunct, "!"), nil
 
 	case c == '>':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
+		if len(s) > 1 && s[1] == '=' {
 			l.pos += 2
 			return mk(tokPunct, ">="), nil
 		}
@@ -210,90 +234,46 @@ func (l *lexer) next() (token, error) {
 		return mk(tokPunct, ">"), nil
 
 	case strings.IndexByte("{}().,;*=+-/", c) >= 0:
-		// '>'-style two-char handled above. Watch for ">=" "<=".
 		l.pos++
 		return mk(tokPunct, string(c)), nil
-
-	default:
-		if isNameStart(rune(c)) {
-			word := l.consumeWhile(func(r rune) bool {
-				return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-			})
-			// Prefixed name? prefix ':' local
-			if l.pos < len(l.src) && l.src[l.pos] == ':' {
-				l.pos++
-				local := l.consumeLocalName()
-				return mk(tokPName, word+":"+local), nil
-			}
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				return mk(tokKeyword, upper), nil
-			}
-			if word == "a" {
-				return mk(tokPunct, "a"), nil
-			}
-			if word == "true" || word == "false" {
-				return mk(tokBoolean, word), nil
-			}
-			return token{}, l.errf("unexpected identifier %q", word)
-		}
-		if c == ':' { // default-prefix pname ":local"
-			l.pos++
-			local := l.consumeLocalName()
-			return mk(tokPName, ":"+local), nil
-		}
-		return token{}, l.errf("unexpected character %q", c)
 	}
+
+	prefix, local, n, err := rdf.ScanPrefixedName(s)
+	switch {
+	case err != nil:
+		return token{}, l.scanned(n, err)
+	case n > 0:
+		l.pos += n
+		if len(prefix)+1+len(local) == n { // no escape in the local name
+			return mk(tokPName, s[:n]), nil
+		}
+		return mk(tokPName, prefix+":"+local), nil
+	}
+	if t, n := rdf.ScanBoolean(s); n > 0 {
+		l.pos += n
+		tok := mk(tokBoolean, s[:n])
+		tok.datatype = t.Datatype
+		return tok, nil
+	}
+	if isNameStart(rune(c)) {
+		word := l.consumeWhile(func(r rune) bool {
+			return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
+		})
+		if upper := strings.ToUpper(word); keywords[upper] {
+			return mk(tokKeyword, upper), nil
+		}
+		if word == "a" {
+			return mk(tokPunct, "a"), nil
+		}
+		return token{}, l.errf("unexpected identifier %q", word)
+	}
+	return token{}, l.errf("unexpected character %q", c)
 }
 
 func (l *lexer) consumeName() string {
 	return l.consumeWhile(func(r rune) bool {
 		return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 	})
-}
-
-// consumeLocalName consumes a PN_LOCAL-style name: like a plain name but
-// permitting '.', '-' and '\” in the interior when followed by another
-// name character (so "Washington_D.C." lexes as one token while the
-// triple-terminating dot in "res:Snow ." does not).
-func (l *lexer) consumeLocalName() string {
-	start := l.pos
-	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '\'' {
-			l.pos += size
-			continue
-		}
-		if r == '.' {
-			// Lookahead: interior dot only.
-			nr, _ := utf8.DecodeRuneInString(l.src[l.pos+size:])
-			if l.pos+size < len(l.src) && (unicode.IsLetter(nr) || unicode.IsDigit(nr) || nr == '_') {
-				l.pos += size
-				continue
-			}
-			// A trailing dot like "D.C." keeps its final dot only when the
-			// preceding char is a single capital (heuristic for initialisms).
-			if l.pos-1 >= start && isInitialismTail(l.src[start:l.pos]) {
-				l.pos += size
-				continue
-			}
-		}
-		break
-	}
-	return l.src[start:l.pos]
-}
-
-// isInitialismTail reports whether s ends in ".X" for one capital letter X,
-// meaning a following '.' belongs to the name ("Washington_D.C.").
-func isInitialismTail(s string) bool {
-	if len(s) < 2 {
-		return false
-	}
-	last := s[len(s)-1]
-	if last < 'A' || last > 'Z' {
-		return false
-	}
-	return s[len(s)-2] == '.' || s[len(s)-2] == '_'
 }
 
 func (l *lexer) consumeWhile(pred func(rune) bool) string {
@@ -306,80 +286,6 @@ func (l *lexer) consumeWhile(pred func(rune) bool) string {
 		l.pos += size
 	}
 	return l.src[start:l.pos]
-}
-
-func (l *lexer) consumeNumber() string {
-	start := l.pos
-	for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
-		// A '.' followed by a non-digit terminates the number (it is the
-		// triple terminator).
-		if l.src[l.pos] == '.' && (l.pos+1 >= len(l.src) || !isDigit(l.src[l.pos+1])) {
-			break
-		}
-		l.pos++
-	}
-	// Exponent part.
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		save := l.pos
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-			l.pos++
-		}
-		if l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
-			}
-		} else {
-			l.pos = save
-		}
-	}
-	return l.src[start:l.pos]
-}
-
-func (l *lexer) consumeString(quote byte) (string, error) {
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == quote {
-			l.pos++
-			return sb.String(), nil
-		}
-		if c == '\n' {
-			return "", l.errf("newline in string literal")
-		}
-		if c == '\\' {
-			r, n, err := rdf.DecodeEscape(l.src[l.pos:])
-			if err != nil {
-				return "", l.errf("%v in string", err)
-			}
-			sb.WriteRune(r)
-			l.pos += n
-			continue
-		}
-		sb.WriteByte(c)
-		l.pos++
-	}
-	return "", l.errf("unterminated string literal")
-}
-
-// scanIRIRef scans a '<...>' IRI reference at the start of s. It reports
-// the IRI content, the number of bytes consumed (including brackets) and
-// whether a well-formed IRIREF was present.
-func scanIRIRef(s string) (iri string, n int, ok bool) {
-	if len(s) == 0 || s[0] != '<' {
-		return "", 0, false
-	}
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '>':
-			return s[1:i], i + 1, true
-		case c <= ' ' || c == '"' || c == '{' || c == '}' || c == '|' || c == '^' || c == '`' || c == '\\' || c == '<':
-			return "", 0, false
-		}
-	}
-	return "", 0, false
 }
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }

@@ -399,16 +399,11 @@ func (p *parser) graphTerm(role string) (rdf.Term, error) {
 		return rdf.NewBlank(tok.text), nil
 	case tokString:
 		return p.literalFrom(tok)
-	case tokNumber:
+	case tokNumber, tokBoolean:
 		if err := p.advance(); err != nil {
 			return rdf.Term{}, err
 		}
-		return numberTerm(tok.text), nil
-	case tokBoolean:
-		if err := p.advance(); err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewTypedLiteral(tok.text, rdf.XSDBoolean), nil
+		return rdf.NewTypedLiteral(tok.text, tok.datatype), nil
 	default:
 		return rdf.Term{}, p.errf("expected %s term, found %s", role, tok)
 	}
@@ -466,13 +461,6 @@ func (p *parser) resolvePName(qname string) (rdf.Term, error) {
 		return rdf.NewIRI(iri), nil
 	}
 	return rdf.Term{}, p.errf("unknown prefix %q", prefix)
-}
-
-func numberTerm(text string) rdf.Term {
-	if strings.ContainsAny(text, ".eE") {
-		return rdf.NewTypedLiteral(text, rdf.XSDDouble)
-	}
-	return rdf.NewTypedLiteral(text, rdf.XSDInteger)
 }
 
 func (p *parser) solutionModifiers(q *Query) error {
@@ -545,14 +533,11 @@ func (p *parser) orderKey() (OrderKey, bool, error) {
 }
 
 func (p *parser) expectInt() (int, error) {
-	if p.tok.kind != tokNumber {
+	if p.tok.kind != tokNumber || p.tok.datatype != rdf.XSDInteger || !isDigit(p.tok.text[0]) {
 		return 0, p.errf("expected integer, found %s", p.tok)
 	}
 	n := 0
 	for _, c := range p.tok.text {
-		if c < '0' || c > '9' {
-			return 0, p.errf("expected integer, found %q", p.tok.text)
-		}
 		n = n*10 + int(c-'0')
 	}
 	return n, p.advance()
@@ -656,6 +641,11 @@ func (p *parser) addExpr() (Expr, error) {
 			return nil, err
 		} else if ok {
 			op = "-"
+		} else if p.tok.kind == tokNumber && !isDigit(p.tok.text[0]) && p.tok.text[0] != '.' {
+			// "?a -5": the lexer reads the sign into the number, as
+			// SPARQL's does; here it is the operator.
+			op = p.tok.text[:1]
+			p.tok.text = p.tok.text[1:]
 		} else {
 			return left, nil
 		}
@@ -803,17 +793,11 @@ func (p *parser) primaryExpr() (Expr, error) {
 		}
 		return &TermExpr{Term: t}, nil
 
-	case tok.kind == tokNumber:
+	case tok.kind == tokNumber || tok.kind == tokBoolean:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &TermExpr{Term: numberTerm(tok.text)}, nil
-
-	case tok.kind == tokBoolean:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &TermExpr{Term: rdf.NewTypedLiteral(tok.text, rdf.XSDBoolean)}, nil
+		return &TermExpr{Term: rdf.NewTypedLiteral(tok.text, tok.datatype)}, nil
 
 	default:
 		return nil, p.errf("unexpected %s in expression", tok)

@@ -116,7 +116,7 @@ func TestSemicolonAndCommaSyntax(t *testing.T) {
 	if len(res.Solutions()) != 3 {
 		t.Errorf("semicolon syntax: got %d, want 3", len(res.Solutions()))
 	}
-	res2 := exec(t, st, `ASK { res:Abraham_Lincoln dbont:deathPlace res:Washington_D.C. , res:Nowhere }`)
+	res2 := exec(t, st, `ASK { res:Abraham_Lincoln dbont:deathPlace res:Washington_D.C\. , res:Nowhere }`)
 	if res2.Boolean {
 		t.Error("comma object list: Lincoln died in both places should be false")
 	}
@@ -304,7 +304,7 @@ func TestDeterministicDefaultOrder(t *testing.T) {
 
 func TestLiteralObjectsInPatterns(t *testing.T) {
 	st := testGraph()
-	res := exec(t, st, `SELECT ?p WHERE { ?p dbont:height 1.98 }`)
+	res := exec(t, st, `SELECT ?p WHERE { ?p dbont:height "1.98"^^xsd:double }`)
 	if len(res.Solutions()) != 1 || res.Solutions()[0]["p"] != rdf.Res("Michael_Jordan") {
 		t.Errorf("typed numeric literal object: %v", res.Solutions())
 	}

@@ -29,18 +29,19 @@ func (e *UpdateError) Error() string {
 //
 // Verbs are dispatched by name (INSERT DATA / DELETE DATA,
 // case-insensitive), operations are separated by ';' and returned in
-// request order, and each { } block is a Turtle-style triple block
-// parsed under the request's PREFIX declarations (internal/turtle
-// handles prefixed names, the 'a' keyword, ';'/',' lists and literal
-// forms). Pattern-based forms (INSERT/DELETE ... WHERE) are rejected:
-// DATA blocks must be ground, so variables are a parse error, and
-// blank nodes are additionally rejected in DELETE DATA (they denote
-// fresh existentials and can never match stored data).
+// request order, and each { } block is read by the turtle parser in its
+// block mode, under the request's PREFIX map, up to the block's '}'
+// (prefixed names, the 'a' keyword, ';'/',' lists and every literal
+// form, read by the same term reader as a query). Pattern-based forms
+// (INSERT/DELETE ... WHERE) are rejected: DATA blocks must be ground,
+// so variables are a parse error, and blank nodes are additionally
+// rejected in DELETE DATA (they denote fresh existentials and can never
+// match stored data).
 //
 // The result is the ordered operation list ready for
 // store.ApplyBatch — one atomic batch per request.
 func ParseUpdate(src string) ([]store.BatchOp, error) {
-	p := &updateParser{src: src, line: 1}
+	p := &updateParser{src: src, line: 1, prefixes: map[string]string{}}
 	return p.parse()
 }
 
@@ -48,7 +49,7 @@ type updateParser struct {
 	src      string
 	pos      int
 	line     int
-	prefixes strings.Builder // accumulated "@prefix ..." header for turtle
+	prefixes map[string]string
 }
 
 func (p *updateParser) errf(format string, args ...any) error {
@@ -133,168 +134,47 @@ func (p *updateParser) parse() ([]store.BatchOp, error) {
 }
 
 // prefixDecl consumes `name: <iri>` after the PREFIX keyword and
-// records it as a Turtle @prefix line for the block bodies.
+// records it in the map the blocks resolve prefixed names against.
 func (p *updateParser) prefixDecl() error {
 	p.skipWS()
-	start := p.pos
-	for !p.eof() && p.src[p.pos] != ':' {
-		c := p.src[p.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '<' {
-			break
-		}
-		p.pos++
-	}
-	if p.eof() || p.src[p.pos] != ':' {
+	name, local, n, err := rdf.ScanPrefixedName(p.src[p.pos:])
+	if n == 0 || err != nil || local != "" {
 		return p.errf("PREFIX: expected \"name:\"")
 	}
-	name := p.src[start:p.pos]
-	p.pos++ // ':'
+	p.pos += n
 	p.skipWS()
 	if p.eof() || p.src[p.pos] != '<' {
 		return p.errf("PREFIX %s: expected <iri>", name)
 	}
-	iriStart := p.pos + 1
-	for p.pos++; !p.eof() && p.src[p.pos] != '>'; p.pos++ {
-		if p.src[p.pos] == '\n' {
-			return p.errf("PREFIX %s: unterminated <iri>", name)
-		}
+	iri, n, err := rdf.ScanIRIRef(p.src[p.pos:])
+	if err != nil {
+		return p.errf("PREFIX %s: %v", name, err)
 	}
-	if p.eof() {
-		return p.errf("PREFIX %s: unterminated <iri>", name)
-	}
-	iri := p.src[iriStart:p.pos]
-	p.pos++ // '>'
-	fmt.Fprintf(&p.prefixes, "@prefix %s: <%s> .\n", name, iri)
+	p.pos += n
+	p.prefixes[name] = iri
 	return nil
 }
 
-// dataBlock consumes a braced triple block and parses it as Turtle
-// under the accumulated prefixes. The brace scan skips strings, IRI
-// references and comments, so a '{', '}' or '#' inside a literal or an
-// IRI neither unbalances it nor starts a comment.
+// dataBlock parses a braced triple block with the turtle parser's block
+// mode, which stops at the block's '}'. The turtle grammar has no
+// variables, so every triple is ground.
 func (p *updateParser) dataBlock(del bool) ([]rdf.Triple, error) {
 	p.skipWS()
 	if p.eof() || p.src[p.pos] != '{' {
 		return nil, p.errf("expected '{' after DATA")
 	}
-	p.pos++
-	start, startLine := p.pos, p.line
-	depth := 1
-	for !p.eof() {
-		switch c := p.src[p.pos]; c {
-		case '\n':
-			p.line++
-			p.pos++
-		case '#':
-			for !p.eof() && p.src[p.pos] != '\n' {
-				p.pos++
-			}
-		case '"', '\'':
-			if err := p.skipString(c); err != nil {
-				return nil, err
-			}
-		case '<':
-			p.skipIRI()
-		case '{':
-			depth++
-			p.pos++
-		case '}':
-			depth--
-			p.pos++
-			if depth == 0 {
-				body := p.src[start : p.pos-1]
-				return p.parseTriples(body, startLine, del)
-			}
-		default:
-			p.pos++
-		}
-	}
-	return nil, p.errf("unterminated '{' block")
-}
-
-// skipIRI consumes an IRI reference opened at the current position, up
-// to its '>' or to the end of the line, which no IRI spans (the Turtle
-// parser reports that one).
-func (p *updateParser) skipIRI() {
-	for p.pos++; !p.eof() && p.src[p.pos] != '\n'; p.pos++ {
-		if p.src[p.pos] == '>' {
-			p.pos++
-			return
-		}
-	}
-}
-
-// skipString consumes a short or long (triple-quoted) string literal
-// opened by delim at the current position, honouring backslash escapes.
-func (p *updateParser) skipString(delim byte) error {
-	long := strings.HasPrefix(p.src[p.pos:], strings.Repeat(string(delim), 3))
-	if long {
-		p.pos += 3
-	} else {
-		p.pos++
-	}
-	for !p.eof() {
-		c := p.src[p.pos]
-		switch {
-		case c == '\\':
-			p.pos += 2
-		case c == delim:
-			if !long {
-				p.pos++
-				return nil
-			}
-			if strings.HasPrefix(p.src[p.pos:], strings.Repeat(string(delim), 3)) {
-				p.pos += 3
-				return nil
-			}
-			p.pos++
-		case c == '\n':
-			if !long {
-				return p.errf("unterminated string literal")
-			}
-			p.line++
-			p.pos++
-		default:
-			p.pos++
-		}
-	}
-	return p.errf("unterminated string literal")
-}
-
-// parseTriples hands a block body to the Turtle parser with the
-// request's PREFIX declarations prepended, then validates groundness.
-func (p *updateParser) parseTriples(body string, line int, del bool) ([]rdf.Triple, error) {
-	if strings.TrimSpace(body) == "" {
-		return nil, nil // empty DATA block: a valid no-op operation
-	}
-	src := p.prefixes.String() + body
-	headerLines := strings.Count(p.prefixes.String(), "\n")
-	triples, err := turtle.ParseString(src)
-	if err != nil {
-		// SPARQL allows the final statement of a DATA block to omit the
-		// '.' terminator Turtle demands; retry with one appended (a
-		// trailing comment makes "does the body end with '.'" impossible
-		// to decide without parsing, so parse-and-retry is the robust
-		// check). Genuine syntax errors keep the first parse's message.
-		if retried, rerr := turtle.ParseString(src + "\n."); rerr == nil {
-			triples, err = retried, nil
-		}
-	}
+	line := p.line
+	triples, end, endLine, err := turtle.ParseBlock(p.src, p.pos+1, p.line, p.prefixes)
 	if err != nil {
 		if te, ok := err.(*turtle.ParseError); ok {
-			// Re-anchor the line number to the enclosing request.
-			return nil, &UpdateError{Line: line + te.Line - 1 - headerLines, Msg: te.Msg}
+			return nil, &UpdateError{Line: te.Line, Msg: te.Msg}
 		}
 		return nil, err
 	}
+	p.pos, p.line = end, endLine
 	for _, t := range triples {
-		for _, term := range [3]rdf.Term{t.S, t.P, t.O} {
-			if term.IsVar() {
-				return nil, &UpdateError{Line: line, Msg: "variables are not allowed in DATA blocks"}
-			}
-			if del && term.Kind == rdf.KindBlank {
-				return nil, &UpdateError{Line: line, Msg: "blank nodes are not allowed in DELETE DATA"}
-			}
+		if del && (t.S.IsBlank() || t.O.IsBlank()) {
+			return nil, &UpdateError{Line: line, Msg: "blank nodes are not allowed in DELETE DATA"}
 		}
 	}
 	return triples, nil

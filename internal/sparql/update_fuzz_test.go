@@ -1,16 +1,19 @@
 package sparql
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// FuzzParseUpdate holds ParseUpdate to three properties on any input:
-// it does not panic, every triple it returns is ground, and applying
-// its operations to an empty store agrees with a naive triple set on
-// what was added and removed and on the final size.
+// FuzzParseUpdate holds ParseUpdate to four properties on any input:
+// it does not panic, every triple it returns is ground, applying its
+// operations to an empty store agrees with a naive triple set on what
+// was added and removed and on the final size, and where the retained
+// brace-scanning parser (update_reference_test.go) accepts the request
+// too, both return the same operations.
 func FuzzParseUpdate(f *testing.F) {
 	for _, seed := range []string{
 		// A '#' inside an IRI starts no comment.
@@ -39,6 +42,9 @@ INSERT DATA { <http://x/a> <http://x/p> "1"@de }`,
 		ops, err := ParseUpdate(src)
 		if err != nil {
 			return
+		}
+		if ref, err := refParseUpdate(src); err == nil && !reflect.DeepEqual(ops, ref) {
+			t.Fatalf("ParseUpdate(%q) = %v; the reference parser reads %v", src, ops, ref)
 		}
 		model := map[rdf.Triple]bool{}
 		wantAdded, wantRemoved := 0, 0

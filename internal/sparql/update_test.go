@@ -109,6 +109,7 @@ func TestParseUpdateErrors(t *testing.T) {
 		{"bad prefix decl", "PREFIX ex <http://example.org/>\nINSERT DATA { ex:s ex:p ex:o }", "expected \"name:\""},
 		{"unterminated literal", `INSERT DATA { <http://x/s> <http://x/p> "oops }`, "unterminated"},
 		{"blank in delete", "DELETE DATA { _:b <http://x/p> <http://x/o> }", "blank nodes"},
+		{"raw brace in an IRI", "INSERT DATA { <http://x/s> <http://x/p> <http://x/{o}> }", "'{' in IRI"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,16 +140,17 @@ func TestParseUpdateErrorLineNumbers(t *testing.T) {
 	if !ok {
 		t.Fatalf("err = %v (%T), want *UpdateError", err, err)
 	}
-	// The broken statement is on line 3 of the request (turtle reports
-	// the failure when it hits '}' on line 4).
-	if ue.Line < 3 || ue.Line > 4 {
-		t.Fatalf("error line = %d, want 3-4: %v", ue.Line, ue)
+	// The broken statement is on line 3 of the request; the missing
+	// object shows at its '}' on line 4.
+	if ue.Line != 4 {
+		t.Fatalf("error line = %d, want 4: %v", ue.Line, ue)
 	}
 }
 
-// TestParseUpdateIRIsAndLongStrings: the brace scan skips IRI
-// references, so a '#' in one starts no comment and a brace in one
-// does not count, and a long string parses as Turtle parses it.
+// TestParseUpdateIRIsAndLongStrings: a block is read term by term, so a
+// '#' in an IRI starts no comment, a brace in an IRI (written as its
+// \uXXXX escape) or a string ends no block, and a long string parses as
+// Turtle parses it.
 func TestParseUpdateIRIsAndLongStrings(t *testing.T) {
 	s, p := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p")
 	cases := []struct {
@@ -161,7 +163,7 @@ func TestParseUpdateIRIsAndLongStrings(t *testing.T) {
 		{"typed literal with a full datatype IRI",
 			`<http://x/a> <http://x/p> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .`,
 			rdf.Triple{S: s, P: p, O: rdf.NewTypedLiteral("7", rdf.XSDInteger)}},
-		{"braces in an IRI", `<http://x/a> <http://x/p> <http://x/{o}#}> .`,
+		{"braces in an IRI", `<http://x/a> <http://x/p> <http://x/\u007Bo\u007D#\u007D> .`,
 			rdf.Triple{S: s, P: p, O: rdf.NewIRI("http://x/{o}#}")}},
 		{"long string", `<http://x/a> <http://x/p> """x""" .`,
 			rdf.Triple{S: s, P: p, O: rdf.NewLiteral("x")}},

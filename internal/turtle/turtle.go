@@ -1,21 +1,32 @@
-// Package turtle parses the Turtle subset that DBpedia dumps and hand-
-// written ontology files use: @prefix declarations, prefixed names and
-// full IRIs, the 'a' keyword, predicate lists with ';', object lists
-// with ',', plain/lang-tagged/typed literals, numeric and boolean
-// shorthand, blank node labels and comments.
+// Package turtle is the one statement parser for RDF text, with three
+// uses:
+//
+//   - a Turtle document (ParseString): @prefix declarations, prefixed
+//     names and full IRIs, the 'a' keyword, predicate lists with ';',
+//     object lists with ',', short and long strings with a language tag
+//     or a datatype, numeric and boolean shorthand, blank node labels
+//     and comments;
+//   - N-Triples (ParseNTriplesString), the strict, line-oriented subset:
+//     one triple per line, full IRIs, blank nodes and double-quoted short
+//     strings only;
+//   - a SPARQL DATA block (ParseBlock): Turtle statements under the
+//     request's PREFIX map, up to the block's closing '}', where the
+//     final '.' may be left out.
+//
+// Every term is read by the shared term reader (rdf.ScanIRIRef and its
+// siblings), which the SPARQL query lexer uses too. @base and the
+// collection and blank-node-property-list forms are not supported.
 package turtle
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
 
-// ParseError reports a syntax error with position information.
+// ParseError reports a syntax error with the line it was found on.
 type ParseError struct {
 	Line int
 	Msg  string
@@ -40,32 +51,93 @@ func ParseString(src string) ([]rdf.Triple, error) {
 	return p.document()
 }
 
+// ParseNTriples decodes all triples from an N-Triples document.
+func ParseNTriples(r io.Reader) ([]rdf.Triple, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseNTriplesString(string(data))
+}
+
+// ParseNTriplesString decodes all triples from an N-Triples string.
+func ParseNTriplesString(src string) ([]rdf.Triple, error) {
+	// A triple per line: one allocation holds them all.
+	p := &parser{src: src, line: 1, nt: true, out: make([]rdf.Triple, 0, strings.Count(src, "\n")+1)}
+	return p.document()
+}
+
+// ParseBlock decodes the triples of the SPARQL DATA block whose body
+// starts at src[pos], just after its '{', on line line of src. Prefixed
+// names resolve against prefixes first. It returns the offset just past
+// the closing '}' and the line there; error lines count from the start
+// of src.
+func ParseBlock(src string, pos, line int, prefixes map[string]string) (triples []rdf.Triple, end, endLine int, err error) {
+	p := &parser{src: src, pos: pos, line: line, block: true, prefixes: prefixes}
+	triples, err = p.document()
+	return triples, p.pos, p.line, err
+}
+
 type parser struct {
-	src      string
-	pos      int
-	line     int
-	prefixes map[string]string
-	out      []rdf.Triple
+	src  string
+	pos  int
+	line int
+	// nt selects N-Triples, block a SPARQL DATA block; neither, Turtle.
+	nt, block bool
+	// inStatement is set while an N-Triples statement is read: it may
+	// not run past the end of its line.
+	inStatement bool
+	prefixes    map[string]string
+	out         []rdf.Triple
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// fail reports err from a term scan at p.pos, whose fault lies n bytes
+// on: a long string's line breaks before it count.
+func (p *parser) fail(n int, err error) error {
+	return &ParseError{Line: p.line + strings.Count(p.src[p.pos:p.pos+n], "\n"), Msg: err.Error()}
+}
+
+// advance moves past n scanned bytes, counting the line breaks.
+func (p *parser) advance(n int) {
+	p.line += strings.Count(p.src[p.pos:p.pos+n], "\n")
+	p.pos += n
+}
+
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
 
 func (p *parser) peek() byte { return p.src[p.pos] }
 
+// found describes the next input for an error message.
+func (p *parser) found() string {
+	switch {
+	case p.eof() && p.block:
+		return "end of input (unterminated '{' block)"
+	case p.eof():
+		return "end of input"
+	case p.peek() == '\n':
+		return "end of line"
+	}
+	return fmt.Sprintf("%q", p.peek())
+}
+
+// skipWS skips white space and comments. Inside an N-Triples statement
+// it stops at a line break.
 func (p *parser) skipWS() {
 	for !p.eof() {
-		c := p.src[p.pos]
-		switch {
-		case c == '\n':
+		switch p.src[p.pos] {
+		case '\n':
+			if p.inStatement {
+				return
+			}
 			p.line++
 			p.pos++
-		case c == ' ' || c == '\t' || c == '\r':
+		case ' ', '\t', '\r':
 			p.pos++
-		case c == '#':
+		case '#':
 			for !p.eof() && p.src[p.pos] != '\n' {
 				p.pos++
 			}
@@ -86,11 +158,7 @@ func (p *parser) consume(b byte) bool {
 
 func (p *parser) expect(b byte) error {
 	if !p.consume(b) {
-		found := "end of input"
-		if !p.eof() {
-			found = fmt.Sprintf("%q", p.peek())
-		}
-		return p.errf("expected %q, found %s", b, found)
+		return p.errf("expected %q, found %s", b, p.found())
 	}
 	return nil
 }
@@ -98,17 +166,20 @@ func (p *parser) expect(b byte) error {
 func (p *parser) document() ([]rdf.Triple, error) {
 	for {
 		p.skipWS()
-		if p.eof() {
+		switch {
+		case p.eof():
+			if p.block {
+				return nil, p.errf("unterminated '{' block")
+			}
 			return p.out, nil
-		}
-		if strings.HasPrefix(p.src[p.pos:], "@prefix") {
-			if err := p.prefixDecl(); err != nil {
+		case p.block && p.peek() == '}':
+			p.pos++
+			return p.out, nil
+		case p.peek() == '@' && !p.nt && !p.block:
+			if err := p.directive(); err != nil {
 				return nil, err
 			}
 			continue
-		}
-		if strings.HasPrefix(p.src[p.pos:], "@base") {
-			return nil, p.errf("@base is not supported")
 		}
 		if err := p.triples(); err != nil {
 			return nil, err
@@ -116,24 +187,30 @@ func (p *parser) document() ([]rdf.Triple, error) {
 	}
 }
 
-func (p *parser) prefixDecl() error {
-	p.pos += len("@prefix")
-	p.skipWS()
-	// prefix name up to ':'.
-	start := p.pos
-	for !p.eof() && p.peek() != ':' {
-		p.pos++
+func (p *parser) directive() error {
+	switch s := p.src[p.pos:]; {
+	case strings.HasPrefix(s, "@prefix"):
+		p.pos += len("@prefix")
+	case strings.HasPrefix(s, "@base"):
+		return p.errf("@base is not supported")
+	default:
+		return p.errf("unknown directive")
 	}
-	if p.eof() {
-		return p.errf("unterminated @prefix")
-	}
-	name := strings.TrimSpace(p.src[start:p.pos])
-	p.pos++ // ':'
 	p.skipWS()
-	iri, err := p.iriRef()
+	name, local, n, err := rdf.ScanPrefixedName(p.src[p.pos:])
+	if n == 0 || err != nil || local != "" {
+		return p.errf("@prefix: expected \"name:\"")
+	}
+	p.pos += n
+	p.skipWS()
+	if p.eof() || p.peek() != '<' {
+		return p.errf("@prefix %s: expected <iri>", name)
+	}
+	iri, n, err := rdf.ScanIRIRef(p.src[p.pos:])
 	if err != nil {
-		return err
+		return p.fail(n, err)
 	}
+	p.pos += n
 	if err := p.expect('.'); err != nil {
 		return err
 	}
@@ -143,12 +220,10 @@ func (p *parser) prefixDecl() error {
 
 // triples parses "subject predicateObjectList ." with ';' and ','.
 func (p *parser) triples() error {
-	subj, err := p.term(false)
+	p.inStatement = p.nt
+	subj, err := p.term("subject")
 	if err != nil {
 		return err
-	}
-	if subj.IsLiteral() {
-		return p.errf("literal subject")
 	}
 	for {
 		pred, err := p.verb()
@@ -156,294 +231,169 @@ func (p *parser) triples() error {
 			return err
 		}
 		for {
-			obj, err := p.term(true)
+			obj, err := p.term("object")
 			if err != nil {
 				return err
 			}
 			p.out = append(p.out, rdf.Triple{S: subj, P: pred, O: obj})
-			if !p.consume(',') {
+			if p.nt || !p.consume(',') {
 				break
 			}
 		}
-		if p.consume(';') {
-			p.skipWS()
-			// Allow trailing ';' before '.'.
-			if !p.eof() && p.peek() == '.' {
-				break
-			}
-			continue
+		if p.nt || !p.consume(';') {
+			break
 		}
-		break
+		for p.consume(';') {
+		}
+		if p.skipWS(); p.eof() || p.peek() == '.' || p.block && p.peek() == '}' {
+			break
+		}
 	}
-	return p.expect('.')
+	return p.end()
+}
+
+// end consumes the '.' that ends a statement. A DATA block's last
+// statement may end at its '}' instead, and an N-Triples statement
+// ends its line.
+func (p *parser) end() error {
+	if p.block {
+		if p.skipWS(); !p.eof() && p.peek() == '}' {
+			return nil
+		}
+	}
+	if err := p.expect('.'); err != nil {
+		return err
+	}
+	if p.nt {
+		if p.skipWS(); !p.eof() && p.peek() != '\n' {
+			return p.errf("trailing %q after '.'", p.peek())
+		}
+		p.inStatement = false
+	}
+	return nil
 }
 
 func (p *parser) verb() (rdf.Term, error) {
 	p.skipWS()
-	if !p.eof() && p.peek() == 'a' {
-		// 'a' must be followed by whitespace or '<' to be the keyword.
-		if p.pos+1 >= len(p.src) || p.src[p.pos+1] == ' ' || p.src[p.pos+1] == '\t' || p.src[p.pos+1] == '<' {
-			p.pos++
-			return rdf.Type(), nil
-		}
+	if !p.nt && rdf.StartsWithWord(p.src[p.pos:], "a") {
+		p.pos++
+		return rdf.Type(), nil
 	}
-	t, err := p.term(false)
+	return p.term("predicate")
+}
+
+// term reads one RDF term in role: a subject and a predicate are never
+// literals, and a predicate is an IRI.
+func (p *parser) term(role string) (rdf.Term, error) {
+	p.skipWS()
+	if p.eof() || p.peek() == '\n' {
+		return rdf.Term{}, p.errf("expected %s, found %s", role, p.found())
+	}
+	s := p.src[p.pos:]
+	c := s[0]
+	switch {
+	case c == '<':
+		iri, n, err := rdf.ScanIRIRef(s)
+		if err != nil {
+			return rdf.Term{}, p.fail(n, err)
+		}
+		p.pos += n
+		return rdf.NewIRI(iri), nil
+	case c == '_' && strings.HasPrefix(s, "_:"):
+		if role == "predicate" {
+			return rdf.Term{}, p.errf("a blank node is not a predicate")
+		}
+		label, n, err := rdf.ScanBlankNodeLabel(s)
+		if err != nil {
+			return rdf.Term{}, p.fail(n, err)
+		}
+		p.pos += n
+		return rdf.NewBlank(label), nil
+	case p.nt:
+		if c == '"' && !strings.HasPrefix(s, `"""`) {
+			return p.literal(role)
+		}
+	case c == '"' || c == '\'':
+		return p.literal(role)
+	case c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.' && len(s) > 1 && s[1] >= '0' && s[1] <= '9':
+		if role != "object" {
+			return rdf.Term{}, p.errf("a number is not a %s", role)
+		}
+		t, n, err := rdf.ScanNumber(s)
+		if err != nil {
+			return rdf.Term{}, p.fail(n, err)
+		}
+		p.pos += n
+		return t, nil
+	default:
+		if t, n := rdf.ScanBoolean(s); n > 0 {
+			if role != "object" {
+				return rdf.Term{}, p.errf("a boolean is not a %s", role)
+			}
+			p.pos += n
+			return t, nil
+		}
+		return p.prefixedName(role)
+	}
+	return rdf.Term{}, p.errf("expected %s, found %s", role, p.found())
+}
+
+// prefixedName reads a prefixed name and resolves it: against the
+// document's @prefix declarations (a DATA block's PREFIX map) first,
+// then the globally registered prefixes (rdf:, dbont:, ...).
+func (p *parser) prefixedName(role string) (rdf.Term, error) {
+	prefix, local, n, err := rdf.ScanPrefixedName(p.src[p.pos:])
+	switch {
+	case err != nil:
+		return rdf.Term{}, p.fail(n, err)
+	case n == 0:
+		return rdf.Term{}, p.errf("expected %s, found %s", role, p.found())
+	}
+	if ns, ok := p.prefixes[prefix]; ok {
+		p.pos += n
+		return rdf.NewIRI(ns + local), nil
+	}
+	if iri, ok := rdf.Expand(prefix + ":" + local); ok {
+		p.pos += n
+		return rdf.NewIRI(iri), nil
+	}
+	return rdf.Term{}, p.errf("unknown prefix %q", prefix)
+}
+
+// literal reads a string and its language tag or datatype.
+func (p *parser) literal(role string) (rdf.Term, error) {
+	if role != "object" {
+		return rdf.Term{}, p.errf("a literal is not a %s", role)
+	}
+	lex, n, err := rdf.ScanString(p.src[p.pos:])
+	if err != nil {
+		return rdf.Term{}, p.fail(n, err)
+	}
+	p.advance(n)
+	if !p.nt {
+		p.skipWS() // Turtle, like SPARQL, lets space part a string from its tag
+	}
+	if !p.eof() && p.peek() == '@' {
+		tag, n, err := rdf.ScanLangTag(p.src[p.pos:])
+		if err != nil {
+			return rdf.Term{}, p.fail(n, err)
+		}
+		p.pos += n
+		return rdf.NewLangLiteral(lex, tag), nil
+	}
+	if !strings.HasPrefix(p.src[p.pos:], "^^") {
+		return rdf.NewLiteral(lex), nil
+	}
+	p.pos += 2
+	if p.nt && (p.eof() || p.peek() != '<') {
+		return rdf.Term{}, p.errf("expected <datatype IRI>, found %s", p.found())
+	}
+	dt, err := p.term("datatype")
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	if !t.IsIRI() {
-		return rdf.Term{}, p.errf("predicate must be an IRI, got %v", t)
+	if !dt.IsIRI() {
+		return rdf.Term{}, p.errf("datatype must be an IRI, got %v", dt)
 	}
-	return t, nil
-}
-
-// term parses one RDF term. allowLiteral permits literal forms.
-func (p *parser) term(allowLiteral bool) (rdf.Term, error) {
-	p.skipWS()
-	if p.eof() {
-		return rdf.Term{}, p.errf("unexpected end of input")
-	}
-	switch c := p.peek(); {
-	case c == '<':
-		iri, err := p.iriRef()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), nil
-	case c == '_':
-		if !strings.HasPrefix(p.src[p.pos:], "_:") {
-			return rdf.Term{}, p.errf("malformed blank node")
-		}
-		p.pos += 2
-		start := p.pos
-		for !p.eof() && (isNameByte(p.peek()) || p.peek() == '-') {
-			p.pos++
-		}
-		if p.pos == start {
-			return rdf.Term{}, p.errf("empty blank node label")
-		}
-		return rdf.NewBlank(p.src[start:p.pos]), nil
-	case c == '"' || c == '\'':
-		if !allowLiteral {
-			return rdf.Term{}, p.errf("literal not allowed here")
-		}
-		return p.literal(c)
-	case c >= '0' && c <= '9' || c == '-' || c == '+':
-		if !allowLiteral {
-			return rdf.Term{}, p.errf("number not allowed here")
-		}
-		return p.number()
-	default:
-		// true/false or a prefixed name.
-		if strings.HasPrefix(p.src[p.pos:], "true") && p.boundaryAt(p.pos+4) {
-			if !allowLiteral {
-				return rdf.Term{}, p.errf("boolean not allowed here")
-			}
-			p.pos += 4
-			return rdf.NewTypedLiteral("true", rdf.XSDBoolean), nil
-		}
-		if strings.HasPrefix(p.src[p.pos:], "false") && p.boundaryAt(p.pos+5) {
-			if !allowLiteral {
-				return rdf.Term{}, p.errf("boolean not allowed here")
-			}
-			p.pos += 5
-			return rdf.NewTypedLiteral("false", rdf.XSDBoolean), nil
-		}
-		return p.prefixedName()
-	}
-}
-
-func (p *parser) boundaryAt(i int) bool {
-	if i >= len(p.src) {
-		return true
-	}
-	r, _ := utf8.DecodeRuneInString(p.src[i:])
-	return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_'
-}
-
-func (p *parser) iriRef() (string, error) {
-	if p.eof() || p.peek() != '<' {
-		return "", p.errf("expected '<'")
-	}
-	p.pos++
-	start := p.pos
-	for !p.eof() && p.peek() != '>' {
-		if p.peek() == '\n' {
-			return "", p.errf("newline in IRI")
-		}
-		p.pos++
-	}
-	if p.eof() {
-		return "", p.errf("unterminated IRI")
-	}
-	iri := p.src[start:p.pos]
-	p.pos++
-	if iri == "" {
-		return "", p.errf("empty IRI")
-	}
-	return iri, nil
-}
-
-func (p *parser) prefixedName() (rdf.Term, error) {
-	start := p.pos
-	for !p.eof() && p.peek() != ':' && isNameByte(p.peek()) {
-		p.pos++
-	}
-	if p.eof() || p.peek() != ':' {
-		return rdf.Term{}, p.errf("expected prefixed name near %q", p.src[start:min(start+12, len(p.src))])
-	}
-	prefix := p.src[start:p.pos]
-	p.pos++
-	localStart := p.pos
-	for !p.eof() {
-		c := p.peek()
-		if isNameByte(c) || c == '-' || c == '\'' || c == '(' || c == ')' {
-			p.pos++
-			continue
-		}
-		if c == '.' && p.pos+1 < len(p.src) && isNameByte(p.src[p.pos+1]) {
-			p.pos++
-			continue
-		}
-		break
-	}
-	local := p.src[localStart:p.pos]
-	ns, ok := p.prefixes[prefix]
-	if !ok {
-		// Fall back to the globally registered prefixes (rdf:, dbont:, ...).
-		if iri, gok := rdf.Expand(prefix + ":" + local); gok {
-			return rdf.NewIRI(iri), nil
-		}
-		return rdf.Term{}, p.errf("unknown prefix %q", prefix)
-	}
-	return rdf.NewIRI(ns + local), nil
-}
-
-// literal parses a string literal opened by quote at the current
-// position, then its language tag or datatype. A short string is
-// delimited by one quote and stays on its line; a long one, by three
-// of the same quote, may span lines and hold unescaped quotes.
-func (p *parser) literal(quote byte) (rdf.Term, error) {
-	delim := string(quote)
-	if long := strings.Repeat(delim, 3); strings.HasPrefix(p.src[p.pos:], long) {
-		delim = long
-	}
-	p.pos += len(delim)
-	var sb strings.Builder
-	for {
-		if p.eof() {
-			return rdf.Term{}, p.errf("unterminated string")
-		}
-		c := p.peek()
-		if c == quote && strings.HasPrefix(p.src[p.pos:], delim) {
-			p.pos += len(delim)
-			break
-		}
-		if c == '\n' {
-			if len(delim) == 1 {
-				return rdf.Term{}, p.errf("newline in string")
-			}
-			p.line++
-		}
-		if c == '\\' {
-			r, n, err := rdf.DecodeEscape(p.src[p.pos:])
-			if err != nil {
-				return rdf.Term{}, p.errf("%v", err)
-			}
-			sb.WriteRune(r)
-			p.pos += n
-			continue
-		}
-		sb.WriteByte(c)
-		p.pos++
-	}
-	lex := sb.String()
-	// Language tag or datatype.
-	if !p.eof() && p.peek() == '@' {
-		p.pos++
-		start := p.pos
-		for !p.eof() && (isNameByte(p.peek()) || p.peek() == '-') {
-			p.pos++
-		}
-		lang := p.src[start:p.pos]
-		if lang == "" {
-			return rdf.Term{}, p.errf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, lang), nil
-	}
-	if strings.HasPrefix(p.src[p.pos:], "^^") {
-		p.pos += 2
-		p.skipWS()
-		if !p.eof() && p.peek() == '<' {
-			iri, err := p.iriRef()
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewTypedLiteral(lex, iri), nil
-		}
-		t, err := p.prefixedName()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewTypedLiteral(lex, t.Value), nil
-	}
-	return rdf.NewLiteral(lex), nil
-}
-
-func (p *parser) number() (rdf.Term, error) {
-	start := p.pos
-	if p.peek() == '-' || p.peek() == '+' {
-		p.pos++
-	}
-	digits := 0
-	dot := false
-	exp := false
-	for !p.eof() {
-		c := p.peek()
-		switch {
-		case c >= '0' && c <= '9':
-			digits++
-			p.pos++
-		case c == '.' && !dot && !exp:
-			// A '.' followed by a non-digit terminates the statement.
-			if p.pos+1 >= len(p.src) || p.src[p.pos+1] < '0' || p.src[p.pos+1] > '9' {
-				goto done
-			}
-			dot = true
-			p.pos++
-		case (c == 'e' || c == 'E') && !exp && digits > 0:
-			exp = true
-			p.pos++
-			if !p.eof() && (p.peek() == '-' || p.peek() == '+') {
-				p.pos++
-			}
-		default:
-			goto done
-		}
-	}
-done:
-	text := p.src[start:p.pos]
-	if digits == 0 {
-		return rdf.Term{}, p.errf("malformed number %q", text)
-	}
-	switch {
-	case exp:
-		return rdf.NewTypedLiteral(text, rdf.XSDDouble), nil
-	case dot:
-		return rdf.NewTypedLiteral(text, rdf.XSDDecimal), nil
-	default:
-		return rdf.NewTypedLiteral(text, rdf.XSDInteger), nil
-	}
-}
-
-func isNameByte(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9' ||
-		b == '_' || b >= 0x80
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return rdf.NewTypedLiteral(lex, dt.Value), nil
 }

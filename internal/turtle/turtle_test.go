@@ -88,14 +88,19 @@ ex:e ex:note "multi \"quoted\" \n line" .
 
 func TestGlobalPrefixFallback(t *testing.T) {
 	// Without local @prefix declarations, the registered global
-	// namespaces (dbont:, res:, rdf:) still resolve.
-	src := `res:Snow_(novel) rdf:type dbont:Book .`
+	// namespaces (dbont:, res:, rdf:) still resolve. A '(' in a local
+	// name is written with a backslash (PN_LOCAL_ESC), and a final '.'
+	// ends the statement.
+	src := `res:Snow_\(novel\) rdf:type dbont:Book . res:Lincoln dbont:deathPlace res:Washington_D.C.`
 	triples, err := ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if triples[0].S != rdf.Res("Snow_(novel)") || triples[0].O != rdf.Ont("Book") {
 		t.Errorf("triple = %v", triples[0])
+	}
+	if triples[1].O != rdf.Res("Washington_D.C") {
+		t.Errorf("triple = %v", triples[1])
 	}
 }
 
@@ -275,6 +280,74 @@ func TestStringEscapes(t *testing.T) {
 	for _, src := range []string{`"\u00G9"`, `"\u12"`, `"\uD800"`, `"\U00110000"`, `"\q"`} {
 		if _, err := ParseString(`<http://e/s> <http://e/p> ` + src + ` .`); err == nil {
 			t.Errorf("%s: parsed; want an error", src)
+		}
+	}
+}
+
+// TestKeywordA: 'a' is rdf:type before any non-name character, a line
+// break included, but not as the prefix of a prefixed name.
+func TestKeywordA(t *testing.T) {
+	for src, want := range map[string]string{
+		"<http://e/s> a <http://e/C> .":                                    rdf.IRIType,
+		"<http://e/s> a\n<http://e/C> .":                                   rdf.IRIType,
+		"<http://e/s> a<http://e/C> .":                                     rdf.IRIType,
+		"@prefix a: <http://x/> .\n<http://e/s> a:p <http://e/C> .":        "http://x/p",
+		"@prefix a.b: <http://x/> .\n<http://e/s> a.b:p <http://e/C> .":    "http://x/p",
+		"@prefix ab: <http://x/> .\n<http://e/s> ab:p <http://e/C> .":      "http://x/p",
+		"@prefix : <http://x/> .\n<http://e/s> a :p , :q ; a <http://e/D>": "",
+	} {
+		triples, err := ParseString(src)
+		if want == "" {
+			if err == nil {
+				t.Errorf("%q: parsed %v; want an error (no final '.')", src, triples)
+			}
+			continue
+		}
+		if err != nil || len(triples) != 1 || triples[0].P != rdf.NewIRI(want) {
+			t.Errorf("%q: %v, %v; want predicate %s", src, triples, err, want)
+		}
+	}
+}
+
+// TestParseBlock: the block mode stops at the block's '}' and reports
+// where it did, takes the prefixes it is given, lets the last '.' be
+// left out, and numbers error lines from the start of the text.
+func TestParseBlock(t *testing.T) {
+	src := "PREFIX ex: <http://x/>\nINSERT DATA {\n  ex:s ex:p \"}\" , '''\n}''' ;\n    ex:q <http://x/o#\\u007D>\n} ; rest"
+	pos := strings.IndexByte(src, '{') + 1
+	triples, end, endLine, err := ParseBlock(src, pos, 2, map[string]string{"ex": "http://x/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.LastIndexByte(src, '}') + 1; end != want || endLine != 6 {
+		t.Errorf("block ends at %d on line %d; want %d on line 6", end, endLine, want)
+	}
+	want := []rdf.Triple{
+		{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLiteral("}")},
+		{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLiteral("\n}")},
+		{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/q"), O: rdf.NewIRI("http://x/o#}")},
+	}
+	if len(triples) != len(want) {
+		t.Fatalf("got %v, want %v", triples, want)
+	}
+	for i := range want {
+		if triples[i] != want[i] {
+			t.Errorf("triple %d = %v, want %v", i, triples[i], want[i])
+		}
+	}
+	for _, c := range []struct {
+		body string
+		line int
+	}{
+		{"\n\n<http://x/s> <http://x/p> \"a\nb\" }", 3},
+		{"\n<http://x/s> <http://x/p> '''\n\n''' , <http://x/a b> }", 4},
+		{"<http://x/s> <http://x/p> <http://x/o> .\n", 2},
+		{"@prefix ex: <http://x/> . }", 1},
+	} {
+		_, _, _, err := ParseBlock("{"+c.body, 1, 1, nil)
+		pe, ok := err.(*ParseError)
+		if !ok || pe.Line != c.line {
+			t.Errorf("%q: %v; want a ParseError on line %d", c.body, err, c.line)
 		}
 	}
 }

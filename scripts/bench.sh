@@ -54,7 +54,13 @@
 # ≈ 1.8 ms / 233 allocs), and the write path (internal/store's
 # BenchmarkApplyBatchFlip: one update_mix write, 8 deletes and 8 inserts
 # on a predicate with 512 objects at ≈ 6.5k triples; ≈ 44 KB / 134
-# allocs, what TestApplyBatchAllocations gates).
+# allocs, what TestApplyBatchAllocations gates), and the RDF text
+# readers (internal/sparql's BenchmarkParseUpdate: one update_mix body,
+# 8 deletes and 8 inserts, through ParseUpdate — ≈ 10 µs / 5.4 KB / 11
+# allocs, ≈ 13 µs / 5.9 KB / 61 allocs with the brace scan it replaced;
+# internal/turtle's BenchmarkLoadNTriples: the built-in KB's 880 KB
+# dump in the N-Triples mode kb.Load uses — ≈ 2.1 ms / 1.1 MB / 1 alloc,
+# ≈ 11.7 ms / 8.2 MB / 84k allocs with the separate reader it replaced).
 #
 # Shape cache or not: every benchmark that executes a query runs its
 # join on every iteration — the plan cache holds shapes, never results
@@ -101,17 +107,17 @@ cd "$(dirname "$0")/.."
 # the benchmarks that live in their own packages (sparql's ID-space vs
 # term-space pairs and plan-cache compile pair, the shard tier, the
 # store's term-rank churn pair and its write-path flip, qaserve's
-# admission).
+# admission, the UPDATE parser and the N-Triples loader).
 bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .
   exec go test -p 1 -run '^$' -bench "$bench_pkgs_smoke" -benchtime=5x -benchmem \
-    ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/
+    ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/ ./internal/turtle/
 fi
 
 benchtime="${BENCHTIME:-1s}"
@@ -122,8 +128,9 @@ go test -run '^$' -bench "$bench_full" -benchmem -benchtime="$benchtime" .
 go test -run '^$' -bench "$bench_pair" -benchmem -benchtime="$benchtime" .
 
 # The package-local benchmarks (ID-space vs term-space pairs, plan-cache
-# compile pair, shard tier, term-rank churn, write path, admission), one package at a time (-p 1): run side by
+# compile pair, shard tier, term-rank churn, write path, admission, RDF
+# text readers), one package at a time (-p 1): run side by
 # side on a two-core host they take each other's CPU, and the gather ÷
 # single-store factor is read off two of them.
 go test -p 1 -run '^$' -bench "$bench_pkgs" -benchmem -benchtime="$benchtime" \
-  ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/
+  ./internal/sparql/ ./internal/shard/ ./internal/store/ ./internal/qaserve/ ./internal/turtle/

@@ -164,8 +164,7 @@ func BenchmarkAblationNoCentrality(b *testing.B) {
 // extremisation): recall rises well above Table 2's 32 % while
 // precision holds.
 func BenchmarkExtensionFutureWork(b *testing.B) {
-	benchmarkAblation(b, core.Config{
-		EnableBoolean: true, EnableAggregation: true, EnableSuperlatives: true})
+	benchmarkAblation(b, core.Config{Extensions: true})
 }
 
 // BenchmarkBaselineKeyword evaluates the naive keyword baseline on the
@@ -295,11 +294,11 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 	}
 }
 
-// execUncached runs q on a fresh session detached from the plan cache,
-// as qaload's sparql.exec_us probe does: every iteration builds the
+// execUncached runs q on a fresh session with no plan cache, as
+// qaload's sparql.exec_us probe does: every iteration builds the
 // shape, binds and joins.
 func execUncached(st *store.Store, q *sparql.Query) (*sparql.Result, error) {
-	return sparql.NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	return sparql.NewSnapshotSession(st.Snapshot()).ExecuteCtx(context.Background(), q)
 }
 
 func BenchmarkSPARQLTwoPatternJoin(b *testing.B) {
@@ -683,22 +682,23 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 }
 
 // BenchmarkExtractSequential executes the candidate set in rank order
-// with the shared per-question sparql.Session — the production path
-// (the name dates from when a speculative pool ran beside it). After
-// the first iteration every candidate compiles from a cached shape and
-// then runs its join.
+// with the shared per-question sparql.Session and a plan cache attached
+// — the production path (the name dates from when a speculative pool
+// ran beside it). After the first iteration every candidate compiles
+// from a cached shape and then runs its join.
 func BenchmarkExtractSequential(b *testing.B) {
 	k, mp := fanoutSetup(b)
 	ex := answer.New(k, answer.Config{MaxQueries: 256})
 	// Plan-shape cache hit rate over the measured loop, from the
-	// process-wide cache's cumulative counters (the PR 9 acceptance
-	// floor is > 90%: after the first iteration warms the shapes, every
-	// sibling candidate of every later iteration must hit).
-	h0, m0, _ := sparql.DefaultPlanCache().Stats()
+	// benchmark's own cache (the PR 9 acceptance floor is > 90%: after
+	// the first iteration warms the shapes, every sibling candidate of
+	// every later iteration must hit).
+	plans := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.ExtractCtx(context.Background(), mp)
+		sess := sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(plans)
+		res, err := ex.ExtractSessionCtx(context.Background(), mp, sess)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -707,9 +707,8 @@ func BenchmarkExtractSequential(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	h1, m1, _ := sparql.DefaultPlanCache().Stats()
-	if lookups := (h1 - h0) + (m1 - m0); lookups > 0 {
-		b.ReportMetric(100*float64(h1-h0)/float64(lookups), "planhit%")
+	if hits, misses, _ := plans.Stats(); hits+misses > 0 {
+		b.ReportMetric(100*float64(hits)/float64(hits+misses), "planhit%")
 	}
 }
 

@@ -28,7 +28,7 @@ func main() {
 	byCategory := flag.Bool("by-category", false, "print the per-category breakdown")
 	perQuestion := flag.Bool("per-question", true, "print the per-question report")
 	xmlOut := flag.String("xml", "", "write the run in QALD challenge XML format to this file")
-	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation extensions")
+	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation/superlative extensions")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole evaluation; cancellation reaches every stage boundary (0 = none)")
 	flag.Parse()
 
@@ -38,11 +38,7 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	if *extensions {
-		cfg.EnableBoolean = true
-		cfg.EnableAggregation = true
-		cfg.EnableSuperlatives = true
-	}
+	cfg.Extensions = *extensions
 	sys := core.New(cfg)
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -191,11 +191,7 @@ func main() {
 
 		cfg := core.DefaultConfig()
 		cfg.CacheSize = *cacheSize
-		if *extensions {
-			cfg.EnableBoolean = true
-			cfg.EnableAggregation = true
-			cfg.EnableSuperlatives = true
-		}
+		cfg.Extensions = *extensions
 
 		// Boot phases timed here — the ones before core.New — lead the
 		// System's own on the "pipeline ready" line and on /metrics.

@@ -42,8 +42,8 @@
 // Each question executes inside one sparql.Session pinned to one store
 // snapshot: §2.3 ranks a handful of candidate queries (4.67 a question
 // on the entity stream) that differ only in a property URI or triple
-// orientation, and the session is what they reuse — the plan cache
-// handle (one cached shape for all the siblings; a shape holds no
+// orientation, and the session is what they reuse — the System's plan
+// cache (one cached shape for all the siblings; a shape holds no
 // result, so every candidate runs its join and a store write leaves
 // the shape valid) and each probed entity's rdf:type set. The
 // executor also answers bound-variable existence patterns with sorted-ID galloping merges

@@ -122,9 +122,10 @@ func (e *ErrBoolean) Error() string {
 // has won, ExtractCtx returns ctx.Err() promptly — bounded by one join
 // step.
 //
-// Each call pins one sparql.Session over the store's current snapshot
-// and shares it across the whole §2.3 run; use ExtractSessionCtx to
-// supply a session pinned earlier in the request.
+// Each call pins one sparql.Session over the store's current snapshot,
+// with no plan cache, and shares it across the whole §2.3 run; use
+// ExtractSessionCtx to supply a session pinned earlier in the request
+// or one with a plan cache attached.
 func (e *Extractor) ExtractCtx(ctx context.Context, mp *propmap.Mapping) (*Result, error) {
 	return e.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(e.kb.Store.Snapshot()))
 }

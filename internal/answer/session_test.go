@@ -15,19 +15,17 @@ import (
 // The "cached ≡ fresh" oracle at the §2.3 level: extraction through a
 // session on a plan cache (shared shapes) must
 // produce a Result byte-identical to extraction through a session with
-// the cache detached — same winner, same answers, same per-candidate
+// no cache — same winner, same answers, same per-candidate
 // bookkeeping, same error text — over randomized KBs and randomized
 // candidate sets.
 
-// cachedMatchesFresh runs mp once detached and twice through pc (the
-// second cached pass compiles every candidate from a cached shape) and
-// fails on any difference. It returns the second pass's shape hits. pc
-// is the test's own cache: the process-wide one holds whatever earlier
-// tests of the package left in its entries.
+// cachedMatchesFresh runs mp once with no cache and twice through pc
+// (the second cached pass compiles every candidate from a cached shape)
+// and fails on any difference. It returns the second pass's shape hits.
 func cachedMatchesFresh(t *testing.T, label string, k *kb.KB, pc *sparql.PlanCache, cfg Config, mp *propmap.Mapping) uint64 {
 	t.Helper()
 	ex, ctx := New(k, cfg), context.Background()
-	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(nil))
+	freshRes, freshErr := ex.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(k.Store.Snapshot()))
 	var shapeHits uint64
 	for pass := 0; pass < 2; pass++ {
 		sess := sparql.NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)

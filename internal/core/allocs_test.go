@@ -46,7 +46,7 @@ func TestColdPathAllocations(t *testing.T) {
 					sys.AnswerCtx(ctx, q)
 				}
 			}
-			pass() // warm the process-wide plan-shape cache
+			pass() // warm the System's plan-shape cache
 			n := float64(len(tc.questions))
 			objects := testing.AllocsPerRun(1, pass) / n
 			var before, after runtime.MemStats

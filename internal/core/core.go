@@ -98,12 +98,10 @@ type Config struct {
 	DisableTypeCheck       bool
 	DisableCentrality      bool
 
-	// Future-work extensions (§6): boolean ASK answering, COUNT
-	// aggregation and superlative questions, off by default to stay
-	// paper-faithful.
-	EnableBoolean      bool
-	EnableAggregation  bool
-	EnableSuperlatives bool
+	// Extensions turns on the future-work extensions (§6): boolean ASK
+	// answering, COUNT aggregation and superlative questions. Off by
+	// default to stay paper-faithful.
+	Extensions bool
 
 	// CacheSize enables the answer cache when > 0: a bounded, sharded
 	// LRU over normalized question text that Lookup consults before the
@@ -190,6 +188,10 @@ type System struct {
 	// cache is non-nil only when Config.CacheSize > 0.
 	cache *qacache.Cache[*outcome]
 
+	// plans holds the compiled SPARQL plan shapes the answer stage
+	// attaches to every question's session.
+	plans *sparql.PlanCache
+
 	// cluster is the sharded scatter-gather tier (nil = single-store).
 	cluster *shard.Cluster
 }
@@ -243,11 +245,12 @@ func New(cfg Config) *System {
 	s.mapper = propmap.New(k, s.WordNet, s.Patterns, s.Linker, pmCfg)
 	ansCfg := answer.DefaultConfig()
 	ansCfg.DisableTypeCheck = cfg.DisableTypeCheck
-	ansCfg.EnableBoolean = cfg.EnableBoolean
-	ansCfg.EnableAggregation = cfg.EnableAggregation
+	ansCfg.EnableBoolean = cfg.Extensions
+	ansCfg.EnableAggregation = cfg.Extensions
 	s.extractor = answer.New(k, ansCfg)
-	s.triplexOpts = triplex.Options{Superlatives: cfg.EnableSuperlatives}
+	s.triplexOpts = triplex.Options{Superlatives: cfg.Extensions}
 	s.cluster = cfg.Cluster
+	s.plans = sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
 
 	if cfg.CacheSize > 0 {
 		s.cache = qacache.New[*outcome](cfg.CacheSize)
@@ -258,14 +261,15 @@ func New(cfg Config) *System {
 
 // WithCache returns a System that shares s's KB, mined patterns and
 // indexes and has an answer cache of its own with room for size
-// outcomes (none when size is 0), as if New had built it with
-// Config.CacheSize = size.
+// outcomes (none when size is 0) and a plan cache of its own, as if
+// New had built it with Config.CacheSize = size.
 func (s *System) WithCache(size int) *System {
 	c := *s
 	c.cache = nil
 	if size > 0 {
 		c.cache = qacache.New[*outcome](size)
 	}
+	c.plans = sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
 	return &c
 }
 
@@ -464,6 +468,12 @@ func (s *System) CacheStats() (hits, misses, evictions uint64) {
 	return s.cache.Stats()
 }
 
+// PlanCacheStats returns the cumulative hit, miss and eviction counts
+// of the System's SPARQL plan-shape cache.
+func (s *System) PlanCacheStats() (hits, misses, evictions uint64) {
+	return s.plans.Stats()
+}
+
 // CacheEntries returns the number of entries the answer cache holds
 // (0 when the cache is disabled).
 func (s *System) CacheEntries() int {
@@ -594,12 +604,13 @@ func (s *System) runAnswer(ctx context.Context, res *Result, tr *StageTrace) err
 	// One question = one execution session = one store view pin: every
 	// candidate query, the COUNT retry and the type filter read the
 	// view the request pinned — a direct KB snapshot, or the sharded
-	// gather view when the System runs over a cluster.
+	// gather view when the System runs over a cluster. The candidates
+	// compile from the System's plan shapes.
 	var sess *sparql.Session
 	if res.view != nil {
-		sess = sparql.NewViewSession(res.view)
+		sess = sparql.NewViewSession(res.view).WithPlanCache(s.plans)
 	} else {
-		sess = sparql.NewSnapshotSession(res.snap)
+		sess = sparql.NewSnapshotSession(res.snap).WithPlanCache(s.plans)
 	}
 	ans, err := s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
 	ps := sess.PlanStats()

@@ -15,10 +15,10 @@ var (
 )
 
 // extensionSystem builds the future-work configuration (§6): boolean
-// ASK answering plus COUNT aggregation.
+// ASK answering, COUNT aggregation and superlatives.
 func extensionSystem() *System {
 	extOnce.Do(func() {
-		extSys = New(Config{EnableBoolean: true, EnableAggregation: true})
+		extSys = New(Config{Extensions: true})
 	})
 	return extSys
 }
@@ -110,7 +110,7 @@ func TestExtensionDoesNotBreakDataProperties(t *testing.T) {
 }
 
 func TestExtensionSuperlatives(t *testing.T) {
-	s := New(Config{EnableSuperlatives: true})
+	s := extensionSystem()
 	cases := []struct {
 		q    string
 		want rdf.Term

@@ -421,18 +421,18 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 
 	// §2.2.1: verbs → object properties by string similarity.
 	if isVerb {
-		slots = m.strSimCandidates(slots, lem, surface, true)
+		slots = m.strSimCandidates(slots, lem, surface, true, SourceStrSim)
 		// Derived noun against data properties ("die" → death → deathDate).
 		if noun, ok := wordnet.NominalizationOf(lem); ok {
-			slots = m.strSimCandidates(slots, noun, noun, false)
+			slots = m.strSimCandidates(slots, noun, noun, false, SourceStrSim)
 		}
 	}
 
 	// §2.2.2: nouns and adjectives → data properties (and noun-named
 	// object properties like capital/mayor).
 	if !isVerb && !isAdj {
-		slots = m.strSimCandidates(slots, lem, surface, false)
-		slots = m.strSimCandidates(slots, lem, surface, true)
+		slots = m.strSimCandidates(slots, lem, surface, false, SourceStrSim)
+		slots = m.strSimCandidates(slots, lem, surface, true, SourceStrSim)
 		// WordNet similarity between the question noun and the property
 		// head words ("wife" clears the §2.2.1 thresholds against
 		// "spouse" although no string similarity exists). Identical
@@ -451,9 +451,9 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 	}
 	if isAdj && m.wn != nil {
 		if attr, ok := m.wn.AdjectiveAttribute(lem); ok {
-			slots = m.strSimCandidates(slots, attr, attr, false)
+			slots = m.strSimCandidates(slots, attr, attr, false, SourceAdjective)
 			// Attribute nouns occasionally name object properties too.
-			slots = m.strSimCandidates(slots, attr, attr, true)
+			slots = m.strSimCandidates(slots, attr, attr, true, SourceAdjective)
 		}
 	}
 
@@ -501,8 +501,8 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 
 // strSimCandidates merges in the properties whose names clear the GCS
 // string similarity threshold against the word (§2.2.1/§2.2.2), matching
-// both the property local name and its label.
-func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool) []slot {
+// both the property local name and its label, labelled src.
+func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool, src Source) []slot {
 	if word == "" {
 		return slots
 	}
@@ -524,7 +524,7 @@ func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object boo
 			score = max(score, strsim.Jaccard(tokens, r.tokens))
 		}
 		if score >= m.cfg.StrSimThreshold {
-			slots = m.merge(slots, int32(i), score, 0, SourceStrSim)
+			slots = m.merge(slots, int32(i), score, 0, src)
 		}
 	}
 	return slots

@@ -213,18 +213,18 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 
 	// §2.2.1: verbs → object properties by string similarity.
 	if isVerb {
-		m.strSimCandidates(lem, surface, true, addCand)
+		m.strSimCandidates(lem, surface, true, SourceStrSim, addCand)
 		// Derived noun against data properties ("die" → death → deathDate).
 		if noun, ok := wordnet.NominalizationOf(lem); ok {
-			m.strSimCandidates(noun, noun, false, addCand)
+			m.strSimCandidates(noun, noun, false, SourceStrSim, addCand)
 		}
 	}
 
 	// §2.2.2: nouns and adjectives → data properties (and noun-named
 	// object properties like capital/mayor).
 	if !isVerb && !isAdj {
-		m.strSimCandidates(lem, surface, false, addCand)
-		m.strSimCandidates(lem, surface, true, addCand)
+		m.strSimCandidates(lem, surface, false, SourceStrSim, addCand)
+		m.strSimCandidates(lem, surface, true, SourceStrSim, addCand)
 		// WordNet similarity between the question noun and the property
 		// head words ("wife" clears the §2.2.1 thresholds against
 		// "spouse" although no string similarity exists).
@@ -242,9 +242,9 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 	}
 	if isAdj && m.wn != nil {
 		if attr, ok := m.wn.AdjectiveAttribute(lem); ok {
-			m.strSimCandidates(attr, attr, false, addCand)
+			m.strSimCandidates(attr, attr, false, SourceAdjective, addCand)
 			// Attribute nouns occasionally name object properties too.
-			m.strSimCandidates(attr, attr, true, addCand)
+			m.strSimCandidates(attr, attr, true, SourceAdjective, addCand)
 		}
 	}
 
@@ -294,8 +294,8 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 
 // strSimCandidates adds properties whose names clear the GCS string
 // similarity threshold against the word (§2.2.1/§2.2.2), matching both
-// the property local name and its label.
-func (m *RefMapper) strSimCandidates(word, surface string, object bool, add func(PropCandidate)) {
+// the property local name and its label, labelled src.
+func (m *RefMapper) strSimCandidates(word, surface string, object bool, src Source, add func(PropCandidate)) {
 	if word == "" {
 		return
 	}
@@ -305,7 +305,6 @@ func (m *RefMapper) strSimCandidates(word, surface string, object bool, add func
 	} else {
 		props = m.kb.DataProperties
 	}
-	src := SourceStrSim
 	for _, p := range props {
 		score := strsim.PropertyScore(word, p.Term.LocalName())
 		if s2 := strsim.PropertyScore(word, strings.ReplaceAll(p.Label, " ", "")); s2 > score {

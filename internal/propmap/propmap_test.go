@@ -98,6 +98,24 @@ func TestTallMapping(t *testing.T) {
 	}
 }
 
+// TestAdjectiveSource: a candidate found through the adjective list
+// ("tall" → height) is labelled adjective, not strsim.
+func TestAdjectiveSource(t *testing.T) {
+	mp, err := mapQuestion(t, "How tall is Michael Jordan?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range mp.Triples[0].Predicates {
+		if c.Property.Term == rdf.Ont("height") {
+			if c.Source != SourceAdjective {
+				t.Errorf("dbont:height source = %s, want %s", c.Source, SourceAdjective)
+			}
+			return
+		}
+	}
+	t.Errorf("Pt(tall) = %v, want dbont:height", mp.Triples[0].Predicates)
+}
+
 // TestDieMapping reproduces §2.2.3: "die" → deathPlace ranked first by
 // pattern frequency, with birthPlace/residence as weaker candidates.
 func TestDieMapping(t *testing.T) {

@@ -1,10 +1,7 @@
-// Package plancache holds no code any more: its sharded,
-// generation-stamped LRU was a copy of internal/qacache, and the plan
-// cache (sparql.PlanCache) is now a qacache.Cache. These are the
-// plancache tests, kept under their names and run against qacache, so
-// the LRU contract the plan cache was written against stays pinned where
-// it always was.
-package plancache_test
+// The LRU contract the SPARQL plan-shape cache (sparql.PlanCache, a
+// qacache.Cache of shapes) was written against, through the public API:
+// capacity, LRU order, generation stamps and the counters.
+package qacache_test
 
 import (
 	"fmt"

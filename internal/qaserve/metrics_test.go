@@ -157,3 +157,29 @@ func TestStoreGaugesFollowUpdates(t *testing.T) {
 		t.Errorf("/readyz %+v (%v), gauges generation %d, triples %d", ready, err, gen2, triples2)
 	}
 }
+
+// TestPlanCachePerServer: the plan-shape counters on /metrics are the
+// server's own System's. Of two servers over two Systems, answering on
+// A moves A's misses and leaves B's at 0.
+func TestPlanCachePerServer(t *testing.T) {
+	a, b := New(Config{Sys: testSystem(t)}).Handler(), New(Config{Sys: testSystem(t)}).Handler()
+	a.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/answer",
+		strings.NewReader(`{"question":"Which book is written by Orhan Pamuk?"}`)))
+	misses := func(h http.Handler) int {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+		m := regexp.MustCompile(`(?m)^qaserve_plancache_misses_total (\d+)$`).FindStringSubmatch(w.Body.String())
+		if m == nil {
+			t.Fatalf("no qaserve_plancache_misses_total in\n%s", w.Body)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	if n := misses(a); n == 0 {
+		t.Error("A answered a question and counts no plan-cache miss")
+	}
+	if n := misses(b); n != 0 {
+		t.Errorf("B answered nothing and counts %d plan-cache misses", n)
+	}
+}

@@ -78,7 +78,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/shard"
-	"repro/internal/sparql"
 )
 
 // Config assembles a Server.
@@ -529,11 +528,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// renderPlanCache writes the plan-shape cache counters, read from the
-// process-wide cache at scrape time (they are cumulative across
-// requests, unlike the per-trace answer-cache counters).
-func renderPlanCache(sb *strings.Builder) {
-	hits, misses, evictions := sparql.DefaultPlanCache().Stats()
+// renderPlanCache writes the counters of the System's plan-shape cache,
+// read at scrape time (they are cumulative across requests, unlike the
+// per-trace answer-cache counters).
+func (s *Server) renderPlanCache(sb *strings.Builder) {
+	hits, misses, evictions := s.sys.PlanCacheStats()
 	fmt.Fprintf(sb, "# HELP qaserve_plancache_hits_total SPARQL plan-shape cache hits.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_plancache_hits_total counter\n")
 	fmt.Fprintf(sb, "qaserve_plancache_hits_total %d\n", hits)
@@ -589,7 +588,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	s.m.render(&sb)
 	fmt.Fprintf(&sb, "# HELP qaserve_cache_entries Entries the answer cache holds.\n# TYPE qaserve_cache_entries gauge\nqaserve_cache_entries %d\n", s.sys.CacheEntries())
-	renderPlanCache(&sb)
+	s.renderPlanCache(&sb)
 	s.renderShards(&sb)
 	s.renderResilience(&sb)
 	renderRuntime(&sb)

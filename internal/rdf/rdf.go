@@ -166,7 +166,7 @@ func (t Term) LocalName() string {
 }
 
 // String renders the term in a SPARQL/N-Triples-compatible form, using
-// registered prefixes for IRIs where possible.
+// the standard prefixes (vocab.go) for IRIs where possible.
 func (t Term) String() string {
 	var buf [64]byte
 	return string(t.AppendTo(buf[:0]))
@@ -201,7 +201,7 @@ func (t Term) AppendTo(dst []byte) []byte {
 	}
 }
 
-// appendIRI appends iri in prefixed form when a registered namespace
+// appendIRI appends iri in prefixed form when a standard namespace
 // matches, in angle brackets otherwise.
 func appendIRI(dst []byte, iri string) []byte {
 	if prefix, local, ok := shorten(iri); ok {

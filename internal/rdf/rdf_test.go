@@ -197,18 +197,20 @@ func TestShortenRejectsCompoundLocal(t *testing.T) {
 	}
 }
 
-func TestRegisterPrefix(t *testing.T) {
-	RegisterPrefix("exq", "http://example.org/q#")
-	q, ok := Shorten("http://example.org/q#thing")
-	if !ok || q != "exq:thing" {
-		t.Errorf("Shorten after RegisterPrefix = %q, %v", q, ok)
+// TestPrefixesSorted holds the fixed prefix table to the order
+// shortening relies on — longest namespace first, ties by prefix — and
+// checks that Expand finds every binding.
+func TestPrefixesSorted(t *testing.T) {
+	for i := 1; i < len(prefixes); i++ {
+		a, b := prefixes[i-1], prefixes[i]
+		if len(a.ns) < len(b.ns) || len(a.ns) == len(b.ns) && a.prefix >= b.prefix {
+			t.Errorf("prefixes[%d] %s: <%s> before prefixes[%d] %s: <%s>", i-1, a.prefix, a.ns, i, b.prefix, b.ns)
+		}
 	}
-	got, ok := Expand("exq:thing")
-	if !ok || got != "http://example.org/q#thing" {
-		t.Errorf("Expand after RegisterPrefix = %q, %v", got, ok)
-	}
-	if _, ok := Prefixes()["exq"]; !ok {
-		t.Error("Prefixes() missing registered prefix")
+	for _, e := range prefixes {
+		if got, ok := Expand(e.prefix + ":x"); !ok || got != e.ns+"x" {
+			t.Errorf("Expand(%s:x) = %q, %v", e.prefix, got, ok)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package rdf
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Namespace IRIs used throughout the system. The dbont/res/dbprop
 // namespaces mirror the DBpedia layout the paper queries.
@@ -79,63 +75,24 @@ func ResName(label string) string {
 	return strings.ReplaceAll(strings.TrimSpace(label), " ", "_")
 }
 
-// prefixTable is the global prefix registry used for rendering. It is
-// initialised with the standard set and may be extended (e.g. by parsers
-// encountering PREFIX declarations).
-var (
-	prefixMu    sync.RWMutex
-	prefixTable = map[string]string{
-		"rdf":    NSRDF,
-		"rdfs":   NSRDFS,
-		"owl":    NSOWL,
-		"xsd":    NSXSD,
-		"dbont":  NSOnt,
-		"res":    NSRes,
-		"dbprop": NSProp,
-		"foaf":   NSFOAF,
-	}
-	// prefixOrder caches namespaces sorted longest-first so shortening
-	// picks the most specific prefix.
-	prefixOrder []prefixEntry
-)
-
-type prefixEntry struct{ prefix, ns string }
-
-func rebuildPrefixOrder() {
-	prefixOrder = prefixOrder[:0]
-	for p, ns := range prefixTable {
-		prefixOrder = append(prefixOrder, prefixEntry{p, ns})
-	}
-	sort.Slice(prefixOrder, func(i, j int) bool {
-		if len(prefixOrder[i].ns) != len(prefixOrder[j].ns) {
-			return len(prefixOrder[i].ns) > len(prefixOrder[j].ns)
-		}
-		return prefixOrder[i].prefix < prefixOrder[j].prefix
-	})
+// prefixes are the bindings Shorten and Expand use: the standard set,
+// fixed at compile time. A query's own PREFIX declarations never land
+// here — the SPARQL and Turtle parsers keep them per document. The
+// table is sorted longest namespace first (ties by prefix), so
+// shortening picks the most specific namespace; TestPrefixesSorted
+// holds it to that order.
+var prefixes = [...]struct{ prefix, ns string }{
+	{"rdf", NSRDF},
+	{"rdfs", NSRDFS},
+	{"xsd", NSXSD},
+	{"owl", NSOWL},
+	{"dbont", NSOnt},
+	{"dbprop", NSProp},
+	{"res", NSRes},
+	{"foaf", NSFOAF},
 }
 
-func init() { rebuildPrefixOrder() }
-
-// RegisterPrefix adds or replaces a prefix binding in the global registry.
-func RegisterPrefix(prefix, ns string) {
-	prefixMu.Lock()
-	defer prefixMu.Unlock()
-	prefixTable[prefix] = ns
-	rebuildPrefixOrder()
-}
-
-// Prefixes returns a copy of the current prefix registry.
-func Prefixes() map[string]string {
-	prefixMu.RLock()
-	defer prefixMu.RUnlock()
-	out := make(map[string]string, len(prefixTable))
-	for k, v := range prefixTable {
-		out[k] = v
-	}
-	return out
-}
-
-// Shorten converts a full IRI to prefixed form if a registered namespace
+// Shorten converts a full IRI to prefixed form if a standard namespace
 // matches. The local part must be a simple name (no '/' or '#').
 func Shorten(iri string) (string, bool) {
 	prefix, local, ok := shorten(iri)
@@ -147,9 +104,7 @@ func Shorten(iri string) (string, bool) {
 
 // shorten is Shorten with the two halves of the prefixed name apart.
 func shorten(iri string) (prefix, local string, ok bool) {
-	prefixMu.RLock()
-	defer prefixMu.RUnlock()
-	for _, e := range prefixOrder {
+	for _, e := range prefixes {
 		if strings.HasPrefix(iri, e.ns) {
 			local := iri[len(e.ns):]
 			if local == "" || strings.ContainsAny(local, "/#:") {
@@ -162,17 +117,16 @@ func shorten(iri string) (prefix, local string, ok bool) {
 }
 
 // Expand converts a prefixed name ("dbont:writer") to a full IRI using the
-// registry. It reports whether the prefix was known.
+// standard bindings. It reports whether the prefix was known.
 func Expand(qname string) (string, bool) {
 	i := strings.IndexByte(qname, ':')
 	if i < 0 {
 		return "", false
 	}
-	prefixMu.RLock()
-	ns, ok := prefixTable[qname[:i]]
-	prefixMu.RUnlock()
-	if !ok {
-		return "", false
+	for _, e := range prefixes {
+		if e.prefix == qname[:i] {
+			return e.ns + qname[i+1:], true
+		}
 	}
-	return ns + qname[i+1:], true
+	return "", false
 }

@@ -45,7 +45,7 @@ func BenchmarkGatherSingleStore(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runWorkload(b, ctx, sparql.NewSnapshotSession(c.Src().Snapshot()).WithPlanCache(nil), qs)
+		runWorkload(b, ctx, sparql.NewSnapshotSession(c.Src().Snapshot()), qs)
 	}
 }
 
@@ -58,7 +58,7 @@ func BenchmarkGatherHealthy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := c.NewView(ctx)
-		runWorkload(b, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
+		runWorkload(b, ctx, sparql.NewViewSession(v), qs)
 	}
 }
 
@@ -78,7 +78,7 @@ func BenchmarkGatherOneSlowShard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := c.NewView(ctx)
-		runWorkload(b, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
+		runWorkload(b, ctx, sparql.NewViewSession(v), qs)
 	}
 }
 
@@ -94,6 +94,6 @@ func BenchmarkGatherDegraded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := c.NewView(ctx)
-		runWorkload(b, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
+		runWorkload(b, ctx, sparql.NewViewSession(v), qs)
 	}
 }

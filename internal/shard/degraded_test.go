@@ -37,12 +37,12 @@ func TestDegradedEqualsEmptyShardOracle(t *testing.T) {
 
 	degraded := NewCluster(src, n, deadShardConfig())
 	dv := degraded.NewView(ctx)
-	got := runWorkload(t, ctx, sparql.NewViewSession(dv).WithPlanCache(nil), qs)
+	got := runWorkload(t, ctx, sparql.NewViewSession(dv), qs)
 
 	oracle := NewCluster(src, n, fastConfig())
 	oracle.EmptyShardForTest(1)
 	ov := oracle.NewView(context.Background())
-	want := runWorkload(t, context.Background(), sparql.NewViewSession(ov).WithPlanCache(nil), qs)
+	want := runWorkload(t, context.Background(), sparql.NewViewSession(ov), qs)
 
 	for i := range want {
 		if got[i] != want[i] {
@@ -102,7 +102,7 @@ func TestFailFastLatchesErrUnavailable(t *testing.T) {
 
 	c := NewCluster(src, n, deadShardConfig())
 	v := c.NewView(ctx)
-	sess := sparql.NewViewSession(v).WithPlanCache(nil)
+	sess := sparql.NewViewSession(v)
 	if _, err := sess.ExecuteCtx(ctx, workload(props)[0]); err != nil {
 		t.Fatalf("executor surfaced a hard error instead of empty rows: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestRecoveryAfterChaosClears(t *testing.T) {
 	in := chaos.New(1, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1})
 	badCtx := WithPartialOK(chaos.With(context.Background(), in))
 	bv := c.NewView(badCtx)
-	runWorkload(t, badCtx, sparql.NewViewSession(bv).WithPlanCache(nil), qs)
+	runWorkload(t, badCtx, sparql.NewViewSession(bv), qs)
 	if out := bv.Outcome(); !out.Degraded {
 		t.Fatalf("chaos run not degraded: %+v", out)
 	}
@@ -147,8 +147,8 @@ func TestRecoveryAfterChaosClears(t *testing.T) {
 	in.Disable()
 	ctx := context.Background()
 	gv := c.NewView(ctx)
-	got := runWorkload(t, ctx, sparql.NewViewSession(gv).WithPlanCache(nil), qs)
-	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
+	got := runWorkload(t, ctx, sparql.NewViewSession(gv), qs)
+	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()), qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("recovered query %d diverged: %s vs %s", i, got[i], want[i])

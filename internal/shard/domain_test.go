@@ -20,9 +20,9 @@ func TestRetryRecoversTransientError(t *testing.T) {
 	ctx := chaos.With(context.Background(), in)
 
 	qs := workload(props)
-	want := runWorkload(t, context.Background(), sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
+	want := runWorkload(t, context.Background(), sparql.NewSnapshotSession(src.Snapshot()), qs)
 	v := c.NewView(ctx)
-	got := runWorkload(t, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
+	got := runWorkload(t, ctx, sparql.NewViewSession(v), qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d diverged after transient error: %s vs %s", i, got[i], want[i])

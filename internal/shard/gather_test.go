@@ -168,11 +168,11 @@ func TestGatherDifferential(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		src, props := testStore(rng, 40+rng.Intn(80), 3+rng.Intn(3))
 		qs := workload(props)
-		want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
+		want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()), qs)
 		for _, n := range []int{1, 2, 4} {
 			c := NewCluster(src, n, fastConfig())
 			v := c.NewView(ctx)
-			got := runWorkload(t, ctx, sparql.NewViewSession(v).WithPlanCache(nil), qs)
+			got := runWorkload(t, ctx, sparql.NewViewSession(v), qs)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d n=%d query %d diverged:\nshard:  %s\nsingle: %s",
@@ -230,7 +230,7 @@ func renderAnswer(res *answer.Result, err error) string {
 func extractAll(ctx context.Context, ex *answer.Extractor, mapped []*propmap.Mapping, newView func() sparql.StoreView) []string {
 	out := make([]string, len(mapped))
 	for i, mp := range mapped {
-		sess := sparql.NewViewSession(newView()).WithPlanCache(nil)
+		sess := sparql.NewViewSession(newView())
 		out[i] = renderAnswer(ex.ExtractSessionCtx(ctx, mp, sess))
 	}
 	return out
@@ -338,10 +338,10 @@ func TestApplyBatchMirrors(t *testing.T) {
 		&sparql.Query{Form: sparql.FormSelect, Star: true, Limit: -1,
 			Patterns: []rdf.Triple{{S: rdf.Res("NEW-A"), P: rdf.Ont("pnew"), O: rdf.NewVar("x")}}},
 	)
-	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()).WithPlanCache(nil), qs)
-	got := runWorkload(t, ctx, sparql.NewViewSession(c.NewView(ctx)).WithPlanCache(nil), qs)
+	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()), qs)
+	got := runWorkload(t, ctx, sparql.NewViewSession(c.NewView(ctx)), qs)
 	rebuilt := NewCluster(src, 3, fastConfig())
-	got2 := runWorkload(t, ctx, sparql.NewViewSession(rebuilt.NewView(ctx)).WithPlanCache(nil), qs)
+	got2 := runWorkload(t, ctx, sparql.NewViewSession(rebuilt.NewView(ctx)), qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("post-batch query %d diverged from source:\nshard:  %s\nsingle: %s", i, got[i], want[i])

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 
@@ -464,6 +465,10 @@ func (e *UnaryExpr) vars(set map[string]bool) { e.Expr.vars(set) }
 type CallExpr struct {
 	Fn   string // upper-case builtin name
 	Args []Expr
+
+	// re is a REGEX's pattern, compiled by the parser when the pattern
+	// and flags are constants; nil compiles them at each evaluation.
+	re *regexp.Regexp
 }
 
 // Eval implements Expr.
@@ -547,7 +552,7 @@ func (e *CallExpr) Eval(b Binding) (Value, bool) {
 			return boolValue(strings.HasSuffix(a, c)), true
 		}
 	case "REGEX":
-		return evalRegex(vals)
+		return evalRegex(e.re, vals)
 	case "LANGMATCHES":
 		tag, tok := vals[0].asString()
 		rng, rok := vals[1].asString()

@@ -13,7 +13,7 @@ import (
 
 // The ID-space engine against the retained term-space reference
 // evaluator (termspace_reference_test.go), query for query. The ID side
-// runs on a fresh session detached from the plan cache, so like the
+// runs on a fresh session with no plan cache, so like the
 // reference it compiles the whole query on every iteration.
 // scripts/bench.sh selects these by name.
 
@@ -32,7 +32,7 @@ const (
 )
 
 func executeUncached(st *store.Store, q *Query) (*Result, error) {
-	return NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	return NewSnapshotSession(st.Snapshot()).ExecuteCtx(context.Background(), q)
 }
 
 func benchmarkQuery(b *testing.B, src string, exec func(*store.Store, *Query) (*Result, error)) {

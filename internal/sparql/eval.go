@@ -9,8 +9,9 @@
 // text alone determines — the var->column layout, each triple
 // pattern's (variable column | constant marker) slot structure, the
 // filter pushdown split, ORDER BY keys and the projection — into an
-// immutable planShape (plan.go); shapes are looked up in a global
-// cache (PlanCache) keyed on the query's structure with constant terms
+// immutable planShape (plan.go); a session with a plan cache attached
+// (PlanCache, which core.System owns — the package holds none) looks
+// shapes up keyed on the query's structure with constant terms
 // abstracted away, so the few sibling candidates §2.3 ranks per
 // question (4.67 on the entity stream) — and every later question of
 // the same form — share one cached shape. The *bind* phase then
@@ -34,10 +35,11 @@
 // state, so queries never block behind concurrent bulk loads (the
 // store publishes new snapshots alongside) and never observe a
 // half-applied AddAll batch. The package-level ExecuteCtx wraps each
-// call in a throwaway single-query session; the answer stage builds one
-// Session per question and executes that question's §2.3 candidates
-// through it, one at a time in rank order, sharing the plan cache
-// handle and each probed entity's rdf:type set. The session lifecycle,
+// call in a throwaway single-query session with no plan cache; the
+// answer stage builds one Session per question, attaches its System's
+// plan cache and executes that question's §2.3 candidates through it,
+// one at a time in rank order, sharing the cached shapes and each
+// probed entity's rdf:type set. The session lifecycle,
 // what it holds and why sharing it is sound are documented in
 // session.go.
 //
@@ -78,7 +80,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -92,10 +93,11 @@ import (
 // request whose deadline passes or whose client goes away stops
 // mid-join.
 //
-// Each call runs in a fresh single-query Session over v. Callers
-// executing one question's candidates build one Session and execute
-// through it, so the candidates share the entity type sets; results are
-// identical either way.
+// Each call runs in a fresh single-query Session over v, with no plan
+// cache. Callers executing one question's candidates build one Session
+// and execute through it, so the candidates share the entity type sets
+// (and, with WithPlanCache, the shapes); results are identical either
+// way.
 func ExecuteCtx(ctx context.Context, v StoreView, q *Query) (*Result, error) {
 	return NewViewSession(v).ExecuteCtx(ctx, q)
 }
@@ -1014,44 +1016,45 @@ func appendRowKey(buf []byte, ids []store.ID) []byte {
 	return buf
 }
 
-// --- REGEX support with a small compiled-pattern cache ---
+// --- REGEX support ---
 
-var (
-	regexMu    sync.Mutex
-	regexCache = map[string]*regexp.Regexp{}
-)
-
-func evalRegex(vals []Value) (Value, bool) {
-	text, tok := vals[0].asString()
-	pat, pok := vals[1].asString()
-	if !tok || !pok {
+// evalRegex evaluates REGEX(text, pattern[, flags]) over its argument
+// values. re is the pattern the parser compiled from constant
+// arguments; without one the pattern and flags are compiled here. A
+// pattern that does not compile is an evaluation error.
+func evalRegex(re *regexp.Regexp, vals []Value) (Value, bool) {
+	text, ok := vals[0].asString()
+	if !ok {
 		return Value{}, false
 	}
-	flags := ""
-	if len(vals) == 3 {
-		f, fok := vals[2].asString()
-		if !fok {
+	if re == nil {
+		if re = compileRegex(vals[1:]); re == nil {
 			return Value{}, false
 		}
-		flags = f
-	}
-	key := flags + "\x00" + pat
-	regexMu.Lock()
-	re, ok := regexCache[key]
-	regexMu.Unlock()
-	if !ok {
-		goPat := pat
-		if strings.Contains(flags, "i") {
-			goPat = "(?i)" + goPat
-		}
-		var err error
-		re, err = regexp.Compile(goPat)
-		if err != nil {
-			return Value{}, false
-		}
-		regexMu.Lock()
-		regexCache[key] = re
-		regexMu.Unlock()
 	}
 	return boolValue(re.MatchString(text)), true
+}
+
+// compileRegex compiles a REGEX's pattern and optional flags values
+// (the "i" flag makes the match case-insensitive). It returns nil when
+// either has no string value or the pattern does not compile.
+func compileRegex(args []Value) *regexp.Regexp {
+	pat, ok := args[0].asString()
+	if !ok {
+		return nil
+	}
+	if len(args) == 2 {
+		flags, ok := args[1].asString()
+		if !ok {
+			return nil
+		}
+		if strings.Contains(flags, "i") {
+			pat = "(?i)" + pat
+		}
+	}
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return nil
+	}
+	return re
 }

@@ -1,9 +1,12 @@
 package sparql
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // Expression-level unit tests (Eval, EffectiveBool, coercions and
@@ -124,6 +127,44 @@ func TestRegexInvalidPattern(t *testing.T) {
 	b := Binding{"s": rdf.NewLiteral("abc")}
 	if _, ok := evalExpr(t, `(REGEX(STR(?s), "["))`, b); ok {
 		t.Error("invalid regex should evaluate to error")
+	}
+}
+
+// TestRegexPatternFromVariable: a pattern bound per solution compiles
+// at each evaluation — a match, a miss and an invalid pattern, which is
+// an evaluation error — while a constant pattern is compiled once by
+// the parser.
+func TestRegexPatternFromVariable(t *testing.T) {
+	for _, c := range []struct {
+		pat      string
+		want, ok bool
+	}{{"^a.c$", true, true}, {"b$", false, true}, {"[", false, false}} {
+		b := Binding{"s": rdf.NewLiteral("abc"), "p": rdf.NewLiteral(c.pat)}
+		v, ok := evalExpr(t, `(REGEX(STR(?s), ?p))`, b)
+		if ok != c.ok || ok && v.Bool != c.want {
+			t.Errorf("REGEX(\"abc\", %q) = %v, %v; want %v, %v", c.pat, v.Bool, ok, c.want, c.ok)
+		}
+	}
+	if q := MustParse(`SELECT ?x WHERE { ?x ?p ?o . FILTER(REGEX(?o, ?p)) }`); q.Filters[0].(*CallExpr).re != nil {
+		t.Error("a variable pattern was compiled at parse time")
+	}
+	if q := MustParse(`SELECT ?x WHERE { ?x ?p ?o . FILTER(REGEX(?o, "a", "i")) }`); q.Filters[0].(*CallExpr).re == nil {
+		t.Error("a constant pattern was not compiled at parse time")
+	}
+
+	st := store.New()
+	for i, pat := range []string{"^orhan", "^w", "["} {
+		s := rdf.Res(fmt.Sprint("Item", i))
+		st.Add(rdf.Triple{S: s, P: rdf.Label(), O: rdf.NewLiteral([]string{"Orhan Pamuk", "Snow", "abc"}[i])})
+		st.Add(rdf.Triple{S: s, P: rdf.Ont("pattern"), O: rdf.NewLiteral(pat)})
+	}
+	res, err := ExecuteStringCtx(context.Background(), st.Snapshot(),
+		`SELECT ?x WHERE { ?x rdfs:label ?l . ?x dbont:pattern ?p . FILTER(REGEX(?l, ?p, "i")) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sols := res.Solutions(); len(sols) != 1 || sols[0]["x"] != rdf.Res("Item0") {
+		t.Errorf("solutions = %v, want Item0 only", sols)
 	}
 }
 

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 
 	"repro/internal/rdf"
@@ -451,7 +452,7 @@ func (p *parser) literalFrom(tok token) (rdf.Term, error) {
 func (p *parser) resolvePName(qname string) (rdf.Term, error) {
 	i := strings.IndexByte(qname, ':')
 	prefix, local := qname[:i], qname[i+1:]
-	// Query-local prefixes take precedence; fall back to the global table.
+	// Query-local prefixes take precedence; fall back to rdf's fixed table.
 	if q := p.queryPrefixes; q != nil {
 		if ns, ok := q[prefix]; ok {
 			return rdf.NewIRI(ns + local), nil
@@ -713,6 +714,22 @@ var builtinArity = map[string]int{
 	"STRLEN": 1, "LANGMATCHES": 2, "SAMETERM": 2,
 }
 
+// constantRegex compiles a REGEX's pattern and flags once, at parse
+// time, when both are constant terms. It returns nil otherwise, and for
+// a pattern that does not compile: evaluation compiles it then, and
+// fails.
+func constantRegex(args []Expr) *regexp.Regexp {
+	var vals [2]Value
+	for i, a := range args {
+		te, ok := a.(*TermExpr)
+		if !ok {
+			return nil
+		}
+		vals[i] = termValue(te.Term)
+	}
+	return compileRegex(vals[:len(args)])
+}
+
 func (p *parser) primaryExpr() (Expr, error) {
 	tok := p.tok
 	switch {
@@ -762,7 +779,11 @@ func (p *parser) primaryExpr() (Expr, error) {
 		if want == -1 && (len(args) < 2 || len(args) > 3) {
 			return nil, p.errf("%s expects 2 or 3 arguments, got %d", fn, len(args))
 		}
-		return &CallExpr{Fn: fn, Args: args}, nil
+		call := &CallExpr{Fn: fn, Args: args}
+		if fn == "REGEX" {
+			call.re = constantRegex(args[1:])
+		}
+		return call, nil
 
 	case tok.kind == tokVar:
 		if err := p.advance(); err != nil {

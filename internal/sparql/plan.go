@@ -1,5 +1,4 @@
-// The shape phase of the compile split, and the global plan-shape
-// cache wiring.
+// The shape phase of the compile split, and the plan-shape cache.
 //
 // A compiled query used to be one monolithic object. PR 9 split it:
 //
@@ -20,12 +19,14 @@
 // (4.67 on the entity stream) — and those of every other question of
 // the same form — differ only in their bound terms, so they all map to
 // one shape key and one cached planShape; only the cheap bind phase
-// runs per candidate. Shapes live in a global PlanCache (a sharded,
-// bounded internal/qacache LRU) shared across sessions, so sibling
-// candidates within one question and across concurrent questions hit
-// the same entries. An entry is the shape and nothing else: it holds
-// no result, so a store write leaves it valid and it is never
-// invalidated.
+// runs per candidate. Shapes live in a PlanCache (a sharded, bounded
+// internal/qacache LRU) that its owner attaches to each session with
+// WithPlanCache — core.System builds one and attaches it to every
+// question's session, so sibling candidates within one question and
+// across that System's concurrent questions hit the same entries. The
+// package itself holds no cache: a session without one builds every
+// shape. An entry is the shape and nothing else: it holds no result,
+// so a store write leaves it valid and it is never invalidated.
 //
 // Sharing is sound because a planShape is immutable after buildShape
 // returns: the executor only reads it. And two queries with equal
@@ -73,7 +74,7 @@ type orderKeyCols struct {
 
 // planShape is the snapshot-independent half of a compiled query. It
 // is immutable once built — executors bind against it concurrently —
-// and is what the global plan cache stores.
+// and is what a PlanCache stores.
 type planShape struct {
 	varCols  map[string]int
 	varNames []string // column -> variable name
@@ -271,11 +272,11 @@ func appendShapeKey(b []byte, q *Query) []byte {
 	return b
 }
 
-// DefaultPlanCacheSize is the capacity of the process-wide default
-// plan cache every session consults unless overridden. The fan-out
-// generates a few shapes per question template, so a few hundred
-// entries cover the whole workload; a shape is small (column maps and
-// int slices), so the cap is memory-insignificant either way.
+// DefaultPlanCacheSize is the capacity of the plan cache core.New
+// builds for its System. The fan-out generates a few shapes per
+// question template, so a few hundred entries cover the whole workload;
+// a shape is small (column maps and int slices), so the cap is
+// memory-insignificant either way.
 const DefaultPlanCacheSize = 512
 
 // PlanCache is a shared, bounded cache of compiled plan shapes: a
@@ -283,7 +284,7 @@ const DefaultPlanCacheSize = 512
 // dictionary ID and no cardinality, so it is valid at every store
 // generation and in front of every store: entries are read and written
 // at one constant generation (shapeGen) and survive store writes. Safe
-// for concurrent use by any number of sessions.
+// for concurrent use by any number of sessions; core.System owns one.
 type PlanCache struct {
 	c *qacache.Cache[*planShape]
 }
@@ -294,24 +295,13 @@ const shapeGen = 0
 
 // NewPlanCache builds a plan cache holding about capacity shapes
 // (capacity <= 0 is clamped to a small minimum by the underlying
-// cache; to disable caching entirely, give the session a nil
-// *PlanCache via WithPlanCache).
+// cache). A session uses it once WithPlanCache attaches it.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{c: qacache.New[*planShape](capacity)}
 }
 
 // Stats returns the cache's cumulative hit, miss and eviction counts.
 func (p *PlanCache) Stats() (hits, misses, evictions uint64) { return p.c.Stats() }
-
-// defaultPlanCache is the process-wide cache sessions use by default:
-// the fan-out's shapes are global by construction (every question's
-// candidates share a handful of templates), so cross-session sharing
-// is the point, not an option.
-var defaultPlanCache = NewPlanCache(DefaultPlanCacheSize)
-
-// DefaultPlanCache returns the process-wide plan cache (for stats
-// surfacing; sessions get it automatically).
-func DefaultPlanCache() *PlanCache { return defaultPlanCache }
 
 // planFor returns the compiled shape for q: the session's plan cache
 // entry when there is one, otherwise a fresh build that it publishes

@@ -32,7 +32,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 		qs := siblingQueries(rng, props)
 		pc := NewPlanCache(64)
 		cached := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
-		bare := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
+		bare := NewSnapshotSession(st.Snapshot())
 		for qi, q := range qs {
 			want, errW := bare.ExecuteCtx(context.Background(), q)
 			for pass := 0; pass < 2; pass++ { // pass 1 hits the cache
@@ -69,7 +69,7 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 	st, props := randStore(rng, 150, 4)
 	qs := siblingQueries(rng, props)
 	want := make([]string, len(qs))
-	bare := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
+	bare := NewSnapshotSession(st.Snapshot())
 	for i, q := range qs {
 		r, err := bare.ExecuteCtx(context.Background(), q)
 		if err != nil {
@@ -189,7 +189,7 @@ func TestPlanShapeSurvivesWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+	fresh, err := NewSnapshotSession(st.Snapshot()).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPlanCacheCrossStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil).ExecuteCtx(context.Background(), q)
+		want, err := NewSnapshotSession(st.Snapshot()).ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestShapeKeySharing(t *testing.T) {
 // it replaced.
 func TestRankRowLessMatchesRowLess(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(5)), 40, 3)
-	sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
+	sess := NewSnapshotSession(st.Snapshot())
 	ex := compile(context.Background(), sess, MustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
 	ranks, _ := sess.snap.TermRanks()
 	var rows [][]store.ID
@@ -364,7 +364,7 @@ func TestRankSortDeterminism(t *testing.T) {
 			`SELECT ?v WHERE { ?s dbont:p0 ?v . }`)},
 	}
 	for _, tc := range cases {
-		sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(nil)
+		sess := NewSnapshotSession(st.Snapshot())
 		r, err := sess.ExecuteCtx(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)

@@ -7,8 +7,9 @@
 // every candidate of the question reads the same frozen state — and it
 // holds:
 //
-//   - the plan cache handle: sibling candidates share one cached shape
-//     (plan.go); every candidate runs its own join,
+//   - the plan cache its owner attached (WithPlanCache; none by
+//     default): sibling candidates share one cached shape (plan.go);
+//     every candidate runs its own join,
 //   - each probed entity's rdf:type set (InstanceOf): the §2.3.2 type
 //     filter and the orientation typing ask "is e a C?" about the same
 //     few entities for class after class, so the first probe reads the
@@ -26,8 +27,9 @@
 // read equal lists and which of them is kept is benign.
 //
 // Lifecycle: one Session per question (NewSnapshotSession /
-// NewViewSession at request entry), shared by the SELECT candidates,
-// the ASK path and the COUNT-aggregation retry, then dropped.
+// NewViewSession at request entry, then WithPlanCache with the owner's
+// cache), shared by the SELECT candidates, the ASK path and the
+// COUNT-aggregation retry, then dropped. The cache outlives it.
 
 package sparql
 
@@ -50,10 +52,10 @@ import (
 type Session struct {
 	snap  StoreView
 	terms []rdf.Term
-	plans *PlanCache // global plan-shape cache; nil = caching disabled
+	plans *PlanCache // attached plan-shape cache; nil = every shape is built
 
 	// Per-session plan/rank observability, read by PlanStats for the
-	// answer traces (the global cache keeps its own cumulative Stats).
+	// answer traces (the cache keeps its own cumulative Stats).
 	planHits   atomic.Uint64
 	planMisses atomic.Uint64
 	rankSorts  atomic.Uint64
@@ -74,9 +76,8 @@ type entityTypes struct {
 
 // NewSnapshotSession returns a session over an already-pinned snapshot
 // (the staged pipeline pins one snapshot per request and executes the
-// whole question against it). Sessions consult the process-wide plan
-// cache by default; WithPlanCache overrides (or, with nil, disables)
-// that.
+// whole question against it). The session has no plan cache until
+// WithPlanCache attaches one.
 func NewSnapshotSession(snap *store.Snapshot) *Session {
 	return NewViewSession(snap)
 }
@@ -86,13 +87,13 @@ func NewSnapshotSession(snap *store.Snapshot) *Session {
 // whole executor reads through the view; see view.go for the contract
 // the view must honour.
 func NewViewSession(v StoreView) *Session {
-	return &Session{snap: v, terms: v.TermsView(), plans: defaultPlanCache}
+	return &Session{snap: v, terms: v.TermsView()}
 }
 
-// WithPlanCache replaces the session's plan-shape cache: a dedicated
-// cache isolates a workload's shapes, nil disables plan caching so
-// every query compiles its shape from scratch (the differential
-// baseline). Call before the session is shared; it returns s for
+// WithPlanCache attaches a plan-shape cache to the session, so its
+// queries compile from the shapes the cache holds and publish the ones
+// they build; nil detaches it, and every query builds its shape from
+// scratch. Call before the session is shared; it returns s for
 // chaining.
 func (s *Session) WithPlanCache(pc *PlanCache) *Session {
 	s.plans = pc

@@ -163,7 +163,7 @@ func TestQueryTextMatchesReference(t *testing.T) {
 	}
 	questions = append(questions, testutil.EntityQuestions(k)...)
 	ext := core.DefaultConfig()
-	ext.EnableBoolean, ext.EnableAggregation, ext.EnableSuperlatives = true, true, true
+	ext.Extensions = true
 	candidates := 0
 	for _, cfg := range []core.Config{core.DefaultConfig(), ext} {
 		sys := core.New(cfg)

@@ -64,15 +64,19 @@
 #
 # Shape cache or not: every benchmark that executes a query runs its
 # join on every iteration — the plan cache holds shapes, never results
-# (the bound-result memo went in PR 25). BenchmarkExtractSequential,
-# BenchmarkRankSort and BenchmarkBGPJoinIdle/UnderLoad go through the
-# process-wide cache, so from the second iteration on they compile from
-# a shape hit. The executor benchmarks run on a session with the cache
-# detached (NewSnapshotSession(sn).WithPlanCache(nil), as qaload's
-# sparql.exec_us probe does), so each iteration also builds the shape:
-# internal/sparql's BenchmarkBGPJoin3, BGPJoin3Limit and
-# BGPJoinDistinctOrderBy beside their *TermSpace twins, and the root
-# BenchmarkSPARQLTwoPatternJoin, SPARQLFilterScan and SPARQLScale.
+# (the bound-result memo went in PR 25). There is no process-wide shape
+# cache: a core.System owns one, so the benchmarks that answer through
+# a System (AnswerCtx, AnswerCold, AnswerThroughput, AnswerEndToEnd)
+# compile from its shapes, and BenchmarkExtractSequential attaches a
+# cache of its own (its planhit% reads it); from the second iteration
+# on they compile from a shape hit. Every other benchmark that executes
+# a query runs on a session with no cache (NewSnapshotSession(sn), as
+# qaload's sparql.exec_us probe does, or sparql.ExecuteCtx), so each
+# iteration also builds the shape: BenchmarkRankSort,
+# BenchmarkBGPJoinIdle/UnderLoad, internal/sparql's BenchmarkBGPJoin3,
+# BGPJoin3Limit and BGPJoinDistinctOrderBy beside their *TermSpace
+# twins, and the root BenchmarkSPARQLTwoPatternJoin, SPARQLFilterScan
+# and SPARQLScale.
 #
 # These are `go test -bench` recipes, not a record: the script prints
 # what the benchmarks print and writes nothing. The numbers a PR claims

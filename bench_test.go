@@ -288,7 +288,7 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 	pat := rdf.Triple{P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := k.Store.Snapshot().Count(pat); n != 5 {
+		if n := k.Store.Snapshot().EstimateCardinality(pat); n != 5 {
 			b.Fatalf("count = %d", n)
 		}
 	}
@@ -544,6 +544,33 @@ func BenchmarkStoreScanIDs(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreLookup resolves terms to IDs through the dictionary,
+// as every §2.2/§2.3 constant is: hit cycles through every built-in
+// term, miss through each of them with "#" appended to its value.
+func BenchmarkStoreLookup(b *testing.B) {
+	sn := kb.Default().Store.Snapshot()
+	hits := sn.TermsView()
+	misses := make([]rdf.Term, len(hits))
+	for i, t := range hits {
+		t.Value += "#"
+		misses[i] = t
+	}
+	for _, c := range []struct {
+		name  string
+		terms []rdf.Term
+		found bool
+	}{{"hit", hits, true}, {"miss", misses, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := sn.Lookup(c.terms[i%len(c.terms)]); ok != c.found {
+					b.Fatalf("Lookup(%v) found %v", c.terms[i%len(c.terms)], ok)
+				}
+			}
+		})
+	}
+}
+
 // benchJoin3 is the 3-pattern join (person -> birthplace -> population)
 // the snapshot-read pair and the plan-compile pair run.
 const benchJoin3 = `SELECT ?p ?c ?n WHERE {
@@ -595,7 +622,7 @@ func BenchmarkStoreScale(b *testing.B) {
 			pat := rdf.Triple{P: rdf.Ont("birthPlace")}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.Store.Snapshot().Count(pat)
+				k.Store.Snapshot().EstimateCardinality(pat)
 			}
 		})
 	}

@@ -65,7 +65,7 @@ func TestRecoveredEqualsLive(t *testing.T) {
 				}
 			}
 			live := k.Store.Snapshot()
-			if _, ok := live.Lookup(height.O); !ok || live.Count(rdf.Triple{O: height.O}) != 0 {
+			if _, ok := live.Lookup(height.O); !ok || live.EstimateCardinality(rdf.Triple{O: height.O}) != 0 {
 				t.Fatalf("%v is not an orphaned dictionary term", height.O)
 			}
 			// m is abandoned here without Close.

@@ -32,7 +32,7 @@ var ctxFlowScope = []string{"internal/core", "internal/answer", "internal/sparql
 // cost scales with the data (rule 3); point lookups (Has, Lookup,
 // Term, Len, Gen, ...) are exempt.
 var storeScanMethods = map[string]bool{
-	"Match": true, "ForEachMatch": true, "ForEachMatchIDs": true, "Count": true,
+	"Match": true, "ForEachMatch": true, "ForEachMatchIDs": true,
 	"Triples": true, "Subjects": true, "Objects": true,
 	"PostingList": true,
 }

@@ -14,7 +14,7 @@ type Linker struct {
 // NewLinker builds from a single pinned snapshot — compliant.
 func NewLinker(st *store.Store) *Linker {
 	sn := st.Snapshot()
-	return &Linker{st: st, labels: sn.Count(store.Triple{P: "label"})}
+	return &Linker{st: st, labels: sn.EstimateCardinality(store.Triple{P: "label"})}
 }
 
 // Degree scans the live store per request: it can see a later

@@ -10,5 +10,5 @@ func Known(st *store.Store) bool {
 
 // KnownPinned reads the request's snapshot — compliant.
 func KnownPinned(sn *store.Snapshot) bool {
-	return sn.Count(store.Triple{P: "type"}) > 0
+	return sn.EstimateCardinality(store.Triple{P: "type"}) > 0
 }

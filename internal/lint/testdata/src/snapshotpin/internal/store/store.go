@@ -12,8 +12,8 @@ type Snapshot struct{}
 // Len returns the triple count.
 func (sn *Snapshot) Len() int { return 0 }
 
-// Count counts the triples matching the pattern.
-func (sn *Snapshot) Count(pat Triple) int { return 0 }
+// EstimateCardinality counts the triples matching the pattern.
+func (sn *Snapshot) EstimateCardinality(pat Triple) int { return 0 }
 
 // Store is the writer; execution packages must not read it directly.
 type Store struct{}

@@ -93,7 +93,7 @@ func TestAddAllAtomicVisibility(t *testing.T) {
 				}
 				sn := s.Snapshot()
 				for b := 0; b < batches; b++ {
-					if n := sn.Count(probe[b]); n != 0 && n != batchSize {
+					if n := sn.EstimateCardinality(probe[b]); n != 0 && n != batchSize {
 						t.Errorf("snapshot gen %d: batch %d half-applied: %d of %d triples",
 							sn.Gen(), b, n, batchSize)
 						return
@@ -151,7 +151,7 @@ func TestRemoveAll(t *testing.T) {
 	if got := s.Snapshot().Match(rdf.Triple{P: rdf.Ont("churn")}); len(got) != 0 {
 		t.Fatalf("Match on removed predicate = %v", got)
 	}
-	if got := s.Snapshot().Count(rdf.Triple{O: rdf.NewInteger(3)}); got != 0 {
+	if got := s.Snapshot().EstimateCardinality(rdf.Triple{O: rdf.NewInteger(3)}); got != 0 {
 		t.Fatalf("OSP index not pruned: count = %d", got)
 	}
 	// The dictionary keeps the terms (IDs are never reused).
@@ -200,7 +200,7 @@ func TestAddRemoveChurnUnderReaders(t *testing.T) {
 				default:
 				}
 				sn := s.Snapshot()
-				if n := sn.Count(churnPat); n != 0 && n != len(batch) {
+				if n := sn.EstimateCardinality(churnPat); n != 0 && n != len(batch) {
 					t.Errorf("snapshot gen %d: churn batch half-visible: %d triples", sn.Gen(), n)
 					return
 				}

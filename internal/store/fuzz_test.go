@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -16,23 +17,26 @@ var (
 	fuzzSubjects   = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C")}
 	fuzzPredicates = []rdf.Term{rdf.Ont("p"), rdf.Ont("q")}
 	fuzzObjects    = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
+	// fuzzUniverse is the seven distinct terms: A, B, C, p, q, "x", 7.
+	fuzzUniverse = append(append(fuzzSubjects[:3:3], fuzzPredicates...), fuzzObjects[3:]...)
 )
 
 // fuzzDictionary is what FuzzApplyBatch interns before its first batch:
-// 4300 terms, with the universe's seven at the IDs fuzzPlaces lists and
-// filler everywhere else. A and B share a leaf, as do "x" and 7; q, "x"
-// and 7 lie past ID 4095, under the second interior node of a two-level
-// index tree. So batches create, empty and refill leaves under two
-// interior nodes, and the first batch to reach past 4095 grows a tree.
+// 4300 terms, with five of the universe's seven at the IDs fuzzPlaces
+// lists and filler everywhere else. "x" and 7 are left out, so the
+// batch that first inserts one interns it, at 4301 or 4302: the two
+// share a leaf, as do A and B. q, "x" and 7 lie past ID 4095, under the
+// second interior node of a two-level index tree. So batches grow the
+// dictionary, create, empty and refill leaves under two interior nodes,
+// and the first batch to reach past 4095 grows a tree.
 func fuzzDictionary() []rdf.Term {
-	universe := []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.Ont("p"), rdf.Ont("q"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
-	fuzzPlaces := []int{1, 2, 700, 2100, 4097, 4160, 4161}
+	fuzzPlaces := []int{1, 2, 700, 2100, 4097}
 	terms := make([]rdf.Term, 4300)
 	for i := range terms {
 		terms[i] = rdf.Res(fmt.Sprintf("filler_%d", i+1))
 	}
 	for i, id := range fuzzPlaces {
-		terms[id-1] = universe[i]
+		terms[id-1] = fuzzUniverse[i]
 	}
 	return terms
 }
@@ -82,17 +86,35 @@ func fuzzBatches(in []byte) [][]BatchOp {
 	return batches
 }
 
-// pinned is a snapshot and the model's contents when it was published.
+// pinned is a snapshot, the model's contents when it was published and
+// the length of the model's dictionary then.
 type pinned struct {
 	sn    *Snapshot
 	model map[rdf.Triple]bool
+	terms int
+}
+
+// fuzzDict models the store's dictionary: every term in first-seen
+// order, ID i+1 for terms[i].
+type fuzzDict struct {
+	ids   map[rdf.Term]ID
+	terms []rdf.Term
+}
+
+func (d *fuzzDict) intern(t rdf.Term) {
+	if _, ok := d.ids[t]; !ok {
+		d.terms = append(d.terms, t)
+		d.ids[t] = ID(len(d.terms))
+	}
 }
 
 // FuzzApplyBatch applies random batches to a store and to a naive
-// triple set, and after each batch compares every pattern shape over
-// the snapshot — ForEachMatchIDs' rows and their order,
-// EstimateCardinalityIDs, PostingList and Len — with the model. Every
-// snapshot pinned earlier is read again and must not have changed.
+// triple set and dictionary, and after each batch compares every
+// pattern shape over the snapshot — ForEachMatchIDs' rows and their
+// order, EstimateCardinalityIDs, PostingList and Len — and the
+// dictionary — Lookup of each universe term and TermsView — with the
+// model. Every snapshot pinned earlier is read again and must not have
+// changed.
 func FuzzApplyBatch(f *testing.F) {
 	const a, b, c = 0, 1, 2
 	f.Add([]byte{
@@ -108,8 +130,16 @@ func FuzzApplyBatch(f *testing.F) {
 	})
 	f.Add([]byte{fuzzOp(false, a, 0, 0, false), fuzzOp(false, b, 0, 0, false), fuzzOp(false, c, 1, 0, false),
 		fuzzOp(false, c, 0, 4, true), fuzzOp(true, b, 0, 0, false), fuzzOp(false, b, 0, 0, true)})
+	// Insert and then delete a triple of the two fresh objects in one
+	// batch: both are interned, and no triple is left.
+	f.Add([]byte{fuzzOp(false, c, 1, 4, false), fuzzOp(false, c, 1, 3, false),
+		fuzzOp(true, c, 1, 4, false), fuzzOp(true, c, 1, 3, true), fuzzOp(false, a, 0, 3, true)})
 	padded := New()
-	padded.InternTerms(fuzzDictionary())
+	padding := &fuzzDict{ids: map[rdf.Term]ID{}}
+	for _, term := range fuzzDictionary() {
+		padding.intern(term)
+	}
+	padded.InternTerms(padding.terms)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A fresh store over the padded dictionary: every batch below
 		// only reads the shared snapshot, and the clipped term slice
@@ -119,12 +149,18 @@ func FuzzApplyBatch(f *testing.F) {
 		st := &Store{gen: sn.gen}
 		st.snap.Store(&sn)
 		model := map[rdf.Triple]bool{}
+		dict := &fuzzDict{ids: maps.Clone(padding.ids), terms: slices.Clip(padding.terms)}
 		var snaps []pinned
 		for i, ops := range fuzzBatches(in) {
-			genBefore := st.Snapshot().Gen()
+			genBefore, termsBefore := st.Snapshot().Gen(), len(dict.terms)
 			wantAdded, wantRemoved := 0, 0
 			for _, op := range ops {
 				for _, tr := range op.Triples {
+					if !op.Delete {
+						dict.intern(tr.S)
+						dict.intern(tr.P)
+						dict.intern(tr.O)
+					}
 					if op.Delete && model[tr] {
 						delete(model, tr)
 						wantRemoved++
@@ -139,11 +175,13 @@ func FuzzApplyBatch(f *testing.F) {
 				t.Fatalf("batch %d: ApplyBatch added %d and removed %d, want %d and %d", i, added, removed, wantAdded, wantRemoved)
 			}
 			sn := st.Snapshot()
-			if changed := added+removed > 0; changed != (sn.Gen() != genBefore) {
-				t.Fatalf("batch %d changed %d triples but moved the generation %d → %d", i, added+removed, genBefore, sn.Gen())
+			grew := len(dict.terms) - termsBefore
+			if changed := added+removed+grew > 0; changed != (sn.Gen() != genBefore) {
+				t.Fatalf("batch %d changed %d triples and added %d terms but moved the generation %d → %d", i, added+removed, grew, genBefore, sn.Gen())
 			}
-			snaps = append(snaps, pinned{sn, copyModel(model)})
+			snaps = append(snaps, pinned{sn, copyModel(model), len(dict.terms)})
 			for j, p := range snaps {
+				checkDict(t, i, j, p, dict)
 				checkModel(t, i, j, p)
 			}
 		}
@@ -156,6 +194,26 @@ func copyModel(m map[rdf.Triple]bool) map[rdf.Triple]bool {
 		out[k] = true
 	}
 	return out
+}
+
+// checkDict compares the pinned snapshot's dictionary with the model's
+// when it was pinned: each universe term is absent before the model
+// interns it and has its model ID after, and TermsView is the model's
+// terms.
+func checkDict(t *testing.T, batch, snap int, p pinned, dict *fuzzDict) {
+	for _, term := range fuzzUniverse {
+		want, ok := dict.ids[term]
+		ok = ok && int(want) <= p.terms
+		if !ok {
+			want = 0
+		}
+		if id, found := p.sn.Lookup(term); id != want || found != ok {
+			t.Fatalf("batch %d, snapshot %d: Lookup(%v) = %d, %v; the model says %d, %v", batch, snap, term, id, found, want, ok)
+		}
+	}
+	if !slices.Equal(p.sn.TermsView(), dict.terms[:p.terms]) {
+		t.Fatalf("batch %d, snapshot %d: TermsView differs from the model's %d terms", batch, snap, p.terms)
+	}
 }
 
 // checkModel compares every pattern over the universe's IDs and one
@@ -174,9 +232,10 @@ func checkModel(t *testing.T, batch, snap int, p pinned) {
 		all = append(all, [3]ID{s, pr, o})
 	}
 	ids := []ID{0, 3} // the wildcard, and filler in A and B's leaf
-	for _, term := range append(append(fuzzSubjects[:3:3], fuzzPredicates...), fuzzObjects[3:]...) {
-		id, _ := sn.Lookup(term)
-		ids = append(ids, id)
+	for _, term := range fuzzUniverse {
+		if id, ok := sn.Lookup(term); ok {
+			ids = append(ids, id)
+		}
 	}
 	for _, s := range ids {
 		for _, pr := range ids {

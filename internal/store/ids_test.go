@@ -63,8 +63,8 @@ func TestForEachMatchIDsAgreesWithTerms(t *testing.T) {
 					t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
 				}
 			}
-			if n := sn.Count(c.tp); n != len(want) {
-				t.Fatalf("Count = %d, Match %d", n, len(want))
+			if n := sn.EstimateCardinality(c.tp); n != len(want) {
+				t.Fatalf("EstimateCardinality = %d, Match %d", n, len(want))
 			}
 			if got, want := sn.EstimateCardinalityIDs(c.ip), sn.EstimateCardinality(c.tp); got != want {
 				t.Fatalf("EstimateCardinalityIDs = %d, EstimateCardinality = %d", got, want)

@@ -4,7 +4,9 @@
 //
 // Terms are dictionary-encoded to 32-bit IDs; triples are kept in three
 // permutation indexes (SPO, POS, OSP) so that every wildcard combination
-// of a triple pattern resolves to an index scan.
+// of a triple pattern resolves to an index scan. The term→ID dictionary
+// is a fourth index of the same type, keyed by term hash, so the store
+// has one persistent structure.
 //
 // # Wait-free snapshot reads
 //
@@ -21,15 +23,17 @@
 // is a radix tree of 64-slot nodes over the first-position ID, whose
 // leaves point to buckets; a bucket is three sorted, pointer-free
 // arrays (keys, list offsets, the lists' IDs end to end), found by
-// binary search. A write call records its triple operations, settles
-// them in order against the snapshot it began on, then sorts the net
-// edits per index and rebuilds every bucket they touch once, by a
-// linear merge, copying each node on the path to it once. Untouched
-// buckets and nodes stay shared, and the write path never edits an
-// array in place. An update_mix flip (8 deletes and 8 inserts on a
-// predicate with 512 objects, at 6.5k triples) costs about 14 KB in 54
-// allocations, most of it the rebuilt 512-key POS bucket; on 16 times
-// the triples, a level deeper, about 17 KB. A batch costs
+// binary search. A write call records its triple operations and the
+// terms it adds, settles the operations in order against the snapshot
+// it began on, then sorts the net edits per index and rebuilds every
+// bucket they touch once, by a linear merge, copying each node on the
+// path to it once. Untouched buckets and nodes stay shared, and the
+// write path never edits an array in place, so a write that adds a
+// term costs the path to one dictionary bucket, whatever the size of
+// the dictionary. An update_mix flip (8 deletes and 8 inserts on a
+// predicate with 512 objects, at 6.5k triples) costs about 12.7 KB in
+// 51 allocations, most of it the rebuilt 512-key POS bucket; on 16
+// times the triples, a level deeper, about 14.3 KB. A batch costs
 // O(n log n + the buckets it touches), so anything in a loop belongs in
 // one AddAll or ApplyBatch, which rebuild each bucket once.
 // The new root is published once per public write call, giving readers
@@ -38,10 +42,11 @@
 //
 // # Two-layer execution model
 //
-// A Snapshot exposes two query surfaces. The term-space API
-// (Match/ForEachMatch/Count, Subjects/Objects) accepts rdf.Triple
-// patterns and yields full rdf.Term triples; it is the convenient
-// surface for boot-time builders that need a handful of lookups. The
+// A Snapshot exposes two query surfaces. The term-space API (Match,
+// ForEachMatch, EstimateCardinality, Subjects, Objects) accepts
+// rdf.Triple patterns and yields full rdf.Term triples; it is the
+// convenient surface for boot-time builders that need a handful of
+// lookups. The
 // ID-space API (ForEachMatchIDs, HasIDs, EstimateCardinalityIDs,
 // PostingList) works entirely on dictionary IDs and never materialises
 // terms; the SPARQL executor runs on it — pinning one Snapshot per
@@ -72,16 +77,18 @@ import (
 type ID uint32
 
 const (
-	// nodeBits sizes the index radix tree: every interior node and leaf
-	// has 2^nodeBits slots, so a write batch clones 64 pointers per
-	// level on the path to each leaf it touches.
+	// nodeBits sizes the four index radix trees (SPO, POS, OSP and the
+	// dictionary): every interior node and leaf has 2^nodeBits slots,
+	// so a write batch clones 64 pointers per level on the path to each
+	// leaf it touches.
 	nodeBits = 6
 	nodeSize = 1 << nodeBits
 	nodeMask = nodeSize - 1
 
-	// nDictShards shards the term→ID dictionary for the same reason: a
-	// batch that interns new terms clones only the touched shards.
-	nDictShards = 64
+	// dictShift splits a term hash for the dictionary index: its top 12
+	// bits are the first position, so the dictionary tree is one
+	// interior level over 4096 buckets, and the whole hash is the key.
+	dictShift = 20
 )
 
 // bucket is one first-position entry of an index: the third-position
@@ -114,10 +121,11 @@ type node struct {
 	leaves *[nodeSize]*leaf
 }
 
-// index is one of the three triple permutations (SPO/POS/OSP): a radix
-// tree over the dense first-position ID, with height interior levels
-// above the leaves, so it covers the IDs below 64^(height+1) and grows
-// a level when the dictionary outgrows it. A lookup is one array
+// index is one of the three triple permutations (SPO/POS/OSP), or the
+// dictionary (hash>>dictShift, hash, the IDs of the terms with that
+// hash): a radix tree over the first-position ID, with height interior
+// levels above the leaves, so it covers the IDs below 64^(height+1) and
+// grows a level when an edit lies beyond it. A lookup is one array
 // indexation per level, and a full walk is in ascending ID order.
 // Published nodes and leaves are immutable: a write batch copies the
 // path to each leaf it touches, once, and shares the rest.
@@ -188,22 +196,8 @@ func (n *node) walk(h uint, base ID, fn func(id ID, bk *bucket) bool) bool {
 	return true
 }
 
-// dictShard is one shard of the term→ID dictionary. Published shards
-// are immutable.
-type dictShard struct {
-	gen uint64
-	m   map[rdf.Term]ID
-}
-
-// dict is the sharded term→ID map. Published dict roots are immutable.
-type dict struct {
-	gen    uint64
-	shards []*dictShard // len nDictShards
-}
-
-// termShard hashes a term to its dictionary shard (FNV-1a over the
-// term's fields).
-func termShard(t rdf.Term) int {
+// termHash is the dictionary key of a term: FNV-1a over its fields.
+func termHash(t rdf.Term) uint32 {
 	h := uint32(2166136261)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -218,7 +212,7 @@ func termShard(t rdf.Term) int {
 	mix(t.Lang)
 	h ^= uint32(t.Kind)
 	h *= 16777619
-	return int(h) & (nDictShards - 1)
+	return h
 }
 
 // rankTable is the lazily built term-rank permutation of one snapshot
@@ -229,7 +223,7 @@ func termShard(t rdf.Term) int {
 // sync.Once; every session pinning the snapshot shares the build.
 //
 // Tables chain: a dictionary-growing commit links the new snapshot's
-// (empty) table to the previous snapshot's via prev/prevTerms. If the
+// (empty) table to the previous snapshot's via prev/baseTerms. If the
 // previous table was ever built, TermRanks sorts only the new-ID
 // suffix and merges it into the existing permutation instead of
 // re-sorting the whole dictionary — under sustained update churn the
@@ -242,7 +236,7 @@ type rankTable struct {
 	once      sync.Once
 	data      atomic.Pointer[rankData]
 	prev      *rankTable // previous generation's table; nil for roots, cleared after build
-	prevTerms int        // dictionary length the prev table covers
+	baseTerms int        // dictionary length the prev table covers
 	depth     int        // chain length from the nearest root; bounded by maxRankChain
 }
 
@@ -266,7 +260,7 @@ const maxRankChain = 32
 // for it; they publish new snapshots alongside. All methods are safe
 // for arbitrary concurrent use.
 type Snapshot struct {
-	d       *dict
+	dict    index      // term hash → the IDs of the terms with that hash
 	inverse []rdf.Term // inverse[id-1] = term; shared append-only backing
 	spo     index
 	pos     index
@@ -287,10 +281,7 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	s := &Store{}
-	s.snap.Store(&Snapshot{
-		d:     &dict{shards: make([]*dictShard, nDictShards)},
-		ranks: &rankTable{},
-	})
+	s.snap.Store(&Snapshot{ranks: &rankTable{}})
 	return s
 }
 
@@ -357,14 +348,16 @@ func (sn *Snapshot) TermCount() int { return len(sn.inverse) }
 // generations imply identical contents.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
-// Lookup returns the ID of t if it is in the dictionary.
+// Lookup returns the ID of t if it is in the dictionary. The terms that
+// share t's hash are compared in ID order.
 func (sn *Snapshot) Lookup(t rdf.Term) (ID, bool) {
-	sh := sn.d.shards[termShard(t)]
-	if sh == nil {
-		return 0, false
+	h := termHash(t)
+	for _, id := range sn.dict.list(ID(h>>dictShift), ID(h)) {
+		if sn.inverse[id-1] == t {
+			return id, true
+		}
 	}
-	id, ok := sh.m[t]
-	return id, ok
+	return 0, false
 }
 
 // Term returns the term for an ID. It returns a zero term for unknown IDs.
@@ -405,7 +398,7 @@ func (sn *Snapshot) TermRanks() (ranks []uint32, order []ID) {
 			base = rt.prev.data.Load() // nil when the previous table was never built
 			rt.prev = nil              // release the chain; only base is needed below
 		}
-		ord := buildRankOrder(inv, base, rt.prevTerms)
+		ord := buildRankOrder(inv, base, rt.baseTerms)
 		rk := make([]uint32, len(inv))
 		for r, id := range ord {
 			rk[id-1] = uint32(r)
@@ -417,12 +410,12 @@ func (sn *Snapshot) TermRanks() (ranks []uint32, order []ID) {
 }
 
 // buildRankOrder computes the sorted-ID permutation for a dictionary.
-// With a built base table covering the first prevTerms IDs it sorts
+// With a built base table covering the first baseTerms IDs it sorts
 // only the new-ID suffix and two-way merges it into the base order;
 // otherwise it falls back to the full sort. Compare is a strict total
 // order on distinct terms, so the merge never sees a tie and the
 // result is identical to the full sort.
-func buildRankOrder(inv []rdf.Term, base *rankData, prevTerms int) []ID {
+func buildRankOrder(inv []rdf.Term, base *rankData, baseTerms int) []ID {
 	if base == nil {
 		ord := make([]ID, len(inv))
 		for i := range ord {
@@ -433,9 +426,9 @@ func buildRankOrder(inv []rdf.Term, base *rankData, prevTerms int) []ID {
 		})
 		return ord
 	}
-	suffix := make([]ID, len(inv)-prevTerms)
+	suffix := make([]ID, len(inv)-baseTerms)
 	for i := range suffix {
-		suffix[i] = ID(prevTerms + i + 1)
+		suffix[i] = ID(baseTerms + i + 1)
 	}
 	sort.Slice(suffix, func(a, b int) bool {
 		return inv[suffix[a]-1].Compare(inv[suffix[b]-1]) < 0
@@ -457,16 +450,16 @@ func buildRankOrder(inv []rdf.Term, base *rankData, prevTerms int) []ID {
 	return ord
 }
 
-// patternIDs resolves the bound terms of pat to IDs, with ID(0) for
-// wildcards. The bool result is false when a bound term is not in the
-// dictionary (the pattern can match nothing).
-func (sn *Snapshot) patternIDs(pat rdf.Triple) ([3]ID, bool) {
+// patternIDs resolves the bound terms of pat to IDs through lookup, with
+// ID(0) for wildcards. The bool result is false when a bound term is
+// not in the dictionary (the pattern can match nothing).
+func patternIDs(pat rdf.Triple, lookup func(rdf.Term) (ID, bool)) ([3]ID, bool) {
 	var ids [3]ID
 	for i, t := range [3]rdf.Term{pat.S, pat.P, pat.O} {
 		if t.IsZero() || t.IsVar() {
 			continue
 		}
-		id, ok := sn.Lookup(t)
+		id, ok := lookup(t)
 		if !ok {
 			return ids, false
 		}
@@ -581,7 +574,7 @@ func (sn *Snapshot) ForEachMatchIDs(pat [3]ID, fn func(s, p, o ID) bool) {
 // term-space surface: it materialises an rdf.Triple per match. Hot paths
 // that do not need terms should use ForEachMatchIDs instead.
 func (sn *Snapshot) ForEachMatch(pat rdf.Triple, fn func(rdf.Triple) bool) {
-	ids, ok := sn.patternIDs(pat)
+	ids, ok := patternIDs(pat, sn.Lookup)
 	if !ok {
 		return // a bound term not in the dictionary matches nothing
 	}
@@ -666,16 +659,11 @@ func (sn *Snapshot) PostingList(pat [3]ID) (ids []ID, ok bool) {
 
 // EstimateCardinality is EstimateCardinalityIDs on a term pattern.
 func (sn *Snapshot) EstimateCardinality(pat rdf.Triple) int {
-	ids, ok := sn.patternIDs(pat)
+	ids, ok := patternIDs(pat, sn.Lookup)
 	if !ok {
 		return 0
 	}
 	return sn.EstimateCardinalityIDs(ids)
-}
-
-// Count returns the number of triples matching the term pattern.
-func (sn *Snapshot) Count(pat rdf.Triple) int {
-	return sn.EstimateCardinality(pat)
 }
 
 // Subjects returns the subjects of triples with the given predicate and
@@ -727,17 +715,17 @@ func (s *Store) Subjects(p, o rdf.Term) []rdf.Term { return s.Snapshot().Subject
 
 // --- Write path: batches folded into the indexes at commit ---
 
-// writer builds the next snapshot for one write batch. Terms are
-// interned as they come, into dictionary shards cloned once per batch
-// (gen-stamped); triple operations are only recorded, and commit folds
-// their net effect into the indexes in one pass. Callers hold
-// Store.wmu throughout.
+// writer builds the next snapshot for one write batch. A new term gets
+// its ID as it comes and waits in fresh; triple operations are only
+// recorded. commit folds the fresh terms into the dictionary index and
+// the operations' net effect into the triple indexes, in one pass
+// each. Callers hold Store.wmu throughout.
 type writer struct {
-	next      Snapshot
-	gen       uint64
-	dirty     bool
-	prevTerms int    // dictionary length at begin; detects dictionary growth at commit
-	ops       []edit // the batch's triple operations, in SPO order as (a, b, c)
+	next  Snapshot
+	gen   uint64
+	dirty bool
+	fresh map[rdf.Term]ID // the terms the batch adds; nil until it adds one
+	ops   []edit          // the batch's triple operations, in SPO order as (a, b, c)
 
 	// Scratch of the counting sort (see sort).
 	tmp   []edit
@@ -820,15 +808,14 @@ func (w *writer) sort(edits []edit) {
 // Caller holds wmu.
 func (s *Store) begin(n int) *writer {
 	s.gen++
-	w := &writer{next: *s.snap.Load(), gen: s.gen, ops: make([]edit, 0, n)}
-	w.prevTerms = len(w.next.inverse)
-	return w
+	return &writer{next: *s.snap.Load(), gen: s.gen, ops: make([]edit, 0, n)}
 }
 
-// commit settles the batch's operations, folds them into the indexes
-// and publishes the batch if it changed anything. It returns the
-// triples added and removed, and dup: the position of the first insert
-// whose triple was already present, or -1. Caller holds wmu.
+// commit settles the batch's operations, folds them and the fresh
+// terms into the indexes and publishes the batch if it changed
+// anything. It returns the triples added and removed, and dup: the
+// position of the first insert whose triple was already present, or
+// -1. Caller holds wmu.
 func (s *Store) commit(w *writer) (added, removed, dup int) {
 	added, removed, dup = w.resolve()
 	w.fold()
@@ -836,7 +823,7 @@ func (s *Store) commit(w *writer) (added, removed, dup int) {
 		return added, removed, dup
 	}
 	w.next.gen = w.gen
-	if len(w.next.inverse) != w.prevTerms {
+	if len(w.fresh) > 0 {
 		// The batch grew the dictionary: chain a fresh rank box to the
 		// previous one so the next TermRanks call can merge the sorted
 		// new-ID suffix into an already-built permutation instead of
@@ -846,7 +833,7 @@ func (s *Store) commit(w *writer) (added, removed, dup int) {
 		if old.depth+1 > maxRankChain {
 			w.next.ranks = &rankTable{}
 		} else {
-			w.next.ranks = &rankTable{prev: old, prevTerms: w.prevTerms, depth: old.depth + 1}
+			w.next.ranks = &rankTable{prev: old, baseTerms: len(w.next.inverse) - len(w.fresh), depth: old.depth + 1}
 		}
 	}
 	// A batch that left the dictionary unchanged keeps sharing the old
@@ -901,9 +888,19 @@ func (w *writer) resolve() (added, removed, dup int) {
 	return added, removed, dup
 }
 
-// fold applies the net edits to the three indexes: each touched bucket
-// is rebuilt once and each node on the path to it cloned once.
+// fold applies the fresh terms to the dictionary and the net edits to
+// the three triple indexes: each touched bucket is rebuilt once and each
+// node on the path to it cloned once.
 func (w *writer) fold() {
+	if len(w.fresh) > 0 {
+		terms := make([]edit, 0, len(w.fresh))
+		for t, id := range w.fresh {
+			h := termHash(t)
+			terms = append(terms, edit{a: ID(h >> dictShift), b: ID(h), c: id})
+		}
+		slices.SortFunc(terms, compareEdits) // hashes are not dense: no counting sort
+		w.next.dict = w.next.dict.fold(terms)
+	}
 	if len(w.ops) == 0 {
 		return
 	}
@@ -937,14 +934,20 @@ func (ix index) fold(edits []edit) index {
 }
 
 // foldNode returns a copy of n, a node at height h, with the edits
-// under it applied, or nil when nothing is left under it.
+// under it applied, or nil when nothing is left under it. The copy
+// allocates only the array its height uses.
 func foldNode(n *node, h uint, edits []edit) *node {
-	var kids [nodeSize]*node
-	var leaves [nodeSize]*leaf
-	if n != nil && h > 1 {
-		kids = *n.kids
-	} else if n != nil {
-		leaves = *n.leaves
+	c := new(node)
+	if h > 1 {
+		c.kids = new([nodeSize]*node)
+		if n != nil {
+			*c.kids = *n.kids
+		}
+	} else {
+		c.leaves = new([nodeSize]*leaf)
+		if n != nil {
+			*c.leaves = *n.leaves
+		}
 	}
 	sh := nodeBits * h
 	for len(edits) > 0 {
@@ -954,19 +957,16 @@ func foldNode(n *node, h uint, edits []edit) *node {
 			j++
 		}
 		if h > 1 {
-			kids[i] = foldNode(kids[i], h-1, edits[:j])
+			c.kids[i] = foldNode(c.kids[i], h-1, edits[:j])
 		} else {
-			leaves[i] = foldLeaf(leaves[i], edits[:j])
+			c.leaves[i] = foldLeaf(c.leaves[i], edits[:j])
 		}
 		edits = edits[j:]
 	}
-	switch {
-	case kids != [nodeSize]*node{}:
-		return &node{kids: &kids}
-	case leaves != [nodeSize]*leaf{}:
-		return &node{leaves: &leaves}
+	if h > 1 && *c.kids == [nodeSize]*node{} || h == 1 && *c.leaves == [nodeSize]*leaf{} {
+		return nil
 	}
-	return nil
+	return c
 }
 
 // foldLeaf returns a copy of lf with the edits under it applied, or nil
@@ -1093,23 +1093,22 @@ func merge(nb, bk *bucket, edits []edit) *bucket {
 	return nb
 }
 
-// editDict returns the batch-private dict root, cloning the published
-// one on first use.
-func (w *writer) editDict() *dict {
-	d := w.next.d
-	if d.gen != w.gen {
-		d = &dict{gen: w.gen, shards: append([]*dictShard(nil), d.shards...)}
-		w.next.d = d
+// lookup returns the ID of t if the batch added it or the snapshot it
+// began on holds it.
+func (w *writer) lookup(t rdf.Term) (ID, bool) {
+	if id, ok := w.fresh[t]; ok {
+		return id, true
 	}
-	return d
+	return w.next.Lookup(t)
 }
 
-// intern returns the ID for t, assigning one if needed. A term from
-// outside the store may be a substring of a much larger text (the parser
-// hands out slices of the request), so a new one is stored with strings
-// of its own: otherwise the dictionary would keep the whole text alive.
+// intern returns the ID for t, assigning one if needed; commit folds a
+// new one into the dictionary index. A term from outside the store may
+// be a substring of a much larger text (the parser hands out slices of
+// the request), so a new one is stored with strings of its own:
+// otherwise the dictionary would keep the whole text alive.
 func (w *writer) intern(t rdf.Term) ID {
-	if id, ok := w.next.Lookup(t); ok {
+	if id, ok := w.lookup(t); ok {
 		return id
 	}
 	return w.assign(rdf.Term{Kind: t.Kind, Value: strings.Clone(t.Value),
@@ -1118,39 +1117,31 @@ func (w *writer) intern(t rdf.Term) ID {
 
 // assign gives t, which is not in the dictionary, the next ID.
 func (w *writer) assign(t rdf.Term) ID {
-	si := termShard(t)
-	d := w.editDict()
-	sh := d.shards[si]
-	if sh == nil {
-		sh = &dictShard{gen: w.gen, m: make(map[rdf.Term]ID, 4)}
-		d.shards[si] = sh
-	} else if sh.gen != w.gen {
-		m := make(map[rdf.Term]ID, len(sh.m)+1)
-		for k, v := range sh.m {
-			m[k] = v
-		}
-		sh = &dictShard{gen: w.gen, m: m}
-		d.shards[si] = sh
-	}
 	// The inverse slice is append-only: growing it in place is safe
 	// because published snapshots only read up to their own length.
 	w.next.inverse = append(w.next.inverse, t)
 	id := ID(len(w.next.inverse))
-	sh.m[t] = id
+	if w.fresh == nil {
+		w.fresh = make(map[rdf.Term]ID)
+	}
+	w.fresh[t] = id
 	w.dirty = true
 	return id
 }
 
-// addTriple interns a ground triple and records its insertion.
+// addTriple interns a ground triple and records its insertion; a
+// triple with a variable or zero term is skipped.
 func (w *writer) addTriple(t rdf.Triple) {
-	if t.S.IsVar() || t.P.IsVar() || t.O.IsVar() {
-		return
+	for _, x := range [3]rdf.Term{t.S, t.P, t.O} {
+		if x.IsZero() || x.IsVar() {
+			return
+		}
 	}
 	w.record(w.intern(t.S), w.intern(t.P), w.intern(t.O), false)
 }
 
 // Add inserts a triple. It reports whether the triple was new. Variable
-// terms are rejected (store data must be ground). Each call is a write
+// and zero terms are rejected (store data must be ground). Each call is a write
 // batch and a published snapshot of its own: for single writes and
 // tests. In a loop, collect the triples and call AddAll (or ApplyBatch)
 // once — each batch rebuilds every bucket it touches, so n Adds cost
@@ -1181,7 +1172,8 @@ func (s *Store) AddAll(ts []rdf.Triple) int {
 }
 
 // InternTerms interns every listed ground term in order as one atomic
-// batch, assigning dense IDs to the ones not already present, without
+// batch, assigning dense IDs to the ones not already present and
+// folding them into the dictionary index once, at commit, without
 // indexing any triples. Interning the full TermsView() of another
 // store into an empty store reproduces its ID assignment exactly —
 // the dictionary-replication primitive the scatter-gather shard tier
@@ -1197,7 +1189,7 @@ func (s *Store) InternTerms(terms []rdf.Term) {
 		if t.IsZero() || t.IsVar() {
 			continue
 		}
-		if _, ok := w.next.Lookup(t); !ok {
+		if _, ok := w.lookup(t); !ok {
 			w.assign(t)
 		}
 	}
@@ -1244,7 +1236,7 @@ func (s *Store) ApplyBatch(ops []BatchOp) (added, removed int) {
 			continue
 		}
 		for _, t := range op.Triples {
-			ids, ok := w.next.patternIDs(t)
+			ids, ok := patternIDs(t, w.lookup)
 			if !ok || ids[0] == 0 || ids[1] == 0 || ids[2] == 0 {
 				continue // unknown term or non-ground: nothing to remove
 			}

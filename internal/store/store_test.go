@@ -68,13 +68,28 @@ func TestAddAndLen(t *testing.T) {
 	}
 }
 
+// TestAddRejectsVariables: a triple with a variable or zero term is not
+// data. Add, AddAll and ApplyBatch skip it whole: nothing is added,
+// none of its terms is interned and the generation does not move.
 func TestAddRejectsVariables(t *testing.T) {
-	s := New()
-	if s.Add(rdf.Triple{S: rdf.NewVar("x"), P: rdf.Ont("p"), O: rdf.Res("B")}) {
-		t.Error("Add accepted a variable subject")
-	}
-	if s.Snapshot().Len() != 0 {
-		t.Error("store should stay empty")
+	for _, tr := range []rdf.Triple{
+		{S: rdf.NewVar("x"), P: rdf.Ont("p"), O: rdf.Res("B")},
+		{S: rdf.Term{}, P: rdf.Ont("p"), O: rdf.Res("B")},
+		{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Term{}},
+	} {
+		s := New()
+		if s.Add(tr) {
+			t.Errorf("Add accepted %v", tr)
+		}
+		if n := s.AddAll([]rdf.Triple{tr}); n != 0 {
+			t.Errorf("AddAll added %d of [%v]", n, tr)
+		}
+		if added, _ := s.ApplyBatch([]BatchOp{{Triples: []rdf.Triple{tr}}}); added != 0 {
+			t.Errorf("ApplyBatch added %d of [%v]", added, tr)
+		}
+		if sn := s.Snapshot(); sn.Len() != 0 || sn.TermCount() != 0 || sn.Gen() != 0 {
+			t.Errorf("after adding %v: %d triples, %d terms, generation %d; want the empty store", tr, sn.Len(), sn.TermCount(), sn.Gen())
+		}
 	}
 }
 
@@ -103,8 +118,8 @@ func TestMatchAllPatterns(t *testing.T) {
 		if len(got) != c.want {
 			t.Errorf("%s: %d matches, want %d (%v)", c.name, len(got), c.want, got)
 		}
-		if n := s.Count(c.pat); n != c.want {
-			t.Errorf("%s: Count = %d, want %d", c.name, n, c.want)
+		if n := s.EstimateCardinality(c.pat); n != c.want {
+			t.Errorf("%s: EstimateCardinality = %d, want %d", c.name, n, c.want)
 		}
 	}
 }
@@ -182,6 +197,40 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLookupHashCollision: two IRIs with one term hash (0xd211299c)
+// share a dictionary list, and each resolves to its own ID whether the
+// two are interned in one batch or across two. Deleting a triple of
+// one leaves the other's.
+func TestLookupHashCollision(t *testing.T) {
+	x, y := rdf.NewIRI("http://example.org/ab45599c"), rdf.NewIRI("http://example.org/80ab8f52")
+	if termHash(x) != termHash(y) {
+		t.Fatalf("hashes %#x and %#x differ", termHash(x), termHash(y))
+	}
+	p := rdf.Ont("p")
+	for _, batches := range [][][]rdf.Triple{
+		{{{S: x, P: p, O: x}, {S: y, P: p, O: y}}},
+		{{{S: x, P: p, O: x}}, {{S: y, P: p, O: y}}},
+	} {
+		s := New()
+		for _, b := range batches {
+			s.AddAll(b)
+		}
+		sn := s.Snapshot()
+		xid, xok := sn.Lookup(x)
+		yid, yok := sn.Lookup(y)
+		if !xok || !yok || xid == yid || sn.Term(xid) != x || sn.Term(yid) != y {
+			t.Fatalf("%d batches: Lookup = %d %v and %d %v", len(batches), xid, xok, yid, yok)
+		}
+		if _, removed := s.ApplyBatch([]BatchOp{{Delete: true, Triples: []rdf.Triple{{S: x, P: p, O: x}}}}); removed != 1 {
+			t.Fatalf("%d batches: deleting x's triple removed %d", len(batches), removed)
+		}
+		sn = s.Snapshot()
+		if sn.Has(rdf.Triple{S: x, P: p, O: x}) || !sn.Has(rdf.Triple{S: y, P: p, O: y}) || sn.Len() != 1 {
+			t.Errorf("%d batches: after deleting x's triple, %v", len(batches), sn.Triples())
+		}
+	}
+}
+
 func TestConcurrentReadersWhileWriting(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup
@@ -203,7 +252,7 @@ func TestConcurrentReadersWhileWriting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Snapshot().Count(rdf.Triple{P: rdf.Ont("p")})
+				s.Snapshot().EstimateCardinality(rdf.Triple{P: rdf.Ont("p")})
 				s.Snapshot().Len()
 			}
 		}()

@@ -3,9 +3,11 @@ package store_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/kb"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -127,6 +129,100 @@ func TestApplyBatchScales(t *testing.T) {
 	t.Logf("B per flip: %.0f at ×1, %.0f at ×16 (%.2f×)", small, large, large/small)
 	if large > 1.25*small {
 		t.Errorf("a flip at ×16 costs %.0f B, more than 1.25 × %.0f B at ×1", large, small)
+	}
+}
+
+// The fresh-literal write: each replaces Orhan_Pamuk's dbont:note with
+// a literal the dictionary has not seen, so every write adds one term,
+// and the dictionary grows with the write history. noteRound writes run
+// on one store before a benchmark rebuilds it, so the dictionary stays
+// near the size measured.
+const noteRound = 1024
+
+// noteStore returns a constructor of the built-in KB's store with extra
+// more terms interned, and noteRound fresh-literal writes to apply to
+// it in order.
+func noteStore(extra int) (func() *store.Store, [][]store.BatchOp) {
+	filler := make([]rdf.Term, extra)
+	for i := range filler {
+		filler[i] = rdf.NewLiteral(fmt.Sprintf("filler %d", i))
+	}
+	newStore := func() *store.Store {
+		st := kb.Build(kb.DefaultConfig()).Store
+		st.InternTerms(filler)
+		return st
+	}
+	note := func(i int) []rdf.Triple {
+		return []rdf.Triple{{S: rdf.Res("Orhan_Pamuk"), P: rdf.Ont("note"), O: rdf.NewLiteral(fmt.Sprintf("note %d", i))}}
+	}
+	writes := make([][]store.BatchOp, noteRound)
+	for i := range writes {
+		writes[i] = []store.BatchOp{{Delete: true, Triples: note(i - 1)}, {Triples: note(i)}}
+	}
+	return newStore, writes
+}
+
+// noteCost applies one round of fresh-literal writes and returns the
+// median bytes a write allocates. The median, not the mean: the
+// append-only term slice grows by about a quarter at a time, so one
+// write in thousands pays for copying it, and whether that write falls
+// inside the round decides the round's mean (by about 1.3 KB a write
+// at +16k).
+func noteCost(extra int) float64 {
+	newStore, writes := noteStore(extra)
+	st := newStore()
+	per := make([]uint64, len(writes))
+	var ms runtime.MemStats
+	for i, ops := range writes {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		st.ApplyBatch(ops)
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(per)
+	return float64(per[len(per)/2])
+}
+
+// BenchmarkApplyBatchFreshTerm is the fresh-literal write on the
+// built-in KB (x1) and after 16k more terms (+16k). Its B/op includes
+// the term slice's growth, which a round at +16k may or may not reach.
+func BenchmarkApplyBatchFreshTerm(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		extra int
+	}{{"x1", 0}, {"+16k", 16 << 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			newStore, writes := noteStore(c.extra)
+			st := newStore()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%noteRound == 0 {
+					b.StopTimer()
+					st = newStore()
+					b.StartTimer()
+				}
+				if added, _ := st.ApplyBatch(writes[i%noteRound]); added != 1 {
+					b.Fatalf("write %d added %d triples, want 1", i, added)
+				}
+			}
+		})
+	}
+}
+
+// TestFreshTermWriteScales: a write that adds a term copies the path to
+// one dictionary bucket, so after 16k more terms (which also put every
+// triple index a level deeper) the fresh-literal write costs at most a
+// quarter more bytes than on the built-in KB.
+func TestFreshTermWriteScales(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation figures are measured without the race detector")
+	}
+	small, large := noteCost(0), noteCost(16<<10)
+	t.Logf("median B per fresh-literal write: %.0f on the built-in KB, %.0f after +16k terms (%.2f×)", small, large, large/small)
+	if large > 1.25*small {
+		t.Errorf("a fresh-literal write after +16k terms costs %.0f B, more than 1.25 × %.0f B on the built-in KB", large, small)
 	}
 }
 

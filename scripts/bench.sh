@@ -53,8 +53,14 @@
 # BenchmarkExtractSequential's one 256-candidate fan-out reads
 # ≈ 1.8 ms / 233 allocs), and the write path (internal/store's
 # BenchmarkApplyBatchFlip: one update_mix write, 8 deletes and 8 inserts
-# on a predicate with 512 objects at ≈ 6.5k triples; ≈ 44 KB / 134
-# allocs, what TestApplyBatchAllocations gates), and the RDF text
+# on a predicate with 512 objects at ≈ 6.5k triples; ≈ 12.7 KB / 51
+# allocs, what TestApplyBatchAllocations gates; and
+# BenchmarkApplyBatchFreshTerm: a write that replaces one subject's
+# literal with a new one, so it adds a term, on the built-in KB (x1) and
+# after 16k more terms (+16k) — the two stay within a quarter of each
+# other, what TestFreshTermWriteScales gates; and the root
+# BenchmarkStoreLookup: term→ID resolution, hit on every built-in term
+# and miss), and the RDF text
 # readers (internal/sparql's BenchmarkParseUpdate: one update_mix body,
 # 8 deletes and 8 inserts, through ParseUpdate — ≈ 10 µs / 5.4 KB / 11
 # allocs, ≈ 13 µs / 5.9 KB / 61 allocs with the brace scan it replaced;
@@ -112,11 +118,11 @@ cd "$(dirname "$0")/.."
 # term-space pairs and plan-cache compile pair, the shard tier, the
 # store's term-rank churn pair and its write-path flip, qaserve's
 # admission, the UPDATE parser and the N-Triples loader).
-bench_full='BenchmarkStoreScan(Terms|IDs)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
+bench_full='BenchmarkStore(Scan(Terms|IDs)|Lookup)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatchFlip$|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .

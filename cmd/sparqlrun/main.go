@@ -6,6 +6,16 @@
 //
 //	sparqlrun 'SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:writer res:Orhan_Pamuk }'
 //	echo 'ASK { res:Snow_\(novel\) dbont:author res:Orhan_Pamuk }' | sparqlrun
+//
+// It accepts the subset the question answering system emits (see
+// package internal/sparql): SELECT [DISTINCT] or ASK over one basic
+// graph pattern, FILTER(operand relop operand) with a variable or
+// constant on each side and relop one of = != < > <= >=, COUNT, ORDER
+// BY ?v / ASC(…) / DESC(…), LIMIT and OFFSET. A SELECT prints a header
+// of the projected variables and one tab-separated row per solution,
+// an ASK prints true or false. A query outside the subset — OPTIONAL,
+// UNION, a builtin such as REGEX, &&, || or arithmetic — exits 1 with
+// an error naming the construct as unsupported.
 package main
 
 import (

@@ -7,8 +7,9 @@ package lemma
 
 import "strings"
 
-// irregular maps inflected forms to lemmas for the verbs and nouns the
-// domain uses; regular morphology falls through to the rules below.
+// irregular maps inflected verb forms to lemmas for the verbs the
+// domain uses, under any tag; regular morphology falls through to the
+// rules below.
 var irregular = map[string]string{
 	// be/have/do
 	"is": "be", "are": "be", "was": "be", "were": "be", "been": "be",
@@ -32,16 +33,22 @@ var irregular = map[string]string{
 	"held": "hold", "built": "build",
 	"sang": "sing", "sung": "sing",
 	"knew": "know", "known": "know",
-	"found": "find", "founded": "found",
-	"met": "meet", "left": "leave", "lost": "lose",
-	"wed": "wed", "married": "marry", "marries": "marry",
-	"lay": "lie", "lain": "lie",
+	"founded": "found", "met": "meet", "left": "leave", "lost": "lose",
+	"wed": "wed", "married": "marry", "marries": "marry", "lain": "lie",
 	"felt": "feel", "kept": "keep", "meant": "mean",
 	"paid": "pay", "sold": "sell", "told": "tell",
 	"stood": "stand", "understood": "understand",
 	"became": "become",
+}
 
-	// Nouns.
+// pastForms are past-tense forms that are also the base form of another
+// verb ("found" a company, "lay" a table): they reduce only under a
+// past-tense tag or an unknown one.
+var pastForms = map[string]string{"found": "find", "lay": "lie"}
+
+// nouns maps irregular plurals to their singulars. They apply only to
+// a plural noun or an unknown tag: "lives" under VBZ is "live".
+var nouns = map[string]string{
 	"people": "person", "children": "child", "men": "man", "women": "woman",
 	"wives": "wife", "lives": "life", "cities": "city",
 	"countries": "country", "companies": "company", "parties": "party",
@@ -65,6 +72,12 @@ var noStrip = map[string]bool{
 func Lemma(word, tag string) string {
 	lower := strings.ToLower(word)
 	if l, ok := irregular[lower]; ok {
+		return l
+	}
+	if l, ok := pastForms[lower]; ok && (tag == "VBD" || tag == "VBN" || tag == "") {
+		return l
+	}
+	if l, ok := nouns[lower]; ok && (tag == "NNS" || tag == "") {
 		return l
 	}
 	switch {

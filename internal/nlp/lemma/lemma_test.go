@@ -25,6 +25,35 @@ func TestIrregularVerbs(t *testing.T) {
 	}
 }
 
+// TestTagDecidesAmbiguousForms: a noun plural reduces only under NNS
+// or an unknown tag, and a past form that is also another verb's base
+// form only under VBD, VBN or an unknown tag.
+func TestTagDecidesAmbiguousForms(t *testing.T) {
+	cases := []struct{ word, tag, want string }{
+		{"lives", "VBZ", "live"},
+		{"lives", "NNS", "life"},
+		{"lives", "", "life"},
+		{"wives", "NNS", "wife"},
+		{"wives", "", "wife"},
+		{"lay", "VBD", "lie"},
+		{"lay", "VB", "lay"},
+		{"lay", "VBP", "lay"},
+		{"lay", "", "lie"},
+		{"found", "VBD", "find"},
+		{"found", "VBN", "find"},
+		{"found", "VB", "found"},
+		{"found", "VBP", "found"},
+		{"found", "", "find"},
+		{"founded", "VBD", "found"},
+		{"founded", "VBN", "found"},
+	}
+	for _, c := range cases {
+		if got := Lemma(c.word, c.tag); got != c.want {
+			t.Errorf("Lemma(%s,%q) = %s, want %s", c.word, c.tag, got, c.want)
+		}
+	}
+}
+
 func TestRegularPastTense(t *testing.T) {
 	cases := []struct{ word, want string }{
 		{"directed", "direct"},

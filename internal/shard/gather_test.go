@@ -77,10 +77,10 @@ func testStore(rng *rand.Rand, nEnt, nProps int) (*store.Store, []rdf.Term) {
 }
 
 // workload covers every executor read path: bound/wildcard subjects,
-// posting-list joins, unions, optionals, ORDER BY (term ranks), COUNT
-// and ASK.
+// posting-list joins, FILTER, ORDER BY (term ranks), COUNT over a
+// filtered pattern and ASK.
 func workload(props []rdf.Term) []*sparql.Query {
-	x, p, c := rdf.NewVar("x"), rdf.NewVar("p"), rdf.NewVar("c")
+	x, p := rdf.NewVar("x"), rdf.NewVar("p")
 	var qs []*sparql.Query
 	for _, class := range []rdf.Term{rdf.Ont("Person"), rdf.Ont("City")} {
 		for _, prop := range props {
@@ -108,14 +108,15 @@ func workload(props []rdf.Term) []*sparql.Query {
 	}
 	qs = append(qs,
 		&sparql.Query{Form: sparql.FormSelect, Star: true, Limit: -1,
-			Patterns:  []rdf.Triple{{S: p, P: props[0], O: x}},
-			Optionals: [][]rdf.Triple{{{S: p, P: props[1%len(props)], O: c}}},
+			Patterns: []rdf.Triple{{S: p, P: props[0], O: x}},
+			Filters: []*sparql.Comparison{{Op: ">", Left: &sparql.VarExpr{Name: "x"},
+				Right: &sparql.TermExpr{Term: rdf.NewInteger(20)}}},
 		},
-		&sparql.Query{Form: sparql.FormSelect, Star: true, Limit: 7,
-			Unions: [][][]rdf.Triple{{
-				{{S: p, P: props[0], O: x}},
-				{{S: p, P: props[len(props)-1], O: x}},
-			}},
+		&sparql.Query{Form: sparql.FormSelect, Limit: 7,
+			Count:    &sparql.CountSpec{Var: "p", Distinct: true, As: "n"},
+			Patterns: []rdf.Triple{{S: p, P: props[len(props)-1], O: x}},
+			Filters: []*sparql.Comparison{{Op: "<=", Left: &sparql.VarExpr{Name: "x"},
+				Right: &sparql.TermExpr{Term: rdf.NewInteger(10)}}},
 		},
 		&sparql.Query{Form: sparql.FormSelect, Projection: []string{"p", "x"}, Limit: -1,
 			Patterns: []rdf.Triple{{S: p, P: props[0], O: x}},

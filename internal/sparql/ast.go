@@ -1,8 +1,6 @@
 package sparql
 
 import (
-	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -28,7 +26,8 @@ type CountSpec struct {
 	As string
 }
 
-// Query is a parsed SPARQL query.
+// Query is a parsed SPARQL query: one basic graph pattern with its
+// FILTER comparisons, under SELECT or ASK.
 type Query struct {
 	Form     Form
 	Distinct bool
@@ -42,14 +41,8 @@ type Query struct {
 	// Patterns is the basic graph pattern: triple patterns in textual
 	// order (the executor reorders them by selectivity).
 	Patterns []rdf.Triple
-	// Optionals holds OPTIONAL { ... } blocks (left joins), applied
-	// after the required BGP.
-	Optionals [][]rdf.Triple
-	// Unions holds { A } UNION { B } blocks; each block's branches are
-	// alternative BGPs joined with the rest of the group.
-	Unions [][][]rdf.Triple
-	// Filters are the FILTER constraints of the group.
-	Filters []Expr
+	// Filters are the FILTER comparisons of the group.
+	Filters []*Comparison
 	// OrderBy lists the sort keys in priority order.
 	OrderBy []OrderKey
 	// Limit < 0 means no limit; Offset 0 means none.
@@ -65,29 +58,18 @@ type OrderKey struct {
 	Desc bool
 }
 
-// Vars returns the distinct variable names used in the group (required
-// patterns, then unions, then optionals), in order of first appearance.
+// Vars returns the distinct variable names of the basic graph pattern,
+// in order of first appearance.
 func (q *Query) Vars() []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(ps []rdf.Triple) {
-		for _, p := range ps {
-			for _, v := range p.Vars() {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
-				}
+	for _, p := range q.Patterns {
+		for _, v := range p.Vars() {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
 			}
 		}
-	}
-	add(q.Patterns)
-	for _, block := range q.Unions {
-		for _, branch := range block {
-			add(branch)
-		}
-	}
-	for _, opt := range q.Optionals {
-		add(opt)
 	}
 	return out
 }
@@ -131,21 +113,8 @@ func (q *Query) String() string {
 		}
 		b = append(b, " WHERE {"...)
 	}
-	b = appendPatterns(b, q.Patterns)
-	for _, block := range q.Unions {
-		for bi, branch := range block {
-			if bi > 0 {
-				b = append(b, " UNION"...)
-			}
-			b = append(b, " {"...)
-			b = appendPatterns(b, branch)
-			b = append(b, " }"...)
-		}
-	}
-	for _, opt := range q.Optionals {
-		b = append(b, " OPTIONAL {"...)
-		b = appendPatterns(b, opt)
-		b = append(b, " }"...)
+	for _, p := range q.Patterns {
+		b = p.AppendTo(append(b, ' '))
 	}
 	for _, f := range q.Filters {
 		b = append(append(append(b, " FILTER("...), f.String()...), ") ."...)
@@ -171,444 +140,97 @@ func (q *Query) String() string {
 	return string(b)
 }
 
-// appendPatterns appends each triple pattern after a space.
-func appendPatterns(b []byte, patterns []rdf.Triple) []byte {
-	for _, p := range patterns {
-		b = p.AppendTo(append(b, ' '))
-	}
-	return b
-}
-
-// Expr is a FILTER/ORDER BY expression node.
+// Expr is a FILTER operand or an ORDER BY key: a variable (*VarExpr) or
+// a constant term (*TermExpr).
 type Expr interface {
-	// Eval computes the expression value under the bindings. The bool
-	// result reports evaluation success; failures (unbound variables,
-	// type errors) make enclosing FILTERs reject the solution, matching
-	// SPARQL error semantics.
-	Eval(b Binding) (Value, bool)
 	String() string
-	// vars appends the variable names mentioned by the expression.
-	vars(set map[string]bool)
+	// operand compiles the expression against a variable->column
+	// layout (plan.go); ok is false for a variable no pattern binds.
+	operand(varCols map[string]int) (o operand, ok bool)
 }
 
-// Value is an expression value: either an RDF term or a derived plain
-// value (bool/float/string) from an operator.
-type Value struct {
-	Term  rdf.Term
-	IsRaw bool // true when the value is a raw Bool/Num/Str, not a term
-	Bool  bool
-	Num   float64
-	Str   string
-	kind  valueKind
+// VarExpr references a variable.
+type VarExpr struct{ Name string }
+
+func (e *VarExpr) String() string { return "?" + e.Name }
+func (e *VarExpr) operand(varCols map[string]int) (operand, bool) {
+	col, ok := varCols[e.Name]
+	return operand{col: col}, ok
 }
 
-type valueKind uint8
+// TermExpr is a constant RDF term.
+type TermExpr struct{ Term rdf.Term }
 
-const (
-	valTerm valueKind = iota
-	valBool
-	valNum
-	valStr
-)
-
-func termValue(t rdf.Term) Value { return Value{Term: t, kind: valTerm} }
-func boolValue(b bool) Value     { return Value{IsRaw: true, Bool: b, kind: valBool} }
-func numValue(f float64) Value   { return Value{IsRaw: true, Num: f, kind: valNum} }
-func strValue(s string) Value    { return Value{IsRaw: true, Str: s, kind: valStr} }
-
-// EffectiveBool computes the SPARQL effective boolean value. The second
-// result reports whether an EBV exists.
-func (v Value) EffectiveBool() (bool, bool) {
-	switch v.kind {
-	case valBool:
-		return v.Bool, true
-	case valNum:
-		return v.Num != 0, true
-	case valStr:
-		return v.Str != "", true
-	case valTerm:
-		t := v.Term
-		if !t.IsLiteral() {
-			return false, false
-		}
-		if t.Datatype == rdf.XSDBoolean {
-			return t.Value == "true" || t.Value == "1", true
-		}
-		if f, ok := t.Float(); ok && (t.Datatype != "" || t.Lang == "") {
-			if t.IsNumeric() {
-				return f != 0, true
-			}
-		}
-		if t.Datatype == "" || t.Datatype == rdf.XSDString {
-			return t.Value != "", true
-		}
-		return false, false
-	}
-	return false, false
+func (e *TermExpr) String() string { return e.Term.String() }
+func (e *TermExpr) operand(map[string]int) (operand, bool) {
+	return operand{col: -1, term: e.Term}, true
 }
 
-// asNumber coerces the value to a float64 if possible.
-func (v Value) asNumber() (float64, bool) {
-	switch v.kind {
-	case valNum:
-		return v.Num, true
-	case valBool:
-		if v.Bool {
-			return 1, true
-		}
-		return 0, true
-	case valTerm:
-		if v.Term.IsNumeric() {
-			return v.Term.Float()
-		}
-	}
-	return 0, false
+// Comparison is a FILTER constraint: Left Op Right, with Op one of
+// = != < > <= >=.
+type Comparison struct {
+	Op          string
+	Left, Right Expr
 }
 
-// asString coerces the value to its string form.
-func (v Value) asString() (string, bool) {
-	switch v.kind {
-	case valStr:
-		return v.Str, true
-	case valTerm:
-		if v.Term.IsLiteral() {
-			return v.Term.Value, true
-		}
-		if v.Term.IsIRI() {
-			return v.Term.Value, true
-		}
-	case valNum:
-		return fmt.Sprintf("%g", v.Num), true
-	case valBool:
-		if v.Bool {
-			return "true", true
-		}
-		return "false", true
-	}
-	return "", false
+func (c *Comparison) String() string {
+	return "(" + c.Left.String() + " " + c.Op + " " + c.Right.String() + ")"
 }
 
 // Binding maps variable names to terms for one solution.
 type Binding map[string]rdf.Term
 
-// Clone returns a copy of the binding.
-func (b Binding) Clone() Binding {
-	c := make(Binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
+// holds reports whether a op b holds. Numeric literals compare by
+// value; otherwise = and != compare terms for identity and the order
+// operators compare lexical forms or IRIs. An order comparison with a
+// blank node is an error, which a FILTER treats as false.
+func holds(op string, a, b rdf.Term) bool {
+	switch op {
+	case "=":
+		return equalTerms(a, b)
+	case "!=":
+		return !equalTerms(a, b)
 	}
-	return c
-}
-
-// --- Expression nodes ---
-
-// VarExpr references a variable.
-type VarExpr struct{ Name string }
-
-// Eval implements Expr.
-func (e *VarExpr) Eval(b Binding) (Value, bool) {
-	t, ok := b[e.Name]
+	c, ok := compareTerms(a, b)
 	if !ok {
-		return Value{}, false
+		return false
 	}
-	return termValue(t), true
-}
-func (e *VarExpr) String() string           { return "?" + e.Name }
-func (e *VarExpr) vars(set map[string]bool) { set[e.Name] = true }
-
-// TermExpr is a constant RDF term.
-type TermExpr struct{ Term rdf.Term }
-
-// Eval implements Expr.
-func (e *TermExpr) Eval(Binding) (Value, bool) { return termValue(e.Term), true }
-func (e *TermExpr) String() string             { return e.Term.String() }
-func (e *TermExpr) vars(map[string]bool)       {}
-
-// BinaryExpr applies an infix operator.
-type BinaryExpr struct {
-	Op          string // || && = != < > <= >= + - * /
-	Left, Right Expr
-}
-
-// Eval implements Expr.
-func (e *BinaryExpr) Eval(b Binding) (Value, bool) {
-	switch e.Op {
-	case "||":
-		lv, lok := e.Left.Eval(b)
-		rv, rok := e.Right.Eval(b)
-		lb, lbok := ebv(lv, lok)
-		rb, rbok := ebv(rv, rok)
-		// SPARQL logical-or: true if either is true, error only if both fail.
-		if lbok && lb || rbok && rb {
-			return boolValue(true), true
-		}
-		if lbok && rbok {
-			return boolValue(false), true
-		}
-		return Value{}, false
-	case "&&":
-		lv, lok := e.Left.Eval(b)
-		rv, rok := e.Right.Eval(b)
-		lb, lbok := ebv(lv, lok)
-		rb, rbok := ebv(rv, rok)
-		if lbok && !lb || rbok && !rb {
-			return boolValue(false), true
-		}
-		if lbok && rbok {
-			return boolValue(lb && rb), true
-		}
-		return Value{}, false
-	}
-	lv, ok := e.Left.Eval(b)
-	if !ok {
-		return Value{}, false
-	}
-	rv, ok := e.Right.Eval(b)
-	if !ok {
-		return Value{}, false
-	}
-	switch e.Op {
-	case "=", "!=":
-		eq, ok := valuesEqual(lv, rv)
-		if !ok {
-			return Value{}, false
-		}
-		if e.Op == "!=" {
-			eq = !eq
-		}
-		return boolValue(eq), true
-	case "<", ">", "<=", ">=":
-		c, ok := compareValues(lv, rv)
-		if !ok {
-			return Value{}, false
-		}
-		switch e.Op {
-		case "<":
-			return boolValue(c < 0), true
-		case ">":
-			return boolValue(c > 0), true
-		case "<=":
-			return boolValue(c <= 0), true
-		default:
-			return boolValue(c >= 0), true
-		}
-	case "+", "-", "*", "/":
-		lf, lok := lv.asNumber()
-		rf, rok := rv.asNumber()
-		if !lok || !rok {
-			return Value{}, false
-		}
-		switch e.Op {
-		case "+":
-			return numValue(lf + rf), true
-		case "-":
-			return numValue(lf - rf), true
-		case "*":
-			return numValue(lf * rf), true
-		default:
-			if rf == 0 {
-				return Value{}, false
-			}
-			return numValue(lf / rf), true
-		}
-	}
-	return Value{}, false
-}
-
-func (e *BinaryExpr) String() string {
-	return "(" + e.Left.String() + " " + e.Op + " " + e.Right.String() + ")"
-}
-func (e *BinaryExpr) vars(set map[string]bool) {
-	e.Left.vars(set)
-	e.Right.vars(set)
-}
-
-func ebv(v Value, ok bool) (bool, bool) {
-	if !ok {
-		return false, false
-	}
-	return v.EffectiveBool()
-}
-
-// UnaryExpr applies '!' or unary '-'.
-type UnaryExpr struct {
-	Op   string
-	Expr Expr
-}
-
-// Eval implements Expr.
-func (e *UnaryExpr) Eval(b Binding) (Value, bool) {
-	v, ok := e.Expr.Eval(b)
-	if !ok {
-		return Value{}, false
-	}
-	switch e.Op {
-	case "!":
-		bv, ok := v.EffectiveBool()
-		if !ok {
-			return Value{}, false
-		}
-		return boolValue(!bv), true
-	case "-":
-		f, ok := v.asNumber()
-		if !ok {
-			return Value{}, false
-		}
-		return numValue(-f), true
-	}
-	return Value{}, false
-}
-func (e *UnaryExpr) String() string           { return e.Op + e.Expr.String() }
-func (e *UnaryExpr) vars(set map[string]bool) { e.Expr.vars(set) }
-
-// CallExpr is a builtin function call.
-type CallExpr struct {
-	Fn   string // upper-case builtin name
-	Args []Expr
-
-	// re is a REGEX's pattern, compiled by the parser when the pattern
-	// and flags are constants; nil compiles them at each evaluation.
-	re *regexp.Regexp
-}
-
-// Eval implements Expr.
-func (e *CallExpr) Eval(b Binding) (Value, bool) {
-	switch e.Fn {
-	case "BOUND":
-		v, ok := e.Args[0].(*VarExpr)
-		if !ok {
-			return Value{}, false
-		}
-		_, bound := b[v.Name]
-		return boolValue(bound), true
-	}
-	vals := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		v, ok := a.Eval(b)
-		if !ok {
-			return Value{}, false
-		}
-		vals[i] = v
-	}
-	switch e.Fn {
-	case "STR":
-		s, ok := vals[0].asString()
-		if !ok {
-			return Value{}, false
-		}
-		return strValue(s), true
-	case "LANG":
-		if vals[0].kind != valTerm || !vals[0].Term.IsLiteral() {
-			return Value{}, false
-		}
-		return strValue(vals[0].Term.Lang), true
-	case "DATATYPE":
-		if vals[0].kind != valTerm || !vals[0].Term.IsLiteral() {
-			return Value{}, false
-		}
-		dt := vals[0].Term.Datatype
-		if dt == "" {
-			dt = rdf.XSDString
-		}
-		return termValue(rdf.NewIRI(dt)), true
-	case "ISIRI", "ISURI":
-		return boolValue(vals[0].kind == valTerm && vals[0].Term.IsIRI()), true
-	case "ISLITERAL":
-		return boolValue(vals[0].kind == valTerm && vals[0].Term.IsLiteral()), true
-	case "ISBLANK":
-		return boolValue(vals[0].kind == valTerm && vals[0].Term.IsBlank()), true
-	case "ISNUMERIC":
-		return boolValue(vals[0].kind == valTerm && vals[0].Term.IsNumeric()), true
-	case "STRLEN":
-		s, ok := vals[0].asString()
-		if !ok {
-			return Value{}, false
-		}
-		return numValue(float64(len([]rune(s)))), true
-	case "LCASE":
-		s, ok := vals[0].asString()
-		if !ok {
-			return Value{}, false
-		}
-		return strValue(strings.ToLower(s)), true
-	case "UCASE":
-		s, ok := vals[0].asString()
-		if !ok {
-			return Value{}, false
-		}
-		return strValue(strings.ToUpper(s)), true
-	case "CONTAINS", "STRSTARTS", "STRENDS":
-		a, aok := vals[0].asString()
-		c, cok := vals[1].asString()
-		if !aok || !cok {
-			return Value{}, false
-		}
-		switch e.Fn {
-		case "CONTAINS":
-			return boolValue(strings.Contains(a, c)), true
-		case "STRSTARTS":
-			return boolValue(strings.HasPrefix(a, c)), true
-		default:
-			return boolValue(strings.HasSuffix(a, c)), true
-		}
-	case "REGEX":
-		return evalRegex(e.re, vals)
-	case "LANGMATCHES":
-		tag, tok := vals[0].asString()
-		rng, rok := vals[1].asString()
-		if !tok || !rok {
-			return Value{}, false
-		}
-		if rng == "*" {
-			return boolValue(tag != ""), true
-		}
-		return boolValue(strings.EqualFold(tag, rng) ||
-			strings.HasPrefix(strings.ToLower(tag), strings.ToLower(rng)+"-")), true
-	case "SAMETERM":
-		if vals[0].kind != valTerm || vals[1].kind != valTerm {
-			return Value{}, false
-		}
-		return boolValue(vals[0].Term == vals[1].Term), true
-	}
-	return Value{}, false
-}
-
-func (e *CallExpr) String() string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.String()
-	}
-	return e.Fn + "(" + strings.Join(parts, ", ") + ")"
-}
-func (e *CallExpr) vars(set map[string]bool) {
-	for _, a := range e.Args {
-		a.vars(set)
+	switch op {
+	case "<":
+		return c < 0
+	case ">":
+		return c > 0
+	case "<=":
+		return c <= 0
+	default:
+		return c >= 0
 	}
 }
 
-// valuesEqual implements SPARQL '=' comparison with numeric coercion.
-func valuesEqual(a, b Value) (bool, bool) {
-	if af, aok := a.asNumber(); aok {
-		if bf, bok := b.asNumber(); bok {
-			return af == bf, true
-		}
+// number returns a numeric literal's value.
+func number(t rdf.Term) (float64, bool) {
+	if !t.IsNumeric() {
+		return 0, false
 	}
-	if a.kind == valTerm && b.kind == valTerm {
-		return a.Term == b.Term, true
-	}
-	as, aok := a.asString()
-	bs, bok := b.asString()
-	if aok && bok {
-		return as == bs, true
-	}
-	return false, false
+	return t.Float()
 }
 
-// compareValues orders two values (-1, 0, 1) with numeric coercion, then
-// string comparison.
-func compareValues(a, b Value) (int, bool) {
-	if af, aok := a.asNumber(); aok {
-		if bf, bok := b.asNumber(); bok {
+// equalTerms implements SPARQL '=' over terms, with numeric coercion.
+func equalTerms(a, b rdf.Term) bool {
+	if af, ok := number(a); ok {
+		if bf, ok := number(b); ok {
+			return af == bf
+		}
+	}
+	return a == b
+}
+
+// compareTerms orders two terms (-1, 0, 1): numerically when both are
+// numeric literals, else by lexical form or IRI. A blank node has no
+// order (ok false).
+func compareTerms(a, b rdf.Term) (int, bool) {
+	if af, ok := number(a); ok {
+		if bf, ok := number(b); ok {
 			switch {
 			case af < bf:
 				return -1, true
@@ -618,17 +240,8 @@ func compareValues(a, b Value) (int, bool) {
 			return 0, true
 		}
 	}
-	as, aok := a.asString()
-	bs, bok := b.asString()
-	if aok && bok {
-		return strings.Compare(as, bs), true
+	if a.IsBlank() || b.IsBlank() {
+		return 0, false
 	}
-	return 0, false
-}
-
-// exprVars returns the variables mentioned in the expression.
-func exprVars(e Expr) map[string]bool {
-	set := map[string]bool{}
-	e.vars(set)
-	return set
+	return strings.Compare(a.Value, b.Value), true
 }

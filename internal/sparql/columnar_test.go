@@ -12,7 +12,7 @@ import (
 )
 
 // This file pins the columnar result surface: reading a Result through
-// VarIndex/IDAt/TermAt/Column must agree exactly with the lazily
+// Rows/VarIndex/TermAt/Column must agree exactly with the lazily
 // materialised Solutions() view on randomized queries, and the executor
 // must stay consistent (whole write batches or none) while AddAll bulk
 // loads run concurrently. Run with -race (CI does).
@@ -33,8 +33,8 @@ func checkColumnarAgreesWithSolutions(t *testing.T, label string, r *Result) {
 				t.Fatalf("%s: TermAt(%d,%d) = (%v,%v), Solutions has (%v,%v)",
 					label, row, col, gotTerm, gotOK, wantTerm, wantOK)
 			}
-			if id := r.IDAt(row, col); (id != 0) != wantOK && r.Rows != nil {
-				t.Fatalf("%s: IDAt(%d,%d) = %d but bound=%v", label, row, col, id, wantOK)
+			if r.Rows != nil && (r.Rows[row*len(r.Vars)+col] != 0) != wantOK {
+				t.Fatalf("%s: Rows at (%d,%d) = %d but bound=%v", label, row, col, r.Rows[row*len(r.Vars)+col], wantOK)
 			}
 		}
 	}
@@ -55,8 +55,8 @@ func checkColumnarAgreesWithSolutions(t *testing.T, label string, r *Result) {
 			}
 		}
 	}
-	if r.VarIndex("no-such-var") != -1 {
-		t.Fatalf("%s: VarIndex of unknown var != -1", label)
+	if r.VarIndex("no-such-var") != -1 || r.Column("no-such-var") != nil {
+		t.Fatalf("%s: VarIndex or Column of an unknown var answered", label)
 	}
 	if _, ok := r.TermAt(0, -1); ok {
 		t.Fatalf("%s: TermAt with col -1 reported bound", label)

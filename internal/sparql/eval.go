@@ -8,7 +8,7 @@
 // two phases (compile). The *shape* phase derives everything the query
 // text alone determines — the var->column layout, each triple
 // pattern's (variable column | constant marker) slot structure, the
-// filter pushdown split, ORDER BY keys and the projection — into an
+// FILTER comparisons, ORDER BY keys and the projection — into an
 // immutable planShape (plan.go); a session with a plan cache attached
 // (PlanCache, which core.System owns — the package holds none) looks
 // shapes up keyed on the query's structure with constant terms
@@ -19,13 +19,13 @@
 // against the session's pinned snapshot and hoists each pattern's
 // exact base cardinality (bindPatterns) — the only per-candidate
 // compile work on a cache hit. Every execution then runs its join: no
-// result is cached. All joins, UNION, OPTIONAL, FILTER, DISTINCT,
-// ORDER BY and COUNT run over flat []store.ID rows packed into a
-// rowset arena — one contiguous buffer, no per-solution maps, no term
-// copies. The final Result stays columnar too (Result.Rows plus the
-// pinned dictionary view); terms are materialised only when a consumer
-// asks for them (and, transiently, when a FILTER or ORDER BY
-// expression needs term semantics).
+// result is cached. The join, FILTER, DISTINCT, ORDER BY and COUNT run
+// over flat []store.ID rows packed into a rowset arena — one
+// contiguous buffer, no per-solution maps, no term copies. The final
+// Result stays columnar too (Result.Rows plus the pinned dictionary
+// view); terms are materialised only when a consumer asks for them
+// (and, transiently, when a FILTER comparison or an ORDER BY key needs
+// term semantics).
 //
 // # Sessions and snapshot-pinned reads
 //
@@ -45,10 +45,10 @@
 //
 // # Join strategy
 //
-// Blocks join greedily by exact cardinality (pickPattern; each
-// compiled pattern's base cardinality is resolved once at compile
-// time). A pattern whose only variable is already bound by the block
-// degenerates to an existence filter and is answered by one sorted-ID
+// The basic graph pattern joins greedily by exact cardinality
+// (pickPattern; each compiled pattern's base cardinality is resolved
+// once at compile time). A pattern whose only variable is already
+// bound degenerates to an existence filter and is answered by one sorted-ID
 // galloping merge against the store's posting list (extendStep /
 // mergeFilter) instead of a per-row index probe; all other patterns
 // extend row by row over ForEachMatchIDs. Join order is
@@ -56,8 +56,8 @@
 // of the cached shape, so a shared shape cannot pin a stale order.
 //
 // Results without ORDER BY are returned in a deterministic default
-// order: sorted by the projected columns' terms, unbound first
-// (rowLess in termspace_reference_test.go defines the order).
+// order: sorted by the projected columns' terms (rowLess in
+// termspace_reference_test.go defines the order).
 // Production sorts never materialise
 // terms to get there — they compare integer ranks from the snapshot's
 // lazily-built term-rank permutation (store.Snapshot.TermRanks;
@@ -65,10 +65,11 @@
 // position in term sort order. Rank order equals term order exactly
 // (Compare is a strict total order over the dictionary), ties occur
 // only between rows whose projected tuples are identical — which are
-// interchangeable — so the sorts can be unstable, and DISTINCT
-// deduplicates in ID space before any sort touches the rows. ORDER BY
-// itself stays on materialised expression values: its comparison
-// (numeric coercion, compareValues) is deliberately not term order.
+// interchangeable — so the sorts can be unstable, and a single-column
+// DISTINCT deduplicates in ID space before any sort touches the rows.
+// ORDER BY
+// itself stays on materialised terms: its comparison (numeric
+// coercion, compareTerms) is deliberately not term order.
 // None of these strategies changes observable results — only which
 // physical reads and comparisons produce them.
 
@@ -76,10 +77,8 @@ package sparql
 
 import (
 	"context"
-	"regexp"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -87,11 +86,10 @@ import (
 
 // ExecuteCtx runs the query against a pinned view (a *store.Snapshot
 // passes as is), honouring cancellation: the executor checks ctx
-// between join steps (per pattern of the required BGP, per UNION
-// branch, per OPTIONAL block and before the final sort/projection) and
-// returns ctx.Err() as soon as it observes a cancelled context, so a
-// request whose deadline passes or whose client goes away stops
-// mid-join.
+// between join steps (per pattern of the basic graph pattern, and
+// before the final sort/projection) and returns ctx.Err() as soon as
+// it observes a cancelled context, so a request whose deadline passes
+// or whose client goes away stops mid-join.
 //
 // Each call runs in a fresh single-query Session over v, with no plan
 // cache. Callers executing one question's candidates build one Session
@@ -114,20 +112,17 @@ func ExecuteStringCtx(ctx context.Context, v StoreView, src string) (*Result, er
 
 // cpat is a triple pattern compiled to ID space: per position either a
 // constant dictionary ID (vars[i] < 0) or a row column (ids[i] == 0).
-// unknown marks a pattern with a constant absent from the dictionary —
-// it can never match. baseCard is the pattern's exact unsubstituted
-// cardinality, resolved once at compile time (the planner re-reads it
-// at every join step of every block).
+// baseCard is the pattern's exact unsubstituted cardinality, resolved
+// once at compile time (the planner re-reads it at every join step).
 type cpat struct {
 	ids      [3]store.ID
 	vars     [3]int
-	unknown  bool
 	baseCard int
 }
 
 // executor holds one bound query: the session (whose pinned snapshot
 // every read of the query uses), the shared immutable plan shape, and
-// every pattern block resolved to IDs against the pinned snapshot.
+// the patterns resolved to IDs against the pinned snapshot.
 type executor struct {
 	sess  *Session
 	snap  StoreView // the session's pinned store view
@@ -136,9 +131,10 @@ type executor struct {
 	terms []rdf.Term      // snap.TermsView(): terms[id-1] materialises an ID
 	shape *planShape      // possibly cache-shared; read-only
 
-	patterns  []cpat
-	unions    [][][]cpat
-	optionals [][]cpat
+	patterns []cpat
+	// unmatched marks a pattern constant absent from the dictionary:
+	// that pattern can never match, so the group has no solution.
+	unmatched bool
 }
 
 // term materialises one ID through the pinned dictionary view. Every ID
@@ -150,7 +146,7 @@ func (ex *executor) term(id store.ID) rdf.Term {
 
 // compile builds the executable form of q in two phases: the shape
 // phase (buildShape via the session's plan cache — the column layout,
-// pattern slot structure, filter split and projection, all independent
+// pattern slot structure, filters and projection, all independent
 // of which concrete terms are bound; see plan.go) and the bind phase
 // below, which resolves the executing query's constants to dictionary
 // IDs and hoists exact base cardinalities from the pinned snapshot. The
@@ -159,33 +155,18 @@ func compile(ctx context.Context, sess *Session, q *Query) executor {
 	sh := sess.planFor(q)
 	ex := executor{sess: sess, snap: sess.snap, q: q, ctx: ctx,
 		terms: sess.terms, shape: sh}
-	ex.patterns = ex.bindPatterns(sh.patterns, q.Patterns)
-	if len(sh.unions) > 0 {
-		ex.unions = make([][][]cpat, len(sh.unions))
-		for i, block := range sh.unions {
-			branches := make([][]cpat, len(block))
-			for j, branch := range block {
-				branches[j] = ex.bindPatterns(branch, q.Unions[i][j])
-			}
-			ex.unions[i] = branches
-		}
-	}
-	if len(sh.optionals) > 0 {
-		ex.optionals = make([][]cpat, len(sh.optionals))
-		for i, opt := range sh.optionals {
-			ex.optionals[i] = ex.bindPatterns(opt, q.Optionals[i])
-		}
-	}
+	ex.bindPatterns(q.Patterns)
 	return ex
 }
 
-// bindPatterns is the bind phase for one pattern block: each shape
-// slot keeps its column layout, and every constant position resolves
-// the executing query's concrete term (the shape abstracted it away,
-// so sibling candidates differing only in bound terms share shapes).
-func (ex *executor) bindPatterns(shapes []spat, pats []rdf.Triple) []cpat {
-	out := make([]cpat, len(shapes))
-	for i, sp := range shapes {
+// bindPatterns is the bind phase: each shape slot keeps its column
+// layout, and every constant position resolves the executing query's
+// concrete term (the shape abstracted it away, so sibling candidates
+// differing only in bound terms share shapes). A constant the
+// dictionary lacks sets unmatched and ends the bind.
+func (ex *executor) bindPatterns(pats []rdf.Triple) {
+	ex.patterns = make([]cpat, len(pats))
+	for i, sp := range ex.shape.patterns {
 		cp := cpat{vars: sp.vars}
 		p := pats[i]
 		for j, t := range [3]rdf.Term{p.S, p.P, p.O} {
@@ -194,25 +175,21 @@ func (ex *executor) bindPatterns(shapes []spat, pats []rdf.Triple) []cpat {
 			}
 			id, ok := ex.snap.Lookup(t)
 			if !ok {
-				cp.unknown = true
-				continue
+				ex.unmatched = true
+				return
 			}
 			cp.ids[j] = id
 		}
-		if !cp.unknown {
-			// Hoisted once per bound pattern: the planner re-reads this
-			// at every join step of every block, and the store's cached
-			// bucket totals make the estimate O(1) even for 1-bound
-			// patterns.
-			cp.baseCard = ex.snap.EstimateCardinalityIDs(cp.ids)
-		}
-		out[i] = cp
+		// Hoisted once per bound pattern: the planner re-reads this at
+		// every join step, and the store's cached bucket totals make the
+		// estimate O(1) even for 1-bound patterns.
+		cp.baseCard = ex.snap.EstimateCardinalityIDs(cp.ids)
+		ex.patterns[i] = cp
 	}
-	return out
 }
 
 // rowset is a flat arena of binding rows: n rows of stride IDs each,
-// packed back to back in buf. ID(0) marks an unbound column.
+// packed back to back in buf. ID(0) marks a column not yet bound.
 type rowset struct {
 	buf    []store.ID
 	stride int
@@ -273,9 +250,6 @@ func substituted(cp cpat, r []store.ID) [3]store.ID {
 // reads that position's sorted posting list, which holds the matches in
 // scan order; any other row streams the scan (scanInto).
 func (ex *executor) extendInto(dst *rowset, src *rowset, cp cpat) {
-	if cp.unknown {
-		return
-	}
 	for i := 0; i < src.n; i++ {
 		r := src.row(i)
 		pat := substituted(cp, r)
@@ -343,9 +317,6 @@ func (ex *executor) scanInto(dst *rowset, r []store.ID, cp cpat, pat [3]store.ID
 // cost: the `?p rdf:type Class` filter against thousands of candidate
 // rows).
 func (ex *executor) semiJoinList(cp cpat, bound []bool) (col int, lst []store.ID, ok bool) {
-	if cp.unknown {
-		return 0, nil, false
-	}
 	col = -1
 	for _, c := range cp.vars {
 		if c < 0 {
@@ -436,7 +407,7 @@ func (ex *executor) extendStep(rows rowset, cp cpat, bound []bool) rowset {
 		return rows
 	}
 	capIDs := len(rows.buf)
-	if rows.n == 1 && !cp.unknown && substituted(cp, rows.row(0)) == cp.ids {
+	if rows.n == 1 && substituted(cp, rows.row(0)) == cp.ids {
 		if c := cp.baseCard * rows.stride; c > capIDs {
 			capIDs = c
 		}
@@ -449,23 +420,17 @@ func (ex *executor) extendStep(rows rowset, cp cpat, bound []bool) rowset {
 // pickPattern returns the index of the most selective remaining
 // pattern under the representative row's bindings: smallest estimated
 // cardinality, with a heavy penalty for patterns not sharing a variable
-// with the bound set (cartesian products). Both the required-BGP join
-// and the UNION/OPTIONAL block join use this, so they always produce
-// the same plan for the same state.
+// with the bound set (cartesian products).
 func (ex *executor) pickPattern(remaining []cpat, bound []bool, anyBound bool, rep []store.ID) int {
 	bestIdx, bestCard := 0, int(^uint(0)>>1)
 	for i, cp := range remaining {
-		card := 0
-		if !cp.unknown {
-			// Unsubstituted patterns read the cardinality resolved once
-			// at compile time (shared across every join step of every
-			// block); only genuinely row-substituted patterns hit the
-			// snapshot, and those estimates are O(1) list-length reads.
-			if pat := substituted(cp, rep); pat == cp.ids {
-				card = cp.baseCard
-			} else {
-				card = ex.snap.EstimateCardinalityIDs(pat)
-			}
+		// Unsubstituted patterns read the cardinality resolved once at
+		// compile time (shared across every join step); only genuinely
+		// row-substituted patterns hit the snapshot, and those estimates
+		// are O(1) list-length reads.
+		card := cp.baseCard
+		if pat := substituted(cp, rep); pat != cp.ids {
+			card = ex.snap.EstimateCardinalityIDs(pat)
 		}
 		if anyBound && !sharesVar(cp, bound) {
 			card *= 1000
@@ -477,40 +442,6 @@ func (ex *executor) pickPattern(remaining []cpat, bound []bool, anyBound bool, r
 	return bestIdx
 }
 
-// joinAll joins the pattern block into rows with greedy selectivity
-// ordering (pickPattern) over the first row as representative.
-func (ex *executor) joinAll(rows rowset, pats []cpat) rowset {
-	remaining := append([]cpat(nil), pats...)
-	bound := make([]bool, ex.shape.ncols)
-	anyBound := false
-	if rows.n > 0 {
-		rep := rows.row(0)
-		for c := range rep {
-			if rep[c] != 0 {
-				bound[c] = true
-				anyBound = true
-			}
-		}
-	}
-	for len(remaining) > 0 && rows.n > 0 {
-		if ex.ctx.Err() != nil {
-			return rows
-		}
-		bestIdx := ex.pickPattern(remaining, bound, anyBound, rows.row(0))
-		cp := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-
-		rows = ex.extendStep(rows, cp, bound)
-		for _, col := range cp.vars {
-			if col >= 0 {
-				bound[col] = true
-				anyBound = true
-			}
-		}
-	}
-	return rows
-}
-
 func sharesVar(cp cpat, bound []bool) bool {
 	for _, col := range cp.vars {
 		if col >= 0 && bound[col] {
@@ -520,55 +451,46 @@ func sharesVar(cp cpat, bound []bool) bool {
 	return false
 }
 
-// fillBinding populates the reusable scratch binding with the row's
-// terms for the given columns (late materialization for expression
-// evaluation only). filterCols (the expression/column pairing) lives
-// in plan.go: it is part of the cached shape.
-func (ex *executor) fillBinding(b Binding, r []store.ID, cols []int) {
-	clear(b)
-	for _, col := range cols {
-		if id := r[col]; id != 0 {
-			b[ex.shape.varNames[col]] = ex.term(id)
-		}
+// operandTerm materialises a filter operand under row r.
+func (ex *executor) operandTerm(o operand, r []store.ID) rdf.Term {
+	if o.col < 0 {
+		return o.term
 	}
+	return ex.term(r[o.col])
 }
 
 // applyFilter drops the rows the filter rejects.
-func (ex *executor) applyFilter(rows *rowset, fc filterCols, scratch Binding) {
+func (ex *executor) applyFilter(rows *rowset, f cfilter) {
 	rows.compact(func(r []store.ID) bool {
-		ex.fillBinding(scratch, r, fc.cols)
-		v, ok := fc.expr.Eval(scratch)
-		bv, okb := ebv(v, ok)
-		return okb && bv
+		return holds(f.op, ex.operandTerm(f.l, r), ex.operandTerm(f.r, r))
 	})
 }
 
-// evalBGP evaluates the required basic graph pattern with FILTERs pushed
-// down as soon as their variables are bound.
-func (ex *executor) evalBGP(pats []cpat, filters []filterCols) rowset {
-	ncols := ex.shape.ncols
+// evalBGP evaluates the basic graph pattern with each FILTER applied as
+// soon as its columns are bound.
+func (ex *executor) evalBGP() rowset {
+	sh := ex.shape
+	ncols := sh.ncols
+	if sh.noSolution || ex.unmatched {
+		return rowset{stride: ncols}
+	}
 	rows := rowset{stride: ncols, buf: make([]store.ID, ncols), n: 1} // the single empty solution
-	var scratch Binding
-	if len(filters) > 0 {
-		scratch = make(Binding, ncols)
-	}
-
-	if len(pats) == 0 {
-		for _, fc := range filters {
-			ex.applyFilter(&rows, fc, scratch)
-		}
-		return rows
-	}
 
 	var remBuf [4]cpat
 	var boundBuf [16]bool
-	remaining := append(remBuf[:0], pats...)
+	remaining := append(remBuf[:0], ex.patterns...)
 	bound := append(boundBuf[:0], make([]bool, ncols)...)
-	applied := make([]bool, len(filters))
+	applied := make([]bool, len(sh.filters))
 	anyBound := false
 
-	for len(remaining) > 0 {
-		if rows.n == 0 || ex.ctx.Err() != nil {
+	for {
+		for i, f := range sh.filters {
+			if !applied[i] && f.ready(bound) {
+				applied[i] = true
+				ex.applyFilter(&rows, f)
+			}
+		}
+		if len(remaining) == 0 || rows.n == 0 || ex.ctx.Err() != nil {
 			return rows
 		}
 		bestIdx := ex.pickPattern(remaining, bound, anyBound, rows.row(0))
@@ -582,110 +504,17 @@ func (ex *executor) evalBGP(pats []cpat, filters []filterCols) rowset {
 				anyBound = true
 			}
 		}
-
-		// Apply any filter whose variables are now all bound.
-		for i, fc := range filters {
-			if applied[i] {
-				continue
-			}
-			ready := true
-			for _, col := range fc.cols {
-				if !bound[col] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			applied[i] = true
-			ex.applyFilter(&rows, fc, scratch)
-		}
-		if rows.n == 0 {
-			return rows
-		}
 	}
-
-	// Filters still pending mention columns never bound by the BGP (or
-	// variables with no column at all): SPARQL errors on unbound
-	// variables reject the solution, except BOUND which handles absence
-	// itself — Eval already implements that, so just apply them now.
-	for i, fc := range filters {
-		if applied[i] {
-			continue
-		}
-		ex.applyFilter(&rows, fc, scratch)
-	}
-	return rows
-}
-
-// extendRow joins a pattern block under a single starting row (UNION
-// branches and OPTIONAL blocks), with per-row selectivity ordering.
-func (ex *executor) extendRow(r []store.ID, pats []cpat) rowset {
-	rows := rowset{stride: ex.shape.ncols}
-	rows.push(r)
-	return ex.joinAll(rows, pats)
 }
 
 func (ex *executor) run() (*Result, error) {
 	q := ex.q
-	if err := ex.ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// The filter pushdown split (early runs inside the required BGP as
-	// columns bind; late runs after UNION/OPTIONAL) was computed once at
-	// shape time and shared through the plan cache.
 	sh := ex.shape
+	rows := ex.evalBGP()
 
-	rows := ex.evalBGP(ex.patterns, sh.early)
-
-	// UNION blocks: each block joins the current rows with the union of
-	// its branches.
-	for _, block := range ex.unions {
-		next := rowset{stride: sh.ncols}
-		for _, branch := range block {
-			if err := ex.ctx.Err(); err != nil {
-				return nil, err
-			}
-			for i := 0; i < rows.n; i++ {
-				ext := ex.extendRow(rows.row(i), branch)
-				next.buf = append(next.buf, ext.buf...)
-				next.n += ext.n
-			}
-		}
-		rows = next
-	}
-
-	// OPTIONAL blocks: left join.
-	for _, opt := range ex.optionals {
-		if err := ex.ctx.Err(); err != nil {
-			return nil, err
-		}
-		next := rowset{stride: sh.ncols}
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			ext := ex.extendRow(r, opt)
-			if ext.n == 0 {
-				next.push(r)
-			} else {
-				next.buf = append(next.buf, ext.buf...)
-				next.n += ext.n
-			}
-		}
-		rows = next
-	}
-
-	// Deferred filters.
-	if len(sh.late) > 0 {
-		scratch := make(Binding, sh.ncols)
-		for _, fc := range sh.late {
-			ex.applyFilter(&rows, fc, scratch)
-		}
-	}
-
-	// A join loop above may have bailed out mid-way on cancellation; the
-	// partial rows must not be reported as a (wrong) result.
+	// The join stops at its first step under a cancelled context, and
+	// may bail out mid-way; the partial rows must not be reported as a
+	// (wrong) result.
 	if err := ex.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -697,26 +526,18 @@ func (ex *executor) run() (*Result, error) {
 	// COUNT aggregate: a single row with the count, straight from ID
 	// space (two rows bind the same term iff they hold the same ID).
 	if q.Count != nil {
-		n := 0
-		col, hasCol := sh.varCols[q.Count.Var]
-		switch {
-		case q.Count.Var == "":
-			n = rows.n
-		case !hasCol:
-			n = 0
-		case q.Count.Distinct:
-			seen := map[store.ID]bool{}
-			for i := 0; i < rows.n; i++ {
-				if id := rows.row(i)[col]; id != 0 {
-					seen[id] = true
+		n := rows.n
+		if v := q.Count.Var; v != "" {
+			col, bound := sh.varCols[v]
+			switch {
+			case !bound:
+				n = 0
+			case q.Count.Distinct:
+				seen := map[store.ID]bool{}
+				for i := 0; i < rows.n; i++ {
+					seen[rows.row(i)[col]] = true
 				}
-			}
-			n = len(seen)
-		default:
-			for i := 0; i < rows.n; i++ {
-				if rows.row(i)[col] != 0 {
-					n++
-				}
+				n = len(seen)
 			}
 		}
 		// The count is a synthesised literal with no dictionary ID, so
@@ -730,115 +551,63 @@ func (ex *executor) run() (*Result, error) {
 	vars := sh.projVars
 	projCols := sh.projCols
 
-	// DISTINCT with no ORDER BY: dedup in ID space *before* the
-	// deterministic sort, so the sort touches only the distinct rows.
-	// The §2.3 candidate queries are SELECT DISTINCT ?x over thousands
-	// of pre-DISTINCT join rows with a handful of distinct answers, and
-	// sorting all of them by materialised terms dominated their cost.
-	// The output is identical to dedup-after-sort: duplicate rows
-	// project identically (so which survives is unobservable) and the
-	// final order is fully determined by the projected terms.
-	if q.Distinct && len(q.OrderBy) == 0 {
-		projected := ex.projectDistinct(&rows, projCols)
-		nproj := len(projCols)
+	// DISTINCT over one column with no ORDER BY — the §2.3 candidate
+	// shape: dedup in ID space *before* the deterministic sort, so the
+	// sort touches only the distinct rows. The candidate queries are
+	// SELECT DISTINCT ?x over thousands of pre-DISTINCT join rows with a
+	// handful of distinct answers, and sorting all of them by
+	// materialised terms dominated their cost. The output is identical
+	// to dedup-after-sort: duplicate rows project identically (so which
+	// survives is unobservable) and the final order is fully determined
+	// by the projected terms.
+	if q.Distinct && len(q.OrderBy) == 0 && len(projCols) == 1 {
+		ids := distinctColumn(&rows, projCols[0])
 		// The sort runs over the snapshot's term-rank permutation: rank
 		// order equals Term.Compare order and distinct IDs hold distinct
 		// ranks, so the pure integer sort is byte-identical to the term
-		// sort it replaced with zero term materialization. Distinct rows
-		// have no ties under that order, so the unstable sort is
-		// deterministic and spares the stable sort's merge passes.
-		// Single-column results sort flat integer keys and translate the
-		// sorted ranks back through the inverse permutation.
-		if nproj == 1 {
-			ids := projected.buf
-			if len(ids) > 1 {
-				ranks, order := ex.snap.TermRanks()
-				ex.sess.rankSorts.Add(1)
-				var keyBuf [64]uint32
-				keys := append(keyBuf[:0], make([]uint32, len(ids))...)
-				for i, id := range ids {
-					keys[i] = rankKey(ranks, id)
-				}
-				slices.Sort(keys)
-				for i, k := range keys {
-					if k == 0 {
-						ids[i] = 0 // unbound stays unbound (sorts first)
-					} else {
-						ids[i] = order[k-1]
-					}
-				}
-			}
-			// projectDistinct's arena holds only the distinct rows: the
-			// result keeps its window.
-			first, last := window(q, projected.n)
-			return newColumnarResult(vars, ids[first:last:last], last-first, ex.terms), nil
-		}
-		idCols := make([]int, nproj)
-		for i := range idCols {
-			idCols[i] = i
-		}
-		perm := make([]int, projected.n)
-		for i := range perm {
-			perm[i] = i
-		}
-		if projected.n > 1 {
-			ranks, _ := ex.snap.TermRanks()
+		// sort it replaced with zero term materialization, and the
+		// sorted ranks translate back through the inverse permutation.
+		// A column no pattern binds holds one ID 0 and needs no sort.
+		if len(ids) > 1 {
+			ranks, order := ex.snap.TermRanks()
 			ex.sess.rankSorts.Add(1)
-			sort.Slice(perm, func(a, b int) bool {
-				return rankRowLess(ranks, projected.row(perm[a]), projected.row(perm[b]), idCols)
-			})
+			var keyBuf [64]uint32
+			keys := append(keyBuf[:0], make([]uint32, len(ids))...)
+			for i, id := range ids {
+				keys[i] = ranks[id-1]
+			}
+			slices.Sort(keys)
+			for i, k := range keys {
+				ids[i] = order[k]
+			}
 		}
-		first, last := window(q, projected.n)
-		out := make([]store.ID, 0, (last-first)*nproj)
-		for _, i := range perm[first:last] {
-			out = append(out, projected.row(i)...)
-		}
-		return newColumnarResult(vars, out, last-first, ex.terms), nil
+		first, last := window(q, len(ids))
+		return newColumnarResult(vars, ids[first:last:last], last-first, ex.terms), nil
 	}
 
-	// ORDER BY: precompute the sort key values once per row, then sort a
-	// permutation. Without ORDER BY, sort rows by the projected terms so
-	// results are deterministic.
+	// ORDER BY sorts a permutation by the key columns' terms. Without
+	// ORDER BY, rows sort by the projected terms so results are
+	// deterministic.
 	perm := make([]int, rows.n)
 	for i := range perm {
 		perm[i] = i
 	}
-	if len(sh.orderKeys) > 0 {
+	if len(q.OrderBy) > 0 {
 		// ORDER BY compares by SPARQL value semantics (numeric coercion,
-		// compareValues) — a different order than Term.Compare — so this
-		// path deliberately stays on materialised expression values; the
-		// term-rank permutation only replaces the ORDER-BY-less sorts.
-		nk := len(sh.orderKeys)
-		keys := make([]Value, rows.n*nk)
-		keyOK := make([]bool, rows.n*nk)
-		scratch := make(Binding, sh.ncols)
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			for k := range sh.orderKeys {
-				ex.fillBinding(scratch, r, sh.orderKeys[k].fc.cols)
-				keys[i*nk+k], keyOK[i*nk+k] = sh.orderKeys[k].fc.expr.Eval(scratch)
-			}
-		}
+		// compareTerms) — a different order than Term.Compare — so this
+		// path deliberately stays on materialised terms; the term-rank
+		// permutation only replaces the ORDER-BY-less sorts. A key over
+		// a constant or a never-bound variable orders nothing, so the
+		// stable sort keeps the join order among rows it cannot tell
+		// apart.
 		sort.SliceStable(perm, func(a, b int) bool {
-			i, j := perm[a], perm[b]
-			for k := range sh.orderKeys {
-				desc := sh.orderKeys[k].desc
-				vi, oki := keys[i*nk+k], keyOK[i*nk+k]
-				vj, okj := keys[j*nk+k], keyOK[j*nk+k]
-				if !oki && !okj {
-					continue
-				}
-				if !oki {
-					return !desc // unbound sorts first ascending
-				}
-				if !okj {
-					return desc
-				}
-				c, ok := compareValues(vi, vj)
+			ra, rb := rows.row(perm[a]), rows.row(perm[b])
+			for _, k := range sh.orderKeys {
+				c, ok := compareTerms(ex.term(ra[k.col]), ex.term(rb[k.col]))
 				if !ok || c == 0 {
 					continue
 				}
-				if desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0
@@ -912,149 +681,55 @@ func window(q *Query, n int) (first, last int) {
 	} else if q.Offset >= last {
 		first = last
 	}
-	if q.Limit >= 0 && first+q.Limit < last {
+	if q.Limit >= 0 && q.Limit < last-first {
 		last = first + q.Limit
 	}
 	return first, last
 }
 
-// scanDistinct is how many distinct rows projectDistinct finds by
+// scanDistinct is how many distinct IDs distinctColumn finds by
 // scanning its output before it builds a set: a §2.3 candidate has a
 // handful of distinct answers.
 const scanDistinct = 16
 
-// projectDistinct projects rows into a fresh arena in input order,
-// dropping duplicate projections by ID equality (two rows bind the
-// same terms iff they hold the same IDs). A duplicate is found by
-// scanning the output while it holds at most scanDistinct rows, and
-// through a set built from it past that. Single-column projections —
-// the §2.3 candidate shape — compare IDs with no per-row key material
-// at all.
-func (ex *executor) projectDistinct(rows *rowset, projCols []int) rowset {
-	nproj := len(projCols)
-	out := rowset{stride: nproj}
-	if nproj == 1 {
-		col := projCols[0]
-		var seen map[store.ID]bool
-		for i := 0; i < rows.n; i++ {
-			var id store.ID
-			if col >= 0 {
-				id = rows.row(i)[col]
-			}
-			switch {
-			case seen != nil:
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-			case slices.Contains(out.buf, id):
-				continue
-			case out.n == scanDistinct:
-				seen = make(map[store.ID]bool, 2*scanDistinct)
-				for _, prev := range out.buf {
-					seen[prev] = true
-				}
-				seen[id] = true
-			}
-			out.buf = append(out.buf, id)
-			out.n++
-		}
-		return out
-	}
-	var seen map[string]bool
-	var keyBuf [64]byte
+// distinctColumn projects one column of rows (col < 0: a column no
+// pattern binds, ID 0) in input order, dropping duplicate IDs (two rows
+// bind the same term iff they hold the same ID). A duplicate is found
+// by scanning the output while it holds at most scanDistinct IDs, and
+// through a set built from it past that.
+func distinctColumn(rows *rowset, col int) []store.ID {
+	var out []store.ID
+	var seen map[store.ID]bool
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
-		start := len(out.buf)
-		for _, col := range projCols {
-			if col >= 0 {
-				out.buf = append(out.buf, r[col])
-			} else {
-				out.buf = append(out.buf, 0)
-			}
+		var id store.ID
+		if col >= 0 {
+			id = rows.row(i)[col]
 		}
-		row := out.buf[start:]
 		switch {
 		case seen != nil:
-			key := appendRowKey(keyBuf[:0], row)
-			if seen[string(key)] {
-				out.buf = out.buf[:start]
+			if seen[id] {
 				continue
 			}
-			seen[string(key)] = true
-		case out.hasRow(row):
-			out.buf = out.buf[:start]
+			seen[id] = true
+		case slices.Contains(out, id):
 			continue
-		case out.n == scanDistinct:
-			seen = make(map[string]bool, 2*scanDistinct)
-			for j := 0; j <= out.n; j++ {
-				seen[string(appendRowKey(keyBuf[:0], out.row(j)))] = true
+		case len(out) == scanDistinct:
+			seen = make(map[store.ID]bool, 2*scanDistinct)
+			for _, prev := range out {
+				seen[prev] = true
 			}
+			seen[id] = true
 		}
-		out.n++
+		out = append(out, id)
 	}
 	return out
 }
 
-// hasRow reports whether one of the rowset's n rows equals r.
-func (rs *rowset) hasRow(r []store.ID) bool {
-	for i := 0; i < rs.n; i++ {
-		if slices.Equal(rs.row(i), r) {
-			return true
-		}
-	}
-	return false
-}
-
-// appendRowKey appends the byte encoding of a projected ID row to buf
-// — the DISTINCT dedup key shared by the pre-sort (projectDistinct)
-// and post-sort (run) paths, so the two cannot diverge.
+// appendRowKey appends the byte encoding of a projected ID row to buf:
+// the key of the multi-column DISTINCT dedup.
 func appendRowKey(buf []byte, ids []store.ID) []byte {
 	for _, id := range ids {
 		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	return buf
-}
-
-// --- REGEX support ---
-
-// evalRegex evaluates REGEX(text, pattern[, flags]) over its argument
-// values. re is the pattern the parser compiled from constant
-// arguments; without one the pattern and flags are compiled here. A
-// pattern that does not compile is an evaluation error.
-func evalRegex(re *regexp.Regexp, vals []Value) (Value, bool) {
-	text, ok := vals[0].asString()
-	if !ok {
-		return Value{}, false
-	}
-	if re == nil {
-		if re = compileRegex(vals[1:]); re == nil {
-			return Value{}, false
-		}
-	}
-	return boolValue(re.MatchString(text)), true
-}
-
-// compileRegex compiles a REGEX's pattern and optional flags values
-// (the "i" flag makes the match case-insensitive). It returns nil when
-// either has no string value or the pattern does not compile.
-func compileRegex(args []Value) *regexp.Regexp {
-	pat, ok := args[0].asString()
-	if !ok {
-		return nil
-	}
-	if len(args) == 2 {
-		flags, ok := args[1].asString()
-		if !ok {
-			return nil
-		}
-		if strings.Contains(flags, "i") {
-			pat = "(?i)" + pat
-		}
-	}
-	re, err := regexp.Compile(pat)
-	if err != nil {
-		return nil
-	}
-	return re
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/rdf"
@@ -30,8 +31,9 @@ func buildTestGraph(seed int64, n int) *store.Store {
 
 // TestIDEngineMatchesTermSpace cross-checks the ID-space executor
 // against the retained term-space reference evaluator over every query
-// shape the engine supports: BGPs, UNION, OPTIONAL, FILTER (pushdown
-// and deferred), DISTINCT, ORDER BY, LIMIT/OFFSET, ASK and COUNT.
+// shape the engine supports: BGPs, FILTER (pushed down, constant-only
+// and over a never-bound variable), DISTINCT, ORDER BY, LIMIT/OFFSET,
+// ASK and COUNT.
 func TestIDEngineMatchesTermSpace(t *testing.T) {
 	queries := []string{
 		`SELECT * WHERE { ?x dbont:p ?y . }`,
@@ -41,9 +43,12 @@ func TestIDEngineMatchesTermSpace(t *testing.T) {
 		`SELECT DISTINCT ?x WHERE { ?x dbont:p ?y . }`,
 		`SELECT ?x ?y WHERE { ?x dbont:p ?y . } ORDER BY DESC(?y) ?x`,
 		`SELECT ?x WHERE { ?x dbont:p ?y . } ORDER BY ?y LIMIT 3 OFFSET 2`,
-		`SELECT * WHERE { { ?x dbont:p ?y . } UNION { ?x dbont:q ?y . } }`,
-		`SELECT * WHERE { ?x dbont:p ?y . OPTIONAL { ?x dbont:q ?z . } }`,
-		`SELECT * WHERE { ?x dbont:p ?y . OPTIONAL { ?x dbont:q ?z . } FILTER(BOUND(?z)) }`,
+		`SELECT * WHERE { ?x dbont:p ?y . ?x dbont:q ?z . FILTER(?y < ?z) FILTER(?x != res:B) }`,
+		`SELECT * WHERE { ?x dbont:p ?y . FILTER(1 < 2) }`,
+		`SELECT * WHERE { ?x dbont:p ?y . FILTER(?z > 1) }`,
+		`SELECT (COUNT(?z) AS ?n) WHERE { ?x dbont:p ?y . }`,
+		`ASK WHERE { FILTER(2 < 1) }`,
+		`SELECT ?x ?y WHERE { ?x dbont:p ?y . } ORDER BY ?z DESC(1) ?y ?x`,
 		`SELECT (COUNT(?x) AS ?n) WHERE { ?x dbont:p ?y . }`,
 		`SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x dbont:p ?y . }`,
 		`ASK WHERE { ?x dbont:p ?y . ?y dbont:r ?z . }`,
@@ -99,8 +104,8 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestRowsetCompact pins the in-place compaction invariant the deferred
-// FILTER path relies on: the write cursor never passes the read cursor,
+// TestRowsetCompact pins the in-place compaction invariant the FILTER
+// path relies on: the write cursor never passes the read cursor,
 // so filtering may safely reuse the buffer it is reading from, in order,
 // for any keep pattern.
 func TestRowsetCompact(t *testing.T) {
@@ -146,53 +151,61 @@ func TestRowsetCompact(t *testing.T) {
 	}
 }
 
-// TestProjectDistinctMatchesSet: projectDistinct keeps exactly the
-// first occurrence of every projected row, in input order, whether the
-// output stays under scanDistinct rows (found by scanning) or grows
-// past it (found through the set built then) — single-column, with an
-// unbound column, and multi-column.
-func TestProjectDistinctMatchesSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var ex executor
-	for _, tc := range []struct {
-		ids      int // distinct IDs per column, 0 included
-		projCols []int
-	}{
-		{5, []int{1}}, {60, []int{1}}, {60, []int{-1}},
-		{4, []int{0, 2}}, {9, []int{2, -1, 0}}, {9, []int{0, 1, 2}},
-	} {
-		rows := rowset{stride: 3}
-		for i := 0; i < 400; i++ {
-			rows.push([]store.ID{store.ID(rng.Intn(tc.ids)), store.ID(rng.Intn(tc.ids)), store.ID(rng.Intn(tc.ids))})
-		}
-		var want []store.ID
-		seen := map[string]bool{}
-		for i := 0; i < rows.n; i++ {
-			var proj []store.ID
-			for _, col := range tc.projCols {
-				if col >= 0 {
-					proj = append(proj, rows.row(i)[col])
-				} else {
-					proj = append(proj, 0)
-				}
+// TestGallopTo: gallopTo finds the first index at or past lo whose
+// value is >= v, as a binary search from lo does, for every start and
+// target — including a gallop that overshoots the list's end.
+func TestGallopTo(t *testing.T) {
+	lst := []store.ID{2, 3, 5, 8, 13, 21, 34, 55, 89}
+	for lo := 0; lo <= len(lst); lo++ {
+		for v := store.ID(0); v <= 91; v++ {
+			want := lo + sort.Search(len(lst)-lo, func(i int) bool { return lst[lo+i] >= v })
+			if got := gallopTo(lst, lo, v); got != want {
+				t.Fatalf("gallopTo(lo=%d, v=%d) = %d, want %d", lo, v, got, want)
 			}
-			if key := fmt.Sprint(proj); !seen[key] {
-				seen[key] = true
-				want = append(want, proj...)
-			}
-		}
-		got := ex.projectDistinct(&rows, tc.projCols)
-		if got.n != len(seen) || fmt.Sprint(got.buf) != fmt.Sprint(want) {
-			t.Fatalf("%+v: %d rows %v, want %d rows %v", tc, got.n, got.buf, len(seen), want)
 		}
 	}
 }
 
-// TestDeferredFilterAfterOptional covers the deferred-filter path the
-// seed implemented with an aliased slice: a filter over an OPTIONAL
-// variable must drop exactly the rows where it is unbound or false,
-// preserving order.
+// TestProjectDistinctMatchesSet: distinctColumn keeps exactly the
+// first occurrence of every ID, in input order, whether the output
+// stays under scanDistinct IDs (found by scanning) or grows past it
+// (found through the set built then), and projects a column no pattern
+// binds as one ID 0. Multi-column DISTINCT runs through the general
+// path (TestRankSortDeterminism).
+func TestProjectDistinctMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		ids int // distinct IDs in the column
+		col int
+	}{{5, 1}, {60, 1}, {60, -1}} {
+		rows := rowset{stride: 3}
+		for i := 0; i < 400; i++ {
+			rows.push([]store.ID{store.ID(1 + rng.Intn(tc.ids)), store.ID(1 + rng.Intn(tc.ids)), store.ID(1 + rng.Intn(tc.ids))})
+		}
+		var want []store.ID
+		seen := map[store.ID]bool{}
+		for i := 0; i < rows.n; i++ {
+			var id store.ID
+			if tc.col >= 0 {
+				id = rows.row(i)[tc.col]
+			}
+			if !seen[id] {
+				seen[id] = true
+				want = append(want, id)
+			}
+		}
+		if got := distinctColumn(&rows, tc.col); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: %v, want %v", tc, got, want)
+		}
+	}
+}
+
+// TestDeferredFilterAfterOptional: OPTIONAL is refused, and a filter
+// over a variable no pattern binds — the filter OPTIONAL's deferred
+// path ran — drops every row, while one over a variable the join binds
+// last drops exactly the rows where it is false, preserving order.
 func TestDeferredFilterAfterOptional(t *testing.T) {
+	wantUnsupported(t, `SELECT ?x ?z WHERE { ?x dbont:p ?y . OPTIONAL { ?x dbont:q ?z . } FILTER(?z > 10) }`, "OPTIONAL")
 	st := store.New()
 	st.AddAll([]rdf.Triple{
 		{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)},
@@ -201,9 +214,14 @@ func TestDeferredFilterAfterOptional(t *testing.T) {
 		{S: rdf.Res("A"), P: rdf.Ont("q"), O: rdf.NewInteger(10)},
 		{S: rdf.Res("C"), P: rdf.Ont("q"), O: rdf.NewInteger(30)},
 	})
+	never, err := ExecuteStringCtx(context.Background(), st.Snapshot(),
+		`SELECT ?x WHERE { ?x dbont:p ?y . FILTER(?z > 10) }`)
+	if err != nil || never.Len() != 0 {
+		t.Fatalf("filter over a never-bound variable: %v, %v", never, err)
+	}
 	res, err := ExecuteStringCtx(context.Background(), st.Snapshot(), `SELECT ?x ?z WHERE {
 		?x dbont:p ?y .
-		OPTIONAL { ?x dbont:q ?z . }
+		?x dbont:q ?z .
 		FILTER(?z > 10)
 	}`)
 	if err != nil {

@@ -41,97 +41,56 @@ func TestCountEmptyMatch(t *testing.T) {
 	}
 }
 
+// The UNION, nested-group and OPTIONAL tests below pin the refusal of
+// the construct each exercised, on the query it ran.
+
 func TestUnionTwoBranches(t *testing.T) {
-	st := testGraph()
-	// writer OR basketball player.
-	res := exec(t, st, `SELECT DISTINCT ?x WHERE {
+	wantUnsupported(t, `SELECT DISTINCT ?x WHERE {
 		{ ?x a dbont:Writer } UNION { ?x a dbont:BasketballPlayer }
-	}`)
-	if len(res.Solutions()) != 4 {
-		t.Fatalf("union rows = %d, want 4: %v", len(res.Solutions()), res.Solutions())
-	}
+	}`, "UNION")
 }
 
 func TestUnionJoinsWithRequiredPatterns(t *testing.T) {
-	st := testGraph()
-	// Books by Pamuk via either author or a hypothetical property.
-	res := exec(t, st, `SELECT ?b WHERE {
+	wantUnsupported(t, `SELECT ?b WHERE {
 		?b a dbont:Book .
 		{ ?b dbont:author res:Orhan_Pamuk } UNION { ?b dbont:author res:H_G_Wells }
-	}`)
-	if len(res.Solutions()) != 4 {
-		t.Errorf("rows = %d, want 4 (3 Pamuk + 1 Wells)", len(res.Solutions()))
-	}
+	}`, "UNION")
 }
 
 func TestUnionThreeBranches(t *testing.T) {
-	st := testGraph()
-	res := exec(t, st, `SELECT DISTINCT ?x WHERE {
+	wantUnsupported(t, `SELECT DISTINCT ?x WHERE {
 		{ ?x a dbont:Writer } UNION { ?x a dbont:BasketballPlayer } UNION { ?x a dbont:Book }
-	}`)
-	if len(res.Solutions()) != 8 {
-		t.Errorf("rows = %d, want 8", len(res.Solutions()))
-	}
+	}`, "UNION")
 }
 
+// TestNestedPlainGroupInlines: a nested group is refused, not inlined;
+// its patterns written in the group answer.
 func TestNestedPlainGroupInlines(t *testing.T) {
-	st := testGraph()
-	res := exec(t, st, `SELECT ?b WHERE { { ?b a dbont:Book . ?b dbont:author res:Orhan_Pamuk } }`)
-	if len(res.Solutions()) != 3 {
-		t.Errorf("rows = %d, want 3", len(res.Solutions()))
+	wantUnsupported(t, `SELECT ?b WHERE { { ?b a dbont:Book . ?b dbont:author res:Orhan_Pamuk } }`, "nested group")
+	if res := exec(t, testGraph(), `SELECT ?b WHERE { ?b a dbont:Book . ?b dbont:author res:Orhan_Pamuk }`); res.Len() != 3 {
+		t.Errorf("rows = %d, want 3", res.Len())
 	}
 }
 
 func TestOptionalLeftJoin(t *testing.T) {
-	st := testGraph()
-	// All writers, optionally with a height (none have one).
-	res := exec(t, st, `SELECT ?w ?h WHERE {
+	wantUnsupported(t, `SELECT ?w ?h WHERE {
 		?w a dbont:Writer .
 		OPTIONAL { ?w dbont:height ?h }
-	}`)
-	if len(res.Solutions()) != 2 {
-		t.Fatalf("rows = %d, want 2 (writers kept without height)", len(res.Solutions()))
-	}
-	for _, sol := range res.Solutions() {
-		if _, ok := sol["h"]; ok {
-			t.Errorf("unexpected height binding: %v", sol)
-		}
-	}
-	// Players all have heights: OPTIONAL binds.
-	res2 := exec(t, st, `SELECT ?p ?h WHERE {
-		?p a dbont:BasketballPlayer .
-		OPTIONAL { ?p dbont:height ?h }
-	}`)
-	for _, sol := range res2.Solutions() {
-		if _, ok := sol["h"]; !ok {
-			t.Errorf("height not bound for %v", sol["p"])
-		}
-	}
+	}`, "OPTIONAL")
 }
 
 func TestOptionalWithBoundFilter(t *testing.T) {
-	st := testGraph()
-	// Deferred filter over an OPTIONAL variable: !BOUND selects writers
-	// without heights.
-	res := exec(t, st, `SELECT ?w WHERE {
+	wantUnsupported(t, `SELECT ?w WHERE {
 		?w a dbont:Writer .
 		OPTIONAL { ?w dbont:height ?h }
 		FILTER(!BOUND(?h))
-	}`)
-	if len(res.Solutions()) != 2 {
-		t.Errorf("rows = %d, want 2", len(res.Solutions()))
-	}
+	}`, "OPTIONAL")
 }
 
 func TestUnionOnlyGroup(t *testing.T) {
-	st := testGraph()
-	// No required patterns at all.
-	res := exec(t, st, `SELECT DISTINCT ?x WHERE {
+	wantUnsupported(t, `SELECT DISTINCT ?x WHERE {
 		{ ?x dbont:height "1.98"^^xsd:double } UNION { ?x dbont:height "2.03"^^xsd:double }
-	}`)
-	if len(res.Solutions()) != 2 {
-		t.Errorf("rows = %d, want 2", len(res.Solutions()))
-	}
+	}`, "UNION")
 }
 
 func TestCountRendering(t *testing.T) {
@@ -147,14 +106,7 @@ func TestCountRendering(t *testing.T) {
 }
 
 func TestUnionOptionalRendering(t *testing.T) {
-	q := MustParse(`SELECT ?x WHERE { ?x a dbont:Book . { ?x dbont:author res:A } UNION { ?x dbont:writer res:A } OPTIONAL { ?x dbont:numberOfPages ?p } }`)
-	s := q.String()
-	if !strings.Contains(s, "UNION") || !strings.Contains(s, "OPTIONAL") {
-		t.Errorf("String() = %q", s)
-	}
-	if _, err := Parse(s); err != nil {
-		t.Errorf("re-parse of %q: %v", s, err)
-	}
+	wantUnsupported(t, `SELECT ?x WHERE { ?x a dbont:Book . { ?x dbont:author res:A } UNION { ?x dbont:writer res:A } OPTIONAL { ?x dbont:numberOfPages ?p } }`, "UNION")
 }
 
 func TestCountParseErrors(t *testing.T) {
@@ -174,9 +126,5 @@ func TestCountParseErrors(t *testing.T) {
 }
 
 func TestAskWithUnion(t *testing.T) {
-	st := testGraph()
-	res := exec(t, st, `ASK { { res:Snow dbont:author res:Orhan_Pamuk } UNION { res:Snow dbont:writer res:Orhan_Pamuk } }`)
-	if !res.Boolean {
-		t.Error("ASK with union should be true")
-	}
+	wantUnsupported(t, `ASK { { res:Snow dbont:author res:Orhan_Pamuk } UNION { res:Snow dbont:writer res:Orhan_Pamuk } }`, "UNION")
 }

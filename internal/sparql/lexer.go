@@ -1,7 +1,23 @@
-// Package sparql implements the SPARQL 1.0 subset the question answering
-// pipeline generates and the evaluation harness needs: SELECT and ASK
-// queries with basic graph patterns, FILTER expressions, DISTINCT,
-// ORDER BY, LIMIT and OFFSET, executed against the internal triple store.
+// Package sparql implements the SPARQL subset the question answering
+// pipeline emits and the evaluation harness's gold queries use, executed
+// against the internal triple store. The subset, in full:
+//
+//   - SELECT [DISTINCT] with variables, '*' or (COUNT([DISTINCT] ?v|*)
+//     AS ?n), then WHERE; or ASK [WHERE]; after optional PREFIX
+//     declarations;
+//   - a WHERE group that is one basic graph pattern: triple patterns of
+//     variables, IRIs, prefixed names, literals, numbers, booleans and
+//     blank node labels, with 'a' and the ';' and ',' lists;
+//   - FILTER(operand relop operand) in the group, an operand being a
+//     variable or a constant term and relop one of = != < > <= >=;
+//     several FILTERs are their conjunction;
+//   - ORDER BY keys ?v, ASC(operand) or DESC(operand), then LIMIT and
+//     OFFSET.
+//
+// Everything else is refused with a *SyntaxError that names it:
+// OPTIONAL, UNION and nested groups, the 17 FILTER builtins (BOUND,
+// STR, REGEX, …), the logical, negation and arithmetic operators,
+// nested expressions, REDUCED and BASE.
 //
 // The engine is three stages: a lexer (this file), a recursive-descent
 // parser producing a small algebra (parser.go, ast.go), and an executor
@@ -44,7 +60,7 @@ const (
 	tokNumber  // integer, decimal or double, optionally signed
 	tokBoolean // true / false
 	tokLangTag // @en
-	tokPunct   // { } ( ) . , ; * = != < > <= >= && || ! + - / ^^ a
+	tokPunct   // { } ( ) . , ; * = != < > <= >= ^^ a
 	tokBlank   // _:label
 )
 
@@ -83,16 +99,22 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
+// keywords maps each keyword the lexer knows to whether the subset
+// supports it. The unsupported ones — BASE, REDUCED, the group
+// patterns and the 17 FILTER builtins (ISURI is ISIRI's alias) — the
+// lexer refuses by name.
 var keywords = map[string]bool{
-	"SELECT": true, "ASK": true, "WHERE": true, "PREFIX": true, "BASE": true,
-	"DISTINCT": true, "REDUCED": true, "FILTER": true, "ORDER": true,
-	"BY": true, "ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
-	"OPTIONAL": true, "UNION": true, "REGEX": true, "BOUND": true,
-	"STR": true, "LANG": true, "DATATYPE": true, "ISIRI": true,
-	"ISURI": true, "ISLITERAL": true, "ISBLANK": true, "ISNUMERIC": true,
-	"CONTAINS": true, "STRSTARTS": true, "STRENDS": true, "LCASE": true,
-	"UCASE": true, "STRLEN": true, "LANGMATCHES": true, "SAMETERM": true,
+	"SELECT": true, "ASK": true, "WHERE": true, "PREFIX": true,
+	"DISTINCT": true, "FILTER": true, "ORDER": true, "BY": true,
+	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
 	"COUNT": true, "AS": true,
+
+	"BASE": false, "REDUCED": false,
+	"OPTIONAL": false, "UNION": false, "REGEX": false, "BOUND": false,
+	"STR": false, "LANG": false, "DATATYPE": false, "ISIRI": false,
+	"ISURI": false, "ISLITERAL": false, "ISBLANK": false, "ISNUMERIC": false,
+	"CONTAINS": false, "STRSTARTS": false, "STRENDS": false, "LCASE": false,
+	"UCASE": false, "STRLEN": false, "LANGMATCHES": false, "SAMETERM": false,
 }
 
 func (l *lexer) errf(format string, args ...any) error {
@@ -203,27 +225,19 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{}, l.errf("unexpected '^'")
 
-	case c == '&':
-		if len(s) > 1 && s[1] == '&' {
-			l.pos += 2
-			return mk(tokPunct, "&&"), nil
-		}
-		return token{}, l.errf("unexpected '&'")
-
-	case c == '|':
-		if len(s) > 1 && s[1] == '|' {
-			l.pos += 2
-			return mk(tokPunct, "||"), nil
-		}
-		return token{}, l.errf("unexpected '|'")
-
 	case c == '!':
 		if len(s) > 1 && s[1] == '=' {
 			l.pos += 2
 			return mk(tokPunct, "!="), nil
 		}
-		l.pos++
-		return mk(tokPunct, "!"), nil
+		return token{}, l.errf("negation (!) is unsupported")
+
+	case strings.HasPrefix(s, "&&") || strings.HasPrefix(s, "||"):
+		return token{}, l.errf("logical (%s) is unsupported", s[:2])
+
+	case c == '+' || c == '-' || c == '/':
+		// A sign before a digit began a number above.
+		return token{}, l.errf("arithmetic (%c) is unsupported", c)
 
 	case c == '>':
 		if len(s) > 1 && s[1] == '=' {
@@ -233,7 +247,7 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		return mk(tokPunct, ">"), nil
 
-	case strings.IndexByte("{}().,;*=+-/", c) >= 0:
+	case strings.IndexByte("{}().,;*=", c) >= 0:
 		l.pos++
 		return mk(tokPunct, string(c)), nil
 	}
@@ -259,7 +273,11 @@ func (l *lexer) next() (token, error) {
 		word := l.consumeWhile(func(r rune) bool {
 			return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
 		})
-		if upper := strings.ToUpper(word); keywords[upper] {
+		upper := strings.ToUpper(word)
+		if supported, ok := keywords[upper]; ok {
+			if !supported {
+				return token{}, l.errf("%s is unsupported", upper)
+			}
 			return mk(tokKeyword, upper), nil
 		}
 		if word == "a" {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rdf"
@@ -86,15 +87,58 @@ func TestCountWithModifiersIgnoresLimit(t *testing.T) {
 	}
 }
 
+// TestOrderByUnboundSortsFirst: a key over a variable no pattern binds
+// is unbound in every row, so it orders nothing and the next key
+// decides. OPTIONAL, which left a key unbound in some rows only, is
+// refused.
 func TestOrderByUnboundSortsFirst(t *testing.T) {
 	st := modGraph()
-	st.Add(rdf.Triple{S: rdf.Res("Eve"), P: rdf.Ont("team"), O: rdf.Res("Reds")})
-	// Eve has no height; OPTIONAL keeps her with h unbound.
-	res := exec(t, st, `SELECT ?p ?h WHERE { ?p dbont:team ?t . OPTIONAL { ?p dbont:height ?h } } ORDER BY ?h`)
-	if len(res.Solutions()) != 5 {
-		t.Fatalf("rows = %d", len(res.Solutions()))
+	res := exec(t, st, `SELECT ?p ?h WHERE { ?p dbont:team ?t . ?p dbont:height ?h } ORDER BY ?z ?h`)
+	want := []string{"Dan", "Alice", "Cara", "Bob"}
+	if res.Len() != len(want) {
+		t.Fatalf("rows = %d", res.Len())
 	}
-	if res.Solutions()[0]["p"] != rdf.Res("Eve") {
-		t.Errorf("unbound row should sort first ascending: %v", res.Solutions()[0])
+	for i, name := range want {
+		if got := res.Solutions()[i]["p"]; got != rdf.Res(name) {
+			t.Errorf("row %d = %v, want %s", i, got, name)
+		}
+	}
+	wantUnsupported(t, `SELECT ?p ?h WHERE { ?p dbont:team ?t . OPTIONAL { ?p dbont:height ?h } } ORDER BY ?h`, "OPTIONAL")
+}
+
+// TestLimitOverflow: a LIMIT or OFFSET that does not fit in an int is a
+// syntax error, and the largest int LIMIT after an OFFSET keeps every
+// remaining row on each result path.
+func TestLimitOverflow(t *testing.T) {
+	st := testGraph()
+	for _, c := range []struct {
+		src  string
+		rows int // -1: a *SyntaxError
+	}{
+		{`SELECT ?x WHERE { ?x rdf:type dbont:Book } LIMIT 18446744073709551617`, -1},
+		{`SELECT ?x WHERE { ?x rdf:type dbont:Book } LIMIT 9223372036854775808`, -1},
+		{`SELECT ?x WHERE { ?x rdf:type dbont:Book } OFFSET 9223372036854775808`, -1},
+		{`SELECT ?x WHERE { ?x rdf:type dbont:Book } LIMIT 9223372036854775807 OFFSET 1`, 3},
+		{`SELECT DISTINCT ?x WHERE { ?x rdf:type dbont:Book } LIMIT 9223372036854775807 OFFSET 1`, 3},
+		{`SELECT DISTINCT ?x ?a WHERE { ?x dbont:author ?a } LIMIT 9223372036854775807 OFFSET 1`, 3},
+		{`SELECT ?x WHERE { ?x rdf:type dbont:Book } ORDER BY ?x LIMIT 9223372036854775807 OFFSET 9223372036854775807`, 0},
+	} {
+		q, err := Parse(c.src)
+		if c.rows < 0 {
+			if _, ok := err.(*SyntaxError); !ok {
+				t.Errorf("%s: err = %v, want a *SyntaxError", c.src, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		res, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if res.Len() != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.src, res.Len(), c.rows)
+		}
 	}
 }

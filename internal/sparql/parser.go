@@ -2,7 +2,7 @@ package sparql
 
 import (
 	"fmt"
-	"regexp"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -85,7 +85,7 @@ func (p *parser) expectPunct(s string) error {
 		return err
 	}
 	if !ok {
-		return p.errf("expected %q, found %s", s, p.tok)
+		return p.unexpected(strconv.Quote(s))
 	}
 	return nil
 }
@@ -125,10 +125,6 @@ func (p *parser) query() (*Query, error) {
 		}
 		q.Form = FormSelect
 		if ok, err := p.acceptKeyword("DISTINCT"); err != nil {
-			return nil, err
-		} else if ok {
-			q.Distinct = true
-		} else if ok, err := p.acceptKeyword("REDUCED"); err != nil {
 			return nil, err
 		} else if ok {
 			q.Distinct = true
@@ -241,90 +237,17 @@ func (p *parser) groupGraphPattern(q *Query) error {
 		if ok, err := p.acceptKeyword("FILTER"); err != nil {
 			return err
 		} else if ok {
-			e, err := p.brackettedOrCallExpr()
+			f, err := p.filter()
 			if err != nil {
 				return err
 			}
-			q.Filters = append(q.Filters, e)
-			// Optional '.' after a filter.
-			if _, err := p.acceptPunct("."); err != nil {
-				return err
-			}
-			continue
-		}
-		if ok, err := p.acceptKeyword("OPTIONAL"); err != nil {
-			return err
-		} else if ok {
-			block, err := p.bareGroup()
-			if err != nil {
-				return err
-			}
-			q.Optionals = append(q.Optionals, block)
-			if _, err := p.acceptPunct("."); err != nil {
-				return err
-			}
-			continue
-		}
-		if p.tok.kind == tokPunct && p.tok.text == "{" {
-			// { A } UNION { B } (UNION { C })*
-			first, err := p.bareGroup()
-			if err != nil {
-				return err
-			}
-			block := [][]rdf.Triple{first}
-			for {
-				ok, err := p.acceptKeyword("UNION")
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				branch, err := p.bareGroup()
-				if err != nil {
-					return err
-				}
-				block = append(block, branch)
-			}
-			if len(block) == 1 {
-				// A plain nested group: inline its patterns.
-				q.Patterns = append(q.Patterns, first...)
-			} else {
-				q.Unions = append(q.Unions, block)
-			}
-			if _, err := p.acceptPunct("."); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := p.triplesSameSubject(q); err != nil {
+			q.Filters = append(q.Filters, f)
+		} else if err := p.triplesSameSubject(q); err != nil {
 			return err
 		}
-		// Optional '.' between triple blocks.
+		// Optional '.' after a filter or between triple blocks.
 		if _, err := p.acceptPunct("."); err != nil {
 			return err
-		}
-	}
-}
-
-// bareGroup parses "{ triples }" with no nested structure, returning
-// the triple patterns.
-func (p *parser) bareGroup() ([]rdf.Triple, error) {
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	sub := &Query{Limit: -1, Prefixes: p.queryPrefixes}
-	for {
-		if ok, err := p.acceptPunct("}"); err != nil {
-			return nil, err
-		} else if ok {
-			return sub.Patterns, nil
-		}
-		if err := p.triplesSameSubject(sub); err != nil {
-			return nil, err
-		}
-		if _, err := p.acceptPunct("."); err != nil {
-			return nil, err
 		}
 	}
 }
@@ -406,7 +329,7 @@ func (p *parser) graphTerm(role string) (rdf.Term, error) {
 		}
 		return rdf.NewTypedLiteral(tok.text, tok.datatype), nil
 	default:
-		return rdf.Term{}, p.errf("expected %s term, found %s", role, tok)
+		return rdf.Term{}, p.unexpected(role + " term")
 	}
 }
 
@@ -517,11 +440,14 @@ func (p *parser) orderKey() (OrderKey, bool, error) {
 		if err := p.advance(); err != nil {
 			return OrderKey{}, false, err
 		}
-		e, err := p.brackettedOrCallExpr()
+		if err := p.expectPunct("("); err != nil {
+			return OrderKey{}, false, err
+		}
+		e, err := p.operand()
 		if err != nil {
 			return OrderKey{}, false, err
 		}
-		return OrderKey{Expr: e, Desc: desc}, true, nil
+		return OrderKey{Expr: e, Desc: desc}, true, p.expectPunct(")")
 	case p.tok.kind == tokVar:
 		name := p.tok.text
 		if err := p.advance(); err != nil {
@@ -537,290 +463,66 @@ func (p *parser) expectInt() (int, error) {
 	if p.tok.kind != tokNumber || p.tok.datatype != rdf.XSDInteger || !isDigit(p.tok.text[0]) {
 		return 0, p.errf("expected integer, found %s", p.tok)
 	}
-	n := 0
-	for _, c := range p.tok.text {
-		n = n*10 + int(c-'0')
+	n, err := strconv.Atoi(p.tok.text)
+	if err != nil {
+		return 0, p.errf("integer %s does not fit in an int", p.tok.text)
 	}
 	return n, p.advance()
 }
 
-// brackettedOrCallExpr parses either "( Expr )" or "BUILTIN(args)".
-func (p *parser) brackettedOrCallExpr() (Expr, error) {
-	if p.tok.kind == tokKeyword && builtinArity[p.tok.text] != 0 {
-		return p.primaryExpr()
+// relops are the comparison operators a FILTER may use.
+var relops = map[string]bool{"=": true, "!=": true, "<": true, ">": true, "<=": true, ">=": true}
+
+// unsupported names, by its first token, the SPARQL syntax outside the
+// subset that the parser meets where a term, an operator or punctuation
+// was expected. The lexer refuses the other operators.
+var unsupported = map[string]string{
+	"{": "a nested group or UNION",
+	"(": "a nested expression",
+	"*": "arithmetic (*)",
+}
+
+// unexpected reports the current token where want was expected, naming
+// the construct it starts when that construct is unsupported.
+func (p *parser) unexpected(want string) error {
+	if what, ok := unsupported[p.tok.text]; ok && p.tok.kind == tokPunct {
+		return p.errf("%s is unsupported", what)
 	}
+	return p.errf("expected %s, found %s", want, p.tok)
+}
+
+// filter parses a FILTER's "( operand relop operand )".
+func (p *parser) filter() (*Comparison, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	e, err := p.expr()
+	left, err := p.operand()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	op := p.tok.text
+	if p.tok.kind != tokPunct || !relops[op] {
+		return nil, p.unexpected("a comparison operator")
+	}
+	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	return e, nil
-}
-
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	left, err := p.andExpr()
+	right, err := p.operand()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		ok, err := p.acceptPunct("||")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return left, nil
-		}
-		right, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "||", Left: left, Right: right}
-	}
+	return &Comparison{Op: op, Left: left, Right: right}, p.expectPunct(")")
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	left, err := p.relExpr()
+// operand parses a FILTER operand or an ORDER BY key: a variable or a
+// constant term.
+func (p *parser) operand() (Expr, error) {
+	t, err := p.graphTerm("variable or constant")
 	if err != nil {
 		return nil, err
 	}
-	for {
-		ok, err := p.acceptPunct("&&")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return left, nil
-		}
-		right, err := p.relExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "&&", Left: left, Right: right}
+	if t.IsVar() {
+		return &VarExpr{Name: t.Value}, nil
 	}
-}
-
-func (p *parser) relExpr() (Expr, error) {
-	left, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range []string{"=", "!=", "<=", ">=", "<", ">"} {
-		ok, err := p.acceptPunct(op)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			right, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: op, Left: left, Right: right}, nil
-		}
-	}
-	return left, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	left, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		if ok, err := p.acceptPunct("+"); err != nil {
-			return nil, err
-		} else if ok {
-			op = "+"
-		} else if ok, err := p.acceptPunct("-"); err != nil {
-			return nil, err
-		} else if ok {
-			op = "-"
-		} else if p.tok.kind == tokNumber && !isDigit(p.tok.text[0]) && p.tok.text[0] != '.' {
-			// "?a -5": the lexer reads the sign into the number, as
-			// SPARQL's does; here it is the operator.
-			op = p.tok.text[:1]
-			p.tok.text = p.tok.text[1:]
-		} else {
-			return left, nil
-		}
-		right, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	left, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		if ok, err := p.acceptPunct("*"); err != nil {
-			return nil, err
-		} else if ok {
-			op = "*"
-		} else if ok, err := p.acceptPunct("/"); err != nil {
-			return nil, err
-		} else if ok {
-			op = "/"
-		} else {
-			return left, nil
-		}
-		right, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	if ok, err := p.acceptPunct("!"); err != nil {
-		return nil, err
-	} else if ok {
-		e, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "!", Expr: e}, nil
-	}
-	if ok, err := p.acceptPunct("-"); err != nil {
-		return nil, err
-	} else if ok {
-		e, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", Expr: e}, nil
-	}
-	return p.primaryExpr()
-}
-
-// builtinArity maps builtin names to their arity; -1 means variadic (2-3).
-var builtinArity = map[string]int{
-	"REGEX": -1, "BOUND": 1, "STR": 1, "LANG": 1, "DATATYPE": 1,
-	"ISIRI": 1, "ISURI": 1, "ISLITERAL": 1, "ISBLANK": 1, "ISNUMERIC": 1,
-	"CONTAINS": 2, "STRSTARTS": 2, "STRENDS": 2, "LCASE": 1, "UCASE": 1,
-	"STRLEN": 1, "LANGMATCHES": 2, "SAMETERM": 2,
-}
-
-// constantRegex compiles a REGEX's pattern and flags once, at parse
-// time, when both are constant terms. It returns nil otherwise, and for
-// a pattern that does not compile: evaluation compiles it then, and
-// fails.
-func constantRegex(args []Expr) *regexp.Regexp {
-	var vals [2]Value
-	for i, a := range args {
-		te, ok := a.(*TermExpr)
-		if !ok {
-			return nil
-		}
-		vals[i] = termValue(te.Term)
-	}
-	return compileRegex(vals[:len(args)])
-}
-
-func (p *parser) primaryExpr() (Expr, error) {
-	tok := p.tok
-	switch {
-	case tok.kind == tokPunct && tok.text == "(":
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-
-	case tok.kind == tokKeyword && builtinArity[tok.text] != 0:
-		fn := tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		var args []Expr
-		if !(p.tok.kind == tokPunct && p.tok.text == ")") {
-			for {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if ok, err := p.acceptPunct(","); err != nil {
-					return nil, err
-				} else if !ok {
-					break
-				}
-			}
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		want := builtinArity[fn]
-		if want > 0 && len(args) != want {
-			return nil, p.errf("%s expects %d argument(s), got %d", fn, want, len(args))
-		}
-		if want == -1 && (len(args) < 2 || len(args) > 3) {
-			return nil, p.errf("%s expects 2 or 3 arguments, got %d", fn, len(args))
-		}
-		call := &CallExpr{Fn: fn, Args: args}
-		if fn == "REGEX" {
-			call.re = constantRegex(args[1:])
-		}
-		return call, nil
-
-	case tok.kind == tokVar:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &VarExpr{Name: tok.text}, nil
-
-	case tok.kind == tokIRI:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &TermExpr{Term: rdf.NewIRI(tok.text)}, nil
-
-	case tok.kind == tokPName:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		t, err := p.resolvePName(tok.text)
-		if err != nil {
-			return nil, err
-		}
-		return &TermExpr{Term: t}, nil
-
-	case tok.kind == tokString:
-		t, err := p.literalFrom(tok)
-		if err != nil {
-			return nil, err
-		}
-		return &TermExpr{Term: t}, nil
-
-	case tok.kind == tokNumber || tok.kind == tokBoolean:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &TermExpr{Term: rdf.NewTypedLiteral(tok.text, tok.datatype)}, nil
-
-	default:
-		return nil, p.errf("unexpected %s in expression", tok)
-	}
+	return &TermExpr{Term: t}, nil
 }

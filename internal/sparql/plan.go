@@ -4,8 +4,8 @@
 //
 //   - planShape is everything derivable from the query *text* alone —
 //     the var→column layout, the variable/constant slot structure of
-//     every triple pattern, the filter pushdown split with per-filter
-//     column sets, the ORDER BY key columns and the projection. It
+//     every triple pattern, the FILTER comparisons over columns and
+//     constants, the ORDER BY key columns and the projection. It
 //     contains no dictionary IDs and no cardinalities, so it is valid
 //     at every store generation and shareable by every query with the
 //     same shape key.
@@ -31,8 +31,8 @@
 // Sharing is sound because a planShape is immutable after buildShape
 // returns: the executor only reads it. And two queries with equal
 // shape keys compile to interchangeable shapes: the key preserves
-// variable names, pattern/union/optional structure, the full text of
-// every FILTER and ORDER BY expression (via Expr.String, whose
+// variable names, the pattern structure, the full text of every
+// FILTER comparison and ORDER BY key (via their String, whose
 // terminal tokens — '?'-prefixed variables, quoted literals,
 // bracketed or prefix-shortened IRIs — are mutually unambiguous) and
 // the projection, abstracting only the constant terms inside triple
@@ -56,19 +56,27 @@ type spat struct {
 	vars [3]int
 }
 
-// filterCols pairs a filter/order expression with the row columns it
-// reads. Variables the expression mentions that have no column are
-// simply absent from cols: they can never be bound, so Eval sees them
-// as unbound and rejects the solution (except BOUND, which reports
-// false).
-type filterCols struct {
-	expr Expr
-	cols []int
+// operand is a FILTER operand or an ORDER BY key compiled against the
+// column layout: a row column (col >= 0) or a constant term.
+type operand struct {
+	col  int
+	term rdf.Term
 }
 
-// orderKeyCols is one compiled ORDER BY criterion.
-type orderKeyCols struct {
-	fc   filterCols
+// cfilter is one compiled FILTER comparison.
+type cfilter struct {
+	op   string
+	l, r operand
+}
+
+// ready reports whether every column the filter reads is bound.
+func (f cfilter) ready(bound []bool) bool {
+	return (f.l.col < 0 || bound[f.l.col]) && (f.r.col < 0 || bound[f.r.col])
+}
+
+// orderKey is one compiled ORDER BY criterion: the row column it sorts.
+type orderKey struct {
+	col  int
 	desc bool
 }
 
@@ -80,99 +88,57 @@ type planShape struct {
 	varNames []string // column -> variable name
 	ncols    int
 
-	patterns  []spat
-	unions    [][][]spat
-	optionals [][]spat
+	patterns []spat
 
-	// Filter pushdown split (see run): early filters run inside the
-	// required BGP as soon as their columns bind; late ones run after
-	// UNION/OPTIONAL. Expressions are stored from the query that built
-	// the shape; equal shape keys guarantee textually — and therefore
-	// semantically — identical expressions.
-	early, late []filterCols
-	orderKeys   []orderKeyCols
+	// filters run inside the join as soon as their columns bind. They
+	// are compiled from the query that built the shape; equal shape
+	// keys guarantee textually — and therefore semantically — identical
+	// filters.
+	filters []cfilter
+	// noSolution marks a FILTER over a variable no pattern binds: the
+	// comparison is an error on every row, so the group has no solution.
+	noSolution bool
+	// orderKeys are the ORDER BY keys over bound variables; a key over
+	// a constant or a never-bound variable orders nothing.
+	orderKeys []orderKey
 
 	projVars []string // projection var list (Star resolved)
 	projCols []int    // column per projected var; -1: never bound
-}
-
-func (sh *planShape) filterColumns(f Expr) filterCols {
-	fc := filterCols{expr: f}
-	for v := range exprVars(f) {
-		if col, ok := sh.varCols[v]; ok {
-			fc.cols = append(fc.cols, col)
-		}
-	}
-	sortInts(fc.cols)
-	return fc
-}
-
-// sortInts sorts the (tiny) column sets without pulling sort.Ints'
-// interface boxing into the shape build.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // buildShape compiles the snapshot-independent form of q. It is a pure
 // function of the query text (no session, no snapshot).
 func buildShape(q *Query) *planShape {
 	sh := &planShape{varCols: map[string]int{}}
-	// Column order must match Query.Vars() so SELECT * projects in the
+	// Column order is Query.Vars() order, so SELECT * projects in the
 	// documented order of first appearance.
-	for _, v := range q.Vars() {
+	vars := q.Vars()
+	for _, v := range vars {
 		sh.varCols[v] = len(sh.varNames)
 		sh.varNames = append(sh.varNames, v)
 	}
 	sh.ncols = len(sh.varNames)
-
 	sh.patterns = sh.shapePatterns(q.Patterns)
-	for _, block := range q.Unions {
-		branches := make([][]spat, len(block))
-		for i, branch := range block {
-			branches[i] = sh.shapePatterns(branch)
-		}
-		sh.unions = append(sh.unions, branches)
-	}
-	for _, opt := range q.Optionals {
-		sh.optionals = append(sh.optionals, sh.shapePatterns(opt))
-	}
 
-	// Filters whose variables are all introduced by the required BGP run
-	// inside it (pushdown); the rest run after UNION/OPTIONAL.
-	requiredVars := map[string]bool{}
-	for _, p := range q.Patterns {
-		for _, v := range p.Vars() {
-			requiredVars[v] = true
-		}
-	}
 	for _, f := range q.Filters {
-		deferred := false
-		for v := range exprVars(f) {
-			if !requiredVars[v] {
-				deferred = true
-				break
-			}
+		l, lok := f.Left.operand(sh.varCols)
+		r, rok := f.Right.operand(sh.varCols)
+		if !lok || !rok {
+			sh.noSolution = true
+			continue
 		}
-		if deferred && (len(q.Unions) > 0 || len(q.Optionals) > 0) {
-			sh.late = append(sh.late, sh.filterColumns(f))
-		} else {
-			sh.early = append(sh.early, sh.filterColumns(f))
-		}
+		sh.filters = append(sh.filters, cfilter{op: f.Op, l: l, r: r})
 	}
-
 	for _, key := range q.OrderBy {
-		sh.orderKeys = append(sh.orderKeys,
-			orderKeyCols{fc: sh.filterColumns(key.Expr), desc: key.Desc})
+		if o, ok := key.Expr.operand(sh.varCols); ok && o.col >= 0 {
+			sh.orderKeys = append(sh.orderKeys, orderKey{col: o.col, desc: key.Desc})
+		}
 	}
 
 	// Projection variable list and column mapping (-1: never bound).
 	sh.projVars = q.Projection
 	if q.Star {
-		sh.projVars = q.Vars()
+		sh.projVars = vars
 	}
 	sh.projCols = make([]int, len(sh.projVars))
 	for i, v := range sh.projVars {
@@ -231,32 +197,16 @@ func appendShapeKey(b []byte, q *Query) []byte {
 		}
 		b = append(b, '|')
 	}
-	pats := func(ps []rdf.Triple) {
-		for _, p := range ps {
-			for _, t := range [3]rdf.Term{p.S, p.P, p.O} {
-				if t.IsVar() {
-					b = append(append(b, '?'), t.Value...)
-				} else {
-					b = append(b, '.') // constant placeholder
-				}
-				b = append(b, ' ')
+	for _, p := range q.Patterns {
+		for _, t := range [3]rdf.Term{p.S, p.P, p.O} {
+			if t.IsVar() {
+				b = append(append(b, '?'), t.Value...)
+			} else {
+				b = append(b, '.') // constant placeholder
 			}
-			b = append(b, ';')
+			b = append(b, ' ')
 		}
-	}
-	pats(q.Patterns)
-	for _, block := range q.Unions {
-		b = append(b, "|U"...)
-		for _, branch := range block {
-			b = append(b, '{')
-			pats(branch)
-			b = append(b, '}')
-		}
-	}
-	for _, opt := range q.Optionals {
-		b = append(b, "|O{"...)
-		pats(opt)
-		b = append(b, '}')
+		b = append(b, ';')
 	}
 	for _, f := range q.Filters {
 		b = append(append(b, "|F"...), f.String()...)
@@ -326,20 +276,12 @@ func (s *Session) planFor(q *Query) *planShape {
 	return sh
 }
 
-// rankKey maps an ID to its integer sort key under the snapshot's
-// term-rank permutation: 0 for unbound (ID 0 — unbound sorts first,
-// matching rowLess), otherwise rank+1. Distinct IDs map to distinct
-// keys (store.Snapshot.TermRanks guarantees rank injectivity), so
-// comparing keys is exactly comparing terms.
-func rankKey(ranks []uint32, id store.ID) uint32 {
-	if id == 0 {
-		return 0
-	}
-	return ranks[id-1] + 1
-}
-
 // rankRowLess is rowLess over the term-rank permutation: identical
-// ordering, zero term materialization.
+// ordering, zero term materialization. Distinct IDs hold distinct ranks
+// (store.Snapshot.TermRanks guarantees rank injectivity), so comparing
+// ranks is exactly comparing terms. Only a projected column no pattern
+// binds holds ID 0, and it does so in every row, so it never reaches a
+// rank.
 func rankRowLess(ranks []uint32, a, b []store.ID, cols []int) bool {
 	for _, col := range cols {
 		if col < 0 {
@@ -349,7 +291,7 @@ func rankRowLess(ranks []uint32, a, b []store.ID, cols []int) bool {
 		if ia == ib {
 			continue
 		}
-		return rankKey(ranks, ia) < rankKey(ranks, ib)
+		return ranks[ia-1] < ranks[ib-1]
 	}
 	return false
 }

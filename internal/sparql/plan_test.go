@@ -259,6 +259,11 @@ func TestShapeKeySharing(t *testing.T) {
 	if shapeKey(d) != shapeKey(e) {
 		t.Fatal("LIMIT leaked into the shape key")
 	}
+	asc := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY ASC(?x)`)
+	desc := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY DESC(?x)`)
+	if shapeKey(asc) == shapeKey(desc) {
+		t.Fatal("ASC and DESC keys share a shape key")
+	}
 	f := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 3) }`)
 	g := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 4) }`)
 	if shapeKey(f) == shapeKey(g) {
@@ -267,17 +272,17 @@ func TestShapeKeySharing(t *testing.T) {
 }
 
 // TestRankRowLessMatchesRowLess: on every pair of rows over a sample of
-// the dictionary (unbound cells included) the integer comparator the
-// production sorts use agrees with rowLess, the term-order definition
-// it replaced.
+// the dictionary the integer comparator the production sorts use agrees
+// with rowLess, the term-order definition it replaced. The never-bound
+// column (-1) is skipped by both.
 func TestRankRowLessMatchesRowLess(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(5)), 40, 3)
 	sess := NewSnapshotSession(st.Snapshot())
 	ex := compile(context.Background(), sess, MustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
 	ranks, _ := sess.snap.TermRanks()
 	var rows [][]store.ID
-	for a := store.ID(0); a <= 12; a++ {
-		for b := store.ID(0); b <= 12; b++ {
+	for a := store.ID(1); a <= 12; a++ {
+		for b := store.ID(1); b <= 12; b++ {
 			rows = append(rows, []store.ID{a, 7, b})
 		}
 	}
@@ -292,22 +297,13 @@ func TestRankRowLessMatchesRowLess(t *testing.T) {
 }
 
 // termRowLess is the test-side oracle for the deterministic default
-// order: compare projected columns by their materialized terms,
-// unbound first — rowLess re-derived independently over the Result
-// surface.
+// order: compare projected columns by their materialized terms —
+// rowLess re-derived independently over the Result surface. A column
+// no pattern binds is unbound in every row and compares equal.
 func termRowLess(r *Result, a, b int) bool {
 	for col := range r.Vars {
-		ta, oka := r.TermAt(a, col)
-		tb, okb := r.TermAt(b, col)
-		if !oka && !okb {
-			continue
-		}
-		if !oka {
-			return true
-		}
-		if !okb {
-			return false
-		}
+		ta, _ := r.TermAt(a, col)
+		tb, _ := r.TermAt(b, col)
 		if c := ta.Compare(tb); c != 0 {
 			return c < 0
 		}
@@ -330,15 +326,16 @@ func assertTermSorted(t *testing.T, r *Result, label string) {
 // TestRankSortDeterminism: the unstable integer sorts over the
 // term-rank permutation must order results exactly as the stable
 // term-materializing sort did — on adversarial inputs full of ties
-// (duplicate projected tuples) and unbound OPTIONAL cells, across the
-// single-column DISTINCT, multi-column DISTINCT and general paths.
+// (duplicate projected tuples) and a projected variable no pattern
+// binds, across the single-column DISTINCT, multi-column DISTINCT and
+// general paths.
 func TestRankSortDeterminism(t *testing.T) {
 	st := store.New()
 	var batch []rdf.Triple
 	p0, p1 := rdf.Ont("p0"), rdf.Ont("p1")
 	// 60 subjects funneled onto 5 shared objects: every projected value
-	// ties many times over. Only every third subject gets the optional
-	// property, so the second column is unbound for most rows.
+	// ties many times over. Every third subject gets a second property
+	// with 4 values.
 	for i := 0; i < 60; i++ {
 		s := rdf.Res(fmt.Sprintf("S%02d", i))
 		batch = append(batch, rdf.Triple{S: s, P: p0, O: rdf.Res(fmt.Sprintf("V%d", i%5))})
@@ -352,14 +349,16 @@ func TestRankSortDeterminism(t *testing.T) {
 		label string
 		q     *Query
 	}{
-		{"general multi-col with unbound", MustParse(
-			`SELECT ?v ?c WHERE { ?s dbont:p0 ?v . OPTIONAL { ?s dbont:p1 ?c } }`)},
-		{"multi-col DISTINCT with unbound", MustParse(
-			`SELECT DISTINCT ?v ?c WHERE { ?s dbont:p0 ?v . OPTIONAL { ?s dbont:p1 ?c } }`)},
+		{"general multi-col", MustParse(
+			`SELECT ?v ?c WHERE { ?s dbont:p0 ?v . ?s dbont:p1 ?c }`)},
+		{"general multi-col with never-bound", MustParse(
+			`SELECT ?u ?v WHERE { ?s dbont:p0 ?v . }`)},
+		{"multi-col DISTINCT", MustParse(
+			`SELECT DISTINCT ?c ?v WHERE { ?s dbont:p0 ?v . ?s dbont:p1 ?c }`)},
+		{"multi-col DISTINCT with never-bound", MustParse(
+			`SELECT DISTINCT ?v ?u WHERE { ?s dbont:p0 ?v . }`)},
 		{"single-col DISTINCT", MustParse(
 			`SELECT DISTINCT ?v WHERE { ?s dbont:p0 ?v . }`)},
-		{"single-col DISTINCT with unbound", MustParse(
-			`SELECT DISTINCT ?c WHERE { ?s dbont:p0 ?v . OPTIONAL { ?s dbont:p1 ?c } }`)},
 		{"general all-tie projection", MustParse(
 			`SELECT ?v WHERE { ?s dbont:p0 ?v . }`)},
 	}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,7 +23,7 @@ func referenceBGP(triples []rdf.Triple, patterns []rdf.Triple) []Binding {
 	var rec func(i int, b Binding)
 	rec = func(i int, b Binding) {
 		if i == len(patterns) {
-			out = append(out, b.Clone())
+			out = append(out, maps.Clone(b))
 			return
 		}
 		pat := patterns[i]
@@ -38,7 +39,7 @@ func referenceBGP(triples []rdf.Triple, patterns []rdf.Triple) []Binding {
 }
 
 func matchRef(b Binding, pat, t rdf.Triple) (Binding, bool) {
-	nb := b.Clone()
+	nb := maps.Clone(b)
 	bind := func(p, v rdf.Term) bool {
 		if !p.IsVar() {
 			return p == v

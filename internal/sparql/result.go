@@ -13,8 +13,8 @@ import (
 // solution, flat and row-major, with store.ID(0) marking an unbound
 // column. IDs resolve to terms through the dictionary view the executor
 // pinned at run time, so reading results allocates nothing per row.
-// Consumers on the hot path read columns directly (VarIndex / IDAt /
-// TermAt / Column); Solutions() is the map-based compatibility view,
+// Consumers on the hot path read columns directly (VarIndex / TermAt /
+// Column); Solutions() is the map-based compatibility view,
 // materialised lazily on first call.
 //
 // Aggregate (COUNT) and term-space reference results carry synthesised
@@ -68,15 +68,6 @@ func (r *Result) VarIndex(name string) int {
 	return -1
 }
 
-// IDAt returns the dictionary ID at (row, col), with 0 for unbound
-// columns, out-of-range positions and materialised-only results.
-func (r *Result) IDAt(row, col int) store.ID {
-	if r.Rows == nil || col < 0 || col >= len(r.Vars) || row < 0 || row >= r.nrows {
-		return 0
-	}
-	return r.Rows[row*len(r.Vars)+col]
-}
-
 // TermAt returns the bound term at (row, col); ok is false when the
 // position is out of range or the variable is unbound in that row.
 func (r *Result) TermAt(row, col int) (rdf.Term, bool) {
@@ -89,9 +80,6 @@ func (r *Result) TermAt(row, col int) (rdf.Term, bool) {
 			return rdf.Term{}, false
 		}
 		return r.terms[id-1], true
-	}
-	if r.sols == nil {
-		return rdf.Term{}, false
 	}
 	t, ok := r.sols[row][r.Vars[col]]
 	return t, ok
@@ -132,10 +120,8 @@ func (r *Result) Solutions() []Binding {
 	if r.Form == FormAsk {
 		return nil
 	}
+	// A materialised result spent solsOnce when it was built.
 	r.solsOnce.Do(func() {
-		if r.sols != nil {
-			return
-		}
 		sols := make([]Binding, 0, r.nrows)
 		stride := len(r.Vars)
 		for row := 0; row < r.nrows; row++ {

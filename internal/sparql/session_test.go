@@ -54,11 +54,11 @@ func randStore(rng *rand.Rand, nEnt, nProps int) (*store.Store, []rdf.Term) {
 
 // siblingQueries builds a candidate-fan-out-style workload: queries
 // that differ only in property or orientation plus a few shapes with
-// UNION/OPTIONAL/FILTER/ORDER BY/COUNT/ASK to cover every executor
-// path through the session.
+// FILTER/ORDER BY/COUNT/ASK to cover every executor path through the
+// session.
 func siblingQueries(rng *rand.Rand, props []rdf.Term) []*Query {
 	var qs []*Query
-	x, p, c := rdf.NewVar("x"), rdf.NewVar("p"), rdf.NewVar("c")
+	x, p := rdf.NewVar("x"), rdf.NewVar("p")
 	class := []rdf.Term{rdf.Ont("Person"), rdf.Ont("City"), rdf.Ont("Book")}[rng.Intn(3)]
 	for _, prop := range props {
 		qs = append(qs,
@@ -85,14 +85,12 @@ func siblingQueries(rng *rand.Rand, props []rdf.Term) []*Query {
 	// Non-fan-out shapes over the same patterns.
 	qs = append(qs,
 		&Query{Form: FormSelect, Star: true, Limit: -1,
-			Patterns:  []rdf.Triple{{S: p, P: props[0], O: x}},
-			Optionals: [][]rdf.Triple{{{S: p, P: props[1%len(props)], O: c}}},
+			Patterns: []rdf.Triple{{S: p, P: props[0], O: x}},
+			Filters:  []*Comparison{{Op: ">", Left: &VarExpr{Name: "x"}, Right: &TermExpr{Term: rdf.NewInteger(20)}}},
 		},
-		&Query{Form: FormSelect, Star: true, Limit: 7,
-			Unions: [][][]rdf.Triple{{
-				{{S: p, P: props[0], O: x}},
-				{{S: p, P: props[len(props)-1], O: x}},
-			}},
+		&Query{Form: FormSelect, Count: &CountSpec{Var: "p", Distinct: true, As: "n"}, Limit: 7,
+			Patterns: []rdf.Triple{{S: p, P: props[len(props)-1], O: x}},
+			Filters:  []*Comparison{{Op: "<=", Left: &VarExpr{Name: "x"}, Right: &TermExpr{Term: rdf.NewInteger(10)}}},
 		},
 		&Query{Form: FormSelect, Projection: []string{"p", "x"}, Limit: -1,
 			Patterns: []rdf.Triple{{S: p, P: props[0], O: x}},

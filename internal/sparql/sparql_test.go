@@ -75,9 +75,10 @@ func TestSelectKeywordCaseInsensitive(t *testing.T) {
 func TestSelectWithExplicitPrefix(t *testing.T) {
 	st := testGraph()
 	res := exec(t, st, `
+# Full IRIs under local prefixes.
 PREFIX o: <http://dbpedia.org/ontology/>
 PREFIX r: <http://dbpedia.org/resource/>
-SELECT ?b WHERE { ?b o:author r:Orhan_Pamuk . }`)
+SELECT ?b WHERE { ?b o:author r:Orhan_Pamuk . } # every book`)
 	if len(res.Solutions()) != 3 {
 		t.Errorf("got %d, want 3", len(res.Solutions()))
 	}
@@ -112,9 +113,14 @@ func TestAATypeAbbreviation(t *testing.T) {
 
 func TestSemicolonAndCommaSyntax(t *testing.T) {
 	st := testGraph()
-	res := exec(t, st, `SELECT ?x WHERE { ?x a dbont:Book ; dbont:author res:Orhan_Pamuk . }`)
-	if len(res.Solutions()) != 3 {
-		t.Errorf("semicolon syntax: got %d, want 3", len(res.Solutions()))
+	for _, src := range []string{
+		`SELECT ?x WHERE { ?x a dbont:Book ; dbont:author res:Orhan_Pamuk . }`,
+		`SELECT ?x WHERE { ?x a dbont:Book ; dbont:author res:Orhan_Pamuk ; . }`,
+		`SELECT ?x WHERE { ?x a dbont:Book ; dbont:author res:Orhan_Pamuk ; }`,
+	} {
+		if res := exec(t, st, src); len(res.Solutions()) != 3 {
+			t.Errorf("%s: got %d, want 3", src, len(res.Solutions()))
+		}
 	}
 	res2 := exec(t, st, `ASK { res:Abraham_Lincoln dbont:deathPlace res:Washington_D.C\. , res:Nowhere }`)
 	if res2.Boolean {
@@ -143,9 +149,9 @@ func TestFilterNumericComparison(t *testing.T) {
 	if len(res.Solutions()) != 1 || res.Solutions()[0]["p"] != rdf.Res("Scottie_Pippen") {
 		t.Errorf("FILTER > : %v", res.Solutions())
 	}
-	res2 := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h >= 1.98 && ?h <= 2.0) }`)
+	res2 := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h >= 1.98) FILTER(?h <= 2.0) }`)
 	if len(res2.Solutions()) != 1 || res2.Solutions()[0]["p"] != rdf.Res("Michael_Jordan") {
-		t.Errorf("FILTER && : %v", res2.Solutions())
+		t.Errorf("two FILTERs: %v", res2.Solutions())
 	}
 }
 
@@ -157,63 +163,48 @@ func TestFilterEqualityAndInequality(t *testing.T) {
 	}
 }
 
+// TestFilterRegexAndStr: REGEX and STR are refused; an exact label
+// comparison answers what the case-insensitive search did here.
 func TestFilterRegexAndStr(t *testing.T) {
+	wantUnsupported(t, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(REGEX(STR(?l), "pamuk", "i")) }`, "REGEX")
+	wantUnsupported(t, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(STR(?l) = "Orhan Pamuk") }`, "STR")
 	st := testGraph()
-	res := exec(t, st, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(REGEX(STR(?l), "pamuk", "i")) }`)
+	res := exec(t, st, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(?l = "Orhan Pamuk"@en) }`)
 	if len(res.Solutions()) != 1 || res.Solutions()[0]["x"] != rdf.Res("Orhan_Pamuk") {
-		t.Errorf("REGEX: %v", res.Solutions())
+		t.Errorf("label comparison: %v", res.Solutions())
 	}
 }
 
+// TestFilterBuiltins: each term-test and string builtin is refused by
+// name.
 func TestFilterBuiltins(t *testing.T) {
-	st := testGraph()
-	res := exec(t, st, `SELECT ?o WHERE { res:Abraham_Lincoln ?p ?o . FILTER(ISLITERAL(?o)) }`)
-	if len(res.Solutions()) != 1 || !res.Solutions()[0]["o"].IsDate() {
-		t.Errorf("ISLITERAL: %v", res.Solutions())
-	}
-	res2 := exec(t, st, `SELECT ?o WHERE { res:Abraham_Lincoln ?p ?o . FILTER(ISIRI(?o)) }`)
-	if len(res2.Solutions()) != 1 || res2.Solutions()[0]["o"] != rdf.Res("Washington_D.C.") {
-		t.Errorf("ISIRI: %v", res2.Solutions())
-	}
-	res3 := exec(t, st, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(LANGMATCHES(LANG(?l), "en")) }`)
-	if len(res3.Solutions()) != 1 {
-		t.Errorf("LANGMATCHES/LANG: %v", res3.Solutions())
-	}
-	res4 := exec(t, st, `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(CONTAINS(LCASE(STR(?l)), "orhan")) }`)
-	if len(res4.Solutions()) != 1 {
-		t.Errorf("CONTAINS/LCASE: %v", res4.Solutions())
-	}
-	res5 := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(ISNUMERIC(?h) && STRLEN(STR(?p)) > 0) }`)
-	if len(res5.Solutions()) != 2 {
-		t.Errorf("ISNUMERIC/STRLEN: %v", res5.Solutions())
+	for fn, src := range map[string]string{
+		"ISLITERAL": `SELECT ?o WHERE { res:Abraham_Lincoln ?p ?o . FILTER(ISLITERAL(?o)) }`,
+		"ISIRI":     `SELECT ?o WHERE { res:Abraham_Lincoln ?p ?o . FILTER(ISIRI(?o)) }`,
+		"LANG":      `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(LANG(?l) = "en") }`,
+		"CONTAINS":  `SELECT ?x WHERE { ?x rdfs:label ?l . FILTER(CONTAINS(?l, "orhan")) }`,
+		"ISNUMERIC": `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(ISNUMERIC(?h)) }`,
+	} {
+		wantUnsupported(t, src, fn)
 	}
 }
 
+// TestFilterBound: BOUND is refused. With no OPTIONAL every variable of
+// a solution is bound, and a FILTER over a variable no pattern binds
+// rejects every solution.
 func TestFilterBound(t *testing.T) {
+	wantUnsupported(t, `SELECT ?x WHERE { ?x a dbont:Writer . FILTER(BOUND(?x)) }`, "BOUND")
+	wantUnsupported(t, `SELECT ?x WHERE { ?x a dbont:Writer . FILTER(!BOUND(?y)) }`, "(!)")
 	st := testGraph()
-	// BOUND on a bound variable.
-	res := exec(t, st, `SELECT ?x WHERE { ?x a dbont:Writer . FILTER(BOUND(?x)) }`)
-	if len(res.Solutions()) != 2 {
-		t.Errorf("BOUND: %v", res.Solutions())
-	}
-	// !BOUND for a variable that never binds: the filter references an
-	// out-of-pattern var; solutions survive because !BOUND(?y) is true.
-	res2 := exec(t, st, `SELECT ?x WHERE { ?x a dbont:Writer . FILTER(!BOUND(?y)) }`)
-	if len(res2.Solutions()) != 2 {
-		t.Errorf("!BOUND unbound: %v", res2.Solutions())
+	if res := exec(t, st, `SELECT ?x WHERE { ?x a dbont:Writer . FILTER(?y = ?x) }`); res.Len() != 0 {
+		t.Errorf("FILTER over a never-bound variable: %v", res.Solutions())
 	}
 }
 
+// TestFilterArithmetic: arithmetic and unary minus are refused.
 func TestFilterArithmetic(t *testing.T) {
-	st := testGraph()
-	res := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h * 100 > 200) }`)
-	if len(res.Solutions()) != 1 || res.Solutions()[0]["p"] != rdf.Res("Scottie_Pippen") {
-		t.Errorf("arithmetic: %v", res.Solutions())
-	}
-	res2 := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(-?h < -2) }`)
-	if len(res2.Solutions()) != 1 {
-		t.Errorf("unary minus: %v", res2.Solutions())
-	}
+	wantUnsupported(t, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h * 100 > 200) }`, "(*)")
+	wantUnsupported(t, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(-?h < -2) }`, "(-)")
 }
 
 func TestOrderByAndLimit(t *testing.T) {
@@ -343,6 +334,41 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestUnsupportedSPARQLRejected: each construct outside the subset —
+// the group patterns, the 17 FILTER builtins, the logical, negation and
+// arithmetic operators, REDUCED and BASE — is refused with a
+// *SyntaxError that names it.
+func TestUnsupportedSPARQLRejected(t *testing.T) {
+	const head = `SELECT ?x WHERE { ?x rdfs:label ?l . ?x dbont:height ?h . `
+	rows := []struct{ name, src, construct string }{
+		{"OPTIONAL", `SELECT ?x ?h WHERE { ?x a dbont:Writer . OPTIONAL { ?x dbont:height ?h } }`, "OPTIONAL"},
+		{"UNION", `SELECT ?x WHERE { { ?x a dbont:Writer } UNION { ?x a dbont:Book } }`, "UNION"},
+		{"nested group", `SELECT ?x WHERE { ?x a dbont:Book . { ?x dbont:author res:Orhan_Pamuk } }`, "nested group"},
+		{"&&", head + `FILTER(?h > 1 && ?h < 2) }`, "&&"},
+		{"||", head + `FILTER(?h > 1 || ?h < 2) }`, "||"},
+		{"!", head + `FILTER(!(?h > 1)) }`, "(!)"},
+		{"unary -", head + `FILTER(-?h < -2) }`, "(-)"},
+		{"+", head + `FILTER(?h + 1 > 2) }`, "(+)"},
+		{"-", head + `FILTER(?h - 1 > 2) }`, "(-)"},
+		{"*", head + `FILTER(?h * 2 > 2) }`, "(*)"},
+		{"/", head + `FILTER(?h / 2 > 2) }`, "(/)"},
+		{"nested expression", head + `FILTER((?h > 2)) }`, "nested expression"},
+		{"ORDER BY expression", head + `} ORDER BY DESC(?h * 2)`, "(*)"},
+		{"REDUCED", `SELECT REDUCED ?x WHERE { ?x a dbont:Book }`, "REDUCED"},
+		{"BASE", `BASE <http://dbpedia.org/> SELECT ?x WHERE { ?x a dbont:Book }`, "BASE"},
+		{"fuzz seed", `PREFIX ex: <http://x/>
+SELECT DISTINCT ?s WHERE { { ?s ex:p -2 } UNION { ?s ex:q "x"@en } OPTIONAL { ?s ex:r ?o } FILTER(?o -1 > +4.5 && !BOUND(?z) || REGEX(STR(?s), "^a", "i")) }`, "UNION"},
+	}
+	for _, fn := range []string{"BOUND", "STR", "LANG", "DATATYPE", "ISIRI", "ISURI",
+		"ISLITERAL", "ISBLANK", "ISNUMERIC", "STRLEN", "LCASE", "UCASE", "CONTAINS",
+		"STRSTARTS", "STRENDS", "REGEX", "LANGMATCHES", "SAMETERM"} {
+		rows = append(rows, struct{ name, src, construct string }{fn, head + `FILTER(` + strings.ToLower(fn) + `(?l, "x")) }`, fn})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { wantUnsupported(t, r.src, r.construct) })
+	}
+}
+
 func TestSyntaxErrorHasLine(t *testing.T) {
 	_, err := Parse("SELECT ?x WHERE {\n ?x ?p\n}")
 	se, ok := err.(*SyntaxError)
@@ -409,30 +435,35 @@ func TestCartesianProductQuery(t *testing.T) {
 	}
 }
 
+// TestFilterOrSemantics: || and ! are refused; two FILTERs are their
+// conjunction.
 func TestFilterOrSemantics(t *testing.T) {
+	wantUnsupported(t, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h < 1.99 || ?h > 2.02) }`, "(||)")
+	wantUnsupported(t, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(!(?h < 1.99)) }`, "(!)")
 	st := testGraph()
-	res := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h < 1.99 || ?h > 2.02) }`)
-	if len(res.Solutions()) != 2 {
-		t.Errorf("|| : %v", res.Solutions())
-	}
-	res2 := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(!(?h < 1.99)) }`)
-	if len(res2.Solutions()) != 1 || res2.Solutions()[0]["p"] != rdf.Res("Scottie_Pippen") {
-		t.Errorf("! : %v", res2.Solutions())
+	res := exec(t, st, `SELECT ?p WHERE { ?p dbont:height ?h . FILTER(?h > 1.99) . FILTER(?h < 2.1) }`)
+	if len(res.Solutions()) != 1 || res.Solutions()[0]["p"] != rdf.Res("Scottie_Pippen") {
+		t.Errorf("two FILTERs: %v", res.Solutions())
 	}
 }
 
+// TestDatatypeBuiltin: DATATYPE is refused; a typed constant compares
+// with the stored date.
 func TestDatatypeBuiltin(t *testing.T) {
+	wantUnsupported(t, `SELECT ?o WHERE { res:Abraham_Lincoln dbont:deathDate ?o . FILTER(DATATYPE(?o) = xsd:date) }`, "DATATYPE")
 	st := testGraph()
-	res := exec(t, st, `SELECT ?o WHERE { res:Abraham_Lincoln dbont:deathDate ?o . FILTER(DATATYPE(?o) = xsd:date) }`)
+	res := exec(t, st, `SELECT ?o WHERE { res:Abraham_Lincoln dbont:deathDate ?o . FILTER(?o = "1865-04-15"^^xsd:date) }`)
 	if len(res.Solutions()) != 1 {
-		t.Errorf("DATATYPE: %v", res.Solutions())
+		t.Errorf("typed date comparison: %v", res.Solutions())
 	}
 }
 
+// TestSameTerm: SAMETERM is refused; '=' on IRIs is term identity.
 func TestSameTerm(t *testing.T) {
+	wantUnsupported(t, `SELECT ?b WHERE { ?b dbont:author ?a . FILTER(SAMETERM(?a, res:H_G_Wells)) }`, "SAMETERM")
 	st := testGraph()
-	res := exec(t, st, `SELECT ?b WHERE { ?b dbont:author ?a . FILTER(SAMETERM(?a, res:H_G_Wells)) }`)
+	res := exec(t, st, `SELECT ?b WHERE { ?b dbont:author ?a . FILTER(?a = res:H_G_Wells) }`)
 	if len(res.Solutions()) != 1 || res.Solutions()[0]["b"] != rdf.Res("The_Time_Machine") {
-		t.Errorf("SAMETERM: %v", res.Solutions())
+		t.Errorf("= on IRIs: %v", res.Solutions())
 	}
 }

@@ -19,6 +19,7 @@ package sparql
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -46,75 +47,7 @@ type tsExecutor struct {
 
 func (ex *tsExecutor) run() (*Result, error) {
 	q := ex.q
-
-	// Filters whose variables are all introduced by the required BGP
-	// run inside it (pushdown); the rest run after UNION/OPTIONAL.
-	requiredVars := map[string]bool{}
-	for _, p := range q.Patterns {
-		for _, v := range p.Vars() {
-			requiredVars[v] = true
-		}
-	}
-	var early, late []Expr
-	for _, f := range q.Filters {
-		deferred := false
-		for v := range exprVars(f) {
-			if !requiredVars[v] {
-				deferred = true
-				break
-			}
-		}
-		if deferred && (len(q.Unions) > 0 || len(q.Optionals) > 0) {
-			late = append(late, f)
-		} else {
-			early = append(early, f)
-		}
-	}
-
-	solutions := ex.evalBGP(q.Patterns, early)
-
-	// UNION blocks: each block joins the current solutions with the
-	// union of its branches.
-	for _, block := range q.Unions {
-		var next []Binding
-		for _, branch := range block {
-			for _, sol := range solutions {
-				next = append(next, ex.joinPatterns(sol, branch)...)
-			}
-		}
-		solutions = next
-	}
-
-	// OPTIONAL blocks: left join.
-	for _, opt := range q.Optionals {
-		var next []Binding
-		for _, sol := range solutions {
-			extended := ex.joinPatterns(sol, opt)
-			if len(extended) == 0 {
-				next = append(next, sol)
-			} else {
-				next = append(next, extended...)
-			}
-		}
-		solutions = next
-	}
-
-	// Deferred filters. Filtering compacts into a fresh slice: the seed
-	// version reused the backing array (kept := solutions[:0]) while
-	// still reading from it, which is safe only because the write cursor
-	// trails the read cursor; the explicit copy makes that independence
-	// unconditional.
-	for _, f := range late {
-		kept := make([]Binding, 0, len(solutions))
-		for _, sol := range solutions {
-			v, ok := f.Eval(sol)
-			bv, okb := ebv(v, ok)
-			if okb && bv {
-				kept = append(kept, sol)
-			}
-		}
-		solutions = kept
-	}
+	solutions := ex.evalBGP(q.Patterns, q.Filters)
 
 	if q.Form == FormAsk {
 		return &Result{Form: FormAsk, Boolean: len(solutions) > 0}, nil
@@ -154,18 +87,12 @@ func (ex *tsExecutor) run() (*Result, error) {
 	if len(q.OrderBy) > 0 {
 		sort.SliceStable(solutions, func(i, j int) bool {
 			for _, key := range q.OrderBy {
-				vi, oki := key.Expr.Eval(solutions[i])
-				vj, okj := key.Expr.Eval(solutions[j])
-				if !oki && !okj {
+				vi, oki := refOperand(key.Expr, solutions[i])
+				vj, okj := refOperand(key.Expr, solutions[j])
+				if !oki || !okj {
 					continue
 				}
-				if !oki {
-					return !key.Desc // unbound sorts first ascending
-				}
-				if !okj {
-					return key.Desc
-				}
-				c, ok := compareValues(vi, vj)
+				c, ok := compareTerms(vi, vj)
 				if !ok || c == 0 {
 					continue
 				}
@@ -227,18 +154,7 @@ func (ex *tsExecutor) run() (*Result, error) {
 
 func bindingLess(a, b Binding, vars []string) bool {
 	for _, v := range vars {
-		ta, oka := a[v]
-		tb, okb := b[v]
-		if !oka && !okb {
-			continue
-		}
-		if !oka {
-			return true
-		}
-		if !okb {
-			return false
-		}
-		if c := ta.Compare(tb); c != 0 {
+		if c := a[v].Compare(b[v]); c != 0 {
 			return c < 0
 		}
 	}
@@ -256,57 +172,56 @@ func bindingKey(b Binding, vars []string) string {
 	return sb.String()
 }
 
-// joinPatterns extends one solution with the matches of a pattern
-// block (no filters), used for UNION branches and OPTIONAL blocks.
-func (ex *tsExecutor) joinPatterns(sol Binding, patterns []rdf.Triple) []Binding {
-	solutions := []Binding{sol}
-	remaining := append([]rdf.Triple(nil), patterns...)
-	for len(remaining) > 0 && len(solutions) > 0 {
-		rep := solutions[0]
-		bestIdx, bestCard := 0, int(^uint(0)>>1)
-		for i, pat := range remaining {
-			card := ex.st.EstimateCardinality(tsSubstitute(pat, rep))
-			if card < bestCard {
-				bestIdx, bestCard = i, card
-			}
-		}
-		pat := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		var next []Binding
-		for _, s := range solutions {
-			ground := tsSubstitute(pat, s)
-			ex.st.ForEachMatch(ground, func(t rdf.Triple) bool {
-				if nb, ok := tsExtend(s, pat, t); ok {
-					next = append(next, nb)
-				}
-				return true
-			})
-		}
-		solutions = next
+// refOperand evaluates a FILTER operand or ORDER BY key over one
+// solution; an unbound variable has no value.
+func refOperand(e Expr, sol Binding) (rdf.Term, bool) {
+	if v, ok := e.(*VarExpr); ok {
+		t, bound := sol[v.Name]
+		return t, bound
 	}
-	return solutions
+	return e.(*TermExpr).Term, true
+}
+
+// refHolds evaluates a FILTER comparison over one solution: an unbound
+// operand is an error, which rejects the solution.
+func refHolds(f *Comparison, sol Binding) bool {
+	l, lok := refOperand(f.Left, sol)
+	r, rok := refOperand(f.Right, sol)
+	return lok && rok && holds(f.Op, l, r)
+}
+
+// keep returns the solutions the filter accepts, in a fresh slice.
+func keep(solutions []Binding, f *Comparison) []Binding {
+	kept := make([]Binding, 0, len(solutions))
+	for _, sol := range solutions {
+		if refHolds(f, sol) {
+			kept = append(kept, sol)
+		}
+	}
+	return kept
 }
 
 // evalBGP evaluates the basic graph pattern with FILTERs pushed down as
 // soon as their variables are bound.
-func (ex *tsExecutor) evalBGP(patterns []rdf.Triple, filters []Expr) []Binding {
+func (ex *tsExecutor) evalBGP(patterns []rdf.Triple, filters []*Comparison) []Binding {
 	if len(patterns) == 0 {
 		// Empty BGP has the single empty solution if no filters reject it.
-		b := Binding{}
+		solutions := []Binding{{}}
 		for _, f := range filters {
-			v, ok := f.Eval(b)
-			bv, okb := ebv(v, ok)
-			if !okb || !bv {
-				return nil
-			}
+			solutions = keep(solutions, f)
 		}
-		return []Binding{b}
+		return solutions
 	}
 
 	// Track which filters have been applied.
 	filterVars := make([]map[string]bool, len(filters))
 	for i, f := range filters {
-		filterVars[i] = exprVars(f)
+		filterVars[i] = map[string]bool{}
+		for _, e := range []Expr{f.Left, f.Right} {
+			if v, ok := e.(*VarExpr); ok {
+				filterVars[i][v.Name] = true
+			}
+		}
 	}
 
 	remaining := make([]rdf.Triple, len(patterns))
@@ -373,38 +288,19 @@ func (ex *tsExecutor) evalBGP(patterns []rdf.Triple, filters []Expr) []Binding {
 				continue
 			}
 			appliedFilter[i] = true
-			kept := make([]Binding, 0, len(solutions))
-			for _, sol := range solutions {
-				v, ok := f.Eval(sol)
-				bv, okb := ebv(v, ok)
-				if okb && bv {
-					kept = append(kept, sol)
-				}
-			}
-			solutions = kept
+			solutions = keep(solutions, f)
 		}
 		if len(solutions) == 0 {
 			return nil
 		}
 	}
 
-	// Any filters not yet applied (mention unbound vars): SPARQL errors
-	// on unbound variables reject the solution, except BOUND which
-	// handles absence itself — Eval already implements that, so just
-	// apply them now.
+	// Any filters not yet applied mention a variable no pattern binds:
+	// SPARQL errors on unbound variables reject the solution.
 	for i, f := range filters {
-		if appliedFilter[i] {
-			continue
+		if !appliedFilter[i] {
+			solutions = keep(solutions, f)
 		}
-		kept := make([]Binding, 0, len(solutions))
-		for _, sol := range solutions {
-			v, ok := f.Eval(sol)
-			bv, okb := ebv(v, ok)
-			if okb && bv {
-				kept = append(kept, sol)
-			}
-		}
-		solutions = kept
 	}
 	return solutions
 }
@@ -434,7 +330,7 @@ func tsSubstitute(pat rdf.Triple, b Binding) rdf.Triple {
 // tsExtend merges the match t into sol according to pat's variables. It
 // reports false on conflicting repeated variables.
 func tsExtend(sol Binding, pat rdf.Triple, t rdf.Triple) (Binding, bool) {
-	nb := sol.Clone()
+	nb := maps.Clone(sol)
 	try := func(pt rdf.Term, val rdf.Term) bool {
 		if !pt.IsVar() {
 			return true
@@ -451,9 +347,8 @@ func tsExtend(sol Binding, pat rdf.Triple, t rdf.Triple) (Binding, bool) {
 	return nb, true
 }
 
-// rowLess orders two rows by the projected columns' terms (unbound
-// first) — the reference definition of the deterministic default
-// order. Production sorts run rankRowLess over the snapshot's
+// rowLess orders two rows by the projected columns' terms — the
+// reference definition of the deterministic default order. Production sorts run rankRowLess over the snapshot's
 // term-rank permutation instead; the equivalence (identical order,
 // zero term materialization) is pinned by TestRankRowLessMatchesRowLess
 // in plan_test.go.
@@ -465,12 +360,6 @@ func (ex *executor) rowLess(a, b []store.ID, projCols []int) bool {
 		ia, ib := a[col], b[col]
 		if ia == ib {
 			continue
-		}
-		if ia == 0 {
-			return true
-		}
-		if ib == 0 {
-			return false
 		}
 		if c := ex.term(ia).Compare(ex.term(ib)); c != 0 {
 			return c < 0

@@ -13,7 +13,7 @@ import (
 	"os"
 
 	"repro/internal/kb"
-	"repro/internal/ntriples"
+	"repro/internal/rdf"
 )
 
 func main() {
@@ -42,7 +42,7 @@ func main() {
 		w = f
 	}
 	sn := k.Store.Snapshot()
-	if err := ntriples.WriteAll(w, sn.Triples()); err != nil {
+	if err := rdf.WriteNTriples(w, sn.Triples()); err != nil {
 		fmt.Fprintln(os.Stderr, "kbgen:", err)
 		os.Exit(1)
 	}

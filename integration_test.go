@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kb"
-	"repro/internal/ntriples"
 	"repro/internal/qald"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -27,7 +26,7 @@ import (
 func TestKBDumpLoadRoundTrip(t *testing.T) {
 	orig := kb.Build(kb.Config{Seed: 7, SyntheticPersons: 20, SyntheticCities: 5, SyntheticBooks: 10}).Store.Snapshot()
 	var buf bytes.Buffer
-	if err := ntriples.WriteAll(&buf, orig.Triples()); err != nil {
+	if err := rdf.WriteNTriples(&buf, orig.Triples()); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := turtle.ParseNTriples(&buf)

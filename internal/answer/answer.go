@@ -218,13 +218,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		res.Candidates[c] = CandidateQuery{Query: q, SPARQL: q.String(), Score: score}
 	}
 
-	// §2.3.1 rank order (deterministic tie-break on the query text).
-	slices.SortStableFunc(res.Candidates, func(a, b CandidateQuery) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		return strings.Compare(a.SPARQL, b.SPARQL)
-	})
+	slices.SortStableFunc(res.Candidates, rankOrder)
 
 	if boolean {
 		return e.executeBoolean(ctx, sess, res)
@@ -243,6 +237,28 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		}
 	}
 	return res, nil
+}
+
+// rankOrder is §2.3.1's rank order: the higher score first, and equal
+// scores by their pattern terms in print order, where a variable comes
+// before any other term and the rest compare under rdf.Term.Compare.
+// Only candidates with the same patterns tie.
+func rankOrder(a, b CandidateQuery) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(a.Query.Patterns, b.Query.Patterns, func(p, q rdf.Triple) int {
+		return cmp.Or(comparePatternTerm(p.S, q.S), comparePatternTerm(p.P, q.P), comparePatternTerm(p.O, q.O))
+	})
+}
+
+// comparePatternTerm orders two terms of a pattern as rdf.Term.Compare
+// does, except that a variable comes first: Compare puts KindVar last.
+func comparePatternTerm(a, b rdf.Term) int {
+	if a.IsVar() != b.IsVar() {
+		return -a.Compare(b)
+	}
+	return a.Compare(b)
 }
 
 // firstWinner is §2.3's execution order: it runs try(i) for i = 0 … n-1

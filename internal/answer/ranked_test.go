@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,35 @@ import (
 	"repro/internal/sparql"
 	"repro/internal/triplex"
 )
+
+// --- §2.3.1 rank order ---
+
+// TestRankOrderTieBreak: of two equal-score candidates that differ only
+// in orientation, the one with the variable subject ranks first,
+// whatever the entity prints as — a prefixed name sorts after "?x" as
+// text, a full IRI before it — and whichever comes first in the input.
+// Under plain rdf.Term.Compare, which sorts variables last, the
+// orientation would flip.
+func TestRankOrderTieBreak(t *testing.T) {
+	p := rdf.Ont("spouse")
+	x := rdf.NewVar("x")
+	for _, entity := range []rdf.Term{rdf.Res("Orhan_Pamuk"), rdf.NewIRI("http://example.org/a")} {
+		forward := &sparql.Query{Projection: []string{"x"}, Limit: -1, Patterns: []rdf.Triple{{S: x, P: p, O: entity}}}
+		reverse := &sparql.Query{Projection: []string{"x"}, Limit: -1, Patterns: []rdf.Triple{{S: entity, P: p, O: x}}}
+		for _, in := range [][]*sparql.Query{{forward, reverse}, {reverse, forward}} {
+			cands := []CandidateQuery{
+				{Query: in[0], SPARQL: in[0].String(), Score: 0.5},
+				{Query: in[1], SPARQL: in[1].String(), Score: 0.5},
+				{Query: in[1], SPARQL: in[1].String(), Score: 0.75},
+			}
+			slices.SortStableFunc(cands, rankOrder)
+			if cands[0].Score != 0.75 || cands[1].Query != forward || cands[2].Query != reverse {
+				t.Errorf("%v: ranked %q (%v), %q, %q; want the higher score, then %q", entity,
+					cands[0].SPARQL, cands[0].Score, cands[1].SPARQL, cands[2].SPARQL, forward.String())
+			}
+		}
+	}
+}
 
 // --- firstWinner unit tests ---
 

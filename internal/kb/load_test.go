@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ntriples"
 	"repro/internal/rdf"
 	"repro/internal/turtle"
 )
@@ -62,7 +61,7 @@ func TestFromTriplesRejectsBareData(t *testing.T) {
 func TestLoadNTriplesStream(t *testing.T) {
 	orig := Default().Store.Snapshot()
 	var buf bytes.Buffer
-	if err := ntriples.WriteAll(&buf, orig.Triples()); err != nil {
+	if err := rdf.WriteNTriples(&buf, orig.Triples()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf, "dump.nt")

@@ -8,6 +8,11 @@
 // language-tagged and datatyped literals for labels and values; variables
 // for SPARQL query patterns. Blank nodes are supported for completeness
 // but the pipeline never generates them.
+//
+// It also holds the one reader of RDF term text (scan.go), which every
+// syntax scans its terms with, and the one printer (print.go): what
+// Term.String prints, every reader reads back as the same term, and its
+// full-IRI mode is the N-Triples writer.
 package rdf
 
 import (
@@ -165,55 +170,6 @@ func (t Term) LocalName() string {
 	return v
 }
 
-// String renders the term in a SPARQL/N-Triples-compatible form, using
-// the standard prefixes (vocab.go) for IRIs where possible.
-func (t Term) String() string {
-	var buf [64]byte
-	return string(t.AppendTo(buf[:0]))
-}
-
-// AppendTo appends the String form of the term to dst: the renderer
-// behind String, for callers that assemble a larger text (a triple, a
-// whole query) in one buffer.
-func (t Term) AppendTo(dst []byte) []byte {
-	switch t.Kind {
-	case KindIRI:
-		return appendIRI(dst, t.Value)
-	case KindLiteral:
-		dst = strconv.AppendQuote(dst, t.Value)
-		if t.Lang != "" {
-			dst = append(dst, '@')
-			return append(dst, t.Lang...)
-		}
-		if t.Datatype != "" {
-			dst = append(dst, "^^"...)
-			return appendIRI(dst, t.Datatype)
-		}
-		return dst
-	case KindBlank:
-		dst = append(dst, "_:"...)
-		return append(dst, t.Value...)
-	case KindVar:
-		dst = append(dst, '?')
-		return append(dst, t.Value...)
-	default:
-		return append(dst, "<<zero term>>"...)
-	}
-}
-
-// appendIRI appends iri in prefixed form when a standard namespace
-// matches, in angle brackets otherwise.
-func appendIRI(dst []byte, iri string) []byte {
-	if prefix, local, ok := shorten(iri); ok {
-		dst = append(dst, prefix...)
-		dst = append(dst, ':')
-		return append(dst, local...)
-	}
-	dst = append(dst, '<')
-	dst = append(dst, iri...)
-	return append(dst, '>')
-}
-
 // Compare orders terms deterministically: by kind, then value, then
 // datatype, then language. It returns -1, 0 or +1.
 func (t Term) Compare(u Term) int {
@@ -250,22 +206,6 @@ type Triple struct {
 
 // NewTriple is a convenience constructor.
 func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
-
-// String renders the triple in N-Triples-like form (with prefixes).
-func (t Triple) String() string {
-	var buf [128]byte
-	return string(t.AppendTo(buf[:0]))
-}
-
-// AppendTo appends the String form of the triple to dst.
-func (t Triple) AppendTo(dst []byte) []byte {
-	dst = t.S.AppendTo(dst)
-	dst = append(dst, ' ')
-	dst = t.P.AppendTo(dst)
-	dst = append(dst, ' ')
-	dst = t.O.AppendTo(dst)
-	return append(dst, " ."...)
-}
 
 // IsGround reports whether the triple contains no variables.
 func (t Triple) IsGround() bool {

@@ -130,6 +130,19 @@ func TestTermString(t *testing.T) {
 		{NewInteger(5), `"5"^^xsd:integer`},
 		{NewBlank("b1"), "_:b1"},
 		{NewVar("x"), "?x"},
+		// PN_LOCAL escapes, or the full IRI when a local name cannot be
+		// written; UCHARs in an IRIREF.
+		{Res("Snow_(novel)"), `res:Snow_\(novel\)`},
+		{Res("Washington,_D.C."), `res:Washington\,_D.C\.`},
+		{Res("it's"), `res:it\'s`},
+		{Res("-1.5%41%"), `res:\-1.5%41\%`},
+		{Res("Café_Zürich"), "res:Café_Zürich"},
+		{Res("a b"), `<http://dbpedia.org/resource/a\u0020b>`},
+		{Res("\u00B7x"), "<http://dbpedia.org/resource/\u00B7x>"},
+		{NewIRI("http://e/{o}|<\\>"), `<http://e/\u007Bo\u007D\u007C\u003C\u005C\u003E>`},
+		// ECHAR and UCHAR in literals, never Go's \x or \a.
+		{NewLiteral("q\"b\\n\nr\rt\tb\bf\f\a\x7f é\xff"), `"q\"b\\n\nr\rt\tb\bf\f\u0007\u007F é` + "\xff" + `"`},
+		{NewTypedLiteral("x", "http://e/dt"), `"x"^^<http://e/dt>`},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {
@@ -170,17 +183,17 @@ func TestTripleGroundAndVars(t *testing.T) {
 func TestShortenExpandRoundTrip(t *testing.T) {
 	for _, local := range []string{"writer", "Book", "birthPlace"} {
 		iri := NSOnt + local
-		q, ok := Shorten(iri)
+		prefix, l, ok := shorten(iri)
 		if !ok {
-			t.Fatalf("Shorten(%q) failed", iri)
+			t.Fatalf("shorten(%q) failed", iri)
 		}
-		back, ok := Expand(q)
+		back, ok := Expand(prefix + ":" + l)
 		if !ok || back != iri {
-			t.Errorf("Expand(Shorten(%q)) = %q, %v", iri, back, ok)
+			t.Errorf("Expand(shorten(%q)) = %q, %v", iri, back, ok)
 		}
 	}
-	if _, ok := Shorten("http://unknown.example/x"); ok {
-		t.Error("Shorten should fail for unregistered namespaces")
+	if _, _, ok := shorten("http://unknown.example/x"); ok {
+		t.Error("shorten should fail for unregistered namespaces")
 	}
 	if _, ok := Expand("nocolon"); ok {
 		t.Error("Expand should fail without colon")
@@ -192,8 +205,13 @@ func TestShortenExpandRoundTrip(t *testing.T) {
 
 func TestShortenRejectsCompoundLocal(t *testing.T) {
 	// A resource IRI with a slash in the "local" part must not shorten.
-	if q, ok := Shorten(NSRes + "a/b"); ok {
-		t.Errorf("Shorten returned %q for compound local name", q)
+	for _, local := range []string{"a/b", "a#b", "a:b", ""} {
+		if p, l, ok := shorten(NSRes + local); ok {
+			t.Errorf("shorten returned %s:%s for local name %q", p, l, local)
+		}
+		if got, want := Res(local).String(), "<"+NSRes+local+">"; got != want {
+			t.Errorf("Res(%q).String() = %s, want %s", local, got, want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // optional sign, booleans and BLANK_NODE_LABEL. They are the one reader
 // of RDF term text: the Turtle and N-Triples parser, SPARQL UPDATE's
 // DATA blocks and the SPARQL query lexer all scan terms here, so a term
-// reads the same in each.
+// reads the same in each. print.go writes the text they read.
 //
 // Each Scan function reads the terminal that s starts with and returns
 // its length in bytes. On an error the length is the offset in s of the
@@ -29,7 +29,7 @@ func ScanIRIRef(s string) (iri string, n int, err error) {
 	var b []byte // the decoded IRI, once an escape makes it differ from s
 	for i := 1; i < len(s); {
 		start := i
-		for i < len(s) && !iriSpecial[s[i]] {
+		for i < len(s) && iriSpecial[s[i]] == 0 {
 			i++
 		}
 		if b != nil {
@@ -67,21 +67,18 @@ func ScanIRIRef(s string) (iri string, n int, err error) {
 	return "", len(s), errors.New("unterminated IRI")
 }
 
-// iriSpecial marks the bytes that end ScanIRIRef's run of plain IRI
-// bytes: '>', '\' and the characters IRIREF refuses raw.
-var iriSpecial = func() (t [256]bool) {
+// iriSpecial marks with 'u' the bytes that end ScanIRIRef's run of
+// plain IRI bytes: '>', '\' and the characters IRIREF refuses raw. The
+// printer writes each as its UCHAR (appendEscaped).
+var iriSpecial = func() (t [256]byte) {
 	for c := 0; c <= ' '; c++ {
-		t[c] = true
+		t[c] = 'u'
 	}
 	for _, c := range []byte("<>\"{}|^`\\") {
-		t[c] = true
+		t[c] = 'u'
 	}
 	return t
 }()
-
-// NeedsIRIEscape reports whether a writer must put c in an IRIREF as
-// its \uXXXX escape: c is '>', '\' or a character IRIREF refuses raw.
-func NeedsIRIEscape(c byte) bool { return iriSpecial[c] }
 
 // ScanPrefixedName reads the prefixed name (PNAME_NS or PNAME_LN) that
 // s starts with and returns its prefix and its local name, the PN_LOCAL

@@ -75,7 +75,7 @@ func ResName(label string) string {
 	return strings.ReplaceAll(strings.TrimSpace(label), " ", "_")
 }
 
-// prefixes are the bindings Shorten and Expand use: the standard set,
+// prefixes are the bindings the printer and Expand use: the standard set,
 // fixed at compile time. A query's own PREFIX declarations never land
 // here — the SPARQL and Turtle parsers keep them per document. The
 // table is sorted longest namespace first (ties by prefix), so
@@ -92,17 +92,8 @@ var prefixes = [...]struct{ prefix, ns string }{
 	{"foaf", NSFOAF},
 }
 
-// Shorten converts a full IRI to prefixed form if a standard namespace
-// matches. The local part must be a simple name (no '/' or '#').
-func Shorten(iri string) (string, bool) {
-	prefix, local, ok := shorten(iri)
-	if !ok {
-		return "", false
-	}
-	return prefix + ":" + local, true
-}
-
-// shorten is Shorten with the two halves of the prefixed name apart.
+// shorten splits iri into a standard prefix and a local name, which
+// must be a simple name: not empty, and no '/', '#' or ':'.
 func shorten(iri string) (prefix, local string, ok bool) {
 	for _, e := range prefixes {
 		if strings.HasPrefix(iri, e.ns) {

@@ -74,10 +74,10 @@ func (q *Query) Vars() []string {
 	return out
 }
 
-// String re-serialises the query (canonical-ish form, used in traces and
-// the experiment reports). §2.3 renders every candidate it builds, so
-// the text is assembled in one buffer, on the stack for a query of
-// ordinary length.
+// String re-serialises the query as text Parse reads back as the same
+// query, PREFIX declarations aside. §2.3 renders every candidate it
+// builds, so the text is assembled in one buffer, on the stack for a
+// query of ordinary length.
 func (q *Query) String() string {
 	var buf [256]byte
 	b := buf[:0]
@@ -117,7 +117,7 @@ func (q *Query) String() string {
 		b = p.AppendTo(append(b, ' '))
 	}
 	for _, f := range q.Filters {
-		b = append(append(append(b, " FILTER("...), f.String()...), ") ."...)
+		b = append(append(append(b, " FILTER"...), f.String()...), " ."...)
 	}
 	b = append(b, " }"...)
 	for i, k := range q.OrderBy {

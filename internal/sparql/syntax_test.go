@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -65,35 +66,39 @@ func spo(o rdf.Term) rdf.Triple {
 	return rdf.Triple{S: rdf.NewIRI("http://e/s"), P: rdf.NewIRI("http://e/p"), O: o}
 }
 
+// statementReaders read one statement (no final '.') in each syntax.
+var statementReaders = map[string]func(stmt string) ([]rdf.Triple, error){
+	"turtle": func(stmt string) ([]rdf.Triple, error) { return turtle.ParseString(stmt + " .") },
+	"update": func(stmt string) ([]rdf.Triple, error) {
+		ops, err := ParseUpdate("INSERT DATA { " + stmt + " }")
+		if err != nil {
+			return nil, err
+		}
+		return ops[0].Triples, nil
+	},
+	"query": func(stmt string) ([]rdf.Triple, error) {
+		q, err := Parse("SELECT * WHERE { " + stmt + " }")
+		if err != nil {
+			return nil, err
+		}
+		return q.Patterns, nil
+	},
+	"ntriples": func(stmt string) ([]rdf.Triple, error) { return turtle.ParseNTriplesString(stmt + " .\n") },
+}
+
 // TestStatementsAgreeAcrossSyntaxes is the cross-syntax oracle: each of
 // syntaxCases reads as the same triple, or is refused, in Turtle,
 // N-Triples (for its forms), a SPARQL UPDATE DATA block and a SPARQL
-// query's triple pattern.
+// query's triple pattern. The printer is a column too: a triple that
+// is read prints text every reader reads back (checkPrinted).
 func TestStatementsAgreeAcrossSyntaxes(t *testing.T) {
 	for _, tc := range syntaxCases {
 		t.Run(tc.name, func(t *testing.T) {
-			readers := map[string]func() ([]rdf.Triple, error){
-				"turtle": func() ([]rdf.Triple, error) { return turtle.ParseString(tc.stmt + " .") },
-				"update": func() ([]rdf.Triple, error) {
-					ops, err := ParseUpdate("INSERT DATA { " + tc.stmt + " }")
-					if err != nil {
-						return nil, err
-					}
-					return ops[0].Triples, nil
-				},
-				"query": func() ([]rdf.Triple, error) {
-					q, err := Parse("SELECT * WHERE { " + tc.stmt + " }")
-					if err != nil {
-						return nil, err
-					}
-					return q.Patterns, nil
-				},
-			}
-			if tc.nt {
-				readers["ntriples"] = func() ([]rdf.Triple, error) { return turtle.ParseNTriplesString(tc.stmt + " .\n") }
-			}
-			for name, read := range readers {
-				got, err := read()
+			for name, read := range statementReaders {
+				if name == "ntriples" && !tc.nt {
+					continue
+				}
+				got, err := read(tc.stmt)
 				switch {
 				case tc.want.S.IsZero() && err == nil:
 					t.Errorf("%s read %q as %v; want it refused", name, tc.stmt, got)
@@ -101,7 +106,30 @@ func TestStatementsAgreeAcrossSyntaxes(t *testing.T) {
 					t.Errorf("%s read %q as %v, %v; want %v", name, tc.stmt, got, err, tc.want)
 				}
 			}
+			if !tc.want.S.IsZero() {
+				checkPrinted(t, tc.want)
+			}
 		})
+	}
+}
+
+// checkPrinted fails t unless the printed text of tr (rdf.Triple.String)
+// reads back as tr in Turtle, UPDATE and a query, and its N-Triples
+// form (rdf.WriteNTriples, every IRI in full) in N-Triples.
+func checkPrinted(t *testing.T, tr rdf.Triple) {
+	t.Helper()
+	var sb strings.Builder
+	if err := rdf.WriteNTriples(&sb, []rdf.Triple{tr}); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range statementReaders {
+		text := strings.TrimSuffix(tr.String(), " .")
+		if name == "ntriples" {
+			text = strings.TrimSuffix(sb.String(), " .\n")
+		}
+		if got, err := read(text); err != nil || len(got) != 1 || got[0] != tr {
+			t.Errorf("%#v prints as %q, which %s reads as %v, %v", tr, text, name, got, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sparql_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,13 +18,38 @@ import (
 
 // The fmt/strings.Builder renderers rdf.Term, rdf.Triple and
 // sparql.Query shipped before the append-based writer, kept verbatim as
-// the oracle its output must equal byte for byte: the text is the
-// candidate tie-break, the plan-cache key and part of every reply.
+// the oracle its output must equal byte for byte wherever the one
+// printer left the text alone: the text is the plan-cache key of a
+// FILTER and part of every reply. The one printer changed it on
+// purpose in two places, where the old text did not read back: PN_LOCAL
+// escapes and \uXXXX escapes in terms (the 25 changed terms of the
+// built-in KB are pinned by TestKBTermsReadBack instead), and a FILTER's
+// parentheses, which were doubled.
+
+// refPrefixes and refShorten are the standard prefix table and the
+// shortening the old renderer took from the rdf package.
+var refPrefixes = [...]struct{ prefix, ns string }{
+	{"rdf", rdf.NSRDF}, {"rdfs", rdf.NSRDFS}, {"xsd", rdf.NSXSD}, {"owl", rdf.NSOWL},
+	{"dbont", rdf.NSOnt}, {"dbprop", rdf.NSProp}, {"res", rdf.NSRes}, {"foaf", rdf.NSFOAF},
+}
+
+func refShorten(iri string) (string, bool) {
+	for _, e := range refPrefixes {
+		if strings.HasPrefix(iri, e.ns) {
+			local := iri[len(e.ns):]
+			if local == "" || strings.ContainsAny(local, "/#:") {
+				continue
+			}
+			return e.prefix + ":" + local, true
+		}
+	}
+	return "", false
+}
 
 func refTermString(t rdf.Term) string {
 	switch t.Kind {
 	case rdf.KindIRI:
-		if q, ok := rdf.Shorten(t.Value); ok {
+		if q, ok := refShorten(t.Value); ok {
 			return q
 		}
 		return "<" + t.Value + ">"
@@ -33,7 +59,7 @@ func refTermString(t rdf.Term) string {
 			return s + "@" + t.Lang
 		}
 		if t.Datatype != "" {
-			if q, ok := rdf.Shorten(t.Datatype); ok {
+			if q, ok := refShorten(t.Datatype); ok {
 				return s + "^^" + q
 			}
 			return s + "^^<" + t.Datatype + ">"
@@ -113,8 +139,24 @@ func refQueryString(q *sparql.Query) string {
 	return sb.String()
 }
 
-func checkQueryText(t *testing.T, q *sparql.Query) {
+// checkQueryText compares q's text with the reference's when every
+// term of q prints as the reference printed it and q has no FILTER; it
+// reports whether it compared. Otherwise q's text must parse back as q.
+func checkQueryText(t *testing.T, q *sparql.Query) bool {
 	t.Helper()
+	unchanged := len(q.Filters) == 0
+	for _, p := range q.Patterns {
+		for _, term := range []rdf.Term{p.S, p.P, p.O} {
+			unchanged = unchanged && term.String() == refTermString(term)
+		}
+	}
+	if !unchanged {
+		back, err := sparql.Parse(q.String())
+		if err != nil || !reflect.DeepEqual(back.Patterns, q.Patterns) || !reflect.DeepEqual(back.Filters, q.Filters) {
+			t.Errorf("Query.String() = %q, which parses as %v, %v", q.String(), back, err)
+		}
+		return false
+	}
 	if got, want := q.String(), refQueryString(q); got != want {
 		t.Errorf("Query.String() = %q, reference %q", got, want)
 	}
@@ -122,12 +164,8 @@ func checkQueryText(t *testing.T, q *sparql.Query) {
 		if got, want := p.String(), refTripleString(p); got != want {
 			t.Errorf("Triple.String() = %q, reference %q", got, want)
 		}
-		for _, term := range []rdf.Term{p.S, p.P, p.O} {
-			if got, want := term.String(), refTermString(term); got != want {
-				t.Errorf("Term.String() = %q, reference %q", got, want)
-			}
-		}
 	}
+	return true
 }
 
 // TestQueryTextMatchesReference renders every candidate query of every
@@ -143,7 +181,7 @@ func TestQueryTextMatchesReference(t *testing.T) {
 	questions = append(questions, testutil.EntityQuestions(k)...)
 	ext := core.DefaultConfig()
 	ext.Extensions = true
-	candidates := 0
+	candidates, changed := 0, 0
 	for _, cfg := range []core.Config{core.DefaultConfig(), ext} {
 		sys := core.New(cfg)
 		for _, question := range questions {
@@ -153,17 +191,21 @@ func TestQueryTextMatchesReference(t *testing.T) {
 			}
 			for i := range res.Answer.Candidates {
 				cq := &res.Answer.Candidates[i]
-				candidates++
-				checkQueryText(t, cq.Query)
-				if want := refQueryString(cq.Query); cq.SPARQL != want {
-					t.Errorf("%q candidate %d: SPARQL = %q, reference %q", question, i, cq.SPARQL, want)
+				if cq.SPARQL != cq.Query.String() {
+					t.Errorf("%q candidate %d: SPARQL = %q, Query.String() %q", question, i, cq.SPARQL, cq.Query.String())
+				}
+				if checkQueryText(t, cq.Query) {
+					candidates++
+				} else {
+					changed++
 				}
 			}
 		}
 	}
 	if candidates < 10000 {
-		t.Errorf("only %d candidate queries rendered: the differential is not exercising §2.3", candidates)
+		t.Errorf("only %d candidate queries compared: the differential is not exercising §2.3", candidates)
 	}
+	t.Logf("%d candidates compared with the reference, %d name a term whose text changed", candidates, changed)
 
 	// The shapes no candidate has: FILTER, OFFSET, a star projection,
 	// and every literal and term kind.

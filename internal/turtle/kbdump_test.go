@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/kb"
-	"repro/internal/ntriples"
+	"repro/internal/rdf"
 	"repro/internal/turtle"
 )
 
 // kbDump is the built-in KB as N-Triples, as cmd/kbgen writes it.
 func kbDump(t testing.TB) string {
 	var sb strings.Builder
-	if err := ntriples.WriteAll(&sb, kb.Default().Store.Snapshot().Triples()); err != nil {
+	if err := rdf.WriteNTriples(&sb, kb.Default().Store.Snapshot().Triples()); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()

@@ -116,7 +116,7 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
 	maxBatch := flag.Int("max-batch", 64, "max questions per /v1/answer/batch request")
 	cacheSize := flag.Int("cache", 1024, "answer cache entries, keyed on normalized question text (0 = disabled)")
-	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with hedged retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
+	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with per-attempt timeouts and retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	dataDir := flag.String("data-dir", "", "durable data directory; enables /v1/update (WAL + snapshot segments, crash recovery on start)")
 	updateToken := flag.String("update-token", "", "bearer token required by /v1/update (empty = also read QASERVE_UPDATE_TOKEN; both empty = open)")

@@ -1,7 +1,8 @@
 // Package chaos is the project's deterministic fault-injection
-// harness: named fault points at pipeline stage boundaries and WAL
-// manager operations draw from a seeded random source and inject
-// latency, typed errors or panics according to a configured rule set.
+// harness: named fault points at pipeline stage boundaries, WAL
+// manager operations and shard read attempts draw from a seeded
+// random source and inject latency, typed errors or panics according
+// to a configured rule set.
 //
 // The harness exists to move the discipline PR 6 established at the
 // filesystem layer (internal/wal/faultfs) up into the serving stack:
@@ -18,15 +19,17 @@
 // travels in the context, chaos.HitCtx(ctx, "stage.answer")) and acts
 // on the returned error. Hit is nil-receiver-safe and O(1) when
 // disabled, so production code keeps its fault points unconditionally.
-// The registered points are:
+// The registered points are the points table; ParseSpec refuses a rule
+// that matches none of them:
 //
-//	stage.<name>   every pipeline stage boundary (internal/core):
-//	               stage.triplex, stage.propmap, stage.answer — the
-//	               answer-cache lookup runs in front of the pipeline
-//	               and has no fault point
-//	wal.apply      Manager.Apply entry, before the log append
-//	wal.append     logFile.append, before any byte is written
-//	wal.compact    compactLocked entry, before the segment write
+//	stage.<name>     every pipeline stage boundary (internal/core):
+//	                 stage.triplex, stage.propmap, stage.answer — the
+//	                 answer-cache lookup runs in front of the pipeline
+//	                 and has no fault point
+//	wal.apply        Manager.Apply entry, before the log append
+//	wal.append       logFile.append, before any byte is written
+//	wal.compact      compactLocked entry, before the segment write
+//	shard.query.<n>  every read attempt on shard n (internal/shard)
 //
 // Every WAL fault point sits strictly before the operation's first
 // mutation. On the commit path (wal.apply, wal.append) that means
@@ -102,6 +105,37 @@ type InjectedPanic struct{ Point string }
 
 func (p *InjectedPanic) String() string {
 	return fmt.Sprintf("chaos: injected panic at %s", p.Point)
+}
+
+// points is the table of registered fault points. "<n>" stands for a
+// shard index.
+var points = []string{
+	"stage.triplex", "stage.propmap", "stage.answer",
+	"wal.apply", "wal.append", "wal.compact",
+	"shard.query.<n>",
+}
+
+// registered reports whether a rule for point — a name, or a prefix
+// ending in '*' — matches a point of the points table.
+func registered(point string) bool {
+	prefix, isPrefix := strings.CutSuffix(point, "*")
+	for _, p := range points {
+		stem, indexed := strings.CutSuffix(p, "<n>")
+		if isPrefix && strings.HasPrefix(stem, prefix) {
+			return true // the prefix ends inside the name
+		}
+		n, ok := strings.CutPrefix(prefix, stem)
+		if ok && (!indexed && n == "" || indexed && isIndex(n)) {
+			return true
+		}
+	}
+	return false
+}
+
+// isIndex reports whether n is a shard index as its point writes it.
+func isIndex(n string) bool {
+	i, err := strconv.Atoi(n)
+	return err == nil && i >= 0 && strconv.Itoa(i) == n
 }
 
 // Rule arms one fault point (or point prefix) with one fault kind.
@@ -293,8 +327,8 @@ func FromContext(ctx context.Context) *Injector {
 
 // HitCtx evaluates the context's injector (if any) at a fault point.
 // Unlike Hit, an injected latency also ends when ctx does, returning
-// ctx.Err(): a request that was cancelled — or a shard attempt whose
-// hedge already won — is not held for the rest of the delay. The
+// ctx.Err(): a request that was cancelled — or a shard attempt that
+// timed out — is not held for the rest of the delay. The
 // injection is drawn and counted before the wait either way, so a seed
 // replays the same counts. An injected sleeper (WithSleep) does not
 // really wait and so has nothing to cut short.
@@ -334,7 +368,9 @@ func (in *Injector) hitCtx(ctx context.Context, point string) error {
 //
 // e.g. "stage.answer:error:0.2,wal.append:latency:1:5ms,stage.*:panic:0.01::3".
 // kind is latency|error|panic; prob is a float in [0,1]; latency (for
-// latency rules) is a Go duration; limit caps the rule's firings.
+// latency rules) is a Go duration; limit caps the rule's firings. A
+// point, or a '*' prefix, that matches no registered point is an
+// error: such a rule would never fire.
 func ParseSpec(spec string) ([]Rule, error) {
 	var rules []Rule
 	for _, part := range strings.Split(spec, ",") {
@@ -345,6 +381,9 @@ func ParseSpec(spec string) ([]Rule, error) {
 		fields := strings.Split(part, ":")
 		if len(fields) < 3 || len(fields) > 5 {
 			return nil, fmt.Errorf("chaos: rule %q: want point:kind:prob[:latency[:limit]]", part)
+		}
+		if !registered(fields[0]) {
+			return nil, fmt.Errorf("chaos: rule %q: no fault point %q (registered: %s)", part, fields[0], strings.Join(points, ", "))
 		}
 		r := Rule{Point: fields[0]}
 		switch fields[1] {

@@ -147,10 +147,59 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		"", "p:error", "p:explode:1", "p:error:2", "p:latency:1", "p:latency:1:zz", "p:error:0.5:1ms:x",
+		"", "wal.append:error", "wal.append:explode:1", "wal.append:error:2", "wal.append:latency:1",
+		"wal.append:latency:1:zz", "wal.append:error:0.5:1ms:x",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted a malformed spec", bad)
+		}
+	}
+}
+
+// TestParseSpecPoints: a rule must name a registered fault point, or a
+// '*' prefix of one; anything else would arm a rule that never fires.
+func TestParseSpecPoints(t *testing.T) {
+	for _, tc := range []struct {
+		point string
+		ok    bool
+	}{
+		{"stage.triplex", true},
+		{"stage.propmap", true},
+		{"stage.answer", true},
+		{"wal.apply", true},
+		{"wal.append", true},
+		{"wal.compact", true},
+		{"shard.query.0", true},
+		{"shard.query.12", true},
+		{"*", true},
+		{"stage.*", true},
+		{"stage.ans*", true},
+		{"stage.answer*", true},
+		{"wal.*", true},
+		{"shard.*", true},
+		{"shard.query.*", true},
+		{"shard.query.1*", true},
+		{"stage.anwser", false},
+		{"stage.cache", false},
+		{"stage.answer.x", false},
+		{"stage.answerx*", false},
+		{"wal.fsync", false},
+		{"shard.hedge", false},
+		{"shard.hedge*", false},
+		{"shard.query", false},
+		{"shard.query.", false},
+		{"shard.query.x", false},
+		{"shard.query.-1", false},
+		{"shard.query.+1", false},
+		{"shard.query.01", false},
+		{"shard.query.01*", false},
+		{"shard.query.<n>", false},
+		{"p", false},
+		{"", false},
+	} {
+		_, err := ParseSpec(tc.point + ":error:1")
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("ParseSpec(%q:error:1): err = %v, want accepted = %v", tc.point, err, tc.ok)
 		}
 	}
 }

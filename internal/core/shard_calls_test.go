@@ -25,12 +25,12 @@ func TestShardCallsPerQuestionDeterministic(t *testing.T) {
 	sys := New(cfg)
 	questions := testutil.EntityQuestions(k)
 
-	// Calls, not attempts: a hedge or a retry is an extra attempt the
-	// failure domain adds when a call sits out a scheduling gap on a busy
-	// host, which is timing, not the question.
+	// Calls, not attempts: a retry is an extra attempt the failure
+	// domain adds when a call outlives its timeout on a busy host, which
+	// is timing, not the question.
 	attempts := func() (n uint64) {
 		for _, s := range cluster.Stats() {
-			n += s.Attempts - s.Hedges - s.Retries
+			n += s.Attempts - s.Retries
 		}
 		return n
 	}

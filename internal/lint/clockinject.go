@@ -12,7 +12,7 @@ import (
 // cache (and the plan-shape cache, which is one) reads none either —
 // an entry lives until its generation goes stale or capacity evicts
 // it — and stays in scope so that it cannot start. The shard failure
-// domains (attempt timeouts, hedge delays, backoff, breaker cooldowns)
+// domains (attempt timeouts, backoff, breaker cooldowns)
 // take their clock and timers injected (shard.Config.Now / AfterFunc),
 // so their transition tests run on a fake clock and hand-fired timers
 // instead of sleeps.

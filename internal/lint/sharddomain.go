@@ -7,7 +7,7 @@ import (
 
 // ShardDomain confines shard triple reads to the failure domain. The
 // PR 10 scatter-gather design funnels every shard snapshot read
-// through domain.run — the per-attempt timeout / hedge / backoff /
+// through domain.run — the per-attempt timeout / backoff /
 // circuit-breaker ladder — by keeping the only call sites of the
 // store's triple-data surface (HasIDs, ForEachMatchIDs, PostingList)
 // in internal/shard/ops.go, whose ops execute exclusively inside

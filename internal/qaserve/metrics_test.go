@@ -19,8 +19,9 @@ import (
 
 // TestMetricsDocumented: every metric family /metrics emits — from a
 // server with every optional family switched on: shards, a chaos
-// injector that has fired, the plan cache — is named
-// in cmd/qaserve/README.md, and the runtime, cache-occupancy and boot
+// injector that has fired, the plan cache — is named in
+// cmd/qaserve/README.md, every qaserve_* name the README gives is
+// emitted by that server, and the runtime, cache-occupancy and boot
 // families carry live values.
 func TestMetricsDocumented(t *testing.T) {
 	in := chaos.New(3, chaos.Rule{Point: "stage.answer", Kind: chaos.KindError, Prob: 1, Limit: 1})
@@ -47,6 +48,15 @@ func TestMetricsDocumented(t *testing.T) {
 	for _, f := range families {
 		if !strings.Contains(string(readme), "`"+f[1]) {
 			t.Errorf("metric family %s is not documented in cmd/qaserve/README.md", f[1])
+		}
+	}
+	emitted := map[string]bool{} // families and sample names
+	for _, m := range regexp.MustCompile(`(?m)^(?:# TYPE )?(qaserve_[a-z0-9_]+)`).FindAllStringSubmatch(text, -1) {
+		emitted[m[1]] = true
+	}
+	for _, m := range regexp.MustCompile("`(qaserve_[a-z0-9_]*[a-z0-9])[`{ ]").FindAllStringSubmatch(string(readme), -1) {
+		if !emitted[m[1]] {
+			t.Errorf("cmd/qaserve/README.md names %s, which /metrics does not emit", m[1])
 		}
 	}
 	if !strings.Contains(text, "\nqaserve_cache_entries 1\n") {

@@ -552,15 +552,10 @@ func (s *Server) renderShards(sb *strings.Builder) {
 		return
 	}
 	stats := s.cluster.Stats()
-	fmt.Fprintf(sb, "# HELP qaserve_shard_attempts_total Shard read attempts (hedges included) by shard.\n")
+	fmt.Fprintf(sb, "# HELP qaserve_shard_attempts_total Shard read attempts by shard.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_shard_attempts_total counter\n")
 	for i, st := range stats {
 		fmt.Fprintf(sb, "qaserve_shard_attempts_total{shard=\"%d\"} %d\n", i, st.Attempts)
-	}
-	fmt.Fprintf(sb, "# HELP qaserve_shard_hedges_total Hedged second attempts launched, by shard.\n")
-	fmt.Fprintf(sb, "# TYPE qaserve_shard_hedges_total counter\n")
-	for i, st := range stats {
-		fmt.Fprintf(sb, "qaserve_shard_hedges_total{shard=\"%d\"} %d\n", i, st.Hedges)
 	}
 	fmt.Fprintf(sb, "# HELP qaserve_shard_retries_total Backoff retries after failed attempts, by shard.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_shard_retries_total counter\n")

@@ -26,15 +26,14 @@ import (
 )
 
 // fastShardConfig keeps the failure-domain timings far from test
-// flakiness: generous attempt budget, no hedging or breaker unless the
-// test opts in by overriding.
+// flakiness: generous attempt budget, no breaker unless the test opts
+// in by overriding.
 func fastShardConfig() shard.Config {
 	return shard.Config{
 		AttemptTimeout:   5 * time.Second,
 		MaxAttempts:      2,
 		BaseBackoff:      time.Millisecond,
 		MaxBackoff:       4 * time.Millisecond,
-		HedgeDelay:       time.Second,
 		BreakerThreshold: 1 << 30,
 		Seed:             11,
 	}
@@ -280,23 +279,22 @@ func TestBatchPropagatesPartialFlags(t *testing.T) {
 // of shard-level latency, errors and panics (finite Limits so the
 // faults provably stop), then asserts full recovery: every question
 // answers undegraded, the breakers close again, and no goroutine —
-// hedges, scatter workers, retry timers — outlives its request.
+// timed-out attempts, scatter workers, retry timers — outlives its
+// request. Shard 0's latency is ten times the attempt timeout, so each
+// of its faults takes the timeout-then-retry path.
 func TestShardChaosSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	scfg := fastShardConfig()
-	scfg.AttemptTimeout = 2 * time.Second
+	scfg.AttemptTimeout = 50 * time.Millisecond
 	scfg.MaxAttempts = 2
-	scfg.HedgeDelay = 3 * time.Millisecond
-	scfg.MinHedgeDelay = time.Millisecond
 	scfg.BreakerThreshold = 3
 	scfg.BreakerCooldown = 50 * time.Millisecond
 	scfg.BreakerMaxCooldown = 400 * time.Millisecond
 	in := chaos.New(1234,
-		chaos.Rule{Point: "shard.query.0", Kind: chaos.KindLatency, Prob: 0.3, Latency: 2 * time.Millisecond, Limit: 12},
+		chaos.Rule{Point: "shard.query.0", Kind: chaos.KindLatency, Prob: 0.3, Latency: 500 * time.Millisecond, Limit: 12},
 		chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 0.4, Limit: 12},
 		chaos.Rule{Point: "shard.query.2", Kind: chaos.KindPanic, Prob: 0.2, Limit: 6},
-		chaos.Rule{Point: "shard.hedge", Kind: chaos.KindError, Prob: 0.3, Limit: 4},
 	)
 	srv, cluster, ts := shardedServer(t, scfg, in)
 	client := ts.Client()
@@ -329,6 +327,10 @@ func TestShardChaosSoak(t *testing.T) {
 				t.Fatalf("soak batch %d: status %d (%s)", i, resp.StatusCode, body)
 			}
 		}
+	}
+
+	if st := cluster.Stats()[0]; st.Retries == 0 {
+		t.Fatalf("shard 0 never retried a timed-out attempt: %+v", st)
 	}
 
 	// Phase 2: the faults stop; the breakers heal within a few
@@ -366,8 +368,8 @@ func TestShardChaosSoak(t *testing.T) {
 		t.Fatalf("shard faults leaked %d handler panics", srv.m.panics.Load())
 	}
 
-	// Phase 3: nothing leaks. Hedge losers, scatter workers and backoff
-	// timers must all have unwound with their requests.
+	// Phase 3: nothing leaks. Timed-out attempts, scatter workers and
+	// backoff timers must all have unwound with their requests.
 	ts.Close()
 	leakDeadline := time.Now().Add(5 * time.Second)
 	for {

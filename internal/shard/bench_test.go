@@ -18,16 +18,16 @@ func benchCluster(b *testing.B, cfg Config) (*Cluster, []*sparql.Query) {
 	return NewCluster(src, 4, cfg), workload(props)
 }
 
-// BenchmarkDomainRunHealthy: one ground check through the whole
-// failure domain of a healthy shard — breaker, timer arm and stop,
-// inline attempt, latency observation. The read itself is a bucket
-// probe, so this is the fixed cost every shard call pays.
+// BenchmarkDomainRunHealthy: one subject-bound posting-list read
+// through the whole failure domain of a healthy shard — breaker, timer
+// arm and stop, inline attempt. The read itself is a bucket probe, so
+// this is the fixed cost every shard call pays.
 func BenchmarkDomainRunHealthy(b *testing.B) {
 	c, _ := benchCluster(b, Config{})
 	ctx := context.Background()
 	v := c.NewView(ctx)
 	d, sn := c.domains[0], v.shards[0]
-	op := shardOp{opHas, [3]store.ID{shardSubject(0, 4), 1, 1}}
+	op := shardOp{opPosting, [3]store.ID{shardSubject(0, 4), 1, 0}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,13 +63,10 @@ func BenchmarkGatherHealthy(b *testing.B) {
 }
 
 // BenchmarkGatherOneSlowShard: shard 1 pays an injected latency on
-// every attempt; hedging is live. Measures the tail a slow shard
-// imposes on the gather.
+// half its attempts. Measures the tail a slow shard imposes on the
+// gather.
 func BenchmarkGatherOneSlowShard(b *testing.B) {
-	cfg := fastConfig()
-	cfg.HedgeDelay = 2 * time.Millisecond
-	cfg.MinHedgeDelay = 2 * time.Millisecond
-	c, qs := benchCluster(b, cfg)
+	c, qs := benchCluster(b, fastConfig())
 	in := chaos.New(1, chaos.Rule{
 		Point: "shard.query.1", Kind: chaos.KindLatency,
 		Latency: time.Millisecond, Prob: 0.5,

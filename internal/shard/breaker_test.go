@@ -30,8 +30,8 @@ func (f *fakeClock) Advance(d time.Duration) {
 }
 
 // neverFire is an AfterFunc whose timers never fire: with
-// MaxAttempts=1 and no hedging wanted, no timer in the domain needs to
-// fire for a call to complete.
+// MaxAttempts=1, no timer in the domain needs to fire for a call to
+// complete.
 func neverFire(time.Duration, func()) Timer { return unfiredTimer{} }
 
 type unfiredTimer struct{}
@@ -144,7 +144,6 @@ func TestBreakerInDomain(t *testing.T) {
 	cfg := Config{
 		AttemptTimeout:     time.Hour, // only the never-firing injected timers
 		MaxAttempts:        1,
-		HedgeDelay:         time.Hour,
 		BreakerThreshold:   2,
 		BreakerCooldown:    time.Second,
 		BreakerMaxCooldown: 8 * time.Second,
@@ -160,7 +159,7 @@ func TestBreakerInDomain(t *testing.T) {
 	// Two failed calls (fresh view each: the first failure marks the
 	// shard dead for its view) trip the breaker.
 	for i := 0; i < 2; i++ {
-		c.NewView(ctx).HasIDs(sid, 1, 1)
+		c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0})
 	}
 	if got := c.Stats()[0].Breaker; got != BreakerOpen {
 		t.Fatalf("breaker after %d failures = %v, want open", 2, got)
@@ -168,7 +167,7 @@ func TestBreakerInDomain(t *testing.T) {
 
 	// Open: the next call is rejected without reaching the shard.
 	attemptsBefore := c.Stats()[0].Attempts
-	c.NewView(ctx).HasIDs(sid, 1, 1)
+	c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0})
 	st := c.Stats()[0]
 	if st.Attempts != attemptsBefore {
 		t.Fatalf("open breaker still attempted the shard: %d -> %d", attemptsBefore, st.Attempts)
@@ -182,7 +181,7 @@ func TestBreakerInDomain(t *testing.T) {
 	in.Disable()
 	fc.Advance(1100 * time.Millisecond)
 	healthy := c.NewView(context.Background())
-	healthy.HasIDs(sid, 1, 1) // the probe
+	healthy.PostingList([3]store.ID{sid, 1, 0}) // the probe
 	if got := c.Stats()[0].Breaker; got != BreakerClosed {
 		t.Fatalf("breaker after successful probe = %v, want closed", got)
 	}
@@ -201,7 +200,6 @@ func TestBreakerProbeFailureDoublesCooldown(t *testing.T) {
 	cfg := Config{
 		AttemptTimeout:     time.Hour,
 		MaxAttempts:        1,
-		HedgeDelay:         time.Hour,
 		BreakerThreshold:   1,
 		BreakerCooldown:    time.Second,
 		BreakerMaxCooldown: 8 * time.Second,
@@ -214,24 +212,24 @@ func TestBreakerProbeFailureDoublesCooldown(t *testing.T) {
 	ctx := WithPartialOK(chaos.With(context.Background(), in))
 	sid := shardSubject(0, n)
 
-	c.NewView(ctx).HasIDs(sid, 1, 1) // trips (threshold 1)
+	c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0}) // trips (threshold 1)
 	if got := c.Stats()[0].Breaker; got != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	fc.Advance(1100 * time.Millisecond)
-	c.NewView(ctx).HasIDs(sid, 1, 1) // probe, still failing → re-open, 2s
+	c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0}) // probe, still failing → re-open, 2s
 	if got := c.Stats()[0].Breaker; got != BreakerOpen {
 		t.Fatalf("breaker after failed probe = %v, want open", got)
 	}
 	in.Disable()
 	fc.Advance(1100 * time.Millisecond) // only 1.1s into the doubled cooldown
 	attempts := c.Stats()[0].Attempts
-	c.NewView(ctx).HasIDs(sid, 1, 1)
+	c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0})
 	if c.Stats()[0].Attempts != attempts {
 		t.Fatal("probe admitted before the doubled cooldown elapsed")
 	}
 	fc.Advance(time.Second) // past 2s total
-	c.NewView(context.Background()).HasIDs(sid, 1, 1)
+	c.NewView(context.Background()).PostingList([3]store.ID{sid, 1, 0})
 	if got := c.Stats()[0].Breaker; got != BreakerClosed {
 		t.Fatalf("breaker after healed probe = %v, want closed", got)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/store"
 )
 
-// deadShardConfig fails fast: one attempt, no hedging, so a
+// deadShardConfig fails fast: one attempt, so a
 // chaos-killed shard costs one error per read.
 func deadShardConfig() Config {
 	cfg := fastConfig()
@@ -62,7 +62,7 @@ func TestDegradedEqualsEmptyShardOracle(t *testing.T) {
 		t.Fatalf("empty-shard oracle reported degraded: %+v", out)
 	}
 
-	// The type-set read obeys the HasIDs rule, dead owner ≡ empty
+	// The type-set read obeys the owner-read rule, dead owner ≡ empty
 	// shard: every entity of the dead shard has no type, whichever
 	// class is asked and however often; the others keep theirs.
 	dsess, osess := sparql.NewViewSession(dv), sparql.NewViewSession(ov)

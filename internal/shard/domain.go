@@ -1,29 +1,20 @@
 // The per-shard failure domain: every triple-data read of a shard
-// crosses exactly one domain.run call. The design is "inline primary,
-// lazily armed hedge": a healthy call costs the read plus one timer
-// arm/stop — no goroutine, channel, derived context or allocation —
-// and what a slow or failing shard needs is built when the timer
-// fires. Inside out:
+// crosses exactly one domain.run call, which makes one attempt at a
+// time. A healthy call costs the read plus one timer arm/stop — no
+// goroutine, channel, derived context or allocation. Inside out:
 //
 //   - the attempt (domain.attempt), under a recover() net (a
 //     chaos-injected shard panic becomes an attempt error, not a
-//     process crash) and the chaos points shard.query.<i> (every
-//     attempt) and shard.hedge (hedges only). The primary runs on the
-//     caller's goroutine;
-//   - one injected timer per call (Config.AfterFunc), stopped when the
-//     primary returns. It first fires after the shard's observed p95
-//     latency (a ring of the last 64 call latencies, re-read every
-//     p95Every observations; Config.HedgeDelay until then; floored at
-//     MinHedgeDelay so microsecond in-process scans do not hedge every
-//     call): its goroutine runs a hedged second attempt and re-arms
-//     the timer for the rest of the per-attempt timeout —
-//     min(AttemptTimeout, remaining request deadline), so retries and
-//     hedges never outspend the caller's X-Request-Budget. The first
-//     result wins and cancels the loser through its context; the
-//     primary's context is the call itself, which is how the timer's
-//     goroutine releases a primary running inline. The second firing
-//     is the timeout and cancels both. So every wait inside an attempt
-//     must end when its ctx does (chaos.HitCtx; ops.go polls ctx.Err);
+//     process crash) and the chaos point shard.query.<i>. It runs on
+//     the caller's goroutine;
+//   - one injected timer per attempt (Config.AfterFunc), stopped when
+//     the attempt returns. It fires only at the per-attempt timeout —
+//     min(AttemptTimeout, remaining request deadline), so retries
+//     never outspend the caller's X-Request-Budget — and ends the
+//     attempt's context: the attempt's context is the call itself,
+//     which is how the timer's goroutine releases an attempt running
+//     inline. So every wait inside an attempt must end when its ctx
+//     does (chaos.HitCtx; ops.go polls ctx.Err);
 //   - capped exponential backoff with equal jitter between attempts
 //     (MaxAttempts total), waited out on the same injected timers;
 //   - the circuit breaker (breaker.go) around the whole ladder: only
@@ -38,32 +29,18 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/store"
 )
 
-// latencyRing is how many recent call latencies feed the adaptive
-// hedge delay.
-const latencyRing = 64
-
-// p95Every is how many observations pass between re-reads of the
-// ring's p95; Config.HedgeDelay applies until the first.
-const p95Every = 32
-
-// errHedgeWon cancels an inline primary whose hedge has answered.
-var errHedgeWon = errors.New("shard: hedged attempt won")
-
-// domain is one shard's failure domain: breaker, retry/hedge state
-// and metrics.
+// domain is one shard's failure domain: breaker, retry state and
+// metrics.
 type domain struct {
 	i     int // shard index, for chaos points and error text
 	cfg   Config
@@ -72,12 +49,8 @@ type domain struct {
 	point string    // chaos point name, "shard.query.<i>"
 	calls sync.Pool // *call, each with its stopped timer, for reuse by healthy calls
 
-	p95 atomic.Int64 // hedge delay read off the ring, floored; 0 = too few samples
-
-	mu    sync.Mutex
-	rng   *rand.Rand                 // guarded by mu
-	ring  [latencyRing]time.Duration // guarded by mu
-	ringN int                        // total latencies ever observed; guarded by mu
+	mu  sync.Mutex
+	rng *rand.Rand // guarded by mu
 }
 
 func newDomain(i int, cfg Config) *domain {
@@ -92,33 +65,33 @@ func newDomain(i int, cfg Config) *domain {
 
 // run executes op against sn through the full failure domain and
 // reports the final outcome to the breaker.
-func (d *domain) run(ctx context.Context, sn *store.Snapshot, op shardOp) (opResult, error) {
+func (d *domain) run(ctx context.Context, sn *store.Snapshot, op shardOp) ([]store.ID, error) {
 	now := d.cfg.Now()
 	if !d.br.allow(now) {
 		d.m.breakerRejects.Add(1)
-		return opResult{}, fmt.Errorf("shard %d: circuit breaker open", d.i)
+		return nil, fmt.Errorf("shard %d: circuit breaker open", d.i)
 	}
 	res, err := d.attempts(ctx, sn, op, now)
 	if err != nil {
 		d.m.failures.Add(1)
 		d.br.failure(d.cfg.Now())
-		return opResult{}, err
+		return nil, err
 	}
 	d.br.success()
 	return res, nil
 }
 
 // attempts runs the retry ladder from time now: up to MaxAttempts
-// hedged attempts separated by capped exponential backoff with equal
+// timed attempts separated by capped exponential backoff with equal
 // jitter.
-func (d *domain) attempts(ctx context.Context, sn *store.Snapshot, op shardOp, now time.Time) (opResult, error) {
+func (d *domain) attempts(ctx context.Context, sn *store.Snapshot, op shardOp, now time.Time) ([]store.ID, error) {
 	backoff := d.cfg.BaseBackoff
 	var lastErr error
 	for a := 0; a < d.cfg.MaxAttempts; a++ {
 		if a > 0 {
 			d.m.retries.Add(1)
 			if err := d.sleep(ctx, d.jitter(backoff)); err != nil {
-				return opResult{}, err
+				return nil, err
 			}
 			backoff *= 2
 			if backoff > d.cfg.MaxBackoff {
@@ -126,7 +99,7 @@ func (d *domain) attempts(ctx context.Context, sn *store.Snapshot, op shardOp, n
 			}
 			now = d.cfg.Now()
 		}
-		res, err := d.hedgedAttempt(ctx, sn, op, now)
+		res, err := d.timedAttempt(ctx, sn, op, now)
 		if err == nil {
 			return res, nil
 		}
@@ -135,7 +108,7 @@ func (d *domain) attempts(ctx context.Context, sn *store.Snapshot, op shardOp, n
 			break // the request is gone; stop burning attempts
 		}
 	}
-	return opResult{}, lastErr
+	return nil, lastErr
 }
 
 // sleep waits out one backoff on the injected timer, or until the
@@ -152,31 +125,22 @@ func (d *domain) sleep(ctx context.Context, wait time.Duration) error {
 	}
 }
 
-// call is the state of one hedged attempt, and the primary's context:
+// call is the state of one attempt, and the attempt's context:
 // Deadline and Value are the caller's, cancellation is the caller's or
-// the call's own (decided: a hedge answered, or the timeout passed).
-// The cancellable half is built on first use, which keeps the healthy
-// path free of it. A call whose timer never fired is recycled through
-// domain.calls; one whose timer fired is left to whoever still holds it.
+// the timeout's. The cancellable half is built on first use, which
+// keeps the healthy path free of it. A call whose timer never fired is
+// recycled through domain.calls; one whose timer fired is left to
+// whoever still holds it.
 type call struct {
 	context.Context // the caller's
 	d               *domain
-	sn              *store.Snapshot
-	op              shardOp
-	timer           Timer         // fires into c.fire
-	timeout         time.Duration // the whole pair's budget
-	rearm           time.Duration // timeout left at the hedge point; ≤ 0: no room for a hedge
+	timer           Timer         // fires into c.fire at the timeout
+	timeout         time.Duration // the attempt's budget; set under mu, read by fire
 
-	mu            sync.Mutex
-	hedged        bool               // the hedged attempt has been started; guarded by mu
-	primaryFailed bool               // the primary failed and left the decision to the hedge; guarded by mu
-	hedgeFailed   bool               // the hedge failed and left it to the primary; guarded by mu
-	decided       bool               // res and err are the pair's outcome, both attempts are cancelled; guarded by mu
-	res           opResult           // guarded by mu
-	err           error              // guarded by mu
-	done          context.Context    // cancellable child of Context, made by the first Done; guarded by mu
-	stop          context.CancelFunc // cancels done; guarded by mu
-	hcancel       context.CancelFunc // cancels the hedge; guarded by mu
+	mu   sync.Mutex
+	err  error              // the timeout, once the timer has fired; guarded by mu
+	done context.Context    // cancellable child of Context, made by the first Done; guarded by mu
+	stop context.CancelFunc // cancels done; guarded by mu
 }
 
 // Done implements context.Context.
@@ -185,83 +149,42 @@ func (c *call) Done() <-chan struct{} {
 	defer c.mu.Unlock()
 	if c.done == nil {
 		c.done, c.stop = context.WithCancel(c.Context)
-		if c.decided {
+		if c.err != nil {
 			c.stop()
 		}
 	}
 	return c.done.Done()
 }
 
-// Err implements context.Context: the call's own cause first.
+// Err implements context.Context: the timeout first.
 func (c *call) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case c.err != nil:
+	if c.err != nil {
 		return c.err
-	case c.decided:
-		return errHedgeWon
 	}
 	return c.Context.Err()
 }
 
-// decide makes (res, err) the pair's outcome unless it already has
-// one, and cancels whichever attempts are still running. Caller holds
-// c.mu.
-func (c *call) decide(res opResult, err error) {
-	if c.decided {
-		return
-	}
-	c.decided, c.res, c.err = true, res, err
+// fire is the timer's function: the attempt has timed out, and its
+// context ends, which releases the attempt running inline.
+func (c *call) fire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.err = fmt.Errorf("shard %d: attempt timed out after %v", c.d.i, c.timeout)
 	if c.stop != nil {
 		c.stop()
 	}
-	if c.hcancel != nil {
-		c.hcancel()
-	}
 }
 
-// fire is the timer's function. Its first run, hedgeDelay after the
-// primary started, runs the hedged attempt on the timer's goroutine
-// and re-arms the timer with what is left of the timeout; the second
-// run (the first, when the timeout is not longer than the hedge delay)
-// is the timeout.
-func (c *call) fire() {
-	c.mu.Lock()
-	if c.decided || c.hedged || c.rearm <= 0 {
-		c.decide(opResult{}, fmt.Errorf("shard %d: attempt timed out after %v", c.d.i, c.timeout))
-		c.mu.Unlock()
-		return
-	}
-	c.hedged = true
-	hctx, hcancel := context.WithCancel(c.Context)
-	c.hcancel = hcancel
-	c.timer.Reset(c.rearm)
-	sn, op := c.sn, c.op
-	c.mu.Unlock()
-
-	c.d.m.hedges.Add(1)
-	res, err := c.d.attempt(hctx, sn, op, true)
-	c.mu.Lock()
-	if err == nil || c.primaryFailed {
-		c.decide(res, err)
-	}
-	c.hedgeFailed = err != nil
-	c.mu.Unlock()
-}
-
-// hedgedAttempt runs one attempt, starting now, with a hedged backup:
-// the primary runs inline; if it is still running after hedgeDelay,
-// the call's timer starts a second identical attempt and the first
-// successful result wins (the loser's context is cancelled). The whole
-// pair shares one per-attempt timeout derived from the remaining
-// request deadline.
-func (d *domain) hedgedAttempt(ctx context.Context, sn *store.Snapshot, op shardOp, start time.Time) (opResult, error) {
+// timedAttempt runs one attempt, starting now, inline under the
+// per-attempt timeout: min(AttemptTimeout, remaining request deadline).
+func (d *domain) timedAttempt(ctx context.Context, sn *store.Snapshot, op shardOp, start time.Time) ([]store.ID, error) {
 	timeout := d.cfg.AttemptTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		rem := dl.Sub(start)
 		if rem <= 0 {
-			return opResult{}, context.DeadlineExceeded
+			return nil, context.DeadlineExceeded
 		}
 		if rem < timeout {
 			timeout = rem
@@ -271,48 +194,30 @@ func (d *domain) hedgedAttempt(ctx context.Context, sn *store.Snapshot, op shard
 	if c == nil {
 		c = &call{d: d}
 	}
-	delay := d.hedgeDelay()
-	first := min(delay, timeout) // the hedge point, or already the timeout
 	// Armed under c.mu, which fire takes first: a timer that fires at
-	// once still sees the whole call, c.timer included.
+	// once still sees the whole call.
 	c.mu.Lock()
-	c.Context, c.sn, c.op, c.timeout, c.rearm = ctx, sn, op, timeout, timeout-delay
+	c.Context, c.timeout = ctx, timeout
 	if c.timer == nil {
-		c.timer = d.cfg.AfterFunc(first, c.fire)
+		c.timer = d.cfg.AfterFunc(timeout, c.fire)
 	} else {
-		c.timer.Reset(first)
+		c.timer.Reset(timeout)
 	}
 	c.mu.Unlock()
 
-	res, err := d.attempt(c, sn, op, false)
+	res, err := d.attempt(c, sn, op)
 
+	stopped := c.timer.Stop()
 	c.mu.Lock()
-	if !c.hedged && !c.decided && c.done == nil && c.timer.Stop() {
-		// Healthy: the timer never fired, so nothing else holds c.
-		c.Context, c.sn = nil, nil
-		c.mu.Unlock()
-		d.calls.Put(c)
-	} else {
-		// The timer fired (it may not have got as far as taking c.mu).
-		// The primary decides unless it failed with the hedge still out;
-		// then the hedge does, or the timeout, or the caller going away.
-		if err == nil || !c.hedged || c.hedgeFailed {
-			c.decide(res, err)
-		}
-		c.primaryFailed = err != nil
-		wait := !c.decided
-		c.mu.Unlock()
-		if wait {
-			<-c.Done()
-		}
-		c.mu.Lock()
-		c.decide(opResult{}, c.Context.Err())
-		res, err = c.res, c.err
-		c.mu.Unlock()
-		c.timer.Stop()
+	if c.stop != nil {
+		c.stop() // detaches done from the caller's context
 	}
-	if err == nil {
-		d.observe(d.cfg.Now().Sub(start))
+	recycle := stopped && c.done == nil
+	c.mu.Unlock()
+	if recycle {
+		// The timer never fired and no Done was built: nothing else holds c.
+		c.Context = nil
+		d.calls.Put(c)
 	}
 	return res, err
 }
@@ -320,20 +225,15 @@ func (d *domain) hedgedAttempt(ctx context.Context, sn *store.Snapshot, op shard
 // attempt runs op once. The recover net converts a chaos-injected
 // shard panic into an attempt error so one crashing shard degrades,
 // never crashes, the coordinator.
-func (d *domain) attempt(ctx context.Context, sn *store.Snapshot, op shardOp, hedge bool) (res opResult, err error) {
+func (d *domain) attempt(ctx context.Context, sn *store.Snapshot, op shardOp) (res []store.ID, err error) {
 	d.m.attempts.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = opResult{}, fmt.Errorf("shard %d: attempt crashed: %v", d.i, r)
+			res, err = nil, fmt.Errorf("shard %d: attempt crashed: %v", d.i, r)
 		}
 	}()
 	if err := chaos.HitCtx(ctx, d.point); err != nil {
-		return opResult{}, err
-	}
-	if hedge {
-		if err := chaos.HitCtx(ctx, "shard.hedge"); err != nil {
-			return opResult{}, err
-		}
+		return nil, err
 	}
 	return op.exec(ctx, sn)
 }
@@ -347,30 +247,4 @@ func (d *domain) jitter(b time.Duration) time.Duration {
 	defer d.mu.Unlock()
 	half := b / 2
 	return half + time.Duration(d.rng.Int63n(int64(half)))
-}
-
-// observe records a successful call latency in the ring and, every
-// p95Every observations, re-reads the hedge delay off it.
-func (d *domain) observe(lat time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ring[d.ringN%latencyRing] = lat
-	d.ringN++
-	if d.ringN%p95Every != 0 {
-		return
-	}
-	sorted := d.ring // a copy: the ring itself stays in arrival order
-	n := min(d.ringN, latencyRing)
-	slices.Sort(sorted[:n])
-	d.p95.Store(int64(max(sorted[(n*95)/100], d.cfg.MinHedgeDelay)))
-}
-
-// hedgeDelay returns the adaptive hedging delay: the p95 of the
-// latency ring as of its last re-read, floored at MinHedgeDelay;
-// Config.HedgeDelay before the first.
-func (d *domain) hedgeDelay() time.Duration {
-	if p := d.p95.Load(); p > 0 {
-		return time.Duration(p)
-	}
-	return d.cfg.HedgeDelay
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 // TestRetryRecoversTransientError: a once-only injected error costs
@@ -40,40 +41,6 @@ func TestRetryRecoversTransientError(t *testing.T) {
 	}
 }
 
-// TestHedgeWinsOverSlowPrimary: a once-only latency fault slows the
-// primary attempt past the hedge delay; the hedged attempt runs
-// clean, wins, and the read still answers correctly. The loser's
-// goroutine drains into its buffered channel (the package leak check
-// would catch it otherwise).
-func TestHedgeWinsOverSlowPrimary(t *testing.T) {
-	src, _ := testStore(newRand(42), 40, 3)
-	const n = 2
-	cfg := fastConfig()
-	cfg.HedgeDelay = 5 * time.Millisecond
-	cfg.MinHedgeDelay = 5 * time.Millisecond
-	cfg.MaxAttempts = 1
-	c := NewCluster(src, n, cfg)
-	in := chaos.New(1, chaos.Rule{
-		Point: "shard.query.0", Kind: chaos.KindLatency,
-		Latency: 400 * time.Millisecond, Prob: 1, Limit: 1,
-	})
-	ctx := chaos.With(context.Background(), in)
-	sid := shardSubject(0, n)
-
-	start := time.Now()
-	v := c.NewView(ctx)
-	v.HasIDs(sid, 1, 1)
-	if err := v.Err(); err != nil {
-		t.Fatalf("hedged read failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedge did not win: read took %v (the injected primary latency)", elapsed)
-	}
-	if got := c.Stats()[0].Hedges; got != 1 {
-		t.Fatalf("hedges = %d, want 1", got)
-	}
-}
-
 // TestAttemptTimeoutMapsToUnavailable: a shard stuck past the
 // per-attempt timeout surfaces as ErrUnavailable, never as the
 // caller's context.DeadlineExceeded (a shard outage is not a client
@@ -91,7 +58,7 @@ func TestAttemptTimeoutMapsToUnavailable(t *testing.T) {
 	})
 	ctx := chaos.With(context.Background(), in)
 	v := c.NewView(ctx)
-	v.HasIDs(shardSubject(0, n), 1, 1)
+	v.PostingList([3]store.ID{shardSubject(0, n), 1, 0})
 	err := v.Err()
 	if err == nil || !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("view error = %v, want ErrUnavailable", err)
@@ -121,7 +88,7 @@ func TestRequestDeadlineCapsAttempt(t *testing.T) {
 
 	start := time.Now()
 	v := c.NewView(ctx)
-	v.HasIDs(shardSubject(0, n), 1, 1)
+	v.PostingList([3]store.ID{shardSubject(0, n), 1, 0})
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("stuck shard held the call for %v despite a 40ms deadline", elapsed)
 	}

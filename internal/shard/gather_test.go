@@ -30,14 +30,13 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 var _ sparql.StoreView = (*View)(nil)
 
 // fastConfig keeps the failure domain snappy for tests: real clock,
-// tiny backoffs, hedging effectively off unless a test opts in.
+// tiny backoffs.
 func fastConfig() Config {
 	return Config{
 		AttemptTimeout: 2 * time.Second,
 		MaxAttempts:    2,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     4 * time.Millisecond,
-		HedgeDelay:     time.Second,
 		Seed:           7,
 	}
 }

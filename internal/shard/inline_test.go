@@ -94,22 +94,6 @@ func (m *manualTimers) counts() (armed, stopped, active int) {
 	return m.armed, m.stopped, active
 }
 
-// stepClock is an injected clock that moves step forward on every
-// read, so a healthy call (which reads it at its start and at its end)
-// observes a latency of exactly one step.
-type stepClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	step time.Duration
-}
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
 // waitInjected blocks until the injector has delivered n latency
 // faults at point: the attempts that drew them are now waiting.
 func waitInjected(t *testing.T, in *chaos.Injector, point string, n uint64) {
@@ -140,23 +124,19 @@ func TestHealthyCallLeavesNothingBehind(t *testing.T) {
 	c := NewCluster(src, n, cfg)
 	v := c.NewView(context.Background())
 	for i := 0; i < calls; i++ {
-		v.HasIDs(store.ID(1+i%30), 1, 1)
+		v.PostingList([3]store.ID{store.ID(1 + i%30), 1, 0})
 	}
 	armed, stopped, active := timers.counts()
 	if armed != calls || stopped != calls || active != 0 {
 		t.Fatalf("after %d healthy calls: %d timers armed, %d stopped, %d still armed", calls, armed, stopped, active)
 	}
 
-	// And with the production timers: no goroutine per call. The hedge
-	// delays are out of any scheduling gap's reach — at the defaults (2 ms
-	// floor) a call descheduled on a busy host fires its hedge, which is
-	// the host's timing and failed this test about once in 25 runs beside
-	// another package's tests.
-	c = NewCluster(src, n, Config{HedgeDelay: time.Minute, MinHedgeDelay: time.Minute})
+	// And with the production defaults: no goroutine per call.
+	c = NewCluster(src, n, Config{})
 	v = c.NewView(context.Background())
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10_000; i++ {
-		v.HasIDs(store.ID(1+i%30), 1, 1)
+		v.PostingList([3]store.ID{store.ID(1 + i%30), 1, 0})
 		if i%1000 == 0 {
 			if now := runtime.NumGoroutine(); now > before {
 				t.Fatalf("call %d: %d goroutines, %d before the loop", i, now, before)
@@ -170,108 +150,42 @@ func TestHealthyCallLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range c.Stats() {
-		if s.Hedges != 0 || s.Retries != 0 {
-			t.Fatalf("shard %d: healthy calls counted %d hedges, %d retries", i, s.Hedges, s.Retries)
+		if s.Retries != 0 {
+			t.Fatalf("shard %d: healthy calls counted %d retries", i, s.Retries)
 		}
 	}
 }
 
-// hedgeFixture is a 2-shard cluster on manual timers and a stepping
-// clock, with a chaos rule that holds the first `stuck` attempts on
-// shard 0 for an hour (until their context ends).
-func hedgeFixture(t *testing.T, stuck int) (*Cluster, *manualTimers, *chaos.Injector, context.Context) {
+// stuckFixture is a 2-shard cluster on manual timers with a 1 s attempt
+// timeout and one attempt per call, and a chaos rule that holds the
+// first attempt on shard 0 for an hour (until its context ends).
+func stuckFixture(t *testing.T) (*Cluster, *manualTimers, *chaos.Injector, context.Context) {
 	t.Helper()
 	src, _ := testStore(newRand(52), 40, 3)
 	timers := &manualTimers{}
-	clock := &stepClock{t: time.Unix(0, 0), step: 3 * time.Millisecond}
 	c := NewCluster(src, 2, Config{
 		AttemptTimeout: time.Second,
 		MaxAttempts:    1,
-		HedgeDelay:     10 * time.Millisecond,
-		MinHedgeDelay:  time.Millisecond,
-		Now:            clock.Now,
 		AfterFunc:      timers.AfterFunc,
 	})
 	in := chaos.New(1, chaos.Rule{
 		Point: "shard.query.0", Kind: chaos.KindLatency,
-		Latency: time.Hour, Prob: 1, Limit: stuck,
+		Latency: time.Hour, Prob: 1, Limit: 1,
 	})
-	in.Disable()
 	return c, timers, in, chaos.With(context.Background(), in)
 }
 
-// TestHedgeIffPrimaryOutlivesP95: the call's timer is armed with
-// Config.HedgeDelay until the latency ring has been read, then with
-// the ring's p95; a hedge is launched exactly when that timer fires
-// while the primary is still running, it releases the inline primary
-// by winning, and Attempts/Hedges/Retries count one primary and one
-// hedge.
-func TestHedgeIffPrimaryOutlivesP95(t *testing.T) {
-	c, timers, in, ctx := hedgeFixture(t, 1)
-	sid := shardSubject(0, 2)
-	want := c.NewView(ctx).HasIDs(sid, 1, 1)
-
-	// Warm the ring: every healthy call observes one 3 ms clock step.
-	for i := 1; i < p95Every; i++ {
-		c.NewView(ctx).HasIDs(sid, 1, 1)
-	}
-	if got := c.domains[0].hedgeDelay(); got != 3*time.Millisecond {
-		t.Fatalf("hedge delay after %d observations of 3ms = %v, want the ring's p95", p95Every, got)
-	}
-	st := c.Stats()[0]
-	if st.Attempts != p95Every || st.Hedges != 0 || st.Retries != 0 {
-		t.Fatalf("healthy calls: %+v, want %d attempts and no hedge", st, p95Every)
-	}
-
-	// A primary that outlives the delay: hold it, then fire its timer.
-	in.Enable()
-	v := c.NewView(ctx)
-	got := make(chan bool)
-	go func() { got <- v.HasIDs(sid, 1, 1) }()
-	waitInjected(t, in, "shard.query.0", 1)
-	if st := c.Stats()[0]; st.Hedges != 0 || st.Attempts != p95Every+1 {
-		t.Fatalf("before the timer fired: %+v, want no hedge yet", st)
-	}
-	if d := timers.fireActive(t); d != 3*time.Millisecond {
-		t.Fatalf("hedge timer armed with %v, want the p95 (3ms)", d)
-	}
-	select {
-	case ok := <-got:
-		if ok != want {
-			t.Fatalf("hedged read answered %v, healthy read %v", ok, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the won hedge did not release the inline primary")
-	}
-	if err := v.Err(); err != nil {
-		t.Fatalf("hedged read failed: %v", err)
-	}
-	st = c.Stats()[0]
-	if st.Attempts != p95Every+2 || st.Hedges != 1 || st.Retries != 0 || st.Failures != 0 {
-		t.Fatalf("after the hedge: %+v, want %d attempts, 1 hedge, 0 retries", st, p95Every+2)
-	}
-	if _, _, active := timers.counts(); active != 0 {
-		t.Fatalf("%d timers outlived the hedged call", active)
-	}
-}
-
-// TestTimeoutCancelsPrimaryAndHedge: with both attempts stuck, the
-// timer's second firing is the attempt timeout: it releases both and
-// the call fails as a shard outage.
-func TestTimeoutCancelsPrimaryAndHedge(t *testing.T) {
-	c, timers, in, ctx := hedgeFixture(t, 2)
-	in.Enable()
+// TestAttemptTimeoutReleasesPrimary: the call's timer is armed once,
+// with the whole attempt timeout; its firing releases the stuck inline
+// primary and the call fails as a shard outage.
+func TestAttemptTimeoutReleasesPrimary(t *testing.T) {
+	c, timers, in, ctx := stuckFixture(t)
 	v := c.NewView(ctx)
 	done := make(chan struct{})
-	go func() { v.HasIDs(shardSubject(0, 2), 1, 1); close(done) }()
+	go func() { v.PostingList([3]store.ID{shardSubject(0, 2), 1, 0}); close(done) }()
 	waitInjected(t, in, "shard.query.0", 1)
-	if d := timers.fireActive(t); d != 10*time.Millisecond {
-		t.Fatalf("hedge timer armed with %v, want Config.HedgeDelay", d)
-	}
-	waitInjected(t, in, "shard.query.0", 2) // the hedge is stuck too
-	// The re-armed timer is the rest of the pair's budget.
-	if d := timers.fireActive(t); d != time.Second-10*time.Millisecond {
-		t.Fatalf("timeout timer armed with %v, want the timeout less the hedge delay", d)
+	if d := timers.fireActive(t); d != time.Second {
+		t.Fatalf("timer armed with %v, want the attempt timeout (1s)", d)
 	}
 	select {
 	case <-done:
@@ -282,57 +196,24 @@ func TestTimeoutCancelsPrimaryAndHedge(t *testing.T) {
 	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "timed out after 1s") {
 		t.Fatalf("view error = %v, want ErrUnavailable from the attempt timeout", err)
 	}
-	if st := c.Stats()[0]; st.Attempts != 2 || st.Hedges != 1 || st.Failures != 1 {
-		t.Fatalf("after the timeout: %+v, want 2 attempts, 1 hedge, 1 failure", st)
+	if st := c.Stats()[0]; st.Attempts != 1 || st.Retries != 0 || st.Failures != 1 {
+		t.Fatalf("after the timeout: %+v, want 1 attempt, 0 retries, 1 failure", st)
 	}
-	if _, _, active := timers.counts(); active != 0 {
-		t.Fatalf("%d timers outlived the timed-out call", active)
-	}
-}
-
-// TestFailedHedgeLeavesThePrimaryToDecide: a hedge that fails while
-// the primary is still running changes nothing; the primary's own
-// answer is the call's.
-func TestFailedHedgeLeavesThePrimaryToDecide(t *testing.T) {
-	c, timers, _, _ := hedgeFixture(t, 0)
-	in := chaos.New(1,
-		chaos.Rule{Point: "shard.query.0", Kind: chaos.KindLatency, Latency: 50 * time.Millisecond, Prob: 1, Limit: 1},
-		chaos.Rule{Point: "shard.hedge", Kind: chaos.KindError, Prob: 1},
-	)
-	sid := shardSubject(0, 2)
-	want := c.NewView(context.Background()).HasIDs(sid, 1, 1)
-	v := c.NewView(chaos.With(context.Background(), in))
-	got := make(chan bool)
-	go func() { got <- v.HasIDs(sid, 1, 1) }()
-	waitInjected(t, in, "shard.query.0", 1)
-	timers.fireActive(t)
-	if ok := <-got; ok != want {
-		t.Fatalf("read answered %v after its hedge failed, healthy read %v", ok, want)
-	}
-	if err := v.Err(); err != nil {
-		t.Fatalf("failed hedge failed the call: %v", err)
-	}
-	if st := c.Stats()[0]; st.Attempts != 3 || st.Hedges != 1 || st.Failures != 0 {
-		t.Fatalf("after the failed hedge: %+v, want 3 attempts (one healthy call before), 1 hedge, 0 failures", st)
-	}
-	if _, _, active := timers.counts(); active != 0 {
-		t.Fatalf("%d timers outlived the call", active)
+	if armed, _, active := timers.counts(); armed != 1 || active != 0 {
+		t.Fatalf("%d timer armings, %d still armed; want the one arming, fired", armed, active)
 	}
 }
 
-// TestCallerGoneEndsTheWait: with both attempts stuck, the caller's
-// context ending releases the inline primary and the hedge at once.
+// TestCallerGoneEndsTheWait: with the attempt stuck, the caller's
+// context ending releases the inline primary at once.
 func TestCallerGoneEndsTheWait(t *testing.T) {
-	c, timers, in, base := hedgeFixture(t, 2)
-	in.Enable()
+	c, timers, in, base := stuckFixture(t)
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	v := c.NewView(ctx)
 	done := make(chan struct{})
-	go func() { v.HasIDs(shardSubject(0, 2), 1, 1); close(done) }()
+	go func() { v.PostingList([3]store.ID{shardSubject(0, 2), 1, 0}); close(done) }()
 	waitInjected(t, in, "shard.query.0", 1)
-	timers.fireActive(t)
-	waitInjected(t, in, "shard.query.0", 2)
 	cancel()
 	select {
 	case <-done:
@@ -355,8 +236,8 @@ func TestInlinePrimaryPanicIsAnAttemptError(t *testing.T) {
 	c := NewCluster(src, 2, deadShardConfig())
 	in := chaos.New(1, chaos.Rule{Point: "shard.query.*", Kind: chaos.KindPanic, Prob: 1})
 	v := c.NewView(chaos.With(context.Background(), in))
-	if v.HasIDs(shardSubject(0, 2), 1, 1) {
-		t.Fatal("crashed owner answered true")
+	if ids, _ := v.PostingList([3]store.ID{shardSubject(0, 2), 1, 0}); ids != nil {
+		t.Fatalf("crashed owner answered %v", ids)
 	}
 	err := v.Err()
 	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "attempt crashed") {
@@ -380,7 +261,7 @@ func TestHealthyCallAllocs(t *testing.T) {
 	v := c.NewView(ctx)
 	sid := shardSubject(0, 2)
 	d, sn := c.domains[0], v.shards[0]
-	op := shardOp{opHas, [3]store.ID{sid, 1, 1}}
+	op := shardOp{opPosting, [3]store.ID{sid, 1, 0}}
 	if n := testing.AllocsPerRun(1000, func() {
 		if _, err := d.run(ctx, sn, op); err != nil {
 			t.Fatal(err)

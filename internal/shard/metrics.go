@@ -8,9 +8,8 @@ import "sync/atomic"
 // shardMetrics are one domain's cumulative counters (atomics: bumped
 // on hot paths without the domain mutex).
 type shardMetrics struct {
-	attempts       atomic.Uint64 // every launched attempt, hedges included
-	hedges         atomic.Uint64 // hedged (second) attempts launched
-	retries        atomic.Uint64 // backoff retries after a failed attempt pair
+	attempts       atomic.Uint64 // every launched attempt
+	retries        atomic.Uint64 // backoff retries after a failed attempt
 	failures       atomic.Uint64 // calls that exhausted the ladder
 	breakerRejects atomic.Uint64 // calls rejected by an open breaker
 }
@@ -19,7 +18,6 @@ type shardMetrics struct {
 // counters and breaker state.
 type ShardStats struct {
 	Attempts       uint64
-	Hedges         uint64
 	Retries        uint64
 	Failures       uint64
 	BreakerRejects uint64
@@ -32,7 +30,6 @@ func (c *Cluster) Stats() []ShardStats {
 	for i, d := range c.domains {
 		out[i] = ShardStats{
 			Attempts:       d.m.attempts.Load(),
-			Hedges:         d.m.hedges.Load(),
 			Retries:        d.m.retries.Load(),
 			Failures:       d.m.failures.Load(),
 			BreakerRejects: d.m.breakerRejects.Load(),

@@ -1,6 +1,6 @@
 // The shard-side read operations. This file is the only place in the
-// package that reads triple data off a shard snapshot (HasIDs /
-// ForEachMatchIDs / PostingList / the build-time partition scan) —
+// package that reads triple data off a shard snapshot (ForEachMatchIDs
+// / PostingList / the build-time partition scan) —
 // the sharddomain qalint invariant. Everything here runs inside an
 // attempt under the failure domain (domain.attempt), so a
 // chaos-injected panic or latency at these call sites exercises the
@@ -20,12 +20,11 @@ import (
 // large scan within this many matches.
 const scanCheckEvery = 512
 
-// opKind names one of the three reads a shard serves.
+// opKind names one of the two reads a shard serves.
 type opKind uint8
 
 const (
-	opHas     opKind = iota // ground-triple existence check
-	opScan                  // pattern scan, buffered flat
+	opScan    opKind = iota // pattern scan, buffered flat
 	opPosting               // posting list of a two-bound pattern
 )
 
@@ -34,37 +33,26 @@ const (
 // could go on a wire as it is.
 type shardOp struct {
 	kind opKind
-	pat  [3]store.ID // fully ground for opHas; 0 = wildcard otherwise
-}
-
-// opResult is a shardOp's answer: ok for opHas; ids for opScan (flat
-// [s,p,o ...] matches) and opPosting (the sorted list).
-type opResult struct {
-	ok  bool
-	ids []store.ID
+	pat  [3]store.ID // 0 = wildcard
 }
 
 // exec runs the op on one shard's snapshot. ctx is only read for the
 // duration of the call and must not be retained: the domain recycles
 // it (see call in domain.go).
-func (op shardOp) exec(ctx context.Context, sn *store.Snapshot) (opResult, error) {
+func (op shardOp) exec(ctx context.Context, sn *store.Snapshot) ([]store.ID, error) {
 	if err := ctx.Err(); err != nil {
-		return opResult{}, err
+		return nil, err
 	}
-	switch op.kind {
-	case opHas:
-		return opResult{ok: sn.HasIDs(op.pat[0], op.pat[1], op.pat[2])}, nil
-	case opScan:
+	if op.kind == opScan {
 		return scan(ctx, sn, op.pat)
-	default:
-		return opResult{ids: postingList(sn, op.pat)}, nil
 	}
+	return postingList(sn, op.pat), nil
 }
 
 // scan buffers one shard's matches of pat as a flat [s,p,o ...]
 // slice in the snapshot's deterministic per-case order. The gather
 // view merges these partials back into the exact single-store stream.
-func scan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (opResult, error) {
+func scan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) ([]store.ID, error) {
 	est := sn.EstimateCardinalityIDs(pat)
 	buf := make([]store.ID, 0, 3*est)
 	n := 0
@@ -81,9 +69,9 @@ func scan(ctx context.Context, sn *store.Snapshot, pat [3]store.ID) (opResult, e
 		return true
 	})
 	if scanErr != nil {
-		return opResult{}, scanErr
+		return nil, scanErr
 	}
-	return opResult{ids: buf}, nil
+	return buf, nil
 }
 
 // postingList returns one shard's posting list for a two-bound

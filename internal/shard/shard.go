@@ -19,7 +19,7 @@
 //
 // All dictionary, statistics and rank reads stay coordinator-local
 // (the source snapshot), so query planning is byte-identical to the
-// single-store plan regardless of N; only HasIDs / ForEachMatchIDs /
+// single-store plan regardless of N; only ForEachMatchIDs and
 // PostingList fan out. See view.go for the gather view, ops.go for
 // the per-shard read operations, domain.go for the failure domain
 // every shard call crosses, and breaker.go for the per-shard circuit
@@ -27,16 +27,15 @@
 //
 // # Failure domains and partial answers
 //
-// Each shard call runs inline on its caller's goroutine under a
-// per-attempt timeout with capped exponential backoff retries, a
-// hedged second attempt once it has outlived the shard's observed p95
-// latency, and a per-shard circuit breaker.
-// Chaos points shard.query.<i> and shard.hedge make every one of
-// those paths drivable by the chaos injector. When a shard stays
-// unavailable the request either fails fast (ErrUnavailable → 503)
-// or, when the caller opted in via WithPartialOK, degrades: the live
-// shards' data answers the question and the result is stamped
-// degraded with shards_total / shards_answered. A degraded answer is
+// Each shard call runs inline on its caller's goroutine, one attempt
+// at a time, under a per-attempt timeout with capped exponential
+// backoff retries and a per-shard circuit breaker. The chaos point
+// shard.query.<i> makes every one of those paths drivable by the
+// chaos injector. When a shard stays unavailable the request either
+// fails fast (ErrUnavailable → 503) or, when the caller opted in via
+// WithPartialOK, degrades: the live shards' data answers the question
+// and the result is stamped degraded with shards_total /
+// shards_answered. A degraded answer is
 // exactly the answer a healthy cluster whose failed shards were empty
 // would produce — the oracle the tests pin.
 package shard
@@ -80,7 +79,7 @@ func PartialOK(ctx context.Context) bool {
 type Config struct {
 	// AttemptTimeout bounds one shard attempt. The effective per-attempt
 	// timeout is the smaller of this and the remaining request deadline,
-	// so retries and hedges always respect the caller's budget.
+	// so retries always respect the caller's budget.
 	AttemptTimeout time.Duration
 	// MaxAttempts is the total number of tries per shard call (first
 	// attempt + retries), each separated by capped exponential backoff.
@@ -90,12 +89,6 @@ type Config struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential backoff growth.
 	MaxBackoff time.Duration
-	// HedgeDelay is the hedging delay used until a shard has observed
-	// enough latency samples to estimate its p95 (see domain.go).
-	HedgeDelay time.Duration
-	// MinHedgeDelay floors the adaptive (p95-derived) hedging delay so
-	// microsecond in-process scans do not hedge every call.
-	MinHedgeDelay time.Duration
 	// BreakerThreshold is the number of consecutive failed shard calls
 	// (retries exhausted) that trips the breaker open.
 	BreakerThreshold int
@@ -108,7 +101,7 @@ type Config struct {
 	// shard i uses Seed+i).
 	Seed int64
 	// Now and AfterFunc inject the clock: deadlines and breaker
-	// cooldowns read Now; hedge, timeout and backoff timers come from
+	// cooldowns read Now; timeout and backoff timers come from
 	// AfterFunc, whose contract is time.AfterFunc's (f runs in its own
 	// goroutine once d has passed, unless the timer is stopped first).
 	Now       func() time.Time
@@ -138,12 +131,6 @@ func withDefaults(cfg Config) Config {
 	}
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 100 * time.Millisecond
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 25 * time.Millisecond
-	}
-	if cfg.MinHedgeDelay <= 0 {
-		cfg.MinHedgeDelay = 2 * time.Millisecond
 	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 5

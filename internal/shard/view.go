@@ -1,10 +1,10 @@
 // The gather view: the sparql.StoreView a sharded request executes
 // over. Dictionary, statistics and rank reads serve from the pinned
 // source snapshot — planning is byte-identical to a single store —
-// and only the three triple-data reads scatter:
+// and only the two triple-data reads scatter:
 //
-//   - HasIDs and subject-bound scans go to the single owning shard
-//     (subject routing makes them one-shard reads);
+//   - subject-bound scans go to the single owning shard (subject
+//     routing makes them one-shard reads);
 //   - wildcard-subject scans scatter to every live shard concurrently
 //     and k-way merge the sorted partials under the same per-case
 //     comparator the store's own scan order defines. Subject sets are
@@ -126,23 +126,23 @@ func (v *View) noteFailure(i int, err error) {
 	}
 }
 
-// call runs op on shard i through its failure domain. ok=false means
-// the shard contributes nothing to this read (dead for this view, or
-// it just failed and the policy was applied).
-func (v *View) call(i int, op shardOp) (opResult, bool) {
+// call runs op on shard i through its failure domain. nil means the
+// shard contributes nothing to this read: it had no match, it is dead
+// for this view, or it just failed and the policy was applied.
+func (v *View) call(i int, op shardOp) []store.ID {
 	if !v.live(i) {
-		return opResult{}, false
+		return nil
 	}
 	res, err := v.c.domains[i].run(v.ctx, v.shards[i], op)
 	if err != nil {
 		v.noteFailure(i, err)
-		return opResult{}, false
+		return nil
 	}
-	return res, true
+	return res
 }
 
 // owner runs op on the shard that owns subject s.
-func (v *View) owner(s store.ID, op shardOp) (opResult, bool) {
+func (v *View) owner(s store.ID, op shardOp) []store.ID {
 	return v.call(shardOf(s, len(v.shards)), op)
 }
 
@@ -151,11 +151,7 @@ func (v *View) owner(s store.ID, op shardOp) (opResult, bool) {
 // partials (nil for dead shards).
 func (v *View) scatter(op shardOp) [][]store.ID {
 	parts := make([][]store.ID, len(v.shards))
-	one := func(i int) {
-		if res, ok := v.call(i, op); ok {
-			parts[i] = res.ids
-		}
-	}
+	one := func(i int) { parts[i] = v.call(i, op) }
 	var wg sync.WaitGroup
 	mine := -1
 	for i := range v.shards {
@@ -178,20 +174,12 @@ func (v *View) scatter(op shardOp) [][]store.ID {
 	return parts
 }
 
-// HasIDs routes the ground check to the subject's owner shard. A dead
-// owner answers false — the empty-shard equivalence.
-func (v *View) HasIDs(s, p, o store.ID) bool {
-	res, _ := v.owner(s, shardOp{opHas, [3]store.ID{s, p, o}})
-	return res.ok
-}
-
 // ForEachMatchIDs streams pat's matches in the store's deterministic
 // per-case order: owner-shard read when the subject is bound,
 // concurrent scatter + ordered k-way merge otherwise.
 func (v *View) ForEachMatchIDs(pat [3]store.ID, fn func(s, p, o store.ID) bool) {
 	if pat[0] != 0 {
-		res, _ := v.owner(pat[0], shardOp{opScan, pat})
-		emitFlat(res.ids, fn)
+		emitFlat(v.owner(pat[0], shardOp{opScan, pat}), fn)
 		return
 	}
 	mergeEmit(v.scatter(shardOp{opScan, pat}), caseLess(pat), fn)
@@ -212,8 +200,7 @@ func (v *View) PostingList(pat [3]store.ID) ([]store.ID, bool) {
 		return nil, false
 	}
 	if pat[0] != 0 {
-		res, _ := v.owner(pat[0], shardOp{opPosting, pat})
-		return res.ids, true
+		return v.owner(pat[0], shardOp{opPosting, pat}), true
 	}
 	return mergeSortedDisjoint(v.scatter(shardOp{opPosting, pat})), true
 }

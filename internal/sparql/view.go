@@ -39,8 +39,6 @@ type StoreView interface {
 	// TermRanks returns the term-rank permutation (see
 	// store.Snapshot.TermRanks for the contract).
 	TermRanks() (ranks []uint32, order []store.ID)
-	// HasIDs reports whether the ground ID triple is present.
-	HasIDs(s, p, o store.ID) bool
 	// ForEachMatchIDs streams the matches of an ID pattern (0 =
 	// wildcard) in the snapshot's deterministic per-case scan order.
 	ForEachMatchIDs(pat [3]store.ID, fn func(s, p, o store.ID) bool)

@@ -18,8 +18,9 @@
 #     dry, and must survive a kill -9 with the last acknowledged
 #     update intact; the reboot runs with -debug-addr and must serve
 #     pprof on that listener only;
-#  3. a sharded drill (PR 10): qaserve boots with -shards 3 and a
-#     chaos rule killing shard 1's reads; requests without
+#  3. a sharded drill (PR 10): qaserve refuses -shards with -data-dir
+#     and a -chaos rule for a point that does not exist, then boots
+#     with -shards 3 and a chaos rule killing shard 1's reads; requests without
 #     allow_partial must answer 503 "shard unavailable", requests with
 #     it must answer degraded 200s stamped shards_answered=2, and once
 #     the rule runs dry the server must answer undegraded again.
@@ -135,6 +136,14 @@ echo "== sharded drill (3 shards, shard 1 killed by chaos) =="
 # -shards refuses durable mode: sharded serving is in-memory only.
 if /tmp/qaserve-chaos -addr "$ADDR" -shards 2 -data-dir "$DATA_DIR" 2>/dev/null; then
   echo "-shards with -data-dir should have been rejected" >&2
+  exit 1
+fi
+# -chaos refuses a rule for a point that does not exist (shard.hedge
+# went with hedging): exit 1, before the listener comes up.
+code=0
+out="$(/tmp/qaserve-chaos -addr "$ADDR" -chaos 'shard.hedge:error:1' 2>&1)" || code=$?
+if [ "$code" != 1 ] || [[ "$out" == *'listening on'* ]]; then
+  echo "-chaos shard.hedge:error:1: exit $code, want 1 before listening: $out" >&2
   exit 1
 fi
 

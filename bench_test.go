@@ -407,6 +407,19 @@ func BenchmarkNEDResolveFuzzy(b *testing.B) {
 	}
 }
 
+// BenchmarkNewLinker is the NED gazetteer and page-link index built
+// from the built-in KB, as core.New builds it at boot: ≈ 2.1–2.5 ms,
+// 0.62 MB and 3.7k allocs/op on a 2-vCPU host by store ID (≈ 4.8–5.7
+// ms, 1.93 MB and 5.3k through rdf.Term maps).
+func BenchmarkNewLinker(b *testing.B) {
+	k := kb.Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ner.NewLinker(k)
+	}
+}
+
 // BenchmarkPropmapMap is the whole §2.2 stage over the extractions of
 // the entity-template questions (qaload's entity_cold stream).
 func BenchmarkPropmapMap(b *testing.B) {
@@ -426,8 +439,11 @@ func BenchmarkPropmapMap(b *testing.B) {
 }
 
 // BenchmarkKBBuild is the built-in KB from nothing: two write batches
-// (the asserted triples, the inferred rdf:type closure). It read 194 ms,
-// 205 MB and 188,557 allocs/op while every triple was a batch.
+// (the asserted triples, the inferred rdf:type closure), both written
+// by ID. On a 2-vCPU host it reads ≈ 9–10 ms, 1.90 MB and 14.1k
+// allocs/op; 16–19 ms, 4.47 MB and 20.5k while the helpers queued
+// rdf.Triples for AddAll and the closure was found in term space, and
+// 194 ms, 205 MB and 188,557 while every triple was a batch.
 func BenchmarkKBBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -462,9 +478,11 @@ func BenchmarkKBBuildScale(b *testing.B) {
 // BenchmarkCoreBoot is core.New over a KB that is already built — what
 // is left of a boot once the store is not it: the corpus and pattern
 // mining on the calling goroutine, WordNet and the linker's index on a
-// second one beside them, then the mapper's §2.2 indexes. It read
-// ≈ 16 ms, 5.58 MB and 31,982 allocs/op while mining tagged every
-// sentence and the linker waited for it.
+// second one beside them, then the mapper's §2.2 indexes. On a 2-vCPU
+// host it reads ≈ 5.5–6 ms, 1.58 MB and 8.3k allocs/op since the linker
+// builds by store ID (≈ 8.5–10.5 ms, 2.90 MB and 9.9k before), and
+// ≈ 16 ms, 5.58 MB and 31,982 while mining tagged every sentence and
+// the linker waited for it.
 func BenchmarkCoreBoot(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.KB = kb.Default()

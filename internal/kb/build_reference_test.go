@@ -3,6 +3,7 @@ package kb
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,7 +15,32 @@ import (
 // oracle of the batched one: every triple is a write batch of its own
 // (one Store.Add each, in the order the helpers assert them), and the
 // rdf:type closure is added the same way from a Go map walk that asks
-// the store for the superclasses of every entity-type pair.
+// the store, in term space, for the superclasses of every entity-type
+// pair.
+
+// referenceSuperClasses is the term-space walk of the old
+// Snapshot.SuperClasses, verbatim: the transitive closure of
+// rdfs:subClassOf from class c, c excluded, in Term order.
+func referenceSuperClasses(sn *store.Snapshot, c rdf.Term) []rdf.Term {
+	seen := map[rdf.Term]bool{c: true}
+	var out []rdf.Term
+	frontier := []rdf.Term{c}
+	for len(frontier) > 0 {
+		next := frontier[:0:0]
+		for _, cur := range frontier {
+			for _, super := range sn.Objects(cur, rdf.SubClassOf()) {
+				if !seen[super] {
+					seen[super] = true
+					out = append(out, super)
+					next = append(next, super)
+				}
+			}
+		}
+		frontier = next
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
+}
 
 // referenceMaterializeTypes is the old (*KB).materializeTypes, verbatim.
 func referenceMaterializeTypes(kb *KB) {
@@ -27,25 +53,43 @@ func referenceMaterializeTypes(kb *KB) {
 	})
 	for e, types := range entityTypes {
 		for _, c := range types {
-			for _, super := range kb.Store.Snapshot().SuperClasses(c) {
+			for _, super := range referenceSuperClasses(kb.Store.Snapshot(), c) {
 				kb.Store.Add(rdf.Triple{S: e, P: rdf.Type(), O: super})
 			}
 		}
 	}
 }
 
+// recorder is the reference build's sink: it numbers the terms it is
+// given on its own and records each triple the helpers add as terms,
+// in the order they add them, so no ID of the store's reaches the
+// reference.
+type recorder struct {
+	ids     map[rdf.Term]store.ID
+	terms   []rdf.Term
+	triples []rdf.Triple
+}
+
+func (r *recorder) Intern(t rdf.Term) store.ID {
+	if id, ok := r.ids[t]; ok {
+		return id
+	}
+	r.terms = append(r.terms, t)
+	r.ids[t] = store.ID(len(r.terms))
+	return store.ID(len(r.terms))
+}
+
+func (r *recorder) Add(s, p, o store.ID) {
+	r.triples = append(r.triples, rdf.Triple{S: r.terms[s-1], P: r.terms[p-1], O: r.terms[o-1]})
+}
+
 // referenceBuild is the old Build: the same helpers in the same order,
 // with each triple they assert committed by a Store.Add of its own.
 func referenceBuild(cfg Config) *KB {
-	kb := &builder{KB: &KB{
-		Store:        store.New(),
-		classByLocal: map[string]Class{},
-		propByLocal:  map[string]Property{},
-	}}
-	kb.buildOntology()
-	kb.buildCuratedEntities()
-	kb.buildSynthetic(cfg)
-	for _, t := range kb.queue {
+	rec := &recorder{ids: map[rdf.Term]store.ID{}}
+	kb := newBuilder(store.New(), rec)
+	kb.build(cfg)
+	for _, t := range rec.triples {
 		kb.Store.Add(t)
 	}
 	referenceMaterializeTypes(kb.KB)
@@ -115,7 +159,7 @@ func TestFromTriplesMatchesReference(t *testing.T) {
 		}
 		for _, c := range st.Objects(tr.S, rdf.Type()) {
 			if _, ok := supers[c]; !ok {
-				supers[c] = st.SuperClasses(c)
+				supers[c] = referenceSuperClasses(st, c)
 			}
 			for _, super := range supers[c] {
 				if super == tr.O {

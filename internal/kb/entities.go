@@ -102,7 +102,7 @@ func (kb *builder) buildCuratedEntities() {
 	jordanFoot := e("Michael_Jordan_(footballer)", "Michael Jordan", "SoccerPlayer")
 	kb.dataFact(jordanFoot, "height", d(1.85))
 	// Extra links make the basketball player globally more central.
-	for _, t := range []rdf.Term{nba, brooklyn, bulls} {
+	for _, t := range []ref{nba, brooklyn, bulls} {
 		kb.link(jordan, t)
 	}
 	pippen := e("Scottie_Pippen", "Scottie Pippen", "BasketballPlayer")
@@ -258,7 +258,7 @@ func (kb *builder) buildCuratedEntities() {
 	kb.fact(canada, "capital", e("Ottawa", "Ottawa", "City"))
 	kb.dataFact(canada, "populationTotal", i(33476688))
 	kb.dataFact(australia, "populationTotal", i(21507717))
-	for _, t := range []rdf.Term{canada, brooklyn, london, washington} {
+	for _, t := range []ref{canada, brooklyn, london, washington} {
 		kb.link(vicCity, t)
 	}
 

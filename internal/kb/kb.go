@@ -15,6 +15,7 @@ package kb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -84,34 +85,112 @@ func Default() *KB {
 	return defaultKB
 }
 
-// builder is a KB under construction: the helpers below queue their
-// triples in call order and Build hands the store the whole queue as
-// one write batch — one snapshot publication, not one per triple. The
-// queue goes with the builder; the KB Build returns keeps none of it.
-type builder struct {
-	*KB
-	queue []rdf.Triple
+// sink is what the builder writes to: a *store.Batch, through which
+// the KB's store takes the asserted triples as one write batch, or, in
+// the tests, a recorder that replays them one Store.Add at a time.
+type sink interface {
+	Intern(rdf.Term) store.ID
+	Add(s, p, o store.ID)
 }
 
-func (kb *builder) add(s, p, o rdf.Term) {
-	kb.queue = append(kb.queue, rdf.Triple{S: s, P: p, O: o})
+// builder is a KB under construction. Its helpers write each triple to
+// the sink as they assert it, by ID, and there is no queue: a class,
+// property or entity is interned once, when it is declared, and its
+// handle carries the ID; a literal is interned as it comes. Every term
+// is interned as its triple's subject, predicate and object come, so
+// IDs keep first-appearance order.
+type builder struct {
+	*KB
+	w       sink
+	vocab   [nVocab]store.ID // 0 until the term's first use
+	classes map[string]ref
+	props   map[string]store.ID
+}
+
+// ref is a term the builder writes, with the ID it got; 0 until it is
+// interned.
+type ref struct {
+	term rdf.Term
+	id   store.ID
+}
+
+// The vocabulary the helpers write, interned at first use.
+const (
+	vType = iota
+	vLabel
+	vSubClassOf
+	vClass
+	vObjectProp
+	vDatatypeProp
+	vDomain
+	vRange
+	vPageLink
+	nVocab
+)
+
+var vocabTerms = [nVocab]rdf.Term{
+	vType:         rdf.Type(),
+	vLabel:        rdf.Label(),
+	vSubClassOf:   rdf.SubClassOf(),
+	vClass:        rdf.NewIRI(rdf.IRIClass),
+	vObjectProp:   rdf.NewIRI(rdf.IRIObjectProp),
+	vDatatypeProp: rdf.NewIRI(rdf.IRIDatatypeProp),
+	vDomain:       rdf.NewIRI(rdf.IRIDomain),
+	vRange:        rdf.NewIRI(rdf.IRIRange),
+	vPageLink:     rdf.NewIRI(rdf.IRIPageLink),
+}
+
+// v returns the ID of vocabulary term i.
+func (kb *builder) v(i int) store.ID {
+	if kb.vocab[i] == 0 {
+		kb.vocab[i] = kb.w.Intern(vocabTerms[i])
+	}
+	return kb.vocab[i]
+}
+
+// id returns r's ID, interning its term when r has none yet.
+func (kb *builder) id(r ref) store.ID {
+	if r.id != 0 {
+		return r.id
+	}
+	return kb.w.Intern(r.term)
+}
+
+// intern interns t, as the subject of the triple about to be added.
+func (kb *builder) intern(t rdf.Term) ref { return ref{term: t, id: kb.w.Intern(t)} }
+
+// newBuilder returns an empty builder writing to w.
+func newBuilder(st *store.Store, w sink) *builder {
+	return &builder{
+		KB: &KB{
+			Store:        st,
+			classByLocal: map[string]Class{},
+			propByLocal:  map[string]Property{},
+		},
+		w:       w,
+		classes: map[string]ref{},
+		props:   map[string]store.ID{},
+	}
+}
+
+// build runs the helpers: the ontology, the curated entities, then the
+// synthetic long tail of cfg.
+func (kb *builder) build(cfg Config) {
+	kb.buildOntology()
+	kb.buildCuratedEntities()
+	kb.buildSynthetic(cfg)
 }
 
 // Build constructs the knowledge base in two write batches: the
 // asserted triples, then the inferred rdf:type closure over them.
 func Build(cfg Config) *KB {
-	kb := &builder{KB: &KB{
-		Store:        store.New(),
-		classByLocal: map[string]Class{},
-		propByLocal:  map[string]Property{},
-	}}
-	// Capacity hint: the curated core plus what buildSynthetic queues per
+	kb := newBuilder(store.New(), nil)
+	// Capacity hint: the curated core plus what buildSynthetic adds per
 	// entity on average; a miss costs append growth, nothing else.
-	kb.queue = make([]rdf.Triple, 0, 1200+13*cfg.SyntheticPersons+4*cfg.SyntheticCities+6*cfg.SyntheticBooks)
-	kb.buildOntology()
-	kb.buildCuratedEntities()
-	kb.buildSynthetic(cfg)
-	kb.Store.AddAll(kb.queue)
+	kb.Store.Batch(1200+13*cfg.SyntheticPersons+4*cfg.SyntheticCities+6*cfg.SyntheticBooks, func(b *store.Batch) {
+		kb.w = b
+		kb.build(cfg)
+	})
 	kb.materializeTypes()
 	return kb.KB
 }
@@ -119,32 +198,70 @@ func Build(cfg Config) *KB {
 // materializeTypes asserts the full rdf:type closure (every superclass
 // of every asserted type), as the DBpedia dumps the paper queries do —
 // SPARQL BGPs like "?x rdf:type dbont:Person" then work without RDFS
-// inference at query time. What the store lacks of the closure is one
-// write batch, queued in index order (class ID, then entity ID) — none
-// at all when nothing is missing — and every superclass is already a
-// dictionary term, so no ID depends on the walk.
+// inference at query time. It works by ID: it walks the rdf:type
+// triples in POS order (class, then entity), takes each class's
+// superclasses from the rdfs:subClassOf index once, and adds what the
+// store lacks as one write batch — none at all when nothing is missing.
+// Every superclass is already a dictionary term, so no ID depends on
+// the walk.
 func (kb *KB) materializeTypes() {
 	sn := kb.Store.Snapshot()
-	supers := map[rdf.Term][]rdf.Term{} // class → superclass closure, walked once each
-	var inferred []rdf.Triple
-	sn.ForEachMatch(rdf.Triple{P: rdf.Type()}, func(t rdf.Triple) bool {
-		if strings.HasPrefix(t.S.Value, rdf.NSRes) && strings.HasPrefix(t.O.Value, rdf.NSOnt) {
-			closure, ok := supers[t.O]
-			if !ok {
-				closure = sn.SuperClasses(t.O)
-				supers[t.O] = closure
-			}
-			for _, super := range closure {
-				if tr := (rdf.Triple{S: t.S, P: rdf.Type(), O: super}); !sn.Has(tr) {
-					inferred = append(inferred, tr)
-				}
+	typ, ok := sn.Lookup(rdf.Type())
+	if !ok {
+		return
+	}
+	sub, _ := sn.Lookup(rdf.SubClassOf())
+	terms := sn.TermsView()
+	supers := map[store.ID][]store.ID{} // class → its superclasses, walked once each
+	var inferred [][3]store.ID
+	sn.ForEachMatchIDs([3]store.ID{0, typ, 0}, func(s, _, o store.ID) bool {
+		if !strings.HasPrefix(terms[o-1].Value, rdf.NSOnt) || !strings.HasPrefix(terms[s-1].Value, rdf.NSRes) {
+			return true
+		}
+		closure, ok := supers[o]
+		if !ok {
+			closure = superClasses(sn, sub, o)
+			supers[o] = closure
+		}
+		for _, super := range closure {
+			if !sn.HasIDs(s, typ, super) {
+				inferred = append(inferred, [3]store.ID{s, typ, super})
 			}
 		}
 		return true
 	})
 	if len(inferred) > 0 {
-		kb.Store.AddAll(inferred)
+		kb.Store.Batch(len(inferred), func(b *store.Batch) {
+			for _, t := range inferred {
+				b.Add(t[0], t[1], t[2])
+			}
+		})
 	}
+}
+
+// superClasses returns the transitive closure of rdfs:subClassOf (ID
+// sub; 0 when the store has none) from class c, c excluded, in
+// ascending ID order. Cycles are tolerated.
+func superClasses(sn *store.Snapshot, sub, c store.ID) []store.ID {
+	if sub == 0 {
+		return nil
+	}
+	var out []store.ID
+	seen := map[store.ID]bool{c: true}
+	for frontier := []store.ID{c}; len(frontier) > 0; {
+		cur := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		lst, _ := sn.PostingList([3]store.ID{cur, sub, 0})
+		for _, super := range lst {
+			if !seen[super] {
+				seen[super] = true
+				out = append(out, super)
+				frontier = append(frontier, super)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // ClassByLocal returns the class with the given dbont: local name.
@@ -181,47 +298,60 @@ func LabelIn(sn *store.Snapshot, t rdf.Term) string {
 
 // --- ontology construction helpers ---
 
-func (kb *builder) class(local, label string, parent rdf.Term) rdf.Term {
-	term := rdf.Ont(local)
-	c := Class{Term: term, Label: label, Parent: parent}
+func (kb *builder) class(local, label string, parent ref) ref {
+	c := Class{Term: rdf.Ont(local), Label: label, Parent: parent.term}
 	kb.Classes = append(kb.Classes, c)
 	kb.classByLocal[local] = c
-	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIClass))
-	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
-	if !parent.IsZero() {
-		kb.add(term, rdf.SubClassOf(), parent)
+	r := kb.intern(c.Term)
+	kb.classes[local] = r
+	kb.w.Add(r.id, kb.v(vType), kb.v(vClass))
+	kb.w.Add(r.id, kb.v(vLabel), kb.w.Intern(rdf.NewLangLiteral(label, "en")))
+	if !parent.term.IsZero() {
+		kb.w.Add(r.id, kb.v(vSubClassOf), kb.id(parent))
 	}
-	return term
+	return r
 }
 
-func (kb *builder) objProp(local, label string, domain, rng rdf.Term) rdf.Term {
-	term := rdf.Ont(local)
-	p := Property{Term: term, Label: label, Domain: domain, Range: rng, Object: true}
-	kb.ObjectProperties = append(kb.ObjectProperties, p)
-	kb.propByLocal[local] = p
-	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIObjectProp))
-	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
-	kb.add(term, rdf.NewIRI(rdf.IRIDomain), domain)
-	kb.add(term, rdf.NewIRI(rdf.IRIRange), rng)
-	return term
+// cls returns the handle of a declared class.
+func (kb *builder) cls(local string) ref {
+	r, ok := kb.classes[local]
+	if !ok {
+		panic("kb: undeclared class " + local)
+	}
+	return r
 }
 
-func (kb *builder) dataProp(local, label string, domain rdf.Term, xsdType string) rdf.Term {
-	term := rdf.Ont(local)
-	p := Property{Term: term, Label: label, Domain: domain, Range: rdf.NewIRI(xsdType), Object: false}
-	kb.DataProperties = append(kb.DataProperties, p)
+// prop declares a property of kind (vObjectProp or vDatatypeProp).
+func (kb *builder) prop(p Property, local string, kind int, domain, rng ref) {
+	if p.Object {
+		kb.ObjectProperties = append(kb.ObjectProperties, p)
+	} else {
+		kb.DataProperties = append(kb.DataProperties, p)
+	}
 	kb.propByLocal[local] = p
-	kb.add(term, rdf.Type(), rdf.NewIRI(rdf.IRIDatatypeProp))
-	kb.add(term, rdf.Label(), rdf.NewLangLiteral(label, "en"))
-	kb.add(term, rdf.NewIRI(rdf.IRIDomain), domain)
-	kb.add(term, rdf.NewIRI(rdf.IRIRange), rdf.NewIRI(xsdType))
-	return term
+	id := kb.w.Intern(p.Term)
+	kb.props[local] = id
+	kb.w.Add(id, kb.v(vType), kb.v(kind))
+	kb.w.Add(id, kb.v(vLabel), kb.w.Intern(rdf.NewLangLiteral(p.Label, "en")))
+	kb.w.Add(id, kb.v(vDomain), kb.id(domain))
+	kb.w.Add(id, kb.v(vRange), kb.id(rng))
+}
+
+func (kb *builder) objProp(local, label string, domain, rng ref) {
+	p := Property{Term: rdf.Ont(local), Label: label, Domain: domain.term, Range: rng.term, Object: true}
+	kb.prop(p, local, vObjectProp, domain, rng)
+}
+
+func (kb *builder) dataProp(local, label string, domain ref, xsdType string) {
+	rng := ref{term: rdf.NewIRI(xsdType)}
+	p := Property{Term: rdf.Ont(local), Label: label, Domain: domain.term, Range: rng.term}
+	kb.prop(p, local, vDatatypeProp, domain, rng)
 }
 
 // buildOntology declares the class tree and properties (a faithful
 // slice of the DBpedia 3.7 ontology the paper queries).
 func (kb *builder) buildOntology() {
-	thing := rdf.NewIRI(rdf.IRIThing)
+	thing := ref{term: rdf.NewIRI(rdf.IRIThing)} // interned at first use
 
 	agent := kb.class("Agent", "agent", thing)
 	person := kb.class("Person", "person", agent)
@@ -280,7 +410,7 @@ func (kb *builder) buildOntology() {
 	kb.class("Currency", "currency", thing)
 	kb.class("Award", "award", thing)
 
-	ont := func(l string) rdf.Term { return rdf.Ont(l) }
+	ont := kb.cls
 
 	// Object properties.
 	kb.objProp("author", "author", ont("WrittenWork"), person)
@@ -344,40 +474,49 @@ func (kb *builder) buildOntology() {
 
 // --- entity construction helpers ---
 
-// ent creates an entity with label and classes, returning its term.
-func (kb *builder) ent(local, label string, classes ...string) rdf.Term {
-	t := rdf.Res(local)
-	kb.add(t, rdf.Label(), rdf.NewLangLiteral(label, "en"))
+// ent creates an entity with label and classes, returning its handle.
+func (kb *builder) ent(local, label string, classes ...string) ref {
+	r := kb.intern(rdf.Res(local))
+	kb.w.Add(r.id, kb.v(vLabel), kb.w.Intern(rdf.NewLangLiteral(label, "en")))
 	for _, c := range classes {
-		kb.add(t, rdf.Type(), rdf.Ont(c))
+		kb.w.Add(r.id, kb.v(vType), kb.cls(c).id)
 	}
-	return t
+	return r
+}
+
+// propID returns the ID of a declared property.
+func (kb *builder) propID(local string) store.ID {
+	id, ok := kb.props[local]
+	if !ok {
+		panic("kb: undeclared property " + local)
+	}
+	return id
 }
 
 // fact asserts (s, dbont:prop, o) and the page links both ways.
-func (kb *builder) fact(s rdf.Term, prop string, o rdf.Term) {
-	kb.add(s, rdf.Ont(prop), o)
-	if o.IsIRI() && strings.HasPrefix(o.Value, rdf.NSRes) {
+func (kb *builder) fact(s ref, prop string, o ref) {
+	kb.w.Add(s.id, kb.propID(prop), o.id)
+	if o.term.IsIRI() && strings.HasPrefix(o.term.Value, rdf.NSRes) {
 		kb.link(s, o)
 	}
 }
 
 // link adds wikiPageWikiLink edges in both directions.
-func (kb *builder) link(a, b rdf.Term) {
-	kb.add(a, rdf.NewIRI(rdf.IRIPageLink), b)
-	kb.add(b, rdf.NewIRI(rdf.IRIPageLink), a)
+func (kb *builder) link(a, b ref) {
+	kb.w.Add(a.id, kb.v(vPageLink), b.id)
+	kb.w.Add(b.id, kb.v(vPageLink), a.id)
 }
 
 // dataFact asserts a literal-valued fact.
-func (kb *builder) dataFact(s rdf.Term, prop string, o rdf.Term) {
-	kb.add(s, rdf.Ont(prop), o)
+func (kb *builder) dataFact(s ref, prop string, o rdf.Term) {
+	kb.w.Add(s.id, kb.propID(prop), kb.w.Intern(o))
 }
 
 // buildSynthetic adds the deterministic generated long tail.
 func (kb *builder) buildSynthetic(cfg Config) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	cities := make([]rdf.Term, 0, cfg.SyntheticCities)
+	cities := make([]ref, 0, cfg.SyntheticCities)
 	for i := 0; i < cfg.SyntheticCities; i++ {
 		name := fmt.Sprintf("Synthville_%03d", i)
 		c := kb.ent(name, strings.ReplaceAll(name, "_", " "), "City")
@@ -385,7 +524,7 @@ func (kb *builder) buildSynthetic(cfg Config) {
 		kb.dataFact(c, "elevation", rdf.NewDouble(float64(rng.Intn(3000))))
 		cities = append(cities, c)
 	}
-	persons := make([]rdf.Term, 0, cfg.SyntheticPersons)
+	persons := make([]ref, 0, cfg.SyntheticPersons)
 	for i := 0; i < cfg.SyntheticPersons; i++ {
 		name := fmt.Sprintf("Synth_Person_%04d", i)
 		p := kb.ent(name, strings.ReplaceAll(name, "_", " "), "Person")

@@ -242,3 +242,78 @@ func TestCorpusNoiseInjectsCrossRelationPatterns(t *testing.T) {
 		t.Error("high noise rate should produce 'born in' sentences for deathPlace facts (the PATTY noise)")
 	}
 }
+
+// classGraph is a store of rdfs:subClassOf edges only.
+func classGraph() *store.Store {
+	s := store.New()
+	sub := func(a, b string) rdf.Triple {
+		return rdf.Triple{S: rdf.Ont(a), P: rdf.SubClassOf(), O: rdf.Ont(b)}
+	}
+	s.AddAll([]rdf.Triple{
+		sub("Writer", "Artist"),
+		sub("Artist", "Person"),
+		sub("Person", "Agent"),
+		sub("Company", "Organisation"),
+		sub("Organisation", "Agent"),
+		sub("City", "PopulatedPlace"),
+		sub("PopulatedPlace", "Place"),
+	})
+	return s
+}
+
+// superClassTerms is superClasses of class c by term, as terms.
+func superClassTerms(t *testing.T, st *store.Store, c rdf.Term) []rdf.Term {
+	t.Helper()
+	sn := st.Snapshot()
+	sub, _ := sn.Lookup(rdf.SubClassOf())
+	id, ok := sn.Lookup(c)
+	if !ok {
+		t.Fatalf("%v is not in the store", c)
+	}
+	var out []rdf.Term
+	for _, super := range superClasses(sn, sub, id) {
+		out = append(out, sn.Term(super))
+	}
+	return out
+}
+
+func TestSuperClasses(t *testing.T) {
+	supers := superClassTerms(t, classGraph(), rdf.Ont("Writer"))
+	want := map[rdf.Term]bool{rdf.Ont("Artist"): true, rdf.Ont("Person"): true, rdf.Ont("Agent"): true}
+	if len(supers) != len(want) {
+		t.Fatalf("superClasses = %v", supers)
+	}
+	for _, c := range supers {
+		if !want[c] {
+			t.Errorf("unexpected superclass %v", c)
+		}
+	}
+}
+
+func TestSubClassCycleTolerated(t *testing.T) {
+	s := store.New()
+	s.Add(rdf.Triple{S: rdf.Ont("A"), P: rdf.SubClassOf(), O: rdf.Ont("B")})
+	s.Add(rdf.Triple{S: rdf.Ont("B"), P: rdf.SubClassOf(), O: rdf.Ont("A")})
+	supers := superClassTerms(t, s, rdf.Ont("A"))
+	if len(supers) != 1 || supers[0] != rdf.Ont("B") {
+		t.Errorf("cycle: superClasses(A) = %v", supers)
+	}
+}
+
+// TestMaterializeTypesCycle: a subclass cycle closes like any other
+// class graph — each member of it is a type of the entities of the
+// other — and the closure is one more write batch.
+func TestMaterializeTypesCycle(t *testing.T) {
+	st := store.New()
+	st.AddAll([]rdf.Triple{
+		{S: rdf.Ont("A"), P: rdf.SubClassOf(), O: rdf.Ont("B")},
+		{S: rdf.Ont("B"), P: rdf.SubClassOf(), O: rdf.Ont("A")},
+		{S: rdf.Res("x"), P: rdf.Type(), O: rdf.Ont("A")},
+	})
+	k := &KB{Store: st}
+	k.materializeTypes()
+	sn := st.Snapshot()
+	if !sn.Has(rdf.Triple{S: rdf.Res("x"), P: rdf.Type(), O: rdf.Ont("B")}) || sn.Len() != 4 || sn.Gen() != 2 {
+		t.Errorf("closure over a cycle: %v at generation %d", sn.Triples(), sn.Gen())
+	}
+}

@@ -7,10 +7,12 @@
 // mentions, combined with string similarity between the mention and the
 // entity label (§2.2.5).
 //
-// Built once at boot, by NewLinker from one pinned snapshot: the
-// entities in Term order with their labels, lower-cased labels and
-// page-link adjacency; the distinct labels by first byte and length with
-// a character-class set each; the exact-label map. Paid per question:
+// Built once at boot, by NewLinker from one pinned snapshot, by store
+// ID — it scans the label and page-link triples as ID triples and reads
+// terms only for their text: the entities in Term order with their
+// labels, lower-cased labels and page-link adjacency; the distinct
+// labels by first byte and length with a character-class set each; the
+// exact-label map. Paid per question:
 // lower-casing the phrase, one map lookup, and — only when no label
 // matches exactly — Jaro-Winkler against the few labels of one length
 // band that share enough characters to reach the threshold. The request
@@ -28,6 +30,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/nlp/token"
 	"repro/internal/rdf"
+	"repro/internal/store"
 	"repro/internal/strsim"
 )
 
@@ -53,7 +56,7 @@ type Mention struct {
 }
 
 // Linker spots and disambiguates mentions against one KB. Everything in
-// it is built by NewLinker and read-only afterwards.
+// it is built by NewLinker, by store ID, and read-only afterwards.
 type Linker struct {
 	// ents holds every labelled entity and page-link endpoint in Term
 	// order, so an index into it doubles as the tie-break rank.
@@ -91,59 +94,101 @@ func charClass(r rune) uint {
 }
 
 // NewLinker builds the gazetteer and page-link indexes from one pinned
-// snapshot of the KB's store.
+// snapshot of the KB's store, by ID: it scans the rdfs:label and
+// page-link triples in POS order, keeps its rows in a slot slice
+// indexed by store ID while it builds, and reads a term only to order
+// the entities and to take their labels' text.
 func NewLinker(k *kb.KB) *Linker {
 	sn := k.Store.Snapshot()
-	l := &Linker{entID: map[rdf.Term]int32{}, exact: map[string]*label{}}
-	intern := func(t rdf.Term) {
-		if _, ok := l.entID[t]; !ok {
-			l.entID[t] = 0
-			l.ents = append(l.ents, entity{term: t})
+	terms := sn.TermsView()
+	l := &Linker{exact: map[string]*label{}}
+	labelP, _ := sn.Lookup(rdf.Label())
+	linkP, _ := sn.Lookup(rdf.NewIRI(rdf.IRIPageLink))
+	// scan streams the (subject, object) pairs of predicate p in POS
+	// order; an absent predicate has none.
+	scan := func(p store.ID, fn func(s, o store.ID)) {
+		if p != 0 {
+			sn.ForEachMatchIDs([3]store.ID{0, p, 0}, func(s, _, o store.ID) bool {
+				fn(s, o)
+				return true
+			})
 		}
 	}
-	carriers := map[string][]rdf.Term{}
-	firstLabel := map[rdf.Term]string{}
-	sn.ForEachMatch(rdf.Triple{P: rdf.Label()}, func(t rdf.Triple) bool {
-		if !strings.HasPrefix(t.S.Value, rdf.NSRes) {
-			return true
-		}
-		intern(t.S)
-		key := strings.ToLower(t.O.Value)
-		carriers[key] = append(carriers[key], t.S)
-		if _, ok := firstLabel[t.S]; !ok {
-			firstLabel[t.S] = t.O.Value
-		}
-		l.maxLabelLen = max(l.maxLabelLen, len(token.Words(t.O.Value)))
-		return true
-	})
-	var links []rdf.Triple
-	sn.ForEachMatch(rdf.Triple{P: rdf.NewIRI(rdf.IRIPageLink)}, func(t rdf.Triple) bool {
-		intern(t.S)
-		intern(t.O)
-		links = append(links, t)
-		return true
-	})
-	sort.Slice(l.ents, func(i, j int) bool { return l.ents[i].term.Compare(l.ents[j].term) < 0 })
-	for i := range l.ents {
-		e := &l.ents[i]
-		l.entID[e.term] = int32(i)
-		e.label = firstLabel[e.term]
-		e.lower = strings.ToLower(e.label)
-	}
-	l.maxDegree = 1
-	for _, t := range links {
-		e := &l.ents[l.entID[t.S]]
-		e.links = append(e.links, l.entID[t.O])
-		l.maxDegree = max(l.maxDegree, float64(len(e.links)))
-	}
+	isEntity := func(s store.ID) bool { return strings.HasPrefix(terms[s-1].Value, rdf.NSRes) }
 
-	for key, terms := range carriers {
-		lb := label{lower: key, runes: utf8.RuneCountInString(key)}
+	// slot[id] is nonzero once store ID id is an entity, and 1 + its row
+	// in ents once the rows are in Term order; firstLabel[id] is the ID
+	// of its first label.
+	slot := make([]int32, len(terms)+1)
+	firstLabel := make([]store.ID, len(terms)+1)
+	var ids []store.ID
+	intern := func(id store.ID) {
+		if slot[id] == 0 {
+			slot[id] = 1
+			ids = append(ids, id)
+		}
+	}
+	scan(labelP, func(s, o store.ID) {
+		if isEntity(s) {
+			intern(s)
+			if firstLabel[s] == 0 {
+				firstLabel[s] = o
+			}
+		}
+	})
+	deg := make([]int32, len(terms)+1) // page links by subject ID
+	links := 0
+	scan(linkP, func(s, o store.ID) {
+		intern(s)
+		intern(o)
+		deg[s]++
+		links++
+	})
+	slices.SortFunc(ids, func(a, b store.ID) int { return terms[a-1].Compare(terms[b-1]) })
+	l.ents = make([]entity, len(ids))
+	l.entID = make(map[rdf.Term]int32, len(ids))
+	adj := make([]int32, links) // every entity's page links, cut below
+	l.maxDegree = 1
+	for i, id := range ids {
+		slot[id] = int32(i) + 1
+		e := &l.ents[i]
+		e.term = terms[id-1]
+		l.entID[e.term] = int32(i)
+		if lb := firstLabel[id]; lb != 0 {
+			e.label = terms[lb-1].Value
+			e.lower = strings.ToLower(e.label)
+		}
+		n := int(deg[id])
+		e.links, adj = adj[:0:n], adj[n:]
+		l.maxDegree = max(l.maxDegree, float64(n))
+	}
+	// A subject's targets come in ascending store ID.
+	scan(linkP, func(s, o store.ID) {
+		e := &l.ents[slot[s]-1]
+		e.links = append(e.links, slot[o]-1)
+	})
+
+	// The labels: the carriers of each distinct lower-cased label. A
+	// label literal's subjects come together in POS order, so each
+	// literal is lower-cased and tokenised once.
+	carriers := map[string][]int32{}
+	var last store.ID
+	var key string
+	scan(labelP, func(s, o store.ID) {
+		if !isEntity(s) {
+			return
+		}
+		if o != last {
+			last = o
+			key = strings.ToLower(terms[o-1].Value)
+			l.maxLabelLen = max(l.maxLabelLen, len(token.Words(terms[o-1].Value)))
+		}
+		carriers[key] = append(carriers[key], slot[s]-1)
+	})
+	for key, ents := range carriers {
+		lb := label{lower: key, runes: utf8.RuneCountInString(key), ents: ents}
 		for _, r := range key {
 			lb.chars |= 1 << charClass(r)
-		}
-		for _, t := range terms {
-			lb.ents = append(lb.ents, l.entID[t])
 		}
 		slices.Sort(lb.ents)
 		if key == "" {

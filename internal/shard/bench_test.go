@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/kb"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -16,6 +17,19 @@ func benchCluster(b *testing.B, cfg Config) (*Cluster, []*sparql.Query) {
 	b.Helper()
 	src, props := testStore(newRand(99), 300, 5)
 	return NewCluster(src, 4, cfg), workload(props)
+}
+
+// BenchmarkNewCluster: the built-in KB partitioned across 4 shards —
+// what qaserve -shards 4 spends in its shard_partition boot phase. Each
+// shard is one write batch: the source dictionary interned in ID order,
+// then its subjects' ID triples.
+func BenchmarkNewCluster(b *testing.B) {
+	src := kb.Build(kb.DefaultConfig()).Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewCluster(src, 4, Config{})
+	}
 }
 
 // BenchmarkDomainRunHealthy: one subject-bound posting-list read

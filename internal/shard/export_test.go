@@ -9,7 +9,7 @@ func (c *Cluster) EmptyShardForTest(i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sh := store.New()
-	sh.InternTerms(c.src.Snapshot().TermsView())
+	sh.Batch(0, func(b *store.Batch) { internAll(b, c.src.Snapshot().TermsView()) })
 	c.shards[i] = sh
 }
 

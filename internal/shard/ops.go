@@ -11,7 +11,6 @@ package shard
 import (
 	"context"
 
-	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -88,17 +87,14 @@ func postingList(sn *store.Snapshot, pat [3]store.ID) []store.ID {
 	return out
 }
 
-// partitionTriples splits sn's full contents into n subject-routed
+// partitionTriples splits sn's full contents into n subject-routed ID
 // triple slices (the cluster build path). Scan order is ascending
-// subject, so each shard's slice arrives pre-sorted for its AddAll.
-func partitionTriples(sn *store.Snapshot, n int) [][]rdf.Triple {
-	parts := make([][]rdf.Triple, n)
-	terms := sn.TermsView()
+// subject, so each shard's slice arrives in SPO order for its batch.
+func partitionTriples(sn *store.Snapshot, n int) [][][3]store.ID {
+	parts := make([][][3]store.ID, n)
 	sn.ForEachMatchIDs([3]store.ID{}, func(s, p, o store.ID) bool {
 		i := shardOf(s, n)
-		parts[i] = append(parts[i], rdf.Triple{
-			S: terms[s-1], P: terms[p-1], O: terms[o-1],
-		})
+		parts[i] = append(parts[i], [3]store.ID{s, p, o})
 		return true
 	})
 	return parts

@@ -8,11 +8,11 @@
 //
 // Every shard is a full store.Store. The coordinator keeps the source
 // store (the authoritative single-store image) and derives the shards
-// from it: each shard first interns the source's complete dictionary
-// in ID order (store.InternTerms), so a term has the same dense
-// dictionary ID on every shard and on the coordinator — ID tuples can
-// cross shard boundaries without translation — and then indexes
-// exactly the triples whose subject ID hashes to it (shardOf). Subject
+// from it, each in one write batch (store.Batch): a shard first interns
+// the source's complete dictionary in ID order, so a term has the same
+// dense dictionary ID on every shard and on the coordinator — ID tuples
+// can cross shard boundaries without translation — and then adds, by
+// ID, exactly the triples whose subject ID hashes to it (shardOf). Subject
 // sets are therefore disjoint across shards, which is what makes
 // gather merging deterministic: in every wildcard-subject scan order
 // the store defines, triples from different shards can never tie.
@@ -177,17 +177,28 @@ func NewCluster(src *store.Store, n int, cfg Config) *Cluster {
 	cfg = withDefaults(cfg)
 	c := &Cluster{src: src, cfg: cfg}
 	sn := src.Snapshot()
-	parts := partitionTriples(sn, n)
-	for i := 0; i < n; i++ {
+	terms := sn.TermsView()
+	for i, part := range partitionTriples(sn, n) {
 		sh := store.New()
 		// Same dictionary, same IDs: intern the full source dictionary
-		// in ID order before indexing the shard's subject slice.
-		sh.InternTerms(sn.TermsView())
-		sh.AddAll(parts[i])
+		// in ID order before adding the shard's subject slice.
+		sh.Batch(len(part), func(b *store.Batch) {
+			internAll(b, terms)
+			for _, t := range part {
+				b.Add(t[0], t[1], t[2])
+			}
+		})
 		c.shards = append(c.shards, sh)
 		c.domains = append(c.domains, newDomain(i, cfg))
 	}
 	return c
+}
+
+// internAll interns terms in order.
+func internAll(b *store.Batch, terms []rdf.Term) {
+	for _, t := range terms {
+		b.Intern(t)
+	}
 }
 
 // N returns the number of shards.
@@ -236,7 +247,7 @@ func (c *Cluster) ApplyBatch(ops []store.BatchOp) (added, removed int) {
 	}
 	for i, sh := range c.shards {
 		if after.TermCount() > before {
-			sh.InternTerms(terms[before:])
+			sh.Batch(0, func(b *store.Batch) { internAll(b, terms[before:]) })
 		}
 		if len(routed[i]) > 0 {
 			sh.ApplyBatch(routed[i])

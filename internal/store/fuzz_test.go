@@ -139,7 +139,7 @@ func FuzzApplyBatch(f *testing.F) {
 	for _, term := range fuzzDictionary() {
 		padding.intern(term)
 	}
-	padded.InternTerms(padding.terms)
+	internAll(padded, padding.terms)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A fresh store over the padded dictionary: every batch below
 		// only reads the shared snapshot, and the clipped term slice

@@ -163,14 +163,23 @@ func TestTermRanksDictUnchangedSharesTable(t *testing.T) {
 	}
 }
 
-// TestInternTermsReplicatesIDs: interning another store's TermsView in
-// order into an empty store reproduces its ID assignment exactly — the
+// internAll interns terms in order as one batch.
+func internAll(st *Store, terms []rdf.Term) {
+	st.Batch(0, func(b *Batch) {
+		for _, t := range terms {
+			b.Intern(t)
+		}
+	})
+}
+
+// TestBatchReplicatesIDs: interning another store's TermsView in order
+// into an empty store reproduces its ID assignment exactly — the
 // shard-dictionary-alignment primitive.
-func TestInternTermsReplicatesIDs(t *testing.T) {
+func TestBatchReplicatesIDs(t *testing.T) {
 	src := rankStore(40)
 	sn := src.Snapshot()
 	replica := New()
-	replica.InternTerms(sn.TermsView())
+	internAll(replica, sn.TermsView())
 	rsn := replica.Snapshot()
 	if rsn.TermCount() != sn.TermCount() {
 		t.Fatalf("replica has %d terms, want %d", rsn.TermCount(), sn.TermCount())
@@ -182,7 +191,7 @@ func TestInternTermsReplicatesIDs(t *testing.T) {
 		}
 	}
 	gen := rsn.Gen()
-	replica.InternTerms(sn.TermsView()) // idempotent: nothing new, no publish
+	internAll(replica, sn.TermsView()) // idempotent: nothing new, no publish
 	if g := replica.Snapshot().Gen(); g != gen {
 		t.Fatalf("re-interning known terms published generation %d (was %d)", g, gen)
 	}

@@ -35,10 +35,17 @@
 // 51 allocations, most of it the rebuilt 512-key POS bucket; on 16
 // times the triples, a level deeper, about 14.3 KB. A batch costs
 // O(n log n + the buckets it touches), so anything in a loop belongs in
-// one AddAll or ApplyBatch, which rebuild each bucket once.
+// one AddAll, ApplyBatch or Batch, which rebuild each bucket once.
 // The new root is published once per public write call, giving readers
 // atomic batch visibility. Old snapshots are reclaimed by the garbage
 // collector once the last reader drops them.
+//
+// AddAll and ApplyBatch take rdf.Triples from parsers and requests and
+// intern every term of every triple. Store.Batch is the writer in ID
+// space, for callers that build their contents themselves: its Batch
+// interns a term once and adds triples by the IDs their terms got. The
+// built-in KB (internal/kb) and the shards of internal/shard are built
+// through it.
 //
 // # Two-layer execution model
 //
@@ -271,7 +278,9 @@ type Snapshot struct {
 }
 
 // Store is an indexed, dictionary-encoded triple store with wait-free
-// snapshot reads. The zero value is not usable; call New.
+// snapshot reads. The zero value is not usable; call New. It has five
+// writers: Add, AddAll and ApplyBatch take terms, Batch takes IDs, and
+// SetGen moves the generation.
 type Store struct {
 	wmu  sync.Mutex // serialises writers
 	snap atomic.Pointer[Snapshot]
@@ -350,8 +359,10 @@ func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
 // Lookup returns the ID of t if it is in the dictionary. The terms that
 // share t's hash are compared in ID order.
-func (sn *Snapshot) Lookup(t rdf.Term) (ID, bool) {
-	h := termHash(t)
+func (sn *Snapshot) Lookup(t rdf.Term) (ID, bool) { return sn.lookup(t, termHash(t)) }
+
+// lookup is Lookup of t, whose hash is h.
+func (sn *Snapshot) lookup(t rdf.Term, h uint32) (ID, bool) {
 	for _, id := range sn.dict.list(ID(h>>dictShift), ID(h)) {
 		if sn.inverse[id-1] == t {
 			return id, true
@@ -724,12 +735,23 @@ type writer struct {
 	next  Snapshot
 	gen   uint64
 	dirty bool
-	fresh map[rdf.Term]ID // the terms the batch adds; nil until it adds one
-	ops   []edit          // the batch's triple operations, in SPO order as (a, b, c)
+	// The terms the batch adds, the dictionary's last len(fresh) IDs:
+	// byHash holds the last of them with each hash, and fresh their
+	// hashes and hash chains in ID order.
+	byHash map[uint32]ID
+	fresh  []freshTerm
+	ops    []edit // the batch's triple operations, in SPO order as (a, b, c)
 
-	// Scratch of the counting sort (see sort).
+	// Scratch of the counting passes (see sort and rotate).
 	tmp   []edit
 	count []uint32
+}
+
+// freshTerm is a term a write batch adds: its hash, and the ID of the
+// batch's previous term with that hash (0 when there is none).
+type freshTerm struct {
+	hash uint32
+	prev ID
 }
 
 // edit is one triple operation of a write batch, its IDs permuted into
@@ -766,42 +788,83 @@ func (e edit) key(f int) ID {
 	return e.c
 }
 
-// sort orders edits as compareEdits does. A batch that is large next
-// to the dictionary is sorted by three stable counting passes over the
-// dense IDs (c, then b, then a), each O(len(edits) + terms), which keep
-// a triple's edits in batch order; a small one by comparison. The
-// counting passes reuse the batch's scratch across its three sorts.
-func (w *writer) sort(edits []edit) {
-	terms := len(w.next.inverse)
-	if len(edits) < 64 || terms > 4*len(edits) {
-		slices.SortFunc(edits, compareEdits)
-		return
+// counting reports whether n edits are sorted by counting passes over
+// the dense IDs: when the batch is large next to the dictionary, each
+// pass is O(n + terms); otherwise a comparison sort is cheaper.
+func (w *writer) counting(n int) bool {
+	return n >= 64 && len(w.next.inverse) <= 4*n
+}
+
+// scratch returns n edits of the batch's scratch array, which the
+// counting sort and rotate reuse across a commit.
+func (w *writer) scratch(n int) []edit {
+	if len(w.tmp) < n {
+		w.tmp = make([]edit, n)
 	}
+	return w.tmp[:n]
+}
+
+// countingPass writes src to dst stably ordered by each edit's ID at
+// position f, rotating each edit from (a, b, c) to (c, a, b) on the way
+// when rot is set.
+func (w *writer) countingPass(dst, src []edit, f int, rot bool) {
+	terms := len(w.next.inverse)
 	if len(w.count) < terms+1 {
 		w.count = make([]uint32, terms+1)
 	}
-	if len(w.tmp) < len(edits) {
-		w.tmp = make([]edit, len(edits))
-	}
 	count := w.count[:terms+1]
-	src, dst := edits, w.tmp[:len(edits)]
+	clear(count)
+	for _, e := range src {
+		count[e.key(f)]++
+	}
+	var at uint32
+	for id, n := range count {
+		count[id] = at
+		at += n
+	}
+	for _, e := range src {
+		k := e.key(f)
+		if rot {
+			e = e.rotated()
+		}
+		dst[count[k]] = e
+		count[k]++
+	}
+}
+
+// rotated returns the edit with its IDs rotated from (a, b, c) to
+// (c, a, b): an SPO edit becomes OSP, and an OSP edit POS.
+func (e edit) rotated() edit { return edit{a: e.c, b: e.a, c: e.b, del: e.del} }
+
+// sort orders edits as compareEdits does: by comparison, or on the
+// counting path by three stable passes (c, then b, then a), which keep
+// a triple's edits in batch order.
+func (w *writer) sort(edits []edit) {
+	if !w.counting(len(edits)) {
+		slices.SortFunc(edits, compareEdits)
+		return
+	}
+	src, dst := edits, w.scratch(len(edits))
 	for f := 2; f >= 0; f-- {
-		clear(count)
-		for _, e := range src {
-			count[e.key(f)]++
-		}
-		var at uint32
-		for id, n := range count {
-			count[id] = at
-			at += n
-		}
-		for _, e := range src {
-			dst[count[e.key(f)]] = e
-			count[e.key(f)]++
-		}
+		w.countingPass(dst, src, f, false)
 		src, dst = dst, src
 	}
 	copy(edits, src)
+}
+
+// rotate fills dst with the net edits of src, sorted by (a, b, c),
+// rotated to (c, a, b) and sorted in that order: SPO becomes OSP, and
+// OSP becomes POS. Since src is sorted, the counting path needs one
+// stable pass on the new first position.
+func (w *writer) rotate(dst, src []edit) {
+	if !w.counting(len(src)) {
+		for i, e := range src {
+			dst[i] = e.rotated()
+		}
+		slices.SortFunc(dst, compareEdits)
+		return
+	}
+	w.countingPass(dst, src, 2, true)
 }
 
 // begin opens a write batch expecting about n triple operations.
@@ -893,29 +956,32 @@ func (w *writer) resolve() (added, removed, dup int) {
 // node on the path to it cloned once.
 func (w *writer) fold() {
 	if len(w.fresh) > 0 {
-		terms := make([]edit, 0, len(w.fresh))
-		for t, id := range w.fresh {
-			h := termHash(t)
-			terms = append(terms, edit{a: ID(h >> dictShift), b: ID(h), c: id})
+		// Hashes are not dense, so the fresh terms are sorted by
+		// comparison, packed as hash<<32|id.
+		base := len(w.next.inverse) - len(w.fresh)
+		keys := make([]uint64, len(w.fresh))
+		for i, f := range w.fresh {
+			keys[i] = uint64(f.hash)<<32 | uint64(base+i+1)
 		}
-		slices.SortFunc(terms, compareEdits) // hashes are not dense: no counting sort
+		slices.Sort(keys)
+		terms := make([]edit, len(keys))
+		for i, k := range keys {
+			h := uint32(k >> 32)
+			terms[i] = edit{a: ID(h >> dictShift), b: ID(h), c: ID(k)}
+		}
 		w.next.dict = w.next.dict.fold(terms)
 	}
 	if len(w.ops) == 0 {
 		return
 	}
 	w.next.spo = w.next.spo.fold(w.ops)
-	perm := make([]edit, len(w.ops))
-	for i, e := range w.ops {
-		perm[i] = edit{a: e.b, b: e.c, c: e.a, del: e.del}
-	}
-	w.sort(perm)
-	w.next.pos = w.next.pos.fold(perm)
-	for i, e := range w.ops {
-		perm[i] = edit{a: e.c, b: e.a, c: e.b, del: e.del}
-	}
-	w.sort(perm)
-	w.next.osp = w.next.osp.fold(perm)
+	// The SPO edits are spent once folded: rotate them into OSP order in
+	// the scratch, and from there back into their own array in POS order.
+	osp := w.scratch(len(w.ops))
+	w.rotate(osp, w.ops)
+	w.next.osp = w.next.osp.fold(osp)
+	w.rotate(w.ops, osp)
+	w.next.pos = w.next.pos.fold(w.ops)
 }
 
 // fold returns the index with the sorted net edits applied, growing
@@ -1095,11 +1161,20 @@ func merge(nb, bk *bucket, edits []edit) *bucket {
 
 // lookup returns the ID of t if the batch added it or the snapshot it
 // began on holds it.
-func (w *writer) lookup(t rdf.Term) (ID, bool) {
-	if id, ok := w.fresh[t]; ok {
-		return id, true
+func (w *writer) lookup(t rdf.Term) (ID, bool) { return w.find(t, termHash(t)) }
+
+// find is lookup of t, whose hash is h: the batch's terms with that
+// hash, newest first, then the snapshot's.
+func (w *writer) find(t rdf.Term, h uint32) (ID, bool) {
+	if id := w.byHash[h]; id != 0 {
+		base := ID(len(w.next.inverse) - len(w.fresh))
+		for ; id != 0; id = w.fresh[id-base-1].prev {
+			if w.next.inverse[id-1] == t {
+				return id, true
+			}
+		}
 	}
-	return w.next.Lookup(t)
+	return w.next.lookup(t, h)
 }
 
 // intern returns the ID for t, assigning one if needed; commit folds a
@@ -1108,23 +1183,26 @@ func (w *writer) lookup(t rdf.Term) (ID, bool) {
 // the request), so a new one is stored with strings of its own:
 // otherwise the dictionary would keep the whole text alive.
 func (w *writer) intern(t rdf.Term) ID {
-	if id, ok := w.lookup(t); ok {
+	h := termHash(t)
+	if id, ok := w.find(t, h); ok {
 		return id
 	}
 	return w.assign(rdf.Term{Kind: t.Kind, Value: strings.Clone(t.Value),
-		Datatype: strings.Clone(t.Datatype), Lang: strings.Clone(t.Lang)})
+		Datatype: strings.Clone(t.Datatype), Lang: strings.Clone(t.Lang)}, h)
 }
 
-// assign gives t, which is not in the dictionary, the next ID.
-func (w *writer) assign(t rdf.Term) ID {
+// assign gives t, whose hash is h and which is not in the dictionary,
+// the next ID.
+func (w *writer) assign(t rdf.Term, h uint32) ID {
 	// The inverse slice is append-only: growing it in place is safe
 	// because published snapshots only read up to their own length.
 	w.next.inverse = append(w.next.inverse, t)
 	id := ID(len(w.next.inverse))
-	if w.fresh == nil {
-		w.fresh = make(map[rdf.Term]ID)
+	if w.byHash == nil {
+		w.byHash = make(map[uint32]ID)
 	}
-	w.fresh[t] = id
+	w.fresh = append(w.fresh, freshTerm{hash: h, prev: w.byHash[h]})
+	w.byHash[h] = id
 	w.dirty = true
 	return id
 }
@@ -1171,29 +1249,54 @@ func (s *Store) AddAll(ts []rdf.Triple) int {
 	return added
 }
 
-// InternTerms interns every listed ground term in order as one atomic
-// batch, assigning dense IDs to the ones not already present and
-// folding them into the dictionary index once, at commit, without
-// indexing any triples. Interning the full TermsView() of another
-// store into an empty store reproduces its ID assignment exactly —
-// the dictionary-replication primitive the scatter-gather shard tier
-// (internal/shard) uses to keep shard-local IDs equal to the
-// coordinator's global IDs. Variable and zero terms are skipped. The
-// terms are stored as they are, sharing their strings with the caller:
-// another store's dictionary already owns them.
-func (s *Store) InternTerms(terms []rdf.Term) {
+// Batch is a write batch in ID space, open while the fill function
+// given to Store.Batch runs and invalid after it returns: the caller
+// interns each term once and adds triples by the IDs their terms got,
+// so nothing is hashed or looked up a second time.
+type Batch struct{ w *writer }
+
+// Intern returns the ID of t, assigning the next one when t is new; a
+// variable or zero term is not data and gets ID 0. Unlike the writers
+// that take rdf.Triples, Intern stores a new term as it is, sharing its
+// strings with the caller: its callers build their terms themselves
+// (internal/kb) or copy another store's dictionary (internal/shard), so
+// no larger text stays alive behind them. Interning another store's
+// TermsView in order into an empty store reproduces its IDs exactly.
+func (b *Batch) Intern(t rdf.Term) ID {
+	if t.IsZero() || t.IsVar() {
+		return 0
+	}
+	h := termHash(t)
+	if id, ok := b.w.find(t, h); ok {
+		return id
+	}
+	return b.w.assign(t, h)
+}
+
+// Add records the insertion of the triple (s, p, o). A triple with a
+// zero ID (a variable or zero term's) is skipped; an ID the dictionary
+// does not hold panics.
+func (b *Batch) Add(s, p, o ID) {
+	if s == 0 || p == 0 || o == 0 {
+		return
+	}
+	if n := ID(len(b.w.next.inverse)); s > n || p > n || o > n {
+		panic(fmt.Sprintf("store: Batch.Add(%d, %d, %d) of an ID outside 1..%d", s, p, o, n))
+	}
+	b.w.record(s, p, o, false)
+}
+
+// Batch runs fill on one write batch expecting about n triples and
+// publishes what it interned and added as one snapshot, as AddAll does;
+// a batch that changes nothing publishes nothing. It returns the number
+// of triples newly added.
+func (s *Store) Batch(n int, fill func(*Batch)) (added int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	w := s.begin(0)
-	for _, t := range terms {
-		if t.IsZero() || t.IsVar() {
-			continue
-		}
-		if _, ok := w.lookup(t); !ok {
-			w.assign(t)
-		}
-	}
-	s.commit(w)
+	w := s.begin(n)
+	fill(&Batch{w: w})
+	added, _, _ = s.commit(w)
+	return added
 }
 
 // BatchOp is one ordered operation inside an atomic write batch: an

@@ -32,7 +32,7 @@ func pamukGraph() *Store {
 func TestStoreReadSurface(t *testing.T) {
 	want := []string{
 		"Snapshot",
-		"Add", "AddAll", "InternTerms", "ApplyBatch", "SetGen",
+		"Add", "AddAll", "Batch", "ApplyBatch", "SetGen",
 		"Len", "TermCount", "Triples", "Subjects",
 	}
 	var got []string
@@ -263,46 +263,6 @@ func TestConcurrentReadersWhileWriting(t *testing.T) {
 	}
 }
 
-func classGraph() *Store {
-	s := New()
-	sub := func(a, b string) rdf.Triple {
-		return rdf.Triple{S: rdf.Ont(a), P: rdf.SubClassOf(), O: rdf.Ont(b)}
-	}
-	s.AddAll([]rdf.Triple{
-		sub("Writer", "Artist"),
-		sub("Artist", "Person"),
-		sub("Person", "Agent"),
-		sub("Company", "Organisation"),
-		sub("Organisation", "Agent"),
-		sub("City", "PopulatedPlace"),
-		sub("PopulatedPlace", "Place"),
-	})
-	return s
-}
-
-func TestSuperClasses(t *testing.T) {
-	supers := classGraph().Snapshot().SuperClasses(rdf.Ont("Writer"))
-	want := map[rdf.Term]bool{rdf.Ont("Artist"): true, rdf.Ont("Person"): true, rdf.Ont("Agent"): true}
-	if len(supers) != len(want) {
-		t.Fatalf("SuperClasses = %v", supers)
-	}
-	for _, c := range supers {
-		if !want[c] {
-			t.Errorf("unexpected superclass %v", c)
-		}
-	}
-}
-
-func TestSubClassCycleTolerated(t *testing.T) {
-	s := New()
-	s.Add(rdf.Triple{S: rdf.Ont("A"), P: rdf.SubClassOf(), O: rdf.Ont("B")})
-	s.Add(rdf.Triple{S: rdf.Ont("B"), P: rdf.SubClassOf(), O: rdf.Ont("A")})
-	supers := s.Snapshot().SuperClasses(rdf.Ont("A"))
-	if len(supers) != 1 || supers[0] != rdf.Ont("B") {
-		t.Errorf("cycle: SuperClasses(A) = %v", supers)
-	}
-}
-
 // Property: after inserting a random set of triples, Match(?,?,?) returns
 // exactly the distinct set, and Has agrees with membership.
 func TestStoreProperties(t *testing.T) {
@@ -368,5 +328,50 @@ func TestMatchConsistencyProperty(t *testing.T) {
 				t.Errorf("triple %v not found via pattern %v", tr, pat)
 			}
 		}
+	}
+}
+
+// TestBatch: a Batch interns each term once, however often it is asked
+// for it — also two terms with one hash, in either order — adds
+// triples by ID as AddAll adds them by term, skips a triple with a zero
+// ID, and publishes once; a batch that changes nothing publishes
+// nothing.
+func TestBatch(t *testing.T) {
+	x, y := rdf.NewIRI("http://example.org/ab45599c"), rdf.NewIRI("http://example.org/80ab8f52")
+	p := rdf.Ont("p")
+	st := New()
+	added := st.Batch(2, func(b *Batch) {
+		ids := []ID{b.Intern(x), b.Intern(p), b.Intern(y), b.Intern(x), b.Intern(y), b.Intern(p)}
+		if want := []ID{1, 2, 3, 1, 3, 2}; !reflect.DeepEqual(ids, want) {
+			t.Errorf("Intern IDs = %v, want %v", ids, want)
+		}
+		if id := b.Intern(rdf.NewVar("v")); id != 0 {
+			t.Errorf("Intern of a variable = %d, want 0", id)
+		}
+		b.Add(1, 2, 3)
+		b.Add(3, 2, 1)
+		b.Add(1, 2, 3)
+		b.Add(0, 2, 3)
+	})
+	ref := New()
+	ref.AddAll([]rdf.Triple{{S: x, P: p, O: y}, {S: y, P: p, O: x}})
+	sn, want := st.Snapshot(), ref.Snapshot()
+	if added != 2 || sn.Gen() != 1 || !reflect.DeepEqual(sn.TermsView(), want.TermsView()) || !reflect.DeepEqual(sn.Triples(), want.Triples()) {
+		t.Fatalf("Batch added %d at generation %d: %v over %v; AddAll: %v over %v",
+			added, sn.Gen(), sn.Triples(), sn.TermsView(), want.Triples(), want.TermsView())
+	}
+	if added := st.Batch(0, func(b *Batch) { b.Intern(y); b.Add(1, 2, 3) }); added != 0 || st.Snapshot() != sn {
+		t.Errorf("a batch that changed nothing added %d and published generation %d", added, st.Snapshot().Gen())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Add of an ID outside the dictionary did not panic")
+			}
+		}()
+		st.Batch(0, func(b *Batch) { b.Add(1, 2, 4) })
+	}()
+	if st.Snapshot() != sn {
+		t.Error("a batch that panicked published")
 	}
 }

@@ -149,7 +149,11 @@ func noteStore(extra int) (func() *store.Store, [][]store.BatchOp) {
 	}
 	newStore := func() *store.Store {
 		st := kb.Build(kb.DefaultConfig()).Store
-		st.InternTerms(filler)
+		st.Batch(0, func(b *store.Batch) {
+			for _, t := range filler {
+				b.Intern(t)
+			}
+		})
 		return st
 	}
 	note := func(i int) []rdf.Triple {

@@ -45,8 +45,11 @@
 # write batches, BenchmarkKBBuildScale/x{1,4,16} the same build at 1×,
 # 4× and 16× the synthetic sizes with ns/triple and B/triple — flat
 # means linear — and BenchmarkCoreBoot what core.New still costs over a
-# KB that is already built: pattern mining and the §2.2 indexes, and
-# BenchmarkCorpus and BenchmarkMine the corpus and the miner alone), and
+# KB that is already built: pattern mining and the §2.2 indexes,
+# BenchmarkNewLinker the NED gazetteer and page-link index alone,
+# BenchmarkCorpus and BenchmarkMine the corpus and the miner alone, and
+# internal/shard's BenchmarkNewCluster the built-in KB partitioned
+# across 4 shards, qaserve -shards 4's shard_partition phase), and
 # the cold miss path (BenchmarkAnswerCold: the entity_cold question
 # stream in process with no answer cache; its B/op and allocs/op are
 # what core's TestColdPathAllocations gates, ≈ 9.0 KB / 71 allocs, and
@@ -118,11 +121,11 @@ cd "$(dirname "$0")/.."
 # term-space pairs and plan-cache compile pair, the shard tier, the
 # store's term-rank churn pair and its write-path flip, qaserve's
 # admission, the UPDATE parser and the N-Triples loader).
-bench_full='BenchmarkStore(Scan(Terms|IDs)|Lookup)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
+bench_full='BenchmarkStore(Scan(Terms|IDs)|Lookup)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
-bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
-bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
-bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
+bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkNewCluster$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
+bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
+bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkNewCluster$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 
 if [ "${1:-}" = "smoke" ]; then
   go test -run '^$' -bench "$bench_smoke" -benchtime=20x -benchmem .

@@ -1,5 +1,5 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation, the ablations called out in DESIGN.md, and substrate
+// evaluation, the ablations `qald-eval -ablations` prints, and substrate
 // micro-benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/answer"
-	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -59,7 +58,7 @@ func BenchmarkFigure1DependencyGraph(b *testing.B) {
 	const sentence = "Which book is written by Orhan Pamuk?"
 	var g *depparse.Graph
 	for i := 0; i < b.N; i++ {
-		g = depparse.MustParse(sentence)
+		g, _ = depparse.Parse(sentence)
 	}
 	if g.Nodes[g.Root].Word != "written" {
 		b.Fatalf("Figure 1 root = %q", g.Nodes[g.Root].Word)
@@ -83,7 +82,7 @@ func BenchmarkTable1ExpectedTypes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, row := range rows {
-			ext, err := triplex.Extract(row.question)
+			ext, err := triplex.ExtractOpts(row.question, triplex.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +115,7 @@ func BenchmarkTable2QALDEvaluation(b *testing.B) {
 	b.ReportMetric(rep.F1, "F1")
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations (the table `qald-eval -ablations` prints) ---
 
 func benchmarkAblation(b *testing.B, cfg core.Config) {
 	s := core.New(cfg)
@@ -165,62 +164,6 @@ func BenchmarkAblationNoCentrality(b *testing.B) {
 // precision holds.
 func BenchmarkExtensionFutureWork(b *testing.B) {
 	benchmarkAblation(b, core.Config{Extensions: true})
-}
-
-// BenchmarkBaselineKeyword evaluates the naive keyword baseline on the
-// same 55-question set: it answers slightly more questions but with far
-// lower precision — the gap is the paper's contribution.
-func BenchmarkBaselineKeyword(b *testing.B) {
-	k := kb.Default()
-	bl := baseline.New(k)
-	qs := qald.Questions()
-	var answered, correct int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		answered, correct = 0, 0
-		for _, q := range qs {
-			gold, err := qald.GoldCtx(context.Background(), k, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := bl.Answer(q.Text)
-			if !res.Answered() {
-				continue
-			}
-			answered++
-			if termSetEqual(res.Answers, gold) {
-				correct++
-			}
-		}
-	}
-	p := float64(correct) / float64(answered)
-	r := float64(answered) / float64(len(qs))
-	b.ReportMetric(p, "precision")
-	b.ReportMetric(r, "recall")
-	b.ReportMetric(2*p*r/(p+r), "F1")
-}
-
-func termSetEqual(a, b []rdf.Term) bool {
-	if len(b) == 0 {
-		return false
-	}
-	as := map[rdf.Term]bool{}
-	for _, t := range a {
-		as[t] = true
-	}
-	bs := map[rdf.Term]bool{}
-	for _, t := range b {
-		bs[t] = true
-	}
-	if len(as) != len(bs) {
-		return false
-	}
-	for t := range as {
-		if !bs[t] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchmarkPatternNoiseSweep sweeps the corpus cross-relation noise
@@ -275,11 +218,11 @@ func BenchmarkStoreInsert(b *testing.B) {
 	b.ReportAllocs()
 	st := store.New()
 	for i := 0; i < b.N; i++ {
-		st.Add(rdf.Triple{
+		st.AddAll([]rdf.Triple{{
 			S: rdf.Res(fmt.Sprintf("S%d", i%10000)),
 			P: rdf.Ont(fmt.Sprintf("p%d", i%16)),
 			O: rdf.NewInteger(int64(i)),
-		})
+		}})
 	}
 }
 
@@ -288,10 +231,38 @@ func BenchmarkStoreMatchBound(b *testing.B) {
 	pat := rdf.Triple{P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := k.Store.Snapshot().EstimateCardinality(pat); n != 5 {
+		if n := estimate(k.Store.Snapshot(), pat); n != 5 {
 			b.Fatalf("count = %d", n)
 		}
 	}
+}
+
+// estimate reads the snapshot's cardinality estimate for a term pattern,
+// resolving its bound terms as the planner does; an unknown term
+// matches nothing.
+func estimate(sn *store.Snapshot, pat rdf.Triple) int {
+	var ids [3]store.ID
+	for i, t := range [3]rdf.Term{pat.S, pat.P, pat.O} {
+		if t.IsZero() || t.IsVar() {
+			continue
+		}
+		id, ok := sn.Lookup(t)
+		if !ok {
+			return 0
+		}
+		ids[i] = id
+	}
+	return sn.EstimateCardinalityIDs(ids)
+}
+
+// mustParseQuery parses one of the benchmarks' fixed queries.
+func mustParseQuery(b *testing.B, src string) *sparql.Query {
+	b.Helper()
+	q, err := sparql.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q
 }
 
 // execUncached runs q on a fresh session with no plan cache, as
@@ -303,7 +274,7 @@ func execUncached(st *store.Store, q *sparql.Query) (*sparql.Result, error) {
 
 func BenchmarkSPARQLTwoPatternJoin(b *testing.B) {
 	k := kb.Default()
-	q := sparql.MustParse(`SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . }`)
+	q := mustParseQuery(b, `SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . }`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := execUncached(k.Store, q)
@@ -315,7 +286,7 @@ func BenchmarkSPARQLTwoPatternJoin(b *testing.B) {
 
 func BenchmarkSPARQLFilterScan(b *testing.B) {
 	k := kb.Default()
-	q := sparql.MustParse(`SELECT ?x WHERE { ?x dbont:populationTotal ?p . FILTER(?p > 3000000) }`)
+	q := mustParseQuery(b, `SELECT ?x WHERE { ?x dbont:populationTotal ?p . FILTER(?p > 3000000) }`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := execUncached(k.Store, q); err != nil {
@@ -342,7 +313,7 @@ func BenchmarkDependencyParse(b *testing.B) {
 		"How many people live in Istanbul?",
 	}
 	for i := 0; i < b.N; i++ {
-		depparse.MustParse(sentences[i%len(sentences)])
+		depparse.Parse(sentences[i%len(sentences)])
 	}
 }
 
@@ -427,7 +398,7 @@ func BenchmarkPropmapMap(b *testing.B) {
 	mapper := propmap.New(s.KB, s.WordNet, s.Patterns, s.Linker, propmap.DefaultConfig())
 	var exts []*triplex.Extraction
 	for _, q := range testutil.EntityQuestions(s.KB) {
-		if ext, err := triplex.Extract(q); err == nil {
+		if ext, err := triplex.ExtractOpts(q, triplex.Options{}); err == nil {
 			exts = append(exts, ext)
 		}
 	}
@@ -640,7 +611,7 @@ func BenchmarkStoreScale(b *testing.B) {
 			pat := rdf.Triple{P: rdf.Ont("birthPlace")}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.Store.Snapshot().EstimateCardinality(pat)
+				estimate(k.Store.Snapshot(), pat)
 			}
 		})
 	}
@@ -651,7 +622,7 @@ func BenchmarkSPARQLScale(b *testing.B) {
 	for _, persons := range []int{100, 1000, 5000} {
 		k := kb.Build(kb.Config{Seed: 3, SyntheticPersons: persons,
 			SyntheticCities: persons / 5, SyntheticBooks: persons / 2})
-		q := sparql.MustParse(`SELECT ?p ?c WHERE { ?p rdf:type dbont:Person . ?p dbont:birthPlace ?c . } LIMIT 50`)
+		q := mustParseQuery(b, `SELECT ?p ?c WHERE { ?p rdf:type dbont:Person . ?p dbont:birthPlace ?c . } LIMIT 50`)
 		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := execUncached(k.Store, q); err != nil {
@@ -714,7 +685,7 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 			},
 		}
 		ex := answer.New(fanoutKB, answer.Config{MaxQueries: 256})
-		res, err := ex.ExtractCtx(context.Background(), fanoutMP)
+		res, err := ex.ExtractSessionCtx(context.Background(), fanoutMP, sparql.NewViewSession(fanoutKB.Store.Snapshot()))
 		if err != nil {
 			panic(err)
 		}
@@ -788,7 +759,7 @@ func churnBatch(n int) []rdf.Triple {
 
 func benchmarkJoinMaybeUnderLoad(b *testing.B, load bool) {
 	st := underLoadStore(b)
-	q := sparql.MustParse(benchJoin3)
+	q := mustParseQuery(b, benchJoin3)
 	var (
 		stop chan struct{}
 		done chan struct{}
@@ -1010,7 +981,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 // permutation instead of a stable term-materializing sort.
 func BenchmarkRankSort(b *testing.B) {
 	k := kb.Default()
-	q := sparql.MustParse(`SELECT DISTINCT ?p ?c WHERE {
+	q := mustParseQuery(b, `SELECT DISTINCT ?p ?c WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c . }`)
 	sess := sparql.NewSnapshotSession(k.Store.Snapshot())

@@ -33,8 +33,7 @@
 // The executor pins one snapshot per query, and results stay columnar
 // end to end: sparql.Result.Rows holds flat dictionary IDs over the
 // pinned terms view, internal consumers (answer ranking, the COUNT
-// retry, QALD gold computation) read columns directly, and the
-// map-based Solutions() view materialises lazily only if someone asks.
+// retry, QALD gold computation) read columns directly.
 // BenchmarkBGPJoinIdle/UnderLoad measure the effect: reader latency
 // under a concurrent bulk-churn writer stays within ~1.5x of the idle
 // baseline, and the per-row binding maps are gone from the answer path.
@@ -108,13 +107,17 @@
 // pinning in the execution packages, request-context flow down to the
 // scans, WAL file ops routed through the fault-injectable FS seam and
 // Sync-before-ack at the commit point, injected clocks in the
-// deterministic packages, and mutex-guarded field access — are
-// machine-checked by the project's own static-analysis suite
-// (internal/lint, run by cmd/qalint and CI). internal/lint/
-// INVARIANTS.md catalogues each invariant with the check and the
-// reason it exists.
+// deterministic packages, mutex-guarded field access, and (the
+// unusedexport analyzer) an exported name only where non-test code,
+// cmd/qaload included, calls it — are machine-checked by the project's
+// own static-analysis suite (internal/lint, run by cmd/qalint and
+// CI). internal/lint/INVARIANTS.md catalogues each invariant with the
+// check and the reason it exists.
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured numbers, and bench_test.go for the per-table/figure
+// See ROADMAP.md for the open items and the measured history,
+// `go run ./cmd/qald-eval` (add -ablations for the ablation table) for
+// the paper-vs-measured numbers, which integration_test.go pins for
+// Table 2 (TestCrashRecoveryPreservesQALD), bench/README.md for the
+// end-to-end benchmark, and bench_test.go for the per-table/figure
 // regeneration harness.
 package repro

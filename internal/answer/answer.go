@@ -17,7 +17,7 @@
 // SELECT candidates, the ASK path and the COUNT retry share one loop,
 // firstWinner.
 //
-// The run is request-scoped: ExtractCtx checks the caller's context
+// The run is request-scoped: ExtractSessionCtx checks the caller's context
 // between candidates and sparql.ExecuteCtx checks it between join
 // steps, so a deadline expiring mid-§2.3 returns ctx.Err() within one
 // join step.
@@ -115,28 +115,17 @@ func (e *ErrBoolean) Error() string {
 	return fmt.Sprintf("answer: boolean questions are not supported (Table 1 has no boolean type): %q", e.Question)
 }
 
-// ExtractCtx builds, ranks and executes the candidate queries under a
-// request context: candidate execution honours cancellation between
-// candidates and, inside each query, between join steps
-// (sparql.ExecuteCtx). When the context is cancelled before a candidate
-// has won, ExtractCtx returns ctx.Err() promptly — bounded by one join
-// step.
-//
-// Each call pins one sparql.Session over the store's current snapshot,
-// with no plan cache, and shares it across the whole §2.3 run; use
-// ExtractSessionCtx to supply a session pinned earlier in the request
-// or one with a plan cache attached.
-func (e *Extractor) ExtractCtx(ctx context.Context, mp *propmap.Mapping) (*Result, error) {
-	return e.ExtractSessionCtx(ctx, mp, sparql.NewSnapshotSession(e.kb.Store.Snapshot()))
-}
-
-// ExtractSessionCtx is ExtractCtx over a caller-pinned execution
-// session: one question = one session = one snapshot pin. Everything
-// §2.3 reads — candidate orientation typing, every candidate query of
-// the SELECT fan-out, the ASK path, the COUNT aggregation retry and
-// the §2.3.2 expected-type filter — goes through the session's
-// snapshot, and sibling candidates share its plan cache handle and
-// entity type sets. The staged pipeline (internal/core) passes the
+// ExtractSessionCtx builds, ranks and executes the candidate queries
+// under a request context, over a caller-pinned execution session: one
+// question = one session = one snapshot pin. Candidate execution
+// honours cancellation between candidates and, inside each query,
+// between join steps; when the context is cancelled before a candidate
+// has won, it returns ctx.Err() promptly — bounded by one join step.
+// Everything §2.3 reads — candidate orientation typing, every candidate
+// query of the SELECT fan-out, the ASK path, the COUNT aggregation
+// retry and the §2.3.2 expected-type filter — goes through the
+// session's snapshot, and sibling candidates share its plan cache
+// handle and entity type sets. The staged pipeline (internal/core) passes the
 // session it pinned at request entry so the answer cache generation
 // stamp and the executed snapshot can never diverge.
 func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, sess *sparql.Session) (*Result, error) {

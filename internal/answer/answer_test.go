@@ -11,6 +11,7 @@ import (
 	"repro/internal/patterns"
 	"repro/internal/propmap"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/triplex"
 	"repro/internal/wordnet"
 )
@@ -32,9 +33,15 @@ func setup(t *testing.T) (*kb.KB, *propmap.Mapper) {
 	return tkb, mpr
 }
 
+// extract runs §2.3 on a session over the store's current snapshot,
+// with no plan cache.
+func extract(ctx context.Context, e *Extractor, mp *propmap.Mapping) (*Result, error) {
+	return e.ExtractSessionCtx(ctx, mp, sparql.NewViewSession(e.kb.Store.Snapshot()))
+}
+
 func mapped(t *testing.T, q string) *propmap.Mapping {
 	t.Helper()
-	ext, err := triplex.Extract(q)
+	ext, err := triplex.ExtractOpts(q, triplex.Options{})
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
@@ -51,7 +58,7 @@ func mapped(t *testing.T, q string) *propmap.Mapping {
 func TestQuery1Query2Generation(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Which book is written by Orhan Pamuk?"))
+	res, err := extract(context.Background(), ex, mapped(t, "Which book is written by Orhan Pamuk?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +82,7 @@ func TestQuery1Query2Generation(t *testing.T) {
 func TestRankingPrefersFrequentPredicate(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := extract(context.Background(), ex, mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +109,7 @@ func TestRankingPrefersFrequentPredicate(t *testing.T) {
 func TestTypeCheckSelectsDate(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "When did Frank Herbert die?"))
+	res, err := extract(context.Background(), ex, mapped(t, "When did Frank Herbert die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestTypeCheckSelectsDate(t *testing.T) {
 func TestTypeCheckDisabledAblation(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{DisableTypeCheck: true, MaxQueries: 256})
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "When did Frank Herbert die?"))
+	res, err := extract(context.Background(), ex, mapped(t, "When did Frank Herbert die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +157,7 @@ func TestTypeCheckDisabledAblation(t *testing.T) {
 func TestOrientationPruning(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Who wrote The Time Machine?"))
+	res, err := extract(context.Background(), ex, mapped(t, "Who wrote The Time Machine?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestOrientationPruning(t *testing.T) {
 func TestBooleanUnsupported(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	ext, err := triplex.Extract("Was Albert Einstein born in Ulm?")
+	ext, err := triplex.ExtractOpts("Was Albert Einstein born in Ulm?", triplex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestBooleanUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ex.ExtractCtx(context.Background(), mp)
+	_, err = extract(context.Background(), ex, mp)
 	if err == nil {
 		t.Fatal("boolean question should be rejected")
 	}
@@ -187,7 +194,7 @@ func TestBooleanUnsupported(t *testing.T) {
 func TestMaxQueriesCap(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{MaxQueries: 2})
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := extract(context.Background(), ex, mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestNumericAnswersPassPlainLiterals(t *testing.T) {
 	// DBpedia-raw style plain numeric literal passes the Numeric check.
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
-	res, err := ex.ExtractCtx(context.Background(), mapped(t, "How tall is Michael Jordan?"))
+	res, err := extract(context.Background(), ex, mapped(t, "How tall is Michael Jordan?"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestExtractCtxDeadlineMidRun(t *testing.T) {
 		d := time.Duration(trial%8) * 50 * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), d)
 		start := time.Now()
-		res, err := e.ExtractCtx(ctx, mp)
+		res, err := extract(ctx, e, mp)
 		elapsed := time.Since(start)
 		cancel()
 		if err != nil {
@@ -112,11 +112,11 @@ func TestExtractCtxDeadlineMidRun(t *testing.T) {
 
 	// Reusable: the cancelled extractor answers an uncancelled request
 	// identically to a fresh extractor.
-	got, err := e.ExtractCtx(context.Background(), mp)
+	got, err := extract(context.Background(), e, mp)
 	if err != nil {
 		t.Fatalf("reuse after cancellation: %v", err)
 	}
-	want, err := New(k, Config{MaxQueries: 256}).ExtractCtx(context.Background(), mp)
+	want, err := extract(context.Background(), New(k, Config{MaxQueries: 256}), mp)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestExtractCtxAlreadyCancelled(t *testing.T) {
 	mp := synthMapping(rand.New(rand.NewSource(3)), k, triplex.ExpectAny, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := New(k, Config{}).ExtractCtx(ctx, mp)
+	res, err := extract(ctx, New(k, Config{}), mp)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("res = %v, err = %v", res, err)
 	}
@@ -149,8 +149,8 @@ func TestExtractCtxBackgroundMatchesExtract(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		mp := synthMapping(r, k, triplex.ExpectAny, false)
 		e := New(k, Config{})
-		a, errA := e.ExtractCtx(context.Background(), mp)
-		b, errB := e.ExtractCtx(context.Background(), mp)
+		a, errA := extract(context.Background(), e, mp)
+		b, errB := extract(context.Background(), e, mp)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: err mismatch %v vs %v", trial, errA, errB)
 		}

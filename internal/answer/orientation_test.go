@@ -143,7 +143,7 @@ func TestInstanceOfLoose(t *testing.T) {
 func TestBooleanExtensionFalsePath(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{EnableBoolean: true, MaxQueries: 64})
-	ext, err := triplex.Extract("Was Abraham Lincoln born in Ankara?")
+	ext, err := triplex.ExtractOpts("Was Abraham Lincoln born in Ankara?", triplex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBooleanExtensionFalsePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.ExtractCtx(context.Background(), mp)
+	res, err := extract(context.Background(), ex, mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAggregationSkipsKnownEmpty(t *testing.T) {
 	// is empty; aggregation must not answer 0. (The WordNet expansion
 	// may reach spouse, which has one fact; accept either an unanswered
 	// result or a positive count, never zero.)
-	ext, err := triplex.Extract("How many children does Abraham Lincoln have?")
+	ext, err := triplex.ExtractOpts("How many children does Abraham Lincoln have?", triplex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAggregationSkipsKnownEmpty(t *testing.T) {
 	if err != nil {
 		t.Skip("mapping unavailable:", err)
 	}
-	res, err := ex.ExtractCtx(context.Background(), mp)
+	res, err := extract(context.Background(), ex, mp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,8 +234,8 @@ func TestExtractStopsAtWinner(t *testing.T) {
 			// Aggregation is left off: its COUNT retry revisits the list
 			// after a full SELECT pass, so "past the winner" does not apply.
 			e := New(k, Config{MaxQueries: maxQ, EnableBoolean: true})
-			res, err := e.ExtractCtx(context.Background(), mp)
-			again, againErr := e.ExtractCtx(context.Background(), mp)
+			res, err := extract(context.Background(), e, mp)
+			again, againErr := extract(context.Background(), e, mp)
 			if (err == nil) != (againErr == nil) {
 				t.Fatalf("kb=%d trial=%d: err mismatch between runs: %v vs %v", ki, trial, err, againErr)
 			}
@@ -267,7 +267,7 @@ func TestExtractConcurrentCallers(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, Config{MaxQueries: 256})
 	mp := mapped(t, "Where did Abraham Lincoln die?")
-	ref, err := ex.ExtractCtx(context.Background(), mp)
+	ref, err := extract(context.Background(), ex, mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestExtractConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := ex.ExtractCtx(context.Background(), mp)
+			res, err := extract(context.Background(), ex, mp)
 			if err != nil {
 				errCh <- err
 				return
@@ -319,7 +319,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 		Extraction: &triplex.Extraction{Question: "truncation regression", Expected: triplex.Expected{Kind: triplex.ExpectAny}},
 		Triples:    []propmap.MappedTriple{{Subject: lincoln, ObjectVar: "x", Predicates: cands}},
 	}
-	res, err := New(k, Config{MaxQueries: 3}).ExtractCtx(context.Background(), mp)
+	res, err := extract(context.Background(), New(k, Config{MaxQueries: 3}), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 // and every combination is generated.
 func TestNoTruncationFlag(t *testing.T) {
 	k, _ := setup(t)
-	res, err := New(k, DefaultConfig()).ExtractCtx(context.Background(), mapped(t, "Where did Abraham Lincoln die?"))
+	res, err := extract(context.Background(), New(k, DefaultConfig()), mapped(t, "Where did Abraham Lincoln die?"))
 	if err != nil {
 		t.Fatal(err)
 	}

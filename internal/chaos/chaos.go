@@ -193,14 +193,9 @@ func New(seed int64, rules ...Rule) *Injector {
 	return in
 }
 
-// WithSleep replaces the latency sleeper (tests inject a recording
-// stub so latency rules do not stall the suite). Returns the injector.
-func (in *Injector) WithSleep(sleep func(time.Duration)) *Injector {
-	in.sleep = sleep
-	return in
-}
-
 // Enable re-arms a disabled injector.
+//
+//qalint:ignore unusedexport the fault tests of wal, shard and qaserve re-arm an injector they handed to the code under test; no _test.go file of chaos reaches them.
 func (in *Injector) Enable() {
 	if in != nil {
 		in.enabled.Store(true)
@@ -209,6 +204,8 @@ func (in *Injector) Enable() {
 
 // Disable stops all injection — the "faults stop" transition the soak
 // test drives; the server must return to healthy from here.
+//
+//qalint:ignore unusedexport the faults-stop switch the fault tests of wal, shard and qaserve flip; no _test.go file of chaos reaches them.
 func (in *Injector) Disable() {
 	if in != nil {
 		in.enabled.Store(false)

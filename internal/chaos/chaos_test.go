@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// WithSleep replaces the latency sleeper (tests inject a recording
+// stub so latency rules do not stall the suite). Returns the injector.
+func (in *Injector) WithSleep(sleep func(time.Duration)) *Injector {
+	in.sleep = sleep
+	return in
+}
+
 // TestSeededDeterminism: the same seed and call sequence produce the
 // same injection decisions.
 func TestSeededDeterminism(t *testing.T) {

@@ -78,8 +78,8 @@ import (
 )
 
 // Config assembles a System. The zero value plus defaults reproduces
-// the paper's configuration; the Disable* switches drive the ablation
-// benchmarks called out in DESIGN.md.
+// the paper's configuration; the Disable* switches drive the ablations
+// that `qald-eval -ablations` prints and bench_test.go benchmarks.
 type Config struct {
 	// KB to answer over; nil uses kb.Default().
 	KB *kb.KB
@@ -257,20 +257,6 @@ func New(cfg Config) *System {
 	}
 	lap("indexes")
 	return s
-}
-
-// WithCache returns a System that shares s's KB, mined patterns and
-// indexes and has an answer cache of its own with room for size
-// outcomes (none when size is 0) and a plan cache of its own, as if
-// New had built it with Config.CacheSize = size.
-func (s *System) WithCache(size int) *System {
-	c := *s
-	c.cache = nil
-	if size > 0 {
-		c.cache = qacache.New[*outcome](size)
-	}
-	c.plans = sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
-	return &c
 }
 
 // Status describes how far the pipeline got on a question.
@@ -459,15 +445,6 @@ func (s *System) SynonymPairsOf(local string) []kb.Property {
 	return s.mapper.SynonymsOf(local)
 }
 
-// CacheStats returns the answer cache's cumulative hit, miss and
-// eviction counts (zeros when the cache is disabled).
-func (s *System) CacheStats() (hits, misses, evictions uint64) {
-	if s.cache == nil {
-		return 0, 0, 0
-	}
-	return s.cache.Stats()
-}
-
 // PlanCacheStats returns the cumulative hit, miss and eviction counts
 // of the System's SPARQL plan-shape cache.
 func (s *System) PlanCacheStats() (hits, misses, evictions uint64) {
@@ -610,7 +587,7 @@ func (s *System) runAnswer(ctx context.Context, res *Result, tr *StageTrace) err
 	if res.view != nil {
 		sess = sparql.NewViewSession(res.view).WithPlanCache(s.plans)
 	} else {
-		sess = sparql.NewSnapshotSession(res.snap).WithPlanCache(s.plans)
+		sess = sparql.NewViewSession(res.snap).WithPlanCache(s.plans)
 	}
 	ans, err := s.extractor.ExtractSessionCtx(ctx, res.Mapping, sess)
 	ps := sess.PlanStats()

@@ -8,9 +8,34 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/patterns"
+	"repro/internal/qacache"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
+
+// WithCache returns a System that shares s's KB, mined patterns and
+// indexes and has an answer cache of its own with room for size
+// outcomes (none when size is 0) and a plan cache of its own, as if
+// New had built it with Config.CacheSize = size.
+func (s *System) WithCache(size int) *System {
+	c := *s
+	c.cache = nil
+	if size > 0 {
+		c.cache = qacache.New[*outcome](size)
+	}
+	c.plans = sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
+	return &c
+}
+
+// CacheStats returns the answer cache's cumulative hit, miss and
+// eviction counts (zeros when the cache is disabled).
+func (s *System) CacheStats() (hits, misses, evictions uint64) {
+	if s.cache == nil {
+		return 0, 0, 0
+	}
+	return s.cache.Stats()
+}
 
 // Tests for the staged pipeline: trace recording, request-scoped
 // cancellation, the applyDefaults zero-value semantics and the

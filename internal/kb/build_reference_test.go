@@ -13,10 +13,10 @@ import (
 
 // The construction path Build and FromTriples replaced, retained as the
 // oracle of the batched one: every triple is a write batch of its own
-// (one Store.Add each, in the order the helpers assert them), and the
-// rdf:type closure is added the same way from a Go map walk that asks
-// the store, in term space, for the superclasses of every entity-type
-// pair.
+// (one single-triple AddAll each, in the order the helpers assert
+// them), and the rdf:type closure is added the same way from a Go map
+// walk that asks the store, in term space, for the superclasses of
+// every entity-type pair.
 
 // referenceSuperClasses is the term-space walk of the old
 // Snapshot.SuperClasses, verbatim: the transitive closure of
@@ -54,7 +54,7 @@ func referenceMaterializeTypes(kb *KB) {
 	for e, types := range entityTypes {
 		for _, c := range types {
 			for _, super := range referenceSuperClasses(kb.Store.Snapshot(), c) {
-				kb.Store.Add(rdf.Triple{S: e, P: rdf.Type(), O: super})
+				kb.Store.AddAll([]rdf.Triple{{S: e, P: rdf.Type(), O: super}})
 			}
 		}
 	}
@@ -84,13 +84,13 @@ func (r *recorder) Add(s, p, o store.ID) {
 }
 
 // referenceBuild is the old Build: the same helpers in the same order,
-// with each triple they assert committed by a Store.Add of its own.
+// with each triple they assert committed by a single-triple AddAll of its own.
 func referenceBuild(cfg Config) *KB {
 	rec := &recorder{ids: map[rdf.Term]store.ID{}}
 	kb := newBuilder(store.New(), rec)
 	kb.build(cfg)
 	for _, t := range rec.triples {
-		kb.Store.Add(t)
+		kb.Store.AddAll([]rdf.Triple{t})
 	}
 	referenceMaterializeTypes(kb.KB)
 	return kb.KB

@@ -87,7 +87,8 @@ func Default() *KB {
 
 // sink is what the builder writes to: a *store.Batch, through which
 // the KB's store takes the asserted triples as one write batch, or, in
-// the tests, a recorder that replays them one Store.Add at a time.
+// the tests, a recorder that replays them one single-triple AddAll at a
+// time.
 type sink interface {
 	Intern(rdf.Term) store.ID
 	Add(s, p, o store.ID)

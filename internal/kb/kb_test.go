@@ -31,11 +31,11 @@ func TestPaperExampleFacts(t *testing.T) {
 		t.Errorf("Jordan height = %v", hs)
 	}
 	// §2.2.3: Lincoln died in Washington.
-	if !st.Has(rdf.Triple{S: rdf.Res("Abraham_Lincoln"), P: rdf.Ont("deathPlace"), O: rdf.Res("Washington,_D.C.")}) {
+	if len(st.Match(rdf.Triple{S: rdf.Res("Abraham_Lincoln"), P: rdf.Ont("deathPlace"), O: rdf.Res("Washington,_D.C.")})) == 0 {
 		t.Error("Lincoln deathPlace missing")
 	}
 	// §2.2.3: Michael Jackson born in Gary, Indiana.
-	if !st.Has(rdf.Triple{S: rdf.Res("Michael_Jackson"), P: rdf.Ont("birthPlace"), O: rdf.Res("Gary,_Indiana")}) {
+	if len(st.Match(rdf.Triple{S: rdf.Res("Michael_Jackson"), P: rdf.Ont("birthPlace"), O: rdf.Res("Gary,_Indiana")})) == 0 {
 		t.Error("Jackson birthPlace missing")
 	}
 	// §5: Frank Herbert has a deathDate (he is not alive).
@@ -48,7 +48,7 @@ func TestPaperExampleFacts(t *testing.T) {
 	if len(pop) != 1 || pop[0].Value != "59464644" {
 		t.Errorf("Italy population = %v", pop)
 	}
-	if !st.Has(rdf.Triple{S: rdf.Res("United_States"), P: rdf.Ont("leaderName"), O: rdf.Res("Barack_Obama")}) {
+	if len(st.Match(rdf.Triple{S: rdf.Res("United_States"), P: rdf.Ont("leaderName"), O: rdf.Res("Barack_Obama")})) == 0 {
 		t.Error("USA leaderName Obama missing")
 	}
 }
@@ -56,7 +56,7 @@ func TestPaperExampleFacts(t *testing.T) {
 // isA reports whether the materialised (e, rdf:type, class) triple is
 // present — the read sparql.Session.InstanceOf makes.
 func isA(sn *store.Snapshot, e, class rdf.Term) bool {
-	return sn.Has(rdf.Triple{S: e, P: rdf.Type(), O: class})
+	return len(sn.Match(rdf.Triple{S: e, P: rdf.Type(), O: class})) > 0
 }
 
 func TestOntologyShape(t *testing.T) {
@@ -232,8 +232,8 @@ func TestCorpusNoiseInjectsCrossRelationPatterns(t *testing.T) {
 		if !strings.Contains(s.Text, "born") {
 			continue
 		}
-		if sn.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("deathPlace"), O: s.Object}) &&
-			!sn.Has(rdf.Triple{S: s.Subject, P: rdf.Ont("birthPlace"), O: s.Object}) {
+		if len(sn.Match(rdf.Triple{S: s.Subject, P: rdf.Ont("deathPlace"), O: s.Object})) > 0 &&
+			len(sn.Match(rdf.Triple{S: s.Subject, P: rdf.Ont("birthPlace"), O: s.Object})) == 0 {
 			found = true
 			break
 		}
@@ -292,8 +292,8 @@ func TestSuperClasses(t *testing.T) {
 
 func TestSubClassCycleTolerated(t *testing.T) {
 	s := store.New()
-	s.Add(rdf.Triple{S: rdf.Ont("A"), P: rdf.SubClassOf(), O: rdf.Ont("B")})
-	s.Add(rdf.Triple{S: rdf.Ont("B"), P: rdf.SubClassOf(), O: rdf.Ont("A")})
+	s.AddAll([]rdf.Triple{{S: rdf.Ont("A"), P: rdf.SubClassOf(), O: rdf.Ont("B")}})
+	s.AddAll([]rdf.Triple{{S: rdf.Ont("B"), P: rdf.SubClassOf(), O: rdf.Ont("A")}})
 	supers := superClassTerms(t, s, rdf.Ont("A"))
 	if len(supers) != 1 || supers[0] != rdf.Ont("B") {
 		t.Errorf("cycle: superClasses(A) = %v", supers)
@@ -313,7 +313,7 @@ func TestMaterializeTypesCycle(t *testing.T) {
 	k := &KB{Store: st}
 	k.materializeTypes()
 	sn := st.Snapshot()
-	if !sn.Has(rdf.Triple{S: rdf.Res("x"), P: rdf.Type(), O: rdf.Ont("B")}) || sn.Len() != 4 || sn.Gen() != 2 {
+	if len(sn.Match(rdf.Triple{S: rdf.Res("x"), P: rdf.Type(), O: rdf.Ont("B")})) == 0 || sn.Len() != 4 || sn.Gen() != 2 {
 		t.Errorf("closure over a cycle: %v at generation %d", sn.Triples(), sn.Gen())
 	}
 }

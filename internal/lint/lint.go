@@ -34,7 +34,11 @@ type Analyzer struct {
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
 	// Run inspects one package and reports findings through the pass.
+	// A whole-program analyzer's Run is called once, with Pass.Pkg nil.
 	Run func(*Pass)
+	// WholeProgram marks an analyzer that reads every loaded package
+	// at once (Pass.Program) rather than one package at a time.
+	WholeProgram bool
 }
 
 // Analyzers is the full suite, in reporting order.
@@ -45,12 +49,17 @@ var Analyzers = []*Analyzer{
 	ClockInject,
 	GuardedField,
 	ShardDomain,
+	UnusedExport,
 }
 
-// Pass carries one analyzer's view of one package.
+// Pass carries one analyzer's view of one package, or of the whole
+// program.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
+	// Pkg is the package under analysis; nil in a whole-program pass.
+	Pkg *Package
+	// Program is every loaded package, use-only ones included.
+	Program []*Package
 
 	report func(Diagnostic)
 }
@@ -59,7 +68,7 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
+		Pos:      p.Program[0].Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -138,8 +147,10 @@ func lineKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// Run applies the analyzers to every package, filters findings through
-// the waiver comments, and returns the survivors sorted by position.
+// Run applies the analyzers to every package that is not use-only,
+// filters findings through the waiver comments, and returns the
+// survivors sorted by position. The packages must come from one Load,
+// which gives them one FileSet.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -147,26 +158,42 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 
 	var out []Diagnostic
+	report := func(d Diagnostic) { out = append(out, d) }
+	waivers := map[string][]waiver{}
 	for _, pkg := range pkgs {
-		waivers := collectWaivers(pkg, known, func(d Diagnostic) { out = append(out, d) })
-		waived := func(d Diagnostic) bool {
-			for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-				for _, w := range waivers[lineKey(d.Pos.Filename, line)] {
-					if w.analyzer == d.Analyzer {
-						return true
-					}
-				}
-			}
-			return false
+		if pkg.UseOnly {
+			continue
 		}
-		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg}
-			pass.report = func(d Diagnostic) {
-				if !waived(d) {
-					out = append(out, d)
+		for key, ws := range collectWaivers(pkg, known, report) {
+			waivers[key] = append(waivers[key], ws...)
+		}
+	}
+	waived := func(d Diagnostic) bool {
+		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
+			for _, w := range waivers[lineKey(d.Pos.Filename, line)] {
+				if w.analyzer == d.Analyzer {
+					return true
 				}
 			}
+		}
+		return false
+	}
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Program: pkgs}
+		pass.report = func(d Diagnostic) {
+			if !waived(d) {
+				report(d)
+			}
+		}
+		if a.WholeProgram {
 			a.Run(pass)
+			continue
+		}
+		for _, pkg := range pkgs {
+			if !pkg.UseOnly {
+				pass.Pkg = pkg
+				a.Run(pass)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -17,9 +17,11 @@ import (
 // The :below form exists for findings that land on a line already
 // occupied by another magic comment (a //qalint:ignore waiver can host
 // no second comment). Every diagnostic must be matched by exactly one
-// expectation and vice versa; the full analyzer suite runs on every
+// expectation and vice versa. Every per-package analyzer runs on every
 // module, so the testdata also pins that analyzers do not fire outside
-// their scope.
+// their scope. The whole-program unusedexport runs on its own module
+// only: the others are fragments of a program, whose exports nothing in
+// them needs to call.
 
 // wantPatRe extracts quoted expectation patterns: "..." (with escapes)
 // or `...`.
@@ -80,11 +82,12 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]*expectation {
 	return wants
 }
 
-// runTestdata loads one testdata module, runs the full suite, and
-// checks the diagnostics against the want comments.
-func runTestdata(t *testing.T, name string) {
+// runTestdata loads one testdata module (with its use-only roots),
+// runs the analyzers, and checks the diagnostics against the want
+// comments.
+func runTestdata(t *testing.T, name string, analyzers []*Analyzer, useRoots ...string) {
 	t.Helper()
-	pkgs, err := Load("testdata/src/"+name, "./...")
+	pkgs, err := Load("testdata/src/"+name, useRoots, "./...")
 	if err != nil {
 		t.Fatalf("loading testdata/%s: %v", name, err)
 	}
@@ -92,7 +95,7 @@ func runTestdata(t *testing.T, name string) {
 		t.Fatalf("testdata/%s: no packages loaded", name)
 	}
 	wants := collectWants(t, pkgs)
-	for _, d := range Run(pkgs, Analyzers) {
+	for _, d := range Run(pkgs, analyzers) {
 		key := lineKey(d.Pos.Filename, d.Pos.Line)
 		matched := false
 		for _, w := range wants[key] {
@@ -114,27 +117,48 @@ func runTestdata(t *testing.T, name string) {
 	}
 }
 
-func TestSnapshotPin(t *testing.T)  { runTestdata(t, "snapshotpin") }
-func TestCtxFlow(t *testing.T)      { runTestdata(t, "ctxflow") }
-func TestWalFS(t *testing.T)        { runTestdata(t, "walfs") }
-func TestClockInject(t *testing.T)  { runTestdata(t, "clockinject") }
-func TestGuardedField(t *testing.T) { runTestdata(t, "guardedfield") }
-func TestShardDomain(t *testing.T)  { runTestdata(t, "sharddomain") }
+// perPackage is the suite without its whole-program analyzers.
+func perPackage() []*Analyzer {
+	var out []*Analyzer
+	for _, a := range Analyzers {
+		if !a.WholeProgram {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func TestSnapshotPin(t *testing.T)  { runTestdata(t, "snapshotpin", perPackage()) }
+func TestCtxFlow(t *testing.T)      { runTestdata(t, "ctxflow", perPackage()) }
+func TestWalFS(t *testing.T)        { runTestdata(t, "walfs", perPackage()) }
+func TestClockInject(t *testing.T)  { runTestdata(t, "clockinject", perPackage()) }
+func TestGuardedField(t *testing.T) { runTestdata(t, "guardedfield", perPackage()) }
+func TestShardDomain(t *testing.T)  { runTestdata(t, "sharddomain", perPackage()) }
+
+// TestUnusedExport runs the full suite over a small program with a
+// use-only second root (loader/, a module of its own): each kind of
+// unused export is a finding, and each exemption — a use from another
+// package, from a generic instantiation or from the second root, an
+// interface-satisfying method, a main package, a use-only package, the
+// test-support packages, a reasoned waiver — holds, or the fixture
+// reports it.
+func TestUnusedExport(t *testing.T) { runTestdata(t, "unusedexport", Analyzers, "loader") }
 
 // TestWaivers proves the waiver engine end to end: a reasoned waiver
 // suppresses exactly the named analyzer on its own line or the next,
 // a waiver naming the wrong (or an unknown) analyzer suppresses
 // nothing, and malformed waivers are findings in their own right.
-func TestWaivers(t *testing.T) { runTestdata(t, "waiver") }
+func TestWaivers(t *testing.T) { runTestdata(t, "waiver", perPackage()) }
 
-// TestRepoClean runs the full suite over the repository itself: the
-// tree must stay free of findings (waivers included — a reasonless
-// waiver is a finding). This is the same gate CI runs via cmd/qalint.
+// TestRepoClean runs the full suite over the repository itself, with
+// cmd/qaload loaded as the use-only second root: the tree must stay
+// free of findings (waivers included — a reasonless waiver is a
+// finding). This is the same gate CI runs via cmd/qalint.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide load is not short")
 	}
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := Load("../..", []string{"cmd/qaload"}, "./...")
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}

@@ -25,6 +25,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// UseOnly marks a package of a use-only root: it is type-checked
+	// so that whole-program analyzers see its uses, and nothing
+	// reports on it.
+	UseOnly bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader reads.
@@ -35,6 +39,7 @@ type listedPkg struct {
 	GoFiles    []string
 	Export     string
 	Standard   bool
+	DepOnly    bool
 	Error      *listErr
 }
 
@@ -67,50 +72,78 @@ func goList(dir string, args ...string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // Load type-checks the non-test source of the packages matched by
-// patterns in the module containing dir. The analyzed packages are
-// parsed and checked from source; their dependencies (stdlib and
-// module-internal alike) are read from compiled export data produced
-// by `go list -deps -export`, so loading needs only the Go toolchain —
-// no third-party machinery. Test files and testdata directories are
-// not loaded (the go tool excludes testdata from pattern expansion).
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	deps, err := goList(dir, append([]string{"-deps", "-export", "--"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	byPath := make(map[string]*listedPkg, len(deps))
-	for _, p := range deps {
-		byPath[p.ImportPath] = p
-	}
-
-	roots, err := goList(dir, append([]string{"--"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-
+// patterns in the module containing dir, and then every package of
+// each use-only root: a directory, relative to dir, holding a module
+// that compiles against these packages (cmd/qaload, the load
+// generator, is one). Use-only packages are marked UseOnly.
+//
+// Packages are checked from source in dependency order, and each
+// imports the others' source-checked packages, so one program has one
+// types.Object per declaration. Everything else (the standard library,
+// and any module package no pattern matched) is read from compiled
+// export data produced by `go list -deps -export`, so loading needs
+// only the Go toolchain — no third-party machinery. Test files and
+// testdata directories are not loaded (the go tool excludes testdata
+// from pattern expansion).
+func Load(dir string, useRoots []string, patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		m := byPath[path]
-		if m == nil || m.Export == "" {
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
-		return os.Open(m.Export)
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
 	})
 
 	var out []*Package
-	for _, r := range roots {
-		if r.Standard {
-			continue
-		}
-		if r.Error != nil {
-			return nil, fmt.Errorf("lint: %s: %s", r.ImportPath, r.Error.Err)
-		}
-		pkg, err := checkPackage(fset, imp, r)
+	load := func(dir string, useOnly bool, patterns ...string) error {
+		listed, err := goList(dir, append([]string{"-deps", "-export", "--"}, patterns...)...)
 		if err != nil {
+			return err
+		}
+		for _, p := range listed {
+			if exports[p.ImportPath] == "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+		// -deps lists every package after its dependencies.
+		for _, p := range listed {
+			if p.DepOnly || p.Standard || checked[p.ImportPath] != nil {
+				continue
+			}
+			if p.Error != nil {
+				return fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+			}
+			pkg, err := checkPackage(fset, imp, p)
+			if err != nil {
+				return err
+			}
+			pkg.UseOnly = useOnly
+			checked[pkg.Path] = pkg.Types
+			out = append(out, pkg)
+		}
+		return nil
+	}
+	if err := load(dir, false, patterns...); err != nil {
+		return nil, err
+	}
+	for _, r := range useRoots {
+		if err := load(filepath.Join(dir, r), true, "./..."); err != nil {
 			return nil, err
 		}
-		out = append(out, pkg)
 	}
 	return out, nil
 }

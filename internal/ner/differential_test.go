@@ -47,7 +47,7 @@ func comparePhrase(t *testing.T, l *ner.Linker, ref *ner.RefLinker, phrase strin
 // questionPhrases are the entity phrases §2.2 would resolve for a
 // question, as propmap.Mapper.Map collects them.
 func questionPhrases(q string) []string {
-	ext, err := triplex.Extract(q)
+	ext, err := triplex.ExtractOpts(q, triplex.Options{})
 	if err != nil {
 		return nil
 	}

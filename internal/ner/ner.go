@@ -28,7 +28,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/kb"
-	"repro/internal/nlp/token"
 	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/strsim"
@@ -65,10 +64,9 @@ type Linker struct {
 	// groups holds the distinct non-empty lower-cased labels by first
 	// byte, each group ordered by rune length: the fuzzy pass reads one
 	// length band of one group. exact finds a label's row.
-	groups      [256][]label
-	exact       map[string]*label
-	maxLabelLen int // in tokens
-	maxDegree   float64
+	groups    [256][]label
+	exact     map[string]*label
+	maxDegree float64
 }
 
 type entity struct {
@@ -170,7 +168,7 @@ func NewLinker(k *kb.KB) *Linker {
 
 	// The labels: the carriers of each distinct lower-cased label. A
 	// label literal's subjects come together in POS order, so each
-	// literal is lower-cased and tokenised once.
+	// literal is lower-cased once.
 	carriers := map[string][]int32{}
 	var last store.ID
 	var key string
@@ -181,7 +179,6 @@ func NewLinker(k *kb.KB) *Linker {
 		if o != last {
 			last = o
 			key = strings.ToLower(terms[o-1].Value)
-			l.maxLabelLen = max(l.maxLabelLen, len(token.Words(terms[o-1].Value)))
 		}
 		carriers[key] = append(carriers[key], slot[s]-1)
 	})
@@ -219,57 +216,6 @@ func (l *Linker) candidates(lb *label) []Candidate {
 		out[i] = Candidate{Entity: l.ents[id].term, Label: l.ents[id].label}
 	}
 	return out
-}
-
-// Spot finds candidate mentions by longest-match n-gram label lookup.
-// Lowercase single words are skipped unless no capitalised token exists
-// in the gram (protects against common-noun/label collisions like
-// "snow" vs the novel Snow).
-func (l *Linker) Spot(words []string) []Mention {
-	var out []Mention
-	n := len(words)
-	used := make([]bool, n)
-	maxLen := l.maxLabelLen
-	if maxLen == 0 {
-		maxLen = 1
-	}
-	for span := maxLen; span >= 1; span-- {
-		for i := 0; i+span <= n; i++ {
-			overlap := false
-			for j := i; j < i+span; j++ {
-				if used[j] {
-					overlap = true
-					break
-				}
-			}
-			if overlap {
-				continue
-			}
-			gram := strings.Join(words[i:i+span], " ")
-			lb, ok := l.exact[strings.ToLower(gram)]
-			if !ok {
-				continue
-			}
-			if !containsCapital(words[i : i+span]) {
-				continue // only capitalised surface forms spot entities
-			}
-			out = append(out, Mention{Text: gram, Start: i, End: i + span, Candidates: l.candidates(lb)})
-			for j := i; j < i+span; j++ {
-				used[j] = true
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-func containsCapital(words []string) bool {
-	for _, w := range words {
-		if w != "" && w[0] >= 'A' && w[0] <= 'Z' {
-			return true
-		}
-	}
-	return false
 }
 
 // Disambiguate scores every candidate of every mention and selects the
@@ -338,11 +284,6 @@ func candidateOfOther(mentions []Mention, own int, e rdf.Term) bool {
 		}
 	}
 	return found
-}
-
-// Link runs Spot + Disambiguate over raw text.
-func (l *Linker) Link(text string) []Mention {
-	return l.Disambiguate(l.Spot(token.Words(text)))
 }
 
 // Resolve links a single phrase, using optional context phrases for the

@@ -1,6 +1,8 @@
 package ner
 
 import (
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -8,6 +10,62 @@ import (
 	"repro/internal/nlp/token"
 	"repro/internal/rdf"
 )
+
+// Spot finds candidate mentions by longest-match n-gram label lookup.
+// Lowercase single words are skipped unless no capitalised token exists
+// in the gram (protects against common-noun/label collisions like
+// "snow" vs the novel Snow).
+func (l *Linker) Spot(words []string) []Mention {
+	var out []Mention
+	n := len(words)
+	used := make([]bool, n)
+	maxLen := 1 // the longest label, in tokens
+	for key := range l.exact {
+		maxLen = max(maxLen, len(token.Words(key)))
+	}
+	for span := maxLen; span >= 1; span-- {
+		for i := 0; i+span <= n; i++ {
+			overlap := false
+			for j := i; j < i+span; j++ {
+				if used[j] {
+					overlap = true
+					break
+				}
+			}
+			if overlap {
+				continue
+			}
+			gram := strings.Join(words[i:i+span], " ")
+			lb, ok := l.exact[strings.ToLower(gram)]
+			if !ok {
+				continue
+			}
+			if !containsCapital(words[i : i+span]) {
+				continue // only capitalised surface forms spot entities
+			}
+			out = append(out, Mention{Text: gram, Start: i, End: i + span, Candidates: l.candidates(lb)})
+			for j := i; j < i+span; j++ {
+				used[j] = true
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+func containsCapital(words []string) bool {
+	for _, w := range words {
+		if w != "" && w[0] >= 'A' && w[0] <= 'Z' {
+			return true
+		}
+	}
+	return false
+}
+
+// Link runs Spot + Disambiguate over raw text.
+func (l *Linker) Link(text string) []Mention {
+	return l.Disambiguate(l.Spot(token.Words(text)))
+}
 
 var (
 	linkOnce sync.Once

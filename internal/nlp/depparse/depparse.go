@@ -75,7 +75,6 @@ const (
 	RelNN        = "nn"
 	RelNum       = "num"
 	RelPunct     = "punct"
-	RelAttr      = "attr"
 	RelPoss      = "poss"
 	RelDep       = "dep"
 )
@@ -126,28 +125,6 @@ func (g *Graph) ChildByRel(i int, rel string) (Node, bool) {
 	for _, e := range g.Edges {
 		if e.Head == i && e.Rel == rel {
 			return g.Nodes[e.Dep], true
-		}
-	}
-	return Node{}, false
-}
-
-// FindRel returns every edge with the given relation.
-func (g *Graph) FindRel(rel string) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Rel == rel {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// NodeByWord returns the first node whose lowercase word equals w.
-func (g *Graph) NodeByWord(w string) (Node, bool) {
-	lw := strings.ToLower(w)
-	for _, n := range g.Nodes {
-		if strings.ToLower(n.Word) == lw {
-			return n, true
 		}
 	}
 	return Node{}, false
@@ -222,13 +199,4 @@ func Parse(sentence string) (*Graph, error) {
 	p.run()
 	g.children = appendChildIndex(edges[n:n], g.Edges)
 	return g, nil
-}
-
-// MustParse parses and panics on error (empty input only).
-func MustParse(sentence string) *Graph {
-	g, err := Parse(sentence)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

@@ -5,7 +5,7 @@ import "testing"
 // Tests for the parser rules beyond the paper's core constructions.
 
 func TestFrontedPrepositionParse(t *testing.T) {
-	g := MustParse("In which city was Albert Einstein born?")
+	g := mustParse(t, "In which city was Albert Einstein born?")
 	if rootWord(g) != "born" {
 		t.Fatalf("root = %q\n%s", rootWord(g), g)
 	}
@@ -17,7 +17,7 @@ func TestFrontedPrepositionParse(t *testing.T) {
 }
 
 func TestPossessiveParse(t *testing.T) {
-	g := MustParse("What is Michael Jordan's height?")
+	g := mustParse(t, "What is Michael Jordan's height?")
 	if rootWord(g) != "height" {
 		t.Fatalf("root = %q\n%s", rootWord(g), g)
 	}
@@ -28,7 +28,7 @@ func TestPossessiveParse(t *testing.T) {
 }
 
 func TestParticleVerbParse(t *testing.T) {
-	g := MustParse("Where did Ernest Hemingway grow up?")
+	g := mustParse(t, "Where did Ernest Hemingway grow up?")
 	if rootWord(g) != "grow" {
 		t.Fatalf("root = %q\n%s", rootWord(g), g)
 	}

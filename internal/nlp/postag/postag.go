@@ -28,9 +28,6 @@ func Tag(words []string) []Tagged {
 	return out
 }
 
-// TagOf returns the lexical tag of a single word (position-independent).
-func TagOf(word string) string { return lexicalTag(word, 1) }
-
 // lexicalTag assigns the context-free tag.
 func lexicalTag(w string, pos int) string {
 	if w == "" {

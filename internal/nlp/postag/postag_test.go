@@ -105,20 +105,20 @@ func TestSuffixGuesses(t *testing.T) {
 		"zorbs":          "NNS",
 	}
 	for w, want := range cases {
-		if got := TagOf(w); got != want {
-			t.Errorf("TagOf(%s) = %s, want %s", w, got, want)
+		if got := lexicalTag(w, 1); got != want {
+			t.Errorf("lexicalTag(%s, 1) = %s, want %s", w, got, want)
 		}
 	}
 }
 
 func TestPunctuationTags(t *testing.T) {
-	if TagOf("?") != "." || TagOf(",") != "," || TagOf(";") != ":" {
+	if lexicalTag("?", 1) != "." || lexicalTag(",", 1) != "," || lexicalTag(";", 1) != ":" {
 		t.Error("punctuation tags wrong")
 	}
 }
 
 func TestEmptyWord(t *testing.T) {
-	if TagOf("") != "NN" {
+	if lexicalTag("", 1) != "NN" {
 		t.Error("empty word should default to NN")
 	}
 }

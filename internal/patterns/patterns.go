@@ -338,16 +338,6 @@ func (st *Store) PropertiesForWord(lem string) []PropFreq {
 	return out
 }
 
-// Frequency returns the word-level frequency of (lemma, property).
-func (st *Store) Frequency(lem string, prop rdf.Term) int {
-	if m := st.words[strings.ToLower(lem)]; m != nil {
-		if pf := m[prop]; pf != nil {
-			return pf.Freq
-		}
-	}
-	return 0
-}
-
 // PropertiesForPattern returns the property distribution of an exact
 // pattern text ("be bear in"), sorted by descending frequency.
 func (st *Store) PropertiesForPattern(text string) []PropFreq {
@@ -388,21 +378,6 @@ func (st *Store) Words() []string {
 	out := make([]string, 0, len(st.words))
 	for w := range st.words {
 		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Subsumers returns the patterns that subsume the given pattern text in
-// the mined taxonomy.
-func (st *Store) Subsumers(text string) []string {
-	var out []string
-	for super, subs := range st.subsumes {
-		for _, s := range subs {
-			if s == text {
-				out = append(out, super)
-			}
-		}
 	}
 	sort.Strings(out)
 	return out

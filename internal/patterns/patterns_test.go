@@ -1,12 +1,39 @@
 package patterns
 
 import (
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/kb"
 	"repro/internal/rdf"
 )
+
+// Frequency returns the word-level frequency of (lemma, property).
+func (st *Store) Frequency(lem string, prop rdf.Term) int {
+	if m := st.words[strings.ToLower(lem)]; m != nil {
+		if pf := m[prop]; pf != nil {
+			return pf.Freq
+		}
+	}
+	return 0
+}
+
+// Subsumers returns the patterns that subsume the given pattern text in
+// the mined taxonomy.
+func (st *Store) Subsumers(text string) []string {
+	var out []string
+	for super, subs := range st.subsumes {
+		for _, s := range subs {
+			if s == text {
+				out = append(out, super)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 var (
 	mineOnce  sync.Once

@@ -101,7 +101,7 @@ type Config struct {
 	DisablePatterns        bool
 	DisableWordNetSynonyms bool
 	DisableCentrality      bool
-	// StrSimThreshold is the minimum PropertyScore for §2.2.1/§2.2.2
+	// StrSimThreshold is the minimum strsim Name.Score for §2.2.1/§2.2.2
 	// candidates.
 	StrSimThreshold float64
 	// MaxCandidates caps P_t (keeps the §2.3 Cartesian product sane).

@@ -59,7 +59,7 @@ func (m *RefMapper) buildSynonymPairs() {
 			if ha == hb {
 				continue // same head word is already covered by strsim
 			}
-			if m.wn.SimilarPair(ha, hb, wordnet.Noun) {
+			if m.wn.Similar(m.wn.Word(ha, wordnet.Noun), m.wn.Word(hb, wordnet.Noun)) {
 				m.synonymPairs[a.Term.LocalName()] = append(m.synonymPairs[a.Term.LocalName()], b)
 			}
 		}
@@ -228,13 +228,13 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 		// WordNet similarity between the question noun and the property
 		// head words ("wife" clears the §2.2.1 thresholds against
 		// "spouse" although no string similarity exists).
-		if !m.cfg.DisableWordNetSynonyms && m.wn != nil && m.wn.Known(lem, wordnet.Noun) {
+		if !m.cfg.DisableWordNetSynonyms && m.wn != nil && m.wn.Word(lem, wordnet.Noun).Known() {
 			for _, p := range m.kb.ObjectProperties {
 				h := propertyHead(p)
 				if h == lem {
 					continue // identical heads are already strsim hits
 				}
-				if m.wn.SimilarPair(lem, h, wordnet.Noun) {
+				if m.wn.Similar(m.wn.Word(lem, wordnet.Noun), m.wn.Word(h, wordnet.Noun)) {
 					addCand(PropCandidate{Property: p, Sim: 0.8, Source: SourceWordNet})
 				}
 			}
@@ -306,14 +306,14 @@ func (m *RefMapper) strSimCandidates(word, surface string, object bool, src Sour
 		props = m.kb.DataProperties
 	}
 	for _, p := range props {
-		score := strsim.PropertyScore(word, p.Term.LocalName())
-		if s2 := strsim.PropertyScore(word, strings.ReplaceAll(p.Label, " ", "")); s2 > score {
+		score := strsim.CompileName(p.Term.LocalName()).Score(word)
+		if s2 := strsim.CompileName(strings.ReplaceAll(p.Label, " ", "")).Score(word); s2 > score {
 			score = s2
 		}
 		// Multi-word surface forms ("largest city", "official language")
 		// match labels by token overlap.
 		if strings.Contains(surface, " ") {
-			if s3 := strsim.TokenOverlap(surface, p.Label); s3 > score {
+			if s3 := strsim.Jaccard(strsim.Tokens(surface), strsim.Tokens(p.Label)); s3 > score {
 				score = s3
 			}
 		}

@@ -31,9 +31,9 @@ func testMapper(t *testing.T) *Mapper {
 
 func mapQuestion(t *testing.T, q string) (*Mapping, error) {
 	t.Helper()
-	ext, err := triplex.Extract(q)
+	ext, err := triplex.ExtractOpts(q, triplex.Options{})
 	if err != nil {
-		t.Fatalf("triplex.Extract(%q): %v", q, err)
+		t.Fatalf("triplex.ExtractOpts(%q, triplex.Options{}): %v", q, err)
 	}
 	return testMapper(t).Map(ext)
 }
@@ -272,7 +272,7 @@ func TestAblationNoPatterns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisablePatterns = true
 	m := New(k, wordnet.Default(), nil, ner.NewLinker(k), cfg)
-	ext, err := triplex.Extract("Where did Abraham Lincoln die?")
+	ext, err := triplex.ExtractOpts("Where did Abraham Lincoln die?", triplex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,17 +27,11 @@ func NewGate() *Gate { return &Gate{} }
 // SetReady atomically hands all traffic over to h.
 func (g *Gate) SetReady(h http.Handler) { g.next.Store(&h) }
 
-// Ready reports whether SetReady has been called.
-func (g *Gate) Ready() bool { return g.next.Load() != nil }
-
 // SetDraining turns new requests away with 503 + Retry-After so load
 // balancers move traffic off the instance instead of racing the
 // listener teardown. cmd/qaserve sets it on SIGTERM, before calling
 // http.Server.Shutdown; it is never un-done.
 func (g *Gate) SetDraining() { g.draining.Store(true) }
-
-// Draining reports whether SetDraining has been called.
-func (g *Gate) Draining() bool { return g.draining.Load() }
 
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.draining.Load() {

@@ -32,8 +32,9 @@
 // when one is sent — attached, so a deadline expiring mid-pipeline
 // cancels candidate queries between join steps and the request answers
 // 504 with status "canceled". The /metrics answer-cache hit and miss
-// counters count lookups, so they equal System.CacheStats: a request
-// shed by admission after its lookup, or timed out after it, counts.
+// counters count lookups, as the answer cache's own statistics do: a
+// request shed by admission after its lookup, or timed out after it,
+// counts.
 //
 // # Overload and failure behavior
 //
@@ -227,6 +228,8 @@ type AnswerResponse struct {
 }
 
 // BatchResponse is the /v1/answer/batch reply.
+//
+//qalint:ignore unusedexport the documented wire schema of /v1/answer/batch (cmd/qaserve/README.md): reply.go appends the bytes, and clients and tests decode into it.
 type BatchResponse struct {
 	Results []AnswerResponse `json:"results"`
 }
@@ -309,9 +312,10 @@ func (s *Server) freeSlot() { s.m.inflight.Add(-1) }
 
 // lookup starts a question with the answer-cache lookup and counts it:
 // every lookup, served or not, so the exported hit and miss counters
-// equal System.CacheStats. A System without a cache looks nothing up
-// (its Result has no Trace yet) and counts nothing — a miss there would
-// fabricate a 0% hit rate for a cache that does not exist.
+// equal the answer cache's own statistics. A System without a cache
+// looks nothing up (its Result has no Trace yet) and counts nothing — a
+// miss there would fabricate a 0% hit rate for a cache that does not
+// exist.
 func (s *Server) lookup(question string) *core.Result {
 	res := s.sys.Lookup(question)
 	switch {

@@ -14,21 +14,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-)
-
-var (
-	testSysOnce sync.Once
-	testSys     *core.System
+	"repro/internal/kb"
 )
 
 // testSystem returns a cached-pipeline System with an answer cache of
 // its own, so no test (and no rerun under -count) sees another's
-// entries. Every one shares the KB, mined patterns and indexes of one
-// System built once: building those mines the pattern corpus.
+// entries. Every one shares the built-in KB.
 func testSystem(t testing.TB) *core.System {
 	t.Helper()
-	testSysOnce.Do(func() { testSys = core.New(core.DefaultConfig()) })
-	return testSys.WithCache(256)
+	cfg := core.DefaultConfig()
+	cfg.KB = kb.Default()
+	cfg.CacheSize = 256
+	return core.New(cfg)
 }
 
 func postJSON(t testing.TB, client *http.Client, url string, body any) (*http.Response, []byte) {

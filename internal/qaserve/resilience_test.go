@@ -258,8 +258,8 @@ func TestGateDraining(t *testing.T) {
 		t.Fatalf("pre-drain answer = %+v", ar)
 	}
 	g.SetDraining()
-	if !g.Draining() {
-		t.Fatal("Draining() false after SetDraining")
+	if !g.draining.Load() {
+		t.Fatal("not draining after SetDraining")
 	}
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/answer",
 		AnswerRequest{Question: "How tall is Michael Jordan?"})

@@ -28,10 +28,6 @@ func (t Term) String() string {
 // assemble a larger text (a triple, a whole query) in one buffer.
 func (t Term) AppendTo(dst []byte) []byte { return t.appendText(dst, false) }
 
-// AppendNTriples appends the N-Triples form of the term to dst: String
-// with every IRI, datatypes included, in full.
-func (t Term) AppendNTriples(dst []byte) []byte { return t.appendText(dst, true) }
-
 func (t Term) appendText(dst []byte, full bool) []byte {
 	switch t.Kind {
 	case KindIRI:

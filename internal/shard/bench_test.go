@@ -59,7 +59,7 @@ func BenchmarkGatherSingleStore(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runWorkload(b, ctx, sparql.NewSnapshotSession(c.Src().Snapshot()), qs)
+		runWorkload(b, ctx, sparql.NewSnapshotSession(c.src.Snapshot()), qs)
 	}
 }
 

@@ -199,7 +199,7 @@ var entityFixture = sync.OnceValues(func() (*kb.KB, []*propmap.Mapping) {
 	mapper := propmap.New(k, wordnet.Default(), pats, ner.NewLinker(k), propmap.DefaultConfig())
 	var mapped []*propmap.Mapping
 	for _, q := range testutil.EntityQuestions(k) {
-		ext, err := triplex.Extract(q)
+		ext, err := triplex.ExtractOpts(q, triplex.Options{})
 		if err != nil {
 			continue
 		}

@@ -269,10 +269,6 @@ func (c *Cluster) ApplyUpdate(ctx context.Context, ops []store.BatchOp) (gen uin
 	return c.src.Snapshot().Gen(), added, removed, nil
 }
 
-// Src returns the coordinator's source store (the authoritative
-// single-store image all planning reads come from).
-func (c *Cluster) Src() *store.Store { return c.src }
-
 // NewView pins one consistent read view: the source snapshot for
 // dictionary/statistics reads and every shard's snapshot for data
 // reads, taken together under the cluster read lock. The view obeys

@@ -37,7 +37,7 @@ func executeUncached(st *store.Store, q *Query) (*Result, error) {
 
 func benchmarkQuery(b *testing.B, src string, exec func(*store.Store, *Query) (*Result, error)) {
 	k := kb.Default()
-	q := MustParse(src)
+	q := mustParse(src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +83,7 @@ func BenchmarkBGPJoinDistinctOrderByTermSpace(b *testing.B) {
 // §2.3 fan-out.
 func benchmarkPlanCompile(b *testing.B, pc *PlanCache) {
 	k := kb.Default()
-	q := MustParse(benchJoin3)
+	q := mustParse(benchJoin3)
 	sess := NewSnapshotSession(k.Store.Snapshot()).WithPlanCache(pc)
 	ctx := context.Background()
 	if len(compile(ctx, sess, q).patterns) != 3 { // warm the cache (when attached)

@@ -80,11 +80,11 @@ func TestColumnarMatchesSolutions(t *testing.T) {
 		st := store.New()
 		n := 3 + rng.Intn(18)
 		for i := 0; i < n; i++ {
-			st.Add(rdf.Triple{
+			st.AddAll([]rdf.Triple{{
 				S: subjects[rng.Intn(len(subjects))],
 				P: preds[rng.Intn(len(preds))],
 				O: objects[rng.Intn(len(objects))],
-			})
+			}})
 		}
 		pick := func(pool []rdf.Term) rdf.Term {
 			if rng.Float64() < 0.5 {
@@ -142,7 +142,7 @@ func TestColumnarMatchesSolutions(t *testing.T) {
 func TestCountResultColumnarAccessors(t *testing.T) {
 	st := store.New()
 	for i := 0; i < 7; i++ {
-		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("E%d", i)), P: rdf.Ont("p"), O: rdf.Res("X")})
+		st.AddAll([]rdf.Triple{{S: rdf.Res(fmt.Sprintf("E%d", i)), P: rdf.Ont("p"), O: rdf.Res("X")}})
 	}
 	r, err := ExecuteStringCtx(context.Background(), st.Snapshot(), `SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s dbont:p res:X }`)
 	if err != nil {
@@ -189,7 +189,7 @@ func TestBGPJoinUnderConcurrentBulkLoad(t *testing.T) {
 	}
 	st.AddAll(base)
 
-	q := MustParse(`SELECT ?p ?c ?n WHERE {
+	q := mustParse(`SELECT ?p ?c ?n WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . }`)

@@ -15,9 +15,9 @@ func ctxTestStore() *store.Store {
 	for i := 0; i < 50; i++ {
 		p := rdf.Res(fmt.Sprintf("P%d", i))
 		c := rdf.Res(fmt.Sprintf("C%d", i%10))
-		st.Add(rdf.Triple{S: p, P: rdf.Type(), O: rdf.Ont("Person")})
-		st.Add(rdf.Triple{S: p, P: rdf.Ont("birthPlace"), O: c})
-		st.Add(rdf.Triple{S: c, P: rdf.Ont("populationTotal"), O: rdf.NewInteger(int64(1000 * i))})
+		st.AddAll([]rdf.Triple{{S: p, P: rdf.Type(), O: rdf.Ont("Person")}})
+		st.AddAll([]rdf.Triple{{S: p, P: rdf.Ont("birthPlace"), O: c}})
+		st.AddAll([]rdf.Triple{{S: c, P: rdf.Ont("populationTotal"), O: rdf.NewInteger(int64(1000 * i))}})
 	}
 	return st
 }
@@ -26,7 +26,7 @@ func ctxTestStore() *store.Store {
 // ctx.Err() instead of returning a partial result.
 func TestExecuteCtxCancelled(t *testing.T) {
 	st := ctxTestStore()
-	q := MustParse(`SELECT ?p ?c ?n WHERE {
+	q := mustParse(`SELECT ?p ?c ?n WHERE {
 		?p rdf:type dbont:Person .
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . }`)
@@ -45,7 +45,7 @@ func TestExecuteCtxCancelled(t *testing.T) {
 // Execute exactly.
 func TestExecuteCtxBackground(t *testing.T) {
 	st := ctxTestStore()
-	q := MustParse(`SELECT DISTINCT ?c WHERE {
+	q := mustParse(`SELECT DISTINCT ?c WHERE {
 		?p dbont:birthPlace ?c .
 		?c dbont:populationTotal ?n . } ORDER BY DESC(?n)`)
 	want, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
@@ -64,7 +64,7 @@ func TestExecuteCtxBackground(t *testing.T) {
 // TestExecuteCtxNil: a nil context behaves as context.Background.
 func TestExecuteCtxNil(t *testing.T) {
 	st := ctxTestStore()
-	q := MustParse(`ASK { ?p rdf:type dbont:Person . }`)
+	q := mustParse(`ASK { ?p rdf:type dbont:Person . }`)
 	res, err := ExecuteCtx(nil, st.Snapshot(), q)
 	if err != nil || !res.Boolean {
 		t.Fatalf("res=%v err=%v", res, err)

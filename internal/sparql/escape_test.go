@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -48,7 +50,7 @@ func TestLiteralsAgreeAcrossSyntaxes(t *testing.T) {
 		rdf.NewLangLiteral("café", "fr"),
 		rdf.NewTypedLiteral("1961-08-04", rdf.XSDDate),
 	} {
-		sources = append(sources, string(term.AppendNTriples(nil)))
+		sources = append(sources, ntriplesObject(t, term))
 	}
 	for _, src := range sources {
 		nt, err := turtle.ParseNTriplesString(`<http://e/s> <http://e/p> ` + src + " .\n")
@@ -88,4 +90,16 @@ func updateObject(src string) (rdf.Term, error) {
 		return rdf.Term{}, err
 	}
 	return ops[0].Triples[0].O, nil
+}
+
+// ntriplesObject prints term in full, as the object of an N-Triples
+// line.
+func ntriplesObject(t *testing.T, term rdf.Term) string {
+	t.Helper()
+	var buf bytes.Buffer
+	subj, pred := rdf.NewIRI("http://e/s"), rdf.NewIRI("http://e/p")
+	if err := rdf.WriteNTriples(&buf, []rdf.Triple{{S: subj, P: pred, O: term}}); err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSuffix(strings.TrimPrefix(buf.String(), "<http://e/s> <http://e/p> "), " .\n")
 }

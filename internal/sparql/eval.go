@@ -181,8 +181,8 @@ func (ex *executor) bindPatterns(pats []rdf.Triple) {
 			cp.ids[j] = id
 		}
 		// Hoisted once per bound pattern: the planner re-reads this at
-		// every join step, and the store's cached bucket totals make the
-		// estimate O(1) even for 1-bound patterns.
+		// every join step. No bucket caches a total; a 1-bound estimate
+		// is len(bk.ids) of its bucket, a 2-bound one a binary search.
 		cp.baseCard = ex.snap.EstimateCardinalityIDs(cp.ids)
 		ex.patterns[i] = cp
 	}

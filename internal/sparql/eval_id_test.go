@@ -20,11 +20,11 @@ func buildTestGraph(seed int64, n int) *store.Store {
 	objects := []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"),
 		rdf.NewInteger(1), rdf.NewInteger(2), rdf.NewInteger(3)}
 	for i := 0; i < n; i++ {
-		st.Add(rdf.Triple{
+		st.AddAll([]rdf.Triple{{
 			S: subjects[rng.Intn(len(subjects))],
 			P: preds[rng.Intn(len(preds))],
 			O: objects[rng.Intn(len(objects))],
-		})
+		}})
 	}
 	return st
 }
@@ -59,7 +59,7 @@ func TestIDEngineMatchesTermSpace(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		st := buildTestGraph(seed, 40)
 		for _, src := range queries {
-			q := MustParse(src)
+			q := mustParse(src)
 			got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, src, err)
@@ -245,14 +245,14 @@ func TestExecuteAgainstLiveWriter(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			st.Add(rdf.Triple{
+			st.AddAll([]rdf.Triple{{
 				S: rdf.Res(fmt.Sprintf("W%d", i)),
 				P: rdf.Ont("p"),
 				O: rdf.NewInteger(int64(i)),
-			})
+			}})
 		}
 	}()
-	q := MustParse(`SELECT DISTINCT ?x WHERE { ?x dbont:p ?y . FILTER(?y >= 0) } ORDER BY ?x`)
+	q := mustParse(`SELECT DISTINCT ?x WHERE { ?x dbont:p ?y . FILTER(?y >= 0) } ORDER BY ?x`)
 	for i := 0; i < 200; i++ {
 		if _, err := ExecuteCtx(context.Background(), st.Snapshot(), q); err != nil {
 			t.Fatal(err)

@@ -137,7 +137,7 @@ func TestRegexPatternFromVariable(t *testing.T) {
 }
 
 func TestExprStringRendering(t *testing.T) {
-	q := MustParse(`SELECT ?x WHERE { ?x ?p ?o . FILTER(?o > 3) FILTER("a"@en != ?o) } ORDER BY DESC(?o) ?x`)
+	q := mustParse(`SELECT ?x WHERE { ?x ?p ?o . FILTER(?o > 3) FILTER("a"@en != ?o) } ORDER BY DESC(?o) ?x`)
 	for i, want := range []string{`(?o > "3"^^xsd:integer)`, `("a"@en != ?o)`} {
 		if got := q.Filters[i].String(); got != want {
 			t.Errorf("filter %d String() = %q, want %q", i, got, want)

@@ -94,7 +94,7 @@ func TestUnionOnlyGroup(t *testing.T) {
 }
 
 func TestCountRendering(t *testing.T) {
-	q := MustParse(`SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x a dbont:Book }`)
+	q := mustParse(`SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x a dbont:Book }`)
 	s := q.String()
 	if !strings.Contains(s, "COUNT(DISTINCT ?x) AS ?n") {
 		t.Errorf("String() = %q", s)

@@ -15,8 +15,8 @@ func modGraph() *store.Store {
 	st := store.New()
 	add := func(name string, team string, h float64) {
 		p := rdf.Res(name)
-		st.Add(rdf.Triple{S: p, P: rdf.Ont("team"), O: rdf.Res(team)})
-		st.Add(rdf.Triple{S: p, P: rdf.Ont("height"), O: rdf.NewDouble(h)})
+		st.AddAll([]rdf.Triple{{S: p, P: rdf.Ont("team"), O: rdf.Res(team)}})
+		st.AddAll([]rdf.Triple{{S: p, P: rdf.Ont("height"), O: rdf.NewDouble(h)}})
 	}
 	add("Alice", "Reds", 1.7)
 	add("Bob", "Reds", 1.9)

@@ -24,15 +24,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse parses src and panics on error; for tests and fixed queries.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type parser struct {
 	lex *lexer
 	tok token

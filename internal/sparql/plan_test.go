@@ -117,9 +117,9 @@ func TestPlanCacheConcurrentSharedCache(t *testing.T) {
 // session pinned before the write keeps answering from its snapshot.
 func TestPlanCacheGenerationInvalidation(t *testing.T) {
 	st := store.New()
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)}})
 	pc := NewPlanCache(64)
-	q := MustParse(`SELECT ?x WHERE { res:B dbont:p ?x . }`)
+	q := mustParse(`SELECT ?x WHERE { res:B dbont:p ?x . }`)
 
 	s1 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	for pass := 0; pass < 2; pass++ {
@@ -135,7 +135,7 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 		t.Fatalf("warmup stats = %+v, want 1 miss + 1 hit", ps)
 	}
 
-	st.Add(rdf.Triple{S: rdf.Res("B"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("B"), P: rdf.Ont("p"), O: rdf.NewInteger(2)}})
 	s2 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	r, err := s2.ExecuteCtx(context.Background(), q)
 	if err != nil {
@@ -166,9 +166,9 @@ func TestPlanCacheGenerationInvalidation(t *testing.T) {
 // a write).
 func TestPlanShapeSurvivesWrite(t *testing.T) {
 	st := store.New()
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)}})
 	pc := NewPlanCache(64)
-	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
+	q := mustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 
 	s1 := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
 	r1, err := s1.ExecuteCtx(context.Background(), q)
@@ -211,15 +211,15 @@ func TestPlanShapeSurvivesWrite(t *testing.T) {
 // from its own dictionary — a shape carries no ID to bleed across.
 func TestPlanCacheCrossStore(t *testing.T) {
 	pc := NewPlanCache(64)
-	q := MustParse(`SELECT ?x WHERE { ?x rdf:type dbont:Person . }`)
+	q := mustParse(`SELECT ?x WHERE { ?x rdf:type dbont:Person . }`)
 
 	stA := store.New()
 	// Different insertion orders give the two dictionaries different
 	// ID assignments for the same query shape.
-	stA.Add(rdf.Triple{S: rdf.Res("Alice"), P: rdf.Type(), O: rdf.Ont("Person")})
+	stA.AddAll([]rdf.Triple{{S: rdf.Res("Alice"), P: rdf.Type(), O: rdf.Ont("Person")}})
 	stB := store.New()
-	stB.Add(rdf.Triple{S: rdf.Res("Filler"), P: rdf.Ont("p"), O: rdf.NewInteger(9)})
-	stB.Add(rdf.Triple{S: rdf.Res("Bob"), P: rdf.Type(), O: rdf.Ont("Person")})
+	stB.AddAll([]rdf.Triple{{S: rdf.Res("Filler"), P: rdf.Ont("p"), O: rdf.NewInteger(9)}})
+	stB.AddAll([]rdf.Triple{{S: rdf.Res("Bob"), P: rdf.Type(), O: rdf.Ont("Person")}})
 
 	for _, st := range []*store.Store{stA, stB} {
 		sess := NewSnapshotSession(st.Snapshot()).WithPlanCache(pc)
@@ -245,27 +245,27 @@ func TestPlanCacheCrossStore(t *testing.T) {
 // hit rate rests on — while structurally different queries do not.
 func TestShapeKeySharing(t *testing.T) {
 	shapeKey := func(q *Query) string { return string(appendShapeKey(nil, q)) }
-	a := MustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . }`)
-	b := MustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:City . ?p dbont:starring ?x . }`)
+	a := mustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . }`)
+	b := mustParse(`SELECT DISTINCT ?x WHERE { ?p rdf:type dbont:City . ?p dbont:starring ?x . }`)
 	if shapeKey(a) != shapeKey(b) {
 		t.Fatalf("sibling candidates got distinct keys:\n%q\n%q", shapeKey(a), shapeKey(b))
 	}
-	c := MustParse(`SELECT DISTINCT ?x WHERE { ?x dbont:author ?p . ?p rdf:type dbont:Person . }`)
+	c := mustParse(`SELECT DISTINCT ?x WHERE { ?x dbont:author ?p . ?p rdf:type dbont:Person . }`)
 	if shapeKey(a) == shapeKey(c) {
 		t.Fatalf("different orientation shares a key: %q", shapeKey(a))
 	}
-	d := MustParse(`SELECT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . } LIMIT 5`)
-	e := MustParse(`SELECT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . } LIMIT 9`)
+	d := mustParse(`SELECT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . } LIMIT 5`)
+	e := mustParse(`SELECT ?x WHERE { ?p rdf:type dbont:Person . ?p dbont:author ?x . } LIMIT 9`)
 	if shapeKey(d) != shapeKey(e) {
 		t.Fatal("LIMIT leaked into the shape key")
 	}
-	asc := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY ASC(?x)`)
-	desc := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY DESC(?x)`)
+	asc := mustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY ASC(?x)`)
+	desc := mustParse(`SELECT ?x WHERE { ?p dbont:author ?x . } ORDER BY DESC(?x)`)
 	if shapeKey(asc) == shapeKey(desc) {
 		t.Fatal("ASC and DESC keys share a shape key")
 	}
-	f := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 3) }`)
-	g := MustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 4) }`)
+	f := mustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 3) }`)
+	g := mustParse(`SELECT ?x WHERE { ?p dbont:author ?x . FILTER(?x > 4) }`)
 	if shapeKey(f) == shapeKey(g) {
 		t.Fatal("filter constants must stay concrete in the key")
 	}
@@ -278,7 +278,7 @@ func TestShapeKeySharing(t *testing.T) {
 func TestRankRowLessMatchesRowLess(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(5)), 40, 3)
 	sess := NewSnapshotSession(st.Snapshot())
-	ex := compile(context.Background(), sess, MustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
+	ex := compile(context.Background(), sess, mustParse(`SELECT ?s ?o WHERE { ?s ?p ?o . }`))
 	ranks, _ := sess.snap.TermRanks()
 	var rows [][]store.ID
 	for a := store.ID(1); a <= 12; a++ {
@@ -349,17 +349,17 @@ func TestRankSortDeterminism(t *testing.T) {
 		label string
 		q     *Query
 	}{
-		{"general multi-col", MustParse(
+		{"general multi-col", mustParse(
 			`SELECT ?v ?c WHERE { ?s dbont:p0 ?v . ?s dbont:p1 ?c }`)},
-		{"general multi-col with never-bound", MustParse(
+		{"general multi-col with never-bound", mustParse(
 			`SELECT ?u ?v WHERE { ?s dbont:p0 ?v . }`)},
-		{"multi-col DISTINCT", MustParse(
+		{"multi-col DISTINCT", mustParse(
 			`SELECT DISTINCT ?c ?v WHERE { ?s dbont:p0 ?v . ?s dbont:p1 ?c }`)},
-		{"multi-col DISTINCT with never-bound", MustParse(
+		{"multi-col DISTINCT with never-bound", mustParse(
 			`SELECT DISTINCT ?v ?u WHERE { ?s dbont:p0 ?v . }`)},
-		{"single-col DISTINCT", MustParse(
+		{"single-col DISTINCT", mustParse(
 			`SELECT DISTINCT ?v WHERE { ?s dbont:p0 ?v . }`)},
-		{"general all-tie projection", MustParse(
+		{"general all-tie projection", mustParse(
 			`SELECT ?v WHERE { ?s dbont:p0 ?v . }`)},
 	}
 	for _, tc := range cases {

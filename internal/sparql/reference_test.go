@@ -94,7 +94,7 @@ func TestExecutorMatchesReferenceEvaluator(t *testing.T) {
 			if !seen[tr] {
 				seen[tr] = true
 				triples = append(triples, tr)
-				st.Add(tr)
+				st.AddAll([]rdf.Triple{tr})
 			}
 		}
 		// Random BGP of 1-3 patterns over variables x, y, z.
@@ -158,12 +158,12 @@ func TestExecutorMatchesReferenceWithFilters(t *testing.T) {
 			P: rdf.Ont("value"),
 			O: rdf.NewInteger(int64(rng.Intn(10))),
 		}
-		if st.Add(tr) {
+		if st.AddAll([]rdf.Triple{tr}) == 1 {
 			triples = append(triples, tr)
 		}
 	}
 	for threshold := 0; threshold < 10; threshold += 3 {
-		q := MustParse(fmt.Sprintf(
+		q := mustParse(fmt.Sprintf(
 			`SELECT ?s ?v WHERE { ?s dbont:value ?v . FILTER(?v >= %d) }`, threshold))
 		got, err := ExecuteCtx(context.Background(), st.Snapshot(), q)
 		if err != nil {

@@ -1,8 +1,6 @@
 package sparql
 
 import (
-	"sync"
-
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -13,9 +11,7 @@ import (
 // solution, flat and row-major, with store.ID(0) marking an unbound
 // column. IDs resolve to terms through the dictionary view the executor
 // pinned at run time, so reading results allocates nothing per row.
-// Consumers on the hot path read columns directly (VarIndex / TermAt /
-// Column); Solutions() is the map-based compatibility view,
-// materialised lazily on first call.
+// Consumers read columns directly (VarIndex / TermAt / Column).
 //
 // Aggregate (COUNT) and term-space reference results carry synthesised
 // literals that have no dictionary ID; they are represented with the
@@ -36,8 +32,7 @@ type Result struct {
 	nrows int        // number of solutions (authoritative; Vars may be empty)
 	terms []rdf.Term // pinned dictionary view resolving Rows IDs
 
-	solsOnce sync.Once
-	sols     []Binding // lazily materialised compatibility view
+	sols []Binding // the materialised rows, when Rows is nil
 }
 
 // newColumnarResult builds a SELECT result over the executor's pinned
@@ -49,9 +44,7 @@ func newColumnarResult(vars []string, rows []store.ID, nrows int, terms []rdf.Te
 // newMaterializedResult builds a result directly from bindings (COUNT
 // aggregates and the term-space reference evaluator).
 func newMaterializedResult(form Form, vars []string, sols []Binding) *Result {
-	r := &Result{Form: form, Vars: vars, nrows: len(sols)}
-	r.solsOnce.Do(func() { r.sols = sols })
-	return r
+	return &Result{Form: form, Vars: vars, nrows: len(sols), sols: sols}
 }
 
 // Len returns the number of solutions (0 for ASK).
@@ -109,31 +102,4 @@ func (r *Result) Column(name string) []rdf.Term {
 		}
 	}
 	return out
-}
-
-// Solutions returns the map-based view of the result: one Binding per
-// row, in result order. For columnar results it is materialised lazily
-// on first call (and cached), so callers that read columns directly
-// never pay the per-row map allocations. Safe for concurrent callers.
-// ASK results return nil.
-func (r *Result) Solutions() []Binding {
-	if r.Form == FormAsk {
-		return nil
-	}
-	// A materialised result spent solsOnce when it was built.
-	r.solsOnce.Do(func() {
-		sols := make([]Binding, 0, r.nrows)
-		stride := len(r.Vars)
-		for row := 0; row < r.nrows; row++ {
-			b := make(Binding, stride)
-			for col := 0; col < stride; col++ {
-				if id := r.Rows[row*stride+col]; id != 0 {
-					b[r.Vars[col]] = r.terms[id-1]
-				}
-			}
-			sols = append(sols, b)
-		}
-		r.sols = sols
-	})
-	return r.sols
 }

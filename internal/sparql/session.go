@@ -17,10 +17,12 @@
 //     answered here — on a sharded view, one shard call per entity
 //     where a ground probe per class would be one per question asked.
 //
-// Constants resolve straight through the view (Lookup is one hash and
-// one map read), every scan walks the index, and pattern cardinalities
-// are hoisted into the compiled form once per query (the store's cached
-// bucket totals make every estimate O(1)).
+// Constants resolve straight through the view (Lookup hashes the term
+// and probes the dictionary index), every scan walks the index, and
+// pattern cardinalities are hoisted into the compiled form once per
+// query. No bucket caches a total: a 1-bound estimate is the length of
+// its bucket's ID array, len(bk.ids), and a 2-bound one the length of
+// one list, found by binary search.
 //
 // A Session is safe for concurrent use. The type sets are a pure
 // function of the pinned view, so concurrent first probes of one entity

@@ -189,14 +189,14 @@ func TestSessionConcurrentExecution(t *testing.T) {
 // and a fresh session sees the new state.
 func TestSessionPinsSnapshot(t *testing.T) {
 	st := store.New()
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(1)}})
 	sess := NewSnapshotSession(st.Snapshot())
-	q := MustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
+	q := mustParse(`SELECT ?x WHERE { res:A dbont:p ?x . }`)
 	r1, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil || r1.Len() != 1 {
 		t.Fatalf("r1=%v err=%v", r1, err)
 	}
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.NewInteger(2)}})
 	r2, err := sess.ExecuteCtx(context.Background(), q)
 	if err != nil || r2.Len() != 1 {
 		t.Fatalf("pinned session saw the write: len=%d err=%v", r2.Len(), err)
@@ -236,7 +236,7 @@ func TestInstanceOfConcurrent(t *testing.T) {
 			for e := 0; e < 60; e++ {
 				ent := rdf.Res(fmt.Sprintf("E%d", (e*7+g*13)%60))
 				for _, class := range classes {
-					want := snap.Has(rdf.Triple{S: ent, P: rdf.Type(), O: class})
+					want := len(snap.Match(rdf.Triple{S: ent, P: rdf.Type(), O: class})) > 0
 					if got := sess.InstanceOf(ent, class); got != want {
 						t.Errorf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
 						return
@@ -255,11 +255,11 @@ func TestInstanceOfConcurrent(t *testing.T) {
 // distinct entity however many classes are asked.
 func TestInstanceOfMatchesGroundProbe(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(9)), 60, 3)
-	st.Add(rdf.Triple{S: rdf.Res("E0"), P: rdf.Type(), O: rdf.Ont("Author")}) // a second type
+	st.AddAll([]rdf.Triple{{S: rdf.Res("E0"), P: rdf.Type(), O: rdf.Ont("Author")}}) // a second type
 	snap := st.Snapshot()
 	view := &countingView{Snapshot: snap}
 	sess := NewViewSession(view)
-	st.Add(rdf.Triple{S: rdf.Res("E1"), P: rdf.Type(), O: rdf.Ont("Author")}) // after the pin
+	st.AddAll([]rdf.Triple{{S: rdf.Res("E1"), P: rdf.Type(), O: rdf.Ont("Author")}}) // after the pin
 
 	classes := []rdf.Term{rdf.Ont("Person"), rdf.Ont("City"), rdf.Ont("Book"), rdf.Ont("Author"), rdf.Ont("Nowhere")}
 	var entities []rdf.Term
@@ -270,7 +270,7 @@ func TestInstanceOfMatchesGroundProbe(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, ent := range entities {
 			for _, class := range classes {
-				want := snap.Has(rdf.Triple{S: ent, P: rdf.Type(), O: class})
+				want := len(snap.Match(rdf.Triple{S: ent, P: rdf.Type(), O: class})) > 0
 				if got := sess.InstanceOf(ent, class); got != want {
 					t.Fatalf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
 				}

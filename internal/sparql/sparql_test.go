@@ -9,11 +9,45 @@ import (
 	"repro/internal/store"
 )
 
+// mustParse is Parse for the tests' fixed queries: it panics on a
+// syntax error.
+func mustParse(src string) *Query {
+	q, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// Solutions is the map-based view of a result: one Binding per row, in
+// result order; nil for ASK. Columnar rows are materialised afresh on
+// every call.
+func (r *Result) Solutions() []Binding {
+	if r.Form == FormAsk {
+		return nil
+	}
+	if r.Rows == nil && len(r.sols) == r.nrows {
+		return r.sols
+	}
+	sols := make([]Binding, 0, r.nrows)
+	stride := len(r.Vars)
+	for row := 0; row < r.nrows; row++ {
+		b := make(Binding, stride)
+		for col := 0; col < stride; col++ {
+			if id := r.Rows[row*stride+col]; id != 0 {
+				b[r.Vars[col]] = r.terms[id-1]
+			}
+		}
+		sols = append(sols, b)
+	}
+	return sols
+}
+
 // testGraph builds the small DBpedia-like graph the paper's worked
 // examples run over.
 func testGraph() *store.Store {
 	st := store.New()
-	add := func(s, p, o rdf.Term) { st.Add(rdf.Triple{S: s, P: p, O: o}) }
+	add := func(s, p, o rdf.Term) { st.AddAll([]rdf.Triple{{S: s, P: p, O: o}}) }
 
 	add(rdf.Res("Orhan_Pamuk"), rdf.Type(), rdf.Ont("Writer"))
 	add(rdf.Res("Orhan_Pamuk"), rdf.Label(), rdf.NewLangLiteral("Orhan Pamuk", "en"))
@@ -249,8 +283,8 @@ func TestDistinct(t *testing.T) {
 
 func TestRepeatedVariableJoin(t *testing.T) {
 	st := store.New()
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("knows"), O: rdf.Res("A")})
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("knows"), O: rdf.Res("B")})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("knows"), O: rdf.Res("A")}})
+	st.AddAll([]rdf.Triple{{S: rdf.Res("A"), P: rdf.Ont("knows"), O: rdf.Res("B")}})
 	res := exec(t, st, `SELECT ?x WHERE { ?x dbont:knows ?x }`)
 	if len(res.Solutions()) != 1 || res.Solutions()[0]["x"] != rdf.Res("A") {
 		t.Errorf("self-join: %v", res.Solutions())
@@ -385,7 +419,7 @@ func TestSyntaxErrorHasLine(t *testing.T) {
 
 func TestQueryStringRoundTrip(t *testing.T) {
 	src := `SELECT DISTINCT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk . } LIMIT 5`
-	q := MustParse(src)
+	q := mustParse(src)
 	rendered := q.String()
 	q2, err := Parse(rendered)
 	if err != nil {
@@ -415,15 +449,6 @@ func TestExecuteNilQuery(t *testing.T) {
 	if _, err := ExecuteCtx(context.Background(), store.New().Snapshot(), nil); err == nil {
 		t.Error("ExecuteCtx(nil query) should error")
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse on bad input should panic")
-		}
-	}()
-	MustParse("not sparql")
 }
 
 func TestCartesianProductQuery(t *testing.T) {

@@ -243,7 +243,7 @@ func (ex *tsExecutor) evalBGP(patterns []rdf.Triple, filters []*Comparison) []Bi
 		}
 		bestIdx, bestCard := -1, int(^uint(0)>>1)
 		for i, pat := range remaining {
-			card := ex.st.EstimateCardinality(tsSubstitute(pat, rep))
+			card := tsEstimate(ex.st, tsSubstitute(pat, rep))
 			// Prefer patterns sharing variables with bound set (joins)
 			// over cartesian products: penalise disconnected patterns.
 			if !tsSharesVar(pat, boundVars) && len(boundVars) > 0 {
@@ -366,4 +366,22 @@ func (ex *executor) rowLess(a, b []store.ID, projCols []int) bool {
 		}
 	}
 	return false
+}
+
+// tsEstimate reads the snapshot's cardinality estimate for a term pattern,
+// resolving its bound terms as the planner does; an unknown term
+// matches nothing.
+func tsEstimate(sn *store.Snapshot, pat rdf.Triple) int {
+	var ids [3]store.ID
+	for i, t := range [3]rdf.Term{pat.S, pat.P, pat.O} {
+		if t.IsZero() || t.IsVar() {
+			continue
+		}
+		id, ok := sn.Lookup(t)
+		if !ok {
+			return 0
+		}
+		ids[i] = id
+	}
+	return sn.EstimateCardinalityIDs(ids)
 }

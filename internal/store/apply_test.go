@@ -47,7 +47,7 @@ func TestApplyBatchMixedOps(t *testing.T) {
 
 func TestApplyBatchNoOpDoesNotPublish(t *testing.T) {
 	s := New()
-	s.Add(applyTriple("base", 0))
+	s.add(applyTriple("base", 0))
 	gen := s.Snapshot().Gen()
 	added, removed := s.ApplyBatch([]BatchOp{
 		{Triples: []rdf.Triple{applyTriple("base", 0)}},               // duplicate
@@ -71,7 +71,7 @@ func TestApplyBatchAtomicVisibility(t *testing.T) {
 	p := rdf.NewIRI("http://x/deathPlace")
 	a := rdf.NewIRI("http://x/washington")
 	b := rdf.NewIRI("http://x/springfield")
-	s.Add(rdf.Triple{S: sub, P: p, O: a})
+	s.add(rdf.Triple{S: sub, P: p, O: a})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func TestApplyBatchAtomicVisibility(t *testing.T) {
 
 func TestSetGen(t *testing.T) {
 	s := New()
-	s.Add(applyTriple("base", 0))
+	s.add(applyTriple("base", 0))
 	before := s.Snapshot()
 
 	s.SetGen(100)
@@ -123,7 +123,7 @@ func TestSetGen(t *testing.T) {
 	}
 
 	// The next write publishes above the restored generation.
-	s.Add(applyTriple("base", 1))
+	s.add(applyTriple("base", 1))
 	if g := s.Snapshot().Gen(); g <= 100 {
 		t.Fatalf("write after SetGen published gen %d, want > 100", g)
 	}

@@ -30,7 +30,7 @@ func TestPinnedSnapshotImmutable(t *testing.T) {
 	wantAll := pinned.Match(rdf.Triple{})
 
 	for i := 0; i < 500; i++ {
-		s.Add(churnTriple(i))
+		s.add(churnTriple(i))
 	}
 	remove(s, rdf.Triple{S: rdf.Res("Snow"), P: rdf.Ont("author"), O: rdf.Res("Orhan_Pamuk")})
 
@@ -134,7 +134,7 @@ func TestRemoveAll(t *testing.T) {
 	}
 	s.AddAll(batch)
 	keep := rdf.Triple{S: rdf.Res("K"), P: rdf.Ont("p"), O: rdf.Res("V")}
-	s.Add(keep)
+	s.add(keep)
 
 	if n := remove(s, batch...); n != len(batch) {
 		t.Fatalf("RemoveAll = %d, want %d", n, len(batch))

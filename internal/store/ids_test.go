@@ -22,7 +22,7 @@ func idTriple(i int) rdf.Triple {
 func TestForEachMatchIDsAgreesWithTerms(t *testing.T) {
 	s := New()
 	for i := 0; i < 400; i++ {
-		s.Add(idTriple(i))
+		s.add(idTriple(i))
 	}
 	sn := s.Snapshot()
 	terms := sn.TermsView()
@@ -76,7 +76,7 @@ func TestForEachMatchIDsAgreesWithTerms(t *testing.T) {
 func TestHasIDs(t *testing.T) {
 	s := New()
 	tr := rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")}
-	s.Add(tr)
+	s.add(tr)
 	sn := s.Snapshot()
 	sid, _ := sn.Lookup(tr.S)
 	pid, _ := sn.Lookup(tr.P)
@@ -96,7 +96,7 @@ func TestHasIDs(t *testing.T) {
 func TestForEachMatchIDsEarlyStop(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
-		s.Add(idTriple(i))
+		s.add(idTriple(i))
 	}
 	n := 0
 	s.Snapshot().ForEachMatchIDs([3]ID{}, func(_, _, _ ID) bool {
@@ -112,7 +112,7 @@ func TestForEachMatchIDsEarlyStop(t *testing.T) {
 // valid across subsequent writes.
 func TestTermsView(t *testing.T) {
 	s := New()
-	s.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")})
+	s.add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")})
 	sn := s.Snapshot()
 	view := sn.TermsView()
 	if len(view) != sn.TermCount() {
@@ -122,7 +122,7 @@ func TestTermsView(t *testing.T) {
 	a := view[id-1]
 	// Grow the store; the old view must still resolve the old ID.
 	for i := 0; i < 1000; i++ {
-		s.Add(idTriple(i))
+		s.add(idTriple(i))
 	}
 	if view[id-1] != a || view[id-1] != rdf.Res("A") {
 		t.Fatal("old TermsView invalidated by later writes")
@@ -159,7 +159,7 @@ func TestAddAllBatch(t *testing.T) {
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	s := New()
 	for i := 0; i < 50; i++ {
-		s.Add(idTriple(i))
+		s.add(idTriple(i))
 	}
 	pid, _ := s.Snapshot().Lookup(rdf.Ont("p1"))
 
@@ -189,7 +189,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}
 
 	for i := 50; i < 2000; i++ {
-		s.Add(idTriple(i))
+		s.add(idTriple(i))
 	}
 	close(stop)
 	wg.Wait()

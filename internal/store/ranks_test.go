@@ -56,7 +56,7 @@ func TestTermRanksPerGeneration(t *testing.T) {
 	oldRanks, _ := oldSnap.TermRanks()
 	oldLen := len(oldRanks)
 
-	st.Add(rdf.Triple{S: rdf.Res("ZZZ-new"), P: rdf.Ont("p-new"), O: rdf.NewInteger(9999)})
+	st.add(rdf.Triple{S: rdf.Res("ZZZ-new"), P: rdf.Ont("p-new"), O: rdf.NewInteger(9999)})
 	newSnap := st.Snapshot()
 	newRanks, newOrder := newSnap.TermRanks()
 	if len(newRanks) != newSnap.TermCount() {
@@ -132,11 +132,11 @@ func TestTermRanksIncrementalMatchesFullSort(t *testing.T) {
 func TestTermRanksUnbuiltChainFallsBack(t *testing.T) {
 	st := rankStore(30)
 	for i := 0; i < maxRankChain+8; i++ { // deep enough to cross the cap
-		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("deep-%02d", i)), P: rdf.Ont("pd"), O: rdf.NewInteger(int64(i))})
+		st.add(rdf.Triple{S: rdf.Res(fmt.Sprintf("deep-%02d", i)), P: rdf.Ont("pd"), O: rdf.NewInteger(int64(i))})
 	}
 	checkRanks(t, st.Snapshot())
 	// And incremental again on top of the fresh root.
-	st.Add(rdf.Triple{S: rdf.Res("after-cap"), P: rdf.Ont("pd"), O: rdf.NewInteger(-1)})
+	st.add(rdf.Triple{S: rdf.Res("after-cap"), P: rdf.Ont("pd"), O: rdf.NewInteger(-1)})
 	checkRanks(t, st.Snapshot())
 }
 
@@ -150,7 +150,7 @@ func TestTermRanksDictUnchangedSharesTable(t *testing.T) {
 	// New triple out of existing terms only: E001 p0 E002's object slot
 	// reuses interned terms.
 	terms := before.TermsView()
-	if !st.Add(rdf.Triple{S: terms[0], P: terms[1], O: terms[0]}) {
+	if !st.add(rdf.Triple{S: terms[0], P: terms[1], O: terms[0]}) {
 		t.Fatal("expected a new triple from recombined existing terms")
 	}
 	after := st.Snapshot()
@@ -205,7 +205,7 @@ func BenchmarkTermRanksChurnIncremental(b *testing.B) {
 	st.Snapshot().TermRanks() // built base
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("churn-%09d", i)), P: rdf.Ont("pb"), O: rdf.NewInteger(int64(i))})
+		st.add(rdf.Triple{S: rdf.Res(fmt.Sprintf("churn-%09d", i)), P: rdf.Ont("pb"), O: rdf.NewInteger(int64(i))})
 		st.Snapshot().TermRanks()
 	}
 }
@@ -218,7 +218,7 @@ func BenchmarkTermRanksChurnFullRebuild(b *testing.B) {
 	st.Snapshot().TermRanks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Add(rdf.Triple{S: rdf.Res(fmt.Sprintf("churn-%09d", i)), P: rdf.Ont("pb"), O: rdf.NewInteger(int64(i))})
+		st.add(rdf.Triple{S: rdf.Res(fmt.Sprintf("churn-%09d", i)), P: rdf.Ont("pb"), O: rdf.NewInteger(int64(i))})
 		sn := st.Snapshot()
 		sn.ranks = &rankTable{} // sever the chain: force the old full rebuild
 		sn.TermRanks()

@@ -24,8 +24,8 @@ func TestRemoveSingleTriple(t *testing.T) {
 	if remove(s, tr) == 1 {
 		t.Fatal("Remove on empty store reported true")
 	}
-	s.Add(tr)
-	s.Add(churnTriple(2))
+	s.add(tr)
+	s.add(churnTriple(2))
 	if remove(s, tr) != 1 {
 		t.Fatal("Remove of present triple reported false")
 	}
@@ -55,7 +55,7 @@ func TestRemoveSingleTriple(t *testing.T) {
 // The answer cache relies on exactly this to invalidate on KB change.
 func TestRemoveGenerationBump(t *testing.T) {
 	s := New()
-	s.Add(churnTriple(1))
+	s.add(churnTriple(1))
 	gen := s.Snapshot().Gen()
 
 	if remove(s, churnTriple(42)) == 1 {
@@ -78,7 +78,7 @@ func TestRemoveGenerationBump(t *testing.T) {
 func TestRemovePinnedSnapshotUnaffected(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
-		s.Add(churnTriple(i))
+		s.add(churnTriple(i))
 	}
 	pinned := s.Snapshot()
 	for i := 0; i < 100; i += 2 {
@@ -103,7 +103,7 @@ func TestRemoveChurnUnderReaders(t *testing.T) {
 	s := New()
 	const keep = 64
 	for i := 0; i < keep; i++ {
-		s.Add(rdf.Triple{S: rdf.Res("Stable"), P: rdf.Ont("stable"), O: rdf.NewInteger(int64(i))})
+		s.add(rdf.Triple{S: rdf.Res("Stable"), P: rdf.Ont("stable"), O: rdf.NewInteger(int64(i))})
 	}
 
 	stop := make(chan struct{})
@@ -147,7 +147,7 @@ func TestRemoveChurnUnderReaders(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		tr := churnTriple(i % 17)
 		if i%2 == 0 {
-			s.Add(tr)
+			s.add(tr)
 		} else {
 			remove(s, tr)
 		}

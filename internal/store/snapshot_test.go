@@ -53,7 +53,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("Subjects on loaded store = %v", got)
 	}
 	// Writes continue above the loaded generation.
-	st.Add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")})
+	st.add(rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")})
 	if g := st.Snapshot().Gen(); g != orig.Gen()+1 {
 		t.Errorf("first write after Load published gen %d, want %d", g, orig.Gen()+1)
 	}

@@ -22,20 +22,21 @@
 // copy-on-write, folding the whole batch in once, at commit. Each index
 // is a radix tree of 64-slot nodes over the first-position ID, whose
 // leaves point to buckets; a bucket is three sorted, pointer-free
-// arrays (keys, list offsets, the lists' IDs end to end), found by
-// binary search. A write call records its triple operations and the
-// terms it adds, settles the operations in order against the snapshot
-// it began on, then sorts the net edits per index and rebuilds every
-// bucket they touch once, by a linear merge, copying each node on the
-// path to it once. Untouched buckets and nodes stay shared, and the
-// write path never edits an array in place, so a write that adds a
-// term costs the path to one dictionary bucket, whatever the size of
-// the dictionary. An update_mix flip (8 deletes and 8 inserts on a
-// predicate with 512 objects, at 6.5k triples) costs about 12.7 KB in
-// 51 allocations, most of it the rebuilt 512-key POS bucket; on 16
-// times the triples, a level deeper, about 14.3 KB. A batch costs
-// O(n log n + the buckets it touches), so anything in a loop belongs in
-// one AddAll, ApplyBatch or Batch, which rebuild each bucket once.
+// arrays (keys, list offsets, the lists' IDs end to end) cut from one
+// allocation and found by binary search. A write call records its
+// triple operations and the terms it adds, settles the operations in
+// order against the snapshot it began on, then sorts the net edits per
+// index and rebuilds every bucket they touch once, by a linear merge,
+// copying each node on the path to it once. Untouched buckets and nodes
+// stay shared, and the write path never edits an array in place, so a
+// write that adds a term costs the path to one dictionary bucket,
+// whatever the size of the dictionary. An update_mix flip (8 deletes
+// and 8 inserts on a predicate with 512 objects, at 6.5k triples)
+// costs about 12.7 KB in 51 allocations, most of it the rebuilt
+// 512-key POS bucket; on 16 times the triples, a level deeper, about
+// 14.3 KB. A batch costs O(n log n + the buckets it touches), so
+// anything in a loop belongs in one AddAll, ApplyBatch or Batch, which
+// rebuild each bucket once.
 // The new root is published once per public write call, giving readers
 // atomic batch visibility. Old snapshots are reclaimed by the garbage
 // collector once the last reader drops them.
@@ -50,7 +51,7 @@
 // # Two-layer execution model
 //
 // A Snapshot exposes two query surfaces. The term-space API (Match,
-// ForEachMatch, EstimateCardinality, Subjects, Objects) accepts
+// ForEachMatch, Subjects, Objects) accepts
 // rdf.Triple patterns and yields full rdf.Term triples; it is the
 // convenient surface for boot-time builders that need a handful of
 // lookups. The
@@ -99,14 +100,14 @@ const (
 )
 
 // bucket is one first-position entry of an index: the third-position
-// ID lists keyed by second-position ID, in three sorted, pointer-free
-// arrays. keys is sorted and unique, len(offs) == len(keys)+1, and the
-// list under keys[i] is ids[offs[i]:offs[i+1]], sorted and unique. A
-// published bucket is immutable and never empty; a write batch
-// replaces it whole.
+// ID lists keyed by second-position ID, in three pointer-free arrays
+// cut from one allocation. keys is sorted and unique, len(offs) ==
+// len(keys)+1, and the list under keys[i] is ids[offs[i]:offs[i+1]],
+// sorted and unique. A published bucket is immutable and never empty;
+// a write batch replaces it whole.
 type bucket struct {
 	keys []ID
-	offs []uint32
+	offs []ID // positions in ids, typed ID to share the keys' array
 	ids  []ID
 }
 
@@ -278,8 +279,8 @@ type Snapshot struct {
 }
 
 // Store is an indexed, dictionary-encoded triple store with wait-free
-// snapshot reads. The zero value is not usable; call New. It has five
-// writers: Add, AddAll and ApplyBatch take terms, Batch takes IDs, and
+// snapshot reads. The zero value is not usable; call New. It has four
+// writers: AddAll and ApplyBatch take terms, Batch takes IDs, and
 // SetGen moves the generation.
 type Store struct {
 	wmu  sync.Mutex // serialises writers
@@ -485,23 +486,6 @@ func (sn *Snapshot) HasIDs(sid, pid, oid ID) bool {
 	return ok
 }
 
-// Has reports whether the exact ground triple is present.
-func (sn *Snapshot) Has(t rdf.Triple) bool {
-	sid, ok := sn.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	pid, ok := sn.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oid, ok := sn.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return sn.HasIDs(sid, pid, oid)
-}
-
 // ForEachMatchIDs streams the ID triples matching pat to fn in
 // deterministic (sorted-ID) order; ID(0) acts as the wildcard and fn
 // returning false stops the iteration early. No terms are materialised.
@@ -668,15 +652,6 @@ func (sn *Snapshot) PostingList(pat [3]ID) (ids []ID, ok bool) {
 	return lst[:len(lst):len(lst)], true
 }
 
-// EstimateCardinality is EstimateCardinalityIDs on a term pattern.
-func (sn *Snapshot) EstimateCardinality(pat rdf.Triple) int {
-	ids, ok := patternIDs(pat, sn.Lookup)
-	if !ok {
-		return 0
-	}
-	return sn.EstimateCardinalityIDs(ids)
-}
-
 // Subjects returns the subjects of triples with the given predicate and
 // object, in ascending ID order.
 func (sn *Snapshot) Subjects(p, o rdf.Term) []rdf.Term {
@@ -714,10 +689,14 @@ func (s *Store) Len() int { return s.Snapshot().Len() }
 
 // TermCount is Snapshot.TermCount on the current snapshot. It exists
 // only because cmd/qaload calls it (qaload_test.go:193–198).
+//
+//qalint:ignore unusedexport cmd/qaload's tests call it, and that module changes only with the benchmark.
 func (s *Store) TermCount() int { return s.Snapshot().TermCount() }
 
 // Triples is Snapshot.Triples on the current snapshot. It exists only
 // because cmd/qaload calls it (qaload_test.go:179–190).
+//
+//qalint:ignore unusedexport cmd/qaload's tests call it, and that module changes only with the benchmark.
 func (s *Store) Triples() []rdf.Triple { return s.Snapshot().Triples() }
 
 // Subjects is Snapshot.Subjects on the current snapshot. It exists only
@@ -1102,8 +1081,8 @@ func merge(nb, bk *bucket, edits []edit) *bucket {
 	if nb == nil {
 		nb = new(bucket)
 	}
-	buf := make([]ID, nKeys+nIDs)
-	*nb = bucket{keys: buf[:nKeys:nKeys], offs: make([]uint32, nKeys+1), ids: buf[nKeys:]}
+	buf := make([]ID, 2*nKeys+1+nIDs)
+	*nb = bucket{keys: buf[:nKeys:nKeys], offs: buf[nKeys : 2*nKeys+1 : 2*nKeys+1], ids: buf[2*nKeys+1:]}
 	// nk keys and ni IDs are written; ok old keys are consumed.
 	nk, ni, ok := 0, 0, 0
 	// copyOld copies old keys [ok, to) and their lists.
@@ -1111,7 +1090,7 @@ func merge(nb, bk *bucket, edits []edit) *bucket {
 		if to == ok {
 			return
 		}
-		shift := uint32(ni) - old.offs[ok]
+		shift := ID(ni) - old.offs[ok]
 		ni += copy(nb.ids[ni:], old.ids[old.offs[ok]:old.offs[to]])
 		for ; ok < to; ok++ {
 			nb.keys[nk] = old.keys[ok]
@@ -1148,7 +1127,7 @@ func merge(nb, bk *bucket, edits []edit) *bucket {
 		if ni > start {
 			nb.keys[nk] = b
 			nk++
-			nb.offs[nk] = uint32(ni)
+			nb.offs[nk] = ID(ni)
 		}
 		edits = edits[j:]
 	}
@@ -1216,21 +1195,6 @@ func (w *writer) addTriple(t rdf.Triple) {
 		}
 	}
 	w.record(w.intern(t.S), w.intern(t.P), w.intern(t.O), false)
-}
-
-// Add inserts a triple. It reports whether the triple was new. Variable
-// and zero terms are rejected (store data must be ground). Each call is a write
-// batch and a published snapshot of its own: for single writes and
-// tests. In a loop, collect the triples and call AddAll (or ApplyBatch)
-// once — each batch rebuilds every bucket it touches, so n Adds cost
-// O(n × hottest bucket) where one AddAll of n rebuilds each bucket once.
-func (s *Store) Add(t rdf.Triple) bool {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	w := s.begin(1)
-	w.addTriple(t)
-	added, _, _ := s.commit(w)
-	return added == 1
 }
 
 // AddAll inserts every triple as one atomic batch and returns the

@@ -25,6 +25,44 @@ func pamukGraph() *Store {
 	return s
 }
 
+// add inserts a triple. It reports whether the triple was new. Variable
+// and zero terms are rejected (store data must be ground). Each call is
+// a write batch and a published snapshot of its own.
+func (s *Store) add(t rdf.Triple) bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	w := s.begin(1)
+	w.addTriple(t)
+	added, _, _ := s.commit(w)
+	return added == 1
+}
+
+// Has reports whether the exact ground triple is present.
+func (sn *Snapshot) Has(t rdf.Triple) bool {
+	sid, ok := sn.Lookup(t.S)
+	if !ok {
+		return false
+	}
+	pid, ok := sn.Lookup(t.P)
+	if !ok {
+		return false
+	}
+	oid, ok := sn.Lookup(t.O)
+	if !ok {
+		return false
+	}
+	return sn.HasIDs(sid, pid, oid)
+}
+
+// EstimateCardinality is EstimateCardinalityIDs on a term pattern.
+func (sn *Snapshot) EstimateCardinality(pat rdf.Triple) int {
+	ids, ok := patternIDs(pat, sn.Lookup)
+	if !ok {
+		return 0
+	}
+	return sn.EstimateCardinalityIDs(ids)
+}
+
 // TestStoreReadSurface pins *Store to a writer: Snapshot, the writers,
 // and the four read delegates cmd/qaload (a module of its own) compiles
 // against. Any other read belongs on *Snapshot, where it sees one
@@ -32,7 +70,7 @@ func pamukGraph() *Store {
 func TestStoreReadSurface(t *testing.T) {
 	want := []string{
 		"Snapshot",
-		"Add", "AddAll", "Batch", "ApplyBatch", "SetGen",
+		"AddAll", "Batch", "ApplyBatch", "SetGen",
 		"Len", "TermCount", "Triples", "Subjects",
 	}
 	var got []string
@@ -50,10 +88,10 @@ func TestStoreReadSurface(t *testing.T) {
 func TestAddAndLen(t *testing.T) {
 	s := New()
 	tr := rdf.Triple{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Res("B")}
-	if !s.Add(tr) {
+	if !s.add(tr) {
 		t.Error("first Add should report new")
 	}
-	if s.Add(tr) {
+	if s.add(tr) {
 		t.Error("duplicate Add should report false")
 	}
 	sn := s.Snapshot()
@@ -78,7 +116,7 @@ func TestAddRejectsVariables(t *testing.T) {
 		{S: rdf.Res("A"), P: rdf.Ont("p"), O: rdf.Term{}},
 	} {
 		s := New()
-		if s.Add(tr) {
+		if s.add(tr) {
 			t.Errorf("Add accepted %v", tr)
 		}
 		if n := s.AddAll([]rdf.Triple{tr}); n != 0 {
@@ -239,7 +277,7 @@ func TestConcurrentReadersWhileWriting(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Add(rdf.Triple{
+				s.add(rdf.Triple{
 					S: rdf.Res(fmt.Sprintf("S%d_%d", w, i)),
 					P: rdf.Ont("p"),
 					O: rdf.NewInteger(int64(i)),
@@ -277,7 +315,7 @@ func TestStoreProperties(t *testing.T) {
 				O: rdf.NewInteger(int64(rng.Intn(8))),
 			}
 			want[tr] = true
-			s.Add(tr)
+			s.add(tr)
 		}
 		sn := s.Snapshot()
 		if sn.Len() != len(want) {

@@ -19,7 +19,7 @@ func refScore(word, name string) float64 {
 	if word == "" || name == "" {
 		return 0
 	}
-	if strsim.WordBoundaryContains(word, name) {
+	if strsim.CompileName(name).Contains(word) {
 		return 1
 	}
 	score := strsim.GCSScore(word, name)

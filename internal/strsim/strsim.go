@@ -13,8 +13,7 @@
 // schema. Paid per question: Name.Score, Jaccard and JaroWinkler read
 // those and the question's own words, allocate nothing for the inputs a
 // KB has in practice, and keep no state — a phrase never seen costs
-// what a repeated one does. PropertyScore and TokenOverlap are the
-// one-shot forms for callers with no schema to compile against.
+// what a repeated one does.
 package strsim
 
 import (
@@ -245,16 +244,6 @@ func (n Name) Score(word string) float64 {
 	return score * 0.25 // heavy damping: accidental subsequences lose
 }
 
-// WordBoundaryContains is Name.Contains for a name used once.
-func WordBoundaryContains(word, candidate string) bool {
-	return splitName(candidate).Contains(word)
-}
-
-// PropertyScore is Name.Score for a name used once.
-func PropertyScore(word, propertyName string) float64 {
-	return splitName(propertyName).Score(word)
-}
-
 func sharedPrefix(a, b string) int {
 	n := 0
 	for n < len(a) && n < len(b) && a[n] == b[n] {
@@ -294,55 +283,6 @@ func SplitIdentifier(s string) []string {
 	}
 	flush()
 	return parts
-}
-
-// Levenshtein returns the edit distance between a and b over runes,
-// case-sensitively.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// NormalizedLevenshtein returns 1 - dist/maxLen in [0,1]; 1.0 for equal
-// strings (including two empty strings).
-func NormalizedLevenshtein(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
-// Jaro returns the Jaro similarity of a and b in [0,1], over runes.
-func Jaro(a, b string) float64 {
-	sim, _ := jaroOf(a, b)
-	return sim
 }
 
 // JaroWinkler returns the Jaro-Winkler similarity with the standard 0.1
@@ -454,10 +394,4 @@ func Jaccard(a, b []string) float64 {
 		}
 	}
 	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// TokenOverlap returns |tokens(a) ∩ tokens(b)| / |tokens(a) ∪ tokens(b)|
-// over lowercased whitespace tokens (Jaccard).
-func TokenOverlap(a, b string) float64 {
-	return Jaccard(Tokens(a), Tokens(b))
 }

@@ -7,6 +7,55 @@ import (
 	"testing/quick"
 )
 
+// jaroSim is the Jaro similarity alone, without the shared prefix.
+func jaroSim(a, b string) float64 {
+	sim, _ := jaroOf(a, b)
+	return sim
+}
+
+// Levenshtein returns the edit distance between a and b over runes,
+// case-sensitively.
+func Levenshtein(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// NormalizedLevenshtein returns 1 - dist/maxLen in [0,1]; 1.0 for equal
+// strings (including two empty strings).
+func NormalizedLevenshtein(a, b string) float64 {
+	la, lb := len([]rune(a)), len([]rune(b))
+	if la == 0 && lb == 0 {
+		return 1
+	}
+	m := la
+	if lb > m {
+		m = lb
+	}
+	return 1 - float64(Levenshtein(a, b))/float64(m)
+}
+
 func TestLCSLength(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -45,24 +94,24 @@ func TestGCSScore(t *testing.T) {
 func TestPropertyScoreTaxiDriverGuard(t *testing.T) {
 	// §2.2.1: the guard must eliminate the "taxiDriver" encapsulating
 	// "river" miscalculation while keeping genuine matches strong.
-	river := PropertyScore("river", "taxiDriver")
-	writer := PropertyScore("written", "writer")
+	river := splitName("taxiDriver").Score("river")
+	writer := splitName("writer").Score("written")
 	if river >= writer {
 		t.Errorf("guard failed: score(river,taxiDriver)=%v >= score(written,writer)=%v", river, writer)
 	}
 	if river > 0.5 {
 		t.Errorf("score(river,taxiDriver)=%v should be heavily damped", river)
 	}
-	if PropertyScore("writer", "writer") != 1.0 {
+	if splitName("writer").Score("writer") != 1.0 {
 		t.Error("identical word should score 1.0")
 	}
-	if PropertyScore("place", "birthPlace") != 1.0 {
+	if splitName("birthPlace").Score("place") != 1.0 {
 		t.Error("word-boundary containment should score 1.0")
 	}
-	if PropertyScore("height", "height") != 1.0 {
+	if splitName("height").Score("height") != 1.0 {
 		t.Error("height should match height exactly")
 	}
-	if PropertyScore("", "x") != 0 || PropertyScore("x", "") != 0 {
+	if splitName("x").Score("") != 0 || splitName("").Score("x") != 0 {
 		t.Error("empty inputs should score 0")
 	}
 }
@@ -92,8 +141,8 @@ func TestPropertyScoreAlignmentGuard(t *testing.T) {
 		{"it", "orbit", 1.0 * 0.25},
 	}
 	for _, c := range cases {
-		if got := PropertyScore(c.word, c.candidate); got != c.want {
-			t.Errorf("PropertyScore(%q, %q) = %v, want %v", c.word, c.candidate, got, c.want)
+		if got := splitName(c.candidate).Score(c.word); got != c.want {
+			t.Errorf("splitName(%q).Score(%q) = %v, want %v", c.word, c.candidate, got, c.want)
 		}
 	}
 }
@@ -103,7 +152,7 @@ func TestPropertyScoreRanksIntendedProperty(t *testing.T) {
 	props := []string{"writer", "width", "winner", "taxiDriver", "runtime"}
 	best, bestScore := "", -1.0
 	for _, p := range props {
-		if s := PropertyScore("written", p); s > bestScore {
+		if s := splitName(p).Score("written"); s > bestScore {
 			best, bestScore = p, s
 		}
 	}
@@ -127,8 +176,8 @@ func TestWordBoundaryContains(t *testing.T) {
 		{"name", "leaderName", true},
 	}
 	for _, c := range cases {
-		if got := WordBoundaryContains(c.word, c.cand); got != c.want {
-			t.Errorf("WordBoundaryContains(%q,%q) = %v, want %v", c.word, c.cand, got, c.want)
+		if got := splitName(c.cand).Contains(c.word); got != c.want {
+			t.Errorf("splitName(%q).Contains(%q) = %v, want %v", c.word, c.cand, got, c.want)
 		}
 	}
 }
@@ -205,22 +254,22 @@ func TestJaroWinkler(t *testing.T) {
 		t.Errorf("JaroWinkler(MARTHA, MARHTA) = %v, want ≈0.961", got)
 	}
 	// Prefix boost: jaro-winkler favours shared prefixes.
-	if JaroWinkler("michael", "michaela") <= Jaro("michael", "michaela") {
+	if JaroWinkler("michael", "michaela") <= jaroSim("michael", "michaela") {
 		t.Error("winkler prefix boost missing")
 	}
 }
 
 func TestTokenOverlap(t *testing.T) {
-	if TokenOverlap("orhan pamuk", "orhan pamuk") != 1 {
+	if Jaccard(Tokens("orhan pamuk"), Tokens("orhan pamuk")) != 1 {
 		t.Error("identical token sets should be 1")
 	}
-	if got := TokenOverlap("orhan pamuk", "pamuk"); math.Abs(got-0.5) > 1e-9 {
+	if got := Jaccard(Tokens("orhan pamuk"), Tokens("pamuk")); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("TokenOverlap = %v, want 0.5", got)
 	}
-	if TokenOverlap("a b", "c d") != 0 {
+	if Jaccard(Tokens("a b"), Tokens("c d")) != 0 {
 		t.Error("disjoint should be 0")
 	}
-	if TokenOverlap("", "") != 1 {
+	if Jaccard(Tokens(""), Tokens("")) != 1 {
 		t.Error("two empties should be 1")
 	}
 }
@@ -275,7 +324,7 @@ func TestLevenshteinProperties(t *testing.T) {
 
 func TestJaroProperties(t *testing.T) {
 	inRange := func(a, b string) bool {
-		j := Jaro(a, b)
+		j := jaroSim(a, b)
 		jw := JaroWinkler(a, b)
 		return j >= 0 && j <= 1 && jw >= 0 && jw <= 1.0000001 && jw >= j-1e-12
 	}

@@ -152,12 +152,8 @@ func (e *ErrNoTriples) Error() string {
 	return fmt.Sprintf("triplex: no triple patterns extracted from %q", e.Question)
 }
 
-// Extract runs §2.1 over one question with the paper-faithful rules.
-func Extract(question string) (*Extraction, error) {
-	return ExtractOpts(question, Options{})
-}
-
-// ExtractOpts runs §2.1 with optional extension rules.
+// ExtractOpts runs §2.1 over one question; the zero Options are the
+// paper-faithful rules.
 func ExtractOpts(question string, opts Options) (*Extraction, error) {
 	g, err := depparse.Parse(question)
 	if err != nil {

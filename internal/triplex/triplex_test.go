@@ -7,9 +7,9 @@ import (
 
 func extract(t *testing.T, q string) *Extraction {
 	t.Helper()
-	ext, err := Extract(q)
+	ext, err := ExtractOpts(q, Options{})
 	if err != nil {
-		t.Fatalf("Extract(%q): %v", q, err)
+		t.Fatalf("ExtractOpts(%q, Options{}): %v", q, err)
 	}
 	return ext
 }
@@ -241,19 +241,19 @@ func TestUnparseableQuestions(t *testing.T) {
 		"books",
 		"List all films starring Brad Pitt.",
 	} {
-		ext, err := Extract(q)
+		ext, err := ExtractOpts(q, Options{})
 		if err == nil {
-			t.Errorf("Extract(%q) = %v, want ErrNoTriples", q, ext.Triples)
+			t.Errorf("ExtractOpts(%q, Options{}) = %v, want ErrNoTriples", q, ext.Triples)
 			continue
 		}
 		if _, ok := err.(*ErrNoTriples); !ok {
-			t.Errorf("Extract(%q) error type = %T", q, err)
+			t.Errorf("ExtractOpts(%q, Options{}) error type = %T", q, err)
 		}
 	}
 }
 
 func TestEmptyQuestion(t *testing.T) {
-	if _, err := Extract(""); err == nil {
+	if _, err := ExtractOpts("", Options{}); err == nil {
 		t.Error("empty question should error")
 	}
 }
@@ -285,7 +285,7 @@ func TestQuestionWordDetection(t *testing.T) {
 		"Which book is written by Orhan Pamuk?": "which",
 	}
 	for q, want := range cases {
-		ext, _ := Extract(q)
+		ext, _ := ExtractOpts(q, Options{})
 		if ext == nil {
 			t.Errorf("%q: nil extraction", q)
 			continue

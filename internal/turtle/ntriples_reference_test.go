@@ -77,7 +77,7 @@ func (r *refNTReader) parseLine(line string) (rdf.Triple, error) {
 	if err != nil {
 		return rdf.Triple{}, r.errf("subject: %v", err)
 	}
-	if s.IsLiteral() {
+	if s.Kind == rdf.KindLiteral {
 		return rdf.Triple{}, r.errf("subject must not be a literal")
 	}
 	p.skipWS()

@@ -127,7 +127,7 @@ func (p *refParser) triples() error {
 	if err != nil {
 		return err
 	}
-	if subj.IsLiteral() {
+	if subj.Kind == rdf.KindLiteral {
 		return p.errf("literal subject")
 	}
 	for {

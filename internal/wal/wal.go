@@ -218,16 +218,6 @@ func (r *Recovery) Open(st *store.Store) (*Manager, error) {
 	return m, nil
 }
 
-// Store returns the managed store.
-func (m *Manager) Store() *store.Store { return m.st }
-
-// Gen returns the last committed generation.
-func (m *Manager) Gen() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen
-}
-
 // Poisoned reports whether the log has entered the poisoned state: a
 // failed append could not be rolled back, so every further append (and
 // compaction) fails until the process restarts and recovers. The

@@ -15,6 +15,16 @@ import (
 	"repro/internal/store"
 )
 
+// Store returns the managed store.
+func (m *Manager) Store() *store.Store { return m.st }
+
+// Gen returns the last committed generation.
+func (m *Manager) Gen() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.gen
+}
+
 func tr(i int) rdf.Triple {
 	return rdf.Triple{
 		S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)),

@@ -198,12 +198,6 @@ func Build(synsets []*Synset) *DB {
 	return db
 }
 
-// Synset returns a synset by ID.
-func (db *DB) Synset(id string) (*Synset, bool) {
-	s, ok := db.synsets[id]
-	return s, ok
-}
-
 // Synsets returns the synsets containing word with the given POS.
 func (db *DB) Synsets(word, pos string) []*Synset {
 	ids := db.byWord[pos+"\x00"+strings.ToLower(word)]
@@ -212,11 +206,6 @@ func (db *DB) Synsets(word, pos string) []*Synset {
 		out = append(out, db.list[i])
 	}
 	return out
-}
-
-// Known reports whether the word is in the database for the POS.
-func (db *DB) Known(word, pos string) bool {
-	return db.Word(word, pos).Known()
 }
 
 // Synonyms returns all words sharing a synset with word (excluding the
@@ -330,19 +319,6 @@ func (db *DB) best(a, b Word) (wuPalmer, lin float64) {
 	return wuPalmer, lin
 }
 
-// WuPalmer returns the maximum Wu & Palmer similarity over all synset
-// pairs of the two words.
-func (db *DB) WuPalmer(w1, w2, pos string) float64 {
-	wp, _ := db.best(db.Word(w1, pos), db.Word(w2, pos))
-	return wp
-}
-
-// Lin returns the maximum Lin similarity over all synset pairs.
-func (db *DB) Lin(w1, w2, pos string) float64 {
-	_, lin := db.best(db.Word(w1, pos), db.Word(w2, pos))
-	return lin
-}
-
 // AdjectiveAttribute returns the attribute noun for an adjective
 // ("tall" → "height"), following the adjective synset's attribute link.
 func (db *DB) AdjectiveAttribute(adj string) (string, bool) {
@@ -397,9 +373,4 @@ func (db *DB) Similar(a, b Word) bool {
 	}
 	wp, lin := db.best(a, b)
 	return lin >= 0.75 || wp >= 0.85
-}
-
-// SimilarPair is Similar for two words used once.
-func (db *DB) SimilarPair(w1, w2, pos string) bool {
-	return db.Similar(db.Word(w1, pos), db.Word(w2, pos))
 }

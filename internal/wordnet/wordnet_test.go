@@ -5,6 +5,35 @@ import (
 	"testing/quick"
 )
 
+// Synset returns a synset by ID.
+func (db *DB) Synset(id string) (*Synset, bool) {
+	s, ok := db.synsets[id]
+	return s, ok
+}
+
+// Known reports whether the word is in the database for the POS.
+func (db *DB) Known(word, pos string) bool {
+	return db.Word(word, pos).Known()
+}
+
+// WuPalmer returns the maximum Wu & Palmer similarity over all synset
+// pairs of the two words.
+func (db *DB) WuPalmer(w1, w2, pos string) float64 {
+	wp, _ := db.best(db.Word(w1, pos), db.Word(w2, pos))
+	return wp
+}
+
+// Lin returns the maximum Lin similarity over all synset pairs.
+func (db *DB) Lin(w1, w2, pos string) float64 {
+	_, lin := db.best(db.Word(w1, pos), db.Word(w2, pos))
+	return lin
+}
+
+// SimilarPair is Similar for two words used once.
+func (db *DB) SimilarPair(w1, w2, pos string) bool {
+	return db.Similar(db.Word(w1, pos), db.Word(w2, pos))
+}
+
 func TestWriterAuthorSameSynset(t *testing.T) {
 	db := Default()
 	if got := db.Lin("writer", "author", Noun); got != 1 {

@@ -27,6 +27,7 @@
 package patterns
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -68,7 +69,9 @@ func (p *Pattern) SupportSize() int { return len(p.support) }
 // Store is the mined pattern resource.
 type Store struct {
 	patterns map[string]*Pattern
-	words    map[string]map[rdf.Term]*PropFreq
+	// words maps a content lemma to its properties in PropertiesForWord
+	// order, each list clipped to its length.
+	words map[string][]PropFreq
 	// subsumption: pattern -> patterns it subsumes.
 	subsumes map[string][]string
 	synonyms [][]string
@@ -98,7 +101,7 @@ func Mine(k *kb.KB, corpus []kb.Sentence, cfg MinerConfig) *Store {
 	}
 	st := &Store{
 		patterns: make(map[string]*Pattern, len(m.mined)),
-		words:    map[string]map[rdf.Term]*PropFreq{},
+		words:    map[string][]PropFreq{},
 	}
 	kept := make([]*Pattern, 0, len(m.mined))
 	for _, mp := range m.mined {
@@ -107,6 +110,10 @@ func Mine(k *kb.KB, corpus []kb.Sentence, cfg MinerConfig) *Store {
 			st.patterns[p.Text] = p
 			kept = append(kept, p)
 		}
+	}
+	for w, freqs := range st.words {
+		sortFreqs(freqs)
+		st.words[w] = slices.Clip(freqs)
 	}
 	st.buildTaxonomy(kept, cfg.SubsumeThreshold)
 	return st
@@ -248,8 +255,8 @@ func (m *miner) pair(s, o rdf.Term) (int32, bool) {
 
 // pattern finishes a counted pattern: its support becomes a set, its
 // counts the property distribution, and each content lemma of its
-// tokens adds the counts to the word-level index.
-func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string]map[rdf.Term]*PropFreq) *Pattern {
+// tokens adds the counts to the word-level index, which Mine sorts.
+func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string][]PropFreq) *Pattern {
 	p := mp.pat
 	slices.Sort(p.support)
 	p.support = slices.Compact(p.support)
@@ -268,21 +275,20 @@ func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string]map[rdf.Ter
 		if !contentLemma(w) {
 			continue
 		}
-		wm := words[w]
-		if wm == nil {
-			wm = map[rdf.Term]*PropFreq{}
-			words[w] = wm
-		}
+		wl := words[w]
 		for _, f := range freqs {
-			wf := wm[f.Property]
-			if wf == nil {
-				wf = &PropFreq{Property: f.Property}
-				wm[f.Property] = wf
+			i := 0
+			for i < len(wl) && wl[i].Property != f.Property {
+				i++
 			}
-			wf.Freq += f.Freq
-			wf.Forward += f.Forward
-			wf.Inverse += f.Inverse
+			if i == len(wl) {
+				wl = append(wl, PropFreq{Property: f.Property})
+			}
+			wl[i].Freq += f.Freq
+			wl[i].Forward += f.Forward
+			wl[i].Inverse += f.Inverse
 		}
+		words[w] = wl
 	}
 	return p
 }
@@ -322,20 +328,22 @@ func contentLemma(w string) bool {
 }
 
 // PropertiesForWord returns the properties associated with a lemma,
-// sorted by descending frequency then IRI (the §2.2.3 ranking).
+// sorted by descending frequency then IRI (the §2.2.3 ranking). The list
+// is the store's own, sorted once by Mine and shared by every caller: it
+// is read-only (its capacity is clipped, so an append copies it).
 func (st *Store) PropertiesForWord(lem string) []PropFreq {
-	m := st.words[strings.ToLower(lem)]
-	out := make([]PropFreq, 0, len(m))
-	for _, pf := range m {
-		out = append(out, *pf)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
+	return st.words[strings.ToLower(lem)]
+}
+
+// sortFreqs sorts a property distribution by descending frequency then
+// IRI.
+func sortFreqs(freqs []PropFreq) {
+	slices.SortFunc(freqs, func(a, b PropFreq) int {
+		if a.Freq != b.Freq {
+			return cmp.Compare(b.Freq, a.Freq)
 		}
-		return out[i].Property.Value < out[j].Property.Value
+		return strings.Compare(a.Property.Value, b.Property.Value)
 	})
-	return out
 }
 
 // PropertiesForPattern returns the property distribution of an exact
@@ -349,12 +357,7 @@ func (st *Store) PropertiesForPattern(text string) []PropFreq {
 	for _, pf := range p.Props {
 		out = append(out, *pf)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Property.Value < out[j].Property.Value
-	})
+	sortFreqs(out)
 	return out
 }
 

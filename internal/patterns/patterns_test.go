@@ -12,8 +12,8 @@ import (
 
 // Frequency returns the word-level frequency of (lemma, property).
 func (st *Store) Frequency(lem string, prop rdf.Term) int {
-	if m := st.words[strings.ToLower(lem)]; m != nil {
-		if pf := m[prop]; pf != nil {
+	for _, pf := range st.words[strings.ToLower(lem)] {
+		if pf.Property == prop {
 			return pf.Freq
 		}
 	}

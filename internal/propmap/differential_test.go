@@ -33,15 +33,20 @@ func minedPatterns() *patterns.Store {
 	return pats
 }
 
-// configs are the default setup and every ablation that reaches §2.2.
+// configs are the default setup and every ablation that reaches §2.2,
+// and a threshold of strsim.Damping: there a damped score passes, so
+// strSimCandidates scores every row.
 func configs() map[string]propmap.Config {
 	noPatterns, noWordNet, noCentrality, uncapped := propmap.DefaultConfig(), propmap.DefaultConfig(), propmap.DefaultConfig(), propmap.DefaultConfig()
 	noPatterns.DisablePatterns = true
 	noWordNet.DisableWordNetSynonyms = true
 	noCentrality.DisableCentrality = true
 	uncapped.MaxCandidates, uncapped.StrSimThreshold = 0, 0.3
+	damped := uncapped
+	damped.StrSimThreshold = strsim.Damping
 	return map[string]propmap.Config{"default": propmap.DefaultConfig(), "no-patterns": noPatterns,
-		"no-wordnet": noWordNet, "no-centrality": noCentrality, "uncapped-low-threshold": uncapped}
+		"no-wordnet": noWordNet, "no-centrality": noCentrality, "uncapped-low-threshold": uncapped,
+		"uncapped-at-damping": damped}
 }
 
 func sameCandidates(got, want []propmap.PropCandidate) error {
@@ -194,14 +199,74 @@ func TestCandidatePropertiesAllocations(t *testing.T) {
 		slot    triplex.Slot
 		ceiling float64
 	}{
-		{triplex.TextSlot("born", "bear", "VBN"), 5}, {triplex.TextSlot("spouse", "spouse", "NN"), 2},
-		{triplex.TextSlot("tall", "tall", "JJ"), 3}, {triplex.TextSlot("largest city", "city", "NN"), 11},
+		{triplex.TextSlot("born", "bear", "VBN"), 1}, {triplex.TextSlot("spouse", "spouse", "NN"), 1},
+		{triplex.TextSlot("tall", "tall", "JJ"), 2}, {triplex.TextSlot("largest city", "city", "NN"), 7},
 	} {
 		if len(m.CandidateProperties(c.slot)) == 0 {
 			t.Fatalf("no candidates for %+v; the ceiling would measure the wrong path", c.slot)
 		}
-		if n := testing.AllocsPerRun(200, func() { m.CandidateProperties(c.slot) }); n > c.ceiling {
+		n := testing.AllocsPerRun(200, func() { m.CandidateProperties(c.slot) })
+		t.Logf("candidateProperties(%q, %q, %s): %v allocs/op, ceiling %v", c.slot.Text, c.slot.Lemma, c.slot.Tag, n, c.ceiling)
+		if n > c.ceiling {
 			t.Errorf("candidateProperties(%+v): %v allocs/op, ceiling %v", c.slot, n, c.ceiling)
 		}
+	}
+}
+
+// boundKB is a schema the built-in one lacks, whose labels and names do
+// not share initials: a label part no name part begins with
+// (lifePartner), a label token no part begins with (ex wife), names
+// that begin with ſ (which EqualFold matches with s), the Kelvin sign or
+// İ, and a property with no initials at all, whose empty label has a
+// Jaccard of 1 against an all-blank surface.
+const boundKB = `
+@prefix dbo:  <http://dbpedia.org/ontology/> .
+@prefix owl:  <http://www.w3.org/2002/07/owl#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+dbo:Person a owl:Class ; rdfs:label "person"@en .
+dbo:spouse a owl:ObjectProperty ; rdfs:label "lifePartner"@en .
+dbo:formerSpouse a owl:ObjectProperty ; rdfs:label "ex wife"@en .
+<http://dbpedia.org/ontology/ſibling> a owl:ObjectProperty .
+<http://dbpedia.org/ontology/` + "\u212A" + `inship> a owl:ObjectProperty .
+<http://dbpedia.org/ontology/İnventor> a owl:ObjectProperty .
+dbo:height a owl:DatatypeProperty ; rdfs:label "height"@en .
+<http://dbpedia.org/ontology/_> a owl:DatatypeProperty ; rdfs:label "" .
+`
+
+// TestStrSimBoundEdgeCases holds the mapper to the reference on the
+// cases strSimCandidates' first-byte bound must let through: a word or
+// name part that begins with a non-ASCII byte, a label whose parts or
+// tokens begin where no name part does, and two empty token sets.
+func TestStrSimBoundEdgeCases(t *testing.T) {
+	k, err := kb.Load(strings.NewReader(boundKB), "bound.ttl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linker := ner.NewLinker(k)
+	words := []string{"spouse", "ſpouse", "sibling", "ſibling", "partner", "life", "wife", "kinship",
+		"Kinship", "inventor", "height", "eight", "x", "ex"}
+	var slots []triplex.Slot
+	for _, w := range words {
+		for _, surface := range []string{w, "my " + w, "ex " + w, "  "} {
+			for _, tag := range []string{"VB", "NN", "JJ"} {
+				slots = append(slots, triplex.TextSlot(surface, w, tag))
+			}
+		}
+	}
+	cfgs := configs()
+	hits := 0
+	for _, name := range []string{"default", "uncapped-low-threshold", "uncapped-at-damping"} {
+		m := propmap.New(k, wordnet.Default(), nil, linker, cfgs[name])
+		ref := propmap.NewRefMapper(k, wordnet.Default(), nil, linker, cfgs[name])
+		for _, slot := range slots {
+			got, want := m.CandidateProperties(slot), ref.CandidateProperties(slot)
+			if err := sameCandidates(got, want); err != nil {
+				t.Errorf("%s: candidateProperties(%+v): %v", name, slot, err)
+			}
+			hits += len(got)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no candidates: the edge cases are not reaching §2.2")
 	}
 }

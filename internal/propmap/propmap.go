@@ -21,12 +21,17 @@
 // candidate query set Q of §2.3, built by package answer.
 //
 // Built once at boot, by New: one row per property (compiled local name
-// and label, label tokens, synonym-pair rows), the distinct head words
-// of the object properties resolved in WordNet, the class-label map.
-// Paid per question: each predicate word is scored against the rows,
-// looked up in WordNet once and tested against each distinct head, and
-// the signals merge in a short list kept in property-IRI order. Nothing
-// is cached between questions.
+// and label, label tokens, the initials of all three, synonym-pair
+// rows), the distinct head words of the object properties resolved in
+// WordNet, the class-label map. Paid per question: each predicate word
+// is scored against the rows whose initials hold its first byte (or a
+// first byte of its surface tokens), looked up in WordNet once and
+// tested against each distinct head, and the signals merge in a short
+// list kept in property-IRI order. Nothing is cached between questions.
+//
+// The bound is exact above strsim.Damping: a damped GCS score is at most
+// Damping, so a name passes only through a part equal to the word or
+// sharing its first byte, and a token overlap only through a shared token.
 package propmap
 
 import (
@@ -145,6 +150,9 @@ type propRow struct {
 	label  strsim.Name // label with its spaces removed
 	tokens []string    // label tokens, for multi-word surface forms
 	syn    []int32     // rows of its synonym pairs
+	// initials holds the first bytes of the name's and label's parts and
+	// of the label tokens: strSimCandidates' bound.
+	initials strsim.Initials
 }
 
 // headRow is one distinct head word of the object properties.
@@ -165,10 +173,14 @@ func New(k *kb.KB, wn *wordnet.DB, pats *patterns.Store, linker *ner.Linker, cfg
 	}
 	var iris []string
 	for _, p := range k.Properties() {
-		m.rows = append(m.rows, propRow{prop: p,
+		r := propRow{prop: p,
 			name:   strsim.CompileName(p.Term.LocalName()),
 			label:  strsim.CompileName(strings.ReplaceAll(p.Label, " ", "")),
-			tokens: strsim.Tokens(p.Label)})
+			tokens: strsim.Tokens(p.Label)}
+		r.initials.AddName(r.name)
+		r.initials.AddName(r.label)
+		r.initials.AddTokens(r.tokens)
+		m.rows = append(m.rows, r)
 		iris = append(iris, p.Term.Value)
 	}
 	sort.Strings(iris)
@@ -502,6 +514,11 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 // strSimCandidates merges in the properties whose names clear the GCS
 // string similarity threshold against the word (§2.2.1/§2.2.2), matching
 // both the property local name and its label, labelled src.
+//
+// Only rows whose initials meet the word's are scored. Above
+// strsim.Damping a Name.Score passes only where a part equals the word
+// or shares its first byte, and a nonzero Jaccard needs a shared token,
+// so the rows skipped could not clear the threshold.
 func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object bool, src Source) []slot {
 	if word == "" {
 		return slots
@@ -510,15 +527,22 @@ func (m *Mapper) strSimCandidates(slots []slot, word, surface string, object boo
 	if object {
 		lo, hi = 0, m.objects
 	}
+	var want strsim.Initials
+	want.Add(word)
 	// Multi-word surface forms ("largest city", "official language")
 	// match labels by token overlap.
 	var tokens []string
 	multi := strings.Contains(surface, " ")
 	if multi {
 		tokens = strsim.Tokens(surface)
+		want.AddTokens(tokens)
 	}
+	bound := m.cfg.StrSimThreshold > strsim.Damping
 	for i := lo; i < hi; i++ {
 		r := &m.rows[i]
+		if bound && !r.initials.Meets(want) {
+			continue
+		}
 		score := max(r.name.Score(word), r.label.Score(word))
 		if multi {
 			score = max(score, strsim.Jaccard(tokens, r.tokens))

@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -269,21 +268,6 @@ func TestCompareProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// ResName converts a human label to a resource local name in the DBpedia
-// style: spaces to underscores ("Orhan Pamuk" -> "Orhan_Pamuk").
-func ResName(label string) string {
-	return strings.ReplaceAll(strings.TrimSpace(label), " ", "_")
-}
-
-func TestResName(t *testing.T) {
-	if got := ResName("Orhan Pamuk"); got != "Orhan_Pamuk" {
-		t.Errorf("ResName = %q", got)
-	}
-	if got := ResName("  The War of the Worlds  "); got != "The_War_of_the_Worlds" {
-		t.Errorf("ResName trim = %q", got)
 	}
 }
 

@@ -146,3 +146,39 @@ func FuzzLCS(f *testing.F) {
 		checkLCS(t, word, name)
 	})
 }
+
+// FuzzScoreBound: a Score above Damping has a name part whose first
+// byte is the folded word's, unless either begins with a non-ASCII
+// byte; the initials propmap keeps per row then meet the word's.
+func FuzzScoreBound(f *testing.F) {
+	for _, s := range lcsSeeds {
+		f.Add(s[0], s[1])
+	}
+	f.Add("ſpouse", "spouse")
+	f.Add("spouse", "ſpouse")
+	f.Add("Zürich", "zurich")
+	f.Add("zurich", "Zürich")
+	f.Fuzz(func(t *testing.T, word, name string) {
+		n := strsim.CompileName(name)
+		score := n.Score(word)
+		if score <= strsim.Damping {
+			return
+		}
+		var nameInitials, wordInitials strsim.Initials
+		nameInitials.AddName(n)
+		wordInitials.Add(word)
+		if !nameInitials.Meets(wordInitials) {
+			t.Errorf("Score(%q) against %q = %v > Damping, but the initials do not meet", word, name, score)
+		}
+		wl := strings.ToLower(word)
+		if word[0] >= 0x80 {
+			return
+		}
+		for _, p := range strsim.SplitIdentifier(name) {
+			if p = strings.ToLower(p); p[0] >= 0x80 || p[0] == wl[0] {
+				return
+			}
+		}
+		t.Errorf("Score(%q) against %q = %v > Damping, but no part begins with %q", word, name, score, wl[0])
+	})
+}

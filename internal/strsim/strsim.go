@@ -5,8 +5,8 @@
 // the length of the longest common subsequence between a question word
 // and a property name, divided by the length of the question word, with a
 // containment guard that rejects accidental substring hits such as the
-// property "taxiDriver" encapsulating the word "river". Levenshtein and
-// Jaro-Winkler are provided for the named-entity disambiguation stage.
+// property "taxiDriver" encapsulating the word "river". Jaro-Winkler is
+// provided for the named-entity disambiguation stage.
 //
 // Built once at boot: a schema name is split and folded by CompileName,
 // a label's tokens by Tokens; callers keep the results beside the
@@ -241,8 +241,55 @@ func (n Name) Score(word string) float64 {
 			return score
 		}
 	}
-	return score * 0.25 // heavy damping: accidental subsequences lose
+	return score * Damping
 }
+
+// Damping is the factor Score applies to a GCS score whose match no
+// part of the name aligns with: heavy, so accidental subsequences lose.
+// A GCS score is at most 1, so a damped score is at most Damping.
+const Damping = 0.25
+
+// Initials is a set of first bytes, bit c for the ASCII byte c folded
+// to lower case. It bounds Score: above Damping a name scores only
+// through a part that equals the word (Contains) or shares a prefix with
+// it, so the initials of its parts hold the word's. EqualFold matches ſ
+// with s and the Kelvin sign with k, so a word or part that begins with
+// a non-ASCII byte fills the set.
+type Initials [2]uint64
+
+// Add puts the first byte of word in the set.
+func (s *Initials) Add(word string) {
+	switch {
+	case word == "":
+	case word[0] >= utf8.RuneSelf:
+		*s = Initials{^uint64(0), ^uint64(0)}
+	default:
+		c := lowerASCII(word[0])
+		s[c/64] |= 1 << (c % 64)
+	}
+}
+
+// AddName puts the first bytes of n's parts in the set.
+func (s *Initials) AddName(n Name) {
+	for _, p := range n.parts {
+		s.Add(p)
+	}
+}
+
+// AddTokens puts the first bytes of a Tokens result in the set: two
+// token sets with a nonzero Jaccard share a token, or are both empty,
+// which fills the set.
+func (s *Initials) AddTokens(tokens []string) {
+	if len(tokens) == 0 {
+		*s = Initials{^uint64(0), ^uint64(0)}
+	}
+	for _, t := range tokens {
+		s.Add(t)
+	}
+}
+
+// Meets reports whether the two sets share a byte.
+func (s Initials) Meets(t Initials) bool { return s[0]&t[0]|s[1]&t[1] != 0 }
 
 func sharedPrefix(a, b string) int {
 	n := 0

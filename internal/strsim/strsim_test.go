@@ -13,49 +13,6 @@ func jaroSim(a, b string) float64 {
 	return sim
 }
 
-// Levenshtein returns the edit distance between a and b over runes,
-// case-sensitively.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// NormalizedLevenshtein returns 1 - dist/maxLen in [0,1]; 1.0 for equal
-// strings (including two empty strings).
-func NormalizedLevenshtein(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
 func TestLCSLength(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -208,37 +165,6 @@ func TestSplitIdentifier(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"same", "same", 0},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestNormalizedLevenshtein(t *testing.T) {
-	if NormalizedLevenshtein("", "") != 1 {
-		t.Error("two empties should be 1")
-	}
-	if NormalizedLevenshtein("abc", "abc") != 1 {
-		t.Error("equal should be 1")
-	}
-	if NormalizedLevenshtein("abc", "xyz") != 0 {
-		t.Error("disjoint equal-length should be 0")
-	}
-}
-
 func TestJaroWinkler(t *testing.T) {
 	if JaroWinkler("", "") != 1 {
 		t.Error("two empties should be 1")
@@ -300,25 +226,6 @@ func TestLCSProperties(t *testing.T) {
 	}
 	if err := quick.Check(identity, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error("LCS identity:", err)
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	symmetric := func(a, b string) bool {
-		return Levenshtein(a, b) == Levenshtein(b, a)
-	}
-	if err := quick.Check(symmetric, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error("symmetry:", err)
-	}
-	identity := func(a string) bool { return Levenshtein(a, a) == 0 }
-	if err := quick.Check(identity, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error("identity:", err)
-	}
-	triangle := func(a, b, c string) bool {
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(triangle, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error("triangle inequality:", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command qa answers natural language questions over the built-in
 // DBpedia-like knowledge base, optionally printing the full pipeline
 // trace (dependency graph, extracted triples, candidate properties and
-// SPARQL queries) the paper walks through in §2.
+// SPARQL queries, each with its outcome: won, executed, skipped by
+// §2.3.2's type filter or not reached) the paper walks through in §2.
 //
 // Usage:
 //
@@ -194,7 +195,7 @@ func printTrace(sys *core.System, res *core.Result, top int) {
 			if i >= top {
 				break
 			}
-			fmt.Printf("   [score %8.1f] %s\n", cq.Score, cq.SPARQL)
+			fmt.Printf("   [score %8.1f] %s\n                    %s\n", cq.Score, cq.SPARQL, res.Answer.Outcome(i))
 		}
 	}
 	if w := res.WinningSPARQL(); w != "" { // kept by a cache entry, unlike the rest

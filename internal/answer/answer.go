@@ -10,7 +10,15 @@
 // The candidates run one at a time, in rank order, on the caller's
 // goroutine, and the first one whose outcome wins ends the run: every
 // candidate ranked above the winner has been executed (Executed, Raw,
-// Answers, Err record how it fared) and none below it has been touched.
+// Answers, Err record how it fared) or skipped, and none below it has
+// been touched. A SELECT candidate is skipped, unexecuted, when one of
+// its patterns binds ?x as the object (or the subject) of a predicate
+// none of whose objects (subjects) in the pinned view is of the value
+// kind Table 1 admits — a Date answer from dbont:birthPlace: every row
+// it could return would be type-rejected, so the skip changes no
+// outcome. The counts are the store's (store.Snapshot.PredicateKinds),
+// exact for the snapshot, and the filter and the counts classify terms
+// by the one rdf.Term.ValueKind.
 // Candidate 0 usually wins, so speculating on lower ranks only spent
 // work a busy server needs for other questions; parallelism lives one
 // level up, across questions (HTTP connections, batch workers). The
@@ -68,8 +76,14 @@ type CandidateQuery struct {
 	Answers []rdf.Term
 	// Raw is the unfiltered result count.
 	Raw int
-	// Executed marks whether the ranking loop reached this query.
+	// Executed marks whether the ranking loop ran this query.
 	Executed bool
+	// Skipped marks a query the ranking loop reached and did not run:
+	// Query.Patterns[SkippedBy] binds ?x as the object (subject) of a
+	// predicate with no object (subject) of the value kind Table 1
+	// admits, so no row of it could pass the type filter.
+	Skipped   bool
+	SkippedBy int
 	// Err records the execution error for an executed candidate (nil
 	// for candidates that ran to completion).
 	Err error
@@ -92,6 +106,38 @@ type Result struct {
 
 // Answered reports whether the system produced an answer.
 func (r *Result) Answered() bool { return r.Winning != nil && len(r.Answers) > 0 }
+
+// Outcome says how the ranking loop left candidate i, as qa -explain
+// prints it beside the query: won, executed (its rows and how many the
+// type filter rejected, or its error), skipped (the Table 1 reason), or
+// not reached.
+func (r *Result) Outcome(i int) string {
+	cq := &r.Candidates[i]
+	switch {
+	case cq == r.Winning:
+		return fmt.Sprintf("won: %d answer(s)", len(cq.Answers))
+	case cq.Skipped:
+		kind, _ := tableKind(r.Expected.Kind)
+		p := cq.Query.Patterns[cq.SkippedBy]
+		side := "object"
+		switch {
+		case !isAnswerVar(p.O):
+			side = "subject"
+		case isAnswerVar(p.S):
+			side = "subject or object"
+		}
+		return fmt.Sprintf("skipped: %s has no %s %s", p.P, kind, side)
+	case !cq.Executed:
+		return "not reached"
+	case cq.Err != nil:
+		return fmt.Sprintf("executed: error: %v", cq.Err)
+	case cq.Query.Form == sparql.FormAsk:
+		return "executed: false"
+	case cq.Raw == 0:
+		return "executed: no rows"
+	}
+	return fmt.Sprintf("executed: %d row(s), %d type-rejected", cq.Raw, cq.Raw-len(cq.Answers))
+}
 
 // Extractor executes §2.3 against one KB.
 type Extractor struct {
@@ -268,11 +314,21 @@ func firstWinner(ctx context.Context, n int, try func(i int) bool) (int, error) 
 }
 
 // executeSelect runs the SELECT candidates in rank order; the first
-// query whose (type-filtered) answer set is non-empty wins. It returns
-// the context error when cancellation ended the run before a win.
+// query whose (type-filtered) answer set is non-empty wins. Under the
+// type filter a candidate no row of which could pass it is skipped
+// instead of run. It returns the context error when cancellation ended
+// the run before a win.
 func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res *Result, expected triplex.Expected) error {
+	want, typed := tableKind(expected.Kind)
+	typed = typed && !e.cfg.DisableTypeCheck
 	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
+		if typed {
+			if by := cannotPass(sess, cq.Query, want); by >= 0 {
+				cq.Skipped, cq.SkippedBy = true, by
+				return false
+			}
+		}
 		cq.Executed = true
 		r, err := sess.ExecuteCtx(ctx, cq.Query)
 		if err != nil {
@@ -354,7 +410,9 @@ func (e *Extractor) executeBoolean(ctx context.Context, sess *sparql.Session, re
 
 // executeAggregation retries the candidates as COUNT(DISTINCT ?x)
 // queries, answering with the count of the first (rank-order) candidate
-// whose raw result set is non-empty.
+// whose raw result set is non-empty. A candidate the SELECT pass
+// skipped is not known empty: its rows were only known to fail the
+// type filter, which a count does not apply.
 func (e *Extractor) executeAggregation(ctx context.Context, sess *sparql.Session, res *Result) error {
 	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
@@ -471,28 +529,39 @@ var (
 	placeClasses  = []rdf.Term{rdf.Ont("Place")}
 )
 
+// tableKind is the value kind Table 1 admits for an expected answer
+// type: a Person or a Place is an IRI, a Date a date literal and a
+// Numeric a numeric literal. ok is false for the types that constrain
+// no kind.
+func tableKind(k triplex.ExpectedKind) (kind rdf.ValueKind, ok bool) {
+	switch k {
+	case triplex.ExpectPerson, triplex.ExpectPlace:
+		return rdf.ValueIRI, true
+	case triplex.ExpectDate:
+		return rdf.ValueDate, true
+	case triplex.ExpectNumeric:
+		return rdf.ValueNumeric, true
+	}
+	return 0, false
+}
+
 // typeMatches implements Table 1 (§2.3.2).
 func (e *Extractor) typeMatches(sess *sparql.Session, t rdf.Term, expected triplex.Expected) bool {
-	switch expected.Kind {
-	case triplex.ExpectPerson:
-		return e.isAny(sess, t, personClasses)
-	case triplex.ExpectPlace:
-		return e.isAny(sess, t, placeClasses)
-	case triplex.ExpectDate:
-		return t.IsDate()
-	case triplex.ExpectNumeric:
-		return t.IsNumeric()
-	case triplex.ExpectClass, triplex.ExpectAny:
-		return true
-	default:
+	want, typed := tableKind(expected.Kind)
+	switch {
+	case !typed:
+		return expected.Kind == triplex.ExpectClass || expected.Kind == triplex.ExpectAny
+	case t.ValueKind() != want:
 		return false
+	case expected.Kind == triplex.ExpectPerson:
+		return e.isAny(sess, t, personClasses)
+	case expected.Kind == triplex.ExpectPlace:
+		return e.isAny(sess, t, placeClasses)
 	}
+	return true
 }
 
 func (e *Extractor) isAny(sess *sparql.Session, t rdf.Term, classes []rdf.Term) bool {
-	if !t.IsIRI() {
-		return false
-	}
 	for _, c := range classes {
 		if sess.InstanceOf(t, c) {
 			return true
@@ -500,3 +569,24 @@ func (e *Extractor) isAny(sess *sparql.Session, t rdf.Term, classes []rdf.Term) 
 	}
 	return false
 }
+
+// cannotPass returns the index of a pattern of q under which no row can
+// pass Table 1, or -1: a pattern with a constant predicate that binds
+// ?x as its object (subject), when the view holds no object (subject)
+// of that predicate of the kind want.
+func cannotPass(sess *sparql.Session, q *sparql.Query, want rdf.ValueKind) int {
+	for i, p := range q.Patterns {
+		subj, obj := isAnswerVar(p.S), isAnswerVar(p.O)
+		if p.P.IsVar() || !subj && !obj {
+			continue
+		}
+		if k := sess.PredicateKinds(p.P); obj && k.Objects[want] == 0 || subj && k.Subjects[want] == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// isAnswerVar reports whether t is ?x, the variable a SELECT candidate
+// projects.
+func isAnswerVar(t rdf.Term) bool { return t.IsVar() && t.Value == "x" }

@@ -104,8 +104,9 @@ func TestRankingPrefersFrequentPredicate(t *testing.T) {
 }
 
 // TestTypeCheckSelectsDate verifies §2.3.2: "When did Frank Herbert
-// die?" must skip the higher-ranked deathPlace query (wrong type) and
-// answer from deathDate.
+// die?" must pass over the higher-ranked deathPlace query (wrong type)
+// and answer from deathDate. dbont:deathPlace has no date object, so
+// the deathPlace query is skipped unexecuted.
 func TestTypeCheckSelectsDate(t *testing.T) {
 	k, _ := setup(t)
 	ex := New(k, DefaultConfig())
@@ -119,18 +120,25 @@ func TestTypeCheckSelectsDate(t *testing.T) {
 	if !strings.Contains(res.Winning.SPARQL, "dbont:deathDate") {
 		t.Errorf("winning = %q", res.Winning.SPARQL)
 	}
-	if !res.Answers[0].IsDate() {
+	if res.Answers[0].ValueKind() != rdf.ValueDate {
 		t.Errorf("answer not a date: %v", res.Answers[0])
 	}
-	// The deathPlace candidate must have been executed and rejected.
-	executedPlace := false
-	for _, cq := range res.Candidates {
-		if strings.Contains(cq.SPARQL, "deathPlace") && cq.Executed && len(cq.Answers) == 0 && cq.Raw > 0 {
-			executedPlace = true
+	// The deathPlace candidate must rank above the winner and have been
+	// skipped, not executed.
+	skippedPlace := false
+	for i, cq := range res.Candidates {
+		if &res.Candidates[i] == res.Winning {
+			break
+		}
+		if strings.Contains(cq.SPARQL, "deathPlace") && cq.Skipped && !cq.Executed && cq.Raw == 0 {
+			skippedPlace = true
+			if got, want := res.Outcome(i), "skipped: dbont:deathPlace has no date literal object"; got != want {
+				t.Errorf("Outcome = %q, want %q", got, want)
+			}
 		}
 	}
-	if !executedPlace {
-		t.Error("deathPlace candidate should have been executed and type-rejected")
+	if !skippedPlace {
+		t.Error("deathPlace candidate should have been skipped above the winner")
 	}
 }
 
@@ -146,7 +154,7 @@ func TestTypeCheckDisabledAblation(t *testing.T) {
 	if !res.Answered() {
 		t.Fatal("unanswered")
 	}
-	if res.Answers[0].IsDate() {
+	if res.Answers[0].ValueKind() == rdf.ValueDate {
 		t.Error("with type check disabled the higher-ranked deathPlace query should win")
 	}
 }

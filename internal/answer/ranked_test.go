@@ -89,6 +89,7 @@ type candSnap struct {
 	SPARQL   string
 	Score    float64
 	Executed bool
+	Skipped  bool
 	Raw      int
 	Answers  string
 	Err      string
@@ -116,6 +117,7 @@ func snapshot(res *Result) resultSnap {
 			SPARQL:   cq.SPARQL,
 			Score:    cq.Score,
 			Executed: cq.Executed,
+			Skipped:  cq.Skipped,
 			Raw:      cq.Raw,
 			Answers:  termsKey(cq.Answers),
 			Err:      errStr,
@@ -184,8 +186,8 @@ func synthMapping(r *rand.Rand, k *kb.KB, kind triplex.ExpectedKind, ground bool
 }
 
 // checkStopsAtWinner holds a Result to the rank-order contract: every
-// candidate up to and including the winner was executed, and none past
-// it was touched. An unanswered question ran the whole list, and so did
+// candidate up to and including the winner was executed or skipped —
+// one, never both — and none past it was touched. An unanswered question ran the whole list, and so did
 // a boolean one answered "false" (no ASK was true; the top-ranked one
 // that executed answers).
 func checkStopsAtWinner(t *testing.T, where string, res *Result) {
@@ -196,10 +198,13 @@ func checkStopsAtWinner(t *testing.T, where string, res *Result) {
 		last = len(snap.Candidates) - 1
 	}
 	for i, c := range snap.Candidates {
-		if i <= last && !c.Executed {
-			t.Errorf("%s: candidate %d above the winner (%d) was not executed", where, i, snap.WinnerIdx)
+		if i <= last && c.Executed == c.Skipped {
+			t.Errorf("%s: candidate %d above the winner (%d) was not executed or skipped, exactly one: %+v", where, i, snap.WinnerIdx, c)
 		}
-		if i > last && (c.Executed || c.Raw != 0 || c.Answers != "" || c.Err != "") {
+		if c.Skipped && (c.Raw != 0 || c.Answers != "" || c.Err != "") {
+			t.Errorf("%s: skipped candidate %d has an outcome: %+v", where, i, c)
+		}
+		if i > last && (c.Executed || c.Skipped || c.Raw != 0 || c.Answers != "" || c.Err != "") {
 			t.Errorf("%s: candidate %d past the winner (%d) was touched: %+v", where, i, snap.WinnerIdx, c)
 		}
 	}
@@ -222,7 +227,7 @@ func TestExtractStopsAtWinner(t *testing.T) {
 		triplex.ExpectDate, triplex.ExpectNumeric, triplex.ExpectBoolean,
 	}
 	r := rand.New(rand.NewSource(7))
-	answered, stoppedEarly := 0, 0
+	answered, stoppedEarly, skipped := 0, 0, 0
 	for ki, k := range kbs {
 		for trial := 0; trial < 240; trial++ {
 			kind := kinds[trial%len(kinds)]
@@ -244,20 +249,48 @@ func TestExtractStopsAtWinner(t *testing.T) {
 			}
 			where := fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind)
 			checkStopsAtWinner(t, where, res)
+			skipped += checkSkipsExact(t, where, e, res)
 			if want, got := fmt.Sprintf("%+v", snapshot(res)), fmt.Sprintf("%+v", snapshot(again)); want != got {
 				t.Fatalf("%s: two runs diverged:\nfirst:  %s\nsecond: %s", where, want, got)
 			}
 			if res.Winning != nil {
 				answered++
-				if last := &res.Candidates[len(res.Candidates)-1]; res.Winning != last && !last.Executed {
+				if last := &res.Candidates[len(res.Candidates)-1]; res.Winning != last && !last.Executed && !last.Skipped {
 					stoppedEarly++
 				}
 			}
 		}
 	}
-	if answered < 50 || stoppedEarly < 8 {
-		t.Fatalf("only %d answered, %d with candidates left below the winner: the contract is not being exercised", answered, stoppedEarly)
+	if answered < 50 || stoppedEarly < 8 || skipped < 20 {
+		t.Fatalf("only %d answered, %d with candidates left below the winner, %d candidates skipped: the contract is not being exercised", answered, stoppedEarly, skipped)
 	}
+}
+
+// checkSkipsExact executes every candidate the run skipped and holds it
+// to what the skip claims: Table 1 rejects each of its rows. It returns
+// how many were skipped.
+func checkSkipsExact(t *testing.T, where string, e *Extractor, res *Result) int {
+	t.Helper()
+	sess := sparql.NewViewSession(e.kb.Store.Snapshot())
+	n := 0
+	for i := range res.Candidates {
+		cq := &res.Candidates[i]
+		if !cq.Skipped {
+			continue
+		}
+		n++
+		r, err := sess.ExecuteCtx(context.Background(), cq.Query)
+		if err != nil {
+			t.Fatalf("%s: skipped candidate %d: %v", where, i, err)
+		}
+		x := r.VarIndex("x")
+		for row := 0; row < r.Len(); row++ {
+			if term, ok := r.TermAt(row, x); ok && e.typeMatches(sess, term, res.Expected) {
+				t.Errorf("%s: skipped candidate %d (%s) has a row that passes Table 1: %v", where, i, cq.SPARQL, term)
+			}
+		}
+	}
+	return n
 }
 
 // TestExtractConcurrentCallers: one Extractor shared by many goroutines

@@ -40,7 +40,7 @@ func TestPaperExampleFacts(t *testing.T) {
 	}
 	// §5: Frank Herbert has a deathDate (he is not alive).
 	dd := st.Objects(rdf.Res("Frank_Herbert"), rdf.Ont("deathDate"))
-	if len(dd) != 1 || !dd[0].IsDate() {
+	if len(dd) != 1 || dd[0].ValueKind() != rdf.ValueDate {
 		t.Errorf("Herbert deathDate = %v", dd)
 	}
 	// Intro: Italy population 59,464,644 and USA leaderName Obama.

@@ -16,7 +16,8 @@ import (
 // through wal.Recover and kb.FromStore, into exactly the store the live
 // server held: the same generation, the same triple set, and the same
 // dictionary — orphaned terms included, ID for ID — with or without a
-// compaction in between. Recovery infers nothing: the live ApplyBatch
+// compaction in between — and the same per-predicate term kinds,
+// which the recovered store counts as it loads. Recovery infers nothing: the live ApplyBatch
 // never materialised the new scientist's rdf:type closure, so the
 // recovered store must not either.
 func TestRecoveredEqualsLive(t *testing.T) {
@@ -93,6 +94,21 @@ func TestRecoveredEqualsLive(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.TermsView(), live.TermsView()) {
 				t.Error("recovered dictionary differs from the live store's: IDs moved across the restart")
+			}
+			// The per-predicate term kinds: the recovered store's equal
+			// the live store's, and both equal a recount of its triples.
+			recount := map[rdf.Term]store.PredicateKinds{}
+			for _, tr := range live.Triples() {
+				c := recount[tr.P]
+				c.Subjects[tr.S.ValueKind()]++
+				c.Objects[tr.O.ValueKind()]++
+				recount[tr.P] = c
+			}
+			for i, term := range live.TermsView() {
+				id := store.ID(i + 1)
+				if g, l := got.PredicateKinds(id), live.PredicateKinds(id); g != l || l != recount[term] {
+					t.Errorf("PredicateKinds(%v): recovered %+v, live %+v, recounted %+v", term, g, l, recount[term])
+				}
 			}
 		})
 	}

@@ -56,8 +56,9 @@ type Pattern struct {
 	Text string
 	// Tokens is Text split.
 	Tokens []string
-	// Props maps property IRIs to frequencies.
-	Props map[rdf.Term]*PropFreq
+	// Props is the pattern's property distribution, sorted as
+	// PropertiesForPattern returns it: by descending frequency, then IRI.
+	Props []PropFreq
 	// support is the set of entity pairs observed, as the sorted pair
 	// numbers of the Mine call that built the pattern.
 	support []int32
@@ -254,13 +255,12 @@ func (m *miner) pair(s, o rdf.Term) (int32, bool) {
 }
 
 // pattern finishes a counted pattern: its support becomes a set, its
-// counts the property distribution, and each content lemma of its
-// tokens adds the counts to the word-level index, which Mine sorts.
+// counts the sorted property distribution, and each content lemma of
+// its tokens adds the counts to the word-level index, which Mine sorts.
 func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string][]PropFreq) *Pattern {
 	p := mp.pat
 	slices.Sort(p.support)
 	p.support = slices.Compact(p.support)
-	p.Props = make(map[rdf.Term]*PropFreq, len(mp.counts))
 	if len(mp.counts) == 0 {
 		return p
 	}
@@ -268,8 +268,9 @@ func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string][]PropFreq)
 	for i, c := range mp.counts {
 		freqs[i] = PropFreq{Property: sn.Term(c.prop), Freq: c.forward + c.inverse,
 			Forward: c.forward, Inverse: c.inverse}
-		p.Props[freqs[i].Property] = &freqs[i]
 	}
+	sortFreqs(freqs)
+	p.Props = freqs
 	// Word-level index over content lemmas.
 	for _, w := range p.Tokens {
 		if !contentLemma(w) {
@@ -347,18 +348,15 @@ func sortFreqs(freqs []PropFreq) {
 }
 
 // PropertiesForPattern returns the property distribution of an exact
-// pattern text ("be bear in"), sorted by descending frequency.
+// pattern text ("be bear in"), sorted by descending frequency then IRI.
+// The list is the pattern's own, sorted once by Mine: it is read-only
+// (its capacity is clipped, so an append copies it).
 func (st *Store) PropertiesForPattern(text string) []PropFreq {
 	p, ok := st.patterns[strings.ToLower(strings.TrimSpace(text))]
 	if !ok {
 		return nil
 	}
-	out := make([]PropFreq, 0, len(p.Props))
-	for _, pf := range p.Props {
-		out = append(out, *pf)
-	}
-	sortFreqs(out)
-	return out
+	return p.Props
 }
 
 // Patterns returns all mined patterns sorted by descending support.

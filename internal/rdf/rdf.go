@@ -111,36 +111,103 @@ func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 // IsVar reports whether t is a query variable.
 func (t Term) IsVar() bool { return t.Kind == KindVar }
 
-// IsNumeric reports whether t is a literal with a numeric XSD datatype.
-func (t Term) IsNumeric() bool {
-	if t.Kind != KindLiteral {
-		return false
+// ValueKind is the class of a term that §2.3.2's Table 1 tells apart:
+// Person and Place answers are IRIs, Date answers date literals and
+// Numeric answers numeric literals. Term.ValueKind is the one place a
+// term is classified: IsNumeric reads it, the answer stage's type
+// filter compares with it, and the store counts each predicate's
+// subjects and objects by it, so the counts and the filter cannot
+// disagree.
+type ValueKind uint8
+
+// Value kinds. Every term has exactly one.
+const (
+	ValueIRI ValueKind = iota
+	ValueBlank
+	ValueDate    // a literal with a date-like XSD datatype
+	ValueNumeric // a literal with a numeric XSD datatype, or a plain one that parses as a number
+	ValueOther   // any other literal, and a variable or the zero term
+	NumValueKinds
+)
+
+// String names the kind as the skip reasons of §2.3 print it.
+func (k ValueKind) String() string {
+	switch k {
+	case ValueIRI:
+		return "IRI"
+	case ValueBlank:
+		return "blank node"
+	case ValueDate:
+		return "date literal"
+	case ValueNumeric:
+		return "numeric literal"
+	default:
+		return "other literal"
+	}
+}
+
+// ValueKind classifies t.
+func (t Term) ValueKind() ValueKind {
+	switch t.Kind {
+	case KindIRI:
+		return ValueIRI
+	case KindBlank:
+		return ValueBlank
+	case KindLiteral:
+	default:
+		return ValueOther
 	}
 	switch t.Datatype {
+	case XSDDate, XSDDateTime, XSDGYear, XSDGYearMonth:
+		return ValueDate
 	case XSDInteger, XSDDecimal, XSDDouble, XSDFloat, XSDInt, XSDLong,
 		XSDNonNegativeInteger, XSDPositiveInteger:
-		return true
+		return ValueNumeric
 	}
 	// Plain literals that parse as numbers are treated as numeric; the
 	// DBpedia raw infobox extraction the paper queries is similarly lax.
 	if t.Datatype == "" && t.Lang == "" {
-		_, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
-		return err == nil && t.Value != ""
+		if v := strings.TrimSpace(t.Value); mayParseFloat(v) {
+			if _, err := strconv.ParseFloat(v, 64); err == nil {
+				return ValueNumeric
+			}
+		}
 	}
-	return false
+	return ValueOther
 }
 
-// IsDate reports whether t is a literal with a date-like XSD datatype.
-func (t Term) IsDate() bool {
-	if t.Kind != KindLiteral {
+// mayParseFloat reports whether strconv.ParseFloat could accept s: a
+// sign, then a digit, '.', '_' or the first letter of "inf",
+// "infinity" or "nan", then only digits, signs, '.', '_' and the
+// letters of exponents, hexadecimal mantissas and those words. A string
+// it refuses cannot parse, and is refused without the error ParseFloat
+// would allocate: labels and names, most plain literals, stop here.
+func mayParseFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
 		return false
 	}
-	switch t.Datatype {
-	case XSDDate, XSDDateTime, XSDGYear, XSDGYearMonth:
-		return true
+	if c := s[0] | 0x20; !isDigit(s[0]) && s[0] != '.' && s[0] != '_' && c != 'i' && c != 'n' {
+		return false
 	}
-	return false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i] | 0x20; { // c is an ASCII letter in lower case
+		case isDigit(s[i]), s[i] == '+', s[i] == '-', s[i] == '.', s[i] == '_':
+		case 'a' <= c && c <= 'f', c == 'i', c == 'n', c == 'p', c == 't', c == 'x', c == 'y':
+		default:
+			return false
+		}
+	}
+	return true
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// IsNumeric reports whether t is a literal with a numeric XSD datatype,
+// or a plain literal that parses as a number.
+func (t Term) IsNumeric() bool { return t.ValueKind() == ValueNumeric }
 
 // Float returns the numeric value of a numeric literal and whether the
 // conversion succeeded.

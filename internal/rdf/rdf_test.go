@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -69,17 +70,69 @@ func TestIsNumeric(t *testing.T) {
 	}
 }
 
+// TestValueKindPartition: every term has exactly one value kind, and it
+// agrees with IsIRI, IsBlank and IsNumeric.
+func TestValueKindPartition(t *testing.T) {
+	terms := []Term{
+		NewIRI("http://example.org/42"), NewBlank("b0"), NewDate("1865-04-15"),
+		NewTypedLiteral("1865", XSDGYear), NewTypedLiteral("1865-04", XSDGYearMonth),
+		NewTypedLiteral("1865-04-15T00:00:00", XSDDateTime), NewInteger(42), NewDouble(1.5),
+		NewLiteral(" 42 "), NewLiteral("1865-04-15"), NewLiteral("Orhan Pamuk"), NewLangLiteral("42", "en"),
+		NewTypedLiteral("x", NSXSD+"string"), NewVar("x"), {},
+	}
+	want := []ValueKind{ValueIRI, ValueBlank, ValueDate, ValueDate, ValueDate, ValueDate, ValueNumeric,
+		ValueNumeric, ValueNumeric, ValueOther, ValueOther, ValueOther, ValueOther, ValueOther, ValueOther}
+	for i, term := range terms {
+		k := term.ValueKind()
+		if k != want[i] || k >= NumValueKinds {
+			t.Errorf("%#v: kind %v, want %v", term, k, want[i])
+		}
+		if term.IsIRI() != (k == ValueIRI) || term.IsBlank() != (k == ValueBlank) ||
+			term.IsNumeric() != (k == ValueNumeric) {
+			t.Errorf("%#v: kind %v disagrees with the Is predicates", term, k)
+		}
+	}
+}
+
+// TestMayParseFloatKeepsEveryNumber: the byte filter in front of
+// strconv.ParseFloat refuses no string that parses — every string of up
+// to three printable ASCII bytes, and the special and hexadecimal forms.
+func TestMayParseFloatKeepsEveryNumber(t *testing.T) {
+	check := func(s string) {
+		if _, err := strconv.ParseFloat(s, 64); err == nil && !mayParseFloat(s) {
+			t.Errorf("mayParseFloat(%q) = false, but it parses", s)
+		}
+	}
+	for _, s := range []string{"+Inf", "-infinity", "NaN", "0x1p-2", "0X1.8P+1", "1e5", "-.5e-3", "0x_1p0", "1_0"} {
+		check(s)
+	}
+	b := make([]byte, 0, 3)
+	var walk func()
+	walk = func() {
+		check(string(b))
+		if len(b) == cap(b) {
+			return
+		}
+		for c := byte(' '); c <= '~'; c++ {
+			b = append(b, c)
+			walk()
+			b = b[:len(b)-1]
+		}
+	}
+	walk()
+}
+
 func TestIsDate(t *testing.T) {
-	if !NewDate("1865-04-15").IsDate() {
+	if NewDate("1865-04-15").ValueKind() != ValueDate {
 		t.Error("xsd:date literal should be a date")
 	}
-	if !NewTypedLiteral("1865", XSDGYear).IsDate() {
+	if NewTypedLiteral("1865", XSDGYear).ValueKind() != ValueDate {
 		t.Error("xsd:gYear literal should be a date")
 	}
-	if NewLiteral("1865-04-15").IsDate() {
+	if NewLiteral("1865-04-15").ValueKind() == ValueDate {
 		t.Error("plain literal should not be a date")
 	}
-	if NewInteger(1865).IsDate() {
+	if NewInteger(1865).ValueKind() == ValueDate {
 		t.Error("integer should not be a date")
 	}
 }

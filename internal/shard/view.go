@@ -1,7 +1,8 @@
 // The gather view: the sparql.StoreView a sharded request executes
-// over. Dictionary, statistics and rank reads serve from the pinned
-// source snapshot — planning is byte-identical to a single store —
-// and only the two triple-data reads scatter:
+// over. Dictionary, statistics (cardinalities, term kinds) and rank
+// reads serve from the pinned source snapshot — planning is
+// byte-identical to a single store — and only the two triple-data
+// reads scatter:
 //
 //   - subject-bound scans go to the single owning shard (subject
 //     routing makes them one-shard reads);
@@ -103,6 +104,9 @@ func (v *View) TermRanks() ([]uint32, []store.ID) { return v.src.TermRanks() }
 func (v *View) EstimateCardinalityIDs(pat [3]store.ID) int {
 	return v.src.EstimateCardinalityIDs(pat)
 }
+
+// PredicateKinds answers from the coordinator statistics.
+func (v *View) PredicateKinds(p store.ID) store.PredicateKinds { return v.src.PredicateKinds(p) }
 
 // --- scattered data reads ---
 

@@ -17,6 +17,13 @@
 //     answered here — on a sharded view, one shard call per entity
 //     where a ground probe per class would be one per question asked.
 //
+// It also answers, straight from the view, how a predicate's subjects
+// and objects split by value kind (PredicateKinds): the answer stage
+// asks it before running a candidate, to skip one whose rows §2.3.2's
+// type filter must all reject. It is a snapshot statistic, kept at
+// commit, so the read is a binary search and on a sharded view no
+// shard call.
+//
 // Constants resolve straight through the view (Lookup hashes the term
 // and probes the dictionary index), every scan walks the index, and
 // pattern cardinalities are hoisted into the compiled form once per
@@ -136,6 +143,16 @@ func (s *Session) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 	}
 	ex := compile(ctx, s, q)
 	return ex.run()
+}
+
+// PredicateKinds returns the counts of p's subjects and objects by
+// rdf.ValueKind in the pinned view; all zero for a term that is the
+// predicate of no triple.
+func (s *Session) PredicateKinds(p rdf.Term) store.PredicateKinds {
+	if id, ok := s.snap.Lookup(p); ok {
+		return s.snap.PredicateKinds(id)
+	}
+	return store.PredicateKinds{}
 }
 
 // InstanceOf reports whether (entity, rdf:type, class) holds in the

@@ -2,10 +2,11 @@
 //
 // Every read the executor and its Session perform — constant
 // resolution, dictionary views, term-rank permutations, index scans,
-// posting lists, cardinality estimates — goes through the StoreView
-// interface instead of a concrete *store.Snapshot. A single-process
-// deployment still executes directly over a pinned snapshot
-// (*store.Snapshot satisfies the interface with no adapter); the
+// posting lists, cardinality estimates, per-predicate term kinds —
+// goes through the StoreView interface instead of a concrete
+// *store.Snapshot. A single-process deployment still executes
+// directly over a pinned snapshot (*store.Snapshot satisfies the
+// interface with no adapter); the
 // sharded scatter-gather tier (internal/shard) substitutes a gather
 // view that keeps dictionary and statistics reads coordinator-local
 // and scatters only the triple-data reads to shards. The executor
@@ -48,6 +49,11 @@ type StoreView interface {
 	// PostingList returns the sorted free-position posting list of a
 	// two-bound pattern (see store.Snapshot.PostingList).
 	PostingList(pat [3]store.ID) ([]store.ID, bool)
+	// PredicateKinds returns the exact counts of a predicate's subjects
+	// and objects by rdf.ValueKind (see store.Snapshot.PredicateKinds):
+	// a statistic, so the gather view answers it coordinator-local, like
+	// EstimateCardinalityIDs.
+	PredicateKinds(p store.ID) store.PredicateKinds
 }
 
 // interface conformance: the canonical single-store view.

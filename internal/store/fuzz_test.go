@@ -14,17 +14,20 @@ import (
 // universe small enough that random batches keep hitting the same keys,
 // so lists and buckets empty out and fill again.
 var (
-	fuzzSubjects   = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C")}
+	fuzzDate       = rdf.NewDate("2001-01-01")
+	fuzzSubjects   = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), fuzzDate}
 	fuzzPredicates = []rdf.Term{rdf.Ont("p"), rdf.Ont("q")}
-	fuzzObjects    = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.NewLiteral("x"), rdf.NewInteger(7)}
-	// fuzzUniverse is the seven distinct terms: A, B, C, p, q, "x", 7.
+	fuzzObjects    = []rdf.Term{rdf.Res("A"), rdf.Res("B"), rdf.Res("C"), rdf.NewLiteral("x"), rdf.NewInteger(7), fuzzDate}
+	// fuzzUniverse is the eight distinct terms: A, B, C, p, q, "x", 7
+	// and the date. Their value kinds are IRI, other, numeric and date;
+	// the date is a subject too, as a write may make it.
 	fuzzUniverse = append(append(fuzzSubjects[:3:3], fuzzPredicates...), fuzzObjects[3:]...)
 )
 
 // fuzzDictionary is what FuzzApplyBatch interns before its first batch:
-// 4300 terms, with five of the universe's seven at the IDs fuzzPlaces
-// lists and filler everywhere else. "x" and 7 are left out, so the
-// batch that first inserts one interns it, at 4301 or 4302: the two
+// 4300 terms, with five of the universe's eight at the IDs fuzzPlaces
+// lists and filler everywhere else. "x", 7 and the date are left out,
+// so the batch that first inserts one interns it, from 4301 on: they
 // share a leaf, as do A and B. q, "x" and 7 lie past ID 4095, under the
 // second interior node of a two-level index tree. So batches grow the
 // dictionary, create, empty and refill leaves under two interior nodes,
@@ -111,9 +114,9 @@ func (d *fuzzDict) intern(t rdf.Term) {
 // FuzzApplyBatch applies random batches to a store and to a naive
 // triple set and dictionary, and after each batch compares every
 // pattern shape over the snapshot — ForEachMatchIDs' rows and their
-// order, EstimateCardinalityIDs, PostingList and Len — and the
-// dictionary — Lookup of each universe term and TermsView — with the
-// model. Every snapshot pinned earlier is read again and must not have
+// order, EstimateCardinalityIDs, PostingList and Len — the dictionary
+// — Lookup of each universe term and TermsView — and each predicate's
+// PredicateKinds with the model. Every snapshot pinned earlier is read again and must not have
 // changed.
 func FuzzApplyBatch(f *testing.F) {
 	const a, b, c = 0, 1, 2
@@ -134,6 +137,10 @@ func FuzzApplyBatch(f *testing.F) {
 	// batch: both are interned, and no triple is left.
 	f.Add([]byte{fuzzOp(false, c, 1, 4, false), fuzzOp(false, c, 1, 3, false),
 		fuzzOp(true, c, 1, 4, false), fuzzOp(true, c, 1, 3, true), fuzzOp(false, a, 0, 3, true)})
+	// A date object and a date subject come in one batch and go in the
+	// next: the counts of both kinds rise and fall.
+	f.Add([]byte{fuzzOp(false, a, 0, 5, false), fuzzOp(false, 3, 1, 0, true),
+		fuzzOp(true, a, 0, 5, false), fuzzOp(true, 3, 1, 0, true)})
 	padded := New()
 	padding := &fuzzDict{ids: map[rdf.Term]ID{}}
 	for _, term := range fuzzDictionary() {
@@ -235,6 +242,18 @@ func checkModel(t *testing.T, batch, snap int, p pinned) {
 	for _, term := range fuzzUniverse {
 		if id, ok := sn.Lookup(term); ok {
 			ids = append(ids, id)
+		}
+	}
+	for _, pr := range ids[1:] {
+		var want PredicateKinds
+		for tr := range p.model {
+			if id, _ := sn.Lookup(tr.P); id == pr {
+				want.Subjects[tr.S.ValueKind()]++
+				want.Objects[tr.O.ValueKind()]++
+			}
+		}
+		if got := sn.PredicateKinds(pr); got != want {
+			t.Fatalf("batch %d, snapshot %d: PredicateKinds(%d) = %+v, model counts %+v", batch, snap, pr, got, want)
 		}
 	}
 	for _, s := range ids {

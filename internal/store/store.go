@@ -32,9 +32,9 @@
 // write that adds a term costs the path to one dictionary bucket,
 // whatever the size of the dictionary. An update_mix flip (8 deletes
 // and 8 inserts on a predicate with 512 objects, at 6.5k triples)
-// costs about 12.7 KB in 51 allocations, most of it the rebuilt
+// costs about 14.0 KB in 35 allocations, most of it the rebuilt
 // 512-key POS bucket; on 16 times the triples, a level deeper, about
-// 14.3 KB. A batch costs O(n log n + the buckets it touches), so
+// 15.6 KB. A batch costs O(n log n + the buckets it touches), so
 // anything in a loop belongs in one AddAll, ApplyBatch or Batch, which
 // rebuild each bucket once.
 // The new root is published once per public write call, giving readers
@@ -65,6 +65,18 @@
 // A published snapshot holds no cache a reader fills in: a bucket's
 // triple count is the length of its ID array, so a reader of a bucket
 // only ever reads it.
+//
+// # Predicate kinds
+//
+// Beside the indexes, a snapshot counts each predicate's triples by the
+// rdf.ValueKind (IRI, blank node, date, numeric, other literal) of
+// their subject and of their object: Snapshot.PredicateKinds. The
+// answer stage reads it to skip a candidate query whose rows §2.3.2's
+// type filter must all reject. Commit moves the counts by the net edits
+// it has just sorted into POS order, so a batch with triple edits
+// copies the table (one 44-byte row a predicate) once and classifies
+// each term it adds or removes; every writer — AddAll, ApplyBatch,
+// Batch and Load — goes through it.
 package store
 
 import (
@@ -275,7 +287,25 @@ type Snapshot struct {
 	osp     index
 	size    int
 	gen     uint64
-	ranks   *rankTable // fresh (empty) box per published generation
+	ranks   *rankTable  // fresh (empty) box per published generation
+	kinds   []predKinds // each predicate's subjects and objects by kind, sorted by predicate
+}
+
+// KindCounts counts terms by value kind: element k is the number of
+// them whose rdf.Term.ValueKind is k.
+type KindCounts [rdf.NumValueKinds]uint32
+
+// PredicateKinds counts one predicate's triples (s, p, o) by the value
+// kind of s and by that of o.
+type PredicateKinds struct {
+	Subjects, Objects KindCounts
+}
+
+// predKinds is one row of a snapshot's kind table. A predicate with no
+// triples has no row.
+type predKinds struct {
+	p     ID
+	kinds PredicateKinds
 }
 
 // Store is an indexed, dictionary-encoded triple store with wait-free
@@ -626,6 +656,19 @@ func (sn *Snapshot) EstimateCardinalityIDs(pat [3]ID) int {
 	}
 }
 
+// PredicateKinds returns the counts of p's triples by the value kind of
+// their subject and of their object; all zero when p is the predicate
+// of no triple. The counts are exact for the snapshot: every write
+// batch folds its net edits into them at commit.
+func (sn *Snapshot) PredicateKinds(p ID) PredicateKinds {
+	if i, ok := slices.BinarySearchFunc(sn.kinds, p, comparePredKinds); ok {
+		return sn.kinds[i].kinds
+	}
+	return PredicateKinds{}
+}
+
+func comparePredKinds(r predKinds, p ID) int { return cmp.Compare(r.p, p) }
+
 // PostingList returns the sorted, unique ID list for a pattern with
 // exactly one wildcard position: the subjects of (?, p, o), the objects
 // of (s, p, ?) or the predicates of (s, ?, o). The second result is
@@ -961,6 +1004,54 @@ func (w *writer) fold() {
 	w.next.osp = w.next.osp.fold(osp)
 	w.rotate(w.ops, osp)
 	w.next.pos = w.next.pos.fold(w.ops)
+	w.countKinds(w.ops)
+}
+
+// countKinds folds the net edits, in POS order, into a copy of the kind
+// table: each predicate they touch gets its row's counts moved by the
+// kinds of the subjects and objects added and removed, and the other
+// rows are copied as they are. A run of edits on one object classifies
+// it once.
+func (w *writer) countKinds(pos []edit) {
+	old := w.next.kinds
+	preds := 0
+	for i, e := range pos {
+		if i == 0 || e.a != pos[i-1].a {
+			preds++
+		}
+	}
+	out := make([]predKinds, 0, len(old)+preds)
+	for len(pos) > 0 {
+		p := pos[0].a
+		k, had := slices.BinarySearchFunc(old, p, comparePredKinds)
+		out = append(out, old[:k]...)
+		row := predKinds{p: p}
+		if had {
+			row = old[k]
+			k++
+		}
+		old = old[k:]
+		var last ID
+		var okind rdf.ValueKind
+		for ; len(pos) > 0 && pos[0].a == p; pos = pos[1:] {
+			e := pos[0]
+			if e.b != last {
+				last, okind = e.b, w.next.inverse[e.b-1].ValueKind()
+			}
+			skind := w.next.inverse[e.c-1].ValueKind()
+			if e.del {
+				row.kinds.Subjects[skind]--
+				row.kinds.Objects[okind]--
+			} else {
+				row.kinds.Subjects[skind]++
+				row.kinds.Objects[okind]++
+			}
+		}
+		if row.kinds != (PredicateKinds{}) {
+			out = append(out, row)
+		}
+	}
+	w.next.kinds = append(out, old...)
 }
 
 // fold returns the index with the sorted net edits applied, growing

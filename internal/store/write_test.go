@@ -104,7 +104,7 @@ func TestApplyBatchAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are measured without the race detector")
 	}
-	const ceilBytes, ceilObjects = 15700, 60 // logged 14233 B and 54.1
+	const ceilBytes, ceilObjects = 15700, 60 // logged 14233 B and 54.1; 14009 B and 35.1 with the kind table
 	st, cycle := flipStore(1)
 	bytes, objects := flipCost(st, cycle)
 	t.Logf("%d flips: %.0f B and %.1f objects per flip, ceilings %d B and %d", len(cycle), bytes, objects, ceilBytes, ceilObjects)

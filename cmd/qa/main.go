@@ -190,11 +190,9 @@ func printTrace(sys *core.System, res *core.Result, top int) {
 		}
 	}
 	if res.Answer != nil {
-		fmt.Printf("-- candidate queries (§2.3), top %d of %d --\n", top, len(res.Answer.Candidates))
-		for i, cq := range res.Answer.Candidates {
-			if i >= top {
-				break
-			}
+		n := min(top, len(res.Answer.Candidates))
+		fmt.Printf("-- candidate queries (§2.3), top %d of %d --\n", n, len(res.Answer.Candidates))
+		for i, cq := range res.Answer.Candidates[:n] {
 			fmt.Printf("   [score %8.1f] %s\n                    %s\n", cq.Score, cq.SPARQL, res.Answer.Outcome(i))
 		}
 	}

@@ -74,7 +74,7 @@ func TestFlagsDocumented(t *testing.T) {
 // TestValidateFlags: a negative count or duration, and -shards with
 // -data-dir, are refused; zeros and qaserve's defaults pass.
 func TestValidateFlags(t *testing.T) {
-	defaults := flagValues{maxInflight: 64, maxBatch: 64, cache: 1024,
+	defaults := flagValues{maxInflight: 64, cache: 1024,
 		timeout: 5 * time.Second, updateTimeout: 10 * time.Second, drain: 15 * time.Second}
 	for _, tc := range []struct {
 		name string
@@ -86,7 +86,6 @@ func TestValidateFlags(t *testing.T) {
 		{"shards", func(v *flagValues) { v.shards = 4 }, ""},
 		{"data-dir", func(v *flagValues) { v.dataDir = "d" }, ""},
 		{"max-inflight -1", func(v *flagValues) { v.maxInflight = -1 }, "-max-inflight -1"},
-		{"max-batch -1", func(v *flagValues) { v.maxBatch = -1 }, "-max-batch -1"},
 		{"cache -1", func(v *flagValues) { v.cache = -1 }, "-cache -1"},
 		{"shards -1", func(v *flagValues) { v.shards = -1 }, "-shards -1"},
 		{"timeout -1s", func(v *flagValues) { v.timeout = -time.Second }, "-timeout -1s"},

@@ -1,5 +1,5 @@
 // Command qaserve serves the question answering pipeline over
-// HTTP/JSON: POST /v1/answer and /v1/answer/batch answer questions,
+// HTTP/JSON: POST /v1/answer answers a question,
 // POST /v1/update applies SPARQL INSERT DATA / DELETE DATA batches
 // (when started with -data-dir), GET /healthz reports liveness,
 // GET /readyz reports readiness, and GET /metrics exports
@@ -11,8 +11,7 @@
 //	qaserve [-addr :8080] [-timeout 5s] [-max-inflight 64] [-cache 1024]
 //	        [-shards N] [-kb file.nt] [-data-dir dir] [-update-token T]
 //	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
-//	        [-max-batch 64] [-update-timeout 10s] [-chaos spec]
-//	        [-chaos-seed N]
+//	        [-update-timeout 10s] [-chaos spec] [-chaos-seed N]
 //
 // A negative count or duration, and -shards with -data-dir, exit 1
 // before the listener comes up.
@@ -73,21 +72,20 @@ func serveDebug(addr string) (*http.Server, error) {
 
 // flagValues are the flags validate checks.
 type flagValues struct {
-	maxInflight, maxBatch, cache, shards int
-	timeout, updateTimeout, drain        time.Duration
-	dataDir                              string
+	maxInflight, cache, shards    int
+	timeout, updateTimeout, drain time.Duration
+	dataDir                       string
 }
 
 // validate rejects what the server would otherwise reinterpret
 // silently: a negative count or duration (-max-inflight -1 would serve
-// unlimited, -max-batch -1 would allow 64, -cache -1 would switch the
-// cache off, -timeout -1s would time nothing out) and -shards with
-// -data-dir.
+// unlimited, -cache -1 would switch the cache off, -timeout -1s would
+// time nothing out) and -shards with -data-dir.
 func (v flagValues) validate() error {
 	for _, f := range []struct {
 		name string
 		n    int
-	}{{"max-inflight", v.maxInflight}, {"max-batch", v.maxBatch}, {"cache", v.cache}, {"shards", v.shards}} {
+	}{{"max-inflight", v.maxInflight}, {"cache", v.cache}, {"shards", v.shards}} {
 		if f.n < 0 {
 			return fmt.Errorf("-%s %d: must be >= 0", f.name, f.n)
 		}
@@ -111,10 +109,9 @@ func (v flagValues) validate() error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request pipeline timeout (0 = none)")
-	maxInflight := flag.Int("max-inflight", 64, "in-flight limit L: past it a request answers 503; batch work sheds at L-L/4, cache hits ride a reserve to L+L/4 (0 = unlimited)")
+	maxInflight := flag.Int("max-inflight", 64, "in-flight limit L: past it a request answers 503, and cache hits ride a reserve to L+L/4 (0 = unlimited)")
 	chaosSpec := flag.String("chaos", "", "arm fault injection: comma-separated point:kind:prob[:latency[:limit]] rules, e.g. stage.answer:error:0.1 (see internal/chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
-	maxBatch := flag.Int("max-batch", 64, "max questions per /v1/answer/batch request")
 	cacheSize := flag.Int("cache", 1024, "answer cache entries, keyed on normalized question text (0 = disabled)")
 	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with per-attempt timeouts and retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
@@ -132,7 +129,7 @@ func main() {
 	}
 
 	if err := (flagValues{
-		maxInflight: *maxInflight, maxBatch: *maxBatch, cache: *cacheSize, shards: *shards,
+		maxInflight: *maxInflight, cache: *cacheSize, shards: *shards,
 		timeout: *timeout, updateTimeout: *updateTimeout, drain: *drain, dataDir: *dataDir,
 	}).validate(); err != nil {
 		fail(err)
@@ -291,7 +288,6 @@ func main() {
 			RequestTimeout: *timeout,
 			MaxInFlight:    *maxInflight,
 			Chaos:          injector,
-			MaxBatch:       *maxBatch,
 			UpdateToken:    token,
 			UpdateTimeout:  *updateTimeout,
 		}

@@ -56,9 +56,8 @@
 // doc); context-aware execution (sparql.ExecuteCtx) stops a query
 // between join steps when the request's deadline passes. Parallelism
 // lives one level up: the serving layer runs whole questions across
-// goroutines (HTTP connections and batch workers) — the pipeline is
-// read-only after construction and the store supports parallel
-// readers. The evaluation harness answers its 55 questions one at a
+// goroutines, one per HTTP connection — the pipeline is read-only after
+// construction and the store supports parallel readers. The evaluation harness answers its 55 questions one at a
 // time.
 //
 // The top layer is the pipeline with a serving surface. internal/core
@@ -73,11 +72,8 @@
 // lookup and runs no stage; entries are stamped with the KB snapshot
 // generation, so any store write — including a single-triple delete —
 // invalidates every cached answer.
-// cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer and
-// /v1/answer/batch — batch questions fan out across a bounded worker
-// pool, with every worker beyond the first charging an extra
-// in-flight slot non-blockingly so a busy server shrinks the pool
-// toward sequential — GET /healthz and /metrics with per-stage
+// cmd/qaserve serves the pipeline over HTTP/JSON (POST /v1/answer,
+// one question a request; GET /healthz and /metrics with per-stage
 // latency histograms built from the traces) with per-request
 // timeouts, an in-flight limit and graceful shutdown;
 // internal/qaserve holds the handlers and metrics.

@@ -21,7 +21,7 @@
 // by the one rdf.Term.ValueKind.
 // Candidate 0 usually wins, so speculating on lower ranks only spent
 // work a busy server needs for other questions; parallelism lives one
-// level up, across questions (HTTP connections, batch workers). The
+// level up, across questions (one per HTTP connection). The
 // SELECT candidates, the ASK path and the COUNT retry share one loop,
 // firstWinner.
 //

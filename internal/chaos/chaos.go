@@ -6,7 +6,7 @@
 //
 // The harness exists to move the discipline PR 6 established at the
 // filesystem layer (internal/wal/faultfs) up into the serving stack:
-// the chaos soak test replays mixed question/update/batch workloads
+// the chaos soak test replays mixed question/update workloads
 // with faults firing at every layer boundary and asserts the
 // resilience invariants — no goroutine leaks, acknowledged commits
 // durable, recovery to healthy once faults stop, cached reads

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,17 +12,17 @@ import (
 )
 
 // admissionCases are the slots each priority takes from an empty
-// server at L = MaxInFlight: L − L/4, L, L + L/4, a plain cap below
-// L = 4, no bound at L = 0.
+// server at L = MaxInFlight: L and L + L/4, a plain cap below L = 4, no
+// bound at L = 0.
 var admissionCases = []struct {
-	limit                 int
-	batch, normal, cached int
+	limit          int
+	normal, cached int
 }{
-	{0, unboundedTakes, unboundedTakes, unboundedTakes},
-	{1, 1, 1, 1},
-	{3, 3, 3, 3},
-	{4, 3, 4, 5},
-	{64, 48, 64, 80},
+	{0, unboundedTakes, unboundedTakes},
+	{1, 1, 1},
+	{3, 3, 3},
+	{4, 4, 5},
+	{64, 64, 80},
 }
 
 const unboundedTakes = 1000 // every one of this many takes succeeds
@@ -51,12 +50,12 @@ func fillAndAsk(t *testing.T, srv *Server, limit int, p priority) (int, *httptes
 }
 
 // TestPrioritySheddingOrder: from an empty server, each priority takes
-// slots up to its threshold and acquire admits none past it, so batch
-// sheds first and a cache hit last.
+// slots up to its threshold and acquire admits none past it, so a cache
+// hit sheds last.
 func TestPrioritySheddingOrder(t *testing.T) {
 	for _, tc := range admissionCases {
 		srv := New(Config{MaxInFlight: tc.limit})
-		for p, want := range [numPriorities]int{tc.batch, tc.normal, tc.cached} {
+		for p, want := range [numPriorities]int{tc.normal, tc.cached} {
 			if tc.limit == 0 {
 				want++ // acquire's extra ask is admitted too
 			}
@@ -68,8 +67,7 @@ func TestPrioritySheddingOrder(t *testing.T) {
 }
 
 // TestRetryAfterHints: the request past a priority's threshold answers
-// 503 with that priority's Retry-After, and a batch backs off longer
-// than a normal request.
+// 503 with Retry-After: 1, whatever its priority.
 func TestRetryAfterHints(t *testing.T) {
 	for _, tc := range admissionCases {
 		if tc.limit == 0 {
@@ -78,22 +76,11 @@ func TestRetryAfterHints(t *testing.T) {
 		srv := New(Config{MaxInFlight: tc.limit})
 		for p := range numPriorities {
 			_, w := fillAndAsk(t, srv, tc.limit, p)
-			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != retryAfter[p] {
-				t.Errorf("L=%d/%s: status %d, Retry-After %q; want 503, %s",
-					tc.limit, priorityNames[p], w.Code, w.Header().Get("Retry-After"), retryAfter[p])
+			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" {
+				t.Errorf("L=%d/%s: status %d, Retry-After %q; want 503, 1",
+					tc.limit, priorityNames[p], w.Code, w.Header().Get("Retry-After"))
 			}
 		}
-	}
-	hint := func(p priority) int {
-		n, err := strconv.Atoi(retryAfter[p])
-		if err != nil || n < 1 {
-			t.Fatalf("%s: Retry-After %q is not a positive number of seconds", priorityNames[p], retryAfter[p])
-		}
-		return n
-	}
-	hint(prioCached)
-	if hint(prioBatch) <= hint(prioNormal) {
-		t.Fatalf("Retry-After batch %s, normal %s: batch should back off longer", retryAfter[prioBatch], retryAfter[prioNormal])
 	}
 }
 
@@ -112,14 +99,16 @@ func TestPriorityNames(t *testing.T) {
 		var text strings.Builder
 		srv.m.render(&text)
 		for _, want := range []string{
-			fmt.Sprintf(`qaserve_requests_total{outcome="rejected"} %d`, 3*sheds),
-			fmt.Sprintf(`qaserve_admission_shed_total{priority="batch"} %d`, sheds),
+			fmt.Sprintf(`qaserve_requests_total{outcome="rejected"} %d`, 2*sheds),
 			fmt.Sprintf(`qaserve_admission_shed_total{priority="normal"} %d`, sheds),
 			fmt.Sprintf(`qaserve_admission_shed_total{priority="cached"} %d`, sheds),
 		} {
 			if !strings.Contains(text.String(), want+"\n") {
 				t.Errorf("L=%d: metrics missing %q", tc.limit, want)
 			}
+		}
+		if strings.Contains(text.String(), `priority="batch"`) {
+			t.Errorf("L=%d: metrics still carry a batch shed series", tc.limit)
 		}
 	}
 }
@@ -165,41 +154,6 @@ func TestAdmissionConcurrent(t *testing.T) {
 		t.Fatalf("%d sheds counted for %d rejections", shed, rejected.Load())
 	}
 	t.Logf("%d of %d requests shed", shed, workers*rounds)
-}
-
-// TestBatchWorkerProbesAreNotSheds: a batch's extra worker that finds
-// no free slot is no shed — the batch was admitted and answers 200 —
-// so the shed counters and the rejected outcome stay at 0.
-func TestBatchWorkerProbesAreNotSheds(t *testing.T) {
-	srv := batchServer(t, Config{MaxInFlight: 4}, 3)
-	// Two normal slots held: the batch takes the third (batch threshold
-	// 4 − 1 = 3), and its workers find none left.
-	for range 2 {
-		if !srv.trySlot(prioNormal) {
-			t.Fatal("fill rejected")
-		}
-	}
-	defer func() {
-		srv.freeSlot()
-		srv.freeSlot()
-	}()
-	h := srv.Handler()
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/answer/batch", strings.NewReader(
-		`{"questions":["Which book is written by Orhan Pamuk?","How tall is Michael Jordan?","Where did Abraham Lincoln die?"]}`)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("batch: status %d (%s), want 200", w.Code, w.Body)
-	}
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
-	for _, want := range []string{
-		`qaserve_requests_total{outcome="rejected"} 0`,
-		`qaserve_admission_shed_total{priority="batch"} 0`,
-	} {
-		if !strings.Contains(w.Body.String(), want+"\n") {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
 }
 
 // BenchmarkAdmitRelease measures the admission a request pays: one

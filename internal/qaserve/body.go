@@ -1,14 +1,14 @@
 package qaserve
 
-// The request body readers: /v1/answer and /v1/answer/batch read the
-// body whole into a pooled buffer and decode it in one pass of a strict
-// JSON reader for their two shapes, and /v1/update reads its SPARQL text
-// through the same buffers.
+// The request body readers: /v1/answer reads the body whole into a
+// pooled buffer and decodes it in one pass of a strict JSON reader for
+// AnswerRequest, and /v1/update reads its SPARQL text through the same
+// buffers.
 //
-// The reader keeps encoding/json's contract for these types: it accepts
-// and rejects exactly the bodies json.Unmarshal does and stores the same
-// values. body_reference_test.go keeps the json.Unmarshal path as the
-// oracle FuzzDecodeAnswerRequest holds it to.
+// The reader keeps encoding/json's contract for AnswerRequest: it
+// accepts and rejects exactly the bodies json.Unmarshal does and stores
+// the same values. body_reference_test.go keeps the json.Unmarshal
+// path as the oracle FuzzDecodeAnswerRequest holds it to.
 
 import (
 	"bytes"
@@ -49,7 +49,7 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // JSON value it holds into v. Unlike a json.Decoder it rejects anything
 // but whitespace after the value. The strings it stores in v are copies,
 // so the buffer goes back to the pool.
-func decodeBody[T AnswerRequest | BatchRequest](body io.Reader, v *T) error {
+func decodeBody(body io.Reader, v *AnswerRequest) error {
 	bp := bodyBufs.Get().(*[]byte)
 	defer bodyBufs.Put(bp)
 	b, err := readAtMost((*bp)[:0], body, maxBodyBytes)
@@ -60,15 +60,8 @@ func decodeBody[T AnswerRequest | BatchRequest](body io.Reader, v *T) error {
 	// Decode into a copy: a body found invalid part way through stores
 	// nothing, as json.Unmarshal validates before it decodes.
 	out := *v
-	var f bodyFields
-	switch p := any(&out).(type) {
-	case *AnswerRequest:
-		f = bodyFields{question: &p.Question, allowPartial: &p.AllowPartial}
-	case *BatchRequest:
-		f = bodyFields{questions: &p.Questions, allowPartial: &p.AllowPartial}
-	}
 	r := bodyReader{b: b}
-	if !r.body(f) {
+	if !r.body(&out) {
 		return errBodySyntax
 	}
 	*v = out
@@ -78,21 +71,11 @@ func decodeBody[T AnswerRequest | BatchRequest](body io.Reader, v *T) error {
 	return nil
 }
 
-// bodyFields points at the fields of the request being decoded. A nil
-// pointer is a key that shape lacks: its value is skipped, like any
-// unknown key's.
-type bodyFields struct {
-	question     *string
-	questions    *[]string
-	allowPartial *bool
-}
-
 // The fields' JSON names. A key names a field when it equals the name
 // under bytes.EqualFold, as encoding/json matches: "QUESTION" and
 // "queſtion" both name question.
 var (
 	keyQuestion     = []byte("question")
-	keyQuestions    = []byte("questions")
 	keyAllowPartial = []byte("allow_partial")
 )
 
@@ -109,12 +92,12 @@ type bodyReader struct {
 }
 
 // body reads the whole body: one value, whitespace around it.
-func (r *bodyReader) body(f bodyFields) bool {
+func (r *bodyReader) body(v *AnswerRequest) bool {
 	r.ws()
 	var ok bool
 	switch r.peek() {
 	case '{':
-		ok = r.object(f)
+		ok = r.object(v)
 	case 'n':
 		ok = r.lit("null") // null into a struct stores nothing
 	default:
@@ -127,16 +110,14 @@ func (r *bodyReader) body(f bodyFields) bool {
 
 // object reads the request object, storing each field it names; the
 // last of duplicate keys wins.
-func (r *bodyReader) object(f bodyFields) bool {
+func (r *bodyReader) object(v *AnswerRequest) bool {
 	const depth = 1
 	return r.members(depth, func(key []byte) bool {
 		switch {
-		case f.question != nil && bytes.EqualFold(key, keyQuestion):
-			return r.str(f.question, depth)
-		case f.questions != nil && bytes.EqualFold(key, keyQuestions):
-			return r.strs(f.questions, depth)
-		case f.allowPartial != nil && bytes.EqualFold(key, keyAllowPartial):
-			return r.boolean(f.allowPartial, depth)
+		case bytes.EqualFold(key, keyQuestion):
+			return r.str(&v.Question, depth)
+		case bytes.EqualFold(key, keyAllowPartial):
+			return r.boolean(&v.AllowPartial, depth)
 		}
 		return r.skip(depth)
 	})
@@ -243,43 +224,6 @@ func (r *bodyReader) boolean(dst *bool, depth int) bool {
 	}
 	r.mistyped = true
 	return r.skip(depth)
-}
-
-// strs reads a value for a []string field. null sets it to nil; an
-// array is decoded into the slice already there, the way encoding/json
-// reuses it: the elements are overwritten in place, and a null element
-// keeps what the slot held, even one a shorter duplicate key cut off.
-func (r *bodyReader) strs(dst *[]string, depth int) bool {
-	switch r.peek() {
-	case '[':
-	case 'n':
-		*dst = nil
-		return r.lit("null")
-	default:
-		r.mistyped = true
-		return r.skip(depth)
-	}
-	depth++
-	s, n := *dst, 0
-	ok := r.elements(depth, func() bool {
-		switch {
-		case n < len(s):
-		case n < cap(s):
-			s = s[:n+1]
-		default:
-			s = append(s, "")
-		}
-		n++
-		return r.str(&s[n-1], depth)
-	})
-	if !ok {
-		return false
-	}
-	if n == 0 {
-		s = []string{}
-	}
-	*dst = s[:n]
-	return true
 }
 
 // skip validates the value at i, which nests depth deep, and steps past

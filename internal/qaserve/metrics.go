@@ -48,9 +48,8 @@ func (h *histogram) observe(d time.Duration) {
 
 // metrics aggregates the serving counters.
 type metrics struct {
-	// inflight is the in-flight slots held: admitted requests plus a
-	// batch's extra workers. Admission compares it against the
-	// thresholds (Server.trySlot).
+	// inflight is the in-flight slots held, one per admitted request.
+	// Admission compares it against the thresholds (Server.trySlot).
 	inflight atomic.Int64
 
 	requestsOK       atomic.Uint64
@@ -99,7 +98,7 @@ func newMetrics() *metrics {
 
 // render writes the metrics in the Prometheus text exposition format.
 func (m *metrics) render(sb *strings.Builder) {
-	fmt.Fprintf(sb, "# HELP qaserve_inflight_requests In-flight slots held: requests being answered, plus a batch's extra workers.\n")
+	fmt.Fprintf(sb, "# HELP qaserve_inflight_requests In-flight slots held: requests being answered.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_inflight_requests gauge\n")
 	fmt.Fprintf(sb, "qaserve_inflight_requests %d\n", m.inflight.Load())
 
@@ -111,7 +110,7 @@ func (m *metrics) render(sb *strings.Builder) {
 	for p := range shed {
 		shed[p] = m.shed[p].Load()
 	}
-	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"rejected\"} %d\n", shed[prioBatch]+shed[prioNormal]+shed[prioCached])
+	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"rejected\"} %d\n", shed[prioNormal]+shed[prioCached])
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"timeout\"} %d\n", m.requestsTimeout.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"shed\"} %d\n", m.requestsShed.Load())
 	fmt.Fprintf(sb, "qaserve_requests_total{outcome=\"error\"} %d\n", m.requestsInternal.Load())

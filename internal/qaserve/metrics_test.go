@@ -74,7 +74,7 @@ func TestMetricsDocumented(t *testing.T) {
 }
 
 // TestCacheCountersEqualCacheStats: the exported hit and miss counters
-// count lookups — misses, hits, batch members, a request that times out
+// count lookups — misses, hits, a request that times out
 // after its lookup and one rejected at admission after it — as the
 // answer cache's own statistics do: 3 hits and 4 misses here.
 func TestCacheCountersEqualCacheStats(t *testing.T) {
@@ -92,13 +92,11 @@ func TestCacheCountersEqualCacheStats(t *testing.T) {
 		h.ServeHTTP(w, req)
 		return w.Code
 	}
-	for _, q := range []string{"How tall is Michael Jordan?", "How tall is Michael Jordan?", "gibberish blob"} {
+	for _, q := range []string{"How tall is Michael Jordan?", "How tall is Michael Jordan?", "gibberish blob",
+		"gibberish blob", "Where did Abraham Lincoln die?"} {
 		if code := post("/v1/answer", `{"question":"`+q+`"}`); code != 200 {
 			t.Fatalf("%q: status %d", q, code)
 		}
-	}
-	if code := post("/v1/answer/batch", `{"questions":["gibberish blob","Where did Abraham Lincoln die?"]}`); code != 200 {
-		t.Fatalf("batch: status %d", code)
 	}
 	if code := post("/v1/answer", `{"question":"Who wrote Snow?"}`, BudgetHeader, "1ns"); code != 504 {
 		t.Fatalf("timed-out miss: status %d, want 504", code)

@@ -2,11 +2,7 @@
 // question answering pipeline — the subsystem that turns core.System
 // into a service. It exposes:
 //
-//	POST /v1/answer        {"question": "..."}        → one AnswerResponse
-//	POST /v1/answer/batch  {"questions": ["...", …]}  → {"results": [AnswerResponse, …]}
-//	                       (questions fan out across up to GOMAXPROCS
-//	                       workers, one in-flight slot each; results keep
-//	                       request order)
+//	POST /v1/answer        {"question": "..."}        → one answer object
 //	POST /v1/update        SPARQL UPDATE (INSERT DATA / DELETE DATA) →
 //	                       {"generation", "added", "removed", "ops"};
 //	                       the whole request commits as one durable,
@@ -20,6 +16,9 @@
 //	                       update counters, cache hit/miss and entries,
 //	                       per-stage latency histograms built from each
 //	                       request's Trace, the Go runtime's heap and GC
+//
+// A client that wants many answers sends many /v1/answer requests,
+// pipelined over keep-alive connections.
 //
 // A request body is one JSON object of at most 1 MiB; anything after
 // the object but whitespace answers 400. Each question is first looked
@@ -38,18 +37,16 @@
 //
 // # Overload and failure behavior
 //
-// Admission control sheds load with 503 (always carrying a Retry-After
-// hint) before the pipeline is entered. There is one admission path: a
-// fixed in-flight limit L (Config.MaxInFlight, 0 = unlimited) with a
-// priority reserve R = L/4. A request is admitted while the in-flight
-// count is below its priority's threshold:
+// Admission control sheds load with 503 + Retry-After: 1 before the
+// pipeline is entered. There is one admission path: a fixed in-flight
+// limit L (Config.MaxInFlight, 0 = unlimited) with a priority reserve
+// R = L/4. A request is admitted while the in-flight count is below its
+// priority's threshold:
 //
-//	batch    L − R   /v1/answer/batch and each extra batch worker (Retry-After 2)
-//	normal   L       a cache miss on /v1/answer, and /v1/update     (Retry-After 1)
-//	cached   L + R   a question the answer-cache lookup hit         (Retry-After 1)
+//	normal   L       a cache miss on /v1/answer, and /v1/update
+//	cached   L + R   a question the answer-cache lookup hit
 //
-// so batch work, which callers retry wholesale, sheds first, and a
-// cache hit, which costs microseconds and no fan-out, rides the
+// so a cache hit, which costs microseconds and no fan-out, rides the
 // reserve and sheds last. Below L = 4 the reserve is 0 and the limit
 // is a plain cap. Requests whose deadline budget is already spent at
 // admission are shed the same way. Recovered pipeline panics and
@@ -70,10 +67,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -86,21 +80,17 @@ type Config struct {
 	// Sys is the pipeline to serve (required).
 	Sys *core.System
 	// RequestTimeout bounds each request's pipeline run (0 = no
-	// timeout); a cache hit runs none, so it is never timed out. Batch
-	// requests get one timeout per contained question.
+	// timeout); a cache hit runs none, so it is never timed out.
 	RequestTimeout time.Duration
-	// MaxInFlight is the in-flight limit L: normal requests beyond it,
-	// batch work beyond L − L/4 and cache hits beyond L + L/4 answer 503
-	// (0 = unlimited; see the package comment's table).
+	// MaxInFlight is the in-flight limit L: normal requests beyond it
+	// and cache hits beyond L + L/4 answer 503 (0 = unlimited; see the
+	// package comment's table).
 	MaxInFlight int
 	// Chaos, when non-nil, rides every request context so the
 	// pipeline's stage-boundary fault points can fire; its cumulative
 	// injections are exported on /metrics. Nil (the default) keeps
 	// every fault point inert.
 	Chaos *chaos.Injector
-	// MaxBatch bounds the questions accepted by /v1/answer/batch
-	// (default 64).
-	MaxBatch int
 	// Updater commits SPARQL UPDATE batches durably (typically the WAL
 	// manager); nil leaves the server read-only and /v1/update answers
 	// 501.
@@ -121,13 +111,8 @@ type Config struct {
 
 // Server is the HTTP serving layer. Build with New, mount Handler.
 type Server struct {
-	sys      *core.System
-	timeout  time.Duration
-	maxBatch int
-	// batchWorkers caps the workers a /v1/answer/batch request fans its
-	// questions across: GOMAXPROCS, further bounded per request by the
-	// batch size and the free in-flight slots.
-	batchWorkers  int
+	sys           *core.System
+	timeout       time.Duration
 	updater       Updater
 	updateToken   string
 	updateTimeout time.Duration
@@ -141,13 +126,9 @@ type Server struct {
 
 // New builds a Server over the assembled pipeline.
 func New(cfg Config) *Server {
-	s := &Server{sys: cfg.Sys, timeout: cfg.RequestTimeout, maxBatch: cfg.MaxBatch,
-		batchWorkers: runtime.GOMAXPROCS(0), updater: cfg.Updater,
+	s := &Server{sys: cfg.Sys, timeout: cfg.RequestTimeout, updater: cfg.Updater,
 		updateToken: cfg.UpdateToken, updateTimeout: cfg.UpdateTimeout,
 		chaos: cfg.Chaos, cluster: cfg.Cluster, m: newMetrics()}
-	if s.maxBatch <= 0 {
-		s.maxBatch = 64
-	}
 	s.threshold = thresholds(cfg.MaxInFlight)
 	return s
 }
@@ -157,7 +138,6 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/answer", s.handleAnswer)
-	mux.HandleFunc("POST /v1/answer/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/update", s.handleUpdate)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -174,64 +154,6 @@ type AnswerRequest struct {
 	// shards_answered. Without it an unreachable shard fails the
 	// request with 503 + Retry-After. Ignored on single-store systems.
 	AllowPartial bool `json:"allow_partial,omitempty"`
-}
-
-// BatchRequest is the /v1/answer/batch body.
-type BatchRequest struct {
-	Questions []string `json:"questions"`
-	// AllowPartial applies the /v1/answer opt-in to every question of
-	// the batch; each per-question result carries its own degraded
-	// stamp (one question may hit an open breaker while its neighbours
-	// answer complete).
-	AllowPartial bool `json:"allow_partial,omitempty"`
-}
-
-// StageTrace is the JSON projection of one pipeline stage record.
-type StageTrace struct {
-	Stage      string  `json:"stage"`
-	DurationMS float64 `json:"duration_ms"`
-	Candidates int     `json:"candidates,omitempty"`
-	CacheHit   bool    `json:"cache_hit,omitempty"`
-	// Plan-shape cache outcomes and term-rank sorts for the answer
-	// stage's candidate fan-out; all absent when plan caching is
-	// disabled (no fabricated misses) and on non-answer stages.
-	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
-	RankSorts       uint64 `json:"rank_sorts,omitempty"`
-	// Scatter-gather shape of the answer stage on a sharded system.
-	ShardsTotal    int    `json:"shards_total,omitempty"`
-	ShardsAnswered int    `json:"shards_answered,omitempty"`
-	Degraded       bool   `json:"degraded,omitempty"`
-	Error          string `json:"error,omitempty"`
-}
-
-// AnswerResponse is the JSON projection of one pipeline Result: the
-// wire schema clients decode into. The server does not encode from it —
-// appendResult (reply.go) writes these members straight from the Result.
-type AnswerResponse struct {
-	Question      string   `json:"question"`
-	Status        string   `json:"status"`
-	Answered      bool     `json:"answered"`
-	Answers       []string `json:"answers,omitempty"`
-	WinningSPARQL string   `json:"winning_sparql,omitempty"`
-	Error         string   `json:"error,omitempty"`
-	CacheHit      bool     `json:"cache_hit"`
-	// Degraded marks a partial answer (allow_partial was set and at
-	// least one shard was skipped); ShardsTotal / ShardsAnswered give
-	// the exact scatter shape on any sharded answer, healthy or not
-	// (recovery to undegraded is visible as answered == total). All
-	// absent on single-store systems.
-	Degraded       bool         `json:"degraded,omitempty"`
-	ShardsTotal    int          `json:"shards_total,omitempty"`
-	ShardsAnswered int          `json:"shards_answered,omitempty"`
-	Trace          []StageTrace `json:"trace,omitempty"`
-}
-
-// BatchResponse is the /v1/answer/batch reply.
-//
-//qalint:ignore unusedexport the documented wire schema of /v1/answer/batch (cmd/qaserve/README.md): reply.go appends the bytes, and clients and tests decode into it.
-type BatchResponse struct {
-	Results []AnswerResponse `json:"results"`
 }
 
 // errorResponse is the uniform error body.
@@ -253,29 +175,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 type priority uint8
 
 const (
-	prioBatch  priority = iota // a batch request, and each extra batch worker's slot
-	prioNormal                 // a cache miss on /v1/answer, and /v1/update
+	prioNormal priority = iota // a cache miss on /v1/answer, and /v1/update
 	prioCached                 // a question the answer-cache lookup hit
 	numPriorities
 )
 
-// priorityNames label the shed counters on /metrics; retryAfter is the
-// Retry-After hint of a 503 at each priority: batch work is shed first
-// and retried wholesale, so it backs off longer.
-var (
-	priorityNames = [numPriorities]string{"batch", "normal", "cached"}
-	retryAfter    = [numPriorities]string{"2", "1", "1"}
-)
+// priorityNames label the shed counters on /metrics.
+var priorityNames = [numPriorities]string{"normal", "cached"}
 
 // thresholds returns the admission bound of each priority under the
-// in-flight limit l: l − l/4, l and l + l/4 (a plain cap below l = 4),
-// or no bound when l is 0.
+// in-flight limit l: l and l + l/4 (a plain cap below l = 4), or no
+// bound when l is 0.
 func thresholds(l int) [numPriorities]int64 {
 	if l <= 0 {
-		return [numPriorities]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
+		return [numPriorities]int64{math.MaxInt64, math.MaxInt64}
 	}
 	limit, reserve := int64(l), int64(l/4)
-	return [numPriorities]int64{limit - reserve, limit, limit + reserve}
+	return [numPriorities]int64{limit, limit + reserve}
 }
 
 // acquire takes an in-flight slot at the given priority, answering
@@ -286,15 +202,13 @@ func (s *Server) acquire(w http.ResponseWriter, p priority) bool {
 		return true
 	}
 	s.m.shed[p].Add(1)
-	w.Header().Set("Retry-After", retryAfter[p])
+	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server at capacity"})
 	return false
 }
 
 // trySlot takes an in-flight slot at priority p without blocking and
-// reports whether it got one. acquire takes one per request; a batch
-// takes one more per worker beyond the first, and a worker it cannot
-// get is no shed: the batch was admitted and runs with fewer workers.
+// reports whether it got one.
 func (s *Server) trySlot(p priority) bool {
 	for {
 		n := s.m.inflight.Load()
@@ -414,80 +328,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.m.requestsOK.Add(1)
 		s.writeResult(w, http.StatusOK, res)
 	}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeBody(r.Body, &req); err != nil || len(req.Questions) == 0 {
-		s.m.requestsBad.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be {\"questions\": [\"...\", ...]}"})
-		return
-	}
-	if len(req.Questions) > s.maxBatch {
-		s.m.requestsBad.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds the limit of %d", len(req.Questions), s.maxBatch)})
-		return
-	}
-	budget, ok := s.requestBudget(r)
-	if !ok {
-		s.shedExpired(w)
-		return
-	}
-	if !s.acquire(w, prioBatch) {
-		return
-	}
-	defer s.freeSlot()
-
-	// The batch holds one in-flight slot; every worker beyond the first
-	// charges another, taken non-blockingly, so MaxInFlight keeps
-	// bounding *executing pipelines*, not just accepted HTTP requests:
-	// a busy server has no spare slots and the batch shrinks toward one
-	// worker instead of oversubscribing the CPU.
-	workers := min(s.batchWorkers, len(req.Questions))
-	extra := 0
-	for extra < workers-1 && s.trySlot(prioBatch) {
-		extra++
-	}
-	defer s.m.inflight.Add(int64(-extra))
-
-	// Each question the cache misses runs the full pipeline under its own
-	// timeout (s.answer), the pipeline is safe for concurrent callers, and
-	// results land at their request index, so the response keeps the
-	// request order at every worker count. One worker always runs on the
-	// handler's goroutine.
-	results := make([]*core.Result, len(req.Questions))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(req.Questions) || r.Context().Err() != nil {
-				return
-			}
-			results[i] = s.lookup(req.Questions[i])
-			s.answer(r, results[i], budget, req.AllowPartial)
-		}
-	}
-	for range extra {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if r.Context().Err() != nil {
-		return // client went away mid-batch
-	}
-	// qaserve_requests_total counts HTTP requests, so a batch counts
-	// once regardless of size (timed-out members are visible in their
-	// per-result status and the stage histograms).
-	s.m.requestsOK.Add(1)
-	s.writeResults(w, http.StatusOK, `{"results":[`, "]}\n", results...)
 }
 
 // handleHealthz is the liveness probe: once the Server handles traffic

@@ -96,18 +96,22 @@ func TestAnswerEndpoint(t *testing.T) {
 		t.Fatalf("bad body status = %d", resp.StatusCode)
 	}
 
-	// So are bytes after the object, /v1/answer/batch alike.
-	for path, body := range map[string]string{
-		"/v1/answer":       `{"question":"How tall is Michael Jordan?"} trailing`,
-		"/v1/answer/batch": `{"questions":["How tall is Michael Jordan?"]}{}`,
+	// So are bytes after the object. The batch endpoint is gone: its
+	// path answers the mux's 404.
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/answer", `{"question":"How tall is Michael Jordan?"} trailing`, http.StatusBadRequest},
+		{"/v1/answer/batch", `{"questions":["How tall is Michael Jordan?"]}`, http.StatusNotFound},
 	} {
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s with trailing bytes: status = %d, want 400", path, resp.StatusCode)
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s %s: status = %d, want %d", c.path, c.body, resp.StatusCode, c.want)
 		}
 	}
 
@@ -141,45 +145,6 @@ func TestAnswerCacheHitOverHTTP(t *testing.T) {
 	}
 	if !ar.Answered || len(ar.Answers) != 1 {
 		t.Fatalf("cached response = %+v", ar)
-	}
-}
-
-func TestBatchEndpoint(t *testing.T) {
-	srv := New(Config{Sys: testSystem(t), MaxBatch: 4})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch", BatchRequest{
-		Questions: []string{
-			"How tall is Michael Jordan?",
-			"Where did Abraham Lincoln die?",
-			"gibberish blob",
-		}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 3 {
-		t.Fatalf("results = %d", len(br.Results))
-	}
-	if !br.Results[0].Answered || br.Results[0].Answers[0] != "1.98" {
-		t.Errorf("result 0 = %+v", br.Results[0])
-	}
-	if !br.Results[1].Answered {
-		t.Errorf("result 1 = %+v", br.Results[1])
-	}
-	if br.Results[2].Answered {
-		t.Errorf("result 2 = %+v", br.Results[2])
-	}
-
-	// Oversized batches 400.
-	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch", BatchRequest{
-		Questions: make([]string, 5)})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized batch status = %d", resp.StatusCode)
 	}
 }
 
@@ -451,126 +416,5 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
-// batchServer builds a Server whose batch requests fan out across at
-// most workers workers (1 = every question on the handler's goroutine).
-func batchServer(t *testing.T, cfg Config, workers int) *Server {
-	t.Helper()
-	cfg.Sys = testSystem(t)
-	srv := New(cfg)
-	srv.batchWorkers = workers
-	return srv
-}
-
-// TestBatchParallelMatchesSequential: fanning a batch across several
-// workers must return the same answers in the same (request) order as
-// one worker on the handler's goroutine, at every worker count. Run
-// under -race this also exercises concurrent AnswerCtx calls sharing
-// one System from inside a single HTTP request.
-func TestBatchParallelMatchesSequential(t *testing.T) {
-	questions := []string{
-		"Which book is written by Orhan Pamuk?",
-		"How tall is Michael Jordan?",
-		"Where did Abraham Lincoln die?",
-		"gibberish blob",
-		"How many people live in Istanbul?",
-		"Who is the mayor of Berlin?",
-	}
-	run := func(parallelism int) BatchResponse {
-		srv := batchServer(t, Config{}, parallelism)
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch",
-			BatchRequest{Questions: questions})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parallelism=%d: status %d, body %s", parallelism, resp.StatusCode, body)
-		}
-		var br BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatal(err)
-		}
-		return br
-	}
-	key := func(br BatchResponse) string {
-		var sb strings.Builder
-		for _, r := range br.Results {
-			fmt.Fprintf(&sb, "%s=%s:%v;", r.Question, r.Status, r.Answers)
-		}
-		return sb.String()
-	}
-	want := key(run(1))
-	if !strings.Contains(want, "Orhan") {
-		t.Fatalf("sequential reference looks wrong: %s", want)
-	}
-	for _, p := range []int{2, 4, 8} {
-		if got := key(run(p)); got != want {
-			t.Fatalf("parallelism=%d diverged:\nseq: %s\npar: %s", p, want, got)
-		}
-	}
-}
-
-// TestBatchParallelClientGone: a client disconnect mid-batch stops the
-// fan-out without writing a response and leaves the server reusable.
-func TestBatchParallelClientGone(t *testing.T) {
-	srv := batchServer(t, Config{}, 4)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	questions := make([]string, 16)
-	for i := range questions {
-		// Unique texts defeat the answer cache so the batch does real work.
-		questions[i] = fmt.Sprintf("Where did Abraham Lincoln die? (%d)", i)
-	}
-	b, _ := json.Marshal(BatchRequest{Questions: questions})
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/answer/batch", bytes.NewReader(b))
-	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	if resp, err := ts.Client().Do(req); err == nil {
-		resp.Body.Close() // the batch may have finished before the cancel landed
-	}
-
-	// The server keeps serving normally afterwards.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer",
-		AnswerRequest{Question: "How tall is Michael Jordan?"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-cancel request: status %d body %s", resp.StatusCode, body)
-	}
-}
-
-// TestBatchParallelChargesInFlightSlots: extra batch workers charge
-// MaxInFlight slots non-blockingly — a tight admission limit shrinks
-// the batch to one worker (never deadlocks, never rejects the
-// already-admitted batch) and the slots are released afterwards.
-func TestBatchParallelChargesInFlightSlots(t *testing.T) {
-	srv := batchServer(t, Config{MaxInFlight: 1}, 8)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	questions := []string{
-		"Which book is written by Orhan Pamuk?",
-		"How tall is Michael Jordan?",
-		"Where did Abraham Lincoln die?",
-	}
-	// The batch's own slot is the only one; all extra worker slots are
-	// unavailable, so this must run sequentially and still answer.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch",
-		BatchRequest{Questions: questions})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 3 || !br.Results[0].Answered {
-		t.Fatalf("results = %+v", br.Results)
-	}
-	// All slots released: a follow-up single request is admitted.
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/answer",
-		AnswerRequest{Question: "How tall is Michael Jordan?"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-batch request: status %d body %s", resp.StatusCode, body)
 	}
 }

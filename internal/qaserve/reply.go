@@ -1,9 +1,9 @@
 package qaserve
 
-// The reply encoder of /v1/answer and /v1/answer/batch: each core.Result
-// is appended straight into a pooled buffer, byte for byte what
-// encoding/json writes for the AnswerResponse / BatchResponse schema of
-// qaserve.go; wire_reference_test.go keeps that projection as the oracle.
+// The reply encoder of /v1/answer: the core.Result is appended straight
+// into a pooled buffer, byte for byte what encoding/json writes for the
+// AnswerResponse projection that wire_reference_test.go keeps as the
+// oracle (the reply schema of cmd/qaserve/README.md).
 
 import (
 	"net/http"
@@ -17,27 +17,17 @@ import (
 // replyBufs recycles reply buffers between requests.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeResult answers with the AnswerResponse of one result.
+// writeResult answers with the reply object of one result.
 func (s *Server) writeResult(w http.ResponseWriter, code int, res *core.Result) {
-	s.writeResults(w, code, "", "\n", res)
-}
-
-// writeResults writes the results (at least one), comma-separated,
-// between head and tail: the BatchResponse envelope around a batch.
-func (s *Server) writeResults(w http.ResponseWriter, code int, head, tail string, results ...*core.Result) {
 	bp := replyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], head...)
-	for _, res := range results {
-		b = append(s.appendResult(b, res), ',')
-	}
-	*bp = append(b[:len(b)-1], tail...) // tail takes the last comma's place
+	*bp = append(s.appendResult((*bp)[:0], res), '\n')
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(*bp)
 	replyBufs.Put(bp)
 }
 
-// appendResult appends res as one AnswerResponse object.
+// appendResult appends res as one reply object.
 func (s *Server) appendResult(b []byte, res *core.Result) []byte {
 	b = appendString(append(b, `{"question":`...), res.Question)
 	b = appendString(append(b, `,"status":`...), res.Status.String())

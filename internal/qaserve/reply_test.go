@@ -76,8 +76,7 @@ var hostileStrings = []string{
 // json.Encoder wrote over the retained toResponse — for every QALD and
 // entity question on a miss and on a hit, for hostile question text, for
 // the 504/503/500 outcomes, for the shard stamps of a 4-shard system
-// (healthy, unavailable, degraded), for durations down to zero, and for
-// a batch.
+// (healthy, unavailable, degraded) and for durations down to zero.
 func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	ctx := context.Background()
 	cfg := core.DefaultConfig()
@@ -170,19 +169,6 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("healthy: hit %v degraded %v %d/%d", res.CacheHit, res.Degraded, res.ShardsAnswered, res.ShardsTotal)
 		}
 		checkReply(t, ss, http.StatusOK, res)
-	}
-
-	// A batch: an answer, a hit of it and a failure, in order.
-	batch := []*core.Result{sys.AnswerCtx(ctx, "Where did Abraham Lincoln die? (batch)"),
-		sys.AnswerCtx(ctx, "Where did Abraham Lincoln die? (batch)"), sys.AnswerCtx(ctx, "gibberish <blob>")}
-	want := BatchResponse{}
-	for _, res := range batch {
-		want.Results = append(want.Results, s.toResponse(res))
-	}
-	rec := httptest.NewRecorder()
-	s.writeResults(rec, http.StatusOK, `{"results":[`, "]}\n", batch...)
-	if !bytes.Equal(rec.Body.Bytes(), referenceBody(t, want)) {
-		t.Errorf("batch reply differs from encoding/json\n got: %s\nwant: %s", rec.Body, referenceBody(t, want))
 	}
 }
 

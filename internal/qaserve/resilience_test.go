@@ -20,9 +20,9 @@ import (
 	"repro/internal/wal/faultfs"
 )
 
-// TestAdaptivePriorityShedsOverHTTP: with the limit full, batch and
-// normal requests answer 503 with their priority's Retry-After hint,
-// while a cache-eligible request rides the reserve and still answers.
+// TestAdaptivePriorityShedsOverHTTP: with the limit full, a normal
+// request answers 503 + Retry-After, while a cache-eligible request
+// rides the reserve and still answers.
 func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 	srv := New(Config{Sys: testSystem(t), MaxInFlight: 4})
 	ts := httptest.NewServer(srv.Handler())
@@ -35,7 +35,7 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 	}
 
 	// Fill the limit (4) directly; reserve = 4/4 = 1, so the
-	// thresholds are: batch < 3, normal < 4, cached < 5.
+	// thresholds are: normal < 4, cached < 5.
 	for i := 0; i < 4; i++ {
 		if !srv.trySlot(prioNormal) {
 			t.Fatalf("fill %d rejected", i)
@@ -47,15 +47,8 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 		}
 	}()
 
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/answer/batch",
-		BatchRequest{Questions: []string{"How tall is Michael Jordan?"}})
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
-		t.Fatalf("full-server batch: status %d, Retry-After %q, want 503/2",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-
 	// A question no test has cached stays at Normal priority.
-	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/answer",
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/answer",
 		AnswerRequest{Question: "How tall is Michael Jordan? (uncached)"})
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
 		t.Fatalf("full-server normal: status %d, Retry-After %q, want 503/1",
@@ -84,8 +77,7 @@ func TestAdaptivePriorityShedsOverHTTP(t *testing.T) {
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	for _, w := range []string{
-		`qaserve_requests_total{outcome="rejected"} 2`,
-		`qaserve_admission_shed_total{priority="batch"} 1`,
+		`qaserve_requests_total{outcome="rejected"} 1`,
 		`qaserve_admission_shed_total{priority="normal"} 1`,
 		`qaserve_admission_shed_total{priority="cached"} 0`,
 	} {
@@ -146,18 +138,6 @@ func TestRequestBudgetHeader(t *testing.T) {
 	}
 	if resp, body := post("not-a-duration"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("malformed budget ignored: status %d (%s)", resp.StatusCode, body)
-	}
-	// Batch requests honor the header too.
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/answer/batch",
-		strings.NewReader(`{"questions": ["How tall is Michael Jordan?"]}`))
-	req.Header.Set(BudgetHeader, "0s")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("spent batch budget: status %d", resp.StatusCode)
 	}
 }
 
@@ -373,7 +353,7 @@ func TestStaticPathUntouchedByNewConfig(t *testing.T) {
 	if srv.chaos != nil {
 		t.Fatal("default config armed the injector")
 	}
-	if want := [numPriorities]int64{6, 8, 10}; srv.threshold != want {
+	if want := [numPriorities]int64{8, 10}; srv.threshold != want {
 		t.Fatalf("thresholds = %v, want %v", srv.threshold, want)
 	}
 	ts := httptest.NewServer(srv.Handler())

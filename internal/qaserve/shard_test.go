@@ -4,9 +4,9 @@ package qaserve
 // scatter-gather answers are wire-identical to single-store ones and
 // stamp the scatter shape; a dead shard yields 503 + Retry-After
 // without allow_partial and an accurately-stamped degraded 200 with
-// it; batches propagate the per-question flags (including one question
-// riding the answer cache past an open breaker while another pays it);
-// and a seeded chaos soak drives the failure domains hard and then
+// it; each request carries its own flags past an open breaker (a
+// question riding the answer cache, another paying the breaker); and a
+// seeded chaos soak drives the failure domains hard and then
 // asserts full recovery.
 
 import (
@@ -197,12 +197,11 @@ func TestShardedUnavailableAndDegraded(t *testing.T) {
 	}
 }
 
-// TestBatchPropagatesPartialFlags is the satellite regression: a batch
-// under allow_partial where one question hits an open circuit breaker.
-// The cached question rides the answer cache (undegraded, no shard
-// reads), the fresh one pays the open breaker and comes back degraded
-// — each result carries its own flags.
-func TestBatchPropagatesPartialFlags(t *testing.T) {
+// TestPartialFlagsPastOpenBreaker: with shard 1's circuit breaker
+// open, a cached question rides the answer cache (undegraded, no shard
+// reads), while a fresh one pays the open breaker: degraded under
+// allow_partial, 503 "shard unavailable" without it.
+func TestPartialFlagsPastOpenBreaker(t *testing.T) {
 	scfg := fastShardConfig()
 	scfg.MaxAttempts = 1
 	scfg.BreakerThreshold = 1          // first failure opens the breaker
@@ -232,46 +231,22 @@ func TestBatchPropagatesPartialFlags(t *testing.T) {
 		t.Fatalf("shard 1 breaker = %v, want open", st)
 	}
 
-	resp, body := postJSON(t, client, ts.URL+"/v1/answer/batch",
-		BatchRequest{Questions: []string{cachedQ, freshQ}, AllowPartial: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d (%s)", resp.StatusCode, body)
+	status, _, cached := answerWire(t, client, ts.URL, AnswerRequest{Question: cachedQ, AllowPartial: true})
+	if status != http.StatusOK || !cached.CacheHit || cached.Degraded {
+		t.Fatalf("cached question = %d %+v, want an undegraded cache hit", status, cached)
 	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 2 {
-		t.Fatalf("batch results = %d, want 2", len(br.Results))
-	}
-	cached, fresh := br.Results[0], br.Results[1]
-	if !cached.CacheHit || cached.Degraded {
-		t.Fatalf("cached question = %+v, want an undegraded cache hit", cached)
-	}
-	if !fresh.Degraded || fresh.ShardsTotal != 3 || fresh.ShardsAnswered != 2 || fresh.CacheHit {
-		t.Fatalf("fresh question = %+v, want 2/3 degraded past the open breaker", fresh)
+	status, _, fresh := answerWire(t, client, ts.URL, AnswerRequest{Question: freshQ, AllowPartial: true})
+	if status != http.StatusOK || !fresh.Degraded || fresh.ShardsTotal != 3 || fresh.ShardsAnswered != 2 || fresh.CacheHit {
+		t.Fatalf("fresh question = %d %+v, want 2/3 degraded past the open breaker", status, fresh)
 	}
 	if rejects := cluster.Stats()[1].BreakerRejects; rejects == 0 {
-		t.Fatal("open breaker admitted the batch's shard call")
+		t.Fatal("open breaker admitted the fresh question's shard call")
 	}
 
-	// The same batch without allow_partial refuses instead of lying:
-	// the cached question still answers, the fresh one reports the
-	// outage in its per-question status.
-	resp, body = postJSON(t, client, ts.URL+"/v1/answer/batch",
-		BatchRequest{Questions: []string{cachedQ, freshQ}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("opt-out batch status = %d (%s)", resp.StatusCode, body)
-	}
-	br = BatchResponse{}
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if !br.Results[0].CacheHit || br.Results[0].Degraded {
-		t.Fatalf("opt-out cached result = %+v", br.Results[0])
-	}
-	if br.Results[1].Status != "shard unavailable" || br.Results[1].Answered {
-		t.Fatalf("opt-out fresh result = %+v, want \"shard unavailable\"", br.Results[1])
+	// The same question without allow_partial refuses instead of lying.
+	status, retry, fresh := answerWire(t, client, ts.URL, AnswerRequest{Question: freshQ})
+	if status != http.StatusServiceUnavailable || retry != "1" || fresh.Status != "shard unavailable" || fresh.Answered {
+		t.Fatalf("opt-out fresh question = %d (Retry-After %q) %+v, want 503 \"shard unavailable\"", status, retry, fresh)
 	}
 }
 
@@ -302,9 +277,7 @@ func TestShardChaosSoak(t *testing.T) {
 	// Phase 1: the storm. Alternate opt-in and opt-out; every response
 	// must be a well-formed 200 or 503 — never a 500, never a hung
 	// request (the per-attempt budget bounds each shard call).
-	for i := 0; i < 60; i++ {
-		q := soakQuestions[i%len(soakQuestions)]
-		req := AnswerRequest{Question: q, AllowPartial: i%2 == 0}
+	ask := func(i int, req AnswerRequest) {
 		status, retry, ar := answerWire(t, client, ts.URL, req)
 		switch status {
 		case http.StatusOK:
@@ -318,13 +291,14 @@ func TestShardChaosSoak(t *testing.T) {
 		default:
 			t.Fatalf("soak %d: status %d (%+v)", i, status, ar)
 		}
+	}
+	for i := 0; i < 60; i++ {
+		ask(i, AnswerRequest{Question: soakQuestions[i%len(soakQuestions)], AllowPartial: i%2 == 0})
 		if i%10 == 9 {
-			// A batch in the mix: it must answer 200 with per-question
-			// outcomes regardless of shard weather.
-			resp, body := postJSON(t, client, ts.URL+"/v1/answer/batch",
-				BatchRequest{Questions: soakQuestions[:3], AllowPartial: true})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("soak batch %d: status %d (%s)", i, resp.StatusCode, body)
+			// Every tenth step, the first three questions in order
+			// under allow_partial.
+			for _, q := range soakQuestions[:3] {
+				ask(i, AnswerRequest{Question: q, AllowPartial: true})
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package qaserve
 
 // TestChaosSoak is the PR 8 resilience acceptance test: a seeded,
-// deterministic soak that replays a mixed single/batch/update workload
+// deterministic soak that replays a mixed answer/update workload
 // against a live server with chaos armed at the pipeline stage
 // boundaries and the WAL manager's fault points, on the fault-injecting
 // in-memory filesystem. It asserts the harness's four invariants:
@@ -88,8 +88,8 @@ func TestChaosSoak(t *testing.T) {
 
 	// --- Phase 1: overload. Warm one question into the cache (retrying
 	// past any injected fault — the cache only keeps successes), then
-	// hold every Normal slot and assert the priority order: batch sheds
-	// first, normal sheds, the cached question rides the reserve.
+	// hold every Normal slot and assert the priority order: normal
+	// sheds, the cached question rides the reserve.
 	const warmQ = "Where did Abraham Lincoln die?"
 	warmed := false
 	for try := 0; try < 10 && !warmed; try++ {
@@ -105,12 +105,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	for round := 0; round < 5; round++ {
-		resp, _ := postJSON(t, client, ts.URL+"/v1/answer/batch",
-			BatchRequest{Questions: []string{"How tall is Michael Jordan?"}})
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
-			t.Fatalf("overload round %d: batch status %d, want 503", round, resp.StatusCode)
-		}
-		resp, _ = post(fmt.Sprintf("Which lake is the largest? (soak %d)", round))
+		resp, _ := post(fmt.Sprintf("Which lake is the largest? (soak %d)", round))
 		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
 			t.Fatalf("overload round %d: normal status %d, want 503", round, resp.StatusCode)
 		}
@@ -138,6 +133,12 @@ func TestChaosSoak(t *testing.T) {
 	// (wal.apply and wal.append both fire before any byte or mutation).
 	height := "1.98"
 	acked, failed := 0, 0
+	answer := func(i int, q string) {
+		resp, body := post(q)
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("soak answer %d: status %d (%s)", i, resp.StatusCode, body)
+		}
+	}
 	for i := 0; i < 90; i++ {
 		switch i % 5 {
 		case 4: // update
@@ -152,17 +153,12 @@ func TestChaosSoak(t *testing.T) {
 			default:
 				t.Fatalf("soak update %d: status %d (%s)", i, resp.StatusCode, body)
 			}
-		case 3: // batch of two
-			resp, body := postJSON(t, client, ts.URL+"/v1/answer/batch",
-				BatchRequest{Questions: soakQuestions[:2]})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("soak batch %d: status %d (%s)", i, resp.StatusCode, body)
+		case 3: // the first two questions, one after the other
+			for _, q := range soakQuestions[:2] {
+				answer(i, q)
 			}
 		default: // single answers, cached and not
-			resp, body := post(soakQuestions[i%len(soakQuestions)])
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
-				t.Fatalf("soak answer %d: status %d (%s)", i, resp.StatusCode, body)
-			}
+			answer(i, soakQuestions[i%len(soakQuestions)])
 		}
 	}
 	if acked == 0 || failed == 0 {
@@ -232,8 +228,7 @@ func TestChaosSoak(t *testing.T) {
 	if len(recovered) != 1 || recovered[0] != height {
 		t.Fatalf("recovered heights = %v, want exactly [%s]", recovered, height)
 	}
-	// The shed ledger: overload shed batch and normal work, never a
-	// cached read; the injections are all on the books.
+	// The shed ledger: overload shed normal work, never a cached read; the injections are all on the books.
 	mresp, err := client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +237,8 @@ func TestChaosSoak(t *testing.T) {
 	mresp.Body.Close()
 	for _, w := range []string{
 		`qaserve_admission_shed_total{priority="cached"} 0`,
-		`qaserve_admission_shed_total{priority="batch"} 5`,
 		`qaserve_admission_shed_total{priority="normal"} 5`,
-		`qaserve_requests_total{outcome="rejected"} 10`,
+		`qaserve_requests_total{outcome="rejected"} 5`,
 		`qaserve_chaos_injections_total{point="wal.append",kind="error"} 3`,
 		"qaserve_degraded 0",
 	} {

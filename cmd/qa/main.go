@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -127,7 +128,7 @@ func answerOne(sys *core.System, q string, explain bool, top int, timeout time.D
 		if res.CacheHit {
 			fmt.Println("-- served from the answer cache, which keeps the answer and not its derivation: no graph, triples, mapping or candidate queries to show --")
 		}
-		printTrace(sys, res, top)
+		printTrace(os.Stdout, res, top)
 		if res.Trace != nil {
 			fmt.Println("-- stage timings --")
 			for _, st := range res.Trace.Stages {
@@ -156,47 +157,51 @@ func answerOne(sys *core.System, q string, explain bool, top int, timeout time.D
 	fmt.Print(")\n\n")
 }
 
-func printTrace(sys *core.System, res *core.Result, top int) {
+// printTrace writes the -explain trace of res to w: §2.1's graph and
+// triples, §2.2's mapping, the top §2.3 candidates — each one's query
+// text, whether or not it ran, under it how the ranking loop left it —
+// and the winning query.
+func printTrace(w io.Writer, res *core.Result, top int) {
 	if res.Extraction != nil && res.Extraction.Graph != nil {
-		fmt.Println("-- dependency graph (Figure 1 style) --")
-		fmt.Print(res.Extraction.Graph.String())
-		fmt.Println("-- dependency tree --")
-		fmt.Print(res.Extraction.Graph.Tree())
+		fmt.Fprintln(w, "-- dependency graph (Figure 1 style) --")
+		fmt.Fprint(w, res.Extraction.Graph.String())
+		fmt.Fprintln(w, "-- dependency tree --")
+		fmt.Fprint(w, res.Extraction.Graph.Tree())
 		if len(res.Extraction.Triples) > 0 {
-			fmt.Println("-- extracted triple patterns (§2.1) --")
+			fmt.Fprintln(w, "-- extracted triple patterns (§2.1) --")
 			for _, t := range res.Extraction.Triples {
-				fmt.Println("   " + t.String())
+				fmt.Fprintln(w, "   "+t.String())
 			}
-			fmt.Printf("   expected answer type: %s\n", res.Extraction.Expected.Kind)
+			fmt.Fprintf(w, "   expected answer type: %s\n", res.Extraction.Expected.Kind)
 		}
 	}
 	if res.Mapping != nil {
-		fmt.Println("-- entity & property mapping (§2.2) --")
+		fmt.Fprintln(w, "-- entity & property mapping (§2.2) --")
 		for _, mt := range res.Mapping.Triples {
 			if !mt.Class.IsZero() {
-				fmt.Printf("   class: %s\n", mt.Class)
+				fmt.Fprintf(w, "   class: %s\n", mt.Class)
 				continue
 			}
 			if !mt.Subject.IsZero() {
-				fmt.Printf("   subject entity: %s\n", mt.Subject)
+				fmt.Fprintf(w, "   subject entity: %s\n", mt.Subject)
 			}
 			if !mt.Object.IsZero() {
-				fmt.Printf("   object entity: %s\n", mt.Object)
+				fmt.Fprintf(w, "   object entity: %s\n", mt.Object)
 			}
 			for i, c := range mt.Predicates {
-				fmt.Printf("   P%d: %-28s sim=%.2f freq=%-4d source=%s\n",
+				fmt.Fprintf(w, "   P%d: %-28s sim=%.2f freq=%-4d source=%s\n",
 					i+1, c.Property.Term.String(), c.Sim, c.Freq, c.Source)
 			}
 		}
 	}
 	if res.Answer != nil {
 		n := min(top, len(res.Answer.Candidates))
-		fmt.Printf("-- candidate queries (§2.3), top %d of %d --\n", n, len(res.Answer.Candidates))
+		fmt.Fprintf(w, "-- candidate queries (§2.3), top %d of %d --\n", n, len(res.Answer.Candidates))
 		for i, cq := range res.Answer.Candidates[:n] {
-			fmt.Printf("   [score %8.1f] %s\n                    %s\n", cq.Score, cq.SPARQL, res.Answer.Outcome(i))
+			fmt.Fprintf(w, "   [score %8.1f] %s\n                    %s\n", cq.Score, cq.Query, res.Answer.Outcome(i))
 		}
 	}
-	if w := res.WinningSPARQL(); w != "" { // kept by a cache entry, unlike the rest
-		fmt.Printf("-- winning query --\n   %s\n", w)
+	if win := res.WinningSPARQL(); win != "" { // kept by a cache entry, unlike the rest
+		fmt.Fprintf(w, "-- winning query --\n   %s\n", win)
 	}
 }

@@ -46,6 +46,6 @@ func main() {
 		if i == 0 || i > 3 {
 			continue
 		}
-		fmt.Printf("  score %.1f  %s\n", cq.Score, cq.SPARQL)
+		fmt.Printf("  score %.1f  %s\n", cq.Score, cq.Query)
 	}
 }

@@ -23,7 +23,19 @@
 // work a busy server needs for other questions; parallelism lives one
 // level up, across questions (one per HTTP connection). The
 // SELECT candidates, the ASK path and the COUNT retry share one loop,
-// firstWinner.
+// firstWinner. Only a candidate that runs is printed: the loop sets
+// CandidateQuery.SPARQL when it executes one, and a skipped or
+// unreached candidate's text is its Query.String().
+//
+// # Store IDs
+//
+// §2.3 asks the store about a question's constants in ID space. The
+// ground entity of each triple, the Domain and Range classes the
+// orientation typing probes, Table 1's classes and the predicates the
+// skip asks about are each resolved through the session once a
+// question (typing); the skip reads a predicate's kind counts by ID,
+// and the type filter probes each answer row by the ID the executor
+// returned (sparql.Result.IDAt), so no repeated probe hashes a term.
 //
 // The run is request-scoped: ExtractSessionCtx checks the caller's context
 // between candidates and sparql.ExecuteCtx checks it between join
@@ -42,6 +54,7 @@ import (
 	"repro/internal/propmap"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/store"
 	"repro/internal/triplex"
 )
 
@@ -67,7 +80,10 @@ func DefaultConfig() Config { return Config{MaxQueries: 256} }
 
 // CandidateQuery is one member of Q with its execution outcome.
 type CandidateQuery struct {
-	Query  *sparql.Query
+	Query *sparql.Query
+	// SPARQL is Query's text, printed when the ranking loop executes
+	// the candidate; "" for one it skipped or did not reach, whose text
+	// is Query.String().
 	SPARQL string
 	// Score is the §2.3.1 ranking score: the product of the predicate
 	// candidates' rank scores.
@@ -193,6 +209,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 	}
 	all := make([]alternative, 0, size)
 	perTriple := make([][]alternative, 0, len(mp.Triples))
+	ty := typing{sess: sess}
 	for _, mt := range mp.Triples {
 		first := len(all)
 		if !mt.Class.IsZero() {
@@ -200,11 +217,12 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 			perTriple = append(perTriple, all[first:len(all):len(all)])
 			continue
 		}
-		subj := slotTerm(mt.SubjectVar, mt.Subject)
-		obj := slotTerm(mt.ObjectVar, mt.Object)
-		for pred, cand := range mt.Predicates {
+		subj := ty.slot(slotTerm(mt.SubjectVar, mt.Subject))
+		obj := ty.slot(slotTerm(mt.ObjectVar, mt.Object))
+		for pred := range mt.Predicates {
+			cand := &mt.Predicates[pred]
 			var buf [2]orientation
-			for _, o := range e.orientations(buf[:0], sess, cand.Property, subj, obj) {
+			for _, o := range ty.orientations(buf[:0], &cand.Property, subj, obj) {
 				all = append(all, alternative{pred: int32(pred), orient: o, score: cand.RankScore()})
 			}
 		}
@@ -250,7 +268,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 			q.Patterns[d] = alt.pattern(&mp.Triples[d])
 			score *= alt.score
 		}
-		res.Candidates[c] = CandidateQuery{Query: q, SPARQL: q.String(), Score: score}
+		res.Candidates[c] = CandidateQuery{Query: q, Score: score}
 	}
 
 	slices.SortStableFunc(res.Candidates, rankOrder)
@@ -259,7 +277,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		return e.executeBoolean(ctx, sess, res)
 	}
 
-	if err := e.executeSelect(ctx, sess, res, expected); err != nil {
+	if err := e.executeSelect(ctx, &ty, res, expected); err != nil {
 		return nil, err
 	}
 
@@ -318,18 +336,20 @@ func firstWinner(ctx context.Context, n int, try func(i int) bool) (int, error) 
 // type filter a candidate no row of which could pass it is skipped
 // instead of run. It returns the context error when cancellation ended
 // the run before a win.
-func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res *Result, expected triplex.Expected) error {
-	want, typed := tableKind(expected.Kind)
-	typed = typed && !e.cfg.DisableTypeCheck
+func (e *Extractor) executeSelect(ctx context.Context, ty *typing, res *Result, expected triplex.Expected) error {
+	sess := ty.sess
+	filter := ty.table1(expected.Kind)
+	typed := filter.typed && !e.cfg.DisableTypeCheck
 	_, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		if typed {
-			if by := cannotPass(sess, cq.Query, want); by >= 0 {
+			if by := cannotPass(ty, cq.Query, filter.kind); by >= 0 {
 				cq.Skipped, cq.SkippedBy = true, by
 				return false
 			}
 		}
 		cq.Executed = true
+		cq.SPARQL = cq.Query.String()
 		r, err := sess.ExecuteCtx(ctx, cq.Query)
 		if err != nil {
 			cq.Err = err
@@ -337,7 +357,9 @@ func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res
 		}
 		// One pass over the columnar rows: no Binding maps, no
 		// intermediate column slice — a term materialises (slice read,
-		// no allocation) only when its row binds the answer variable.
+		// no allocation) only when its row binds the answer variable,
+		// and the type filter probes the row's ID as the executor
+		// returned it.
 		xcol := r.VarIndex("x")
 		for row, n := 0, r.Len(); row < n; row++ {
 			term, ok := r.TermAt(row, xcol)
@@ -345,7 +367,7 @@ func (e *Extractor) executeSelect(ctx context.Context, sess *sparql.Session, res
 				continue
 			}
 			cq.Raw++
-			if e.cfg.DisableTypeCheck || e.typeMatches(sess, term, expected) {
+			if e.cfg.DisableTypeCheck || filter.admits(sess, term, r.IDAt(row, xcol)) {
 				if cq.Answers == nil {
 					cq.Answers = make([]rdf.Term, 0, n-row) // every remaining row may conform
 				}
@@ -379,6 +401,9 @@ func (e *Extractor) executeBoolean(ctx context.Context, sess *sparql.Session, re
 	winner, err := firstWinner(ctx, len(res.Candidates), func(i int) bool {
 		cq := &res.Candidates[i]
 		cq.Executed = true
+		if cq.Query != nil {
+			cq.SPARQL = cq.Query.String()
+		}
 		r, err := sess.ExecuteCtx(ctx, cq.Query)
 		if err != nil {
 			cq.Err = err
@@ -457,33 +482,84 @@ func slotTerm(varName string, entity rdf.Term) rdf.Term {
 	return entity
 }
 
+// typing answers §2.3's rdf:type and kind questions for one question
+// in store-ID space. The constants it probes — the Domain and Range
+// classes of the candidate properties, Table 1's classes and the
+// predicates the skip asks about — are resolved through the session
+// once a question: a question names a dozen or so distinct ones, held
+// in place; past that many a constant is looked up each time it is
+// asked.
+type typing struct {
+	sess *sparql.Session
+	n    int
+	iris [16]string
+	ids  [16]store.ID
+}
+
+// id returns c's ID in the session's view, 0 when the view does not
+// hold it. IRIs are held by their text; other terms are looked up each
+// time.
+func (ty *typing) id(c rdf.Term) store.ID {
+	if !c.IsIRI() {
+		return ty.sess.Lookup(c)
+	}
+	for i := range ty.n {
+		if ty.iris[i] == c.Value {
+			return ty.ids[i]
+		}
+	}
+	id := ty.sess.Lookup(c)
+	if ty.n < len(ty.iris) {
+		ty.iris[ty.n], ty.ids[ty.n] = c.Value, id
+		ty.n++
+	}
+	return id
+}
+
+// slot is one side of an extracted triple: a variable, or a ground
+// term with its ID when it is an IRI (the only terms the typing
+// probes).
+type slot struct {
+	term rdf.Term
+	id   store.ID
+}
+
+// slot resolves a triple's side once, before its orientations are
+// typed.
+func (ty *typing) slot(t rdf.Term) slot {
+	if !t.IsIRI() {
+		return slot{term: t}
+	}
+	return slot{term: t, id: ty.sess.Lookup(t)}
+}
+
 // orientations appends the executable orientations of a property
 // between the two slots to out — at most two. Object properties are
 // tried in both directions when the domain/range typing does not rule
 // one out; data properties only ever have the literal on the object
 // side. Typing reads the
 // session's pinned snapshot, like everything else in the §2.3 run.
-func (e *Extractor) orientations(out []orientation, sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []orientation {
+func (ty *typing) orientations(out []orientation, p *kb.Property, subj, obj slot) []orientation {
 	if !p.Object {
 		// Data property: the variable must sit in object position.
 		switch {
-		case obj.IsVar() && !subj.IsVar():
-			if e.instanceOfLoose(sess, subj, p.Domain) {
+		case obj.term.IsVar() && !subj.term.IsVar():
+			if ty.instanceOfLoose(subj, p.Domain) {
 				out = append(out, forward)
 			}
-		case subj.IsVar() && !obj.IsVar():
+		case subj.term.IsVar() && !obj.term.IsVar():
 			// Reversed slots: literal value on the subject side cannot
 			// be expressed; try the flipped orientation.
-			if e.instanceOfLoose(sess, obj, p.Domain) {
+			if ty.instanceOfLoose(obj, p.Domain) {
 				out = append(out, reverse)
 			}
-		case subj.IsVar() && obj.IsVar():
+		case subj.term.IsVar() && obj.term.IsVar():
 			out = append(out, forward)
 		}
 		return out
 	}
-	fwdOK := e.orientationTypable(sess, subj, obj, p)
-	revOK := e.orientationTypable(sess, obj, subj, p)
+	fwdOK := ty.orientationTypable(subj, obj, p)
+	revOK := ty.orientationTypable(obj, subj, p)
 	if fwdOK {
 		out = append(out, forward)
 	}
@@ -499,11 +575,11 @@ func (e *Extractor) orientations(out []orientation, sess *sparql.Session, p kb.P
 // orientationTypable reports whether placing s in subject and o in
 // object position is consistent with the property's domain/range for
 // the slots that are ground.
-func (e *Extractor) orientationTypable(sess *sparql.Session, s, o rdf.Term, p kb.Property) bool {
-	if !s.IsVar() && !e.instanceOfLoose(sess, s, p.Domain) {
+func (ty *typing) orientationTypable(s, o slot, p *kb.Property) bool {
+	if !s.term.IsVar() && !ty.instanceOfLoose(s, p.Domain) {
 		return false
 	}
-	if !o.IsVar() && !e.instanceOfLoose(sess, o, p.Range) {
+	if !o.term.IsVar() && !ty.instanceOfLoose(o, p.Range) {
 		return false
 	}
 	return true
@@ -511,19 +587,18 @@ func (e *Extractor) orientationTypable(sess *sparql.Session, s, o rdf.Term, p kb
 
 // instanceOfLoose checks rdf:type membership; unknown/Thing constraints
 // pass.
-func (e *Extractor) instanceOfLoose(sess *sparql.Session, entity, class rdf.Term) bool {
-	if class.IsZero() || class.Value == rdf.IRIThing || !entity.IsIRI() {
+func (ty *typing) instanceOfLoose(entity slot, class rdf.Term) bool {
+	if class.IsZero() || class.Value == rdf.IRIThing || !entity.term.IsIRI() {
 		return true
 	}
 	if !strings.HasPrefix(class.Value, rdf.NSOnt) {
 		return true
 	}
 	// Types are materialised, so the entity's own type set suffices.
-	return sess.InstanceOf(entity, class)
+	return ty.sess.InstanceOf(entity.id, ty.id(class))
 }
 
-// The classes Table 1 admits per expected type, built once: the filter
-// asks about them for every produced answer.
+// The classes Table 1 admits per expected type.
 var (
 	personClasses = []rdf.Term{rdf.Ont("Person"), rdf.Ont("Organisation"), rdf.Ont("Company")}
 	placeClasses  = []rdf.Term{rdf.Ont("Place")}
@@ -545,42 +620,66 @@ func tableKind(k triplex.ExpectedKind) (kind rdf.ValueKind, ok bool) {
 	return 0, false
 }
 
-// typeMatches implements Table 1 (§2.3.2).
-func (e *Extractor) typeMatches(sess *sparql.Session, t rdf.Term, expected triplex.Expected) bool {
-	want, typed := tableKind(expected.Kind)
-	switch {
-	case !typed:
-		return expected.Kind == triplex.ExpectClass || expected.Kind == triplex.ExpectAny
-	case t.ValueKind() != want:
-		return false
-	case expected.Kind == triplex.ExpectPerson:
-		return e.isAny(sess, t, personClasses)
-	case expected.Kind == triplex.ExpectPlace:
-		return e.isAny(sess, t, placeClasses)
-	}
-	return true
+// table1 is Table 1 (§2.3.2) for one question's expected type: the
+// value kind it admits and, for a Person or a Place, the IDs of the
+// classes an answer must be an instance of (0: unused, or a class the
+// view does not hold).
+type table1 struct {
+	expected triplex.ExpectedKind
+	kind     rdf.ValueKind
+	typed    bool
+	classes  [3]store.ID
 }
 
-func (e *Extractor) isAny(sess *sparql.Session, t rdf.Term, classes []rdf.Term) bool {
-	for _, c := range classes {
-		if sess.InstanceOf(t, c) {
-			return true
-		}
+// table1 resolves Table 1's classes for the expected type, once a
+// question.
+func (ty *typing) table1(k triplex.ExpectedKind) table1 {
+	f := table1{expected: k}
+	f.kind, f.typed = tableKind(k)
+	var classes []rdf.Term
+	switch k {
+	case triplex.ExpectPerson:
+		classes = personClasses
+	case triplex.ExpectPlace:
+		classes = placeClasses
 	}
-	return false
+	for i, c := range classes {
+		f.classes[i] = ty.id(c)
+	}
+	return f
+}
+
+// admits reports whether the answer t, whose ID in the session's view
+// is id, passes Table 1.
+func (f *table1) admits(sess *sparql.Session, t rdf.Term, id store.ID) bool {
+	switch {
+	case !f.typed:
+		return f.expected == triplex.ExpectClass || f.expected == triplex.ExpectAny
+	case t.ValueKind() != f.kind:
+		return false
+	case f.expected == triplex.ExpectPerson || f.expected == triplex.ExpectPlace:
+		for _, c := range f.classes {
+			if sess.InstanceOf(id, c) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // cannotPass returns the index of a pattern of q under which no row can
 // pass Table 1, or -1: a pattern with a constant predicate that binds
 // ?x as its object (subject), when the view holds no object (subject)
-// of that predicate of the kind want.
-func cannotPass(sess *sparql.Session, q *sparql.Query, want rdf.ValueKind) int {
+// of that predicate of the kind want. Each predicate is resolved once
+// a question, when the first candidate that reaches this asks.
+func cannotPass(ty *typing, q *sparql.Query, want rdf.ValueKind) int {
 	for i, p := range q.Patterns {
 		subj, obj := isAnswerVar(p.S), isAnswerVar(p.O)
 		if p.P.IsVar() || !subj && !obj {
 			continue
 		}
-		if k := sess.PredicateKinds(p.P); obj && k.Objects[want] == 0 || subj && k.Subjects[want] == 0 {
+		if k := ty.sess.PredicateKinds(ty.id(p.P)); obj && k.Objects[want] == 0 || subj && k.Subjects[want] == 0 {
 			return i
 		}
 	}

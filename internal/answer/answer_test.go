@@ -64,8 +64,8 @@ func TestQuery1Query2Generation(t *testing.T) {
 	}
 	var variants []string
 	for _, cq := range res.Candidates {
-		if strings.Contains(cq.SPARQL, "rdf:type dbont:Book") {
-			variants = append(variants, cq.SPARQL)
+		if text := cq.Query.String(); strings.Contains(text, "rdf:type dbont:Book") {
+			variants = append(variants, text)
 		}
 	}
 	joined := strings.Join(variants, "\n")
@@ -130,7 +130,7 @@ func TestTypeCheckSelectsDate(t *testing.T) {
 		if &res.Candidates[i] == res.Winning {
 			break
 		}
-		if strings.Contains(cq.SPARQL, "deathPlace") && cq.Skipped && !cq.Executed && cq.Raw == 0 {
+		if strings.Contains(cq.Query.String(), "deathPlace") && cq.Skipped && !cq.Executed && cq.Raw == 0 {
 			skippedPlace = true
 			if got, want := res.Outcome(i), "skipped: dbont:deathPlace has no date literal object"; got != want {
 				t.Errorf("Outcome = %q, want %q", got, want)
@@ -173,8 +173,8 @@ func TestOrientationPruning(t *testing.T) {
 		t.Fatalf("answers = %v", res.Answers)
 	}
 	for _, cq := range res.Candidates {
-		if strings.Contains(cq.SPARQL, "?x dbont:author res:The_Time_Machine") {
-			t.Errorf("untypable orientation generated: %s", cq.SPARQL)
+		if text := cq.Query.String(); strings.Contains(text, "?x dbont:author res:The_Time_Machine") {
+			t.Errorf("untypable orientation generated: %s", text)
 		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 
 // orientationPatterns renders the orientations of p between subj and
 // obj as the triple patterns §2.3 executes.
-func orientationPatterns(ex *Extractor, sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []rdf.Triple {
+func orientationPatterns(sess *sparql.Session, p kb.Property, subj, obj rdf.Term) []rdf.Triple {
 	var pats []rdf.Triple
-	for _, o := range ex.orientations(nil, sess, p, subj, obj) {
+	ty := typing{sess: sess}
+	for _, o := range ty.orientations(nil, &p, ty.slot(subj), ty.slot(obj)) {
 		mt := propmap.MappedTriple{Predicates: []propmap.PropCandidate{{Property: p}}}
 		mt.Subject, mt.Object = subj, obj
 		if subj.IsVar() {
@@ -35,28 +36,27 @@ func orientationPatterns(ex *Extractor, sess *sparql.Session, p kb.Property, sub
 
 func TestOrientationsDataProperty(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, DefaultConfig())
 	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	height, _ := k.PropertyByLocal("height")
 
 	// Entity subject, var object: the natural direction.
-	pats := orientationPatterns(ex, sess, height, rdf.Res("Michael_Jordan"), rdf.NewVar("x"))
+	pats := orientationPatterns(sess, height, rdf.Res("Michael_Jordan"), rdf.NewVar("x"))
 	if len(pats) != 1 || pats[0].S != rdf.Res("Michael_Jordan") {
 		t.Errorf("natural data orientation = %v", pats)
 	}
 	// Var subject, entity object: flipped so the literal stays on the
 	// object side.
-	pats2 := orientationPatterns(ex, sess, height, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
+	pats2 := orientationPatterns(sess, height, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
 	if len(pats2) != 1 || pats2[0].S != rdf.Res("Michael_Jordan") || !pats2[0].O.IsVar() {
 		t.Errorf("flipped data orientation = %v", pats2)
 	}
 	// Both vars.
-	pats3 := orientationPatterns(ex, sess, height, rdf.NewVar("a"), rdf.NewVar("b"))
+	pats3 := orientationPatterns(sess, height, rdf.NewVar("a"), rdf.NewVar("b"))
 	if len(pats3) != 1 {
 		t.Errorf("var-var data orientation = %v", pats3)
 	}
 	// Domain-violating subject produces nothing.
-	pats4 := orientationPatterns(ex, sess, height, rdf.Res("Ankara"), rdf.NewVar("x"))
+	pats4 := orientationPatterns(sess, height, rdf.Res("Ankara"), rdf.NewVar("x"))
 	if len(pats4) != 0 {
 		t.Errorf("domain violation accepted: %v", pats4)
 	}
@@ -64,24 +64,23 @@ func TestOrientationsDataProperty(t *testing.T) {
 
 func TestOrientationsObjectProperty(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, DefaultConfig())
 	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
 	spouse, _ := k.PropertyByLocal("spouse")
 
 	// Person-Person property: both orientations type-check.
-	pats := orientationPatterns(ex, sess, spouse, rdf.NewVar("x"), rdf.Res("Barack_Obama"))
+	pats := orientationPatterns(sess, spouse, rdf.NewVar("x"), rdf.Res("Barack_Obama"))
 	if len(pats) != 2 {
 		t.Errorf("spouse orientations = %v, want both", pats)
 	}
 	// capital: Country→City; with a City entity only one direction fits.
 	capital, _ := k.PropertyByLocal("capital")
-	pats2 := orientationPatterns(ex, sess, capital, rdf.NewVar("x"), rdf.Res("Ankara"))
+	pats2 := orientationPatterns(sess, capital, rdf.NewVar("x"), rdf.Res("Ankara"))
 	if len(pats2) != 1 || pats2[0].O != rdf.Res("Ankara") {
 		t.Errorf("capital orientations = %v, want Turkey-side var only", pats2)
 	}
 	// Entity typable in neither position: both orientations are kept as
 	// a fallback (the executor discards empty ones).
-	pats3 := orientationPatterns(ex, sess, capital, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
+	pats3 := orientationPatterns(sess, capital, rdf.NewVar("x"), rdf.Res("Michael_Jordan"))
 	if len(pats3) != 2 {
 		t.Errorf("fallback orientations = %v, want both", pats3)
 	}
@@ -89,8 +88,8 @@ func TestOrientationsObjectProperty(t *testing.T) {
 
 func TestTypeMatchesTable1(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, DefaultConfig())
 	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
+	ty := typing{sess: sess}
 	cases := []struct {
 		term rdf.Term
 		kind triplex.ExpectedKind
@@ -110,32 +109,33 @@ func TestTypeMatchesTable1(t *testing.T) {
 		{rdf.NewInteger(5), triplex.ExpectPerson, false}, // literal is no person
 	}
 	for _, c := range cases {
-		if got := ex.typeMatches(sess, c.term, triplex.Expected{Kind: c.kind}); got != c.want {
-			t.Errorf("typeMatches(%v, %v) = %v, want %v", c.term, c.kind, got, c.want)
+		filter := ty.table1(c.kind)
+		if got := filter.admits(sess, c.term, sess.Lookup(c.term)); got != c.want {
+			t.Errorf("admits(%v) under %v = %v, want %v", c.term, c.kind, got, c.want)
 		}
 	}
 }
 
 func TestInstanceOfLoose(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, DefaultConfig())
-	sess := sparql.NewSnapshotSession(k.Store.Snapshot())
+	ty := typing{sess: sparql.NewSnapshotSession(k.Store.Snapshot())}
+	ankara := ty.slot(rdf.Res("Ankara"))
 	// owl:Thing and zero constraints always pass.
-	if !ex.instanceOfLoose(sess, rdf.Res("Ankara"), rdf.Term{}) {
+	if !ty.instanceOfLoose(ankara, rdf.Term{}) {
 		t.Error("zero class should pass")
 	}
-	if !ex.instanceOfLoose(sess, rdf.Res("Ankara"), rdf.NewIRI(rdf.IRIThing)) {
+	if !ty.instanceOfLoose(ankara, rdf.NewIRI(rdf.IRIThing)) {
 		t.Error("owl:Thing should pass")
 	}
 	// Non-dbont constraint passes (xsd types on data properties).
-	if !ex.instanceOfLoose(sess, rdf.Res("Ankara"), rdf.NewIRI(rdf.XSDDouble)) {
+	if !ty.instanceOfLoose(ankara, rdf.NewIRI(rdf.XSDDouble)) {
 		t.Error("non-ontology range should pass")
 	}
 	// Literals pass (type checking handles them separately).
-	if !ex.instanceOfLoose(sess, rdf.NewInteger(3), rdf.Ont("Person")) {
+	if !ty.instanceOfLoose(ty.slot(rdf.NewInteger(3)), rdf.Ont("Person")) {
 		t.Error("literal should pass the loose check")
 	}
-	if ex.instanceOfLoose(sess, rdf.Res("Ankara"), rdf.Ont("Person")) {
+	if ty.instanceOfLoose(ankara, rdf.Ont("Person")) {
 		t.Error("Ankara is not a Person")
 	}
 }

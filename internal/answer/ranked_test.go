@@ -272,6 +272,8 @@ func TestExtractStopsAtWinner(t *testing.T) {
 func checkSkipsExact(t *testing.T, where string, e *Extractor, res *Result) int {
 	t.Helper()
 	sess := sparql.NewViewSession(e.kb.Store.Snapshot())
+	ty := typing{sess: sess}
+	filter := ty.table1(res.Expected.Kind)
 	n := 0
 	for i := range res.Candidates {
 		cq := &res.Candidates[i]
@@ -285,7 +287,7 @@ func checkSkipsExact(t *testing.T, where string, e *Extractor, res *Result) int 
 		}
 		x := r.VarIndex("x")
 		for row := 0; row < r.Len(); row++ {
-			if term, ok := r.TermAt(row, x); ok && e.typeMatches(sess, term, res.Expected) {
+			if term, ok := r.TermAt(row, x); ok && filter.admits(sess, term, r.IDAt(row, x)) {
 				t.Errorf("%s: skipped candidate %d (%s) has a row that passes Table 1: %v", where, i, cq.SPARQL, term)
 			}
 		}

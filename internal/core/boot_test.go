@@ -74,7 +74,7 @@ func TestNewConcurrentBuilds(t *testing.T) {
 			fmt.Fprintf(&b, "%v %v", res.Status, res.AnswerStrings(k))
 			if res.Answer != nil {
 				for _, c := range res.Answer.Candidates {
-					fmt.Fprintf(&b, "\n%s %g %v", c.SPARQL, c.Score, c.Executed)
+					fmt.Fprintf(&b, "\n%s %g %v", c.Query.String(), c.Score, c.Executed)
 				}
 			}
 			out[i] = b.String()

@@ -34,10 +34,10 @@ func TestWorkedExampleOrhanPamuk(t *testing.T) {
 	// variants must appear.
 	var sawWriter, sawAuthor bool
 	for _, cq := range res.Answer.Candidates {
-		if strings.Contains(cq.SPARQL, "dbont:writer") {
+		if strings.Contains(cq.Query.String(), "dbont:writer") {
 			sawWriter = true
 		}
-		if strings.Contains(cq.SPARQL, "dbont:author") {
+		if strings.Contains(cq.Query.String(), "dbont:author") {
 			sawAuthor = true
 		}
 	}

@@ -102,6 +102,7 @@ func (o *skipOracle) check(t *testing.T, questions []string, stage string) map[s
 		{"store", func() sparql.StoreView { return o.sys.KB.Store.Snapshot() }},
 		{"4-shard", func() sparql.StoreView { return o.cluster.NewView(ctx) }},
 	}
+	sn := o.sys.KB.Store.Snapshot() // the ground probes' snapshot: the shards mirror it
 	for _, oc := range o.configs {
 		for _, tier := range tiers {
 			tally := &skipTally{}
@@ -111,7 +112,8 @@ func (o *skipOracle) check(t *testing.T, questions []string, stage string) map[s
 					continue
 				}
 				where := fmt.Sprintf("%s: %s on %s: %q", stage, oc.name, tier.name, questions[qi])
-				got, err := oc.ex.ExtractSessionCtx(ctx, mp, sparql.NewViewSession(tier.view()))
+				view := tier.view()
+				got, err := oc.ex.ExtractSessionCtx(ctx, mp, sparql.NewViewSession(view))
 				ref, refErr := oc.ex.ExtractSessionCtx(ctx, mp, sparql.NewViewSession(everyKind{tier.view()}))
 				if fmt.Sprint(err) != fmt.Sprint(refErr) {
 					t.Fatalf("%s: error %v, execute-then-filter %v", where, err, refErr)
@@ -121,6 +123,7 @@ func (o *skipOracle) check(t *testing.T, questions []string, stage string) map[s
 				}
 				tally.questions++
 				compareToReference(t, where, got, ref, tally)
+				compareToTermSpace(t, where, got, view, sn)
 			}
 		}
 	}
@@ -138,8 +141,8 @@ func compareToReference(t *testing.T, where string, got, ref *answer.Result, tal
 	}
 	for i := range got.Candidates {
 		g, r := &got.Candidates[i], &ref.Candidates[i]
-		if g.SPARQL != r.SPARQL {
-			t.Fatalf("%s: candidate %d is %s, in the reference %s", where, i, g.SPARQL, r.SPARQL)
+		if g.Query.String() != r.Query.String() {
+			t.Fatalf("%s: candidate %d is %s, in the reference %s", where, i, g.Query, r.Query)
 		}
 		if r.Skipped {
 			t.Fatalf("%s: the reference skipped candidate %d", where, i)
@@ -162,8 +165,92 @@ func compareToReference(t *testing.T, where string, got, ref *answer.Result, tal
 		// 1 admitted none of its rows. (Under COUNT aggregation a skipped
 		// candidate may still win the retry, in both runs alike.)
 		if !r.Executed || r.Err != nil || len(r.Answers) > 0 && &ref.Candidates[i] != ref.Winning {
-			t.Fatalf("%s: candidate %d (%s) was skipped, but the reference ran it to %+v", where, i, g.SPARQL, *r)
+			t.Fatalf("%s: candidate %d (%s) was skipped, but the reference ran it to %+v", where, i, g.Query, *r)
 		}
+	}
+}
+
+// compareToTermSpace holds a SELECT run to §2.3 redone in term space
+// from the candidates' query text alone: in rank order, a candidate is
+// skipped when a pattern binds ?x to a predicate, looked up by its
+// term, with no subject or object of Table 1's kind; otherwise it is
+// executed on a fresh session over the same view, and each ?x term is
+// classified by rdf.Term.ValueKind and typed by the ground probe
+// (term, rdf:type, class) on sn; the first with an admitted row wins.
+// Every reached candidate's Skipped, SkippedBy, Executed, Raw and
+// Answers must match. A candidate the COUNT retry won (its Query is
+// the COUNT) is held only to its skip.
+func compareToTermSpace(t *testing.T, where string, got *answer.Result, view sparql.StoreView, sn *store.Snapshot) {
+	t.Helper()
+	expected := got.Expected.Kind
+	if expected == triplex.ExpectBoolean {
+		return
+	}
+	want, typed := map[triplex.ExpectedKind]rdf.ValueKind{
+		triplex.ExpectPerson: rdf.ValueIRI, triplex.ExpectPlace: rdf.ValueIRI,
+		triplex.ExpectDate: rdf.ValueDate, triplex.ExpectNumeric: rdf.ValueNumeric,
+	}[expected]
+	classes := map[triplex.ExpectedKind][]rdf.Term{
+		triplex.ExpectPerson: {rdf.Ont("Person"), rdf.Ont("Organisation"), rdf.Ont("Company")},
+		triplex.ExpectPlace:  {rdf.Ont("Place")},
+	}[expected]
+	admits := func(x rdf.Term) bool {
+		switch {
+		case !typed:
+			return expected == triplex.ExpectClass || expected == triplex.ExpectAny
+		case x.ValueKind() != want:
+			return false
+		case classes == nil:
+			return true
+		}
+		for _, c := range classes {
+			if len(sn.Match(rdf.Triple{S: x, P: rdf.Type(), O: c})) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	x := rdf.NewVar("x")
+	won := false
+	for i := range got.Candidates {
+		g := &got.Candidates[i]
+		q := g.Query
+		skippedBy := -1
+		for pi, p := range q.Patterns {
+			if !typed || won || p.P.IsVar() || p.S != x && p.O != x {
+				continue
+			}
+			id, _ := view.Lookup(p.P)
+			if k := view.PredicateKinds(id); p.O == x && k.Objects[want] == 0 || p.S == x && k.Subjects[want] == 0 {
+				skippedBy = pi
+				break
+			}
+		}
+		if g.Skipped != (skippedBy >= 0) || skippedBy >= 0 && g.SkippedBy != skippedBy {
+			t.Fatalf("%s: candidate %d (%s) skipped=%v by %d; in term space by %d", where, i, q, g.Skipped, g.SkippedBy, skippedBy)
+		}
+		if q.Count != nil || skippedBy >= 0 {
+			continue
+		}
+		var raw int
+		var answers []rdf.Term
+		if !won {
+			r, err := sparql.NewViewSession(view).ExecuteCtx(context.Background(), q)
+			if (err != nil) != (g.Err != nil) {
+				t.Fatalf("%s: candidate %d (%s) erred %v; in term space %v", where, i, q, g.Err, err)
+			}
+			for _, term := range r.Column("x") {
+				raw++
+				if admits(term) {
+					answers = append(answers, term)
+				}
+			}
+		}
+		if g.Executed == won || g.Raw != raw || !slices.Equal(g.Answers, answers) {
+			t.Fatalf("%s: candidate %d (%s) executed=%v raw=%d answers %v; in term space executed=%v raw=%d answers %v",
+				where, i, q, g.Executed, g.Raw, g.Answers, !won, raw, answers)
+		}
+		won = won || len(answers) > 0
 	}
 }
 
@@ -243,7 +330,7 @@ func TestSkipEqualsExecuteThenFilter(t *testing.T) {
 		for _, cq := range res.Candidates {
 			if cq.Query.Patterns[0].P == p {
 				if cq.Skipped == cq.Executed {
-					t.Fatalf("%s: %s skipped=%v executed=%v", stage, cq.SPARQL, cq.Skipped, cq.Executed)
+					t.Fatalf("%s: %s skipped=%v executed=%v", stage, cq.Query, cq.Skipped, cq.Executed)
 				}
 				return cq.Skipped
 			}

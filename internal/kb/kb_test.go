@@ -54,7 +54,8 @@ func TestPaperExampleFacts(t *testing.T) {
 }
 
 // isA reports whether the materialised (e, rdf:type, class) triple is
-// present — the read sparql.Session.InstanceOf makes.
+// present: the ground probe that sparql.Session.InstanceOf's type-set
+// read, by ID, must agree with.
 func isA(sn *store.Snapshot, e, class rdf.Term) bool {
 	return len(sn.Match(rdf.Triple{S: e, P: rdf.Type(), O: class})) > 0
 }

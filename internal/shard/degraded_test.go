@@ -72,7 +72,8 @@ func TestDegradedEqualsEmptyShardOracle(t *testing.T) {
 		ent := rdf.Res(fmt.Sprintf("E%d", e))
 		sid, _ := dv.Lookup(ent)
 		for _, class := range classes {
-			got, want := dsess.InstanceOf(ent, class), osess.InstanceOf(ent, class)
+			cid, _ := dv.Lookup(class) // the coordinator's dictionary: one ID on both views
+			got, want := dsess.InstanceOf(sid, cid), osess.InstanceOf(osess.Lookup(ent), osess.Lookup(class))
 			if got != want {
 				t.Fatalf("InstanceOf(%v, %v) = %v degraded, %v on the empty-shard oracle", ent, class, got, want)
 			}

@@ -220,7 +220,7 @@ func renderAnswer(res *answer.Result, err error) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%v", res.Answers)
 	for _, cq := range res.Candidates {
-		fmt.Fprintf(&sb, "\n%s executed=%v raw=%d answers=%v err=%v", cq.SPARQL, cq.Executed, cq.Raw, cq.Answers, cq.Err)
+		fmt.Fprintf(&sb, "\n%s executed=%v raw=%d answers=%v err=%v", cq.Query.String(), cq.Executed, cq.Raw, cq.Answers, cq.Err)
 	}
 	return sb.String()
 }

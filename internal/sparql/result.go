@@ -78,6 +78,17 @@ func (r *Result) TermAt(row, col int) (rdf.Term, bool) {
 	return t, ok
 }
 
+// IDAt returns the dictionary ID bound at (row, col) — the ID whose
+// term TermAt returns — or 0 when the position is out of range, the
+// variable is unbound in that row or the row is materialised (COUNT
+// aggregates carry literals the dictionary does not hold).
+func (r *Result) IDAt(row, col int) store.ID {
+	if r.Rows == nil || col < 0 || col >= len(r.Vars) || row < 0 || row >= r.nrows {
+		return 0
+	}
+	return r.Rows[row*len(r.Vars)+col]
+}
+
 // Column extracts the bound terms of one projected variable across all
 // solutions, skipping rows where the variable is unbound. It reads the
 // columnar layout directly: one pass over the rows, no map traffic.

@@ -10,6 +10,7 @@
 //   - the plan cache its owner attached (WithPlanCache; none by
 //     default): sibling candidates share one cached shape (plan.go);
 //     every candidate runs its own join,
+//   - rdf:type's ID, resolved once when the session is built,
 //   - each probed entity's rdf:type set (InstanceOf): the §2.3.2 type
 //     filter and the orientation typing ask "is e a C?" about the same
 //     few entities for class after class, so the first probe reads the
@@ -24,12 +25,16 @@
 // commit, so the read is a binary search and on a sharded view no
 // shard call.
 //
-// Constants resolve straight through the view (Lookup hashes the term
-// and probes the dictionary index), every scan walks the index, and
-// pattern cardinalities are hoisted into the compiled form once per
-// query. No bucket caches a total: a 1-bound estimate is the length of
-// its bucket's ID array, len(bk.ids), and a 2-bound one the length of
-// one list, found by binary search.
+// The type probes and the kind counts take store IDs, not terms: the
+// answer stage resolves each constant it asks about once a question
+// (Lookup hashes the term and probes the dictionary index), and the
+// type filter reads each answer row's ID straight from the columnar
+// result (Result.IDAt), so a probe hashes nothing. A query's own
+// constants resolve through the view when it compiles, every scan
+// walks the index, and pattern cardinalities are hoisted into the
+// compiled form once per query. No bucket caches a total: a 1-bound
+// estimate is the length of its bucket's ID array, len(bk.ids), and a
+// 2-bound one the length of one list, found by binary search.
 //
 // A Session is safe for concurrent use. The type sets are a pure
 // function of the pinned view, so concurrent first probes of one entity
@@ -61,6 +66,7 @@ import (
 type Session struct {
 	snap  StoreView
 	terms []rdf.Term
+	typeP store.ID   // rdf:type's ID in the view; 0 when the dictionary lacks it
 	plans *PlanCache // attached plan-shape cache; nil = every shape is built
 
 	// Per-session plan/rank observability, read by PlanStats for the
@@ -96,7 +102,9 @@ func NewSnapshotSession(snap *store.Snapshot) *Session {
 // whole executor reads through the view; see view.go for the contract
 // the view must honour.
 func NewViewSession(v StoreView) *Session {
-	return &Session{snap: v, terms: v.TermsView()}
+	s := &Session{snap: v, terms: v.TermsView()}
+	s.typeP, _ = v.Lookup(rdf.Type())
+	return s
 }
 
 // WithPlanCache attaches a plan-shape cache to the session, so its
@@ -145,44 +153,45 @@ func (s *Session) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 	return ex.run()
 }
 
+// Lookup resolves a constant to its ID in the pinned view, or 0 when
+// the view's dictionary does not hold it: the one place the answer
+// stage hashes a term, once a question for each constant it probes.
+func (s *Session) Lookup(t rdf.Term) store.ID {
+	id, _ := s.snap.Lookup(t)
+	return id
+}
+
 // PredicateKinds returns the counts of p's subjects and objects by
-// rdf.ValueKind in the pinned view; all zero for a term that is the
-// predicate of no triple.
-func (s *Session) PredicateKinds(p rdf.Term) store.PredicateKinds {
-	if id, ok := s.snap.Lookup(p); ok {
-		return s.snap.PredicateKinds(id)
-	}
-	return store.PredicateKinds{}
+// rdf.ValueKind in the pinned view; all zero for an ID that is the
+// predicate of no triple, 0 included.
+func (s *Session) PredicateKinds(p store.ID) store.PredicateKinds {
+	return s.snap.PredicateKinds(p)
 }
 
 // InstanceOf reports whether (entity, rdf:type, class) holds in the
-// pinned view — the question of the §2.3.2 expected-type filter and of
+// pinned view, both given by ID (0, an unresolved term, is an instance
+// of nothing) — the question of the §2.3.2 expected-type filter and of
 // the orientation typing. The first probe of an entity reads its whole
 // type set with one subject-bound (entity, rdf:type, ?) posting-list
 // read; later probes of it are answered from the session. On a sharded
 // view that is one owner-shard call per distinct entity, and an
 // unreachable owner reads as an entity with no types, session-long.
-func (s *Session) InstanceOf(entity, class rdf.Term) bool {
-	cid, ok := s.snap.Lookup(class)
-	return ok && slices.Contains(s.typesOf(entity), cid)
+func (s *Session) InstanceOf(entity, class store.ID) bool {
+	return entity != 0 && class != 0 && slices.Contains(s.typesOf(entity), class)
 }
 
-// typesOf returns the IDs of entity's rdf:type objects. Concurrent
+// typesOf returns the IDs of sid's rdf:type objects. Concurrent
 // first probes may both read; the first to finish stores the (equal)
 // list.
-func (s *Session) typesOf(entity rdf.Term) []store.ID {
-	sid, ok := s.snap.Lookup(entity)
-	if !ok {
-		return nil
-	}
+func (s *Session) typesOf(sid store.ID) []store.ID {
 	s.mu.RLock()
 	types, hit := s.knownTypes(sid)
 	s.mu.RUnlock()
 	if hit {
 		return types
 	}
-	if pid, ok := s.snap.Lookup(rdf.Type()); ok {
-		types, _ = s.snap.PostingList([3]store.ID{sid, pid, 0})
+	if s.typeP != 0 {
+		types, _ = s.snap.PostingList([3]store.ID{sid, s.typeP, 0})
 	}
 	s.mu.Lock()
 	if _, hit := s.knownTypes(sid); !hit {

@@ -220,8 +220,8 @@ func (v *countingView) PostingList(pat [3]store.ID) ([]store.ID, bool) {
 }
 
 // TestInstanceOfConcurrent: goroutines probing one session's type sets
-// at once — the in-place entries and the overflow map both fill under
-// them — agree with the ground probe. Under -race this pins the
+// by ID at once — the in-place entries and the overflow map both fill
+// under them — agree with the ground probe. Under -race this pins the
 // type-set locking.
 func TestInstanceOfConcurrent(t *testing.T) {
 	st, _ := randStore(rand.New(rand.NewSource(9)), 60, 3)
@@ -237,7 +237,7 @@ func TestInstanceOfConcurrent(t *testing.T) {
 				ent := rdf.Res(fmt.Sprintf("E%d", (e*7+g*13)%60))
 				for _, class := range classes {
 					want := len(snap.Match(rdf.Triple{S: ent, P: rdf.Type(), O: class})) > 0
-					if got := sess.InstanceOf(ent, class); got != want {
+					if got := sess.InstanceOf(sess.Lookup(ent), sess.Lookup(class)); got != want {
 						t.Errorf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
 						return
 					}
@@ -249,8 +249,9 @@ func TestInstanceOfConcurrent(t *testing.T) {
 }
 
 // TestInstanceOfMatchesGroundProbe: the type-set read answers every
-// (entity, class) pair exactly as the ground rdf:type probe does —
-// known and unknown entities, classes and literals — pins the
+// (entity, class) pair, each given by the ID the session resolves it
+// to, exactly as the ground rdf:type probe does — known and unknown
+// entities, classes and literals (an unknown term is ID 0) — pins the
 // snapshot like every session read, and reads the view once per
 // distinct entity however many classes are asked.
 func TestInstanceOfMatchesGroundProbe(t *testing.T) {
@@ -267,17 +268,18 @@ func TestInstanceOfMatchesGroundProbe(t *testing.T) {
 		entities = append(entities, rdf.Res(fmt.Sprintf("E%d", e)))
 	}
 	entities = append(entities, rdf.Res("Unknown"), rdf.NewInteger(3))
+	isA := func(ent, class rdf.Term) bool { return sess.InstanceOf(sess.Lookup(ent), sess.Lookup(class)) }
 	for round := 0; round < 2; round++ {
 		for _, ent := range entities {
 			for _, class := range classes {
 				want := len(snap.Match(rdf.Triple{S: ent, P: rdf.Type(), O: class})) > 0
-				if got := sess.InstanceOf(ent, class); got != want {
+				if got := isA(ent, class); got != want {
 					t.Fatalf("InstanceOf(%v, %v) = %v, ground probe says %v", ent, class, got, want)
 				}
 			}
 		}
 	}
-	if !sess.InstanceOf(rdf.Res("E0"), rdf.Ont("Author")) || sess.InstanceOf(rdf.Res("E1"), rdf.Ont("Author")) {
+	if !isA(rdf.Res("E0"), rdf.Ont("Author")) || isA(rdf.Res("E1"), rdf.Ont("Author")) {
 		t.Fatal("type set is not the pinned snapshot's")
 	}
 	// 60 entities in the dictionary (the integer 3 is too, as an

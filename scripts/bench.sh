@@ -52,9 +52,11 @@
 # across 4 shards, qaserve -shards 4's shard_partition phase), and
 # the cold miss path (BenchmarkAnswerCold: the entity_cold question
 # stream in process with no answer cache; its B/op and allocs/op are
-# what core's TestColdPathAllocations gates, ≈ 9.0 KB / 71 allocs, and
-# BenchmarkExtractSequential's one 256-candidate fan-out reads
-# ≈ 1.8 ms / 233 allocs), and the write path (internal/store's
+# what core's TestColdPathAllocations gates, ≈ 8.0 KB / 58 allocs, and
+# BenchmarkExtractSequential's one fan-out, whose object-property
+# candidates Table 1 skips, reads ≈ 20 µs / 20 allocs — ≈ 29 µs / 36
+# while every candidate's text was printed), and the write path
+# (internal/store's
 # BenchmarkApplyBatchFlip: one update_mix write, 8 deletes and 8 inserts
 # on a predicate with 512 objects at ≈ 6.5k triples; ≈ 12.7 KB / 51
 # allocs, what TestApplyBatchAllocations gates; and

@@ -60,8 +60,8 @@ func BenchmarkFigure1DependencyGraph(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g, _ = depparse.Parse(sentence)
 	}
-	if g.Nodes[g.Root].Word != "written" {
-		b.Fatalf("Figure 1 root = %q", g.Nodes[g.Root].Word)
+	if g.Nodes[g.Root].Text != "written" {
+		b.Fatalf("Figure 1 root = %q", g.Nodes[g.Root].Text)
 	}
 }
 
@@ -305,15 +305,20 @@ func BenchmarkSPARQLParse(b *testing.B) {
 	}
 }
 
+// BenchmarkDependencyParse is §2.1's parse alone — tokenize, tag,
+// lemmatise and the dependency rules — over the entity-template stream
+// entity_cold sends, then the 100 QALD questions, cycled.
 func BenchmarkDependencyParse(b *testing.B) {
-	b.ReportAllocs()
-	sentences := []string{
-		"Which book is written by Orhan Pamuk?",
-		"What is the height of Michael Jordan?",
-		"How many people live in Istanbul?",
+	sentences := testutil.EntityQuestions(kb.Default())
+	for _, q := range qald.FullSet() {
+		sentences = append(sentences, q.Text)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		depparse.Parse(sentences[i%len(sentences)])
+		if _, err := depparse.Parse(sentences[i%len(sentences)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -671,7 +676,7 @@ func fanoutSetup(b *testing.B) (*kb.KB, *propmap.Mapping) {
 				continue
 			}
 			cands = append(cands, propmap.PropCandidate{
-				Property: p, Sim: 0.8, Freq: l.freq, Source: propmap.SourcePattern,
+				Property: &p, Sim: 0.8, Freq: l.freq, Source: propmap.SourcePattern,
 			})
 		}
 		fanoutMP = &propmap.Mapping{

@@ -222,7 +222,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		for pred := range mt.Predicates {
 			cand := &mt.Predicates[pred]
 			var buf [2]orientation
-			for _, o := range ty.orientations(buf[:0], &cand.Property, subj, obj) {
+			for _, o := range ty.orientations(buf[:0], cand.Property, subj, obj) {
 				all = append(all, alternative{pred: int32(pred), orient: o, score: cand.RankScore()})
 			}
 		}

@@ -21,7 +21,7 @@ func orientationPatterns(sess *sparql.Session, p kb.Property, subj, obj rdf.Term
 	var pats []rdf.Triple
 	ty := typing{sess: sess}
 	for _, o := range ty.orientations(nil, &p, ty.slot(subj), ty.slot(obj)) {
-		mt := propmap.MappedTriple{Predicates: []propmap.PropCandidate{{Property: p}}}
+		mt := propmap.MappedTriple{Predicates: []propmap.PropCandidate{{Property: &p}}}
 		mt.Subject, mt.Object = subj, obj
 		if subj.IsVar() {
 			mt.Subject, mt.SubjectVar = rdf.Term{}, subj.Value

@@ -150,7 +150,7 @@ func synthMapping(r *rand.Rand, k *kb.KB, kind triplex.ExpectedKind, ground bool
 		out := make([]propmap.PropCandidate, 0, n)
 		for i := 0; i < n; i++ {
 			out = append(out, propmap.PropCandidate{
-				Property: props[r.Intn(len(props))],
+				Property: &props[r.Intn(len(props))],
 				Sim:      0.5 + r.Float64()/2,
 				Freq:     r.Intn(40),
 				Source:   propmap.SourceStrSim,
@@ -344,7 +344,7 @@ func TestTruncationKeepsTopScored(t *testing.T) {
 	cands := make([]propmap.PropCandidate, 0, 6)
 	for i := 0; i < 6; i++ {
 		cands = append(cands, propmap.PropCandidate{
-			Property: props[i%len(props)],
+			Property: &props[i%len(props)],
 			Sim:      0.5,
 			Freq:     i * 10, // RankScore rises with i
 			Source:   propmap.SourceStrSim,

@@ -18,9 +18,11 @@ import (
 // the entity_cold workload and over the QALD set. GC and malloc were
 // the largest cost of a cold question under load; an allocation figure
 // holds a line in CI where a timing on a shared host cannot. Each
-// ceiling is 10% above what the code measures (entity 8.0 KB in 58.8
-// objects, QALD 5.7 KB in 45.9, since §2.3 resolves its constants once
-// a question and prints only the candidates it runs; 8.3 KB in 62.4
+// ceiling is 10% above what the code measures (entity 6.1 KB in 38.1
+// objects, QALD 4.2 KB in 29.0, since §2.1 keeps one token record per
+// word and §2.2 points at the Mapper's rows instead of copying them;
+// 8.0 KB in 58.8 and 5.7 KB in 45.9 since §2.3 resolves its constants
+// once a question and prints only the candidates it runs; 8.3 KB in 62.4
 // and 5.8 KB in 47.5 since it skips the candidates Table 1 must
 // reject; 8.5 KB in 68.8 and 5.9 KB in 49.7 since the pattern word
 // lists are sorted once at boot; 8.7 KB in 71.1 and 5.9 KB in 51.1
@@ -42,8 +44,8 @@ func TestColdPathAllocations(t *testing.T) {
 		bytes     float64 // per question
 		objects   float64 // per question
 	}{
-		{"entity", testutil.EntityQuestions(kb.Default()), 8810, 65},
-		{"qald", qs, 6240, 51},
+		{"entity", testutil.EntityQuestions(kb.Default()), 6700, 42},
+		{"qald", qs, 4590, 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()

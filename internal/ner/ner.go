@@ -12,11 +12,11 @@
 // terms only for their text: the entities in Term order with their
 // labels, lower-cased labels and page-link adjacency; the distinct
 // labels by first byte and length with a character-class set each; the
-// exact-label map. Paid per question:
-// lower-casing the phrase, one map lookup, and — only when no label
-// matches exactly — Jaro-Winkler against the few labels of one length
-// band that share enough characters to reach the threshold. The request
-// path reads no store and keeps no memo.
+// exact-label map. Paid per question: lower-casing each phrase once
+// (Disambiguate reads the lower-case text Resolve made), one map lookup,
+// and — only when no label matches exactly — Jaro-Winkler against the
+// few labels of one length band that share enough characters to reach
+// the threshold. The request path reads no store and keeps no memo.
 package ner
 
 import (
@@ -52,6 +52,9 @@ type Mention struct {
 	// Entity is the selected candidate's entity (zero before
 	// disambiguation or if no candidate exists).
 	Entity rdf.Term
+	// lower is Text lower-cased, when the caller has it already; empty,
+	// Disambiguate lower-cases Text itself.
+	lower string
 }
 
 // Linker spots and disambiguates mentions against one KB. Everything in
@@ -232,7 +235,10 @@ func (l *Linker) Disambiguate(mentions []Mention) []Mention {
 	}
 	for mi := range mentions {
 		m := &mentions[mi]
-		text := strings.ToLower(m.Text)
+		text := m.lower
+		if text == "" {
+			text = strings.ToLower(m.Text)
+		}
 		others := total > len(m.Candidates)
 		for ci := range m.Candidates {
 			c := &m.Candidates[ci]
@@ -293,29 +299,30 @@ func (l *Linker) Resolve(phrase string, context ...string) (rdf.Term, []Candidat
 	if strings.TrimSpace(phrase) == "" {
 		return rdf.Term{}, nil, false // no token at all
 	}
-	candidates := l.candidatesFor(phrase)
+	lower := strings.ToLower(phrase)
+	candidates := l.candidatesFor(lower)
 	if len(candidates) == 0 {
 		return rdf.Term{}, nil, false
 	}
-	ms := []Mention{{Text: phrase, Candidates: candidates}}
+	ms := []Mention{{Text: phrase, Candidates: candidates, lower: lower}}
 	for _, ctx := range context {
 		if strings.EqualFold(ctx, phrase) {
 			continue
 		}
-		if cc := l.candidatesFor(ctx); len(cc) > 0 {
-			ms = append(ms, Mention{Text: ctx, Candidates: cc})
+		ctxLower := strings.ToLower(ctx)
+		if cc := l.candidatesFor(ctxLower); len(cc) > 0 {
+			ms = append(ms, Mention{Text: ctx, Candidates: cc, lower: ctxLower})
 		}
 	}
 	ms = l.Disambiguate(ms)
 	return ms[0].Entity, ms[0].Candidates, !ms[0].Entity.IsZero()
 }
 
-// candidatesFor returns label-matched candidates for a phrase, with
-// fallbacks: exact label, then the phrase without a leading article,
-// then a fuzzy pass over labels sharing the first letter (Jaro-Winkler
-// ≥ 0.92).
-func (l *Linker) candidatesFor(phrase string) []Candidate {
-	lower := strings.ToLower(phrase)
+// candidatesFor returns label-matched candidates for a lower-cased
+// phrase, with fallbacks: exact label, then the phrase without a
+// leading article, then a fuzzy pass over labels sharing the first
+// letter (Jaro-Winkler ≥ 0.92).
+func (l *Linker) candidatesFor(lower string) []Candidate {
 	if lb, ok := l.exact[strings.TrimSpace(lower)]; ok {
 		return l.candidates(lb)
 	}

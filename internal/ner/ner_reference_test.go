@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/kb"
-	"repro/internal/nlp/token"
 	"repro/internal/rdf"
 )
 
@@ -40,7 +39,7 @@ func NewRefLinker(k *kb.KB) *RefLinker {
 		if _, ok := l.labelOf[t.S]; !ok {
 			l.labelOf[t.S] = t.O.Value
 		}
-		if n := len(token.Words(t.O.Value)); n > l.maxLabelLen {
+		if n := len(tokenTexts(t.O.Value)); n > l.maxLabelLen {
 			l.maxLabelLen = n
 		}
 		return true
@@ -150,11 +149,11 @@ func (l *RefLinker) Disambiguate(mentions []Mention) []Mention {
 }
 
 func (l *RefLinker) Link(text string) []Mention {
-	return l.Disambiguate(l.Spot(token.Words(text)))
+	return l.Disambiguate(l.Spot(tokenTexts(text)))
 }
 
 func (l *RefLinker) Resolve(phrase string, context ...string) (rdf.Term, []Candidate, bool) {
-	words := token.Words(phrase)
+	words := tokenTexts(phrase)
 	if len(words) == 0 {
 		return rdf.Term{}, nil, false
 	}
@@ -283,4 +282,6 @@ func refJaro(ra, rb []rune) float64 {
 }
 
 // CandidatesFor exposes the indexed lookup to the differential test.
-func (l *Linker) CandidatesFor(phrase string) []Candidate { return l.candidatesFor(phrase) }
+func (l *Linker) CandidatesFor(phrase string) []Candidate {
+	return l.candidatesFor(strings.ToLower(phrase))
+}

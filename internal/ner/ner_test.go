@@ -11,6 +11,16 @@ import (
 	"repro/internal/rdf"
 )
 
+// words returns the token texts of text.
+func tokenTexts(text string) []string {
+	toks := token.Tokenize(text)
+	out := make([]string, len(toks))
+	for i, t := range toks {
+		out[i] = t.Text
+	}
+	return out
+}
+
 // Spot finds candidate mentions by longest-match n-gram label lookup.
 // Lowercase single words are skipped unless no capitalised token exists
 // in the gram (protects against common-noun/label collisions like
@@ -21,7 +31,7 @@ func (l *Linker) Spot(words []string) []Mention {
 	used := make([]bool, n)
 	maxLen := 1 // the longest label, in tokens
 	for key := range l.exact {
-		maxLen = max(maxLen, len(token.Words(key)))
+		maxLen = max(maxLen, len(tokenTexts(key)))
 	}
 	for span := maxLen; span >= 1; span-- {
 		for i := 0; i+span <= n; i++ {
@@ -64,7 +74,7 @@ func containsCapital(words []string) bool {
 
 // Link runs Spot + Disambiguate over raw text.
 func (l *Linker) Link(text string) []Mention {
-	return l.Disambiguate(l.Spot(token.Words(text)))
+	return l.Disambiguate(l.Spot(tokenTexts(text)))
 }
 
 var (
@@ -80,7 +90,7 @@ func testLinker(t *testing.T) *Linker {
 
 func TestSpotSimpleMention(t *testing.T) {
 	l := testLinker(t)
-	ms := l.Spot(token.Words("Which book is written by Orhan Pamuk?"))
+	ms := l.Spot(tokenTexts("Which book is written by Orhan Pamuk?"))
 	if len(ms) != 1 {
 		t.Fatalf("mentions = %+v, want 1", ms)
 	}
@@ -95,7 +105,7 @@ func TestSpotSimpleMention(t *testing.T) {
 func TestSpotLongestMatch(t *testing.T) {
 	l := testLinker(t)
 	// "The War of the Worlds" must spot as one mention, not "Worlds".
-	ms := l.Spot(token.Words("Who wrote The War of the Worlds?"))
+	ms := l.Spot(tokenTexts("Who wrote The War of the Worlds?"))
 	found := false
 	for _, m := range ms {
 		if m.Text == "The War of the Worlds" {
@@ -110,7 +120,7 @@ func TestSpotLongestMatch(t *testing.T) {
 func TestSpotSkipsLowercaseCommonWords(t *testing.T) {
 	l := testLinker(t)
 	// "snow" lowercase must not spot the novel Snow.
-	ms := l.Spot(token.Words("how much snow falls in winter"))
+	ms := l.Spot(tokenTexts("how much snow falls in winter"))
 	for _, m := range ms {
 		t.Errorf("unexpected mention %+v for lowercase text", m)
 	}
@@ -201,7 +211,7 @@ func TestLinkFullQuestion(t *testing.T) {
 
 func TestMentionsDoNotOverlap(t *testing.T) {
 	l := testLinker(t)
-	ms := l.Spot(token.Words("Where was Michael Jackson born?"))
+	ms := l.Spot(tokenTexts("Where was Michael Jackson born?"))
 	for i := 0; i < len(ms); i++ {
 		for j := i + 1; j < len(ms); j++ {
 			if ms[i].Start < ms[j].End && ms[j].Start < ms[i].End {

@@ -2,8 +2,6 @@ package ner
 
 import (
 	"testing"
-
-	"repro/internal/nlp/token"
 )
 
 // evaluationStyleQuestions mirrors the constructions of the QALD set
@@ -36,7 +34,7 @@ func TestSpottingAcrossEvaluationSet(t *testing.T) {
 			ID   int
 			Text string
 		}{qi, text}
-		words := token.Words(q.Text)
+		words := tokenTexts(q.Text)
 		mentions := l.Disambiguate(l.Spot(words))
 		for i, m := range mentions {
 			if m.Start < 0 || m.End > len(words) || m.Start >= m.End {

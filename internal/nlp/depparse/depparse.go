@@ -8,7 +8,9 @@
 //
 // The algorithm is deterministic and rule-based:
 //
-//  1. tokenize, POS-tag and lemmatize (packages token, postag, lemma);
+//  1. tokenize, POS-tag and lemmatize (packages token, postag, lemma)
+//     into one token record per word, which the graph keeps as its nodes
+//     and every rule below reads (its lower-case form included);
 //  2. chunk base noun phrases (determiner + adjectives + noun run, with
 //     proper-noun compounds) and emit their internal det/amod/nn/num
 //     edges;
@@ -32,24 +34,19 @@ import (
 	"repro/internal/nlp/token"
 )
 
-// Node is one token in the graph.
-type Node struct {
-	Index int
-	Word  string
-	Lemma string
-	Tag   string
-}
-
-// Edge is a typed dependency: Rel(head -> dep). Head == -1 marks the root.
+// Edge is a typed dependency: Rel(head -> dep). Head == -1 marks the
+// root. It holds no pointer, so the edge array is not scanned by the
+// garbage collector.
 type Edge struct {
-	Head int
-	Dep  int
-	Rel  string
+	Head int32
+	Dep  int32
+	Rel  Rel
 }
 
-// Graph is the dependency analysis of one sentence.
+// Graph is the dependency analysis of one sentence. Nodes is the
+// sentence's token records, tagged and lemmatised, indexed by position.
 type Graph struct {
-	Nodes []Node
+	Nodes []token.Token
 	Edges []Edge
 	Root  int
 
@@ -58,36 +55,63 @@ type Graph struct {
 	children []Edge
 }
 
+// Rel is a typed dependency relation; String gives its Stanford name.
+// The zero Rel is no relation and prints as "".
+type Rel uint8
+
 // Relations emitted by the parser (Stanford typed dependency names).
 const (
-	RelRoot      = "root"
-	RelDet       = "det"
-	RelNSubj     = "nsubj"
-	RelNSubjPass = "nsubjpass"
-	RelDObj      = "dobj"
-	RelAux       = "aux"
-	RelAuxPass   = "auxpass"
-	RelCop       = "cop"
-	RelPrep      = "prep"
-	RelPObj      = "pobj"
-	RelAmod      = "amod"
-	RelAdvmod    = "advmod"
-	RelNN        = "nn"
-	RelNum       = "num"
-	RelPunct     = "punct"
-	RelPoss      = "poss"
-	RelDep       = "dep"
+	RelRoot Rel = iota + 1
+	RelDet
+	RelNSubj
+	RelNSubjPass
+	RelDObj
+	RelAux
+	RelAuxPass
+	RelCop
+	RelPrep
+	RelPObj
+	RelAmod
+	RelAdvmod
+	RelNN
+	RelNum
+	RelPunct
+	RelPoss
+	RelDep
 )
 
-// HeadOf returns the head index and relation of node i (-1, "root" for
-// the root; -1, "" if unattached).
-func (g *Graph) HeadOf(i int) (int, string) {
+var relNames = [...]string{
+	RelRoot:      "root",
+	RelDet:       "det",
+	RelNSubj:     "nsubj",
+	RelNSubjPass: "nsubjpass",
+	RelDObj:      "dobj",
+	RelAux:       "aux",
+	RelAuxPass:   "auxpass",
+	RelCop:       "cop",
+	RelPrep:      "prep",
+	RelPObj:      "pobj",
+	RelAmod:      "amod",
+	RelAdvmod:    "advmod",
+	RelNN:        "nn",
+	RelNum:       "num",
+	RelPunct:     "punct",
+	RelPoss:      "poss",
+	RelDep:       "dep",
+}
+
+// String returns the relation's Stanford typed dependency name.
+func (r Rel) String() string { return relNames[r] }
+
+// HeadOf returns the head index and relation of node i (-1, RelRoot for
+// the root; -1 and the zero Rel if unattached).
+func (g *Graph) HeadOf(i int) (int, Rel) {
 	for _, e := range g.Edges {
-		if e.Dep == i {
-			return e.Head, e.Rel
+		if int(e.Dep) == i {
+			return int(e.Head), e.Rel
 		}
 	}
-	return -1, ""
+	return -1, 0
 }
 
 // Children returns the edges whose head is i, in dependent order. It
@@ -97,11 +121,11 @@ func (g *Graph) HeadOf(i int) (int, string) {
 func (g *Graph) Children(i int) []Edge {
 	kids := g.children
 	lo := 0
-	for lo < len(kids) && kids[lo].Head < i {
+	for lo < len(kids) && int(kids[lo].Head) < i {
 		lo++
 	}
 	hi := lo
-	for hi < len(kids) && kids[hi].Head == i {
+	for hi < len(kids) && int(kids[hi].Head) == i {
 		hi++
 	}
 	return kids[lo:hi:hi]
@@ -120,14 +144,15 @@ func appendChildIndex(dst, edges []Edge) []Edge {
 	return dst
 }
 
-// ChildByRel returns the first dependent of i with the given relation.
-func (g *Graph) ChildByRel(i int, rel string) (Node, bool) {
+// ChildByRel returns the index of the first dependent of i with the
+// given relation.
+func (g *Graph) ChildByRel(i int, rel Rel) (int, bool) {
 	for _, e := range g.Edges {
-		if e.Head == i && e.Rel == rel {
-			return g.Nodes[e.Dep], true
+		if int(e.Head) == i && e.Rel == rel {
+			return int(e.Dep), true
 		}
 	}
-	return Node{}, false
+	return -1, false
 }
 
 // String renders the graph in the indented tree style of the paper's
@@ -135,7 +160,7 @@ func (g *Graph) ChildByRel(i int, rel string) (Node, bool) {
 func (g *Graph) String() string {
 	var sb strings.Builder
 	if g.Root >= 0 {
-		fmt.Fprintf(&sb, "root(ROOT-0, %s-%d)\n", g.Nodes[g.Root].Word, g.Root+1)
+		fmt.Fprintf(&sb, "root(ROOT-0, %s-%d)\n", g.Nodes[g.Root].Text, g.Root+1)
 	}
 	edges := append([]Edge(nil), g.Edges...)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Dep < edges[j].Dep })
@@ -144,7 +169,7 @@ func (g *Graph) String() string {
 			continue
 		}
 		fmt.Fprintf(&sb, "%s(%s-%d, %s-%d)\n", e.Rel,
-			g.Nodes[e.Head].Word, e.Head+1, g.Nodes[e.Dep].Word, e.Dep+1)
+			g.Nodes[e.Head].Text, e.Head+1, g.Nodes[e.Dep].Text, e.Dep+1)
 	}
 	return sb.String()
 }
@@ -156,12 +181,12 @@ func (g *Graph) Tree() string {
 	if g.Root < 0 {
 		return ""
 	}
-	var rec func(i int, rel string, depth int)
-	rec = func(i int, rel string, depth int) {
+	var rec func(i int, rel Rel, depth int)
+	rec = func(i int, rel Rel, depth int) {
 		fmt.Fprintf(&sb, "%s%s [%s] <-%s\n",
-			strings.Repeat("  ", depth), g.Nodes[i].Word, g.Nodes[i].Tag, rel)
+			strings.Repeat("  ", depth), g.Nodes[i].Text, g.Nodes[i].Tag, rel)
 		for _, e := range g.Children(i) {
-			rec(e.Dep, e.Rel, depth+1)
+			rec(int(e.Dep), e.Rel, depth+1)
 		}
 	}
 	rec(g.Root, RelRoot, 0)
@@ -174,27 +199,16 @@ func Parse(sentence string) (*Graph, error) {
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("depparse: empty sentence")
 	}
-	words := make([]string, len(toks))
-	for i, t := range toks {
-		words[i] = t.Text
-	}
-	tagged := postag.Tag(words)
+	postag.Tag(toks)
+	lemma.Fill(toks)
 
 	// A node is attached once, the root included, so the graph has at
 	// most one edge per node; one array holds the edges and, behind
 	// them, the child index.
-	n := len(tagged)
-	g := &Graph{Root: -1, Nodes: make([]Node, n)}
+	n := len(toks)
+	g := &Graph{Root: -1, Nodes: toks}
 	edges := make([]Edge, 0, 2*n)
 	g.Edges = edges[:0:n]
-	for i, t := range tagged {
-		g.Nodes[i] = Node{
-			Index: i,
-			Word:  t.Word,
-			Lemma: lemma.Lemma(t.Word, t.Tag),
-			Tag:   t.Tag,
-		}
-	}
 	p := &ruleParser{g: g}
 	p.run()
 	g.children = appendChildIndex(edges[n:n], g.Edges)

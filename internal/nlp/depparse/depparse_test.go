@@ -16,7 +16,7 @@ func mustParse(t *testing.T, sentence string) *Graph {
 }
 
 // FindRel returns every edge with the given relation.
-func (g *Graph) FindRel(rel string) []Edge {
+func (g *Graph) FindRel(rel Rel) []Edge {
 	var out []Edge
 	for _, e := range g.Edges {
 		if e.Rel == rel {
@@ -26,33 +26,34 @@ func (g *Graph) FindRel(rel string) []Edge {
 	return out
 }
 
-// NodeByWord returns the first node whose lowercase word equals w.
-func (g *Graph) NodeByWord(w string) (Node, bool) {
+// NodeByWord returns the index of the first node whose lowercase word
+// equals w.
+func (g *Graph) NodeByWord(w string) (int, bool) {
 	lw := strings.ToLower(w)
-	for _, n := range g.Nodes {
-		if strings.ToLower(n.Word) == lw {
-			return n, true
+	for i, n := range g.Nodes {
+		if n.Lower == lw {
+			return i, true
 		}
 	}
-	return Node{}, false
+	return -1, false
 }
 
 // hasEdge checks rel(head -> dep) by (lowercased) word.
-func hasEdge(t *testing.T, g *Graph, rel, head, dep string) bool {
+func hasEdge(t *testing.T, g *Graph, rel Rel, head, dep string) bool {
 	t.Helper()
 	for _, e := range g.Edges {
 		if e.Rel != rel || e.Head < 0 {
 			continue
 		}
-		if strings.EqualFold(g.Nodes[e.Head].Word, head) &&
-			strings.EqualFold(g.Nodes[e.Dep].Word, dep) {
+		if strings.EqualFold(g.Nodes[e.Head].Text, head) &&
+			strings.EqualFold(g.Nodes[e.Dep].Text, dep) {
 			return true
 		}
 	}
 	return false
 }
 
-func requireEdge(t *testing.T, g *Graph, rel, head, dep string) {
+func requireEdge(t *testing.T, g *Graph, rel Rel, head, dep string) {
 	t.Helper()
 	if !hasEdge(t, g, rel, head, dep) {
 		t.Errorf("missing %s(%s, %s)\ngraph:\n%s", rel, head, dep, g)
@@ -63,7 +64,7 @@ func rootWord(g *Graph) string {
 	if g.Root < 0 {
 		return ""
 	}
-	return g.Nodes[g.Root].Word
+	return g.Nodes[g.Root].Text
 }
 
 // TestFigure1 reproduces the dependency graph of the paper's Figure 1:
@@ -253,12 +254,12 @@ func TestGraphConnectedness(t *testing.T) {
 			}
 			heads := 0
 			for _, e := range g.Edges {
-				if e.Dep == i && e.Head >= 0 {
+				if int(e.Dep) == i && e.Head >= 0 {
 					heads++
 				}
 			}
 			if heads != 1 {
-				t.Errorf("%q: node %d (%s) has %d heads\n%s", s, i, g.Nodes[i].Word, heads, g)
+				t.Errorf("%q: node %d (%s) has %d heads\n%s", s, i, g.Nodes[i].Text, heads, g)
 			}
 		}
 		// No cycles: walking up from any node reaches the root.
@@ -283,7 +284,7 @@ func TestPunctuationAttachment(t *testing.T) {
 	g := mustParse(t, "Who wrote Snow?")
 	found := false
 	for _, e := range g.Edges {
-		if e.Rel == RelPunct && g.Nodes[e.Dep].Word == "?" {
+		if e.Rel == RelPunct && g.Nodes[e.Dep].Text == "?" {
 			found = true
 		}
 	}
@@ -307,14 +308,14 @@ func TestGraphAccessors(t *testing.T) {
 	if !ok {
 		t.Fatal("NodeByWord(book) failed")
 	}
-	head, rel := g.HeadOf(book.Index)
-	if rel != RelNSubjPass || g.Nodes[head].Word != "written" {
-		t.Errorf("HeadOf(book) = %s(%s)", rel, g.Nodes[head].Word)
+	head, rel := g.HeadOf(book)
+	if rel != RelNSubjPass || g.Nodes[head].Text != "written" {
+		t.Errorf("HeadOf(book) = %s(%s)", rel, g.Nodes[head].Text)
 	}
-	if det, ok := g.ChildByRel(book.Index, RelDet); !ok || det.Word != "Which" {
+	if det, ok := g.ChildByRel(book, RelDet); !ok || g.Nodes[det].Text != "Which" {
 		t.Errorf("ChildByRel(book, det) = %v, %v", det, ok)
 	}
-	if kids := g.Children(book.Index); len(kids) != 1 {
+	if kids := g.Children(book); len(kids) != 1 {
 		t.Errorf("Children(book) = %v", kids)
 	}
 	if len(g.FindRel(RelNSubjPass)) != 1 {
@@ -328,8 +329,8 @@ func TestGraphAccessors(t *testing.T) {
 func TestLemmasInGraph(t *testing.T) {
 	g := mustParse(t, "Which book is written by Orhan Pamuk?")
 	w, _ := g.NodeByWord("written")
-	if w.Lemma != "write" {
-		t.Errorf("lemma(written) = %s, want write", w.Lemma)
+	if l := g.Nodes[w].Lemma; l != "write" {
+		t.Errorf("lemma(written) = %s, want write", l)
 	}
 }
 

@@ -19,7 +19,7 @@ func wellFormed(g *Graph) bool {
 	for i := range g.Nodes {
 		heads := 0
 		for _, e := range g.Edges {
-			if e.Dep == i && e.Head >= 0 {
+			if int(e.Dep) == i && e.Head >= 0 {
 				heads++
 			}
 		}
@@ -64,6 +64,9 @@ func TestParserStructuralInvariants(t *testing.T) {
 		// then made the root above it.
 		{"how tall book is", "book"},
 		{"how tall Orhan Pamuk was", "Pamuk"},
+		// A preposition before a pronoun with no site to attach to was
+		// headed by -1, under prep.
+		{"Who As it?", "Who"},
 		// Controls.
 		{"how tall", "how"},
 		{"how many people", "people"},

@@ -37,7 +37,7 @@ func (p *ruleParser) lower(i int) string {
 	if i < 0 || i >= len(p.g.Nodes) {
 		return ""
 	}
-	return strings.ToLower(p.g.Nodes[i].Word)
+	return p.g.Nodes[i].Lower
 }
 
 func isNounTag(t string) bool {
@@ -58,12 +58,13 @@ func isDo(w string) bool { return w == "do" || w == "does" || w == "did" }
 
 func isHave(w string) bool { return w == "have" || w == "has" || w == "had" }
 
-// addEdge records rel(head -> dep) unless dep is already attached.
-func (p *ruleParser) addEdge(head, dep int, rel string) {
-	if dep < 0 || head < -1 || dep >= len(p.g.Nodes) || p.attached[dep] {
+// addEdge records rel(head -> dep) unless dep is already attached or
+// there is no head: only setRoot adds an edge from -1.
+func (p *ruleParser) addEdge(head, dep int, rel Rel) {
+	if dep < 0 || head < 0 || dep >= len(p.g.Nodes) || p.attached[dep] {
 		return
 	}
-	p.g.Edges = append(p.g.Edges, Edge{Head: head, Dep: dep, Rel: rel})
+	p.g.Edges = append(p.g.Edges, Edge{Head: int32(head), Dep: int32(dep), Rel: rel})
 	p.attached[dep] = true
 }
 
@@ -80,7 +81,7 @@ func (p *ruleParser) setRoot(i int) {
 		i, _ = p.g.HeadOf(i)
 	}
 	p.g.Root = i
-	p.g.Edges = append(p.g.Edges, Edge{Head: -1, Dep: i, Rel: RelRoot})
+	p.g.Edges = append(p.g.Edges, Edge{Head: -1, Dep: int32(i), Rel: RelRoot})
 	p.attached[i] = true
 }
 

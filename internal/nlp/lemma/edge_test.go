@@ -35,7 +35,7 @@ func TestStripEdgeCases(t *testing.T) {
 		{"blarting", "VBG", "blart"}, // plain strip
 	}
 	for _, c := range cases {
-		got := Lemma(c.word, c.tag)
+		got := lemmaOf(c.word, c.tag)
 		switch c.word {
 		case "physics":
 			if got != "physics" {
@@ -44,7 +44,7 @@ func TestStripEdgeCases(t *testing.T) {
 		case "need":
 			// "need" ends in -ed with len 4 > 3: stem "ne" -> heuristics.
 			// Accept any deterministic outcome that is not a panic; pin it.
-			if got != Lemma("need", "VBD") {
+			if got != lemmaOf("need", "VBD") {
 				t.Errorf("non-deterministic lemma for need")
 			}
 		case "walled":
@@ -72,7 +72,7 @@ func TestNeedsEHeuristic(t *testing.T) {
 		{"snowed", "snow"},   // final w excluded
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, "VBD"); got != c.want {
+		if got := lemmaOf(c.word, "VBD"); got != c.want {
 			t.Errorf("Lemma(%s) = %q, want %q", c.word, got, c.want)
 		}
 	}
@@ -83,22 +83,22 @@ func TestLemmaIdempotentOnLemmas(t *testing.T) {
 	// tag must not mangle it.
 	for _, w := range []string{"write", "die", "book", "height", "capital",
 		"person", "city", "have", "be"} {
-		if got := Lemma(w, "VB"); got != w && !(w == "be" || w == "have") {
+		if got := lemmaOf(w, "VB"); got != w && !(w == "be" || w == "have") {
 			t.Errorf("Lemma(%s, VB) = %q, want unchanged", w, got)
 		}
-		if got := Lemma(w, "NN"); got != w {
+		if got := lemmaOf(w, "NN"); got != w {
 			t.Errorf("Lemma(%s, NN) = %q, want unchanged", w, got)
 		}
 	}
 }
 
 func TestVBGWithoutSuffix(t *testing.T) {
-	if got := Lemma("string", "VBG"); got != "string" {
+	if got := lemmaOf("string", "VBG"); got != "string" {
 		// "string" ends in -ing but stripping gives "str"; the length
 		// guard (len > 4) does strip here. Pin deterministic behaviour:
 		// strip applies, so verify the resolveStem fallthrough. Accept
 		// either but require stability.
-		if got != Lemma("string", "VBG") {
+		if got != lemmaOf("string", "VBG") {
 			t.Error("unstable")
 		}
 	}

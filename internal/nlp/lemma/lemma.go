@@ -3,9 +3,16 @@
 // key on lemmas ("written" and "writes" must both reach "write", the
 // paper's §2.2.3 counts "die" across "died"/"dies"/"dying" pattern
 // occurrences).
+//
+// Fill writes each token's lemma into the token record the tokenizer
+// made, from the lower-case form the tokenizer computed.
 package lemma
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/nlp/token"
+)
 
 // irregular maps inflected verb forms to lemmas for the verbs the
 // domain uses, under any tag; regular morphology falls through to the
@@ -67,10 +74,17 @@ var noStrip = map[string]bool{
 	"bias": true, "chaos": true, "lens": true, "census": true,
 }
 
-// Lemma returns the lemma of word. The POS tag ("NN", "VBZ", ...) guides
-// suffix stripping; pass "" when unknown.
-func Lemma(word, tag string) string {
-	lower := strings.ToLower(word)
+// Fill sets each token's Lemma from its text, lower-case form and tag.
+func Fill(toks []token.Token) {
+	for i := range toks {
+		toks[i].Lemma = lemmatize(toks[i].Text, toks[i].Lower, toks[i].Tag)
+	}
+}
+
+// lemmatize returns the lemma of word, whose lower-case form is lower.
+// The POS tag ("NN", "VBZ", ...) guides suffix stripping; "" means
+// unknown.
+func lemmatize(word, lower, tag string) string {
 	if l, ok := irregular[lower]; ok {
 		return l
 	}

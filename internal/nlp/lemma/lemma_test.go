@@ -1,6 +1,18 @@
 package lemma
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/nlp/token"
+)
+
+// lemmaOf returns the lemma Fill gives word under tag.
+func lemmaOf(word, tag string) string {
+	toks := []token.Token{{Text: word, Lower: strings.ToLower(word), Tag: tag}}
+	Fill(toks)
+	return toks[0].Lemma
+}
 
 func TestIrregularVerbs(t *testing.T) {
 	cases := []struct{ word, tag, want string }{
@@ -19,7 +31,7 @@ func TestIrregularVerbs(t *testing.T) {
 		{"known", "VBN", "know"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, c.tag); got != c.want {
+		if got := lemmaOf(c.word, c.tag); got != c.want {
 			t.Errorf("Lemma(%s,%s) = %s, want %s", c.word, c.tag, got, c.want)
 		}
 	}
@@ -48,7 +60,7 @@ func TestTagDecidesAmbiguousForms(t *testing.T) {
 		{"founded", "VBN", "found"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, c.tag); got != c.want {
+		if got := lemmaOf(c.word, c.tag); got != c.want {
 			t.Errorf("Lemma(%s,%q) = %s, want %s", c.word, c.tag, got, c.want)
 		}
 	}
@@ -68,7 +80,7 @@ func TestRegularPastTense(t *testing.T) {
 		{"developed", "develop"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, "VBD"); got != c.want {
+		if got := lemmaOf(c.word, "VBD"); got != c.want {
 			t.Errorf("Lemma(%s, VBD) = %s, want %s", c.word, got, c.want)
 		}
 	}
@@ -83,7 +95,7 @@ func TestGerunds(t *testing.T) {
 		{"starring", "star"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, "VBG"); got != c.want {
+		if got := lemmaOf(c.word, "VBG"); got != c.want {
 			t.Errorf("Lemma(%s, VBG) = %s, want %s", c.word, got, c.want)
 		}
 	}
@@ -106,7 +118,7 @@ func TestPluralNouns(t *testing.T) {
 		{"series", "series"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, "NNS"); got != c.want {
+		if got := lemmaOf(c.word, "NNS"); got != c.want {
 			t.Errorf("Lemma(%s, NNS) = %s, want %s", c.word, got, c.want)
 		}
 	}
@@ -121,40 +133,40 @@ func TestThirdPersonVerbs(t *testing.T) {
 		{"goes", "go"},
 	}
 	for _, c := range cases {
-		if got := Lemma(c.word, "VBZ"); got != c.want {
+		if got := lemmaOf(c.word, "VBZ"); got != c.want {
 			t.Errorf("Lemma(%s, VBZ) = %s, want %s", c.word, got, c.want)
 		}
 	}
 }
 
 func TestProperNounsKeepForm(t *testing.T) {
-	if got := Lemma("Pamuk", "NNP"); got != "Pamuk" {
+	if got := lemmaOf("Pamuk", "NNP"); got != "Pamuk" {
 		t.Errorf("proper noun lemma = %s", got)
 	}
-	if got := Lemma("Brothers", "NNPS"); got != "Brothers" {
+	if got := lemmaOf("Brothers", "NNPS"); got != "Brothers" {
 		t.Errorf("NNPS lemma = %s, want unchanged", got)
 	}
 }
 
 func TestLowercasingDefault(t *testing.T) {
-	if got := Lemma("Height", "NN"); got != "height" {
+	if got := lemmaOf("Height", "NN"); got != "height" {
 		t.Errorf("Lemma(Height, NN) = %s, want height", got)
 	}
 }
 
 func TestUnknownTagGuessing(t *testing.T) {
 	// Empty tag: plural-looking words still strip.
-	if got := Lemma("mountains", ""); got != "mountain" {
+	if got := lemmaOf("mountains", ""); got != "mountain" {
 		t.Errorf("Lemma(mountains, '') = %s", got)
 	}
-	if got := Lemma("always", ""); got != "always" {
+	if got := lemmaOf("always", ""); got != "always" {
 		t.Errorf("Lemma(always, '') = %s, noStrip word mangled", got)
 	}
 }
 
 func TestShortWordsUntouched(t *testing.T) {
 	for _, w := range []string{"as", "is", "us", "so"} {
-		if got := Lemma(w, "NNS"); len(got) < 2 && w != "is" {
+		if got := lemmaOf(w, "NNS"); len(got) < 2 && w != "is" {
 			t.Errorf("short word %s mangled to %s", w, got)
 		}
 	}

@@ -5,44 +5,43 @@
 // pass of contextual repair rules (in the spirit of Brill's
 // transformation-based tagger) fixes the ambiguities that matter for
 // dependency parsing of questions (VBD/VBN, NN/VB).
+//
+// Tag writes each token's tag into the token record the tokenizer
+// made, and reads the lower-case form the tokenizer computed: nothing
+// here lower-cases a word again.
 package postag
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/nlp/token"
 )
 
-// Tagged pairs a token with its tag.
-type Tagged struct {
-	Word string
-	Tag  string
-}
-
-// Tag tags a token sequence.
-func Tag(words []string) []Tagged {
-	out := make([]Tagged, len(words))
-	for i, w := range words {
-		out[i] = Tagged{Word: w, Tag: lexicalTag(w, i)}
+// Tag tags a token sequence in place, setting each token's Tag.
+func Tag(toks []token.Token) {
+	for i := range toks {
+		toks[i].Tag = lexicalTag(toks[i].Text, toks[i].Lower, i)
 	}
-	applyContextRules(out)
-	return out
+	applyContextRules(toks)
 }
 
-// lexicalTag assigns the context-free tag.
-func lexicalTag(w string, pos int) string {
+// lexicalTag assigns the context-free tag of w, whose lower-case form
+// is lower.
+func lexicalTag(w, lower string, pos int) string {
 	if w == "" {
 		return "NN"
 	}
-	lower := strings.ToLower(w)
-	if t, ok := lexicon[lower]; ok {
+	if t, ok := Lexicon(lower); ok {
 		// A capitalised lexicon word mid-sentence is still a proper noun
 		// candidate, but for the QA vocabulary the lexicon wins (e.g.
 		// sentence-initial "Which").
 		return t
 	}
+	first, size := utf8.DecodeRuneInString(w)
 	// Punctuation.
-	r := []rune(w)
-	if len(r) == 1 && !unicode.IsLetter(r[0]) && !unicode.IsDigit(r[0]) {
+	if size == len(w) && !unicode.IsLetter(first) && !unicode.IsDigit(first) {
 		switch w {
 		case "?", "!", ".":
 			return "."
@@ -61,13 +60,19 @@ func lexicalTag(w string, pos int) string {
 	// Capitalised unknown word: proper noun. (Sentence-initial unknown
 	// capitalised words are usually proper nouns in questions too, since
 	// the question words are all in the lexicon.)
-	if unicode.IsUpper(r[0]) {
-		if strings.HasSuffix(lower, "s") && pos > 0 && len(w) > 3 && unicode.IsUpper(r[0]) && isPluralLooking(lower) {
+	if unicode.IsUpper(first) {
+		if strings.HasSuffix(lower, "s") && pos > 0 && len(w) > 3 && isPluralLooking(lower) {
 			return "NNPS"
 		}
 		return "NNP"
 	}
 	return suffixGuess(lower)
+}
+
+// Lexicon returns the lexicon's tag for a lower-case word.
+func Lexicon(lower string) (string, bool) {
+	t, ok := lexicon[lower]
+	return t, ok
 }
 
 func isPluralLooking(lower string) bool {
@@ -126,17 +131,17 @@ func suffixGuess(w string) string {
 }
 
 // applyContextRules runs the transformation pass over the tagged sequence.
-func applyContextRules(ts []Tagged) {
-	isAux := func(w string) bool {
-		switch strings.ToLower(w) {
+func applyContextRules(ts []token.Token) {
+	isAux := func(lower string) bool {
+		switch lower {
 		case "is", "are", "was", "were", "be", "been", "being", "am",
 			"has", "have", "had", "having":
 			return true
 		}
 		return false
 	}
-	isDo := func(w string) bool {
-		switch strings.ToLower(w) {
+	isDo := func(lower string) bool {
+		switch lower {
 		case "do", "does", "did":
 			return true
 		}
@@ -144,13 +149,13 @@ func applyContextRules(ts []Tagged) {
 	}
 
 	for i := range ts {
-		lower := strings.ToLower(ts[i].Word)
+		lower := ts[i].Lower
 
 		// Rule: VBD after a passive/perfect auxiliary becomes VBN
 		// ("is written", "was born", "has died").
 		if ts[i].Tag == "VBD" {
 			for j := i - 1; j >= 0 && j >= i-3; j-- {
-				if isAux(ts[j].Word) {
+				if isAux(ts[j].Lower) {
 					ts[i].Tag = "VBN"
 					break
 				}
@@ -165,7 +170,7 @@ func applyContextRules(ts []Tagged) {
 		// ("did ... die", "does ... have", "can ... find").
 		if ts[i].Tag == "NN" || ts[i].Tag == "VBP" || ts[i].Tag == "VBD" {
 			for j := i - 1; j >= 0; j-- {
-				if isDo(ts[j].Word) || ts[j].Tag == "MD" {
+				if isDo(ts[j].Lower) || ts[j].Tag == "MD" {
 					// Only if there is no other verb between.
 					verbBetween := false
 					for k := j + 1; k < i; k++ {
@@ -189,7 +194,7 @@ func applyContextRules(ts []Tagged) {
 		// and already-verbal tags are left alone ("married to Barack").
 		if i > 0 && ts[i-1].Tag == "TO" &&
 			(ts[i].Tag == "NN" || ts[i].Tag == "VBP" || ts[i].Tag == "NNS") &&
-			!unicode.IsUpper([]rune(ts[i].Word)[0]) && isLexiconVerb(lower) {
+			!startsUpper(ts[i].Text) && isLexiconVerb(lower) {
 			ts[i].Tag = "VB"
 		}
 
@@ -199,15 +204,13 @@ func applyContextRules(ts []Tagged) {
 			ts[i].Tag != "VBN" {
 			ts[i].Tag = "NN"
 		}
-
-		// Rule: "how many/much" keeps many/much JJ; "many" after DT -> JJ
-		// is already lexical.
-
-		// Rule: word tagged NN directly after WRB "how" that is in the
-		// adjective lexicon is JJ ("how tall"). Lexicon already carries
-		// these; this repairs unknown adjectives by suffix only.
-		_ = lower
 	}
+}
+
+// startsUpper reports whether w's first rune is upper case.
+func startsUpper(w string) bool {
+	r, _ := utf8.DecodeRuneInString(w)
+	return unicode.IsUpper(r)
 }
 
 // isLexiconVerb reports whether the lexicon lists a verbal reading.

@@ -9,11 +9,12 @@ import (
 
 func tagsOf(t *testing.T, sentence string) ([]string, []string) {
 	t.Helper()
-	words := token.Words(sentence)
-	tagged := Tag(words)
-	tags := make([]string, len(tagged))
-	for i, tg := range tagged {
-		tags[i] = tg.Tag
+	toks := token.Tokenize(sentence)
+	Tag(toks)
+	words := make([]string, len(toks))
+	tags := make([]string, len(toks))
+	for i, tok := range toks {
+		words[i], tags[i] = tok.Text, tok.Tag
 	}
 	return words, tags
 }
@@ -105,20 +106,20 @@ func TestSuffixGuesses(t *testing.T) {
 		"zorbs":          "NNS",
 	}
 	for w, want := range cases {
-		if got := lexicalTag(w, 1); got != want {
+		if got := lexicalTag(w, w, 1); got != want {
 			t.Errorf("lexicalTag(%s, 1) = %s, want %s", w, got, want)
 		}
 	}
 }
 
 func TestPunctuationTags(t *testing.T) {
-	if lexicalTag("?", 1) != "." || lexicalTag(",", 1) != "," || lexicalTag(";", 1) != ":" {
+	if lexicalTag("?", "?", 1) != "." || lexicalTag(",", ",", 1) != "," || lexicalTag(";", ";", 1) != ":" {
 		t.Error("punctuation tags wrong")
 	}
 }
 
 func TestEmptyWord(t *testing.T) {
-	if lexicalTag("", 1) != "NN" {
+	if lexicalTag("", "", 1) != "NN" {
 		t.Error("empty word should default to NN")
 	}
 }

@@ -2,6 +2,12 @@
 // NLP stack. It substitutes for the tokenisation stage of Stanford
 // CoreNLP used by the paper: words, numbers, punctuation and clitics
 // ("'s", "n't") become separate tokens with byte offsets into the input.
+//
+// A Token is the one record the whole §2.1 stack keeps per word: the
+// tokenizer fills its text, lower-case form and offsets, postag.Tag its
+// tag and lemma.Fill its lemma, in place, and depparse's graph nodes
+// are the same array. Each word is lower-cased once, here, and every
+// later stage reads Lower.
 package token
 
 import (
@@ -10,11 +16,22 @@ import (
 	"unicode/utf8"
 )
 
-// Token is one token with its source span.
+// Token is one token with its source span, and the tag and lemma the
+// later stages fill in.
 type Token struct {
-	Text  string
-	Start int // byte offset of the first byte
-	End   int // byte offset one past the last byte
+	Text  string // the surface form
+	Lower string // strings.ToLower(Text)
+	Tag   string // Penn Treebank tag, set by postag.Tag
+	Lemma string // set by lemma.Fill
+	Start int    // byte offset of the first byte
+	End   int    // byte offset one past the last byte
+}
+
+// span is a token's byte range in the text and the end of its
+// lower-case form in Tokenize's lowered bytes (-1 when the text is
+// already lower-case).
+type span struct {
+	start, end, lowEnd int
 }
 
 // Tokenize splits text into tokens. The rules cover interrogative English:
@@ -39,7 +56,10 @@ func Tokenize(text string) []Token {
 	}
 	byteOff = append(byteOff, len(text))
 
-	out := make([]Token, 0, len(runes)/4+2)
+	// The spans first, on the stack, so the tokens are one array of
+	// the right length.
+	var spanBuf [64]span
+	spans := spanBuf[:0]
 	i := 0
 	for i < len(runes) {
 		r := runes[i]
@@ -51,23 +71,62 @@ func Tokenize(text string) []Token {
 			for i < len(runes) && isWordContinuation(runes, i) {
 				i++
 			}
-			out = appendWordWithClitics(out, text[byteOff[start]:byteOff[i]], byteOff[start])
+			spans = appendWordWithClitics(spans, text[byteOff[start]:byteOff[i]], byteOff[start])
 		default:
-			out = append(out, Token{Text: text[byteOff[i]:byteOff[i+1]], Start: byteOff[i], End: byteOff[i+1]})
+			spans = append(spans, span{start: byteOff[i], end: byteOff[i+1]})
 			i++
+		}
+	}
+
+	// Every lower-case form that differs from its text goes into one
+	// string; each token is lowered by itself, since lower-casing can
+	// change a rune's byte length ("İ" is 2 bytes, "i" 1).
+	var lowBuf [256]byte
+	low := lowBuf[:0]
+	for k := range spans {
+		sp := &spans[k]
+		n := len(low)
+		low = appendLower(low, text[sp.start:sp.end])
+		sp.lowEnd = -1
+		if len(low) > n {
+			sp.lowEnd = len(low)
+		}
+	}
+	lowered := string(low)
+	out := make([]Token, len(spans))
+	from := 0
+	for k, sp := range spans {
+		t := &out[k]
+		t.Text, t.Start, t.End = text[sp.start:sp.end], sp.start, sp.end
+		t.Lower = t.Text
+		if sp.lowEnd >= 0 {
+			t.Lower, from = lowered[from:sp.lowEnd], sp.lowEnd
 		}
 	}
 	return out
 }
 
-// Words returns just the token texts.
-func Words(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
+// appendLower appends strings.ToLower(w) to dst when it differs from w,
+// and leaves dst as it is otherwise. w is valid UTF-8.
+func appendLower(dst []byte, w string) []byte {
+	i := 0
+	for i < len(w) && w[i] < utf8.RuneSelf && (w[i] < 'A' || 'Z' < w[i]) {
+		i++
 	}
-	return out
+	if i == len(w) {
+		return dst // ASCII with no upper-case letter
+	}
+	n, changed := len(dst), false
+	dst = append(dst, w[:i]...)
+	for _, r := range w[i:] {
+		l := unicode.ToLower(r)
+		changed = changed || l != r
+		dst = utf8.AppendRune(dst, l)
+	}
+	if !changed {
+		return dst[:n]
+	}
+	return dst
 }
 
 func isWordRune(r rune) bool {
@@ -120,18 +179,15 @@ func isWordContinuation(runes []rune, i int) bool {
 }
 
 // appendWordWithClitics splits possessive 's and n't clitics off a word.
-func appendWordWithClitics(out []Token, word string, start int) []Token {
+func appendWordWithClitics(out []span, word string, start int) []span {
+	end := start + len(word)
 	switch {
 	case len(word) > 2 && hasSuffixFold(word, "'s"):
-		head := word[:len(word)-2]
-		out = append(out, Token{Text: head, Start: start, End: start + len(head)})
-		out = append(out, Token{Text: word[len(word)-2:], Start: start + len(head), End: start + len(word)})
+		out = append(out, span{start: start, end: end - 2}, span{start: end - 2, end: end})
 	case len(word) > 3 && hasSuffixFold(word, "n't"):
-		head := word[:len(word)-3]
-		out = append(out, Token{Text: head, Start: start, End: start + len(head)})
-		out = append(out, Token{Text: word[len(word)-3:], Start: start + len(head), End: start + len(word)})
+		out = append(out, span{start: start, end: end - 3}, span{start: end - 3, end: end})
 	default:
-		out = append(out, Token{Text: word, Start: start, End: start + len(word)})
+		out = append(out, span{start: start, end: end})
 	}
 	return out
 }

@@ -297,22 +297,25 @@ func (mp *minedPattern) pattern(sn *store.Snapshot, words map[string][]PropFreq)
 // normalizeSpan tokenises, tags and lemmatises the inter-mention text,
 // dropping determiners, pronouns and punctuation.
 func normalizeSpan(text string) []string {
-	words := token.Words(text)
-	if len(words) == 0 {
+	toks := token.Tokenize(text)
+	if len(toks) == 0 {
 		return nil
 	}
-	tagged := postag.Tag(words)
+	postag.Tag(toks)
+	lemma.Fill(toks)
 	var out []string
-	for _, t := range tagged {
+	for _, t := range toks {
 		switch t.Tag {
 		case "DT", "PRP", "PRP$", ".", ",", ":", "SYM", "CC", "EX", "POS":
 			continue
 		}
-		l := lemma.Lemma(t.Word, t.Tag)
-		if l == "" {
-			continue
+		// A lemma is built from the lower-case form, or is the surface
+		// form itself (a proper noun's), which lower-cases to Lower.
+		l := t.Lemma
+		if l == t.Text {
+			l = t.Lower
 		}
-		out = append(out, strings.ToLower(l))
+		out = append(out, l)
 	}
 	return out
 }

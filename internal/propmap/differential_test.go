@@ -55,7 +55,7 @@ func sameCandidates(got, want []propmap.PropCandidate) error {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Property != w.Property || g.Freq != w.Freq || g.Source != w.Source ||
+		if *g.Property != *w.Property || g.Freq != w.Freq || g.Source != w.Source ||
 			math.Float64bits(g.Sim) != math.Float64bits(w.Sim) {
 			return fmt.Errorf("candidate %d = %+v, reference %+v", i, g, w)
 		}
@@ -268,5 +268,50 @@ func TestStrSimBoundEdgeCases(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no candidates: the edge cases are not reaching §2.2")
+	}
+}
+
+// TestCandidatesShareMapperRows holds §2.2 to pointing at what it reads:
+// a candidate's Property is the Mapper's own row for it — the same
+// pointer on every Map call, equal to the KB's property — and a mapped
+// triple's Original is the extraction's own triple.
+func TestCandidatesShareMapperRows(t *testing.T) {
+	k := kb.Default()
+	m := propmap.New(k, wordnet.Default(), minedPatterns(), ner.NewLinker(k), propmap.DefaultConfig())
+	questions := testutil.EntityQuestions(k)[:200]
+	for _, q := range qald.FullSet() {
+		questions = append(questions, q.Text)
+	}
+	shared := 0
+	for _, q := range questions {
+		ext, err := triplex.ExtractOpts(q, triplex.Options{})
+		if err != nil {
+			continue
+		}
+		first, err := m.Map(ext)
+		if err != nil {
+			continue
+		}
+		again, err := m.Map(ext)
+		if err != nil {
+			t.Fatalf("%q: second Map: %v", q, err)
+		}
+		for i, mt := range first.Triples {
+			if mt.Original != &ext.Triples[i] || again.Triples[i].Original != &ext.Triples[i] {
+				t.Errorf("%q: triple %d's Original does not point into the extraction", q, i)
+			}
+			for j, c := range mt.Predicates {
+				if c.Property != again.Triples[i].Predicates[j].Property {
+					t.Errorf("%q: triple %d candidate %d: two Map calls return different Property pointers", q, i, j)
+				}
+				if p, ok := k.PropertyByLocal(c.Property.Term.LocalName()); !ok || p != *c.Property {
+					t.Errorf("%q: candidate %v is not the KB's property %v", q, *c.Property, p)
+				}
+				shared++
+			}
+		}
+	}
+	if shared < 500 {
+		t.Fatalf("only %d candidates checked; the test is not exercising §2.2", shared)
 	}
 }

@@ -27,7 +27,9 @@
 // is scored against the rows whose initials hold its first byte (or a
 // first byte of its surface tokens), looked up in WordNet once and
 // tested against each distinct head, and the signals merge in a short
-// list kept in property-IRI order. Nothing is cached between questions.
+// list kept in property-IRI order. A candidate points at its property's
+// row and a mapped triple at its extraction's triple: neither is
+// copied. Nothing is cached between questions.
 //
 // The bound is exact above strsim.Damping: a damped GCS score is at most
 // Damping, so a name passes only through a part equal to the word or
@@ -64,7 +66,10 @@ const (
 // PropCandidate is one candidate property for a predicate slot with its
 // ranking signal.
 type PropCandidate struct {
-	Property kb.Property
+	// Property points at the Mapper's own row for the property: shared
+	// by every candidate of every question, built once by New and never
+	// written, so it is read-only.
+	Property *kb.Property
 	// Sim is the string-similarity component in [0,1].
 	Sim float64
 	// Freq is the relational-pattern frequency (0 when not
@@ -82,7 +87,8 @@ func (c PropCandidate) RankScore() float64 {
 
 // MappedTriple is one triple pattern with every slot resolved.
 type MappedTriple struct {
-	Original triplex.QueryTriple
+	// Original points into the Mapping's Extraction.Triples.
+	Original *triplex.QueryTriple
 	// Class is set for rdf:type triples.
 	Class rdf.Term
 	// Subject/Object entity resolution: either the variable or a KB
@@ -285,7 +291,8 @@ func (m *Mapper) Map(ext *triplex.Extraction) (*Mapping, error) {
 		}
 	}
 
-	for _, t := range ext.Triples {
+	for i := range ext.Triples {
+		t := &ext.Triples[i]
 		mt := MappedTriple{Original: t}
 		if t.IsType {
 			cls, ok := m.resolveClass(t.Object.Text, t.Object.Lemma)
@@ -506,7 +513,7 @@ func (m *Mapper) candidateProperties(pred triplex.Slot) []PropCandidate {
 	}
 	out := make([]PropCandidate, len(slots))
 	for i, c := range slots {
-		out[i] = PropCandidate{Property: m.rows[c.row].prop, Sim: c.sim, Freq: c.freq, Source: c.src}
+		out[i] = PropCandidate{Property: &m.rows[c.row].prop, Sim: c.sim, Freq: c.freq, Source: c.src}
 	}
 	return out
 }

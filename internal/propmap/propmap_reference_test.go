@@ -84,8 +84,9 @@ func (m *RefMapper) Map(ext *triplex.Extraction) (*Mapping, error) {
 		}
 	}
 
-	for _, t := range ext.Triples {
-		mt := MappedTriple{Original: t}
+	for i := range ext.Triples {
+		t := ext.Triples[i]
+		mt := MappedTriple{Original: &ext.Triples[i]}
 		if t.IsType {
 			cls, ok := m.resolveClass(t.Object.Text, t.Object.Lemma)
 			if !ok {
@@ -235,7 +236,7 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 					continue // identical heads are already strsim hits
 				}
 				if m.wn.Similar(m.wn.Word(lem, wordnet.Noun), m.wn.Word(h, wordnet.Noun)) {
-					addCand(PropCandidate{Property: p, Sim: 0.8, Source: SourceWordNet})
+					addCand(PropCandidate{Property: &p, Sim: 0.8, Source: SourceWordNet})
 				}
 			}
 		}
@@ -253,7 +254,7 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 		for _, pf := range m.patterns.PropertiesForWord(lem) {
 			local := pf.Property.LocalName()
 			if prop, ok := m.kb.PropertyByLocal(local); ok {
-				addCand(PropCandidate{Property: prop, Freq: pf.Freq, Sim: 0, Source: SourcePattern})
+				addCand(PropCandidate{Property: &prop, Freq: pf.Freq, Sim: 0, Source: SourcePattern})
 			}
 		}
 	}
@@ -265,7 +266,7 @@ func (m *RefMapper) CandidateProperties(pred triplex.Slot) []PropCandidate {
 		for _, c := range byIRI {
 			for _, syn := range m.synonymPairs[c.Property.Term.LocalName()] {
 				expand = append(expand, PropCandidate{
-					Property: syn, Sim: c.Sim * 0.9, Freq: 0, Source: SourceWordNet})
+					Property: &syn, Sim: c.Sim * 0.9, Freq: 0, Source: SourceWordNet})
 			}
 		}
 		sort.Slice(expand, func(i, j int) bool {
@@ -318,7 +319,7 @@ func (m *RefMapper) strSimCandidates(word, surface string, object bool, src Sour
 			}
 		}
 		if score >= m.cfg.StrSimThreshold {
-			add(PropCandidate{Property: p, Sim: score, Source: src})
+			add(PropCandidate{Property: &p, Sim: score, Source: src})
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/nlp/depparse"
+	"repro/internal/nlp/token"
 )
 
 // SlotKind discriminates what a slot holds.
@@ -186,11 +187,11 @@ func questionWord(g *depparse.Graph) string {
 	for _, n := range g.Nodes {
 		switch n.Tag {
 		case "WP", "WDT", "WRB", "WP$":
-			return strings.ToLower(n.Word)
+			return n.Lower
 		}
 	}
 	if len(g.Nodes) > 0 {
-		first := strings.ToLower(g.Nodes[0].Word)
+		first := g.Nodes[0].Lower
 		switch first {
 		case "is", "are", "was", "were", "did", "does", "do", "has", "have":
 			return first
@@ -238,11 +239,11 @@ func (b *bucket) phraseOf(i int) string {
 		idx  int
 		text string
 	}
-	parts := []part{{i, g.Nodes[i].Word}}
+	parts := []part{{i, g.Nodes[i].Text}}
 	for _, e := range g.Children(i) {
 		switch e.Rel {
 		case depparse.RelNN, depparse.RelAmod, depparse.RelNum:
-			parts = append(parts, part{e.Dep, g.Nodes[e.Dep].Word})
+			parts = append(parts, part{int(e.Dep), g.Nodes[e.Dep].Text})
 		}
 	}
 	for x := 0; x < len(parts); x++ {
@@ -267,10 +268,10 @@ func (b *bucket) nounOnlyPhrase(i int) string {
 		idx  int
 		text string
 	}
-	parts := []part{{i, g.Nodes[i].Word}}
+	parts := []part{{i, g.Nodes[i].Text}}
 	for _, e := range g.Children(i) {
 		if e.Rel == depparse.RelNN {
-			parts = append(parts, part{e.Dep, g.Nodes[e.Dep].Word})
+			parts = append(parts, part{int(e.Dep), g.Nodes[e.Dep].Text})
 		}
 	}
 	for x := 0; x < len(parts); x++ {
@@ -307,12 +308,22 @@ func expectedFromWh(wh string) ExpectedKind {
 	}
 }
 
+// wordSlot is the text slot of node i's own word.
+func (b *bucket) wordSlot(i int) Slot {
+	return b.headSlot(b.g.Nodes[i].Text, i)
+}
+
+// headSlot is a text slot for a phrase headed by node i.
+func (b *bucket) headSlot(text string, i int) Slot {
+	n := &b.g.Nodes[i]
+	return TextSlot(text, n.Lemma, n.Tag)
+}
+
 // textSlotFor builds an entity text slot from the node at index i,
 // covering the node's full surface span (compound names, title-internal
 // prepositions and capitalised articles: "The War of the Worlds").
 func (b *bucket) textSlotFor(i int) Slot {
-	n := b.g.Nodes[i]
-	return TextSlot(b.entityPhraseOf(i), n.Lemma, n.Tag)
+	return b.headSlot(b.entityPhraseOf(i), i)
 }
 
 // entityPhraseOf renders the contiguous surface span of the subtree
@@ -329,18 +340,14 @@ func (b *bucket) entityPhraseOf(i int) string {
 				depparse.RelAuxPass, depparse.RelAdvmod:
 				continue
 			case depparse.RelDet:
-				w := g.Nodes[e.Dep].Word
+				w := g.Nodes[e.Dep].Text
 				if w == "" || w[0] < 'A' || w[0] > 'Z' {
 					continue // skip boundary lowercase determiners
 				}
 			}
-			if e.Dep < lo {
-				lo = e.Dep
-			}
-			if e.Dep > hi {
-				hi = e.Dep
-			}
-			walk(e.Dep)
+			d := int(e.Dep)
+			lo, hi = min(lo, d), max(hi, d)
+			walk(d)
 		}
 	}
 	walk(i)
@@ -349,7 +356,7 @@ func (b *bucket) entityPhraseOf(i int) string {
 		if t := g.Nodes[j].Tag; t == "." || t == "," || t == ":" || t == "SYM" || t == "POS" {
 			continue
 		}
-		words = append(words, g.Nodes[j].Word)
+		words = append(words, g.Nodes[j].Text)
 	}
 	return strings.Join(words, " ")
 }
@@ -369,34 +376,32 @@ func (b *bucket) run() {
 	if g.Root < 0 {
 		return
 	}
-	if len(g.Nodes) > 0 && imperativeLeads[strings.ToLower(g.Nodes[0].Word)] {
+	if len(g.Nodes) > 0 && imperativeLeads[g.Nodes[0].Lower] {
 		return
 	}
-	root := g.Nodes[g.Root]
 	wh := b.ext.QuestionWord
 
-	switch {
-	case strings.HasPrefix(root.Tag, "VB"):
-		b.verbRoot(root, wh)
-	case root.Tag == "JJ" || root.Tag == "JJS" || root.Tag == "JJR":
-		b.adjectiveRoot(root, wh)
-	case root.Tag == "NN" || root.Tag == "NNS" || root.Tag == "NNP" || root.Tag == "NNPS":
-		b.nounRoot(root, wh)
+	switch tag := g.Nodes[g.Root].Tag; {
+	case strings.HasPrefix(tag, "VB"):
+		b.verbRoot(g.Root, wh)
+	case tag == "JJ" || tag == "JJS" || tag == "JJR":
+		b.adjectiveRoot(g.Root, wh)
+	case tag == "NN" || tag == "NNS" || tag == "NNP" || tag == "NNPS":
+		b.nounRoot(g.Root, wh)
 	}
 }
 
 // verbRoot handles verbal roots: passives ("Which book is written by
 // X"), do-support ("Where did X die"), actives ("Who wrote X") and
 // how-many clauses.
-func (b *bucket) verbRoot(root depparse.Node, wh string) {
+func (b *bucket) verbRoot(root int, wh string) {
 	g := b.g
-	ri := root.Index
 
-	subjPass, hasSubjPass := g.ChildByRel(ri, depparse.RelNSubjPass)
-	subj, hasSubj := g.ChildByRel(ri, depparse.RelNSubj)
-	dobj, hasDobj := g.ChildByRel(ri, depparse.RelDObj)
-	adv, hasAdv := g.ChildByRel(ri, depparse.RelAdvmod)
-	agentPhrase, agentIdx, hasAgent := b.firstPObjIdx(ri)
+	subjPass, hasSubjPass := g.ChildByRel(root, depparse.RelNSubjPass)
+	subj, hasSubj := g.ChildByRel(root, depparse.RelNSubj)
+	dobj, hasDobj := g.ChildByRel(root, depparse.RelDObj)
+	adv, hasAdv := g.ChildByRel(root, depparse.RelAdvmod)
+	agentPhrase, agentIdx, hasAgent := b.firstPObjIdx(root)
 
 	// Fronted prepositional wh: "In which city was X born?" — the
 	// wh-determined pobj is the question variable, typed by its noun.
@@ -405,12 +410,12 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 		b.add(QueryTriple{
 			Subject:   VarSlot("x"),
 			Predicate: TextSlot("rdf:type", "type", "IN"),
-			Object:    TextSlot(class, g.Nodes[agentIdx].Lemma, g.Nodes[agentIdx].Tag),
+			Object:    b.headSlot(class, agentIdx),
 			IsType:    true,
 		})
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subjPass.Index),
-			Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+			Subject:   b.textSlotFor(subjPass),
+			Predicate: b.wordSlot(root),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(ExpectClass, class)
@@ -418,11 +423,11 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 	}
 
 	// How-many clauses: the counted noun carries amod(many).
-	if hasDobj && b.hasAmodMany(dobj.Index) {
+	if hasDobj && b.hasAmodMany(dobj) {
 		b.howManyTransitive(root, dobj, wh)
 		return
 	}
-	if hasSubj && b.hasAmodMany(subj.Index) {
+	if hasSubj && b.hasAmodMany(subj) {
 		b.howManyIntransitive(root, subj, agentPhrase, hasAgent)
 		return
 	}
@@ -433,32 +438,32 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 		// passive subject ("Which book is written by X") or the wh word
 		// itself ("Who is married to X") or an adverbial wh ("Where was
 		// X born").
-		if det, ok := g.ChildByRel(subjPass.Index, depparse.RelDet); ok &&
-			(det.Tag == "WDT" || strings.EqualFold(det.Word, "which") || strings.EqualFold(det.Word, "what")) {
+		if det, ok := g.ChildByRel(subjPass, depparse.RelDet); ok &&
+			isWhDeterminer(&g.Nodes[det]) {
 			// [?x rdf:type book] + [?x written agent]
-			class := b.nounOnlyPhrase(subjPass.Index)
+			class := b.nounOnlyPhrase(subjPass)
 			b.add(QueryTriple{
 				Subject:   VarSlot("x"),
 				Predicate: TextSlot("rdf:type", "type", "IN"),
-				Object:    TextSlot(class, subjPass.Lemma, subjPass.Tag),
+				Object:    b.headSlot(class, subjPass),
 				IsType:    true,
 			})
 			b.setExpected(ExpectClass, class)
 			if hasAgent {
 				b.add(QueryTriple{
 					Subject:   VarSlot("x"),
-					Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+					Predicate: b.wordSlot(root),
 					Object:    agentPhrase,
 				})
 			}
 			return
 		}
-		if subjPass.Tag == "WP" || subjPass.Tag == "WDT" {
+		if g.Nodes[subjPass].Tag == "WP" || g.Nodes[subjPass].Tag == "WDT" {
 			// "Who is married to X?"
 			if hasAgent {
 				b.add(QueryTriple{
 					Subject:   VarSlot("x"),
-					Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+					Predicate: b.wordSlot(root),
 					Object:    agentPhrase,
 				})
 				b.setExpected(expectedFromWh(wh), "")
@@ -466,86 +471,86 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 			return
 		}
 		// "Where was Michael Jackson born?" / "When was Intel founded?"
-		if hasAdv && (adv.Tag == "WRB") {
+		if hasAdv && (g.Nodes[adv].Tag == "WRB") {
 			b.add(QueryTriple{
-				Subject:   b.textSlotFor(subjPass.Index),
-				Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+				Subject:   b.textSlotFor(subjPass),
+				Predicate: b.wordSlot(root),
 				Object:    VarSlot("x"),
 			})
-			b.setExpected(expectedFromWh(strings.ToLower(adv.Word)), "")
+			b.setExpected(expectedFromWh(g.Nodes[adv].Lower), "")
 			return
 		}
 		// Boolean passive: "Was X married to Y?" — extracted but typed
 		// boolean (unsupported downstream).
 		if hasAgent {
 			b.add(QueryTriple{
-				Subject:   b.textSlotFor(subjPass.Index),
-				Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+				Subject:   b.textSlotFor(subjPass),
+				Predicate: b.wordSlot(root),
 				Object:    agentPhrase,
 			})
 			b.setExpected(ExpectBoolean, "")
 		}
 		return
 
-	case hasAdv && adv.Tag == "WRB" && hasSubj:
+	case hasAdv && g.Nodes[adv].Tag == "WRB" && hasSubj:
 		// "Where did Abraham Lincoln die?" / "When did Frank Herbert die?"
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subj.Index),
-			Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+			Subject:   b.textSlotFor(subj),
+			Predicate: b.wordSlot(root),
 			Object:    VarSlot("x"),
 		})
-		b.setExpected(expectedFromWh(strings.ToLower(adv.Word)), "")
+		b.setExpected(expectedFromWh(g.Nodes[adv].Lower), "")
 		return
 
-	case hasSubj && (subj.Tag == "WP" || strings.EqualFold(subj.Word, "who") || strings.EqualFold(subj.Word, "what")):
+	case hasSubj && (g.Nodes[subj].Tag == "WP" || g.Nodes[subj].Lower == "who" || g.Nodes[subj].Lower == "what"):
 		// "Who wrote The Time Machine?"
 		if hasDobj {
 			b.add(QueryTriple{
 				Subject:   VarSlot("x"),
-				Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
-				Object:    b.textSlotFor(dobj.Index),
+				Predicate: b.wordSlot(root),
+				Object:    b.textSlotFor(dobj),
 			})
 			b.setExpected(expectedFromWh(wh), "")
 		}
 		return
 
-	case hasSubj && b.whDetermined(subj.Index):
+	case hasSubj && b.whDetermined(subj):
 		// "Which company developed Minecraft?"
-		class := b.nounOnlyPhrase(subj.Index)
+		class := b.nounOnlyPhrase(subj)
 		b.add(QueryTriple{
 			Subject:   VarSlot("x"),
 			Predicate: TextSlot("rdf:type", "type", "IN"),
-			Object:    TextSlot(class, subj.Lemma, subj.Tag),
+			Object:    b.headSlot(class, subj),
 			IsType:    true,
 		})
 		b.setExpected(ExpectClass, class)
 		if hasDobj {
 			b.add(QueryTriple{
 				Subject:   VarSlot("x"),
-				Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
-				Object:    b.textSlotFor(dobj.Index),
+				Predicate: b.wordSlot(root),
+				Object:    b.textSlotFor(dobj),
 			})
 		} else if hasAgent {
 			b.add(QueryTriple{
 				Subject:   VarSlot("x"),
-				Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+				Predicate: b.wordSlot(root),
 				Object:    agentPhrase,
 			})
 		}
 		return
 
-	case hasSubj && hasDobj && b.whDetermined(dobj.Index):
+	case hasSubj && hasDobj && b.whDetermined(dobj):
 		// Fronted wh-object: "Which university did Einstein attend?"
-		class := b.nounOnlyPhrase(dobj.Index)
+		class := b.nounOnlyPhrase(dobj)
 		b.add(QueryTriple{
 			Subject:   VarSlot("x"),
 			Predicate: TextSlot("rdf:type", "type", "IN"),
-			Object:    TextSlot(class, dobj.Lemma, dobj.Tag),
+			Object:    b.headSlot(class, dobj),
 			IsType:    true,
 		})
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subj.Index),
-			Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+			Subject:   b.textSlotFor(subj),
+			Predicate: b.wordSlot(root),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(ExpectClass, class)
@@ -554,9 +559,9 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 	case hasSubj && hasDobj:
 		// Boolean/declarative "Did X write Y": extracted, boolean.
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subj.Index),
-			Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
-			Object:    b.textSlotFor(dobj.Index),
+			Subject:   b.textSlotFor(subj),
+			Predicate: b.wordSlot(root),
+			Object:    b.textSlotFor(dobj),
 		})
 		b.setExpected(ExpectBoolean, "")
 		return
@@ -565,18 +570,18 @@ func (b *bucket) verbRoot(root depparse.Node, wh string) {
 
 // adjectiveRoot handles copular adjective predicates: "How tall is X?"
 // and booleans like "Is Frank Herbert still alive?" (§5 failure case).
-func (b *bucket) adjectiveRoot(root depparse.Node, wh string) {
+func (b *bucket) adjectiveRoot(root int, wh string) {
 	g := b.g
-	subj, hasSubj := g.ChildByRel(root.Index, depparse.RelNSubj)
+	subj, hasSubj := g.ChildByRel(root, depparse.RelNSubj)
 	if !hasSubj {
 		return
 	}
-	adv, hasAdv := g.ChildByRel(root.Index, depparse.RelAdvmod)
-	if hasAdv && strings.EqualFold(adv.Word, "how") {
+	adv, hasAdv := g.ChildByRel(root, depparse.RelAdvmod)
+	if hasAdv && g.Nodes[adv].Lower == "how" {
 		// "How tall is X?" → [X][tall][?x], Numeric.
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subj.Index),
-			Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+			Subject:   b.textSlotFor(subj),
+			Predicate: b.wordSlot(root),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(ExpectNumeric, "")
@@ -585,8 +590,8 @@ func (b *bucket) adjectiveRoot(root depparse.Node, wh string) {
 	// "Is X still alive?" → [X][is][alive] per the paper's §5; the
 	// predicate slot carries the adjective.
 	b.add(QueryTriple{
-		Subject:   b.textSlotFor(subj.Index),
-		Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+		Subject:   b.textSlotFor(subj),
+		Predicate: b.wordSlot(root),
 		Object:    VarSlot("x"),
 	})
 	b.setExpected(ExpectBoolean, "")
@@ -595,28 +600,27 @@ func (b *bucket) adjectiveRoot(root depparse.Node, wh string) {
 // nounRoot handles copular questions rooted at a predicate nominal:
 // "What is the height of Michael Jordan?", "Who is the mayor of
 // Berlin?", "How many inhabitants are there in X?".
-func (b *bucket) nounRoot(root depparse.Node, wh string) {
+func (b *bucket) nounRoot(root int, wh string) {
 	g := b.g
-	ri := root.Index
-	if b.hasAmodMany(ri) {
+	if b.hasAmodMany(root) {
 		// "How many inhabitants are there in X?"
-		if obj, ok := b.firstPObj(ri); ok {
+		if obj, ok := b.firstPObj(root); ok {
 			b.howManyOfPlace(root, obj)
 		}
 		return
 	}
-	obj, hasObj := b.firstPObj(ri)
-	_, hasCop := g.ChildByRel(ri, depparse.RelCop)
-	subj, hasSubj := g.ChildByRel(ri, depparse.RelNSubj)
+	obj, hasObj := b.firstPObj(root)
+	_, hasCop := g.ChildByRel(root, depparse.RelCop)
+	subj, hasSubj := g.ChildByRel(root, depparse.RelNSubj)
 	// §6 extension: superlatives — "What is the highest mountain?" →
 	// [?x rdf:type mountain] + [?x high ?v] extremised over ?v.
 	if b.opts.Superlatives && hasCop && !hasObj {
-		if sup, ok := b.superlativeAmod(ri); ok {
-			class := b.nounOnlyPhrase(ri)
+		if sup, ok := b.superlativeAmod(root); ok {
+			class := b.nounOnlyPhrase(root)
 			b.add(QueryTriple{
 				Subject:   VarSlot("x"),
 				Predicate: TextSlot("rdf:type", "type", "IN"),
-				Object:    TextSlot(class, root.Lemma, root.Tag),
+				Object:    b.headSlot(class, root),
 				IsType:    true,
 			})
 			b.add(QueryTriple{
@@ -632,8 +636,8 @@ func (b *bucket) nounRoot(root depparse.Node, wh string) {
 	// Possessive form: "What is Michael Jordan's height?" — the poss
 	// dependent plays the of-complement role.
 	if !hasObj {
-		if possNode, ok := g.ChildByRel(ri, depparse.RelPoss); ok {
-			obj = b.textSlotFor(possNode.Index)
+		if possNode, ok := g.ChildByRel(root, depparse.RelPoss); ok {
+			obj = b.textSlotFor(possNode)
 			hasObj = true
 		}
 	}
@@ -642,10 +646,10 @@ func (b *bucket) nounRoot(root depparse.Node, wh string) {
 	}
 	// Predicate is the copular nominal ("height", "mayor", "largest
 	// city"); subject is the of-object entity; variable is the wh side.
-	if hasSubj && (subj.Tag == "WP" || subj.Tag == "WDT" || subj.Tag == "WRB") {
+	if hasSubj && (g.Nodes[subj].Tag == "WP" || g.Nodes[subj].Tag == "WDT" || g.Nodes[subj].Tag == "WRB") {
 		b.add(QueryTriple{
 			Subject:   obj,
-			Predicate: TextSlot(b.phraseOf(ri), root.Lemma, root.Tag),
+			Predicate: b.headSlot(b.phraseOf(root), root),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(expectedFromWh(wh), "")
@@ -653,17 +657,17 @@ func (b *bucket) nounRoot(root depparse.Node, wh string) {
 	}
 	// Wh-determined subject: "Which city is the capital of France?" —
 	// the subject noun types the variable.
-	if hasSubj && b.whDetermined(subj.Index) {
-		class := b.nounOnlyPhrase(subj.Index)
+	if hasSubj && b.whDetermined(subj) {
+		class := b.nounOnlyPhrase(subj)
 		b.add(QueryTriple{
 			Subject:   VarSlot("x"),
 			Predicate: TextSlot("rdf:type", "type", "IN"),
-			Object:    TextSlot(class, subj.Lemma, subj.Tag),
+			Object:    b.headSlot(class, subj),
 			IsType:    true,
 		})
 		b.add(QueryTriple{
 			Subject:   obj,
-			Predicate: TextSlot(b.phraseOf(ri), root.Lemma, root.Tag),
+			Predicate: b.headSlot(b.phraseOf(root), root),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(ExpectClass, class)
@@ -673,8 +677,8 @@ func (b *bucket) nounRoot(root depparse.Node, wh string) {
 	if hasSubj {
 		b.add(QueryTriple{
 			Subject:   obj,
-			Predicate: TextSlot(b.phraseOf(ri), root.Lemma, root.Tag),
-			Object:    b.textSlotFor(subj.Index),
+			Predicate: b.headSlot(b.phraseOf(root), root),
+			Object:    b.textSlotFor(subj),
 		})
 		b.setExpected(ExpectBoolean, "")
 	}
@@ -683,16 +687,16 @@ func (b *bucket) nounRoot(root depparse.Node, wh string) {
 // howManyTransitive handles "How many pages does War and Peace have?"
 // (predicate = counted noun) and "How many books did X write?" (count
 // query, extracted but numerically unanswerable without aggregation).
-func (b *bucket) howManyTransitive(root, counted depparse.Node, wh string) {
+func (b *bucket) howManyTransitive(root, counted int, wh string) {
 	g := b.g
-	subj, hasSubj := g.ChildByRel(root.Index, depparse.RelNSubj)
+	subj, hasSubj := g.ChildByRel(root, depparse.RelNSubj)
 	if !hasSubj {
 		return
 	}
-	if root.Lemma == "have" {
+	if g.Nodes[root].Lemma == "have" {
 		b.add(QueryTriple{
-			Subject:   b.textSlotFor(subj.Index),
-			Predicate: TextSlot(b.nounOnlyPhrase(counted.Index), counted.Lemma, counted.Tag),
+			Subject:   b.textSlotFor(subj),
+			Predicate: b.headSlot(b.nounOnlyPhrase(counted), counted),
 			Object:    VarSlot("x"),
 		})
 		b.setExpected(ExpectNumeric, "")
@@ -703,26 +707,27 @@ func (b *bucket) howManyTransitive(root, counted depparse.Node, wh string) {
 	b.add(QueryTriple{
 		Subject:   VarSlot("x"),
 		Predicate: TextSlot("rdf:type", "type", "IN"),
-		Object:    TextSlot(b.nounOnlyPhrase(counted.Index), counted.Lemma, counted.Tag),
+		Object:    b.headSlot(b.nounOnlyPhrase(counted), counted),
 		IsType:    true,
 	})
 	b.add(QueryTriple{
 		Subject:   VarSlot("x"),
-		Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
-		Object:    b.textSlotFor(subj.Index),
+		Predicate: b.wordSlot(root),
+		Object:    b.textSlotFor(subj),
 	})
 	b.setExpected(ExpectNumeric, "")
 }
 
 // howManyIntransitive handles "How many people live in Ankara?" —
 // idiomatically [Ankara][population][?x].
-func (b *bucket) howManyIntransitive(root, counted depparse.Node, place Slot, hasPlace bool) {
+func (b *bucket) howManyIntransitive(root, counted int, place Slot, hasPlace bool) {
 	if !hasPlace {
 		return
 	}
-	lem := counted.Lemma
+	g := b.g
+	lem := g.Nodes[counted].Lemma
 	if (lem == "person" || lem == "people" || lem == "inhabitant" || lem == "citizen") &&
-		(root.Lemma == "live" || root.Lemma == "reside" || root.Lemma == "dwell") {
+		(g.Nodes[root].Lemma == "live" || g.Nodes[root].Lemma == "reside" || g.Nodes[root].Lemma == "dwell") {
 		b.add(QueryTriple{
 			Subject:   place,
 			Predicate: TextSlot("population", "population", "NN"),
@@ -736,20 +741,20 @@ func (b *bucket) howManyIntransitive(root, counted depparse.Node, place Slot, ha
 	b.add(QueryTriple{
 		Subject:   VarSlot("x"),
 		Predicate: TextSlot("rdf:type", "type", "IN"),
-		Object:    TextSlot(b.nounOnlyPhrase(counted.Index), counted.Lemma, counted.Tag),
+		Object:    b.headSlot(b.nounOnlyPhrase(counted), counted),
 		IsType:    true,
 	})
 	b.add(QueryTriple{
 		Subject:   VarSlot("x"),
-		Predicate: TextSlot(root.Word, root.Lemma, root.Tag),
+		Predicate: b.wordSlot(root),
 		Object:    place,
 	})
 	b.setExpected(ExpectNumeric, "")
 }
 
 // howManyOfPlace handles "How many inhabitants are there in Berlin?".
-func (b *bucket) howManyOfPlace(counted depparse.Node, place Slot) {
-	lem := counted.Lemma
+func (b *bucket) howManyOfPlace(counted int, place Slot) {
+	lem := b.g.Nodes[counted].Lemma
 	if lem == "inhabitant" || lem == "person" || lem == "people" || lem == "citizen" || lem == "population" {
 		b.add(QueryTriple{
 			Subject:   place,
@@ -765,8 +770,12 @@ func (b *bucket) howManyOfPlace(counted depparse.Node, place Slot) {
 // whDetermined reports whether node i carries a which/what determiner.
 func (b *bucket) whDetermined(i int) bool {
 	det, ok := b.g.ChildByRel(i, depparse.RelDet)
-	return ok && (det.Tag == "WDT" ||
-		strings.EqualFold(det.Word, "which") || strings.EqualFold(det.Word, "what"))
+	return ok && isWhDeterminer(&b.g.Nodes[det])
+}
+
+// isWhDeterminer reports whether a determiner is "which" or "what".
+func isWhDeterminer(det *token.Token) bool {
+	return det.Tag == "WDT" || det.Lower == "which" || det.Lower == "what"
 }
 
 // superlativeAmod returns the superlative adjective modifying node i.
@@ -778,7 +787,7 @@ func (b *bucket) superlativeAmod(i int) (struct {
 		if e.Rel != depparse.RelAmod {
 			continue
 		}
-		if sup, ok := superlativeBases[strings.ToLower(b.g.Nodes[e.Dep].Word)]; ok {
+		if sup, ok := superlativeBases[b.g.Nodes[e.Dep].Lower]; ok {
 			return sup, true
 		}
 	}
@@ -792,8 +801,7 @@ func (b *bucket) superlativeAmod(i int) (struct {
 func (b *bucket) hasAmodMany(i int) bool {
 	for _, e := range b.g.Children(i) {
 		if e.Rel == depparse.RelAmod {
-			w := strings.ToLower(b.g.Nodes[e.Dep].Word)
-			if w == "many" || w == "much" {
+			if w := b.g.Nodes[e.Dep].Lower; w == "many" || w == "much" {
 				return true
 			}
 		}
@@ -815,8 +823,8 @@ func (b *bucket) firstPObjIdx(i int) (Slot, int, bool) {
 		if e.Rel != depparse.RelPrep {
 			continue
 		}
-		if obj, ok := g.ChildByRel(e.Dep, depparse.RelPObj); ok {
-			return b.textSlotFor(obj.Index), obj.Index, true
+		if obj, ok := g.ChildByRel(int(e.Dep), depparse.RelPObj); ok {
+			return b.textSlotFor(obj), obj, true
 		}
 	}
 	return Slot{}, -1, false

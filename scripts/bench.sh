@@ -52,7 +52,12 @@
 # across 4 shards, qaserve -shards 4's shard_partition phase), and
 # the cold miss path (BenchmarkAnswerCold: the entity_cold question
 # stream in process with no answer cache; its B/op and allocs/op are
-# what core's TestColdPathAllocations gates, ≈ 8.0 KB / 58 allocs, and
+# what core's TestColdPathAllocations gates, ≈ 6.1 KB / 38 allocs since
+# §2.1 keeps one token record per word and §2.2 points at the Mapper's
+# rows, ≈ 8.0 KB / 58 before; BenchmarkDependencyParse: §2.1's parse
+# alone over the same entity stream plus the QALD questions, ≈ 5 µs /
+# 1.1 KB / 7 allocs, ≈ 8.5 µs / 2.1 KB / 24 while each stage copied
+# and re-lowered the words; and
 # BenchmarkExtractSequential's one fan-out, whose object-property
 # candidates Table 1 skips, reads ≈ 20 µs / 20 allocs — ≈ 29 µs / 36
 # while every candidate's text was printed), and the write path
@@ -123,10 +128,10 @@ cd "$(dirname "$0")/.."
 # term-space pairs and plan-cache compile pair, the shard tier, the
 # store's term-rank churn pair and its write-path flip, qaserve's
 # admission, the UPDATE parser and the N-Triples loader).
-bench_full='BenchmarkStore(Scan(Terms|IDs)|Lookup)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
+bench_full='BenchmarkStore(Scan(Terms|IDs)|Lookup)$|BenchmarkBGPJoin|BenchmarkSPARQL(TwoPatternJoin|FilterScan|Scale)$|BenchmarkTable2QALDEvaluation|BenchmarkExtractSequential$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$|BenchmarkDependencyParse$'
 bench_pair='BenchmarkAnswer(Throughput|Ctx)$'
 bench_pkgs='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkNewCluster$|BenchmarkGather(SingleStore|Healthy|OneSlowShard|Degraded)$|BenchmarkTermRanksChurn(Incremental|FullRebuild)$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
-bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$'
+bench_smoke='BenchmarkStore|BenchmarkExtractSequential$|BenchmarkBGPJoin(Idle|UnderLoad)$|BenchmarkAnswerCtx$|BenchmarkServeAnswer(Cached|Uncached)$|BenchmarkWAL(Append|Recovery)$|BenchmarkChaosHitDisabled$|BenchmarkRankSort$|BenchmarkNEDResolveFuzzy$|BenchmarkPropmapMap$|BenchmarkKBBuild$|BenchmarkKBBuildScale/x1$|BenchmarkCoreBoot$|BenchmarkNewLinker$|BenchmarkCorpus$|BenchmarkMine$|BenchmarkAnswerCold$|BenchmarkDependencyParse$'
 bench_pkgs_smoke='BenchmarkBGPJoin(3|3Limit|DistinctOrderBy)(TermSpace)?$|BenchmarkPlanCache(Hit|Miss)$|BenchmarkDomainRunHealthy$|BenchmarkNewCluster$|BenchmarkGather(SingleStore|Healthy|Degraded)$|BenchmarkTermRanksChurnIncremental$|BenchmarkApplyBatch(Flip$|FreshTerm)|BenchmarkAdmitRelease$|BenchmarkParseUpdate$|BenchmarkLoadNTriples$'
 
 if [ "${1:-}" = "smoke" ]; then

@@ -205,7 +205,7 @@ func main() {
 		var rec *wal.Recovery
 		if *dataDir != "" {
 			var err error
-			rec, err = wal.Recover(*dataDir, wal.Options{Chaos: injector})
+			rec, err = wal.Recover(*dataDir, wal.Options{})
 			if err != nil {
 				res.err = fmt.Errorf("recovering %s: %w", *dataDir, err)
 				return
@@ -295,7 +295,6 @@ func main() {
 			scfg.Updater = res.manager
 		}
 		if cluster != nil {
-			scfg.Cluster = cluster
 			scfg.Updater = cluster // mutually exclusive with -data-dir's manager
 		}
 		res.srv = qaserve.New(scfg)

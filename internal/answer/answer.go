@@ -65,14 +65,12 @@ type Config struct {
 	// MaxQueries caps |Q| to keep the Cartesian product bounded.
 	MaxQueries int
 
-	// EnableBoolean implements the paper's future-work extension for
-	// yes/no questions: boolean-typed mappings produce ASK queries and
-	// answer with an xsd:boolean literal.
-	EnableBoolean bool
-	// EnableAggregation implements the future-work COUNT extension:
-	// numeric-typed questions whose queries return entities answer with
-	// the (distinct) result count.
-	EnableAggregation bool
+	// Extensions turns on the paper's future-work extensions of §2.3:
+	// yes/no questions, whose boolean-typed mappings produce ASK
+	// queries and answer with an xsd:boolean literal, and COUNT
+	// aggregation, where a numeric-typed question whose queries return
+	// entities answers with the (distinct) result count.
+	Extensions bool
 }
 
 // DefaultConfig mirrors the paper.
@@ -195,7 +193,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 		return nil, err
 	}
 	expected := mp.Extraction.Expected
-	if expected.Kind == triplex.ExpectBoolean && !e.cfg.EnableBoolean {
+	if expected.Kind == triplex.ExpectBoolean && !e.cfg.Extensions {
 		return nil, &ErrBoolean{Question: mp.Extraction.Question}
 	}
 	res := &Result{Expected: expected}
@@ -283,7 +281,7 @@ func (e *Extractor) ExtractSessionCtx(ctx context.Context, mp *propmap.Mapping, 
 
 	// Future-work COUNT extension: a numeric question whose queries
 	// only return entities answers with the distinct result count.
-	if res.Winning == nil && e.cfg.EnableAggregation &&
+	if res.Winning == nil && e.cfg.Extensions &&
 		expected.Kind == triplex.ExpectNumeric {
 		if err := e.executeAggregation(ctx, sess, res); err != nil {
 			return nil, err

@@ -142,7 +142,7 @@ func TestInstanceOfLoose(t *testing.T) {
 
 func TestBooleanExtensionFalsePath(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, Config{EnableBoolean: true, MaxQueries: 64})
+	ex := New(k, Config{Extensions: true, MaxQueries: 64})
 	ext, err := triplex.ExtractOpts("Was Abraham Lincoln born in Ankara?", triplex.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestBooleanExtensionFalsePath(t *testing.T) {
 
 func TestAggregationSkipsKnownEmpty(t *testing.T) {
 	k, _ := setup(t)
-	ex := New(k, Config{EnableAggregation: true, MaxQueries: 64})
+	ex := New(k, Config{Extensions: true, MaxQueries: 64})
 	// "How many children does Abraham Lincoln have?" — the child query
 	// is empty; aggregation must not answer 0. (The WordNet expansion
 	// may reach spouse, which has one fact; accept either an unanswered

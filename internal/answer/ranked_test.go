@@ -236,9 +236,10 @@ func TestExtractStopsAtWinner(t *testing.T) {
 			if trial%3 == 0 {
 				maxQ = 4 // exercise the scored-truncation path too
 			}
-			// Aggregation is left off: its COUNT retry revisits the list
-			// after a full SELECT pass, so "past the winner" does not apply.
-			e := New(k, Config{MaxQueries: maxQ, EnableBoolean: true})
+			// The extensions are on for the yes/no trials only: COUNT
+			// aggregation would retry a numeric question's list after a
+			// full SELECT pass, so "past the winner" does not apply.
+			e := New(k, Config{MaxQueries: maxQ, Extensions: kind == triplex.ExpectBoolean})
 			res, err := extract(context.Background(), e, mp)
 			again, againErr := extract(context.Background(), e, mp)
 			if (err == nil) != (againErr == nil) {
@@ -404,7 +405,7 @@ func askQuery(k *kb.KB, s, p, o rdf.Term, score float64) CandidateQuery {
 
 func TestBooleanAllErrorsStaysUnanswered(t *testing.T) {
 	k, _ := setup(t)
-	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	e := New(k, Config{MaxQueries: 256, Extensions: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), brokenQuery()}}
 	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)
@@ -424,7 +425,7 @@ func TestBooleanFallbackSkipsErroredCandidates(t *testing.T) {
 	// Candidate 0 errors; candidate 1 executes and is false: the false
 	// fallback must come from candidate 1, not the errored one.
 	falseAsk := askQuery(k, rdf.Res("Abraham_Lincoln"), rdf.Ont("author"), rdf.Res("Berlin"), 1)
-	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	e := New(k, Config{MaxQueries: 256, Extensions: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), falseAsk}}
 	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)
@@ -443,7 +444,7 @@ func TestBooleanFallbackSkipsErroredCandidates(t *testing.T) {
 func TestBooleanTrueStillWinsPastErrors(t *testing.T) {
 	k, _ := setup(t)
 	trueAsk := askQuery(k, rdf.Res("The_Time_Machine"), rdf.Ont("author"), rdf.Res("H._G._Wells"), 1)
-	e := New(k, Config{MaxQueries: 256, EnableBoolean: true})
+	e := New(k, Config{MaxQueries: 256, Extensions: true})
 	res := &Result{Candidates: []CandidateQuery{brokenQuery(), trueAsk}}
 	if _, err := e.executeBoolean(context.Background(), sparql.NewSnapshotSession(k.Store.Snapshot()), res); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 		for trial := 0; trial < 16; trial++ {
 			kind := kinds[trial%len(kinds)]
 			mp := synthMapping(r, k, kind, false)
-			cfg := Config{MaxQueries: 256, EnableAggregation: kind == triplex.ExpectNumeric}
+			cfg := Config{MaxQueries: 256, Extensions: kind == triplex.ExpectNumeric}
 			shapeServed += cachedMatchesFresh(t, fmt.Sprintf("kb=%d trial=%d kind=%v", ki, trial, kind), k, pc, cfg, mp)
 		}
 	}
@@ -78,7 +78,7 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 func TestSessionMatchesFreshBoolean(t *testing.T) {
 	k := kb.Build(kb.Config{Seed: 53, SyntheticPersons: 60, SyntheticCities: 15, SyntheticBooks: 30})
 	r := rand.New(rand.NewSource(67))
-	cfg := Config{MaxQueries: 256, EnableBoolean: true}
+	cfg := Config{MaxQueries: 256, Extensions: true}
 	pc := sparql.NewPlanCache(sparql.DefaultPlanCacheSize)
 	var shapeServed uint64
 	for trial := 0; trial < 12; trial++ {

@@ -15,10 +15,14 @@
 // # Fault points
 //
 // A fault point is a named call site: code under test calls
-// Injector.Hit("wal.append") (or, on request paths where the injector
-// travels in the context, chaos.HitCtx(ctx, "stage.answer")) and acts
-// on the returned error. Hit is nil-receiver-safe and O(1) when
-// disabled, so production code keeps its fault points unconditionally.
+// chaos.HitCtx(ctx, "stage.answer") and acts on the returned error.
+// The request context is the only carrier of an injector: a request
+// is armed when its context carries one (chaos.With; qaserve attaches
+// its -chaos injector to every /v1/answer and /v1/update request), and
+// a context without one — any request of a server started without
+// -chaos, and every boot — is inert, at the cost of one ctx.Value
+// lookup per point. An injector has no on/off switch: a test stops
+// faults by sending requests whose context does not carry it.
 // The registered points are the points table; ParseSpec refuses a rule
 // that matches none of them:
 //
@@ -28,8 +32,13 @@
 //	                 and has no fault point
 //	wal.apply        Manager.Apply entry, before the log append
 //	wal.append       logFile.append, before any byte is written
-//	wal.compact      compactLocked entry, before the segment write
+//	wal.compact      Manager.Apply, before its threshold compaction
 //	shard.query.<n>  every read attempt on shard n (internal/shard)
+//
+// The WAL points read the context of the Manager.Apply call, so they
+// fire under /v1/update; the checkpoints of Recovery.Open (boot),
+// Manager.Close (shutdown) and an explicit Manager.Compact take no
+// context and run fault-free.
 //
 // Every WAL fault point sits strictly before the operation's first
 // mutation. On the commit path (wal.apply, wal.append) that means
@@ -37,8 +46,8 @@
 // injected fault can only turn a commit into a clean, unacknowledged
 // failure, never into a durable-but-unacknowledged record (the walfs
 // qalint analyzer machine-checks that ordering; see INVARIANTS.md).
-// wal.compact only ever fails the checkpoint, which is best-effort at
-// every call site: the fsynced log still proves every committed batch.
+// wal.compact only ever fails the checkpoint, which is best-effort:
+// the fsynced log still proves every committed batch.
 //
 // # Determinism
 //
@@ -58,7 +67,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -167,78 +175,37 @@ type Injection struct {
 	Count uint64
 }
 
-// Injector owns a rule set and a seeded random source. The zero value
-// and the nil pointer are inert (Hit returns nil); build a live one
+// Injector owns a rule set and a seeded random source. It fires only
+// at the fault points of a context that carries it (With); build one
 // with New. Safe for concurrent use.
 type Injector struct {
-	enabled atomic.Bool
-	sleep   func(time.Duration) // WithSleep's stand-in for really waiting; nil = wait
+	sleep func(time.Duration) // WithSleep's stand-in for really waiting; nil = wait
 
 	mu     sync.Mutex
 	rng    *rand.Rand         // guarded by mu
 	rules  []Rule             // guarded by mu
 	fired  []int              // per-rule fire count, for Limit; guarded by mu
-	counts map[string]*uint64 // "point\x00kind" -> count; guarded by mu
+	counts map[counted]uint64 // injections by point and kind; guarded by mu
 }
 
-// New builds an enabled injector over a seeded random source.
+// counted keys the injection counts.
+type counted struct {
+	point string
+	kind  Kind
+}
+
+// New builds an injector over a seeded random source.
 func New(seed int64, rules ...Rule) *Injector {
-	in := &Injector{
+	return &Injector{
 		rng:    rand.New(rand.NewSource(seed)),
 		rules:  rules,
 		fired:  make([]int, len(rules)),
-		counts: map[string]*uint64{},
-	}
-	in.enabled.Store(true)
-	return in
-}
-
-// Enable re-arms a disabled injector.
-//
-//qalint:ignore unusedexport the fault tests of wal, shard and qaserve re-arm an injector they handed to the code under test; no _test.go file of chaos reaches them.
-func (in *Injector) Enable() {
-	if in != nil {
-		in.enabled.Store(true)
+		counts: map[counted]uint64{},
 	}
 }
 
-// Disable stops all injection — the "faults stop" transition the soak
-// test drives; the server must return to healthy from here.
-//
-//qalint:ignore unusedexport the faults-stop switch the fault tests of wal, shard and qaserve flip; no _test.go file of chaos reaches them.
-func (in *Injector) Disable() {
-	if in != nil {
-		in.enabled.Store(false)
-	}
-}
-
-// Hit evaluates the rule set at a named fault point. It returns the
-// injected error for KindError rules, panics for KindPanic rules,
-// sleeps and returns nil for KindLatency rules, and returns nil — in
-// O(1), without touching the mutex — on a nil, disabled or non-matching
-// injector.
-func (in *Injector) Hit(point string) error {
-	if in == nil || !in.enabled.Load() {
-		return nil
-	}
-	kind, latency, fired := in.draw(point)
-	if !fired {
-		return nil
-	}
-	if kind != KindLatency {
-		return fault(kind, point)
-	}
-	if in.sleep != nil {
-		in.sleep(latency)
-	} else {
-		time.Sleep(latency)
-	}
-	return nil
-}
-
-// draw makes the seeded firing decision for one visit of point by an
-// enabled injector and counts the injection; acting on it is the
-// caller's.
+// draw makes the seeded firing decision for one visit of point and
+// counts the injection; acting on it is the caller's.
 func (in *Injector) draw(point string) (kind Kind, latency time.Duration, fired bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -250,25 +217,11 @@ func (in *Injector) draw(point string) (kind Kind, latency time.Duration, fired 
 			continue
 		}
 		in.fired[i]++
-		key := point + "\x00" + r.Kind.String()
-		c := in.counts[key]
-		if c == nil {
-			c = new(uint64)
-			in.counts[key] = c
-		}
-		*c++
+		in.counts[counted{point, r.Kind}]++
 		// first matching rule wins; later rules stay deterministic via the draw above
 		return r.Kind, r.Latency, true
 	}
 	return 0, 0, false
-}
-
-// fault delivers a fired KindError or KindPanic rule.
-func fault(kind Kind, point string) error {
-	if kind == KindError {
-		return &InjectedError{Point: point}
-	}
-	panic(&InjectedPanic{Point: point})
 }
 
 // Snapshot returns the cumulative injection counts, sorted by point
@@ -280,17 +233,7 @@ func (in *Injector) Snapshot() []Injection {
 	in.mu.Lock()
 	out := make([]Injection, 0, len(in.counts))
 	for key, c := range in.counts {
-		point, kindName, _ := strings.Cut(key, "\x00")
-		var k Kind
-		switch kindName {
-		case "error":
-			k = KindError
-		case "panic":
-			k = KindPanic
-		default:
-			k = KindLatency
-		}
-		out = append(out, Injection{Point: point, Kind: k, Count: *c})
+		out = append(out, Injection{Point: key.point, Kind: key.kind, Count: c})
 	}
 	in.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -322,28 +265,30 @@ func FromContext(ctx context.Context) *Injector {
 	return in
 }
 
-// HitCtx evaluates the context's injector (if any) at a fault point.
-// Unlike Hit, an injected latency also ends when ctx does, returning
-// ctx.Err(): a request that was cancelled — or a shard attempt that
-// timed out — is not held for the rest of the delay. The
-// injection is drawn and counted before the wait either way, so a seed
-// replays the same counts. An injected sleeper (WithSleep) does not
-// really wait and so has nothing to cut short.
+// HitCtx evaluates the context's injector, if it carries one, at a
+// named fault point. It returns the injected error for KindError
+// rules, panics for KindPanic rules, and for KindLatency rules waits
+// the rule's duration and returns nil — or returns ctx.Err() as soon
+// as ctx ends, so a request that was cancelled, or a shard attempt
+// that timed out, is not held for the rest of the delay. The injection
+// is drawn and counted before the wait either way, so a seed replays
+// the same counts. An injected sleeper (WithSleep) does not really
+// wait and so has nothing to cut short. A context without an injector
+// returns nil without touching any lock.
 func HitCtx(ctx context.Context, point string) error {
 	in := FromContext(ctx)
-	if in == nil || !in.enabled.Load() {
-		return nil // small enough to inline: the production path of every fault point
+	if in == nil {
+		return nil
 	}
-	return in.hitCtx(ctx, point)
-}
-
-func (in *Injector) hitCtx(ctx context.Context, point string) error {
 	kind, latency, fired := in.draw(point)
 	if !fired {
 		return nil
 	}
-	if kind != KindLatency {
-		return fault(kind, point)
+	switch kind {
+	case KindError:
+		return &InjectedError{Point: point}
+	case KindPanic:
+		panic(&InjectedPanic{Point: point})
 	}
 	if in.sleep != nil {
 		in.sleep(latency)

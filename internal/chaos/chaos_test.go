@@ -14,6 +14,11 @@ func (in *Injector) WithSleep(sleep func(time.Duration)) *Injector {
 	return in
 }
 
+// hit visits point on a context that carries in.
+func hit(in *Injector, point string) error {
+	return HitCtx(With(context.Background(), in), point)
+}
+
 // TestSeededDeterminism: the same seed and call sequence produce the
 // same injection decisions.
 func TestSeededDeterminism(t *testing.T) {
@@ -21,7 +26,7 @@ func TestSeededDeterminism(t *testing.T) {
 		in := New(42, Rule{Point: "p", Kind: KindError, Prob: 0.5})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = in.Hit("p") != nil
+			out[i] = hit(in, "p") != nil
 		}
 		return out
 	}
@@ -40,26 +45,28 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
-func TestNilAndDisabledAreInert(t *testing.T) {
-	var nilIn *Injector
-	if err := nilIn.Hit("p"); err != nil {
+// TestNilAndDetachedAreInert: a nil injector attaches nothing, and an
+// injector fires — and counts — only at the fault points of a context
+// that carries it.
+func TestNilAndDetachedAreInert(t *testing.T) {
+	if err := hit(nil, "p"); err != nil {
 		t.Fatalf("nil injector injected: %v", err)
 	}
-	nilIn.Disable() // must not panic
 	in := New(1, Rule{Point: "p", Kind: KindError, Prob: 1})
-	in.Disable()
-	if err := in.Hit("p"); err != nil {
-		t.Fatalf("disabled injector injected: %v", err)
+	if err := HitCtx(context.Background(), "p"); err != nil {
+		t.Fatalf("a context without the injector injected: %v", err)
 	}
-	in.Enable()
-	if err := in.Hit("p"); err == nil {
-		t.Fatal("re-enabled injector did not inject")
+	if snap := in.Snapshot(); len(snap) != 0 {
+		t.Fatalf("a detached injector counted %+v", snap)
+	}
+	if err := hit(in, "p"); err == nil {
+		t.Fatal("attached injector did not inject")
 	}
 }
 
 func TestErrorKindIsTyped(t *testing.T) {
 	in := New(1, Rule{Point: "wal.append", Kind: KindError, Prob: 1})
-	err := in.Hit("wal.append")
+	err := hit(in, "wal.append")
 	var ie *InjectedError
 	if !errors.As(err, &ie) || ie.Point != "wal.append" {
 		t.Fatalf("want *InjectedError at wal.append, got %v", err)
@@ -75,7 +82,7 @@ func TestPanicKind(t *testing.T) {
 			t.Fatalf("want *InjectedPanic at stage.answer, got %v", v)
 		}
 	}()
-	in.Hit("stage.answer")
+	hit(in, "stage.answer")
 	t.Fatal("panic rule did not panic")
 }
 
@@ -83,7 +90,7 @@ func TestLatencyKindUsesInjectedSleep(t *testing.T) {
 	var slept time.Duration
 	in := New(1, Rule{Point: "p", Kind: KindLatency, Prob: 1, Latency: 7 * time.Millisecond}).
 		WithSleep(func(d time.Duration) { slept += d })
-	if err := in.Hit("p"); err != nil {
+	if err := hit(in, "p"); err != nil {
 		t.Fatalf("latency rule returned error: %v", err)
 	}
 	if slept != 7*time.Millisecond {
@@ -95,7 +102,7 @@ func TestLimitAndCounts(t *testing.T) {
 	in := New(1, Rule{Point: "stage.*", Kind: KindError, Prob: 1, Limit: 2})
 	hits := 0
 	for i := 0; i < 5; i++ {
-		if in.Hit("stage.answer") != nil {
+		if hit(in, "stage.answer") != nil {
 			hits++
 		}
 	}
@@ -110,10 +117,10 @@ func TestLimitAndCounts(t *testing.T) {
 
 func TestPrefixMatch(t *testing.T) {
 	in := New(1, Rule{Point: "stage.*", Kind: KindError, Prob: 1})
-	if in.Hit("stage.triplex") == nil {
+	if hit(in, "stage.triplex") == nil {
 		t.Fatal("prefix rule did not match stage.triplex")
 	}
-	if in.Hit("wal.append") != nil {
+	if hit(in, "wal.append") != nil {
 		t.Fatal("prefix rule matched an unrelated point")
 	}
 }
@@ -212,8 +219,8 @@ func TestParseSpecPoints(t *testing.T) {
 }
 
 // TestHitCtxLatencyEndsWithContext: an injected latency holds HitCtx
-// only as long as the context lives (Hit keeps sleeping it out), and
-// the injection is counted either way.
+// only as long as the context lives, and the injection is counted
+// either way.
 func TestHitCtxLatencyEndsWithContext(t *testing.T) {
 	in := New(1, Rule{Point: "p", Kind: KindLatency, Prob: 1, Latency: time.Hour})
 	ctx, cancel := context.WithCancel(With(context.Background(), in))

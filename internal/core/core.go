@@ -245,8 +245,7 @@ func New(cfg Config) *System {
 	s.mapper = propmap.New(k, s.WordNet, s.Patterns, s.Linker, pmCfg)
 	ansCfg := answer.DefaultConfig()
 	ansCfg.DisableTypeCheck = cfg.DisableTypeCheck
-	ansCfg.EnableBoolean = cfg.Extensions
-	ansCfg.EnableAggregation = cfg.Extensions
+	ansCfg.Extensions = cfg.Extensions
 	s.extractor = answer.New(k, ansCfg)
 	s.triplexOpts = triplex.Options{Superlatives: cfg.Extensions}
 	s.cluster = cfg.Cluster
@@ -258,6 +257,10 @@ func New(cfg Config) *System {
 	lap("indexes")
 	return s
 }
+
+// Cluster returns the sharded scatter-gather tier the System executes
+// over (Config.Cluster), or nil for a single-store System.
+func (s *System) Cluster() *shard.Cluster { return s.cluster }
 
 // Status describes how far the pipeline got on a question.
 type Status uint8

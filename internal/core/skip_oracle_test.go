@@ -68,8 +68,10 @@ func newSkipOracle() *skipOracle {
 	ext := triplex.Options{Superlatives: true}
 	o.configs = []oracleConfig{
 		{name: "default", ex: answer.New(k, answer.DefaultConfig())},
-		{name: "extensions", opts: ext, ex: answer.New(k, answer.Config{EnableBoolean: true, EnableAggregation: true})},
-		{name: "aggregation", ex: answer.New(k, answer.Config{EnableAggregation: true})},
+		{name: "extensions", opts: ext, ex: answer.New(k, answer.Config{Extensions: true})},
+		// §2.3's extensions over §2.1 without superlatives: the COUNT
+		// retry and the ASK path on the default mappings.
+		{name: "extensions without superlatives", ex: answer.New(k, answer.Config{Extensions: true})},
 	}
 	return o
 }

@@ -1,10 +1,9 @@
 // Package chaos is a stub of the repo's fault-injection package, just
-// enough for the walfs testdata to type-check Injector.Hit calls: the
+// enough for the walfs testdata to type-check HitCtx calls: the
 // analyzer resolves fault points by package path, not by name alone.
 package chaos
 
-// Injector is the stub fault injector.
-type Injector struct{}
+import "context"
 
-// Hit is the stub fault point.
-func (in *Injector) Hit(point string) error { return nil }
+// HitCtx is the stub fault point.
+func HitCtx(ctx context.Context, point string) error { return nil }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"os"
 
@@ -56,8 +57,8 @@ func (l *logFile) ackUnsynced(rec []byte) error { // want `documented as the com
 
 // commitChaosed fires its fault point strictly before the first byte
 // and the fsync — the commit point, chaos-wrapped right.
-func (l *logFile) commitChaosed(in *chaos.Injector, rec []byte) error {
-	if err := in.Hit("wal.append"); err != nil {
+func (l *logFile) commitChaosed(ctx context.Context, rec []byte) error {
+	if err := chaos.HitCtx(ctx, "wal.append"); err != nil {
 		return err
 	}
 	if _, err := l.f.Write(rec); err != nil {
@@ -72,37 +73,37 @@ func (l *logFile) commitChaosed(in *chaos.Injector, rec []byte) error {
 // commitLateFault injects after the fsync — wrong: by then the record
 // is durable, so the injected "failure" errors a committed write. This
 // function is the commit point.
-func (l *logFile) commitLateFault(in *chaos.Injector, rec []byte) error {
+func (l *logFile) commitLateFault(ctx context.Context, rec []byte) error {
 	if _, err := l.f.Write(rec); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if err := in.Hit("wal.append"); err != nil { // want `chaos fault point after the first Sync`
+	if err := chaos.HitCtx(ctx, "wal.append"); err != nil { // want `chaos fault point after the first Sync`
 		return err
 	}
 	return nil
 }
 
-// counters is a local type whose Hit method is bookkeeping, not fault
-// injection.
+// counters is a local type whose HitCtx method is bookkeeping, not
+// fault injection.
 type counters struct{}
 
-// Hit bumps a counter.
-func (counters) Hit(string) error { return nil }
+// HitCtx bumps a counter.
+func (counters) HitCtx(context.Context, string) error { return nil }
 
-// commitCounted calls a non-chaos Hit after the fsync — allowed: only
-// internal/chaos calls are fault points. This function is the commit
-// point.
-func (l *logFile) commitCounted(c counters, rec []byte) error {
+// commitCounted calls a non-chaos HitCtx after the fsync — allowed:
+// only internal/chaos calls are fault points. This function is the
+// commit point.
+func (l *logFile) commitCounted(ctx context.Context, c counters, rec []byte) error {
 	if _, err := l.f.Write(rec); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if err := c.Hit("wal.append"); err != nil {
+	if err := c.HitCtx(ctx, "wal.append"); err != nil {
 		return err
 	}
 	return nil

@@ -21,12 +21,11 @@ import (
 //     the exact durability hole the PR 6 fault tests exist to rule
 //     out;
 //  3. inside a commit-point function, chaos fault points
-//     (chaos.Injector.Hit / chaos.HitCtx) must come lexically before
-//     the first Sync — a fault injected after the commit fsync would
-//     fail a commit that already reached stable storage, making the
-//     soak tests' "every acked commit is durable" and its
-//     contrapositive ("every errored commit left no partial state")
-//     both unfalsifiable.
+//     (chaos.HitCtx) must come lexically before the first Sync — a
+//     fault injected after the commit fsync would fail a commit that
+//     already reached stable storage, making the soak tests' "every
+//     acked commit is durable" and its contrapositive ("every errored
+//     commit left no partial state") both unfalsifiable.
 var WalFS = &Analyzer{
 	Name: "walfs",
 	Doc:  "internal/wal: no raw os file ops outside fs.go; the commit point must Sync before acknowledging, with chaos fault points before the Sync",
@@ -92,7 +91,7 @@ func checkSyncBeforeAck(p *Pass, fd *ast.FuncDecl) {
 			switch sel.Sel.Name {
 			case "Sync":
 				syncs = append(syncs, call.Pos())
-			case "Hit", "HitCtx":
+			case "HitCtx":
 				if isChaosFunc(p, sel) {
 					hits = append(hits, call.Pos())
 				}

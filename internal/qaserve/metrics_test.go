@@ -25,10 +25,7 @@ import (
 // families carry live values.
 func TestMetricsDocumented(t *testing.T) {
 	in := chaos.New(3, chaos.Rule{Point: "stage.answer", Kind: chaos.KindError, Prob: 1, Limit: 1})
-	_, cluster, _ := shardedServer(t, fastShardConfig(), nil)
-	cfg := core.DefaultConfig()
-	cfg.CacheSize = 64
-	h := New(Config{Sys: core.New(cfg), Cluster: cluster, Chaos: in, MaxInFlight: 4}).Handler()
+	h := New(Config{Sys: shardedSystem(fastShardConfig(), 64), Chaos: in, MaxInFlight: 4}).Handler()
 	for i := 0; i < 2; i++ { // the injected 500, then an answer the cache keeps
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/answer",
 			strings.NewReader(`{"question":"How tall is Michael Jordan?"}`)))

@@ -57,8 +57,10 @@
 // in-memory store. Graceful shutdown is cmd/qaserve's job:
 // Gate.SetDraining turns new requests away with 503 + Retry-After
 // while http.Server.Shutdown drains the in-flight ones. When
-// Config.Chaos is set, the injector rides every request context so the
-// pipeline's stage-boundary fault points can fire (internal/chaos).
+// Config.Chaos is set, the injector rides the context of every
+// /v1/answer and /v1/update request, so the pipeline's stage and shard
+// fault points and the WAL's commit fault points can fire
+// (internal/chaos).
 package qaserve
 
 import (
@@ -86,10 +88,10 @@ type Config struct {
 	// and cache hits beyond L + L/4 answer 503 (0 = unlimited; see the
 	// package comment's table).
 	MaxInFlight int
-	// Chaos, when non-nil, rides every request context so the
-	// pipeline's stage-boundary fault points can fire; its cumulative
-	// injections are exported on /metrics. Nil (the default) keeps
-	// every fault point inert.
+	// Chaos, when non-nil, rides the context of every /v1/answer and
+	// /v1/update request so the fault points below them can fire; its
+	// cumulative injections are exported on /metrics. Nil (the
+	// default) keeps every fault point inert.
 	Chaos *chaos.Injector
 	// Updater commits SPARQL UPDATE batches durably (typically the WAL
 	// manager); nil leaves the server read-only and /v1/update answers
@@ -101,12 +103,6 @@ type Config struct {
 	// UpdateTimeout bounds one /v1/update commit (0 falls back to
 	// RequestTimeout).
 	UpdateTimeout time.Duration
-	// Cluster is the sharded scatter-gather tier the System executes
-	// over, when it runs sharded (core.Config.Cluster): the server only
-	// uses it for observability — per-shard failure-domain counters and
-	// breaker states on /metrics and shard info on the health payloads.
-	// Nil for single-store systems.
-	Cluster *shard.Cluster
 }
 
 // Server is the HTTP serving layer. Build with New, mount Handler.
@@ -117,7 +113,6 @@ type Server struct {
 	updateToken   string
 	updateTimeout time.Duration
 	chaos         *chaos.Injector // nil = fault points inert
-	cluster       *shard.Cluster  // nil = single-store
 	m             *metrics
 	// threshold is the admission bound of each priority: a slot is taken
 	// while m.inflight is below it.
@@ -128,7 +123,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{sys: cfg.Sys, timeout: cfg.RequestTimeout, updater: cfg.Updater,
 		updateToken: cfg.UpdateToken, updateTimeout: cfg.UpdateTimeout,
-		chaos: cfg.Chaos, cluster: cfg.Cluster, m: newMetrics()}
+		chaos: cfg.Chaos, m: newMetrics()}
 	s.threshold = thresholds(cfg.MaxInFlight)
 	return s
 }
@@ -341,10 +336,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"generation": sn.Gen(),
 		"inflight":   s.m.inflight.Load(),
 	}
-	if s.cluster != nil {
-		body["shards"] = s.cluster.N()
-		states := make([]string, 0, s.cluster.N())
-		for _, st := range s.cluster.Stats() {
+	if c := s.sys.Cluster(); c != nil {
+		body["shards"] = c.N()
+		states := make([]string, 0, c.N())
+		for _, st := range c.Stats() {
 			states = append(states, st.Breaker.String())
 		}
 		body["shard_breakers"] = states
@@ -389,13 +384,14 @@ func (s *Server) renderPlanCache(sb *strings.Builder) {
 }
 
 // renderShards writes the per-shard failure-domain counters and
-// breaker states, read from the cluster at scrape time. Single-store
-// servers emit nothing (no fabricated zero-shard series).
+// breaker states, read from the System's cluster at scrape time.
+// Single-store servers emit nothing (no fabricated zero-shard series).
 func (s *Server) renderShards(sb *strings.Builder) {
-	if s.cluster == nil {
+	c := s.sys.Cluster()
+	if c == nil {
 		return
 	}
-	stats := s.cluster.Stats()
+	stats := c.Stats()
 	fmt.Fprintf(sb, "# HELP qaserve_shard_attempts_total Shard read attempts by shard.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_shard_attempts_total counter\n")
 	for i, st := range stats {

@@ -150,7 +150,7 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	shardCfg.CacheSize = 64
 	shardCfg.Cluster = shard.NewCluster(shardCfg.KB.Store, 4, scfg)
 	sharded := core.New(shardCfg)
-	ss := New(Config{Sys: sharded, Cluster: shardCfg.Cluster})
+	ss := New(Config{Sys: sharded})
 	down := chaos.New(5, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1})
 	const q = "Which book is written by Orhan Pamuk?"
 	res = sharded.AnswerCtx(chaos.With(ctx, down), q)

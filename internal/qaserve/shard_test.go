@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,20 +40,55 @@ func fastShardConfig() shard.Config {
 	}
 }
 
-// shardedServer boots a 3-shard system over a private KB with the
-// given failure-domain config and injector wired through the server.
-func shardedServer(t testing.TB, scfg shard.Config, in *chaos.Injector) (*Server, *shard.Cluster, *httptest.Server) {
-	t.Helper()
+// shardedSystem builds a 3-shard system over a private KB with the
+// given failure-domain config and answer-cache size.
+func shardedSystem(scfg shard.Config, cacheSize int) *core.System {
 	cfg := core.DefaultConfig()
 	cfg.KB = kb.Build(kb.DefaultConfig()) // private KB: the store may be mutated
-	cfg.CacheSize = 256
-	cluster := shard.NewCluster(cfg.KB.Store, 3, scfg)
-	cfg.Cluster = cluster
-	sys := core.New(cfg)
-	srv := New(Config{Sys: sys, Cluster: cluster, Updater: cluster, Chaos: in})
-	ts := httptest.NewServer(srv.Handler())
+	cfg.CacheSize = cacheSize
+	cfg.Cluster = shard.NewCluster(cfg.KB.Store, 3, scfg)
+	return core.New(cfg)
+}
+
+// shardedServer serves a shardedSystem, updates going through its
+// cluster; a non-nil f attaches its injector to the requests while
+// armed.
+func shardedServer(t testing.TB, scfg shard.Config, f *faults) (*Server, *shard.Cluster, *httptest.Server) {
+	t.Helper()
+	sys := shardedSystem(scfg, 256)
+	srv := New(Config{Sys: sys, Updater: sys.Cluster()})
+	h := srv.Handler()
+	if f != nil {
+		h = f.wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return srv, cluster, ts
+	return srv, sys.Cluster(), ts
+}
+
+// faults is a test middleware that attaches an injector to each
+// request while the test has it armed. A test stops the faults by
+// disarming it: the requests after that carry no injector, so no
+// fault point fires for them.
+type faults struct {
+	in    *chaos.Injector
+	armed atomic.Bool
+}
+
+// armed returns faults for in, armed.
+func armed(in *chaos.Injector) *faults {
+	f := &faults{in: in}
+	f.armed.Store(true)
+	return f
+}
+
+func (f *faults) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f.armed.Load() {
+			r = r.WithContext(chaos.With(r.Context(), f.in))
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func answerWire(t testing.TB, client *http.Client, url string, req AnswerRequest) (int, string, AnswerResponse) {
@@ -137,8 +173,8 @@ func TestShardedAnswerEndpoint(t *testing.T) {
 func TestShardedUnavailableAndDegraded(t *testing.T) {
 	scfg := fastShardConfig()
 	scfg.MaxAttempts = 1 // fail fast: retries cannot save a dead shard
-	in := chaos.New(5, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1})
-	srv, _, ts := shardedServer(t, scfg, in)
+	f := armed(chaos.New(5, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1}))
+	srv, _, ts := shardedServer(t, scfg, f)
 	client := ts.Client()
 	const q = "Which book is written by Orhan Pamuk?"
 
@@ -187,7 +223,7 @@ func TestShardedUnavailableAndDegraded(t *testing.T) {
 	// Recovery: the fault clears; the same question answers undegraded
 	// without allow_partial. The degraded answer must not have been
 	// cached — a cache hit here would replay the partial answer.
-	in.Disable()
+	f.armed.Store(false)
 	status, _, ar = answerWire(t, client, ts.URL, AnswerRequest{Question: q})
 	if status != http.StatusOK || ar.Degraded || ar.CacheHit || ar.ShardsAnswered != 3 {
 		t.Fatalf("recovery = %d %+v, want a fresh undegraded 3/3 answer", status, ar)
@@ -207,9 +243,9 @@ func TestPartialFlagsPastOpenBreaker(t *testing.T) {
 	scfg.BreakerThreshold = 1          // first failure opens the breaker
 	scfg.BreakerCooldown = time.Minute // and it stays open for the test
 	scfg.BreakerMaxCooldown = time.Minute
-	in := chaos.New(9, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1})
-	in.Disable() // armed later; first warm the cache on a healthy cluster
-	_, cluster, ts := shardedServer(t, scfg, in)
+	// Not armed yet: first warm the cache on a healthy cluster.
+	f := &faults{in: chaos.New(9, chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 1})}
+	_, cluster, ts := shardedServer(t, scfg, f)
 	client := ts.Client()
 
 	const cachedQ = "Where did Abraham Lincoln die?"
@@ -221,12 +257,12 @@ func TestPartialFlagsPastOpenBreaker(t *testing.T) {
 
 	// Trip shard 1's breaker: one failed scatter is enough at threshold
 	// 1, and the minute-long cooldown keeps it open. The injector is
-	// then disabled — every later degradation is the breaker's doing.
-	in.Enable()
+	// then disarmed — every later degradation is the breaker's doing.
+	f.armed.Store(true)
 	if status, _, ar := answerWire(t, client, ts.URL, AnswerRequest{Question: freshQ, AllowPartial: true}); status != http.StatusOK || !ar.Degraded {
 		t.Fatalf("breaker trip = %d %+v, want degraded 200", status, ar)
 	}
-	in.Disable()
+	f.armed.Store(false)
 	if st := cluster.Stats()[1].Breaker; st != shard.BreakerOpen {
 		t.Fatalf("shard 1 breaker = %v, want open", st)
 	}
@@ -266,12 +302,12 @@ func TestShardChaosSoak(t *testing.T) {
 	scfg.BreakerThreshold = 3
 	scfg.BreakerCooldown = 50 * time.Millisecond
 	scfg.BreakerMaxCooldown = 400 * time.Millisecond
-	in := chaos.New(1234,
+	f := armed(chaos.New(1234,
 		chaos.Rule{Point: "shard.query.0", Kind: chaos.KindLatency, Prob: 0.3, Latency: 500 * time.Millisecond, Limit: 12},
 		chaos.Rule{Point: "shard.query.1", Kind: chaos.KindError, Prob: 0.4, Limit: 12},
 		chaos.Rule{Point: "shard.query.2", Kind: chaos.KindPanic, Prob: 0.2, Limit: 6},
-	)
-	srv, cluster, ts := shardedServer(t, scfg, in)
+	))
+	srv, cluster, ts := shardedServer(t, scfg, f)
 	client := ts.Client()
 
 	// Phase 1: the storm. Alternate opt-in and opt-out; every response
@@ -309,7 +345,7 @@ func TestShardChaosSoak(t *testing.T) {
 
 	// Phase 2: the faults stop; the breakers heal within a few
 	// cooldowns and every question answers undegraded again.
-	in.Disable()
+	f.armed.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		healthy := true

@@ -65,7 +65,7 @@ func TestChaosSoak(t *testing.T) {
 	const totalInjections = 4 + 3 + 4 + 3 + 3
 
 	fsys := faultfs.New()
-	rec, err := wal.Recover("data", wal.Options{FS: fsys, CompactBytes: -1, Chaos: injector})
+	rec, err := wal.Recover("data", wal.Options{FS: fsys, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

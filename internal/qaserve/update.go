@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/chaos"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -90,7 +91,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.freeSlot()
 
-	ctx := r.Context()
+	ctx := chaos.With(r.Context(), s.chaos)
 	timeout := s.updateTimeout
 	if timeout <= 0 {
 		timeout = s.timeout

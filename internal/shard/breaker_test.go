@@ -176,9 +176,9 @@ func TestBreakerInDomain(t *testing.T) {
 		t.Fatal("breaker rejection not counted")
 	}
 
-	// Fault clears; after the cooldown the half-open probe succeeds
-	// and the shard serves again.
-	in.Disable()
+	// Fault clears — the next view's context carries no injector;
+	// after the cooldown the half-open probe succeeds and the shard
+	// serves again.
 	fc.Advance(1100 * time.Millisecond)
 	healthy := c.NewView(context.Background())
 	healthy.PostingList([3]store.ID{sid, 1, 0}) // the probe
@@ -221,10 +221,10 @@ func TestBreakerProbeFailureDoublesCooldown(t *testing.T) {
 	if got := c.Stats()[0].Breaker; got != BreakerOpen {
 		t.Fatalf("breaker after failed probe = %v, want open", got)
 	}
-	in.Disable()
+	// The fault clears: the views below carry no injector.
 	fc.Advance(1100 * time.Millisecond) // only 1.1s into the doubled cooldown
 	attempts := c.Stats()[0].Attempts
-	c.NewView(ctx).PostingList([3]store.ID{sid, 1, 0})
+	c.NewView(WithPartialOK(context.Background())).PostingList([3]store.ID{sid, 1, 0})
 	if c.Stats()[0].Attempts != attempts {
 		t.Fatal("probe admitted before the doubled cooldown elapsed")
 	}

@@ -145,8 +145,7 @@ func TestRecoveryAfterChaosClears(t *testing.T) {
 		t.Fatalf("chaos run not degraded: %+v", out)
 	}
 
-	in.Disable()
-	ctx := context.Background()
+	ctx := context.Background() // the fault clears: no injector rides it
 	gv := c.NewView(ctx)
 	got := runWorkload(t, ctx, sparql.NewViewSession(gv), qs)
 	want := runWorkload(t, ctx, sparql.NewSnapshotSession(src.Snapshot()), qs)

@@ -18,40 +18,22 @@ import (
 	"repro/internal/wal/faultfs"
 )
 
-// startChaosRun is startRun with an armed injector on the manager.
-func startChaosRun(t *testing.T, fsys *faultfs.FS, in *chaos.Injector, compact int64, initial []rdf.Triple) *run {
-	t.Helper()
-	rec, err := wal.Recover(dataDir, wal.Options{FS: fsys, CompactBytes: compact, Chaos: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := store.New()
-	st.AddAll(initial)
-	m, err := rec.Open(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &run{t: t, fsys: fsys, m: m, st: st, states: map[uint64]*store.Snapshot{}}
-	r.acked = st.Snapshot().Gen()
-	r.states[r.acked] = st.Snapshot()
-	return r
-}
-
-// TestChaosAppendFaultFailsCommitCleanly: an injected wal.append fault
-// rejects the batch before any byte reaches the log — the store and
-// generation are untouched, the manager keeps committing once the rule
-// is exhausted, and a crash recovers exactly the acknowledged batches.
+// TestChaosAppendFaultFailsCommitCleanly: an injected wal.append or
+// wal.apply fault rejects the batch before any byte reaches the log —
+// the store and generation are untouched, the manager keeps committing
+// on the same armed context once the rule is exhausted, and a crash
+// recovers exactly the acknowledged batches. Boot and the commits on a
+// context without the injector run fault-free.
 func TestChaosAppendFaultFailsCommitCleanly(t *testing.T) {
 	for _, point := range []string{"wal.append", "wal.apply"} {
 		fsys := faultfs.New()
 		in := chaos.New(3, chaos.Rule{Point: point, Kind: chaos.KindError, Prob: 1, Limit: 1})
-		in.Disable() // boot (Open's checkpoint) runs fault-free
-		r := startChaosRun(t, fsys, in, -1, []rdf.Triple{triple(0)})
+		armed := chaos.With(context.Background(), in)
+		r := startRun(t, fsys, -1, []rdf.Triple{triple(0)})
 		r.apply(ins(1))
-		in.Enable()
 
 		before := r.m.Gen()
-		_, err := r.m.Apply(context.Background(), []store.BatchOp{ins(2)})
+		_, err := r.m.Apply(armed, []store.BatchOp{ins(2)})
 		var ie *chaos.InjectedError
 		if !errors.As(err, &ie) || ie.Point != point {
 			t.Fatalf("%s: Apply err = %v, want injected error", point, err)
@@ -64,7 +46,7 @@ func TestChaosAppendFaultFailsCommitCleanly(t *testing.T) {
 		}
 
 		// Rule exhausted: the same manager commits again.
-		r.apply(ins(3))
+		r.applyCtx(armed, ins(3))
 
 		rec := recoverOn(t, r, fsys.Crash(rand.New(rand.NewSource(1))))
 		if rec.Gen != r.acked {
@@ -73,29 +55,38 @@ func TestChaosAppendFaultFailsCommitCleanly(t *testing.T) {
 	}
 }
 
-// TestChaosCompactFaultIsBestEffort: a wal.compact fault fails the
-// explicit checkpoint with the injected error but never un-commits
-// anything — the log still proves the batches, and recovery lands on
-// the last acknowledged generation.
+// TestChaosCompactFaultIsBestEffort: with a threshold every commit
+// crosses, a wal.compact fault skips the checkpoint of the commit it
+// rides on but never fails or un-commits anything — the log keeps the
+// batches, the next commit on a context without the injector
+// checkpoints, and recovery lands on the last acknowledged generation.
 func TestChaosCompactFaultIsBestEffort(t *testing.T) {
 	fsys := faultfs.New()
 	in := chaos.New(5, chaos.Rule{Point: "wal.compact", Kind: chaos.KindError, Prob: 1})
-	in.Disable()
-	r := startChaosRun(t, fsys, in, -1, []rdf.Triple{triple(0)})
-	r.apply(ins(1))
-	r.apply(ins(2))
-	in.Enable()
+	armed := chaos.With(context.Background(), in)
+	r := startRun(t, fsys, 1, []rdf.Triple{triple(0)})
+	empty := fsys.FileLen(logPath())
 
-	var ie *chaos.InjectedError
-	if err := r.m.Compact(); !errors.As(err, &ie) {
-		t.Fatalf("Compact err = %v, want injected error", err)
+	r.applyCtx(armed, ins(1))
+	r.applyCtx(armed, ins(2))
+	if got := in.Snapshot(); len(got) != 1 || got[0].Point != "wal.compact" || got[0].Count != 2 {
+		t.Fatalf("injections = %+v, want wal.compact twice", got)
 	}
-	// Commits keep working with compaction failing.
-	r.apply(ins(3))
+	if n := fsys.FileLen(logPath()); n <= empty {
+		t.Fatalf("log is %d bytes after two skipped checkpoints, want more than the empty %d", n, empty)
+	}
+	if n := fsys.FileLen(segPath(r.acked)); n != -1 {
+		t.Fatalf("a skipped checkpoint wrote segment %d (%d bytes)", r.acked, n)
+	}
 
-	in.Disable()
-	if err := r.m.Compact(); err != nil {
-		t.Fatalf("Compact after faults stop: %v", err)
+	// The faults stop with the injector's context: this commit
+	// checkpoints, and the log is empty again.
+	r.apply(ins(3))
+	if n := fsys.FileLen(logPath()); n != empty {
+		t.Fatalf("log is %d bytes after the checkpoint, want the empty %d", n, empty)
+	}
+	if n := fsys.FileLen(segPath(r.acked)); n <= 0 {
+		t.Fatalf("no segment at gen %d after the checkpoint", r.acked)
 	}
 
 	rec := recoverOn(t, r, fsys.Crash(rand.New(rand.NewSource(2))))

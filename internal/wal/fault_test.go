@@ -78,7 +78,14 @@ func startRun(t *testing.T, fsys *faultfs.FS, compact int64, initial []rdf.Tripl
 // apply commits one batch and records the boundary it produced.
 func (r *run) apply(ops ...store.BatchOp) {
 	r.t.Helper()
-	c, err := r.m.Apply(context.Background(), ops)
+	r.applyCtx(context.Background(), ops...)
+}
+
+// applyCtx is apply on the given context (one carrying a fault
+// injector, in the chaos tests).
+func (r *run) applyCtx(ctx context.Context, ops ...store.BatchOp) {
+	r.t.Helper()
+	c, err := r.m.Apply(ctx, ops)
 	if err != nil {
 		r.t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,7 +31,6 @@ type logFile struct {
 	f        File
 	off      int64 // append position = end of the last durable record
 	poisoned bool
-	chaos    *chaos.Injector // nil in production; armed by Options.Chaos
 }
 
 // scanLog reads the log at path and returns every valid record in
@@ -134,15 +134,16 @@ func openLog(fsys FS, path string, validEnd int64) (*logFile, error) {
 // On a write or sync failure the log rolls its offset back so the
 // failed record is not left ahead of future appends; if even the
 // rollback fails the log poisons itself (every later append errors)
-// rather than risk interleaving records with garbage.
-func (l *logFile) append(rec []byte) error {
+// rather than risk interleaving records with garbage. ctx carries the
+// commit's fault injector, if any.
+func (l *logFile) append(ctx context.Context, rec []byte) error {
 	if l.poisoned {
 		return errPoisoned
 	}
 	// Fault point strictly before the first byte reaches the file — and
 	// therefore before the commit fsync below: an injected fault fails
 	// the commit cleanly, with nothing to roll back.
-	if err := l.chaos.Hit("wal.append"); err != nil {
+	if err := chaos.HitCtx(ctx, "wal.append"); err != nil {
 		return err
 	}
 	n, werr := l.f.Write(rec)

@@ -61,12 +61,6 @@ type Options struct {
 	// commit. 0 means the 8 MiB default; negative disables automatic
 	// compaction.
 	CompactBytes int64
-	// Chaos arms the manager's fault points (wal.apply, wal.append,
-	// wal.compact) with a fault injector; nil (the default) keeps them
-	// inert. The commit-path points sit strictly before the record
-	// append, so injected faults fail commits cleanly — they can never
-	// produce a durable-but-unacknowledged record.
-	Chaos *chaos.Injector
 }
 
 // defaultCompactBytes is the automatic compaction threshold.
@@ -179,7 +173,6 @@ type Manager struct {
 	gen     uint64 // last committed generation; guarded by mu
 	segGen  uint64 // generation of the newest durable segment; guarded by mu
 	compact int64  // log-size compaction threshold (<0 disables)
-	chaos   *chaos.Injector
 }
 
 // Open attaches durability to st, which must be r.Store — or, when the
@@ -198,7 +191,6 @@ func (r *Recovery) Open(st *store.Store) (*Manager, error) {
 		gen:     st.Snapshot().Gen(),
 		segGen:  r.SegmentGen,
 		compact: r.o.compactBytes(),
-		chaos:   r.o.Chaos,
 	}
 	_, validEnd, err := scanLog(fsys, join(r.dir, LogName))
 	if err != nil {
@@ -208,7 +200,6 @@ func (r *Recovery) Open(st *store.Store) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.log.chaos = r.o.Chaos
 	// Checkpoint on open: after this the newest segment alone
 	// reproduces the current state, and the log is empty.
 	if err := m.compactLocked(); err != nil {
@@ -233,22 +224,21 @@ func (m *Manager) Poisoned() bool {
 // in-memory application. The error path leaves the store unchanged.
 // The context is checked before the append (an expired update request
 // does no work) but never between the append and the in-memory apply —
-// a batch that reached the log always reaches the store.
+// a batch that reached the log always reaches the store. The WAL's
+// fault points (internal/chaos) read the injector ctx carries, if any.
 func (m *Manager) Apply(ctx context.Context, ops []store.BatchOp) (Commit, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Commit{}, err
-		}
+	if err := ctx.Err(); err != nil {
+		return Commit{}, err
 	}
 	// Fault point strictly before any mutation: an injected fault here
 	// rejects the batch before a single log byte exists.
-	if err := m.chaos.Hit("wal.apply"); err != nil {
+	if err := chaos.HitCtx(ctx, "wal.apply"); err != nil {
 		return Commit{}, err
 	}
 	gen := m.gen + 1
-	if err := m.log.append(encodeRecord(gen, ops)); err != nil {
+	if err := m.log.append(ctx, encodeRecord(gen, ops)); err != nil {
 		return Commit{}, err
 	}
 	m.gen = gen
@@ -260,14 +250,19 @@ func (m *Manager) Apply(ctx context.Context, ops []store.BatchOp) (Commit, error
 	c := Commit{Gen: gen, Added: added, Removed: removed}
 	if m.compact > 0 && m.log.size() >= m.compact {
 		// Best-effort: a failed compaction leaves the log in place and
-		// is retried at the next threshold crossing.
-		m.compactLocked()
+		// is retried at the next threshold crossing. The fault point
+		// comes before the segment write, so a fault only skips this
+		// checkpoint; the fsynced log still proves every committed batch.
+		if chaos.HitCtx(ctx, "wal.compact") == nil {
+			m.compactLocked()
+		}
 	}
 	return c, nil
 }
 
 // Compact forces a checkpoint: the current snapshot is written as a
-// segment and the log is truncated.
+// segment and the log is truncated. Like the checkpoints of Open and
+// Close, it has no fault point.
 func (m *Manager) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -278,12 +273,6 @@ func (m *Manager) Compact() error {
 // segments (keeping the previous one as a corruption fallback). Caller
 // holds m.mu.
 func (m *Manager) compactLocked() error {
-	// Fault point before the segment write: a fault only fails the
-	// checkpoint, which is best-effort everywhere it is called — the
-	// fsynced log still proves every committed batch.
-	if err := m.chaos.Hit("wal.compact"); err != nil {
-		return err
-	}
 	sn := m.st.Snapshot()
 	if err := writeSegment(m.fs, m.dir, sn); err != nil {
 		return err

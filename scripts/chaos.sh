@@ -14,7 +14,8 @@
 #     recovery check;
 #  2. a live-binary drill: qaserve boots with -chaos armed (finite
 #     Limits, fixed seed), absorbs a mixed answer/update workload while
-#     faults fire, must answer everything cleanly once the rules run
+#     faults fire — the wal.append rule must fire at least once, under
+#     /v1/update — must answer everything cleanly once the rules run
 #     dry, and must survive a kill -9 with the last acknowledged
 #     update intact; the reboot runs with -debug-addr and must serve
 #     pprof on that listener only;
@@ -103,8 +104,14 @@ code="$(update "$height" 2.99)"
 [ "$code" = 200 ] || { echo "post-chaos update: HTTP $code" >&2; exit 1; }
 curl -fs "http://$ADDR/readyz" | grep -q '"writable":true' \
   || { echo "post-chaos readyz not writable" >&2; exit 1; }
-curl -fs "http://$ADDR/metrics" | grep -q 'qaserve_chaos_injections_total' \
+metrics="$(curl -fs "http://$ADDR/metrics")"
+grep -q 'qaserve_chaos_injections_total' <<<"$metrics" \
   || { echo "injections missing from /metrics" >&2; exit 1; }
+# The WAL fault points read the injector from the /v1/update request's
+# context: an update path that stopped attaching it would leave them
+# silently disarmed, so the drill's wal.append rule must have fired.
+grep -Eq '^qaserve_chaos_injections_total\{point="wal\.append",kind="error"\} [1-9][0-9]*$' <<<"$metrics" \
+  || { echo "no wal.append injection on /metrics: the update path ran unarmed" >&2; exit 1; }
 
 # Crash hard and recover: the acknowledged 2.99 must come back.
 kill -9 "$PID"

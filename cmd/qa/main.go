@@ -6,16 +6,12 @@
 //
 // Usage:
 //
-//	qa [-explain] [-top N] [-kb file.nt] [-timeout 2s] [-cache N] "Which book is written by Orhan Pamuk?"
+//	qa [-explain] [-top N] [-kb file.nt] "Which book is written by Orhan Pamuk?"
 //	qa -i       # interactive: one question per line on stdin
-//	qa -chaos stage.answer:error:0.5 -chaos-seed 7 ...   # seeded fault injection
 //
-// With no arguments it answers a demonstration set of questions.
-//
-// -cache keeps answers, not their derivations: a question served from
-// the cache (a repeat, in -i or multi-question mode) prints its answer
-// and stage timings under -explain, and says that the dependency graph,
-// triples, property candidates and candidate queries were not kept.
+// With no arguments it answers a demonstration set of questions. Every
+// question runs the paper's configuration to the end: no deadline and
+// no answer cache, so -explain always has the whole derivation to show.
 package main
 
 import (
@@ -28,48 +24,26 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kb"
 )
-
-// injector is the optional -chaos fault injector; nil keeps every
-// fault point inert.
-var injector *chaos.Injector
 
 func main() {
 	explain := flag.Bool("explain", false, "print the full pipeline trace")
 	top := flag.Int("top", 5, "number of candidate queries to show with -explain")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	interactive := flag.Bool("i", false, "interactive mode: read one question per line from stdin")
-	timeout := flag.Duration("timeout", 0, "per-question deadline; the pipeline cancels at the next stage/join boundary (0 = none)")
-	cacheSize := flag.Int("cache", 0, "answer cache entries, useful with -i (0 = disabled)")
-	chaosSpec := flag.String("chaos", "", "arm fault injection at the pipeline stage boundaries: point:kind:prob[:latency[:limit]] rules, comma-separated (see internal/chaos)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
 	flag.Parse()
 
-	if *chaosSpec != "" {
-		rules, err := chaos.ParseSpec(*chaosSpec)
+	var sys *core.System
+	if *kbPath != "" {
+		loaded, err := kb.LoadFile(*kbPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qa:", err)
 			os.Exit(1)
 		}
-		injector = chaos.New(*chaosSeed, rules...)
-		fmt.Fprintf(os.Stderr, "qa: chaos armed (%d rules, seed %d)\n", len(rules), *chaosSeed)
-	}
-
-	var sys *core.System
-	if *kbPath != "" || *cacheSize != 0 {
 		cfg := core.DefaultConfig()
-		cfg.CacheSize = *cacheSize
-		if *kbPath != "" {
-			loaded, err := kb.LoadFile(*kbPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "qa:", err)
-				os.Exit(1)
-			}
-			cfg.KB = loaded
-		}
+		cfg.KB = loaded
 		sys = core.New(cfg)
 	} else {
 		sys = core.Default()
@@ -83,7 +57,7 @@ func main() {
 			if q == "" || q == "exit" || q == "quit" {
 				break
 			}
-			answerOne(sys, q, *explain, *top, *timeout)
+			answerOne(sys, q, *explain, *top)
 			fmt.Print("> ")
 		}
 		return
@@ -102,32 +76,23 @@ func main() {
 	if len(flag.Args()) > 1 && strings.Contains(flag.Args()[0], " ") {
 		// Multiple quoted questions: answer each.
 		for _, q := range flag.Args() {
-			answerOne(sys, q, *explain, *top, *timeout)
+			answerOne(sys, q, *explain, *top)
 		}
 		return
 	}
 	if len(flag.Args()) == 0 {
 		for _, q := range questions {
-			answerOne(sys, q, *explain, *top, *timeout)
+			answerOne(sys, q, *explain, *top)
 		}
 		return
 	}
-	answerOne(sys, question, *explain, *top, *timeout)
+	answerOne(sys, question, *explain, *top)
 }
 
-func answerOne(sys *core.System, q string, explain bool, top int, timeout time.Duration) {
-	ctx := chaos.With(context.Background(), injector)
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	res := sys.AnswerCtx(ctx, q)
+func answerOne(sys *core.System, q string, explain bool, top int) {
+	res := sys.AnswerCtx(context.Background(), q)
 	fmt.Printf("Q: %s\n", q)
 	if explain {
-		if res.CacheHit {
-			fmt.Println("-- served from the answer cache, which keeps the answer and not its derivation: no graph, triples, mapping or candidate queries to show --")
-		}
 		printTrace(os.Stdout, res, top)
 		if res.Trace != nil {
 			fmt.Println("-- stage timings --")
@@ -135,9 +100,6 @@ func answerOne(sys *core.System, q string, explain bool, top int, timeout time.D
 				extra := ""
 				if st.Candidates > 0 {
 					extra = fmt.Sprintf("  candidates=%d", st.Candidates)
-				}
-				if st.CacheHit {
-					extra += "  cache=hit"
 				}
 				fmt.Printf("   %-8s %10v%s\n", st.Stage, st.Duration.Round(time.Microsecond), extra)
 			}
@@ -201,7 +163,7 @@ func printTrace(w io.Writer, res *core.Result, top int) {
 			fmt.Fprintf(w, "   [score %8.1f] %s\n                    %s\n", cq.Score, cq.Query, res.Answer.Outcome(i))
 		}
 	}
-	if win := res.WinningSPARQL(); win != "" { // kept by a cache entry, unlike the rest
+	if win := res.WinningSPARQL(); win != "" {
 		fmt.Fprintf(w, "-- winning query --\n   %s\n", win)
 	}
 }

@@ -3,11 +3,76 @@ package main
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// TestUsageDocumented: the flags main.go registers and the flags its
+// package comment's usage block names are the same set, so a flag
+// cannot be added, renamed or deleted without the usage following.
+func TestUsageDocumented(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registered []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			registered = append(registered, name)
+		}
+		return true
+	})
+
+	// The usage block is the indented text after "Usage:" in the
+	// package comment, up to the next unindented paragraph.
+	_, usage, _ := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	if i := strings.Index(usage, "\n\n"); i >= 0 && !strings.HasPrefix(usage[i+2:], "\t") {
+		usage = usage[:i]
+	}
+	var inUsage []string
+	for _, m := range regexp.MustCompile(`[\s\[]-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(usage, -1) {
+		if !slices.Contains(inUsage, m[1]) {
+			inUsage = append(inUsage, m[1])
+		}
+	}
+
+	if len(registered) == 0 || len(inUsage) == 0 {
+		t.Fatalf("found %d registered and %d usage flags", len(registered), len(inUsage))
+	}
+	for _, name := range registered {
+		if !slices.Contains(inUsage, name) {
+			t.Errorf("-%s is registered in main.go but missing from its usage block", name)
+		}
+	}
+	for _, name := range inUsage {
+		if !slices.Contains(registered, name) {
+			t.Errorf("-%s is in main.go's usage block but main.go does not register it", name)
+		}
+	}
+}
 
 // TestPrintTraceListsEveryCandidate: -explain lists the top candidates
 // of §2.3 each with its query text and, under it, its outcome — for a

@@ -9,7 +9,9 @@
 //	qald-eval -table1          # print Table 1
 //	qald-eval -ablations       # run the ablation configurations
 //	qald-eval -by-category     # per-category breakdown
-//	qald-eval -timeout 30s     # deadline for the whole evaluation
+//	qald-eval -extensions      # with the §6 extensions switched on
+//	qald-eval -xml run.xml     # also write the run as QALD XML
+//	qald-eval -per-question=false   # the tables without the report
 package main
 
 import (
@@ -29,7 +31,6 @@ func main() {
 	perQuestion := flag.Bool("per-question", true, "print the per-question report")
 	xmlOut := flag.String("xml", "", "write the run in QALD challenge XML format to this file")
 	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation/superlative extensions")
-	timeout := flag.Duration("timeout", 0, "deadline for the whole evaluation; cancellation reaches every stage boundary (0 = none)")
 	flag.Parse()
 
 	if *table1 {
@@ -41,11 +42,6 @@ func main() {
 	cfg.Extensions = *extensions
 	sys := core.New(cfg)
 	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	rep, err := qald.EvaluateCtx(ctx, sys, qald.Questions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qald-eval:", err)

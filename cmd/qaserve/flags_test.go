@@ -13,11 +13,12 @@ import (
 	"time"
 )
 
-// TestFlagsDocumented: the flags main.go registers and the rows of the
-// README's flag table are the same set, so a flag cannot be added,
-// renamed or deleted without its documentation following.
+// TestFlagsDocumented: the flags main.go registers, the rows of the
+// README's flag table and the flags of main.go's usage block are the
+// same set, so a flag cannot be added, renamed or deleted without its
+// documentation following.
 func TestFlagsDocumented(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +56,35 @@ func TestFlagsDocumented(t *testing.T) {
 		documented = append(documented, string(m[1]))
 	}
 
-	if len(registered) == 0 || len(documented) == 0 {
-		t.Fatalf("found %d registered and %d documented flags", len(registered), len(documented))
+	// The usage block is the indented text after "Usage:" in the
+	// package comment, up to the next unindented paragraph.
+	_, usage, _ := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	if i := strings.Index(usage, "\n\n"); i >= 0 && !strings.HasPrefix(usage[i+2:], "\t") {
+		usage = usage[:i]
 	}
-	for _, name := range registered {
-		if !slices.Contains(documented, name) {
-			t.Errorf("-%s is registered in main.go but has no row in README.md's flag table", name)
+	var inUsage []string
+	for _, m := range regexp.MustCompile(`[\s\[]-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(usage, -1) {
+		if !slices.Contains(inUsage, m[1]) {
+			inUsage = append(inUsage, m[1])
 		}
 	}
-	for _, name := range documented {
-		if !slices.Contains(registered, name) {
-			t.Errorf("-%s has a row in README.md's flag table but main.go does not register it", name)
+
+	if len(registered) == 0 || len(documented) == 0 || len(inUsage) == 0 {
+		t.Fatalf("found %d registered, %d documented and %d usage flags", len(registered), len(documented), len(inUsage))
+	}
+	for _, doc := range []struct {
+		where string
+		names []string
+	}{{"README.md's flag table", documented}, {"main.go's usage block", inUsage}} {
+		for _, name := range registered {
+			if !slices.Contains(doc.names, name) {
+				t.Errorf("-%s is registered in main.go but missing from %s", name, doc.where)
+			}
+		}
+		for _, name := range doc.names {
+			if !slices.Contains(registered, name) {
+				t.Errorf("-%s is in %s but main.go does not register it", name, doc.where)
+			}
 		}
 	}
 	t.Logf("%d flags", len(registered))
@@ -75,7 +94,7 @@ func TestFlagsDocumented(t *testing.T) {
 // -data-dir, are refused; zeros and qaserve's defaults pass.
 func TestValidateFlags(t *testing.T) {
 	defaults := flagValues{maxInflight: 64, cache: 1024,
-		timeout: 5 * time.Second, updateTimeout: 10 * time.Second, drain: 15 * time.Second}
+		timeout: 5 * time.Second, drain: 15 * time.Second}
 	for _, tc := range []struct {
 		name string
 		edit func(*flagValues)
@@ -89,7 +108,6 @@ func TestValidateFlags(t *testing.T) {
 		{"cache -1", func(v *flagValues) { v.cache = -1 }, "-cache -1"},
 		{"shards -1", func(v *flagValues) { v.shards = -1 }, "-shards -1"},
 		{"timeout -1s", func(v *flagValues) { v.timeout = -time.Second }, "-timeout -1s"},
-		{"update-timeout -1s", func(v *flagValues) { v.updateTimeout = -time.Second }, "-update-timeout -1s"},
 		{"drain -1s", func(v *flagValues) { v.drain = -time.Second }, "-drain -1s"},
 		{"shards with data-dir", func(v *flagValues) { v.shards, v.dataDir = 2, "d" }, "incompatible with -data-dir"},
 	} {

@@ -9,12 +9,14 @@
 // Usage:
 //
 //	qaserve [-addr :8080] [-timeout 5s] [-max-inflight 64] [-cache 1024]
-//	        [-shards N] [-kb file.nt] [-data-dir dir] [-update-token T]
-//	        [-drain 15s] [-extensions] [-debug-addr 127.0.0.1:6060]
-//	        [-update-timeout 10s] [-chaos spec] [-chaos-seed N]
+//	        [-shards N] [-kb file.nt] [-data-dir dir] [-drain 15s]
+//	        [-extensions] [-debug-addr 127.0.0.1:6060]
+//	        [-chaos spec] [-chaos-seed N]
 //
-// A negative count or duration, and -shards with -data-dir, exit 1
-// before the listener comes up.
+// -timeout bounds both an answer-cache miss and a /v1/update commit.
+// QASERVE_UPDATE_TOKEN, when set, is the bearer token /v1/update
+// requires; unset, updates are open. A negative count or duration, and
+// -shards with -data-dir, exit 1 before the listener comes up.
 //
 // The listener comes up immediately and answers 503 (with /healthz
 // alive) while the pipeline warms up; with -data-dir the durable state
@@ -72,9 +74,9 @@ func serveDebug(addr string) (*http.Server, error) {
 
 // flagValues are the flags validate checks.
 type flagValues struct {
-	maxInflight, cache, shards    int
-	timeout, updateTimeout, drain time.Duration
-	dataDir                       string
+	maxInflight, cache, shards int
+	timeout, drain             time.Duration
+	dataDir                    string
 }
 
 // validate rejects what the server would otherwise reinterpret
@@ -93,7 +95,7 @@ func (v flagValues) validate() error {
 	for _, f := range []struct {
 		name string
 		d    time.Duration
-	}{{"timeout", v.timeout}, {"update-timeout", v.updateTimeout}, {"drain", v.drain}} {
+	}{{"timeout", v.timeout}, {"drain", v.drain}} {
 		if f.d < 0 {
 			return fmt.Errorf("-%s %v: must be >= 0", f.name, f.d)
 		}
@@ -108,7 +110,7 @@ func (v flagValues) validate() error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request pipeline timeout (0 = none)")
+	timeout := flag.Duration("timeout", 5*time.Second, "deadline of an answer-cache miss's pipeline run and of a /v1/update commit (0 = none)")
 	maxInflight := flag.Int("max-inflight", 64, "in-flight limit L: past it a request answers 503, and cache hits ride a reserve to L+L/4 (0 = unlimited)")
 	chaosSpec := flag.String("chaos", "", "arm fault injection: comma-separated point:kind:prob[:latency[:limit]] rules, e.g. stage.answer:error:0.1 (see internal/chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos injector's random source")
@@ -116,8 +118,6 @@ func main() {
 	shards := flag.Int("shards", 0, "run the in-process sharded scatter-gather tier: N subject-partitioned shards with per-attempt timeouts and retries, per-shard circuit breakers and opt-in partial answers (0 = single store; incompatible with -data-dir)")
 	kbPath := flag.String("kb", "", "load the knowledge base from an .nt/.ttl file instead of the built-in one")
 	dataDir := flag.String("data-dir", "", "durable data directory; enables /v1/update (WAL + snapshot segments, crash recovery on start)")
-	updateToken := flag.String("update-token", "", "bearer token required by /v1/update (empty = also read QASERVE_UPDATE_TOKEN; both empty = open)")
-	updateTimeout := flag.Duration("update-timeout", 10*time.Second, "per-update commit timeout (0 = use -timeout)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	extensions := flag.Bool("extensions", false, "enable the future-work boolean/aggregation/superlative extensions")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, on a listener and mux of its own (empty = off); keep it off public interfaces")
@@ -130,7 +130,7 @@ func main() {
 
 	if err := (flagValues{
 		maxInflight: *maxInflight, cache: *cacheSize, shards: *shards,
-		timeout: *timeout, updateTimeout: *updateTimeout, drain: *drain, dataDir: *dataDir,
+		timeout: *timeout, drain: *drain, dataDir: *dataDir,
 	}).validate(); err != nil {
 		fail(err)
 	}
@@ -279,17 +279,14 @@ func main() {
 			res.manager = manager
 		}
 
-		token := *updateToken
-		if token == "" {
-			token = os.Getenv("QASERVE_UPDATE_TOKEN")
-		}
 		scfg := qaserve.Config{
 			Sys:            sys,
 			RequestTimeout: *timeout,
 			MaxInFlight:    *maxInflight,
 			Chaos:          injector,
-			UpdateToken:    token,
-			UpdateTimeout:  *updateTimeout,
+			// The token is read from the environment only: a flag's
+			// value would show in ps and on /debug/pprof/cmdline.
+			UpdateToken: os.Getenv("QASERVE_UPDATE_TOKEN"),
 		}
 		if res.manager != nil {
 			scfg.Updater = res.manager

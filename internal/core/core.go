@@ -86,11 +86,9 @@ type Config struct {
 	// Corpus controls the pattern-mining corpus. A completely zero
 	// CorpusConfig means "use kb.DefaultCorpusConfig()"; a config with
 	// any field set is taken verbatim, so explicit zero values of
-	// individual fields are honoured (see applyDefaults).
+	// individual fields are honoured (see applyDefaults). The miner
+	// always runs with patterns.DefaultMinerConfig().
 	Corpus kb.CorpusConfig
-	// Miner tunes the PATTY-style miner, with the same zero-struct
-	// semantics as Corpus.
-	Miner patterns.MinerConfig
 
 	// Ablation switches.
 	DisablePatterns        bool
@@ -124,26 +122,17 @@ type Config struct {
 
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
-	return Config{
-		Corpus: kb.DefaultCorpusConfig(),
-		Miner:  patterns.DefaultMinerConfig(),
-	}
+	return Config{Corpus: kb.DefaultCorpusConfig()}
 }
 
-// applyDefaults fills the config sections the caller left completely
-// unset. The sentinel is the zero struct: a Corpus or Miner config
-// equal to its type's zero value selects the package default, while a
-// config with any field set is used verbatim — so an explicit
-// MinerConfig{MinSupport: 0, SubsumeThreshold: 0.9} keeps its zero
-// MinSupport instead of being silently clobbered (the old per-field
-// check overwrote any config whose SentencesPerFact/MinSupport happened
-// to be zero).
+// applyDefaults fills the corpus config when the caller left it
+// completely unset. The sentinel is the zero struct: a Corpus equal to
+// kb.CorpusConfig{} selects the package default, while a config with
+// any field set is used verbatim — so an explicit SentencesPerFact of 0
+// is kept instead of being silently clobbered.
 func applyDefaults(cfg Config) Config {
 	if cfg.Corpus == (kb.CorpusConfig{}) {
 		cfg.Corpus = kb.DefaultCorpusConfig()
-	}
-	if cfg.Miner == (patterns.MinerConfig{}) {
-		cfg.Miner = patterns.DefaultMinerConfig()
 	}
 	return cfg
 }
@@ -234,7 +223,7 @@ func New(cfg Config) *System {
 	close(kbReady)
 	k := s.KB
 	if !cfg.DisablePatterns {
-		s.Patterns = patterns.Mine(k, k.Corpus(cfg.Corpus), cfg.Miner)
+		s.Patterns = patterns.Mine(k, k.Corpus(cfg.Corpus), patterns.DefaultMinerConfig())
 		lap("pattern_mining")
 	}
 	<-linked
@@ -480,9 +469,7 @@ type StageTrace struct {
 	// PlanCacheHits / PlanCacheMisses count the answer stage's
 	// plan-shape cache outcomes for this request's candidate fan-out,
 	// and RankSorts the result sorts executed over the snapshot's
-	// term-rank permutation. All zero for non-answer stages and for
-	// requests executed with plan caching disabled (a disabled cache
-	// fabricates no misses).
+	// term-rank permutation. All zero for non-answer stages.
 	PlanCacheHits, PlanCacheMisses uint64
 	RankSorts                      uint64
 	// ShardsTotal / ShardsAnswered record the answer stage's

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/kb"
-	"repro/internal/patterns"
 	"repro/internal/qacache"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -42,38 +41,17 @@ func (s *System) CacheStats() (hits, misses, evictions uint64) {
 // generation-keyed answer cache.
 
 // TestApplyDefaultsZeroValueNotClobbered is the regression test for the
-// config clobber: an explicit config whose SentencesPerFact or
-// MinSupport is zero must survive New, while fully-zero sections still
-// pick up the package defaults.
+// config clobber: an explicit corpus config whose SentencesPerFact is
+// zero must survive New, while a fully-zero one still picks up the
+// package default.
 func TestApplyDefaultsZeroValueNotClobbered(t *testing.T) {
-	// Explicit zero MinSupport with another field set: kept verbatim.
-	got := applyDefaults(Config{
-		Miner:  patterns.MinerConfig{MinSupport: 0, SubsumeThreshold: 0.5},
-		Corpus: kb.CorpusConfig{Seed: 3, NoiseRate: 0.5, SentencesPerFact: 0},
-	})
-	if got.Miner.MinSupport != 0 || got.Miner.SubsumeThreshold != 0.5 {
-		t.Errorf("explicit Miner clobbered: %+v", got.Miner)
-	}
+	// Explicit zero SentencesPerFact with another field set: kept verbatim.
+	got := applyDefaults(Config{Corpus: kb.CorpusConfig{Seed: 3, NoiseRate: 0.5, SentencesPerFact: 0}})
 	if got.Corpus.SentencesPerFact != 0 || got.Corpus.NoiseRate != 0.5 {
 		t.Errorf("explicit Corpus clobbered: %+v", got.Corpus)
 	}
-
-	// Fully-zero sections select the defaults.
-	def := applyDefaults(Config{})
-	if def.Miner != patterns.DefaultMinerConfig() {
-		t.Errorf("zero Miner did not default: %+v", def.Miner)
-	}
-	if def.Corpus != kb.DefaultCorpusConfig() {
+	if def := applyDefaults(Config{}); def.Corpus != kb.DefaultCorpusConfig() {
 		t.Errorf("zero Corpus did not default: %+v", def.Corpus)
-	}
-
-	// A System built with an explicit zero-MinSupport miner keeps every
-	// pattern (no pruning) instead of silently mining with MinSupport 2.
-	s := New(Config{Miner: patterns.MinerConfig{MinSupport: 0, SubsumeThreshold: 0.9}})
-	loose := len(s.Patterns.Patterns())
-	strict := len(New(Config{Miner: patterns.MinerConfig{MinSupport: 5, SubsumeThreshold: 0.9}}).Patterns.Patterns())
-	if loose <= strict {
-		t.Errorf("MinSupport 0 mined %d patterns, MinSupport 5 mined %d — zero was clobbered", loose, strict)
 	}
 }
 

@@ -15,17 +15,22 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/kb"
+	"repro/internal/wal"
+	"repro/internal/wal/faultfs"
 )
 
 // TestMetricsDocumented: every metric family /metrics emits — from a
-// server with every optional family switched on: shards, a chaos
+// server with every optional family switched on: shards, a WAL, a chaos
 // injector that has fired, the plan cache — is named in
 // cmd/qaserve/README.md, every qaserve_* name the README gives is
 // emitted by that server, and the runtime, cache-occupancy and boot
 // families carry live values.
 func TestMetricsDocumented(t *testing.T) {
 	in := chaos.New(3, chaos.Rule{Point: "stage.answer", Kind: chaos.KindError, Prob: 1, Limit: 1})
-	h := New(Config{Sys: shardedSystem(fastShardConfig(), 64), Chaos: in, MaxInFlight: 4}).Handler()
+	sys := shardedSystem(fastShardConfig(), 64)
+	// No update is sent: the manager is there for its metric family.
+	h := New(Config{Sys: sys, Updater: openManager(t, sys, -1), Chaos: in, MaxInFlight: 4}).Handler()
 	for i := 0; i < 2; i++ { // the injected 500, then an answer the cache keeps
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/answer",
 			strings.NewReader(`{"question":"How tall is Michael Jordan?"}`)))
@@ -67,6 +72,48 @@ func TestMetricsDocumented(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^` + name + ` [0-9.]+$`).MatchString(text) {
 			t.Errorf("%s carries no plain decimal value", name)
 		}
+	}
+}
+
+// TestCompactionFailuresExported: a threshold checkpoint whose segment
+// write fails leaves the update committed and moves
+// qaserve_wal_compaction_failures_total to 1; a server without a WAL
+// emits no such series.
+func TestCompactionFailuresExported(t *testing.T) {
+	scrape := func(h http.Handler) string {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+		return w.Body.String()
+	}
+	if text := scrape(New(Config{Sys: testSystem(t)}).Handler()); strings.Contains(text, "qaserve_wal_compaction_failures_total") {
+		t.Errorf("a server without a WAL emits qaserve_wal_compaction_failures_total")
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.KB = kb.Build(kb.DefaultConfig()) // private KB: the update writes to it
+	sys := core.New(cfg)
+	fsys := faultfs.New()
+	rec, err := wal.Recover("data", wal.Options{FS: fsys, CompactBytes: 1}) // every commit checkpoints
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rec.Open(sys.KB.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := New(Config{Sys: sys, Updater: m}).Handler()
+	if text := scrape(h); !strings.Contains(text, "\nqaserve_wal_compaction_failures_total 0\n") {
+		t.Fatalf("no zero qaserve_wal_compaction_failures_total before any update:\n%s", text)
+	}
+	fsys.FailWrite("segment-", 1, 0)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/update", strings.NewReader(swapHeight("1.98", "2.22"))))
+	if w.Code != http.StatusOK {
+		t.Fatalf("update status = %d (%s), want 200: a failed checkpoint fails no commit", w.Code, w.Body)
+	}
+	if text := scrape(h); !strings.Contains(text, "\nqaserve_wal_compaction_failures_total 1\n") {
+		t.Errorf("qaserve_wal_compaction_failures_total is not 1 after a failed checkpoint:\n%s", text)
 	}
 }
 

@@ -30,10 +30,12 @@
 // per-request timeout — lowered by the client's X-Request-Budget header
 // when one is sent — attached, so a deadline expiring mid-pipeline
 // cancels candidate queries between join steps and the request answers
-// 504 with status "canceled". The /metrics answer-cache hit and miss
-// counters count lookups, as the answer cache's own statistics do: a
-// request shed by admission after its lookup, or timed out after it,
-// counts.
+// 504 with status "canceled". A /v1/update commit runs under the same
+// configured timeout (the budget header does not apply to it) and
+// answers 504 when the deadline passes before the commit. The /metrics
+// answer-cache hit and miss counters count lookups, as the answer
+// cache's own statistics do: a request shed by admission after its
+// lookup, or timed out after it, counts.
 //
 // # Overload and failure behavior
 //
@@ -81,8 +83,9 @@ import (
 type Config struct {
 	// Sys is the pipeline to serve (required).
 	Sys *core.System
-	// RequestTimeout bounds each request's pipeline run (0 = no
-	// timeout); a cache hit runs none, so it is never timed out.
+	// RequestTimeout bounds each request's pipeline run and each
+	// /v1/update commit (0 = no timeout); a cache hit runs no pipeline,
+	// so it is never timed out.
 	RequestTimeout time.Duration
 	// MaxInFlight is the in-flight limit L: normal requests beyond it
 	// and cache hits beyond L + L/4 answer 503 (0 = unlimited; see the
@@ -100,20 +103,16 @@ type Config struct {
 	// UpdateToken, when non-empty, gates /v1/update behind
 	// "Authorization: Bearer <token>". Read endpoints are never gated.
 	UpdateToken string
-	// UpdateTimeout bounds one /v1/update commit (0 falls back to
-	// RequestTimeout).
-	UpdateTimeout time.Duration
 }
 
 // Server is the HTTP serving layer. Build with New, mount Handler.
 type Server struct {
-	sys           *core.System
-	timeout       time.Duration
-	updater       Updater
-	updateToken   string
-	updateTimeout time.Duration
-	chaos         *chaos.Injector // nil = fault points inert
-	m             *metrics
+	sys         *core.System
+	timeout     time.Duration
+	updater     Updater
+	updateToken string
+	chaos       *chaos.Injector // nil = fault points inert
+	m           *metrics
 	// threshold is the admission bound of each priority: a slot is taken
 	// while m.inflight is below it.
 	threshold [numPriorities]int64
@@ -122,8 +121,7 @@ type Server struct {
 // New builds a Server over the assembled pipeline.
 func New(cfg Config) *Server {
 	s := &Server{sys: cfg.Sys, timeout: cfg.RequestTimeout, updater: cfg.Updater,
-		updateToken: cfg.UpdateToken, updateTimeout: cfg.UpdateTimeout,
-		chaos: cfg.Chaos, m: newMetrics()}
+		updateToken: cfg.UpdateToken, chaos: cfg.Chaos, m: newMetrics()}
 	s.threshold = thresholds(cfg.MaxInFlight)
 	return s
 }

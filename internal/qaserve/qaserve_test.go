@@ -289,8 +289,6 @@ func TestInFlightLimitSheds(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutAnswers504: a tiny per-request timeout turns into a
-// 504 with status "canceled", and the server keeps serving afterwards.
 // TestRequestTimeoutAnswers504: a pipeline run that outlives the
 // request timeout answers 504. The system has no answer cache of its
 // own, so the question runs the pipeline whatever other tests asked.

@@ -108,8 +108,8 @@ func (s *Server) recoverware(next http.Handler) http.Handler {
 }
 
 // renderResilience appends the server-level resilience metrics that
-// live outside the counter struct: the degraded gauge and the chaos
-// injector's cumulative injections.
+// live outside the counter struct: the degraded gauge, the WAL's failed
+// checkpoints and the chaos injector's cumulative injections.
 func (s *Server) renderResilience(sb *strings.Builder) {
 	fmt.Fprintf(sb, "# HELP qaserve_degraded Whether the WAL is poisoned and the server is read-only.\n")
 	fmt.Fprintf(sb, "# TYPE qaserve_degraded gauge\n")
@@ -118,6 +118,13 @@ func (s *Server) renderResilience(sb *strings.Builder) {
 		d = 1
 	}
 	fmt.Fprintf(sb, "qaserve_degraded %d\n", d)
+	// The same optional-interface probe as degraded: an updater without
+	// a WAL (none, or a shard cluster) emits no series.
+	if c, ok := s.updater.(interface{ CompactionFailures() uint64 }); ok {
+		fmt.Fprintf(sb, "# HELP qaserve_wal_compaction_failures_total WAL checkpoints the log-size threshold called for that were skipped or failed.\n")
+		fmt.Fprintf(sb, "# TYPE qaserve_wal_compaction_failures_total counter\n")
+		fmt.Fprintf(sb, "qaserve_wal_compaction_failures_total %d\n", c.CompactionFailures())
+	}
 	if injs := s.chaos.Snapshot(); len(injs) > 0 {
 		fmt.Fprintf(sb, "# HELP qaserve_chaos_injections_total Injected faults by point and kind.\n")
 		fmt.Fprintf(sb, "# TYPE qaserve_chaos_injections_total counter\n")

@@ -92,13 +92,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer s.freeSlot()
 
 	ctx := chaos.With(r.Context(), s.chaos)
-	timeout := s.updateTimeout
-	if timeout <= 0 {
-		timeout = s.timeout
-	}
-	if timeout > 0 {
+	if s.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
 	gen, added, removed, err := s.updater.ApplyUpdate(ctx, ops)

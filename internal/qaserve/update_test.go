@@ -1,6 +1,7 @@
 package qaserve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,10 +10,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/rdf"
+	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -186,6 +189,43 @@ func TestUpdateEndpoint(t *testing.T) {
 	resp, body = postSPARQL(t, ts.Client(), ts.URL+"/v1/update", "s3cret", swapHeight("2.22", "1.98"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restore status = %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// blockingUpdater commits nothing: ApplyUpdate waits until its context
+// ends.
+type blockingUpdater struct{}
+
+func (blockingUpdater) ApplyUpdate(ctx context.Context, _ []store.BatchOp) (uint64, int, int, error) {
+	<-ctx.Done()
+	return 0, 0, 0, ctx.Err()
+}
+
+// TestUpdateTimeoutAnswers504: a /v1/update commit runs under the same
+// RequestTimeout as an answer-cache miss, so a commit that outlives it
+// answers 504 and counts as a timeout.
+func TestUpdateTimeoutAnswers504(t *testing.T) {
+	srv := New(Config{Sys: core.Default(), Updater: blockingUpdater{}, RequestTimeout: 20 * time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	client.Timeout = 10 * time.Second // an update with no deadline fails here instead of hanging
+
+	resp, body := postSPARQL(t, client, ts.URL+"/v1/update", "", swapHeight("1.98", "2.22"))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), context.DeadlineExceeded.Error()) {
+		t.Errorf("body = %s, want the deadline error", body)
+	}
+	mresp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(metrics), `qaserve_requests_total{outcome="timeout"} 1`+"\n") {
+		t.Errorf("metrics do not count one timeout:\n%s", metrics)
 	}
 }
 

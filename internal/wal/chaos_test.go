@@ -57,9 +57,10 @@ func TestChaosAppendFaultFailsCommitCleanly(t *testing.T) {
 
 // TestChaosCompactFaultIsBestEffort: with a threshold every commit
 // crosses, a wal.compact fault skips the checkpoint of the commit it
-// rides on but never fails or un-commits anything — the log keeps the
-// batches, the next commit on a context without the injector
-// checkpoints, and recovery lands on the last acknowledged generation.
+// rides on, and a failed segment write fails it, but neither fails or
+// un-commits anything — the log keeps the batches, CompactionFailures
+// counts each missed checkpoint, the next commit that can checkpoints,
+// and recovery lands on the last acknowledged generation.
 func TestChaosCompactFaultIsBestEffort(t *testing.T) {
 	fsys := faultfs.New()
 	in := chaos.New(5, chaos.Rule{Point: "wal.compact", Kind: chaos.KindError, Prob: 1})
@@ -78,15 +79,37 @@ func TestChaosCompactFaultIsBestEffort(t *testing.T) {
 	if n := fsys.FileLen(segPath(r.acked)); n != -1 {
 		t.Fatalf("a skipped checkpoint wrote segment %d (%d bytes)", r.acked, n)
 	}
+	if n := r.m.CompactionFailures(); n != 2 {
+		t.Fatalf("CompactionFailures = %d after two skipped checkpoints, want 2", n)
+	}
 
-	// The faults stop with the injector's context: this commit
-	// checkpoints, and the log is empty again.
+	// The faults stop with the injector's context, but the segment
+	// write of this commit's checkpoint fails: the commit stands, the
+	// log keeps growing and the miss is counted.
+	fsys.FailWrite("segment-", 1, 0)
+	before := fsys.FileLen(logPath())
 	r.apply(ins(3))
+	if n := fsys.FileLen(logPath()); n <= before {
+		t.Fatalf("log is %d bytes after a failed checkpoint, want more than %d", n, before)
+	}
+	if n := fsys.FileLen(segPath(r.acked)); n != -1 {
+		t.Fatalf("a failed checkpoint left segment %d (%d bytes)", r.acked, n)
+	}
+	if n := r.m.CompactionFailures(); n != 3 {
+		t.Fatalf("CompactionFailures = %d after a failed segment write, want 3", n)
+	}
+
+	// Nothing fails now: this commit checkpoints, the log is empty
+	// again, and the count stays.
+	r.apply(ins(4))
 	if n := fsys.FileLen(logPath()); n != empty {
 		t.Fatalf("log is %d bytes after the checkpoint, want the empty %d", n, empty)
 	}
 	if n := fsys.FileLen(segPath(r.acked)); n <= 0 {
 		t.Fatalf("no segment at gen %d after the checkpoint", r.acked)
+	}
+	if n := r.m.CompactionFailures(); n != 3 {
+		t.Fatalf("CompactionFailures = %d after a checkpoint, want 3", n)
 	}
 
 	rec := recoverOn(t, r, fsys.Crash(rand.New(rand.NewSource(2))))

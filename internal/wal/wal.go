@@ -48,6 +48,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/store"
@@ -173,6 +174,9 @@ type Manager struct {
 	gen     uint64 // last committed generation; guarded by mu
 	segGen  uint64 // generation of the newest durable segment; guarded by mu
 	compact int64  // log-size compaction threshold (<0 disables)
+	// compactFailures counts the threshold checkpoints that did not
+	// happen; read without mu, so a scrape never waits on an fsync.
+	compactFailures atomic.Uint64
 }
 
 // Open attaches durability to st, which must be r.Store — or, when the
@@ -250,14 +254,24 @@ func (m *Manager) Apply(ctx context.Context, ops []store.BatchOp) (Commit, error
 	c := Commit{Gen: gen, Added: added, Removed: removed}
 	if m.compact > 0 && m.log.size() >= m.compact {
 		// Best-effort: a failed compaction leaves the log in place and
-		// is retried at the next threshold crossing. The fault point
-		// comes before the segment write, so a fault only skips this
-		// checkpoint; the fsynced log still proves every committed batch.
-		if chaos.HitCtx(ctx, "wal.compact") == nil {
-			m.compactLocked()
+		// is retried at the next commit; the fsynced log still proves
+		// every committed batch. The fault point comes before the
+		// segment write, so a fault only skips this checkpoint. Either
+		// way the miss is counted (CompactionFailures).
+		if chaos.HitCtx(ctx, "wal.compact") != nil || m.compactLocked() != nil {
+			m.compactFailures.Add(1)
 		}
 	}
 	return c, nil
+}
+
+// CompactionFailures returns how many checkpoints a commit's crossing
+// of the log-size threshold called for and did not get: a wal.compact
+// fault skipped them or the segment write or log truncation failed.
+// The serving layer exports it, so a log that keeps growing because
+// its checkpoints fail is visible.
+func (m *Manager) CompactionFailures() uint64 {
+	return m.compactFailures.Load()
 }
 
 // Compact forces a checkpoint: the current snapshot is written as a
